@@ -220,7 +220,7 @@ pub fn serve_cluster_node<R: RawLock + Default>(
         // Poll the clients once.
         if let Some((client, head)) = hub.try_recv_from_any() {
             progressed = true;
-            match Request::decode(head, || hub.recv_from_subset(&[client]).1) {
+            match Request::decode(head, || hub.recv_from(client)) {
                 Err(_) => {
                     report.malformed += 1;
                     reply(&replies[client], &[Response::Malformed], &mut frames);

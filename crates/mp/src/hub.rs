@@ -260,19 +260,31 @@ impl<C: MsgReceiver> ServerHub<C> {
         }
     }
 
+    /// Receives the next message from one client, spinning until it
+    /// arrives: how a serve loop pulls the continuation frames of a
+    /// value whose head frame came from `client`, so interleaved
+    /// clients' frames are never mixed. Leaves the round-robin cursor
+    /// where it was — the head frame's receive already advanced it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is out of range.
+    pub fn recv_from(&mut self, client: usize) -> Message {
+        self.clients[client].recv()
+    }
+
     fn poll_once(&mut self, subset: Option<&[usize]>) -> Option<(usize, Message)> {
         let n = self.clients.len();
-        for k in 0..n {
-            let c = (self.next + k) % n;
-            if let Some(filter) = subset {
-                if !filter.contains(&c) {
-                    continue;
+        let mut c = self.next;
+        for _ in 0..n {
+            let after = if c + 1 == n { 0 } else { c + 1 };
+            if subset.map_or(true, |filter| filter.contains(&c)) {
+                if let Some(msg) = self.clients[c].try_recv() {
+                    self.next = after;
+                    return Some((c, msg));
                 }
             }
-            if let Some(msg) = self.clients[c].try_recv() {
-                self.next = (c + 1) % n;
-                return Some((c, msg));
-            }
+            c = after;
         }
         None
     }
@@ -327,6 +339,27 @@ mod tests {
         let (c, m) = hub.recv_from_any();
         assert_eq!(c, 0);
         assert_eq!(m[0], 10);
+    }
+
+    #[test]
+    fn recv_from_reads_one_client_and_keeps_the_rotation() {
+        let (tx0, rx0) = crate::ring::ring_channel(4);
+        let (tx1, rx1) = crate::ring::ring_channel(4);
+        let (tx2, rx2) = crate::ring::ring_channel(4);
+        let mut hub = ServerHub::new(vec![rx0, rx1, rx2]);
+        // Client 1 sends a head frame and two continuation frames
+        // while clients 0 and 2 hold traffic the whole time.
+        tx0.send([10; 7]);
+        tx2.send([12; 7]);
+        tx1.send([1; 7]);
+        tx1.send([2; 7]);
+        tx1.send([3; 7]);
+        assert_eq!(hub.recv_from_any(), (0, [10; 7]));
+        assert_eq!(hub.recv_from_any(), (1, [1; 7]));
+        assert_eq!(hub.recv_from(1), [2; 7]);
+        assert_eq!(hub.recv_from(1), [3; 7]);
+        // The direct receives did not move the cursor: 2 is still next.
+        assert_eq!(hub.recv_from_any(), (2, [12; 7]));
     }
 
     /// Regression test for the round-robin start-after-last-served

@@ -7,12 +7,14 @@
 //! single-cache-line transfers (Section 4.1).
 //!
 //! * [`channel`] — the one-directional SPSC cache-line channel.
-//! * [`ring`] — the same protocol with queue depth (a bounded SPSC
-//!   ring), for oversubscribed hosts where a one-deep buffer turns
+//! * [`ring`] — a bounded SPSC ring *of* such buffers: every slot is
+//!   one line holding a sequence stamp and the payload, so a hop still
+//!   costs the two line transfers of the one-line channel, with queue
+//!   depth for oversubscribed hosts where a one-deep buffer turns
 //!   every multi-frame transfer into a context-switch pair per frame.
-//! * [`hub`] — client/server helpers: receive from any client or from a
-//!   subset, as `libssmp` provides for server loops; generic over both
-//!   channel flavours.
+//! * [`hub`] — client/server helpers: receive from any client, from a
+//!   subset, or from one named client, as `libssmp` provides for
+//!   server loops; generic over both channel flavours.
 //!
 //! # Examples
 //!

@@ -4,8 +4,37 @@
 //! atomics resolve to `ssync-chk` shadow atomics and `SpinWait` /
 //! `ParkingWait` degenerate to one scheduler yield per poll, so the
 //! checker exhaustively interleaves the actual `send`/`recv` protocol
-//! code — the Lamport ring's head/tail handshake and the one-line
-//! channel's flag protocol — up to the preemption bound.
+//! code — the ring's sequence-stamped slots with the producer's cached
+//! `head`, and the one-line channel's flag protocol — up to the
+//! preemption bound.
+//!
+//! # What the ring models cover
+//!
+//! The ring protocol is plain message passing, twice: the producer's
+//! payload write is published by the Release store of the slot's `seq`
+//! and consumed after an Acquire load of it; the consumer's payload
+//! read is published by the Release store of `head` and the slot is
+//! overwritten only after an Acquire load of it (possibly a cached
+//! one — `head` is monotone). No thread ever stores one location and
+//! then loads another that its peer stored, so there is no
+//! store-buffering shape whose outcome the protocol depends on.
+//!
+//! The checker's weak mode is **TSO-only** (per-thread store buffers:
+//! stores may become visible late, loads are never satisfied early —
+//! ROADMAP item 4), so "weak" below means store-side reordering. That
+//! is the class a publish-before-payload bug lives in; the
+//! Release/Acquire pairing on ARM-class machines rests on the argument
+//! above, not on a model run.
+//!
+//! The checker sees only shadow atomics, not plain memory, so under
+//! this cfg each slot mirrors word 0 of its payload through a Relaxed
+//! shadow atomic (`Slot::witness` in `ring.rs`): a frame whose payload
+//! is not yet visible when its stamp is reads back with a stale word 0
+//! and fails the models' whole-frame equality.
+//!
+//! Two `expect_violation` twins remove one guard each through
+//! `ring_channel_with_fault` (a hook that exists only under this cfg)
+//! and must be *caught*, proving the guards load-bearing.
 //!
 //! Run with:
 //! `RUSTFLAGS='--cfg ssync_chk' cargo test -p ssync-mp --test chk_models`
@@ -13,53 +42,181 @@
 
 use ssync_chk::{thread, Builder};
 use ssync_core::ParkingWait;
-use ssync_mp::{channel, ring_channel, MSG_WORDS};
+use ssync_mp::ring::{ring_channel_with_fault, RingFault};
+use ssync_mp::{channel, ring_channel, RingReceiver, RingSender, MSG_WORDS};
 
-/// Producer streams more frames than the ring holds; consumer drains
-/// them. Every frame must arrive exactly once, in order — no loss on
-/// wrap-around, no duplication when the producer blocks on a full ring,
-/// and both blocking loops must terminate (a lost wakeup would be
-/// reported as a livelock).
+/// Producer streams frames `1..=frames` with blocking sends, consumer
+/// drains them with blocking receives; every frame must arrive exactly
+/// once, whole, in order, and both loops must terminate (a lost
+/// hand-back would be reported as a livelock).
+fn stream(tx: RingSender, rx: RingReceiver, frames: u64) {
+    let producer = thread::spawn(move || {
+        for i in 1..=frames {
+            tx.send([i; MSG_WORDS]);
+        }
+    });
+    for i in 1..=frames {
+        assert_eq!(
+            rx.recv(),
+            [i; MSG_WORDS],
+            "frame {i} lost, duplicated, reordered, or torn"
+        );
+    }
+    producer.join();
+    assert!(!rx.has_message(), "phantom frame after the stream");
+    assert!(rx.try_recv().is_none(), "phantom frame after the stream");
+}
+
+/// The weak-memory scenario, loop-free. Under store buffering a
+/// blocked producer and a polling consumer can spin against each other
+/// for as long as a store sits in a buffer — an unbounded schedule
+/// tree — so neither side blocks here. The producer fills the ring
+/// (sends that cannot be refused) and offers the wrap-around frame
+/// once: schedules where the consumer's hand-back has committed take
+/// the cached-head refresh and reuse slot 0, the others take the
+/// refused-frame path. The consumer polls `depth + 1` times while the
+/// producer runs — whatever it gets must be the next whole frame — and
+/// drains the rest after the join.
+fn fill_then_wrap(tx: RingSender, rx: RingReceiver, depth: u64) {
+    let producer = thread::spawn(move || {
+        for i in 1..=depth {
+            assert_eq!(
+                tx.try_send([i; MSG_WORDS]),
+                Ok(()),
+                "ring refused frame {i}"
+            );
+        }
+        let wrap = [depth + 1; MSG_WORDS];
+        match tx.try_send(wrap) {
+            Ok(()) => depth + 1,
+            Err(back) => {
+                assert_eq!(back, wrap, "refused frame came back changed");
+                depth
+            }
+        }
+    });
+    let mut got = 0u64;
+    let mut poll = || {
+        let frame = rx.try_recv()?;
+        got += 1;
+        assert_eq!(
+            frame, [got; MSG_WORDS],
+            "frame {got} lost, duplicated, reordered, or torn"
+        );
+        Some(())
+    };
+    for _ in 0..=depth {
+        poll();
+    }
+    let sent = producer.join();
+    while poll().is_some() {}
+    assert_eq!(got, sent, "frames delivered vs frames accepted");
+}
+
+/// Depth 2, 2·depth + 1 frames: in the schedules where the producer
+/// runs ahead it fills the ring against its cached `head` of 0, finds
+/// it full, goes through the Acquire *refresh* — and, where the
+/// consumer has not moved yet, through the blocked-on-full path
+/// (`try_send` returns the frame, `send` retries it) — then wraps
+/// every slot at least twice. No loss on wrap-around, no duplication
+/// when a refused frame is retried.
 #[test]
 fn ring_delivers_every_frame_in_order_across_wraps() {
     let report = Builder::new().check(|| {
         let (tx, rx) = ring_channel(2);
-        let producer = thread::spawn(move || {
-            for i in 1..=3u64 {
-                tx.send([i; MSG_WORDS]);
-            }
-        });
-        for i in 1..=3u64 {
-            let m = rx.recv();
-            assert_eq!(
-                m, [i; MSG_WORDS],
-                "frame {i} lost, duplicated, or reordered"
-            );
-        }
-        producer.join();
-        assert!(rx.try_recv().is_none(), "phantom frame after the stream");
+        stream(tx, rx, 5);
     });
     assert!(!report.truncated, "exploration truncated: {report:?}");
     eprintln!("ring strong-memory model: {} executions", report.executions);
 }
 
-/// The same ring protocol under the store-buffer memory model: the
-/// Release stores of `tail` (publish) and `head` (slot hand-back) are
-/// all that orders the two sides, and they must still be enough.
+/// The same protocol under the store-buffer memory model: the Release
+/// stores of `seq` (publish) and `head` (slot hand-back) are all that
+/// orders the two sides, and they must still be enough — including
+/// for the frame that reuses slot 0 while the stores of its first
+/// occupant, and of the consumer's hand-back, may still sit in
+/// buffers.
 #[test]
 fn ring_protocol_is_sound_under_weak_memory() {
-    let report = Builder::new().with_weak_memory(true).check(|| {
-        let (tx, rx) = ring_channel(2);
-        let producer = thread::spawn(move || {
-            tx.send([7; MSG_WORDS]);
-            tx.send([8; MSG_WORDS]);
+    let report = Builder::new()
+        .with_weak_memory(true)
+        .with_max_executions(100_000)
+        .check(|| {
+            let (tx, rx) = ring_channel(2);
+            fill_then_wrap(tx, rx, 2);
         });
-        assert_eq!(rx.recv(), [7; MSG_WORDS]);
-        assert_eq!(rx.recv(), [8; MSG_WORDS]);
-        producer.join();
-    });
     assert!(!report.truncated, "exploration truncated: {report:?}");
     eprintln!("ring weak-memory model: {} executions", report.executions);
+}
+
+/// Depth 1 — the shape `ssync-repl` builds its per-peer halves with.
+/// The single slot is reused by every frame, the mask is zero, and
+/// every send after the first finds the cached `head` stale and must
+/// refresh it. Strong memory streams three frames through blocking
+/// calls; under store buffering each publication chases the previous
+/// hand-back on the same line.
+#[test]
+fn depth_one_ring_hands_its_single_slot_back_and_forth() {
+    let report = Builder::new().check(|| {
+        let (tx, rx) = ring_channel(1);
+        stream(tx, rx, 3);
+    });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    eprintln!(
+        "ring depth-1 strong model: {} executions",
+        report.executions
+    );
+
+    let report = Builder::new().with_weak_memory(true).check(|| {
+        let (tx, rx) = ring_channel(1);
+        fill_then_wrap(tx, rx, 1);
+    });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    eprintln!("ring depth-1 weak model: {} executions", report.executions);
+}
+
+/// Twin of the publish order: `seq` stored *before* the payload write,
+/// in the depth-1 weak scenario above. Under store buffering the stamp
+/// can commit while the payload still sits behind it, and the consumer
+/// reads a frame that is not there yet — the checker must exhibit it.
+#[test]
+fn publishing_the_stamp_before_the_payload_is_caught() {
+    let violation = Builder::new().with_weak_memory(true).expect_violation(|| {
+        let (tx, rx) = ring_channel_with_fault(1, RingFault::PublishBeforePayload);
+        fill_then_wrap(tx, rx, 1);
+    });
+    assert!(
+        violation.message.contains("torn"),
+        "wrong failure: {violation}"
+    );
+    eprintln!(
+        "ring publish-before-payload twin: caught at execution {}",
+        violation.execution
+    );
+}
+
+/// Twin of the full check: when its cached `head` calls the ring full
+/// the producer skips the Acquire re-load and the re-check, as if a
+/// stale copy could only err on the safe side of *that* decision too.
+/// Frame 3 then lands on slot 0 while frame 1 may still be unread
+/// there: the consumer either reads frame 3's payload under frame 1's
+/// stamp, or finds a stamp from a lap it never saw (the receive side's
+/// range assertion).
+#[test]
+fn skipping_the_head_reload_overwrites_an_unread_slot() {
+    let violation = Builder::new().expect_violation(|| {
+        let (tx, rx) = ring_channel_with_fault(2, RingFault::SkipHeadReload);
+        stream(tx, rx, 3);
+    });
+    assert!(
+        violation.message.contains("frame 1 lost")
+            || violation.message.contains("unread slot overwritten"),
+        "wrong failure: {violation}"
+    );
+    eprintln!(
+        "ring skip-head-reload twin: caught at execution {}",
+        violation.execution
+    );
 }
 
 /// A consumer idling in `ParkingWait::snooze` (the server-loop wait,

@@ -833,7 +833,7 @@ pub fn serve_node<R: RawLock + Default>(
                 continue;
             }
         };
-        let decoded = Request::decode(head, || hub.recv_from_subset(&[source]).1);
+        let decoded = Request::decode(head, || hub.recv_from(source));
         since_reclaim += 1;
         if since_reclaim >= RECLAIM_PERIOD {
             since_reclaim = 0;

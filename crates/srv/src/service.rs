@@ -4,7 +4,7 @@
 //! thread. Every (client, shard) pair gets a dedicated SPSC channel
 //! pair (request + reply); a server multiplexes its clients with
 //! [`ServerHub`] (round-robin, no starvation) and pulls a request's
-//! continuation frames with `recv_from_subset` so interleaved clients
+//! continuation frames with `ServerHub::recv_from` so interleaved clients
 //! cannot corrupt a value mid-transfer.
 //!
 //! The service is **generic over the transport** (mirroring
@@ -242,7 +242,7 @@ pub fn serve<R: RawLock + Default, C: MsgReceiver, S: MsgSender>(
                 None => wait.snooze(),
             }
         };
-        let request = match Request::decode(head, || hub.recv_from_subset(&[client]).1) {
+        let request = match Request::decode(head, || hub.recv_from(client)) {
             Ok(request) => request,
             Err(_) => {
                 report.malformed += 1;
@@ -268,18 +268,17 @@ pub fn serve<R: RawLock + Default, C: MsgReceiver, S: MsgSender>(
                 requests_ctr.inc();
                 let t0 = mono_ns();
                 queue_wait.record(t0.saturating_sub(stamp));
-                let responses = execute(shard, Request::Get { key }, &mut report.key_ops);
+                report.key_ops += 1;
+                let response = lookup(shard, key);
                 apply.record(mono_ns().saturating_sub(t0));
-                for response in responses {
-                    send_all(client, &response, &mut frames);
-                }
+                send_all(client, &response, &mut frames);
             }
             request => {
                 report.requests += 1;
                 requests_ctr.inc();
-                for response in execute(shard, request, &mut report.key_ops) {
-                    send_all(client, &response, &mut frames);
-                }
+                execute(shard, request, &mut report.key_ops, |response| {
+                    send_all(client, response, &mut frames)
+                });
             }
         }
     }
@@ -308,24 +307,35 @@ fn append_store_counters<R: RawLock + Default>(shard: &KvStore<R>, snap: &mut Re
     }
 }
 
-/// Executes one request against the shard, returning the responses to
-/// send (one per key for a multi-get, in key order).
-fn execute<R: RawLock + Default>(
-    shard: &KvStore<R>,
-    request: Request,
-    key_ops: &mut u64,
-) -> Vec<Response> {
-    let lookup = |key: u64| match shard.get_with_version(&key_bytes(key)) {
+/// One versioned read through the store's configured read path.
+fn lookup<R: RawLock + Default>(shard: &KvStore<R>, key: u64) -> Response {
+    hit_response(shard.get_with_version(&key_bytes(key)))
+}
+
+fn hit_response(hit: Option<(u64, bytes::Bytes)>) -> Response {
+    match hit {
         Some((version, value)) => Response::Value {
             version,
             value: value.as_ref().to_vec(),
         },
         None => Response::Miss,
-    };
+    }
+}
+
+/// Executes one request against the shard, handing each response to
+/// `emit` as it is produced (one per key for a multi-get, in key
+/// order; exactly one for everything else) — no per-request response
+/// vector.
+fn execute<R: RawLock + Default>(
+    shard: &KvStore<R>,
+    request: Request,
+    key_ops: &mut u64,
+    mut emit: impl FnMut(&Response),
+) {
     match request {
         Request::Get { key } => {
             *key_ops += 1;
-            vec![lookup(key)]
+            emit(&lookup(shard, key));
         }
         Request::MultiGet { keys } => {
             *key_ops += keys.len() as u64;
@@ -333,23 +343,15 @@ fn execute<R: RawLock + Default>(
             // store's configured read path (optimistic by default).
             let key_bufs: Vec<[u8; 8]> = keys.iter().map(|&key| key_bytes(key)).collect();
             let key_refs: Vec<&[u8]> = key_bufs.iter().map(|buf| buf.as_slice()).collect();
-            shard
-                .multi_get(&key_refs)
-                .into_iter()
-                .map(|hit| match hit {
-                    Some((version, value)) => Response::Value {
-                        version,
-                        value: value.as_ref().to_vec(),
-                    },
-                    None => Response::Miss,
-                })
-                .collect()
+            for hit in shard.multi_get(&key_refs) {
+                emit(&hit_response(hit));
+            }
         }
         Request::Set { key, value } => {
             *key_ops += 1;
-            vec![Response::Stored {
+            emit(&Response::Stored {
                 version: shard.set(&key_bytes(key), value),
-            }]
+            });
         }
         Request::Cas {
             key,
@@ -357,17 +359,17 @@ fn execute<R: RawLock + Default>(
             value,
         } => {
             *key_ops += 1;
-            vec![match shard.cas(&key_bytes(key), value, expected) {
+            emit(&match shard.cas(&key_bytes(key), value, expected) {
                 Ok(version) => Response::Stored { version },
                 Err(current) => Response::CasFail { current },
-            }]
+            });
         }
         Request::Delete { key } => {
             *key_ops += 1;
-            vec![match shard.delete_versioned(&key_bytes(key)) {
+            emit(&match shard.delete_versioned(&key_bytes(key)) {
                 Some(version) => Response::Deleted { version },
                 None => Response::NotFound,
-            }]
+            });
         }
         // Replication traffic belongs to the `ssync-repl` primary and
         // replica loops; at a plain shard server it is a protocol
@@ -375,7 +377,7 @@ fn execute<R: RawLock + Default>(
         Request::Replicate { .. }
         | Request::ReplicateDelete { .. }
         | Request::ReplGet { .. }
-        | Request::ReplMultiGet { .. } => vec![Response::Malformed],
+        | Request::ReplMultiGet { .. } => emit(&Response::Malformed),
         Request::TimedGet { .. } | Request::Stats | Request::Stop => {
             unreachable!("handled by the serve loop")
         }

@@ -18,7 +18,7 @@
 //! [`Request::encode`] / [`Response::encode`] (a `Vec` of frames sent
 //! back-to-back) and decode with `decode(head, more)`, where `more`
 //! pulls the next frame *from the same peer* — the server uses
-//! `ServerHub::recv_from_subset` for this, a client its reply channel.
+//! `ServerHub::recv_from` for this, a client its reply channel.
 //!
 //! Replication rides the same format: a primary streams
 //! [`Request::Replicate`] / [`Request::ReplicateDelete`] entries (the

@@ -6,6 +6,7 @@ use ssync::core::topology::{DistClass, Platform};
 use ssync::ht::HashTable;
 use ssync::kv::KvStore;
 use ssync::locks::TicketLock;
+use ssync::mp::{ring_channel, MSG_WORDS};
 use ssync::sim::memory::SharerSet;
 use ssync::sim::program::{Action, MemOpKind};
 use ssync::sim::Sim;
@@ -288,6 +289,44 @@ proptest! {
             prop_assert!(s < shards);
             prop_assert_eq!(s, shard_of(key, shards));
         }
+    }
+
+    /// The SPSC ring agrees with a bounded `VecDeque` under any
+    /// `try_send`/`try_recv` interleaving, at every depth the stacks
+    /// use (1 = repl's per-peer halves, 64 = the serving meshes) and
+    /// for at least four laps of the slot array: FIFO, never more than
+    /// `depth` frames queued, a refused frame handed back intact, and
+    /// `has_message` telling the truth after every step.
+    #[test]
+    fn ring_models_bounded_vecdeque(depth_pow in 0usize..4, ops in proptest::collection::vec(any::<u8>(), 64..768)) {
+        let depth = [1usize, 2, 8, 64][depth_pow];
+        let (tx, rx) = ring_channel(depth);
+        let mut model: std::collections::VecDeque<[u64; MSG_WORDS]> = std::collections::VecDeque::new();
+        let mut sent = 0u64;
+        // The random walk first, then alternate until the fourth lap ends.
+        let mut step = 0usize;
+        while step < ops.len() || sent < 4 * depth as u64 || !model.is_empty() {
+            let send = match ops.get(step) {
+                // Biased towards sending so full rings are common too.
+                Some(op) => op % 8 < 5,
+                None => sent < 4 * depth as u64 && step % 2 == 0,
+            };
+            step += 1;
+            if send {
+                let frame: [u64; MSG_WORDS] = core::array::from_fn(|w| (sent << 3) | w as u64);
+                if model.len() == depth {
+                    prop_assert_eq!(tx.try_send(frame), Err(frame));
+                } else {
+                    prop_assert_eq!(tx.try_send(frame), Ok(()));
+                    model.push_back(frame);
+                    sent += 1;
+                }
+            } else {
+                prop_assert_eq!(rx.try_recv(), model.pop_front());
+            }
+            prop_assert_eq!(rx.has_message(), !model.is_empty());
+        }
+        prop_assert!(sent >= 4 * depth as u64);
     }
 
     /// Simulated FAI never loses counts, for any platform, thread count
