@@ -61,7 +61,7 @@ pub(crate) mod sync;
 pub use map::{MapSnapshot, MapView, ShardMap};
 pub use migrate::{run_reshard_coordinator, MigrationReport, ReshardSpec};
 pub use service::{
-    cluster_mesh, serve_cluster_node, ClientConn, ClusterClient, ClusterMesh, ClusterNodeEndpoint,
-    NodeReport,
+    cluster_mesh, serve_cluster_node, slot_fence, ClientConn, ClusterClient, ClusterMesh,
+    ClusterNodeEndpoint, NodeReport,
 };
 pub use workload::{run_reshard, ReshardReport, ReshardWorkloadSpec};

@@ -1,23 +1,28 @@
 //! Cluster node servers and the map-following client.
 //!
 //! One [`serve_cluster_node`] thread per shard, over the ring
-//! transport. A node is the `ssync-srv` shard server plus the three
-//! duties elastic routing adds:
+//! transport. The request path — polling, decoding, executing,
+//! replying, scraping — is `ssync-srv`'s shared [`NodeCore`]; what this
+//! module owns is what elastic routing adds to it:
 //!
-//! * **Ownership fencing** — every request is routed against the live
-//!   [`ShardMap`] before executing; a key whose slot the node does not
-//!   own under its current map is bounced with
-//!   [`Response::WrongShard`] (nothing executes), and the client
-//!   refetches the map and retries. An operation is therefore executed
-//!   by exactly the node that acknowledges it.
+//! * **The slot fence** ([`slot_fence`], the node's `admit` hook) —
+//!   every key is routed against the live [`ShardMap`] before
+//!   executing; a key whose slot the node does not own under its
+//!   current map is bounced with [`Response::WrongShard`] (nothing
+//!   executes), and the client refetches the map and retries. An
+//!   operation is therefore executed by exactly the node that
+//!   acknowledges it. Every committed write is appended to the node's
+//!   [`OpLog`] (the `committed` hook) for the coordinator's delta
+//!   replay.
 //! * **The freeze protocol** — writes to slots frozen for a
 //!   migration's final drain are *deferred* (parked in the node, the
-//!   client blocked on its reply) and re-examined each loop pass:
+//!   client blocked on its reply) and re-submitted each loop pass:
 //!   after an aborted migration they execute here; after a cutover
 //!   the node no longer owns them and they bounce to the new owner.
 //!   Reads keep being served throughout — the freeze window is
 //!   write-unavailability only, and it is bounded by the final delta
-//!   drain, not the whole copy.
+//!   drain, not the whole copy. The round-tagged quiesce handshake
+//!   tells the coordinator when the node's log is final.
 //! * **The migration stream** — a per-node SPSC ring the coordinator
 //!   replays `Replicate`/`ReplicateDelete` frames over. Entries apply
 //!   through the store's per-key version gate
@@ -26,84 +31,66 @@
 //!   so the coordinator can prove the stream drained.
 //!
 //! Ordering discipline (the heart of the zero-lost-writes argument;
-//! model-checked in `tests/chk_models.rs`): the write path loads the
-//! freeze mask *before* routing. If the mask already shows this
-//! round's freeze, the write defers — safe. If it does not, either the
-//! freeze is not up yet (the write lands before the node's quiesce ack
-//! and the final delta carries it), or the mask was cleared *after*
-//! the cutover — and because the coordinator unfreezes only after the
-//! cutover CAS, the Acquire mask load then guarantees the route read
-//! sees the new map and the write bounces to the new owner. In no
-//! interleaving does a moved-slot write land on the old owner after
-//! the final delta was read.
+//! `tests/chk_models.rs` model-checks [`slot_fence`] itself): the
+//! write path loads the freeze mask *before* routing. If the mask
+//! already shows this round's freeze, the write defers — safe. If it
+//! does not, either the freeze is not up yet (the write lands before
+//! the node's quiesce ack and the final delta carries it), or the mask
+//! was cleared *after* the cutover — and because the coordinator
+//! unfreezes only after the cutover CAS, the Acquire mask load then
+//! guarantees the route read sees the new map and the write bounces to
+//! the new owner. In no interleaving does a moved-slot write land on
+//! the old owner after the final delta was read.
 
 use core::cell::{Cell, RefCell};
 
 use bytes::Bytes;
 
-use ssync_core::{ParkingWait, RegistrySnapshot};
+use ssync_core::RegistrySnapshot;
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
-use ssync_mp::{
-    ring_channel, Message, MsgReceiver, MsgSender, RingReceiver, RingSender, ServerHub,
-};
+use ssync_mp::{ring_channel, RingReceiver, RingSender};
 use ssync_repl::{LogEntry, LogOp, OpLog};
 use ssync_srv::router::key_bytes;
-use ssync_srv::slot_of;
+use ssync_srv::service::{ring_mesh, ReadHit, ServerEndpoint};
 use ssync_srv::wire::{Request, Response, WireError};
+use ssync_srv::{slot_of, Admit, Hooks, NodeCore, Poll, ServiceClient};
 
 use crate::map::{MapSnapshot, ShardMap};
-use crate::sync::atomic::Ordering;
 
 /// A cluster node's side of the mesh: per-client request/reply rings
 /// plus the coordinator's migration stream.
 pub struct ClusterNodeEndpoint {
-    requests: Vec<RingReceiver>,
-    replies: Vec<RingSender>,
+    clients: ServerEndpoint<RingReceiver, RingSender>,
     migration: RingReceiver,
 }
 
-/// One client's per-shard `(request sender, reply receiver)` pairs.
-pub type ClientConn = Vec<(RingSender, RingReceiver)>;
+/// One client's connections, one per node.
+pub type ClientConn = ServiceClient<RingSender, RingReceiver>;
 
 /// What [`cluster_mesh`] returns: node endpoints (element `s` serves
 /// shard `s`), client connections, and the per-shard migration-stream
 /// senders the coordinator keeps.
 pub type ClusterMesh = (Vec<ClusterNodeEndpoint>, Vec<ClientConn>, Vec<RingSender>);
 
-/// Builds the ring mesh for `shards` nodes × `clients` clients, with a
-/// `mig_depth`-deep migration stream into every node. Every client
-/// gets a connection to every node — including shards that own nothing
-/// under the current map, so a fleet can grow without re-wiring.
+/// Builds the ring mesh for `shards` nodes × `clients` clients — a
+/// [`ring_mesh`] — plus a `mig_depth`-deep migration stream into every
+/// node. Every client gets a connection to every node — including
+/// shards that own nothing under the current map, so a fleet can grow
+/// without re-wiring.
 ///
 /// # Panics
 ///
 /// Panics if any dimension is zero or a depth is not a power of two.
 pub fn cluster_mesh(shards: usize, clients: usize, depth: usize, mig_depth: usize) -> ClusterMesh {
-    assert!(shards > 0 && clients > 0);
-    let mut endpoints: Vec<ClusterNodeEndpoint> = Vec::with_capacity(shards);
-    let mut mig_senders = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (mig_tx, mig_rx) = ring_channel(mig_depth);
-        mig_senders.push(mig_tx);
-        endpoints.push(ClusterNodeEndpoint {
-            requests: Vec::with_capacity(clients),
-            replies: Vec::with_capacity(clients),
-            migration: mig_rx,
-        });
-    }
-    let mut conns: Vec<ClientConn> = Vec::with_capacity(clients);
-    for _ in 0..clients {
-        let mut per_shard = Vec::with_capacity(shards);
-        for endpoint in endpoints.iter_mut() {
-            let (req_tx, req_rx) = ring_channel(depth);
-            let (rep_tx, rep_rx) = ring_channel(depth);
-            endpoint.requests.push(req_rx);
-            endpoint.replies.push(rep_tx);
-            per_shard.push((req_tx, rep_rx));
-        }
-        conns.push(per_shard);
-    }
+    let (endpoints, conns) = ring_mesh(shards, clients, depth);
+    let (mig_senders, endpoints) = endpoints
+        .into_iter()
+        .map(|clients| {
+            let (mig_tx, migration) = ring_channel(mig_depth);
+            (mig_tx, ClusterNodeEndpoint { clients, migration })
+        })
+        .unzip();
     (endpoints, conns, mig_senders)
 }
 
@@ -125,12 +112,54 @@ pub struct NodeReport {
     pub migration_entries: u64,
 }
 
-/// What executing one request produced.
-enum Served {
-    /// Responses to send, in order.
-    Replies(Vec<Response>),
-    /// The write's slot is frozen: park the request, reply later.
-    Deferred(Request),
+/// The cluster node's admission decision for one key at node `me`:
+/// [`Admit::Run`] if `me` owns the key's slot (and, for a write, the
+/// slot is not frozen), [`Admit::Defer`] for a write to a frozen owned
+/// slot, and a [`Response::WrongShard`] refusal carrying the observed
+/// map epoch otherwise. Reads are fenced on ownership only — they stay
+/// available for the whole migration.
+///
+/// For a write the freeze-mask load MUST precede the route — see the
+/// module docs for why the other order loses acknowledged writes.
+pub fn slot_fence(map: &ShardMap, me: usize, key: u64, is_write: bool) -> Admit {
+    let frozen = if is_write { map.frozen() } else { 0 };
+    let (owner, map_epoch) = map.route(key);
+    if owner != me {
+        Admit::Refuse(Response::WrongShard { map_epoch })
+    } else if frozen & (1 << slot_of(key)) != 0 {
+        Admit::Defer
+    } else {
+        Admit::Run
+    }
+}
+
+/// The node's policy state: the fence's inputs, the op-log its
+/// committed writes go to, and the counters the two hooks maintain.
+struct SlotPolicy<'a> {
+    me: usize,
+    map: &'a ShardMap,
+    log: &'a OpLog,
+    /// Highest op-log version this node assigned — what it quiesces at.
+    last_version: u64,
+    bounced: u64,
+}
+
+impl Hooks for SlotPolicy<'_> {
+    const OBSERVES_WRITES: bool = true;
+
+    fn admit(&mut self, key: u64, is_write: bool) -> Admit {
+        let verdict = slot_fence(self.map, self.me, key, is_write);
+        if matches!(verdict, Admit::Refuse(_)) {
+            self.bounced += 1;
+        }
+        verdict
+    }
+
+    fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>) {
+        let op = value.map_or(LogOp::Delete, |value| LogOp::Put(value.clone()));
+        self.log.append(LogEntry { key, version, op });
+        self.last_version = version;
+    }
 }
 
 /// Runs one cluster node: serve clients, drain the migration stream,
@@ -143,30 +172,22 @@ pub fn serve_cluster_node<R: RawLock + Default>(
     map: &ShardMap,
     endpoint: ClusterNodeEndpoint,
 ) -> NodeReport {
-    let ClusterNodeEndpoint {
-        requests,
-        replies,
-        migration,
-    } = endpoint;
-    let mut live = requests.len();
-    let mut hub = ServerHub::new(requests);
-    let mut report = NodeReport::default();
-    let mut frames: Vec<Message> = Vec::new();
+    let ClusterNodeEndpoint { clients, migration } = endpoint;
+    let mut core = NodeCore::new(clients);
+    let mut policy = SlotPolicy {
+        me,
+        map,
+        log,
+        last_version: 0,
+        bounced: 0,
+    };
     let mut deferred: Vec<(usize, Request)> = Vec::new();
-    let mut wait = ParkingWait::new();
-    // Highest op-log version this node assigned — what it quiesces at.
-    let mut last_version = 0u64;
+    let mut ops_deferred = 0u64;
     // The freeze round this node last acknowledged.
     let mut acked_round = 0u64;
     // Cumulative migration-stream entries processed.
     let mut mig_processed = 0u64;
-    // Online reclamation cadence: one epoch advance-and-collect pass
-    // per RECLAIM_PERIOD progressed loop turns — client writes and
-    // migration-stream applies both retire displaced nodes, and the
-    // pass keeps that backlog bounded without a quiescent point.
-    const RECLAIM_PERIOD: u64 = 1024;
-    let mut since_reclaim = 0u64;
-    while live > 0 {
+    while core.live() > 0 {
         let mut progressed = false;
         // Quiesce handshake: reading the round first (Acquire) is what
         // guarantees the freeze bits of that round are visible, and —
@@ -177,7 +198,7 @@ pub fn serve_cluster_node<R: RawLock + Default>(
         if round != acked_round {
             let mine = owned_mask(map, me);
             if map.frozen() & mine != 0 {
-                map.publish_quiesced(me, round, last_version);
+                map.publish_quiesced(me, round, policy.last_version);
                 acked_round = round;
                 progressed = true;
             }
@@ -196,66 +217,49 @@ pub fn serve_cluster_node<R: RawLock + Default>(
                 Ok(Request::ReplicateDelete { key, version }) => {
                     store.apply_replicated(&key_bytes(key), version, None);
                 }
-                _ => report.malformed += 1,
+                _ => core.counts.malformed += 1,
             }
             mig_processed += 1;
-            report.migration_entries += 1;
             map.publish_migrated(me, mig_processed);
         }
-        // Re-examine parked writes: an aborted migration unfreezes
+        // Re-submit parked writes: an aborted migration unfreezes
         // them here, a completed one bounces them to the new owner.
-        if !deferred.is_empty() {
-            let mut still = Vec::new();
-            for (client, request) in deferred.drain(..) {
-                match execute(me, store, log, map, request, &mut last_version, &mut report) {
-                    Served::Replies(responses) => {
-                        progressed = true;
-                        reply(&replies[client], &responses, &mut frames);
-                    }
-                    Served::Deferred(request) => still.push((client, request)),
-                }
+        for (client, request) in std::mem::take(&mut deferred) {
+            match core.serve(store, &mut policy, client, request) {
+                Some(request) => deferred.push((client, request)),
+                None => progressed = true,
             }
-            deferred = still;
         }
         // Poll the clients once.
-        if let Some((client, head)) = hub.try_recv_from_any() {
-            progressed = true;
-            match Request::decode(head, || hub.recv_from(client)) {
-                Err(_) => {
-                    report.malformed += 1;
-                    reply(&replies[client], &[Response::Malformed], &mut frames);
-                }
-                Ok(Request::Stop) => live -= 1,
-                Ok(request) => {
-                    report.requests += 1;
-                    match execute(me, store, log, map, request, &mut last_version, &mut report) {
-                        Served::Replies(responses) => {
-                            reply(&replies[client], &responses, &mut frames);
-                        }
-                        Served::Deferred(request) => {
-                            report.migration_ops_deferred += 1;
-                            store
-                                .stats()
-                                .migration_ops_deferred
-                                .fetch_add(1, Ordering::Relaxed);
-                            deferred.push((client, request));
-                        }
-                    }
+        let polled = core.poll();
+        progressed |= !matches!(polled, Poll::Idle);
+        match polled {
+            Poll::Idle | Poll::Consumed => {}
+            Poll::Scrape(client) => {
+                let node = [
+                    ("node.wrong_shard_redirects", policy.bounced),
+                    ("node.migration_ops_deferred", ops_deferred),
+                    ("node.migration_entries", mig_processed),
+                ];
+                core.reply_stats(client, store, &node);
+            }
+            Poll::Request(client, request) => {
+                if let Some(request) = core.serve(store, &mut policy, client, request) {
+                    ops_deferred += 1;
+                    deferred.push((client, request));
                 }
             }
         }
-        if progressed {
-            since_reclaim += 1;
-            if since_reclaim >= RECLAIM_PERIOD {
-                since_reclaim = 0;
-                store.reclaim_pass();
-            }
-            wait.reset();
-        } else {
-            wait.snooze();
-        }
+        core.pace(store, progressed);
     }
-    report
+    NodeReport {
+        requests: core.counts.requests,
+        key_ops: core.counts.key_ops,
+        malformed: core.counts.malformed,
+        wrong_shard_redirects: policy.bounced,
+        migration_ops_deferred: ops_deferred,
+        migration_entries: mig_processed,
+    }
 }
 
 /// The slots `shard` owns under the current map, as a bitmask.
@@ -268,177 +272,6 @@ fn owned_mask(map: &ShardMap, shard: usize) -> u64 {
         .fold(0, |mask, (slot, _)| mask | 1 << slot)
 }
 
-/// Encodes and sends each response to one client, in order.
-fn reply(tx: &RingSender, responses: &[Response], frames: &mut Vec<Message>) {
-    for response in responses {
-        response.encode_into(frames);
-        for &frame in frames.iter() {
-            tx.send(frame);
-        }
-    }
-}
-
-/// Executes one request at node `me`, or asks for it to be deferred.
-fn execute<R: RawLock + Default>(
-    me: usize,
-    store: &KvStore<R>,
-    log: &OpLog,
-    map: &ShardMap,
-    request: Request,
-    last_version: &mut u64,
-    report: &mut NodeReport,
-) -> Served {
-    let bounce = |at: u64, report: &mut NodeReport| {
-        report.wrong_shard_redirects += 1;
-        store
-            .stats()
-            .wrong_shard_redirects
-            .fetch_add(1, Ordering::Relaxed);
-        Response::WrongShard { map_epoch: at }
-    };
-    // The read path: ownership is fenced, the freeze is not — reads
-    // stay available for the whole migration.
-    let lookup = |key: u64, report: &mut NodeReport| {
-        report.key_ops += 1;
-        let (owner, at) = map.route(key);
-        if owner != me {
-            return bounce(at, report);
-        }
-        match store.get_with_version(&key_bytes(key)) {
-            Some((version, value)) => Response::Value {
-                version,
-                value: value.as_ref().to_vec(),
-            },
-            None => Response::Miss,
-        }
-    };
-    // The write path: the mask load MUST precede the route — see the
-    // module docs for why the other order loses acknowledged writes.
-    macro_rules! fence_write {
-        ($key:expr, $request:expr) => {{
-            let frozen = map.frozen();
-            let (owner, at) = map.route($key);
-            if owner != me {
-                report.key_ops += 1;
-                return Served::Replies(vec![bounce(at, report)]);
-            }
-            if frozen & (1 << slot_of($key)) != 0 {
-                return Served::Deferred($request);
-            }
-            report.key_ops += 1;
-        }};
-    }
-    match request {
-        Request::Get { key } => Served::Replies(vec![lookup(key, report)]),
-        // A timed read routes exactly like a plain one — the stamp only
-        // shapes the client-side open-loop measurement. Cluster nodes
-        // keep no per-node histograms; the latency split lives in the
-        // single-shard service.
-        Request::TimedGet { key, .. } => Served::Replies(vec![lookup(key, report)]),
-        // Introspection: flatten the live report and store counters
-        // into a registry snapshot, assembled only when asked for.
-        Request::Stats => {
-            let mut snap = RegistrySnapshot::default();
-            let s = store.stats_snapshot();
-            for (name, value) in [
-                ("node.requests", report.requests),
-                ("node.key_ops", report.key_ops),
-                ("node.malformed", report.malformed),
-                ("node.wrong_shard_redirects", report.wrong_shard_redirects),
-                ("node.migration_ops_deferred", report.migration_ops_deferred),
-                ("node.migration_entries", report.migration_entries),
-                ("store.hits", s.hits),
-                ("store.misses", s.misses),
-                ("store.sets", s.sets),
-                ("store.deletes", s.deletes),
-                ("store.cas_failures", s.cas_failures),
-                ("store.repl_applied", s.repl_applied),
-                ("store.migration_ops_deferred", s.migration_ops_deferred),
-                ("store.wrong_shard_redirects", s.wrong_shard_redirects),
-                ("store.epochs_advanced", s.epochs_advanced),
-                ("store.nodes_reclaimed", s.nodes_reclaimed),
-                ("store.reclaim_backlog", s.reclaim_backlog),
-            ] {
-                snap.counters.push((name.to_string(), value));
-            }
-            Served::Replies(vec![Response::StatsReply {
-                payload: snap.to_bytes(),
-            }])
-        }
-        Request::MultiGet { keys } => Served::Replies(
-            keys.iter()
-                .map(|&key| lookup(key, report))
-                .collect::<Vec<_>>(),
-        ),
-        Request::Set { key, value } => {
-            fence_write!(key, Request::Set { key, value });
-            let value = Bytes::from(value);
-            let version = store.set(&key_bytes(key), value.clone());
-            log.append(LogEntry {
-                key,
-                version,
-                op: LogOp::Put(value),
-            });
-            *last_version = version;
-            Served::Replies(vec![Response::Stored { version }])
-        }
-        Request::Cas {
-            key,
-            expected,
-            value,
-        } => {
-            fence_write!(
-                key,
-                Request::Cas {
-                    key,
-                    expected,
-                    value,
-                }
-            );
-            let value = Bytes::from(value);
-            Served::Replies(vec![
-                match store.cas(&key_bytes(key), value.clone(), expected) {
-                    Ok(version) => {
-                        log.append(LogEntry {
-                            key,
-                            version,
-                            op: LogOp::Put(value),
-                        });
-                        *last_version = version;
-                        Response::Stored { version }
-                    }
-                    Err(current) => Response::CasFail { current },
-                },
-            ])
-        }
-        Request::Delete { key } => {
-            fence_write!(key, Request::Delete { key });
-            Served::Replies(vec![match store.delete_versioned(&key_bytes(key)) {
-                Some(version) => {
-                    log.append(LogEntry {
-                        key,
-                        version,
-                        op: LogOp::Delete,
-                    });
-                    *last_version = version;
-                    Response::Deleted { version }
-                }
-                None => Response::NotFound,
-            }])
-        }
-        // Replication traffic arrives on the migration stream, never
-        // on a client channel; anywhere else it is refused.
-        Request::Replicate { .. }
-        | Request::ReplicateDelete { .. }
-        | Request::ReplGet { .. }
-        | Request::ReplMultiGet { .. } => {
-            report.malformed += 1;
-            Served::Replies(vec![Response::Malformed])
-        }
-        Request::Stop => unreachable!("Stop is handled by the serve loop"),
-    }
-}
-
 /// The map-following client: routes by a cached [`MapSnapshot`] and
 /// chases [`Response::WrongShard`] redirects by refetching the shared
 /// map — the elastic mirror of `ssync-repl`'s leader-chasing client.
@@ -448,21 +281,18 @@ fn execute<R: RawLock + Default>(
 pub struct ClusterClient<'a> {
     map: &'a ShardMap,
     cached: RefCell<MapSnapshot>,
-    shards: ClientConn,
-    frames: RefCell<Vec<Message>>,
+    nodes: ClientConn,
     redirects: Cell<u64>,
 }
 
 impl<'a> ClusterClient<'a> {
     /// A client over one [`cluster_mesh`] connection set, primed with
     /// a fresh map snapshot.
-    pub fn new(map: &'a ShardMap, shards: ClientConn) -> ClusterClient<'a> {
-        assert!(!shards.is_empty());
+    pub fn new(map: &'a ShardMap, nodes: ClientConn) -> ClusterClient<'a> {
         ClusterClient {
             cached: RefCell::new(map.snapshot()),
             map,
-            shards,
-            frames: RefCell::new(Vec::new()),
+            nodes,
             redirects: Cell::new(0),
         }
     }
@@ -481,40 +311,12 @@ impl<'a> ClusterClient<'a> {
     /// Scrapes the live introspection snapshot of one node, by index.
     /// Any node answers regardless of what it owns — introspection is
     /// never routed.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ServiceClient::stats`].
     pub fn stats(&self, node: usize) -> Result<RegistrySnapshot, WireError> {
-        self.send_request(node, &Request::Stats)?;
-        match self.read_response(node)? {
-            Response::StatsReply { payload } => {
-                RegistrySnapshot::from_bytes(&payload).ok_or(WireError::UnexpectedResponse("Stats"))
-            }
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Stats")),
-        }
-    }
-
-    fn send_request(&self, shard: usize, request: &Request) -> Result<(), WireError> {
-        let (tx, _) = &self.shards[shard];
-        let mut frames = self.frames.borrow_mut();
-        request.encode_into(&mut frames);
-        tx.send_all_connected(&frames)
-            .map_err(|_| WireError::Disconnected)
-    }
-
-    fn read_response(&self, shard: usize) -> Result<Response, WireError> {
-        let (_, rx) = &self.shards[shard];
-        let head = rx.recv_connected().map_err(|_| WireError::Disconnected)?;
-        let mut dead = false;
-        let resp = Response::decode(head, || match rx.recv_connected() {
-            Ok(m) => m,
-            Err(_) => {
-                dead = true;
-                [0; ssync_mp::MSG_WORDS]
-            }
-        })?;
-        if dead {
-            return Err(WireError::Disconnected);
-        }
-        Ok(resp)
+        self.nodes.stats(node)
     }
 
     /// One operation against whoever owns the key: route by the cached
@@ -523,8 +325,7 @@ impl<'a> ClusterClient<'a> {
     fn call_owner(&self, key: u64, request: &Request) -> Result<Response, WireError> {
         loop {
             let owner = self.cached.borrow().owner_of_key(key);
-            self.send_request(owner, request)?;
-            match self.read_response(owner)? {
+            match self.nodes.conn(owner).call(request)? {
                 Response::WrongShard { map_epoch } => {
                     self.redirects.set(self.redirects.get() + 1);
                     // The shared map can trail the bouncer's view only
@@ -549,13 +350,9 @@ impl<'a> ClusterClient<'a> {
     /// # Errors
     ///
     /// [`WireError`] on an undecodable or out-of-protocol reply.
-    pub fn get(&self, key: u64) -> Result<Option<(u64, Vec<u8>)>, WireError> {
-        match self.call_owner(key, &Request::Get { key })? {
-            Response::Value { version, value } => Ok(Some((version, value))),
-            Response::Miss => Ok(None),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Get")),
-        }
+    pub fn get(&self, key: u64) -> Result<ReadHit, WireError> {
+        self.call_owner(key, &Request::Get { key })?
+            .into_read("Get")
     }
 
     /// Stores a value; returns its new CAS version. Blocks while the
@@ -566,11 +363,8 @@ impl<'a> ClusterClient<'a> {
     ///
     /// [`WireError`] on an undecodable or out-of-protocol reply.
     pub fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
-        match self.call_owner(key, &Request::Set { key, value })? {
-            Response::Stored { version } => Ok(version),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Set")),
-        }
+        self.call_owner(key, &Request::Set { key, value })?
+            .into_stored()
     }
 
     /// Compare-and-set; the inner result is the CAS outcome.
@@ -584,19 +378,12 @@ impl<'a> ClusterClient<'a> {
         value: Vec<u8>,
         expected: u64,
     ) -> Result<Result<u64, u64>, WireError> {
-        match self.call_owner(
+        let request = Request::Cas {
             key,
-            &Request::Cas {
-                key,
-                expected,
-                value,
-            },
-        )? {
-            Response::Stored { version } => Ok(Ok(version)),
-            Response::CasFail { current } => Ok(Err(current)),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Cas")),
-        }
+            expected,
+            value,
+        };
+        self.call_owner(key, &request)?.into_cas()
     }
 
     /// Deletes a key; `Some(tombstone_version)` if it existed.
@@ -605,31 +392,25 @@ impl<'a> ClusterClient<'a> {
     ///
     /// [`WireError`] on an undecodable or out-of-protocol reply.
     pub fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
-        match self.call_owner(key, &Request::Delete { key })? {
-            Response::Deleted { version } => Ok(Some(version)),
-            Response::NotFound => Ok(None),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Delete")),
-        }
+        self.call_owner(key, &Request::Delete { key })?
+            .into_deleted()
     }
 
     /// Tells every node this client is done, consuming the client.
     pub fn close(self) {
-        for shard in 0..self.shards.len() {
-            let _ = self.send_request(shard, &Request::Stop);
-        }
+        self.nodes.close();
     }
 }
 
 impl ssync_srv::KvClient for ClusterClient<'_> {
-    fn get(&self, key: u64) -> Result<Option<(u64, Vec<u8>)>, WireError> {
+    fn get(&self, key: u64) -> Result<ReadHit, WireError> {
         ClusterClient::get(self, key)
     }
 
     /// Key-by-key under elastic routing: a batch frame can only target
     /// one node, and mid-migration the members of a batch may be owned
     /// by different nodes under different epochs.
-    fn get_many(&self, keys: &[u64]) -> Result<Vec<Option<(u64, Vec<u8>)>>, WireError> {
+    fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
         keys.iter()
             .map(|&key| ClusterClient::get(self, key))
             .collect()
@@ -652,6 +433,7 @@ impl ssync_srv::KvClient for ClusterClient<'_> {
 mod tests {
     use super::*;
     use ssync_locks::TicketLock;
+    use ssync_mp::MsgSender;
 
     fn stores(n: usize) -> Vec<KvStore<TicketLock>> {
         (0..n).map(|_| KvStore::new(64, 8)).collect()
@@ -697,11 +479,15 @@ mod tests {
         let stores = stores(2);
         let logs = logs(2);
         let (endpoints, mut conns, _mig) = cluster_mesh(2, 1, 16, 16);
-        std::thread::scope(|s| {
-            for (shard, endpoint) in endpoints.into_iter().enumerate() {
-                let (store, log, map) = (&stores[shard], &logs[shard], &map);
-                s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint));
-            }
+        let reports = std::thread::scope(|s| {
+            let nodes: Vec<_> = endpoints
+                .into_iter()
+                .enumerate()
+                .map(|(shard, endpoint)| {
+                    let (store, log, map) = (&stores[shard], &logs[shard], &map);
+                    s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint))
+                })
+                .collect();
             // Client snapshots the 1-shard map, then the map grows.
             let client = ClusterClient::new(&map, conns.pop().unwrap());
             assert_eq!(client.cached_epoch(), 1);
@@ -719,12 +505,13 @@ mod tests {
                 assert_eq!(client.get(key).unwrap().unwrap().1, vec![7]);
             }
             client.close();
+            nodes
+                .into_iter()
+                .map(|n| n.join().unwrap())
+                .collect::<Vec<_>>()
         });
         assert!(!stores[1].is_empty(), "shard 1 owns half the slots");
-        let redirected: u64 = stores
-            .iter()
-            .map(|s| s.stats_snapshot().wrong_shard_redirects)
-            .sum();
+        let redirected: u64 = reports.iter().map(|r| r.wrong_shard_redirects).sum();
         assert!(redirected > 0, "server-side redirect counter must move");
     }
 
@@ -753,15 +540,16 @@ mod tests {
             assert_eq!(sets, 32);
             let requests: u64 = before
                 .iter()
-                .map(|s| s.counter("node.requests").unwrap())
+                .map(|s| s.counter("srv.requests").unwrap())
                 .sum();
             assert!(requests >= 64, "every op lands somewhere: {requests}");
             // A garbage frame is refused, not fatal...
-            client.shards[0].0.send([0xEE; ssync_mp::MSG_WORDS]);
-            assert_eq!(client.read_response(0).unwrap(), Response::Malformed);
+            let conn = client.nodes.conn(0);
+            conn.tx.send([0xEE; ssync_mp::MSG_WORDS]);
+            assert_eq!(conn.recv(), Ok(Response::Malformed));
             // ...the next scrape counts it, and serving continues.
             let after = client.stats(0).unwrap();
-            assert_eq!(after.counter("node.malformed"), Some(1));
+            assert_eq!(after.counter("srv.malformed"), Some(1));
             assert!(client.get(1).unwrap().is_some());
             client.close();
         });
@@ -798,7 +586,12 @@ mod tests {
                 second.close();
                 version
             });
-            while store_deferred(&stores[0]) == 0 {
+            // ...which the node's own scrape shows while it is parked...
+            let parked = |client: &ClusterClient| {
+                let snap = client.stats(0).unwrap();
+                snap.counter("node.migration_ops_deferred").unwrap()
+            };
+            while parked(&client) == 0 {
                 std::thread::yield_now();
             }
             // ...while reads on the same slot keep being served.
@@ -807,13 +600,37 @@ mod tests {
             let v2 = writer.join().unwrap();
             assert!(v2 > v1);
             assert_eq!(client.get(key).unwrap().unwrap().1, b"after".to_vec());
+            assert_eq!(parked(&client), 1);
             client.close();
         });
-        assert_eq!(store_deferred(&stores[0]), 1);
     }
 
-    fn store_deferred(store: &KvStore<TicketLock>) -> u64 {
-        store.stats_snapshot().migration_ops_deferred
+    /// Regression: a connection that says `Stop` twice used to retire
+    /// two clients' worth of the node's live count.
+    #[test]
+    fn duplicate_stop_degrades_one_connection_not_the_node() {
+        let map = ShardMap::new(1);
+        let stores = stores(1);
+        let logs = logs(1);
+        let (mut endpoints, mut conns, _mig) = cluster_mesh(1, 2, 16, 16);
+        let report = std::thread::scope(|s| {
+            let (store, log, map_ref) = (&stores[0], &logs[0], &map);
+            let endpoint = endpoints.pop().unwrap();
+            let node = s.spawn(move || serve_cluster_node(0, store, log, map_ref, endpoint));
+            let rude = conns.pop().unwrap();
+            rude.conn(0).send(&Request::Stop).unwrap();
+            rude.conn(0).send(&Request::Stop).unwrap();
+            let survivor = ClusterClient::new(&map, conns.pop().unwrap());
+            for key in 0..64 {
+                survivor.set(key, vec![1; 8]).unwrap();
+            }
+            let snap = survivor.stats(0).unwrap();
+            assert_eq!(snap.counter("srv.malformed"), Some(1));
+            assert_eq!(rude.conn(0).try_recv(), Ok(None), "no reply to a Stop");
+            survivor.close();
+            node.join().unwrap()
+        });
+        assert_eq!((report.requests, report.malformed), (65, 1));
     }
 
     #[test]

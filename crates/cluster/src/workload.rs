@@ -38,7 +38,7 @@ use ssync_repl::OpLog;
 
 use crate::map::ShardMap;
 use crate::migrate::{run_reshard_coordinator, MigrationReport, ReshardSpec};
-use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient};
+use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient, NodeReport};
 use crate::sync::atomic::{AtomicU64, Ordering};
 
 /// What to run: fleet shape, traffic, and the migration to inject.
@@ -82,9 +82,9 @@ pub struct ReshardReport {
     pub cas_fail: u64,
     /// `WrongShard` redirects chased by clients.
     pub client_redirects: u64,
-    /// Server-side redirect count (merged store stats).
+    /// Server-side redirect count (summed node reports).
     pub wrong_shard_redirects: u64,
-    /// Writes parked by the freeze window (merged store stats).
+    /// Writes parked by the freeze window (summed node reports).
     pub migration_ops_deferred: u64,
     /// The coordinator's own accounting.
     pub migration: MigrationReport,
@@ -145,11 +145,15 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
     let mut migration_wall = Duration::ZERO;
     let mut rates = (0f64, 0f64, 0f64);
     let start = Instant::now();
-    std::thread::scope(|s| {
-        for (shard, endpoint) in endpoints.into_iter().enumerate() {
-            let (store, log, map) = (&stores[shard], &logs[shard], &map);
-            s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint));
-        }
+    let nodes: Vec<NodeReport> = std::thread::scope(|s| {
+        let nodes: Vec<_> = endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(shard, endpoint)| {
+                let (store, log, map) = (&stores[shard], &logs[shard], &map);
+                s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint))
+            })
+            .collect();
         let workers: Vec<_> = conns
             .drain(..)
             .enumerate()
@@ -209,6 +213,10 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
         );
         // Let the nodes exit now that the migration has published.
         ClusterClient::new(&map, control_conn).close();
+        nodes
+            .into_iter()
+            .map(|node| node.join().expect("node panicked"))
+            .collect()
     });
 
     // The post-migration quiesce point: retired nodes (moved keys
@@ -283,10 +291,9 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
         report.cas_fail += tally.cas_fail;
         report.client_redirects += tally.redirects;
     }
-    for store in &stores {
-        let snap = store.stats_snapshot();
-        report.wrong_shard_redirects += snap.wrong_shard_redirects;
-        report.migration_ops_deferred += snap.migration_ops_deferred;
+    for node in &nodes {
+        report.wrong_shard_redirects += node.wrong_shard_redirects;
+        report.migration_ops_deferred += node.migration_ops_deferred;
     }
     report
 }

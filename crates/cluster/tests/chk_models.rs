@@ -3,9 +3,10 @@
 //! Compiled only under `RUSTFLAGS='--cfg ssync_chk'`. These models
 //! drive the real [`ShardMap`] — whose atomics are the checker's
 //! shadow atomics under this cfg — through the freeze / round-tagged
-//! quiesce / cutover handshake, with a compressed node loop standing
-//! in for `serve_cluster_node` (same loads, same order, none of the
-//! transport).
+//! quiesce / cutover handshake, with a compressed node loop around the
+//! real write fence: the node's write attempt calls [`slot_fence`], the
+//! very function `serve_cluster_node`'s admission hook runs, so the
+//! model is of the code that serves (none of the transport).
 //!
 //! The first test is the tentpole property: once the coordinator has
 //! accepted a source's round-tagged quiesce acknowledgement and cut
@@ -33,8 +34,8 @@
 use std::sync::Arc;
 
 use ssync_chk::{thread, Builder};
-use ssync_cluster::ShardMap;
-use ssync_srv::{slot_of, ROUTE_SLOTS};
+use ssync_cluster::{slot_fence, ShardMap};
+use ssync_srv::{slot_of, Admit, ROUTE_SLOTS};
 
 /// The first key routing to `slot` — slot 1 moves to shard 1 in a
 /// 1 → 2 split, so its writes are the contended ones.
@@ -53,20 +54,17 @@ fn owners_mod2() -> [usize; ROUTE_SLOTS] {
     owners
 }
 
-/// One write attempt at node 0 with the server's fencing checks;
-/// `mask_first` selects the load order under test. Returns whether
-/// the write executed (landed in the old owner's store and log).
+/// One write attempt at node 0: the server's own fence when
+/// `mask_first`, else the test-local twin with the two loads swapped.
+/// Returns whether the write executed (landed in the old owner's
+/// store and log).
 fn try_write(map: &ShardMap, key: u64, mask_first: bool) -> bool {
-    let (frozen, owner) = if mask_first {
-        let frozen = map.frozen();
-        let (owner, _) = map.route(key);
-        (frozen, owner)
-    } else {
-        // The broken order the violation twin checks.
-        let (owner, _) = map.route(key);
-        (map.frozen(), owner)
-    };
-    owner == 0 && frozen & (1 << slot_of(key)) == 0
+    if mask_first {
+        return matches!(slot_fence(map, 0, key, true), Admit::Run);
+    }
+    // The broken order the violation twin checks.
+    let (owner, _) = map.route(key);
+    owner == 0 && map.frozen() & (1 << slot_of(key)) == 0
 }
 
 /// The whole handshake, node and coordinator concurrent. Asserts the

@@ -193,23 +193,9 @@ pub struct Stats {
     /// out-of-date deliveries; the idempotency the replication layer
     /// counts on).
     pub repl_stale_drops: CachePadded<AtomicU64>,
-    /// Replica reads bounced back to the primary (the replica was
-    /// behind the client's read floor, or down). Incremented by the
-    /// replica server, not the store itself.
-    pub replica_read_fallbacks: CachePadded<AtomicU64>,
     /// Optimistic reads that exhausted [`OPTIMISTIC_ATTEMPTS`] and took
     /// the stripe lock instead (always zero on [`ReadPath::Locked`]).
     pub read_fallbacks: CachePadded<AtomicU64>,
-    /// Requests bounced with a `WrongShard` redirect because this
-    /// store's server no longer (or does not yet) own the key's
-    /// routing slot under the current cluster-map epoch. Incremented
-    /// by the cluster node server, not the store itself.
-    pub wrong_shard_redirects: CachePadded<AtomicU64>,
-    /// Client writes deferred while their routing slot was frozen for
-    /// a migration's final delta drain (the write-unavailability
-    /// window of a resharding cutover). Incremented by the cluster
-    /// node server, not the store itself.
-    pub migration_ops_deferred: CachePadded<AtomicU64>,
     /// Global-epoch advances won by this store's maintenance passes and
     /// [`KvStore::reclaim_pass`] calls.
     pub epochs_advanced: CachePadded<AtomicU64>,
@@ -238,10 +224,7 @@ impl Stats {
             maintenance_runs: self.maintenance_runs.load(Ordering::Relaxed),
             repl_applied: self.repl_applied.load(Ordering::Relaxed),
             repl_stale_drops: self.repl_stale_drops.load(Ordering::Relaxed),
-            replica_read_fallbacks: self.replica_read_fallbacks.load(Ordering::Relaxed),
             read_fallbacks: self.read_fallbacks.load(Ordering::Relaxed),
-            wrong_shard_redirects: self.wrong_shard_redirects.load(Ordering::Relaxed),
-            migration_ops_deferred: self.migration_ops_deferred.load(Ordering::Relaxed),
             epochs_advanced: self.epochs_advanced.load(Ordering::Relaxed),
             nodes_reclaimed: self.nodes_reclaimed.load(Ordering::Relaxed),
             reclaim_backlog: 0,
@@ -269,14 +252,8 @@ pub struct StatsSnapshot {
     pub repl_applied: u64,
     /// Replicated operations dropped by the version gate.
     pub repl_stale_drops: u64,
-    /// Replica reads bounced back to the primary.
-    pub replica_read_fallbacks: u64,
     /// Optimistic reads that fell back to the locked path.
     pub read_fallbacks: u64,
-    /// Requests bounced with a `WrongShard` redirect.
-    pub wrong_shard_redirects: u64,
-    /// Client writes deferred during a migration freeze window.
-    pub migration_ops_deferred: u64,
     /// Global-epoch advances won.
     pub epochs_advanced: u64,
     /// Retired nodes freed by epoch collection.
@@ -300,10 +277,7 @@ impl StatsSnapshot {
             maintenance_runs: self.maintenance_runs + other.maintenance_runs,
             repl_applied: self.repl_applied + other.repl_applied,
             repl_stale_drops: self.repl_stale_drops + other.repl_stale_drops,
-            replica_read_fallbacks: self.replica_read_fallbacks + other.replica_read_fallbacks,
             read_fallbacks: self.read_fallbacks + other.read_fallbacks,
-            wrong_shard_redirects: self.wrong_shard_redirects + other.wrong_shard_redirects,
-            migration_ops_deferred: self.migration_ops_deferred + other.migration_ops_deferred,
             epochs_advanced: self.epochs_advanced + other.epochs_advanced,
             nodes_reclaimed: self.nodes_reclaimed + other.nodes_reclaimed,
             reclaim_backlog: self.reclaim_backlog + other.reclaim_backlog,
@@ -322,10 +296,7 @@ impl StatsSnapshot {
             maintenance_runs: self.maintenance_runs - earlier.maintenance_runs,
             repl_applied: self.repl_applied - earlier.repl_applied,
             repl_stale_drops: self.repl_stale_drops - earlier.repl_stale_drops,
-            replica_read_fallbacks: self.replica_read_fallbacks - earlier.replica_read_fallbacks,
             read_fallbacks: self.read_fallbacks - earlier.read_fallbacks,
-            wrong_shard_redirects: self.wrong_shard_redirects - earlier.wrong_shard_redirects,
-            migration_ops_deferred: self.migration_ops_deferred - earlier.migration_ops_deferred,
             epochs_advanced: self.epochs_advanced - earlier.epochs_advanced,
             nodes_reclaimed: self.nodes_reclaimed - earlier.nodes_reclaimed,
             // A gauge, not a counter: the delta report shows where the

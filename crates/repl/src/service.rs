@@ -1,6 +1,14 @@
 //! Primary/backup replication over the `ssync-srv` service, with
 //! term-fenced failover.
 //!
+//! The client-request path of a node — polling, decoding, executing,
+//! replying, scraping — is `ssync-srv`'s shared [`NodeCore`], and a
+//! client connection is its [`Conn`]. What this module owns is the
+//! replication policy around them: role and term maintenance, the
+//! peer-stream state machine, the per-request not-leader bounce,
+//! floor-guarded replica reads, the leader's `Replicator` (the core's
+//! `committed` hook), and the client's leader-chasing retries.
+//!
 //! Each shard is a *replication group* of N = R + 1 symmetric **nodes**
 //! (threads), each owning a full `KvStore` copy. At any instant exactly
 //! one node — named by the shared [`ClusterMap`] word — is the
@@ -77,15 +85,14 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use ssync_core::{ParkingWait, RegistrySnapshot, RetryPacer};
+use ssync_core::{RegistrySnapshot, RetryPacer};
 use ssync_kv::{KvStore, StatsSnapshot};
 use ssync_locks::RawLock;
-use ssync_mp::{
-    ring_channel, Message, MsgReceiver, MsgSender, RingReceiver, RingSender, ServerHub,
-};
+use ssync_mp::{ring_channel, Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
 use ssync_srv::router::{key_bytes, shard_of, ShardRouter};
-use ssync_srv::service::{KvClient, ReadHit};
+use ssync_srv::service::{ring_mesh, KvClient, ReadHit, ServerEndpoint, ServiceClient};
 use ssync_srv::wire::{Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
+use ssync_srv::{Admit, Conn, Hooks, NoHooks, NodeCore, Poll};
 
 use crate::cluster::{ClusterMap, ShardView};
 use crate::fault::{FaultKind, FaultPlan};
@@ -309,14 +316,13 @@ const STREAM_DEPTH: usize = 256;
 /// shallow is fine).
 const ACK_DEPTH: usize = 8;
 
-/// One node's side of the mesh: per-client channels plus a (stream,
+/// One node's side of the mesh: its clients' channels plus a (stream,
 /// ack) channel *pair per peer in each direction* — symmetric, because
-/// any node may end up leading. Self-slots hold closed dummies so peer
-/// vectors index by node id.
+/// any node may end up leading. Peer vectors index by node id; the
+/// self slot is a ring nobody uses.
 pub struct NodeEndpoint {
     node: usize,
-    client_requests: Vec<RingReceiver>,
-    client_replies: Vec<RingSender>,
+    clients: ServerEndpoint<RingReceiver, RingSender>,
     /// `peer_stream_rx[p]`: replication frames *from* node `p`.
     peer_stream_rx: Vec<RingReceiver>,
     /// `peer_stream_tx[p]`: replication frames *to* node `p`.
@@ -334,20 +340,8 @@ impl NodeEndpoint {
     }
 }
 
-fn closed_tx() -> RingSender {
-    ring_channel(1).0
-}
-
-fn closed_rx() -> RingReceiver {
-    ring_channel(1).1
-}
-
-type Conn = (RingSender, RingReceiver);
-
-/// One client's connections to one replication group.
-struct ShardConn {
-    /// A connection to every node, indexed by node id.
-    nodes: Vec<Conn>,
+/// What a client remembers about one replication group.
+struct ShardState {
     /// Round-robin cursor over the nodes (for follower reads).
     rr: Cell<usize>,
     /// Freshness floor: the highest version this client has observed
@@ -365,7 +359,10 @@ struct ShardConn {
 /// followers with the freshness floor as the staleness guard, falling
 /// back to the leader on a `Stale` answer.
 pub struct ReplClient {
-    shards: Vec<ShardConn>,
+    /// One connection per node of every group: node `n` of shard `s`
+    /// is server `s * nodes_per_shard + n` of this mesh.
+    mesh: ServiceClient<RingSender, RingReceiver>,
+    shards: Vec<ShardState>,
     map: Arc<ClusterMap>,
     /// Per-operation retry budget; after this, calls return the last
     /// transport error (or [`WireError::Deadline`]).
@@ -381,6 +378,21 @@ pub struct ReplClient {
     stale_served: Cell<u64>,
 }
 
+/// A `nodes`×`nodes` matrix of directed `depth`-deep rings, as
+/// `(tx[from][to], rx[to][from])`.
+fn peer_rings(nodes: usize, depth: usize) -> (Vec<Vec<RingSender>>, Vec<Vec<RingReceiver>>) {
+    let mut txs: Vec<Vec<RingSender>> = (0..nodes).map(|_| Vec::new()).collect();
+    let mut rxs: Vec<Vec<RingReceiver>> = (0..nodes).map(|_| Vec::new()).collect();
+    for tx_row in txs.iter_mut() {
+        for rx_row in rxs.iter_mut() {
+            let (tx, rx) = ring_channel(depth);
+            tx_row.push(tx);
+            rx_row.push(rx);
+        }
+    }
+    (txs, rxs)
+}
+
 /// Builds the full channel mesh for a replicated deployment over
 /// `map`'s shape: per shard one [`NodeEndpoint`] per node (indexed
 /// `[shard][node]`), plus one [`ReplClient`] per client connected to
@@ -393,82 +405,48 @@ pub fn repl_mesh(
     map: &Arc<ClusterMap>,
     clients: usize,
 ) -> (Vec<Vec<NodeEndpoint>>, Vec<ReplClient>) {
-    assert!(clients > 0);
     let shards = map.num_shards();
     let nodes = map.nodes_per_shard();
-    let mut endpoints: Vec<Vec<NodeEndpoint>> = Vec::with_capacity(shards);
-    let mut client_conns: Vec<Vec<ShardConn>> = (0..clients).map(|_| Vec::new()).collect();
-    for _ in 0..shards {
-        // The node×node stream/ack mesh, indexed [from][to] on the tx
-        // side and [to][from] on the rx side.
-        let mut stream_tx: Vec<Vec<RingSender>> = (0..nodes).map(|_| Vec::new()).collect();
-        let mut stream_rx: Vec<Vec<Option<RingReceiver>>> =
-            (0..nodes).map(|n| (0..n).map(|_| None).collect()).collect();
-        let mut ack_tx: Vec<Vec<RingSender>> = (0..nodes).map(|_| Vec::new()).collect();
-        let mut ack_rx: Vec<Vec<Option<RingReceiver>>> =
-            (0..nodes).map(|n| (0..n).map(|_| None).collect()).collect();
-        for to in stream_rx.iter_mut().chain(ack_rx.iter_mut()) {
-            to.clear();
-            to.extend((0..nodes).map(|_| None));
-        }
-        for a in 0..nodes {
-            for b in 0..nodes {
-                if a == b {
-                    stream_tx[a].push(closed_tx());
-                    stream_rx[b][a] = Some(closed_rx());
-                    ack_tx[a].push(closed_tx());
-                    ack_rx[b][a] = Some(closed_rx());
-                } else {
-                    let (tx, rx) = ring_channel(STREAM_DEPTH);
-                    stream_tx[a].push(tx);
-                    stream_rx[b][a] = Some(rx);
-                    let (tx, rx) = ring_channel(ACK_DEPTH);
-                    ack_tx[a].push(tx);
-                    ack_rx[b][a] = Some(rx);
-                }
-            }
-        }
-        let mut shard_eps: Vec<NodeEndpoint> = Vec::with_capacity(nodes);
-        for (node, (s_tx, a_tx)) in stream_tx.drain(..).zip(ack_tx.drain(..)).enumerate() {
-            shard_eps.push(NodeEndpoint {
-                node,
-                client_requests: Vec::with_capacity(clients),
-                client_replies: Vec::with_capacity(clients),
-                peer_stream_rx: stream_rx[node]
-                    .iter_mut()
-                    .map(|r| r.take().unwrap())
-                    .collect(),
-                peer_stream_tx: s_tx,
-                peer_ack_rx: ack_rx[node].iter_mut().map(|r| r.take().unwrap()).collect(),
-                peer_ack_tx: a_tx,
-            });
-        }
-        for conns in client_conns.iter_mut() {
-            let mut node_conns = Vec::with_capacity(nodes);
-            for ep in shard_eps.iter_mut() {
-                let (req_tx, req_rx) = ring_channel(CONN_DEPTH);
-                let (rep_tx, rep_rx) = ring_channel(CONN_DEPTH);
-                ep.client_requests.push(req_rx);
-                ep.client_replies.push(rep_tx);
-                node_conns.push((req_tx, rep_rx));
-            }
-            conns.push(ShardConn {
-                nodes: node_conns,
-                rr: Cell::new(0),
-                floor: Cell::new(0),
-                view: Cell::new(ShardView {
-                    term: 1,
-                    leader: Some(0),
-                }),
-            });
-        }
-        endpoints.push(shard_eps);
-    }
-    let clients = client_conns
+    let (client_eps, meshes) = ring_mesh(shards * nodes, clients, CONN_DEPTH);
+    let mut client_eps = client_eps.into_iter();
+    let endpoints = (0..shards)
+        .map(|_| {
+            let (stream_tx, stream_rx) = peer_rings(nodes, STREAM_DEPTH);
+            let (ack_tx, ack_rx) = peer_rings(nodes, ACK_DEPTH);
+            let streams = stream_tx.into_iter().zip(stream_rx);
+            let acks = ack_tx.into_iter().zip(ack_rx);
+            streams
+                .zip(acks)
+                .zip(client_eps.by_ref())
+                .enumerate()
+                .map(
+                    |(node, (((s_tx, s_rx), (a_tx, a_rx)), clients))| NodeEndpoint {
+                        node,
+                        clients,
+                        peer_stream_rx: s_rx,
+                        peer_stream_tx: s_tx,
+                        peer_ack_rx: a_rx,
+                        peer_ack_tx: a_tx,
+                    },
+                )
+                .collect()
+        })
+        .collect();
+    let clients = meshes
         .into_iter()
         .enumerate()
-        .map(|(c, shards)| ReplClient {
-            shards,
+        .map(|(c, mesh)| ReplClient {
+            mesh,
+            shards: (0..shards)
+                .map(|_| ShardState {
+                    rr: Cell::new(0),
+                    floor: Cell::new(0),
+                    view: Cell::new(ShardView {
+                        term: 1,
+                        leader: Some(0),
+                    }),
+                })
+                .collect(),
             map: map.clone(),
             deadline: Duration::from_secs(5),
             stale_reads: false,
@@ -510,9 +488,9 @@ pub struct NodeReport {
     pub node: usize,
     /// Client request messages served (any role).
     pub requests: u64,
-    /// Key-operations executed as leader.
+    /// Key-operations executed (as leader, plus replica reads).
     pub key_ops: u64,
-    /// Undecodable head frames answered with `Malformed`.
+    /// Undecodable or out-of-protocol frames refused with `Malformed`.
     pub malformed: u64,
     /// Replication entries this node appended and streamed as leader.
     pub entries: u64,
@@ -549,50 +527,34 @@ pub struct NodeReport {
     pub crashed: bool,
 }
 
-fn send_all(tx: &RingSender, frames: &[Message]) {
-    for &frame in frames {
-        tx.send(frame);
-    }
+/// Encodes a single-frame response through the scratch buffer.
+fn one_frame(response: &Response, frames: &mut Vec<Message>) -> Message {
+    response.encode_into(frames);
+    debug_assert_eq!(frames.len(), 1);
+    frames[0]
 }
 
-/// Best-effort send for node→node traffic: a dead peer's dropped
-/// receiver makes this return false instead of wedging the sender.
-fn send_all_connected(tx: &RingSender, frames: &[Message]) -> bool {
-    for &frame in frames {
-        if tx.send_connected(frame).is_err() {
-            return false;
-        }
-    }
-    true
-}
-
-fn lookup<R: RawLock + Default>(store: &KvStore<R>, key: u64) -> Response {
-    match store.get_with_version(&key_bytes(key)) {
-        Some((version, value)) => Response::Value {
-            version,
-            value: value.as_ref().to_vec(),
-        },
-        None => Response::Miss,
-    }
-}
-
-/// What a follower can legally put on its ack channel.
-enum AckMsg {
-    /// Cumulative ack through this version.
-    Ack(u64),
-    /// Fence: the receiver's term is over. The frame carries the
-    /// fencer's term, but a live leader learns terms from the map, so
-    /// the value is only decoded for validation.
-    WrongTerm,
-}
-
-/// Decodes an ack-channel frame. The channel is internal to the group,
-/// so anything else on it is a program bug, not input.
-fn ack_msg(head: Message) -> AckMsg {
+/// Decodes an ack-channel frame: `Some(version)` for a cumulative ack,
+/// `None` for a `WrongTerm` fence (a live leader learns terms from the
+/// map, so the fencer's term is only decoded for validation). The
+/// channel is internal to the group, so anything else on it is a
+/// program bug, not input.
+fn ack_version(head: Message) -> Option<u64> {
     match Response::decode(head, || unreachable!("ack frames have no continuations")) {
-        Ok(Response::ReplAck { version }) => AckMsg::Ack(version),
-        Ok(Response::WrongTerm { .. }) => AckMsg::WrongTerm,
+        Ok(Response::ReplAck { version }) => Some(version),
+        Ok(Response::WrongTerm { .. }) => None,
         other => unreachable!("follower sent {other:?} on its ack channel"),
+    }
+}
+
+/// Drains follower acks from `rx` into the cumulative `acked` until
+/// `done(acked)` holds or the follower is gone.
+fn await_acks(rx: &RingReceiver, acked: &mut u64, done: impl Fn(u64) -> bool) {
+    while !done(*acked) {
+        match rx.recv_connected() {
+            Ok(head) => *acked = (*acked).max(ack_version(head).unwrap_or(0)),
+            Err(_) => break,
+        }
     }
 }
 
@@ -604,23 +566,9 @@ enum BackupState {
     Crashed { left: u64 },
 }
 
-/// Builds the introspection payload a node returns for [`Request::Stats`]:
-/// the live [`NodeReport`] counters plus the store's own statistics,
-/// flattened into a [`RegistrySnapshot`]. Nodes keep no background
-/// registry — the snapshot is assembled on demand, so the hot path pays
-/// nothing for introspection it never asked for.
-fn node_stats_payload<R: RawLock + Default>(
-    store: &KvStore<R>,
-    report: &NodeReport,
-    leading: bool,
-    term: u64,
-) -> Vec<u8> {
-    let mut snap = RegistrySnapshot::default();
-    let s = store.stats_snapshot();
-    for (name, value) in [
-        ("node.requests", report.requests),
-        ("node.key_ops", report.key_ops),
-        ("node.malformed", report.malformed),
+/// The replication counters a node adds to its `Stats` scrape.
+fn node_counters(report: &NodeReport, leading: bool, term: u64) -> [(&'static str, u64); 10] {
+    [
         ("node.entries", report.entries),
         ("node.applied", report.applied),
         ("node.from_log", report.from_log),
@@ -631,21 +579,7 @@ fn node_stats_payload<R: RawLock + Default>(
         ("node.promotions", report.promotions),
         ("node.term", term),
         ("node.leading", u64::from(leading)),
-        ("store.hits", s.hits),
-        ("store.misses", s.misses),
-        ("store.sets", s.sets),
-        ("store.deletes", s.deletes),
-        ("store.cas_failures", s.cas_failures),
-        ("store.repl_applied", s.repl_applied),
-        ("store.repl_stale_drops", s.repl_stale_drops),
-        ("store.replica_read_fallbacks", s.replica_read_fallbacks),
-        ("store.epochs_advanced", s.epochs_advanced),
-        ("store.nodes_reclaimed", s.nodes_reclaimed),
-        ("store.reclaim_backlog", s.reclaim_backlog),
-    ] {
-        snap.counters.push((name.to_string(), value));
-    }
-    snap.to_bytes()
+    ]
 }
 
 /// Runs one node of a shard's replication group until shutdown (every
@@ -667,8 +601,7 @@ pub fn serve_node<R: RawLock + Default>(
 ) -> NodeReport {
     let NodeEndpoint {
         node: me,
-        client_requests,
-        client_replies,
+        clients,
         peer_stream_rx,
         peer_stream_tx,
         peer_ack_rx,
@@ -681,40 +614,25 @@ pub fn serve_node<R: RawLock + Default>(
         backup_plan,
         crash_plan,
     } = cfg;
-    let nodes = peer_stream_tx.len();
-    let nclients = client_replies.len();
     map.publish_hwm(shard, me, initial_hwm);
 
-    // Hub sources: 0..nclients are clients, nclients + p is peer p's
-    // stream (the self slot is a closed dummy that never fires).
-    let mut receivers = Vec::with_capacity(nclients + nodes);
-    receivers.extend(client_requests);
-    receivers.extend(peer_stream_rx);
-    let mut hub = ServerHub::new(receivers);
-
+    let mut core = NodeCore::new(clients);
     let mut report = NodeReport {
         node: me,
         hwm: initial_hwm,
         last_version: initial_hwm,
-        term: 1,
         ..NodeReport::default()
     };
     let mut my_term = map.view(shard).term;
-    let mut live_clients = nclients;
     let mut leader_done = false;
     let mut pending_ack: Option<u64> = None;
     let mut entries_seen: u64 = 0;
     let mut next_fault = 0usize;
     let mut state = BackupState::Healthy;
     // Leader bookkeeping: per-follower cumulative acks.
-    let mut acked: Vec<u64> = vec![initial_hwm; nodes];
-    let mut wait = ParkingWait::new();
-    // Online reclamation cadence: one epoch advance-and-collect pass
-    // per RECLAIM_PERIOD processed frames keeps the retired-node
-    // backlog bounded while the node serves — replicated applies retire
-    // displaced nodes exactly like direct writes do.
-    const RECLAIM_PERIOD: u64 = 1024;
-    let mut since_reclaim = 0u64;
+    let mut acked: Vec<u64> = vec![initial_hwm; peer_stream_tx.len()];
+    // Scratch for everything this node puts on a peer ring.
+    let mut frames: Vec<Message> = Vec::new();
 
     /// Applies one entry through the stream-order gate (the layer that
     /// blocks delete-resurrection) and the store's per-key gate.
@@ -745,7 +663,9 @@ pub fn serve_node<R: RawLock + Default>(
         }
     }
 
-    loop {
+    // Runs until the node dies, a follower's group shuts down (false),
+    // or a leader's clients have all stopped (true: handshake below).
+    let lead_shutdown = loop {
         // ---- Role and term maintenance (one map word read). ----
         let mut view = map.view(shard);
         if view.term > my_term && view.leader != Some(me) {
@@ -755,7 +675,6 @@ pub fn serve_node<R: RawLock + Default>(
                 // covered here. Mid-window, adoption waits for the
                 // close, which replays the same way.
                 my_term = view.term;
-                report.term = my_term;
                 for entry in &log.entries_after(report.hwm) {
                     apply(store, entry, &mut report, true);
                 }
@@ -764,7 +683,6 @@ pub fn serve_node<R: RawLock + Default>(
             }
         } else if view.term > my_term {
             my_term = view.term;
-            report.term = my_term;
         }
         if view.leader.is_none() {
             if let Some(term) = map.try_promote(shard, me) {
@@ -783,7 +701,6 @@ pub fn serve_node<R: RawLock + Default>(
                 }
                 map.publish_hwm(shard, me, report.hwm);
                 my_term = term;
-                report.term = my_term;
                 report.promotions += 1;
                 report.last_version = report.last_version.max(report.hwm);
                 for (p, slot) in acked.iter_mut().enumerate() {
@@ -801,49 +718,21 @@ pub fn serve_node<R: RawLock + Default>(
         // ---- Flush the coalesced cumulative ack to the leader. ----
         if !leading {
             if let (Some(version), Some(l)) = (pending_ack, view.leader) {
-                let frames = Response::ReplAck { version }.encode();
-                debug_assert_eq!(frames.len(), 1);
-                if peer_ack_tx[l].try_send(frames[0]).is_ok() {
+                let ack = one_frame(&Response::ReplAck { version }, &mut frames);
+                if peer_ack_tx[l].try_send(ack).is_ok() {
                     pending_ack = None;
                 }
             }
         }
 
-        // ---- Receive (or idle / exit). ----
-        let (source, head) = match hub.try_recv_from_any() {
-            Some(hit) => {
-                wait.reset();
-                hit
-            }
-            None => {
-                if live_clients == 0 {
-                    if leading {
-                        break;
-                    }
-                    if leader_done && pending_ack.is_none() {
-                        return report;
-                    }
-                    // A leaderless shard with no candidates left will
-                    // never send the shutdown Stop; don't wait for it.
-                    if view.leader.is_none() && map.live_candidates(shard) == 0 {
-                        return report;
-                    }
-                }
-                wait.snooze();
-                continue;
-            }
-        };
-        let decoded = Request::decode(head, || hub.recv_from(source));
-        since_reclaim += 1;
-        if since_reclaim >= RECLAIM_PERIOD {
-            since_reclaim = 0;
-            store.reclaim_pass();
-        }
-
-        if source >= nclients {
-            // ---- A peer's replication stream. ----
-            let peer = source - nclients;
-            let entry = match decoded {
+        // ---- A peer's replication stream, if one has a frame. ----
+        let streamed = peer_stream_rx
+            .iter()
+            .enumerate()
+            .find_map(|(peer, rx)| Some((peer, rx.try_recv()?)));
+        if let Some((peer, head)) = streamed {
+            core.pace(store, true);
+            let entry = match Request::decode(head, || peer_stream_rx[peer].recv()) {
                 Ok(Request::Replicate {
                     key,
                     version,
@@ -933,8 +822,8 @@ pub fn serve_node<R: RawLock + Default>(
                         // covers whatever it carried) and tell a
                         // still-live sender its term is over.
                         report.fenced += 1;
-                        let frames = Response::WrongTerm { term: my_term }.encode();
-                        let _ = peer_ack_tx[peer].try_send(frames[0]);
+                        let fence = one_frame(&Response::WrongTerm { term: my_term }, &mut frames);
+                        let _ = peer_ack_tx[peer].try_send(fence);
                     }
                 }
                 BackupState::Stalled { left, buffered } => {
@@ -978,99 +867,80 @@ pub fn serve_node<R: RawLock + Default>(
             continue;
         }
 
-        // ---- A client connection. ----
-        let client = source;
-        let request = match decoded {
-            Ok(request) => request,
-            Err(_) => {
-                report.malformed += 1;
-                send_all(&client_replies[client], &Response::Malformed.encode());
-                continue;
+        // ---- The client connections. ----
+        let polled = core.poll();
+        if matches!(polled, Poll::Idle) {
+            if core.live() == 0 {
+                if leading {
+                    break true;
+                }
+                // A leaderless shard with no candidates left will
+                // never send the shutdown Stop; don't wait for it.
+                if (leader_done && pending_ack.is_none())
+                    || (view.leader.is_none() && map.live_candidates(shard) == 0)
+                {
+                    break false;
+                }
             }
-        };
-        if matches!(request, Request::Stop) {
-            live_clients -= 1;
+            core.pace(store, false);
             continue;
         }
-        report.requests += 1;
-
+        core.pace(store, true);
         // Replica reads are served by any node; the leader is always
         // fresh enough, a follower checks its floor and window state.
         let freshness = report.hwm.max(report.last_version);
         let down = !leading && matches!(state, BackupState::Crashed { .. });
-        match &request {
-            Request::ReplGet { key, floor } => {
-                if down || freshness < *floor {
-                    report.refused_reads += 1;
-                    store
-                        .stats()
-                        .replica_read_fallbacks
-                        .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
-                    send_all(
-                        &client_replies[client],
-                        &Response::Stale { hwm: freshness }.encode(),
-                    );
-                } else {
-                    send_all(&client_replies[client], &lookup(store, *key).encode());
-                }
-                continue;
-            }
-            Request::ReplMultiGet { keys, floor } => {
-                if down || freshness < *floor {
-                    report.refused_reads += 1;
-                    store
-                        .stats()
-                        .replica_read_fallbacks
-                        .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
-                    // One Stale answers the whole batch.
-                    send_all(
-                        &client_replies[client],
-                        &Response::Stale { hwm: freshness }.encode(),
-                    );
-                } else {
-                    for key in keys {
-                        send_all(&client_replies[client], &lookup(store, *key).encode());
-                    }
-                }
-                continue;
-            }
+        let (client, request) = match polled {
+            Poll::Idle | Poll::Consumed => continue,
             // Introspection is served by any node in any role — a
             // follower's queue depths and apply counters are exactly
             // what an operator scrapes during a failover.
-            Request::Stats => {
-                let payload = node_stats_payload(store, &report, leading, my_term);
-                send_all(
-                    &client_replies[client],
-                    &Response::StatsReply { payload }.encode(),
-                );
+            Poll::Scrape(client) => {
+                core.reply_stats(client, store, &node_counters(&report, leading, my_term));
                 continue;
             }
-            // Node-to-node traffic on a client connection is a
-            // protocol violation; refuse it without executing.
-            Request::Replicate { .. } | Request::ReplicateDelete { .. } => {
-                report.malformed += 1;
-                send_all(&client_replies[client], &Response::Malformed.encode());
+            Poll::Request(
+                client,
+                Request::ReplGet { floor, .. } | Request::ReplMultiGet { floor, .. },
+            ) if down || freshness < floor => {
+                // One Stale answers a whole batch.
+                report.refused_reads += 1;
+                core.reply(client, &Response::Stale { hwm: freshness });
                 continue;
             }
-            _ => {}
-        }
-        if !leading {
-            // Writes and authoritative reads belong to the leader.
+            // A replica read that passed the guard is a plain read.
+            Poll::Request(client, Request::ReplGet { key, .. }) => {
+                core.serve(store, &mut NoHooks, client, Request::Get { key });
+                continue;
+            }
+            Poll::Request(client, Request::ReplMultiGet { keys, .. }) => {
+                core.serve(store, &mut NoHooks, client, Request::MultiGet { keys });
+                continue;
+            }
+            Poll::Request(client, request) => (client, request),
+        };
+        // Writes and authoritative reads belong to the leader, and the
+        // bounce is per *request*: one `WrongLeader` answers a whole
+        // multi-get. (Node-to-node frames on a client connection fall
+        // through to the core, which refuses them in any role.)
+        let misdirected = matches!(
+            request,
+            Request::Replicate { .. } | Request::ReplicateDelete { .. }
+        );
+        if !leading && !misdirected {
             report.wrong_leader += 1;
             let leader = view.leader.map_or(NO_LEADER, |l| l as u64);
-            send_all(
-                &client_replies[client],
-                &Response::WrongLeader {
-                    term: my_term,
-                    leader,
-                }
-                .encode(),
-            );
+            let bounce = Response::WrongLeader {
+                term: my_term,
+                leader,
+            };
+            core.reply(client, &bounce);
             continue;
         }
 
         // ---- Leader: writes and authoritative reads. ----
-        let repl = Replicator {
+        let logged = report.last_version;
+        let mut repl = Replicator {
             log,
             map,
             shard,
@@ -1078,133 +948,43 @@ pub fn serve_node<R: RawLock + Default>(
             mode,
             stream_tx: &peer_stream_tx,
             ack_rx: &peer_ack_rx,
+            acked: &mut acked,
+            frames: &mut frames,
+            report: &mut report,
         };
-        let mut crash_after = false;
-        let responses: Vec<Response> = match request {
-            Request::Get { key } => {
-                report.key_ops += 1;
-                vec![lookup(store, key)]
-            }
-            // The replicated service keeps its latency split at the
-            // store layer (no per-node histograms), so a timed read is
-            // served exactly like a plain one; the stamp still shapes
-            // the client-side open-loop measurement.
-            Request::TimedGet { key, .. } => {
-                report.key_ops += 1;
-                vec![lookup(store, key)]
-            }
-            Request::MultiGet { keys } => {
-                report.key_ops += keys.len() as u64;
-                keys.into_iter().map(|key| lookup(store, key)).collect()
-            }
-            Request::Set { key, value } => {
-                report.key_ops += 1;
-                let value = Bytes::from(value);
-                let version = store.set(&key_bytes(key), value.clone());
-                repl.replicate(
-                    LogEntry {
-                        key,
-                        version,
-                        op: LogOp::Put(value),
-                    },
-                    &mut acked,
-                    &mut report,
-                );
-                crash_after = crash_scheduled(&crash_plan, version - initial_hwm);
-                vec![Response::Stored { version }]
-            }
-            Request::Cas {
-                key,
-                expected,
-                value,
-            } => {
-                report.key_ops += 1;
-                let value = Bytes::from(value);
-                match store.cas(&key_bytes(key), value.clone(), expected) {
-                    Ok(version) => {
-                        repl.replicate(
-                            LogEntry {
-                                key,
-                                version,
-                                op: LogOp::Put(value),
-                            },
-                            &mut acked,
-                            &mut report,
-                        );
-                        crash_after = crash_scheduled(&crash_plan, version - initial_hwm);
-                        vec![Response::Stored { version }]
-                    }
-                    Err(current) => vec![Response::CasFail { current }],
-                }
-            }
-            Request::Delete { key } => {
-                report.key_ops += 1;
-                match store.delete_versioned(&key_bytes(key)) {
-                    Some(version) => {
-                        repl.replicate(
-                            LogEntry {
-                                key,
-                                version,
-                                op: LogOp::Delete,
-                            },
-                            &mut acked,
-                            &mut report,
-                        );
-                        crash_after = crash_scheduled(&crash_plan, version - initial_hwm);
-                        vec![Response::Deleted { version }]
-                    }
-                    None => vec![Response::NotFound],
-                }
-            }
-            Request::ReplGet { .. }
-            | Request::ReplMultiGet { .. }
-            | Request::Replicate { .. }
-            | Request::ReplicateDelete { .. }
-            | Request::Stats
-            | Request::Stop => unreachable!("handled before the leader match"),
-        };
-        for response in responses {
-            send_all(&client_replies[client], &response.encode());
-        }
-        if crash_after {
+        let parked = core.serve(store, &mut repl, client, request);
+        debug_assert!(parked.is_none(), "a leader never defers");
+        if report.last_version != logged
+            && crash_scheduled(&crash_plan, report.last_version - initial_hwm)
+        {
             // The scheduled death: the write above is fully
             // acknowledged and replied to — from here on only the
             // followers can keep that promise. Mark the map (vacating
             // the shard) and drop the endpoint; queued requests die
             // with us and surface client-side as `Disconnected`.
             report.crashed = true;
-            report.term = my_term;
             map.report_death(shard, me);
-            return report;
+            break false;
         }
-    }
+    };
 
-    // ---- Leader shutdown handshake. ----
-    // Stream Stop, then wait until every live follower's cumulative
-    // ack reaches the last logged version — the group is converged
-    // when this returns.
-    let stop = Request::Stop.encode();
-    for (p, tx) in peer_stream_tx.iter().enumerate() {
-        if p != me && !map.is_dead(shard, p) {
-            send_all_connected(tx, &stop);
+    if lead_shutdown {
+        // Stream Stop, then wait until every live follower's cumulative
+        // ack reaches the last logged version — the group is converged
+        // when this returns.
+        Request::Stop.encode_into(&mut frames);
+        let live = |p: &usize| *p != me && !map.is_dead(shard, *p);
+        for p in (0..acked.len()).filter(live) {
+            let _ = peer_stream_tx[p].send_all_connected(&frames);
         }
-    }
-    for (p, rx) in peer_ack_rx.iter().enumerate() {
-        if p == me || map.is_dead(shard, p) {
-            continue;
-        }
-        while acked[p] < report.last_version {
-            match rx.recv_connected() {
-                Ok(head) => {
-                    if let AckMsg::Ack(v) = ack_msg(head) {
-                        acked[p] = acked[p].max(v);
-                    }
-                }
-                Err(_) => break,
-            }
+        for p in (0..acked.len()).filter(live) {
+            await_acks(&peer_ack_rx[p], &mut acked[p], |a| a >= report.last_version);
         }
     }
     report.term = my_term;
+    report.requests = core.counts.requests;
+    report.key_ops = core.counts.key_ops;
+    report.malformed = core.counts.malformed;
     report
 }
 
@@ -1216,8 +996,9 @@ fn crash_scheduled(plan: &FaultPlan, entry_index: u64) -> bool {
         .any(|ev| ev.kind == FaultKind::PrimaryCrash && ev.at_entry == entry_index)
 }
 
-/// The leader's streaming side, bundled so the write arms share one
-/// call.
+/// The leader's streaming side: the request path's `committed` hook.
+/// Leadership itself is checked per request in the serve loop, so the
+/// per-key `admit` has nothing left to refuse.
 struct Replicator<'a> {
     log: &'a OpLog,
     map: &'a ClusterMap,
@@ -1226,99 +1007,76 @@ struct Replicator<'a> {
     mode: ReplMode,
     stream_tx: &'a [RingSender],
     ack_rx: &'a [RingReceiver],
+    acked: &'a mut [u64],
+    frames: &'a mut Vec<Message>,
+    report: &'a mut NodeReport,
+}
+
+impl Hooks for Replicator<'_> {
+    const OBSERVES_WRITES: bool = true;
+
+    fn admit(&mut self, _key: u64, _is_write: bool) -> Admit {
+        Admit::Run
+    }
+
+    fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>) {
+        let op = value.map_or(LogOp::Delete, |value| LogOp::Put(value.clone()));
+        self.replicate(LogEntry { key, version, op });
+    }
 }
 
 impl Replicator<'_> {
     /// Streams one logged write to every live follower and settles
     /// acks per the mode's contract.
-    fn replicate(&self, entry: LogEntry, acked: &mut [u64], report: &mut NodeReport) {
-        let nodes = self.stream_tx.len();
-        let live: Vec<usize> = (0..nodes)
+    fn replicate(&mut self, entry: LogEntry) {
+        let version = entry.version;
+        self.report.last_version = version;
+        let live: Vec<usize> = (0..self.stream_tx.len())
             .filter(|&p| p != self.me && !self.map.is_dead(self.shard, p))
             .collect();
         if live.is_empty() {
             // No follower left (every backup died leading, or an
             // unreplicated shard): nothing to log — no one will ever
             // ack, so nothing could ever be truncated — or stream.
-            report.last_version = entry.version;
             return;
         }
         let request = match &entry.op {
             LogOp::Put(value) => Request::Replicate {
                 key: entry.key,
-                version: entry.version,
+                version,
                 value: value.as_ref().to_vec(),
             },
             LogOp::Delete => Request::ReplicateDelete {
                 key: entry.key,
-                version: entry.version,
+                version,
             },
         };
-        let version = entry.version;
         self.log.append(entry);
-        report.entries += 1;
-        report.last_version = version;
-        let frames = request.encode();
+        self.report.entries += 1;
+        request.encode_into(self.frames);
         for &p in &live {
-            send_all_connected(&self.stream_tx[p], &frames);
+            // Best-effort: a dead peer's dropped receiver fails the
+            // send instead of wedging the leader.
+            let _ = self.stream_tx[p].send_all_connected(self.frames);
         }
-        match self.mode {
-            ReplMode::Sync => {
-                for &p in &live {
-                    while acked[p] < version {
-                        match self.ack_rx[p].recv_connected() {
-                            Ok(head) => {
-                                if let AckMsg::Ack(v) = ack_msg(head) {
-                                    acked[p] = acked[p].max(v);
-                                }
-                            }
-                            Err(_) => break,
-                        }
+        for &p in &live {
+            let (rx, acked) = (&self.ack_rx[p], &mut self.acked[p]);
+            match self.mode {
+                ReplMode::Sync => await_acks(rx, acked, |a| a >= version),
+                ReplMode::Async { max_lag } => {
+                    while let Some(head) = rx.try_recv() {
+                        *acked = (*acked).max(ack_version(head).unwrap_or(0));
                     }
-                }
-            }
-            ReplMode::Async { max_lag } => {
-                for &p in &live {
-                    while let Some(head) = self.ack_rx[p].try_recv() {
-                        if let AckMsg::Ack(v) = ack_msg(head) {
-                            acked[p] = acked[p].max(v);
-                        }
-                    }
-                    while self.log.outstanding_after(acked[p]) as u64 > max_lag {
-                        match self.ack_rx[p].recv_connected() {
-                            Ok(head) => {
-                                if let AckMsg::Ack(v) = ack_msg(head) {
-                                    acked[p] = acked[p].max(v);
-                                }
-                            }
-                            Err(_) => break,
-                        }
-                    }
+                    await_acks(rx, acked, |a| {
+                        self.log.outstanding_after(a) as u64 <= max_lag
+                    });
                 }
             }
         }
-        if let Some(min_acked) = live.iter().map(|&p| acked[p]).min() {
+        if let Some(min_acked) = live.iter().map(|&p| self.acked[p]).min() {
             self.log.truncate_through(min_acked);
         }
     }
-}
-
-/// Sends every frame of an encoded request, failing fast if the server
-/// side is gone instead of spinning on a channel no one drains.
-fn send_frames(conn: &Conn, frames: &[Message]) -> bool {
-    frames.iter().all(|&m| conn.0.send_connected(m).is_ok())
-}
-
-/// Where one shard's chunk of a batched read went.
-enum MgetTarget<'a> {
-    /// Pipelined to a live follower as a floor-guarded `ReplMultiGet`.
-    Follower(usize, &'a [usize]),
-    /// Pipelined to the leader as an authoritative `MultiGet`.
-    Leader(usize, &'a [usize]),
-    /// Not sent (leaderless, oversized for one `MultiGet`, or the
-    /// target died under the send) — fetched afterwards through the
-    /// retrying leader path.
-    Deferred(&'a [usize]),
 }
 
 impl ReplClient {
@@ -1370,9 +1128,26 @@ impl ReplClient {
         self.stale_served.get()
     }
 
+    /// The connection to node `node` of `shard`.
+    pub fn conn(&self, shard: usize, node: usize) -> &Conn<RingSender, RingReceiver> {
+        self.mesh.conn(shard * self.map.nodes_per_shard() + node)
+    }
+
     fn observe(&self, shard: usize, version: u64) {
         let floor = &self.shards[shard].floor;
         floor.set(floor.get().max(version));
+    }
+
+    /// Raises the shard's freshness floor to a read's version.
+    fn observed(&self, shard: usize, hit: ReadHit) -> ReadHit {
+        if let Some((version, _)) = hit {
+            self.observe(shard, version);
+        }
+        hit
+    }
+
+    fn bump(counter: &Cell<u64>, by: u64) {
+        counter.set(counter.get() + by);
     }
 
     fn next_seed(&self) -> u64 {
@@ -1407,10 +1182,19 @@ impl ReplClient {
         cell.get()
     }
 
-    /// Adopts a server-supplied redirect if it is not older than the
-    /// cached view.
-    fn note_redirect(&self, shard: usize, term: u64, leader: Option<usize>) {
-        self.redirects.set(self.redirects.get() + 1);
+    /// If `response` is a `WrongLeader`/`WrongTerm` bounce, adopts the
+    /// redirect it carries (unless older than the cached view) and
+    /// returns true.
+    fn note_redirect(&self, shard: usize, response: &Response) -> bool {
+        let (term, leader) = match *response {
+            Response::WrongLeader { term, leader } => (
+                term,
+                usize::try_from(leader).ok().filter(|_| leader != NO_LEADER),
+            ),
+            Response::WrongTerm { term } => (term, None),
+            _ => return false,
+        };
+        Self::bump(&self.redirects, 1);
         let cell = &self.shards[shard].view;
         if term >= cell.get().term {
             cell.set(ShardView { term, leader });
@@ -1418,63 +1202,29 @@ impl ReplClient {
         if cell.get().leader.is_none() {
             self.refresh_view(shard);
         }
+        true
     }
 
-    /// Round-robin pick of a live non-leader node, if any.
-    fn pick_follower(&self, shard: usize, leader: usize) -> Option<usize> {
-        let conn = &self.shards[shard];
-        let n = conn.nodes.len();
-        let start = conn.rr.get();
-        conn.rr.set(start.wrapping_add(1));
+    /// Round-robin pick of a live node other than `except`, if any.
+    fn pick_live(&self, shard: usize, except: Option<usize>) -> Option<usize> {
+        let n = self.map.nodes_per_shard();
+        let rr = &self.shards[shard].rr;
+        let start = rr.get();
+        rr.set(start.wrapping_add(1));
         (0..n)
             .map(|i| (start + i) % n)
-            .find(|&node| node != leader && !self.map.is_dead(shard, node))
-    }
-
-    /// Round-robin pick of any live node (stale-read path).
-    fn any_live(&self, shard: usize) -> Option<usize> {
-        let conn = &self.shards[shard];
-        let n = conn.nodes.len();
-        let start = conn.rr.get();
-        conn.rr.set(start.wrapping_add(1));
-        (0..n)
-            .map(|i| (start + i) % n)
-            .find(|&node| !self.map.is_dead(shard, node))
-    }
-
-    /// Reads one response, surfacing a dead server as
-    /// [`WireError::Disconnected`] instead of spinning. Only the head
-    /// frame needs the connected check: servers emit whole responses
-    /// between requests, so once a head is readable its continuation
-    /// frames are already in the ring.
-    fn read_response_connected(conn: &Conn) -> Result<Response, WireError> {
-        let head = conn
-            .1
-            .recv_connected()
-            .map_err(|_| WireError::Disconnected)?;
-        Response::decode(head, || conn.1.recv())
-    }
-
-    /// One request/response exchange against one node, disconnect-aware
-    /// on both legs.
-    fn roundtrip(conn: &Conn, request: &Request) -> Result<Response, WireError> {
-        if !send_frames(conn, &request.encode()) {
-            return Err(WireError::Disconnected);
-        }
-        Self::read_response_connected(conn)
+            .find(|&node| Some(node) != except && !self.map.is_dead(shard, node))
     }
 
     /// Scrapes the live introspection snapshot of one specific node of
     /// `shard` — any role, no leader chase. Followers answer too, so a
     /// scrape observes a failover instead of being stalled by one.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ServiceClient::stats`].
     pub fn stats_of(&self, shard: usize, node: usize) -> Result<RegistrySnapshot, WireError> {
-        match Self::roundtrip(&self.shards[shard].nodes[node], &Request::Stats)? {
-            Response::StatsReply { payload } => {
-                RegistrySnapshot::from_bytes(&payload).ok_or(WireError::UnexpectedResponse("Stats"))
-            }
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Stats")),
-        }
+        self.conn(shard, node).call(&Request::Stats)?.into_stats()
     }
 
     /// The retrying leader exchange every write (and authoritative
@@ -1486,7 +1236,7 @@ impl ReplClient {
     /// Retrying on [`WireError::Disconnected`] is exactly-once, not
     /// at-least-once: a node sends the complete response *before* a
     /// scheduled crash takes it down, responses survive in the reply
-    /// ring after death, and `recv_connected` drains that backlog
+    /// ring after death, and the connected receive drains that backlog
     /// before reporting the disconnect. `Disconnected` therefore
     /// proves the request still sat unread in the dead node's inbox.
     fn exchange_at_leader(&self, shard: usize, request: &Request) -> Result<Response, WireError> {
@@ -1501,10 +1251,9 @@ impl ReplClient {
                 self.refresh_view(shard);
                 continue;
             };
-            let conn = &self.shards[shard].nodes[leader];
-            match Self::roundtrip(conn, request) {
+            match self.conn(shard, leader).call(request) {
                 Err(WireError::Disconnected) => {
-                    self.lost_to_retry.set(self.lost_to_retry.get() + 1);
+                    Self::bump(&self.lost_to_retry, 1);
                     last_err = Some(WireError::Disconnected);
                     self.shards[shard].view.set(ShardView {
                         term: view.term,
@@ -1516,15 +1265,7 @@ impl ReplClient {
                     self.refresh_view(shard);
                 }
                 Err(e) => return Err(e),
-                Ok(Response::WrongLeader { term, leader }) => {
-                    let leader = usize::try_from(leader).ok().filter(|_| leader != NO_LEADER);
-                    self.note_redirect(shard, term, leader);
-                    if pacer.expired() {
-                        return Err(last_err.unwrap_or(WireError::Deadline));
-                    }
-                }
-                Ok(Response::WrongTerm { term }) => {
-                    self.note_redirect(shard, term, None);
+                Ok(response) if self.note_redirect(shard, &response) => {
                     if pacer.expired() {
                         return Err(last_err.unwrap_or(WireError::Deadline));
                     }
@@ -1545,37 +1286,29 @@ impl ReplClient {
     ///
     /// [`WireError`] on an undecodable or out-of-protocol reply, a
     /// peer dead past the retry budget, or [`WireError::Deadline`].
-    pub fn get(&self, key: u64) -> Result<Option<(u64, Vec<u8>)>, WireError> {
+    pub fn get(&self, key: u64) -> Result<ReadHit, WireError> {
         let shard = shard_of(key, self.shards.len());
-        let conn = &self.shards[shard];
         let mut pacer = self.pacer();
         let mut last_err = None;
         loop {
             let view = self.shard_view(shard);
             let Some(leader) = view.leader else {
-                if self.stale_reads {
-                    if let Some(node) = self.any_live(shard) {
-                        let request = Request::ReplGet { key, floor: 0 };
-                        match Self::roundtrip(&conn.nodes[node], &request) {
-                            Ok(Response::Value { version, value }) => {
-                                self.stale_served.set(self.stale_served.get() + 1);
-                                return Ok(Some((version, value)));
-                            }
-                            Ok(Response::Miss) => {
-                                self.stale_served.set(self.stale_served.get() + 1);
-                                return Ok(None);
-                            }
-                            // A node refusing inside its own crash
-                            // window answers `Stale` even floor-free;
-                            // rotate on.
-                            Ok(Response::Stale { .. }) => {}
-                            Ok(Response::Malformed) => return Err(WireError::Rejected),
-                            Ok(_) => return Err(WireError::UnexpectedResponse("ReplGet")),
-                            Err(WireError::Disconnected) => {
-                                last_err = Some(WireError::Disconnected);
-                            }
-                            Err(e) => return Err(e),
+                let any_live = self.stale_reads.then(|| self.pick_live(shard, None));
+                if let Some(node) = any_live.flatten() {
+                    match self
+                        .conn(shard, node)
+                        .call(&Request::ReplGet { key, floor: 0 })
+                    {
+                        // A node refusing inside its own crash window
+                        // answers `Stale` even floor-free; rotate on.
+                        Ok(Response::Stale { .. }) => {}
+                        Ok(response) => {
+                            let hit = response.into_read("ReplGet")?;
+                            Self::bump(&self.stale_served, 1);
+                            return Ok(hit);
                         }
+                        Err(WireError::Disconnected) => last_err = Some(WireError::Disconnected),
+                        Err(e) => return Err(e),
                     }
                 }
                 if !pacer.pause() {
@@ -1584,26 +1317,18 @@ impl ReplClient {
                 self.refresh_view(shard);
                 continue;
             };
-            if let Some(follower) = self.pick_follower(shard, leader) {
-                let request = Request::ReplGet {
-                    key,
-                    floor: conn.floor.get(),
-                };
-                match Self::roundtrip(&conn.nodes[follower], &request) {
-                    Ok(Response::Value { version, value }) => {
-                        self.replica_serves.set(self.replica_serves.get() + 1);
-                        self.observe(shard, version);
-                        return Ok(Some((version, value)));
+            if let Some(follower) = self.pick_live(shard, Some(leader)) {
+                let floor = self.shards[shard].floor.get();
+                match self
+                    .conn(shard, follower)
+                    .call(&Request::ReplGet { key, floor })
+                {
+                    Ok(Response::Stale { .. }) => Self::bump(&self.fallbacks, 1),
+                    Ok(response) => {
+                        let hit = response.into_read("ReplGet")?;
+                        Self::bump(&self.replica_serves, 1);
+                        return Ok(self.observed(shard, hit));
                     }
-                    Ok(Response::Miss) => {
-                        self.replica_serves.set(self.replica_serves.get() + 1);
-                        return Ok(None);
-                    }
-                    Ok(Response::Stale { .. }) => {
-                        self.fallbacks.set(self.fallbacks.get() + 1);
-                    }
-                    Ok(Response::Malformed) => return Err(WireError::Rejected),
-                    Ok(_) => return Err(WireError::UnexpectedResponse("ReplGet")),
                     Err(WireError::Disconnected) => {
                         // Follower gone (it was leading and died, or is
                         // shutting down): refresh and retry the loop.
@@ -1618,16 +1343,10 @@ impl ReplClient {
                 }
             }
             match self.exchange_at_leader(shard, &Request::Get { key }) {
-                Ok(Response::Value { version, value }) => {
-                    self.observe(shard, version);
-                    return Ok(Some((version, value)));
-                }
-                Ok(Response::Miss) => return Ok(None),
-                Ok(Response::Malformed) => return Err(WireError::Rejected),
-                Ok(_) => return Err(WireError::UnexpectedResponse("Get")),
+                Ok(response) => return Ok(self.observed(shard, response.into_read("Get")?)),
+                // The authoritative path is gone; loop back so the
+                // leaderless branch can serve the read floor-free.
                 Err(e @ (WireError::Disconnected | WireError::Deadline)) if self.stale_reads => {
-                    // The authoritative path is gone; loop back so the
-                    // leaderless branch can serve the read floor-free.
                     last_err = Some(e);
                 }
                 Err(e) => return Err(e),
@@ -1657,51 +1376,41 @@ impl ReplClient {
         }
         let many_nodes = self.map.nodes_per_shard() > 1;
         let chunk_size = if many_nodes { REPL_MGET_MAX } else { MGET_MAX };
-        let mut results: Vec<Option<(u64, Vec<u8>)>> = (0..keys.len()).map(|_| None).collect();
+        let mut results: Vec<ReadHit> = vec![None; keys.len()];
         let rounds = by_shard
             .iter()
             .map(|positions| positions.len().div_ceil(chunk_size))
             .max()
             .unwrap_or(0);
         for round in 0..rounds {
-            // Send phase: pipeline one chunk per shard.
-            let mut inflight: Vec<(usize, MgetTarget)> = Vec::new();
+            // Send phase: pipeline one chunk per shard. A chunk goes to
+            // a live follower as a floor-guarded `ReplMultiGet`, or —
+            // all followers dead, and small enough for one `MultiGet` —
+            // to the leader; `None` marks a chunk not sent (leaderless,
+            // oversized, or the target died under the send).
+            let mut inflight = Vec::new();
             for (shard, positions) in by_shard.iter().enumerate() {
-                let conn = &self.shards[shard];
                 let chunk = positions.chunks(chunk_size).nth(round).unwrap_or(&[]);
                 if chunk.is_empty() {
                     continue;
                 }
                 let batch: Vec<u64> = chunk.iter().map(|&p| keys[p]).collect();
-                let view = self.shard_view(shard);
-                let target = match view.leader {
-                    None => MgetTarget::Deferred(chunk),
-                    Some(leader) => match self.pick_follower(shard, leader) {
-                        Some(f) => {
-                            let request = Request::ReplMultiGet {
-                                keys: batch,
-                                floor: conn.floor.get(),
-                            };
-                            if send_frames(&conn.nodes[f], &request.encode()) {
-                                MgetTarget::Follower(f, chunk)
-                            } else {
-                                MgetTarget::Deferred(chunk)
-                            }
-                        }
-                        // All followers dead: the leader path chunks
-                        // by MGET_MAX, so only small chunks pipeline.
-                        None if chunk.len() <= MGET_MAX => {
-                            let request = Request::MultiGet { keys: batch };
-                            if send_frames(&conn.nodes[leader], &request.encode()) {
-                                MgetTarget::Leader(leader, chunk)
-                            } else {
-                                MgetTarget::Deferred(chunk)
-                            }
-                        }
-                        None => MgetTarget::Deferred(chunk),
-                    },
-                };
-                inflight.push((shard, target));
+                let target = self.shard_view(shard).leader.and_then(|leader| {
+                    match self.pick_live(shard, Some(leader)) {
+                        Some(follower) => Some((follower, false)),
+                        None => (chunk.len() <= MGET_MAX).then_some((leader, true)),
+                    }
+                });
+                let sent = target.filter(|&(node, at_leader)| {
+                    let request = if at_leader {
+                        Request::MultiGet { keys: batch }
+                    } else {
+                        let floor = self.shards[shard].floor.get();
+                        Request::ReplMultiGet { keys: batch, floor }
+                    };
+                    self.conn(shard, node).send(&request).is_ok()
+                });
+                inflight.push((shard, chunk, sent));
             }
             // Drain phase, in shard order. The first response answers
             // for the whole chunk: a node emits `Stale`, `WrongLeader`,
@@ -1709,74 +1418,49 @@ impl ReplClient {
             // that answered the head at all has already queued the
             // rest (responses are emitted between requests).
             let mut deferred: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (shard, target) in inflight {
-                let conn = &self.shards[shard];
-                match target {
-                    MgetTarget::Deferred(chunk) => deferred.push((shard, chunk.to_vec())),
-                    MgetTarget::Leader(node, chunk) => {
-                        match Self::read_response_connected(&conn.nodes[node]) {
-                            Err(WireError::Disconnected) => {
-                                self.lost_to_retry.set(self.lost_to_retry.get() + 1);
-                                self.refresh_view(shard);
-                                deferred.push((shard, chunk.to_vec()));
-                            }
-                            Err(e) => return Err(e),
-                            Ok(Response::WrongLeader { term, leader }) => {
-                                let leader =
-                                    usize::try_from(leader).ok().filter(|_| leader != NO_LEADER);
-                                self.note_redirect(shard, term, leader);
-                                deferred.push((shard, chunk.to_vec()));
-                            }
-                            Ok(Response::WrongTerm { term }) => {
-                                self.note_redirect(shard, term, None);
-                                deferred.push((shard, chunk.to_vec()));
-                            }
-                            Ok(first) => {
-                                self.settle_read(shard, first, chunk[0], &mut results, "MultiGet")?;
-                                self.drain_chunk(
-                                    shard,
-                                    node,
-                                    &chunk[1..],
-                                    &mut results,
-                                    &mut deferred,
-                                    "MultiGet",
-                                )?;
-                            }
-                        }
+            for (shard, chunk, sent) in inflight {
+                let Some((node, at_leader)) = sent else {
+                    deferred.push((shard, chunk.to_vec()));
+                    continue;
+                };
+                let conn = self.conn(shard, node);
+                let ctx = if at_leader {
+                    "MultiGet"
+                } else {
+                    "ReplMultiGet"
+                };
+                match conn.recv() {
+                    Err(WireError::Disconnected) => {
+                        Self::bump(&self.lost_to_retry, u64::from(at_leader));
+                        self.refresh_view(shard);
                     }
-                    MgetTarget::Follower(node, chunk) => {
-                        match Self::read_response_connected(&conn.nodes[node]) {
-                            Err(WireError::Disconnected) => {
-                                self.refresh_view(shard);
-                                deferred.push((shard, chunk.to_vec()));
-                            }
-                            Err(e) => return Err(e),
-                            Ok(Response::Stale { .. }) => {
-                                self.fallbacks.set(self.fallbacks.get() + 1);
-                                deferred.push((shard, chunk.to_vec()));
-                            }
-                            Ok(first) => {
-                                self.replica_serves
-                                    .set(self.replica_serves.get() + chunk.len() as u64);
-                                self.settle_read(
-                                    shard,
-                                    first,
-                                    chunk[0],
-                                    &mut results,
-                                    "ReplMultiGet",
-                                )?;
-                                self.drain_chunk(
-                                    shard,
-                                    node,
-                                    &chunk[1..],
-                                    &mut results,
-                                    &mut deferred,
-                                    "ReplMultiGet",
-                                )?;
+                    Err(e) => return Err(e),
+                    Ok(Response::Stale { .. }) if !at_leader => Self::bump(&self.fallbacks, 1),
+                    Ok(first) if at_leader && self.note_redirect(shard, &first) => {}
+                    Ok(first) => {
+                        if !at_leader {
+                            Self::bump(&self.replica_serves, chunk.len() as u64);
+                        }
+                        results[chunk[0]] = self.observed(shard, first.into_read(ctx)?);
+                        // Positions left unread when the node dies
+                        // mid-chunk are deferred to the leader path.
+                        for (i, &pos) in chunk.iter().enumerate().skip(1) {
+                            match conn.recv() {
+                                Ok(response) => {
+                                    results[pos] = self.observed(shard, response.into_read(ctx)?);
+                                }
+                                Err(WireError::Disconnected) => {
+                                    self.refresh_view(shard);
+                                    deferred.push((shard, chunk[i..].to_vec()));
+                                    break;
+                                }
+                                Err(e) => return Err(e),
                             }
                         }
+                        continue;
                     }
                 }
+                deferred.push((shard, chunk.to_vec()));
             }
             // Fix-up pass: everything that missed the pipelined round
             // re-fetches authoritatively, with retries and redirects.
@@ -1787,57 +1471,6 @@ impl ReplClient {
         Ok(results)
     }
 
-    /// Records one `Value`/`Miss` read into `results[pos]`.
-    fn settle_read(
-        &self,
-        shard: usize,
-        response: Response,
-        pos: usize,
-        results: &mut [Option<(u64, Vec<u8>)>],
-        context: &'static str,
-    ) -> Result<(), WireError> {
-        match response {
-            Response::Value { version, value } => {
-                self.observe(shard, version);
-                results[pos] = Some((version, value));
-                Ok(())
-            }
-            Response::Miss => {
-                results[pos] = None;
-                Ok(())
-            }
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse(context)),
-        }
-    }
-
-    /// Drains the remaining reads of a chunk whose head already
-    /// answered; positions left unread when the node dies mid-chunk
-    /// are deferred to the leader path.
-    fn drain_chunk(
-        &self,
-        shard: usize,
-        node: usize,
-        rest: &[usize],
-        results: &mut [Option<(u64, Vec<u8>)>],
-        deferred: &mut Vec<(usize, Vec<usize>)>,
-        context: &'static str,
-    ) -> Result<(), WireError> {
-        let conn = &self.shards[shard].nodes[node];
-        for (i, &pos) in rest.iter().enumerate() {
-            match Self::read_response_connected(conn) {
-                Ok(response) => self.settle_read(shard, response, pos, results, context)?,
-                Err(WireError::Disconnected) => {
-                    self.refresh_view(shard);
-                    deferred.push((shard, rest[i..].to_vec()));
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
     /// Authoritatively fetches `positions` through the retrying leader
     /// exchange, in [`MGET_MAX`]-sized slices.
     fn fetch_from_leader(
@@ -1845,46 +1478,23 @@ impl ReplClient {
         shard: usize,
         positions: &[usize],
         keys: &[u64],
-        results: &mut [Option<(u64, Vec<u8>)>],
+        results: &mut [ReadHit],
     ) -> Result<(), WireError> {
         for slice in positions.chunks(MGET_MAX) {
             let batch: Vec<u64> = slice.iter().map(|&p| keys[p]).collect();
-            match self.exchange_at_leader(shard, &Request::MultiGet { keys: batch })? {
-                Response::Value { version, value } => {
-                    self.observe(shard, version);
-                    results[slice[0]] = Some((version, value));
-                    self.finish_slice(shard, &slice[1..], results)?;
-                }
-                Response::Miss => {
-                    results[slice[0]] = None;
-                    self.finish_slice(shard, &slice[1..], results)?;
-                }
-                Response::Malformed => return Err(WireError::Rejected),
-                _ => return Err(WireError::UnexpectedResponse("MultiGet")),
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads the tail of a leader multi-get whose head just landed.
-    /// The leader cannot die inside the tail (a scheduled crash only
-    /// follows a *write*, and responses are emitted whole between
-    /// requests), so a disconnect here is a protocol error.
-    fn finish_slice(
-        &self,
-        shard: usize,
-        rest: &[usize],
-        results: &mut [Option<(u64, Vec<u8>)>],
-    ) -> Result<(), WireError> {
-        let view = self.shards[shard].view.get();
-        let Some(leader) = view.leader else {
-            return Err(WireError::UnexpectedResponse("MultiGet"));
-        };
-        let conn = &self.shards[shard].nodes[leader];
-        for &pos in rest {
-            match Self::read_response_connected(conn) {
-                Ok(response) => self.settle_read(shard, response, pos, results, "MultiGet")?,
-                Err(e) => return Err(e),
+            let first = self.exchange_at_leader(shard, &Request::MultiGet { keys: batch })?;
+            results[slice[0]] = self.observed(shard, first.into_read("MultiGet")?);
+            // The tail comes from the leader that just answered. It
+            // cannot die inside the tail (a scheduled crash only
+            // follows a *write*, and responses are emitted whole
+            // between requests), so a disconnect here is an error.
+            let view = self.shards[shard].view.get();
+            let leader = view
+                .leader
+                .ok_or(WireError::UnexpectedResponse("MultiGet"))?;
+            for &pos in &slice[1..] {
+                let response = self.conn(shard, leader).recv()?;
+                results[pos] = self.observed(shard, response.into_read("MultiGet")?);
             }
         }
         Ok(())
@@ -1899,14 +1509,10 @@ impl ReplClient {
     /// when retries exhaust the deadline.
     pub fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
         let shard = shard_of(key, self.shards.len());
-        match self.exchange_at_leader(shard, &Request::Set { key, value })? {
-            Response::Stored { version } => {
-                self.observe(shard, version);
-                Ok(version)
-            }
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Set")),
-        }
+        let request = Request::Set { key, value };
+        let version = self.exchange_at_leader(shard, &request)?.into_stored()?;
+        self.observe(shard, version);
+        Ok(version)
     }
 
     /// Compare-and-set at the shard's leader; the inner result is the
@@ -1928,15 +1534,11 @@ impl ReplClient {
             expected,
             value,
         };
-        match self.exchange_at_leader(shard, &request)? {
-            Response::Stored { version } => {
-                self.observe(shard, version);
-                Ok(Ok(version))
-            }
-            Response::CasFail { current } => Ok(Err(current)),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Cas")),
+        let outcome = self.exchange_at_leader(shard, &request)?.into_cas()?;
+        if let Ok(version) = outcome {
+            self.observe(shard, version);
         }
+        Ok(outcome)
     }
 
     /// Deletes a key at the shard's leader; `Some(tombstone_version)`
@@ -1948,26 +1550,18 @@ impl ReplClient {
     /// when retries exhaust the deadline.
     pub fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
         let shard = shard_of(key, self.shards.len());
-        match self.exchange_at_leader(shard, &Request::Delete { key })? {
-            Response::Deleted { version } => {
-                self.observe(shard, version);
-                Ok(Some(version))
-            }
-            Response::NotFound => Ok(None),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Delete")),
+        let request = Request::Delete { key };
+        let deleted = self.exchange_at_leader(shard, &request)?.into_deleted()?;
+        if let Some(version) = deleted {
+            self.observe(shard, version);
         }
+        Ok(deleted)
     }
 
     /// Tells every node this client is done, consuming the client.
     /// Dead nodes are skipped — their inboxes have no reader.
     pub fn close(self) {
-        let stop = Request::Stop.encode();
-        for conn in &self.shards {
-            for node in &conn.nodes {
-                let _ = send_frames(node, &stop);
-            }
-        }
+        self.mesh.close();
     }
 }
 
@@ -2261,37 +1855,26 @@ mod tests {
         with_replicated(cluster, 1, &[], &[], 0, |mut clients| {
             let client = clients.pop().unwrap();
             client.set(1, b"x".to_vec()).unwrap();
-            let conn = &client.shards[0];
+            let (leader, follower) = (client.conn(0, 0), client.conn(0, 1));
             // Garbage straight at the leader.
-            conn.nodes[0].0.send([0xEE; ssync_mp::MSG_WORDS]);
-            let head = conn.nodes[0].1.recv();
-            assert_eq!(
-                Response::decode(head, || unreachable!()).unwrap(),
-                Response::Malformed
-            );
+            leader.tx.send([0xEE; ssync_mp::MSG_WORDS]);
+            assert_eq!(leader.recv(), Ok(Response::Malformed));
             // A write at a follower bounces with the current view.
-            send_all(&conn.nodes[1].0, &Request::Get { key: 1 }.encode());
-            let head = conn.nodes[1].1.recv();
             assert_eq!(
-                Response::decode(head, || unreachable!()).unwrap(),
-                Response::WrongLeader { term: 1, leader: 0 }
+                follower.call(&Request::Get { key: 1 }),
+                Ok(Response::WrongLeader { term: 1, leader: 0 })
             );
             // A replication frame on a client connection is a protocol
-            // violation, not a write.
-            send_all(
-                &conn.nodes[0].0,
-                &Request::Replicate {
-                    key: 1,
-                    version: 99,
-                    value: b"evil".to_vec(),
-                }
-                .encode(),
-            );
-            let head = conn.nodes[0].1.recv();
-            assert_eq!(
-                Response::decode(head, || unreachable!()).unwrap(),
-                Response::Malformed
-            );
+            // violation, not a write — at a node in either role.
+            let evil = Request::Replicate {
+                key: 1,
+                version: 99,
+                value: b"evil".to_vec(),
+            };
+            assert_eq!(leader.call(&evil), Ok(Response::Malformed));
+            assert_eq!(follower.call(&evil), Ok(Response::Malformed));
+            let scrape = client.stats_of(0, 0).unwrap();
+            assert_eq!(scrape.counter("srv.malformed"), Some(2));
             // All servers still alive.
             assert!(client.get(1).unwrap().is_some());
             client.close();
@@ -2312,7 +1895,7 @@ mod tests {
             // so only the writes (plus this scrape) are guaranteed.
             let leader = client.stats_of(0, 0).unwrap();
             assert_eq!(leader.counter("node.leading"), Some(1));
-            assert!(leader.counter("node.requests").unwrap() >= 17);
+            assert!(leader.counter("srv.requests").unwrap() >= 17);
             assert_eq!(leader.counter("store.sets"), Some(16));
             // The follower answers too — introspection never chases
             // the leader, so a scrape works mid-failover.
@@ -2324,19 +1907,14 @@ mod tests {
                 "sync replication applies every write at the follower"
             );
             // A garbage frame between scrapes is refused, not fatal...
-            client.shards[0].nodes[0]
-                .0
-                .send([0xEE; ssync_mp::MSG_WORDS]);
-            let head = client.shards[0].nodes[0].1.recv();
-            assert_eq!(
-                Response::decode(head, || unreachable!()).unwrap(),
-                Response::Malformed
-            );
+            let conn = client.conn(0, 0);
+            conn.tx.send([0xEE; ssync_mp::MSG_WORDS]);
+            assert_eq!(conn.recv(), Ok(Response::Malformed));
             // ...and the next scrape of the same node counts it.
             let again = client.stats_of(0, 0).unwrap();
-            assert_eq!(again.counter("node.malformed"), Some(1));
+            assert_eq!(again.counter("srv.malformed"), Some(1));
             assert!(
-                again.counter("node.requests").unwrap() > leader.counter("node.requests").unwrap()
+                again.counter("srv.requests").unwrap() > leader.counter("srv.requests").unwrap()
             );
             client.close();
         });
@@ -2440,5 +2018,37 @@ mod tests {
             stale.close();
             strict.close();
         });
+    }
+
+    /// Regression: a second `Stop` on one connection used to drive the
+    /// node's live-client count below the truth — with two clients the
+    /// group shut down under the other client; with the count already
+    /// at zero it underflowed.
+    #[test]
+    fn duplicate_stop_degrades_one_connection_not_the_group() {
+        let cluster = ReplCluster::new(1, 64, 8, ReplSpec::sync(1));
+        let cluster = with_replicated(cluster, 2, &[], &[], 0, |mut clients| {
+            let survivor = clients.pop().unwrap();
+            let rude = clients.pop().unwrap();
+            for node in 0..2 {
+                rude.conn(0, node).send(&Request::Stop).unwrap();
+                rude.conn(0, node).send(&Request::Stop).unwrap();
+            }
+            for key in 0..64u64 {
+                survivor.set(key, vec![1; 8]).unwrap();
+                assert!(survivor.get(key).unwrap().is_some());
+            }
+            for node in 0..2 {
+                let scrape = survivor.stats_of(0, node).unwrap();
+                assert_eq!(scrape.counter("srv.malformed"), Some(1), "node {node}");
+                assert_eq!(
+                    rude.conn(0, node).try_recv(),
+                    Ok(None),
+                    "no reply to a Stop"
+                );
+            }
+            survivor.close();
+        });
+        assert!(cluster.converged());
     }
 }

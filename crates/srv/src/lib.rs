@@ -11,10 +11,15 @@
 //! * [`wire`] — the request/response format packed into `ssync-mp`
 //!   cache-line messages, with multi-get batching and continuation
 //!   frames for long values;
-//! * [`service`] — per-shard server threads multiplexing clients over
-//!   [`ssync_mp::ServerHub`], plus the [`service::ServiceClient`]
-//!   round-trip API — both generic over the transport (one-line
-//!   channels or bounded rings, with pipelined reads on the latter);
+//! * [`node`] — the one request path every serve loop in the tree runs
+//!   on: hub polling, `Stop` accounting, the executor for the six data
+//!   operations with its two policy hooks, and the `Stats` scrape;
+//! * [`conn`] — the one disconnect-aware client connection every
+//!   client in the tree is built over;
+//! * [`service`] — the channel mesh, the plain shard server and the
+//!   [`service::ServiceClient`] round-trip API — generic over the
+//!   transport (one-line channels or bounded rings, with pipelined
+//!   reads on the latter);
 //! * [`workload`] — a deterministic workload engine: seeded zipfian and
 //!   uniform key distributions, YCSB-style read/write mixes, value-size
 //!   distributions, a closed-loop driver, and an open-loop driver with
@@ -47,11 +52,15 @@
 //! });
 //! ```
 
+pub mod conn;
+pub mod node;
 pub mod router;
 pub mod service;
 pub mod wire;
 pub mod workload;
 
+pub use conn::Conn;
+pub use node::{Admit, Hooks, NoHooks, NodeCore, Poll};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, wire_mesh, wire_mesh_with, KvClient, ServiceClient};
 pub use wire::{Request, Response, WireError, NO_LEADER};

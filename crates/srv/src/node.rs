@@ -1,0 +1,364 @@
+//! The one request path: the policy-free node core under every serve
+//! loop.
+//!
+//! [`NodeCore`] owns what `serve`, `ssync-repl`'s `serve_node` and
+//! `ssync-cluster`'s `serve_cluster_node` have in common: polling the
+//! client hub and pulling a request's continuation frames, the
+//! `Malformed` replies, per-client `Stop` accounting, the reclamation
+//! cadence, the `TimedGet` latency split, the `Stats` scrape, and one
+//! executor for the six data operations. What differs between the
+//! stacks enters through the two [`Hooks`]: `admit` decides per key
+//! whether this node may run the operation (always, for a plain shard;
+//! the slot fence, for a cluster node), `committed` sees every write
+//! the store accepted (the cluster's op-log, the replication stream).
+//! Both are generic parameters — the plain shard's [`NoHooks`]
+//! compiles to the bare store calls.
+
+use std::sync::Arc;
+
+use bytes::Bytes;
+
+use ssync_core::stats::{mono_ns, Histogram, Registry};
+use ssync_core::ParkingWait;
+use ssync_kv::KvStore;
+use ssync_locks::RawLock;
+use ssync_mp::{Message, MsgReceiver, MsgSender, ServerHub};
+
+use crate::router::key_bytes;
+use crate::service::{ServeReport, ServerEndpoint};
+use crate::wire::{Request, Response};
+
+/// An admission verdict for one key of one request.
+#[derive(Debug)]
+pub enum Admit {
+    /// Execute here.
+    Run,
+    /// Execute nothing; answer with this response instead.
+    Refuse(Response),
+    /// Park the request and hand it back to the serve loop, which
+    /// re-submits it later. Honoured for writes only: a read has
+    /// nowhere to park mid-batch, so it runs.
+    Defer,
+}
+
+/// The two points where a serving stack's policy meets the request
+/// path.
+pub trait Hooks {
+    /// Whether [`Hooks::committed`] wants the stored value. The
+    /// executor keeps a second handle on the value (one reference-count
+    /// round trip) only for hooks that read it.
+    const OBSERVES_WRITES: bool;
+
+    /// May this node run the operation on `key` now?
+    fn admit(&mut self, key: u64, is_write: bool) -> Admit;
+
+    /// The store accepted a write of `key` at `version`: `Some(value)`
+    /// for a put, `None` for a delete. Called before the reply is sent.
+    fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>);
+}
+
+/// The plain shard server's policy: admit everything, observe nothing.
+pub struct NoHooks;
+
+impl Hooks for NoHooks {
+    const OBSERVES_WRITES: bool = false;
+
+    fn admit(&mut self, _key: u64, _is_write: bool) -> Admit {
+        Admit::Run
+    }
+
+    fn committed(&mut self, _key: u64, _version: u64, _value: Option<&Bytes>) {}
+}
+
+/// What one [`NodeCore::poll`] found.
+#[derive(Debug)]
+pub enum Poll {
+    /// No client had a frame waiting.
+    Idle,
+    /// A frame arrived and the core dealt with it (an undecodable head,
+    /// a `Stop`).
+    Consumed,
+    /// `client` asked for a `Stats` scrape: answer with
+    /// [`NodeCore::reply_stats`].
+    Scrape(usize),
+    /// `client` sent this request: answer through
+    /// [`NodeCore::serve`] (or [`NodeCore::reply`], to refuse it).
+    Request(usize, Request),
+}
+
+/// One epoch advance-and-collect pass per this many progressed loop
+/// turns: a long-lived node frees its retired store nodes while traffic
+/// flows — no quiescent point, bounded backlog.
+const RECLAIM_PERIOD: u64 = 1024;
+
+/// The shared serve-loop state of one node. See the module docs.
+pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
+    hub: ServerHub<C>,
+    replies: Vec<S>,
+    frames: Vec<Message>,
+    stopped: Vec<bool>,
+    live: usize,
+    since_reclaim: u64,
+    wait: ParkingWait,
+    registry: Registry,
+    queue_wait: Arc<Histogram>,
+    apply: Arc<Histogram>,
+    /// Requests, key-operations and refused frames so far.
+    pub counts: ServeReport,
+}
+
+/// One versioned read through the store's configured read path.
+fn lookup<R: RawLock + Default>(store: &KvStore<R>, key: u64) -> Response {
+    match store.get_with_version(&key_bytes(key)) {
+        Some((version, value)) => Response::Value {
+            version,
+            value: value.as_ref().to_vec(),
+        },
+        None => Response::Miss,
+    }
+}
+
+// The per-request methods carry `#[inline]`: each has one or two call
+// sites, in a serve loop, and left out of line they cost the plain
+// shard a measurable share of its request budget (EXPERIMENTS.md).
+impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
+    /// A core serving `endpoint`'s clients.
+    pub fn new(endpoint: ServerEndpoint<C, S>) -> Self {
+        let ServerEndpoint { requests, replies } = endpoint;
+        let registry = Registry::new();
+        NodeCore {
+            stopped: vec![false; requests.len()],
+            live: requests.len(),
+            hub: ServerHub::new(requests),
+            replies,
+            frames: Vec::new(),
+            since_reclaim: 0,
+            wait: ParkingWait::new(),
+            queue_wait: registry.histogram("srv.queue_wait_ns"),
+            apply: registry.histogram("srv.apply_ns"),
+            registry,
+            counts: ServeReport::default(),
+        }
+    }
+
+    /// Clients that have not sent `Stop` yet.
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Sends one response to `client` through the scratch frame buffer.
+    #[inline]
+    pub fn reply(&mut self, client: usize, response: &Response) {
+        response.encode_into(&mut self.frames);
+        for &frame in &self.frames {
+            self.replies[client].send(frame);
+        }
+    }
+
+    /// Polls every client once, round-robin. A head frame that fails to
+    /// decode is answered with [`Response::Malformed`] — a corrupt
+    /// frame degrades one connection, it does not take the node down.
+    /// A client's first `Stop` retires it; a repeated one is counted as
+    /// malformed and not answered (nobody drains that reply ring).
+    #[inline]
+    pub fn poll(&mut self) -> Poll {
+        let Some((client, head)) = self.hub.try_recv_from_any() else {
+            return Poll::Idle;
+        };
+        match Request::decode(head, || self.hub.recv_from(client)) {
+            Err(_) => {
+                self.counts.malformed += 1;
+                self.reply(client, &Response::Malformed);
+                Poll::Consumed
+            }
+            Ok(Request::Stop) => {
+                if std::mem::replace(&mut self.stopped[client], true) {
+                    self.counts.malformed += 1;
+                } else {
+                    self.live -= 1;
+                }
+                Poll::Consumed
+            }
+            Ok(request) => {
+                self.counts.requests += 1;
+                match request {
+                    Request::Stats => Poll::Scrape(client),
+                    request => Poll::Request(client, request),
+                }
+            }
+        }
+    }
+
+    /// End-of-turn bookkeeping: a turn that made progress re-arms the
+    /// idle wait and advances the reclamation cadence; an idle one
+    /// waits with [`ParkingWait`], so a node that sits idle for a whole
+    /// phase leaves the run queue instead of yield-looping.
+    #[inline]
+    pub fn pace<R: RawLock + Default>(&mut self, store: &KvStore<R>, progressed: bool) {
+        if !progressed {
+            return self.wait.snooze();
+        }
+        self.wait.reset();
+        self.since_reclaim += 1;
+        if self.since_reclaim >= RECLAIM_PERIOD {
+            self.since_reclaim = 0;
+            store.reclaim_pass();
+        }
+    }
+
+    /// Answers a `Stats` scrape: the latency-split histograms, the
+    /// core's own counters, the caller's `node` counters and the
+    /// store's — assembled only when asked for, without pausing service.
+    pub fn reply_stats<R: RawLock + Default>(
+        &mut self,
+        client: usize,
+        store: &KvStore<R>,
+        node: &[(&str, u64)],
+    ) {
+        let mut snap = self.registry.snapshot();
+        // The store-level snapshot, not the bare counter block: the
+        // `reclaim_backlog` gauge rides along with the counters.
+        let s = store.stats_snapshot();
+        let own = [
+            ("srv.requests", self.counts.requests),
+            ("srv.key_ops", self.counts.key_ops),
+            ("srv.malformed", self.counts.malformed),
+        ];
+        let stored = [
+            ("store.hits", s.hits),
+            ("store.misses", s.misses),
+            ("store.sets", s.sets),
+            ("store.deletes", s.deletes),
+            ("store.cas_failures", s.cas_failures),
+            ("store.read_fallbacks", s.read_fallbacks),
+            ("store.repl_applied", s.repl_applied),
+            ("store.repl_stale_drops", s.repl_stale_drops),
+            ("store.epochs_advanced", s.epochs_advanced),
+            ("store.nodes_reclaimed", s.nodes_reclaimed),
+            ("store.reclaim_backlog", s.reclaim_backlog),
+        ];
+        for &(name, value) in own.iter().chain(node).chain(&stored) {
+            snap.counters.push((name.to_string(), value));
+        }
+        let payload = snap.to_bytes();
+        self.reply(client, &Response::StatsReply { payload });
+    }
+
+    /// Executes one data request for `client` and replies: one response
+    /// per key for a multi-get, in key order; exactly one for
+    /// everything else. Returns the request back, nothing executed and
+    /// nothing replied, when `hooks` deferred its write. Anything that
+    /// is not a data operation is out of protocol on a client channel:
+    /// refused with [`Response::Malformed`] and counted.
+    #[inline]
+    pub fn serve<R: RawLock + Default, H: Hooks>(
+        &mut self,
+        store: &KvStore<R>,
+        hooks: &mut H,
+        client: usize,
+        request: Request,
+    ) -> Option<Request> {
+        let response = match request {
+            Request::Get { key } => self.read(store, hooks, key),
+            Request::TimedGet { key, stamp } => {
+                let t0 = mono_ns();
+                self.queue_wait.record(t0.saturating_sub(stamp));
+                let response = self.read(store, hooks, key);
+                self.apply.record(mono_ns().saturating_sub(t0));
+                response
+            }
+            Request::MultiGet { keys } => {
+                for key in keys {
+                    let response = self.read(store, hooks, key);
+                    self.reply(client, &response);
+                }
+                return None;
+            }
+            Request::Set { key, .. } | Request::Cas { key, .. } | Request::Delete { key } => {
+                let verdict = hooks.admit(key, true);
+                if matches!(verdict, Admit::Defer) {
+                    return Some(request);
+                }
+                self.counts.key_ops += 1;
+                match verdict {
+                    Admit::Refuse(response) => response,
+                    _ => write(store, hooks, request),
+                }
+            }
+            _ => {
+                self.counts.malformed += 1;
+                Response::Malformed
+            }
+        };
+        self.reply(client, &response);
+        None
+    }
+
+    /// One admitted-or-refused read; reads never park.
+    #[inline]
+    fn read<R: RawLock + Default, H: Hooks>(
+        &mut self,
+        store: &KvStore<R>,
+        hooks: &mut H,
+        key: u64,
+    ) -> Response {
+        self.counts.key_ops += 1;
+        match hooks.admit(key, false) {
+            Admit::Refuse(response) => response,
+            Admit::Run | Admit::Defer => lookup(store, key),
+        }
+    }
+}
+
+/// Applies one admitted write and reports it to `hooks`.
+fn write<R: RawLock + Default, H: Hooks>(
+    store: &KvStore<R>,
+    hooks: &mut H,
+    request: Request,
+) -> Response {
+    match request {
+        Request::Set { key, value } => put(hooks, key, value, |value| {
+            Ok(store.set(&key_bytes(key), value))
+        }),
+        Request::Cas {
+            key,
+            expected,
+            value,
+        } => put(hooks, key, value, |value| {
+            store.cas(&key_bytes(key), value, expected)
+        }),
+        Request::Delete { key } => match store.delete_versioned(&key_bytes(key)) {
+            Some(version) => {
+                hooks.committed(key, version, None);
+                Response::Deleted { version }
+            }
+            None => Response::NotFound,
+        },
+        _ => unreachable!("serve hands only writes to write()"),
+    }
+}
+
+/// Stores `value` through `apply` (a `set` or a `cas`). Hooks that
+/// read committed values get a second handle on it — one
+/// reference-count round trip; the plain shard moves the value
+/// straight into the store.
+fn put<H: Hooks>(
+    hooks: &mut H,
+    key: u64,
+    value: Vec<u8>,
+    apply: impl FnOnce(Bytes) -> Result<u64, u64>,
+) -> Response {
+    let value = Bytes::from(value);
+    let outcome = if H::OBSERVES_WRITES {
+        apply(value.clone()).map(|version| {
+            hooks.committed(key, version, Some(&value));
+            version
+        })
+    } else {
+        apply(value)
+    };
+    match outcome {
+        Ok(version) => Response::Stored { version },
+        Err(current) => Response::CasFail { current },
+    }
+}

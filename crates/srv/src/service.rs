@@ -1,23 +1,21 @@
-//! The message-passing request/response service.
+//! The plain sharded service: the channel mesh, the shard server and
+//! the static-routing client.
 //!
-//! One server thread per shard, one [`ServiceClient`] per client
+//! One [`serve`] thread per shard, one [`ServiceClient`] per client
 //! thread. Every (client, shard) pair gets a dedicated SPSC channel
-//! pair (request + reply); a server multiplexes its clients with
-//! [`ServerHub`] (round-robin, no starvation) and pulls a request's
-//! continuation frames with `ServerHub::recv_from` so interleaved clients
-//! cannot corrupt a value mid-transfer.
+//! pair (request + reply). The serve loop is the shared [`NodeCore`]
+//! with no policy attached; the client is one [`Conn`] per shard plus
+//! hash routing, the pipelined read path and the per-shard batching of
+//! [`ServiceClient::get_many`].
 //!
-//! The service is **generic over the transport** (mirroring
-//! `ServerHub`'s [`MsgReceiver`] generality): [`wire_mesh`] builds it
-//! on the paper-calibrated one-line channels, [`ring_mesh`] on bounded
-//! SPSC rings ([`ssync_mp::ring_channel`]). The one-line flavour keeps
-//! the documented single-cache-line cost model — but on an
-//! oversubscribed host it costs a context-switch pair per *frame*,
+//! The service is **generic over the transport**: [`wire_mesh`] builds
+//! it on the paper-calibrated one-line channels, [`ring_mesh`] on
+//! bounded SPSC rings ([`ssync_mp::ring_channel`]). The one-line
+//! flavour keeps the documented single-cache-line cost model — but on
+//! an oversubscribed host it costs a context-switch pair per *frame*,
 //! which is why the ring flavour exists: a server writes a whole
 //! multi-frame reply and moves on, and a client can **pipeline** reads
-//! ([`ServiceClient::send_get`] / [`ServiceClient::read_get_reply`]),
-//! keeping a window of requests in flight per shard and draining
-//! replies in arrival order.
+//! ([`ServiceClient::send_get`] / [`ServiceClient::read_get_reply`]).
 //!
 //! Flow control per flavour:
 //!
@@ -32,51 +30,43 @@
 //!   blocking edges run server→client (reply rings), and the one
 //!   client of a full reply ring is by construction draining it.
 
-use core::cell::RefCell;
-
-use ssync_core::stats::{mono_ns, Registry, RegistrySnapshot};
-use ssync_core::ParkingWait;
+use ssync_core::stats::RegistrySnapshot;
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{
-    channel, ring_channel, Message, MsgReceiver, MsgSender, Receiver, RingReceiver, RingSender,
-    Sender, ServerHub,
+    channel, ring_channel, MsgReceiver, MsgSender, Receiver, RingReceiver, RingSender, Sender,
 };
 
-use crate::router::{key_bytes, shard_of};
-use crate::wire::{Request, Response, WireError, MGET_MAX};
+use crate::conn::Conn;
+use crate::node::{NoHooks, NodeCore, Poll};
+use crate::router::shard_of;
+pub use crate::wire::ReadHit;
+use crate::wire::{Request, WireError, MGET_MAX};
 
-/// A shard server's side of the channel mesh: one request receiver and
-/// one reply sender per client, index-aligned. Generic over the
-/// transport; defaults name the one-line flavour.
+/// A server's side of the channel mesh: one request receiver and one
+/// reply sender per client, index-aligned. Generic over the transport;
+/// defaults name the one-line flavour.
 pub struct ServerEndpoint<C: MsgReceiver = Receiver, S: MsgSender = Sender> {
-    requests: Vec<C>,
-    replies: Vec<S>,
+    pub(crate) requests: Vec<C>,
+    pub(crate) replies: Vec<S>,
 }
 
-/// A client's side of the channel mesh: one `(request sender, reply
-/// receiver)` pair per shard, plus a scratch frame buffer so encoding
-/// a request (head + continuation frames) allocates nothing per
-/// operation.
+/// A client's side of the channel mesh: one [`Conn`] per server, with
+/// static hash routing over them.
 pub struct ServiceClient<S: MsgSender = Sender, C: MsgReceiver = Receiver> {
-    shards: Vec<(S, C)>,
-    frames: RefCell<Vec<Message>>,
+    shards: Vec<Conn<S, C>>,
 }
-
-/// One read's outcome: `Some((version, value))` on a hit.
-pub type ReadHit = Option<(u64, Vec<u8>)>;
 
 /// The operations any service client exposes — implemented by
-/// [`ServiceClient`] and by the replication layer's replica-reading
-/// client, so the workload engine can drive either through one
-/// interface.
+/// [`ServiceClient`] and by the replication and cluster clients, so the
+/// workload engine can drive any of them through one interface.
 pub trait KvClient {
     /// Looks a key up; `Some((version, value))` on a hit.
     ///
     /// # Errors
     ///
     /// [`WireError`] on an undecodable or out-of-protocol reply.
-    fn get(&self, key: u64) -> Result<Option<(u64, Vec<u8>)>, WireError>;
+    fn get(&self, key: u64) -> Result<ReadHit, WireError>;
 
     /// Batched lookup, results in input order.
     ///
@@ -138,12 +128,9 @@ pub fn wire_mesh_with<S: MsgSender, C: MsgReceiver>(
             let (rep_tx, rep_rx) = make();
             endpoint.requests.push(req_rx);
             endpoint.replies.push(rep_tx);
-            per_shard.push((req_tx, rep_rx));
+            per_shard.push(Conn::new(req_tx, rep_rx));
         }
-        service_clients.push(ServiceClient {
-            shards: per_shard,
-            frames: RefCell::new(Vec::new()),
-        });
+        service_clients.push(ServiceClient { shards: per_shard });
     }
     (endpoints, service_clients)
 }
@@ -173,215 +160,36 @@ pub fn ring_mesh(shards: usize, clients: usize, depth: usize) -> Mesh<RingSender
 pub struct ServeReport {
     /// Request messages served (a multi-get head counts once).
     pub requests: u64,
-    /// Key-operations executed (a multi-get counts per key).
+    /// Key-operations executed or refused (a multi-get counts per key).
     pub key_ops: u64,
-    /// Head frames that failed to decode and were answered with
-    /// [`Response::Malformed`] instead of executing.
+    /// Frames refused with [`Response::Malformed`](crate::wire::Response)
+    /// instead of executing — undecodable heads and out-of-protocol
+    /// requests — plus repeated `Stop`s, which get no reply.
     pub malformed: u64,
 }
 
-/// Runs one shard's server loop: serve requests from every client
-/// until each has sent [`Request::Stop`]. Meant to run on its own
-/// thread; returns once the last client stops.
-///
-/// The poll loop waits with [`ParkingWait`] (parity with the
-/// replication servers): a shard that sits idle — skewed routing can
-/// starve a shard for whole phases — leaves the run queue instead of
-/// yield-looping, which on an oversubscribed host taxes every busy
-/// thread with a context switch per scheduling cycle.
-///
-/// A head frame that fails to decode is answered with
-/// [`Response::Malformed`] and the loop keeps serving — a corrupt
-/// frame degrades one connection, it does not take the shard down.
-///
-/// Observability: the loop registers into a per-server
-/// [`Registry`] — `srv.requests`/`srv.malformed` counters on every
-/// request, plus `srv.queue_wait_ns` and `srv.apply_ns` histograms
-/// fed by [`Request::TimedGet`]'s intended-send stamps — and answers
-/// [`Request::Stats`] with a live snapshot (registry metrics plus the
-/// shard store's counters) without pausing service.
+/// Runs one shard's server loop: the [`NodeCore`] request path with no
+/// policy attached, until every client has sent [`Request::Stop`].
+/// Meant to run on its own thread; returns once the last client stops.
 pub fn serve<R: RawLock + Default, C: MsgReceiver, S: MsgSender>(
     shard: &KvStore<R>,
     endpoint: ServerEndpoint<C, S>,
 ) -> ServeReport {
-    let ServerEndpoint { requests, replies } = endpoint;
-    let mut live = requests.len();
-    let mut hub = ServerHub::new(requests);
-    let mut report = ServeReport::default();
-    let mut frames: Vec<Message> = Vec::new();
-    let mut wait = ParkingWait::new();
-    let registry = Registry::new();
-    let requests_ctr = registry.counter("srv.requests");
-    let malformed_ctr = registry.counter("srv.malformed");
-    let queue_wait = registry.histogram("srv.queue_wait_ns");
-    let apply = registry.histogram("srv.apply_ns");
-    let send_all = |client: usize, response: &Response, frames: &mut Vec<Message>| {
-        response.encode_into(frames);
-        for &frame in frames.iter() {
-            replies[client].send(frame);
-        }
-    };
-    // Online reclamation cadence: every RECLAIM_PERIOD processed
-    // requests the loop runs one epoch advance-and-collect pass, so a
-    // long-lived shard frees its retired nodes while traffic flows —
-    // no quiescent point, no `purge_retired(&mut)`, bounded backlog.
-    const RECLAIM_PERIOD: u64 = 1024;
-    let mut since_reclaim = 0u64;
-    while live > 0 {
-        since_reclaim += 1;
-        if since_reclaim >= RECLAIM_PERIOD {
-            since_reclaim = 0;
-            shard.reclaim_pass();
-        }
-        let (client, head) = loop {
-            match hub.try_recv_from_any() {
-                Some(hit) => {
-                    wait.reset();
-                    break hit;
-                }
-                None => wait.snooze(),
-            }
-        };
-        let request = match Request::decode(head, || hub.recv_from(client)) {
-            Ok(request) => request,
-            Err(_) => {
-                report.malformed += 1;
-                malformed_ctr.inc();
-                send_all(client, &Response::Malformed, &mut frames);
-                continue;
-            }
-        };
-        match request {
-            Request::Stop => live -= 1,
-            Request::Stats => {
-                report.requests += 1;
-                requests_ctr.inc();
-                let mut snap = registry.snapshot();
-                append_store_counters(shard, &mut snap);
-                let reply = Response::StatsReply {
-                    payload: snap.to_bytes(),
-                };
-                send_all(client, &reply, &mut frames);
-            }
-            Request::TimedGet { key, stamp } => {
-                report.requests += 1;
-                requests_ctr.inc();
-                let t0 = mono_ns();
-                queue_wait.record(t0.saturating_sub(stamp));
-                report.key_ops += 1;
-                let response = lookup(shard, key);
-                apply.record(mono_ns().saturating_sub(t0));
-                send_all(client, &response, &mut frames);
-            }
-            request => {
-                report.requests += 1;
-                requests_ctr.inc();
-                execute(shard, request, &mut report.key_ops, |response| {
-                    send_all(client, response, &mut frames)
-                });
+    let mut core = NodeCore::new(endpoint);
+    while core.live() > 0 {
+        let polled = core.poll();
+        let progressed = !matches!(polled, Poll::Idle);
+        match polled {
+            Poll::Idle | Poll::Consumed => {}
+            Poll::Scrape(client) => core.reply_stats(client, shard, &[]),
+            Poll::Request(client, request) => {
+                let parked = core.serve(shard, &mut NoHooks, client, request);
+                debug_assert!(parked.is_none(), "NoHooks never defers");
             }
         }
+        core.pace(shard, progressed);
     }
-    report
-}
-
-/// Appends the shard store's counter snapshot to a scraped registry
-/// snapshot, under `store.`-prefixed names. Uses the store-level
-/// snapshot (not the bare counter block) so the reclamation gauge —
-/// `store.reclaim_backlog`, summed lock-free over the stripes — rides
-/// along with the counters.
-fn append_store_counters<R: RawLock + Default>(shard: &KvStore<R>, snap: &mut RegistrySnapshot) {
-    let s = shard.stats_snapshot();
-    for (name, value) in [
-        ("store.hits", s.hits),
-        ("store.misses", s.misses),
-        ("store.sets", s.sets),
-        ("store.deletes", s.deletes),
-        ("store.cas_failures", s.cas_failures),
-        ("store.read_fallbacks", s.read_fallbacks),
-        ("store.epochs_advanced", s.epochs_advanced),
-        ("store.nodes_reclaimed", s.nodes_reclaimed),
-        ("store.reclaim_backlog", s.reclaim_backlog),
-    ] {
-        snap.counters.push((name.to_string(), value));
-    }
-}
-
-/// One versioned read through the store's configured read path.
-fn lookup<R: RawLock + Default>(shard: &KvStore<R>, key: u64) -> Response {
-    hit_response(shard.get_with_version(&key_bytes(key)))
-}
-
-fn hit_response(hit: Option<(u64, bytes::Bytes)>) -> Response {
-    match hit {
-        Some((version, value)) => Response::Value {
-            version,
-            value: value.as_ref().to_vec(),
-        },
-        None => Response::Miss,
-    }
-}
-
-/// Executes one request against the shard, handing each response to
-/// `emit` as it is produced (one per key for a multi-get, in key
-/// order; exactly one for everything else) — no per-request response
-/// vector.
-fn execute<R: RawLock + Default>(
-    shard: &KvStore<R>,
-    request: Request,
-    key_ops: &mut u64,
-    mut emit: impl FnMut(&Response),
-) {
-    match request {
-        Request::Get { key } => {
-            *key_ops += 1;
-            emit(&lookup(shard, key));
-        }
-        Request::MultiGet { keys } => {
-            *key_ops += keys.len() as u64;
-            // One store-level batch: each key reads through the
-            // store's configured read path (optimistic by default).
-            let key_bufs: Vec<[u8; 8]> = keys.iter().map(|&key| key_bytes(key)).collect();
-            let key_refs: Vec<&[u8]> = key_bufs.iter().map(|buf| buf.as_slice()).collect();
-            for hit in shard.multi_get(&key_refs) {
-                emit(&hit_response(hit));
-            }
-        }
-        Request::Set { key, value } => {
-            *key_ops += 1;
-            emit(&Response::Stored {
-                version: shard.set(&key_bytes(key), value),
-            });
-        }
-        Request::Cas {
-            key,
-            expected,
-            value,
-        } => {
-            *key_ops += 1;
-            emit(&match shard.cas(&key_bytes(key), value, expected) {
-                Ok(version) => Response::Stored { version },
-                Err(current) => Response::CasFail { current },
-            });
-        }
-        Request::Delete { key } => {
-            *key_ops += 1;
-            emit(&match shard.delete_versioned(&key_bytes(key)) {
-                Some(version) => Response::Deleted { version },
-                None => Response::NotFound,
-            });
-        }
-        // Replication traffic belongs to the `ssync-repl` primary and
-        // replica loops; at a plain shard server it is a protocol
-        // violation, refused without executing anything.
-        Request::Replicate { .. }
-        | Request::ReplicateDelete { .. }
-        | Request::ReplGet { .. }
-        | Request::ReplMultiGet { .. } => emit(&Response::Malformed),
-        Request::TimedGet { .. } | Request::Stats | Request::Stop => {
-            unreachable!("handled by the serve loop")
-        }
-    }
+    core.counts
 }
 
 impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
@@ -390,51 +198,14 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
         self.shards.len()
     }
 
-    /// Encodes `request` into the scratch buffer and sends every frame
-    /// to `shard`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Disconnected`] if the server's receive half is
-    /// gone — instead of spinning forever against a full channel no
-    /// one will ever drain.
-    fn send_request(&self, shard: usize, request: &Request) -> Result<(), WireError> {
-        let (tx, _) = &self.shards[shard];
-        let mut frames = self.frames.borrow_mut();
-        request.encode_into(&mut frames);
-        for &frame in frames.iter() {
-            tx.send_connected(frame)
-                .map_err(|_| WireError::Disconnected)?;
-        }
-        Ok(())
+    /// The connection to server `shard` — what the replication and
+    /// cluster clients layer their own routing over.
+    pub fn conn(&self, shard: usize) -> &Conn<S, C> {
+        &self.shards[shard]
     }
 
-    /// One blocking round-trip to a shard: send every request frame,
-    /// then read one response.
-    fn call(&self, shard: usize, request: &Request) -> Result<Response, WireError> {
-        self.send_request(shard, request)?;
-        self.read_response(shard)
-    }
-
-    fn read_response(&self, shard: usize) -> Result<Response, WireError> {
-        let (_, rx) = &self.shards[shard];
-        // A dead server is a decode-time error, not a livelock: the
-        // reply must fail cleanly even mid-continuation-stream.
-        let head = rx.recv_connected().map_err(|_| WireError::Disconnected)?;
-        let mut dead = false;
-        let resp = Response::decode(head, || match rx.recv_connected() {
-            Ok(m) => m,
-            Err(_) => {
-                // The value decoder is infallible by contract; flag the
-                // truncation and let it finish on zeroed frames.
-                dead = true;
-                [0; ssync_mp::MSG_WORDS]
-            }
-        })?;
-        if dead {
-            return Err(WireError::Disconnected);
-        }
-        Ok(resp)
+    fn route(&self, key: u64) -> &Conn<S, C> {
+        &self.shards[shard_of(key, self.shards.len())]
     }
 
     /// Looks a key up; `Some((version, value))` on a hit.
@@ -443,14 +214,10 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     ///
     /// [`WireError`] if the reply fails to decode, answers a different
     /// request, or the server rejected the request as malformed.
-    pub fn get(&self, key: u64) -> Result<Option<(u64, Vec<u8>)>, WireError> {
-        let shard = shard_of(key, self.shards.len());
-        match self.call(shard, &Request::Get { key })? {
-            Response::Value { version, value } => Ok(Some((version, value))),
-            Response::Miss => Ok(None),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Get")),
-        }
+    pub fn get(&self, key: u64) -> Result<ReadHit, WireError> {
+        self.route(key)
+            .call(&Request::Get { key })?
+            .into_read("Get")
     }
 
     /// Fires one read without waiting for the reply, returning the
@@ -464,12 +231,7 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     /// can never block on a full request channel while replies wait —
     /// the workload driver's window enforces this.
     pub fn send_get(&self, key: u64) -> usize {
-        let shard = shard_of(key, self.shards.len());
-        // A dead shard surfaces as Disconnected on the owed
-        // read_get_reply (its reply sender dropped with the server), so
-        // the fire half stays infallible.
-        let _ = self.send_request(shard, &Request::Get { key });
-        shard
+        self.fire(key, &Request::Get { key })
     }
 
     /// [`ServiceClient::send_get`] carrying the caller's intended-send
@@ -477,8 +239,15 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     /// split this read's latency into queue wait and apply time. Same
     /// pipelining discipline and same owed reply as `send_get`.
     pub fn send_get_timed(&self, key: u64, stamp: u64) -> usize {
+        self.fire(key, &Request::TimedGet { key, stamp })
+    }
+
+    fn fire(&self, key: u64, request: &Request) -> usize {
         let shard = shard_of(key, self.shards.len());
-        let _ = self.send_request(shard, &Request::TimedGet { key, stamp });
+        // A dead shard surfaces as Disconnected on the owed
+        // read_get_reply (its reply sender dropped with the server), so
+        // the fire half stays infallible.
+        let _ = self.shards[shard].send(request);
         shard
     }
 
@@ -490,63 +259,33 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     /// [`WireError`] if the reply fails to decode, is out of protocol,
     /// or the server rejected the request as malformed.
     pub fn read_get_reply(&self, shard: usize) -> Result<ReadHit, WireError> {
-        match self.read_response(shard)? {
-            Response::Value { version, value } => Ok(Some((version, value))),
-            Response::Miss => Ok(None),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Get")),
-        }
+        self.shards[shard].recv()?.into_read("Get")
     }
 
     /// Non-blocking [`ServiceClient::read_get_reply`]: `Ok(None)` when
-    /// no reply head is waiting in the ring. Once a head frame is
-    /// present its continuation frames were already sent back-to-back,
-    /// so only the head poll is non-blocking. The open-loop driver uses
+    /// no reply head is waiting in the ring. The open-loop driver uses
     /// this to drain completions while waiting out an arrival gap.
     ///
     /// # Errors
     ///
     /// As for [`ServiceClient::read_get_reply`].
     pub fn try_read_get_reply(&self, shard: usize) -> Result<Option<ReadHit>, WireError> {
-        let (_, rx) = &self.shards[shard];
-        let Some(head) = rx.try_recv() else {
-            return Ok(None);
-        };
-        let mut dead = false;
-        let resp = Response::decode(head, || match rx.recv_connected() {
-            Ok(m) => m,
-            Err(_) => {
-                dead = true;
-                [0; ssync_mp::MSG_WORDS]
-            }
-        })?;
-        if dead {
-            return Err(WireError::Disconnected);
-        }
-        match resp {
-            Response::Value { version, value } => Ok(Some(Some((version, value)))),
-            Response::Miss => Ok(Some(None)),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Get")),
-        }
+        self.shards[shard]
+            .try_recv()?
+            .map(|response| response.into_read("Get"))
+            .transpose()
     }
 
-    /// Scrapes `shard`'s live metric registry — counters and histogram
-    /// buckets — without disturbing service (one ordinary request
-    /// round-trip on this client's connection).
+    /// Scrapes server `shard`'s live metrics — histograms, node and
+    /// store counters — without disturbing service (one ordinary
+    /// request round-trip on this client's connection).
     ///
     /// # Errors
     ///
     /// [`WireError`] on an undecodable reply or a payload that fails
     /// snapshot decoding.
     pub fn stats(&self, shard: usize) -> Result<RegistrySnapshot, WireError> {
-        match self.call(shard, &Request::Stats)? {
-            Response::StatsReply { payload } => {
-                RegistrySnapshot::from_bytes(&payload).ok_or(WireError::UnexpectedResponse("Stats"))
-            }
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Stats")),
-        }
+        self.shards[shard].call(&Request::Stats)?.into_stats()
     }
 
     /// Batched lookup: coalesces the keys into at most one in-flight
@@ -564,7 +303,7 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
         for (pos, &key) in keys.iter().enumerate() {
             by_shard[shard_of(key, shards)].push(pos);
         }
-        let mut results: Vec<Option<(u64, Vec<u8>)>> = (0..keys.len()).map(|_| None).collect();
+        let mut results: Vec<ReadHit> = vec![None; keys.len()];
         let rounds = by_shard
             .iter()
             .map(|p| p.len().div_ceil(MGET_MAX))
@@ -574,23 +313,18 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
             // Phase 1: one head frame per shard — never blocks past the
             // servers' current request, so no send/recv cycle forms.
             let mut sent: Vec<&[usize]> = Vec::with_capacity(shards);
-            for (shard, positions) in by_shard.iter().enumerate() {
+            for (conn, positions) in self.shards.iter().zip(&by_shard) {
                 let chunk = positions.chunks(MGET_MAX).nth(round).unwrap_or(&[]);
                 if !chunk.is_empty() {
                     let batch: Vec<u64> = chunk.iter().map(|&p| keys[p]).collect();
-                    self.send_request(shard, &Request::MultiGet { keys: batch })?;
+                    conn.send(&Request::MultiGet { keys: batch })?;
                 }
                 sent.push(chunk);
             }
             // Phase 2: drain every shard's replies, in key order.
-            for (shard, chunk) in sent.into_iter().enumerate() {
+            for (conn, chunk) in self.shards.iter().zip(sent) {
                 for &pos in chunk {
-                    results[pos] = match self.read_response(shard)? {
-                        Response::Value { version, value } => Some((version, value)),
-                        Response::Miss => None,
-                        Response::Malformed => return Err(WireError::Rejected),
-                        _ => return Err(WireError::UnexpectedResponse("MultiGet")),
-                    };
+                    results[pos] = conn.recv()?.into_read("MultiGet")?;
                 }
             }
         }
@@ -603,12 +337,9 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     ///
     /// [`WireError`] on an undecodable or out-of-protocol reply.
     pub fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
-        let shard = shard_of(key, self.shards.len());
-        match self.call(shard, &Request::Set { key, value })? {
-            Response::Stored { version } => Ok(version),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Set")),
-        }
+        self.route(key)
+            .call(&Request::Set { key, value })?
+            .into_stored()
     }
 
     /// Compare-and-set. The outer `Result` is transport health; the
@@ -624,20 +355,12 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
         value: Vec<u8>,
         expected: u64,
     ) -> Result<Result<u64, u64>, WireError> {
-        let shard = shard_of(key, self.shards.len());
-        match self.call(
-            shard,
-            &Request::Cas {
-                key,
-                expected,
-                value,
-            },
-        )? {
-            Response::Stored { version } => Ok(Ok(version)),
-            Response::CasFail { current } => Ok(Err(current)),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Cas")),
-        }
+        let request = Request::Cas {
+            key,
+            expected,
+            value,
+        };
+        self.route(key).call(&request)?.into_cas()
     }
 
     /// Deletes a key; `Some(tombstone_version)` if it existed.
@@ -646,27 +369,23 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     ///
     /// [`WireError`] on an undecodable or out-of-protocol reply.
     pub fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
-        let shard = shard_of(key, self.shards.len());
-        match self.call(shard, &Request::Delete { key })? {
-            Response::Deleted { version } => Ok(Some(version)),
-            Response::NotFound => Ok(None),
-            Response::Malformed => Err(WireError::Rejected),
-            _ => Err(WireError::UnexpectedResponse("Delete")),
-        }
+        self.route(key)
+            .call(&Request::Delete { key })?
+            .into_deleted()
     }
 
-    /// Tells every shard server this client is done, consuming the
-    /// client. Servers exit after the last client closes; a shard
-    /// already gone needs no goodbye.
+    /// Tells every server this client is done, consuming the client.
+    /// Servers exit after the last client closes; a server already
+    /// gone needs no goodbye.
     pub fn close(self) {
-        for shard in 0..self.shards.len() {
-            let _ = self.send_request(shard, &Request::Stop);
+        for conn in &self.shards {
+            let _ = conn.send(&Request::Stop);
         }
     }
 }
 
 impl<S: MsgSender, C: MsgReceiver> KvClient for ServiceClient<S, C> {
-    fn get(&self, key: u64) -> Result<Option<(u64, Vec<u8>)>, WireError> {
+    fn get(&self, key: u64) -> Result<ReadHit, WireError> {
         ServiceClient::get(self, key)
     }
 
@@ -691,6 +410,8 @@ impl<S: MsgSender, C: MsgReceiver> KvClient for ServiceClient<S, C> {
 mod tests {
     use super::*;
     use crate::router::ShardRouter;
+    use crate::wire::Response;
+    use ssync_core::stats::mono_ns;
     use ssync_locks::TicketLock;
 
     /// Runs `body` with `clients` live clients against a served router
@@ -962,26 +683,49 @@ mod tests {
             let client = clients.pop().unwrap();
             // Inject a garbage head frame straight onto the request
             // channel, bypassing the typed encoder.
-            let (tx, rx) = &client.shards[0];
-            tx.send([0xFF; ssync_mp::MSG_WORDS]);
-            let head = rx.recv();
-            let reply = Response::decode(head, || unreachable!("malformed reply has no frames"))
-                .expect("reply must decode");
-            assert_eq!(reply, Response::Malformed);
+            let conn = client.conn(0);
+            conn.tx.send([0xFF; ssync_mp::MSG_WORDS]);
+            assert_eq!(conn.recv(), Ok(Response::Malformed));
             // Replication traffic at a plain server is refused the same
-            // way, through the typed client path.
-            for frame in (Request::ReplGet { key: 1, floor: 0 }).encode() {
-                tx.send(frame);
-            }
-            let head = rx.recv();
-            assert_eq!(
-                Response::decode(head, || unreachable!()).unwrap(),
-                Response::Malformed
-            );
+            // way — and counted, like on every other node kind.
+            let misdirected = Request::ReplGet { key: 1, floor: 0 };
+            assert_eq!(conn.call(&misdirected), Ok(Response::Malformed));
+            assert_eq!(client.get(1), Ok(None));
+            let snap = client.stats(0).unwrap();
+            assert_eq!(snap.counter("srv.malformed"), Some(2));
+            assert_eq!(snap.counter("srv.requests"), Some(3));
             // The server is still alive and serving normal traffic.
             let v = client.set(3, b"alive".to_vec()).unwrap();
             assert_eq!(client.get(3).unwrap().unwrap().0, v);
             client.close();
         });
+    }
+
+    /// Regression: `Stop` used to decrement the live-client count with
+    /// no per-client memory, so one connection stopping twice took a
+    /// two-client shard down under the other client's feet.
+    #[test]
+    fn duplicate_stop_degrades_one_connection_not_the_shard() {
+        let router: ShardRouter<TicketLock> = ShardRouter::new(1, 64, 8);
+        let (mut endpoints, mut clients) = ring_mesh(1, 2, 16);
+        let survivor = clients.pop().unwrap();
+        let rude = clients.pop().unwrap();
+        let report = std::thread::scope(|s| {
+            let server = s.spawn(|| serve(router.shard(0), endpoints.pop().unwrap()));
+            rude.conn(0).send(&Request::Stop).unwrap();
+            rude.conn(0).send(&Request::Stop).unwrap();
+            // Both Stops are processed before the scrape is answered:
+            // the loop polls round-robin and the rings are FIFO.
+            for key in 0..64 {
+                survivor.set(key, vec![1; 8]).unwrap();
+            }
+            let snap = survivor.stats(0).unwrap();
+            assert_eq!(snap.counter("srv.malformed"), Some(1));
+            // The repeated Stop was not answered.
+            assert_eq!(rude.conn(0).try_recv(), Ok(None));
+            survivor.close();
+            server.join().unwrap()
+        });
+        assert_eq!((report.requests, report.malformed), (65, 1));
     }
 }

@@ -39,6 +39,7 @@
 
 use core::fmt;
 
+use ssync_core::RegistrySnapshot;
 use ssync_mp::{Message, MSG_WORDS};
 
 /// Value bytes carried inline by a head frame (words 3..7).
@@ -171,6 +172,9 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// One read's outcome: `Some((version, value))` on a hit.
+pub type ReadHit = Option<(u64, Vec<u8>)>;
 
 /// A client-to-server operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -769,6 +773,69 @@ impl Response {
             }
             _ => return Err(WireError::UnknownStatus(st)),
         })
+    }
+
+    /// The error for a reply that does not answer the `ctx` request:
+    /// the server's [`Response::Malformed`] surfaces as
+    /// [`WireError::Rejected`], anything else is out of protocol. The
+    /// typed decoders below are the only place a client decides this.
+    fn reject<T>(self, ctx: &'static str) -> Result<T, WireError> {
+        match self {
+            Response::Malformed => Err(WireError::Rejected),
+            _ => Err(WireError::UnexpectedResponse(ctx)),
+        }
+    }
+
+    /// Decodes the reply to one read (`ctx` names the request kind).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Rejected`] on `Malformed`, otherwise
+    /// [`WireError::UnexpectedResponse`] — as for every decoder here.
+    pub fn into_read(self, ctx: &'static str) -> Result<ReadHit, WireError> {
+        match self {
+            Response::Value { version, value } => Ok(Some((version, value))),
+            Response::Miss => Ok(None),
+            other => other.reject(ctx),
+        }
+    }
+
+    /// Decodes the reply to a `Set`: the new version.
+    pub fn into_stored(self) -> Result<u64, WireError> {
+        match self {
+            Response::Stored { version } => Ok(version),
+            other => other.reject("Set"),
+        }
+    }
+
+    /// Decodes the reply to a `Cas`; the inner result is the CAS
+    /// outcome, `Err(current_version)` on a lost race.
+    pub fn into_cas(self) -> Result<Result<u64, u64>, WireError> {
+        match self {
+            Response::Stored { version } => Ok(Ok(version)),
+            Response::CasFail { current } => Ok(Err(current)),
+            other => other.reject("Cas"),
+        }
+    }
+
+    /// Decodes the reply to a `Delete`: the tombstone version, if the
+    /// key existed.
+    pub fn into_deleted(self) -> Result<Option<u64>, WireError> {
+        match self {
+            Response::Deleted { version } => Ok(Some(version)),
+            Response::NotFound => Ok(None),
+            other => other.reject("Delete"),
+        }
+    }
+
+    /// Decodes the reply to a `Stats` scrape.
+    pub fn into_stats(self) -> Result<RegistrySnapshot, WireError> {
+        match self {
+            Response::StatsReply { payload } => {
+                RegistrySnapshot::from_bytes(&payload).ok_or(WireError::UnexpectedResponse("Stats"))
+            }
+            other => other.reject("Stats"),
+        }
     }
 }
 
