@@ -1,8 +1,12 @@
-//! Message-passing costs: send/recv on the cache-line channel, and a
-//! two-thread ping-pong (the native analogue of Figure 9).
+//! Message-passing costs: send/recv on the cache-line channel, a
+//! two-thread ping-pong (the native analogue of Figure 9), and the wire
+//! codec's share of a multi-frame round trip.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ssync_mp::channel::channel;
+use ssync_mp::Message;
+use ssync_srv::wire::{encode_set, encode_value};
+use ssync_srv::{Request, Response};
 
 fn bench_send_recv_same_thread(c: &mut Criterion) {
     let (tx, rx) = channel();
@@ -38,12 +42,60 @@ fn bench_ping_pong_threads(c: &mut Criterion) {
     });
 }
 
+/// Encode + decode of the two value carriers a read/write round trip
+/// pays for, per value size: `owned` builds the enum first (a client's
+/// `Set`, a relayed `Value`), `borrowed` encodes from bytes the sender
+/// already holds (a node's read reply). The single-thread reading of
+/// the `srv.wire.*_codec_ns` rungs `benchmark/` reports from outside.
+fn bench_wire_value_codec(c: &mut Criterion) {
+    fn decode_request(frames: &[Message]) -> Request {
+        let mut rest = frames[1..].iter();
+        Request::decode(frames[0], || *rest.next().expect("continuation")).expect("own frames")
+    }
+    fn decode_response(frames: &[Message]) -> Response {
+        let mut rest = frames[1..].iter();
+        Response::decode(frames[0], || *rest.next().expect("continuation")).expect("own frames")
+    }
+    let mut group = c.benchmark_group("wire_value_codec");
+    let mut frames: Vec<Message> = Vec::new();
+    for len in [16usize, 96, 576, 1024] {
+        let value: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        group.bench_function(&format!("set_owned/{len}"), |b| {
+            b.iter(|| {
+                let value = black_box(&value).clone();
+                Request::Set { key: 7, value }.encode_into(&mut frames);
+                decode_request(&frames)
+            })
+        });
+        group.bench_function(&format!("set_borrowed/{len}"), |b| {
+            b.iter(|| {
+                encode_set(7, black_box(&value), &mut frames);
+                decode_request(&frames)
+            })
+        });
+        group.bench_function(&format!("value_owned/{len}"), |b| {
+            b.iter(|| {
+                let value = black_box(&value).clone();
+                Response::Value { version: 9, value }.encode_into(&mut frames);
+                decode_response(&frames)
+            })
+        });
+        group.bench_function(&format!("value_borrowed/{len}"), |b| {
+            b.iter(|| {
+                encode_value(9, black_box(&value), &mut frames);
+                decode_response(&frames)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(700));
-    targets = bench_send_recv_same_thread, bench_ping_pong_threads
+    targets = bench_send_recv_same_thread, bench_ping_pong_threads, bench_wire_value_codec
 }
 criterion_main!(benches);

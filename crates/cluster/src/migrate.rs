@@ -52,8 +52,8 @@
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{Message, MsgSender, RingSender};
-use ssync_repl::{FaultSpec, LogOp, OpLog};
-use ssync_srv::wire::Request;
+use ssync_repl::{FaultSpec, OpLog};
+use ssync_srv::wire::encode_replicate;
 use ssync_srv::{slot_of, ROUTE_SLOTS};
 
 use crate::map::ShardMap;
@@ -192,19 +192,8 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
             if moving_from[source] & (1 << slot) == 0 {
                 continue;
             }
-            let request = match entry.op {
-                LogOp::Put(value) => Request::Replicate {
-                    key: entry.key,
-                    version: entry.version,
-                    value: value.to_vec(),
-                },
-                LogOp::Delete => Request::ReplicateDelete {
-                    key: entry.key,
-                    version: entry.version,
-                },
-            };
             let target = new_owner(slot);
-            request.encode_into(frames);
+            entry.encode_into(frames);
             mig_tx[target]
                 .send_all_connected(frames)
                 .expect("target node outlives the migration");
@@ -261,12 +250,7 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
                         if moving_from[source] & (1 << slot) == 0 {
                             continue;
                         }
-                        let request = Request::Replicate {
-                            key: k,
-                            version: *version,
-                            value: value.to_vec(),
-                        };
-                        request.encode_into(&mut frames);
+                        encode_replicate(k, *version, value, &mut frames);
                         mig_tx[new_owner(slot)]
                             .send_all_connected(&frames)
                             .expect("target node outlives the migration");

@@ -443,6 +443,28 @@ mod tests {
         (0..n).map(|_| OpLog::new(4096)).collect()
     }
 
+    /// Regression: an over-long value used to panic in the encoder
+    /// instead of coming back as an error.
+    #[test]
+    fn oversized_values_are_errors_not_panics() {
+        use ssync_srv::wire::MAX_VALUE_LEN;
+        let map = ShardMap::new(1);
+        let (stores, logs) = (stores(1), logs(1));
+        let (mut endpoints, mut conns, _mig) = cluster_mesh(1, 1, 16, 16);
+        std::thread::scope(|s| {
+            let endpoint = endpoints.pop().unwrap();
+            s.spawn(|| serve_cluster_node(0, &stores[0], &logs[0], &map, endpoint));
+            let client = ClusterClient::new(&map, conns.pop().unwrap());
+            let refused = WireError::ValueTooLong(MAX_VALUE_LEN + 1);
+            let big = vec![0; MAX_VALUE_LEN + 1];
+            assert_eq!(client.set(1, big.clone()), Err(refused));
+            assert_eq!(client.cas(1, big, 0), Err(refused));
+            let version = client.set(1, vec![0; MAX_VALUE_LEN]).unwrap();
+            assert_eq!(client.get(1).unwrap().unwrap().0, version);
+            client.close();
+        });
+    }
+
     #[test]
     fn routes_and_serves_under_the_initial_map() {
         let map = ShardMap::new(2);

@@ -266,11 +266,17 @@ impl<C: MsgReceiver> ServerHub<C> {
     /// clients' frames are never mixed. Leaves the round-robin cursor
     /// where it was — the head frame's receive already advanced it.
     ///
+    /// # Errors
+    ///
+    /// [`RecvError::Disconnected`] if `client` is gone and its channel
+    /// drained: one client dying mid-request must not hang the server
+    /// every other client shares.
+    ///
     /// # Panics
     ///
     /// Panics if `client` is out of range.
-    pub fn recv_from(&mut self, client: usize) -> Message {
-        self.clients[client].recv()
+    pub fn recv_from(&mut self, client: usize) -> Result<Message, RecvError> {
+        self.clients[client].recv_connected()
     }
 
     fn poll_once(&mut self, subset: Option<&[usize]>) -> Option<(usize, Message)> {
@@ -356,10 +362,13 @@ mod tests {
         tx1.send([3; 7]);
         assert_eq!(hub.recv_from_any(), (0, [10; 7]));
         assert_eq!(hub.recv_from_any(), (1, [1; 7]));
-        assert_eq!(hub.recv_from(1), [2; 7]);
-        assert_eq!(hub.recv_from(1), [3; 7]);
+        assert_eq!(hub.recv_from(1), Ok([2; 7]));
+        assert_eq!(hub.recv_from(1), Ok([3; 7]));
         // The direct receives did not move the cursor: 2 is still next.
         assert_eq!(hub.recv_from_any(), (2, [12; 7]));
+        // A client that went away mid-sequence is an error, not a spin.
+        drop(tx1);
+        assert_eq!(hub.recv_from(1), Err(RecvError::Disconnected));
     }
 
     /// Regression test for the round-robin start-after-last-served

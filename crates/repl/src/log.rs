@@ -19,6 +19,8 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use bytes::Bytes;
+use ssync_mp::Message;
+use ssync_srv::wire::{encode_replicate, Request};
 
 /// What one replicated write did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,6 +40,23 @@ pub struct LogEntry {
     pub version: u64,
     /// The operation.
     pub op: LogOp,
+}
+
+impl LogEntry {
+    /// Encodes the entry as the `Replicate`/`ReplicateDelete` frames a
+    /// follower (or a migration target) applies — a put straight from
+    /// the logged `Bytes`, so streaming an entry copies its value once,
+    /// into the frames.
+    pub fn encode_into(&self, frames: &mut Vec<Message>) {
+        match &self.op {
+            LogOp::Put(value) => encode_replicate(self.key, self.version, value, frames),
+            LogOp::Delete => Request::ReplicateDelete {
+                key: self.key,
+                version: self.version,
+            }
+            .encode_into(frames),
+        }
+    }
 }
 
 /// The bounded, version-ordered op-log. Appended and truncated by the

@@ -1040,20 +1040,9 @@ impl Replicator<'_> {
             // ack, so nothing could ever be truncated — or stream.
             return;
         }
-        let request = match &entry.op {
-            LogOp::Put(value) => Request::Replicate {
-                key: entry.key,
-                version,
-                value: value.as_ref().to_vec(),
-            },
-            LogOp::Delete => Request::ReplicateDelete {
-                key: entry.key,
-                version,
-            },
-        };
+        entry.encode_into(self.frames);
         self.log.append(entry);
         self.report.entries += 1;
-        request.encode_into(self.frames);
         for &p in &live {
             // Best-effort: a dead peer's dropped receiver fails the
             // send instead of wedging the leader.
@@ -1669,6 +1658,27 @@ mod tests {
         // Each backup applied each write exactly once: 40 writes × 2
         // backup sets.
         assert_eq!(cluster.replica_stats_snapshot().repl_applied, 80);
+    }
+
+    /// Regression: an over-long value used to panic in the encoder; it
+    /// must come back as an error — and not be retried as if the leader
+    /// had died.
+    #[test]
+    fn oversized_values_are_errors_not_panics() {
+        use ssync_srv::wire::MAX_VALUE_LEN;
+        let cluster = ReplCluster::new(1, 64, 8, ReplSpec::sync(1));
+        let cluster = with_replicated(cluster, 1, &[], &[], 0, |mut clients| {
+            let client = clients.pop().unwrap();
+            let refused = WireError::ValueTooLong(MAX_VALUE_LEN + 1);
+            let big = vec![0; MAX_VALUE_LEN + 1];
+            assert_eq!(client.set(1, big.clone()), Err(refused));
+            assert_eq!(client.cas(1, big, 0), Err(refused));
+            assert_eq!(client.redirects(), 0);
+            let version = client.set(1, vec![0; MAX_VALUE_LEN]).unwrap();
+            assert_eq!(client.get(1).unwrap().unwrap().0, version);
+            client.close();
+        });
+        assert!(cluster.converged());
     }
 
     #[test]

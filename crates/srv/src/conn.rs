@@ -41,10 +41,13 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Disconnected`] if the server's receive half is gone.
+    /// [`WireError::ValueTooLong`] for a value the format cannot carry —
+    /// refused before any frame reaches the ring, so the connection
+    /// stays usable; [`WireError::Disconnected`] if the server's
+    /// receive half is gone.
     pub fn send(&self, request: &Request) -> Result<(), WireError> {
         let mut frames = self.frames.borrow_mut();
-        request.encode_into(&mut frames);
+        request.try_encode_into(&mut frames)?;
         self.tx
             .send_all_connected(&frames)
             .map_err(|_| WireError::Disconnected)
@@ -107,6 +110,7 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::MAX_VALUE_LEN;
     use ssync_mp::ring_channel;
 
     /// A server that dies after the head frame of a multi-frame value
@@ -141,6 +145,47 @@ mod tests {
                 Err(WireError::Disconnected)
             );
         }
+    }
+
+    /// Regression: an over-long value used to hit the encoder's
+    /// `assert!` and take the calling thread down.
+    #[test]
+    fn oversized_value_is_refused_before_the_ring_and_the_conn_survives() {
+        // Deep enough for a maximal value's 19 frames with no reader.
+        let (req_tx, req_rx) = ring_channel(32);
+        let (_rep_tx, rep_rx) = ring_channel(8);
+        let conn = Conn::new(req_tx, rep_rx);
+        let value = vec![7; MAX_VALUE_LEN + 1];
+        let oversized = [
+            Request::Set {
+                key: 1,
+                value: value.clone(),
+            },
+            Request::Cas {
+                key: 1,
+                expected: 2,
+                value: value.clone(),
+            },
+            Request::Replicate {
+                key: 1,
+                version: 2,
+                value,
+            },
+        ];
+        for request in &oversized {
+            let refused = Err(WireError::ValueTooLong(MAX_VALUE_LEN + 1));
+            assert_eq!(conn.send(request), refused);
+            assert_eq!(req_rx.try_recv(), None, "no frame may reach the ring");
+        }
+        let fits = Request::Set {
+            key: 1,
+            value: vec![7; MAX_VALUE_LEN],
+        };
+        assert_eq!(conn.send(&fits), Ok(()));
+        let mut sent = std::iter::from_fn(|| req_rx.try_recv());
+        let head = sent.next().expect("the head frame");
+        let decoded = Request::decode(head, || sent.next().expect("a continuation"));
+        assert_eq!(decoded, Ok(fits));
     }
 
     #[test]

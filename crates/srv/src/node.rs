@@ -22,11 +22,11 @@ use ssync_core::stats::{mono_ns, Histogram, Registry};
 use ssync_core::ParkingWait;
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
-use ssync_mp::{Message, MsgReceiver, MsgSender, ServerHub};
+use ssync_mp::{Message, MsgReceiver, MsgSender, ServerHub, MSG_WORDS};
 
 use crate::router::key_bytes;
 use crate::service::{ServeReport, ServerEndpoint};
-use crate::wire::{Request, Response};
+use crate::wire::{encode_value, Request, Response};
 
 /// An admission verdict for one key of one request.
 #[derive(Debug)]
@@ -107,16 +107,9 @@ pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
     pub counts: ServeReport,
 }
 
-/// One versioned read through the store's configured read path.
-fn lookup<R: RawLock + Default>(store: &KvStore<R>, key: u64) -> Response {
-    match store.get_with_version(&key_bytes(key)) {
-        Some((version, value)) => Response::Value {
-            version,
-            value: value.as_ref().to_vec(),
-        },
-        None => Response::Miss,
-    }
-}
+/// One read's outcome before it is encoded: the store's own handle on
+/// a hit, or the response the admission hook refused with.
+type Read = Result<Option<(u64, Bytes)>, Response>;
 
 // The per-request methods carry `#[inline]`: each has one or two call
 // sites, in a serve loop, and left out of line they cost the plain
@@ -150,32 +143,74 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     #[inline]
     pub fn reply(&mut self, client: usize, response: &Response) {
         response.encode_into(&mut self.frames);
+        self.send_frames(client);
+    }
+
+    /// Answers one read. A hit is encoded straight from the store's
+    /// buffer: the value's one copy on this hop is into the frames.
+    #[inline]
+    fn reply_read(&mut self, client: usize, read: Read) {
+        match read {
+            Ok(Some((version, value))) => {
+                encode_value(version, &value, &mut self.frames);
+                self.send_frames(client);
+            }
+            Ok(None) => self.reply(client, &Response::Miss),
+            Err(refusal) => self.reply(client, &refusal),
+        }
+    }
+
+    #[inline]
+    fn send_frames(&mut self, client: usize) {
         for &frame in &self.frames {
             self.replies[client].send(frame);
         }
+    }
+
+    /// Retires `client` as its first `Stop` does; false if it already
+    /// was.
+    fn retire(&mut self, client: usize) -> bool {
+        let first = !std::mem::replace(&mut self.stopped[client], true);
+        self.live -= usize::from(first);
+        first
     }
 
     /// Polls every client once, round-robin. A head frame that fails to
     /// decode is answered with [`Response::Malformed`] — a corrupt
     /// frame degrades one connection, it does not take the node down.
     /// A client's first `Stop` retires it; a repeated one is counted as
-    /// malformed and not answered (nobody drains that reply ring).
+    /// malformed and not answered (nobody drains that reply ring). A
+    /// client that went away between a head frame and its continuations
+    /// is the same two things at once: the truncated request is counted
+    /// malformed, the client retired, nothing executed or answered.
     #[inline]
     pub fn poll(&mut self) -> Poll {
         let Some((client, head)) = self.hub.try_recv_from_any() else {
             return Poll::Idle;
         };
-        match Request::decode(head, || self.hub.recv_from(client)) {
+        // The value decoder is infallible by contract, so a truncation
+        // is flagged and decoding finishes on zeroed frames.
+        let mut truncated = false;
+        let decoded = Request::decode(head, || {
+            self.hub.recv_from(client).unwrap_or_else(|_| {
+                truncated = true;
+                [0; MSG_WORDS]
+            })
+        });
+        if truncated {
+            self.counts.malformed += 1;
+            self.retire(client);
+            return Poll::Consumed;
+        }
+        match decoded {
             Err(_) => {
                 self.counts.malformed += 1;
                 self.reply(client, &Response::Malformed);
                 Poll::Consumed
             }
             Ok(Request::Stop) => {
-                if std::mem::replace(&mut self.stopped[client], true) {
+                if !self.retire(client) {
                     self.counts.malformed += 1;
-                } else {
-                    self.live -= 1;
                 }
                 Poll::Consumed
             }
@@ -258,21 +293,23 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         client: usize,
         request: Request,
     ) -> Option<Request> {
-        let response = match request {
-            Request::Get { key } => self.read(store, hooks, key),
+        match request {
+            Request::Get { key } => {
+                let read = self.read(store, hooks, key);
+                self.reply_read(client, read);
+            }
             Request::TimedGet { key, stamp } => {
                 let t0 = mono_ns();
                 self.queue_wait.record(t0.saturating_sub(stamp));
-                let response = self.read(store, hooks, key);
+                let read = self.read(store, hooks, key);
                 self.apply.record(mono_ns().saturating_sub(t0));
-                response
+                self.reply_read(client, read);
             }
             Request::MultiGet { keys } => {
                 for key in keys {
-                    let response = self.read(store, hooks, key);
-                    self.reply(client, &response);
+                    let read = self.read(store, hooks, key);
+                    self.reply_read(client, read);
                 }
-                return None;
             }
             Request::Set { key, .. } | Request::Cas { key, .. } | Request::Delete { key } => {
                 let verdict = hooks.admit(key, true);
@@ -280,17 +317,17 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
                     return Some(request);
                 }
                 self.counts.key_ops += 1;
-                match verdict {
+                let response = match verdict {
                     Admit::Refuse(response) => response,
                     _ => write(store, hooks, request),
-                }
+                };
+                self.reply(client, &response);
             }
             _ => {
                 self.counts.malformed += 1;
-                Response::Malformed
+                self.reply(client, &Response::Malformed);
             }
-        };
-        self.reply(client, &response);
+        }
         None
     }
 
@@ -301,11 +338,11 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         store: &KvStore<R>,
         hooks: &mut H,
         key: u64,
-    ) -> Response {
+    ) -> Read {
         self.counts.key_ops += 1;
         match hooks.admit(key, false) {
-            Admit::Refuse(response) => response,
-            Admit::Run | Admit::Defer => lookup(store, key),
+            Admit::Refuse(response) => Err(response),
+            Admit::Run | Admit::Defer => Ok(store.get_with_version(&key_bytes(key))),
         }
     }
 }

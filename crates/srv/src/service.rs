@@ -701,6 +701,65 @@ mod tests {
         });
     }
 
+    /// Regression: the loop pulled continuation frames with a receive
+    /// that never gives up, so a client dying between a head frame and
+    /// its continuations wedged the shard for everyone. The scenario
+    /// runs detached and reports over a channel, so on a wedged shard
+    /// this fails at the deadline instead of hanging the suite.
+    #[test]
+    fn client_dying_mid_request_is_retired_and_the_shard_keeps_serving() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let router: ShardRouter<TicketLock> = ShardRouter::new(1, 64, 8);
+            let (mut endpoints, mut clients) = ring_mesh(1, 2, 16);
+            let survivor = clients.pop().unwrap();
+            let doomed = clients.pop().unwrap();
+            let truncated = Request::Set {
+                key: 500,
+                value: vec![9; 500],
+            };
+            doomed.conn(0).tx.send(truncated.encode()[0]);
+            drop(doomed);
+            let report = std::thread::scope(|s| {
+                let server = s.spawn(|| serve(router.shard(0), endpoints.pop().unwrap()));
+                for key in 0..64 {
+                    survivor.set(key, vec![1; 8]).unwrap();
+                }
+                assert_eq!(
+                    survivor.get(500),
+                    Ok(None),
+                    "a truncated Set stores nothing"
+                );
+                survivor.close();
+                server.join().unwrap()
+            });
+            done_tx.send(report).unwrap();
+        });
+        let report = done_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a client that died mid-request wedged the shard");
+        assert_eq!((report.requests, report.malformed), (65, 1));
+    }
+
+    /// Regression: an over-long value used to panic in the encoder,
+    /// under the caller's feet, instead of coming back as an error.
+    #[test]
+    fn oversized_values_are_errors_not_panics() {
+        use crate::wire::MAX_VALUE_LEN;
+        with_service(1, 1, |mut clients| {
+            let client = clients.pop().unwrap();
+            let refused = WireError::ValueTooLong(MAX_VALUE_LEN + 1);
+            let big = vec![0; MAX_VALUE_LEN + 1];
+            assert_eq!(client.set(1, big.clone()), Err(refused));
+            assert_eq!(client.cas(1, big, 0), Err(refused));
+            // Nothing reached the server; the connection still works.
+            let version = client.set(1, vec![0; MAX_VALUE_LEN]).unwrap();
+            assert_eq!(client.get(1).unwrap().unwrap().0, version);
+            assert_eq!(client.stats(0).unwrap().counter("srv.requests"), Some(3));
+            client.close();
+        });
+    }
+
     /// Regression: `Stop` used to decrement the live-client count with
     /// no per-client memory, so one connection stopping twice took a
     /// two-client shard down under the other client's feet.

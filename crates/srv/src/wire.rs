@@ -15,10 +15,23 @@
 //! the server answers with one [`Response`] per key, in key order.
 //!
 //! The format is symmetric by design: both sides encode with
-//! [`Request::encode`] / [`Response::encode`] (a `Vec` of frames sent
+//! [`Request::encode_into`] / [`Response::encode_into`] (frames sent
 //! back-to-back) and decode with `decode(head, more)`, where `more`
 //! pulls the next frame *from the same peer* — the server uses
 //! `ServerHub::recv_from` for this, a client its reply channel.
+//!
+//! A frame's payload bytes are its words' little-endian byte image,
+//! and the codec treats them that way: a value moves between a byte
+//! slice and the frames one whole 56-byte image at a time (fixed-size
+//! `to_le_bytes`/`from_le_bytes` arrays, which compile to plain vector
+//! moves), never a word at a time — a value costs one copy per hop.
+//! For the same reason the four value carriers have *borrowed*
+//! encoders ([`encode_set`], [`encode_cas`], [`encode_replicate`],
+//! [`encode_value`]) under the enums' `encode_into`: a sender that
+//! already holds the bytes — a node answering a read from the store's
+//! buffer, a leader streaming a logged write, a migration copying a
+//! page — encodes from them directly instead of cloning them into an
+//! owned message first.
 //!
 //! Replication rides the same format: a primary streams
 //! [`Request::Replicate`] / [`Request::ReplicateDelete`] entries (the
@@ -371,49 +384,101 @@ fn split_head_word(w: u64) -> (u64, usize, usize) {
     )
 }
 
-/// Serializes `value` into the tail of `head` plus however many
-/// continuation frames it needs, appending all frames to `out`.
-fn push_value_frames(mut head: Message, value: &[u8], out: &mut Vec<Message>) {
+/// A frame's 56-byte little-endian image. Fixed-size on both sides, so
+/// on a little-endian machine this and [`frame_of`] are plain moves.
+#[inline]
+fn image_of(frame: &Message) -> [u8; CONT_VALUE_BYTES] {
+    let mut image = [0u8; CONT_VALUE_BYTES];
+    for (bytes, word) in image.chunks_exact_mut(8).zip(frame) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+    image
+}
+
+/// The frame a 56-byte little-endian image spells.
+#[inline]
+fn frame_of(image: &[u8; CONT_VALUE_BYTES]) -> Message {
+    let mut frame: Message = [0; MSG_WORDS];
+    for (word, bytes) in frame.iter_mut().zip(image.chunks_exact(8)) {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(bytes);
+        *word = u64::from_le_bytes(le);
+    }
+    frame
+}
+
+/// Appends `head` — `payload`'s first bytes filling its last `room`
+/// bytes — then the rest of `payload` as continuation frames, a whole
+/// image at a time. Unused tail bytes stay zero.
+fn push_payload(head: Message, room: usize, payload: &[u8], out: &mut Vec<Message>) {
+    let (inline, rest) = payload.split_at(payload.len().min(room));
+    let mut image = image_of(&head);
+    image[CONT_VALUE_BYTES - room..][..inline.len()].copy_from_slice(inline);
+    out.push(frame_of(&image));
+    for chunk in rest.chunks(CONT_VALUE_BYTES) {
+        // A whole frame's worth is a fixed-size move; only the last
+        // chunk can fall short, and is zero-padded.
+        let image = chunk.try_into().unwrap_or_else(|_| {
+            let mut padded = [0u8; CONT_VALUE_BYTES];
+            padded[..chunk.len()].copy_from_slice(chunk);
+            padded
+        });
+        out.push(frame_of(&image));
+    }
+}
+
+/// Reads a `len`-byte payload: the head frame's last `room` bytes,
+/// then continuation frames pulled via `more`, a whole image at a
+/// time. The caller has bounded `len`.
+fn read_payload(
+    head: &Message,
+    room: usize,
+    len: usize,
+    mut more: impl FnMut() -> Message,
+) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(len);
+    payload.extend_from_slice(&image_of(head)[CONT_VALUE_BYTES - room..][..len.min(room)]);
+    while len - payload.len() >= CONT_VALUE_BYTES {
+        payload.extend_from_slice(&image_of(&more()));
+    }
+    if payload.len() < len {
+        payload.extend_from_slice(&image_of(&more())[..len - payload.len()]);
+    }
+    payload
+}
+
+/// The one value encoder, under the borrowed entry points below and,
+/// through them, the owned enums: clears `out`, then a head frame of
+/// `op`, the two scalar words and `value`'s first bytes, then the rest
+/// of `value` in continuation frames.
+fn push_value_frames(op: u64, w1: u64, w2: u64, value: &[u8], out: &mut Vec<Message>) {
     assert!(value.len() <= MAX_VALUE_LEN, "value exceeds MAX_VALUE_LEN");
-    let inline = value.len().min(HEAD_VALUE_BYTES);
-    write_bytes(&mut head[3..], &value[..inline]);
-    out.push(head);
-    for chunk in value[inline..].chunks(CONT_VALUE_BYTES) {
-        let mut frame: Message = [0; MSG_WORDS];
-        write_bytes(&mut frame, chunk);
-        out.push(frame);
-    }
+    out.clear();
+    let head = [head_word(op, 0, value.len()), w1, w2, 0, 0, 0, 0];
+    push_payload(head, HEAD_VALUE_BYTES, value, out);
 }
 
-/// Reads a `vlen`-byte value from the head frame's tail plus
-/// continuation frames pulled via `more`.
-fn read_value_frames(head: &Message, vlen: usize, mut more: impl FnMut() -> Message) -> Vec<u8> {
-    let mut value = vec![0u8; vlen];
-    let inline = vlen.min(HEAD_VALUE_BYTES);
-    read_bytes(&head[3..], &mut value[..inline]);
-    let mut done = inline;
-    while done < vlen {
-        let frame = more();
-        let n = (vlen - done).min(CONT_VALUE_BYTES);
-        read_bytes(&frame, &mut value[done..done + n]);
-        done += n;
-    }
-    value
+/// Encodes [`Request::Set`] from borrowed bytes — same frames, same
+/// panic as the enum's [`Request::encode_into`], which calls this.
+pub fn encode_set(key: u64, value: &[u8], out: &mut Vec<Message>) {
+    push_value_frames(OP_SET, key, 0, value, out);
 }
 
-fn write_bytes(words: &mut [u64], bytes: &[u8]) {
-    for (i, chunk) in bytes.chunks(8).enumerate() {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        words[i] = u64::from_le_bytes(w);
-    }
+/// Encodes [`Request::Cas`] from borrowed bytes.
+pub fn encode_cas(key: u64, expected: u64, value: &[u8], out: &mut Vec<Message>) {
+    push_value_frames(OP_CAS, key, expected, value, out);
 }
 
-fn read_bytes(words: &[u64], bytes: &mut [u8]) {
-    for (i, chunk) in bytes.chunks_mut(8).enumerate() {
-        let w = words[i].to_le_bytes();
-        chunk.copy_from_slice(&w[..chunk.len()]);
-    }
+/// Encodes [`Request::Replicate`] from borrowed bytes: how the
+/// replication stream and the migration copy send a stored value.
+pub fn encode_replicate(key: u64, version: u64, value: &[u8], out: &mut Vec<Message>) {
+    push_value_frames(OP_REPLICATE, key, version, value, out);
+}
+
+/// Encodes [`Response::Value`] from borrowed bytes: how a node answers
+/// a read from the store's own buffer.
+pub fn encode_value(version: u64, value: &[u8], out: &mut Vec<Message>) {
+    push_value_frames(ST_VALUE, version, 0, value, out);
 }
 
 impl Request {
@@ -458,23 +523,12 @@ impl Request {
                 m[1..=keys.len()].copy_from_slice(keys);
                 out.push(m);
             }
-            Request::Set { key, value } => {
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_SET, 0, value.len());
-                m[1] = *key;
-                push_value_frames(m, value, out);
-            }
+            Request::Set { key, value } => encode_set(*key, value, out),
             Request::Cas {
                 key,
                 expected,
                 value,
-            } => {
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_CAS, 0, value.len());
-                m[1] = *key;
-                m[2] = *expected;
-                push_value_frames(m, value, out);
-            }
+            } => encode_cas(*key, *expected, value, out),
             Request::Delete { key } => {
                 let mut m: Message = [0; MSG_WORDS];
                 m[0] = head_word(OP_DELETE, 0, 0);
@@ -485,13 +539,7 @@ impl Request {
                 key,
                 version,
                 value,
-            } => {
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_REPLICATE, 0, value.len());
-                m[1] = *key;
-                m[2] = *version;
-                push_value_frames(m, value, out);
-            }
+            } => encode_replicate(*key, *version, value, out),
             Request::ReplicateDelete { key, version } => {
                 let mut m: Message = [0; MSG_WORDS];
                 m[0] = head_word(OP_REPL_DELETE, 0, 0);
@@ -543,6 +591,26 @@ impl Request {
         }
     }
 
+    /// [`Request::encode_into`] for a value the caller did not vet: an
+    /// over-long one is refused, with `out` untouched, where the plain
+    /// encoders panic. The client connections send through this.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::ValueTooLong`] past [`MAX_VALUE_LEN`].
+    pub fn try_encode_into(&self, out: &mut Vec<Message>) -> Result<(), WireError> {
+        if let Request::Set { value, .. }
+        | Request::Cas { value, .. }
+        | Request::Replicate { value, .. } = self
+        {
+            if value.len() > MAX_VALUE_LEN {
+                return Err(WireError::ValueTooLong(value.len()));
+            }
+        }
+        self.encode_into(out);
+        Ok(())
+    }
+
     /// Decodes a request from its head frame, pulling continuation
     /// frames from `more` (which must read from the same sender).
     ///
@@ -569,18 +637,18 @@ impl Request {
             }
             OP_SET => Request::Set {
                 key: head[1],
-                value: read_value_frames(&head, vlen, more),
+                value: read_payload(&head, HEAD_VALUE_BYTES, vlen, more),
             },
             OP_CAS => Request::Cas {
                 key: head[1],
                 expected: head[2],
-                value: read_value_frames(&head, vlen, more),
+                value: read_payload(&head, HEAD_VALUE_BYTES, vlen, more),
             },
             OP_DELETE => Request::Delete { key: head[1] },
             OP_REPLICATE => Request::Replicate {
                 key: head[1],
                 version: head[2],
-                value: read_value_frames(&head, vlen, more),
+                value: read_payload(&head, HEAD_VALUE_BYTES, vlen, more),
             },
             OP_REPL_DELETE => Request::ReplicateDelete {
                 key: head[1],
@@ -641,11 +709,7 @@ impl Response {
         out.clear();
         let mut m: Message = [0; MSG_WORDS];
         match self {
-            Response::Value { version, value } => {
-                m[0] = head_word(ST_VALUE, 0, value.len());
-                m[1] = *version;
-                push_value_frames(m, value, out);
-            }
+            Response::Value { version, value } => encode_value(*version, value, out),
             Response::Miss => {
                 m[0] = head_word(ST_MISS, 0, 0);
                 out.push(m);
@@ -706,14 +770,7 @@ impl Response {
                 );
                 m[0] = head_word(ST_STATS, 0, 0);
                 m[1] = payload.len() as u64;
-                let inline = payload.len().min(STATS_INLINE_BYTES);
-                write_bytes(&mut m[2..], &payload[..inline]);
-                out.push(m);
-                for chunk in payload[inline..].chunks(CONT_VALUE_BYTES) {
-                    let mut frame: Message = [0; MSG_WORDS];
-                    write_bytes(&mut frame, chunk);
-                    out.push(frame);
-                }
+                push_payload(m, STATS_INLINE_BYTES, payload, out);
             }
         }
     }
@@ -735,7 +792,7 @@ impl Response {
                 }
                 Response::Value {
                     version: head[1],
-                    value: read_value_frames(&head, vlen, more),
+                    value: read_payload(&head, HEAD_VALUE_BYTES, vlen, more),
                 }
             }
             ST_MISS => Response::Miss,
@@ -758,18 +815,9 @@ impl Response {
                 if len > STATS_MAX_PAYLOAD {
                     return Err(WireError::StatsTooLong(len));
                 }
-                let mut more = more;
-                let mut payload = vec![0u8; len];
-                let inline = len.min(STATS_INLINE_BYTES);
-                read_bytes(&head[2..], &mut payload[..inline]);
-                let mut done = inline;
-                while done < len {
-                    let frame = more();
-                    let n = (len - done).min(CONT_VALUE_BYTES);
-                    read_bytes(&frame, &mut payload[done..done + n]);
-                    done += n;
+                Response::StatsReply {
+                    payload: read_payload(&head, STATS_INLINE_BYTES, len, more),
                 }
-                Response::StatsReply { payload }
             }
             _ => return Err(WireError::UnknownStatus(st)),
         })

@@ -4,6 +4,11 @@
 //! a cluster node — and leave the same store behind, the same `store.*`
 //! scrape, and the `TimedGet` latency split recorded on all three.
 //!
+//! Before the script starts, a second client puts the head frame of
+//! a multi-frame `Set` on the node's ring and goes away: every stack
+//! must count the truncated request malformed, retire that client and
+//! serve the script as if it had never connected.
+//!
 //! The script goes over the raw [`Conn`] to the one node that serves
 //! it (srv: 1 shard; repl: the leader of a 1-shard, 1-backup sync
 //! group; cluster: the sole owner under a 1-shard map), so what is
@@ -98,6 +103,19 @@ struct Outcome {
     dump: Vec<(Vec<u8>, u64, Vec<u8>)>,
     /// The last scrape's `store.*` counters.
     store: BTreeMap<String, u64>,
+    /// The last scrape's `srv.malformed`.
+    malformed: Option<u64>,
+}
+
+/// The dying client's last act: the head frame of a 500-byte `Set`
+/// (nine continuation frames that never come), on a key outside the
+/// script's range. The caller drops the client afterwards.
+fn die_mid_request(conn: &Conn<RingSender, RingReceiver>) {
+    let truncated = Request::Set {
+        key: KEYS + 1,
+        value: vec![0xEE; 500],
+    };
+    conn.tx.send(truncated.encode()[0]);
 }
 
 /// Plays the script over one connection, collecting every reply and
@@ -185,6 +203,7 @@ fn outcome(
 ) -> Outcome {
     Outcome {
         replies,
+        malformed: scrape.counter("srv.malformed"),
         dump: store
             .dump()
             .into_iter()
@@ -201,8 +220,11 @@ fn outcome(
 
 fn through_srv(steps: &[Step]) -> Outcome {
     let router: ShardRouter<TicketLock> = ShardRouter::new(1, BUCKETS, STRIPES);
-    let (mut endpoints, mut clients) = ring_mesh(1, 1, DEPTH);
+    let (mut endpoints, mut clients) = ring_mesh(1, 2, DEPTH);
     let client = clients.pop().unwrap();
+    let doomed = clients.pop().unwrap();
+    die_mid_request(doomed.conn(0));
+    drop(doomed);
     let (replies, scrape) = std::thread::scope(|s| {
         s.spawn(|| serve(router.shard(0), endpoints.pop().unwrap()));
         let played = play(client.conn(0), steps);
@@ -215,8 +237,17 @@ fn through_srv(steps: &[Step]) -> Outcome {
 fn through_repl(steps: &[Step]) -> Outcome {
     let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, BUCKETS, STRIPES, ReplSpec::sync(1));
     let map = cluster.map().clone();
-    let (mut endpoints, mut clients) = repl_mesh(&map, 1);
+    let (mut endpoints, mut clients) = repl_mesh(&map, 2);
     let client = clients.pop().unwrap();
+    // The dying client takes proper leave of the backup, which would
+    // otherwise wait for its `Stop` forever, and dies on the leader.
+    let doomed = clients.pop().unwrap();
+    doomed
+        .conn(0, 1)
+        .send(&Request::Stop)
+        .expect("ring has room");
+    die_mid_request(doomed.conn(0, 0));
+    drop(doomed);
     let (replies, scrape) = std::thread::scope(|s| {
         for endpoint in endpoints.pop().unwrap() {
             let store = cluster.node_store(0, endpoint.node());
@@ -245,8 +276,11 @@ fn through_cluster(steps: &[Step]) -> Outcome {
     let map = ShardMap::new(1);
     let store: KvStore<TicketLock> = KvStore::new(BUCKETS, STRIPES);
     let log = OpLog::new(1 << 12);
-    let (mut endpoints, mut conns, _mig) = cluster_mesh(1, 1, DEPTH, 16);
+    let (mut endpoints, mut conns, _mig) = cluster_mesh(1, 2, DEPTH, 16);
     let client = conns.pop().unwrap();
+    let doomed = conns.pop().unwrap();
+    die_mid_request(doomed.conn(0));
+    drop(doomed);
     let (replies, scrape) = std::thread::scope(|s| {
         let endpoint = endpoints.pop().unwrap();
         s.spawn(|| serve_cluster_node(0, &store, &log, &map, endpoint));
@@ -289,6 +323,12 @@ fn one_script_draws_the_same_replies_from_all_three_stacks() {
         .any(|r| matches!(r, Response::Value { value, .. } if value.len() == 700)));
     assert!(!reference.dump.is_empty());
     assert!(reference.store["store.cas_failures"] > 0);
+    for (name, outcome) in &outcomes {
+        // The truncated `Set` and nothing else; it stored nothing.
+        assert_eq!(outcome.malformed, Some(1), "{name}: srv.malformed");
+        let orphan = (KEYS + 1).to_be_bytes();
+        assert!(outcome.dump.iter().all(|(key, _, _)| key[..] != orphan));
+    }
 
     for (name, outcome) in &outcomes[1..] {
         assert_eq!(outcome.replies.len(), reference.replies.len(), "{name}");
