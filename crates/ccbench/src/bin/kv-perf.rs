@@ -1,12 +1,12 @@
 //! `kv-perf`: the sharded KV service's performance harness.
 //!
 //! Sweeps the native serving stack over {lock algorithm × shard count
-//! × key skew × rw mix} plus the {read_path × transport} fast-path
-//! grid (and batched multi-get and churn cases), runs the epoch
-//! reclamation churn soak (bounded retired backlog vs. the unbounded
-//! deferred baseline — a failed bound exits nonzero), prints a
-//! per-case table, and writes `BENCH_kv.json` unless `--no-write` is
-//! given.
+//! × rw mix} on the zipfian keyspace (plus one uniform, one batched
+//! multi-get and one churn case per lock), runs the epoch reclamation
+//! churn soak (the retired backlog must stay bounded while the churn
+//! retires far more than the bound — a failed criterion exits
+//! nonzero), prints a per-case table, and writes `BENCH_kv.json`
+//! unless `--no-write` is given.
 //!
 //! ```text
 //! kv-perf [--smoke] [--out PATH] [--no-write] [--check-determinism]
@@ -17,33 +17,18 @@
 //! `BENCH_kv.json` unless an explicit `--out` is given. Issued op
 //! counts are deterministic per seed in both modes;
 //! `--check-determinism` proves it by running the whole sweep twice
-//! (both transports, both read paths) and diffing the issued op counts
-//! — CI runs this in smoke mode.
+//! and diffing the issued op counts — CI runs this in smoke mode.
+//! Unrecognised arguments exit 2 with the usage line.
 
+use ssync_ccbench::cli;
 use ssync_ccbench::kv_perf::{
     check_determinism, render_json, render_table, run_churn_soak, run_sweep, SoakConfig,
     SweepConfig,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: kv-perf [--smoke] [--out PATH] [--no-write] [--check-determinism]");
-        return;
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let no_write = args.iter().any(|a| a == "--no-write");
-    let check = args.iter().any(|a| a == "--check-determinism");
-    let out_path = match args.iter().position(|a| a == "--out") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) if !p.starts_with("--") => Some(p.clone()),
-            _ => {
-                eprintln!("kv-perf: --out requires a path argument");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let args = cli::from_env("kv-perf", true);
+    let smoke = args.smoke;
 
     let config = SweepConfig::for_host(smoke);
     eprintln!(
@@ -55,7 +40,7 @@ fn main() {
     );
     // The determinism gate runs the sweep twice and hands back the
     // first run's results, so checking costs one extra sweep, not two.
-    let results = if check {
+    let results = if args.check_determinism {
         match check_determinism(config) {
             Ok(results) => {
                 eprintln!(
@@ -74,9 +59,9 @@ fn main() {
     };
     print!("{}", render_table(&results));
 
-    // The churn soak gates the release: the epoch store's retired
-    // backlog must stay bounded under sustained delete/replace churn
-    // while its deferred (graveyard) twin accumulates everything.
+    // The churn soak gates the release: the store's retired backlog
+    // must stay bounded under sustained delete/replace churn that
+    // retires far more nodes than the bound.
     let soak = run_churn_soak(SoakConfig::for_host(smoke));
     eprintln!("kv-perf: {}", soak.summary());
     if let Err(msg) = soak.check() {
@@ -84,13 +69,5 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Smoke runs are startup-dominated; only a full run refreshes the
-    // committed artifact by default (same discipline as sim-perf).
-    let write_default = !smoke;
-    if !no_write && (write_default || out_path.is_some()) {
-        let path = out_path.unwrap_or_else(|| "BENCH_kv.json".to_string());
-        let json = render_json(&results, config, &soak);
-        std::fs::write(&path, json).expect("write BENCH_kv.json");
-        eprintln!("wrote {path}");
-    }
+    args.write_artifact("BENCH_kv.json", || render_json(&results, config, &soak));
 }

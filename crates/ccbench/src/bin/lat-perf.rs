@@ -1,7 +1,7 @@
 //! `lat-perf`: the open-loop tail-latency harness.
 //!
 //! Sweeps offered load over the headline serving shape (ticket locks,
-//! optimistic reads, ring transport, zipfian YCSB-B) with Poisson
+//! zipfian YCSB-B) with Poisson
 //! arrivals and intended-send-time latency stamps (no coordinated
 //! omission), prints the latency-vs-throughput curve and its knee, and
 //! writes `BENCH_lat.json` unless `--no-write` is given.
@@ -18,29 +18,14 @@
 //! is given. `--check-determinism` runs the sweep twice and diffs the
 //! issued op counts.
 
+use ssync_ccbench::cli;
 use ssync_ccbench::lat_perf::{
     check_determinism, knee, render_json, render_table, run_sweep, smoke_gate, LatSweepConfig,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: lat-perf [--smoke] [--out PATH] [--no-write] [--check-determinism]");
-        return;
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let no_write = args.iter().any(|a| a == "--no-write");
-    let check = args.iter().any(|a| a == "--check-determinism");
-    let out_path = match args.iter().position(|a| a == "--out") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) if !p.starts_with("--") => Some(p.clone()),
-            _ => {
-                eprintln!("lat-perf: --out requires a path argument");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let args = cli::from_env("lat-perf", true);
+    let smoke = args.smoke;
 
     let config = LatSweepConfig::for_host(smoke);
     eprintln!(
@@ -54,7 +39,7 @@ fn main() {
     );
     // The determinism gate runs the sweep twice and hands back the
     // first run's points, so checking costs one extra sweep, not two.
-    let points = if check {
+    let points = if args.check_determinism {
         match check_determinism(config) {
             Ok(points) => {
                 eprintln!(
@@ -92,13 +77,5 @@ fn main() {
         eprintln!("lat-perf: smoke gate passed (reads all measured, p99 under ceiling)");
     }
 
-    // Smoke runs are startup-dominated; only a full run refreshes the
-    // committed artifact by default (same discipline as kv-perf).
-    let write_default = !smoke;
-    if !no_write && (write_default || out_path.is_some()) {
-        let path = out_path.unwrap_or_else(|| "BENCH_lat.json".to_string());
-        let json = render_json(&points, config);
-        std::fs::write(&path, json).expect("write BENCH_lat.json");
-        eprintln!("wrote {path}");
-    }
+    args.write_artifact("BENCH_lat.json", || render_json(&points, config));
 }

@@ -18,29 +18,15 @@
 //! counts and fault window counts are deterministic per seed in both
 //! modes; every case asserts its backups converged.
 
+use ssync_ccbench::cli;
 use ssync_ccbench::repl_perf::{
     render_json, render_table, run_reshard_case, run_sweep, ReplSweepConfig,
 };
 use ssync_srv::workload::KeyDist;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: repl-perf [--smoke] [--out PATH] [--no-write]");
-        return;
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let no_write = args.iter().any(|a| a == "--no-write");
-    let out_path = match args.iter().position(|a| a == "--out") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) if !p.starts_with("--") => Some(p.clone()),
-            _ => {
-                eprintln!("repl-perf: --out requires a path argument");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let args = cli::from_env("repl-perf", false);
+    let smoke = args.smoke;
 
     let config = ReplSweepConfig::for_host(smoke);
     eprintln!(
@@ -90,13 +76,7 @@ fn main() {
         reshard.lost_acked_writes
     );
 
-    // Smoke runs are startup-dominated; only a full run refreshes the
-    // committed artifact by default (same discipline as kv-perf).
-    let write_default = !smoke;
-    if !no_write && (write_default || out_path.is_some()) {
-        let path = out_path.unwrap_or_else(|| "BENCH_repl.json".to_string());
-        let json = render_json(&results, config, &reshard);
-        std::fs::write(&path, json).expect("write BENCH_repl.json");
-        eprintln!("wrote {path}");
-    }
+    args.write_artifact("BENCH_repl.json", || {
+        render_json(&results, config, &reshard)
+    });
 }

@@ -12,6 +12,7 @@
 //! harness alive in seconds; smoke runs never overwrite the default
 //! `BENCH_sim.json` unless an explicit `--out` is given.
 
+use ssync_ccbench::cli;
 use ssync_ccbench::perf::{render_json, render_table, run_suite, PERF_WINDOW, SMOKE_WINDOW};
 
 /// Frozen historical record: wall time of `cargo run --release --bin
@@ -26,23 +27,8 @@ const REPRO_ALL_BEFORE_S: f64 = 140.0;
 const REPRO_ALL_AFTER_S: f64 = 14.0;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: sim-perf [--smoke] [--out PATH] [--no-write]");
-        return;
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let no_write = args.iter().any(|a| a == "--no-write");
-    let out_path = match args.iter().position(|a| a == "--out") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) if !p.starts_with("--") => Some(p.clone()),
-            _ => {
-                eprintln!("sim-perf: --out requires a path argument");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let args = cli::from_env("sim-perf", false);
+    let smoke = args.smoke;
 
     let window = if smoke { SMOKE_WINDOW } else { PERF_WINDOW };
     eprintln!(
@@ -52,13 +38,7 @@ fn main() {
     let results = run_suite(window);
     print!("{}", render_table(&results));
 
-    // Smoke windows produce misleading events/sec (startup-dominated);
-    // only a full run refreshes the committed artifact by default.
-    let write_default = !smoke;
-    if !no_write && (write_default || out_path.is_some()) {
-        let path = out_path.unwrap_or_else(|| "BENCH_sim.json".to_string());
-        let json = render_json(&results, REPRO_ALL_BEFORE_S, REPRO_ALL_AFTER_S);
-        std::fs::write(&path, json).expect("write BENCH_sim.json");
-        eprintln!("wrote {path}");
-    }
+    args.write_artifact("BENCH_sim.json", || {
+        render_json(&results, REPRO_ALL_BEFORE_S, REPRO_ALL_AFTER_S)
+    });
 }

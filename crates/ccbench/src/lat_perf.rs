@@ -9,16 +9,14 @@
 //! throughput curve and its knee — the paper-style tail-latency story
 //! the closed-loop harness cannot tell.
 //!
-//! Each point runs the headline serving shape (ticket locks,
-//! optimistic reads, ring transport, zipfian YCSB-B) at one offered
-//! rate and reports achieved throughput plus read/write latency
+//! Each point runs the headline serving shape (ticket locks, zipfian
+//! YCSB-B) at one offered rate and reports achieved throughput plus read/write latency
 //! percentiles from the log-bucketed [`HistogramSnapshot`]. Issued op
 //! counts are a pure function of the seed — the committed
 //! `BENCH_lat.json`'s deterministic fields rely on that — while
 //! percentiles are whatever the host gives.
 
 use ssync_core::stats::{HistogramSnapshot, HIST_BUCKETS, HIST_MAX_REL_ERROR, HIST_SUB_BITS};
-use ssync_kv::ReadPath;
 use ssync_locks::TicketLock;
 use ssync_srv::router::ShardRouter;
 use ssync_srv::workload::{
@@ -128,8 +126,7 @@ pub struct LatPoint {
 /// Runs one offered-load point on a fresh serving stack.
 pub fn run_point(config: LatSweepConfig, offered_ops_per_sec: f64) -> LatPoint {
     let buckets_per_shard = (config.keys as usize / SHARDS).clamp(64, 4096);
-    let router: ShardRouter<TicketLock> =
-        ShardRouter::with_read_path(SHARDS, buckets_per_shard, 16, ReadPath::Optimistic);
+    let router: ShardRouter<TicketLock> = ShardRouter::new(SHARDS, buckets_per_shard, 16);
     let spec = OpenLoopSpec {
         workload: WorkloadSpec {
             keys: config.keys,

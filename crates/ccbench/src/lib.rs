@@ -19,6 +19,7 @@
 //! | Figure 11 (hash table)            | [`drivers::ssht_mops`] |
 //! | Figure 12 (key-value store)       | [`drivers::kv_kops`] |
 
+pub mod cli;
 pub mod drivers;
 pub mod json;
 pub mod kv_perf;

@@ -12,11 +12,10 @@
 
 use std::time::Duration;
 
-use ssync_ccbench::kv_perf::{self, Case, CaseResult, SrvLockKind, SweepConfig, TransportKind};
+use ssync_ccbench::kv_perf::{self, Case, CaseResult, SrvLockKind, SweepConfig};
 use ssync_ccbench::perf::{self, PerfResult};
 use ssync_ccbench::repl_perf::{self, ReplCase, ReplCaseResult, ReplSweepConfig};
 use ssync_cluster::{MigrationReport, ReshardReport};
-use ssync_kv::ReadPath;
 use ssync_repl::{ReplMode, ReplReport};
 use ssync_srv::workload::{KeyDist, Mix, OpCounts};
 
@@ -52,8 +51,6 @@ fn kv_perf_json_layout_is_pinned() {
         dist: KeyDist::Zipfian { theta: 0.99 },
         mix: Mix::YCSB_B,
         batch: 1,
-        read_path: ReadPath::Locked,
-        transport: TransportKind::OneLine,
     };
     let results = vec![
         CaseResult {
@@ -72,7 +69,6 @@ fn kv_perf_json_layout_is_pinned() {
         CaseResult {
             case: Case {
                 lock: SrvLockKind::Mcs,
-                transport: TransportKind::Ring,
                 ..case
             },
             workers: 2,
@@ -106,13 +102,48 @@ fn kv_perf_json_layout_is_pinned() {
         reclaim_backlog_final: 96,
         nodes_reclaimed: 5000,
         epochs_advanced: 128,
-        deferred_backlog_final: 5096,
         backlog_bound: 2048,
     };
     check(
         "kv_perf.json",
         &kv_perf::render_json(&results, config, &soak),
     );
+}
+
+/// The committed `BENCH_kv.json` must be the artifact of the sweep the
+/// harness runs today: same schema tag, same cases in the same order.
+/// Without this a sweep edit leaves a stale artifact green.
+#[test]
+fn committed_kv_artifact_matches_the_sweep() {
+    let path = format!("{}/../../BENCH_kv.json", env!("CARGO_MANIFEST_DIR"));
+    let artifact = std::fs::read_to_string(&path).expect("read the committed BENCH_kv.json");
+    assert!(
+        artifact.contains("\"schema\": \"ssync-kv-perf-v4\""),
+        "BENCH_kv.json carries another schema tag; rerun kv-perf"
+    );
+    // One case per line, the key fields leading it (pinned above).
+    let rows: Vec<&str> = artifact
+        .lines()
+        .map(str::trim_start)
+        .filter(|line| line.starts_with("{\"lock\": "))
+        .collect();
+    let expected: Vec<String> = kv_perf::sweep_cases()
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"lock\": \"{}\", \"shards\": {}, \"dist\": \"{}\", \"mix\": \"{}\", \"batch\": {}, ",
+                c.lock.name(),
+                c.shards,
+                c.dist.label(),
+                c.mix.name,
+                c.batch
+            )
+        })
+        .collect();
+    assert_eq!(rows.len(), expected.len(), "case count drifted");
+    for (row, key) in rows.iter().zip(&expected) {
+        assert!(row.starts_with(key.as_str()), "expected {key}… found {row}");
+    }
 }
 
 #[test]

@@ -20,9 +20,9 @@
 //! transfers, not algorithmic cleverness — and a read that takes even an
 //! uncontended stripe lock pays two RMWs on a *writable* line that every
 //! other reader of the stripe also writes. Since reads dominate serving
-//! workloads (YCSB-B is 95% reads, YCSB-C is 100%), the store offers an
-//! **optimistic read path** ([`ReadPath::Optimistic`], the default) in
-//! the OPTIK/ASCYLIB tradition of the paper's authors:
+//! workloads (YCSB-B is 95% reads, YCSB-C is 100%), every read first
+//! takes an **optimistic path** in the OPTIK/ASCYLIB tradition of the
+//! paper's authors:
 //!
 //! * Each bucket chain is a singly-linked list of **immutable** heap
 //!   nodes; every mutation (insert, replace, unlink) is published by a
@@ -104,54 +104,6 @@ pub const MAINTENANCE_PERIOD: u64 = 64;
 /// locked path *waits its turn* instead.
 pub const OPTIMISTIC_ATTEMPTS: usize = 3;
 
-/// Which read protocol `get`/`get_with_version`/`version`/`multi_get`
-/// use. Writers are identical under both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// Take the stripe lock for every read (the original Memcached
-    /// model: two RMWs on the stripe's lock line per lookup).
-    Locked,
-    /// Seqlock-validated lock-free reads with a locked fallback after
-    /// [`OPTIMISTIC_ATTEMPTS`] failed validations.
-    #[default]
-    Optimistic,
-}
-
-impl ReadPath {
-    /// Short display name for benchmark labels.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReadPath::Locked => "locked",
-            ReadPath::Optimistic => "optimistic",
-        }
-    }
-}
-
-/// How retired nodes are reclaimed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReclaimMode {
-    /// Epoch-based: advances and collection amortized over write
-    /// traffic and [`KvStore::reclaim_pass`], concurrent with readers;
-    /// the backlog stays bounded under sustained churn.
-    #[default]
-    Epoch,
-    /// The PR-5 graveyard semantics: nothing is freed until
-    /// [`KvStore::purge_retired`] / drop, so the backlog grows with
-    /// every replacement and delete. Kept as the churn-soak benchmark's
-    /// unbounded baseline.
-    Deferred,
-}
-
-impl ReclaimMode {
-    /// Short display name for benchmark labels.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReclaimMode::Epoch => "epoch",
-            ReclaimMode::Deferred => "deferred",
-        }
-    }
-}
-
 /// One stored item: a bucket-chain node. `key`, `value` and `version`
 /// are immutable after the node is published (an update allocates a
 /// replacement node); only `next` is ever rewritten, and only by the
@@ -194,7 +146,8 @@ pub struct Stats {
     /// counts on).
     pub repl_stale_drops: CachePadded<AtomicU64>,
     /// Optimistic reads that exhausted [`OPTIMISTIC_ATTEMPTS`] and took
-    /// the stripe lock instead (always zero on [`ReadPath::Locked`]).
+    /// the stripe lock instead — or found every epoch participant
+    /// slot taken and went straight to it.
     pub read_fallbacks: CachePadded<AtomicU64>,
     /// Global-epoch advances won by this store's maintenance passes and
     /// [`KvStore::reclaim_pass`] calls.
@@ -403,56 +356,23 @@ pub struct KvStore<R: RawLock + Default> {
     /// neighboring fields.
     write_counter: CachePadded<AtomicU64>,
     next_version: CachePadded<AtomicU64>,
-    read_path: ReadPath,
     /// This store's reclamation domain. Per-store (not process-global):
     /// a pinned reader of one store must not stall another store's
     /// collection. Shared as an `Arc` because reader threads register
     /// with it through thread-local participant records.
     epoch: Arc<EpochDomain>,
-    reclaim: ReclaimMode,
     stats: Stats,
 }
 
 impl<R: RawLock + Default> KvStore<R> {
     /// Creates a store with `buckets` buckets striped over `stripes`
-    /// locks, reading through the default [`ReadPath::Optimistic`]
-    /// fast path.
+    /// locks.
     ///
     /// # Panics
     ///
     /// Panics if `buckets` or `stripes` is zero, or if `stripes` exceeds
     /// `buckets`.
     pub fn new(buckets: usize, stripes: usize) -> Self {
-        Self::with_read_path(buckets, stripes, ReadPath::default())
-    }
-
-    /// Creates a store with an explicit read protocol —
-    /// [`ReadPath::Locked`] reproduces the original every-read-locks
-    /// Memcached model (the benchmark baseline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` or `stripes` is zero, or if `stripes` exceeds
-    /// `buckets`.
-    pub fn with_read_path(buckets: usize, stripes: usize, read_path: ReadPath) -> Self {
-        Self::with_reclaim(buckets, stripes, read_path, ReclaimMode::default())
-    }
-
-    /// Creates a store with explicit read and reclamation protocols.
-    /// [`ReclaimMode::Deferred`] restores the PR-5 graveyard semantics
-    /// (nothing freed until [`KvStore::purge_retired`]); it exists as
-    /// the churn benchmark's unbounded baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` or `stripes` is zero, or if `stripes` exceeds
-    /// `buckets`.
-    pub fn with_reclaim(
-        buckets: usize,
-        stripes: usize,
-        read_path: ReadPath,
-        reclaim: ReclaimMode,
-    ) -> Self {
         assert!(buckets > 0 && stripes > 0 && stripes <= buckets);
         let buckets_per_stripe = buckets.div_ceil(stripes);
         Self {
@@ -472,16 +392,9 @@ impl<R: RawLock + Default> KvStore<R> {
             global: Lock::new(()),
             write_counter: CachePadded::new(AtomicU64::new(0)),
             next_version: CachePadded::new(AtomicU64::new(1)),
-            read_path,
             epoch: Arc::new(EpochDomain::new()),
-            reclaim,
             stats: Stats::default(),
         }
-    }
-
-    /// The read protocol this store was built with.
-    pub fn read_path(&self) -> ReadPath {
-        self.read_path
     }
 
     /// The store's epoch domain. Service loops use this to pin around
@@ -490,11 +403,6 @@ impl<R: RawLock + Default> KvStore<R> {
     /// itself.
     pub fn epoch_domain(&self) -> &Arc<EpochDomain> {
         &self.epoch
-    }
-
-    /// The reclamation mode this store was built with.
-    pub fn reclaim_mode(&self) -> ReclaimMode {
-        self.reclaim
     }
 
     /// Statistics counters.
@@ -546,7 +454,7 @@ impl<R: RawLock + Default> KvStore<R> {
         None
     }
 
-    /// One `(version, value)` lookup through the configured read path.
+    /// One `(version, value)` lookup: optimistic, then the stripe lock.
     /// Optimistic protocol: snapshot the stripe's version word (must be
     /// even), traverse without the lock, and accept the result only if
     /// the word is unchanged — then the whole read overlapped no write
@@ -559,46 +467,56 @@ impl<R: RawLock + Default> KvStore<R> {
     fn read(&self, key: &[u8]) -> Option<(u64, Bytes)> {
         let (stripe, bucket) = self.locate(key);
         let stripe = &self.stripes[stripe];
-        if matches!(self.read_path, ReadPath::Optimistic) {
-            // Pin before the first head load: every pointer the
-            // traversal below can observe stays allocated until the
-            // guard drops (a node's bag cannot age out of the grace
-            // period while this pin holds the epoch). A nested pin —
-            // `multi_get` reads under one thread — is a plain
-            // depth bump. `None` means every participant slot is
-            // taken; the locked path below needs no grace period, so
-            // the read still answers (counted as a fallback).
-            if let Some(_pin) = self.epoch.pin() {
-                for _ in 0..OPTIMISTIC_ATTEMPTS {
-                    let s1 = stripe.seq.load(Ordering::Acquire);
-                    if s1 & 1 == 1 {
-                        // A writer is inside; re-snapshot.
-                        crate::sync::cpu_relax();
-                        continue;
-                    }
-                    let hit = Self::chain_find(&stripe.heads[bucket], key);
-                    // The traversal's Acquire loads keep this validation
-                    // load from moving before them; equality means no
-                    // write section overlapped the reads we performed.
-                    if stripe.seq.load(Ordering::Acquire) == s1 {
-                        return hit;
-                    }
+        // Pin before the first head load: every pointer the traversal
+        // below can observe stays allocated until the guard drops (a
+        // node's bag cannot age out of the grace period while this pin
+        // holds the epoch). A nested pin — `multi_get` reads under one
+        // thread — is a plain depth bump. `None` means every
+        // participant slot is taken; the locked path needs no grace
+        // period, so the read still answers (counted as a fallback).
+        if let Some(_pin) = self.epoch.pin() {
+            for _ in 0..OPTIMISTIC_ATTEMPTS {
+                let s1 = stripe.seq.load(Ordering::Acquire);
+                if s1 & 1 == 1 {
+                    // A writer is inside; re-snapshot.
+                    crate::sync::cpu_relax();
+                    continue;
+                }
+                let hit = Self::chain_find(&stripe.heads[bucket], key);
+                // The traversal's Acquire loads keep this validation
+                // load from moving before them; equality means no
+                // write section overlapped the reads we performed.
+                if stripe.seq.load(Ordering::Acquire) == s1 {
+                    return hit;
                 }
             }
-            self.stats.read_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
+        self.stats.read_fallbacks.fetch_add(1, Ordering::Relaxed);
+        Self::read_locked(stripe, bucket, key)
+    }
+
+    /// The locked read of `key` in its (already located) bucket: the
+    /// fallback of [`KvStore::read`], and the reference path the tests
+    /// hold the optimistic one to.
+    fn read_locked(stripe: &Stripe<R>, bucket: usize, key: &[u8]) -> Option<(u64, Bytes)> {
         let _guard = stripe.inner.lock();
         Self::chain_find(&stripe.heads[bucket], key)
     }
 
-    /// Looks a key up.
-    pub fn get(&self, key: &[u8]) -> Option<Bytes> {
-        let hit = self.read(key).map(|(_, value)| value);
+    /// [`KvStore::read`] plus the hit/miss statistic every counted
+    /// lookup bumps.
+    fn read_counted(&self, key: &[u8]) -> Option<(u64, Bytes)> {
+        let hit = self.read(key);
         match &hit {
             Some(_) => self.stats.hits.fetch_add(1, Ordering::Relaxed),
             None => self.stats.misses.fetch_add(1, Ordering::Relaxed),
         };
         hit
+    }
+
+    /// Looks a key up.
+    pub fn get(&self, key: &[u8]) -> Option<Bytes> {
+        self.read_counted(key).map(|(_, value)| value)
     }
 
     /// The CAS version of a key, if present.
@@ -610,29 +528,15 @@ impl<R: RawLock + Default> KvStore<R> {
     /// `gets` command, which the service layer needs to answer a read
     /// and arm a follow-up CAS with one acquisition.
     pub fn get_with_version(&self, key: &[u8]) -> Option<(u64, Bytes)> {
-        let hit = self.read(key);
-        match &hit {
-            Some(_) => self.stats.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.stats.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
+        self.read_counted(key)
     }
 
-    /// Batched lookup: each key goes through the configured read path
-    /// (per-key validation — a multi-get is not one atomic snapshot,
-    /// matching the service's per-key reply semantics). Results come
-    /// back in input order; hit/miss statistics count per key.
+    /// Batched lookup: each key is read on its own (per-key
+    /// validation — a multi-get is not one atomic snapshot, matching
+    /// the service's per-key reply semantics). Results come back in
+    /// input order; hit/miss statistics count per key.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<(u64, Bytes)>> {
-        keys.iter()
-            .map(|key| {
-                let hit = self.read(key);
-                match &hit {
-                    Some(_) => self.stats.hits.fetch_add(1, Ordering::Relaxed),
-                    None => self.stats.misses.fetch_add(1, Ordering::Relaxed),
-                };
-                hit
-            })
-            .collect()
+        keys.iter().map(|key| self.read_counted(key)).collect()
     }
 
     /// Writer-side search, only under the stripe lock: the link slot
@@ -689,13 +593,7 @@ impl<R: RawLock + Default> KvStore<R> {
     /// amortized per-op rather than a stop-the-world pass.
     fn retire(&self, stripe: &Stripe<R>, inner: &mut StripeInner, node: *mut Node) {
         stripe.backlog.fetch_add(1, Ordering::SeqCst);
-        let tag = match self.reclaim {
-            ReclaimMode::Epoch => self.epoch.epoch_sc(),
-            // Deferred: the epoch never advances, so every node lands
-            // in the tag-0 bag and waits for `purge_retired` — the
-            // PR-5 graveyard, reproduced for the churn baseline.
-            ReclaimMode::Deferred => 0,
-        };
+        let tag = self.epoch.epoch_sc();
         let freed = inner.bags.retire(node, tag, |p| {
             // SAFETY: `p` was unlinked from this stripe's chains at
             // least two epoch advances before `tag`, so every reader
@@ -1112,11 +1010,7 @@ impl<R: RawLock + Default> KvStore<R> {
     /// period. Safe — and designed — to run concurrently with readers
     /// and writers; the serve loops call it periodically so a node
     /// reclaims while traffic is flowing. Returns the nodes freed.
-    /// A no-op under [`ReclaimMode::Deferred`].
     pub fn reclaim_pass(&self) -> usize {
-        if matches!(self.reclaim, ReclaimMode::Deferred) {
-            return 0;
-        }
         if self.epoch.try_advance() {
             self.stats.epochs_advanced.fetch_add(1, Ordering::Relaxed);
         }
@@ -1157,12 +1051,10 @@ impl<R: RawLock + Default> KvStore<R> {
         // stripe also nudges the epoch forward and collects this stripe's
         // expired generations, so a write-heavy store reclaims without
         // anyone ever calling `reclaim_pass` or `purge_retired`.
-        if matches!(self.reclaim, ReclaimMode::Epoch) {
-            if self.epoch.try_advance() {
-                self.stats.epochs_advanced.fetch_add(1, Ordering::Relaxed);
-            }
-            self.collect_locked(stripe, &mut inner);
+        if self.epoch.try_advance() {
+            self.stats.epochs_advanced.fetch_add(1, Ordering::Relaxed);
         }
+        self.collect_locked(stripe, &mut inner);
     }
 }
 
@@ -1436,32 +1328,27 @@ mod tests {
 
     #[test]
     fn locked_and_optimistic_paths_agree() {
-        let fast: KvStore<TicketLock> = KvStore::new(64, 8);
-        let slow: KvStore<TicketLock> = KvStore::with_read_path(64, 8, ReadPath::Locked);
-        assert_eq!(fast.read_path(), ReadPath::Optimistic);
-        assert_eq!(slow.read_path(), ReadPath::Locked);
+        let kv: KvStore<TicketLock> = KvStore::new(64, 8);
         for i in 0u64..64 {
             let key = format!("k{}", i % 13);
             match i % 4 {
                 0 | 1 => {
-                    fast.set(key.as_bytes(), i.to_be_bytes().to_vec());
-                    slow.set(key.as_bytes(), i.to_be_bytes().to_vec());
+                    kv.set(key.as_bytes(), i.to_be_bytes().to_vec());
                 }
                 2 => {
-                    fast.delete(key.as_bytes());
-                    slow.delete(key.as_bytes());
+                    kv.delete(key.as_bytes());
                 }
                 _ => {}
             }
-            let a = fast.get(key.as_bytes());
-            let b = slow.get(key.as_bytes());
-            assert_eq!(a, b, "paths disagree on {key}");
+            let (stripe, bucket) = kv.locate(key.as_bytes());
+            assert_eq!(
+                kv.read(key.as_bytes()),
+                KvStore::read_locked(&kv.stripes[stripe], bucket, key.as_bytes()),
+                "paths disagree on {key}"
+            );
         }
-        // Versions are assigned identically (same op order), so even
-        // the full dumps match.
-        assert_eq!(fast.dump(), slow.dump());
-        // The locked path never falls back (it never tries).
-        assert_eq!(slow.stats_snapshot().read_fallbacks, 0);
+        // Uncontended, the optimistic path never needed the reference.
+        assert_eq!(kv.stats_snapshot().read_fallbacks, 0);
     }
 
     /// The locked fallback engages deterministically when the stripe's
@@ -1542,25 +1429,6 @@ mod tests {
         // The store still works after online reclamation.
         kv.set(b"k", b"fresh".as_slice());
         assert_eq!(kv.get(b"k").unwrap().as_ref(), b"fresh");
-    }
-
-    /// `ReclaimMode::Deferred` reproduces the PR-5 graveyard: nothing
-    /// is freed while the store is shared, `reclaim_pass` is a no-op,
-    /// and only the `&mut` purge drains the backlog.
-    #[test]
-    fn deferred_mode_never_reclaims_online() {
-        let mut kv: KvStore<TicketLock> =
-            KvStore::with_reclaim(64, 8, ReadPath::Optimistic, ReclaimMode::Deferred);
-        assert_eq!(kv.reclaim_mode(), ReclaimMode::Deferred);
-        for i in 0u64..10 {
-            kv.set(b"k", i.to_be_bytes().to_vec());
-        }
-        kv.delete(b"k");
-        assert_eq!(kv.reclaim_pass(), 0);
-        assert_eq!(kv.reclaim_backlog(), 10);
-        assert_eq!(kv.stats_snapshot().epochs_advanced, 0);
-        assert_eq!(kv.purge_retired(), 10);
-        assert_eq!(kv.reclaim_backlog(), 0);
     }
 
     /// A pinned reader holds the epoch: garbage retired while a guard

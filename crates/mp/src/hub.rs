@@ -122,8 +122,8 @@ impl MsgReceiver for RingReceiver {
 }
 
 /// The send side of either channel flavour — the mirror of
-/// [`MsgReceiver`], so meshes (`ssync-srv`'s `wire_mesh_with`) can be
-/// built generically over the transport.
+/// [`MsgReceiver`], so code on top (`ssync-srv`'s `Conn` and
+/// `NodeCore`) is written once over the transport.
 pub trait MsgSender {
     /// Sends a message, blocking (spin then yield) while the channel
     /// is full.

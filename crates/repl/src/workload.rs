@@ -13,9 +13,6 @@
 
 use std::time::{Duration, Instant};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use ssync_kv::StatsSnapshot;
 use ssync_locks::RawLock;
 use ssync_srv::workload::{drive_worker, OpCounts, OpStream, Tally, WorkloadSpec};
@@ -152,10 +149,7 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
 
     // Preload: every key present everywhere, logs empty, followers at
     // the preload high-water mark.
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    for key in 0..spec.keys {
-        let len = spec.vsize.sample(&mut rng);
-        let value: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
+    for (key, value) in spec.preload_values() {
         cluster.preload(key, &value);
     }
     let primary_before = cluster.primary().stats_snapshot();
@@ -224,7 +218,16 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
     });
     let wall = start.elapsed();
 
+    let total = tallies
+        .iter()
+        .fold(Tally::default(), |sum, (tally, _)| sum.merge(tally));
     let mut report = ReplReport {
+        issued: total.issued,
+        hits: total.hits,
+        misses: total.misses,
+        cas_ok: total.cas_ok,
+        cas_fail: total.cas_fail,
+        deleted: total.deleted,
         wall,
         primary_store: cluster.primary().stats_snapshot().delta(&primary_before),
         replica_store: cluster.replica_stats_snapshot().delta(&replica_before),
@@ -236,13 +239,7 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
         converged: cluster.converged(),
         ..ReplReport::default()
     };
-    for (tally, [serves, fallbacks, redirects, lost, stale]) in tallies {
-        report.issued = report.issued.merge(&tally.issued);
-        report.hits += tally.hits;
-        report.misses += tally.misses;
-        report.cas_ok += tally.cas_ok;
-        report.cas_fail += tally.cas_fail;
-        report.deleted += tally.deleted;
+    for (_, [serves, fallbacks, redirects, lost, stale]) in tallies {
         report.replica_serves += serves;
         report.fallbacks += fallbacks;
         report.redirects += redirects;

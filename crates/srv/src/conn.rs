@@ -12,14 +12,14 @@
 
 use core::cell::RefCell;
 
-use ssync_mp::{Message, MsgReceiver, MsgSender, Receiver, Sender, MSG_WORDS};
+use ssync_mp::{Message, MsgReceiver, MsgSender, RingReceiver, RingSender, MSG_WORDS};
 
 use crate::wire::{Request, Response, WireError};
 
 /// One `(request sender, reply receiver)` pair to one server. The
 /// halves are public: raw frames can be put on (or taken off) the
 /// rings directly, which is how tests inject corrupt traffic.
-pub struct Conn<S: MsgSender = Sender, C: MsgReceiver = Receiver> {
+pub struct Conn<S: MsgSender = RingSender, C: MsgReceiver = RingReceiver> {
     /// The request channel's sending half.
     pub tx: S,
     /// The reply channel's receiving half.

@@ -17,9 +17,8 @@
 //! * [`conn`] — the one disconnect-aware client connection every
 //!   client in the tree is built over;
 //! * [`service`] — the channel mesh, the plain shard server and the
-//!   [`service::ServiceClient`] round-trip API — generic over the
-//!   transport (one-line channels or bounded rings, with pipelined
-//!   reads on the latter);
+//!   [`service::ServiceClient`] round-trip API over bounded rings,
+//!   with pipelined reads;
 //! * [`workload`] — a deterministic workload engine: seeded zipfian and
 //!   uniform key distributions, YCSB-style read/write mixes, value-size
 //!   distributions, a closed-loop driver, and an open-loop driver with
@@ -34,11 +33,11 @@
 //!
 //! ```
 //! use ssync_srv::router::ShardRouter;
-//! use ssync_srv::service::{serve, wire_mesh};
+//! use ssync_srv::service::{ring_mesh, serve};
 //! use ssync_locks::TicketLock;
 //!
 //! let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-//! let (endpoints, mut clients) = wire_mesh(router.num_shards(), 1);
+//! let (endpoints, mut clients) = ring_mesh(router.num_shards(), 1, 8);
 //! std::thread::scope(|s| {
 //!     for (shard, endpoint) in endpoints.into_iter().enumerate() {
 //!         let store = router.shard(shard);
@@ -62,9 +61,9 @@ pub mod workload;
 pub use conn::Conn;
 pub use node::{Admit, Hooks, NoHooks, NodeCore, Poll};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
-pub use service::{ring_mesh, serve, wire_mesh, wire_mesh_with, KvClient, ServiceClient};
+pub use service::{ring_mesh, serve, KvClient, ServiceClient};
 pub use wire::{Request, Response, WireError, NO_LEADER};
 pub use workload::{
     run_open_loop, KeyDist, Mix, Op, OpStream, OpenLoopReport, OpenLoopSpec, PoissonArrivals,
-    Transport, ValueSize, WorkloadReport, WorkloadSpec,
+    ValueSize, WorkloadReport, WorkloadSpec,
 };

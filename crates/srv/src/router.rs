@@ -13,7 +13,7 @@
 
 use bytes::Bytes;
 
-use ssync_kv::{KvStore, ReadPath, StatsSnapshot};
+use ssync_kv::{KvStore, StatsSnapshot};
 use ssync_locks::RawLock;
 
 /// The shard a key routes to, out of `shards`.
@@ -77,26 +77,10 @@ impl<R: RawLock + Default> ShardRouter<R> {
     /// Panics if `shards` is zero, or on invalid `buckets`/`stripes`
     /// (see [`KvStore::new`]).
     pub fn new(shards: usize, buckets: usize, stripes: usize) -> Self {
-        Self::with_read_path(shards, buckets, stripes, ReadPath::default())
-    }
-
-    /// As [`ShardRouter::new`], with an explicit read protocol for
-    /// every shard store ([`ReadPath::Locked`] is the every-read-locks
-    /// benchmark baseline).
-    ///
-    /// # Panics
-    ///
-    /// As [`ShardRouter::new`].
-    pub fn with_read_path(
-        shards: usize,
-        buckets: usize,
-        stripes: usize,
-        read_path: ReadPath,
-    ) -> Self {
         assert!(shards > 0);
         Self {
             shards: (0..shards)
-                .map(|_| KvStore::with_read_path(buckets, stripes, read_path))
+                .map(|_| KvStore::new(buckets, stripes))
                 .collect(),
         }
     }

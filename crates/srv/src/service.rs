@@ -8,34 +8,31 @@
 //! hash routing, the pipelined read path and the per-shard batching of
 //! [`ServiceClient::get_many`].
 //!
-//! The service is **generic over the transport**: [`wire_mesh`] builds
-//! it on the paper-calibrated one-line channels, [`ring_mesh`] on
-//! bounded SPSC rings ([`ssync_mp::ring_channel`]). The one-line
-//! flavour keeps the documented single-cache-line cost model — but on
-//! an oversubscribed host it costs a context-switch pair per *frame*,
-//! which is why the ring flavour exists: a server writes a whole
-//! multi-frame reply and moves on, and a client can **pipeline** reads
-//! ([`ServiceClient::send_get`] / [`ServiceClient::read_get_reply`]).
+//! The mesh is built on bounded SPSC rings ([`ssync_mp::ring_channel`]):
+//! a server writes a whole multi-frame reply and moves on, and a client
+//! can **pipeline** reads ([`ServiceClient::send_get`] /
+//! [`ServiceClient::read_get_reply`]). The endpoint, client and
+//! connection types stay generic over the channel halves
+//! ([`MsgSender`] / [`MsgReceiver`], defaulting to the ring's) because
+//! code outside the workspace members names them with explicit halves;
+//! nothing in the tree instantiates them on anything but rings.
 //!
-//! Flow control per flavour:
-//!
-//! * One-line: a client has at most one request outstanding per shard
-//!   ([`ServiceClient::get_many`] exploits exactly that — one multi-get
-//!   per shard in flight, replies drained shard by shard), and a
-//!   server finishes every reply frame of a request before polling for
-//!   the next, so the system cannot deadlock on full buffers.
-//! * Ring: a pipelining client keeps at most `window` one-frame read
-//!   requests outstanding per shard, with `window` at most the ring
-//!   depth — its request sends therefore never block, so the only
-//!   blocking edges run server→client (reply rings), and the one
-//!   client of a full reply ring is by construction draining it.
+//! Flow control: a pipelining client keeps at most `window` one-frame
+//! read requests outstanding per shard, with `window` at most the ring
+//! depth — its request sends therefore never block, so the only
+//! blocking edges run server→client (reply rings), and the one client
+//! of a full reply ring is by construction draining it. The blocking
+//! calls hold the same discipline at any depth, down to 1: a client
+//! has at most one request outstanding per shard
+//! ([`ServiceClient::get_many`] exploits exactly that — one multi-get
+//! per shard in flight, replies drained shard by shard), and a server
+//! finishes every reply frame of a request before polling for the
+//! next, so the system cannot deadlock on full buffers.
 
 use ssync_core::stats::RegistrySnapshot;
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
-use ssync_mp::{
-    channel, ring_channel, MsgReceiver, MsgSender, Receiver, RingReceiver, RingSender, Sender,
-};
+use ssync_mp::{ring_channel, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
 use crate::conn::Conn;
 use crate::node::{NoHooks, NodeCore, Poll};
@@ -44,16 +41,15 @@ pub use crate::wire::ReadHit;
 use crate::wire::{Request, WireError, MGET_MAX};
 
 /// A server's side of the channel mesh: one request receiver and one
-/// reply sender per client, index-aligned. Generic over the transport;
-/// defaults name the one-line flavour.
-pub struct ServerEndpoint<C: MsgReceiver = Receiver, S: MsgSender = Sender> {
+/// reply sender per client, index-aligned.
+pub struct ServerEndpoint<C: MsgReceiver = RingReceiver, S: MsgSender = RingSender> {
     pub(crate) requests: Vec<C>,
     pub(crate) replies: Vec<S>,
 }
 
 /// A client's side of the channel mesh: one [`Conn`] per server, with
 /// static hash routing over them.
-pub struct ServiceClient<S: MsgSender = Sender, C: MsgReceiver = Receiver> {
+pub struct ServiceClient<S: MsgSender = RingSender, C: MsgReceiver = RingReceiver> {
     shards: Vec<Conn<S, C>>,
 }
 
@@ -97,24 +93,22 @@ pub trait KvClient {
     fn delete(&self, key: u64) -> Result<Option<u64>, WireError>;
 }
 
-/// What a mesh constructor returns: element `s` of the first vector
-/// serves shard `s`, element `c` of the second belongs to client `c`.
-pub type Mesh<S, C> = (Vec<ServerEndpoint<C, S>>, Vec<ServiceClient<S, C>>);
+/// What [`ring_mesh`] returns: element `s` of the first vector serves
+/// shard `s`, element `c` of the second belongs to client `c`.
+pub type Mesh = (Vec<ServerEndpoint>, Vec<ServiceClient>);
 
 /// Builds the full channel mesh for `shards` servers × `clients`
-/// clients over any transport: `make` constructs one directed channel
-/// per call (two per client-shard pair — request and reply).
+/// clients: one request ring and one reply ring of `depth` slots per
+/// client-shard pair. Queue depth amortizes scheduler handoffs across a
+/// whole burst of frames and enables the pipelined read path.
 ///
 /// # Panics
 ///
-/// Panics if `shards` or `clients` is zero.
-pub fn wire_mesh_with<S: MsgSender, C: MsgReceiver>(
-    shards: usize,
-    clients: usize,
-    mut make: impl FnMut() -> (S, C),
-) -> Mesh<S, C> {
+/// Panics if `shards` or `clients` is zero, or if `depth` is not a
+/// positive power of two.
+pub fn ring_mesh(shards: usize, clients: usize, depth: usize) -> Mesh {
     assert!(shards > 0 && clients > 0);
-    let mut endpoints: Vec<ServerEndpoint<C, S>> = (0..shards)
+    let mut endpoints: Vec<ServerEndpoint> = (0..shards)
         .map(|_| ServerEndpoint {
             requests: Vec::with_capacity(clients),
             replies: Vec::with_capacity(clients),
@@ -124,8 +118,8 @@ pub fn wire_mesh_with<S: MsgSender, C: MsgReceiver>(
     for _ in 0..clients {
         let mut per_shard = Vec::with_capacity(shards);
         for endpoint in endpoints.iter_mut() {
-            let (req_tx, req_rx) = make();
-            let (rep_tx, rep_rx) = make();
+            let (req_tx, req_rx) = ring_channel(depth);
+            let (rep_tx, rep_rx) = ring_channel(depth);
             endpoint.requests.push(req_rx);
             endpoint.replies.push(rep_tx);
             per_shard.push(Conn::new(req_tx, rep_rx));
@@ -133,26 +127,6 @@ pub fn wire_mesh_with<S: MsgSender, C: MsgReceiver>(
         service_clients.push(ServiceClient { shards: per_shard });
     }
     (endpoints, service_clients)
-}
-
-/// [`wire_mesh_with`] on the paper-calibrated one-line channels — the
-/// default transport, whose cost model (one cache-line transfer per
-/// frame) is the one the figures calibrate.
-pub fn wire_mesh(shards: usize, clients: usize) -> Mesh<Sender, Receiver> {
-    wire_mesh_with(shards, clients, channel)
-}
-
-/// [`wire_mesh_with`] on bounded SPSC rings of `depth` slots: the
-/// transport for oversubscribed hosts, where queue depth amortizes
-/// scheduler handoffs across a whole burst of frames and enables the
-/// pipelined read path.
-///
-/// # Panics
-///
-/// Panics if `shards` or `clients` is zero, or if `depth` is not a
-/// positive power of two.
-pub fn ring_mesh(shards: usize, clients: usize, depth: usize) -> Mesh<RingSender, RingReceiver> {
-    wire_mesh_with(shards, clients, || ring_channel(depth))
 }
 
 /// What one shard server did before all its clients stopped.
@@ -415,32 +389,18 @@ mod tests {
     use ssync_locks::TicketLock;
 
     /// Runs `body` with `clients` live clients against a served router
-    /// on the one-line transport.
-    fn with_service<F>(shards: usize, clients: usize, body: F) -> ShardRouter<TicketLock>
-    where
-        F: FnOnce(Vec<ServiceClient>) + Send,
-    {
-        let router: ShardRouter<TicketLock> = ShardRouter::new(shards, 64, 8);
-        let (endpoints, service_clients) = wire_mesh(shards, clients);
-        std::thread::scope(|s| {
-            for (shard, endpoint) in endpoints.into_iter().enumerate() {
-                let store = router.shard(shard);
-                s.spawn(move || serve(store, endpoint));
-            }
-            body(service_clients);
-        });
-        router
-    }
-
-    /// As [`with_service`], over the ring transport.
-    fn with_ring_service<F>(
+    /// over rings of `depth` slots. Depth 1 is the tightest flow
+    /// control the mesh allows: one frame in flight per direction, so
+    /// the tests on it prove the blocking calls cannot deadlock on full
+    /// buffers.
+    fn with_service<F>(
         shards: usize,
         clients: usize,
         depth: usize,
         body: F,
     ) -> ShardRouter<TicketLock>
     where
-        F: FnOnce(Vec<ServiceClient<RingSender, RingReceiver>>) + Send,
+        F: FnOnce(Vec<ServiceClient>) + Send,
     {
         let router: ShardRouter<TicketLock> = ShardRouter::new(shards, 64, 8);
         let (endpoints, service_clients) = ring_mesh(shards, clients, depth);
@@ -456,7 +416,7 @@ mod tests {
 
     #[test]
     fn end_to_end_single_client() {
-        let router = with_service(2, 1, |mut clients| {
+        let router = with_service(2, 1, 1, |mut clients| {
             let client = clients.pop().unwrap();
             assert!(client.get(1).unwrap().is_none());
             let v1 = client.set(1, b"one".to_vec()).unwrap();
@@ -477,7 +437,7 @@ mod tests {
 
     #[test]
     fn end_to_end_on_rings() {
-        let router = with_ring_service(2, 2, 16, |clients| {
+        let router = with_service(2, 2, 16, |clients| {
             std::thread::scope(|s| {
                 for (c, client) in clients.into_iter().enumerate() {
                     s.spawn(move || {
@@ -499,7 +459,7 @@ mod tests {
 
     #[test]
     fn pipelined_reads_drain_in_order() {
-        with_ring_service(3, 1, 32, |mut clients| {
+        with_service(3, 1, 32, |mut clients| {
             let client = clients.pop().unwrap();
             for key in 0..64u64 {
                 client.set(key, key.to_be_bytes().to_vec()).unwrap();
@@ -530,7 +490,7 @@ mod tests {
 
     #[test]
     fn long_values_cross_the_wire_intact() {
-        with_service(2, 1, |mut clients| {
+        with_service(2, 1, 1, |mut clients| {
             let client = clients.pop().unwrap();
             let value: Vec<u8> = (0..700).map(|i| (i % 256) as u8).collect();
             client.set(9, value.clone()).unwrap();
@@ -542,7 +502,7 @@ mod tests {
 
     #[test]
     fn long_values_cross_the_rings_intact() {
-        with_ring_service(2, 1, 8, |mut clients| {
+        with_service(2, 1, 8, |mut clients| {
             let client = clients.pop().unwrap();
             let value: Vec<u8> = (0..700).map(|i| (i % 251) as u8).collect();
             client.set(9, value.clone()).unwrap();
@@ -554,7 +514,7 @@ mod tests {
 
     #[test]
     fn multi_get_spans_shards_and_batches() {
-        with_service(3, 1, |mut clients| {
+        with_service(3, 1, 1, |mut clients| {
             let client = clients.pop().unwrap();
             for key in 0..40u64 {
                 client.set(key, key.to_be_bytes().to_vec()).unwrap();
@@ -577,7 +537,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_share_the_service() {
-        let router = with_service(2, 3, |service_clients| {
+        let router = with_service(2, 3, 1, |service_clients| {
             std::thread::scope(|s| {
                 for (c, client) in service_clients.into_iter().enumerate() {
                     s.spawn(move || {
@@ -599,7 +559,7 @@ mod tests {
 
     #[test]
     fn empty_multi_get_is_a_no_op() {
-        with_service(1, 1, |mut clients| {
+        with_service(1, 1, 1, |mut clients| {
             let client = clients.pop().unwrap();
             assert!(client.get_many(&[]).unwrap().is_empty());
             client.close();
@@ -610,7 +570,7 @@ mod tests {
     /// shard whose server thread is gone must error, not spin forever.
     #[test]
     fn dead_server_surfaces_as_disconnected_not_a_hang() {
-        let (endpoints, mut clients) = wire_mesh(1, 1);
+        let (endpoints, mut clients) = ring_mesh(1, 1, 1);
         drop(endpoints); // The "server" dies before serving anything.
         let client = clients.pop().unwrap();
         assert_eq!(client.get(1), Err(WireError::Disconnected));
@@ -618,8 +578,8 @@ mod tests {
         assert_eq!(client.get_many(&[1, 2, 3]), Err(WireError::Disconnected));
         client.close(); // Must not hang either.
 
-        // Ring flavour: queued requests fit the ring, so the send side
-        // succeeds and the *reply* read reports the dead peer.
+        // Deeper rings: queued requests fit, so the send side succeeds
+        // and the *reply* read reports the dead peer.
         let (endpoints, mut clients) = ring_mesh(1, 1, 8);
         drop(endpoints);
         let client = clients.pop().unwrap();
@@ -632,7 +592,7 @@ mod tests {
     fn live_stats_scrape_reads_a_serving_node_under_load() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let stop = AtomicBool::new(false);
-        with_service(1, 2, |mut clients| {
+        with_service(1, 2, 1, |mut clients| {
             let prober = clients.pop().unwrap();
             let worker = clients.pop().unwrap();
             std::thread::scope(|s| {
@@ -679,7 +639,7 @@ mod tests {
 
     #[test]
     fn corrupt_frame_gets_malformed_reply_and_server_survives() {
-        with_service(1, 1, |mut clients| {
+        with_service(1, 1, 1, |mut clients| {
             let client = clients.pop().unwrap();
             // Inject a garbage head frame straight onto the request
             // channel, bypassing the typed encoder.
@@ -746,7 +706,7 @@ mod tests {
     #[test]
     fn oversized_values_are_errors_not_panics() {
         use crate::wire::MAX_VALUE_LEN;
-        with_service(1, 1, |mut clients| {
+        with_service(1, 1, 1, |mut clients| {
             let client = clients.pop().unwrap();
             let refused = WireError::ValueTooLong(MAX_VALUE_LEN + 1);
             let big = vec![0; MAX_VALUE_LEN + 1];

@@ -36,36 +36,8 @@ use ssync_locks::RawLock;
 use ssync_mp::{MsgReceiver, MsgSender};
 
 use crate::router::{shard_of, ShardRouter};
-use crate::service::{ring_mesh, serve, wire_mesh, KvClient, Mesh, ServiceClient};
+use crate::service::{ring_mesh, serve, KvClient, ServiceClient};
 use crate::wire::MAX_VALUE_LEN;
-
-/// Which channel flavour carries a closed-loop run's traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// The paper-calibrated one-line channels: one message in flight
-    /// per direction, the strictly request/reply client.
-    OneLine,
-    /// Bounded SPSC rings of `depth` slots, with clients pipelining up
-    /// to `window` reads in flight across their shards
-    /// ([`drive_worker_pipelined`]). `window` must not exceed `depth`
-    /// (the no-blocking-sends discipline of the pipelined client).
-    Ring {
-        /// Ring depth in message slots (positive power of two).
-        depth: usize,
-        /// Maximum reads in flight per client across all shards.
-        window: usize,
-    },
-}
-
-impl Transport {
-    /// Short display name for benchmark labels.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Transport::OneLine => "oneline",
-            Transport::Ring { .. } => "ring",
-        }
-    }
-}
 
 /// Largest read batch the engine will emit. Batches wider than one
 /// multi-get frame are split into frame-sized chunks by the clients —
@@ -174,6 +146,12 @@ impl ValueSize {
         assert!(len <= MAX_VALUE_LEN, "value size exceeds MAX_VALUE_LEN");
         len
     }
+
+    /// Draws one value: a sampled length, then that many random bytes.
+    fn draw(&self, rng: &mut SmallRng) -> Vec<u8> {
+        let len = self.sample(rng);
+        (0..len).map(|_| rng.gen::<u8>()).collect()
+    }
 }
 
 /// A full workload description. `Copy` on purpose: benchmark sweeps
@@ -205,6 +183,15 @@ impl WorkloadSpec {
             batch: 1,
             seed: 0x5EED,
         }
+    }
+
+    /// The seeded preload every driver starts from: one `(key, value)`
+    /// per key of the keyspace, in key order, a pure function of
+    /// `(seed, keys, vsize)`.
+    pub fn preload_values(&self) -> impl Iterator<Item = (u64, Vec<u8>)> {
+        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let vsize = self.vsize;
+        (0..self.keys).map(move |key| (key, vsize.draw(&mut rng)))
     }
 }
 
@@ -356,8 +343,7 @@ impl OpStream {
     }
 
     fn next_value(&mut self) -> Vec<u8> {
-        let len = self.spec.vsize.sample(&mut self.rng);
-        (0..len).map(|_| self.rng.gen::<u8>()).collect()
+        self.spec.vsize.draw(&mut self.rng)
     }
 
     /// The next operation. Reads coalesce into batches of
@@ -446,6 +432,20 @@ pub struct Tally {
     pub deleted: u64,
 }
 
+impl Tally {
+    /// Field-wise sum, for aggregating workers.
+    pub fn merge(&self, other: &Tally) -> Tally {
+        Tally {
+            issued: self.issued.merge(&other.issued),
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            cas_ok: self.cas_ok + other.cas_ok,
+            cas_fail: self.cas_fail + other.cas_fail,
+            deleted: self.deleted + other.deleted,
+        }
+    }
+}
+
 /// Issues one op through the blocking round-trip API, recording it in
 /// the tally — the shared leg of the sequential and pipelined drivers.
 ///
@@ -512,7 +512,7 @@ pub fn drive_worker<C: KvClient>(client: &C, mut stream: OpStream, ops: u64) -> 
     tally
 }
 
-/// The pipelined closed loop for ring transports: plain reads are
+/// The pipelined closed loop: plain reads are
 /// fired without waiting ([`ServiceClient::send_get`]) and their
 /// replies drained in arrival order once `window` are in flight, so a
 /// read-heavy worker hands the core over once per *window* instead of
@@ -584,135 +584,77 @@ pub fn drive_worker_pipelined<S: MsgSender, C: MsgReceiver>(
     tally
 }
 
-/// The spawn/serve/join choreography shared by both transports: one
-/// server thread per shard, one client thread per worker (each driven
-/// by `driver`, which closes over transport specifics like the
-/// pipeline window), tallies joined in worker order.
-fn drive_mesh<R, S, C, F>(
+/// Runs the full closed-loop experiment: preload the keyspace, spawn
+/// one server thread per shard and `workers` client threads over rings
+/// of `depth` slots, drive `ops_per_worker` key-operations per client
+/// with up to `window` plain reads in flight
+/// ([`drive_worker_pipelined`]), and report.
+///
+/// Issued op counts are deterministic in `(spec, workers,
+/// ops_per_worker)` — `depth` and `window` change timing, never the op
+/// streams; wall time and the hit/miss split of mixes with deletes are
+/// load-dependent.
+///
+/// # Panics
+///
+/// Panics if `workers` is zero, or if `window` is zero or exceeds
+/// `depth` (the no-blocking-sends discipline of the pipelined client).
+pub fn run_closed_loop<R: RawLock + Default>(
     router: &ShardRouter<R>,
     spec: &WorkloadSpec,
+    workers: usize,
     ops_per_worker: u64,
-    mesh: Mesh<S, C>,
-    driver: F,
-) -> Vec<Tally>
-where
-    R: RawLock + Default,
-    S: MsgSender + Send,
-    C: MsgReceiver + Send,
-    F: Fn(&ServiceClient<S, C>, OpStream, u64) -> Tally + Sync,
-{
-    let (endpoints, service_clients) = mesh;
-    let mut tallies = Vec::with_capacity(service_clients.len());
+    depth: usize,
+    window: usize,
+) -> WorkloadReport {
+    assert!(workers > 0);
+    assert!(
+        window >= 1 && window <= depth,
+        "ring window {window} must be in 1..=depth ({depth})"
+    );
+    // Preload directly through the router: every key present.
+    for (key, value) in spec.preload_values() {
+        router.set(key, value);
+    }
+    let before = router.stats_snapshot();
+
+    let (endpoints, service_clients) = ring_mesh(router.num_shards(), workers, depth);
+    let start = Instant::now();
+    let mut total = Tally::default();
     std::thread::scope(|s| {
         for (shard, endpoint) in endpoints.into_iter().enumerate() {
             let store = router.shard(shard);
             s.spawn(move || serve(store, endpoint));
         }
-        let driver = &driver;
         let handles: Vec<_> = service_clients
             .into_iter()
             .enumerate()
             .map(|(worker, client)| {
                 let stream = OpStream::new(spec, worker as u64);
                 s.spawn(move || {
-                    let tally = driver(&client, stream, ops_per_worker);
+                    let tally = drive_worker_pipelined(&client, stream, ops_per_worker, window);
                     client.close();
                     tally
                 })
             })
             .collect();
-        tallies.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked")),
-        );
+        for handle in handles {
+            total = total.merge(&handle.join().expect("worker panicked"));
+        }
     });
-    tallies
-}
-
-/// Runs the full closed-loop experiment on the one-line transport:
-/// preload the keyspace, spawn one server thread per shard and
-/// `workers` client threads, drive `ops_per_worker` key-operations per
-/// client, and report.
-///
-/// Issued op counts are deterministic in `(spec, workers,
-/// ops_per_worker)`; wall time and the hit/miss split of mixes with
-/// deletes are load-dependent.
-pub fn run_closed_loop<R: RawLock + Default>(
-    router: &ShardRouter<R>,
-    spec: &WorkloadSpec,
-    workers: usize,
-    ops_per_worker: u64,
-) -> WorkloadReport {
-    run_closed_loop_on(router, spec, workers, ops_per_worker, Transport::OneLine)
-}
-
-/// [`run_closed_loop`] with an explicit [`Transport`]. The op streams
-/// (and therefore the issued counts) are identical across transports;
-/// rings additionally pipeline plain reads through
-/// [`drive_worker_pipelined`].
-///
-/// # Panics
-///
-/// Panics if `workers` is zero, or on a [`Transport::Ring`] whose
-/// `window` is zero or exceeds its `depth`.
-pub fn run_closed_loop_on<R: RawLock + Default>(
-    router: &ShardRouter<R>,
-    spec: &WorkloadSpec,
-    workers: usize,
-    ops_per_worker: u64,
-    transport: Transport,
-) -> WorkloadReport {
-    assert!(workers > 0);
-    if let Transport::Ring { depth, window } = transport {
-        assert!(
-            window >= 1 && window <= depth,
-            "ring window {window} must be in 1..=depth ({depth})"
-        );
-    }
-    // Preload directly through the router: every key present.
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    for key in 0..spec.keys {
-        let len = spec.vsize.sample(&mut rng);
-        let value: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
-        router.set(key, value);
-    }
-    let before = router.stats_snapshot();
-
-    let start = Instant::now();
-    let tallies = match transport {
-        Transport::OneLine => drive_mesh(
-            router,
-            spec,
-            ops_per_worker,
-            wire_mesh(router.num_shards(), workers),
-            drive_worker,
-        ),
-        Transport::Ring { depth, window } => drive_mesh(
-            router,
-            spec,
-            ops_per_worker,
-            ring_mesh(router.num_shards(), workers, depth),
-            move |client, stream, ops| drive_worker_pipelined(client, stream, ops, window),
-        ),
-    };
     let wall = start.elapsed();
     let after = router.stats_snapshot();
 
-    let mut report = WorkloadReport {
+    WorkloadReport {
+        issued: total.issued,
+        hits: total.hits,
+        misses: total.misses,
+        cas_ok: total.cas_ok,
+        cas_fail: total.cas_fail,
+        deleted: total.deleted,
         wall,
         store: after.delta(&before),
-        ..WorkloadReport::default()
-    };
-    for t in tallies {
-        report.issued = report.issued.merge(&t.issued);
-        report.hits += t.hits;
-        report.misses += t.misses;
-        report.cas_ok += t.cas_ok;
-        report.cas_fail += t.cas_fail;
-        report.deleted += t.deleted;
     }
-    report
 }
 
 /// A deterministic Poisson arrival process: exponential inter-arrival
@@ -982,10 +924,7 @@ pub fn run_open_loop<R: RawLock + Default>(
     let mean_ns = spec.workers as f64 * 1e9 / spec.offered_ops_per_sec;
 
     // Preload directly through the router: every key present.
-    let mut rng = SmallRng::seed_from_u64(spec.workload.seed);
-    for key in 0..spec.workload.keys {
-        let len = spec.workload.vsize.sample(&mut rng);
-        let value: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
+    for (key, value) in spec.workload.preload_values() {
         router.set(key, value);
     }
     let before = router.stats_snapshot();
@@ -1173,7 +1112,7 @@ mod tests {
             mix: Mix::YCSB_A,
             ..WorkloadSpec::example()
         };
-        let report = run_closed_loop(&router, &spec, 2, 500);
+        let report = run_closed_loop(&router, &spec, 2, 500, 16, 4);
         assert!(report.issued.total() >= 1000);
         // YCSB-A over a preloaded keyspace with no deletes: every read
         // hits.
@@ -1185,35 +1124,27 @@ mod tests {
 
         // Op counts replay exactly on a fresh router.
         let router2: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let report2 = run_closed_loop(&router2, &spec, 2, 500);
+        let report2 = run_closed_loop(&router2, &spec, 2, 500, 16, 4);
         assert_eq!(report.issued, report2.issued);
         assert_eq!(report.hits, report2.hits);
     }
 
     #[test]
-    fn ring_transport_matches_oneline_results() {
-        // Same spec, both transports: the issued streams are identical
-        // by construction, and on a delete-free mix the observed
-        // hit/miss and CAS tallies must match too — pipelining
-        // reorders nothing a single worker can see.
+    fn pipelining_window_does_not_change_results() {
+        // Same spec at window 1 (every read drained before the next op:
+        // the sequential driver's behaviour) and window 8: the issued
+        // streams are identical by construction, and on a delete-free
+        // mix the observed hit/miss tallies must match too —
+        // pipelining reorders nothing a single worker can see.
         let spec = WorkloadSpec {
             keys: 256,
             mix: Mix::YCSB_B,
             ..WorkloadSpec::example()
         };
-        let oneline: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let base = run_closed_loop(&oneline, &spec, 2, 400);
-        let ring: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let piped = run_closed_loop_on(
-            &ring,
-            &spec,
-            2,
-            400,
-            Transport::Ring {
-                depth: 32,
-                window: 8,
-            },
-        );
+        let serial: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
+        let base = run_closed_loop(&serial, &spec, 2, 400, 32, 1);
+        let pipelined: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
+        let piped = run_closed_loop(&pipelined, &spec, 2, 400, 32, 8);
         assert_eq!(base.issued, piped.issued);
         assert_eq!(base.hits, piped.hits);
         assert_eq!(base.misses, piped.misses);
@@ -1221,7 +1152,7 @@ mod tests {
         // Both stores converge to identical contents (same versions:
         // single-writer-per-key is not guaranteed here, but set counts
         // per key are, and YCSB-B only sets).
-        assert_eq!(oneline.len(), ring.len());
+        assert_eq!(serial.len(), pipelined.len());
     }
 
     #[test]
@@ -1234,30 +1165,12 @@ mod tests {
             ..WorkloadSpec::example()
         };
         let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let report = run_closed_loop_on(
-            &router,
-            &spec,
-            2,
-            300,
-            Transport::Ring {
-                depth: 16,
-                window: 16,
-            },
-        );
+        let report = run_closed_loop(&router, &spec, 2, 300, 16, 16);
         assert_eq!(report.issued.total(), 600);
         assert!(report.issued.deletes > 0 && report.issued.cas > 0);
         // Replays exactly.
         let router2: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let report2 = run_closed_loop_on(
-            &router2,
-            &spec,
-            2,
-            300,
-            Transport::Ring {
-                depth: 16,
-                window: 16,
-            },
-        );
+        let report2 = run_closed_loop(&router2, &spec, 2, 300, 16, 16);
         assert_eq!(report.issued, report2.issued);
     }
 
@@ -1357,15 +1270,6 @@ mod tests {
     fn ring_window_beyond_depth_rejected() {
         let router: ShardRouter<TicketLock> = ShardRouter::new(1, 64, 8);
         let spec = WorkloadSpec::example();
-        let _ = run_closed_loop_on(
-            &router,
-            &spec,
-            1,
-            10,
-            Transport::Ring {
-                depth: 8,
-                window: 9,
-            },
-        );
+        let _ = run_closed_loop(&router, &spec, 1, 10, 8, 9);
     }
 }

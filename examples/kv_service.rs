@@ -1,5 +1,5 @@
 //! The sharded KV service end to end: per-shard server threads over
-//! `ssync-mp` channels, shard routing over `ssync-kv` stores, and the
+//! `ssync-mp` rings, shard routing over `ssync-kv` stores, and the
 //! deterministic workload engine driving it — the serving layer the
 //! paper's Section 6.4 Memcached experiment points toward.
 //!
@@ -7,10 +7,10 @@
 
 use ssync::locks::{McsLock, TicketLock};
 use ssync::srv::router::ShardRouter;
-use ssync::srv::service::{serve, wire_mesh};
-use ssync::srv::workload::{run_closed_loop_on, KeyDist, Mix, Transport, ValueSize, WorkloadSpec};
+use ssync::srv::service::{ring_mesh, serve};
+use ssync::srv::workload::{run_closed_loop, KeyDist, Mix, ValueSize, WorkloadSpec};
 
-fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix, transport: Transport) {
+fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix) {
     let router: ShardRouter<R> = ShardRouter::new(4, 256, 16);
     let spec = WorkloadSpec {
         keys: 1024,
@@ -21,11 +21,11 @@ fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix, transport: Tr
         seed: 7,
     };
     let workers = ssync::core::cores::test_threads(4);
-    let report = run_closed_loop_on(&router, &spec, workers, 2_000, transport);
+    // Rings of 64 slots, up to 16 plain reads in flight per client.
+    let report = run_closed_loop(&router, &spec, workers, 2_000, 64, 16);
     println!(
-        "{name:>8} {:>7} {:>7}: {:>8.0} ops/s, hit rate {:>5.1}%, {} maintenance passes",
+        "{name:>8} {:>7}: {:>8.0} ops/s, hit rate {:>5.1}%, {} maintenance passes",
         mix.name,
-        transport.label(),
         report.ops_per_sec(),
         report.hit_rate() * 100.0,
         report.store.maintenance_runs
@@ -35,7 +35,7 @@ fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix, transport: Tr
 fn main() {
     // Manual requests first: one client, two shards, TICKET locks.
     let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-    let (endpoints, mut clients) = wire_mesh(router.num_shards(), 1);
+    let (endpoints, mut clients) = ring_mesh(router.num_shards(), 1, 8);
     std::thread::scope(|s| {
         for (shard, endpoint) in endpoints.into_iter().enumerate() {
             let store = router.shard(shard);
@@ -64,19 +64,11 @@ fn main() {
         client.close();
     });
 
-    // Then the workload engine over two lock algorithms and both
-    // transports: the one-line channels are the paper's calibrated
-    // model, the rings pipeline reads and amortize scheduler handoffs
-    // (the stores read through the optimistic fast path either way).
-    let ring = Transport::Ring {
-        depth: 64,
-        window: 16,
-    };
+    // Then the workload engine over two lock algorithms: the rings
+    // pipeline reads and amortize scheduler handoffs, and the stores
+    // answer reads optimistically, falling back to the stripe lock.
     println!("\nclosed-loop YCSB over 4 shards, zipf 0.99:");
-    bench::<TicketLock>("TICKET", Mix::YCSB_B, Transport::OneLine);
-    bench::<TicketLock>("TICKET", Mix::YCSB_B, ring);
-    bench::<TicketLock>("TICKET", Mix::YCSB_A, Transport::OneLine);
-    bench::<TicketLock>("TICKET", Mix::YCSB_A, ring);
-    bench::<McsLock>("MCS", Mix::YCSB_B, Transport::OneLine);
-    bench::<McsLock>("MCS", Mix::YCSB_B, ring);
+    bench::<TicketLock>("TICKET", Mix::YCSB_B);
+    bench::<TicketLock>("TICKET", Mix::YCSB_A);
+    bench::<McsLock>("MCS", Mix::YCSB_B);
 }

@@ -13,10 +13,8 @@ use ssync::kv::KvStore;
 use ssync::locks::{AnyLock, HticketLock, Lock, LockKind, McsLock, RawLock, TicketLock};
 use ssync::mp::channel::channel;
 use ssync::srv::router::ShardRouter;
-use ssync::srv::service::{ring_mesh, serve, wire_mesh};
-use ssync::srv::workload::{
-    run_closed_loop, run_closed_loop_on, KeyDist, Mix, Transport, ValueSize, WorkloadSpec,
-};
+use ssync::srv::service::{ring_mesh, serve};
+use ssync::srv::workload::{run_closed_loop, KeyDist, Mix, ValueSize, WorkloadSpec};
 use ssync::tm::shared::TmHeap;
 
 #[test]
@@ -153,14 +151,15 @@ fn busy_spin_ping_pong_makes_wall_clock_progress() {
 
 #[test]
 fn sharded_service_composes_locks_mp_and_kv() {
-    // The full serving stack: client threads -> ssync-mp channels ->
+    // The full serving stack: client threads -> ssync-mp rings ->
     // per-shard server threads -> KvStore shards under MCS locks. The
     // first place locks, message passing, and the store meet under one
-    // load; thread counts scale to the host.
+    // load; thread counts scale to the host. Depth-1 rings: one frame
+    // in flight per direction, the tightest flow control there is.
     let clients = test_threads(3);
     let shards = 2;
     let router: ShardRouter<McsLock> = ShardRouter::new(shards, 64, 8);
-    let (endpoints, service_clients) = wire_mesh(shards, clients);
+    let (endpoints, service_clients) = ring_mesh(shards, clients, 1);
     std::thread::scope(|s| {
         for (shard, endpoint) in endpoints.into_iter().enumerate() {
             let store = router.shard(shard);
@@ -189,10 +188,10 @@ fn sharded_service_composes_locks_mp_and_kv() {
 
 #[test]
 fn sharded_service_runs_on_rings_with_pipelined_reads() {
-    // The same full-stack composition over the ring transport: the
-    // pipelined client keeps a window of reads in flight per shard and
-    // drains them FIFO, and the optimistic read path (the stores'
-    // default) answers without stripe-lock round-trips.
+    // The same full-stack composition over deep rings: the pipelined
+    // client keeps a window of reads in flight per shard and drains
+    // them FIFO, and the optimistic read path answers without
+    // stripe-lock round-trips.
     let clients = test_threads(3);
     let shards = 2;
     let router: ShardRouter<McsLock> = ShardRouter::new(shards, 64, 8);
@@ -239,10 +238,11 @@ fn sharded_service_runs_on_rings_with_pipelined_reads() {
 }
 
 #[test]
-fn ring_and_oneline_closed_loops_agree_on_ycsb() {
-    // Transport is a performance knob, not a semantics knob: on a
-    // delete-free mix both transports observe identical hit tallies
-    // and store-side set counts, for the same deterministic op stream.
+fn window_is_not_a_semantics_knob() {
+    // The pipelining window is a performance knob, not a semantics
+    // knob: on a delete-free mix, window 1 (strict request/reply) and
+    // window 8 observe identical hit tallies and store-side set
+    // counts, for the same deterministic op stream.
     let spec = WorkloadSpec {
         keys: 96,
         dist: KeyDist::Zipfian { theta: 0.99 },
@@ -253,21 +253,12 @@ fn ring_and_oneline_closed_loops_agree_on_ycsb() {
     };
     let workers = test_threads(2);
     let a: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-    let base = run_closed_loop(&a, &spec, workers, 250);
+    let serial = run_closed_loop(&a, &spec, workers, 250, 32, 1);
     let b: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-    let ring = run_closed_loop_on(
-        &b,
-        &spec,
-        workers,
-        250,
-        Transport::Ring {
-            depth: 32,
-            window: 8,
-        },
-    );
-    assert_eq!(base.issued, ring.issued);
-    assert_eq!((base.hits, base.misses), (ring.hits, ring.misses));
-    assert_eq!(base.store.sets, ring.store.sets);
+    let piped = run_closed_loop(&b, &spec, workers, 250, 32, 8);
+    assert_eq!(serial.issued, piped.issued);
+    assert_eq!((serial.hits, serial.misses), (piped.hits, piped.misses));
+    assert_eq!(serial.store.sets, piped.store.sets);
 }
 
 #[test]
@@ -285,7 +276,7 @@ fn closed_loop_workload_is_deterministic_in_op_counts() {
     };
     let run = || {
         let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        run_closed_loop(&router, &spec, 2, 300).issued
+        run_closed_loop(&router, &spec, 2, 300, 32, 8).issued
     };
     assert_eq!(run(), run());
 }
