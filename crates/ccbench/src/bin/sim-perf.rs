@@ -1,44 +1,30 @@
-//! `sim-perf`: the simulator's performance harness.
+//! `sim-perf`: the simulator's harness.
 //!
 //! Runs representative contended/uncontended workloads on all four
-//! platforms, prints an events/sec table, and writes `BENCH_sim.json`
-//! (the perf-trajectory artifact) unless `--no-write` is given.
+//! platforms, prints an events/sec table (host-measured), and rewrites
+//! `BENCH_sim.json`, which holds the event and op counts — the part
+//! that replays exactly.
 //!
 //! ```text
-//! sim-perf [--smoke] [--out PATH] [--no-write]
+//! sim-perf [--check]
 //! ```
 //!
-//! `--smoke` shrinks the simulated window ~20x so CI can keep the
-//! harness alive in seconds; smoke runs never overwrite the default
-//! `BENCH_sim.json` unless an explicit `--out` is given.
+//! `--check` regenerates the artifact and byte-compares it against the
+//! committed file instead of writing, printing the first differing
+//! line and exiting 1 — CI runs this. Anything else exits 2 with the
+//! usage line.
 
-use ssync_ccbench::cli;
-use ssync_ccbench::perf::{render_json, render_table, run_suite, PERF_WINDOW, SMOKE_WINDOW};
+use std::process::ExitCode;
 
-/// Frozen historical record: wall time of `cargo run --release --bin
-/// repro-all` on the dev machine *before* the wait-list +
-/// memoized-table engine work. Written into BENCH_sim.json under
-/// `repro_all_waitlist_pr` as a one-off anchor, never remeasured here
-/// (see EXPERIMENTS.md).
-const REPRO_ALL_BEFORE_S: f64 = 140.0;
+use ssync_ccbench::cli::Artifact;
+use ssync_ccbench::perf::{render_json, render_table, run_suite, PERF_WINDOW};
 
-/// The matching measurement immediately after the engine work, same
-/// machine — historical, like `REPRO_ALL_BEFORE_S`.
-const REPRO_ALL_AFTER_S: f64 = 14.0;
+fn main() -> ExitCode {
+    let artifact = Artifact::from_env("sim-perf", "BENCH_sim.json");
 
-fn main() {
-    let args = cli::from_env("sim-perf", false);
-    let smoke = args.smoke;
-
-    let window = if smoke { SMOKE_WINDOW } else { PERF_WINDOW };
-    eprintln!(
-        "sim-perf: window = {window} cycles{}",
-        if smoke { " (smoke mode)" } else { "" }
-    );
-    let results = run_suite(window);
+    eprintln!("sim-perf: window = {PERF_WINDOW} cycles");
+    let results = run_suite(PERF_WINDOW);
     print!("{}", render_table(&results));
 
-    args.write_artifact("BENCH_sim.json", || {
-        render_json(&results, REPRO_ALL_BEFORE_S, REPRO_ALL_AFTER_S)
-    });
+    artifact.settle(&render_json(&results))
 }

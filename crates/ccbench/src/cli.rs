@@ -1,109 +1,134 @@
 //! The one argument parser behind the perf binaries (`kv-perf`,
-//! `lat-perf`, `repl-perf`, `sim-perf`).
+//! `repl-perf`, `sim-perf`, `lat-perf`), and the one thing the first
+//! three do with their result.
 //!
 //! ```text
-//! <bin> [--smoke] [--out PATH] [--no-write] [--check-determinism]
+//! <bin> [--check]
 //! ```
 //!
-//! Anything else is an error: a mistyped `--smoke` must not silently
-//! run the full sweep and overwrite a committed artifact.
+//! Every field a perf binary commits is a pure function of its seeds,
+//! so the committed artifact is its own golden: a plain run rewrites
+//! it in place, `--check` regenerates it and byte-compares against the
+//! committed file. `lat-perf` commits nothing and takes no flag.
+//! Anything else is an error: a mistyped flag must not silently run
+//! the sweep and overwrite a committed artifact.
 
-/// The flags of one perf-binary invocation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PerfArgs {
-    /// `--smoke`: the shrunken CI shape.
-    pub smoke: bool,
-    /// `--no-write`: never write the artifact.
-    pub no_write: bool,
-    /// `--check-determinism`: run the sweep twice and diff the issued
-    /// op counts (only on binaries that support it).
-    pub check_determinism: bool,
-    /// `--out PATH`: where to write the artifact.
-    pub out: Option<String>,
-}
+use std::process::ExitCode;
 
-/// The usage line for `bin`; `determinism` says whether the binary
-/// supports `--check-determinism`.
-fn usage(bin: &str, determinism: bool) -> String {
-    let check = if determinism {
-        " [--check-determinism]"
-    } else {
-        ""
-    };
-    format!("usage: {bin} [--smoke] [--out PATH] [--no-write]{check}")
-}
-
-/// Parses a perf binary's arguments (program name already stripped).
-/// `Ok(None)` means help was asked for.
+/// Parses a perf binary's arguments (program name already stripped):
+/// whether `--check` was given, `Ok(None)` when help was asked for.
+/// `checks` says whether the binary owns an artifact to check.
 ///
 /// # Errors
 ///
-/// A one-line description of the first unrecognised argument, of an
-/// `--out` without a path, or of `--check-determinism` on a binary that
-/// does not support it.
-fn parse(args: &[String], determinism: bool) -> Result<Option<PerfArgs>, String> {
-    let mut parsed = PerfArgs::default();
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
+/// A one-line description of the first unrecognised argument.
+fn parse(args: &[String], checks: bool) -> Result<Option<bool>, String> {
+    let mut check = false;
+    for arg in args {
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
-            "--smoke" => parsed.smoke = true,
-            "--no-write" => parsed.no_write = true,
-            "--check-determinism" if determinism => parsed.check_determinism = true,
-            "--check-determinism" => {
-                return Err("--check-determinism is not supported by this harness".to_string())
-            }
-            "--out" => match args.next() {
-                Some(path) if !path.starts_with("--") => parsed.out = Some(path.clone()),
-                _ => return Err("--out requires a path argument".to_string()),
-            },
+            "--check" if checks => check = true,
             other => return Err(format!("unrecognised argument `{other}`")),
         }
     }
-    Ok(Some(parsed))
+    Ok(Some(check))
 }
 
-/// Parses the process arguments: prints the usage line and
-/// exits 0 on `--help`, exits 2 with the error and the usage line on
-/// an unrecognised argument, an `--out` without a path, or
-/// `--check-determinism` where `determinism` is false.
-pub fn from_env(bin: &str, determinism: bool) -> PerfArgs {
+/// Parses the process arguments: prints the usage line and exits 0 on
+/// `--help`, exits 2 with the error and the usage line on anything
+/// unrecognised.
+fn parse_env(bin: &str, checks: bool) -> bool {
+    let usage = format!("usage: {bin}{}", if checks { " [--check]" } else { "" });
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args, determinism) {
-        Ok(Some(parsed)) => parsed,
+    match parse(&args, checks) {
+        Ok(Some(check)) => check,
         Ok(None) => {
-            eprintln!("{}", usage(bin, determinism));
+            eprintln!("{usage}");
             std::process::exit(0);
         }
         Err(msg) => {
-            eprintln!("{bin}: {msg}\n{}", usage(bin, determinism));
+            eprintln!("{bin}: {msg}\n{usage}");
             std::process::exit(2);
         }
     }
 }
 
-impl PerfArgs {
-    /// Where this invocation writes its artifact, if anywhere. Smoke
-    /// runs are startup-dominated, so only a full run refreshes the
-    /// committed `default` path; a smoke run writes only to an explicit
-    /// `--out`.
-    fn artifact_path(&self, default: &str) -> Option<String> {
-        if self.no_write || (self.smoke && self.out.is_none()) {
-            return None;
+/// The arguments of a binary that commits nothing: `--help` or none.
+pub fn no_flags(bin: &str) {
+    parse_env(bin, false);
+}
+
+/// The artifact a perf binary owns and what this invocation does with
+/// it.
+#[derive(Debug)]
+pub struct Artifact {
+    bin: &'static str,
+    path: &'static str,
+    check: bool,
+}
+
+impl Artifact {
+    /// Parses the process arguments of `bin`, which commits `path`
+    /// (relative to the working directory — run from the repo root).
+    pub fn from_env(bin: &'static str, path: &'static str) -> Artifact {
+        Artifact {
+            bin,
+            path,
+            check: parse_env(bin, true),
         }
-        Some(self.out.clone().unwrap_or_else(|| default.to_string()))
     }
 
-    /// Writes the artifact `render` produces, if this invocation writes
-    /// one: to `--out`, or to `default` on a full run without it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write_artifact(&self, default: &str, render: impl FnOnce() -> String) {
-        if let Some(path) = self.artifact_path(default) {
-            std::fs::write(&path, render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("wrote {path}");
+    /// Settles a finished sweep whose artifact renders as `fresh`:
+    /// rewrites the committed file, or under `--check` compares against
+    /// it and fails on the first differing line.
+    pub fn settle(&self, fresh: &str) -> ExitCode {
+        let Artifact { bin, path, check } = *self;
+        let outcome = if check {
+            check_file(path, fresh).map(|()| format!("{path} is current"))
+        } else {
+            std::fs::write(path, fresh)
+                .map(|()| format!("wrote {path}"))
+                .map_err(|e| format!("write {path}: {e}"))
+        };
+        let (said, code) = match outcome {
+            Ok(done) => (done, ExitCode::SUCCESS),
+            Err(msg) => (msg, ExitCode::FAILURE),
+        };
+        eprintln!("{bin}: {said}");
+        code
+    }
+}
+
+/// Compares the committed artifact at `path` with the `fresh` render.
+///
+/// # Errors
+///
+/// The read error, or the first differing line of the two texts.
+pub fn check_file(path: &str, fresh: &str) -> Result<(), String> {
+    let committed = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    first_difference(&committed, fresh)
+        .map_or(Ok(()), |diff| Err(format!("{path} is stale: {diff}")))
+}
+
+/// The first line at which `committed` and `fresh` differ, rendered
+/// for a human; `None` when the texts are identical.
+pub fn first_difference(committed: &str, fresh: &str) -> Option<String> {
+    // Split, not `lines()`: a missing final newline is a difference too.
+    let (mut old, mut new) = (committed.split('\n'), fresh.split('\n'));
+    let show = |side: Option<&str>| side.unwrap_or("<end of file>").to_string();
+    let mut line = 0;
+    loop {
+        line += 1;
+        match (old.next(), new.next()) {
+            (None, None) => return None,
+            (a, b) if a == b => {}
+            (a, b) => {
+                return Some(format!(
+                    "first difference at line {line}\n  committed: {}\n  this run:  {}",
+                    show(a),
+                    show(b)
+                ))
+            }
         }
     }
 }
@@ -117,66 +142,58 @@ mod tests {
     }
 
     #[test]
-    fn every_flag_parses() {
-        let parsed = parse(
-            &args(&["--smoke", "--out", "x.json", "--check-determinism"]),
-            true,
-        );
-        assert_eq!(
-            parsed,
-            Ok(Some(PerfArgs {
-                smoke: true,
-                no_write: false,
-                check_determinism: true,
-                out: Some("x.json".to_string()),
-            }))
-        );
-        assert_eq!(parse(&args(&["-h", "--bogus"]), false), Ok(None));
+    fn check_and_help_parse() {
+        assert_eq!(parse(&[], true), Ok(Some(false)));
+        assert_eq!(parse(&args(&["--check"]), true), Ok(Some(true)));
+        assert_eq!(parse(&args(&["-h", "--bogus"]), true), Ok(None));
+        assert_eq!(parse(&args(&["--help"]), false), Ok(None));
     }
 
     /// Regression: `kv-perf --smok` used to run the full sweep and
-    /// overwrite the committed `BENCH_kv.json`.
+    /// overwrite the committed `BENCH_kv.json`. A retired flag is a
+    /// stray word like any other (spelled in halves here so a search
+    /// for it finds no live use).
     #[test]
-    fn a_mistyped_flag_is_refused() {
-        let err = parse(&args(&["--smok"]), true).unwrap_err();
-        assert!(err.contains("--smok"), "{err}");
-        assert!(parse(&args(&["stray"]), true).is_err());
+    fn anything_else_is_refused() {
+        let retired = ["--smo", "ke"].concat();
+        for stray in [retired.as_str(), "--smok", "--check=1", "-c", "stray"] {
+            let err = parse(&args(&[stray]), true).unwrap_err();
+            assert!(err.contains(stray), "{err}");
+        }
+        assert!(parse(&args(&["--check", "stray"]), true).is_err());
+        // A binary with no artifact has nothing to check.
+        assert!(parse(&args(&["--check"]), false).is_err());
     }
 
     #[test]
-    fn out_needs_a_path() {
-        assert!(parse(&args(&["--out"]), true).is_err());
-        assert!(parse(&args(&["--out", "--smoke"]), true).is_err());
-    }
-
-    #[test]
-    fn determinism_check_is_refused_where_unsupported() {
-        assert!(parse(&args(&["--check-determinism"]), false).is_err());
-        assert!(usage("kv-perf", true).contains("--check-determinism"));
-        assert!(!usage("sim-perf", false).contains("--check-determinism"));
-    }
-
-    #[test]
-    fn only_full_runs_and_explicit_outs_write() {
-        let full = PerfArgs::default();
-        assert_eq!(full.artifact_path("B.json"), Some("B.json".to_string()));
-        let smoke = PerfArgs {
-            smoke: true,
-            ..PerfArgs::default()
-        };
-        assert_eq!(smoke.artifact_path("B.json"), None);
-        let smoke_out = PerfArgs {
-            out: Some("o.json".to_string()),
-            ..smoke
-        };
-        assert_eq!(
-            smoke_out.artifact_path("B.json"),
-            Some("o.json".to_string())
+    fn first_difference_names_the_line_and_both_sides() {
+        assert_eq!(first_difference("a\nb\n", "a\nb\n"), None);
+        let diff = first_difference("a\nb 1\nc\n", "a\nb 2\nc\n").unwrap();
+        assert!(diff.contains("line 2"), "{diff}");
+        assert!(
+            diff.contains("committed: b 1") && diff.contains("this run:  b 2"),
+            "{diff}"
         );
-        let muted = PerfArgs {
-            no_write: true,
-            ..smoke_out
-        };
-        assert_eq!(muted.artifact_path("B.json"), None);
+        // A truncated or extended file differs where the shorter ends.
+        let diff = first_difference("a\n", "a\nb\n").unwrap();
+        assert!(
+            diff.contains("line 2") && diff.contains("this run:  b"),
+            "{diff}"
+        );
+        // Same lines, no final newline: still a difference.
+        let diff = first_difference("a\nb", "a\nb\n").unwrap();
+        assert!(
+            diff.contains("line 3") && diff.contains("committed: <end of file>"),
+            "{diff}"
+        );
+    }
+
+    #[test]
+    fn a_missing_artifact_is_an_error_not_a_pass() {
+        let err = check_file("/nonexistent/BENCH_none.json", "{}\n").unwrap_err();
+        assert!(
+            err.starts_with("read /nonexistent/BENCH_none.json"),
+            "{err}"
+        );
     }
 }

@@ -10,7 +10,8 @@
 //! order and float precision are part of each artifact's diffable
 //! contract and belong next to the sweep that defines them.
 //!
-//! Byte-layout invariants, pinned by `tests/json_golden.rs`:
+//! Byte-layout invariants, pinned by the committed artifacts themselves
+//! (`tests/artifacts.rs` renders each sweep and compares bytes):
 //!
 //! * top-level members are indented two spaces, one per line;
 //! * array items are indented four spaces, one per line, with the
@@ -40,13 +41,6 @@ impl Doc {
         self.out.push_str("  ");
         self.out.push_str(raw);
         self.out.push_str(if comma { ",\n" } else { "\n" });
-    }
-
-    /// Appends preformatted text verbatim — for members whose bodies
-    /// span multiple physical lines (nested objects with their own
-    /// layout contract).
-    pub fn raw(&mut self, text: &str) {
-        self.out.push_str(text);
     }
 
     /// Appends an array member: one item per line, four-space indent,

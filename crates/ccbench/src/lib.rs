@@ -18,6 +18,20 @@
 //! | Figure 10 (MP client-server)      | [`drivers::mp_client_server`] |
 //! | Figure 11 (hash table)            | [`drivers::ssht_mops`] |
 //! | Figure 12 (key-value store)       | [`drivers::kv_kops`] |
+//!
+//! Beside the figure drivers live the four `*-perf` harnesses
+//! ([`kv_perf`], [`repl_perf`], [`perf`] for `sim-perf`, [`lat_perf`]).
+//! They own what **replays**: seeded op-stream counts, the churn-soak
+//! bound, convergence and zero-loss asserts, the simulator's events per
+//! op, the no-coordinated-omission count equality. The three committed
+//! `BENCH_{kv,repl,sim}.json` artifacts hold only fields that are a
+//! pure function of their seeds, so each is its own golden: the bin
+//! rewrites it, `<bin> --check` ([`cli`]) and `tests/artifacts.rs`
+//! rerun the real sweep and compare bytes. Every *measured* number —
+//! throughput, latency percentiles, promotion and migration times — is
+//! `benchmark/`'s to report, with windows and spreads; the perf bins
+//! only print theirs, labelled host-measured (DESIGN.md "One
+//! instrument").
 
 pub mod cli;
 pub mod drivers;

@@ -98,7 +98,6 @@ impl SpinWait {
 pub struct ParkingWait {
     #[cfg_attr(ssync_chk, allow(dead_code))]
     polls: u32,
-    #[cfg_attr(ssync_chk, allow(dead_code))]
     sleep_us: u64,
 }
 
@@ -144,6 +143,15 @@ impl ParkingWait {
             self.sleep_us = us;
             std::thread::sleep(core::time::Duration::from_micros(us));
         }
+    }
+
+    /// True once the wait has escalated to parking: the caller has been
+    /// idle for milliseconds, not merely between requests, so cold-path
+    /// housekeeping (has a peer gone away?) costs nothing measurable
+    /// here and nothing at all on a busy loop. Never true under the
+    /// model checker, where every wait is one yield.
+    pub fn parked(&self) -> bool {
+        self.sleep_us > 0
     }
 
     /// Call after every successful poll: restores the full spin budget
@@ -420,6 +428,20 @@ mod tests {
     fn proportional_wait_does_not_hang() {
         let p = ProportionalBackoff::new();
         p.wait(2);
+    }
+
+    #[cfg(not(ssync_chk))]
+    #[test]
+    fn parking_wait_reports_parked_only_after_the_yield_budget() {
+        let mut wait = ParkingWait::new();
+        for _ in 0..ParkingWait::SPIN_LIMIT + ParkingWait::YIELD_LIMIT {
+            wait.snooze();
+            assert!(!wait.parked(), "spinning and yielding is not parking");
+        }
+        wait.snooze();
+        assert!(wait.parked());
+        wait.reset();
+        assert!(!wait.parked(), "a served request re-arms the whole budget");
     }
 
     #[test]

@@ -38,6 +38,10 @@ pub trait MsgReceiver {
     /// be queued — `try_recv` drains them regardless).
     fn sender_closed(&self) -> bool;
 
+    /// True if a message is waiting — [`MsgReceiver::try_recv`]'s
+    /// answer without consuming it.
+    fn has_message(&self) -> bool;
+
     /// Receives the next message, spinning (then yielding) until one
     /// arrives. The concrete channel types provide the same blocking
     /// loop inherently; this provided method lets transport-generic
@@ -109,6 +113,10 @@ impl MsgReceiver for Receiver {
     fn sender_closed(&self) -> bool {
         Receiver::sender_closed(self)
     }
+
+    fn has_message(&self) -> bool {
+        Receiver::has_message(self)
+    }
 }
 
 impl MsgReceiver for RingReceiver {
@@ -118,6 +126,10 @@ impl MsgReceiver for RingReceiver {
 
     fn sender_closed(&self) -> bool {
         RingReceiver::sender_closed(self)
+    }
+
+    fn has_message(&self) -> bool {
+        RingReceiver::has_message(self)
     }
 }
 
@@ -277,6 +289,22 @@ impl<C: MsgReceiver> ServerHub<C> {
     /// Panics if `client` is out of range.
     pub fn recv_from(&mut self, client: usize) -> Result<Message, RecvError> {
         self.clients[client].recv_connected()
+    }
+
+    /// True if `client` went away for good: its sending half dropped
+    /// and nothing left in its channel. Closed is read first, empty
+    /// second — the order of [`MsgReceiver::recv_connected`]. A drop is
+    /// a Release after the sender's last publication, so a channel that
+    /// reads closed and *then* empty stays empty; read the other way
+    /// round, a message published between the two reads would be
+    /// abandoned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is out of range.
+    pub fn departed(&self, client: usize) -> bool {
+        let rx = &self.clients[client];
+        rx.sender_closed() && !rx.has_message()
     }
 
     fn poll_once(&mut self, subset: Option<&[usize]>) -> Option<(usize, Message)> {
@@ -448,6 +476,23 @@ mod tests {
             MsgReceiver::recv_connected(&rx),
             Err(RecvError::Disconnected)
         );
+    }
+
+    #[test]
+    fn departed_means_dropped_and_drained() {
+        let (tx0, rx0) = crate::ring::ring_channel(4);
+        let (tx1, rx1) = channel();
+        let mut hub = ServerHub::new(vec![rx0]);
+        let mut line_hub = ServerHub::new(vec![rx1]);
+        assert!(!hub.departed(0) && !line_hub.departed(0), "live and silent");
+        tx0.send([1; 7]);
+        tx1.send([2; 7]);
+        drop((tx0, tx1));
+        // The backlog outlives the drop: not departed until drained.
+        assert!(!hub.departed(0) && !line_hub.departed(0));
+        assert_eq!(hub.try_recv_from_any(), Some((0, [1; 7])));
+        assert_eq!(line_hub.try_recv_from_any(), Some((0, [2; 7])));
+        assert!(hub.departed(0) && line_hub.departed(0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! exactly one receiver, so every message moves between cores with
 //! single-cache-line transfers (Section 4.1).
 //!
-//! * [`channel`] — the one-directional SPSC cache-line channel.
+//! * [`mod@channel`] — the one-directional SPSC cache-line channel.
 //! * [`ring`] — a bounded SPSC ring *of* such buffers: every slot is
 //!   one line holding a sequence stamp and the payload, so a hop still
 //!   costs the two line transfers of the one-line channel, with queue

@@ -1,7 +1,7 @@
 //! A bounded SPSC *ring* channel: a ring of `libssmp` buffers, one
 //! cache line per message.
 //!
-//! The single-buffer channel ([`crate::channel`]) is the paper's
+//! The single-buffer channel ([`mod@crate::channel`]) is the paper's
 //! `libssmp` model: one cache line, one message in flight, the
 //! transfer itself the unit of cost. That is the right model when
 //! sender and receiver run on their own cores — the receiver drains
@@ -26,7 +26,7 @@
 //!
 //! Each slot is one 64-byte-aligned line holding a sequence stamp and
 //! the payload — flag and data on the same line, as in
-//! [`crate::channel`]. Positions count messages from 0 and never wrap;
+//! [`mod@crate::channel`]. Positions count messages from 0 and never wrap;
 //! position `p` lives in slot `p & (depth - 1)`.
 //!
 //! * **Send** position `p`: write the payload, then
@@ -113,7 +113,7 @@ struct Ring {
     /// it, and the producer loads it only when its cached copy says
     /// the ring is full.
     head: CachePadded<AtomicU64>,
-    /// Dropped-half bits ([`crate::channel`]'s `TX_CLOSED`/`RX_CLOSED`),
+    /// Dropped-half bits ([`mod@crate::channel`]'s `TX_CLOSED`/`RX_CLOSED`),
     /// on their own line so the fast path never touches it; polled
     /// only from the cold branch of blocking loops.
     closed: CachePadded<AtomicU64>,
@@ -154,7 +154,7 @@ pub struct RingReceiver {
 ///
 /// # Panics
 ///
-/// Panics if `depth` is zero (use [`crate::channel`] for the
+/// Panics if `depth` is zero (use [`crate::channel()`] for the
 /// single-line model) or not a power of two.
 pub fn ring_channel(depth: usize) -> (RingSender, RingReceiver) {
     split(Ring::new(depth))

@@ -90,7 +90,7 @@ pub use cluster::{ClusterMap, FailoverRecord, ShardView};
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use log::{LogEntry, LogOp, OpLog};
 pub use service::{
-    repl_mesh, serve_node, NodeConfig, NodeEndpoint, NodeReport, ReplClient, ReplCluster, ReplMode,
-    ReplSpec,
+    repl_mesh, serve_node, stream_fence, NodeConfig, NodeEndpoint, NodeReport, ReplClient,
+    ReplCluster, ReplMode, ReplSpec,
 };
 pub use workload::{run_replicated_closed_loop, ReplReport};

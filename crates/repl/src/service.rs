@@ -39,7 +39,8 @@
 //! DESIGN.md "Failover & term fencing") — wins the promotion CAS,
 //! bumping the term and installing itself in one step. It replays the
 //! op-log tail past its own hwm, then serves. Stream frames are fenced
-//! by *channel identity against the map*: a frame from a sender the map
+//! by *channel identity against the map* ([`stream_fence`], which
+//! `tests/chk_models.rs` model-checks): a frame from a sender the map
 //! no longer names leader is counted and dropped (with a best-effort
 //! `WrongTerm` back at the sender), and the gap it might have carried
 //! is covered by a log replay the moment a follower adopts the new
@@ -582,6 +583,21 @@ fn node_counters(report: &NodeReport, leading: bool, term: u64) -> [(&'static st
     ]
 }
 
+/// The stream fence: whether node `me` accepts a replication-stream
+/// frame that arrived on `peer`'s ring, given `view` of the shard's map
+/// word. Stream frames carry no term — the fence is channel identity
+/// against the map: the frame passes only while the map names its
+/// sender leader (and `me` is not leading itself).
+///
+/// Rejecting an *entry* under a stale view is harmless (a log replay
+/// covers it). Rejecting the leader's shutdown `Stop` is not — nothing
+/// replays a `Stop` — so that arm of [`serve_node`] passes a view read
+/// *after* the frame was popped: the promotion CAS happens-before the
+/// ring publish, so a map word read after the pop names the sender.
+pub fn stream_fence(view: ShardView, me: usize, peer: usize) -> bool {
+    view.leader == Some(peer) && peer != me
+}
+
 /// Runs one node of a shard's replication group until shutdown (every
 /// client stopped and the group converged) or scheduled death.
 ///
@@ -748,7 +764,17 @@ pub fn serve_node<R: RawLock + Default>(
                     op: LogOp::Delete,
                 },
                 Ok(Request::Stop) => {
-                    if view.leader == Some(peer) && !leading {
+                    // Decided against the map as it is *now*, not the
+                    // `view` from the top of this iteration: a peer that
+                    // promoted, found no live client and streamed `Stop`
+                    // since then is not the leader `view` names, and a
+                    // `Stop` dropped on a stale view is never resent —
+                    // this node would idle forever behind a leader that
+                    // has exited. The promotion CAS happens-before the
+                    // ring publish, so a word read after the pop names
+                    // the sender.
+                    let now = map.view(shard);
+                    if stream_fence(now, me, peer) {
                         // The current leader is shutting the group
                         // down: close any open window, flush the final
                         // cumulative ack.
@@ -757,7 +783,7 @@ pub fn serve_node<R: RawLock + Default>(
                                 for entry in &buffered {
                                     apply(store, entry, &mut report, false);
                                 }
-                                if map.view(shard).term > my_term {
+                                if now.term > my_term {
                                     for entry in &log.entries_after(report.hwm) {
                                         apply(store, entry, &mut report, true);
                                     }
@@ -812,7 +838,7 @@ pub fn serve_node<R: RawLock + Default>(
             }
             match &mut state {
                 BackupState::Healthy => {
-                    if view.leader == Some(peer) && !leading {
+                    if stream_fence(view, me, peer) {
                         apply(store, &entry, &mut report, false);
                         map.publish_hwm(shard, me, report.hwm);
                         pending_ack = Some(report.hwm);
@@ -2060,5 +2086,31 @@ mod tests {
             survivor.close();
         });
         assert!(cluster.converged());
+    }
+
+    /// Regression: a follower that lost the promotion race matched the
+    /// winner's `Stop` against the view it had read before racing — a
+    /// leaderless view — dropped the frame, and idled forever behind a
+    /// leader that had exited. The fence is only as good as the view it
+    /// is handed: one read after the frame arrived names the sender.
+    #[test]
+    fn stream_fence_follows_the_map_not_a_view_taken_before_the_frame() {
+        let map = ClusterMap::new(1, 3);
+        assert!(stream_fence(map.view(0), 2, 0), "the seed leader's stream");
+        assert!(!stream_fence(map.view(0), 2, 1), "a fellow follower's");
+        assert!(!stream_fence(map.view(0), 0, 0), "a leader takes no stream");
+
+        // Node 2 reads the map leaderless and loses the race to node 1,
+        // which promotes and streams `Stop` before node 2 polls its ring.
+        assert!(map.report_death(0, 0));
+        let stale = map.view(0);
+        assert_eq!(map.try_promote(0, 2), None, "ties go to the lower id");
+        assert!(map.try_promote(0, 1).is_some());
+        assert!(!stream_fence(stale, 2, 1), "the stale view drops the frame");
+        assert!(stream_fence(map.view(0), 2, 1), "the fresh one admits it");
+        assert!(
+            !stream_fence(map.view(0), 2, 0),
+            "the dead leader is fenced"
+        );
     }
 }

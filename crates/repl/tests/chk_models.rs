@@ -23,7 +23,7 @@ use ssync_chk::sync::atomic::{AtomicU64, Ordering};
 use ssync_chk::{thread, Builder};
 use ssync_kv::KvStore;
 use ssync_locks::TtasLock;
-use ssync_repl::ClusterMap;
+use ssync_repl::{stream_fence, ClusterMap};
 
 fn tiny_store() -> KvStore<TtasLock> {
     KvStore::new(1, 1)
@@ -116,23 +116,29 @@ fn missing_hwm_gate_resurrection_is_found() {
     eprintln!("resurrection found in execution {}", v.execution);
 }
 
-/// A follower's full delivery pipeline for one peer frame, exactly as
-/// `serve_node` orders it: the term fence first (raw-u64 compare of
-/// the frame's term against the map's current word), then the stream
-/// hwm gate, then the store's per-key gate. `fenced: false` models the
-/// pipeline with the fence ripped out, for the violation twin below.
+/// The follower whose delivery pipeline the term-fence models run: node
+/// 2 of a three-node group, so both the deposed leader (node 0) and its
+/// successor (node 1) are peers with a stream ring into it.
+const FOLLOWER: usize = 2;
+
+/// A follower's full delivery pipeline for one frame off `peer`'s
+/// stream ring, exactly as `serve_node` orders it: the stream fence
+/// first — the code's own [`stream_fence`], channel identity against
+/// the map's current word, since stream frames carry no term — then the
+/// stream hwm gate, then the store's per-key gate. `fenced: false`
+/// models the pipeline with the fence ripped out, for the violation
+/// twin below.
 fn deliver_frame(
     store: &KvStore<TtasLock>,
     map: &ClusterMap,
     hwm: &AtomicU64,
     fenced: bool,
-    frame_term: u64,
+    peer: usize,
     version: u64,
     value: Option<&[u8]>,
 ) {
-    // chk: raw-u64 term comparison — the one legal shape for fencing.
-    if fenced && frame_term < map.view(0).term {
-        return; // A dead term's frame: fenced, never applied.
+    if fenced && !stream_fence(map.view(0), FOLLOWER, peer) {
+        return; // The map no longer names the sender leader: fenced.
     }
     if hwm.fetch_max(version, Ordering::AcqRel) >= version {
         return; // Stale or duplicate within the stream.
@@ -147,28 +153,30 @@ fn deliver_frame(
 /// carries `put k@4` while the new leader — promoted with hwm 1 —
 /// overwrote `k` with a tombstone at version 3. The hwm gate passes
 /// the zombie (4 > 3) and the tombstone left the per-key gate nothing
-/// to compare against, so only the term fence stands: the frame's term
-/// predates the map's word, and every interleaving must drop it.
+/// to compare against, so only the stream fence stands: the frame sits
+/// on the ring of a node the map's word no longer names, and every
+/// interleaving must drop it.
 #[test]
 fn term_fence_blocks_a_stale_primary_resurrection() {
     let report = Builder::new().check(|| {
         let store = Arc::new(tiny_store());
-        let map = Arc::new(ClusterMap::new(1, 2));
+        let map = Arc::new(ClusterMap::new(1, 3));
         let hwm = Arc::new(AtomicU64::new(0));
-        // Term 1 history, acked everywhere: put k@1.
-        deliver_frame(&store, &map, &hwm, true, 1, 1, Some(b"one"));
+        // Term 1 history from node 0, acked everywhere: put k@1.
+        deliver_frame(&store, &map, &hwm, true, 0, 1, Some(b"one"));
         map.publish_hwm(0, 1, 1);
+        map.publish_hwm(0, FOLLOWER, 1);
         // The primary is deposed — node 1 promotes into term 2 — but
         // its last frame is still in flight with a counter that ran
         // ahead to version 4.
         assert!(map.report_death(0, 0));
-        let term = map.try_promote(0, 1).expect("sole live candidate");
+        map.try_promote(0, 1).expect("ties go to the lower id");
         let zombie = {
             let (store, map, hwm) = (Arc::clone(&store), Arc::clone(&map), Arc::clone(&hwm));
-            thread::spawn(move || deliver_frame(&store, &map, &hwm, true, 1, 4, Some(b"zombie")))
+            thread::spawn(move || deliver_frame(&store, &map, &hwm, true, 0, 4, Some(b"zombie")))
         };
         // The new leader's term-2 history: delete k at version 3.
-        deliver_frame(&store, &map, &hwm, true, term, 3, None);
+        deliver_frame(&store, &map, &hwm, true, 1, 3, None);
         zombie.join();
         assert_eq!(store.get(b"k"), None, "stale primary resurrected the key");
     });
@@ -185,17 +193,18 @@ fn term_fence_blocks_a_stale_primary_resurrection() {
 fn unfenced_stale_primary_resurrection_is_found() {
     let v = Builder::new().expect_violation(|| {
         let store = Arc::new(tiny_store());
-        let map = Arc::new(ClusterMap::new(1, 2));
+        let map = Arc::new(ClusterMap::new(1, 3));
         let hwm = Arc::new(AtomicU64::new(0));
-        deliver_frame(&store, &map, &hwm, false, 1, 1, Some(b"one"));
+        deliver_frame(&store, &map, &hwm, false, 0, 1, Some(b"one"));
         map.publish_hwm(0, 1, 1);
+        map.publish_hwm(0, FOLLOWER, 1);
         assert!(map.report_death(0, 0));
-        let term = map.try_promote(0, 1).expect("sole live candidate");
+        map.try_promote(0, 1).expect("ties go to the lower id");
         let zombie = {
             let (store, map, hwm) = (Arc::clone(&store), Arc::clone(&map), Arc::clone(&hwm));
-            thread::spawn(move || deliver_frame(&store, &map, &hwm, false, 1, 4, Some(b"zombie")))
+            thread::spawn(move || deliver_frame(&store, &map, &hwm, false, 0, 4, Some(b"zombie")))
         };
-        deliver_frame(&store, &map, &hwm, false, term, 3, None);
+        deliver_frame(&store, &map, &hwm, false, 1, 3, None);
         zombie.join();
         assert_eq!(store.get(b"k"), None, "stale primary resurrected the key");
     });

@@ -4,9 +4,10 @@
 //! [`NodeCore`] owns what `serve`, `ssync-repl`'s `serve_node` and
 //! `ssync-cluster`'s `serve_cluster_node` have in common: polling the
 //! client hub and pulling a request's continuation frames, the
-//! `Malformed` replies, per-client `Stop` accounting, the reclamation
-//! cadence, the `TimedGet` latency split, the `Stats` scrape, and one
-//! executor for the six data operations. What differs between the
+//! `Malformed` replies, per-client `Stop` accounting (a client that
+//! goes away without one is retired from the idle path), the
+//! reclamation cadence, the `TimedGet` latency split, the `Stats`
+//! scrape, and one executor for the six data operations. What differs between the
 //! stacks enters through the two [`Hooks`]: `admit` decides per key
 //! whether this node may run the operation (always, for a plain shard;
 //! the slot fence, for a cluster node), `committed` sees every write
@@ -175,6 +176,18 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         first
     }
 
+    /// Retires every client whose request channel is dropped and
+    /// drained ([`ServerHub::departed`]); idempotent with a real `Stop`
+    /// before or after.
+    #[cold]
+    fn retire_departed(&mut self) {
+        for client in 0..self.stopped.len() {
+            if !self.stopped[client] && self.hub.departed(client) {
+                self.retire(client);
+            }
+        }
+    }
+
     /// Polls every client once, round-robin. A head frame that fails to
     /// decode is answered with [`Response::Malformed`] — a corrupt
     /// frame degrades one connection, it does not take the node down.
@@ -228,9 +241,20 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// idle wait and advances the reclamation cadence; an idle one
     /// waits with [`ParkingWait`], so a node that sits idle for a whole
     /// phase leaves the run queue instead of yield-looping.
+    ///
+    /// A node idle long enough to park also looks for clients that
+    /// went away without a `Stop` — a panicked test body, a dropped
+    /// connection — and retires each exactly as its first `Stop` would
+    /// have: without this the node waits forever for a `Stop` nobody
+    /// is left to send. A silent departure is not a malformed frame
+    /// and is not counted as one. A node merely between requests never
+    /// parks, so no request pays for the sweep.
     #[inline]
     pub fn pace<R: RawLock + Default>(&mut self, store: &KvStore<R>, progressed: bool) {
         if !progressed {
+            if self.wait.parked() {
+                self.retire_departed();
+            }
             return self.wait.snooze();
         }
         self.wait.reset();

@@ -9,6 +9,12 @@
 //! must count the truncated request malformed, retire that client and
 //! serve the script as if it had never connected.
 //!
+//! The script's own client normally ends with `Stop`. The
+//! `drop_without_stop` regressions end it the other way — the client
+//! is dropped, as a panicking caller's would be — and every stack's
+//! nodes must notice from their idle path and exit all the same,
+//! counting nothing malformed for it.
+//!
 //! The script goes over the raw [`Conn`] to the one node that serves
 //! it (srv: 1 shard; repl: the leader of a 1-shard, 1-backup sync
 //! group; cluster: the sole owner under a 1-shard map), so what is
@@ -105,6 +111,17 @@ struct Outcome {
     store: BTreeMap<String, u64>,
     /// The last scrape's `srv.malformed`.
     malformed: Option<u64>,
+    /// The serving node's own final count, taken after every client
+    /// left — however it left.
+    node_malformed: u64,
+}
+
+/// How the script's client leaves: saying `Stop` to every node, or
+/// dropped without a word.
+#[derive(Clone, Copy, PartialEq)]
+enum Leave {
+    Stop,
+    Drop,
 }
 
 /// The dying client's last act: the head frame of a 500-byte `Set`
@@ -197,13 +214,14 @@ fn play(
 }
 
 fn outcome(
-    replies: Vec<Response>,
-    scrape: &RegistrySnapshot,
+    (replies, scrape): (Vec<Response>, RegistrySnapshot),
+    node_malformed: u64,
     store: &KvStore<TicketLock>,
 ) -> Outcome {
     Outcome {
         replies,
         malformed: scrape.counter("srv.malformed"),
+        node_malformed,
         dump: store
             .dump()
             .into_iter()
@@ -218,23 +236,26 @@ fn outcome(
     }
 }
 
-fn through_srv(steps: &[Step]) -> Outcome {
+fn through_srv(steps: &[Step], leave: Leave) -> Outcome {
     let router: ShardRouter<TicketLock> = ShardRouter::new(1, BUCKETS, STRIPES);
     let (mut endpoints, mut clients) = ring_mesh(1, 2, DEPTH);
     let client = clients.pop().unwrap();
     let doomed = clients.pop().unwrap();
     die_mid_request(doomed.conn(0));
     drop(doomed);
-    let (replies, scrape) = std::thread::scope(|s| {
-        s.spawn(|| serve(router.shard(0), endpoints.pop().unwrap()));
+    let (played, report) = std::thread::scope(|s| {
+        let node = s.spawn(|| serve(router.shard(0), endpoints.pop().unwrap()));
         let played = play(client.conn(0), steps);
-        client.close();
-        played
+        match leave {
+            Leave::Stop => client.close(),
+            Leave::Drop => drop(client),
+        }
+        (played, node.join().unwrap())
     });
-    outcome(replies, &scrape, router.shard(0))
+    outcome(played, report.malformed, router.shard(0))
 }
 
-fn through_repl(steps: &[Step]) -> Outcome {
+fn through_repl(steps: &[Step], leave: Leave) -> Outcome {
     let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, BUCKETS, STRIPES, ReplSpec::sync(1));
     let map = cluster.map().clone();
     let (mut endpoints, mut clients) = repl_mesh(&map, 2);
@@ -248,7 +269,8 @@ fn through_repl(steps: &[Step]) -> Outcome {
         .expect("ring has room");
     die_mid_request(doomed.conn(0, 0));
     drop(doomed);
-    let (replies, scrape) = std::thread::scope(|s| {
+    let (played, leader_malformed) = std::thread::scope(|s| {
+        let mut nodes = Vec::new();
         for endpoint in endpoints.pop().unwrap() {
             let store = cluster.node_store(0, endpoint.node());
             let (log, map) = (cluster.log(0).clone(), &map);
@@ -259,20 +281,25 @@ fn through_repl(steps: &[Step]) -> Outcome {
                 backup_plan: FaultPlan::none(),
                 crash_plan: FaultPlan::none(),
             };
-            s.spawn(move || serve_node(store, &log, map, endpoint, cfg));
+            nodes.push(s.spawn(move || serve_node(store, &log, map, endpoint, cfg)));
         }
         let played = play(client.conn(0, 0), steps);
-        client.close();
-        played
+        match leave {
+            Leave::Stop => client.close(),
+            Leave::Drop => drop(client),
+        }
+        let mut reports = nodes.into_iter().map(|node| node.join().unwrap());
+        let leader = reports.find(|report| report.node == 0).unwrap();
+        (played, leader.malformed)
     });
     assert!(
         cluster.converged(),
         "the backup holds what the leader holds"
     );
-    outcome(replies, &scrape, cluster.node_store(0, 0))
+    outcome(played, leader_malformed, cluster.node_store(0, 0))
 }
 
-fn through_cluster(steps: &[Step]) -> Outcome {
+fn through_cluster(steps: &[Step], leave: Leave) -> Outcome {
     let map = ShardMap::new(1);
     let store: KvStore<TicketLock> = KvStore::new(BUCKETS, STRIPES);
     let log = OpLog::new(1 << 12);
@@ -281,23 +308,26 @@ fn through_cluster(steps: &[Step]) -> Outcome {
     let doomed = conns.pop().unwrap();
     die_mid_request(doomed.conn(0));
     drop(doomed);
-    let (replies, scrape) = std::thread::scope(|s| {
+    let (played, report) = std::thread::scope(|s| {
         let endpoint = endpoints.pop().unwrap();
-        s.spawn(|| serve_cluster_node(0, &store, &log, &map, endpoint));
+        let node = s.spawn(|| serve_cluster_node(0, &store, &log, &map, endpoint));
         let played = play(client.conn(0), steps);
-        client.close();
-        played
+        match leave {
+            Leave::Stop => client.close(),
+            Leave::Drop => drop(client),
+        }
+        (played, node.join().unwrap())
     });
-    outcome(replies, &scrape, &store)
+    outcome(played, report.malformed, &store)
 }
 
 #[test]
 fn one_script_draws_the_same_replies_from_all_three_stacks() {
     let steps = script(0x5EED_C0DE);
     let outcomes = [
-        ("srv", through_srv(&steps)),
-        ("repl", through_repl(&steps)),
-        ("cluster", through_cluster(&steps)),
+        ("srv", through_srv(&steps, Leave::Stop)),
+        ("repl", through_repl(&steps, Leave::Stop)),
+        ("cluster", through_cluster(&steps, Leave::Stop)),
     ];
     let (_, reference) = &outcomes[0];
 
@@ -326,6 +356,7 @@ fn one_script_draws_the_same_replies_from_all_three_stacks() {
     for (name, outcome) in &outcomes {
         // The truncated `Set` and nothing else; it stored nothing.
         assert_eq!(outcome.malformed, Some(1), "{name}: srv.malformed");
+        assert_eq!(outcome.node_malformed, 1, "{name}: the node's final count");
         let orphan = (KEYS + 1).to_be_bytes();
         assert!(outcome.dump.iter().all(|(key, _, _)| key[..] != orphan));
     }
@@ -345,4 +376,39 @@ fn one_script_draws_the_same_replies_from_all_three_stacks() {
             assert_eq!(outcome.store[&key], reference.store[&key], "{name}: {key}");
         }
     }
+}
+
+/// Regression: a client that went away without `Stop` — a body that
+/// panicked, a connection dropped un-closed — left `NodeCore::live()`
+/// above zero forever, and every node of the stack with it (the
+/// `cargo test --workspace` hang). Runs `through` with the script's
+/// client dropped instead of closed, detached and under a deadline, so
+/// a node that never exits fails here instead of hanging the suite.
+fn survives_drop_without_stop(stack: &str, through: fn(&[Step], Leave) -> Outcome) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(through(&script(0xD0_0D)[..40], Leave::Drop)));
+    let outcome = done_rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .unwrap_or_else(|_| panic!("{stack}: a client dropped without Stop hung its node"));
+    // The truncated `Set` and nothing else: a silent departure is not
+    // a malformed frame.
+    assert_eq!(outcome.node_malformed, 1, "{stack}");
+    // And how the client leaves changes nothing it was told before.
+    let stopped = through(&script(0xD0_0D)[..40], Leave::Stop);
+    assert_eq!(outcome.replies, stopped.replies, "{stack}");
+}
+
+#[test]
+fn srv_shard_survives_drop_without_stop() {
+    survives_drop_without_stop("srv", through_srv);
+}
+
+#[test]
+fn repl_group_survives_drop_without_stop() {
+    survives_drop_without_stop("repl", through_repl);
+}
+
+#[test]
+fn cluster_node_survives_drop_without_stop() {
+    survives_drop_without_stop("cluster", through_cluster);
 }
