@@ -50,8 +50,7 @@ use ssync_core::RegistrySnapshot;
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, RingReceiver, RingSender};
-use ssync_repl::{LogEntry, LogOp, OpLog};
-use ssync_srv::router::key_bytes;
+use ssync_repl::{EntryView, LogEntry, OpLog};
 use ssync_srv::service::{ring_mesh, ReadHit, ServerEndpoint};
 use ssync_srv::wire::{Request, Response, WireError};
 use ssync_srv::{slot_of, Admit, Hooks, NodeCore, Poll, ServiceClient};
@@ -156,8 +155,7 @@ impl Hooks for SlotPolicy<'_> {
     }
 
     fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>) {
-        let op = value.map_or(LogOp::Delete, |value| LogOp::Put(value.clone()));
-        self.log.append(LogEntry { key, version, op });
+        self.log.append(LogEntry::committed(key, version, value));
         self.last_version = version;
     }
 }
@@ -206,18 +204,12 @@ pub fn serve_cluster_node<R: RawLock + Default>(
         // Drain the migration stream.
         while let Some(head) = migration.try_recv() {
             progressed = true;
-            match Request::decode(head, || migration.recv()) {
-                Ok(Request::Replicate {
-                    key,
-                    version,
-                    value,
-                }) => {
-                    store.apply_replicated(&key_bytes(key), version, Some(&value));
+            let request = Request::decode(head, || migration.recv());
+            match request.as_ref().ok().and_then(EntryView::of) {
+                Some(entry) => {
+                    entry.apply_to(store);
                 }
-                Ok(Request::ReplicateDelete { key, version }) => {
-                    store.apply_replicated(&key_bytes(key), version, None);
-                }
-                _ => core.counts.malformed += 1,
+                None => core.counts.malformed += 1,
             }
             mig_processed += 1;
             map.publish_migrated(me, mig_processed);
@@ -434,6 +426,7 @@ mod tests {
     use super::*;
     use ssync_locks::TicketLock;
     use ssync_mp::MsgSender;
+    use ssync_srv::router::key_bytes;
 
     fn stores(n: usize) -> Vec<KvStore<TicketLock>> {
         (0..n).map(|_| KvStore::new(64, 8)).collect()

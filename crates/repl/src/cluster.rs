@@ -13,9 +13,11 @@
 //!
 //! Promotion is decided here, not by an election exchange: the map also
 //! carries each node's **published hwm** (highest replication version
-//! it has applied and acknowledged). Because acks are cumulative, the
-//! published hwm understates nothing, and the live `can_lead` node with
-//! the highest hwm has every acknowledged write (see DESIGN.md's
+//! it has applied and acknowledged). A follower's hwm never passes an
+//! entry it has not applied (the invariant `service.rs`'s `Follower`
+//! keeps) and acks are cumulative, so a published hwm vouches for
+//! everything at or below it, and the live `can_lead` node with the
+//! highest hwm has every acknowledged write (see DESIGN.md's
 //! "Failover & term fencing") — [`ClusterMap::try_promote`] lets
 //! exactly one such node CAS the shard's word from `(term, NO LEADER)`
 //! to `(term + 1, itself)`. The CAS is the linearization point of the

@@ -7,13 +7,17 @@
 //! the same stalls, crashes, and catch-ups on every run (the
 //! model-checking-replication papers' requirement, done in-process).
 //!
-//! * A **stall** models a slow backup: it keeps draining the stream (so
-//!   the primary never blocks on a full channel) but buffers `window`
-//!   entries without applying or acknowledging, then applies them all.
-//! * A **crash** models a lost backup: `window` entries are received
-//!   and discarded, then the backup "reboots" and catches up from the
-//!   primary's op-log before resuming the live stream — any in-flight
-//!   duplicates it then receives are dropped by the version gate.
+//! Both backup kinds are one outage — `window` entries received (the
+//! backup keeps draining the stream, so the primary never blocks on a
+//! full channel) and neither applied nor acknowledged — with one
+//! recovery: the close replays exactly those entries from the
+//! primary's op-log, then rejoins the live stream. A **stall** models a
+//! slow backup and keeps serving replica reads; a **crash** models a
+//! lost one and refuses them (`Stale`) until the close. A stall keeps
+//! no buffer to apply instead: that second recovery path could land on
+//! top of a frame the backup had fenced, leaving its high-water mark
+//! above an entry it never applied — so a stall's entries count as
+//! `from_log`, like a crash's, not as `applied`.
 //!
 //! Fault windows must stay below the async mode's lag bound: a primary
 //! that has stopped producing (blocked on the bound) cannot deliver the
@@ -26,10 +30,10 @@ use rand::{Rng, SeedableRng};
 /// What kind of outage a fault window is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Drain but neither apply nor acknowledge; apply everything when
-    /// the window closes.
+    /// Drop `window` entries unapplied and unacknowledged, then catch
+    /// up from the op-log; replica reads keep being served.
     Stall,
-    /// Discard `window` entries, then catch up from the op-log.
+    /// As a stall, and replica reads are refused inside the window.
     Crash,
     /// The shard *leader* dies for good right after fully acknowledging
     /// the write that produced entry `at_entry` — the worst moment for

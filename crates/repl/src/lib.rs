@@ -45,8 +45,8 @@
 //! # Examples
 //!
 //! ```
-//! use ssync_repl::service::{repl_mesh, serve_node, NodeConfig, ReplCluster, ReplSpec};
-//! use ssync_repl::fault::FaultPlan;
+//! use ssync_repl::service::{repl_mesh, serve_node, ReplCluster, ReplSpec};
+//! use ssync_repl::fault::FaultSpec;
 //! use ssync_locks::TicketLock;
 //!
 //! // One shard, two backups, sync mode: read-your-writes everywhere.
@@ -55,18 +55,11 @@
 //! let map = cluster.map().clone();
 //! let (mut endpoints, mut clients) = repl_mesh(&map, 1);
 //! std::thread::scope(|s| {
-//!     let spec = *cluster.spec();
 //!     let map = &map;
 //!     for endpoint in endpoints.pop().unwrap() {
 //!         let store = cluster.node_store(0, endpoint.node());
 //!         let log = cluster.log(0).clone();
-//!         let cfg = NodeConfig {
-//!             shard: 0,
-//!             mode: spec.mode,
-//!             initial_hwm: cluster.preload_hwm(0),
-//!             backup_plan: FaultPlan::none(),
-//!             crash_plan: FaultPlan::none(),
-//!         };
+//!         let cfg = cluster.node_config(0, endpoint.node(), &FaultSpec::none());
 //!         s.spawn(move || serve_node(store, &log, map, endpoint, cfg));
 //!     }
 //!     let client = clients.pop().unwrap();
@@ -88,7 +81,7 @@ pub mod workload;
 
 pub use cluster::{ClusterMap, FailoverRecord, ShardView};
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
-pub use log::{LogEntry, LogOp, OpLog};
+pub use log::{EntryView, LogEntry, LogOp, OpLog};
 pub use service::{
     repl_mesh, serve_node, stream_fence, NodeConfig, NodeEndpoint, NodeReport, ReplClient,
     ReplCluster, ReplMode, ReplSpec,

@@ -19,7 +19,10 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use bytes::Bytes;
+use ssync_kv::KvStore;
+use ssync_locks::RawLock;
 use ssync_mp::Message;
+use ssync_srv::router::key_bytes;
 use ssync_srv::wire::{encode_replicate, Request};
 
 /// What one replicated write did.
@@ -42,7 +45,70 @@ pub struct LogEntry {
     pub op: LogOp,
 }
 
+/// One replicated write, borrowed: what a decoded stream frame and a
+/// logged entry have in common, and all that applying one needs — so
+/// nothing on an apply path builds a [`LogEntry`] (or pays its `Bytes`
+/// allocation) just to hand a value to the store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryView<'a> {
+    /// The service key.
+    pub key: u64,
+    /// The version the primary's store assigned the write.
+    pub version: u64,
+    /// The value put, `None` for a delete tombstone.
+    pub value: Option<&'a [u8]>,
+}
+
+impl<'a> EntryView<'a> {
+    /// The entry a decoded `Replicate`/`ReplicateDelete` frame carries;
+    /// `None` for any other request — on a replication or migration
+    /// stream, a frame to count malformed.
+    pub fn of(request: &'a Request) -> Option<EntryView<'a>> {
+        let (key, version, value) = match request {
+            Request::Replicate {
+                key,
+                version,
+                value,
+            } => (*key, *version, Some(value.as_slice())),
+            Request::ReplicateDelete { key, version } => (*key, *version, None),
+            _ => return None,
+        };
+        Some(EntryView {
+            key,
+            version,
+            value,
+        })
+    }
+
+    /// Applies the write through `store`'s per-key version gate
+    /// ([`KvStore::apply_replicated`]); true if the store changed.
+    pub fn apply_to<R: RawLock + Default>(&self, store: &KvStore<R>) -> bool {
+        store.apply_replicated(&key_bytes(self.key), self.version, self.value)
+    }
+}
+
 impl LogEntry {
+    /// The entry for a write a store just committed — the shape of the
+    /// request path's `committed` hook: the value written, `None` for a
+    /// delete.
+    pub fn committed(key: u64, version: u64, value: Option<&Bytes>) -> LogEntry {
+        let op = value.map_or(LogOp::Delete, |value| LogOp::Put(value.clone()));
+        LogEntry { key, version, op }
+    }
+
+    /// The borrowed view of this entry.
+    pub fn view(&self) -> EntryView<'_> {
+        let value = match &self.op {
+            LogOp::Put(value) => Some(value.as_ref()),
+            LogOp::Delete => None,
+        };
+        EntryView {
+            key: self.key,
+            version: self.version,
+            value,
+        }
+    }
+
     /// Encodes the entry as the `Replicate`/`ReplicateDelete` frames a
     /// follower (or a migration target) applies — a put straight from
     /// the logged `Bytes`, so streaming an entry copies its value once,
@@ -172,6 +238,27 @@ mod tests {
         log.truncate_through(5);
         assert_eq!(log.len(), 1);
         assert_eq!(log.entries_after(0)[0].version, 9);
+    }
+
+    #[test]
+    fn a_decoded_frame_and_its_logged_entry_are_one_view() {
+        let store: KvStore<ssync_locks::TicketLock> = KvStore::new(8, 2);
+        let value = Bytes::from_static(b"nine");
+        for entry in [
+            LogEntry::committed(3, 9, Some(&value)),
+            LogEntry::committed(3, 10, None),
+        ] {
+            let mut frames = Vec::new();
+            entry.encode_into(&mut frames);
+            let mut rest = frames[1..].iter().copied();
+            let request = Request::decode(frames[0], || rest.next().unwrap()).unwrap();
+            assert_eq!(EntryView::of(&request), Some(entry.view()));
+            assert!(entry.view().apply_to(&store), "a newer version lands");
+            assert!(!entry.view().apply_to(&store), "its duplicate is gated");
+        }
+        assert_eq!(LogEntry::committed(3, 10, None).op, LogOp::Delete);
+        assert!(store.is_empty(), "the tombstone was the later entry");
+        assert_eq!(EntryView::of(&Request::Stop), None);
     }
 
     #[test]

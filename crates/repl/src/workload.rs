@@ -17,8 +17,8 @@ use ssync_kv::StatsSnapshot;
 use ssync_locks::RawLock;
 use ssync_srv::workload::{drive_worker, OpCounts, OpStream, Tally, WorkloadSpec};
 
-use crate::fault::{FaultPlan, FaultSpec};
-use crate::service::{repl_mesh, serve_node, NodeConfig, NodeReport, ReplCluster, ReplMode};
+use crate::fault::FaultSpec;
+use crate::service::{repl_mesh, serve_node, NodeReport, ReplCluster, ReplMode};
 
 /// What a replicated workload run measured.
 #[derive(Debug, Clone, Default)]
@@ -170,19 +170,7 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
                 let store = cluster.node_store(shard, node);
                 let log = cluster.log(shard).clone();
                 let map = &map;
-                let cfg = NodeConfig {
-                    shard,
-                    mode,
-                    initial_hwm: cluster.preload_hwm(shard),
-                    backup_plan: if node == 0 {
-                        // The seed leader never takes backup windows:
-                        // schedules are keyed to *replica* slots.
-                        FaultPlan::none()
-                    } else {
-                        faults.plan_for(shard, node - 1)
-                    },
-                    crash_plan: faults.primary_plan_for(shard),
-                };
+                let cfg = cluster.node_config(shard, node, faults);
                 node_handles.push(s.spawn(move || serve_node(store, &log, map, endpoint, cfg)));
             }
         }

@@ -35,11 +35,9 @@ fn with_nodes<F>(
                 let log = cluster.log(shard).clone();
                 let (backup_plan, crash_plan) = plans(shard, node);
                 let cfg = NodeConfig {
-                    shard,
-                    mode: cluster.spec().mode,
-                    initial_hwm: cluster.preload_hwm(shard),
                     backup_plan,
                     crash_plan,
+                    ..cluster.node_config(shard, node, &FaultSpec::none())
                 };
                 s.spawn(move || serve_node(store, &log, map, endpoint, cfg));
             }

@@ -6,15 +6,20 @@
 //! equals a sequential BTreeMap model** — no acknowledged write lost,
 //! no matter how many leaders died along the way.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use ssync::locks::TicketLock;
-use ssync::repl::fault::FaultSpec;
+use ssync::repl::fault::{FaultEvent, FaultKind, FaultSpec};
 use ssync::repl::service::{ReplCluster, ReplMode, ReplSpec};
 use ssync::repl::workload::run_replicated_closed_loop;
-use ssync::repl::{repl_mesh, serve_node, FaultPlan, NodeConfig, ReplClient};
+use ssync::repl::{
+    repl_mesh, serve_node, ClusterMap, FaultPlan, NodeConfig, NodeEndpoint, NodeReport, ReplClient,
+};
 use ssync::srv::router::{key_bytes, shard_of};
 use ssync::srv::workload::{KeyDist, Mix, ValueSize, WorkloadSpec};
 
@@ -33,17 +38,7 @@ where
                 let node = endpoint.node();
                 let store = cluster.node_store(shard, node);
                 let log = cluster.log(shard).clone();
-                let cfg = NodeConfig {
-                    shard,
-                    mode: cluster.spec().mode,
-                    initial_hwm: cluster.preload_hwm(shard),
-                    backup_plan: if node == 0 {
-                        FaultPlan::none()
-                    } else {
-                        faults.plan_for(shard, node - 1)
-                    },
-                    crash_plan: faults.primary_plan_for(shard),
-                };
+                let cfg = cluster.node_config(shard, node, faults);
                 s.spawn(move || serve_node(store, &log, map, endpoint, cfg));
             }
         }
@@ -136,9 +131,53 @@ fn drive_model_ops(
     }
 }
 
+/// Where a cluster's nodes disagree, for a failed convergence assert:
+/// per shard the map view and, for each node, its liveness, published
+/// hwm, and every key it holds differently from the node `converged()`
+/// compares against — `key: its (version, value) vs the reference's`.
+fn divergence(cluster: &ReplCluster<TicketLock>) -> String {
+    let map = cluster.map();
+    let nodes = 0..map.nodes_per_shard();
+    let mut out = String::new();
+    for shard in 0..cluster.num_shards() {
+        let view = map.view(shard);
+        let live = |n: &usize| !map.is_dead(shard, *n);
+        let by_hwm = |n: &usize| map.hwm_of(shard, *n);
+        let reference = view
+            .leader
+            .or_else(|| nodes.clone().filter(live).max_by_key(by_hwm));
+        let contents = |n: usize| -> BTreeMap<u64, (u64, Vec<u8>)> {
+            let rows = cluster.node_store(shard, n).dump().into_iter();
+            rows.map(|(k, version, v)| {
+                let key = k.as_ref().try_into().expect("8-byte service keys");
+                (u64::from_be_bytes(key), (version, v.to_vec()))
+            })
+            .collect()
+        };
+        let want = reference.map(contents).unwrap_or_default();
+        let _ = writeln!(out, "shard {shard}: {view:?}, reference node {reference:?}");
+        for node in nodes.clone() {
+            let have = contents(node);
+            let keys: BTreeSet<_> = have.keys().chain(want.keys()).collect();
+            let differs: Vec<_> = keys
+                .into_iter()
+                .filter(|key| have.get(key) != want.get(key))
+                .map(|key| format!("{key}: {:?} vs {:?}", have.get(key), want.get(key)))
+                .collect();
+            let state = if live(&node) { "live" } else { "dead" };
+            let hwm = map.hwm_of(shard, node);
+            let _ = writeln!(
+                out,
+                "  node {node}: {state}, published hwm {hwm}, differs on {differs:?}"
+            );
+        }
+    }
+    out
+}
+
 /// Asserts that, shard by shard, the surviving leader's contents equal
 /// the model and every live follower converged to them.
-fn assert_matches_model(cluster: &ReplCluster<TicketLock>, model: &Model) {
+fn assert_matches_model(cluster: &ReplCluster<TicketLock>, model: &Model, faults: &FaultSpec) {
     let mut leader_contents: Vec<(Vec<u8>, u64, Vec<u8>)> = Vec::new();
     for shard in 0..cluster.num_shards() {
         let leader = cluster
@@ -157,7 +196,28 @@ fn assert_matches_model(cluster: &ReplCluster<TicketLock>, model: &Model) {
         .collect();
     model_contents.sort();
     assert_eq!(leader_contents, model_contents);
-    assert!(cluster.converged());
+    assert!(
+        cluster.converged(),
+        "{}{}",
+        plans(cluster, faults),
+        divergence(cluster)
+    );
+}
+
+/// The case's mode and every node's fault plans, for the same message.
+fn plans(cluster: &ReplCluster<TicketLock>, faults: &FaultSpec) -> String {
+    let mut out = format!("mode {:?}\n", cluster.spec().mode);
+    for shard in 0..cluster.num_shards() {
+        for node in 0..cluster.map().nodes_per_shard() {
+            let cfg = cluster.node_config(shard, node, faults);
+            let (windows, crashes) = (cfg.backup_plan.events(), cfg.crash_plan.events());
+            let _ = writeln!(
+                out,
+                "shard {shard} node {node}: windows {windows:?}, leader crashes {crashes:?}"
+            );
+        }
+    }
+    out
 }
 
 proptest! {
@@ -191,7 +251,7 @@ proptest! {
             drive_model_ops(&client, &ops, &mut model, &mut entries);
             client.close();
         });
-        assert_matches_model(&cluster, &model);
+        assert_matches_model(&cluster, &model, &faults);
         prop_assert_eq!(cluster.map().total_failovers(), 0);
     }
 }
@@ -237,7 +297,7 @@ proptest! {
             drive_model_ops(&client, &ops, &mut model, &mut entries);
             client.close();
         });
-        assert_matches_model(&cluster, &model);
+        assert_matches_model(&cluster, &model, &faults);
         // Exactly the scheduled crashes whose entry index landed on a
         // logged write fired — no failover lost, none invented. Entry
         // indices are global across successive leaders but *per
@@ -385,4 +445,185 @@ fn seeded_failover_runs_replay_end_to_end() {
     assert_eq!(a.entries, b.entries);
     assert_eq!(a.failovers, b.failovers);
     assert!(b.converged);
+}
+
+/// One async three-node shard whose node threads a regression starts
+/// by hand, so that *when* a node first runs — the thing both
+/// convergence holes turned on — is the test's choice, not the
+/// scheduler's. `crash_at` is the shard's one leader crash.
+struct Staged {
+    cluster: ReplCluster<TicketLock>,
+    endpoints: std::cell::RefCell<Vec<Option<NodeEndpoint>>>,
+    crash_at: u64,
+}
+
+impl Staged {
+    fn new(crash_at: u64) -> (Staged, ReplClient) {
+        let spec = ReplSpec {
+            replicas: 2,
+            mode: ReplMode::Async { max_lag: 24 },
+            log_capacity: 512,
+        };
+        let cluster = ReplCluster::new(1, 64, 8, spec);
+        let (mut endpoints, mut clients) = repl_mesh(cluster.map(), 1);
+        let endpoints: Vec<_> = endpoints.pop().unwrap().into_iter().map(Some).collect();
+        let staged = Staged {
+            cluster,
+            endpoints: endpoints.into(),
+            crash_at,
+        };
+        (staged, clients.pop().unwrap())
+    }
+
+    fn map(&self) -> &ClusterMap {
+        self.cluster.map()
+    }
+
+    /// Starts `node`'s thread with `backup_plan`.
+    fn start<'s>(
+        &'s self,
+        scope: &'s std::thread::Scope<'s, '_>,
+        node: usize,
+        backup_plan: FaultPlan,
+    ) -> std::thread::ScopedJoinHandle<'s, NodeReport> {
+        let endpoint = self.endpoints.borrow_mut()[node].take().unwrap();
+        let cfg = NodeConfig {
+            backup_plan,
+            crash_plan: FaultPlan::primary_crashes(vec![self.crash_at]),
+            ..self.cluster.node_config(0, node, &FaultSpec::none())
+        };
+        let (store, log) = (self.cluster.node_store(0, node), self.cluster.log(0));
+        let map = self.map();
+        scope.spawn(move || serve_node(store, log, map, endpoint, cfg))
+    }
+
+    /// Runs the seed leader alone through the acknowledged writes that
+    /// kill it: keys `1..=crash_at`, every follower's ring holding the
+    /// backlog.
+    fn leader_writes_and_dies<'s>(
+        &'s self,
+        scope: &'s std::thread::Scope<'s, '_>,
+        client: &ReplClient,
+    ) {
+        let leader = self.start(scope, 0, FaultPlan::none());
+        for key in 1..=self.crash_at {
+            client.set(key, vec![key as u8; 4]).unwrap();
+        }
+        assert!(leader.join().unwrap().crashed);
+    }
+
+    fn wait_for(&self, what: impl Fn(&ClusterMap) -> bool) {
+        while !what(self.map()) {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Runs `scenario` detached and under a deadline: a node that never
+/// exits fails the test instead of hanging the suite.
+fn under_deadline(scenario: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        scenario();
+        done_tx.send(())
+    });
+    match done_rx.recv_timeout(Duration::from_secs(20)) {
+        Ok(()) => {}
+        Err(RecvTimeoutError::Timeout) => panic!("the scenario hung"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the scenario panicked (see above)"),
+    }
+}
+
+fn one_stall(at_entry: u64, window: u64) -> FaultPlan {
+    FaultPlan::from_events(vec![FaultEvent {
+        at_entry,
+        kind: FaultKind::Stall,
+        window,
+    }])
+}
+
+/// Regression, hole (A): a follower whose thread first runs after a
+/// failover found the new term already in the map, so the
+/// term-adoption replay — the only one a healthy follower had — never
+/// fired: it fenced the dead leader's backlog and applied the new
+/// leader's stream on top of the gap (node 2 ended holding key 4 only,
+/// at published hwm 4).
+#[test]
+fn follower_started_after_a_failover_replays_the_fenced_backlog() {
+    under_deadline(|| {
+        let (staged, client) = Staged::new(3);
+        std::thread::scope(|s| {
+            staged.leader_writes_and_dies(s, &client);
+            staged.start(s, 1, FaultPlan::none());
+            // Node 1 promotes (replaying the log) and leads.
+            client.set(4, vec![4; 4]).unwrap();
+            staged.start(s, 2, FaultPlan::none());
+            staged.wait_for(|map| map.hwm_of(0, 2) >= 4);
+            client.close();
+        });
+        assert!(
+            staged.cluster.converged(),
+            "{}",
+            divergence(&staged.cluster)
+        );
+    });
+}
+
+/// Regression, hole (B): a frame fence-dropped during the vacancy,
+/// then a stall window whose buffer was drained on top of the hwm the
+/// drop had left un-replayed (node 1 published hwm 3 without entry 1).
+#[test]
+fn stall_over_a_fenced_backlog_closes_on_the_log() {
+    under_deadline(|| {
+        let (staged, client) = Staged::new(4);
+        // An observer: the shard stays vacant while node 1 consumes.
+        staged.map().set_observer(0, 1);
+        std::thread::scope(|s| {
+            staged.leader_writes_and_dies(s, &client);
+            staged.start(s, 1, one_stall(2, 2));
+            staged.wait_for(|map| map.hwm_of(0, 1) >= 3);
+            let held = staged.cluster.node_store(0, 1).get(&key_bytes(1));
+            assert!(
+                held.is_some(),
+                "published hwm {} without entry 1",
+                staged.map().hwm_of(0, 1)
+            );
+            staged.start(s, 2, FaultPlan::none());
+            client.close();
+        });
+        assert!(
+            staged.cluster.converged(),
+            "{}",
+            divergence(&staged.cluster)
+        );
+    });
+}
+
+/// Regression, hole (B) with a hwm tie: the holed node *won the
+/// promotion* — node 2 had kept up (hwm 4) and was then pre-empted,
+/// node 1 drained its stall buffer to a published hwm of 4 without
+/// entry 1, the tie went to the lower id — and an authoritative read
+/// of an acknowledged key returned a miss.
+#[test]
+fn a_node_with_a_hole_below_its_hwm_never_leads() {
+    under_deadline(|| {
+        let (staged, client) = Staged::new(4);
+        std::thread::scope(|s| {
+            staged.leader_writes_and_dies(s, &client);
+            staged.map().publish_hwm(0, 2, 4);
+            staged.start(s, 1, one_stall(2, 3));
+            staged.wait_for(|map| map.view(0).leader.is_some());
+            let read = client.get(1);
+            let view = staged.map().view(0);
+            assert_eq!(read, Ok(Some((1, vec![1; 4]))), "led by {view:?}");
+            // Only so that the shutdown handshake has its second party.
+            staged.start(s, 2, FaultPlan::none());
+            client.close();
+        });
+        assert!(
+            staged.cluster.converged(),
+            "{}",
+            divergence(&staged.cluster)
+        );
+    });
 }

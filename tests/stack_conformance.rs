@@ -29,9 +29,7 @@ use ssync::core::{mix64, RegistrySnapshot};
 use ssync::kv::KvStore;
 use ssync::locks::TicketLock;
 use ssync::mp::{RingReceiver, RingSender};
-use ssync::repl::{
-    repl_mesh, serve_node, FaultPlan, NodeConfig, OpLog, ReplCluster, ReplMode, ReplSpec,
-};
+use ssync::repl::{repl_mesh, serve_node, FaultSpec, OpLog, ReplCluster, ReplSpec};
 use ssync::srv::{ring_mesh, serve, Conn, Request, Response, ShardRouter};
 
 const BUCKETS: usize = 64;
@@ -274,13 +272,7 @@ fn through_repl(steps: &[Step], leave: Leave) -> Outcome {
         for endpoint in endpoints.pop().unwrap() {
             let store = cluster.node_store(0, endpoint.node());
             let (log, map) = (cluster.log(0).clone(), &map);
-            let cfg = NodeConfig {
-                shard: 0,
-                mode: ReplMode::Sync,
-                initial_hwm: 0,
-                backup_plan: FaultPlan::none(),
-                crash_plan: FaultPlan::none(),
-            };
+            let cfg = cluster.node_config(0, endpoint.node(), &FaultSpec::none());
             nodes.push(s.spawn(move || serve_node(store, &log, map, endpoint, cfg)));
         }
         let played = play(client.conn(0, 0), steps);
