@@ -18,14 +18,22 @@
 //! [`migrate::run_reshard_coordinator`] protocol, per moved slot
 //! group:
 //!
-//! 1. **Bulk copy** — cursor-paged [`ssync_kv::KvStore::dump_range`]
-//!    chunks stream to the target over the same one-cache-line
-//!    `ssync-mp` rings as client traffic, applied through the store's
-//!    replication version gate (idempotent, so faulted attempts
-//!    replay safely).
+//! 0. **Arm** — a node keeps an op-log only while something reads it:
+//!    the coordinator turns the map's arming generation odd and waits
+//!    for each source's acknowledgement before it reads a key. A write
+//!    committed before the ack is in the store the copy then reads, a
+//!    write committed after it is in the log the delta then replays.
+//!    With no migration in flight every log is empty.
+//! 1. **Bulk copy** — position-paged [`ssync_kv::KvStore::dump_range`]
+//!    chunks (one stripe lock and O(page) work each, table order)
+//!    stream to the target over the same one-cache-line `ssync-mp`
+//!    rings as client traffic, applied through the store's replication
+//!    version gate (idempotent, so faulted attempts replay safely).
 //! 2. **Delta replay** — writes that landed during the copy stream
 //!    from the source's `ssync-repl` op-log, repeatedly, until the
-//!    remaining delta is small.
+//!    remaining delta is small; the coordinator truncates each log
+//!    behind what it has read, so memory and the delta are in
+//!    proportion to the writes *during* the migration.
 //! 3. **Fenced cutover** — the moving slots freeze (writes defer,
 //!    reads keep flowing), sources acknowledge quiescence through a
 //!    round-tagged handshake, the final delta drains, and one CAS
@@ -33,6 +41,7 @@
 //!    [`Response::WrongShard`](ssync_srv::wire::Response::WrongShard)
 //!    redirects that carry the new epoch; stale clients refetch and
 //!    retry. Write unavailability is the final drain, not the copy.
+//!    The coordinator then disarms and every node drops its log.
 //!
 //! Crashes are deterministic, seeded
 //! [`ssync_repl::FaultSpec`] plans: the source's migration stream can
@@ -40,11 +49,13 @@
 //! recover by replaying the idempotent copy, and the proptest harness
 //! (`tests/migration_model.rs`) checks convergence against a
 //! `BTreeMap` model on every run. The cutover's "no write lands on
-//! the old owner after its final delta" argument is model-checked in
-//! `tests/chk_models.rs`.
+//! the old owner after its final delta" argument and the arming
+//! handshake's "every write is in the copy or the log" are
+//! model-checked in `tests/chk_models.rs`, each with the twin that
+//! breaks it.
 //!
-//! * [`map`] — the epoch-versioned slot→shard map and the freeze /
-//!   quiesce / migration-progress words;
+//! * [`map`] — the epoch-versioned slot→shard map and the arming /
+//!   freeze / quiesce / migration-progress words;
 //! * [`service`] — cluster node servers and the map-following,
 //!   redirect-chasing [`service::ClusterClient`];
 //! * [`migrate`] — the fault-injected live-migration coordinator;
@@ -61,7 +72,7 @@ pub(crate) mod sync;
 pub use map::{MapSnapshot, MapView, ShardMap};
 pub use migrate::{run_reshard_coordinator, MigrationReport, ReshardSpec};
 pub use service::{
-    cluster_mesh, serve_cluster_node, slot_fence, ClientConn, ClusterClient, ClusterMesh,
-    ClusterNodeEndpoint, NodeReport,
+    cluster_mesh, follow_log_arming, serve_cluster_node, slot_fence, ClientConn, ClusterClient,
+    ClusterMesh, ClusterNodeEndpoint, NodeReport,
 };
 pub use workload::{run_reshard, ReshardReport, ReshardWorkloadSpec};

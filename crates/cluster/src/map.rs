@@ -22,10 +22,13 @@
 //! the whole staleness check, and the `ssync-lint` `epoch-fence` rule
 //! keeps arithmetic away from them.
 //!
-//! The map also carries the migration freeze handshake (one bitmask
-//! word of frozen slots, plus a per-shard quiesced high-water mark),
-//! documented at [`ShardMap::freeze`] — see `DESIGN.md` "Cluster map &
-//! live migration" for the protocol it anchors.
+//! The map also carries the two migration handshakes, each one shared
+//! word plus a per-shard acknowledgement: the op-log arming generation
+//! ([`ShardMap::arm_logs`] — nodes log their writes only while a
+//! coordinator is reading the logs) and the freeze round (one bitmask
+//! word of frozen slots, plus a per-shard quiesced high-water mark,
+//! documented at [`ShardMap::freeze`]) — see `DESIGN.md` "Cluster map &
+//! live migration" for the protocol they anchor.
 
 use ssync_core::CachePadded;
 use ssync_srv::{slot_of, ROUTE_SLOTS};
@@ -106,7 +109,7 @@ pub struct ShardMap {
     round: CachePadded<AtomicU64>,
     /// Per-shard quiesce acknowledgements: `round << 40 | hwm + 1`
     /// once the shard's node has observed round `round`'s freeze and
-    /// published the op-log version it stopped at, 0 while it hasn't
+    /// published the last version it logged, 0 while it hasn't
     /// (the `+ 1` keeps 0 free as the "not yet" sentinel).
     quiesced: Box<[CachePadded<AtomicU64>]>,
     /// Per-shard migration-stream progress: cumulative count of
@@ -115,6 +118,15 @@ pub struct ShardMap {
     /// (never reset), so `processed == sent` always means "no frames
     /// in flight" no matter how many restarts happened.
     mig_seen: Box<[CachePadded<AtomicU64>]>,
+    /// The op-log arming generation: odd while a migration coordinator
+    /// is reading the nodes' op-logs, even otherwise. Written only by
+    /// the (single) coordinator, loaded by every node once per loop
+    /// pass — see [`ShardMap::arm_logs`].
+    log_generation: CachePadded<AtomicU64>,
+    /// Per-shard arming acknowledgements: the last generation the
+    /// shard's node observed and switched its logging to, published
+    /// by the node, awaited by the coordinator before it reads a key.
+    log_acked: Box<[CachePadded<AtomicU64>]>,
 }
 
 /// Bits the quiesce hwm occupies below the round tag.
@@ -147,6 +159,8 @@ impl ShardMap {
             round: CachePadded::new(AtomicU64::new(0)),
             quiesced: zeros(),
             mig_seen: zeros(),
+            log_generation: CachePadded::new(AtomicU64::new(0)),
+            log_acked: zeros(),
         }
     }
 
@@ -289,10 +303,10 @@ impl ShardMap {
 
     /// A source node's half of the quiesce handshake: having observed
     /// round `round`'s freeze and stopped applying writes to frozen
-    /// slots, it publishes the highest op-log version it assigned. The
-    /// coordinator's matching read ([`ShardMap::quiesced_of`])
-    /// Acquire-loads this, so every write the hwm covers is visible to
-    /// the final delta scan.
+    /// slots, it publishes the highest version it *logged* under the
+    /// current arming (0 if none). The coordinator's matching read
+    /// ([`ShardMap::quiesced_of`]) Acquire-loads this, so every entry
+    /// the hwm covers is visible to the final delta scan.
     ///
     /// # Panics
     ///
@@ -335,6 +349,57 @@ impl ShardMap {
     /// The last published stream progress of a shard's node.
     pub fn migrated_of(&self, shard: usize) -> u64 {
         self.mig_seen[shard].load(Ordering::Acquire)
+    }
+
+    /// Arms the fleet's op-logs for a migration, returning the new
+    /// (odd) generation. A node logs its committed writes only under an
+    /// odd generation, so a fleet with no migration in flight keeps no
+    /// log at all. The coordinator MUST wait for each source's
+    /// [`ShardMap::log_acked_of`] to equal the returned generation
+    /// before it reads a key: a write the node committed before that
+    /// acknowledgement is in its store (the ack's Release, the
+    /// coordinator's Acquire), a write committed after it is in its
+    /// log — and the bulk copy plus the log tail is then everything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the logs are already armed (the protocol is
+    /// single-coordinator, as for [`ShardMap::try_cutover`]).
+    pub fn arm_logs(&self) -> u64 {
+        // Release for symmetry with the acks; the word publishes no
+        // data of its own — only its parity and identity are read.
+        let generation = self.log_generation.fetch_add(1, Ordering::Release) + 1;
+        assert!(generation & 1 == 1, "op-logs armed by another coordinator");
+        generation
+    }
+
+    /// Ends the arming, if any: the generation turns even, and every
+    /// node drops its log as it notices. Idempotent, so the
+    /// coordinator's exit guard can call it on every path.
+    pub fn disarm_logs(&self) {
+        // Load-then-add is not a race: only the one coordinator that
+        // armed the logs ever writes this word.
+        if self.log_generation.load(Ordering::Acquire) & 1 == 1 {
+            self.log_generation.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// The current arming generation (odd = armed).
+    pub fn log_generation(&self) -> u64 {
+        self.log_generation.load(Ordering::Acquire)
+    }
+
+    /// A node's half of the arming handshake: having switched its
+    /// logging to `generation`'s parity, it publishes the generation.
+    /// Release — every write the node committed (unlogged) before this
+    /// store is visible to a coordinator that Acquire-reads the ack.
+    pub fn ack_log_generation(&self, shard: usize, generation: u64) {
+        self.log_acked[shard].store(generation, Ordering::Release);
+    }
+
+    /// The last arming generation a shard's node acknowledged.
+    pub fn log_acked_of(&self, shard: usize) -> u64 {
+        self.log_acked[shard].load(Ordering::Acquire)
     }
 }
 
@@ -446,6 +511,34 @@ mod tests {
         map.publish_migrated(2, 7);
         map.publish_migrated(2, 3);
         assert_eq!(map.migrated_of(2), 7);
+    }
+
+    #[test]
+    fn arming_generation_is_odd_while_armed_and_acks_are_per_shard() {
+        let map = ShardMap::new(2);
+        assert_eq!(map.log_generation(), 0);
+        map.disarm_logs();
+        assert_eq!(
+            map.log_generation(),
+            0,
+            "disarming an unarmed map is a no-op"
+        );
+        assert_eq!(map.arm_logs(), 1);
+        assert_eq!((map.log_acked_of(0), map.log_acked_of(1)), (0, 0));
+        map.ack_log_generation(1, 1);
+        assert_eq!((map.log_acked_of(0), map.log_acked_of(1)), (0, 1));
+        map.disarm_logs();
+        map.disarm_logs();
+        assert_eq!(map.log_generation(), 2);
+        assert_eq!(map.arm_logs(), 3, "every arming is a fresh generation");
+    }
+
+    #[test]
+    #[should_panic(expected = "another coordinator")]
+    fn a_second_arming_is_rejected() {
+        let map = ShardMap::new(1);
+        map.arm_logs();
+        map.arm_logs();
     }
 
     #[test]

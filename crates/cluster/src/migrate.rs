@@ -1,8 +1,17 @@
-//! The live-migration coordinator: copy, delta, fenced cutover.
+//! The live-migration coordinator: arm, copy, delta, fenced cutover.
 //!
 //! [`run_reshard_coordinator`] reshapes a running fleet from the
 //! current map to `slot % shards_after` ownership while the nodes keep
-//! serving. The protocol, per attempt:
+//! serving. Before the first attempt it **arms** the nodes' op-logs
+//! ([`ShardMap::arm_logs`]) and waits for every source's acknowledgement
+//! of that generation; only then does it read a key. Nodes keep no log
+//! otherwise, so the logs hold what was written *during* this
+//! migration and nothing else. Why no write is lost: a write a source
+//! committed before its ack is in its store before the ack's Release,
+//! so the copy — which starts after the coordinator's Acquire of that
+//! ack — reads it or a newer version of its key; a write committed
+//! after the ack is in the log; there is no third case. The protocol,
+//! per attempt:
 //!
 //! 1. **Drain & clear** — wait until every target has processed all
 //!    migration-stream entries already sent to it (progress is the
@@ -12,16 +21,24 @@
 //!    stream lost a delete tombstone the recopied dump cannot carry.
 //! 2. **Bulk copy** — page each source with
 //!    [`KvStore::dump_range`], stream moving-slot triples as
-//!    `Replicate` frames. The target applies them through the store's
-//!    replication version gate, so recopied duplicates drop as stale.
-//!    A seeded [`FaultSpec::migration_plan_for`] schedule crashes the
-//!    stream at fixed cumulative entry counts; each crash restarts
-//!    that source's copy from the first key.
+//!    `Replicate` frames. Pages come in table order and a key written
+//!    behind the cursor is not revisited — the armed log has it. The
+//!    target applies entries through the store's replication version
+//!    gate, so recopied duplicates drop as stale. A seeded
+//!    [`FaultSpec::migration_plan_for`] schedule crashes the stream at
+//!    fixed cumulative entry counts; each crash restarts that source's
+//!    copy from the first page.
 //! 3. **Delta replay** — writes that landed during the copy are in the
 //!    source's op-log; replay moving entries after a cumulative
-//!    per-source version cursor. The cursor survives faulted attempts
-//!    (the version gate absorbs re-sends, the recopy covers gaps), so
-//!    each round only ships the new tail.
+//!    per-source version cursor, then truncate the log *behind the
+//!    cursor* — the version of the last entry read, never the log's
+//!    end: an append may have landed since the read. The cursor
+//!    survives faulted attempts, and entries at or below it are never
+//!    needed again: a restarted attempt drains, clears the targets and
+//!    recopies from the live store, which holds every write the
+//!    truncated entries recorded (the version gate absorbs re-sends).
+//!    Each round therefore ships only the new tail, and a source's log
+//!    never holds more than one round's worth of writes.
 //! 4. **Fenced cutover** — freeze the moving slots, start a handshake
 //!    round, and wait for each source node's *round-tagged* quiesce
 //!    acknowledgement; acks from an earlier aborted freeze carry a
@@ -30,7 +47,8 @@
 //!    the final delta (now complete: sources defer frozen-slot
 //!    writes), wait for the targets to apply it, then stage the new
 //!    table and publish it with one epoch-bumping CAS. Unfreeze, and
-//!    the parked writes bounce to their new owners.
+//!    the parked writes bounce to their new owners; disarm, and every
+//!    node drops its log.
 //! 5. **Cleanup** — delete the moved keys from the sources; their
 //!    retired nodes are reclaimed by the stores' online epoch passes
 //!    (or the caller's [`KvStore::purge_retired`] shutdown drain).
@@ -42,7 +60,10 @@
 //! out, as a supervisor restarting a dead coordinator must). Every
 //! abort path leaves the map un-cut and the data recoverable by the
 //! next attempt; `tests/migration_model.rs` proves convergence against
-//! a model under both fault families.
+//! a model under both fault families. A coordinator that *unwinds*
+//! (a target's ring gone, a rival cutover) lifts its freeze and disarms
+//! the logs on the way out, so no write stays parked and no log keeps
+//! growing behind a migration that no longer exists.
 //!
 //! [`KvStore::dump_range`]: ssync_kv::KvStore::dump_range
 //! [`KvStore::purge_retired`]: ssync_kv::KvStore::purge_retired
@@ -52,7 +73,7 @@
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{Message, MsgSender, RingSender};
-use ssync_repl::{FaultSpec, OpLog};
+use ssync_repl::{FaultSpec, LogEntry, OpLog};
 use ssync_srv::wire::encode_replicate;
 use ssync_srv::{slot_of, ROUTE_SLOTS};
 
@@ -64,8 +85,9 @@ pub struct ReshardSpec {
     /// The shard count after the cutover; every slot moves to
     /// `slot % shards_after`. Growing and shrinking both work.
     pub shards_after: usize,
-    /// Keys per [`ssync_kv::KvStore::dump_range`] page during the
-    /// bulk copy.
+    /// At least this many keys per [`ssync_kv::KvStore::dump_range`]
+    /// page during the bulk copy, while the store has them (a page is
+    /// whole bucket chains, so it may run one chain over).
     pub chunk: usize,
     /// Pre-freeze delta-replay rounds — each shrinks the tail the
     /// frozen final drain has to ship.
@@ -112,6 +134,35 @@ pub struct MigrationReport {
     pub final_epoch: u64,
 }
 
+/// Hands every entry of `log` above `*cursor` to `ship`, advancing the
+/// cursor to each entry's version, then truncates the log behind the
+/// cursor. The truncation point is the last entry *read*: the owning
+/// node appends concurrently, and an entry that lands between the read
+/// and the truncation must survive to the next call.
+fn drain_tail(log: &OpLog, cursor: &mut u64, mut ship: impl FnMut(&LogEntry)) {
+    for entry in log.entries_after(*cursor) {
+        *cursor = entry.version;
+        ship(&entry);
+    }
+    log.truncate_through(*cursor);
+}
+
+/// What a coordinator must undo however it exits: the freeze it may
+/// hold (writes to those slots park until it lifts) and the arming
+/// (the nodes' logs grow until it ends). Both are idempotent, so the
+/// clean path simply drops the guard after its cutover.
+struct MigrationGuard<'a> {
+    map: &'a ShardMap,
+    moving: u64,
+}
+
+impl Drop for MigrationGuard<'_> {
+    fn drop(&mut self) {
+        self.map.unfreeze(self.moving);
+        self.map.disarm_logs();
+    }
+}
+
 /// Runs one resharding to completion against live nodes, injecting
 /// the spec's seeded faults. Blocks until the cutover has published
 /// and the sources are cleaned; returns what happened.
@@ -156,11 +207,23 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
         return report;
     }
 
+    // Arm the op-logs and wait for every source to have switched:
+    // from its ack on, a source's store plus its log is everything.
+    let guard = MigrationGuard {
+        map,
+        moving: moving_all,
+    };
+    let generation = map.arm_logs();
+    for &source in &sources {
+        while map.log_acked_of(source) != generation {
+            std::thread::yield_now();
+        }
+    }
+
     // Cumulative stream accounting — none of these reset on a fault.
     // `sent[t]` pairs with the map's migrated-of counter to prove a
     // target's stream drained; `cursor[s]` is the op-log version
-    // already shipped from source `s` (the version gate absorbs any
-    // overlap a restart re-sends).
+    // already read from source `s`, behind which its log is truncated.
     let mut sent = vec![0u64; stores.len()];
     let mut cursor = vec![0u64; stores.len()];
     let mut streamed = vec![0u64; stores.len()];
@@ -179,18 +242,16 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
         }
     };
     // Replays `source`'s op-log tail after the cursor, shipping moving
-    // entries to their slots' new owners. Returns entries shipped.
+    // entries to their slots' new owners.
     let delta = |source: usize,
                  cursor: &mut [u64],
                  sent: &mut [u64],
                  frames: &mut Vec<Message>,
                  report: &mut MigrationReport| {
-        let mut shipped = 0u64;
-        for entry in logs[source].entries_after(cursor[source]) {
-            cursor[source] = entry.version;
+        drain_tail(logs[source], &mut cursor[source], |entry| {
             let slot = slot_of(entry.key);
             if moving_from[source] & (1 << slot) == 0 {
-                continue;
+                return;
             }
             let target = new_owner(slot);
             entry.encode_into(frames);
@@ -198,10 +259,8 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
                 .send_all_connected(frames)
                 .expect("target node outlives the migration");
             sent[target] += 1;
-            shipped += 1;
-        }
-        report.entries_migrated += shipped;
-        shipped
+            report.entries_migrated += 1;
+        });
     };
 
     loop {
@@ -321,11 +380,14 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
         report.final_epoch = map
             .try_cutover(map.view(), shards_after)
             .expect("the resharding coordinator is the only epoch writer");
-        map.unfreeze(moving_all);
-        for &source in &sources {
-            map.clear_quiesced(source);
-        }
         break;
+    }
+    // Unfreeze — after the cutover CAS, the order `slot_fence` relies
+    // on — then disarm: the parked writes bounce to their new owners
+    // and every node drops its log.
+    drop(guard);
+    for &source in &sources {
+        map.clear_quiesced(source);
     }
 
     // 6. Cleanup: moved keys leave their sources; their retired nodes
@@ -357,10 +419,15 @@ mod tests {
     use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient};
     use ssync_locks::TicketLock;
 
+    /// `n` stores and their logs. The logs hold ONE entry: a node that
+    /// logs two writes nobody drained panics on the overflow assert, so
+    /// every test on this fleet also checks that a log's high-water
+    /// length stays within the writes issued while a migration was
+    /// armed — none, in the quiet tests below.
     fn fleet(n: usize) -> (Vec<KvStore<TicketLock>>, Vec<OpLog>) {
         (
             (0..n).map(|_| KvStore::new(64, 8)).collect(),
-            (0..n).map(|_| OpLog::new(1 << 14)).collect(),
+            (0..n).map(|_| OpLog::new(1)).collect(),
         )
     }
 
@@ -409,6 +476,8 @@ mod tests {
         });
         assert_eq!(map.epoch(), 2);
         assert_eq!(map.num_shards(), 4);
+        assert_eq!(map.log_generation() & 1, 0, "disarmed after the cutover");
+        assert!(logs.iter().all(OpLog::is_empty));
         // Every surviving key sits exactly at its mod-4 owner.
         for (shard, store) in stores.iter().enumerate() {
             for (key, _, _) in store.dump() {
@@ -458,12 +527,144 @@ mod tests {
             }
             client.close();
         });
+        assert_eq!(map.log_generation() & 1, 0, "disarmed after the cutover");
+        assert!(logs.iter().all(OpLog::is_empty));
         for (shard, store) in stores.iter().enumerate() {
             for (key, _, _) in store.dump() {
                 let k = u64::from_be_bytes(key.as_ref().try_into().unwrap());
                 assert_eq!(map.owner_of(slot_of(k)), shard, "key {k} misplaced");
             }
         }
+    }
+
+    /// The truncation rule, staged: an entry the node appends after the
+    /// coordinator read the tail but before it truncated survives to
+    /// the next round — because `drain_tail` truncates behind the last
+    /// entry *read*. The twin truncates through the log's end, as a
+    /// "the tail is shipped, drop it" shortcut would, and loses it.
+    #[test]
+    fn an_append_between_tail_read_and_truncation_survives_to_the_next_round() {
+        fn drain_through_the_end(log: &OpLog, cursor: &mut u64, mut ship: impl FnMut(&LogEntry)) {
+            for entry in log.entries_after(*cursor) {
+                *cursor = entry.version;
+                ship(&entry);
+            }
+            log.truncate_through(u64::MAX);
+        }
+        // Two rounds over a log holding version 1, with version 2
+        // landing mid-way through the first round's shipping.
+        fn shipped_by(
+            drain: impl Fn(&OpLog, &mut u64, &mut dyn FnMut(&LogEntry)),
+        ) -> (Vec<u64>, usize) {
+            let log = OpLog::new(8);
+            let value = bytes::Bytes::from_static(b"v");
+            log.append(LogEntry::committed(7, 1, Some(&value)));
+            let mut cursor = 0u64;
+            let mut shipped = Vec::new();
+            drain(&log, &mut cursor, &mut |entry| {
+                shipped.push(entry.version);
+                log.append(LogEntry::committed(7, 2, Some(&value)));
+            });
+            drain(&log, &mut cursor, &mut |entry| shipped.push(entry.version));
+            (shipped, log.len())
+        }
+        assert_eq!(
+            shipped_by(|log, cursor, ship| drain_tail(log, cursor, ship)),
+            (vec![1, 2], 0),
+            "every write ships once and the log ends empty"
+        );
+        assert_eq!(
+            shipped_by(|log, cursor, ship| drain_through_the_end(log, cursor, ship)),
+            (vec![1], 0),
+            "the twin must lose the write that raced its truncation"
+        );
+    }
+
+    /// A coordinator that dies mid-protocol — here on the final delta's
+    /// send, the freeze up and the logs armed — leaves nothing frozen
+    /// and nothing armed. The test plays source node 0 by hand so the
+    /// death lands exactly there: it acknowledges the arming, waits for
+    /// the freeze round, drops the target's ring, logs one moving write
+    /// and only then acknowledges the quiesce.
+    #[test]
+    fn an_unwinding_coordinator_unfreezes_and_disarms() {
+        let map = ShardMap::new(1);
+        let (stores, _) = fleet(2);
+        let logs = [OpLog::new(4), OpLog::new(4)];
+        let (endpoints, _conns, mig) = cluster_mesh(2, 1, 16, 16);
+        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let log_refs: Vec<&OpLog> = logs.iter().collect();
+        let moving_key = (0u64..).find(|&k| slot_of(k) == 1).unwrap();
+        let died = std::thread::scope(|s| {
+            let coordinator = s.spawn(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_reshard_coordinator(
+                        &map,
+                        &store_refs,
+                        &log_refs,
+                        &mig,
+                        &ReshardSpec::clean(2),
+                    )
+                }))
+            });
+            while map.log_generation() & 1 == 0 {
+                std::thread::yield_now();
+            }
+            map.ack_log_generation(0, map.log_generation());
+            while map.round() == 0 {
+                std::thread::yield_now();
+            }
+            assert_ne!(map.frozen(), 0, "the round opens after the freeze");
+            drop(endpoints);
+            let value = bytes::Bytes::from_static(b"v");
+            logs[0].append(LogEntry::committed(moving_key, 1, Some(&value)));
+            map.publish_quiesced(0, map.round(), 1);
+            coordinator.join().unwrap().is_err()
+        });
+        assert!(died, "a send to a dropped target ring must panic");
+        assert_eq!(map.frozen(), 0, "no write may stay parked");
+        assert_eq!(map.log_generation() & 1, 0, "no log may keep growing");
+        assert_eq!(map.epoch(), 1, "and the map was never cut");
+    }
+
+    /// The same death against a live node: its log is armed while the
+    /// coordinator runs, dropped once the guard disarmed, and the node
+    /// serves writes — unlogged again — afterwards.
+    #[test]
+    fn a_node_drops_its_log_after_the_coordinator_unwound() {
+        let map = ShardMap::new(1);
+        let (stores, logs) = fleet(2);
+        let (mut endpoints, mut conns, mig) = cluster_mesh(2, 1, 16, 16);
+        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let log_refs: Vec<&OpLog> = logs.iter().collect();
+        // The target's ring has no receiver: the copy's first send dies.
+        drop(endpoints.pop());
+        std::thread::scope(|s| {
+            let endpoint = endpoints.pop().unwrap();
+            s.spawn(|| serve_cluster_node(0, &stores[0], &logs[0], &map, endpoint));
+            let client = ClusterClient::new(&map, conns.pop().unwrap());
+            for key in 0..64u64 {
+                client.set(key, vec![1]).unwrap();
+            }
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_reshard_coordinator(&map, &store_refs, &log_refs, &mig, &ReshardSpec::clean(2))
+            }));
+            assert!(died.is_err());
+            assert_eq!(map.log_generation() & 1, 0);
+            let armed = |client: &ClusterClient| {
+                let snap = client.stats(0).unwrap();
+                snap.counter("node.oplog_armed").unwrap()
+            };
+            while armed(&client) == 1 {
+                std::thread::yield_now();
+            }
+            for key in 0..64u64 {
+                client.set(key, vec![2]).unwrap();
+            }
+            client.close();
+        });
+        assert!(logs[0].is_empty());
+        assert_eq!(stores[0].len(), 64);
     }
 
     /// A no-op spec (map already mod-N) returns without touching

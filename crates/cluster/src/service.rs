@@ -11,9 +11,17 @@
 //!   current map is bounced with [`Response::WrongShard`] (nothing
 //!   executes), and the client refetches the map and retries. An
 //!   operation is therefore executed by exactly the node that
-//!   acknowledges it. Every committed write is appended to the node's
-//!   [`OpLog`] (the `committed` hook) for the coordinator's delta
-//!   replay.
+//!   acknowledges it.
+//! * **The armed op-log** ([`follow_log_arming`]) — a node's [`OpLog`]
+//!   has a reader only while a migration runs, so the node appends its
+//!   committed writes (the `committed` hook) only while the map's
+//!   arming generation is odd, and drops the log when it turns even.
+//!   With no migration in flight the log is empty however long the
+//!   node serves. The node acknowledges each generation *after*
+//!   switching: a write committed before the ack is in the store the
+//!   coordinator then copies, a write committed after it is in the
+//!   log the coordinator then replays — there is no third case
+//!   (`tests/chk_models.rs` model-checks that handshake too).
 //! * **The freeze protocol** — writes to slots frozen for a
 //!   migration's final drain are *deferred* (parked in the node, the
 //!   client blocked on its reply) and re-submitted each loop pass:
@@ -132,14 +140,46 @@ pub fn slot_fence(map: &ShardMap, me: usize, key: u64, is_write: bool) -> Admit 
     }
 }
 
+/// One pass of a node's half of the op-log arming handshake
+/// ([`ShardMap::arm_logs`]): load the generation, and if it moved since
+/// `*seen`, switch to it — drop the log when leaving an armed (odd)
+/// generation, whose entries nothing will read again — and only then
+/// acknowledge. The caller logs its committed writes while `*seen` is
+/// odd. Returns whether the generation moved.
+///
+/// The order is the no-lost-write argument: the single-threaded node
+/// commits nothing between switching and acknowledging, so every write
+/// it committed unlogged precedes the ack's Release (the coordinator's
+/// copy, which starts after its Acquire of the ack, reads that write or
+/// a newer version of its key) and every later write is logged.
+pub fn follow_log_arming(map: &ShardMap, me: usize, log: &OpLog, seen: &mut u64) -> bool {
+    let generation = map.log_generation();
+    if generation == *seen {
+        return false;
+    }
+    if *seen & 1 == 1 {
+        log.truncate_through(u64::MAX);
+    }
+    *seen = generation;
+    map.ack_log_generation(me, generation);
+    true
+}
+
 /// The node's policy state: the fence's inputs, the op-log its
-/// committed writes go to, and the counters the two hooks maintain.
+/// committed writes go to while armed, and the counters the two hooks
+/// maintain.
 struct SlotPolicy<'a> {
     me: usize,
     map: &'a ShardMap,
     log: &'a OpLog,
-    /// Highest op-log version this node assigned — what it quiesces at.
-    last_version: u64,
+    /// The arming generation this node last acknowledged
+    /// ([`follow_log_arming`]); odd = log every committed write.
+    log_generation: u64,
+    /// Highest version logged under `log_generation` — what the node
+    /// quiesces at. Versions it assigned while unarmed are not in it:
+    /// the coordinator's final delta has to reach the log's end, not
+    /// the store's.
+    last_logged: u64,
     bounced: u64,
 }
 
@@ -155,8 +195,10 @@ impl Hooks for SlotPolicy<'_> {
     }
 
     fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>) {
-        self.log.append(LogEntry::committed(key, version, value));
-        self.last_version = version;
+        if self.log_generation & 1 == 1 {
+            self.log.append(LogEntry::committed(key, version, value));
+            self.last_logged = version;
+        }
     }
 }
 
@@ -176,7 +218,8 @@ pub fn serve_cluster_node<R: RawLock + Default>(
         me,
         map,
         log,
-        last_version: 0,
+        log_generation: 0,
+        last_logged: 0,
         bounced: 0,
     };
     let mut deferred: Vec<(usize, Request)> = Vec::new();
@@ -186,7 +229,11 @@ pub fn serve_cluster_node<R: RawLock + Default>(
     // Cumulative migration-stream entries processed.
     let mut mig_processed = 0u64;
     while core.live() > 0 {
-        let mut progressed = false;
+        // Arming handshake, before anything this pass can commit.
+        let mut progressed = follow_log_arming(map, me, log, &mut policy.log_generation);
+        if progressed {
+            policy.last_logged = 0;
+        }
         // Quiesce handshake: reading the round first (Acquire) is what
         // guarantees the freeze bits of that round are visible, and —
         // by per-object coherence on the single-threaded node — every
@@ -196,7 +243,7 @@ pub fn serve_cluster_node<R: RawLock + Default>(
         if round != acked_round {
             let mine = owned_mask(map, me);
             if map.frozen() & mine != 0 {
-                map.publish_quiesced(me, round, policy.last_version);
+                map.publish_quiesced(me, round, policy.last_logged);
                 acked_round = round;
                 progressed = true;
             }
@@ -232,6 +279,8 @@ pub fn serve_cluster_node<R: RawLock + Default>(
                     ("node.wrong_shard_redirects", policy.bounced),
                     ("node.migration_ops_deferred", ops_deferred),
                     ("node.migration_entries", mig_processed),
+                    ("node.oplog_entries", log.len() as u64),
+                    ("node.oplog_armed", policy.log_generation & 1),
                 ];
                 core.reply_stats(client, store, &node);
             }
@@ -481,11 +530,12 @@ mod tests {
             assert_eq!(client.redirects(), 0);
             client.close();
         });
-        // Writes landed on the store owning the key's slot, and each
-        // state-changing op appended to that shard's log.
+        // Writes landed on the store owning the key's slot — and, with
+        // no migration armed, nothing was logged anywhere.
         let owner = map.owner_of(slot_of(1));
-        assert_eq!(logs[owner].entries_after(0).len(), 3);
-        assert_eq!(logs[owner ^ 1].entries_after(0).len(), 0);
+        assert_eq!(stores[owner].stats_snapshot().sets, 2);
+        assert_eq!(stores[owner ^ 1].stats_snapshot().sets, 0);
+        assert!(logs.iter().all(OpLog::is_empty));
     }
 
     #[test]
@@ -548,6 +598,11 @@ mod tests {
             }
             // Every node answers a scrape, and the counters add up.
             let before: Vec<_> = (0..2).map(|n| client.stats(n).unwrap()).collect();
+            // Steady state: no migration, so no log and nothing in it.
+            for snap in &before {
+                assert_eq!(snap.counter("node.oplog_armed"), Some(0));
+                assert_eq!(snap.counter("node.oplog_entries"), Some(0));
+            }
             let sets: u64 = before
                 .iter()
                 .map(|s| s.counter("store.sets").unwrap())
@@ -584,9 +639,24 @@ mod tests {
             }
             let writer_conn = conns.pop().unwrap();
             let client = ClusterClient::new(&map, conns.pop().unwrap());
+            let oplog = |client: &ClusterClient| {
+                let snap = client.stats(0).unwrap();
+                let row = |name| snap.counter(name).unwrap();
+                (row("node.oplog_armed"), row("node.oplog_entries"))
+            };
+            // A write made before any migration is in the store only;
+            // one made after the node acknowledged an arming is logged.
+            client.set(key, b"unlogged".to_vec()).unwrap();
+            let generation = map.arm_logs();
+            while map.log_acked_of(0) != generation {
+                std::thread::yield_now();
+            }
             let v1 = client.set(key, b"before".to_vec()).unwrap();
+            assert_eq!(oplog(&client), (1, 1));
+            assert_eq!(logs[0].entries_after(0)[0].version, v1);
             // Freeze the key's slot, as a coordinator's final drain
-            // would, and wait for the node's round-tagged quiesce ack.
+            // would, and wait for the node's round-tagged quiesce ack:
+            // it carries the highest version *logged*.
             map.freeze(1 << slot_of(key));
             let round = map.begin_round();
             while map.quiesced_of(0).is_none_or(|(r, _)| r != round) {
@@ -616,8 +686,17 @@ mod tests {
             assert!(v2 > v1);
             assert_eq!(client.get(key).unwrap().unwrap().1, b"after".to_vec());
             assert_eq!(parked(&client), 1);
+            // Disarmed, the node drops its log and stops logging.
+            assert_eq!(oplog(&client), (1, 2));
+            map.disarm_logs();
+            while oplog(&client).0 == 1 {
+                std::thread::yield_now();
+            }
+            client.set(key, b"unlogged again".to_vec()).unwrap();
+            assert_eq!(oplog(&client), (0, 0));
             client.close();
         });
+        assert!(logs[0].is_empty());
     }
 
     /// Regression: a connection that says `Stop` twice used to retire

@@ -27,14 +27,27 @@
 //! proving the mask-before-route discipline (and not some accident of
 //! the transport) carries the property.
 //!
+//! The last pair is the op-log arming handshake, through
+//! [`follow_log_arming`] — the step `serve_cluster_node` runs at the top
+//! of every pass. A node keeps no log until a coordinator arms one, so
+//! the property is that nothing falls between the two: **every write
+//! the node executed is in the coordinator's copy of the store or in
+//! the log it reads afterwards**. It holds because the coordinator
+//! copies only after the node's acknowledgement, which the node
+//! publishes only after it switched to logging; the twin copies right
+//! after arming, and the checker must find the write that was
+//! committed unlogged after the copy passed it.
+//!
 //! Run with:
 //! `RUSTFLAGS='--cfg ssync_chk' cargo test -p ssync-cluster --test chk_models`
 #![cfg(ssync_chk)]
 
 use std::sync::Arc;
 
+use ssync_chk::sync::atomic::{AtomicU64, Ordering};
 use ssync_chk::{thread, Builder};
-use ssync_cluster::{slot_fence, ShardMap};
+use ssync_cluster::{follow_log_arming, slot_fence, ShardMap};
+use ssync_repl::OpLog;
 use ssync_srv::{slot_of, Admit, ROUTE_SLOTS};
 
 /// The first key routing to `slot` — slot 1 moves to shard 1 in a
@@ -168,4 +181,80 @@ fn racing_cutovers_publish_exactly_one_epoch() {
     });
     assert!(!report.truncated, "exploration truncated: {report:?}");
     eprintln!("cutover race model: {} executions", report.executions);
+}
+
+/// The arming handshake, node and coordinator concurrent. The store
+/// and the log are one shadow word each (bit = write), standing in for
+/// the lock-protected `KvStore` and `OpLog`; the handshake words are
+/// the real map's.
+fn arming_protocol(wait_for_ack: bool) {
+    let map = Arc::new(ShardMap::new(1));
+    let store = Arc::new(AtomicU64::new(0));
+    let logged = Arc::new(AtomicU64::new(0));
+    let node = {
+        let (map, store, logged) = (Arc::clone(&map), Arc::clone(&store), Arc::clone(&logged));
+        thread::spawn(move || {
+            // Never touched: the model does not leave an armed
+            // generation, the only step that drops the real log.
+            let log = OpLog::new(1);
+            let mut seen = 0u64;
+            let mut executed = 0u64;
+            // Two passes of the serve loop, essentials only: the
+            // arming step, then one write that commits to the store
+            // and is logged iff the node is armed.
+            for write in [1u64, 2] {
+                follow_log_arming(&map, 0, &log, &mut seen);
+                store.fetch_or(write, Ordering::Release);
+                if seen & 1 == 1 {
+                    logged.fetch_or(write, Ordering::Release);
+                }
+                executed |= write;
+            }
+            executed
+        })
+    };
+    // The coordinator: arm, poll for the ack a bounded number of times
+    // (schedules that never see it copy nothing and prove nothing),
+    // then copy. The twin copies without the ack.
+    let generation = map.arm_logs();
+    let mut copied = None;
+    for _ in 0..4 {
+        if !wait_for_ack || map.log_acked_of(0) == generation {
+            copied = Some(store.load(Ordering::Acquire));
+            break;
+        }
+        thread::yield_now();
+    }
+    // The delta reads the log to its end once the node is quiet.
+    let executed = node.join();
+    if let Some(copied) = copied {
+        let replayed = logged.load(Ordering::Acquire);
+        assert_eq!(
+            executed & !(copied | replayed),
+            0,
+            "a write is in neither the copy nor the log"
+        );
+    }
+}
+
+/// Copy-after-ack: in every interleaving where the copy ran, the copy
+/// plus the log is everything the node executed.
+#[test]
+fn armed_log_and_copy_cover_every_write() {
+    let report = Builder::new().check(|| arming_protocol(true));
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    eprintln!("log arming model: {} executions", report.executions);
+}
+
+/// Copy-before-ack must lose a write: the node loads the even
+/// generation, the coordinator arms and copies an empty store, and the
+/// node's unlogged write lands behind the copy.
+#[test]
+fn copying_before_the_arming_ack_loses_a_write() {
+    let v = Builder::new().expect_violation(|| arming_protocol(false));
+    assert!(v.message.contains("neither the copy nor the log"), "{v}");
+    eprintln!(
+        "unacknowledged copy lost write found in execution {}",
+        v.execution
+    );
 }

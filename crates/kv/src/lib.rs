@@ -870,64 +870,78 @@ impl<R: RawLock + Default> KvStore<R> {
         }
     }
 
+    /// Clones one bucket chain's items onto `out`. The caller holds the
+    /// chain's stripe lock.
+    fn push_chain(head: &AtomicPtr<Node>, out: &mut Vec<(Bytes, u64, Bytes)>) {
+        let mut p = head.load(Ordering::Acquire);
+        while !p.is_null() {
+            // SAFETY: live node, stripe lock held.
+            let node = unsafe { &*p };
+            out.push((node.key.clone(), node.version, node.value.clone()));
+            p = node.next.load(Ordering::Acquire);
+        }
+    }
+
     /// The full contents as `(key, version, value)` triples sorted by
     /// key — the comparison form replication tests and the `repl-perf`
-    /// convergence check use. Clones are `Bytes` refcount bumps, not
-    /// byte copies, so dumping a large store is cheap.
+    /// convergence check use (never a serving path, so it can afford
+    /// the sort). Clones are `Bytes` refcount bumps, not byte copies,
+    /// so dumping a large store is cheap.
     pub fn dump(&self) -> Vec<(Bytes, u64, Bytes)> {
         let mut out = Vec::new();
         for stripe in self.stripes.iter() {
             let _guard = stripe.inner.lock();
             for head in stripe.heads.iter() {
-                let mut p = head.load(Ordering::Acquire);
-                while !p.is_null() {
-                    // SAFETY: live node, stripe lock held.
-                    let node = unsafe { &*p };
-                    out.push((node.key.clone(), node.version, node.value.clone()));
-                    p = node.next.load(Ordering::Acquire);
-                }
+                Self::push_chain(head, &mut out);
             }
         }
         out.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
         out
     }
 
-    /// A chunked cursor over the sorted contents: the `max` smallest
-    /// `(key, version, value)` triples whose key is strictly greater
-    /// than `after` (`None` starts from the beginning). Re-passing the
-    /// last returned key walks the whole store in sorted chunks — an
-    /// empty chunk means the cursor is exhausted — without ever
-    /// materializing more than ~`2 * max` candidates, which is what
-    /// lets a migration bulk-copy stream a large shard in bounded
-    /// memory. Stripe locking as in [`KvStore::dump`]: each stripe is
-    /// consistent, the whole chunk is not a point-in-time snapshot; a
-    /// racing writer may straddle the chunk boundary, which migration
-    /// absorbs by replaying the op-log delta after the copy.
+    /// A chunked cursor over the contents **in table order**: the next
+    /// page of `(key, version, value)` triples after the position of
+    /// the key `after` (`None` starts from the beginning). Re-passing
+    /// the last returned key walks the whole store — an empty page
+    /// means the cursor is exhausted — at a cost proportional to the
+    /// page, not the store, which is what lets a migration bulk-copy
+    /// stream a large shard in bounded memory and time.
+    ///
+    /// The cursor key is located, not compared: its hash names a
+    /// `(stripe, bucket)` and the page resumes at that stripe's next
+    /// bucket. A page takes **one** stripe lock and returns *whole*
+    /// bucket chains, stopping at the first bucket boundary at or past
+    /// `max` items — so it may exceed `max` by one chain — or at the
+    /// end of the stripe; it moves on to the next stripe only while it
+    /// is still empty.
+    ///
+    /// The contract: pages are not sorted; every key present for the
+    /// whole walk is returned at least once, and exactly once if
+    /// nothing writes meanwhile; a key inserted behind the cursor is
+    /// not revisited (migration reads it from the op-log delta it
+    /// replays after the copy); deleting the cursor key — or the whole
+    /// page, as migration's clear and cleanup passes do — between
+    /// calls changes nothing, since a key's bucket does not depend on
+    /// its presence.
     pub fn dump_range(&self, after: Option<&[u8]>, max: usize) -> Vec<(Bytes, u64, Bytes)> {
-        let mut out: Vec<(Bytes, u64, Bytes)> = Vec::new();
-        for stripe in self.stripes.iter() {
+        let (first, mut bucket) = after.map_or((0, 0), |key| {
+            let (stripe, bucket) = self.locate(key);
+            (stripe, bucket + 1)
+        });
+        let mut out = Vec::new();
+        for stripe in &self.stripes[first..] {
             let _guard = stripe.inner.lock();
-            for head in stripe.heads.iter() {
-                let mut p = head.load(Ordering::Acquire);
-                while !p.is_null() {
-                    // SAFETY: live node, stripe lock held.
-                    let node = unsafe { &*p };
-                    if after.map_or(true, |a| node.key.as_ref() > a) {
-                        out.push((node.key.clone(), node.version, node.value.clone()));
-                    }
-                    p = node.next.load(Ordering::Acquire);
+            for head in &stripe.heads[bucket..] {
+                if out.len() >= max {
+                    return out;
                 }
+                Self::push_chain(head, &mut out);
             }
-            // Keep the candidate set bounded: once it doubles the
-            // chunk size, only the `max` smallest keys can still make
-            // the final cut.
-            if out.len() > max.saturating_mul(2) {
-                out.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
-                out.truncate(max);
+            if !out.is_empty() {
+                break;
             }
+            bucket = 0;
         }
-        out.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
-        out.truncate(max);
         out
     }
 
@@ -1259,36 +1273,156 @@ mod tests {
         assert_eq!(visited, 2);
     }
 
+    /// Walks the whole store through `dump_range`, checking what every
+    /// walk must satisfy: non-empty pages until the last, a page at
+    /// most one chain over `chunk`. `between` runs after each page (the
+    /// page's keys in hand) before the cursor resumes from its last key.
+    fn paged_walk(
+        kv: &KvStore<TicketLock>,
+        chunk: usize,
+        longest_chain: usize,
+        mut between: impl FnMut(&[(Bytes, u64, Bytes)]),
+    ) -> Vec<(Bytes, u64, Bytes)> {
+        let mut paged = Vec::new();
+        let mut cursor: Option<Bytes> = None;
+        loop {
+            let page = kv.dump_range(cursor.as_deref(), chunk);
+            let Some(last) = page.last() else { break };
+            assert!(
+                page.len() < chunk + longest_chain,
+                "a page of {} exceeds chunk {chunk} by more than a chain",
+                page.len()
+            );
+            cursor = Some(last.0.clone());
+            between(&page);
+            paged.extend(page);
+        }
+        paged
+    }
+
+    fn sorted(mut items: Vec<(Bytes, u64, Bytes)>) -> Vec<(Bytes, u64, Bytes)> {
+        items.sort_by(|a, b| a.0.cmp(&b.0));
+        items
+    }
+
+    /// The longest bucket chain, counted from the hash, not the cursor.
+    fn longest_chain(kv: &KvStore<TicketLock>) -> usize {
+        let mut chains = std::collections::HashMap::new();
+        kv.for_each(|key, _, _| *chains.entry(kv.locate(key)).or_insert(0usize) += 1);
+        chains.into_values().max().unwrap_or(0)
+    }
+
     #[test]
     fn dump_range_pages_through_whole_store() {
         let kv: KvStore<TicketLock> = KvStore::new(64, 8);
         for i in 0u64..257 {
             kv.set(&i.to_be_bytes(), i.to_le_bytes().as_slice());
         }
-        // Chunked cursor walk reassembles exactly dump(), for chunk
-        // sizes that divide the count, don't, and exceed it.
+        let chain = longest_chain(&kv);
+        // The pages' union is exactly dump() — as a set, in table order,
+        // no key twice — for chunk sizes below a chain, around one, and
+        // past the whole store.
         for chunk in [1usize, 7, 64, 300] {
-            let mut paged = Vec::new();
-            let mut cursor: Option<Bytes> = None;
-            loop {
-                let page = kv.dump_range(cursor.as_deref(), chunk);
-                assert!(page.len() <= chunk);
-                if page.is_empty() {
-                    break;
-                }
-                cursor = Some(page.last().unwrap().0.clone());
-                paged.extend(page);
-            }
-            assert_eq!(paged, kv.dump(), "chunk size {chunk}");
+            let paged = paged_walk(&kv, chunk, chain, |_| ());
+            assert_eq!(
+                paged.len(),
+                257,
+                "chunk size {chunk}: a key twice or missing"
+            );
+            assert_eq!(sorted(paged), kv.dump(), "chunk size {chunk}");
         }
-        // The cursor bound is strict: resuming from a key skips it.
+        // The cursor is a position: resuming from a page's last key
+        // continues after that key's whole bucket, and the key need not
+        // exist any more — only its bucket matters.
         let first = kv.dump_range(None, 3);
-        let next = kv.dump_range(Some(first[1].0.as_ref()), 3);
-        assert_eq!(next[0].0, first[2].0);
-        // Past the last key the cursor is exhausted.
-        assert!(kv
-            .dump_range(Some(256u64.to_be_bytes().as_slice()), 8)
-            .is_empty());
+        let cursor = first.last().unwrap().0.clone();
+        let next = kv.dump_range(Some(cursor.as_ref()), 3);
+        assert!(next.iter().all(|item| !first.contains(item)));
+        assert!(kv.delete(cursor.as_ref()));
+        assert_eq!(kv.dump_range(Some(cursor.as_ref()), 3), next);
+        // A zero-sized page is empty, as it always was.
+        assert!(kv.dump_range(None, 0).is_empty());
+    }
+
+    /// Migration's clear and cleanup passes delete the keys of the page
+    /// they hold — cursor key included — before asking for the next
+    /// one. No other key may go unseen for it.
+    #[test]
+    fn dump_range_survives_deleting_the_page_it_just_returned() {
+        for chunk in [1usize, 7, 64, 300] {
+            let kv: KvStore<TicketLock> = KvStore::new(64, 8);
+            for i in 0u64..257 {
+                kv.set(&i.to_be_bytes(), i.to_le_bytes().as_slice());
+            }
+            let before = kv.dump();
+            let chain = longest_chain(&kv);
+            let paged = paged_walk(&kv, chunk, chain, |page| {
+                for (key, _, _) in page {
+                    assert!(kv.delete(key.as_ref()));
+                }
+            });
+            assert_eq!(sorted(paged), before, "chunk size {chunk}");
+            assert!(kv.is_empty());
+        }
+    }
+
+    /// The geometry `kv.get_pow2_ns` records: dense 8-byte keys under a
+    /// power-of-two bucket count reach only a few hundred buckets, so
+    /// chains run to dozens of items and a page is rarely under a
+    /// chain. The walk must still terminate and return everything.
+    #[test]
+    fn dump_range_walks_long_chains_of_a_power_of_two_table() {
+        let kv: KvStore<TicketLock> = KvStore::new(1 << 12, 16);
+        let keys = 8 * (1u64 << 12);
+        for i in 0..keys {
+            kv.set(&i.to_be_bytes(), b"v".as_slice());
+        }
+        let chain = longest_chain(&kv);
+        assert!(chain >= 32, "expected the long-chain geometry, got {chain}");
+        for chunk in [1usize, 64] {
+            let paged = paged_walk(&kv, chunk, chain, |_| ());
+            assert_eq!(paged.len() as u64, keys, "chunk size {chunk}");
+            assert_eq!(sorted(paged), kv.dump(), "chunk size {chunk}");
+        }
+    }
+
+    /// With a writer churning a disjoint key range for the whole walk,
+    /// every key it does not touch is still seen — at least once.
+    #[test]
+    fn dump_range_sees_every_untouched_key_under_concurrent_churn() {
+        let kv: KvStore<TicketLock> = KvStore::new(64, 8);
+        for i in 0u64..257 {
+            kv.set(&i.to_be_bytes(), i.to_le_bytes().as_slice());
+        }
+        let untouched = kv.dump();
+        // Plain std atomics: this is a threaded test, not a model.
+        use std::sync::atomic::{AtomicBool, AtomicU64};
+        let done = AtomicBool::new(false);
+        let writes = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    let n = writes.fetch_add(1, Ordering::Release);
+                    let key = (1_000 + n % 300).to_be_bytes();
+                    if n % 3 == 2 {
+                        kv.delete(&key);
+                    } else {
+                        kv.set(&key, n.to_le_bytes().as_slice());
+                    }
+                }
+            });
+            // The walks start once the writer is running.
+            while writes.load(Ordering::Acquire) == 0 {
+                std::thread::yield_now();
+            }
+            for chunk in [1usize, 7, 64, 300] {
+                let paged = paged_walk(&kv, chunk, usize::MAX - chunk, |_| ());
+                for item in &untouched {
+                    assert!(paged.contains(item), "chunk {chunk} lost {:?}", item.0);
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
     }
 
     #[test]

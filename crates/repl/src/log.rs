@@ -8,12 +8,18 @@
 //! replication sequence (the paper's stance of reusing what the data
 //! structure already gives you).
 //!
-//! The log is bounded: the primary truncates through the lowest
-//! version every backup has acknowledged, and the async mode's lag
-//! bound guarantees the retained window never exceeds
-//! `replicas × max_lag` entries, so a well-configured log cannot
-//! overflow. Overflow therefore asserts instead of silently dropping
-//! unacknowledged entries a backup may still need.
+//! The log is bounded, by whoever reads it. A replication primary
+//! truncates through the lowest version every backup has
+//! acknowledged, and the async mode's lag bound guarantees the
+//! retained window never exceeds `replicas × max_lag` entries. A
+//! cluster node (`ssync-cluster`) has a reader only while a migration
+//! runs: it appends only while the cluster map's arming generation is
+//! odd, the migration coordinator truncates behind the version of the
+//! last entry it read (never the log's end — an append may have landed
+//! since), and the node drops the whole log on disarm, so the retained
+//! window is one delta round's worth of writes. Either way a
+//! well-configured log cannot overflow; overflow therefore asserts
+//! instead of silently dropping entries a reader may still need.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
