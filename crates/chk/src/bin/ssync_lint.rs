@@ -30,9 +30,9 @@ fn main() -> ExitCode {
                     "usage: ssync-lint [--root <workspace>] [--fix-safety-stubs]\n\
                      \n\
                      Checks the workspace ordering discipline (see DESIGN.md):\n\
-                     relaxed-ptr, atomic-padding, safety-comment, decode-panic,\n\
-                     term-fence, epoch-fence.\n\
-                     --fix-safety-stubs lists missing-annotation sites without failing."
+                     {}.\n\
+                     --fix-safety-stubs lists missing-annotation sites without failing.",
+                    lint::RULES.join(", ")
                 );
                 return ExitCode::SUCCESS;
             }

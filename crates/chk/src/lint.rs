@@ -2,17 +2,19 @@
 //!
 //! A deliberately small line-level source pass (no `syn`, no regex crate
 //! — we are offline) that walks every `*/src/*.rs` file in the workspace
-//! and checks seven rules distilled from DESIGN.md's ordering arguments:
+//! and checks the five [`RULES`], distilled from DESIGN.md's ordering
+//! arguments:
 //!
 //! | rule | scope | requirement |
 //! |------|-------|-------------|
 //! | `relaxed-ptr` | all crates | `Ordering::Relaxed` load/store on a pointer-typed atomic must carry a `// chk:` justification within 3 lines |
-//! | `atomic-padding` | kv, mp, repl, cluster, core/stats, core/epoch | `Atomic*` struct fields must be `CachePadded` or `// chk:`-annotated |
-//! | `safety-comment` | kv, mp, repl, cluster, core/stats, core/epoch | `unsafe` blocks/impls/fns must have a `// SAFETY:` comment within 5 lines above |
+//! | `atomic-padding` | kv, mp, repl, cluster, core/stats, core/epoch, core/fenced | `Atomic*` struct fields must be `CachePadded` or `// chk:`-annotated |
+//! | `safety-comment` | kv, mp, repl, cluster, core/stats, core/epoch, core/fenced | `unsafe` blocks/impls/fns must have a `// SAFETY:` comment within 5 lines above |
 //! | `decode-panic` | `wire*.rs` | functions named `*decode*` must not `panic!`/`unwrap()`/`expect(`/`unreachable!`/`todo!` |
-//! | `term-fence` | repl | identifiers with a `term` name segment only meet raw-u64 comparisons — no `+`/`-`/`*`/`/`/`%` or `wrapping_*`/`saturating_*`/`overflowing_*`/`checked_*` without a `// chk:` justification |
-//! | `epoch-fence` | cluster | the same discipline for `epoch` name segments — cluster-map epochs are fenced by raw-u64 comparison, and the only legal mutation is the cutover's justified `epoch + 1` |
 //! | `epoch-pin` | kv | no raw `.load(` on an `epoch`-segment identifier — the store reads the reclamation epoch only through `EpochDomain`'s pin/`epoch()` API (a raw load can miss the pin protocol's publication fence); `// chk:` escapes |
+//!
+//! Terms and cluster-map epochs need no rule: they are
+//! `ssync_core::Fence`s, which the compiler keeps from arithmetic.
 //!
 //! `#[cfg(test)]` regions are exempt from every rule (models and tests
 //! construct bare atomics and panic on purpose). `vendor/` and `target/`
@@ -24,6 +26,15 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+/// Every rule the pass checks, by the name a [`LintViolation`] carries.
+pub const RULES: [&str; 5] = [
+    "relaxed-ptr",
+    "atomic-padding",
+    "safety-comment",
+    "decode-panic",
+    "epoch-pin",
+];
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone)]
@@ -96,11 +107,8 @@ fn collect_sources(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::
 
 /// Which rule families apply to a file.
 struct Scope {
-    relaxed_ptr: bool,
     padding_and_safety: bool,
     decode_panic: bool,
-    term_fence: bool,
-    epoch_fence: bool,
     epoch_pin: bool,
 }
 
@@ -113,16 +121,15 @@ fn scope_of(path: &str) -> Scope {
     // side of every measured request, so they get the same padding and
     // SAFETY discipline as the serving crates. The epoch module is the
     // read path's reclamation machinery — pin records are the very
-    // lines the paper's cache-transfer argument is about.
-    let core_hot =
-        path.starts_with("crates/core/src/stats") || path.starts_with("crates/core/src/epoch");
+    // lines the paper's cache-transfer argument is about — and the
+    // fenced word is the line both cluster maps' transitions move.
+    let core_hot = ["stats", "epoch", "fenced"]
+        .iter()
+        .any(|module| path.starts_with(&format!("crates/core/src/{module}")));
     let file_name = path.rsplit('/').next().unwrap_or(path);
     Scope {
-        relaxed_ptr: true,
         padding_and_safety: hot_crate || core_hot,
         decode_panic: file_name.contains("wire"),
-        term_fence: path.starts_with("crates/repl/"),
-        epoch_fence: path.starts_with("crates/cluster/"),
         epoch_pin: path.starts_with("crates/kv/"),
     }
 }
@@ -137,21 +144,13 @@ pub fn lint_source(path: &str, src: &str) -> Vec<LintViolation> {
     let ptr_names = pointer_atomic_names(&stripped);
 
     let mut out = Vec::new();
-    if scope.relaxed_ptr {
-        rule_relaxed_ptr(path, &raw, &stripped, &in_test, &ptr_names, &mut out);
-    }
+    rule_relaxed_ptr(path, &raw, &stripped, &in_test, &ptr_names, &mut out);
     if scope.padding_and_safety {
         rule_atomic_padding(path, &raw, &stripped, &in_test, &mut out);
         rule_safety_comment(path, &raw, &stripped, &in_test, &mut out);
     }
     if scope.decode_panic {
         rule_decode_panic(path, &stripped, &in_test, &mut out);
-    }
-    if scope.term_fence {
-        rule_term_fence(path, &raw, &stripped, &in_test, &mut out);
-    }
-    if scope.epoch_fence {
-        rule_epoch_fence(path, &raw, &stripped, &in_test, &mut out);
     }
     if scope.epoch_pin {
         rule_epoch_pin(path, &raw, &stripped, &in_test, &mut out);
@@ -609,136 +608,10 @@ fn rule_decode_panic(
     }
 }
 
-/// True if `ident` carries `term` as a whole snake-case segment
-/// (`term`, `my_term`, `frame_term`, `term_word` — but not
-/// `determine` or `intermediate`).
-fn is_term_ident(ident: &str) -> bool {
-    ident.split('_').any(|seg| seg == "term")
-}
-
 /// True if `ident` carries `epoch` as a whole snake-case segment
 /// (`epoch`, `map_epoch`, `epoch_word` — never a substring match).
 fn is_epoch_ident(ident: &str) -> bool {
     ident.split('_').any(|seg| seg == "epoch")
-}
-
-/// Terms are fenced by *raw-u64 comparison* (`>` / `>=` on the term or
-/// the packed map word) — DESIGN.md's "Failover & term fencing"
-/// argument rests on terms never wrapping, so any arithmetic on a
-/// term-named identifier is either the one justified `term + 1` of
-/// promotion or a bug. Flags binary `+ - * / %` touching such an
-/// identifier and `wrapping_*`/`saturating_*`/`overflowing_*`/
-/// `checked_*` calls on one, unless a `// chk:` justification sits
-/// within 3 lines.
-fn rule_term_fence(
-    path: &str,
-    raw: &[&str],
-    stripped: &[String],
-    in_test: &[bool],
-    out: &mut Vec<LintViolation>,
-) {
-    rule_fenced_word(
-        path,
-        raw,
-        stripped,
-        in_test,
-        out,
-        is_term_ident,
-        "term-fence",
-        "term",
-        "the promotion bump",
-    );
-}
-
-/// The cluster-map mirror of [`rule_term_fence`]: epochs are fenced by
-/// raw-u64 comparison too (DESIGN.md's "Cluster map & live migration"
-/// argument — 48-bit epochs never wrap), and the only legal mutation
-/// is the cutover CAS's justified `epoch + 1`.
-fn rule_epoch_fence(
-    path: &str,
-    raw: &[&str],
-    stripped: &[String],
-    in_test: &[bool],
-    out: &mut Vec<LintViolation>,
-) {
-    rule_fenced_word(
-        path,
-        raw,
-        stripped,
-        in_test,
-        out,
-        is_epoch_ident,
-        "epoch-fence",
-        "epoch",
-        "the cutover bump",
-    );
-}
-
-/// Shared body of the fencing rules: flags arithmetic on identifiers
-/// the `is_fenced` predicate selects, unless a `// chk:` justification
-/// sits within 3 lines.
-#[allow(clippy::too_many_arguments)]
-fn rule_fenced_word(
-    path: &str,
-    raw: &[&str],
-    stripped: &[String],
-    in_test: &[bool],
-    out: &mut Vec<LintViolation>,
-    is_fenced: fn(&str) -> bool,
-    rule: &'static str,
-    noun: &str,
-    bump: &str,
-) {
-    const METHODS: [&str; 4] = [".wrapping_", ".saturating_", ".overflowing_", ".checked_"];
-    for (i, line) in stripped.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        let bytes = line.as_bytes();
-        let mut reported = false;
-        let mut pos = 0;
-        while pos < bytes.len() && !reported {
-            if !is_ident_char(bytes[pos] as char) {
-                pos += 1;
-                continue;
-            }
-            let start = pos;
-            while pos < bytes.len() && is_ident_char(bytes[pos] as char) {
-                pos += 1;
-            }
-            if !is_fenced(&line[start..pos]) {
-                continue;
-            }
-            let after = line[pos..].trim_start();
-            // `->` is a return-type arrow, not a subtraction.
-            let arith_after = ["+", "-", "*", "/", "%"]
-                .iter()
-                .any(|op| after.starts_with(op) && !after.starts_with("->"));
-            let method_after = METHODS.iter().any(|m| after.starts_with(m));
-            // Before the identifier: a binary operator only counts if
-            // an operand precedes it (otherwise `*term` / `-term` would
-            // be a deref or unary, not term arithmetic).
-            let before = line[..start].trim_end();
-            let arith_before = before
-                .strip_suffix(['+', '-', '*', '/', '%'])
-                .map(str::trim_end)
-                .and_then(|operand| operand.chars().next_back())
-                .is_some_and(|c| is_ident_char(c) || c == ')' || c == ']');
-            if (arith_after || method_after || arith_before) && !justified(raw, i, "// chk:", 3) {
-                out.push(LintViolation {
-                    file: path.to_string(),
-                    line: i + 1,
-                    rule,
-                    msg: format!(
-                        "arithmetic on {noun}-carrying identifier `{}` — {noun}s only meet raw-u64 comparisons; justify with `// chk:` if this is {bump}",
-                        &line[start..pos]
-                    ),
-                    annotation_fix: true,
-                });
-                reported = true; // one report per line is enough
-            }
-        }
-    }
 }
 
 /// The kv read path's reclamation discipline: the global reclamation
@@ -910,83 +783,10 @@ mod tests {
     }
 
     #[test]
-    fn term_arithmetic_flagged_in_repl_only() {
-        let src = "fn f(term: u64) -> u64 {\n    term + 1\n}\n";
-        let hot = lint_source("crates/repl/src/x.rs", src);
-        assert!(
-            hot.iter().any(|v| v.rule == "term-fence" && v.line == 2),
-            "{hot:?}"
-        );
-        let cold = lint_source("crates/kv/src/x.rs", src);
-        assert!(!cold.iter().any(|v| v.rule == "term-fence"), "{cold:?}");
-    }
-
-    #[test]
-    fn term_wrapping_and_segmented_names_flagged() {
-        let src = "fn f(my_term: u64, x: u64) -> u64 {\n    my_term.wrapping_add(x)\n}\n";
-        let v = lint_source("crates/repl/src/x.rs", src);
-        assert!(
-            v.iter().any(|v| v.rule == "term-fence" && v.line == 2),
-            "{v:?}"
-        );
-        let rhs = "fn f(frame_term: u64, x: u64) -> u64 {\n    x - frame_term\n}\n";
-        let v = lint_source("crates/repl/src/x.rs", rhs);
-        assert!(v.iter().any(|v| v.rule == "term-fence"), "{v:?}");
-    }
-
-    #[test]
-    fn term_comparisons_and_lookalikes_pass() {
-        let src = "fn f(term: u64, other: u64, determine: u64, intermediate: u64) -> bool {\n\
-                       let _ = determine + intermediate;\n\
-                       let _ = term << 16;\n\
-                       term >= other && term > 1\n\
-                   }\n\
-                   fn g(term: &u64) -> u64 { *term }\n";
-        let v = lint_source("crates/repl/src/x.rs", src);
-        assert!(!v.iter().any(|v| v.rule == "term-fence"), "{v:?}");
-    }
-
-    #[test]
-    fn epoch_arithmetic_flagged_in_cluster_only() {
-        let src = "fn f(epoch: u64, map_epoch: u64) -> u64 {\n    epoch + map_epoch\n}\n";
-        let hot = lint_source("crates/cluster/src/x.rs", src);
-        assert!(
-            hot.iter().any(|v| v.rule == "epoch-fence" && v.line == 2),
-            "{hot:?}"
-        );
-        let cold = lint_source("crates/repl/src/x.rs", src);
-        assert!(!cold.iter().any(|v| v.rule == "epoch-fence"), "{cold:?}");
-    }
-
-    #[test]
-    fn epoch_comparisons_packing_and_justified_bump_pass() {
-        let src = "fn f(epoch: u64, other: u64) -> bool {\n\
-                       let _ = epoch << 16;\n\
-                       epoch >= other\n\
-                   }\n\
-                   fn g(epoch: u64) -> u64 {\n\
-                       // chk: the one legal epoch mutation (cutover bump)\n\
-                       epoch + 1\n\
-                   }\n";
-        let v = lint_source("crates/cluster/src/x.rs", src);
-        assert!(!v.iter().any(|v| v.rule == "epoch-fence"), "{v:?}");
-    }
-
-    #[test]
     fn cluster_atomic_fields_carry_the_padding_rule() {
         let src = "struct M {\n    word: AtomicU64,\n}\n";
         let v = lint_source("crates/cluster/src/x.rs", src);
         assert!(v.iter().any(|v| v.rule == "atomic-padding"), "{v:?}");
-    }
-
-    #[test]
-    fn justified_term_bump_passes() {
-        let src = "fn f(term: u64) -> u64 {\n\
-                       // chk: the one legal term mutation (promotion bump)\n\
-                       term + 1\n\
-                   }\n";
-        let v = lint_source("crates/repl/src/x.rs", src);
-        assert!(!v.iter().any(|v| v.rule == "term-fence"), "{v:?}");
     }
 
     #[test]
@@ -1029,6 +829,25 @@ mod tests {
         let unsafe_src = "fn f(p: *mut u8) {\n    unsafe { p.write(0) };\n}\n";
         let v = lint_source("crates/core/src/epoch.rs", unsafe_src);
         assert!(v.iter().any(|v| v.rule == "safety-comment"), "{v:?}");
+    }
+
+    #[test]
+    fn every_rule_a_violation_can_carry_is_listed_once() {
+        let named: std::collections::BTreeSet<&str> = include_str!("lint.rs")
+            .split("rule: \"")
+            .skip(1)
+            .filter_map(|rest| rest.split('"').next())
+            .collect();
+        let listed: std::collections::BTreeSet<&str> = RULES.into_iter().collect();
+        assert_eq!(named, listed);
+        assert_eq!(listed.len(), RULES.len(), "a rule listed twice");
+    }
+
+    #[test]
+    fn the_fenced_word_carries_the_padding_rule() {
+        let src = "struct W {\n    word: AtomicU64,\n}\n";
+        let v = lint_source("crates/core/src/fenced.rs", src);
+        assert!(v.iter().any(|v| v.rule == "atomic-padding"), "{v:?}");
     }
 
     #[test]

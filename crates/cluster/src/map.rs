@@ -1,26 +1,23 @@
 //! The epoch-versioned cluster map: slot→shard routing as one fenced
 //! atomic word plus double-buffered assignment tables.
 //!
-//! This extends the term/leader word of `ssync_repl::ClusterMap` from
-//! "who leads shard S" to "which shard owns slot L". A key hashes to
-//! one of [`ROUTE_SLOTS`] fixed slots ([`ssync_srv::slot_of`]); the map
-//! assigns each slot an owner shard. Resharding reassigns slots — it
-//! never re-hashes keys — by staging a complete replacement table and
-//! publishing it with **one** compare-and-swap on the map word:
-//!
-//! ```text
-//! word = epoch << 16 | shards << 1 | table-select bit
-//! ```
+//! This is `ssync_repl::ClusterMap`'s word asked a different question:
+//! "which shard owns slot L" instead of "who leads shard S". A key
+//! hashes to one of [`ROUTE_SLOTS`] fixed slots
+//! ([`ssync_srv::slot_of`]); the map assigns each slot an owner shard.
+//! Resharding reassigns slots — it never re-hashes keys — by staging a
+//! complete replacement table and publishing it with **one**
+//! [`FencedWord::try_advance`] on the map word, whose fence is the map
+//! **epoch** and whose tag is `shards << 1 | table-select bit`.
 //!
 //! The two assignment tables are double-buffered. Only the migration
 //! coordinator ever writes, and only to the *cold* table
-//! ([`ShardMap::stage`]); the cutover CAS bumps the epoch, installs the
-//! new shard count, and flips the select bit in one step, so a reader
-//! either routes entirely under the old map or entirely under the new —
-//! there is no instant at which a torn table is observable. Epochs are
-//! fenced the way terms are: they only grow, raw `u64` comparison is
-//! the whole staleness check, and the `ssync-lint` `epoch-fence` rule
-//! keeps arithmetic away from them.
+//! ([`ShardMap::stage`]); the cutover CAS advances the epoch, installs
+//! the new shard count, and flips the select bit in one step, so a
+//! reader either routes entirely under the old map or entirely under
+//! the new — there is no instant at which a torn table is observable.
+//! Epochs are fenced the way terms are: a [`Fence`] only grows and only
+//! meets comparisons, which are the whole staleness check.
 //!
 //! The map also carries the two migration handshakes, each one shared
 //! word plus a per-shard acknowledgement: the op-log arming generation
@@ -30,19 +27,17 @@
 //! documented at [`ShardMap::freeze`]) — see `DESIGN.md` "Cluster map &
 //! live migration" for the protocol they anchor.
 
-use ssync_core::CachePadded;
+use ssync_core::{CachePadded, Fence, Fenced, FencedWord};
 use ssync_srv::{slot_of, ROUTE_SLOTS};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
-/// Bits the shard count occupies in the map word (bits 1..16).
-const SHARD_BITS: u32 = 15;
-
 /// One decoded read of the map word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapView {
-    /// The map epoch (starts at 1, bumped by each cutover).
-    pub epoch: u64,
+    /// The map epoch (starts at [`Fence::FIRST`], advanced by each
+    /// cutover).
+    pub epoch: Fence,
     /// Shards in the fleet under this epoch.
     pub shards: usize,
     /// Which of the two assignment tables is active.
@@ -55,7 +50,7 @@ pub struct MapView {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MapSnapshot {
     /// The epoch the owners were read under.
-    pub epoch: u64,
+    pub epoch: Fence,
     /// Owner shard per routing slot ([`ROUTE_SLOTS`] entries).
     pub owners: Vec<usize>,
 }
@@ -72,25 +67,25 @@ impl MapSnapshot {
     }
 }
 
-fn pack(epoch: u64, shards: usize, table: usize) -> u64 {
-    debug_assert!(epoch < 1 << 48 && shards < 1 << SHARD_BITS && table < 2);
-    epoch << 16 | (shards as u64) << 1 | table as u64
+/// The map word's tag (every caller bounds `shards` by [`ROUTE_SLOTS`]).
+fn tag(shards: usize, table: usize) -> u16 {
+    (shards << 1 | table) as u16
 }
 
-fn unpack(word: u64) -> MapView {
+fn view_of(word: Fenced) -> MapView {
     MapView {
-        epoch: word >> 16,
-        shards: ((word >> 1) & ((1 << SHARD_BITS) - 1)) as usize,
-        table: (word & 1) as usize,
+        epoch: word.fence,
+        shards: usize::from(word.tag >> 1),
+        table: usize::from(word.tag & 1),
     }
 }
 
 /// The shared cluster map, handed by reference to every node server,
 /// client, and the migration coordinator.
 pub struct ShardMap {
-    /// `epoch << 16 | shards << 1 | select` — the one word a routing
+    /// The epoch over `shards << 1 | select` — the one word a routing
     /// read loads and the one word a cutover CASes.
-    word: CachePadded<AtomicU64>,
+    word: FencedWord,
     /// Double-buffered slot→owner tables, [`ROUTE_SLOTS`] entries
     /// each. The active one (select bit of `word`) is read-only; the
     /// cold one is written only by the single migration coordinator.
@@ -153,7 +148,7 @@ impl ShardMap {
                 .collect()
         };
         ShardMap {
-            word: CachePadded::new(AtomicU64::new(pack(1, shards, 0))),
+            word: FencedWord::new(tag(shards, 0)),
             tables: [table(true), table(false)],
             freeze_req: CachePadded::new(AtomicU64::new(0)),
             round: CachePadded::new(AtomicU64::new(0)),
@@ -167,11 +162,11 @@ impl ShardMap {
     /// The current epoch, shard count, and active table, in one atomic
     /// read.
     pub fn view(&self) -> MapView {
-        unpack(self.word.load(Ordering::Acquire))
+        view_of(self.word.load())
     }
 
     /// The current map epoch.
-    pub fn epoch(&self) -> u64 {
+    pub fn epoch(&self) -> Fence {
         self.view().epoch
     }
 
@@ -193,7 +188,7 @@ impl ShardMap {
     /// The owner shard of a key under the current map, with the epoch
     /// it was routed under — what a server compares against a client's
     /// claim before executing.
-    pub fn route(&self, key: u64) -> (usize, u64) {
+    pub fn route(&self, key: u64) -> (usize, Fence) {
         let view = self.view();
         let owner = self.tables[view.table][slot_of(key)].load(Ordering::Relaxed) as usize;
         (owner, view.epoch)
@@ -205,14 +200,14 @@ impl ShardMap {
     /// read).
     pub fn snapshot(&self) -> MapSnapshot {
         loop {
-            let before = self.word.load(Ordering::Acquire);
-            let view = unpack(before);
+            let before = self.word.load();
+            let table = view_of(before).table;
             let owners = (0..ROUTE_SLOTS)
-                .map(|slot| self.tables[view.table][slot].load(Ordering::Relaxed) as usize)
+                .map(|slot| self.tables[table][slot].load(Ordering::Relaxed) as usize)
                 .collect();
-            if self.word.load(Ordering::Acquire) == before {
+            if self.word.load() == before {
                 return MapSnapshot {
-                    epoch: view.epoch,
+                    epoch: before.fence,
                     owners,
                 };
             }
@@ -230,13 +225,13 @@ impl ShardMap {
         assert_eq!(owners.len(), ROUTE_SLOTS);
         let cold = &self.tables[self.view().table ^ 1];
         for (slot, &owner) in owners.iter().enumerate() {
-            debug_assert!(owner < 1 << SHARD_BITS);
+            debug_assert!(owner < ROUTE_SLOTS);
             // Published by the cutover CAS's Release; see `owner_of`.
             cold[slot].store(owner as u64, Ordering::Relaxed);
         }
     }
 
-    /// Publishes the staged table: one CAS bumps the epoch, installs
+    /// Publishes the staged table: one CAS advances the epoch, installs
     /// `new_shards`, and flips the table-select bit together — the
     /// linearization point of the resharding. Fails (returning the
     /// winning view) if the map moved since `expected`, so racing
@@ -245,20 +240,14 @@ impl ShardMap {
     /// # Errors
     ///
     /// The current view, if it no longer equals `expected`.
-    pub fn try_cutover(&self, expected: MapView, new_shards: usize) -> Result<u64, MapView> {
+    pub fn try_cutover(&self, expected: MapView, new_shards: usize) -> Result<Fence, MapView> {
         assert!(new_shards > 0 && new_shards <= ROUTE_SLOTS);
-        // chk: epoch + 1 is the one legal epoch mutation (48-bit epochs
-        // cannot wrap); everywhere else epochs only meet comparisons.
-        let next_epoch = expected.epoch + 1;
-        let next = pack(next_epoch, new_shards, expected.table ^ 1);
-        let prior = pack(expected.epoch, expected.shards, expected.table);
-        match self
-            .word
-            .compare_exchange(prior, next, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => Ok(next_epoch),
-            Err(word) => Err(unpack(word)),
-        }
+        let seen = Fenced {
+            fence: expected.epoch,
+            tag: tag(expected.shards, expected.table),
+        };
+        let next = tag(new_shards, expected.table ^ 1);
+        self.word.try_advance(seen, next).map_err(view_of)
     }
 
     /// Requests a freeze of the slots in `mask` (bit = slot index):
@@ -407,13 +396,17 @@ impl ShardMap {
 mod tests {
     use super::*;
 
+    fn epoch(raw: u64) -> Fence {
+        Fence::from_wire(raw)
+    }
+
     #[test]
     fn fresh_map_routes_mod_shards_at_epoch_one() {
         let map = ShardMap::new(2);
         assert_eq!(
             map.view(),
             MapView {
-                epoch: 1,
+                epoch: Fence::FIRST,
                 shards: 2,
                 table: 0
             }
@@ -422,11 +415,11 @@ mod tests {
             assert_eq!(map.owner_of(slot), slot % 2);
         }
         let snap = map.snapshot();
-        assert_eq!(snap.epoch, 1);
+        assert_eq!(snap.epoch, Fence::FIRST);
         for key in 0..64u64 {
             let (owner, at) = map.route(key);
             assert_eq!(owner, snap.owner_of_key(key));
-            assert_eq!(at, 1);
+            assert_eq!(at, Fence::FIRST);
         }
     }
 
@@ -440,11 +433,11 @@ mod tests {
             assert_eq!(map.owner_of(slot), slot % 2);
         }
         let view = map.view();
-        assert_eq!(map.try_cutover(view, 4), Ok(2));
+        assert_eq!(map.try_cutover(view, 4), Ok(epoch(2)));
         assert_eq!(
             map.view(),
             MapView {
-                epoch: 2,
+                epoch: epoch(2),
                 shards: 4,
                 table: 1
             }
@@ -460,7 +453,7 @@ mod tests {
         let third: Vec<usize> = (0..ROUTE_SLOTS).map(|slot| slot % 8).collect();
         map.stage(&third);
         let view = map.view();
-        assert_eq!(map.try_cutover(view, 8), Ok(3));
+        assert_eq!(map.try_cutover(view, 8), Ok(epoch(3)));
         assert_eq!(map.view().table, 0);
         assert_eq!(map.owner_of(9), 1);
     }
@@ -478,7 +471,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(wins, 1);
-        assert_eq!(map.epoch(), 2);
+        assert_eq!(map.epoch(), epoch(2));
     }
 
     #[test]

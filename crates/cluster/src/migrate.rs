@@ -203,7 +203,7 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
 
     let mut report = MigrationReport::default();
     if moving_all == 0 {
-        report.final_epoch = map.epoch();
+        report.final_epoch = u64::from(map.epoch());
         return report;
     }
 
@@ -377,9 +377,9 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
             *owner = new_owner(slot);
         }
         map.stage(&owners);
-        report.final_epoch = map
-            .try_cutover(map.view(), shards_after)
-            .expect("the resharding coordinator is the only epoch writer");
+        let epoch = map.try_cutover(map.view(), shards_after);
+        report.final_epoch =
+            u64::from(epoch.expect("the resharding coordinator is the only epoch writer"));
         break;
     }
     // Unfreeze — after the cutover CAS, the order `slot_fence` relies
@@ -417,6 +417,7 @@ mod tests {
     use super::*;
     use crate::map::ShardMap;
     use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient};
+    use ssync_core::Fence;
     use ssync_locks::TicketLock;
 
     /// `n` stores and their logs. The logs hold ONE entry: a node that
@@ -474,7 +475,7 @@ mod tests {
             }
             client.close();
         });
-        assert_eq!(map.epoch(), 2);
+        assert_eq!(map.epoch(), Fence::from_wire(2));
         assert_eq!(map.num_shards(), 4);
         assert_eq!(map.log_generation() & 1, 0, "disarmed after the cutover");
         assert!(logs.iter().all(OpLog::is_empty));
@@ -624,7 +625,7 @@ mod tests {
         assert!(died, "a send to a dropped target ring must panic");
         assert_eq!(map.frozen(), 0, "no write may stay parked");
         assert_eq!(map.log_generation() & 1, 0, "no log may keep growing");
-        assert_eq!(map.epoch(), 1, "and the map was never cut");
+        assert_eq!(map.epoch(), Fence::FIRST, "and the map was never cut");
     }
 
     /// The same death against a live node: its log is armed while the
@@ -685,6 +686,6 @@ mod tests {
                 ..MigrationReport::default()
             }
         );
-        assert_eq!(map.epoch(), 1);
+        assert_eq!(map.epoch(), Fence::FIRST);
     }
 }

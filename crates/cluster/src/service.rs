@@ -54,7 +54,7 @@ use core::cell::{Cell, RefCell};
 
 use bytes::Bytes;
 
-use ssync_core::RegistrySnapshot;
+use ssync_core::{Fence, RegistrySnapshot};
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, RingReceiver, RingSender};
@@ -345,7 +345,7 @@ impl<'a> ClusterClient<'a> {
     }
 
     /// The epoch of the client's cached map.
-    pub fn cached_epoch(&self) -> u64 {
+    pub fn cached_epoch(&self) -> Fence {
         self.cached.borrow().epoch
     }
 
@@ -555,7 +555,7 @@ mod tests {
                 .collect();
             // Client snapshots the 1-shard map, then the map grows.
             let client = ClusterClient::new(&map, conns.pop().unwrap());
-            assert_eq!(client.cached_epoch(), 1);
+            assert_eq!(client.cached_epoch(), Fence::FIRST);
             let next: Vec<usize> = (0..ssync_srv::ROUTE_SLOTS).map(|s| s % 2).collect();
             map.stage(&next);
             map.try_cutover(map.view(), 2).unwrap();
@@ -565,7 +565,7 @@ mod tests {
                 client.set(key, vec![7]).unwrap();
             }
             assert!(client.redirects() > 0, "an odd-slot key must redirect");
-            assert_eq!(client.cached_epoch(), 2);
+            assert_eq!(client.cached_epoch(), Fence::from_wire(2));
             for key in 0..32 {
                 assert_eq!(client.get(key).unwrap().unwrap().1, vec![7]);
             }

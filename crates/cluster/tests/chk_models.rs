@@ -47,6 +47,7 @@ use std::sync::Arc;
 use ssync_chk::sync::atomic::{AtomicU64, Ordering};
 use ssync_chk::{thread, Builder};
 use ssync_cluster::{follow_log_arming, slot_fence, ShardMap};
+use ssync_core::Fence;
 use ssync_repl::OpLog;
 use ssync_srv::{slot_of, Admit, ROUTE_SLOTS};
 
@@ -176,7 +177,11 @@ fn racing_cutovers_publish_exactly_one_epoch() {
         let mine = map.try_cutover(view, 2).is_ok();
         let theirs = rival.join();
         assert!(mine ^ theirs, "exactly one cutover must win");
-        assert_eq!(map.epoch(), 2, "the winner's epoch published");
+        assert_eq!(
+            map.epoch(),
+            Fence::from_wire(2),
+            "the winner's epoch published"
+        );
         assert_eq!(map.num_shards(), 2);
     });
     assert!(!report.truncated, "exploration truncated: {report:?}");

@@ -22,10 +22,13 @@
 //!   timebase open-loop latency stamps share.
 //! * [`cores`] — host core-count probes, so native stress tests scale to
 //!   the machine instead of failing on small ones.
+//! * [`fenced`] — the [`Fence`] token (a term, an epoch) and the padded
+//!   [`FencedWord`] both cluster maps advance it through.
 
 pub mod backoff;
 pub mod cores;
 pub mod epoch;
+pub mod fenced;
 pub mod pad;
 pub mod stats;
 pub mod sync;
@@ -33,6 +36,7 @@ pub mod topology;
 
 pub use backoff::{Backoff, ParkingWait, ProportionalBackoff, RetryPacer, SpinWait};
 pub use epoch::{EpochBags, EpochDomain, PinGuard};
+pub use fenced::{Fence, Fenced, FencedWord};
 pub use pad::CachePadded;
 pub use stats::{mono_ns, Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 pub use topology::{DistClass, Platform, Topology};

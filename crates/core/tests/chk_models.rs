@@ -1,12 +1,13 @@
 //! Model-checked interleavings of the *real* `Histogram` record and
-//! snapshot paths, and of the epoch-reclamation grace period.
+//! snapshot paths, of the epoch-reclamation grace period, and of racing
+//! transitions on a `FencedWord`.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg ssync_chk'`: the stats
 //! module's bucket counters and the epoch module's pin records then
 //! resolve to `ssync-chk` shadow atomics and the checker enumerates
 //! thread interleavings exhaustively up to the preemption bound. These
-//! tests drive the actual `ssync_core::Histogram` and
-//! `ssync_core::epoch` code — not a re-modelled copy.
+//! tests drive the actual `ssync_core::Histogram`, `ssync_core::epoch`
+//! and `ssync_core::fenced` code — not a re-modelled copy.
 //!
 //! Run with:
 //! `RUSTFLAGS='--cfg ssync_chk' cargo test -p ssync-core --test chk_models`
@@ -17,6 +18,7 @@ use std::sync::Arc;
 
 use ssync_chk::{thread, Builder};
 use ssync_core::epoch::{EpochBags, EpochDomain};
+use ssync_core::fenced::{Fence, Fenced, FencedWord};
 use ssync_core::sync::atomic::{AtomicU64, Ordering};
 use ssync_core::Histogram;
 
@@ -297,4 +299,117 @@ fn collecting_one_epoch_early_is_found() {
         "wrong violation caught: {violation}"
     );
     eprintln!("early-collection violation: {violation}");
+}
+
+/// The fence after `fence` — test arithmetic on the wire value, for the
+/// race's expectation and the twin's seeded bug.
+fn successor(fence: Fence) -> Fence {
+    Fence::from_wire(u64::from(fence) + 1)
+}
+
+/// The operations the fenced-word race drives, so one scenario runs
+/// over the real [`FencedWord`] and over its twin's test-local word.
+trait Word: Send + Sync + 'static {
+    fn fresh() -> Self;
+    fn load(&self) -> Fenced;
+    fn advance(&self, seen: Fenced, tag: u16) -> Result<Fence, Fenced>;
+    fn retag(&self, seen: Fenced, tag: u16) -> Result<(), Fenced>;
+}
+
+impl Word for FencedWord {
+    fn fresh() -> Self {
+        FencedWord::new(0)
+    }
+    fn load(&self) -> Fenced {
+        FencedWord::load(self)
+    }
+    fn advance(&self, seen: Fenced, tag: u16) -> Result<Fence, Fenced> {
+        self.try_advance(seen, tag)
+    }
+    fn retag(&self, seen: Fenced, tag: u16) -> Result<(), Fenced> {
+        self.try_retag(seen, tag)
+    }
+}
+
+/// The twin's word. BUG under test: a transition checks the view with
+/// a load and installs with stores — no CAS — so two advances from one
+/// view can both pass the check before either installs.
+struct LoadThenStore {
+    fence: AtomicU64,
+    tag: AtomicU64,
+}
+
+impl LoadThenStore {
+    fn install(&self, seen: Fenced, next: Fenced) -> Result<(), Fenced> {
+        let now = Word::load(self);
+        if now != seen {
+            return Err(now);
+        }
+        self.fence.store(u64::from(next.fence), Ordering::Release);
+        self.tag.store(u64::from(next.tag), Ordering::Release);
+        Ok(())
+    }
+}
+
+impl Word for LoadThenStore {
+    fn fresh() -> Self {
+        LoadThenStore {
+            fence: AtomicU64::new(u64::from(Fence::FIRST)),
+            tag: AtomicU64::new(0),
+        }
+    }
+    fn load(&self) -> Fenced {
+        Fenced {
+            fence: Fence::from_wire(self.fence.load(Ordering::Acquire)),
+            tag: self.tag.load(Ordering::Acquire) as u16,
+        }
+    }
+    fn advance(&self, seen: Fenced, tag: u16) -> Result<Fence, Fenced> {
+        let fence = successor(seen.fence);
+        self.install(seen, Fenced { fence, tag }).map(|()| fence)
+    }
+    fn retag(&self, seen: Fenced, tag: u16) -> Result<(), Fenced> {
+        let fence = seen.fence;
+        self.install(seen, Fenced { fence, tag })
+    }
+}
+
+/// Two threads advance from the same view while a third retags from
+/// the view one transition older — two racing promotions (or cutovers)
+/// and a late death report. In every interleaving exactly one advance
+/// wins, with the successor of the view it read; the stale retag fails;
+/// and the final word is the winner's, as if the three had run one at
+/// a time.
+fn fenced_word_race<W: Word>() {
+    let word = Arc::new(W::fresh());
+    let stale = word.load();
+    word.advance(stale, 0).expect("no rival yet");
+    let seen = word.load();
+    let advancers = [1, 2].map(|tag| {
+        let word = Arc::clone(&word);
+        thread::spawn(move || word.advance(seen, tag).ok().map(|fence| (fence, tag)))
+    });
+    let retag = word.retag(stale, 3);
+    let winners: Vec<(Fence, u16)> = advancers.into_iter().filter_map(|t| t.join()).collect();
+    assert_eq!(winners.len(), 1, "two advances won from one view");
+    let (fence, tag) = winners[0];
+    assert_eq!(fence, successor(seen.fence), "the winner skipped a fence");
+    assert!(retag.is_err(), "a retag from a superseded view landed");
+    assert_eq!(word.load(), Fenced { fence, tag }, "no serial outcome");
+}
+
+#[test]
+fn racing_advances_on_a_fenced_word_have_one_winner() {
+    let report = Builder::new().check(fenced_word_race::<FencedWord>);
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    eprintln!("fenced word race model: {} executions", report.executions);
+}
+
+/// The twin: the same race over a load-then-store advance is caught as
+/// two winners.
+#[test]
+fn a_load_then_store_advance_is_found() {
+    let v = Builder::new().expect_violation(fenced_word_race::<LoadThenStore>);
+    assert!(v.message.contains("two advances won"), "{v}");
+    eprintln!("load-then-store advance found in execution {}", v.execution);
 }

@@ -2,14 +2,13 @@
 //! bookkeeping.
 //!
 //! This is the ROADMAP's "epoch-versioned cluster map" in its
-//! in-process form: one atomic word per shard packs the current **term**
-//! (epoch) with the id of the node leading it, so every party — nodes
-//! deciding whether a replication frame is current, clients deciding
-//! where to send a write — reads one word and compares terms on the
-//! raw u64. Terms only ever grow (a 48-bit term cannot wrap in any
-//! realizable run), which is what makes `>`/`>=` on the raw word the
-//! whole fencing check; `ssync-lint` enforces that no term ever meets
-//! wrapping arithmetic.
+//! in-process form: one [`FencedWord`] per shard holds the current
+//! **term** as its [`Fence`] and the id of the node leading it as its
+//! tag, so every party — nodes deciding whether a replication frame is
+//! current, clients deciding where to send a write — reads one word and
+//! compares terms. A `Fence` can only be compared, and only the
+//! promotion CAS ([`FencedWord::try_advance`]) makes a larger one, so
+//! `>`/`>=` on terms is the whole fencing check.
 //!
 //! Promotion is decided here, not by an election exchange: the map also
 //! carries each node's **published hwm** (highest replication version
@@ -20,26 +19,27 @@
 //! highest hwm has every acknowledged write (see DESIGN.md's
 //! "Failover & term fencing") — [`ClusterMap::try_promote`] lets
 //! exactly one such node CAS the shard's word from `(term, NO LEADER)`
-//! to `(term + 1, itself)`. The CAS is the linearization point of the
+//! to `(next term, itself)`. The CAS is the linearization point of the
 //! failover: any frame sent under the old term is fenced by every
 //! up-to-date peer from that instant on.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ssync_core::CachePadded;
+use ssync_core::{CachePadded, Fence, FencedWord};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
-/// Leader field value while a shard is leaderless (mid-failover).
-const LEADER_NONE: u64 = 0xFFFF;
+/// Leader tag while a shard is leaderless (mid-failover).
+const LEADER_NONE: u16 = u16::MAX;
 
 /// One shard's view of the map word: the current term and who (if
 /// anyone) leads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardView {
-    /// The current term (starts at 1, bumped by each promotion).
-    pub term: u64,
+    /// The current term (starts at [`Fence::FIRST`], advanced by each
+    /// promotion).
+    pub term: Fence,
     /// The node leading that term, `None` while leaderless.
     pub leader: Option<usize>,
 }
@@ -48,7 +48,7 @@ pub struct ShardView {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailoverRecord {
     /// The term the promotion opened.
-    pub term: u64,
+    pub term: Fence,
     /// The node that died leading the previous term.
     pub from: usize,
     /// The node promoted.
@@ -59,9 +59,10 @@ pub struct FailoverRecord {
 }
 
 struct ShardSlot {
-    /// `term << 16 | leader` (leader `LEADER_NONE` while vacant). One
-    /// word so view reads and promotion CASes are atomic together.
-    word: CachePadded<AtomicU64>,
+    /// The term, and the leader as its tag (`LEADER_NONE` while
+    /// vacant): one word, so view reads and promotion CASes are atomic
+    /// together.
+    word: FencedWord,
     /// Per-node published applied-hwm (cumulative-ack highest version).
     hwms: Vec<CachePadded<AtomicU64>>,
     /// Per-node liveness: 1 once the node died (crashed or exited).
@@ -88,22 +89,8 @@ pub struct ClusterMap {
     nodes_per_shard: usize,
 }
 
-fn pack(term: u64, leader: Option<usize>) -> u64 {
-    let leader = leader.map_or(LEADER_NONE, |l| l as u64);
-    debug_assert!(leader <= LEADER_NONE && term < 1 << 48);
-    term << 16 | leader
-}
-
-fn unpack(word: u64) -> ShardView {
-    let leader = word & LEADER_NONE;
-    ShardView {
-        term: word >> 16,
-        leader: (leader != LEADER_NONE).then_some(leader as usize),
-    }
-}
-
 impl ClusterMap {
-    /// A fresh map: every shard at term 1, led by node 0, all nodes
+    /// A fresh map: every shard at [`Fence::FIRST`], led by node 0, all nodes
     /// live and eligible, all hwms 0.
     ///
     /// # Panics
@@ -114,7 +101,7 @@ impl ClusterMap {
         assert!(shards > 0 && nodes_per_shard > 0);
         assert!(nodes_per_shard < LEADER_NONE as usize);
         let slot = |_| ShardSlot {
-            word: CachePadded::new(AtomicU64::new(pack(1, Some(0)))),
+            word: FencedWord::new(0),
             hwms: (0..nodes_per_shard)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
@@ -145,7 +132,12 @@ impl ClusterMap {
 
     /// The shard's current term and leader, in one atomic read.
     pub fn view(&self, shard: usize) -> ShardView {
-        unpack(self.shards[shard].word.load(Ordering::Acquire))
+        let word = self.shards[shard].word.load();
+        let leader = (word.tag != LEADER_NONE).then_some(usize::from(word.tag));
+        ShardView {
+            term: word.fence,
+            leader,
+        }
     }
 
     /// Publishes a node's applied hwm (monotone; `fetch_max` so stale
@@ -176,17 +168,11 @@ impl ClusterMap {
     pub fn report_death(&self, shard: usize, node: usize) -> bool {
         let slot = &self.shards[shard];
         slot.dead[node].store(1, Ordering::Release);
-        let word = slot.word.load(Ordering::Acquire);
-        let view = unpack(word);
-        if view.leader != Some(node) {
+        let word = slot.word.load();
+        if word.tag != node as u16 {
             return false;
         }
-        let vacant = pack(view.term, None);
-        if slot
-            .word
-            .compare_exchange(word, vacant, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
+        if slot.word.try_retag(word, LEADER_NONE).is_ok() {
             let mut timing = slot.timing.lock().expect("cluster map poisoned");
             timing.crashed_at = Some((Instant::now(), node));
             true
@@ -213,14 +199,13 @@ impl ClusterMap {
     /// Attempts to promote `node` on a leaderless shard. Succeeds —
     /// returning the new term — only if the node is live, eligible,
     /// and *the* most caught-up candidate (highest published hwm, ties
-    /// to the lowest id). The deciding CAS bumps the term and installs
+    /// to the lowest id). The deciding CAS advances the term and installs
     /// the node in one step, so exactly one candidate per vacancy wins
     /// and every frame of the old term is fenced from that instant.
-    pub fn try_promote(&self, shard: usize, node: usize) -> Option<u64> {
+    pub fn try_promote(&self, shard: usize, node: usize) -> Option<Fence> {
         let slot = &self.shards[shard];
-        let word = slot.word.load(Ordering::Acquire);
-        let view = unpack(word);
-        if view.leader.is_some() || self.is_dead(shard, node) || !self.eligible(shard, node) {
+        let word = slot.word.load();
+        if word.tag != LEADER_NONE || self.is_dead(shard, node) || !self.eligible(shard, node) {
             return None;
         }
         // The promotion rule: highest published hwm among live eligible
@@ -236,17 +221,7 @@ impl ClusterMap {
                 return None;
             }
         }
-        // chk: term + 1 is the one legal term mutation (48-bit terms
-        // cannot wrap); everywhere else terms only meet comparisons.
-        let next_term = view.term + 1;
-        let next = pack(next_term, Some(node));
-        if slot
-            .word
-            .compare_exchange(word, next, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return None;
-        }
+        let next_term = slot.word.try_advance(word, node as u16).ok()?;
         slot.failovers.fetch_add(1, Ordering::Relaxed);
         let mut timing = slot.timing.lock().expect("cluster map poisoned");
         let (unavailable, from) = timing
@@ -287,6 +262,10 @@ impl ClusterMap {
 mod tests {
     use super::*;
 
+    fn term(raw: u64) -> Fence {
+        Fence::from_wire(raw)
+    }
+
     #[test]
     fn fresh_map_has_node_zero_leading_term_one() {
         let map = ClusterMap::new(2, 3);
@@ -294,7 +273,7 @@ mod tests {
             assert_eq!(
                 map.view(shard),
                 ShardView {
-                    term: 1,
+                    term: Fence::FIRST,
                     leader: Some(0)
                 }
             );
@@ -312,18 +291,21 @@ mod tests {
         assert_eq!(map.view(0).leader, None);
         // Node 1 lags node 2: its bid must lose.
         assert_eq!(map.try_promote(0, 1), None);
-        assert_eq!(map.try_promote(0, 2), Some(2));
+        assert_eq!(map.try_promote(0, 2), Some(term(2)));
         assert_eq!(
             map.view(0),
             ShardView {
-                term: 2,
+                term: term(2),
                 leader: Some(2)
             }
         );
         assert_eq!(map.failovers(0), 1);
         let records = map.failover_records(0);
         assert_eq!(records.len(), 1);
-        assert_eq!((records[0].term, records[0].from, records[0].to), (2, 0, 2));
+        assert_eq!(
+            (records[0].term, records[0].from, records[0].to),
+            (term(2), 0, 2)
+        );
         // A dead node's death is not a leader death; no double-vacancy.
         assert!(!map.report_death(0, 1));
         assert_eq!(map.view(0).leader, Some(2));
@@ -336,7 +318,7 @@ mod tests {
         map.publish_hwm(0, 2, 7);
         assert!(map.report_death(0, 0));
         assert_eq!(map.try_promote(0, 2), None, "node 1 outranks the tie");
-        assert_eq!(map.try_promote(0, 1), Some(2));
+        assert_eq!(map.try_promote(0, 1), Some(term(2)));
     }
 
     #[test]
@@ -347,7 +329,11 @@ mod tests {
         assert!(map.report_death(0, 0));
         assert_eq!(map.live_candidates(0), 1);
         assert_eq!(map.try_promote(0, 2), None, "observers sit out");
-        assert_eq!(map.try_promote(0, 1), Some(2), "ignoring observer hwms");
+        assert_eq!(
+            map.try_promote(0, 1),
+            Some(term(2)),
+            "ignoring observer hwms"
+        );
         assert!(map.report_death(0, 1));
         assert_eq!(map.live_candidates(0), 0);
         assert_eq!(map.try_promote(0, 1), None, "the dead cannot return");
@@ -357,6 +343,6 @@ mod tests {
     fn promotion_on_a_led_shard_is_refused() {
         let map = ClusterMap::new(1, 2);
         assert_eq!(map.try_promote(0, 1), None);
-        assert_eq!(map.view(0).term, 1);
+        assert_eq!(map.view(0).term, Fence::FIRST);
     }
 }

@@ -92,7 +92,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use ssync_core::{RegistrySnapshot, RetryPacer};
+use ssync_core::{Fence, RegistrySnapshot, RetryPacer};
 use ssync_kv::{KvStore, StatsSnapshot};
 use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
@@ -461,13 +461,10 @@ pub fn repl_mesh(
         .map(|(c, mesh)| ReplClient {
             mesh,
             shards: (0..shards)
-                .map(|_| ShardState {
+                .map(|s| ShardState {
                     rr: Cell::new(0),
                     floor: Cell::new(0),
-                    view: Cell::new(ShardView {
-                        term: 1,
-                        leader: Some(0),
-                    }),
+                    view: Cell::new(map.view(s)),
                 })
                 .collect(),
             map: map.clone(),
@@ -545,7 +542,7 @@ pub struct NodeReport {
     /// Times this node won a promotion.
     pub promotions: u64,
     /// The term this node last served under.
-    pub term: u64,
+    pub term: Fence,
     /// True if this node died to a scheduled leader crash.
     pub crashed: bool,
 }
@@ -768,7 +765,7 @@ impl<'a, R: RawLock + Default> Follower<'a, R> {
     /// Another node opened `term`: follow it, catching up on whatever
     /// earlier terms logged — frames of theirs this node fenced, or has
     /// yet to pop off a dead leader's ring.
-    fn adopt(&mut self, term: u64) {
+    fn adopt(&mut self, term: Fence) {
         self.report.term = term;
         self.catch_up(u64::MAX);
     }
@@ -783,7 +780,7 @@ impl<'a, R: RawLock + Default> Follower<'a, R> {
     /// Promotion's hand-over: replay the log tail (everything
     /// acknowledged by anyone is in there — see DESIGN.md), then retire
     /// the follower — a leader takes no windows and owes no ack.
-    fn promote(&mut self, term: u64) {
+    fn promote(&mut self, term: Fence) {
         self.catch_up(u64::MAX);
         self.report.term = term;
         self.plan = FaultPlan::none();
@@ -804,7 +801,7 @@ fn node_counters(report: &NodeReport, leading: bool) -> [(&'static str, u64); 10
         ("node.hwm", report.hwm),
         ("node.wrong_leader", report.wrong_leader),
         ("node.promotions", report.promotions),
-        ("node.term", report.term),
+        ("node.term", u64::from(report.term)),
         ("node.leading", u64::from(leading)),
     ]
 }
@@ -1926,7 +1923,10 @@ mod tests {
             // A write at a follower bounces with the current view.
             assert_eq!(
                 follower.call(&Request::Get { key: 1 }),
-                Ok(Response::WrongLeader { term: 1, leader: 0 })
+                Ok(Response::WrongLeader {
+                    term: Fence::FIRST,
+                    leader: 0
+                })
             );
             // A replication frame on a client connection is a protocol
             // violation, not a write — at a node in either role.
@@ -2003,7 +2003,7 @@ mod tests {
         });
         assert!(cluster.converged());
         let view = cluster.map().view(0);
-        assert_eq!(view.term, 2, "one crash bumps the term once");
+        assert_eq!(u64::from(view.term), 2, "one crash advances the term once");
         assert_ne!(view.leader, Some(0), "the dead seed leader cannot lead");
         assert_eq!(cluster.map().failovers(0), 1);
     }
@@ -2180,6 +2180,32 @@ mod tests {
             .get_with_version(&key_bytes(7))
             .unwrap();
         assert_eq!((version, value.as_ref()), (1, b"after".as_slice()));
+    }
+
+    /// Regression: `repl_mesh` seeded every client's cached view with
+    /// the literal term 1 led by node 0, so a client built over a map
+    /// that had already failed over sent its first write to the dead seed
+    /// leader and paid a retry (a `WrongLeader` redirect, had that node
+    /// been serving).
+    #[test]
+    fn a_mesh_built_after_a_failover_writes_to_the_current_leader() {
+        let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 64, 8, ReplSpec::sync(1));
+        let map = cluster.map().clone();
+        assert!(map.report_death(0, 0));
+        assert!(map.try_promote(0, 1).is_some());
+        let (mut endpoints, mut clients) = repl_mesh(&map, 1);
+        let leader = endpoints[0].pop().unwrap();
+        // The dead seed leader's endpoint: nobody serves it.
+        drop(endpoints);
+        let client = clients.pop().unwrap();
+        std::thread::scope(|s| {
+            let cfg = cluster.node_config(0, 1, &FaultSpec::none());
+            let (store, log, map) = (cluster.node_store(0, 1), cluster.log(0), &map);
+            s.spawn(move || serve_node(store, log, map, leader, cfg));
+            client.set(7, b"v".to_vec()).unwrap();
+            assert_eq!((client.redirects(), client.lost_to_retry()), (0, 0));
+            client.close();
+        });
     }
 
     /// One logged write of the enumeration's script.

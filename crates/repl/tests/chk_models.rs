@@ -211,3 +211,33 @@ fn unfenced_stale_primary_resurrection_is_found() {
     assert!(v.message.contains("resurrected"), "{v}");
     eprintln!("unfenced resurrection found in execution {}", v.execution);
 }
+
+/// The repl mirror of the cluster crate's racing cutovers, through the
+/// real [`ClusterMap::try_promote`]: the leader dies, and both live
+/// candidates — at equal published hwm — stand at once. Exactly one
+/// promotion lands, it is the lower id's (the tie rule), and it opens
+/// exactly one term.
+#[test]
+fn racing_promotions_publish_exactly_one_term() {
+    let report = Builder::new().check(|| {
+        let map = Arc::new(ClusterMap::new(1, 3));
+        map.publish_hwm(0, 1, 5);
+        map.publish_hwm(0, 2, 5);
+        let before = map.view(0).term;
+        assert!(map.report_death(0, 0));
+        let rival = {
+            let map = Arc::clone(&map);
+            thread::spawn(move || map.try_promote(0, 2))
+        };
+        let mine = map.try_promote(0, 1);
+        let theirs = rival.join();
+        assert_eq!(theirs, None, "the tie goes to the lower id");
+        let term = mine.expect("the lower id wins the tie");
+        assert!(term > before, "the promotion did not open a new term");
+        assert_eq!(map.view(0).term, term, "the winner's term published");
+        assert_eq!(map.view(0).leader, Some(1));
+        assert_eq!(map.failovers(0), 1);
+    });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    eprintln!("promotion race model: {} executions", report.executions);
+}

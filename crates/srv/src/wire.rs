@@ -52,7 +52,7 @@
 
 use core::fmt;
 
-use ssync_core::RegistrySnapshot;
+use ssync_core::{Fence, RegistrySnapshot};
 use ssync_mp::{Message, MSG_WORDS};
 
 /// Value bytes carried inline by a head frame (words 3..7).
@@ -335,7 +335,7 @@ pub enum Response {
     /// leader so the client can redirect instead of rediscovering.
     WrongLeader {
         /// The term the responder currently observes.
-        term: u64,
+        term: Fence,
         /// The node id it believes leads that term, or [`NO_LEADER`]
         /// while the shard is leaderless (mid-failover).
         leader: u64,
@@ -345,7 +345,7 @@ pub enum Response {
     /// responder's current term so the sender can stand down.
     WrongTerm {
         /// The term the responder currently observes.
-        term: u64,
+        term: Fence,
     },
     /// The responder does not own the key's routing slot under the
     /// cluster map epoch it currently observes (the client's map is
@@ -356,7 +356,7 @@ pub enum Response {
     /// [`Response::WrongLeader`].
     WrongShard {
         /// The cluster-map epoch the responder currently observes.
-        map_epoch: u64,
+        map_epoch: Fence,
     },
     /// Answer to [`Request::Stats`]: a serialized
     /// [`ssync_core::stats::RegistrySnapshot`] (≤ [`STATS_MAX_PAYLOAD`]
@@ -749,18 +749,18 @@ impl Response {
             }
             Response::WrongLeader { term, leader } => {
                 m[0] = head_word(ST_WRONG_LEADER, 0, 0);
-                m[1] = *term;
+                m[1] = u64::from(*term);
                 m[2] = *leader;
                 out.push(m);
             }
             Response::WrongTerm { term } => {
                 m[0] = head_word(ST_WRONG_TERM, 0, 0);
-                m[1] = *term;
+                m[1] = u64::from(*term);
                 out.push(m);
             }
             Response::WrongShard { map_epoch } => {
                 m[0] = head_word(ST_WRONG_SHARD, 0, 0);
-                m[1] = *map_epoch;
+                m[1] = u64::from(*map_epoch);
                 out.push(m);
             }
             Response::StatsReply { payload } => {
@@ -785,6 +785,7 @@ impl Response {
     /// pulled.
     pub fn decode(head: Message, more: impl FnMut() -> Message) -> Result<Response, WireError> {
         let (st, _, vlen) = split_head_word(head[0]);
+        let fence = Fence::from_wire(head[1]);
         Ok(match st {
             ST_VALUE => {
                 if vlen > MAX_VALUE_LEN {
@@ -804,11 +805,11 @@ impl Response {
             ST_STALE => Response::Stale { hwm: head[1] },
             ST_MALFORMED => Response::Malformed,
             ST_WRONG_LEADER => Response::WrongLeader {
-                term: head[1],
+                term: fence,
                 leader: head[2],
             },
-            ST_WRONG_TERM => Response::WrongTerm { term: head[1] },
-            ST_WRONG_SHARD => Response::WrongShard { map_epoch: head[1] },
+            ST_WRONG_TERM => Response::WrongTerm { term: fence },
+            ST_WRONG_SHARD => Response::WrongShard { map_epoch: fence },
             ST_STATS => {
                 let len =
                     usize::try_from(head[1]).map_err(|_| WireError::StatsTooLong(usize::MAX))?;
@@ -978,15 +979,22 @@ mod tests {
             Response::ReplAck { version: 1000 },
             Response::Stale { hwm: 7 },
             Response::Malformed,
-            Response::WrongLeader { term: 3, leader: 1 },
             Response::WrongLeader {
-                term: 4,
+                term: Fence::from_wire(3),
+                leader: 1,
+            },
+            Response::WrongLeader {
+                term: Fence::from_wire(4),
                 leader: NO_LEADER,
             },
-            Response::WrongTerm { term: 9 },
-            Response::WrongShard { map_epoch: 6 },
+            Response::WrongTerm {
+                term: Fence::from_wire(9),
+            },
             Response::WrongShard {
-                map_epoch: u64::MAX,
+                map_epoch: Fence::from_wire(6),
+            },
+            Response::WrongShard {
+                map_epoch: Fence::from_wire(u64::MAX),
             },
             Response::StatsReply { payload: vec![] },
             Response::StatsReply {

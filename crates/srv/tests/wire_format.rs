@@ -8,10 +8,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use ssync_core::Fence;
 use ssync_mp::{Message, MSG_WORDS};
 use ssync_srv::wire::{
     encode_cas, encode_replicate, encode_set, encode_value, CONT_VALUE_BYTES, HEAD_VALUE_BYTES,
-    MAX_VALUE_LEN, REPL_MGET_CONT_KEYS, REPL_MGET_HEAD_KEYS, REPL_MGET_MAX, STATS_INLINE_BYTES,
+    MAX_VALUE_LEN, NO_LEADER, REPL_MGET_CONT_KEYS, REPL_MGET_HEAD_KEYS, REPL_MGET_MAX,
+    STATS_INLINE_BYTES,
 };
 use ssync_srv::{Request, Response};
 
@@ -20,6 +22,14 @@ include!("data/golden_frames.rs");
 const KEY: u64 = 0x0123_4567_89AB_CDEF;
 const AUX: u64 = 0xFEDC_BA98_7654_3210;
 const CARRIERS: [&str; 4] = ["Set", "Cas", "Replicate", "Value"];
+/// The responses that carry a fence; their golden rows' second column
+/// is the fence, not a payload length.
+const FENCE_CARRIERS: [&str; 4] = [
+    "WrongLeader",
+    "WrongLeader/NO_LEADER",
+    "WrongTerm",
+    "WrongShard",
+];
 
 /// Payload bytes with no zero among them, so a zeroed tail shows.
 fn bytes(len: usize) -> Vec<u8> {
@@ -62,32 +72,49 @@ impl Msg {
     }
 }
 
-/// The golden table's message for one carrier and payload length.
+/// The golden table's message for one carrier and payload length (for
+/// a [`FENCE_CARRIERS`] one, `len` is the fence).
 fn sample(carrier: &str, len: usize) -> Msg {
-    let value = bytes(len);
+    let (value, fence) = (|| bytes(len), Fence::from_wire(len as u64));
     match carrier {
-        "Set" => Msg::Req(Request::Set { key: KEY, value }),
+        "Set" => Msg::Req(Request::Set {
+            key: KEY,
+            value: value(),
+        }),
         "Cas" => Msg::Req(Request::Cas {
             key: KEY,
             expected: AUX,
-            value,
+            value: value(),
         }),
         "Replicate" => Msg::Req(Request::Replicate {
             key: KEY,
             version: AUX,
-            value,
+            value: value(),
         }),
         "Value" => Msg::Resp(Response::Value {
             version: AUX,
-            value,
+            value: value(),
         }),
-        "StatsReply" => Msg::Resp(Response::StatsReply { payload: value }),
+        "StatsReply" => Msg::Resp(Response::StatsReply { payload: value() }),
+        "WrongLeader" => Msg::Resp(Response::WrongLeader {
+            term: fence,
+            leader: 1,
+        }),
+        "WrongLeader/NO_LEADER" => Msg::Resp(Response::WrongLeader {
+            term: fence,
+            leader: NO_LEADER,
+        }),
+        "WrongTerm" => Msg::Resp(Response::WrongTerm { term: fence }),
+        "WrongShard" => Msg::Resp(Response::WrongShard { map_epoch: fence }),
         other => panic!("no carrier {other}"),
     }
 }
 
 /// The same message through the borrowed encoder, where one exists.
 fn borrowed(carrier: &str, len: usize) -> Option<Vec<Message>> {
+    if !CARRIERS.contains(&carrier) {
+        return None;
+    }
     let (value, mut out) = (bytes(len), vec![[u64::MAX; MSG_WORDS]; 3]);
     match carrier {
         "Set" => encode_set(KEY, &value, &mut out),
@@ -109,6 +136,9 @@ fn frames_match_the_table_captured_from_the_old_encoder() {
         assert_eq!(lens(carrier), [0, 1, 31, 32, 33, 88, 89, 576, 1024]);
     }
     assert_eq!(lens("StatsReply"), [0, 40, 41, 96, 97, 5000]);
+    for carrier in FENCE_CARRIERS {
+        assert_eq!(lens(carrier), [1, 2, (1 << 48) - 1]);
+    }
     for &(carrier, len, frames) in GOLDEN {
         assert_eq!(sample(carrier, len).encode(), frames, "{carrier}/{len}");
         if let Some(out) = borrowed(carrier, len) {
@@ -264,9 +294,16 @@ fn arbitrary(rng: &mut SmallRng) -> Msg {
             6 => Response::ReplAck { version: a },
             7 => Response::Stale { hwm: a },
             8 => Response::Malformed,
-            9 => Response::WrongLeader { term: a, leader: b },
-            10 => Response::WrongTerm { term: a },
-            11 => Response::WrongShard { map_epoch: a },
+            9 => Response::WrongLeader {
+                term: Fence::from_wire(a),
+                leader: b,
+            },
+            10 => Response::WrongTerm {
+                term: Fence::from_wire(a),
+            },
+            11 => Response::WrongShard {
+                map_epoch: Fence::from_wire(a),
+            },
             _ => Response::StatsReply {
                 payload: value(rng),
             },

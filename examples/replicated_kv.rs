@@ -141,12 +141,15 @@ fn main() {
     for rec in cluster.map().failover_records(0) {
         println!(
             "failover: node {} -> node {} opened term {} after {:?} unavailable",
-            rec.from, rec.to, rec.term, rec.unavailable
+            rec.from,
+            rec.to,
+            u64::from(rec.term),
+            rec.unavailable
         );
     }
     println!(
         "leader crash: term {} led by node {:?}, converged: {}\n",
-        view.term,
+        u64::from(view.term),
         view.leader,
         cluster.converged()
     );

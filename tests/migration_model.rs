@@ -16,6 +16,7 @@ use ssync::cluster::{
     cluster_mesh, run_reshard_coordinator, serve_cluster_node, ClusterClient, MigrationReport,
     ReshardSpec, ShardMap,
 };
+use ssync::core::Fence;
 use ssync::kv::KvStore;
 use ssync::locks::TicketLock;
 use ssync::repl::fault::FaultSpec;
@@ -227,12 +228,12 @@ fn stale_client_counters_surface_through_stats() {
         let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         run_reshard_coordinator(&map, &store_refs, &log_refs, &mig, &ReshardSpec::clean(4));
-        assert_eq!(stale.cached_epoch(), 1);
+        assert_eq!(stale.cached_epoch(), Fence::FIRST);
         for key in 0..64u64 {
             assert_eq!(stale.get(key).unwrap().unwrap().1, vec![1; 4]);
         }
         assert!(stale.redirects() > 0, "a stale map must chase redirects");
-        assert_eq!(stale.cached_epoch(), 2);
+        assert_eq!(stale.cached_epoch(), Fence::from_wire(2));
         stale.close();
         client.close();
         nodes
