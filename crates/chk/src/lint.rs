@@ -2,19 +2,20 @@
 //!
 //! A deliberately small line-level source pass (no `syn`, no regex crate
 //! — we are offline) that walks every `*/src/*.rs` file in the workspace
-//! and checks the five [`RULES`], distilled from DESIGN.md's ordering
+//! and checks the four [`RULES`], distilled from DESIGN.md's ordering
 //! arguments:
 //!
 //! | rule | scope | requirement |
 //! |------|-------|-------------|
 //! | `relaxed-ptr` | all crates | `Ordering::Relaxed` load/store on a pointer-typed atomic must carry a `// chk:` justification within 3 lines |
-//! | `atomic-padding` | kv, mp, repl, cluster, core/stats, core/epoch, core/fenced | `Atomic*` struct fields must be `CachePadded` or `// chk:`-annotated |
-//! | `safety-comment` | kv, mp, repl, cluster, core/stats, core/epoch, core/fenced | `unsafe` blocks/impls/fns must have a `// SAFETY:` comment within 5 lines above |
+//! | `atomic-padding` | kv, mp, repl, cluster, core/stats, core/epoch, core/fenced, core/handshake | `Atomic*` struct fields must be `CachePadded` or `// chk:`-annotated |
+//! | `safety-comment` | kv, mp, repl, cluster, core/stats, core/epoch, core/fenced, core/handshake | `unsafe` blocks/impls/fns must have a `// SAFETY:` comment within 5 lines above |
 //! | `decode-panic` | `wire*.rs` | functions named `*decode*` must not `panic!`/`unwrap()`/`expect(`/`unreachable!`/`todo!` |
-//! | `epoch-pin` | kv | no raw `.load(` on an `epoch`-segment identifier — the store reads the reclamation epoch only through `EpochDomain`'s pin/`epoch()` API (a raw load can miss the pin protocol's publication fence); `// chk:` escapes |
 //!
 //! Terms and cluster-map epochs need no rule: they are
-//! `ssync_core::Fence`s, which the compiler keeps from arithmetic.
+//! `ssync_core::Fence`s, which the compiler keeps from arithmetic. The
+//! reclamation epoch needs none either: its word is `EpochDomain`'s
+//! private field, which no other crate can name, let alone load.
 //!
 //! `#[cfg(test)]` regions are exempt from every rule (models and tests
 //! construct bare atomics and panic on purpose). `vendor/` and `target/`
@@ -28,12 +29,11 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Every rule the pass checks, by the name a [`LintViolation`] carries.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 4] = [
     "relaxed-ptr",
     "atomic-padding",
     "safety-comment",
     "decode-panic",
-    "epoch-pin",
 ];
 
 /// One rule violation at a source location.
@@ -109,7 +109,6 @@ fn collect_sources(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::
 struct Scope {
     padding_and_safety: bool,
     decode_panic: bool,
-    epoch_pin: bool,
 }
 
 fn scope_of(path: &str) -> Scope {
@@ -121,16 +120,16 @@ fn scope_of(path: &str) -> Scope {
     // side of every measured request, so they get the same padding and
     // SAFETY discipline as the serving crates. The epoch module is the
     // read path's reclamation machinery — pin records are the very
-    // lines the paper's cache-transfer argument is about — and the
-    // fenced word is the line both cluster maps' transitions move.
-    let core_hot = ["stats", "epoch", "fenced"]
+    // lines the paper's cache-transfer argument is about — the fenced
+    // word is the line both cluster maps' transitions move, and the
+    // handshake's lines are what a migration coordinator polls.
+    let core_hot = ["stats", "epoch", "fenced", "handshake"]
         .iter()
         .any(|module| path.starts_with(&format!("crates/core/src/{module}")));
     let file_name = path.rsplit('/').next().unwrap_or(path);
     Scope {
         padding_and_safety: hot_crate || core_hot,
         decode_panic: file_name.contains("wire"),
-        epoch_pin: path.starts_with("crates/kv/"),
     }
 }
 
@@ -151,9 +150,6 @@ pub fn lint_source(path: &str, src: &str) -> Vec<LintViolation> {
     }
     if scope.decode_panic {
         rule_decode_panic(path, &stripped, &in_test, &mut out);
-    }
-    if scope.epoch_pin {
-        rule_epoch_pin(path, &raw, &stripped, &in_test, &mut out);
     }
     out.sort_by_key(|v| v.line);
     out
@@ -608,56 +604,6 @@ fn rule_decode_panic(
     }
 }
 
-/// True if `ident` carries `epoch` as a whole snake-case segment
-/// (`epoch`, `map_epoch`, `epoch_word` — never a substring match).
-fn is_epoch_ident(ident: &str) -> bool {
-    ident.split('_').any(|seg| seg == "epoch")
-}
-
-/// The kv read path's reclamation discipline: the global reclamation
-/// epoch is read *only* through `EpochDomain`'s API (`pin()` /
-/// `epoch()`), never by a raw atomic load on an epoch-named word. A
-/// raw `.load(` can sit before the pin protocol's publication fence —
-/// exactly the ordering bug that lets a collector advance past a
-/// reader — so inside `crates/kv/` any `.load(` whose receiver carries
-/// `epoch` as a whole snake-case segment (`epoch`, `global_epoch`,
-/// `epoch_word` — never a substring like `epochs_advanced`) needs a
-/// `// chk:` justification within 3 lines.
-fn rule_epoch_pin(
-    path: &str,
-    raw: &[&str],
-    stripped: &[String],
-    in_test: &[bool],
-    out: &mut Vec<LintViolation>,
-) {
-    for (i, line) in stripped.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        let mut from = 0;
-        while let Some(pos) = line[from..].find(".load(") {
-            let at = from + pos;
-            from = at + ".load(".len();
-            let Some(recv) = ident_ending_at(line, at) else {
-                continue;
-            };
-            if is_epoch_ident(recv) && !justified(raw, i, "// chk:", 3) {
-                out.push(LintViolation {
-                    file: path.to_string(),
-                    line: i + 1,
-                    rule: "epoch-pin",
-                    msg: format!(
-                        "raw load of epoch-carrying atomic `{recv}` in the kv store — read the \
-                         reclamation epoch through a pin guard / `EpochDomain::epoch()`, or \
-                         justify with `// chk:`"
-                    ),
-                    annotation_fix: true,
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,38 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_pin_raw_load_flagged_in_kv_only() {
-        let src = "fn f(global_epoch: &AtomicU64) -> u64 {\n\
-                       global_epoch.load(Ordering::Acquire)\n\
-                   }\n";
-        let hot = lint_source("crates/kv/src/x.rs", src);
-        assert!(
-            hot.iter().any(|v| v.rule == "epoch-pin" && v.line == 2),
-            "{hot:?}"
-        );
-        let core = lint_source("crates/core/src/epoch.rs", src);
-        assert!(!core.iter().any(|v| v.rule == "epoch-pin"), "{core:?}");
-        let cluster = lint_source("crates/cluster/src/x.rs", src);
-        assert!(
-            !cluster.iter().any(|v| v.rule == "epoch-pin"),
-            "{cluster:?}"
-        );
-    }
-
-    #[test]
-    fn epoch_pin_api_calls_counters_and_justified_loads_pass() {
-        let src = "fn f(kv: &KvStore, stats: &Stats, seq: &AtomicU64) -> u64 {\n\
-                       let tag = kv.epoch.epoch();\n\
-                       let n = stats.epochs_advanced.load(Ordering::Relaxed);\n\
-                       // chk: shutdown path, no concurrent collector\n\
-                       let g = kv.epoch_word.load(Ordering::Acquire);\n\
-                       tag + n + g + seq.load(Ordering::Acquire)\n\
-                   }\n";
-        let v = lint_source("crates/kv/src/x.rs", src);
-        assert!(!v.iter().any(|v| v.rule == "epoch-pin"), "{v:?}");
-    }
-
-    #[test]
     fn core_epoch_module_carries_padding_and_safety_rules() {
         let src = "struct D {\n    global: AtomicU64,\n}\n";
         let v = lint_source("crates/core/src/epoch.rs", src);
@@ -844,10 +758,12 @@ mod tests {
     }
 
     #[test]
-    fn the_fenced_word_carries_the_padding_rule() {
+    fn the_fenced_word_and_the_handshake_carry_the_padding_rule() {
         let src = "struct W {\n    word: AtomicU64,\n}\n";
-        let v = lint_source("crates/core/src/fenced.rs", src);
-        assert!(v.iter().any(|v| v.rule == "atomic-padding"), "{v:?}");
+        for module in ["fenced", "handshake"] {
+            let v = lint_source(&format!("crates/core/src/{module}.rs"), src);
+            assert!(v.iter().any(|v| v.rule == "atomic-padding"), "{v:?}");
+        }
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! group:
 //!
 //! 0. **Arm** — a node keeps an op-log only while something reads it:
-//!    the coordinator turns the map's arming generation odd and waits
-//!    for each source's acknowledgement before it reads a key. A write
-//!    committed before the ack is in the store the copy then reads, a
-//!    write committed after it is in the log the delta then replays.
-//!    With no migration in flight every log is empty.
+//!    the coordinator begins an odd generation of the map's arming
+//!    [`Handshake`](ssync_core::Handshake) and polls until every source
+//!    has acked it before it reads a key. A write committed before the
+//!    ack is in the store the copy then reads, a write committed after
+//!    it is in the log the delta then replays.
 //! 1. **Bulk copy** — position-paged [`ssync_kv::KvStore::dump_range`]
 //!    chunks (one stripe lock and O(page) work each, table order)
 //!    stream to the target over the same one-cache-line `ssync-mp`
@@ -35,9 +35,9 @@
 //!    behind what it has read, so memory and the delta are in
 //!    proportion to the writes *during* the migration.
 //! 3. **Fenced cutover** — the moving slots freeze (writes defer,
-//!    reads keep flowing), sources acknowledge quiescence through a
-//!    round-tagged handshake, the final delta drains, and one CAS
-//!    flips the map. Deferred writes then bounce to the new owner via
+//!    reads keep flowing), sources ack the quiesce round the freeze
+//!    begins — the map's second handshake — the final delta drains,
+//!    and one CAS flips the map. Deferred writes then bounce to the new owner via
 //!    [`Response::WrongShard`](ssync_srv::wire::Response::WrongShard)
 //!    redirects that carry the new epoch; stale clients refetch and
 //!    retry. Write unavailability is the final drain, not the copy.
@@ -54,8 +54,8 @@
 //! model-checked in `tests/chk_models.rs`, each with the twin that
 //! breaks it.
 //!
-//! * [`map`] — the epoch-versioned slot→shard map and the arming /
-//!   freeze / quiesce / migration-progress words;
+//! * [`map`] — the epoch-versioned slot→shard map, the freeze mask, the
+//!   arming and quiesce handshakes and the migration-progress counters;
 //! * [`service`] — cluster node servers and the map-following,
 //!   redirect-chasing [`service::ClusterClient`];
 //! * [`migrate`] — the fault-injected live-migration coordinator;
@@ -69,7 +69,7 @@ pub mod workload;
 
 pub(crate) mod sync;
 
-pub use map::{MapSnapshot, MapView, ShardMap};
+pub use map::{is_armed, MapSnapshot, MapView, ShardMap};
 pub use migrate::{run_reshard_coordinator, MigrationReport, ReshardSpec};
 pub use service::{
     cluster_mesh, follow_log_arming, serve_cluster_node, slot_fence, ClientConn, ClusterClient,

@@ -19,15 +19,12 @@
 //! Epochs are fenced the way terms are: a [`Fence`] only grows and only
 //! meets comparisons, which are the whole staleness check.
 //!
-//! The map also carries the two migration handshakes, each one shared
-//! word plus a per-shard acknowledgement: the op-log arming generation
-//! ([`ShardMap::arm_logs`] — nodes log their writes only while a
-//! coordinator is reading the logs) and the freeze round (one bitmask
-//! word of frozen slots, plus a per-shard quiesced high-water mark,
-//! documented at [`ShardMap::freeze`]) — see `DESIGN.md` "Cluster map &
-//! live migration" for the protocol they anchor.
+//! The map also carries the migration's two [`Handshake`]s, the shards
+//! their participants: the op-log arming ([`ShardMap::arm_logs`]) and
+//! the quiesce round a freeze begins ([`ShardMap::freeze`]) — see
+//! `DESIGN.md` "Cluster map & live migration" for the protocol.
 
-use ssync_core::{CachePadded, Fence, Fenced, FencedWord};
+use ssync_core::{CachePadded, Fence, Fenced, FencedWord, Handshake};
 use ssync_srv::{slot_of, ROUTE_SLOTS};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -56,11 +53,6 @@ pub struct MapSnapshot {
 }
 
 impl MapSnapshot {
-    /// The owner shard of a routing slot.
-    pub fn owner_of(&self, slot: usize) -> usize {
-        self.owners[slot]
-    }
-
     /// The owner shard of a key (via [`slot_of`]).
     pub fn owner_of_key(&self, key: u64) -> usize {
         self.owners[slot_of(key)]
@@ -96,36 +88,29 @@ pub struct ShardMap {
     /// Bitmask of slots frozen for a migration's final delta drain
     /// (bit = slot; `ROUTE_SLOTS` = 64 is what makes this one word).
     freeze_req: CachePadded<AtomicU64>,
-    /// The freeze round (migration attempt) counter. Bumped *after*
-    /// the freeze bits are set (both Release): a node that Acquire-
-    /// reads the new round is guaranteed to see the freeze, which is
-    /// what makes a round-tagged quiesce acknowledgement trustworthy —
-    /// see [`ShardMap::begin_round`].
-    round: CachePadded<AtomicU64>,
-    /// Per-shard quiesce acknowledgements: `round << 40 | hwm + 1`
-    /// once the shard's node has observed round `round`'s freeze and
-    /// published the last version it logged, 0 while it hasn't
-    /// (the `+ 1` keeps 0 free as the "not yet" sentinel).
-    quiesced: Box<[CachePadded<AtomicU64>]>,
-    /// Per-shard migration-stream progress: cumulative count of
-    /// stream entries the shard's node has processed, published by
-    /// the node, awaited by the coordinator. Monotone across attempts
-    /// (never reset), so `processed == sent` always means "no frames
-    /// in flight" no matter how many restarts happened.
+    /// The quiesce handshake, participant = shard: each
+    /// [`ShardMap::freeze`] begins a round. A source node acks it once it
+    /// applies no more writes to frozen slots, with the highest version
+    /// it *logged* (0 if none); the coordinator's Acquire read of the ack
+    /// makes every entry up to that mark visible to the final delta.
+    pub quiesce: Handshake,
+    /// Per-shard migration-stream progress: the cumulative count of
+    /// stream entries the shard's node has processed. Monotone across
+    /// attempts, so `processed == sent` always means "no frames in
+    /// flight". Not a [`Handshake`]: nothing begins a generation — the
+    /// coordinator asks "at least n?", and an earlier attempt's progress
+    /// counts toward n where a generation tag would make it inert.
     mig_seen: Box<[CachePadded<AtomicU64>]>,
-    /// The op-log arming generation: odd while a migration coordinator
-    /// is reading the nodes' op-logs, even otherwise. Written only by
-    /// the (single) coordinator, loaded by every node once per loop
-    /// pass — see [`ShardMap::arm_logs`].
-    log_generation: CachePadded<AtomicU64>,
-    /// Per-shard arming acknowledgements: the last generation the
-    /// shard's node observed and switched its logging to, published
-    /// by the node, awaited by the coordinator before it reads a key.
-    log_acked: Box<[CachePadded<AtomicU64>]>,
+    /// The op-log arming handshake, participant = shard: nodes log
+    /// their writes while the generation [`is_armed`]. Only
+    /// [`ShardMap::arm_logs`] and [`ShardMap::disarm_logs`] begin it.
+    pub arming: Handshake,
 }
 
-/// Bits the quiesce hwm occupies below the round tag.
-const QUIESCE_HWM_BITS: u32 = 40;
+/// True if an arming generation has the nodes logging: odd ones do.
+pub fn is_armed(generation: Fence) -> bool {
+    u64::from(generation) & 1 == 1
+}
 
 impl ShardMap {
     /// A fresh map at epoch 1: slot `L` owned by shard `L % shards`,
@@ -142,20 +127,13 @@ impl ShardMap {
                 .map(|slot| AtomicU64::new(if live { (slot % shards) as u64 } else { 0 }))
                 .collect()
         };
-        let zeros = || -> Box<[CachePadded<AtomicU64>]> {
-            (0..ROUTE_SLOTS)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect()
-        };
         ShardMap {
             word: FencedWord::new(tag(shards, 0)),
             tables: [table(true), table(false)],
             freeze_req: CachePadded::new(AtomicU64::new(0)),
-            round: CachePadded::new(AtomicU64::new(0)),
-            quiesced: zeros(),
-            mig_seen: zeros(),
-            log_generation: CachePadded::new(AtomicU64::new(0)),
-            log_acked: zeros(),
+            quiesce: Handshake::new(ROUTE_SLOTS),
+            mig_seen: (0..ROUTE_SLOTS).map(|_| CachePadded::default()).collect(),
+            arming: Handshake::new(ROUTE_SLOTS),
         }
     }
 
@@ -250,13 +228,19 @@ impl ShardMap {
         self.word.try_advance(seen, next).map_err(view_of)
     }
 
-    /// Requests a freeze of the slots in `mask` (bit = slot index):
-    /// their owners stop applying writes, publish the op-log version
-    /// they stopped at ([`ShardMap::publish_quiesced`]), and defer
-    /// client writes until the cutover. Freezing is cumulative across
-    /// calls.
-    pub fn freeze(&self, mask: u64) {
+    /// Freezes the slots in `mask` (bit = slot index) — their owners
+    /// stop applying writes and defer client writes until the cutover —
+    /// then begins a [`ShardMap::quiesce`] round and returns it.
+    /// Freezing is cumulative across calls.
+    ///
+    /// The order is what makes a round's ack trustworthy: a node's
+    /// Acquire read of the round synchronizes with this Release begin,
+    /// which follows the freeze store, so a node that acks the round saw
+    /// the freeze first, and an ack from an aborted earlier attempt
+    /// (an older round) never satisfies this one.
+    pub fn freeze(&self, mask: u64) -> Fence {
         self.freeze_req.fetch_or(mask, Ordering::Release);
+        self.quiesce.begin()
     }
 
     /// Lifts the freeze on the slots in `mask`.
@@ -269,68 +253,7 @@ impl ShardMap {
         self.freeze_req.load(Ordering::Acquire)
     }
 
-    /// True if the slot is frozen for a migration drain.
-    pub fn is_frozen(&self, slot: usize) -> bool {
-        self.frozen() & (1 << slot) != 0
-    }
-
-    /// Opens a new freeze round, returning its number. MUST be called
-    /// after [`ShardMap::freeze`] sets this round's bits: a node's
-    /// Acquire read of the new round synchronizes with this Release
-    /// bump, which is sequenced after the freeze store — so any node
-    /// that tags its quiesce ack with the new round provably saw the
-    /// freeze first, and a stale ack from an aborted earlier attempt
-    /// (carrying an old round) can never satisfy this one.
-    pub fn begin_round(&self) -> u64 {
-        self.round.fetch_add(1, Ordering::Release) + 1
-    }
-
-    /// The current freeze round.
-    pub fn round(&self) -> u64 {
-        self.round.load(Ordering::Acquire)
-    }
-
-    /// A source node's half of the quiesce handshake: having observed
-    /// round `round`'s freeze and stopped applying writes to frozen
-    /// slots, it publishes the highest version it *logged* under the
-    /// current arming (0 if none). The coordinator's matching read
-    /// ([`ShardMap::quiesced_of`]) Acquire-loads this, so every entry
-    /// the hwm covers is visible to the final delta scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hwm` overflows its 40-bit field (no realizable run
-    /// assigns that many versions).
-    pub fn publish_quiesced(&self, shard: usize, round: u64, hwm: u64) {
-        assert!(hwm < (1 << QUIESCE_HWM_BITS) - 1 && round < 1 << (64 - QUIESCE_HWM_BITS));
-        self.quiesced[shard].store(round << QUIESCE_HWM_BITS | (hwm + 1), Ordering::Release);
-    }
-
-    /// The `(round, hwm)` a shard quiesced at, `None` until it has
-    /// acknowledged any freeze. The coordinator must ignore an ack
-    /// whose round predates its own [`ShardMap::begin_round`].
-    pub fn quiesced_of(&self, shard: usize) -> Option<(u64, u64)> {
-        match self.quiesced[shard].load(Ordering::Acquire) {
-            0 => None,
-            word => Some((
-                word >> QUIESCE_HWM_BITS,
-                (word & ((1 << QUIESCE_HWM_BITS) - 1)) - 1,
-            )),
-        }
-    }
-
-    /// Resets a shard's quiesce acknowledgement (after the cutover
-    /// unfreezes its slots; the round tag already makes stale acks
-    /// inert, this just keeps the map tidy between migrations).
-    pub fn clear_quiesced(&self, shard: usize) {
-        self.quiesced[shard].store(0, Ordering::Release);
-    }
-
-    /// A target node's migration-stream progress: the cumulative
-    /// number of stream entries it has processed. Monotone — the
-    /// counter survives aborted attempts, so the coordinator's
-    /// "processed equals sent" check always means the stream is
-    /// drained with nothing in flight.
+    /// A target node publishes its cumulative stream-entry count.
     pub fn publish_migrated(&self, shard: usize, processed: u64) {
         self.mig_seen[shard].fetch_max(processed, Ordering::Release);
     }
@@ -341,54 +264,34 @@ impl ShardMap {
     }
 
     /// Arms the fleet's op-logs for a migration, returning the new
-    /// (odd) generation. A node logs its committed writes only under an
-    /// odd generation, so a fleet with no migration in flight keeps no
-    /// log at all. The coordinator MUST wait for each source's
-    /// [`ShardMap::log_acked_of`] to equal the returned generation
-    /// before it reads a key: a write the node committed before that
-    /// acknowledgement is in its store (the ack's Release, the
-    /// coordinator's Acquire), a write committed after it is in its
-    /// log — and the bulk copy plus the log tail is then everything.
+    /// (odd, [`is_armed`]) generation. A node logs its committed writes
+    /// only under an odd generation, so a fleet with no migration in
+    /// flight keeps no log at all. The coordinator MUST wait for each
+    /// source to ack the returned generation before it reads a key; see
+    /// [`follow_log_arming`](crate::follow_log_arming) for why the copy
+    /// plus the log tail is then everything.
     ///
     /// # Panics
     ///
     /// Panics if the logs are already armed (the protocol is
-    /// single-coordinator, as for [`ShardMap::try_cutover`]).
-    pub fn arm_logs(&self) -> u64 {
-        // Release for symmetry with the acks; the word publishes no
-        // data of its own — only its parity and identity are read.
-        let generation = self.log_generation.fetch_add(1, Ordering::Release) + 1;
-        assert!(generation & 1 == 1, "op-logs armed by another coordinator");
-        generation
+    /// single-coordinator, as for [`ShardMap::try_cutover`]), having
+    /// stored nothing: the arming in flight is left alone.
+    pub fn arm_logs(&self) -> Fence {
+        const RIVAL: &str = "op-logs armed by another coordinator";
+        let seen = self.arming.current();
+        assert!(!is_armed(seen), "{RIVAL}");
+        self.arming.try_begin(seen).expect(RIVAL)
     }
 
     /// Ends the arming, if any: the generation turns even, and every
     /// node drops its log as it notices. Idempotent, so the
     /// coordinator's exit guard can call it on every path.
     pub fn disarm_logs(&self) {
-        // Load-then-add is not a race: only the one coordinator that
+        // Load-then-begin is not a race: only the one coordinator that
         // armed the logs ever writes this word.
-        if self.log_generation.load(Ordering::Acquire) & 1 == 1 {
-            self.log_generation.fetch_add(1, Ordering::Release);
+        if is_armed(self.arming.current()) {
+            self.arming.begin();
         }
-    }
-
-    /// The current arming generation (odd = armed).
-    pub fn log_generation(&self) -> u64 {
-        self.log_generation.load(Ordering::Acquire)
-    }
-
-    /// A node's half of the arming handshake: having switched its
-    /// logging to `generation`'s parity, it publishes the generation.
-    /// Release — every write the node committed (unlogged) before this
-    /// store is visible to a coordinator that Acquire-reads the ack.
-    pub fn ack_log_generation(&self, shard: usize, generation: u64) {
-        self.log_acked[shard].store(generation, Ordering::Release);
-    }
-
-    /// The last arming generation a shard's node acknowledged.
-    pub fn log_acked_of(&self, shard: usize) -> u64 {
-        self.log_acked[shard].load(Ordering::Acquire)
     }
 }
 
@@ -478,27 +381,14 @@ mod tests {
     fn freeze_mask_and_quiesce_handshake() {
         let map = ShardMap::new(2);
         assert_eq!(map.frozen(), 0);
-        map.freeze(0b1010);
-        map.freeze(0b0100);
+        assert_eq!(map.freeze(0b1010), epoch(1), "each freeze begins a round");
+        let round = map.freeze(0b0100);
         assert_eq!(map.frozen(), 0b1110);
-        assert!(map.is_frozen(1) && map.is_frozen(2) && map.is_frozen(3));
-        assert!(!map.is_frozen(0));
         map.unfreeze(0b0110);
         assert_eq!(map.frozen(), 0b1000);
-        assert_eq!(map.round(), 0);
-        assert_eq!(map.begin_round(), 1);
-        assert_eq!(map.round(), 1);
-        assert_eq!(map.quiesced_of(0), None);
-        map.publish_quiesced(0, 1, 0);
-        assert_eq!(
-            map.quiesced_of(0),
-            Some((1, 0)),
-            "hwm 0 is distinct from none"
-        );
-        map.publish_quiesced(0, 2, 41);
-        assert_eq!(map.quiesced_of(0), Some((2, 41)));
-        map.clear_quiesced(0);
-        assert_eq!(map.quiesced_of(0), None);
+        assert_eq!((round, map.quiesce.current()), (epoch(2), epoch(2)));
+        map.quiesce.ack(0, round, 41);
+        assert_eq!(map.quiesce.acked(0), Some((round, 41)));
         // Stream progress is monotone: stale publishes cannot regress.
         assert_eq!(map.migrated_of(2), 0);
         map.publish_migrated(2, 7);
@@ -509,21 +399,27 @@ mod tests {
     #[test]
     fn arming_generation_is_odd_while_armed_and_acks_are_per_shard() {
         let map = ShardMap::new(2);
-        assert_eq!(map.log_generation(), 0);
+        let arming = &map.arming;
+        assert_eq!(arming.current(), Fence::default());
         map.disarm_logs();
         assert_eq!(
-            map.log_generation(),
-            0,
+            arming.current(),
+            Fence::default(),
             "disarming an unarmed map is a no-op"
         );
-        assert_eq!(map.arm_logs(), 1);
-        assert_eq!((map.log_acked_of(0), map.log_acked_of(1)), (0, 0));
-        map.ack_log_generation(1, 1);
-        assert_eq!((map.log_acked_of(0), map.log_acked_of(1)), (0, 1));
+        let generation = map.arm_logs();
+        assert!(is_armed(generation));
+        assert_eq!((arming.acked(0), arming.acked(1)), (None, None));
+        arming.ack(1, generation, 0);
+        assert_eq!(arming.acked(1), Some((generation, 0)));
         map.disarm_logs();
         map.disarm_logs();
-        assert_eq!(map.log_generation(), 2);
-        assert_eq!(map.arm_logs(), 3, "every arming is a fresh generation");
+        assert_eq!(arming.current(), epoch(2));
+        assert_eq!(
+            map.arm_logs(),
+            epoch(3),
+            "every arming is a fresh generation"
+        );
     }
 
     #[test]

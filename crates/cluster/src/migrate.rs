@@ -2,16 +2,15 @@
 //!
 //! [`run_reshard_coordinator`] reshapes a running fleet from the
 //! current map to `slot % shards_after` ownership while the nodes keep
-//! serving. Before the first attempt it **arms** the nodes' op-logs
-//! ([`ShardMap::arm_logs`]) and waits for every source's acknowledgement
-//! of that generation; only then does it read a key. Nodes keep no log
-//! otherwise, so the logs hold what was written *during* this
-//! migration and nothing else. Why no write is lost: a write a source
-//! committed before its ack is in its store before the ack's Release,
-//! so the copy — which starts after the coordinator's Acquire of that
-//! ack — reads it or a newer version of its key; a write committed
-//! after the ack is in the log; there is no third case. The protocol,
-//! per attempt:
+//! serving. Every wait is one [`SpinWait`] loop polling a non-blocking
+//! query: [`settled`](ssync_core::Handshake::settled) on the map's
+//! arming and quiesce handshakes, or the targets' monotone stream
+//! progress ([`ShardMap::migrated_of`]). Before the first attempt it
+//! **arms** the nodes' op-logs ([`ShardMap::arm_logs`]) and waits until
+//! every source has acked; only then does it read a key, so the logs
+//! hold what was written *during* this migration and the copy plus the
+//! log is every write ([`follow_log_arming`](crate::follow_log_arming)
+//! says why). The protocol, per attempt:
 //!
 //! 1. **Drain & clear** — wait until every target has processed all
 //!    migration-stream entries already sent to it (progress is the
@@ -39,11 +38,10 @@
 //!    truncated entries recorded (the version gate absorbs re-sends).
 //!    Each round therefore ships only the new tail, and a source's log
 //!    never holds more than one round's worth of writes.
-//! 4. **Fenced cutover** — freeze the moving slots, start a handshake
-//!    round, and wait for each source node's *round-tagged* quiesce
-//!    acknowledgement; acks from an earlier aborted freeze carry a
-//!    stale round and are ignored, so a node that parked a write under
-//!    the old mask can never satisfy the new round's barrier. Drain
+//! 4. **Fenced cutover** — freeze the moving slots, which begins a
+//!    quiesce round, and wait until every source has acked it with the
+//!    highest version it logged; an ack of an earlier aborted freeze
+//!    names an older round, so it cannot satisfy this one. Drain
 //!    the final delta (now complete: sources defer frozen-slot
 //!    writes), wait for the targets to apply it, then stage the new
 //!    table and publish it with one epoch-bumping CAS. Unfreeze, and
@@ -70,6 +68,7 @@
 //! [`FaultSpec::migration_plan_for`]: ssync_repl::FaultSpec::migration_plan_for
 //! [`FaultSpec::coordinator_plan_for`]: ssync_repl::FaultSpec::coordinator_plan_for
 
+use ssync_core::SpinWait;
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{Message, MsgSender, RingSender};
@@ -163,6 +162,37 @@ impl Drop for MigrationGuard<'_> {
     }
 }
 
+/// Hands `visit` each `(key, key bytes, version, value)` of `store`, a
+/// page of at least `chunk` at a time, until the store ends (true) or
+/// `visit` returns false (false).
+fn walk<R: RawLock + Default>(
+    store: &KvStore<R>,
+    chunk: usize,
+    mut visit: impl FnMut(u64, &[u8], u64, &[u8]) -> bool,
+) -> bool {
+    let mut after: Option<Vec<u8>> = None;
+    loop {
+        let page = store.dump_range(after.as_deref(), chunk);
+        let Some(last) = page.last() else { return true };
+        after = Some(last.0.to_vec());
+        for (key, version, value) in &page {
+            let k = u64::from_be_bytes(key.as_ref().try_into().expect("8-byte keys"));
+            if !visit(k, key, *version, value) {
+                return false;
+            }
+        }
+    }
+}
+
+/// The coordinator's one wait: polls `done` — a non-blocking query of
+/// the map — until it holds, spinning briefly, then yielding per poll.
+fn wait_until(mut done: impl FnMut() -> bool) {
+    let mut wait = SpinWait::new();
+    while !done() {
+        wait.snooze();
+    }
+}
+
 /// Runs one resharding to completion against live nodes, injecting
 /// the spec's seeded faults. Blocks until the cutover has published
 /// and the sources are cleaned; returns what happened.
@@ -190,13 +220,15 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
     let snap = map.snapshot();
     let new_owner = |slot: usize| slot % shards_after;
 
-    // Which slots move, and from where.
+    // Which slots move, from where and to where.
     let mut moving_all = 0u64;
     let mut moving_from = vec![0u64; stores.len()];
+    let mut moving_to = vec![0u64; stores.len()];
     for (slot, &owner) in snap.owners.iter().enumerate() {
         if owner != new_owner(slot) {
             moving_all |= 1 << slot;
             moving_from[owner] |= 1 << slot;
+            moving_to[new_owner(slot)] |= 1 << slot;
         }
     }
     let sources: Vec<usize> = (0..stores.len()).filter(|&s| moving_from[s] != 0).collect();
@@ -209,16 +241,15 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
 
     // Arm the op-logs and wait for every source to have switched:
     // from its ack on, a source's store plus its log is everything.
+    // The guard comes second: a refused arming has nothing to undo.
+    let generation = map.arm_logs();
     let guard = MigrationGuard {
         map,
         moving: moving_all,
     };
-    let generation = map.arm_logs();
-    for &source in &sources {
-        while map.log_acked_of(source) != generation {
-            std::thread::yield_now();
-        }
-    }
+    // Each source's ack payload (a quiesce round's: its logged hwm).
+    let mut acks = vec![0u64; sources.len()];
+    wait_until(|| map.arming.settled(generation, &sources, &mut acks));
 
     // Cumulative stream accounting — none of these reset on a fault.
     // `sent[t]` pairs with the map's migrated-of counter to prove a
@@ -235,11 +266,7 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
     let mut frames: Vec<Message> = Vec::new();
 
     let drain_targets = |sent: &[u64]| {
-        for (target, &n) in sent.iter().enumerate() {
-            while map.migrated_of(target) < n {
-                std::thread::yield_now();
-            }
-        }
+        wait_until(|| (sent.iter().enumerate()).all(|(t, &n)| map.migrated_of(t) >= n));
     };
     // Replays `source`'s op-log tail after the cursor, shipping moving
     // entries to their slots' new owners.
@@ -273,62 +300,42 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
         // 1. Drain the streams, then clear what earlier attempts left.
         drain_targets(&sent);
         for (target, store) in stores.iter().enumerate() {
-            let owed: u64 = (0..ROUTE_SLOTS)
-                .filter(|&slot| new_owner(slot) == target)
-                .fold(0, |mask, slot| mask | 1 << slot);
-            let clear = owed & moving_all;
-            if clear == 0 {
-                continue;
-            }
-            let mut after: Option<Vec<u8>> = None;
-            loop {
-                let page = store.dump_range(after.as_deref(), chunk);
-                let Some(last) = page.last() else { break };
-                after = Some(last.0.as_ref().to_vec());
-                for (key, _, _) in &page {
-                    let k = u64::from_be_bytes(key.as_ref().try_into().expect("8-byte keys"));
+            let clear = moving_to[target];
+            if clear != 0 {
+                walk(store, chunk, |k, key, _, _| {
                     if clear & (1 << slot_of(k)) != 0 {
-                        store.delete_versioned(key.as_ref());
+                        store.delete_versioned(key);
                     }
-                }
+                    true
+                });
             }
         }
 
-        // 2. Bulk copy, restarting a source's copy on each seeded
-        // stream crash.
+        // 2. Bulk copy. A seeded stream crash stops a source's walk,
+        // which then restarts from the first page.
         for &source in &sources {
-            'copy: loop {
-                let mut after: Option<Vec<u8>> = None;
-                loop {
-                    let page = stores[source].dump_range(after.as_deref(), chunk);
-                    let Some(last) = page.last() else { break };
-                    after = Some(last.0.as_ref().to_vec());
-                    for (key, version, value) in &page {
-                        let k = u64::from_be_bytes(key.as_ref().try_into().expect("8-byte keys"));
-                        let slot = slot_of(k);
-                        if moving_from[source] & (1 << slot) == 0 {
-                            continue;
-                        }
-                        encode_replicate(k, *version, value, &mut frames);
-                        mig_tx[new_owner(slot)]
-                            .send_all_connected(&frames)
-                            .expect("target node outlives the migration");
-                        sent[new_owner(slot)] += 1;
-                        report.entries_migrated += 1;
-                        streamed[source] += 1;
-                        if plans[source]
-                            .events()
-                            .get(fault_idx[source])
-                            .is_some_and(|event| streamed[source] == event.at_entry)
-                        {
-                            fault_idx[source] += 1;
-                            report.copy_restarts += 1;
-                            continue 'copy;
-                        }
-                    }
+            let mut copy = |k: u64, _: &[u8], version: u64, value: &[u8]| {
+                let slot = slot_of(k);
+                if moving_from[source] & (1 << slot) == 0 {
+                    return true;
                 }
-                break;
-            }
+                encode_replicate(k, version, value, &mut frames);
+                mig_tx[new_owner(slot)]
+                    .send_all_connected(&frames)
+                    .expect("target node outlives the migration");
+                sent[new_owner(slot)] += 1;
+                report.entries_migrated += 1;
+                streamed[source] += 1;
+                let events = plans[source].events();
+                let crash = (events.get(fault_idx[source]))
+                    .is_some_and(|event| streamed[source] == event.at_entry);
+                if crash {
+                    fault_idx[source] += 1;
+                    report.copy_restarts += 1;
+                }
+                !crash
+            };
+            while !walk(stores[source], chunk, &mut copy) {}
         }
         if crash_stage == Some(0) {
             report.coordinator_restarts += 1;
@@ -346,16 +353,10 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
             continue;
         }
 
-        // 4. Freeze, then open the handshake round — in that order:
-        // the round is the Release flag whose Acquire read at a node
-        // proves the freeze bits are visible there.
-        map.freeze(moving_all);
-        let round = map.begin_round();
-        for &source in &sources {
-            while map.quiesced_of(source).map_or(true, |(r, _)| r != round) {
-                std::thread::yield_now();
-            }
-        }
+        // 4. Freeze, which opens a quiesce round, and wait for every
+        // source to ack it with the highest version it logged.
+        let round = map.freeze(moving_all);
+        wait_until(|| map.quiesce.settled(round, &sources, &mut acks));
         if crash_stage == Some(2) {
             // A supervisor restarting a dead coordinator lifts the
             // freeze first; parked writes resume at the old owners.
@@ -366,17 +367,12 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
 
         // 5. Final delta: sources are quiesced, so this tail is
         // complete. Prove the targets applied everything, then cut.
-        for &source in &sources {
+        for (&source, &hwm) in sources.iter().zip(&acks) {
             delta(source, &mut cursor, &mut sent, &mut frames, &mut report);
-            let (_, hwm) = map.quiesced_of(source).expect("source acked this round");
             debug_assert!(cursor[source] >= hwm, "final delta must reach the hwm");
         }
         drain_targets(&sent);
-        let mut owners = [0usize; ROUTE_SLOTS];
-        for (slot, owner) in owners.iter_mut().enumerate() {
-            *owner = new_owner(slot);
-        }
-        map.stage(&owners);
+        map.stage(&std::array::from_fn::<_, ROUTE_SLOTS, _>(new_owner));
         let epoch = map.try_cutover(map.view(), shards_after);
         report.final_epoch =
             u64::from(epoch.expect("the resharding coordinator is the only epoch writer"));
@@ -386,28 +382,19 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
     // on — then disarm: the parked writes bounce to their new owners
     // and every node drops its log.
     drop(guard);
-    for &source in &sources {
-        map.clear_quiesced(source);
-    }
 
     // 6. Cleanup: moved keys leave their sources; their retired nodes
     // are reclaimed by the stores' online epoch passes (or the
     // caller's purge_retired() shutdown drain).
     for &source in &sources {
-        let mut after: Option<Vec<u8>> = None;
-        loop {
-            let page = stores[source].dump_range(after.as_deref(), chunk);
-            let Some(last) = page.last() else { break };
-            after = Some(last.0.as_ref().to_vec());
-            for (key, _, _) in &page {
-                let k = u64::from_be_bytes(key.as_ref().try_into().expect("8-byte keys"));
-                if moving_from[source] & (1 << slot_of(k)) != 0
-                    && stores[source].delete_versioned(key.as_ref()).is_some()
-                {
-                    report.source_keys_retired += 1;
-                }
+        walk(stores[source], chunk, |k, key, _, _| {
+            if moving_from[source] & (1 << slot_of(k)) != 0
+                && stores[source].delete_versioned(key).is_some()
+            {
+                report.source_keys_retired += 1;
             }
-        }
+            true
+        });
     }
     report
 }
@@ -415,7 +402,7 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map::ShardMap;
+    use crate::map::{is_armed, ShardMap};
     use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient};
     use ssync_core::Fence;
     use ssync_locks::TicketLock;
@@ -477,7 +464,10 @@ mod tests {
         });
         assert_eq!(map.epoch(), Fence::from_wire(2));
         assert_eq!(map.num_shards(), 4);
-        assert_eq!(map.log_generation() & 1, 0, "disarmed after the cutover");
+        assert!(
+            !is_armed(map.arming.current()),
+            "disarmed after the cutover"
+        );
         assert!(logs.iter().all(OpLog::is_empty));
         // Every surviving key sits exactly at its mod-4 owner.
         for (shard, store) in stores.iter().enumerate() {
@@ -528,7 +518,10 @@ mod tests {
             }
             client.close();
         });
-        assert_eq!(map.log_generation() & 1, 0, "disarmed after the cutover");
+        assert!(
+            !is_armed(map.arming.current()),
+            "disarmed after the cutover"
+        );
         assert!(logs.iter().all(OpLog::is_empty));
         for (shard, store) in stores.iter().enumerate() {
             for (key, _, _) in store.dump() {
@@ -608,23 +601,23 @@ mod tests {
                     )
                 }))
             });
-            while map.log_generation() & 1 == 0 {
+            let (mut armed, mut round) = (Fence::default(), Fence::default());
+            while !map.arming.follow(0, &mut armed, |_| Some(0)) {
                 std::thread::yield_now();
             }
-            map.ack_log_generation(0, map.log_generation());
-            while map.round() == 0 {
+            while map.quiesce.current() == round {
                 std::thread::yield_now();
             }
             assert_ne!(map.frozen(), 0, "the round opens after the freeze");
             drop(endpoints);
             let value = bytes::Bytes::from_static(b"v");
             logs[0].append(LogEntry::committed(moving_key, 1, Some(&value)));
-            map.publish_quiesced(0, map.round(), 1);
+            map.quiesce.follow(0, &mut round, |_| Some(1));
             coordinator.join().unwrap().is_err()
         });
         assert!(died, "a send to a dropped target ring must panic");
         assert_eq!(map.frozen(), 0, "no write may stay parked");
-        assert_eq!(map.log_generation() & 1, 0, "no log may keep growing");
+        assert!(!is_armed(map.arming.current()), "no log may keep growing");
         assert_eq!(map.epoch(), Fence::FIRST, "and the map was never cut");
     }
 
@@ -651,7 +644,7 @@ mod tests {
                 run_reshard_coordinator(&map, &store_refs, &log_refs, &mig, &ReshardSpec::clean(2))
             }));
             assert!(died.is_err());
-            assert_eq!(map.log_generation() & 1, 0);
+            assert!(!is_armed(map.arming.current()));
             let armed = |client: &ClusterClient| {
                 let snap = client.stats(0).unwrap();
                 snap.counter("node.oplog_armed").unwrap()
@@ -666,6 +659,29 @@ mod tests {
         });
         assert!(logs[0].is_empty());
         assert_eq!(stores[0].len(), 64);
+    }
+
+    /// Regression: a second coordinator's refused arming used to turn
+    /// the first one's generation even (every node then dropped the log
+    /// its delta still had to read), and its unwinding guard lifted the
+    /// first one's freeze. Played by hand: the map is armed and frozen
+    /// as a live coordinator would leave it, with no node running.
+    #[test]
+    fn a_refused_second_coordinator_leaves_the_first_ones_migration_alone() {
+        let map = ShardMap::new(1);
+        let (stores, logs) = fleet(2);
+        let (_endpoints, _conns, mig) = cluster_mesh(2, 1, 16, 16);
+        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let log_refs: Vec<&OpLog> = logs.iter().collect();
+        let generation = map.arm_logs();
+        let round = map.freeze(0b10);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_reshard_coordinator(&map, &store_refs, &log_refs, &mig, &ReshardSpec::clean(2))
+        }));
+        assert!(refused.is_err(), "a second arming must be refused");
+        assert_eq!(map.arming.current(), generation, "the first arming stands");
+        assert_eq!(map.frozen(), 0b10, "and so does its freeze");
+        assert_eq!(map.quiesce.current(), round);
     }
 
     /// A no-op spec (map already mod-N) returns without touching

@@ -14,14 +14,10 @@
 //!   acknowledges it.
 //! * **The armed op-log** ([`follow_log_arming`]) — a node's [`OpLog`]
 //!   has a reader only while a migration runs, so the node appends its
-//!   committed writes (the `committed` hook) only while the map's
-//!   arming generation is odd, and drops the log when it turns even.
-//!   With no migration in flight the log is empty however long the
-//!   node serves. The node acknowledges each generation *after*
-//!   switching: a write committed before the ack is in the store the
-//!   coordinator then copies, a write committed after it is in the
-//!   log the coordinator then replays — there is no third case
-//!   (`tests/chk_models.rs` model-checks that handshake too).
+//!   committed writes (the `committed` hook) only while it follows an
+//!   armed generation of the map's arming handshake, and drops the log
+//!   on leaving one. With no migration in flight the log is empty
+//!   however long the node serves.
 //! * **The freeze protocol** — writes to slots frozen for a
 //!   migration's final drain are *deferred* (parked in the node, the
 //!   client blocked on its reply) and re-submitted each loop pass:
@@ -29,8 +25,8 @@
 //!   the node no longer owns them and they bounce to the new owner.
 //!   Reads keep being served throughout — the freeze window is
 //!   write-unavailability only, and it is bounded by the final delta
-//!   drain, not the whole copy. The round-tagged quiesce handshake
-//!   tells the coordinator when the node's log is final.
+//!   drain, not the whole copy. The node's ack of the quiesce round
+//!   tells the coordinator when its log is final.
 //! * **The migration stream** — a per-node SPSC ring the coordinator
 //!   replays `Replicate`/`ReplicateDelete` frames over. Entries apply
 //!   through the store's per-key version gate
@@ -63,7 +59,7 @@ use ssync_srv::service::{ring_mesh, ReadHit, ServerEndpoint};
 use ssync_srv::wire::{Request, Response, WireError};
 use ssync_srv::{slot_of, Admit, Hooks, NodeCore, Poll, ServiceClient};
 
-use crate::map::{MapSnapshot, ShardMap};
+use crate::map::{is_armed, MapSnapshot, ShardMap};
 
 /// A cluster node's side of the mesh: per-client request/reply rings
 /// plus the coordinator's migration stream.
@@ -141,28 +137,26 @@ pub fn slot_fence(map: &ShardMap, me: usize, key: u64, is_write: bool) -> Admit 
 }
 
 /// One pass of a node's half of the op-log arming handshake
-/// ([`ShardMap::arm_logs`]): load the generation, and if it moved since
-/// `*seen`, switch to it — drop the log when leaving an armed (odd)
-/// generation, whose entries nothing will read again — and only then
-/// acknowledge. The caller logs its committed writes while `*seen` is
-/// odd. Returns whether the generation moved.
+/// ([`ShardMap::arm_logs`]): if the generation moved since `*seen`,
+/// switch to it — drop the log when leaving an armed generation, whose
+/// entries nothing will read again — and only then ack. The caller logs
+/// its committed writes while `*seen` [`is_armed`]. Returns whether the
+/// generation moved.
 ///
 /// The order is the no-lost-write argument: the single-threaded node
-/// commits nothing between switching and acknowledging, so every write
-/// it committed unlogged precedes the ack's Release (the coordinator's
+/// commits nothing between switching and acking, so every write it
+/// committed unlogged precedes the ack's Release — the coordinator's
 /// copy, which starts after its Acquire of the ack, reads that write or
-/// a newer version of its key) and every later write is logged.
-pub fn follow_log_arming(map: &ShardMap, me: usize, log: &OpLog, seen: &mut u64) -> bool {
-    let generation = map.log_generation();
-    if generation == *seen {
-        return false;
-    }
-    if *seen & 1 == 1 {
-        log.truncate_through(u64::MAX);
-    }
-    *seen = generation;
-    map.ack_log_generation(me, generation);
-    true
+/// a newer version of its key — and every later write is logged
+/// (`tests/chk_models.rs` model-checks this step).
+pub fn follow_log_arming(map: &ShardMap, me: usize, log: &OpLog, seen: &mut Fence) -> bool {
+    let leaving_armed = is_armed(*seen);
+    map.arming.follow(me, seen, |_| {
+        if leaving_armed {
+            log.truncate_through(u64::MAX);
+        }
+        Some(0)
+    })
 }
 
 /// The node's policy state: the fence's inputs, the op-log its
@@ -173,8 +167,8 @@ struct SlotPolicy<'a> {
     map: &'a ShardMap,
     log: &'a OpLog,
     /// The arming generation this node last acknowledged
-    /// ([`follow_log_arming`]); odd = log every committed write.
-    log_generation: u64,
+    /// ([`follow_log_arming`]); armed = log every committed write.
+    log_generation: Fence,
     /// Highest version logged under `log_generation` — what the node
     /// quiesces at. Versions it assigned while unarmed are not in it:
     /// the coordinator's final delta has to reach the log's end, not
@@ -195,7 +189,7 @@ impl Hooks for SlotPolicy<'_> {
     }
 
     fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>) {
-        if self.log_generation & 1 == 1 {
+        if is_armed(self.log_generation) {
             self.log.append(LogEntry::committed(key, version, value));
             self.last_logged = version;
         }
@@ -203,7 +197,7 @@ impl Hooks for SlotPolicy<'_> {
 }
 
 /// Runs one cluster node: serve clients, drain the migration stream,
-/// and keep the freeze handshake current, until every client sent
+/// and follow both migration handshakes, until every client sent
 /// [`Request::Stop`]. Returns once the last client stops.
 pub fn serve_cluster_node<R: RawLock + Default>(
     me: usize,
@@ -218,14 +212,14 @@ pub fn serve_cluster_node<R: RawLock + Default>(
         me,
         map,
         log,
-        log_generation: 0,
+        log_generation: Fence::default(),
         last_logged: 0,
         bounced: 0,
     };
     let mut deferred: Vec<(usize, Request)> = Vec::new();
     let mut ops_deferred = 0u64;
-    // The freeze round this node last acknowledged.
-    let mut acked_round = 0u64;
+    // The quiesce round this node last acknowledged.
+    let mut acked_round = Fence::default();
     // Cumulative migration-stream entries processed.
     let mut mig_processed = 0u64;
     while core.live() > 0 {
@@ -239,15 +233,10 @@ pub fn serve_cluster_node<R: RawLock + Default>(
         // by per-object coherence on the single-threaded node — every
         // later mask load this pass and beyond still sees them, so no
         // frozen-slot write can slip through after this ack.
-        let round = map.round();
-        if round != acked_round {
+        progressed |= map.quiesce.follow(me, &mut acked_round, |_| {
             let mine = owned_mask(map, me);
-            if map.frozen() & mine != 0 {
-                map.publish_quiesced(me, round, policy.last_logged);
-                acked_round = round;
-                progressed = true;
-            }
-        }
+            (map.frozen() & mine != 0).then_some(policy.last_logged)
+        });
         // Drain the migration stream.
         while let Some(head) = migration.try_recv() {
             progressed = true;
@@ -280,7 +269,7 @@ pub fn serve_cluster_node<R: RawLock + Default>(
                     ("node.migration_ops_deferred", ops_deferred),
                     ("node.migration_entries", mig_processed),
                     ("node.oplog_entries", log.len() as u64),
-                    ("node.oplog_armed", policy.log_generation & 1),
+                    ("node.oplog_armed", is_armed(policy.log_generation).into()),
                 ];
                 core.reply_stats(client, store, &node);
             }
@@ -305,12 +294,10 @@ pub fn serve_cluster_node<R: RawLock + Default>(
 
 /// The slots `shard` owns under the current map, as a bitmask.
 fn owned_mask(map: &ShardMap, shard: usize) -> u64 {
-    map.snapshot()
-        .owners
-        .iter()
-        .enumerate()
-        .filter(|&(_, &owner)| owner == shard)
-        .fold(0, |mask, (slot, _)| mask | 1 << slot)
+    let owners = map.snapshot().owners.into_iter().enumerate();
+    owners.fold(0, |mask, (slot, owner)| {
+        mask | u64::from(owner == shard) << slot
+    })
 }
 
 /// The map-following client: routes by a cached [`MapSnapshot`] and
@@ -648,7 +635,7 @@ mod tests {
             // one made after the node acknowledged an arming is logged.
             client.set(key, b"unlogged".to_vec()).unwrap();
             let generation = map.arm_logs();
-            while map.log_acked_of(0) != generation {
+            while map.arming.acked(0) != Some((generation, 0)) {
                 std::thread::yield_now();
             }
             let v1 = client.set(key, b"before".to_vec()).unwrap();
@@ -657,12 +644,11 @@ mod tests {
             // Freeze the key's slot, as a coordinator's final drain
             // would, and wait for the node's round-tagged quiesce ack:
             // it carries the highest version *logged*.
-            map.freeze(1 << slot_of(key));
-            let round = map.begin_round();
-            while map.quiesced_of(0).is_none_or(|(r, _)| r != round) {
+            let round = map.freeze(1 << slot_of(key));
+            while map.quiesce.acked(0).is_none_or(|(r, _)| r != round) {
                 std::thread::yield_now();
             }
-            assert_eq!(map.quiesced_of(0), Some((round, v1)));
+            assert_eq!(map.quiesce.acked(0), Some((round, v1)));
             // A write to the frozen slot parks inside the node...
             let map_ref = &map;
             let writer = s.spawn(move || {
@@ -768,5 +754,52 @@ mod tests {
         let (v, value) = stores[1].get_with_version(&key_bytes(9)).unwrap();
         assert_eq!(v, 6);
         assert_eq!(value.as_ref().len(), 300);
+    }
+
+    /// Frames on the migration stream that are not entries — a head
+    /// with an unknown opcode, a well-formed client `Get` — are counted
+    /// malformed and skipped, yet still count as processed: a
+    /// coordinator waiting for the stream to drain cannot hang on them.
+    /// Neither frame announces continuations, so neither decode pulls.
+    #[test]
+    fn migration_stream_survives_garbage() {
+        let map = ShardMap::new(2);
+        let stores = stores(2);
+        let logs = logs(2);
+        let (endpoints, mut conns, mig) = cluster_mesh(2, 1, 16, 64);
+        let owned = (0u64..).find(|&k| map.owner_of(slot_of(k)) == 1).unwrap();
+        std::thread::scope(|s| {
+            for (shard, endpoint) in endpoints.into_iter().enumerate() {
+                let (store, log, map) = (&stores[shard], &logs[shard], &map);
+                s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint));
+            }
+            let mut unknown = [0; ssync_mp::MSG_WORDS];
+            unknown[0] = 0xEE;
+            mig[1].send(unknown);
+            let mut frames = Vec::new();
+            let entries = [(owned, 5), (owned + 1, 6)].map(|(key, version)| Request::Replicate {
+                key,
+                version,
+                value: b"v".to_vec(),
+            });
+            for request in [&Request::Get { key: owned }, &entries[0], &entries[1]] {
+                request.encode_into(&mut frames);
+                mig[1].send_all_connected(&frames).unwrap();
+            }
+            while map.migrated_of(1) < 4 {
+                std::thread::yield_now();
+            }
+            assert_eq!(stores[1].len(), 2, "only the two entries applied");
+            let client = ClusterClient::new(&map, conns.pop().unwrap());
+            let scrape = client.stats(1).unwrap();
+            assert_eq!(scrape.counter("srv.malformed"), Some(2));
+            assert_eq!(scrape.counter("node.migration_entries"), Some(4));
+            assert_eq!(client.get(owned).unwrap().unwrap().0, 5);
+            let version = client.set(owned, b"w".to_vec()).unwrap();
+            assert_eq!(client.get(owned).unwrap(), Some((version, b"w".to_vec())));
+            client.close();
+        });
+        let (v, _) = stores[1].get_with_version(&key_bytes(owned + 1)).unwrap();
+        assert_eq!(v, 6);
     }
 }

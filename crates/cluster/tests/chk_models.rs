@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use ssync_chk::sync::atomic::{AtomicU64, Ordering};
 use ssync_chk::{thread, Builder};
-use ssync_cluster::{follow_log_arming, slot_fence, ShardMap};
+use ssync_cluster::{follow_log_arming, is_armed, slot_fence, ShardMap};
 use ssync_core::Fence;
 use ssync_repl::OpLog;
 use ssync_srv::{slot_of, Admit, ROUTE_SLOTS};
@@ -94,13 +94,11 @@ fn cutover_protocol(mask_first: bool) {
             // round-before-mask quiesce handshake, then one write
             // attempt against the live fences.
             let mut executed = 0u64;
-            let mut acked = 0u64;
+            let mut acked = Fence::default();
             for _ in 0..2 {
-                let round = map.round();
-                if round != acked && map.frozen() & mask != 0 {
-                    map.publish_quiesced(0, round, executed);
-                    acked = round;
-                }
+                map.quiesce.follow(0, &mut acked, |_| {
+                    (map.frozen() & mask != 0).then_some(executed)
+                });
                 if try_write(&map, key, mask_first) {
                     executed += 1;
                 }
@@ -108,26 +106,23 @@ fn cutover_protocol(mask_first: bool) {
             executed
         })
     };
-    // The coordinator: freeze, open the round, and poll for the ack a
-    // bounded number of times (schedules that never see it skip the
-    // cutover and prove nothing — the checker also runs the ones that
-    // do).
-    map.freeze(mask);
-    let round = map.begin_round();
-    let mut drained = None;
+    // The coordinator: freeze, which opens the round, and poll for the
+    // ack a bounded number of times (schedules that never see it skip
+    // the cutover and prove nothing — the checker also runs the ones
+    // that do).
+    let round = map.freeze(mask);
+    let (mut drained, mut hwm) = (None, [0]);
     for _ in 0..4 {
-        match map.quiesced_of(0) {
-            Some((r, hwm)) if r == round => {
-                // The final delta reads the source log through `hwm`
-                // here; then one CAS publishes the new map.
-                map.stage(&owners_mod2());
-                map.try_cutover(map.view(), 2).expect("sole coordinator");
-                map.unfreeze(mask);
-                drained = Some(hwm);
-                break;
-            }
-            _ => thread::yield_now(),
+        if map.quiesce.settled(round, &[0], &mut hwm) {
+            // The final delta reads the source log through `hwm` here;
+            // then one CAS publishes the new map.
+            map.stage(&owners_mod2());
+            map.try_cutover(map.view(), 2).expect("sole coordinator");
+            map.unfreeze(mask);
+            drained = Some(hwm[0]);
+            break;
         }
+        thread::yield_now();
     }
     let executed = node.join();
     if let Some(hwm) = drained {
@@ -202,7 +197,7 @@ fn arming_protocol(wait_for_ack: bool) {
             // Never touched: the model does not leave an armed
             // generation, the only step that drops the real log.
             let log = OpLog::new(1);
-            let mut seen = 0u64;
+            let mut seen = Fence::default();
             let mut executed = 0u64;
             // Two passes of the serve loop, essentials only: the
             // arming step, then one write that commits to the store
@@ -210,7 +205,7 @@ fn arming_protocol(wait_for_ack: bool) {
             for write in [1u64, 2] {
                 follow_log_arming(&map, 0, &log, &mut seen);
                 store.fetch_or(write, Ordering::Release);
-                if seen & 1 == 1 {
+                if is_armed(seen) {
                     logged.fetch_or(write, Ordering::Release);
                 }
                 executed |= write;
@@ -224,7 +219,7 @@ fn arming_protocol(wait_for_ack: bool) {
     let generation = map.arm_logs();
     let mut copied = None;
     for _ in 0..4 {
-        if !wait_for_ack || map.log_acked_of(0) == generation {
+        if !wait_for_ack || map.arming.settled(generation, &[0], &mut [0]) {
             copied = Some(store.load(Ordering::Acquire));
             break;
         }

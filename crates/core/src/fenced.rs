@@ -24,7 +24,8 @@
 //! let _ = ssync_core::Fence::FIRST > 1u64; // no `PartialOrd<u64>`
 //! ```
 //!
-//! A larger fence comes only from [`FencedWord::try_advance`]:
+//! A larger fence comes only from [`FencedWord::try_advance`] (or
+//! [`Handshake::begin`](crate::Handshake::begin)):
 //!
 //! ```
 //! use ssync_core::fenced::{Fenced, FencedWord};
@@ -50,7 +51,7 @@ const FENCE_MAX: u64 = (1 << (64 - TAG_BITS)) - 1;
 /// A fencing token: a term, an epoch — never a memory fence. The default
 /// is 0, below every fence a word holds. See the [module docs](self).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Fence(u64);
+pub struct Fence(pub(crate) u64);
 
 impl Fence {
     /// The fence every [`FencedWord`] starts at.

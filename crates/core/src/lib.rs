@@ -24,11 +24,13 @@
 //!   the machine instead of failing on small ones.
 //! * [`fenced`] — the [`Fence`] token (a term, an epoch) and the padded
 //!   [`FencedWord`] both cluster maps advance it through.
+//! * [`handshake`] — the [`Handshake`] under the cluster map's rounds.
 
 pub mod backoff;
 pub mod cores;
 pub mod epoch;
 pub mod fenced;
+pub mod handshake;
 pub mod pad;
 pub mod stats;
 pub mod sync;
@@ -37,6 +39,7 @@ pub mod topology;
 pub use backoff::{Backoff, ParkingWait, ProportionalBackoff, RetryPacer, SpinWait};
 pub use epoch::{EpochBags, EpochDomain, PinGuard};
 pub use fenced::{Fence, Fenced, FencedWord};
+pub use handshake::Handshake;
 pub use pad::CachePadded;
 pub use stats::{mono_ns, Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 pub use topology::{DistClass, Platform, Topology};

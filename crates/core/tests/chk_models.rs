@@ -1,13 +1,14 @@
 //! Model-checked interleavings of the *real* `Histogram` record and
-//! snapshot paths, of the epoch-reclamation grace period, and of racing
-//! transitions on a `FencedWord`.
+//! snapshot paths, of the epoch-reclamation grace period, of racing
+//! transitions on a `FencedWord`, and of a `Handshake` round.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg ssync_chk'`: the stats
 //! module's bucket counters and the epoch module's pin records then
 //! resolve to `ssync-chk` shadow atomics and the checker enumerates
 //! thread interleavings exhaustively up to the preemption bound. These
-//! tests drive the actual `ssync_core::Histogram`, `ssync_core::epoch`
-//! and `ssync_core::fenced` code — not a re-modelled copy.
+//! tests drive the actual `ssync_core::Histogram`, `ssync_core::epoch`,
+//! `ssync_core::fenced` and `ssync_core::handshake` code — not a
+//! re-modelled copy.
 //!
 //! Run with:
 //! `RUSTFLAGS='--cfg ssync_chk' cargo test -p ssync-core --test chk_models`
@@ -19,6 +20,7 @@ use std::sync::Arc;
 use ssync_chk::{thread, Builder};
 use ssync_core::epoch::{EpochBags, EpochDomain};
 use ssync_core::fenced::{Fence, Fenced, FencedWord};
+use ssync_core::handshake::Handshake;
 use ssync_core::sync::atomic::{AtomicU64, Ordering};
 use ssync_core::Histogram;
 
@@ -412,4 +414,221 @@ fn a_load_then_store_advance_is_found() {
     let v = Builder::new().expect_violation(fenced_word_race::<LoadThenStore>);
     assert!(v.message.contains("two advances won"), "{v}");
     eprintln!("load-then-store advance found in execution {}", v.execution);
+}
+
+/// The operations the handshake model drives, so one scenario runs over
+/// the real [`Handshake`] and over its twins' test-local ack words. The
+/// default `follow`/`settled` restate the real ones over `ack`/`acked`
+/// for the twins; the real impl runs its own.
+trait Acks: Send + Sync + 'static {
+    fn fresh() -> Self;
+    /// The generation word, which every impl keeps in a real handshake.
+    fn round(&self) -> &Handshake;
+    fn ack(&self, who: usize, generation: Fence, payload: u64);
+    fn acked(&self, who: usize) -> Option<(Fence, u64)>;
+
+    fn follow(&self, who: usize, seen: &mut Fence, step: impl FnOnce(Fence) -> Option<u64>) {
+        let generation = self.round().current();
+        if generation != *seen {
+            if let Some(payload) = step(generation) {
+                *seen = generation;
+                self.ack(who, generation, payload);
+            }
+        }
+    }
+
+    fn settled(&self, generation: Fence, who: &[usize], payloads: &mut [u64]) -> bool {
+        who.iter()
+            .zip(payloads)
+            .all(|(&who, slot)| match self.acked(who) {
+                Some((acked, payload)) if acked == generation => {
+                    *slot = payload;
+                    true
+                }
+                _ => false,
+            })
+    }
+}
+
+impl Acks for Handshake {
+    fn fresh() -> Self {
+        Handshake::new(2)
+    }
+    fn round(&self) -> &Handshake {
+        self
+    }
+    fn ack(&self, who: usize, generation: Fence, payload: u64) {
+        Handshake::ack(self, who, generation, payload)
+    }
+    fn acked(&self, who: usize) -> Option<(Fence, u64)> {
+        Handshake::acked(self, who)
+    }
+    fn follow(&self, who: usize, seen: &mut Fence, step: impl FnOnce(Fence) -> Option<u64>) {
+        Handshake::follow(self, who, seen, step);
+    }
+    fn settled(&self, generation: Fence, who: &[usize], payloads: &mut [u64]) -> bool {
+        Handshake::settled(self, generation, who, payloads)
+    }
+}
+
+/// The first twin's acks. BUG under test: the generation and the
+/// payload are two words, and the generation is stored first — a
+/// reader between the two stores pairs the new generation with the
+/// previous one's payload.
+struct GenerationBeforePayload {
+    round: Handshake,
+    acks: [(AtomicU64, AtomicU64); 2],
+}
+
+impl Acks for GenerationBeforePayload {
+    fn fresh() -> Self {
+        let word = || (AtomicU64::new(0), AtomicU64::new(0));
+        GenerationBeforePayload {
+            round: Handshake::new(0),
+            acks: [word(), word()],
+        }
+    }
+    fn round(&self) -> &Handshake {
+        &self.round
+    }
+    fn ack(&self, who: usize, generation: Fence, payload: u64) {
+        self.acks[who]
+            .0
+            .store(u64::from(generation), Ordering::Release);
+        self.acks[who].1.store(payload, Ordering::Release);
+    }
+    fn acked(&self, who: usize) -> Option<(Fence, u64)> {
+        let generation = self.acks[who].0.load(Ordering::Acquire);
+        let payload = self.acks[who].1.load(Ordering::Acquire);
+        (generation != 0).then(|| (Fence::from_wire(generation), payload))
+    }
+}
+
+/// The second twin's acks. BUG under test: the packed word is stored
+/// Relaxed, so under store buffering the ack can become visible before
+/// the work it acknowledges.
+struct RelaxedAck {
+    round: Handshake,
+    acks: [AtomicU64; 2],
+}
+
+impl Acks for RelaxedAck {
+    fn fresh() -> Self {
+        RelaxedAck {
+            round: Handshake::new(0),
+            acks: [AtomicU64::new(0), AtomicU64::new(0)],
+        }
+    }
+    fn round(&self) -> &Handshake {
+        &self.round
+    }
+    fn ack(&self, who: usize, generation: Fence, payload: u64) {
+        let word = u64::from(generation) << 40 | payload;
+        self.acks[who].store(word, Ordering::Relaxed);
+    }
+    fn acked(&self, who: usize) -> Option<(Fence, u64)> {
+        match self.acks[who].load(Ordering::Acquire) {
+            0 => None,
+            word => Some((Fence::from_wire(word >> 40), word & ((1 << 40) - 1))),
+        }
+    }
+}
+
+/// What participant `who` acks `generation` with: both, so a payload
+/// names the generation it belongs to.
+fn payload_of(who: usize, generation: Fence) -> u64 {
+    10 * u64::from(generation) + who as u64
+}
+
+/// `participants` follow the handshake for two passes each — doing
+/// their "work" (a Relaxed store of the generation they saw), then
+/// acking — while the coordinator, having begun a first generation,
+/// begins a second and polls `settled` on it. Whenever it reports the
+/// second generation settled, every payload must be that generation's
+/// and every participant's work for it visible.
+fn handshake_round<H: Acks>(participants: usize) {
+    let acks = Arc::new(H::fresh());
+    let work = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    acks.round().begin();
+    let threads: Vec<_> = (0..participants)
+        .map(|who| {
+            let (acks, work) = (Arc::clone(&acks), Arc::clone(&work));
+            thread::spawn(move || {
+                let mut seen = Fence::default();
+                for _ in 0..2 {
+                    acks.follow(who, &mut seen, |generation| {
+                        work[who].store(u64::from(generation), Ordering::Relaxed);
+                        Some(payload_of(who, generation))
+                    });
+                }
+            })
+        })
+        .collect();
+    let next = acks.round().begin();
+    let who: Vec<usize> = (0..participants).collect();
+    let mut payloads = vec![0; participants];
+    for _ in 0..3 {
+        if acks.settled(next, &who, &mut payloads) {
+            let current: Vec<u64> = who.iter().map(|&who| payload_of(who, next)).collect();
+            assert_eq!(
+                payloads, current,
+                "settled paired a generation with an older payload"
+            );
+            for slot in &work[..participants] {
+                let done = slot.load(Ordering::Acquire);
+                assert_eq!(
+                    done,
+                    u64::from(next),
+                    "an ack overtook the work it acknowledges"
+                );
+            }
+            break;
+        }
+        thread::yield_now();
+    }
+    for participant in threads {
+        participant.join();
+    }
+}
+
+/// Two participants under sequential consistency, one under store
+/// buffering (two there exceed any reasonable exploration budget).
+#[test]
+fn a_settled_handshake_reports_only_the_current_generation() {
+    for (weak, participants) in [(false, 2), (true, 1)] {
+        let report = Builder::new()
+            .with_weak_memory(weak)
+            .check(move || handshake_round::<Handshake>(participants));
+        assert!(!report.truncated, "exploration truncated: {report:?}");
+        eprintln!(
+            "handshake model (weak={weak}): {} executions",
+            report.executions
+        );
+    }
+}
+
+/// The first twin: storing the generation before the payload is caught
+/// pairing the new generation with the previous one's payload.
+#[test]
+fn a_generation_stored_before_its_payload_is_found() {
+    let v = Builder::new().expect_violation(|| handshake_round::<GenerationBeforePayload>(2));
+    assert!(v.message.contains("older payload"), "{v}");
+    eprintln!(
+        "generation-before-payload ack found in execution {}",
+        v.execution
+    );
+}
+
+/// The second twin: a Relaxed ack store is caught under store buffering
+/// becoming visible before the work it acknowledges — and passes
+/// without buffering, so the ordering is what the model catches.
+#[test]
+fn a_relaxed_ack_is_found_under_store_buffering() {
+    let strong = Builder::new().check(|| handshake_round::<RelaxedAck>(1));
+    assert!(!strong.truncated, "exploration truncated: {strong:?}");
+    let v = Builder::new()
+        .with_weak_memory(true)
+        .expect_violation(|| handshake_round::<RelaxedAck>(1));
+    assert!(v.message.contains("overtook the work"), "{v}");
+    eprintln!("relaxed ack found in execution {}", v.execution);
 }
