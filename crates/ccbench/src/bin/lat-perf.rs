@@ -37,7 +37,7 @@ fn main() -> ExitCode {
         Some(p) => eprintln!(
             "knee: offered {:.0} ops/s achieved only {:.0} ops/s (read p99 {:.1} us)",
             p.offered_ops_per_sec,
-            p.report.achieved_ops_per_sec,
+            p.report.tally.ops_per_sec(p.report.wall),
             p.report.read_lat.quantile(0.99).unwrap_or(0) as f64 / 1000.0
         ),
         None => eprintln!("knee: not reached — the stack kept up at every offered rate"),

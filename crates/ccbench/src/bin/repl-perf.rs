@@ -44,7 +44,7 @@ fn main() -> ExitCode {
     eprintln!(
         "reshard 2->4 (live, faulted): {} ops, lost_acked_writes {}; host-measured: dip {:.1}% \
          ({:.0} -> {:.0} ops/s during), wall {:.1} ms, {} deferred",
-        reshard.issued,
+        reshard.tally.issued.total(),
         reshard.lost_acked_writes,
         reshard.dip_pct,
         reshard.rate_before,

@@ -28,7 +28,9 @@
 use ssync_kv::KvStore;
 use ssync_locks::{McsLock, MutexLock, RawLock, TicketLock, TtasLock};
 use ssync_srv::router::ShardRouter;
-use ssync_srv::workload::{run_closed_loop, KeyDist, Mix, OpCounts, ValueSize, WorkloadSpec};
+use ssync_srv::workload::{
+    run_load, KeyDist, LoadReport, LoadSpec, Mix, OpCounts, ValueSize, WorkloadSpec,
+};
 
 use crate::json::Doc;
 
@@ -40,9 +42,9 @@ pub const SEED: u64 = 0xCAFE_F00D;
 /// pair).
 pub const RING_DEPTH: usize = 64;
 
-/// Reads a pipelining client keeps in flight across its shards. At
-/// most `RING_WINDOW` one-frame requests can be queued per shard, so
-/// sends never block (the pipelined-client discipline).
+/// Reads a pipelining client keeps in flight per shard. At most
+/// `RING_WINDOW ≤ RING_DEPTH` one-frame requests can be queued per ring,
+/// so sends never block (the pipelined-client discipline).
 pub const RING_WINDOW: usize = 16;
 
 /// Retired-node backlog the store must never exceed at a round
@@ -127,18 +129,9 @@ pub struct Case {
 pub struct CaseResult {
     /// The case that ran.
     pub case: Case,
-    /// Issued key-ops by type (deterministic per seed).
-    pub issued: OpCounts,
-    /// CAS attempts that lost.
-    pub cas_fail: u64,
-    /// Maintenance passes the stores ran during the measure phase.
-    pub maintenance_runs: u64,
-    /// Wall time of the measure phase, milliseconds.
-    pub wall_ms: f64,
-    /// Key-operations per wall-second.
-    pub ops_per_sec: f64,
-    /// Fraction of reads that hit.
-    pub hit_rate: f64,
+    /// What the load engine measured; the issued counts are
+    /// deterministic per seed.
+    pub report: LoadReport,
 }
 
 /// The full sweep, per lock: {1, 4} shards × {YCSB-A, YCSB-B, YCSB-C}
@@ -353,23 +346,19 @@ fn run_case_typed<R: RawLock + Default>(case: Case, config: SweepConfig) -> Case
         batch: case.batch,
         seed: SEED,
     };
-    let report = run_closed_loop(
-        &router,
-        &spec,
-        config.workers,
-        config.ops_per_worker,
-        RING_DEPTH,
-        RING_WINDOW,
-    );
-    let wall_ms = report.wall.as_secs_f64() * 1000.0;
+    // The closed loop: one connection per worker, no schedule.
+    let load = LoadSpec {
+        workload: spec,
+        workers: config.workers,
+        connections: config.workers,
+        ops_per_worker: config.ops_per_worker,
+        offered_ops_per_sec: None,
+        depth: RING_DEPTH,
+        window: RING_WINDOW,
+    };
     CaseResult {
         case,
-        issued: report.issued,
-        cas_fail: report.cas_fail,
-        maintenance_runs: report.store.maintenance_runs,
-        wall_ms,
-        ops_per_sec: report.issued.total() as f64 / (report.wall.as_secs_f64().max(1e-9)),
-        hit_rate: report.hit_rate(),
+        report: run_load(&router, &load),
     }
 }
 
@@ -416,6 +405,7 @@ pub fn render_table(results: &[CaseResult]) -> String {
         "maint"
     );
     for r in results {
+        let (t, wall) = (&r.report.tally, r.report.wall);
         let _ = writeln!(
             out,
             "{:<8} {:>6} {:>9} {:>7} {:>6} {:>9} {:>9.1} {:>9.0} {:>6.1}% {:>7} {:>10}",
@@ -424,12 +414,12 @@ pub fn render_table(results: &[CaseResult]) -> String {
             r.case.dist.label(),
             r.case.mix.name,
             r.case.batch,
-            r.issued.total(),
-            r.wall_ms,
-            r.ops_per_sec,
-            r.hit_rate * 100.0,
-            r.cas_fail,
-            r.maintenance_runs
+            t.issued.total(),
+            wall.as_secs_f64() * 1000.0,
+            t.ops_per_sec(wall),
+            t.hit_rate() * 100.0,
+            t.cas_fail,
+            r.report.store.maintenance_runs
         );
     }
     out
@@ -457,8 +447,9 @@ pub fn render_json(results: &[CaseResult], config: SweepConfig, soak: &ChurnSoak
         .map(|r| {
             // Only a successful write advances the store's maintenance
             // cadence, so the count replays only where none can fail.
-            let maintenance = if r.issued.cas + r.issued.deletes == 0 {
-                format!(", \"maintenance_runs\": {}", r.maintenance_runs)
+            let issued = &r.report.tally.issued;
+            let maintenance = if issued.cas + issued.deletes == 0 {
+                format!(", \"maintenance_runs\": {}", r.report.store.maintenance_runs)
             } else {
                 String::new()
             };
@@ -469,10 +460,10 @@ pub fn render_json(results: &[CaseResult], config: SweepConfig, soak: &ChurnSoak
                 r.case.dist.label(),
                 r.case.mix.name,
                 r.case.batch,
-                r.issued.gets,
-                r.issued.sets,
-                r.issued.cas,
-                r.issued.deletes,
+                issued.gets,
+                issued.sets,
+                issued.cas,
+                issued.deletes,
             )
         })
         .collect();
@@ -545,8 +536,8 @@ mod tests {
             batch: 1,
         };
         let r = run_case(case, config);
-        assert_eq!(r.issued.total(), 240);
-        assert!(r.hit_rate > 0.99); // Preloaded keyspace, no deletes.
+        assert_eq!(r.report.tally.issued.total(), 240);
+        assert!(r.report.tally.hit_rate() > 0.99); // Preloaded keyspace, no deletes.
         let table = render_table(std::slice::from_ref(&r));
         assert!(table.contains("TICKET"));
         let soak = run_churn_soak(tiny_soak_config());

@@ -20,9 +20,7 @@
 
 use ssync_locks::TicketLock;
 use ssync_srv::router::ShardRouter;
-use ssync_srv::workload::{
-    run_open_loop, KeyDist, Mix, OpenLoopReport, OpenLoopSpec, ValueSize, WorkloadSpec,
-};
+use ssync_srv::workload::{run_load, KeyDist, LoadReport, LoadSpec, Mix, ValueSize, WorkloadSpec};
 
 /// Master seed (op streams and arrival schedules derive from it).
 pub const SEED: u64 = 0x7A11_CAFE;
@@ -76,15 +74,15 @@ impl LatSweepConfig {
 pub struct LatPoint {
     /// The offered aggregate rate this point targeted.
     pub offered_ops_per_sec: f64,
-    /// What the open-loop engine measured at that rate.
-    pub report: OpenLoopReport,
+    /// What the load engine measured at that rate.
+    pub report: LoadReport,
 }
 
 /// Runs one offered-load point on a fresh serving stack.
 pub fn run_point(config: LatSweepConfig, offered_ops_per_sec: f64) -> LatPoint {
     let buckets_per_shard = (config.keys as usize / SHARDS).clamp(64, 4096);
     let router: ShardRouter<TicketLock> = ShardRouter::new(SHARDS, buckets_per_shard, 16);
-    let spec = OpenLoopSpec {
+    let spec = LoadSpec {
         workload: WorkloadSpec {
             keys: config.keys,
             dist: KeyDist::Zipfian { theta: 0.99 },
@@ -96,13 +94,13 @@ pub fn run_point(config: LatSweepConfig, offered_ops_per_sec: f64) -> LatPoint {
         workers: config.workers,
         connections: config.connections,
         ops_per_worker: config.ops_per_worker,
-        offered_ops_per_sec,
+        offered_ops_per_sec: Some(offered_ops_per_sec),
         depth: RING_DEPTH,
         window: RING_WINDOW,
     };
     LatPoint {
         offered_ops_per_sec,
-        report: run_open_loop(&router, &spec),
+        report: run_load(&router, &spec),
     }
 }
 
@@ -121,7 +119,7 @@ pub fn run_sweep(config: LatSweepConfig) -> Vec<LatPoint> {
 pub fn knee(points: &[LatPoint]) -> Option<&LatPoint> {
     points
         .iter()
-        .find(|p| p.report.achieved_ops_per_sec < 0.9 * p.offered_ops_per_sec)
+        .find(|p| p.report.tally.ops_per_sec(p.report.wall) < 0.9 * p.offered_ops_per_sec)
 }
 
 /// The gate `lat-perf` exits on: at *every* point each issued read
@@ -138,11 +136,11 @@ pub fn gate(points: &[LatPoint]) -> Result<(), String> {
         return Err("no points ran".to_string());
     }
     for p in points {
-        if p.report.read_lat.count() != p.report.issued.gets {
+        if p.report.read_lat.count() != p.report.tally.issued.gets {
             return Err(format!(
                 "offered {:.0}: {} reads issued but {} measured — reads escaped the histogram",
                 p.offered_ops_per_sec,
-                p.report.issued.gets,
+                p.report.tally.issued.gets,
                 p.report.read_lat.count()
             ));
         }
@@ -178,9 +176,9 @@ pub fn render_table(points: &[LatPoint]) -> String {
             out,
             "{:>10.0} {:>10.0} {:>8} {:>5.1}% {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
             p.offered_ops_per_sec,
-            r.achieved_ops_per_sec,
-            r.issued.total(),
-            r.late as f64 * 100.0 / r.issued.total().max(1) as f64,
+            r.tally.ops_per_sec(r.wall),
+            r.tally.issued.total(),
+            r.late as f64 * 100.0 / r.tally.issued.total().max(1) as f64,
             us(r.read_lat.quantile(0.5)),
             us(r.read_lat.quantile(0.99)),
             us(r.read_lat.quantile(0.999)),
@@ -211,12 +209,13 @@ mod tests {
         let points = run_sweep(config);
         assert_eq!(points.len(), 2);
         for p in &points {
-            assert_eq!(p.report.issued.total(), 300);
-            assert_eq!(p.report.read_lat.count(), p.report.issued.gets);
-            assert_eq!(p.report.write_lat.count(), p.report.issued.sets);
+            let issued = p.report.tally.issued;
+            assert_eq!(issued.total(), 300);
+            assert_eq!(p.report.read_lat.count(), issued.gets);
+            assert_eq!(p.report.write_lat.count(), issued.sets);
         }
         // The impossible point saturates: nearly every arrival is late.
-        assert!(points[1].report.late > points[1].report.issued.total() / 2);
+        assert!(points[1].report.late > points[1].report.tally.issued.total() / 2);
         let table = render_table(&points);
         assert!(table.contains("offered/s"));
     }
@@ -227,9 +226,9 @@ mod tests {
     fn issued_counts_replay_across_sweeps() {
         let (first, second) = (run_sweep(tiny_config()), run_sweep(tiny_config()));
         for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.report.issued, b.report.issued);
+            assert_eq!(a.report.tally.issued, b.report.tally.issued);
         }
-        assert_eq!(first[0].report.issued, first[1].report.issued);
+        assert_eq!(first[0].report.tally.issued, first[1].report.tally.issued);
     }
 
     #[test]
@@ -238,7 +237,7 @@ mod tests {
         gate(&points).expect("every issued read was measured");
         // A doctored point whose histogram is one read short trips it.
         let short = ssync_core::Histogram::new();
-        for _ in 1..points[1].report.issued.gets {
+        for _ in 1..points[1].report.tally.issued.gets {
             short.record(1_000);
         }
         points[1].report.read_lat = short.snapshot();
@@ -254,19 +253,24 @@ mod tests {
     fn knee_finds_the_first_shortfall_point() {
         // Synthetic points: a tiny live run completes inside the ring
         // buffering, so its "achieved" rate says nothing about
-        // saturation — the knee rule is tested on doctored reports.
-        let mk = |offered: f64, achieved: f64| LatPoint {
-            offered_ops_per_sec: offered,
-            report: OpenLoopReport {
-                achieved_ops_per_sec: achieved,
+        // saturation — the knee rule is tested on doctored reports,
+        // each `achieved` reads over one second.
+        let mk = |offered: f64, achieved: u64| {
+            let mut report = LoadReport {
+                wall: std::time::Duration::from_secs(1),
                 ..Default::default()
-            },
+            };
+            report.tally.issued.gets = achieved;
+            LatPoint {
+                offered_ops_per_sec: offered,
+                report,
+            }
         };
         let points = vec![
-            mk(10_000.0, 9_950.0),
-            mk(20_000.0, 19_100.0),
-            mk(40_000.0, 30_000.0),
-            mk(80_000.0, 31_000.0),
+            mk(10_000.0, 9_950),
+            mk(20_000.0, 19_100),
+            mk(40_000.0, 30_000),
+            mk(80_000.0, 31_000),
         ];
         let k = knee(&points).expect("two points fall short");
         assert_eq!(k.offered_ops_per_sec, 40_000.0);

@@ -33,7 +33,7 @@ use ssync_locks::TicketLock;
 use ssync_repl::fault::FaultSpec;
 use ssync_repl::service::{ReplCluster, ReplMode, ReplSpec};
 use ssync_repl::workload::{run_replicated_closed_loop, ReplReport};
-use ssync_srv::workload::{KeyDist, Mix, OpCounts, ValueSize, WorkloadSpec};
+use ssync_srv::workload::{KeyDist, Mix, ValueSize, WorkloadSpec};
 
 use crate::json::Doc;
 
@@ -168,14 +168,9 @@ impl ReplCase {
 pub struct ReplCaseResult {
     /// The case that ran.
     pub case: ReplCase,
-    /// Issued key-ops by type (deterministic per seed).
-    pub issued: OpCounts,
-    /// The full driver report.
+    /// The full driver report; its issued counts are deterministic per
+    /// seed.
     pub report: ReplReport,
-    /// Wall time, milliseconds.
-    pub wall_ms: f64,
-    /// Key-operations per wall-second.
-    pub ops_per_sec: f64,
 }
 
 /// The sweep: replica scaling {0, 1, 2} across read-heavy mixes and
@@ -290,15 +285,7 @@ pub fn run_case(case: ReplCase, config: ReplSweepConfig) -> ReplCaseResult {
         &faults,
     );
     assert!(report.converged, "convergence regression in case {case:?}");
-    let wall_ms = report.wall.as_secs_f64() * 1000.0;
-    let ops_per_sec = report.issued.total() as f64 / report.wall.as_secs_f64().max(1e-9);
-    ReplCaseResult {
-        case,
-        issued: report.issued,
-        wall_ms,
-        ops_per_sec,
-        report,
-    }
+    ReplCaseResult { case, report }
 }
 
 /// Runs the full sweep.
@@ -336,6 +323,7 @@ pub fn render_table(results: &[ReplCaseResult]) -> String {
         "fromlog"
     );
     for r in results {
+        let (t, wall) = (&r.report.tally, r.report.wall);
         let _ = writeln!(
             out,
             "{:>4} {:>6} {:>9} {:>7} {:>6} {:>7} {:>9} {:>9.1} {:>9.0} {:>8} {:>6} {:>6} {:>7}",
@@ -351,9 +339,9 @@ pub fn render_table(results: &[ReplCaseResult]) -> String {
             } else {
                 "no"
             },
-            r.issued.total(),
-            r.wall_ms,
-            r.ops_per_sec,
+            t.issued.total(),
+            wall.as_secs_f64() * 1000.0,
+            t.ops_per_sec(wall),
             r.report.replica_serves,
             r.report.fallbacks,
             r.report.crashes + r.report.stalls,
@@ -405,18 +393,18 @@ pub fn render_json(
             r.case.mix.name,
             r.case.batch,
             r.case.faulty,
-            r.issued.gets,
-            r.issued.sets,
-            r.issued.cas,
-            r.issued.deletes,
-            rep.hits,
-            rep.misses,
+            rep.tally.issued.gets,
+            rep.tally.issued.sets,
+            rep.tally.issued.cas,
+            rep.tally.issued.deletes,
+            rep.tally.hits,
+            rep.tally.misses,
             rep.entries,
             rep.replica_store.repl_applied,
             rep.crashes,
             rep.stalls,
             rep.converged,
-            rep.hit_rate(),
+            rep.tally.hit_rate(),
         ));
     }
     doc.array("cases", &cases, true);
@@ -427,7 +415,7 @@ pub fn render_json(
         &format!(
             "\"reshard\": {{\"shards_before\": 2, \"shards_after\": 4, \"workers\": {}, \"issued\": {}, \"lost_acked_writes\": {}, \"converged\": {}, \"final_epoch\": {}, \"attempts\": {}, \"coordinator_restarts\": {}, \"copy_restarts\": {}, \"client_redirects\": {}, \"wrong_shard_redirects\": {}}}",
             config.workers,
-            reshard.issued,
+            reshard.tally.issued.total(),
             reshard.lost_acked_writes,
             reshard.converged,
             reshard.migration.final_epoch,
@@ -487,7 +475,7 @@ mod tests {
             failover: false,
         };
         let r = run_case(case, config);
-        assert_eq!(r.issued.total(), 240);
+        assert_eq!(r.report.tally.issued.total(), 240);
         assert!(r.report.converged);
         let table = render_table(std::slice::from_ref(&r));
         assert!(table.contains("async"));

@@ -4,7 +4,8 @@
 //! [`run_reshard`] builds a fleet sized for the *post*-split shard
 //! count, routes it through a [`ShardMap`] that initially only uses
 //! the first `shards_before` shards, and drives closed-loop client
-//! workers against it while a coordinator thread reshards the fleet
+//! workers against it — the `ssync-srv` engine's [`fan_out`], reporting
+//! its one [`Tally`] — while a coordinator thread reshards the fleet
 //! live — [`run_reshard_coordinator`] with the spec's seeded faults —
 //! once enough traffic has flowed.
 //!
@@ -14,10 +15,13 @@
 //! oracle for the experiment's headline claim: after the dust settles,
 //! every modelled `(key, version, value)` is present, byte- and
 //! version-exact, at the shard the final map assigns it — **zero lost
-//! acknowledged writes** — and no deleted key has resurfaced. The
-//! driver also measures the cost: throughput before / during / after
-//! the migration window and the dip percentage, plus the redirect and
-//! deferral counters the protocol's unavailability story predicts.
+//! acknowledged writes** — and no deleted key has resurfaced. It is
+//! also why the per-op body is this module's own, not the engine's:
+//! a CAS here takes its expected version from the model, so a CAS that
+//! fails is a write the service lost. The driver also measures the
+//! cost: throughput before and during the migration window and the dip
+//! percentage, plus the redirect and deferral counters the protocol's
+//! unavailability story predicts.
 //!
 //! Mid-flight reads are tallied but *not* asserted against the model:
 //! during the cutover's propagation window a read may be served by the
@@ -27,6 +31,7 @@
 //! asymmetry the final convergence check makes observable.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -35,6 +40,7 @@ use rand::{Rng, SeedableRng};
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_repl::OpLog;
+use ssync_srv::workload::{fan_out, Tally};
 
 use crate::map::ShardMap;
 use crate::migrate::{run_reshard_coordinator, MigrationReport, ReshardSpec};
@@ -68,18 +74,10 @@ pub struct ReshardWorkloadSpec {
 /// What a reshard-under-traffic run observed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReshardReport {
-    /// Acknowledged client operations (= `workers * ops_per_worker`).
-    pub issued: u64,
-    /// Gets / sets / cas / deletes acknowledged, in that order.
-    pub ops: [u64; 4],
-    /// Get hits and misses.
-    pub hits: u64,
-    /// See `hits`.
-    pub misses: u64,
-    /// CAS attempts that failed the version check. Disjoint keys make
-    /// every failure a would-be lost update, so this doubles as an
+    /// Acknowledged client operations. Disjoint keys make every
+    /// `cas_fail` a would-be lost update, so it doubles as an
     /// early-warning anomaly counter (the model check is the verdict).
-    pub cas_fail: u64,
+    pub tally: Tally,
     /// `WrongShard` redirects chased by clients.
     pub client_redirects: u64,
     /// Server-side redirect count (summed node reports).
@@ -90,18 +88,14 @@ pub struct ReshardReport {
     pub migration: MigrationReport,
     /// Wall-clock the migration took, faults and retries included.
     pub migration_wall: Duration,
-    /// Acknowledged-op throughput before / during / after the
-    /// migration window, in ops per second.
+    /// Acknowledged-op throughput before and during the migration
+    /// window, in ops per second.
     pub rate_before: f64,
     /// See `rate_before`.
     pub rate_during: f64,
-    /// See `rate_before`.
-    pub rate_after: f64,
     /// `100 * (1 - during/before)`, floored at zero — the headline
     /// "cost of staying up" number.
     pub dip_pct: f64,
-    /// Retired store nodes reclaimed at the post-run quiesce point.
-    pub purged: u64,
     /// Every key in every store is owned by that store under the
     /// final map, and nothing resurfaced or went missing.
     pub converged: bool,
@@ -120,7 +114,8 @@ type Model = BTreeMap<u64, (u64, Vec<u8>)>;
 /// # Panics
 ///
 /// Panics on an inconsistent spec, on any wire-protocol error, or if
-/// a worker observes an impossible acknowledgement.
+/// a worker observes an impossible acknowledgement — a worker's panic
+/// is re-raised once every thread has finished, never a hang.
 pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardReport {
     let fleet = spec.shards_before.max(spec.reshard.shards_after);
     assert!(spec.shards_before > 0 && spec.workers > 0 && spec.keys_per_worker > 0);
@@ -133,19 +128,20 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
     // Worst case every op is a write landing in one shard's log.
     let log_cap = (spec.workers as u64 * spec.ops_per_worker + 1) as usize;
     let logs: Vec<OpLog> = (0..fleet).map(|_| OpLog::new(log_cap)).collect();
-    // Workers plus one control connection: the control client keeps
-    // the nodes alive until the coordinator is done, however early
-    // the workers drain their op budgets.
+    // Workers plus one control connection: the coordinator holds it,
+    // keeping the nodes alive until it is done, however early the
+    // workers drain their op budgets.
     let (endpoints, mut conns, mig) = cluster_mesh(fleet, spec.workers + 1, 64, 256);
     let control_conn = conns.pop().expect("control connection");
     let issued = AtomicU64::new(0);
+    // Workers that have returned or unwound. Each counts itself out
+    // with a Release increment after its last `issued` one, so a
+    // coordinator whose Acquire load sees every worker gone also sees
+    // the final `issued`.
+    let departed = AtomicU64::new(0);
 
-    let mut models: Vec<(Model, WorkerTally)> = Vec::with_capacity(spec.workers);
-    let mut migration = MigrationReport::default();
-    let mut migration_wall = Duration::ZERO;
-    let mut rates = (0f64, 0f64, 0f64);
     let start = Instant::now();
-    let nodes: Vec<NodeReport> = std::thread::scope(|s| {
+    let (tally, outs, coordinated, nodes) = std::thread::scope(|s| {
         let nodes: Vec<_> = endpoints
             .into_iter()
             .enumerate()
@@ -154,75 +150,60 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
                 s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint))
             })
             .collect();
-        let workers: Vec<_> = conns
-            .drain(..)
-            .enumerate()
-            .map(|(worker, conn)| {
-                let (map, issued) = (&map, &issued);
-                s.spawn(move || {
-                    let client = ClusterClient::new(map, conn);
-                    let out = drive_worker(&client, spec, worker as u64, issued);
-                    let redirects = client.redirects();
-                    client.close();
-                    (out.0, out.1, redirects)
-                })
-            })
-            .collect();
-        // The coordinator: wait for the warm-up, migrate, time it.
+        // The coordinator: wait for the warm-up, migrate, time it, and
+        // let the nodes exit. Workers all gone before the warm-up means
+        // one panicked: there is nothing to migrate under.
         let coordinator = s.spawn(|| {
-            while issued.load(Ordering::Relaxed) < spec.start_after_ops {
+            while issued.load(Ordering::Relaxed) < spec.start_after_ops
+                && departed.load(Ordering::Acquire) < spec.workers as u64
+            {
                 std::thread::yield_now();
             }
-            let store_refs: Vec<&KvStore<R>> = stores.iter().collect();
-            let log_refs: Vec<&OpLog> = logs.iter().collect();
-            let t0 = Instant::now();
-            let ops0 = issued.load(Ordering::Relaxed);
-            let report = run_reshard_coordinator(&map, &store_refs, &log_refs, &mig, &spec.reshard);
-            let wall = t0.elapsed();
-            let ops1 = issued.load(Ordering::Relaxed);
-            (report, wall, t0, ops0, ops1)
+            let warmed = issued.load(Ordering::Relaxed) >= spec.start_after_ops;
+            let migrated = warmed.then(|| {
+                let store_refs: Vec<&KvStore<R>> = stores.iter().collect();
+                let log_refs: Vec<&OpLog> = logs.iter().collect();
+                let t0 = Instant::now();
+                let ops0 = issued.load(Ordering::Relaxed);
+                let report =
+                    run_reshard_coordinator(&map, &store_refs, &log_refs, &mig, &spec.reshard);
+                let wall = t0.elapsed();
+                (report, wall, t0, ops0, issued.load(Ordering::Relaxed))
+            });
+            ClusterClient::new(&map, control_conn).close();
+            migrated
         });
-        for handle in workers {
-            let (model, tally, redirects) = handle.join().expect("worker panicked");
-            let mut tally = tally;
-            tally.redirects = redirects;
-            models.push((model, tally));
-        }
-        let drained = Instant::now();
-        let total = issued.load(Ordering::Relaxed);
-        let (report, wall, t0, ops0, ops1) = coordinator.join().expect("coordinator panicked");
-        migration = report;
-        migration_wall = wall;
-        let before = t0.duration_since(start).as_secs_f64();
-        let after = drained
-            .checked_duration_since(t0 + wall)
-            .unwrap_or(Duration::ZERO)
-            .as_secs_f64();
-        rates = (
-            if before > 0.0 {
-                ops0 as f64 / before
-            } else {
-                0.0
-            },
-            (ops1 - ops0) as f64 / wall.as_secs_f64().max(1e-9),
-            if after > 0.0 {
-                (total - ops1) as f64 / after
-            } else {
-                0.0
-            },
-        );
-        // Let the nodes exit now that the migration has published.
-        ClusterClient::new(&map, control_conn).close();
-        nodes
+        let (tally, outs) = fan_out(conns, |worker, conn| {
+            let client = ClusterClient::new(&map, conn);
+            // A panicking worker still stops its client, so the nodes
+            // exit on a `Stop` rather than on noticing a departure, and
+            // still counts itself out, so the coordinator cannot wait
+            // on it forever.
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                drive_worker(&client, spec, worker as u64, &issued)
+            }));
+            let redirects = client.redirects();
+            client.close();
+            departed.fetch_add(1, Ordering::Release);
+            let (model, tally) = run.unwrap_or_else(|panic| resume_unwind(panic));
+            (tally, (model, redirects))
+        });
+        let coordinated = coordinator.join().expect("coordinator panicked");
+        let nodes: Vec<NodeReport> = nodes
             .into_iter()
             .map(|node| node.join().expect("node panicked"))
-            .collect()
+            .collect();
+        (tally, outs, coordinated, nodes)
     });
-
-    // The post-migration quiesce point: retired nodes (moved keys
-    // deleted at their sources, plus normal churn) reclaim here.
-    let mut stores = stores;
-    let purged: u64 = stores.iter_mut().map(|s| s.purge_retired() as u64).sum();
+    let (migration, migration_wall, t0, ops0, ops1) =
+        coordinated.expect("the warm-up ends before the workers do");
+    let before = t0.duration_since(start).as_secs_f64();
+    let rate_before = if before > 0.0 {
+        ops0 as f64 / before
+    } else {
+        0.0
+    };
+    let rate_during = (ops1 - ops0) as f64 / migration_wall.as_secs_f64().max(1e-9);
 
     // Audit. Direction one: nothing sits at a shard that does not own
     // it. Direction two: every acknowledged write is at its owner,
@@ -237,7 +218,7 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
                 converged = false;
                 continue;
             }
-            let (model, _) = &models[(k % spec.workers as u64) as usize];
+            let (model, _) = &outs[(k % spec.workers as u64) as usize];
             match model.get(&k) {
                 Some(&(mv, ref mval)) if mv == version && *mval == value.as_ref() => {}
                 Some(_) => lost += 1,
@@ -247,7 +228,7 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
             }
         }
     }
-    for (model, _) in &models {
+    for (model, _) in &outs {
         for (&key, &(version, ref value)) in model.iter() {
             let owner = final_map.owner_of_key(key);
             match stores[owner].get_with_version(&ssync_srv::router::key_bytes(key)) {
@@ -258,56 +239,23 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
     }
     converged &= lost == 0;
 
-    let mut report = ReshardReport {
-        issued: issued.load(Ordering::Relaxed),
-        ops: [0; 4],
-        hits: 0,
-        misses: 0,
-        cas_fail: 0,
-        client_redirects: 0,
-        wrong_shard_redirects: 0,
-        migration_ops_deferred: 0,
+    ReshardReport {
+        tally,
+        client_redirects: outs.iter().map(|(_, redirects)| redirects).sum(),
+        wrong_shard_redirects: nodes.iter().map(|n| n.wrong_shard_redirects).sum(),
+        migration_ops_deferred: nodes.iter().map(|n| n.migration_ops_deferred).sum(),
         migration,
         migration_wall,
-        rate_before: rates.0,
-        rate_during: rates.1,
-        rate_after: rates.2,
-        dip_pct: if rates.0 > 0.0 {
-            (100.0 * (1.0 - rates.1 / rates.0)).max(0.0)
+        rate_before,
+        rate_during,
+        dip_pct: if rate_before > 0.0 {
+            (100.0 * (1.0 - rate_during / rate_before)).max(0.0)
         } else {
             0.0
         },
-        purged,
         converged,
         lost_acked_writes: lost,
-    };
-    for (_, tally) in &models {
-        report.ops[0] += tally.gets;
-        report.ops[1] += tally.sets;
-        report.ops[2] += tally.cas;
-        report.ops[3] += tally.deletes;
-        report.hits += tally.hits;
-        report.misses += tally.misses;
-        report.cas_fail += tally.cas_fail;
-        report.client_redirects += tally.redirects;
     }
-    for node in &nodes {
-        report.wrong_shard_redirects += node.wrong_shard_redirects;
-        report.migration_ops_deferred += node.migration_ops_deferred;
-    }
-    report
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct WorkerTally {
-    gets: u64,
-    sets: u64,
-    cas: u64,
-    deletes: u64,
-    hits: u64,
-    misses: u64,
-    cas_fail: u64,
-    redirects: u64,
 }
 
 /// One worker's closed loop: seeded mixed ops over its own key
@@ -317,10 +265,10 @@ fn drive_worker(
     spec: &ReshardWorkloadSpec,
     worker: u64,
     issued: &AtomicU64,
-) -> (Model, WorkerTally) {
+) -> (Model, Tally) {
     let mut rng = SmallRng::seed_from_u64(spec.seed ^ ssync_core::mix64(worker + 1));
     let mut model = Model::new();
-    let mut tally = WorkerTally::default();
+    let mut tally = Tally::default();
     let stride = spec.workers as u64;
     for _ in 0..spec.ops_per_worker {
         let key = rng.gen_range(0..spec.keys_per_worker) * stride + worker;
@@ -328,24 +276,25 @@ fn drive_worker(
         // purpose: writes are what a migration can lose.
         let roll = rng.gen_range(0..100u32);
         if roll < 25 {
-            tally.gets += 1;
+            tally.issued.gets += 1;
             match client.get(key).expect("get") {
                 Some(_) => tally.hits += 1,
                 None => tally.misses += 1,
             }
         } else if roll < 70 {
-            tally.sets += 1;
+            tally.issued.sets += 1;
             let value = vec![rng.gen::<u8>(); spec.value_len.max(1)];
             let version = client.set(key, value.clone()).expect("set");
             model.insert(key, (version, value));
         } else if roll < 90 {
             // CAS from the model's acked version: on disjoint keys it
             // can only fail if an acked write went missing.
-            tally.cas += 1;
+            tally.issued.cas += 1;
             let value = vec![rng.gen::<u8>(); spec.value_len.max(1)];
             match model.get(&key).map(|&(v, _)| v) {
                 Some(expected) => match client.cas(key, value.clone(), expected).expect("cas") {
                     Ok(version) => {
+                        tally.cas_ok += 1;
                         model.insert(key, (version, value));
                     }
                     Err(_) => tally.cas_fail += 1,
@@ -356,8 +305,10 @@ fn drive_worker(
                 }
             }
         } else {
-            tally.deletes += 1;
-            client.delete(key).expect("delete");
+            tally.issued.deletes += 1;
+            if client.delete(key).expect("delete").is_some() {
+                tally.deleted += 1;
+            }
             model.remove(&key);
         }
         issued.fetch_add(1, Ordering::Relaxed);
@@ -387,11 +338,10 @@ mod tests {
     #[test]
     fn live_split_loses_nothing() {
         let report = run_reshard::<TicketLock>(&smoke_spec());
-        assert_eq!(report.issued, 2400);
-        assert_eq!(report.ops.iter().sum::<u64>(), 2400);
+        assert_eq!(report.tally.issued.total(), 2400);
         assert!(report.converged, "fleet must converge: {report:?}");
         assert_eq!(report.lost_acked_writes, 0);
-        assert_eq!(report.cas_fail, 0, "disjoint-key CAS can only lose");
+        assert_eq!(report.tally.cas_fail, 0, "disjoint-key CAS can only lose");
         assert_eq!(report.migration.final_epoch, 2);
         assert!(report.migration.entries_migrated > 0);
     }
@@ -416,5 +366,29 @@ mod tests {
         assert_eq!(report.lost_acked_writes, 0);
         assert_eq!(report.migration.coordinator_restarts, 1);
         assert_eq!(report.migration.attempts, 2);
+    }
+
+    #[test]
+    fn a_worker_panic_fails_the_run_instead_of_hanging_it() {
+        // Regression: the coordinator's warm-up wait watched only the
+        // issued count, so a worker that panicked before the warm-up
+        // left it spinning, and the scope — which joins every thread
+        // before it re-raises — hung with it. A value the wire cannot
+        // carry makes the first `set` return `ValueTooLong`, and its
+        // worker panics. Detached and under a deadline, so a hang fails
+        // here instead of hanging the suite.
+        let spec = ReshardWorkloadSpec {
+            value_len: ssync_srv::wire::MAX_VALUE_LEN + 1,
+            ..smoke_spec()
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| run_reshard::<TicketLock>(&spec));
+            done_tx.send(run.is_err())
+        });
+        let panicked = done_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a panicked worker hung the run");
+        assert!(panicked, "a run whose worker panicked returned a report");
     }
 }

@@ -35,8 +35,9 @@
 //!   promotions race through;
 //! * [`service`] — the replication mesh, the node server loop, and the
 //!   deadline-retrying, redirect-chasing [`service::ReplClient`];
-//! * [`workload`] — the replicated closed-loop driver over the
-//!   `ssync-srv` workload engine.
+//! * [`workload`] — the replicated closed-loop driver: the `ssync-srv`
+//!   engine's sequential driver and client fan-out over the node
+//!   threads, reporting the engine's one `Tally`.
 //!
 //! The `repl-perf` binary in `ssync-ccbench` sweeps this subsystem
 //! over {replica count × mode × skew × mix} and writes

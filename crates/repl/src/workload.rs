@@ -1,6 +1,9 @@
 //! The replicated closed-loop driver: the `ssync-srv` workload engine
-//! (seeded key distributions, YCSB mixes, deterministic op streams)
-//! pointed at a replication group, plus deterministic fault injection.
+//! (seeded key distributions, YCSB mixes, deterministic op streams,
+//! the sequential [`drive_worker`] and the [`fan_out`] of client
+//! threads) pointed at a replication group, plus deterministic fault
+//! injection. This module owns only the server side: the node threads
+//! and what they report.
 //!
 //! Issued op counts are a pure function of `(spec, workers,
 //! ops_per_worker)` exactly as in the unreplicated driver, and fault
@@ -15,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use ssync_kv::StatsSnapshot;
 use ssync_locks::RawLock;
-use ssync_srv::workload::{drive_worker, OpCounts, OpStream, Tally, WorkloadSpec};
+use ssync_srv::workload::{drive_worker, fan_out, OpStream, Tally, WorkloadSpec};
 
 use crate::fault::FaultSpec;
 use crate::service::{repl_mesh, serve_node, NodeReport, ReplCluster, ReplMode};
@@ -23,19 +26,9 @@ use crate::service::{repl_mesh, serve_node, NodeReport, ReplCluster, ReplMode};
 /// What a replicated workload run measured.
 #[derive(Debug, Clone, Default)]
 pub struct ReplReport {
-    /// Operations issued, by type — deterministic per `(spec, workers,
-    /// ops_per_worker)`.
-    pub issued: OpCounts,
-    /// Client-observed read hits.
-    pub hits: u64,
-    /// Client-observed read misses.
-    pub misses: u64,
-    /// CAS attempts that stored.
-    pub cas_ok: u64,
-    /// CAS attempts that lost.
-    pub cas_fail: u64,
-    /// Deletes that removed a key.
-    pub deleted: u64,
+    /// What the clients observed; the issued counts are deterministic
+    /// per `(spec, workers, ops_per_worker)`.
+    pub tally: Tally,
     /// Reads answered by a follower (client-side count).
     pub replica_serves: u64,
     /// Replica reads that bounced to the leader (client-side count;
@@ -77,26 +70,6 @@ pub struct ReplReport {
     pub unavailability: Vec<Duration>,
     /// Did every live node converge to the leader's exact contents?
     pub converged: bool,
-}
-
-impl ReplReport {
-    /// Key-operations per wall-second.
-    pub fn ops_per_sec(&self) -> f64 {
-        let s = self.wall.as_secs_f64();
-        if s <= 0.0 {
-            return 0.0;
-        }
-        self.issued.total() as f64 / s
-    }
-
-    /// Fraction of reads that hit.
-    pub fn hit_rate(&self) -> f64 {
-        let reads = self.hits + self.misses;
-        if reads == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / reads as f64
-    }
 }
 
 /// Runs the full replicated closed-loop experiment: preload every key
@@ -160,9 +133,7 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
     let (node_endpoints, clients) = repl_mesh(&map, workers);
 
     let start = Instant::now();
-    let mut nodes: Vec<NodeReport> = Vec::with_capacity(shards * (nreplicas + 1));
-    let mut tallies: Vec<(Tally, [u64; 5])> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
+    let (tally, client_stats, nodes) = std::thread::scope(|s| {
         let mut node_handles = Vec::with_capacity(shards * (nreplicas + 1));
         for (shard, endpoints) in node_endpoints.into_iter().enumerate() {
             for endpoint in endpoints {
@@ -174,48 +145,28 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
                 node_handles.push(s.spawn(move || serve_node(store, &log, map, endpoint, cfg)));
             }
         }
-        let worker_handles: Vec<_> = clients
+        let (tally, client_stats) = fan_out(clients, |worker, client| {
+            let tally = drive_worker(&client, OpStream::new(spec, worker as u64), ops_per_worker);
+            let stats = [
+                client.replica_serves(),
+                client.fallbacks(),
+                client.redirects(),
+                client.lost_to_retry(),
+                client.stale_served(),
+            ];
+            client.close();
+            (tally, stats)
+        });
+        let nodes: Vec<NodeReport> = node_handles
             .into_iter()
-            .enumerate()
-            .map(|(worker, client)| {
-                let stream = OpStream::new(spec, worker as u64);
-                s.spawn(move || {
-                    let tally = drive_worker(&client, stream, ops_per_worker);
-                    let stats = [
-                        client.replica_serves(),
-                        client.fallbacks(),
-                        client.redirects(),
-                        client.lost_to_retry(),
-                        client.stale_served(),
-                    ];
-                    client.close();
-                    (tally, stats)
-                })
-            })
+            .map(|h| h.join().expect("node panicked"))
             .collect();
-        tallies.extend(
-            worker_handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked")),
-        );
-        nodes.extend(
-            node_handles
-                .into_iter()
-                .map(|h| h.join().expect("node panicked")),
-        );
+        (tally, client_stats, nodes)
     });
     let wall = start.elapsed();
 
-    let total = tallies
-        .iter()
-        .fold(Tally::default(), |sum, (tally, _)| sum.merge(tally));
     let mut report = ReplReport {
-        issued: total.issued,
-        hits: total.hits,
-        misses: total.misses,
-        cas_ok: total.cas_ok,
-        cas_fail: total.cas_fail,
-        deleted: total.deleted,
+        tally,
         wall,
         primary_store: cluster.primary().stats_snapshot().delta(&primary_before),
         replica_store: cluster.replica_stats_snapshot().delta(&replica_before),
@@ -227,7 +178,7 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
         converged: cluster.converged(),
         ..ReplReport::default()
     };
-    for (_, [serves, fallbacks, redirects, lost, stale]) in tallies {
+    for [serves, fallbacks, redirects, lost, stale] in client_stats {
         report.replica_serves += serves;
         report.fallbacks += fallbacks;
         report.redirects += redirects;
@@ -281,7 +232,7 @@ mod tests {
         };
         let a = run();
         let b = run();
-        assert_eq!(a.issued, b.issued);
+        assert_eq!(a.tally.issued, b.tally.issued);
         assert_eq!(a.entries, b.entries);
         assert_eq!((a.crashes, a.stalls), (b.crashes, b.stalls));
         assert_eq!(a.from_log, b.from_log);
@@ -304,7 +255,7 @@ mod tests {
         let report =
             run_replicated_closed_loop(&mut cluster, &small_spec(Mix::CHURN), 1, 500, &faults);
         assert!(report.converged, "deletes + crashes must still converge");
-        assert!(report.issued.deletes > 0 && report.issued.cas > 0);
+        assert!(report.tally.issued.deletes > 0 && report.tally.issued.cas > 0);
     }
 
     #[test]
@@ -325,7 +276,7 @@ mod tests {
         assert!(report.replica_serves > 0);
         assert!(report.converged);
         // Preloaded keyspace, no deletes: every read hits.
-        assert_eq!(report.misses, 0);
+        assert_eq!(report.tally.misses, 0);
     }
 
     #[test]
@@ -355,7 +306,7 @@ mod tests {
         // Sync mode: equal high-water marks make the succession
         // deterministic, so a rerun replays the whole history.
         let b = run();
-        assert_eq!(a.issued, b.issued);
+        assert_eq!(a.tally.issued, b.tally.issued);
         assert_eq!(a.entries, b.entries);
         assert_eq!(a.failovers, b.failovers);
         assert!(b.converged);

@@ -21,9 +21,12 @@
 //!   with pipelined reads;
 //! * [`workload`] — a deterministic workload engine: seeded zipfian and
 //!   uniform key distributions, YCSB-style read/write mixes, value-size
-//!   distributions, a closed-loop driver, and an open-loop driver with
-//!   Poisson arrivals whose latencies are stamped from intended send
-//!   times (coordinated-omission-free by construction).
+//!   distributions, and one pipelined load engine — closed-loop
+//!   unpaced, open-loop under Poisson arrivals whose latencies are
+//!   stamped from intended send times (coordinated-omission-free by
+//!   construction) — plus the client fan-out ([`workload::fan_out`])
+//!   and the one [`workload::Tally`] the replicated and cluster drivers
+//!   build on.
 //!
 //! The `kv-perf` binary in `ssync-ccbench` sweeps this subsystem over
 //! {lock algorithm × shard count × skew × mix} and writes
@@ -64,6 +67,6 @@ pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};
 pub use wire::{Request, Response, WireError, NO_LEADER};
 pub use workload::{
-    run_open_loop, KeyDist, Mix, Op, OpStream, OpenLoopReport, OpenLoopSpec, PoissonArrivals,
-    ValueSize, WorkloadReport, WorkloadSpec,
+    fan_out, run_load, KeyDist, LoadReport, LoadSpec, Mix, Op, OpStream, PoissonArrivals, Tally,
+    ValueSize, WorkloadSpec,
 };

@@ -1,7 +1,9 @@
 //! Deterministic workload engine: seeded key distributions (uniform and
 //! YCSB-style zipfian), read/write mix presets, value-size
-//! distributions, a closed-loop driver over the service, and an
-//! open-loop driver with Poisson arrivals for tail-latency work.
+//! distributions, and one load engine over the service — closed-loop
+//! without a schedule, open-loop with Poisson arrivals — plus the
+//! sequential driver and the worker fan-out the replicated and cluster
+//! drivers share. Every driver reports one [`Tally`].
 //!
 //! Everything is a pure function of `(spec.seed, worker index)`: the
 //! same spec issues exactly the same operation sequence per worker on
@@ -11,18 +13,17 @@
 //! finalizer so the hot set spreads over the keyspace (and therefore
 //! over the shards) instead of clustering at key 0.
 //!
-//! ## Open loop vs closed loop
+//! ## One engine, with or without a schedule
 //!
-//! The closed-loop drivers measure *capacity*: each worker issues its
-//! next operation the moment the previous one finishes, so offered
-//! load adapts to service time and a slow request silently delays all
-//! the requests behind it. That adaptation is exactly what makes
-//! closed-loop latency numbers lie about tails (coordinated omission).
-//! The open-loop driver ([`run_open_loop`]) instead draws arrival
-//! times from a deterministic Poisson process and stamps every
-//! operation's latency from its *intended* arrival time: if the
-//! system falls behind, the backlog shows up as latency rather than
-//! as silently reduced load.
+//! [`run_load`] runs every worker through one pipelined loop. With no
+//! offered rate it is the closed loop and measures *capacity*: each op
+//! is due the moment it is drawn, so offered load adapts to service
+//! time and a slow request silently delays all the requests behind it.
+//! That adaptation is exactly what makes closed-loop latency numbers
+//! lie about tails (coordinated omission). With an offered rate, arrival
+//! times come from a deterministic Poisson process and every latency is
+//! stamped from the op's *intended* arrival: if the system falls behind,
+//! the backlog shows up as latency rather than as silently reduced load.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -36,7 +37,7 @@ use ssync_locks::RawLock;
 use ssync_mp::{MsgReceiver, MsgSender};
 
 use crate::router::{shard_of, ShardRouter};
-use crate::service::{ring_mesh, serve, KvClient, ServiceClient};
+use crate::service::{ring_mesh, serve, KvClient, ReadHit, ServiceClient};
 use crate::wire::MAX_VALUE_LEN;
 
 /// Largest read batch the engine will emit. Batches wider than one
@@ -372,61 +373,20 @@ impl OpStream {
     }
 }
 
-/// What a workload run measured.
-#[derive(Debug, Clone, Default)]
-pub struct WorkloadReport {
+/// What a driver's clients observed, per worker or merged: the one
+/// shape every driver in the tree reports.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Tally {
     /// Operations issued, by type — deterministic per `(spec, workers,
     /// ops_per_worker)`.
     pub issued: OpCounts,
-    /// Client-observed read hits (including the read half of a CAS).
-    pub hits: u64,
-    /// Client-observed read misses.
-    pub misses: u64,
-    /// CAS attempts that stored.
-    pub cas_ok: u64,
-    /// CAS attempts that lost (stale version or missing key).
-    pub cas_fail: u64,
-    /// Deletes that removed a key.
-    pub deleted: u64,
-    /// Wall time of the measure phase.
-    pub wall: Duration,
-    /// Store-side counter deltas over the measure phase (maintenance
-    /// stalls live here).
-    pub store: StatsSnapshot,
-}
-
-impl WorkloadReport {
-    /// Key-operations per wall-second.
-    pub fn ops_per_sec(&self) -> f64 {
-        let s = self.wall.as_secs_f64();
-        if s <= 0.0 {
-            return 0.0;
-        }
-        self.issued.total() as f64 / s
-    }
-
-    /// Fraction of reads that hit.
-    pub fn hit_rate(&self) -> f64 {
-        let reads = self.hits + self.misses;
-        if reads == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / reads as f64
-    }
-}
-
-/// One worker's closed-loop tally, merged into the report after a run.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Tally {
-    /// Operations issued, by type.
-    pub issued: OpCounts,
-    /// Read hits observed.
+    /// Read hits observed (including the read half of a CAS).
     pub hits: u64,
     /// Read misses observed.
     pub misses: u64,
     /// CAS attempts that stored.
     pub cas_ok: u64,
-    /// CAS attempts that lost.
+    /// CAS attempts that lost (stale version or missing key).
     pub cas_fail: u64,
     /// Deletes that removed a key.
     pub deleted: u64,
@@ -443,6 +403,24 @@ impl Tally {
             cas_fail: self.cas_fail + other.cas_fail,
             deleted: self.deleted + other.deleted,
         }
+    }
+
+    /// Key-operations per second over `wall`.
+    pub fn ops_per_sec(&self, wall: Duration) -> f64 {
+        let s = wall.as_secs_f64();
+        if s <= 0.0 {
+            return 0.0;
+        }
+        self.issued.total() as f64 / s
+    }
+
+    /// Fraction of reads that hit.
+    pub fn hit_rate(&self) -> f64 {
+        let reads = self.hits + self.misses;
+        if reads == 0 {
+            return 0.0;
+        }
+        self.hits as f64 / reads as f64
     }
 }
 
@@ -499,10 +477,11 @@ fn apply_op<C: KvClient>(client: &C, op: Op, tally: &mut Tally) {
     }
 }
 
-/// Runs one client worker's closed loop for `ops` key-operations over
-/// any [`KvClient`] — the plain service client or the replication
-/// layer's replica-reading one. The caller closes the client
-/// afterwards (it may want to read client-side counters first).
+/// Runs one client worker's sequential closed loop for `ops`
+/// key-operations over any [`KvClient`] — for clients that cannot
+/// pipeline, such as the replication layer's replica-reading one. The
+/// caller closes the client afterwards (it may want to read
+/// client-side counters first).
 pub fn drive_worker<C: KvClient>(client: &C, mut stream: OpStream, ops: u64) -> Tally {
     let mut tally = Tally::default();
     while tally.issued.total() < ops {
@@ -512,149 +491,33 @@ pub fn drive_worker<C: KvClient>(client: &C, mut stream: OpStream, ops: u64) -> 
     tally
 }
 
-/// The pipelined closed loop: plain reads are
-/// fired without waiting ([`ServiceClient::send_get`]) and their
-/// replies drained in arrival order once `window` are in flight, so a
-/// read-heavy worker hands the core over once per *window* instead of
-/// once per operation. Writes (and batched reads) are ordering
-/// barriers: all outstanding reads drain first, then the op runs the
-/// blocking path — per-worker semantics therefore match
-/// [`drive_worker`] exactly, and the issued op stream is identical.
-///
-/// `window` must not exceed the ring depth: with at most `window`
-/// one-frame read requests outstanding per shard, the client's sends
-/// can never block on a full request ring, which is what keeps the
-/// waits-for graph acyclic (servers only ever wait on reply rings
-/// their one client is guaranteed to drain).
-pub fn drive_worker_pipelined<S: MsgSender, C: MsgReceiver>(
-    client: &ServiceClient<S, C>,
-    mut stream: OpStream,
-    ops: u64,
-    window: usize,
-) -> Tally {
-    assert!(window >= 1, "window must be positive");
-    let shards = client.num_shards();
-    let mut tally = Tally::default();
-    // Outstanding read replies per shard; drained oldest-shard-first
-    // from a rotating cursor (any shard with pending replies works —
-    // its server owes us exactly that many).
-    let mut pending: Vec<u64> = vec![0; shards];
-    let mut in_flight: u64 = 0;
-    let mut cursor = 0usize;
-
-    let drain_one = |pending: &mut [u64], cursor: &mut usize, tally: &mut Tally| {
-        while pending[*cursor] == 0 {
-            *cursor = (*cursor + 1) % shards;
-        }
-        match client.read_get_reply(*cursor).expect("wire error") {
-            Some(_) => tally.hits += 1,
-            None => tally.misses += 1,
-        }
-        pending[*cursor] -= 1;
-    };
-
-    while tally.issued.total() < ops {
-        match stream.next_op() {
-            Op::Get(key) => {
-                tally.issued.gets += 1;
-                let shard = client.send_get(key);
-                pending[shard] += 1;
-                in_flight += 1;
-                if in_flight as usize >= window {
-                    drain_one(&mut pending, &mut cursor, &mut tally);
-                    in_flight -= 1;
-                }
-            }
-            op => {
-                // Writes and batched reads act as barriers: flush every
-                // outstanding read so per-worker ordering matches the
-                // sequential driver.
-                while in_flight > 0 {
-                    drain_one(&mut pending, &mut cursor, &mut tally);
-                    in_flight -= 1;
-                }
-                apply_op(client, op, &mut tally);
-            }
-        }
-    }
-    while in_flight > 0 {
-        drain_one(&mut pending, &mut cursor, &mut tally);
-        in_flight -= 1;
-    }
-    tally
-}
-
-/// Runs the full closed-loop experiment: preload the keyspace, spawn
-/// one server thread per shard and `workers` client threads over rings
-/// of `depth` slots, drive `ops_per_worker` key-operations per client
-/// with up to `window` plain reads in flight
-/// ([`drive_worker_pipelined`]), and report.
-///
-/// Issued op counts are deterministic in `(spec, workers,
-/// ops_per_worker)` — `depth` and `window` change timing, never the op
-/// streams; wall time and the hit/miss split of mixes with deletes are
-/// load-dependent.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero, or if `window` is zero or exceeds
-/// `depth` (the no-blocking-sends discipline of the pipelined client).
-pub fn run_closed_loop<R: RawLock + Default>(
-    router: &ShardRouter<R>,
-    spec: &WorkloadSpec,
-    workers: usize,
-    ops_per_worker: u64,
-    depth: usize,
-    window: usize,
-) -> WorkloadReport {
-    assert!(workers > 0);
-    assert!(
-        window >= 1 && window <= depth,
-        "ring window {window} must be in 1..=depth ({depth})"
-    );
-    // Preload directly through the router: every key present.
-    for (key, value) in spec.preload_values() {
-        router.set(key, value);
-    }
-    let before = router.stats_snapshot();
-
-    let (endpoints, service_clients) = ring_mesh(router.num_shards(), workers, depth);
-    let start = Instant::now();
-    let mut total = Tally::default();
+/// Runs `work(worker, client)` on one thread per client and waits for
+/// all of them — the client side every driver in the tree shares, so a
+/// driver keeps only its servers. Returns the merged [`Tally`] and each
+/// worker's own output, in worker order. A worker's panic is re-raised
+/// once every worker has returned or unwound.
+pub fn fan_out<C: Send, X: Send>(
+    clients: impl IntoIterator<Item = C>,
+    work: impl Fn(usize, C) -> (Tally, X) + Sync,
+) -> (Tally, Vec<X>) {
+    let work = &work;
     std::thread::scope(|s| {
-        for (shard, endpoint) in endpoints.into_iter().enumerate() {
-            let store = router.shard(shard);
-            s.spawn(move || serve(store, endpoint));
-        }
-        let handles: Vec<_> = service_clients
+        let handles: Vec<_> = clients
             .into_iter()
             .enumerate()
-            .map(|(worker, client)| {
-                let stream = OpStream::new(spec, worker as u64);
-                s.spawn(move || {
-                    let tally = drive_worker_pipelined(&client, stream, ops_per_worker, window);
-                    client.close();
-                    tally
-                })
-            })
+            .map(|(worker, client)| s.spawn(move || work(worker, client)))
             .collect();
+        let mut total = Tally::default();
+        let mut outs = Vec::with_capacity(handles.len());
         for handle in handles {
-            total = total.merge(&handle.join().expect("worker panicked"));
+            let (tally, out) = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            total = total.merge(&tally);
+            outs.push(out);
         }
-    });
-    let wall = start.elapsed();
-    let after = router.stats_snapshot();
-
-    WorkloadReport {
-        issued: total.issued,
-        hits: total.hits,
-        misses: total.misses,
-        cas_ok: total.cas_ok,
-        cas_fail: total.cas_fail,
-        deleted: total.deleted,
-        wall,
-        store: after.delta(&before),
-    }
+        (total, outs)
+    })
 }
 
 /// A deterministic Poisson arrival process: exponential inter-arrival
@@ -707,208 +570,200 @@ impl PoissonArrivals {
     }
 }
 
-/// An open-loop run description, layered on a [`WorkloadSpec`].
+/// A load-engine run, layered on a [`WorkloadSpec`].
 #[derive(Debug, Clone, Copy)]
-pub struct OpenLoopSpec {
+pub struct LoadSpec {
     /// The op streams (keys, mix, sizes, seed). Issued counts stay a
     /// pure function of `(workload, workers, ops_per_worker)`.
     pub workload: WorkloadSpec,
-    /// Pacing threads, each with its own op and arrival stream.
+    /// Client threads, each with its own op stream (and, paced, its
+    /// own arrival stream).
     pub workers: usize,
     /// Client endpoints over the ring mesh, split evenly across
     /// workers (must be a positive multiple of `workers`). More
     /// connections deepen server-side buffering the way more physical
-    /// clients would, without needing more pacing threads.
+    /// clients would, without needing more threads.
     pub connections: usize,
     /// Key-operations each worker issues.
     pub ops_per_worker: u64,
-    /// Aggregate target arrival rate, in key-ops per second.
-    pub offered_ops_per_sec: f64,
+    /// Aggregate Poisson arrival rate, in key-ops per second: the open
+    /// loop. `None` is the closed loop — every op is due the moment it
+    /// is drawn.
+    pub offered_ops_per_sec: Option<f64>,
     /// Ring depth per connection.
     pub depth: usize,
-    /// Maximum timed reads in flight per connection and shard; must
+    /// Maximum plain reads in flight per connection and shard; must
     /// not exceed `depth` (the no-blocking-sends discipline).
     pub window: usize,
 }
 
-/// What an open-loop run measured.
+/// What a load-engine run measured.
 #[derive(Debug, Clone, Default)]
-pub struct OpenLoopReport {
-    /// Operations issued, by type — deterministic per spec.
-    pub issued: OpCounts,
-    /// The offered aggregate rate the arrival schedule targeted.
-    pub offered_ops_per_sec: f64,
-    /// What the run actually sustained.
-    pub achieved_ops_per_sec: f64,
-    /// Read hits / misses observed (reads and the read half of CAS).
-    pub hits: u64,
-    /// Read misses observed.
-    pub misses: u64,
-    /// Operations that became due while their worker was still waiting
-    /// on earlier work — the schedule-pressure gauge: a saturated run
+pub struct LoadReport {
+    /// What the clients observed; the issued counts are deterministic
+    /// per spec.
+    pub tally: Tally,
+    /// Operations that became due while their worker was still busy
+    /// with earlier work — the schedule-pressure gauge: a saturated run
     /// is late on nearly every op, an underloaded one on almost none.
+    /// Always 0 in the closed loop.
     pub late: u64,
-    /// Read latency from intended arrival to reply drain, ns.
+    /// Latency of every read key-op, plain or batched, from its due
+    /// time to its reply, ns.
     pub read_lat: HistogramSnapshot,
-    /// Write/CAS/delete latency from intended arrival to ack, ns.
+    /// Set/CAS/delete latency from due time to ack, ns.
     pub write_lat: HistogramSnapshot,
     /// Wall time of the measure phase.
     pub wall: Duration,
-    /// Store-side counter deltas over the measure phase.
+    /// Store-side counter deltas over the measure phase (maintenance
+    /// stalls live here).
     pub store: StatsSnapshot,
 }
 
-/// One open-loop worker's tally.
-struct OpenTally {
-    tally: Tally,
-    late: u64,
-    read_lat: Histogram,
-    write_lat: Histogram,
-}
-
-/// Runs one worker's paced loop over its slice of connections.
+/// One worker's pipelined loop over its slice of connections: the
+/// closed loop when `arrivals` is `None`, the open loop when it paces.
 ///
-/// Each operation gets an intended arrival time from the Poisson
-/// schedule. Plain reads are fired as [`ServiceClient::send_get_timed`]
-/// (fire-and-forget, latency stamped at reply drain); anything else
-/// drains the issuing connection and runs the blocking path. Waiting
-/// out an arrival gap drains ready replies instead of spinning, so a
-/// worker is never idle while replies sit in its rings. Latency is
-/// *always* `drain_time - intended_arrival`: an op that started late
-/// because the loop was busy still charges its full schedule slip,
-/// which is what makes coordinated omission structurally impossible
-/// here rather than merely corrected for.
-fn drive_worker_open_loop<S: MsgSender, C: MsgReceiver>(
+/// Each op is due at its arrival time — unpaced, the moment it is
+/// drawn, so nothing waits and nothing is late. Plain reads go out as
+/// [`ServiceClient::send_get_timed`] and drain FIFO per (connection,
+/// shard), at most `window` in flight per pair: with `window ≤ depth`
+/// one-frame requests queued per ring, a send never blocks, which keeps
+/// the waits-for graph acyclic (servers only ever wait on reply rings
+/// their one client is guaranteed to drain). Anything else drains its
+/// connection first and runs the blocking path, so per-connection
+/// ordering matches [`drive_worker`]. Waiting out an arrival gap drains
+/// ready replies instead of spinning. Latency is *always* `reply time -
+/// due`: an op that started late because the loop was busy still
+/// charges its full schedule slip, which makes coordinated omission
+/// structurally impossible here rather than merely corrected for.
+///
+/// Returns the tally and `(late, read_lat, write_lat)`.
+fn drive_pipelined<S: MsgSender, C: MsgReceiver>(
     conns: &[ServiceClient<S, C>],
     mut stream: OpStream,
-    mut arrivals: PoissonArrivals,
+    mut arrivals: Option<PoissonArrivals>,
     ops: u64,
     window: usize,
-) -> OpenTally {
-    assert!(!conns.is_empty());
+) -> (Tally, (u64, HistogramSnapshot, HistogramSnapshot)) {
     let shards = conns[0].num_shards();
-    let mut out = OpenTally {
-        tally: Tally::default(),
-        late: 0,
-        read_lat: Histogram::new(),
-        write_lat: Histogram::new(),
-    };
-    // Intended-arrival stamps of in-flight timed reads, FIFO per
-    // (connection, shard) — replies on one ring arrive in send order.
-    let mut pending: Vec<Vec<VecDeque<u64>>> = (0..conns.len())
-        .map(|_| (0..shards).map(|_| VecDeque::new()).collect())
-        .collect();
+    let mut tally = Tally::default();
+    let mut late = 0;
+    let (read_lat, write_lat) = (Histogram::new(), Histogram::new());
+    // Due times of in-flight reads, FIFO per (connection, shard) —
+    // replies on one ring arrive in send order.
+    let mut pending = vec![vec![VecDeque::<u64>::new(); shards]; conns.len()];
 
-    // Drains every ready reply across this worker's connections;
-    // returns whether any arrived.
-    let drain_ready = |pending: &mut Vec<Vec<VecDeque<u64>>>, out: &mut OpenTally| -> bool {
+    let read = |tally: &mut Tally, due: u64, hit: ReadHit| {
+        read_lat.record(mono_ns().saturating_sub(due));
+        match hit {
+            Some(_) => tally.hits += 1,
+            None => tally.misses += 1,
+        }
+    };
+    // Blocks for the oldest read `(c, shard)` owes.
+    let drain_one = |pending: &mut [Vec<VecDeque<u64>>], tally: &mut Tally, c: usize, shard| {
+        let hit = conns[c].read_get_reply(shard).expect("wire error");
+        read(tally, pending[c][shard].pop_front().expect("owed"), hit);
+    };
+    // Every read connection `c` owes, so a blocking op runs behind them.
+    let drain_conn = |pending: &mut [Vec<VecDeque<u64>>], tally: &mut Tally, c: usize| {
+        for shard in 0..shards {
+            while !pending[c][shard].is_empty() {
+                drain_one(pending, tally, c, shard);
+            }
+        }
+    };
+    // Drains every reply already waiting; returns whether any was.
+    let drain_ready = |pending: &mut [Vec<VecDeque<u64>>], tally: &mut Tally| {
         let mut any = false;
-        for (c, conn) in conns.iter().enumerate() {
-            for (shard, queue) in pending[c].iter_mut().enumerate() {
+        for (conn, queues) in conns.iter().zip(pending.iter_mut()) {
+            for (shard, queue) in queues.iter_mut().enumerate() {
                 while !queue.is_empty() {
-                    match conn.try_read_get_reply(shard).expect("wire error") {
-                        None => break,
-                        Some(hit) => {
-                            let intended = queue.pop_front().unwrap();
-                            out.read_lat.record(mono_ns().saturating_sub(intended));
-                            match hit {
-                                Some(_) => out.tally.hits += 1,
-                                None => out.tally.misses += 1,
-                            }
-                            any = true;
-                        }
-                    }
+                    let Some(hit) = conn.try_read_get_reply(shard).expect("wire error") else {
+                        break;
+                    };
+                    read(tally, queue.pop_front().expect("owed"), hit);
+                    any = true;
                 }
             }
         }
         any
     };
-    // Blocks until one reply from `(c, shard)` drains.
-    let drain_one =
-        |c: usize, shard: usize, pending: &mut Vec<Vec<VecDeque<u64>>>, out: &mut OpenTally| loop {
-            match conns[c].try_read_get_reply(shard).expect("wire error") {
-                None => core::hint::spin_loop(),
-                Some(hit) => {
-                    let intended = pending[c][shard].pop_front().unwrap();
-                    out.read_lat.record(mono_ns().saturating_sub(intended));
-                    match hit {
-                        Some(_) => out.tally.hits += 1,
-                        None => out.tally.misses += 1,
-                    }
-                    return;
-                }
-            }
-        };
 
     let mut next_at = mono_ns();
-    let mut c = 0usize;
-    while out.tally.issued.total() < ops {
+    let mut c = 0;
+    while tally.issued.total() < ops {
         let op = stream.next_op();
-        next_at += arrivals.next_gap_ns();
-        if mono_ns() >= next_at {
-            out.late += 1;
-        } else {
-            // Wait out the gap, putting the idle time to work.
-            while mono_ns() < next_at {
-                if !drain_ready(&mut pending, &mut out) {
-                    core::hint::spin_loop();
+        let due = match arrivals.as_mut() {
+            None => mono_ns(),
+            Some(arrivals) => {
+                next_at += arrivals.next_gap_ns();
+                if mono_ns() >= next_at {
+                    late += 1;
                 }
-            }
-        }
-        match op {
-            Op::Get(key) => {
-                out.tally.issued.gets += 1;
-                let shard = shard_of(key, shards);
-                while pending[c][shard].len() >= window {
-                    drain_one(c, shard, &mut pending, &mut out);
-                }
-                conns[c].send_get_timed(key, next_at);
-                pending[c][shard].push_back(next_at);
-            }
-            op => {
-                // Writes and batched reads barrier their connection
-                // (same ordering discipline as the pipelined driver),
-                // then run blocking; the latency still counts from the
-                // intended arrival, drain included.
-                for shard in 0..shards {
-                    while !pending[c][shard].is_empty() {
-                        drain_one(c, shard, &mut pending, &mut out);
+                // Wait out the gap, putting the idle time to work.
+                while mono_ns() < next_at {
+                    if !drain_ready(&mut pending, &mut tally) {
+                        core::hint::spin_loop();
                     }
                 }
-                apply_op(&conns[c], op, &mut out.tally);
-                out.write_lat.record(mono_ns().saturating_sub(next_at));
+                next_at
+            }
+        };
+        match op {
+            Op::Get(key) => {
+                tally.issued.gets += 1;
+                let shard = shard_of(key, shards);
+                while pending[c][shard].len() >= window {
+                    drain_one(&mut pending, &mut tally, c, shard);
+                }
+                conns[c].send_get_timed(key, due);
+                pending[c][shard].push_back(due);
+            }
+            op => {
+                // Writes and batched reads barrier their connection,
+                // then run blocking; the latency still counts from the
+                // due time, drain included — once per key-op, in the
+                // histogram of the op's kind.
+                drain_conn(&mut pending, &mut tally, c);
+                let lat = match op {
+                    Op::MultiGet(_) => &read_lat,
+                    _ => &write_lat,
+                };
+                let key_ops = op.weight();
+                apply_op(&conns[c], op, &mut tally);
+                let ns = mono_ns().saturating_sub(due);
+                (0..key_ops).for_each(|_| lat.record(ns));
             }
         }
         c = (c + 1) % conns.len();
     }
     for c in 0..conns.len() {
-        for shard in 0..shards {
-            while !pending[c][shard].is_empty() {
-                drain_one(c, shard, &mut pending, &mut out);
-            }
-        }
+        drain_conn(&mut pending, &mut tally, c);
     }
-    out
+    (tally, (late, read_lat.snapshot(), write_lat.snapshot()))
 }
 
-/// Runs the full open-loop experiment: preload the keyspace, spawn one
-/// server thread per shard and `workers` pacing threads over
-/// `connections` ring clients, pace `ops_per_worker` key-operations
-/// per worker against the Poisson schedule, and report latency from
-/// intended arrival times.
+/// Runs the load engine: preload the keyspace, spawn one server thread
+/// per shard and `workers` client threads over `connections` ring
+/// clients of `depth` slots, drive `ops_per_worker` key-operations per
+/// worker — unpaced, or against the Poisson schedule of the offered
+/// rate — with up to `window` plain reads in flight per connection and
+/// shard, and report.
+///
+/// Issued op counts are deterministic in `(workload, workers,
+/// ops_per_worker)` — connections, depth, window and the offered rate
+/// change timing, never the op streams; wall time, latencies and the
+/// hit/miss split of mixes with deletes are load-dependent.
 ///
 /// # Panics
 ///
 /// Panics if `workers` is zero, `connections` is not a positive
 /// multiple of `workers`, `window` is zero or exceeds `depth`, or the
 /// offered rate is not positive and finite.
-pub fn run_open_loop<R: RawLock + Default>(
-    router: &ShardRouter<R>,
-    spec: &OpenLoopSpec,
-) -> OpenLoopReport {
-    assert!(spec.workers > 0);
+pub fn run_load<R: RawLock + Default>(router: &ShardRouter<R>, spec: &LoadSpec) -> LoadReport {
     assert!(
-        spec.connections >= spec.workers && spec.connections % spec.workers == 0,
+        spec.workers > 0 && spec.connections > 0 && spec.connections % spec.workers == 0,
         "connections ({}) must be a positive multiple of workers ({})",
         spec.connections,
         spec.workers
@@ -919,83 +774,51 @@ pub fn run_open_loop<R: RawLock + Default>(
         spec.window,
         spec.depth
     );
-    // Per-worker mean gap: `workers` independent streams at rate/workers
-    // each superpose to a Poisson stream at the offered aggregate rate.
-    let mean_ns = spec.workers as f64 * 1e9 / spec.offered_ops_per_sec;
-
     // Preload directly through the router: every key present.
     for (key, value) in spec.workload.preload_values() {
         router.set(key, value);
     }
     let before = router.stats_snapshot();
 
-    let (endpoints, service_clients) = ring_mesh(router.num_shards(), spec.connections, spec.depth);
+    let (endpoints, clients) = ring_mesh(router.num_shards(), spec.connections, spec.depth);
+    let mut clients = clients.into_iter();
     let per_worker = spec.connections / spec.workers;
+    let chunks: Vec<Vec<_>> = (0..spec.workers)
+        .map(|_| clients.by_ref().take(per_worker).collect())
+        .collect();
     let start = Instant::now();
-    let mut tallies: Vec<OpenTally> = Vec::with_capacity(spec.workers);
-    std::thread::scope(|s| {
+    let (tally, timings) = std::thread::scope(|s| {
         for (shard, endpoint) in endpoints.into_iter().enumerate() {
             let store = router.shard(shard);
             s.spawn(move || serve(store, endpoint));
         }
-        let mut conn_chunks: Vec<Vec<_>> = Vec::with_capacity(spec.workers);
-        let mut it = service_clients.into_iter();
-        for _ in 0..spec.workers {
-            conn_chunks.push(it.by_ref().take(per_worker).collect());
-        }
-        let handles: Vec<_> = conn_chunks
-            .into_iter()
-            .enumerate()
-            .map(|(worker, conns)| {
-                let stream = OpStream::new(&spec.workload, worker as u64);
-                let arrivals = PoissonArrivals::for_worker(&spec.workload, worker as u64, mean_ns);
-                s.spawn(move || {
-                    let tally = drive_worker_open_loop(
-                        &conns,
-                        stream,
-                        arrivals,
-                        spec.ops_per_worker,
-                        spec.window,
-                    );
-                    for conn in conns {
-                        conn.close();
-                    }
-                    tally
-                })
-            })
-            .collect();
-        tallies.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked")),
-        );
+        fan_out(chunks, |worker, conns| {
+            let worker = worker as u64;
+            // `workers` independent streams at rate/workers each
+            // superpose to a Poisson stream at the offered rate.
+            let arrivals = spec.offered_ops_per_sec.map(|rate| {
+                let mean_ns = spec.workers as f64 * 1e9 / rate;
+                PoissonArrivals::for_worker(&spec.workload, worker, mean_ns)
+            });
+            let stream = OpStream::new(&spec.workload, worker);
+            let out = drive_pipelined(&conns, stream, arrivals, spec.ops_per_worker, spec.window);
+            conns.into_iter().for_each(ServiceClient::close);
+            out
+        })
     });
     let wall = start.elapsed();
-    let after = router.stats_snapshot();
 
-    let mut report = OpenLoopReport {
-        offered_ops_per_sec: spec.offered_ops_per_sec,
+    let mut report = LoadReport {
+        tally,
         wall,
-        store: after.delta(&before),
-        ..OpenLoopReport::default()
+        store: router.stats_snapshot().delta(&before),
+        ..LoadReport::default()
     };
-    let mut read_lat = HistogramSnapshot::empty();
-    let mut write_lat = HistogramSnapshot::empty();
-    for t in tallies {
-        report.issued = report.issued.merge(&t.tally.issued);
-        report.hits += t.tally.hits;
-        report.misses += t.tally.misses;
-        report.late += t.late;
-        read_lat.merge(&t.read_lat.snapshot());
-        write_lat.merge(&t.write_lat.snapshot());
+    for (late, read_lat, write_lat) in timings {
+        report.late += late;
+        report.read_lat.merge(&read_lat);
+        report.write_lat.merge(&write_lat);
     }
-    report.read_lat = read_lat;
-    report.write_lat = write_lat;
-    report.achieved_ops_per_sec = if wall.as_secs_f64() > 0.0 {
-        report.issued.total() as f64 / wall.as_secs_f64()
-    } else {
-        0.0
-    };
     report
 }
 
@@ -1003,6 +826,25 @@ pub fn run_open_loop<R: RawLock + Default>(
 mod tests {
     use super::*;
     use ssync_locks::TicketLock;
+
+    /// The closed loop: one connection per worker, no schedule.
+    fn closed(
+        workload: WorkloadSpec,
+        workers: usize,
+        ops: u64,
+        depth: usize,
+        window: usize,
+    ) -> LoadSpec {
+        LoadSpec {
+            workload,
+            workers,
+            connections: workers,
+            ops_per_worker: ops,
+            offered_ops_per_sec: None,
+            depth,
+            window,
+        }
+    }
 
     #[test]
     fn streams_are_deterministic_per_worker() {
@@ -1112,42 +954,86 @@ mod tests {
             mix: Mix::YCSB_A,
             ..WorkloadSpec::example()
         };
-        let report = run_closed_loop(&router, &spec, 2, 500, 16, 4);
-        assert!(report.issued.total() >= 1000);
+        let report = run_load(&router, &closed(spec, 2, 500, 16, 4));
+        assert!(report.tally.issued.total() >= 1000);
         // YCSB-A over a preloaded keyspace with no deletes: every read
         // hits.
-        assert_eq!(report.misses, 0);
-        assert!((report.hit_rate() - 1.0).abs() < f64::EPSILON);
+        assert_eq!(report.tally.misses, 0);
+        assert!((report.tally.hit_rate() - 1.0).abs() < f64::EPSILON);
         // Store-side counters saw the workload's writes.
-        assert_eq!(report.store.sets, report.issued.sets);
-        assert!(report.ops_per_sec() > 0.0);
+        assert_eq!(report.store.sets, report.tally.issued.sets);
+        assert!(report.tally.ops_per_sec(report.wall) > 0.0);
+        // Unpaced, nothing is ever late, and every key-op is measured.
+        assert_eq!(report.late, 0);
+        assert_eq!(report.read_lat.count(), report.tally.issued.gets);
+        assert_eq!(report.write_lat.count(), report.tally.issued.sets);
 
         // Op counts replay exactly on a fresh router.
         let router2: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let report2 = run_closed_loop(&router2, &spec, 2, 500, 16, 4);
-        assert_eq!(report.issued, report2.issued);
-        assert_eq!(report.hits, report2.hits);
+        let report2 = run_load(&router2, &closed(spec, 2, 500, 16, 4));
+        assert_eq!(report.tally.issued, report2.tally.issued);
+        assert_eq!(report.tally.hits, report2.tally.hits);
+    }
+
+    #[test]
+    fn unpaced_driver_is_the_sequential_closed_loop() {
+        // One client, a delete-free mix with CAS (so the write barrier
+        // and the CAS read half both run): the pipelined driver with no
+        // schedule observes exactly what the sequential driver does and
+        // leaves the store in exactly the same state, versions included.
+        let spec = WorkloadSpec {
+            keys: 128,
+            mix: Mix::new("rmw", 50, 30, 20, 0),
+            ..WorkloadSpec::example()
+        };
+        let run = |pipelined: bool| {
+            let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
+            for (key, value) in spec.preload_values() {
+                router.set(key, value);
+            }
+            let (endpoints, mut clients) = ring_mesh(router.num_shards(), 1, 32);
+            let tally = std::thread::scope(|s| {
+                for (shard, endpoint) in endpoints.into_iter().enumerate() {
+                    let store = router.shard(shard);
+                    s.spawn(move || serve(store, endpoint));
+                }
+                let client = clients.pop().unwrap();
+                let stream = OpStream::new(&spec, 0);
+                let tally = if pipelined {
+                    drive_pipelined(std::slice::from_ref(&client), stream, None, 600, 8).0
+                } else {
+                    drive_worker(&client, stream, 600)
+                };
+                client.close();
+                tally
+            });
+            let contents: Vec<_> = (0..2).map(|shard| router.shard(shard).dump()).collect();
+            (tally, contents)
+        };
+        let (sequential, seq_contents) = run(false);
+        let (pipelined, piped_contents) = run(true);
+        assert_eq!(sequential, pipelined);
+        assert!(sequential.issued.cas > 0 && sequential.cas_ok == sequential.issued.cas);
+        assert_eq!(seq_contents, piped_contents);
     }
 
     #[test]
     fn pipelining_window_does_not_change_results() {
-        // Same spec at window 1 (every read drained before the next op:
-        // the sequential driver's behaviour) and window 8: the issued
-        // streams are identical by construction, and on a delete-free
-        // mix the observed hit/miss tallies must match too —
-        // pipelining reorders nothing a single worker can see.
+        // Same spec at window 1 (at most one read in flight per shard)
+        // and window 8: the issued streams are identical by
+        // construction, and on a delete-free mix the observed hit/miss
+        // tallies must match too — pipelining reorders nothing a single
+        // worker can see.
         let spec = WorkloadSpec {
             keys: 256,
             mix: Mix::YCSB_B,
             ..WorkloadSpec::example()
         };
         let serial: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let base = run_closed_loop(&serial, &spec, 2, 400, 32, 1);
+        let base = run_load(&serial, &closed(spec, 2, 400, 32, 1));
         let pipelined: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let piped = run_closed_loop(&pipelined, &spec, 2, 400, 32, 8);
-        assert_eq!(base.issued, piped.issued);
-        assert_eq!(base.hits, piped.hits);
-        assert_eq!(base.misses, piped.misses);
+        let piped = run_load(&pipelined, &closed(spec, 2, 400, 32, 8));
+        assert_eq!(base.tally, piped.tally);
         assert_eq!(base.store.sets, piped.store.sets);
         // Both stores converge to identical contents (same versions:
         // single-writer-per-key is not guaranteed here, but set counts
@@ -1165,13 +1051,13 @@ mod tests {
             ..WorkloadSpec::example()
         };
         let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let report = run_closed_loop(&router, &spec, 2, 300, 16, 16);
-        assert_eq!(report.issued.total(), 600);
-        assert!(report.issued.deletes > 0 && report.issued.cas > 0);
+        let report = run_load(&router, &closed(spec, 2, 300, 16, 16));
+        assert_eq!(report.tally.issued.total(), 600);
+        assert!(report.tally.issued.deletes > 0 && report.tally.issued.cas > 0);
         // Replays exactly.
         let router2: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let report2 = run_closed_loop(&router2, &spec, 2, 300, 16, 16);
-        assert_eq!(report.issued, report2.issued);
+        let report2 = run_load(&router2, &closed(spec, 2, 300, 16, 16));
+        assert_eq!(report.tally.issued, report2.tally.issued);
     }
 
     #[test]
@@ -1200,7 +1086,7 @@ mod tests {
 
     #[test]
     fn open_loop_replays_issued_counts_and_measures_latency() {
-        let spec = OpenLoopSpec {
+        let spec = LoadSpec {
             workload: WorkloadSpec {
                 keys: 256,
                 mix: Mix::YCSB_B,
@@ -1209,26 +1095,52 @@ mod tests {
             workers: 2,
             connections: 4,
             ops_per_worker: 300,
-            offered_ops_per_sec: 50_000.0,
+            offered_ops_per_sec: Some(50_000.0),
             depth: 32,
             window: 8,
         };
         let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let report = run_open_loop(&router, &spec);
-        assert_eq!(report.issued.total(), 600);
+        let report = run_load(&router, &spec);
+        let t = report.tally;
+        assert_eq!(t.issued.total(), 600);
         // Every read drained through the timed path, every write took
         // the blocking path; nothing measured twice, nothing dropped.
-        assert_eq!(report.read_lat.count(), report.issued.gets);
-        assert_eq!(report.write_lat.count(), report.issued.sets);
-        assert_eq!(report.hits + report.misses, report.issued.gets);
-        assert_eq!(report.misses, 0, "preloaded, delete-free keyspace");
+        assert_eq!(report.read_lat.count(), t.issued.gets);
+        assert_eq!(report.write_lat.count(), t.issued.sets);
+        assert_eq!(t.hits + t.misses, t.issued.gets);
+        assert_eq!(t.misses, 0, "preloaded, delete-free keyspace");
         assert!(report.read_lat.quantile(0.99).unwrap() > 0);
-        assert!(report.achieved_ops_per_sec > 0.0);
+        assert!(t.ops_per_sec(report.wall) > 0.0);
         // The op streams replay exactly on a fresh router.
         let router2: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let report2 = run_open_loop(&router2, &spec);
-        assert_eq!(report.issued, report2.issued);
-        assert_eq!(report.hits, report2.hits);
+        let report2 = run_load(&router2, &spec);
+        assert_eq!(t.issued, report2.tally.issued);
+        assert_eq!(t.hits, report2.tally.hits);
+    }
+
+    #[test]
+    fn open_loop_files_batched_reads_as_reads() {
+        // Regression: a multi-get took the blocking arm and landed in
+        // the write histogram, so no read of a batched mix was measured.
+        let spec = LoadSpec {
+            workload: WorkloadSpec {
+                keys: 256,
+                mix: Mix::YCSB_C,
+                batch: 4,
+                ..WorkloadSpec::example()
+            },
+            workers: 1,
+            connections: 2,
+            ops_per_worker: 200,
+            offered_ops_per_sec: Some(50_000.0),
+            depth: 16,
+            window: 4,
+        };
+        let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
+        let report = run_load(&router, &spec);
+        assert_eq!(report.write_lat.count(), 0);
+        assert_eq!(report.read_lat.count(), report.tally.issued.gets);
+        assert_eq!(report.tally.issued.gets, 200);
     }
 
     #[test]
@@ -1236,7 +1148,7 @@ mod tests {
         // An offered rate no machine sustains pushes the schedule
         // permanently behind: the loop must not skip or stall, and the
         // lateness gauge must show the pressure.
-        let spec = OpenLoopSpec {
+        let spec = LoadSpec {
             workload: WorkloadSpec {
                 keys: 128,
                 mix: Mix::CHURN,
@@ -1245,14 +1157,15 @@ mod tests {
             workers: 1,
             connections: 2,
             ops_per_worker: 300,
-            offered_ops_per_sec: 1e9,
+            offered_ops_per_sec: Some(1e9),
             depth: 16,
             window: 4,
         };
         let router: ShardRouter<TicketLock> = ShardRouter::new(1, 64, 8);
-        let report = run_open_loop(&router, &spec);
-        assert_eq!(report.issued.total(), 300);
-        assert!(report.issued.deletes > 0 && report.issued.cas > 0);
+        let report = run_load(&router, &spec);
+        let issued = report.tally.issued;
+        assert_eq!(issued.total(), 300);
+        assert!(issued.deletes > 0 && issued.cas > 0);
         assert!(
             report.late > 100,
             "a 1 Gop/s schedule must run late ({} late)",
@@ -1261,7 +1174,7 @@ mod tests {
         // Churn writes measure too (set + cas + delete all barrier).
         assert_eq!(
             report.write_lat.count(),
-            report.issued.sets + report.issued.cas + report.issued.deletes
+            issued.sets + issued.cas + issued.deletes
         );
     }
 
@@ -1269,7 +1182,6 @@ mod tests {
     #[should_panic(expected = "window")]
     fn ring_window_beyond_depth_rejected() {
         let router: ShardRouter<TicketLock> = ShardRouter::new(1, 64, 8);
-        let spec = WorkloadSpec::example();
-        let _ = run_closed_loop(&router, &spec, 1, 10, 8, 9);
+        let _ = run_load(&router, &closed(WorkloadSpec::example(), 1, 10, 8, 9));
     }
 }

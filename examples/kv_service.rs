@@ -8,11 +8,11 @@
 use ssync::locks::{McsLock, TicketLock};
 use ssync::srv::router::ShardRouter;
 use ssync::srv::service::{ring_mesh, serve};
-use ssync::srv::workload::{run_closed_loop, KeyDist, Mix, ValueSize, WorkloadSpec};
+use ssync::srv::workload::{run_load, KeyDist, LoadSpec, Mix, ValueSize, WorkloadSpec};
 
 fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix) {
     let router: ShardRouter<R> = ShardRouter::new(4, 256, 16);
-    let spec = WorkloadSpec {
+    let workload = WorkloadSpec {
         keys: 1024,
         dist: KeyDist::Zipfian { theta: 0.99 },
         mix,
@@ -21,13 +21,23 @@ fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix) {
         seed: 7,
     };
     let workers = ssync::core::cores::test_threads(4);
-    // Rings of 64 slots, up to 16 plain reads in flight per client.
-    let report = run_closed_loop(&router, &spec, workers, 2_000, 64, 16);
+    // The closed loop (no offered rate): one connection per worker,
+    // rings of 64 slots, up to 16 plain reads in flight per shard.
+    let spec = LoadSpec {
+        workload,
+        workers,
+        connections: workers,
+        ops_per_worker: 2_000,
+        offered_ops_per_sec: None,
+        depth: 64,
+        window: 16,
+    };
+    let report = run_load(&router, &spec);
     println!(
         "{name:>8} {:>7}: {:>8.0} ops/s, hit rate {:>5.1}%, {} maintenance passes",
         mix.name,
-        report.ops_per_sec(),
-        report.hit_rate() * 100.0,
+        report.tally.ops_per_sec(report.wall),
+        report.tally.hit_rate() * 100.0,
         report.store.maintenance_runs
     );
 }

@@ -173,7 +173,7 @@ fn main() {
             run_replicated_closed_loop(&mut cluster, &spec, workers, 2_500, &FaultSpec::none());
         println!(
             "  {replicas} replicas: {:>8.0} ops/s ({} reads served by backups), converged: {}",
-            report.ops_per_sec(),
+            report.tally.ops_per_sec(report.wall),
             report.replica_serves,
             report.converged
         );

@@ -14,7 +14,7 @@ use ssync::locks::{AnyLock, HticketLock, Lock, LockKind, McsLock, RawLock, Ticke
 use ssync::mp::channel::channel;
 use ssync::srv::router::ShardRouter;
 use ssync::srv::service::{ring_mesh, serve};
-use ssync::srv::workload::{run_closed_loop, KeyDist, Mix, ValueSize, WorkloadSpec};
+use ssync::srv::workload::{run_load, KeyDist, LoadSpec, Mix, ValueSize, WorkloadSpec};
 use ssync::tm::shared::TmHeap;
 
 #[test]
@@ -253,11 +253,10 @@ fn window_is_not_a_semantics_knob() {
     };
     let workers = test_threads(2);
     let a: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-    let serial = run_closed_loop(&a, &spec, workers, 250, 32, 1);
+    let serial = run_load(&a, &closed_loop(spec, workers, 250, 1));
     let b: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-    let piped = run_closed_loop(&b, &spec, workers, 250, 32, 8);
-    assert_eq!(serial.issued, piped.issued);
-    assert_eq!((serial.hits, serial.misses), (piped.hits, piped.misses));
+    let piped = run_load(&b, &closed_loop(spec, workers, 250, 8));
+    assert_eq!(serial.tally, piped.tally);
     assert_eq!(serial.store.sets, piped.store.sets);
 }
 
@@ -276,9 +275,25 @@ fn closed_loop_workload_is_deterministic_in_op_counts() {
     };
     let run = || {
         let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        run_closed_loop(&router, &spec, 2, 300, 32, 8).issued
+        run_load(&router, &closed_loop(spec, 2, 300, 8))
+            .tally
+            .issued
     };
     assert_eq!(run(), run());
+}
+
+/// The load engine's closed loop: one connection per worker, rings of
+/// 32 slots, no offered rate.
+fn closed_loop(workload: WorkloadSpec, workers: usize, ops: u64, window: usize) -> LoadSpec {
+    LoadSpec {
+        workload,
+        workers,
+        connections: workers,
+        ops_per_worker: ops,
+        offered_ops_per_sec: None,
+        depth: 32,
+        window,
+    }
 }
 
 #[test]

@@ -345,7 +345,7 @@ fn sync_mode_gives_read_your_writes_through_replicas() {
         "a single sync-mode client must never see a stale replica read"
     );
     assert!(report.replica_serves > 0, "replicas must carry reads");
-    assert_eq!(report.misses, 0, "preloaded keyspace, no deletes");
+    assert_eq!(report.tally.misses, 0, "preloaded keyspace, no deletes");
     assert!(report.converged);
 }
 
@@ -368,7 +368,7 @@ fn sync_mode_concurrent_clients_read_correctly_through_replicas() {
     let workers = ssync::core::cores::test_threads(2).max(2);
     let report = run_replicated_closed_loop(&mut cluster, &spec, workers, 600, &FaultSpec::none());
     assert!(report.replica_serves > 0, "replicas must carry reads");
-    assert_eq!(report.misses, 0, "preloaded keyspace, no deletes");
+    assert_eq!(report.tally.misses, 0, "preloaded keyspace, no deletes");
     assert!(report.converged);
 }
 
@@ -400,7 +400,7 @@ fn async_fault_runs_replay_and_converge_end_to_end() {
     let a = run();
     let b = run();
     assert!(a.converged && b.converged);
-    assert_eq!(a.issued, b.issued);
+    assert_eq!(a.tally.issued, b.tally.issued);
     assert_eq!(a.entries, b.entries);
     assert_eq!(
         (a.crashes, a.stalls, a.from_log),
@@ -441,7 +441,7 @@ fn seeded_failover_runs_replay_end_to_end() {
     assert_eq!(a.unavailability.len(), 4);
     assert!(a.converged, "survivors converge with no acked write lost");
     let b = run();
-    assert_eq!(a.issued, b.issued);
+    assert_eq!(a.tally.issued, b.tally.issued);
     assert_eq!(a.entries, b.entries);
     assert_eq!(a.failovers, b.failovers);
     assert!(b.converged);
