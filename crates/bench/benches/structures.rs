@@ -1,10 +1,12 @@
 //! Concurrent-structure operation costs: the hash table (Figure 11's
 //! subject), the KV store (Figure 12's), and STM transactions.
 
+use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ssync_ht::HashTable;
 use ssync_kv::KvStore;
 use ssync_locks::{TasLock, TicketLock};
+use ssync_srv::router::key_bytes;
 use ssync_tm::shared::TmHeap;
 
 fn bench_hash_table(c: &mut Criterion) {
@@ -37,6 +39,58 @@ fn bench_kv(c: &mut Criterion) {
     let mut group = c.benchmark_group("kv");
     group.bench_function("get_hit", |b| b.iter(|| black_box(kv.get(b"hot"))));
     group.bench_function("set", |b| b.iter(|| kv.set(b"hot", b"value2".as_slice())));
+    group.finish();
+}
+
+/// Writes to a full store at `benchmark/`'s `srv_write` geometry: 65 536
+/// dense 8-byte keys, one bucket per key plus one, 16 stripes, 128–1 024
+/// B values built once as `Bytes`, each case rotating over the whole
+/// keyspace. Every write replaces (or, for `delete_reinsert`, unlinks
+/// and relinks) one node, and every 64th write runs the store's
+/// maintenance pass — which the one-key `kv` group above, in a 1 024-
+/// bucket store, cannot show at this scale. The single-thread reading
+/// of the `kv.set_ns`, `kv.cas_ns` and `kv.delete_ns` rungs.
+fn bench_kv_full_store(c: &mut Criterion) {
+    const KEYS: u64 = 65_536;
+    let values: Vec<Bytes> = (0..64usize)
+        .map(|i| Bytes::from(vec![i as u8; 128 + i * 896 / 63]))
+        .collect();
+    let value = |k: u64| values[k as usize % values.len()].clone();
+    let full_store = || {
+        let kv: KvStore<TicketLock> = KvStore::new(KEYS as usize + 1, 16);
+        let versions: Vec<u64> = (0..KEYS).map(|k| kv.set(&key_bytes(k), value(k))).collect();
+        (kv, versions)
+    };
+    let mut group = c.benchmark_group("kv_full_store");
+    let mut k = 0;
+    let mut next = || {
+        k = (k + 1) % KEYS;
+        k
+    };
+    let (kv, _) = full_store();
+    group.bench_function("set", |b| {
+        b.iter(|| {
+            let k = next();
+            kv.set(&key_bytes(k), value(k))
+        })
+    });
+    let (kv, mut versions) = full_store();
+    group.bench_function("cas", |b| {
+        b.iter(|| {
+            let k = next();
+            let version = &mut versions[k as usize];
+            *version = kv.cas(&key_bytes(k), value(k), *version).expect("matched");
+            *version
+        })
+    });
+    let (kv, _) = full_store();
+    group.bench_function("delete_reinsert", |b| {
+        b.iter(|| {
+            let k = next();
+            kv.delete_versioned(&key_bytes(k)).expect("present");
+            kv.set(&key_bytes(k), value(k))
+        })
+    });
     group.finish();
 }
 
@@ -73,6 +127,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(700));
-    targets = bench_hash_table, bench_kv, bench_stm
+    targets = bench_hash_table, bench_kv, bench_kv_full_store, bench_stm
 }
 criterion_main!(benches);

@@ -10,7 +10,9 @@
 //! mix, batching) — on the one configuration the stack has.
 //!
 //! Per case it measures key-ops/sec, hit rate, CAS outcomes, and
-//! maintenance stalls (the store's periodic global-lock passes). The
+//! maintenance passes (every 64th successful write takes the store's
+//! global lock for one epoch-advance attempt and one stripe's
+//! collection, work that does not grow with the store). The
 //! `kv-perf` binary prints all of that as a table, labelled
 //! host-measured, and commits to `BENCH_kv.json` only what replays:
 //! the issued op counts and — for the mixes whose every write

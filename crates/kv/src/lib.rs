@@ -5,9 +5,12 @@
 //!
 //! * a fixed-bucket hash table under **fine-grained bucket locks** (one
 //!   lock per stripe of buckets, as Memcached stripes item locks);
-//! * a **global maintenance lock** taken periodically by write paths
-//!   (Memcached's hash-table expansion and LRU/slab bookkeeping switch
-//!   to global locks "for short periods of time");
+//! * a **global maintenance lock** taken by every
+//!   [`MAINTENANCE_PERIOD`]th successful write (Memcached's hash-table
+//!   expansion and LRU/slab bookkeeping switch to global locks "for
+//!   short periods of time"): the pass tries one global-epoch advance
+//!   and collects one stripe's expired retirements, round-robin, and
+//!   walks no bucket chain, so its cost is the same in any store;
 //! * byte-string values (`bytes::Bytes`) with per-item CAS versions.
 //!
 //! Every lock is a pluggable `ssync-locks` algorithm — the paper's
@@ -92,9 +95,13 @@ use ssync_core::epoch::{EpochBags, EpochDomain};
 use ssync_core::CachePadded;
 use ssync_locks::{Lock, RawLock};
 
-/// Write operations between global maintenance passes (Memcached's
+/// Successful writes between global maintenance passes (Memcached's
 /// rebalancer wakes periodically; we trigger on write counts to stay
-/// deterministic).
+/// deterministic). `set`, a matched `cas`, a `delete` or
+/// `delete_versioned` that removed a key, and an applied
+/// `apply_replicated` each count one; a write that changed nothing
+/// does not. A pass is one epoch-advance attempt plus one stripe's bag
+/// collection: no part of it depends on how many items the store holds.
 pub const MAINTENANCE_PERIOD: u64 = 64;
 
 /// Optimistic read attempts before a read falls back to the locked
@@ -130,7 +137,7 @@ pub struct Stats {
     pub hits: CachePadded<AtomicU64>,
     /// `get`s for absent keys.
     pub misses: CachePadded<AtomicU64>,
-    /// `set` operations.
+    /// Successful puts: `set`s and matched `cas`es.
     pub sets: CachePadded<AtomicU64>,
     /// Successful `delete`s (deletes of absent keys are not counted).
     pub deletes: CachePadded<AtomicU64>,
@@ -193,7 +200,7 @@ pub struct StatsSnapshot {
     pub hits: u64,
     /// `get`s for absent keys.
     pub misses: u64,
-    /// `set` operations.
+    /// Successful puts: `set`s and matched `cas`es.
     pub sets: u64,
     /// Successful `delete`s.
     pub deletes: u64,
@@ -349,7 +356,9 @@ pub struct KvStore<R: RawLock + Default> {
     /// `b % stripes.len() == i`.
     stripes: Box<[Stripe<R>]>,
     buckets_per_stripe: usize,
-    /// The global "stop-the-world" maintenance lock.
+    /// The global maintenance lock: held only by a maintenance pass, a
+    /// short section that also holds one stripe's lock, so passes are
+    /// serialized and a pass blocks writers of that one stripe alone.
     global: Lock<(), R>,
     /// Bumped by every write from every client of the shard; padded so
     /// the two global counters don't false-share with each other or the
@@ -1036,9 +1045,13 @@ impl<R: RawLock + Default> KvStore<R> {
         freed
     }
 
-    /// The write path's periodic global-lock maintenance (Memcached's
-    /// LRU crawl / hash expansion stand-in: walks one stripe under the
-    /// global lock).
+    /// The write path's periodic global-lock maintenance, run by every
+    /// [`MAINTENANCE_PERIOD`]th successful write: under the global lock,
+    /// take the next stripe's lock in round-robin order, try one
+    /// global-epoch advance and collect that stripe's expired bag
+    /// generations. It visits no chain node, so what a pass costs does
+    /// not grow with the number of items stored — a short global-lock
+    /// section, as Memcached holds its global locks.
     fn after_write(&self) {
         let n = self.write_counter.fetch_add(1, Ordering::Relaxed) + 1;
         if n % MAINTENANCE_PERIOD != 0 {
@@ -1046,25 +1059,13 @@ impl<R: RawLock + Default> KvStore<R> {
         }
         let _global = self.global.lock();
         self.stats.maintenance_runs.fetch_add(1, Ordering::Relaxed);
-        // Touch one stripe while holding the global lock, as the real
-        // rebalancer serializes against every writer.
         let stripe = (n / MAINTENANCE_PERIOD) as usize % self.stripes.len();
         let stripe = &self.stripes[stripe];
         let mut inner = stripe.inner.lock();
-        let mut items = 0usize;
-        for head in stripe.heads.iter() {
-            let mut p = head.load(Ordering::Acquire);
-            while !p.is_null() {
-                // SAFETY: live node, stripe lock held.
-                p = unsafe { &*p }.next.load(Ordering::Acquire);
-                items += 1;
-            }
-        }
-        let _ = items;
-        // Amortized reclamation: the same periodic visit that crawls the
-        // stripe also nudges the epoch forward and collects this stripe's
-        // expired generations, so a write-heavy store reclaims without
-        // anyone ever calling `reclaim_pass` or `purge_retired`.
+        // Amortized reclamation: the periodic pass nudges the epoch
+        // forward and collects this stripe's expired generations, so a
+        // write-heavy store reclaims without anyone ever calling
+        // `reclaim_pass` or `purge_retired`.
         if self.epoch.try_advance() {
             self.stats.epochs_advanced.fetch_add(1, Ordering::Relaxed);
         }
@@ -1124,13 +1125,84 @@ mod tests {
         assert_eq!(kv.cas(b"nope", b"z".as_slice(), 1), Err(0));
     }
 
+    /// The cadence: exactly one pass per `MAINTENANCE_PERIOD` successful
+    /// writes, whichever entry point made them, and none for a write
+    /// that changed nothing. Checked after every call.
     #[test]
     fn maintenance_runs_periodically() {
         let kv: KvStore<TicketLock> = KvStore::new(64, 8);
-        for i in 0..(MAINTENANCE_PERIOD * 3) {
-            kv.set(format!("k{i}").as_bytes(), b"v".as_slice());
+        let mut writes = 0u64;
+        let mut wrote = |changed: bool| {
+            writes += u64::from(changed);
+            assert_eq!(
+                kv.stats_snapshot().maintenance_runs,
+                writes / MAINTENANCE_PERIOD,
+                "after {writes} successful writes"
+            );
+        };
+        let present = kv.set(b"present", b"v".as_slice());
+        wrote(true);
+        let mut version = 0;
+        let steps = MAINTENANCE_PERIOD * 5;
+        for i in 0..steps {
+            let value = i.to_be_bytes();
+            // One successful write per step, from each entry point in
+            // turn; `k` is present after steps 0, 1 and 3, absent after
+            // 2 and 4.
+            match i % 5 {
+                0 => version = kv.set(b"k", value.as_slice()),
+                1 => version = kv.cas(b"k", value.as_slice(), version).unwrap(),
+                2 => assert!(kv.delete(b"k")),
+                3 => {
+                    version += 1;
+                    assert!(kv.apply_replicated(b"k", version, Some(&value)));
+                }
+                _ => assert!(kv.delete_versioned(b"k").is_some()),
+            }
+            wrote(true);
+            // Writes that change nothing do not advance the cadence.
+            assert!(kv.cas(b"k", value.as_slice(), 0).is_err());
+            wrote(false);
+            assert!(!kv.delete(b"absent"));
+            wrote(false);
+            assert_eq!(kv.delete_versioned(b"absent"), None);
+            wrote(false);
+            assert!(!kv.apply_replicated(b"present", present, Some(&value)));
+            wrote(false);
+            assert!(!kv.apply_replicated(b"absent", version + 1, None));
+            wrote(false);
         }
-        assert!(kv.stats().maintenance_runs.load(Ordering::Relaxed) >= 3);
+        let snap = kv.stats_snapshot();
+        assert_eq!(snap.maintenance_runs, (1 + steps) / MAINTENANCE_PERIOD);
+        assert_eq!(snap.cas_failures, steps);
+        assert_eq!(snap.repl_stale_drops, steps * 2);
+    }
+
+    /// What a pass still does: with one thread, no pin held and no
+    /// `reclaim_pass`, every pass wins its epoch advance, and a
+    /// replace-heavy stream is reclaimed by the passes alone. A retired
+    /// node is freed at the latest by its stripe's round-robin collect
+    /// once two advances have passed, so the backlog never holds more
+    /// than the last `stripes + 3` periods' retirements however long
+    /// the stream runs.
+    #[test]
+    fn maintenance_passes_advance_the_epoch_and_reclaim() {
+        const STRIPES: usize = 8;
+        let kv: KvStore<TicketLock> = KvStore::new(64, STRIPES);
+        let bound = (STRIPES as u64 + 3) * MAINTENANCE_PERIOD;
+        let periods = 64;
+        for i in 0..MAINTENANCE_PERIOD * periods {
+            kv.set(&(i % 32).to_be_bytes(), i.to_le_bytes().as_slice());
+            if (i + 1) % MAINTENANCE_PERIOD == 0 {
+                assert!(kv.reclaim_backlog() <= bound, "backlog past {bound}");
+            }
+        }
+        let snap = kv.stats_snapshot();
+        assert_eq!(snap.maintenance_runs, periods);
+        assert_eq!(snap.epochs_advanced, snap.maintenance_runs);
+        let retired = MAINTENANCE_PERIOD * periods - 32;
+        assert_eq!(snap.nodes_reclaimed + snap.reclaim_backlog, retired);
+        assert!(snap.nodes_reclaimed > 0);
     }
 
     #[test]
