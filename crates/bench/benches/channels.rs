@@ -1,10 +1,13 @@
 //! Message-passing costs: send/recv on the cache-line channel, a
-//! two-thread ping-pong (the native analogue of Figure 9), and the wire
-//! codec's share of a multi-frame round trip.
+//! two-thread ping-pong (the native analogue of Figure 9), a multi-frame
+//! ring echo frame by frame and as bursts, and the wire codec's share of
+//! a multi-frame round trip.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ssync_mp::channel::channel;
-use ssync_mp::Message;
+use ssync_mp::{
+    ring_channel, Message, MsgReceiver, RecvError, RingReceiver, RingSender, MSG_WORDS,
+};
 use ssync_srv::wire::{encode_set, encode_value};
 use ssync_srv::{Request, Response};
 
@@ -40,6 +43,65 @@ fn bench_ping_pong_threads(c: &mut Criterion) {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         echo.join().unwrap();
     });
+}
+
+/// A two-thread echo of an `n`-frame message over a pair of depth-64
+/// rings (`benchmark/`'s serving depth): 3, 11 and 19 frames are a 128 B,
+/// a 576 B and a 1 KiB value. `per_frame` sends and receives one frame
+/// at a time on both sides; `burst` sends with `send_all` and receives
+/// with `recv_burst_connected` — one space check per run, one stamp
+/// wait and one hand-back per message. The in-repo reading of the rung
+/// `benchmark/`'s one-frame-at-a-time echo cannot see.
+fn bench_ring_burst_echo(c: &mut Criterion) {
+    fn send(tx: &RingSender, frames: &[Message], burst: bool) {
+        if burst {
+            tx.send_all(frames);
+        } else {
+            frames.iter().for_each(|&f| tx.send(f));
+        }
+    }
+    fn recv(
+        rx: &RingReceiver,
+        n: usize,
+        out: &mut Vec<Message>,
+        burst: bool,
+    ) -> Result<(), RecvError> {
+        if burst {
+            return rx.recv_burst_connected(n, out);
+        }
+        out.clear();
+        for _ in 0..n {
+            out.push(rx.recv_connected()?);
+        }
+        Ok(())
+    }
+    let mut group = c.benchmark_group("ring_burst");
+    for n in [3usize, 11, 19] {
+        let message: Vec<Message> = (0..n as u64).map(|i| [i; MSG_WORDS]).collect();
+        for burst in [false, true] {
+            let name = format!("{}/{n}", if burst { "burst" } else { "per_frame" });
+            group.bench_function(&name, |b| {
+                let (request_tx, request_rx) = ring_channel(64);
+                let (reply_tx, reply_rx) = ring_channel(64);
+                let echo = std::thread::spawn(move || {
+                    let mut frames = Vec::with_capacity(n);
+                    // Ends when the measuring side drops its sender.
+                    while recv(&request_rx, n, &mut frames, burst).is_ok() {
+                        send(&reply_tx, &frames, burst);
+                    }
+                });
+                let mut back = Vec::with_capacity(n);
+                b.iter(|| {
+                    send(&request_tx, &message, burst);
+                    recv(&reply_rx, n, &mut back, burst).unwrap();
+                    black_box(&back);
+                });
+                drop(request_tx);
+                echo.join().unwrap();
+            });
+        }
+    }
+    group.finish();
 }
 
 /// Encode + decode of the two value carriers a read/write round trip
@@ -96,6 +158,7 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(700));
-    targets = bench_send_recv_same_thread, bench_ping_pong_threads, bench_wire_value_codec
+    targets = bench_send_recv_same_thread, bench_ping_pong_threads, bench_ring_burst_echo,
+        bench_wire_value_codec
 }
 criterion_main!(benches);

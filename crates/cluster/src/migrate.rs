@@ -71,7 +71,7 @@
 use ssync_core::SpinWait;
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
-use ssync_mp::{Message, MsgSender, RingSender};
+use ssync_mp::{Message, RingSender};
 use ssync_repl::{FaultSpec, LogEntry, OpLog};
 use ssync_srv::wire::encode_replicate;
 use ssync_srv::{slot_of, ROUTE_SLOTS};

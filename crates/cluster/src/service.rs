@@ -56,7 +56,7 @@ use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, RingReceiver, RingSender};
 use ssync_repl::{EntryView, LogEntry, OpLog};
 use ssync_srv::service::{ring_mesh, ReadHit, ServerEndpoint};
-use ssync_srv::wire::{Request, Response, WireError};
+use ssync_srv::wire::{replay, Request, Response, WireError};
 use ssync_srv::{slot_of, Admit, Hooks, NodeCore, Poll, ServiceClient};
 
 use crate::map::{is_armed, MapSnapshot, ShardMap};
@@ -222,6 +222,8 @@ pub fn serve_cluster_node<R: RawLock + Default>(
     let mut acked_round = Fence::default();
     // Cumulative migration-stream entries processed.
     let mut mig_processed = 0u64;
+    // A migration entry's continuation frames, taken as one burst.
+    let mut frames = Vec::new();
     while core.live() > 0 {
         // Arming handshake, before anything this pass can commit.
         let mut progressed = follow_log_arming(map, me, log, &mut policy.log_generation);
@@ -240,7 +242,14 @@ pub fn serve_cluster_node<R: RawLock + Default>(
         // Drain the migration stream.
         while let Some(head) = migration.try_recv() {
             progressed = true;
-            let request = Request::decode(head, || migration.recv());
+            let more = Request::continuations(&head);
+            if migration.recv_burst_connected(more, &mut frames).is_err() {
+                // The coordinator died mid-entry: nothing to apply, and
+                // nothing to count as migrated.
+                core.counts.malformed += 1;
+                break;
+            }
+            let request = Request::decode(head, replay(&frames));
             match request.as_ref().ok().and_then(EntryView::of) {
                 Some(entry) => {
                     entry.apply_to(store);
@@ -461,7 +470,6 @@ impl ssync_srv::KvClient for ClusterClient<'_> {
 mod tests {
     use super::*;
     use ssync_locks::TicketLock;
-    use ssync_mp::MsgSender;
     use ssync_srv::router::key_bytes;
 
     fn stores(n: usize) -> Vec<KvStore<TicketLock>> {
@@ -801,5 +809,60 @@ mod tests {
         });
         let (v, _) = stores[1].get_with_version(&key_bytes(owned + 1)).unwrap();
         assert_eq!(v, 6);
+    }
+
+    /// Regression: the drain pulled an entry's continuation frames with
+    /// a receive that never gives up, so a coordinator that died after
+    /// a long value's head frame wedged the node for every client. The
+    /// truncated entry is counted malformed, neither applied nor counted
+    /// as migrated, and the node keeps serving. Detached under a
+    /// deadline, so a wedged node fails instead of hanging the suite.
+    #[test]
+    fn coordinator_dying_mid_entry_is_counted_and_the_node_keeps_serving() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let map = ShardMap::new(2);
+            let (stores, logs) = (stores(2), logs(2));
+            let (endpoints, mut conns, mut mig) = cluster_mesh(2, 1, 16, 64);
+            let owned = (0u64..).find(|&k| map.owner_of(slot_of(k)) == 1).unwrap();
+            let report = std::thread::scope(|s| {
+                let nodes: Vec<_> = endpoints
+                    .into_iter()
+                    .enumerate()
+                    .map(|(shard, endpoint)| {
+                        let (store, log, map) = (&stores[shard], &logs[shard], &map);
+                        s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint))
+                    })
+                    .collect();
+                let entry = Request::Replicate {
+                    key: owned,
+                    version: 5,
+                    value: vec![7; 300],
+                };
+                let stream = mig.pop().unwrap();
+                stream.send(entry.encode()[0]);
+                drop(stream);
+                let client = ClusterClient::new(&map, conns.pop().unwrap());
+                while client.stats(1).unwrap().counter("srv.malformed") != Some(1) {
+                    std::thread::yield_now();
+                }
+                assert_eq!(
+                    client.get(owned),
+                    Ok(None),
+                    "a truncated entry applies nothing"
+                );
+                let version = client.set(owned, b"w".to_vec()).unwrap();
+                assert_eq!(client.get(owned).unwrap(), Some((version, b"w".to_vec())));
+                client.close();
+                let mut reports = nodes.into_iter().map(|n| n.join().unwrap());
+                reports.nth(1).unwrap()
+            });
+            assert_eq!(map.migrated_of(1), 0);
+            done_tx.send(report).unwrap();
+        });
+        let report = done_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a coordinator that died mid-entry wedged the node");
+        assert_eq!((report.malformed, report.migration_entries), (1, 0));
     }
 }

@@ -80,6 +80,25 @@ pub trait MsgReceiver {
         }
     }
 
+    /// Receives the next `n` messages into `out` (cleared first): how a
+    /// message's continuation frames are taken once its head frame has
+    /// said how many follow. This default takes them one
+    /// [`MsgReceiver::recv_connected`] at a time; the ring overrides it
+    /// with a burst (one stamp wait and one hand-back per chunk).
+    ///
+    /// # Errors
+    ///
+    /// [`RecvError::Disconnected`] if the sending half was dropped
+    /// before the `n`-th message arrived; the ones that did arrive are
+    /// consumed.
+    fn recv_burst_connected(&self, n: usize, out: &mut Vec<Message>) -> Result<(), RecvError> {
+        out.clear();
+        for _ in 0..n {
+            out.push(self.recv_connected()?);
+        }
+        Ok(())
+    }
+
     /// [`MsgReceiver::recv_connected`] with a wall-clock deadline: also
     /// fails with [`RecvError::TimedOut`] once `deadline` passes, so a
     /// caller never blocks unboundedly even on a live-but-wedged peer.
@@ -131,6 +150,10 @@ impl MsgReceiver for RingReceiver {
     fn has_message(&self) -> bool {
         RingReceiver::has_message(self)
     }
+
+    fn recv_burst_connected(&self, n: usize, out: &mut Vec<Message>) -> Result<(), RecvError> {
+        RingReceiver::recv_burst_connected(self, n, out)
+    }
 }
 
 /// The send side of either channel flavour — the mirror of
@@ -171,9 +194,19 @@ pub trait MsgSender {
         }
     }
 
+    /// Sends a frame sequence — a message's head and continuation
+    /// frames — blocking while the channel is full. This default sends
+    /// one frame at a time; the ring overrides it with greedy bursts.
+    fn send_all(&self, frames: &[Message]) {
+        for &frame in frames {
+            self.send(frame);
+        }
+    }
+
     /// Sends a frame sequence via [`MsgSender::send_connected`],
-    /// stopping at the first failure — the bulk form migration streams
-    /// use to push a value's head + continuation frames as one unit.
+    /// stopping at the first failure — the connected form of
+    /// [`MsgSender::send_all`], which every client connection and node
+    /// stream sends through.
     ///
     /// # Errors
     ///
@@ -212,6 +245,14 @@ impl MsgSender for RingSender {
 
     fn receiver_closed(&self) -> bool {
         RingSender::receiver_closed(self)
+    }
+
+    fn send_all(&self, frames: &[Message]) {
+        RingSender::send_all(self, frames)
+    }
+
+    fn send_all_connected(&self, frames: &[Message]) -> Result<(), Disconnected> {
+        RingSender::send_all_connected(self, frames)
     }
 }
 
@@ -272,23 +313,29 @@ impl<C: MsgReceiver> ServerHub<C> {
         }
     }
 
-    /// Receives the next message from one client, spinning until it
-    /// arrives: how a serve loop pulls the continuation frames of a
-    /// value whose head frame came from `client`, so interleaved
-    /// clients' frames are never mixed. Leaves the round-robin cursor
-    /// where it was — the head frame's receive already advanced it.
+    /// Receives the next `n` messages from one client into `out`
+    /// ([`MsgReceiver::recv_burst_connected`]): how a serve loop takes
+    /// the continuation frames of a request whose head frame came from
+    /// `client`, so interleaved clients' frames are never mixed. Leaves
+    /// the round-robin cursor where it was — the head frame's receive
+    /// already advanced it.
     ///
     /// # Errors
     ///
-    /// [`RecvError::Disconnected`] if `client` is gone and its channel
-    /// drained: one client dying mid-request must not hang the server
-    /// every other client shares.
+    /// [`RecvError::Disconnected`] if `client` went away before the
+    /// `n`-th message: one client dying mid-request must not hang the
+    /// server every other client shares.
     ///
     /// # Panics
     ///
     /// Panics if `client` is out of range.
-    pub fn recv_from(&mut self, client: usize) -> Result<Message, RecvError> {
-        self.clients[client].recv_connected()
+    pub fn recv_burst_from(
+        &self,
+        client: usize,
+        n: usize,
+        out: &mut Vec<Message>,
+    ) -> Result<(), RecvError> {
+        self.clients[client].recv_burst_connected(n, out)
     }
 
     /// True if `client` went away for good: its sending half dropped
@@ -376,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn recv_from_reads_one_client_and_keeps_the_rotation() {
+    fn recv_burst_from_reads_one_client_and_keeps_the_rotation() {
         let (tx0, rx0) = crate::ring::ring_channel(4);
         let (tx1, rx1) = crate::ring::ring_channel(4);
         let (tx2, rx2) = crate::ring::ring_channel(4);
@@ -385,18 +432,41 @@ mod tests {
         // while clients 0 and 2 hold traffic the whole time.
         tx0.send([10; 7]);
         tx2.send([12; 7]);
-        tx1.send([1; 7]);
-        tx1.send([2; 7]);
-        tx1.send([3; 7]);
+        tx1.send_all(&[[1; 7], [2; 7], [3; 7], [4; 7]]);
         assert_eq!(hub.recv_from_any(), (0, [10; 7]));
         assert_eq!(hub.recv_from_any(), (1, [1; 7]));
-        assert_eq!(hub.recv_from(1), Ok([2; 7]));
-        assert_eq!(hub.recv_from(1), Ok([3; 7]));
-        // The direct receives did not move the cursor: 2 is still next.
+        let mut rest = vec![[99; 7]];
+        assert_eq!(hub.recv_burst_from(1, 2, &mut rest), Ok(()));
+        assert_eq!(rest, [[2; 7], [3; 7]]);
+        // The direct receive did not move the cursor: 2 is still next.
         assert_eq!(hub.recv_from_any(), (2, [12; 7]));
-        // A client that went away mid-sequence is an error, not a spin.
+        // A client that went away mid-sequence is an error, not a spin,
+        // and what it did send is consumed.
         drop(tx1);
-        assert_eq!(hub.recv_from(1), Err(RecvError::Disconnected));
+        assert_eq!(
+            hub.recv_burst_from(1, 2, &mut rest),
+            Err(RecvError::Disconnected)
+        );
+        assert_eq!(rest, [[4; 7]]);
+        assert!(hub.departed(1));
+    }
+
+    /// The one-line channel keeps the per-frame defaults, with the
+    /// same contract as the ring's bursts.
+    #[test]
+    fn per_frame_defaults_match_the_burst_contract() {
+        let (tx, rx) = channel();
+        std::thread::scope(|s| {
+            s.spawn(move || MsgSender::send_all(&tx, &[[1; 7], [2; 7], [3; 7]]));
+            let mut got = Vec::new();
+            assert_eq!(rx.recv_burst_connected(2, &mut got), Ok(()));
+            assert_eq!(got, [[1; 7], [2; 7]]);
+            assert_eq!(
+                rx.recv_burst_connected(2, &mut got),
+                Err(RecvError::Disconnected)
+            );
+            assert_eq!(got, [[3; 7]]);
+        });
     }
 
     /// Regression test for the round-robin start-after-last-served

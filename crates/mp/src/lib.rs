@@ -11,10 +11,13 @@
 //!   one line holding a sequence stamp and the payload, so a hop still
 //!   costs the two line transfers of the one-line channel, with queue
 //!   depth for oversubscribed hosts where a one-deep buffer turns
-//!   every multi-frame transfer into a context-switch pair per frame.
+//!   every multi-frame transfer into a context-switch pair per frame,
+//!   and a burst path that moves a multi-frame message with one space
+//!   check, one stamp wait and one hand-back.
 //! * [`hub`] — client/server helpers: receive from any client, from a
-//!   subset, or from one named client, as `libssmp` provides for
-//!   server loops; generic over both channel flavours.
+//!   subset, or a message's continuation frames from one named client,
+//!   as `libssmp` provides for server loops; generic over both channel
+//!   flavours.
 //!
 //! # Examples
 //!

@@ -45,7 +45,51 @@
 //! under-reports free space: the producer re-loads the real `head`
 //! (Acquire, pairing with the consumer's Release hand-back) only when
 //! the cached copy says the ring is full — once per `depth` sends when
-//! it runs ahead of the consumer, not once per send.
+//! it runs ahead of the consumer, not once per send (a burst re-loads
+//! when the copy leaves less room than the message; see "Bursts").
+//!
+//! # Bursts
+//!
+//! A multi-frame message — a long value's head and continuations, a
+//! replication entry, a migrated page's entry — can cross the ring as
+//! one burst instead of one hop per frame.
+//!
+//! * **Send** ([`RingSender::try_send_burst`], and the blocking
+//!   [`RingSender::send_all`] / [`RingSender::send_all_connected`] over
+//!   it) writes a *run*: one space check against the cached `head`,
+//!   re-loaded once if the copy does not cover the whole message, then
+//!   payload and stamp of each free slot in position order.
+//! * **Receive** ([`RingReceiver::try_recv_burst`], and
+//!   [`RingReceiver::recv_burst_connected`] over it) takes the next `k`
+//!   frames by polling only the *last* one's stamp, `seq == head + k`
+//!   (Acquire), copying the `k` payloads, and handing every slot back
+//!   with one `head = head + k` (Release).
+//!
+//! **One Acquire load covers every earlier payload.** The producer
+//! writes positions in order and each payload before its own stamp, so
+//! in its program order every payload of positions `head..head + k`
+//! precedes the Release store of the last stamp. An Acquire load that
+//! reads that stamp synchronizes with that store, and everything
+//! sequenced before it — the earlier payloads included — is visible;
+//! the earlier stamps need not be read. None of those slots can be
+//! rewritten under the copy either: the next lap of position `p` is
+//! `p + depth`, which the producer writes only once it has seen a
+//! `head` past `p`, and only this hand-back moves `head` past them.
+//! What the argument forbids is a later slot stamped before an earlier
+//! payload is written (the `StampBeforeEarlierPayload` model twin).
+//!
+//! **The producer is greedy.** A run publishes as many frames as there
+//! is room for, and the producer comes back for the rest; it never
+//! waits for room for the whole message. A message longer than the
+//! ring — a 1 KiB value is 19 frames, a serving ring may be 8 deep, a
+//! replication entry may go over a depth-1 ring — would otherwise wait
+//! for space that cannot exist while the consumer waits for frames that
+//! cannot be sent (the `WholeBurstSpace` model twin).
+//!
+//! **The consumer waits at most `depth` positions ahead.** A message of
+//! `n` frames is taken in chunks of `min(remaining, depth)`: the last
+//! position it waits on is below `head + depth`, inside the producer's
+//! bound, so a greedy producer can always reach it.
 //!
 //! # Line transfers per hop
 //!
@@ -70,6 +114,7 @@ use ssync_core::{CachePadded, SpinWait};
 
 use crate::channel::Message;
 use crate::channel::{RX_CLOSED, TX_CLOSED};
+use crate::hub::{Disconnected, RecvError};
 use crate::MSG_WORDS;
 
 /// One `libssmp` buffer: stamp and payload fill exactly one line.
@@ -103,15 +148,16 @@ struct Producer {
 /// unique producer, for a position `p < head + depth` with `head` as of
 /// an Acquire load pairing with the consumer's Release hand-back (so
 /// the previous lap's read is complete), and read only by the unique
-/// consumer after an Acquire load of `seq == p + 1`, pairing with the
-/// producer's Release publication. No slot is ever accessed
-/// concurrently.
+/// consumer after an Acquire load of `seq == q + 1` for some `q` in
+/// `p..head + depth` — its own stamp, or a later one of the same burst —
+/// pairing with the producer's Release publication. No slot is ever
+/// accessed concurrently.
 struct Ring {
     slots: Box<[Slot]>,
     producer: CachePadded<Producer>,
     /// Next position the consumer reads; only the consumer advances
-    /// it, and the producer loads it only when its cached copy says
-    /// the ring is full.
+    /// it, and the producer loads it only when its cached copy leaves
+    /// too little room for the frames at hand.
     head: CachePadded<AtomicU64>,
     /// Dropped-half bits ([`mod@crate::channel`]'s `TX_CLOSED`/`RX_CLOSED`),
     /// on their own line so the fast path never touches it; polled
@@ -132,6 +178,11 @@ pub enum RingFault {
     /// On a ring its cached `head` calls full, the producer neither
     /// re-loads the real `head` nor re-checks the bound.
     SkipHeadReload,
+    /// A burst run writes its last frame, stamp included, before the
+    /// earlier frames' payloads.
+    StampBeforeEarlierPayload,
+    /// A burst publishes nothing until the whole message fits.
+    WholeBurstSpace,
 }
 
 // SAFETY: per the slot discipline on [`Ring`] — a slot's `data` is
@@ -172,6 +223,25 @@ impl Ring {
     /// The slot position `pos` lives in (`depth` is a power of two).
     fn slot(&self, pos: u64) -> &Slot {
         &self.slots[(pos as usize) & (self.slots.len() - 1)]
+    }
+
+    /// Writes `msg` into position `pos` and stamps it. Called only by
+    /// the unique producer, for a `pos` below a `head + depth` it
+    /// Acquire-loaded (possibly through its cached copy).
+    fn publish(&self, pos: u64, msg: Message) {
+        let slot = self.slot(pos);
+        #[cfg(ssync_chk)]
+        if self.fault == Some(RingFault::PublishBeforePayload) {
+            slot.seq.store(pos + 1, Ordering::Release);
+        }
+        #[cfg(ssync_chk)]
+        slot.witness.store(msg[0], Ordering::Relaxed);
+        // SAFETY: we are the unique producer, and `pos < head + depth`
+        // against an Acquire-loaded `head` means the consumer handed
+        // this slot back; it will not look at `data` again before the
+        // stamp below.
+        unsafe { *slot.data.get() = msg };
+        slot.seq.store(pos + 1, Ordering::Release);
     }
 
     fn new(depth: usize) -> Self {
@@ -235,6 +305,16 @@ impl RingSender {
     /// Attempts to send without blocking; returns the message back if
     /// the ring is full.
     pub fn try_send(&self, msg: Message) -> Result<(), Message> {
+        match self.try_send_burst(core::slice::from_ref(&msg)) {
+            0 => Err(msg),
+            _ => Ok(()),
+        }
+    }
+
+    /// Publishes the longest prefix of `frames` the ring has room for —
+    /// one run, one space check — and returns its length (0 when the
+    /// ring is full or `frames` empty). See the module docs' "Bursts".
+    pub fn try_send_burst(&self, frames: &[Message]) -> usize {
         let ring = &*self.ring;
         let depth = ring.slots.len() as u64;
         let tail = ring.producer.tail.get();
@@ -245,38 +325,80 @@ impl RingSender {
             head <= tail && tail - head <= depth,
             "ring counters out of range: cached head {head}, tail {tail}"
         );
-        let full = tail - head == depth;
+        let want = frames.len() as u64;
+        let short = depth - (tail - head) < want;
         #[cfg(ssync_chk)]
-        let full = full && ring.fault != Some(RingFault::SkipHeadReload);
-        if full {
-            // The cached copy may lag: only the real `head` can call
-            // the ring full. Acquire pairs with the consumer's Release
-            // hand-back, so its read of the slot we are about to
-            // overwrite is complete.
+        let short = short && ring.fault != Some(RingFault::SkipHeadReload);
+        if short {
+            // The cached copy may lag: only the real `head` can bound
+            // the run. Acquire pairs with the consumer's Release
+            // hand-back, so its reads of the slots we are about to
+            // overwrite are complete.
             head = ring.head.load(Ordering::Acquire);
             debug_assert!(
                 head <= tail && tail - head <= depth,
                 "ring counters out of range: head {head}, tail {tail}"
             );
-            if tail - head == depth {
-                return Err(msg);
-            }
             ring.producer.cached_head.set(head);
         }
-        let slot = ring.slot(tail);
+        let run = want.min(depth - (tail - head));
         #[cfg(ssync_chk)]
-        if ring.fault == Some(RingFault::PublishBeforePayload) {
-            slot.seq.store(tail + 1, Ordering::Release);
+        let run = match ring.fault {
+            Some(RingFault::SkipHeadReload) => want,
+            Some(RingFault::WholeBurstSpace) if run < want => 0,
+            _ => run,
+        };
+        let frames = &frames[..run as usize];
+        #[cfg(ssync_chk)]
+        let frames = match frames.split_last() {
+            Some((&last, earlier)) if ring.fault == Some(RingFault::StampBeforeEarlierPayload) => {
+                ring.publish(tail + run - 1, last);
+                earlier
+            }
+            _ => frames,
+        };
+        for (pos, &msg) in (tail..).zip(frames) {
+            ring.publish(pos, msg);
         }
-        #[cfg(ssync_chk)]
-        slot.witness.store(msg[0], Ordering::Relaxed);
-        // SAFETY: we are the unique producer, and `tail - head < depth`
-        // against an Acquire-loaded `head` means the consumer handed
-        // this slot back; it will not look at `data` again before the
-        // stamp below.
-        unsafe { *slot.data.get() = msg };
-        slot.seq.store(tail + 1, Ordering::Release);
-        ring.producer.tail.set(tail + 1);
+        ring.producer.tail.set(tail + run);
+        run as usize
+    }
+
+    /// Sends every frame in order, blocking (spin then yield) while the
+    /// ring is full, one greedy run at a time: it never waits for room
+    /// for the whole message, so a message longer than the ring goes
+    /// through.
+    pub fn send_all(&self, frames: &[Message]) {
+        let _ = self.send_runs(frames, || false);
+    }
+
+    /// [`RingSender::send_all`] with an escape: fails once the
+    /// receiving half is gone — checked before every run — instead of
+    /// spinning against a ring nobody will drain.
+    ///
+    /// # Errors
+    ///
+    /// [`Disconnected`] if the receiving half was dropped; runs before
+    /// the failing check were already published.
+    pub fn send_all_connected(&self, frames: &[Message]) -> Result<(), Disconnected> {
+        self.send_runs(frames, || self.receiver_closed())
+    }
+
+    fn send_runs(
+        &self,
+        mut frames: &[Message],
+        closed: impl Fn() -> bool,
+    ) -> Result<(), Disconnected> {
+        let mut wait = SpinWait::new();
+        while !frames.is_empty() {
+            if closed() {
+                return Err(Disconnected);
+            }
+            match self.try_send_burst(frames) {
+                0 => wait.snooze(),
+                run => frames = &frames[run..],
+            }
+        }
         Ok(())
     }
 
@@ -302,36 +424,98 @@ impl RingReceiver {
 
     /// Attempts to receive without blocking.
     pub fn try_recv(&self) -> Option<Message> {
+        let mut msg = None;
+        self.take(1, |m| msg = Some(m));
+        msg
+    }
+
+    /// Appends the next `n` messages to `out` if all of them are
+    /// published — one Acquire load of the last one's stamp, one
+    /// hand-back — and returns whether it did; consumes nothing
+    /// otherwise. See the module docs' "Bursts".
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero or exceeds the ring's depth.
+    pub fn try_recv_burst(&self, n: usize, out: &mut Vec<Message>) -> bool {
+        assert!(
+            (1..=self.ring.slots.len()).contains(&n),
+            "a burst takes 1..=depth frames"
+        );
+        self.take(n as u64, |m| out.push(m))
+    }
+
+    /// Receives the next `n` messages into `out` (cleared first),
+    /// blocking in chunks of at most `depth`: the connected burst form
+    /// of [`MsgReceiver::recv_connected`](crate::MsgReceiver::recv_connected).
+    ///
+    /// # Errors
+    ///
+    /// [`RecvError::Disconnected`] if the sending half was dropped
+    /// before the `n`-th message was published; whatever it did publish
+    /// is consumed, so the ring reads drained.
+    pub fn recv_burst_connected(&self, n: usize, out: &mut Vec<Message>) -> Result<(), RecvError> {
+        out.clear();
+        let depth = self.ring.slots.len();
+        while out.len() < n {
+            let chunk = (n - out.len()).min(depth);
+            let mut wait = SpinWait::new();
+            while !self.try_recv_burst(chunk, out) {
+                if self.sender_closed() {
+                    // Final drain: the sender may have published the
+                    // chunk between the failed poll above and its drop.
+                    if self.try_recv_burst(chunk, out) {
+                        break;
+                    }
+                    out.extend(core::iter::from_fn(|| self.try_recv()));
+                    return Err(RecvError::Disconnected);
+                }
+                wait.snooze();
+            }
+        }
+        Ok(())
+    }
+
+    /// The one consumer step under every receive: if positions
+    /// `head..head + n` (`1 <= n <= depth`) are all published, hands
+    /// their payloads to `each` in order, then the slots back.
+    #[inline]
+    fn take(&self, n: u64, mut each: impl FnMut(Message)) -> bool {
         let ring = &*self.ring;
         let depth = ring.slots.len() as u64;
         // Consumer-owned: only this side stores `head`.
         let head = ring.head.load(Ordering::Relaxed);
-        let slot = ring.slot(head);
-        let seq = slot.seq.load(Ordering::Acquire);
-        if seq != head + 1 {
+        let last = head + n - 1;
+        let seq = ring.slot(last).seq.load(Ordering::Acquire);
+        if seq != last + 1 {
             // Not published yet: the slot must still carry the previous
             // lap's stamp (0 on the first lap). Anything else means the
             // producer overran the bound and overwrote an unread slot.
             debug_assert!(
-                seq == (head + 1).saturating_sub(depth),
+                seq == (last + 1).saturating_sub(depth),
                 "ring slot stamp out of range (unread slot overwritten?): \
-                 head {head}, stamp {seq}, depth {depth}"
+                 position {last}, stamp {seq}, depth {depth}"
             );
-            return None;
+            return false;
         }
-        // SAFETY: the Acquire load above saw this position's stamp, so
-        // the payload write before it is visible, and the producer
-        // leaves the slot alone until the hand-back below; we are the
-        // unique consumer.
-        let msg = unsafe { *slot.data.get() };
-        #[cfg(ssync_chk)]
-        let msg = {
-            let mut seen = msg;
-            seen[0] = slot.witness.load(Ordering::Relaxed);
-            seen
-        };
-        ring.head.store(head + 1, Ordering::Release);
-        Some(msg)
+        for pos in head..=last {
+            let slot = ring.slot(pos);
+            // SAFETY: the Acquire load above saw the last position's
+            // stamp, so every payload written before it — this one
+            // included — is visible, and the producer leaves these slots
+            // alone until the hand-back below; we are the unique
+            // consumer.
+            let msg = unsafe { *slot.data.get() };
+            #[cfg(ssync_chk)]
+            let msg = {
+                let mut seen = msg;
+                seen[0] = slot.witness.load(Ordering::Relaxed);
+                seen
+            };
+            each(msg);
+        }
+        ring.head.store(last + 1, Ordering::Release);
+        true
     }
 
     /// True if a message is waiting (advisory).
@@ -444,6 +628,86 @@ mod tests {
             }
         });
         assert!(rx.try_recv().is_none());
+    }
+
+    /// The same traffic as one burst per value on both sides, at depths
+    /// below the message length: every value is more than a whole ring,
+    /// so the greedy producer publishes partial runs while the consumer
+    /// waits on chunks of at most `depth` frames — and a producer that
+    /// waited for room for the whole message would hang here.
+    #[test]
+    fn threaded_bursts_longer_than_the_ring_neither_tear_nor_interleave() {
+        const FRAMES: u64 = 19;
+        const VALUES: u64 = 300;
+        let value = |v: u64| -> Vec<Message> {
+            (0..FRAMES)
+                .map(|index| core::array::from_fn(|w| (v << 16) | (index << 8) | w as u64))
+                .collect()
+        };
+        for depth in [1, 2, 8] {
+            let (tx, rx) = ring_channel(depth);
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    for v in 0..VALUES {
+                        tx.send_all(&value(v));
+                    }
+                });
+                let mut got = Vec::new();
+                for v in 0..VALUES {
+                    assert_eq!(rx.recv_burst_connected(FRAMES as usize, &mut got), Ok(()));
+                    assert_eq!(got, value(v), "depth {depth} value {v}");
+                }
+                assert_eq!(
+                    rx.recv_burst_connected(1, &mut got),
+                    Err(RecvError::Disconnected)
+                );
+            });
+        }
+    }
+
+    /// Per-frame and burst traffic interleave on one ring in FIFO
+    /// order, across laps: a burst starts wherever the last single
+    /// frame left the ring, on either side.
+    #[test]
+    fn per_frame_and_burst_traffic_share_one_fifo() {
+        const DEPTH: usize = 4;
+        let (tx, rx) = ring_channel(DEPTH);
+        let frames =
+            |from: u64, to: u64| -> Vec<Message> { (from..to).map(|i| [i; MSG_WORDS]).collect() };
+        let (mut sent, mut read) = (0u64, 0u64);
+        let mut got = Vec::new();
+        for round in 0..64u64 {
+            // Offer 1..=5 frames, one by one or as one burst; either way
+            // only what the free slots hold goes out.
+            let offered = frames(sent, sent + round % 5 + 1);
+            let free = DEPTH - (sent - read) as usize;
+            let took = if round % 2 == 0 {
+                tx.try_send_burst(&offered)
+            } else {
+                offered
+                    .iter()
+                    .take_while(|&&f| tx.try_send(f).is_ok())
+                    .count()
+            };
+            assert_eq!(took, offered.len().min(free), "round {round}");
+            sent += took as u64;
+            // Drain one frame, or the whole backlog as one burst (one
+            // more than is queued is refused and consumes nothing).
+            let queued = (sent - read) as usize;
+            if round % 3 == 0 {
+                assert_eq!(rx.try_recv(), Some([read; MSG_WORDS]));
+                read += 1;
+            } else {
+                if queued < DEPTH {
+                    assert!(!rx.try_recv_burst(queued + 1, &mut got));
+                }
+                got.clear();
+                assert!(rx.try_recv_burst(queued, &mut got));
+                assert_eq!(got, frames(read, sent), "round {round}");
+                read = sent;
+            }
+        }
+        assert!(read > 16 * DEPTH as u64, "the traffic must lap the ring");
     }
 
     /// The producer's plain cells must not cost the halves their

@@ -32,9 +32,10 @@
 //! is not yet visible when its stamp is reads back with a stale word 0
 //! and fails the models' whole-frame equality.
 //!
-//! Two `expect_violation` twins remove one guard each through
+//! Four `expect_violation` twins remove one guard each through
 //! `ring_channel_with_fault` (a hook that exists only under this cfg)
-//! and must be *caught*, proving the guards load-bearing.
+//! and must be *caught*, proving the guards load-bearing: two on the
+//! per-frame protocol, two on the burst path (`ring.rs`'s "Bursts").
 //!
 //! Run with:
 //! `RUSTFLAGS='--cfg ssync_chk' cargo test -p ssync-mp --test chk_models`
@@ -215,6 +216,131 @@ fn skipping_the_head_reload_overwrites_an_unread_slot() {
     );
     eprintln!(
         "ring skip-head-reload twin: caught at execution {}",
+        violation.execution
+    );
+}
+
+/// One three-frame message — longer than the depth-2 ring it crosses —
+/// sent with `send_all` and received with `recv_burst_connected`: the
+/// producer publishes a partial run (two frames) and blocks on the full
+/// ring, the consumer waits on the second frame's stamp only and hands
+/// both slots back at once, and the third frame reuses slot 0.
+fn burst_through(tx: RingSender, rx: RingReceiver) {
+    let frames = [[1; MSG_WORDS], [2; MSG_WORDS], [3; MSG_WORDS]];
+    let producer = thread::spawn(move || tx.send_all(&frames));
+    let mut got = Vec::new();
+    assert_eq!(rx.recv_burst_connected(frames.len(), &mut got), Ok(()));
+    assert_eq!(got, frames, "burst lost, reordered, or torn");
+    producer.join();
+    assert!(!rx.has_message(), "phantom frame after the burst");
+}
+
+/// [`burst_through`] without blocking (see [`fill_then_wrap`]): the
+/// producer's first run must fill the empty ring and stop short of the
+/// message's end; its second run gets the third frame out only where
+/// the consumer's hand-back has landed. The consumer polls twice while
+/// the producer runs — a chunk of at most `depth` frames, whole or not
+/// at all — and drains the rest after the join.
+fn burst_then_wrap(tx: RingSender, rx: RingReceiver) {
+    let frames = [[1; MSG_WORDS], [2; MSG_WORDS], [3; MSG_WORDS]];
+    let producer = thread::spawn(move || {
+        assert_eq!(tx.try_send_burst(&frames), 2, "a run must fill the ring");
+        2 + tx.try_send_burst(&frames[2..])
+    });
+    let mut got = Vec::new();
+    let mut poll = |got: &mut Vec<_>| {
+        let chunk = (frames.len() - got.len()).min(2);
+        chunk > 0 && rx.try_recv_burst(chunk, got)
+    };
+    poll(&mut got);
+    poll(&mut got);
+    let sent = producer.join();
+    while got.len() < sent {
+        assert!(poll(&mut got), "a published chunk was not taken");
+    }
+    assert_eq!(got, frames[..sent], "burst lost, reordered, or torn");
+}
+
+/// The loop-free burst scenario has a finite schedule tree, so it runs
+/// with the preemption bound lifted. It has to: at the default bound of
+/// 3 the sleep-set pruning loses interleavings a bounded search cannot
+/// re-reach another way, and neither memory model then finds the
+/// stamp-order twin below (6 strong and 2 224 weak executions pass).
+fn exhaustive() -> Builder {
+    Builder::new().with_preemption_bound(usize::MAX)
+}
+
+/// Bursts longer than the ring: greedy partial publication, the
+/// consumer's at-most-`depth` wait on a chunk's last stamp, one
+/// hand-back per chunk, and the wrap into a slot that chunk handed back
+/// — exhaustively under both memory models, then once more through the
+/// blocking loops (`send_all`'s runs, `recv_burst_connected`'s chunks).
+#[test]
+fn bursts_longer_than_the_ring_arrive_whole() {
+    let report = exhaustive().check(|| {
+        let (tx, rx) = ring_channel(2);
+        burst_then_wrap(tx, rx);
+    });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    eprintln!("ring burst strong model: {} executions", report.executions);
+
+    let report = exhaustive()
+        .with_weak_memory(true)
+        .with_max_executions(100_000)
+        .check(|| {
+            let (tx, rx) = ring_channel(2);
+            burst_then_wrap(tx, rx);
+        });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    eprintln!("ring burst weak model: {} executions", report.executions);
+
+    // Spinning loops make an unbounded tree: one switch over the
+    // default bound reaches the producer's blocked second run.
+    let report = Builder::new().with_preemption_bound(4).check(|| {
+        let (tx, rx) = ring_channel(2);
+        burst_through(tx, rx);
+    });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    eprintln!(
+        "ring burst blocking model: {} executions",
+        report.executions
+    );
+}
+
+/// Twin of the burst receive's one Acquire load: a run stamps its last
+/// slot before the earlier payloads are written, and the consumer —
+/// which reads only that stamp — copies a frame that is not there yet.
+#[test]
+fn stamping_a_later_slot_before_an_earlier_payload_is_caught() {
+    let violation = exhaustive().expect_violation(|| {
+        let (tx, rx) = ring_channel_with_fault(2, RingFault::StampBeforeEarlierPayload);
+        burst_then_wrap(tx, rx);
+    });
+    assert!(
+        violation.message.contains("torn"),
+        "wrong failure: {violation}"
+    );
+    eprintln!(
+        "ring stamp-before-earlier-payload twin: caught at execution {}",
+        violation.execution
+    );
+}
+
+/// Twin of the greedy producer: it waits for room for the whole
+/// three-frame message, which a depth-2 ring never has, while the
+/// consumer waits for a chunk nobody publishes.
+#[test]
+fn waiting_for_room_for_the_whole_burst_is_caught() {
+    let violation = Builder::new().expect_violation(|| {
+        let (tx, rx) = ring_channel_with_fault(2, RingFault::WholeBurstSpace);
+        burst_through(tx, rx);
+    });
+    assert!(
+        violation.message.contains("livelock") || violation.message.contains("deadlock"),
+        "wrong failure: {violation}"
+    );
+    eprintln!(
+        "ring whole-burst-space twin: caught at execution {}",
         violation.execution
     );
 }

@@ -95,10 +95,10 @@ use bytes::Bytes;
 use ssync_core::{Fence, RegistrySnapshot, RetryPacer};
 use ssync_kv::{KvStore, StatsSnapshot};
 use ssync_locks::RawLock;
-use ssync_mp::{ring_channel, Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
+use ssync_mp::{ring_channel, Message, MsgReceiver, RingReceiver, RingSender};
 use ssync_srv::router::{key_bytes, shard_of, ShardRouter};
 use ssync_srv::service::{ring_mesh, KvClient, ReadHit, ServerEndpoint, ServiceClient};
-use ssync_srv::wire::{Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
+use ssync_srv::wire::{replay, Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
 use ssync_srv::{Admit, Conn, Hooks, NoHooks, NodeCore, Poll};
 
 use crate::cluster::{ClusterMap, ShardView};
@@ -893,7 +893,17 @@ pub fn serve_node<R: RawLock + Default>(
             .find_map(|(peer, rx)| Some((peer, rx.try_recv()?)));
         if let Some((peer, head)) = streamed {
             core.pace(store, true);
-            let request = Request::decode(head, || peer_stream_rx[peer].recv());
+            let more = Request::continuations(&head);
+            if peer_stream_rx[peer]
+                .recv_burst_connected(more, &mut frames)
+                .is_err()
+            {
+                // The peer died mid-entry: nothing to apply or ack, and
+                // nothing more will come on this ring.
+                core.counts.malformed += 1;
+                continue;
+            }
+            let request = Request::decode(head, replay(&frames));
             if matches!(request, Ok(Request::Stop)) {
                 // Decided against the map as it is *now*, not the
                 // `view` from the top of this iteration: a peer that
@@ -2180,6 +2190,52 @@ mod tests {
             .get_with_version(&key_bytes(7))
             .unwrap();
         assert_eq!((version, value.as_ref()), (1, b"after".as_slice()));
+    }
+
+    /// Regression: the follower pulled an entry's continuation frames
+    /// with a receive that never gives up, so a leader that died after
+    /// a long value's head frame wedged the follower. The truncated
+    /// entry is counted malformed, neither applied nor acked, and the
+    /// node keeps serving — here until it promotes itself over the dead
+    /// leader and shuts down. Detached under a deadline, so a wedged
+    /// node fails instead of hanging the suite.
+    #[test]
+    fn a_peer_dying_mid_entry_is_counted_and_the_follower_keeps_serving() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 64, 8, ReplSpec::sync(1));
+            let map = cluster.map().clone();
+            let (mut endpoints, mut clients) = repl_mesh(&map, 1);
+            let follower = endpoints[0].pop().unwrap();
+            // Held, not served: its ack ring keeps a reader.
+            let mut leader = endpoints[0].pop().unwrap();
+            let client = clients.pop().unwrap();
+            let report = std::thread::scope(|s| {
+                let cfg = cluster.node_config(0, 1, &FaultSpec::none());
+                let (store, log, map) = (cluster.node_store(0, 1), cluster.log(0), &map);
+                let node = s.spawn(move || serve_node(store, log, map, follower, cfg));
+                let mut frames = Vec::new();
+                ssync_srv::wire::encode_replicate(7, 1, &[9; 300], &mut frames);
+                let stream = leader.peer_stream_tx.pop().unwrap();
+                stream.send(frames[0]);
+                drop(stream);
+                let scrape = || client.stats_of(0, 1).unwrap();
+                while scrape().counter("srv.malformed") != Some(1) {
+                    std::thread::yield_now();
+                }
+                assert_eq!(scrape().counter("node.applied"), Some(0));
+                assert!(map.report_death(0, 0));
+                client.close();
+                node.join().unwrap()
+            });
+            assert_eq!(map.hwm_of(0, 1), 0, "nothing acked");
+            assert!(cluster.node_store(0, 1).is_empty(), "nothing applied");
+            done_tx.send(report).unwrap();
+        });
+        let report = done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a peer that died mid-entry wedged the follower");
+        assert_eq!(report.malformed, 1);
     }
 
     /// Regression: `repl_mesh` seeded every client's cached view with

@@ -1,7 +1,9 @@
 //! One client connection: the layer under every service client.
 //!
 //! A [`Conn`] is a request sender, a reply receiver and a scratch
-//! frame buffer, so an exchange allocates nothing for its frames. Every
+//! frame buffer, so an exchange allocates nothing for its frames: a
+//! request is encoded into it and sent as one burst, a reply's
+//! continuation frames are received into it as one burst. Every
 //! leg is *connected*: a peer whose thread is gone surfaces as
 //! [`WireError::Disconnected`] — on the send, on a reply's head frame,
 //! and on its continuation frames (a node that died mid-reply) — never
@@ -12,9 +14,9 @@
 
 use core::cell::RefCell;
 
-use ssync_mp::{Message, MsgReceiver, MsgSender, RingReceiver, RingSender, MSG_WORDS};
+use ssync_mp::{Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
-use crate::wire::{Request, Response, WireError};
+use crate::wire::{replay, Request, Response, WireError};
 
 /// One `(request sender, reply receiver)` pair to one server. The
 /// halves are public: raw frames can be put on (or taken off) the
@@ -88,22 +90,17 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
         self.recv()
     }
 
-    /// Decodes the response `head` starts, pulling its continuation
-    /// frames connected. The value decoder is infallible by contract,
-    /// so a truncation is flagged and decoding finishes on zeroed
-    /// frames before the disconnect is reported.
+    /// Decodes the response `head` starts, taking its continuation
+    /// frames as one connected burst into the scratch buffer first.
     fn finish(&self, head: Message) -> Result<Response, WireError> {
-        let mut dead = false;
-        let response = Response::decode(head, || {
-            self.rx.recv_connected().unwrap_or_else(|_| {
-                dead = true;
-                [0; MSG_WORDS]
-            })
-        })?;
-        if dead {
-            return Err(WireError::Disconnected);
+        let more = Response::continuations(&head);
+        let mut frames = self.frames.borrow_mut();
+        if more > 0 {
+            self.rx
+                .recv_burst_connected(more, &mut frames)
+                .map_err(|_| WireError::Disconnected)?;
         }
-        Ok(response)
+        Response::decode(head, replay(&frames[..more]))
     }
 }
 

@@ -23,11 +23,11 @@ use ssync_core::stats::{mono_ns, Histogram, Registry};
 use ssync_core::ParkingWait;
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
-use ssync_mp::{Message, MsgReceiver, MsgSender, ServerHub, MSG_WORDS};
+use ssync_mp::{Message, MsgReceiver, MsgSender, ServerHub};
 
 use crate::router::key_bytes;
 use crate::service::{ServeReport, ServerEndpoint};
-use crate::wire::{encode_value, Request, Response};
+use crate::wire::{encode_value, replay, Request, Response};
 
 /// An admission verdict for one key of one request.
 #[derive(Debug)]
@@ -163,9 +163,7 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
 
     #[inline]
     fn send_frames(&mut self, client: usize) {
-        for &frame in &self.frames {
-            self.replies[client].send(frame);
-        }
+        self.replies[client].send_all(&self.frames);
     }
 
     /// Retires `client` as its first `Stop` does; false if it already
@@ -188,8 +186,10 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         }
     }
 
-    /// Polls every client once, round-robin. A head frame that fails to
-    /// decode is answered with [`Response::Malformed`] — a corrupt
+    /// Polls every client once, round-robin. The continuation frames a
+    /// head announces ([`Request::continuations`]) are taken from the
+    /// same client as one burst before decoding. A head frame that fails
+    /// to decode is answered with [`Response::Malformed`] — a corrupt
     /// frame degrades one connection, it does not take the node down.
     /// A client's first `Stop` retires it; a repeated one is counted as
     /// malformed and not answered (nobody drains that reply ring). A
@@ -201,21 +201,18 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         let Some((client, head)) = self.hub.try_recv_from_any() else {
             return Poll::Idle;
         };
-        // The value decoder is infallible by contract, so a truncation
-        // is flagged and decoding finishes on zeroed frames.
-        let mut truncated = false;
-        let decoded = Request::decode(head, || {
-            self.hub.recv_from(client).unwrap_or_else(|_| {
-                truncated = true;
-                [0; MSG_WORDS]
-            })
-        });
-        if truncated {
+        let more = Request::continuations(&head);
+        if more > 0
+            && self
+                .hub
+                .recv_burst_from(client, more, &mut self.frames)
+                .is_err()
+        {
             self.counts.malformed += 1;
             self.retire(client);
             return Poll::Consumed;
         }
-        match decoded {
+        match Request::decode(head, replay(&self.frames[..more])) {
             Err(_) => {
                 self.counts.malformed += 1;
                 self.reply(client, &Response::Malformed);

@@ -16,9 +16,13 @@
 //!
 //! The format is symmetric by design: both sides encode with
 //! [`Request::encode_into`] / [`Response::encode_into`] (frames sent
-//! back-to-back) and decode with `decode(head, more)`, where `more`
-//! pulls the next frame *from the same peer* — the server uses
-//! `ServerHub::recv_from` for this, a client its reply channel.
+//! back-to-back, as one burst on a ring) and decode with
+//! `decode(head, more)`, where `more` pulls the next frame *from the
+//! same peer*. [`Request::continuations`] / [`Response::continuations`]
+//! say from the head alone how many frames follow it, so a receiver
+//! takes them as one burst (`ServerHub::recv_burst_from` on the server,
+//! the reply channel's `recv_burst_connected` on a client) and decodes
+//! with [`replay`] over what arrived.
 //!
 //! A frame's payload bytes are its words' little-endian byte image,
 //! and the codec treats them that way: a value moves between a byte
@@ -427,6 +431,20 @@ fn push_payload(head: Message, room: usize, payload: &[u8], out: &mut Vec<Messag
     }
 }
 
+/// Continuation frames a `len`-byte payload takes past the `room`
+/// bytes its head frame carries.
+fn spill(len: usize, room: usize) -> usize {
+    len.saturating_sub(room).div_ceil(CONT_VALUE_BYTES)
+}
+
+/// A `decode` frame source over continuation frames already received
+/// (zeroed past the end, which a `continuations`-sized slice never
+/// reaches).
+pub fn replay(frames: &[Message]) -> impl FnMut() -> Message + '_ {
+    let mut frames = frames.iter();
+    move || frames.next().copied().unwrap_or([0; MSG_WORDS])
+}
+
 /// Reads a `len`-byte payload: the head frame's last `room` bytes,
 /// then continuation frames pulled via `more`, a whole image at a
 /// time. The caller has bounded `len`.
@@ -611,6 +629,22 @@ impl Request {
         Ok(())
     }
 
+    /// How many continuation frames follow `head` — exactly what
+    /// [`Request::decode`] pulls, read off the head alone, so a receiver
+    /// can take them as one burst first. 0 for a head `decode` refuses.
+    pub fn continuations(head: &Message) -> usize {
+        let (op, count, vlen) = split_head_word(head[0]);
+        match op {
+            OP_SET | OP_CAS | OP_REPLICATE if vlen <= MAX_VALUE_LEN => {
+                spill(vlen, HEAD_VALUE_BYTES)
+            }
+            OP_REPL_MGET if (1..=REPL_MGET_MAX).contains(&count) => count
+                .saturating_sub(REPL_MGET_HEAD_KEYS)
+                .div_ceil(REPL_MGET_CONT_KEYS),
+            _ => 0,
+        }
+    }
+
     /// Decodes a request from its head frame, pulling continuation
     /// frames from `more` (which must read from the same sender).
     ///
@@ -772,6 +806,21 @@ impl Response {
                 m[1] = payload.len() as u64;
                 push_payload(m, STATS_INLINE_BYTES, payload, out);
             }
+        }
+    }
+
+    /// How many continuation frames follow `head` — exactly what
+    /// [`Response::decode`] pulls, read off the head alone. 0 for a
+    /// head `decode` refuses.
+    pub fn continuations(head: &Message) -> usize {
+        let (st, _, vlen) = split_head_word(head[0]);
+        match st {
+            ST_VALUE if vlen <= MAX_VALUE_LEN => spill(vlen, HEAD_VALUE_BYTES),
+            ST_STATS => match usize::try_from(head[1]) {
+                Ok(len) if len <= STATS_MAX_PAYLOAD => spill(len, STATS_INLINE_BYTES),
+                _ => 0,
+            },
+            _ => 0,
         }
     }
 

@@ -1,7 +1,8 @@
 //! The wire format, pinned from outside the crate: golden frames
 //! captured from the word-at-a-time encoder this codec replaced, an
 //! exhaustive round trip over every value length, zeroed frame tails,
-//! and a seeded mutation fuzz of both decoders.
+//! the continuation count a receiver takes as one burst, and a seeded
+//! mutation fuzz of both decoders.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -69,6 +70,16 @@ impl Msg {
 
     fn is_request(&self) -> bool {
         matches!(self, Msg::Req(_))
+    }
+}
+
+/// The continuation frames `head` announces to a receiver: what it
+/// takes as one burst before decoding.
+fn continuations(head: &Message, request: bool) -> usize {
+    if request {
+        Request::continuations(head)
+    } else {
+        Response::continuations(head)
     }
 }
 
@@ -173,6 +184,11 @@ fn every_value_length_round_trips_on_every_carrier() {
             let msg = sample(carrier, len);
             let frames = msg.encode();
             assert_eq!(frames.len(), 1 + spill, "{carrier}/{len}");
+            assert_eq!(
+                continuations(&frames[0], msg.is_request()),
+                spill,
+                "{carrier}/{len}"
+            );
             let (back, pulled) = Msg::decode(msg.is_request(), &frames);
             assert_eq!(
                 (back.as_ref(), pulled),
@@ -205,6 +221,7 @@ fn stats_payloads_round_trip_with_zeroed_tails() {
             .saturating_sub(STATS_INLINE_BYTES)
             .div_ceil(CONT_VALUE_BYTES);
         assert_eq!(frames.len(), 1 + spill, "{len}");
+        assert_eq!(Response::continuations(&frames[0]), spill, "{len}");
         assert_eq!(Msg::decode(false, &frames), (Some(msg), spill), "{len}");
         let area = payload_area(&frames, STATS_INLINE_BYTES);
         assert_eq!(area[..len], bytes(len)[..], "{len}");
@@ -212,27 +229,22 @@ fn stats_payloads_round_trip_with_zeroed_tails() {
     }
 }
 
-/// The continuation frames a head frame announces, read off the format
-/// independently of the decoder: the bound the fuzz holds it to.
-fn announced(head: &Message, request: bool) -> usize {
-    let (op, count, vlen) = (
-        head[0] & 0xFF,
-        (head[0] >> 8 & 0xFF) as usize,
-        (head[0] >> 16 & 0xFFFF) as usize,
-    );
-    let spill = |n: usize, inline: usize, per: usize| n.saturating_sub(inline).div_ceil(per);
-    match (request, op) {
-        // Set, Cas, Replicate; Value.
-        (true, 3 | 4 | 7) | (false, 1) => spill(vlen, HEAD_VALUE_BYTES, CONT_VALUE_BYTES),
-        // ReplMultiGet.
-        (true, 10) => spill(count, REPL_MGET_HEAD_KEYS, REPL_MGET_CONT_KEYS),
-        // StatsReply.
-        (false, 13) => spill(
-            usize::try_from(head[1]).unwrap_or(usize::MAX),
-            STATS_INLINE_BYTES,
-            CONT_VALUE_BYTES,
-        ),
-        _ => 0,
+/// Every key count a replica multi-get can carry: the key spill is the
+/// other continuation stream.
+#[test]
+fn every_repl_multiget_width_round_trips() {
+    for n in 1..=REPL_MGET_MAX {
+        let msg = Msg::Req(Request::ReplMultiGet {
+            keys: (0..n as u64).map(|k| k * KEY).collect(),
+            floor: AUX,
+        });
+        let frames = msg.encode();
+        let spill = n
+            .saturating_sub(REPL_MGET_HEAD_KEYS)
+            .div_ceil(REPL_MGET_CONT_KEYS);
+        assert_eq!(frames.len(), 1 + spill, "{n} keys");
+        assert_eq!(Request::continuations(&frames[0]), spill, "{n} keys");
+        assert_eq!(Msg::decode(true, &frames), (Some(msg), spill), "{n} keys");
     }
 }
 
@@ -352,15 +364,16 @@ fn fuzz_case(rng: &mut SmallRng) {
     let mut frames = msg.encode();
     mutate(&mut frames, rng);
     for request in [msg.is_request(), !msg.is_request()] {
-        let bound = announced(&frames[0], request);
+        let bound = continuations(&frames[0], request);
         let (decoded, pulled) = Msg::decode(request, &frames);
         assert!(
             pulled <= bound,
             "pulled {pulled} frames, head announces {bound}"
         );
         match decoded {
-            // Refusals are decided on the head frame alone.
-            None => assert_eq!(pulled, 0, "a refused head pulled continuations"),
+            // Refusals are decided on the head frame alone, and announce
+            // nothing for a receiver to wait for.
+            None => assert_eq!((pulled, bound), (0, 0), "a refused head"),
             Some(decoded) => {
                 assert_eq!(pulled, bound);
                 let again = decoded.encode();

@@ -292,37 +292,59 @@ proptest! {
     }
 
     /// The SPSC ring agrees with a bounded `VecDeque` under any
-    /// `try_send`/`try_recv` interleaving, at every depth the stacks
-    /// use (1 = repl's per-peer halves, 64 = the serving meshes) and
-    /// for at least four laps of the slot array: FIFO, never more than
-    /// `depth` frames queued, a refused frame handed back intact, and
-    /// `has_message` telling the truth after every step.
+    /// interleaving of `try_send`/`try_recv` and their burst forms, at
+    /// every depth the stacks use (1 = repl's per-peer halves, 64 = the
+    /// serving meshes) and for at least four laps of the slot array:
+    /// FIFO, never more than `depth` frames queued, a refused frame
+    /// handed back intact, a burst send publishing exactly the frames
+    /// that fit the free slots, a burst receive taking `k` frames only
+    /// when `k` are queued, and `has_message` telling the truth after
+    /// every step.
     #[test]
     fn ring_models_bounded_vecdeque(depth_pow in 0usize..4, ops in proptest::collection::vec(any::<u8>(), 64..768)) {
         let depth = [1usize, 2, 8, 64][depth_pow];
         let (tx, rx) = ring_channel(depth);
         let mut model: std::collections::VecDeque<[u64; MSG_WORDS]> = std::collections::VecDeque::new();
+        let frame = |seq: u64| -> [u64; MSG_WORDS] { core::array::from_fn(|w| (seq << 3) | w as u64) };
         let mut sent = 0u64;
+        let mut got = Vec::new();
         // The random walk first, then alternate until the fourth lap ends.
         let mut step = 0usize;
         while step < ops.len() || sent < 4 * depth as u64 || !model.is_empty() {
-            let send = match ops.get(step) {
-                // Biased towards sending so full rings are common too.
-                Some(op) => op % 8 < 5,
-                None => sent < 4 * depth as u64 && step % 2 == 0,
+            // Biased towards sending (5 in 8) so full rings are common
+            // too; the upper bits size a burst, 1..=depth frames.
+            let (kind, k) = match ops.get(step) {
+                Some(&op) => (op % 8, 1 + (op as usize >> 3) % depth),
+                None if sent < 4 * depth as u64 && step % 2 == 0 => (0, 1),
+                None => (7, 1),
             };
             step += 1;
-            if send {
-                let frame: [u64; MSG_WORDS] = core::array::from_fn(|w| (sent << 3) | w as u64);
-                if model.len() == depth {
-                    prop_assert_eq!(tx.try_send(frame), Err(frame));
-                } else {
-                    prop_assert_eq!(tx.try_send(frame), Ok(()));
-                    model.push_back(frame);
-                    sent += 1;
+            match kind {
+                0..=3 => {
+                    let f = frame(sent);
+                    if model.len() == depth {
+                        prop_assert_eq!(tx.try_send(f), Err(f));
+                    } else {
+                        prop_assert_eq!(tx.try_send(f), Ok(()));
+                        model.push_back(f);
+                        sent += 1;
+                    }
                 }
-            } else {
-                prop_assert_eq!(rx.try_recv(), model.pop_front());
+                4 => {
+                    let burst: Vec<_> = (sent..sent + k as u64).map(frame).collect();
+                    let fits = k.min(depth - model.len());
+                    prop_assert_eq!(tx.try_send_burst(&burst), fits);
+                    model.extend(&burst[..fits]);
+                    sent += fits as u64;
+                }
+                5 => {
+                    got.clear();
+                    let whole = model.len() >= k;
+                    prop_assert_eq!(rx.try_recv_burst(k, &mut got), whole);
+                    let taken: Vec<_> = model.drain(..if whole { k } else { 0 }).collect();
+                    prop_assert_eq!(&got, &taken);
+                }
+                _ => prop_assert_eq!(rx.try_recv(), model.pop_front()),
             }
             prop_assert_eq!(rx.has_message(), !model.is_empty());
         }
