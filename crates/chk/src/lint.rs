@@ -8,8 +8,8 @@
 //! | rule | scope | requirement |
 //! |------|-------|-------------|
 //! | `relaxed-ptr` | all crates | `Ordering::Relaxed` load/store on a pointer-typed atomic must carry a `// chk:` justification within 3 lines |
-//! | `atomic-padding` | kv, mp, repl, cluster, core/stats, core/epoch, core/fenced, core/handshake | `Atomic*` struct fields must be `CachePadded` or `// chk:`-annotated |
-//! | `safety-comment` | kv, mp, repl, cluster, core/stats, core/epoch, core/fenced, core/handshake | `unsafe` blocks/impls/fns must have a `// SAFETY:` comment within 5 lines above |
+//! | `atomic-padding` | kv, mp, repl, cluster, core/stats, core/epoch, core/fenced, core/handshake, vendor/bytes | `Atomic*` struct fields must be `CachePadded` or `// chk:`-annotated |
+//! | `safety-comment` | kv, mp, repl, cluster, core/stats, core/epoch, core/fenced, core/handshake, vendor/bytes | `unsafe` blocks/impls/fns must have a `// SAFETY:` comment within 5 lines above |
 //! | `decode-panic` | `wire*.rs` | functions named `*decode*` must not `panic!`/`unwrap()`/`expect(`/`unreachable!`/`todo!` |
 //!
 //! Terms and cluster-map epochs need no rule: they are
@@ -18,8 +18,10 @@
 //! private field, which no other crate can name, let alone load.
 //!
 //! `#[cfg(test)]` regions are exempt from every rule (models and tests
-//! construct bare atomics and panic on purpose). `vendor/` and `target/`
-//! are never walked. The pass is heuristic by design: it over-approximates
+//! construct bare atomics and panic on purpose). `target/` is never
+//! walked, nor is `vendor/` — except the `bytes` shim, whose handles
+//! point into the KV store's items and which therefore holds `unsafe`
+//! of its own. The pass is heuristic by design: it over-approximates
 //! (an over-match costs one justification comment, never a missed bug)
 //! and the `// chk:` escape hatch keeps it honest — every exception is
 //! visible and greppable.
@@ -66,8 +68,9 @@ pub struct LintReport {
     pub files_scanned: usize,
 }
 
-/// Lints every workspace source file under `root` (skipping `vendor/`,
-/// `target/`, and anything outside a `src/` directory).
+/// Lints every workspace source file under `root` (skipping `vendor/`
+/// but for `vendor/bytes`, `target/`, and anything outside a `src/`
+/// directory).
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     let mut files = Vec::new();
     collect_sources(root, root, &mut files)?;
@@ -89,7 +92,14 @@ fn collect_sources(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(name.as_ref(), "target" | "vendor" | ".git" | ".github") {
+            if matches!(name.as_ref(), "target" | ".git" | ".github") {
+                continue;
+            }
+            if name == "vendor" {
+                let shim = path.join("bytes");
+                if shim.is_dir() {
+                    collect_sources(root, &shim, out)?;
+                }
                 continue;
             }
             collect_sources(root, &path, out)?;
@@ -112,10 +122,13 @@ struct Scope {
 }
 
 fn scope_of(path: &str) -> Scope {
+    // The `bytes` shim rides along: its foreign-view handles reach into
+    // the store's items, so its `unsafe` answers to the same rule.
     let hot_crate = path.starts_with("crates/kv/")
         || path.starts_with("crates/mp/")
         || path.starts_with("crates/repl/")
-        || path.starts_with("crates/cluster/");
+        || path.starts_with("crates/cluster/")
+        || path.starts_with("vendor/bytes/");
     // The observability hot path: histogram counters sit on the record
     // side of every measured request, so they get the same padding and
     // SAFETY discipline as the serving crates. The epoch module is the
@@ -764,6 +777,31 @@ mod tests {
             let v = lint_source(&format!("crates/core/src/{module}.rs"), src);
             assert!(v.iter().any(|v| v.rule == "atomic-padding"), "{v:?}");
         }
+    }
+
+    #[test]
+    fn the_bytes_shim_carries_padding_and_safety_but_other_vendored_crates_do_not() {
+        let unsafe_src = "fn f(p: *mut u8) {\n    unsafe { p.write(0) };\n}\n";
+        let v = lint_source("vendor/bytes/src/lib.rs", unsafe_src);
+        assert!(v.iter().any(|v| v.rule == "safety-comment"), "{v:?}");
+        let src = "struct S {\n    refs: AtomicU32,\n}\n";
+        let v = lint_source("vendor/bytes/src/lib.rs", src);
+        assert!(v.iter().any(|v| v.rule == "atomic-padding"), "{v:?}");
+        let other = lint_source("vendor/rand/src/lib.rs", unsafe_src);
+        assert!(!other.iter().any(|v| v.rule == "safety-comment"));
+    }
+
+    #[test]
+    fn the_walk_reaches_the_bytes_shim_and_no_other_vendored_crate() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        collect_sources(&root, &root, &mut files).unwrap();
+        let vendored: Vec<String> = files
+            .iter()
+            .map(|f| f.to_string_lossy().replace('\\', "/"))
+            .filter(|f| f.starts_with("vendor/"))
+            .collect();
+        assert_eq!(vendored, ["vendor/bytes/src/lib.rs"]);
     }
 
     #[test]

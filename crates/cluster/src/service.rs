@@ -178,14 +178,18 @@ struct SlotPolicy<'a> {
 }
 
 impl Hooks for SlotPolicy<'_> {
-    const OBSERVES_WRITES: bool = true;
-
     fn admit(&mut self, key: u64, is_write: bool) -> Admit {
         let verdict = slot_fence(self.map, self.me, key, is_write);
         if matches!(verdict, Admit::Refuse(_)) {
             self.bounced += 1;
         }
         verdict
+    }
+
+    /// Only while armed: a node with no migration in flight keeps no
+    /// handle on what it stores.
+    fn observes_writes(&self) -> bool {
+        is_armed(self.log_generation)
     }
 
     fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>) {

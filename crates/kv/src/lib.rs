@@ -11,7 +11,9 @@
 //!   short periods of time"): the pass tries one global-epoch advance
 //!   and collects one stripe's expired retirements, round-robin, and
 //!   walks no bucket chain, so its cost is the same in any store;
-//! * byte-string values (`bytes::Bytes`) with per-item CAS versions.
+//! * items of one allocation each — header, key and value together, as
+//!   a Memcached item is one chunk — with per-item CAS versions, read
+//!   out as zero-copy `bytes::Bytes` handles or borrowed in place.
 //!
 //! Every lock is a pluggable `ssync-locks` algorithm — the paper's
 //! experiment is literally "replace the Pthread mutexes with the
@@ -27,8 +29,8 @@
 //! takes an **optimistic path** in the OPTIK/ASCYLIB tradition of the
 //! paper's authors:
 //!
-//! * Each bucket chain is a singly-linked list of **immutable** heap
-//!   nodes; every mutation (insert, replace, unlink) is published by a
+//! * Each bucket chain is a singly-linked list of **immutable** items;
+//!   every mutation (insert, replace, unlink) is published by a
 //!   *single* atomic pointer store, so a reader can never observe a
 //!   half-written item.
 //! * Each stripe carries a seqlock-style **version word** (even =
@@ -44,17 +46,17 @@
 //!   and the replication layer's version gates
 //!   ([`KvStore::apply_replicated`]) are untouched. The stripe lock is
 //!   what makes the single-pointer publication protocol sound: there is
-//!   never more than one writer linking nodes into a stripe.
-//! * **Unlinked nodes are retired, not freed — and reclaimed by
+//!   never more than one writer linking items into a stripe.
+//! * **Unlinked items are retired, not released — and reclaimed by
 //!   epochs.** A reader racing a writer may still hold a pointer to a
-//!   just-unlinked node, so writers push replaced/deleted nodes into
+//!   just-unlinked item, so writers push replaced/deleted items into
 //!   per-stripe three-generation bags tagged with the store's
 //!   [`EpochDomain`] epoch. Optimistic readers pin the epoch for the
 //!   duration of a traversal (one thread-local padded store plus one
-//!   Acquire load — no shared RMW on the read path); a bag frees once
-//!   the global epoch has advanced twice past its tag, which the pin
-//!   provably blocks while any reader could still reach its nodes (see
-//!   `ssync_core::epoch` for the grace-period proof). Advances and
+//!   Acquire load — no shared RMW on the read path); a bag ages out
+//!   once the global epoch has advanced twice past its tag, which the
+//!   pin provably blocks while any reader could still reach its items
+//!   (see `ssync_core::epoch` for the grace-period proof). Advances and
 //!   collection are amortized into the write path's maintenance cadence
 //!   and the explicit [`KvStore::reclaim_pass`] hook the serve loops
 //!   call, so a store under sustained churn reclaims *concurrently
@@ -64,6 +66,42 @@
 //!   survives as the shutdown path: it drains every generation
 //!   unconditionally, exclusivity standing in for the grace period.
 //!
+//! # One allocation per item
+//!
+//! An item is one heap block: a 32-byte header, then the key's bytes,
+//! then the value's.
+//!
+//! ```text
+//! offset 0      4         8           12    16        24     32        32 + key_len
+//!        ┌──────┬─────────┬───────────┬─────┬─────────┬──────┬─────────┬──────────┐
+//!        │ refs │ key_len │ value_len │  —  │ version │ next │ key …   │ value …  │
+//!        └──────┴─────────┴───────────┴─────┴─────────┴──────┴─────────┴──────────┘
+//! ```
+//!
+//! A chain step reads `next`, `key_len` and, for a short key, the key
+//! itself from the line the header starts; a hit's value follows. Two
+//! mechanisms keep a block allocated, and they split the work:
+//!
+//! * **The pin protects traversals.** A reader walks chains holding no
+//!   reference, only its epoch pin, exactly as above — a read that
+//!   borrows the value in place ([`KvStore::get_with`]) touches no
+//!   shared word beyond the stripe's version.
+//! * **The reference count protects handles.** The store owns one
+//!   reference for as long as the item is linked or retired, and drops
+//!   it when the item's bag ages out (or at the shutdown purge). Every
+//!   `Bytes` the store hands out — [`KvStore::get`],
+//!   [`KvStore::get_with_version`], [`KvStore::multi_get`],
+//!   [`KvStore::dump`], [`KvStore::dump_range`], the `_shared` writes —
+//!   is a view into the block holding one more, taken under the pin or
+//!   the stripe lock, while the store's own reference is certain to be
+//!   held. The last reference to go frees the block, so a handle
+//!   outlives its item's reclamation and even the store.
+//!
+//! A write copies its value once, into the new item; a replace copies
+//! the key too rather than share the old item's. The store's stats
+//! count retirements and reclamations of items, whichever reference
+//! frees the block in the end.
+//!
 //! # Examples
 //!
 //! ```
@@ -71,12 +109,14 @@
 //! use ssync_locks::TicketLock;
 //!
 //! let kv: KvStore<TicketLock> = KvStore::new(1024, 64);
-//! kv.set(b"key", b"value".as_slice());
+//! kv.set(b"key", b"value");
 //! assert_eq!(kv.get(b"key").unwrap().as_ref(), b"value");
+//! assert_eq!(kv.get_with(b"key", |_, value| value.len()), Some(5));
 //! assert!(kv.delete(b"key"));
 //! ```
 
-use core::ptr;
+use core::ptr::{self, NonNull};
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 
 /// Crate-local alias for the workspace atomic facade: real
 /// `core::sync::atomic` types in production builds, `ssync-chk` shadow
@@ -87,7 +127,7 @@ pub(crate) mod sync {
 
 use std::sync::Arc;
 
-use crate::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
 use bytes::Bytes;
 
@@ -111,19 +151,185 @@ pub const MAINTENANCE_PERIOD: u64 = 64;
 /// locked path *waits its turn* instead.
 pub const OPTIMISTIC_ATTEMPTS: usize = 3;
 
-/// One stored item: a bucket-chain node. `key`, `value` and `version`
-/// are immutable after the node is published (an update allocates a
-/// replacement node); only `next` is ever rewritten, and only by the
-/// stripe's (lock-serialized) writer.
-struct Node {
-    key: Bytes,
-    value: Bytes,
+/// Longest key an item holds: a handle into an item's value must reach
+/// back to the block's start, and a `Bytes` view has 28 bits for that.
+const MAX_KEY_LEN: usize = 1 << 24;
+
+/// Longest value an item holds (its header stores the length as `u32`).
+const MAX_VALUE_LEN: usize = u32::MAX as usize;
+
+/// Handles one item may have outstanding at once; a count past it means
+/// handles are leaking, and taking one more could wrap the count.
+const MAX_REFS: u32 = u32::MAX / 2;
+
+/// The header of one stored item; the key's and then the value's bytes
+/// follow it in the same allocation (see the module docs). Everything
+/// but `refs` and `next` is immutable after the item is published (an
+/// update allocates a replacement item); `next` is rewritten only by
+/// the stripe's (lock-serialized) writer.
+#[repr(C)]
+struct Item {
+    // chk: per-item reference count, deliberately unpadded — it shares
+    // the header line with the fields every chain step reads, and only
+    // handle traffic (never a traversal) writes it.
+    refs: AtomicU32,
+    key_len: u32,
+    value_len: u32,
     /// CAS version (Memcached's `cas` token).
     version: u64,
     // chk: per-item chain link, deliberately unpadded — padding every
-    // node would grow each item by a cache line, and the link is
-    // written only by the lock-serialized writer.
-    next: AtomicPtr<Node>,
+    // item would grow it by a cache line, and the link is written only
+    // by the lock-serialized writer.
+    next: AtomicPtr<Item>,
+}
+
+/// Bytes in an item's header; its key starts here.
+const HEADER: usize = std::mem::size_of::<Item>();
+
+impl Item {
+    /// Allocates an item holding one reference: the store's.
+    fn create(key: &[u8], value: &[u8], version: u64, next: *mut Item) -> *mut Item {
+        assert!(
+            key.len() <= MAX_KEY_LEN && value.len() <= MAX_VALUE_LEN,
+            "a {}-byte key or a {}-byte value is too long for an item",
+            key.len(),
+            value.len()
+        );
+        let layout = Item::layout(key.len(), value.len());
+        // SAFETY: the layout is never zero-sized (the header alone is
+        // `HEADER` bytes).
+        let item = unsafe { alloc(layout) }.cast::<Item>();
+        if item.is_null() {
+            handle_alloc_error(layout);
+        }
+        // SAFETY: `item` is a fresh allocation, aligned for `Item`, of
+        // the header plus both byte ranges; nothing else can see it
+        // until the caller publishes it.
+        unsafe {
+            item.write(Item {
+                refs: AtomicU32::new(1),
+                key_len: key.len() as u32,
+                value_len: value.len() as u32,
+                version,
+                next: AtomicPtr::new(next),
+            });
+            let bytes = item.cast::<u8>().add(HEADER);
+            ptr::copy_nonoverlapping(key.as_ptr(), bytes, key.len());
+            ptr::copy_nonoverlapping(value.as_ptr(), bytes.add(key.len()), value.len());
+        }
+        item
+    }
+
+    fn layout(key_len: usize, value_len: usize) -> Layout {
+        Layout::from_size_align(HEADER + key_len + value_len, std::mem::align_of::<Item>())
+            .expect("item size overflows a layout")
+    }
+
+    /// `len` bytes of the item's body from `offset` past the header.
+    fn body(&self, offset: usize, len: usize) -> &[u8] {
+        // SAFETY: the allocation runs `key_len + value_len` bytes past
+        // the header, and callers stay inside it; the bytes were
+        // written before the item was published and never change.
+        unsafe {
+            std::slice::from_raw_parts((self as *const Item).cast::<u8>().add(HEADER + offset), len)
+        }
+    }
+
+    fn key(&self) -> &[u8] {
+        self.body(0, self.key_len as usize)
+    }
+
+    fn value(&self) -> &[u8] {
+        self.body(self.key_len as usize, self.value_len as usize)
+    }
+
+    /// A handle on `bytes` — this item's key or value — holding one
+    /// reference. Only under the caller's pin or stripe lock, where the
+    /// store's own reference is certain to be held.
+    fn handle(&self, bytes: &[u8]) -> Bytes {
+        // SAFETY: the store's reference keeps the block live for the
+        // call (caller contract); `share` takes and drops references
+        // from any thread; `bytes` lies inside the block and is
+        // immutable until the last reference goes.
+        unsafe { Bytes::from_shared(NonNull::from(self).cast(), bytes, share) }
+    }
+
+    fn value_handle(&self) -> Bytes {
+        self.handle(self.value())
+    }
+
+    /// Drops one reference; the last one frees the block.
+    ///
+    /// SAFETY: the caller owns a reference on the live `item` and gives
+    /// it up.
+    unsafe fn release(item: *mut Item) {
+        // SAFETY: the caller's reference keeps `item` live until the
+        // decrement below.
+        let header = unsafe { &*item };
+        // Release orders this owner's reads of the block before its
+        // count drops; Acquire on the last drop orders every other
+        // owner's reads before the free.
+        if header.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let layout = Item::layout(header.key_len as usize, header.value_len as usize);
+            // SAFETY: that was the last reference: no handle, chain or
+            // bag can reach the block any more.
+            unsafe { dealloc(item.cast(), layout) };
+        }
+    }
+
+    /// [`KvFault::ReleaseAtRetire`]'s release: the last reference
+    /// overwrites the key and value with a poison pattern and leaves the
+    /// block allocated, so a reader that still walks it reads the
+    /// poison — a miss or wrong bytes the model asserts on — rather
+    /// than freed memory.
+    ///
+    /// SAFETY: as [`Item::release`].
+    #[cfg(ssync_chk)]
+    unsafe fn release_poisoning(item: *mut Item) {
+        // SAFETY: the caller's reference keeps `item` live.
+        let header = unsafe { &*item };
+        if header.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let len = header.key_len as usize + header.value_len as usize;
+            // SAFETY: the body lies inside the still-allocated block,
+            // and model threads run one at a time.
+            unsafe { ptr::write_bytes(item.cast::<u8>().add(HEADER), 0xA5, len) };
+        }
+    }
+}
+
+/// What every handle on an item calls to take (`true`) or drop
+/// (`false`) a reference: the item's count, on the atomic facade.
+///
+/// SAFETY: `block` is a live item the caller holds a reference on.
+// Out of line: a view names its share function by address (a slot in
+// the `bytes` shim's table), so the function must have exactly one.
+#[inline(never)]
+unsafe fn share(block: NonNull<u8>, take: bool) {
+    let item = block.cast::<Item>().as_ptr();
+    if take {
+        // Relaxed, as `Arc::clone`: a new reference is made only from
+        // one the caller already holds, which keeps the count above
+        // zero whatever the ordering.
+        // SAFETY: the caller's reference keeps `item` live.
+        let before = unsafe { &*item }.refs.fetch_add(1, Ordering::Relaxed);
+        assert_ne!(before, 0, "a reference taken on a freed item");
+        assert!(before < MAX_REFS, "item handles leaking: {before} held");
+    } else {
+        // SAFETY: the caller gives up the reference it holds.
+        unsafe { Item::release(item) }
+    }
+}
+
+/// Seeded protocol bugs for the `expect_violation` twins in
+/// `tests/chk_models.rs`: each removes one guard the reclamation
+/// argument leans on, and the checker must exhibit the failure.
+#[cfg(ssync_chk)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvFault {
+    /// The store drops its reference on an item when it retires it,
+    /// not when the item's bag ages out: a reader still walking the
+    /// unlinked item can lose it under its pin.
+    ReleaseAtRetire,
 }
 
 /// Statistics counters (all monotonic). Each counter is padded to its
@@ -159,8 +365,9 @@ pub struct Stats {
     /// Global-epoch advances won by this store's maintenance passes and
     /// [`KvStore::reclaim_pass`] calls.
     pub epochs_advanced: CachePadded<AtomicU64>,
-    /// Retired nodes freed by epoch collection (inline at retire, at
-    /// maintenance, in `reclaim_pass`, or by the shutdown purge).
+    /// Retired items whose store reference epoch collection released
+    /// (inline at retire, at maintenance, in `reclaim_pass`, or by the
+    /// shutdown purge): freed then, or when the last handle on one goes.
     pub nodes_reclaimed: CachePadded<AtomicU64>,
 }
 
@@ -266,19 +473,19 @@ impl StatsSnapshot {
     }
 }
 
-/// Writer-side bookkeeping, held under the stripe lock: the nodes
+/// Writer-side bookkeeping, held under the stripe lock: the items
 /// unlinked from this stripe's chains, parked in three-generation
-/// epoch bags until their tag ages past the grace period. They stay
-/// allocated because an optimistic reader may still be dereferencing
-/// them; see the module docs.
+/// epoch bags until their tag ages past the grace period. Each still
+/// holds the store's reference because an optimistic reader may still
+/// be walking it; see the module docs.
 struct StripeInner {
-    bags: EpochBags<*mut Node>,
+    bags: EpochBags<*mut Item>,
 }
 
-// SAFETY: the raw pointers are owned exclusively by the stripe — they
-// are pushed and read only while holding the stripe lock (or `&mut
-// KvStore` for purge/drop), never aliased mutably, and point to
-// heap nodes that outlive the bag entries.
+// SAFETY: the raw pointers are the store's references on retired
+// items, owned exclusively by the stripe — pushed and taken only while
+// holding the stripe lock (or `&mut KvStore` for purge/drop), and each
+// released exactly once.
 unsafe impl Send for StripeInner {}
 
 /// One lock stripe: the seqlock word, the bucket-chain heads this
@@ -293,8 +500,8 @@ struct Stripe<R: RawLock> {
     // chk: a dense array by design (padding B buckets would multiply
     // the table's footprint by 8); heads are read-mostly, and writer
     // traffic is already serialized per stripe.
-    heads: Box<[AtomicPtr<Node>]>,
-    /// Nodes parked in this stripe's bags: the lock-free backlog gauge
+    heads: Box<[AtomicPtr<Item>]>,
+    /// Items parked in this stripe's bags: the lock-free backlog gauge
     /// behind [`KvStore::reclaim_backlog`]. Written only under the
     /// stripe lock (the retire-side `SeqCst` bump doubles as the flush
     /// that commits the unlink before the epoch tag is read — see
@@ -305,15 +512,15 @@ struct Stripe<R: RawLock> {
     inner: Lock<StripeInner, R>,
 }
 
-// SAFETY: `heads` chains are read concurrently through atomic loads and
-// mutated only by the lock-serialized writer via atomic stores; the
-// nodes they lead to are immutable and kept alive until a `&mut`
-// quiescent point (see module docs). `seq` and `inner` are Sync on
-// their own.
+// The chains are read concurrently through atomic loads and mutated only
+// by the lock-serialized writer via atomic stores.
+// SAFETY: the items the chains lead to are immutable (bar the atomic
+// `next` and reference count) and kept allocated by the store's
+// reference until epoch collection or a `&mut` quiescent point (see
+// module docs). `seq` and `inner` are Sync on their own.
 unsafe impl<R: RawLock> Sync for Stripe<R> {}
-// SAFETY: as above — ownership of the chain nodes moves with the
-// stripe, and nothing in a node is thread-affine (`Bytes` is
-// `Send + Sync`).
+// SAFETY: as above — the store's references on the chain items move
+// with the stripe, and nothing in an item is thread-affine.
 unsafe impl<R: RawLock> Send for Stripe<R> {}
 
 /// RAII seqlock write section: entering makes the stripe's version word
@@ -371,6 +578,8 @@ pub struct KvStore<R: RawLock + Default> {
     /// with it through thread-local participant records.
     epoch: Arc<EpochDomain>,
     stats: Stats,
+    #[cfg(ssync_chk)]
+    fault: Option<KvFault>,
 }
 
 impl<R: RawLock + Default> KvStore<R> {
@@ -403,7 +612,18 @@ impl<R: RawLock + Default> KvStore<R> {
             next_version: CachePadded::new(AtomicU64::new(1)),
             epoch: Arc::new(EpochDomain::new()),
             stats: Stats::default(),
+            #[cfg(ssync_chk)]
+            fault: None,
         }
+    }
+
+    /// A store with one seeded protocol bug, for the checker's
+    /// violation twins.
+    #[cfg(ssync_chk)]
+    pub fn with_fault(buckets: usize, stripes: usize, fault: KvFault) -> Self {
+        let mut store = Self::new(buckets, stripes);
+        store.fault = Some(fault);
+        store
     }
 
     /// The store's epoch domain. Service loops use this to pin around
@@ -438,47 +658,52 @@ impl<R: RawLock + Default> KvStore<R> {
         (bucket % self.stripes.len(), bucket / self.stripes.len())
     }
 
-    /// Walks one bucket chain for `key`, cloning out `(version, value)`
-    /// on a hit. Safe to call either under the stripe lock (which
-    /// excludes the retire path entirely) or optimistically under an
-    /// epoch pin: every pointer loaded here was published by a Release
-    /// store and leads to a node that is live or retired — and a
-    /// retired node's bag cannot age past the grace period while the
-    /// reader's pin holds the epoch, so the dereference is always
-    /// valid. Chains are acyclic at all times (a pointer store always
-    /// targets the writer's *current* live successor, and nodes are
-    /// never reused while reachable), so the walk terminates.
-    fn chain_find(head: &AtomicPtr<Node>, key: &[u8]) -> Option<(u64, Bytes)> {
+    /// Walks one bucket chain for `key`'s item (null on a miss). Safe to
+    /// call either under the stripe lock (which excludes the retire path
+    /// entirely) or optimistically under an epoch pin: every pointer
+    /// loaded here was published by a Release store and leads to an
+    /// item that is live or retired — and a retired item's bag cannot
+    /// age past the grace period while the reader's pin holds the epoch,
+    /// so the dereference is always valid, and so is the returned item
+    /// until the pin or lock goes. Chains are acyclic at all times (a
+    /// pointer store always targets the writer's *current* live
+    /// successor, and items are never reused while reachable), so the
+    /// walk terminates.
+    fn chain_find(head: &AtomicPtr<Item>, key: &[u8]) -> *mut Item {
         let mut p = head.load(Ordering::Acquire);
         while !p.is_null() {
             // SAFETY: see above — `p` came from a Release-published
-            // link and its node is kept allocated and immutable (bar
-            // `next`) by the caller's pin or stripe lock.
-            let node = unsafe { &*p };
-            if node.key.as_ref() == key {
-                return Some((node.version, node.value.clone()));
+            // link and its item is kept allocated and immutable (bar
+            // `next` and the count) by the caller's pin or stripe lock.
+            let item = unsafe { &*p };
+            if item.key() == key {
+                break;
             }
-            p = node.next.load(Ordering::Acquire);
+            p = item.next.load(Ordering::Acquire);
         }
-        None
+        p
     }
 
-    /// One `(version, value)` lookup: optimistic, then the stripe lock.
-    /// Optimistic protocol: snapshot the stripe's version word (must be
-    /// even), traverse without the lock, and accept the result only if
-    /// the word is unchanged — then the whole read overlapped no write
-    /// section and is a consistent point-in-time answer. A node is
-    /// never torn regardless (nodes are immutable and published by
-    /// single pointer stores); validation is what makes the *absence*
-    /// of a key and the freshness of the hit trustworthy. After
-    /// [`OPTIMISTIC_ATTEMPTS`] misses the read queues on the stripe
-    /// lock like any writer.
-    fn read(&self, key: &[u8]) -> Option<(u64, Bytes)> {
+    /// The one read: finds `key`'s item — optimistically, then under the
+    /// stripe lock — and hands it to `visit` while the item is still
+    /// certain to be allocated. Optimistic protocol: snapshot the
+    /// stripe's version word (must be even), traverse without the lock,
+    /// and accept the result only if the word is unchanged — then the
+    /// whole read overlapped no write section and is a consistent
+    /// point-in-time answer. An item is never torn regardless (items are
+    /// immutable and published by single pointer stores); validation is
+    /// what makes the *absence* of a key and the freshness of the hit
+    /// trustworthy. `visit` runs after the validation, still under the
+    /// read's pin, so it sees the item as of that point even if a writer
+    /// has since replaced it. After [`OPTIMISTIC_ATTEMPTS`] misses the
+    /// read queues on the stripe lock like any writer, and `visit` runs
+    /// under it.
+    fn read<T>(&self, key: &[u8], visit: impl FnOnce(&Item) -> T) -> Option<T> {
         let (stripe, bucket) = self.locate(key);
         let stripe = &self.stripes[stripe];
         // Pin before the first head load: every pointer the traversal
-        // below can observe stays allocated until the guard drops (a
-        // node's bag cannot age out of the grace period while this pin
+        // below can observe stays allocated until the guard drops (an
+        // item's bag cannot age out of the grace period while this pin
         // holds the epoch). A nested pin — `multi_get` reads under one
         // thread — is a plain depth bump. `None` means every
         // participant slot is taken; the locked path needs no grace
@@ -496,26 +721,34 @@ impl<R: RawLock + Default> KvStore<R> {
                 // load from moving before them; equality means no
                 // write section overlapped the reads we performed.
                 if stripe.seq.load(Ordering::Acquire) == s1 {
-                    return hit;
+                    // SAFETY: `hit` is null or an item the pin keeps
+                    // allocated until `_pin` drops, after `visit`.
+                    return unsafe { hit.as_ref() }.map(visit);
                 }
             }
         }
         self.stats.read_fallbacks.fetch_add(1, Ordering::Relaxed);
-        Self::read_locked(stripe, bucket, key)
+        Self::read_locked(stripe, bucket, key, visit)
     }
 
     /// The locked read of `key` in its (already located) bucket: the
     /// fallback of [`KvStore::read`], and the reference path the tests
     /// hold the optimistic one to.
-    fn read_locked(stripe: &Stripe<R>, bucket: usize, key: &[u8]) -> Option<(u64, Bytes)> {
+    fn read_locked<T>(
+        stripe: &Stripe<R>,
+        bucket: usize,
+        key: &[u8],
+        visit: impl FnOnce(&Item) -> T,
+    ) -> Option<T> {
         let _guard = stripe.inner.lock();
-        Self::chain_find(&stripe.heads[bucket], key)
+        // SAFETY: a found item is live while the stripe lock is held.
+        unsafe { Self::chain_find(&stripe.heads[bucket], key).as_ref() }.map(visit)
     }
 
     /// [`KvStore::read`] plus the hit/miss statistic every counted
     /// lookup bumps.
-    fn read_counted(&self, key: &[u8]) -> Option<(u64, Bytes)> {
-        let hit = self.read(key);
+    fn read_counted<T>(&self, key: &[u8], visit: impl FnOnce(&Item) -> T) -> Option<T> {
+        let hit = self.read(key, visit);
         match &hit {
             Some(_) => self.stats.hits.fetch_add(1, Ordering::Relaxed),
             None => self.stats.misses.fetch_add(1, Ordering::Relaxed),
@@ -525,19 +758,32 @@ impl<R: RawLock + Default> KvStore<R> {
 
     /// Looks a key up.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
-        self.read_counted(key).map(|(_, value)| value)
+        self.read_counted(key, Item::value_handle)
     }
 
     /// The CAS version of a key, if present.
     pub fn version(&self, key: &[u8]) -> Option<u64> {
-        self.read(key).map(|(version, _)| version)
+        self.read(key, |item| item.version)
     }
 
     /// Looks a key up, returning `(version, value)` — Memcached's
     /// `gets` command, which the service layer needs to answer a read
     /// and arm a follow-up CAS with one acquisition.
     pub fn get_with_version(&self, key: &[u8]) -> Option<(u64, Bytes)> {
-        self.read_counted(key)
+        self.read_counted(key, |item| (item.version, item.value_handle()))
+    }
+
+    /// Looks a key up and hands a hit's version and value to `visit`,
+    /// borrowed in place: no handle is taken, so the read writes no
+    /// shared word at all. What a server uses to encode a reply
+    /// straight from the stored bytes. Counts toward hit/miss
+    /// statistics like [`KvStore::get`].
+    ///
+    /// `visit` runs under the read's epoch pin — or, when the read fell
+    /// back, under the key's stripe lock — so it should be short and
+    /// must not write to this store.
+    pub fn get_with<T>(&self, key: &[u8], visit: impl FnOnce(u64, &[u8]) -> T) -> Option<T> {
+        self.read_counted(key, |item| visit(item.version, item.value()))
     }
 
     /// Batched lookup: each key is read on its own (per-key
@@ -545,13 +791,13 @@ impl<R: RawLock + Default> KvStore<R> {
     /// the service's per-key reply semantics). Results come back in
     /// input order; hit/miss statistics count per key.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<(u64, Bytes)>> {
-        keys.iter().map(|key| self.read_counted(key)).collect()
+        keys.iter().map(|key| self.get_with_version(key)).collect()
     }
 
     /// Writer-side search, only under the stripe lock: the link slot
-    /// whose load equals the key's node (or, for an absent key, the
+    /// whose load equals the key's item (or, for an absent key, the
     /// terminal null link to append through).
-    fn find_link<'a>(head: &'a AtomicPtr<Node>, key: &[u8]) -> (&'a AtomicPtr<Node>, *mut Node) {
+    fn find_link<'a>(head: &'a AtomicPtr<Item>, key: &[u8]) -> (&'a AtomicPtr<Item>, *mut Item) {
         let mut link = head;
         loop {
             // chk: the stripe lock's acquire synchronized us with
@@ -561,31 +807,22 @@ impl<R: RawLock + Default> KvStore<R> {
                 return (link, p);
             }
             // SAFETY: `p` is live (the held stripe lock excludes
-            // unlink/retire). The returned `&node.next` borrows the
-            // node allocation and stays valid for `'a`: a stripe's
-            // nodes are freed only under its lock (epoch collection)
-            // or through `&mut KvStore` (purge/drop).
-            let node = unsafe { &*p };
-            if node.key.as_ref() == key {
+            // unlink/retire), and the returned `&item.next` stays valid
+            // for `'a`: the store drops its reference on a stripe's
+            // items only under its lock (epoch collection) or through
+            // `&mut KvStore` (purge/drop).
+            let item = unsafe { &*p };
+            if item.key() == key {
                 return (link, p);
             }
-            link = &node.next;
+            link = &item.next;
         }
     }
 
-    /// Allocates a published-ready node.
-    fn new_node(key: Bytes, value: Bytes, version: u64, next: *mut Node) -> *mut Node {
-        Box::into_raw(Box::new(Node {
-            key,
-            value,
-            version,
-            next: AtomicPtr::new(next),
-        }))
-    }
-
-    /// Hands one just-unlinked node to the epoch machinery. Caller must
-    /// hold the stripe lock and must already have published the unlink
-    /// (a Release pointer store inside a seqlock write section).
+    /// Hands one just-unlinked item to the epoch machinery, with the
+    /// store's reference on it. Caller must hold the stripe lock and
+    /// must already have published the unlink (a Release pointer store
+    /// inside a seqlock write section).
     ///
     /// The ordering here carries the reclamation proof: the backlog
     /// bump is a `SeqCst` RMW sequenced *after* the unlink store, and
@@ -594,130 +831,140 @@ impl<R: RawLock + Default> KvStore<R> {
     /// in the `SeqCst` total order — an Acquire tag load could be
     /// satisfied on RCpc hardware before the unlink is globally
     /// visible. By the time the tag is read the unlink is therefore
-    /// committed to memory: a reader that finds this node through a
+    /// committed to memory: a reader that finds this item through a
     /// stale pointer must have pinned at or before the tag, and its
     /// pin then blocks the tag's bag from aging out. Retiring
     /// into a bag slot whose previous generation is three epochs old
-    /// frees that generation inline, which is what makes reclamation
+    /// releases that generation inline, which is what makes reclamation
     /// amortized per-op rather than a stop-the-world pass.
-    fn retire(&self, stripe: &Stripe<R>, inner: &mut StripeInner, node: *mut Node) {
+    fn retire(&self, stripe: &Stripe<R>, inner: &mut StripeInner, item: *mut Item) {
+        #[cfg(ssync_chk)]
+        if self.fault == Some(KvFault::ReleaseAtRetire) {
+            // SAFETY: none — this is the seeded bug: the store gives up
+            // its reference while a pinned reader may still be walking
+            // the item. What keeps the twin itself defined is that the
+            // last reference poisons the block instead of freeing it.
+            return unsafe { Item::release_poisoning(item) };
+        }
         stripe.backlog.fetch_add(1, Ordering::SeqCst);
         let tag = self.epoch.epoch_sc();
-        let freed = inner.bags.retire(node, tag, |p| {
+        let released = inner.bags.retire(item, tag, |p| {
             // SAFETY: `p` was unlinked from this stripe's chains at
             // least two epoch advances before `tag`, so every reader
             // that could still reach it has unpinned (grace-period
             // proof in `ssync_core::epoch`), and bag entries are
-            // pushed exactly once.
-            drop(unsafe { Box::from_raw(p) });
+            // pushed exactly once, each with the store's reference.
+            unsafe { Item::release(p) };
         });
-        if freed > 0 {
-            stripe.backlog.fetch_sub(freed as u64, Ordering::Relaxed);
+        if released > 0 {
+            stripe.backlog.fetch_sub(released as u64, Ordering::Relaxed);
             self.stats
                 .nodes_reclaimed
-                .fetch_add(freed as u64, Ordering::Relaxed);
+                .fetch_add(released as u64, Ordering::Relaxed);
         }
     }
 
-    /// Frees every bag generation of `stripe` that has aged past the
+    /// Releases every bag generation of `stripe` that has aged past the
     /// grace period. Caller must hold the stripe lock.
     fn collect_locked(&self, stripe: &Stripe<R>, inner: &mut StripeInner) -> usize {
         let global = self.epoch.epoch();
-        let freed = inner.bags.collect(global, |p| {
+        let released = inner.bags.collect(global, |p| {
             // SAFETY: the bag's tag is at least two advances behind
             // `global`, so no reader pin can still cover `p`; entries
             // are pushed exactly once (see `retire`).
-            drop(unsafe { Box::from_raw(p) });
+            unsafe { Item::release(p) };
         });
-        if freed > 0 {
-            stripe.backlog.fetch_sub(freed as u64, Ordering::Relaxed);
+        if released > 0 {
+            stripe.backlog.fetch_sub(released as u64, Ordering::Relaxed);
             self.stats
                 .nodes_reclaimed
-                .fetch_add(freed as u64, Ordering::Relaxed);
+                .fetch_add(released as u64, Ordering::Relaxed);
         }
-        freed
+        released
     }
 
-    /// The delicate heart of every in-place update, kept in one place:
-    /// allocates a replacement for `old` carrying `value`/`version`,
-    /// publishes it through `link` inside a seqlock write section, and
-    /// retires `old`. Caller must hold the stripe lock, `link` must
-    /// currently load `old`, and `old` must be live.
-    fn replace_node(
+    /// Links a new item for `key` through `link` in place of `found` —
+    /// null for an insert — and retires `found`. Caller must hold the
+    /// stripe lock, `link` must currently load `found`, and `found`
+    /// must be null or live. Returns the new item, live until the lock
+    /// is released.
+    fn link_item(
         &self,
         stripe: &Stripe<R>,
         inner: &mut StripeInner,
-        link: &AtomicPtr<Node>,
-        old: *mut Node,
-        value: Bytes,
+        (link, found): (&AtomicPtr<Item>, *mut Item),
+        key: &[u8],
+        value: &[u8],
         version: u64,
-    ) {
-        // SAFETY: `old` is live under the stripe lock (caller
-        // contract).
-        let old_node = unsafe { &*old };
-        let fresh = Self::new_node(
-            old_node.key.clone(),
-            value,
-            version,
+    ) -> *mut Item {
+        // SAFETY: `found` is null or live under the stripe lock
+        // (caller contract).
+        let next = unsafe { found.as_ref() }.map_or(ptr::null_mut(), |old| {
             // chk: lock-serialized — no writer mutates `next` under us.
-            old_node.next.load(Ordering::Relaxed),
-        );
+            old.next.load(Ordering::Relaxed)
+        });
+        let fresh = Item::create(key, value, version, next);
         {
             let _section = WriteSection::enter(&stripe.seq);
             link.store(fresh, Ordering::Release);
         }
-        self.retire(stripe, inner, old);
-    }
-
-    /// Stores a value (insert or replace); returns its new CAS version.
-    pub fn set(&self, key: &[u8], value: impl Into<Bytes>) -> u64 {
-        let value = value.into();
-        let (stripe, bucket) = self.locate(key);
-        let stripe = &self.stripes[stripe];
-        let version;
-        {
-            let mut inner = stripe.inner.lock();
-            // Assigned *under* the stripe lock: a key's versions must be
-            // monotone in replacement order (two racing writers must not
-            // leave the chain holding the smaller version), or the
-            // replication log's per-key version gate would drop the
-            // surviving value on replay.
-            version = self.next_version.fetch_add(1, Ordering::Relaxed);
-            let (link, found) = Self::find_link(&stripe.heads[bucket], key);
-            if found.is_null() {
-                let node = Self::new_node(Bytes::copy_from_slice(key), value, version, found);
-                let _section = WriteSection::enter(&stripe.seq);
-                link.store(node, Ordering::Release);
-            } else {
-                self.replace_node(stripe, &mut inner, link, found, value, version);
-            }
+        if !found.is_null() {
+            self.retire(stripe, inner, found);
         }
-        self.stats.sets.fetch_add(1, Ordering::Relaxed);
-        self.after_write();
-        version
+        fresh
     }
 
-    /// Compare-and-set: stores only if the current version matches.
-    pub fn cas(&self, key: &[u8], value: impl Into<Bytes>, expected: u64) -> Result<u64, u64> {
-        let value = value.into();
+    /// Unlinks the live item `found`, which `link` loads, and retires
+    /// it. Caller must hold the stripe lock.
+    fn unlink_item(
+        &self,
+        stripe: &Stripe<R>,
+        inner: &mut StripeInner,
+        link: &AtomicPtr<Item>,
+        found: *mut Item,
+    ) {
+        // SAFETY: `found` is live under the stripe lock.
+        // chk: lock-serialized load, as in `find_link`.
+        let next = unsafe { &*found }.next.load(Ordering::Relaxed);
+        {
+            let _section = WriteSection::enter(&stripe.seq);
+            link.store(next, Ordering::Release);
+        }
+        self.retire(stripe, inner, found);
+    }
+
+    /// `set` and `cas` in one place. Under the stripe lock: assign the
+    /// next version, and unless `expected` names a version the key does
+    /// not hold (an absent key holds none), store `value` as one new
+    /// item. With `keep`, also returns a handle on the stored value.
+    /// `Err` carries the key's current version, 0 when absent.
+    fn put(
+        &self,
+        key: &[u8],
+        value: &[u8],
+        expected: Option<u64>,
+        keep: bool,
+    ) -> Result<(u64, Option<Bytes>), u64> {
         let (stripe, bucket) = self.locate(key);
         let stripe = &self.stripes[stripe];
         let result = {
             let mut inner = stripe.inner.lock();
-            // Under the stripe lock, as in `set`: replacement order and
-            // version order must agree per key.
+            // Assigned *under* the stripe lock, and before the CAS
+            // check: a key's versions must be monotone in replacement
+            // order (two racing writers must not leave the chain holding
+            // the smaller version), or the replication log's per-key
+            // version gate would drop the surviving value on replay.
             let version = self.next_version.fetch_add(1, Ordering::Relaxed);
             let (link, found) = Self::find_link(&stripe.heads[bucket], key);
-            if found.is_null() {
-                Err(0)
-            } else {
-                // SAFETY: `found` is live under the stripe lock.
-                let current = unsafe { &*found }.version;
-                if current == expected {
-                    self.replace_node(stripe, &mut inner, link, found, value, version);
-                    Ok(version)
-                } else {
-                    Err(current)
+            // SAFETY: `found` is null or live under the stripe lock.
+            let current = unsafe { found.as_ref() }.map(|item| item.version);
+            match expected {
+                Some(expected) if current != Some(expected) => Err(current.unwrap_or(0)),
+                _ => {
+                    let item =
+                        self.link_item(stripe, &mut inner, (link, found), key, value, version);
+                    // SAFETY: the new item is live until the lock goes.
+                    Ok((version, keep.then(|| unsafe { &*item }.value_handle())))
                 }
             }
         };
@@ -730,11 +977,53 @@ impl<R: RawLock + Default> KvStore<R> {
         result
     }
 
-    /// Unlinks `key`'s node if present (under the stripe lock),
+    /// Stores a value (insert or replace) as one new item, copying it
+    /// once; returns its new CAS version.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is longer than 16 MiB or the value longer than
+    /// `u32::MAX` bytes.
+    pub fn set(&self, key: &[u8], value: impl AsRef<[u8]>) -> u64 {
+        match self.put(key, value.as_ref(), None, false) {
+            Ok((version, _)) => version,
+            Err(_) => unreachable!("an unconditional put stores"),
+        }
+    }
+
+    /// [`KvStore::set`], also returning a handle on the stored value:
+    /// the bytes a replication or migration log keeps without a copy.
+    pub fn set_shared(&self, key: &[u8], value: impl AsRef<[u8]>) -> (u64, Bytes) {
+        match self.put(key, value.as_ref(), None, true) {
+            Ok((version, Some(kept))) => (version, kept),
+            _ => unreachable!("an unconditional kept put stores and keeps"),
+        }
+    }
+
+    /// Compare-and-set: stores only if the current version matches.
+    /// Panics as [`KvStore::set`] does.
+    pub fn cas(&self, key: &[u8], value: impl AsRef<[u8]>, expected: u64) -> Result<u64, u64> {
+        self.put(key, value.as_ref(), Some(expected), false)
+            .map(|(version, _)| version)
+    }
+
+    /// [`KvStore::cas`], also returning a handle on the stored value on
+    /// success, as [`KvStore::set_shared`] does.
+    pub fn cas_shared(
+        &self,
+        key: &[u8],
+        value: impl AsRef<[u8]>,
+        expected: u64,
+    ) -> Result<(u64, Bytes), u64> {
+        self.put(key, value.as_ref(), Some(expected), true)
+            .map(|(version, kept)| (version, kept.expect("a kept put keeps")))
+    }
+
+    /// Unlinks `key`'s item if present (under the stripe lock),
     /// retiring it. With `versioned`, the removal is assigned a fresh
     /// version inside the same critical section — so a tombstone orders
     /// after every earlier replacement of the key, exactly as `set`'s
-    /// versions do. `Some(version)` (0 when unversioned) if a node was
+    /// versions do. `Some(version)` (0 when unversioned) if an item was
     /// removed.
     fn unlink(
         &self,
@@ -753,14 +1042,7 @@ impl<R: RawLock + Default> KvStore<R> {
         } else {
             0
         };
-        // SAFETY: `found` is live under the stripe lock.
-        // chk: lock-serialized load, as in `find_link`.
-        let next = unsafe { &*found }.next.load(Ordering::Relaxed);
-        {
-            let _section = WriteSection::enter(&stripe.seq);
-            link.store(next, Ordering::Release);
-        }
-        self.retire(stripe, &mut inner, found);
+        self.unlink_item(stripe, &mut inner, link, found);
         Some(version)
     }
 
@@ -814,39 +1096,14 @@ impl<R: RawLock + Default> KvStore<R> {
             let (link, found) = Self::find_link(&stripe.heads[bucket], key);
             // SAFETY: `found` (when non-null) is live under the stripe
             // lock.
-            let current = (!found.is_null()).then(|| unsafe { &*found });
-            match (current, value) {
-                (Some(node), _) if node.version >= version => false,
-                (Some(_), Some(v)) => {
-                    self.replace_node(
-                        stripe,
-                        &mut inner,
-                        link,
-                        found,
-                        Bytes::copy_from_slice(v),
-                        version,
-                    );
+            match (unsafe { found.as_ref() }, value) {
+                (Some(item), _) if item.version >= version => false,
+                (_, Some(value)) => {
+                    self.link_item(stripe, &mut inner, (link, found), key, value, version);
                     true
                 }
-                (Some(node), None) => {
-                    // chk: lock-serialized load, as in `find_link`.
-                    let next = node.next.load(Ordering::Relaxed);
-                    {
-                        let _section = WriteSection::enter(&stripe.seq);
-                        link.store(next, Ordering::Release);
-                    }
-                    self.retire(stripe, &mut inner, found);
-                    true
-                }
-                (None, Some(v)) => {
-                    let fresh = Self::new_node(
-                        Bytes::copy_from_slice(key),
-                        Bytes::copy_from_slice(v),
-                        version,
-                        ptr::null_mut(),
-                    );
-                    let _section = WriteSection::enter(&stripe.seq);
-                    link.store(fresh, Ordering::Release);
+                (Some(_), None) => {
+                    self.unlink_item(stripe, &mut inner, link, found);
                     true
                 }
                 // Delete of an absent key: already gone, nothing to do.
@@ -862,49 +1119,52 @@ impl<R: RawLock + Default> KvStore<R> {
         applied
     }
 
-    /// Visits every stored item as `(key, version, value)`, one stripe
-    /// lock at a time, in unspecified order.
+    /// Visits every item of one bucket chain; the caller holds the
+    /// chain's stripe lock.
+    fn walk_chain(head: &AtomicPtr<Item>, mut f: impl FnMut(&Item)) {
+        let mut p = head.load(Ordering::Acquire);
+        while !p.is_null() {
+            // SAFETY: live item, stripe lock held.
+            let item = unsafe { &*p };
+            f(item);
+            p = item.next.load(Ordering::Acquire);
+        }
+    }
+
+    /// Visits every stored item as `(key, version, value)`, borrowed in
+    /// place, one stripe lock at a time, in unspecified order.
     pub fn for_each(&self, mut f: impl FnMut(&[u8], u64, &[u8])) {
         for stripe in self.stripes.iter() {
             let _guard = stripe.inner.lock();
             for head in stripe.heads.iter() {
-                let mut p = head.load(Ordering::Acquire);
-                while !p.is_null() {
-                    // SAFETY: live node, stripe lock held.
-                    let node = unsafe { &*p };
-                    f(node.key.as_ref(), node.version, node.value.as_ref());
-                    p = node.next.load(Ordering::Acquire);
-                }
+                Self::walk_chain(head, |item| f(item.key(), item.version, item.value()));
             }
         }
     }
 
-    /// Clones one bucket chain's items onto `out`. The caller holds the
-    /// chain's stripe lock.
-    fn push_chain(head: &AtomicPtr<Node>, out: &mut Vec<(Bytes, u64, Bytes)>) {
-        let mut p = head.load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: live node, stripe lock held.
-            let node = unsafe { &*p };
-            out.push((node.key.clone(), node.version, node.value.clone()));
-            p = node.next.load(Ordering::Acquire);
-        }
+    /// One item as a `(key, version, value)` triple of handles. The
+    /// caller holds the item's stripe lock.
+    fn triple(item: &Item) -> (Bytes, u64, Bytes) {
+        (item.handle(item.key()), item.version, item.value_handle())
     }
 
     /// The full contents as `(key, version, value)` triples sorted by
     /// key — the comparison form replication tests and the `repl-perf`
     /// convergence check use (never a serving path, so it can afford
-    /// the sort). Clones are `Bytes` refcount bumps, not byte copies,
-    /// so dumping a large store is cheap.
+    /// the sort). Keys and values are handles into the items, not
+    /// copies: dumping a store allocates the returned `Vec` and nothing
+    /// else.
     pub fn dump(&self) -> Vec<(Bytes, u64, Bytes)> {
         let mut out = Vec::new();
         for stripe in self.stripes.iter() {
             let _guard = stripe.inner.lock();
             for head in stripe.heads.iter() {
-                Self::push_chain(head, &mut out);
+                Self::walk_chain(head, |item| out.push(Self::triple(item)));
             }
         }
-        out.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
+        // Keys are unique, so the unstable sort (which needs no scratch
+        // buffer) gives the one order a stable one would.
+        out.sort_unstable_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
         out
     }
 
@@ -944,7 +1204,7 @@ impl<R: RawLock + Default> KvStore<R> {
                 if out.len() >= max {
                     return out;
                 }
-                Self::push_chain(head, &mut out);
+                Self::walk_chain(head, |item| out.push(Self::triple(item)));
             }
             if !out.is_empty() {
                 break;
@@ -966,21 +1226,22 @@ impl<R: RawLock + Default> KvStore<R> {
         self.len() == 0
     }
 
-    /// The shutdown drain: frees every retired node regardless of its
-    /// bag's epoch, returning how many were reclaimed. `&mut self` is
-    /// the quiescent point: exclusive access proves no optimistic
-    /// reader (or any other caller) is traversing a chain, so the
-    /// unlinked nodes are unreachable and safe to drop without waiting
-    /// out a grace period. Live traffic never needs this —
-    /// [`KvStore::reclaim_pass`] and the write path's amortized
-    /// collection reclaim concurrently — but drop and the explicit
-    /// store-teardown paths still come through here.
+    /// The shutdown drain: releases the store's reference on every
+    /// retired item regardless of its bag's epoch, returning how many
+    /// it released. `&mut self` is the quiescent point: exclusive
+    /// access proves no optimistic reader (or any other caller) is
+    /// traversing a chain, so the unlinked items are unreachable but
+    /// through handles, which hold references of their own. Live
+    /// traffic never needs this — [`KvStore::reclaim_pass`] and the
+    /// write path's amortized collection reclaim concurrently — but
+    /// drop and the explicit store-teardown paths still come through
+    /// here.
     pub fn purge_retired(&mut self) -> usize {
-        let mut freed = 0;
+        let mut released = 0;
         for stripe in self.stripes.iter_mut() {
             // The retirement invariant, checked before anything is
-            // freed: a retired node must no longer be reachable from
-            // any live chain of its stripe, or the free below would
+            // released: a retired item must no longer be reachable from
+            // any live chain of its stripe, or the release below would
             // leave a dangling link for the next reader.
             #[cfg(debug_assertions)]
             {
@@ -991,33 +1252,33 @@ impl<R: RawLock + Default> KvStore<R> {
                     while !p.is_null() {
                         live.push(p);
                         // chk: unordered, as above — exclusive access.
-                        // SAFETY: live node under exclusive access.
+                        // SAFETY: live item under exclusive access.
                         p = unsafe { &*p }.next.load(Ordering::Relaxed);
                     }
                 }
                 for p in stripe.inner.get_mut().bags.iter() {
                     assert!(
                         !live.contains(p),
-                        "retired node still reachable from a live chain"
+                        "retired item still reachable from a live chain"
                     );
                 }
             }
             let n = stripe.inner.get_mut().bags.drain_all(|p| {
-                // SAFETY: retired nodes were unlinked from every chain
-                // and pushed exactly once; with `&mut self` nothing can
-                // reach them anymore.
-                drop(unsafe { Box::from_raw(p) });
+                // SAFETY: retired items were unlinked from every chain
+                // and pushed exactly once, each with the store's
+                // reference; with `&mut self` no chain reaches them.
+                unsafe { Item::release(p) };
             });
             stripe.backlog.fetch_sub(n as u64, Ordering::Relaxed);
             self.stats
                 .nodes_reclaimed
                 .fetch_add(n as u64, Ordering::Relaxed);
-            freed += n;
+            released += n;
         }
-        freed
+        released
     }
 
-    /// Retired nodes awaiting reclamation, summed over the stripes.
+    /// Retired items awaiting reclamation, summed over the stripes.
     /// Lock-free: each stripe keeps a relaxed gauge, so monitoring can
     /// scrape the backlog live — no `&mut`, no queueing behind writers
     /// on any stripe lock.
@@ -1032,24 +1293,24 @@ impl<R: RawLock + Default> KvStore<R> {
     /// then sweep every stripe's bags for generations past the grace
     /// period. Safe — and designed — to run concurrently with readers
     /// and writers; the serve loops call it periodically so a node
-    /// reclaims while traffic is flowing. Returns the nodes freed.
+    /// reclaims while traffic is flowing. Returns the items released.
     pub fn reclaim_pass(&self) -> usize {
         if self.epoch.try_advance() {
             self.stats.epochs_advanced.fetch_add(1, Ordering::Relaxed);
         }
-        let mut freed = 0;
+        let mut released = 0;
         for stripe in self.stripes.iter() {
             let mut inner = stripe.inner.lock();
-            freed += self.collect_locked(stripe, &mut inner);
+            released += self.collect_locked(stripe, &mut inner);
         }
-        freed
+        released
     }
 
     /// The write path's periodic global-lock maintenance, run by every
     /// [`MAINTENANCE_PERIOD`]th successful write: under the global lock,
     /// take the next stripe's lock in round-robin order, try one
     /// global-epoch advance and collect that stripe's expired bag
-    /// generations. It visits no chain node, so what a pass costs does
+    /// generations. It visits no chain item, so what a pass costs does
     /// not grow with the number of items stored — a short global-lock
     /// section, as Memcached holds its global locks.
     fn after_write(&self) {
@@ -1082,12 +1343,15 @@ impl<R: RawLock + Default> Drop for KvStore<R> {
                 // definition, so both loads here are unordered.
                 let mut p = head.load(Ordering::Relaxed);
                 while !p.is_null() {
-                    // SAFETY: exclusive access; live chains and the
-                    // (already purged) retirement list are disjoint, so
-                    // each node is freed exactly once.
-                    let node = unsafe { Box::from_raw(p) };
+                    let item = p;
                     // chk: unordered, as above — exclusive access.
-                    p = node.next.load(Ordering::Relaxed);
+                    // SAFETY: exclusive access; the store's reference
+                    // keeps `item` live until the release below.
+                    p = unsafe { &*item }.next.load(Ordering::Relaxed);
+                    // SAFETY: live chains and the (already purged)
+                    // retirement bags are disjoint, so the store's
+                    // reference on each item is released exactly once.
+                    unsafe { Item::release(item) };
                 }
             }
         }
@@ -1539,7 +1803,7 @@ mod tests {
             let key = format!("k{}", i % 13);
             match i % 4 {
                 0 | 1 => {
-                    kv.set(key.as_bytes(), i.to_be_bytes().to_vec());
+                    kv.set(key.as_bytes(), i.to_be_bytes());
                 }
                 2 => {
                     kv.delete(key.as_bytes());
@@ -1547,9 +1811,10 @@ mod tests {
                 _ => {}
             }
             let (stripe, bucket) = kv.locate(key.as_bytes());
+            let visit = |item: &Item| (item.version, item.value().to_vec());
             assert_eq!(
-                kv.read(key.as_bytes()),
-                KvStore::read_locked(&kv.stripes[stripe], bucket, key.as_bytes()),
+                kv.read(key.as_bytes(), visit),
+                KvStore::read_locked(&kv.stripes[stripe], bucket, key.as_bytes(), visit),
                 "paths disagree on {key}"
             );
         }
@@ -1596,7 +1861,7 @@ mod tests {
     fn retired_nodes_accumulate_and_purge() {
         let mut kv: KvStore<TicketLock> = KvStore::new(64, 8);
         for i in 0u64..10 {
-            kv.set(b"k", i.to_be_bytes().to_vec()); // 9 replacements.
+            kv.set(b"k", i.to_be_bytes()); // 9 replacements.
         }
         kv.delete(b"k"); // +1 unlink.
         assert_eq!(kv.reclaim_backlog(), 10);
@@ -1615,7 +1880,7 @@ mod tests {
     fn reclaim_pass_frees_concurrently_reachable_garbage() {
         let kv: KvStore<TicketLock> = KvStore::new(64, 8);
         for i in 0u64..10 {
-            kv.set(b"k", i.to_be_bytes().to_vec()); // 9 replacements.
+            kv.set(b"k", i.to_be_bytes()); // 9 replacements.
         }
         kv.delete(b"k"); // +1 unlink.
         assert_eq!(kv.reclaim_backlog(), 10);
@@ -1671,15 +1936,15 @@ mod tests {
     fn concurrent_reader_never_sees_torn_values() {
         let kv: KvStore<TicketLock> = KvStore::new(16, 4);
         const ROUNDS: u64 = 3_000;
-        kv.set(b"hot", 0u64.to_be_bytes().to_vec());
+        kv.set(b"hot", 0u64.to_be_bytes());
         std::thread::scope(|s| {
             let kv = &kv;
             s.spawn(move || {
                 for i in 1..ROUNDS {
-                    kv.set(b"hot", i.to_be_bytes().to_vec());
+                    kv.set(b"hot", i.to_be_bytes());
                     if i % 7 == 0 {
                         kv.delete(b"cold"); // Unrelated churn, same store.
-                        kv.set(b"cold", i.to_le_bytes().to_vec());
+                        kv.set(b"cold", i.to_le_bytes());
                     }
                     if i % 64 == 0 {
                         std::thread::yield_now();

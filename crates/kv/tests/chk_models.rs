@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64 as RealAtomicU64, Ordering as RealOrdering};
 use std::sync::Arc;
 
 use ssync_chk::{thread, Builder};
-use ssync_kv::KvStore;
+use ssync_kv::{KvFault, KvStore};
 use ssync_locks::TtasLock;
 
 /// A store with one stripe and one bucket: every operation contends on
@@ -209,4 +209,65 @@ fn reclaim_pass_races_reader_without_use_after_free() {
     });
     assert!(!report.truncated, "exploration truncated: {report:?}");
     eprintln!("reclaim-vs-reader model: {} executions", report.executions);
+}
+
+/// The shared body of the handle model and its twin: a reader takes a
+/// `get` handle while the main thread replaces the key; once the reader
+/// is done, the main thread passes until the store has let the
+/// replaced item go — past the grace period, with the handle still
+/// held. The handle must still read the bytes it was taken on: the pin
+/// protected the traversal, the reference count protects the handle.
+fn handle_outlives_reclamation(store: KvStore<TtasLock>) {
+    let store = Arc::new(store);
+    store.set(b"k", b"old");
+    let reader = {
+        let store = Arc::clone(&store);
+        thread::spawn(move || {
+            store
+                .get(b"k")
+                .expect("key vanished: its item freed under the reader")
+        })
+    };
+    store.set(b"k", b"new"); // Retires the old item.
+    let handle = reader.join();
+    while store.reclaim_backlog() > 0 {
+        store.reclaim_pass();
+    }
+    assert!(
+        handle.as_ref() == b"old" || handle.as_ref() == b"new",
+        "the handle reads freed bytes: {handle:?}"
+    );
+}
+
+/// A handle outlives its item's reclamation. The store's reference on
+/// the replaced item goes when its bag ages out; a reader's handle
+/// taken on it before then holds a reference of its own, so the block
+/// survives the store's release and is freed by the handle's drop.
+/// Unbounded, as its twin must be: under a preemption bound the sleep
+/// sets prune the one schedule the twin fails in.
+#[test]
+fn a_handle_outlives_its_items_reclamation() {
+    let report = Builder::new()
+        .with_preemption_bound(usize::MAX)
+        .check(|| handle_outlives_reclamation(tiny_store()));
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    eprintln!(
+        "handle-outlives-reclamation model: {} executions",
+        report.executions
+    );
+}
+
+/// The twin: a store that drops its reference when it retires an item,
+/// not when the item's bag ages out. A reader that validated the old
+/// item but had not yet taken its handle is left holding an item whose
+/// last reference is gone — the checker must find that interleaving.
+#[test]
+fn releasing_the_store_reference_at_retire_is_found() {
+    let v = Builder::new()
+        .with_preemption_bound(usize::MAX)
+        .expect_violation(|| {
+            handle_outlives_reclamation(KvStore::with_fault(1, 1, KvFault::ReleaseAtRetire));
+        });
+    assert!(v.message.contains("freed"), "{v}");
+    eprintln!("release-at-retire found in execution {}", v.execution);
 }

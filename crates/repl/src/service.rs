@@ -1080,10 +1080,13 @@ struct Replicator<'a> {
 }
 
 impl Hooks for Replicator<'_> {
-    const OBSERVES_WRITES: bool = true;
-
     fn admit(&mut self, _key: u64, _is_write: bool) -> Admit {
         Admit::Run
+    }
+
+    /// Always: the log and the stream carry every write's value.
+    fn observes_writes(&self) -> bool {
+        true
     }
 
     fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>) {

@@ -10,10 +10,11 @@
 //! scrape, and one executor for the six data operations. What differs between the
 //! stacks enters through the two [`Hooks`]: `admit` decides per key
 //! whether this node may run the operation (always, for a plain shard;
-//! the slot fence, for a cluster node), `committed` sees every write
-//! the store accepted (the cluster's op-log, the replication stream).
-//! Both are generic parameters — the plain shard's [`NoHooks`]
-//! compiles to the bare store calls.
+//! the slot fence, for a cluster node), `committed` sees every delete
+//! the store accepted and every put the hooks asked to observe (the
+//! cluster's op-log while a migration has it armed, the replication
+//! stream). Both are generic parameters — the plain shard's
+//! [`NoHooks`] compiles to the bare store calls.
 
 use std::sync::Arc;
 
@@ -45,16 +46,18 @@ pub enum Admit {
 /// The two points where a serving stack's policy meets the request
 /// path.
 pub trait Hooks {
-    /// Whether [`Hooks::committed`] wants the stored value. The
-    /// executor keeps a second handle on the value (one reference-count
-    /// round trip) only for hooks that read it.
-    const OBSERVES_WRITES: bool;
-
     /// May this node run the operation on `key` now?
     fn admit(&mut self, key: u64, is_write: bool) -> Admit;
 
+    /// Does [`Hooks::committed`] want the value of the put about to
+    /// run? Asked once per admitted `Set`/`Cas`. A yes makes the store
+    /// hand back a handle on the stored value (one reference-count
+    /// round trip); a no skips `committed` for that put.
+    fn observes_writes(&self) -> bool;
+
     /// The store accepted a write of `key` at `version`: `Some(value)`
-    /// for a put, `None` for a delete. Called before the reply is sent.
+    /// for a put [`Hooks::observes_writes`] asked for, `None` for a
+    /// delete (reported always). Called before the reply is sent.
     fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>);
 }
 
@@ -62,10 +65,12 @@ pub trait Hooks {
 pub struct NoHooks;
 
 impl Hooks for NoHooks {
-    const OBSERVES_WRITES: bool = false;
-
     fn admit(&mut self, _key: u64, _is_write: bool) -> Admit {
         Admit::Run
+    }
+
+    fn observes_writes(&self) -> bool {
+        false
     }
 
     fn committed(&mut self, _key: u64, _version: u64, _value: Option<&Bytes>) {}
@@ -103,14 +108,13 @@ pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
     wait: ParkingWait,
     registry: Registry,
     queue_wait: Arc<Histogram>,
+    /// `srv.apply_ns`: a `TimedGet`'s server-side work — the lookup and,
+    /// since a hit is encoded in place under the read's pin, the encode
+    /// of its answer; not the send.
     apply: Arc<Histogram>,
     /// Requests, key-operations and refused frames so far.
     pub counts: ServeReport,
 }
-
-/// One read's outcome before it is encoded: the store's own handle on
-/// a hit, or the response the admission hook refused with.
-type Read = Result<Option<(u64, Bytes)>, Response>;
 
 // The per-request methods carry `#[inline]`: each has one or two call
 // sites, in a serve loop, and left out of line they cost the plain
@@ -145,20 +149,6 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     pub fn reply(&mut self, client: usize, response: &Response) {
         response.encode_into(&mut self.frames);
         self.send_frames(client);
-    }
-
-    /// Answers one read. A hit is encoded straight from the store's
-    /// buffer: the value's one copy on this hop is into the frames.
-    #[inline]
-    fn reply_read(&mut self, client: usize, read: Read) {
-        match read {
-            Ok(Some((version, value))) => {
-                encode_value(version, &value, &mut self.frames);
-                self.send_frames(client);
-            }
-            Ok(None) => self.reply(client, &Response::Miss),
-            Err(refusal) => self.reply(client, &refusal),
-        }
     }
 
     #[inline]
@@ -316,20 +306,20 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     ) -> Option<Request> {
         match request {
             Request::Get { key } => {
-                let read = self.read(store, hooks, key);
-                self.reply_read(client, read);
+                self.read(store, hooks, key);
+                self.send_frames(client);
             }
             Request::TimedGet { key, stamp } => {
                 let t0 = mono_ns();
                 self.queue_wait.record(t0.saturating_sub(stamp));
-                let read = self.read(store, hooks, key);
+                self.read(store, hooks, key);
                 self.apply.record(mono_ns().saturating_sub(t0));
-                self.reply_read(client, read);
+                self.send_frames(client);
             }
             Request::MultiGet { keys } => {
                 for key in keys {
-                    let read = self.read(store, hooks, key);
-                    self.reply_read(client, read);
+                    self.read(store, hooks, key);
+                    self.send_frames(client);
                 }
             }
             Request::Set { key, .. } | Request::Cas { key, .. } | Request::Delete { key } => {
@@ -352,18 +342,28 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         None
     }
 
-    /// One admitted-or-refused read; reads never park.
+    /// Runs one read — admitted or refused; reads never park — and
+    /// encodes its answer into the frame buffer. A hit is encoded
+    /// straight from the stored item, borrowed under the read's own pin
+    /// ([`KvStore::get_with`]): no handle, no reference-count round
+    /// trip, and the value's one copy on this hop is into the frames.
     #[inline]
     fn read<R: RawLock + Default, H: Hooks>(
         &mut self,
         store: &KvStore<R>,
         hooks: &mut H,
         key: u64,
-    ) -> Read {
+    ) {
         self.counts.key_ops += 1;
-        match hooks.admit(key, false) {
-            Admit::Refuse(response) => Err(response),
-            Admit::Run | Admit::Defer => Ok(store.get_with_version(&key_bytes(key))),
+        if let Admit::Refuse(response) = hooks.admit(key, false) {
+            return response.encode_into(&mut self.frames);
+        }
+        let frames = &mut self.frames;
+        let hit = store.get_with(&key_bytes(key), |version, value| {
+            encode_value(version, value, frames);
+        });
+        if hit.is_none() {
+            Response::Miss.encode_into(&mut self.frames);
         }
     }
 }
@@ -375,16 +375,12 @@ fn write<R: RawLock + Default, H: Hooks>(
     request: Request,
 ) -> Response {
     match request {
-        Request::Set { key, value } => put(hooks, key, value, |value| {
-            Ok(store.set(&key_bytes(key), value))
-        }),
+        Request::Set { key, value } => put(store, hooks, key, &value, None),
         Request::Cas {
             key,
             expected,
             value,
-        } => put(hooks, key, value, |value| {
-            store.cas(&key_bytes(key), value, expected)
-        }),
+        } => put(store, hooks, key, &value, Some(expected)),
         Request::Delete { key } => match store.delete_versioned(&key_bytes(key)) {
             Some(version) => {
                 hooks.committed(key, version, None);
@@ -396,24 +392,32 @@ fn write<R: RawLock + Default, H: Hooks>(
     }
 }
 
-/// Stores `value` through `apply` (a `set` or a `cas`). Hooks that
-/// read committed values get a second handle on it — one
-/// reference-count round trip; the plain shard moves the value
-/// straight into the store.
-fn put<H: Hooks>(
+/// Stores `value` — a `set`, or a `cas` against `expected` — copying the
+/// decoded bytes once, into the new item. When `hooks` observes this
+/// write, the store also hands back a handle on the stored value for
+/// [`Hooks::committed`] to keep: the log shares the item's bytes.
+fn put<R: RawLock + Default, H: Hooks>(
+    store: &KvStore<R>,
     hooks: &mut H,
     key: u64,
-    value: Vec<u8>,
-    apply: impl FnOnce(Bytes) -> Result<u64, u64>,
+    value: &[u8],
+    expected: Option<u64>,
 ) -> Response {
-    let value = Bytes::from(value);
-    let outcome = if H::OBSERVES_WRITES {
-        apply(value.clone()).map(|version| {
+    let stored_key = key_bytes(key);
+    let outcome = if hooks.observes_writes() {
+        let kept = match expected {
+            None => Ok(store.set_shared(&stored_key, value)),
+            Some(expected) => store.cas_shared(&stored_key, value, expected),
+        };
+        kept.map(|(version, value)| {
             hooks.committed(key, version, Some(&value));
             version
         })
     } else {
-        apply(value)
+        match expected {
+            None => Ok(store.set(&stored_key, value)),
+            Some(expected) => store.cas(&stored_key, value, expected),
+        }
     };
     match outcome {
         Ok(version) => Response::Stored { version },

@@ -112,12 +112,12 @@ impl<R: RawLock + Default> ShardRouter<R> {
     }
 
     /// Direct set; returns the new CAS version.
-    pub fn set(&self, key: u64, value: impl Into<Bytes>) -> u64 {
+    pub fn set(&self, key: u64, value: impl AsRef<[u8]>) -> u64 {
         self.shard_for(key).set(&key_bytes(key), value)
     }
 
     /// Direct compare-and-set.
-    pub fn cas(&self, key: u64, value: impl Into<Bytes>, expected: u64) -> Result<u64, u64> {
+    pub fn cas(&self, key: u64, value: impl AsRef<[u8]>, expected: u64) -> Result<u64, u64> {
         self.shard_for(key).cas(&key_bytes(key), value, expected)
     }
 
@@ -181,7 +181,7 @@ mod tests {
     fn direct_ops_route_consistently() {
         let router: ShardRouter<TicketLock> = ShardRouter::new(4, 64, 8);
         for key in 0..100u64 {
-            router.set(key, key.to_be_bytes().to_vec());
+            router.set(key, key.to_be_bytes());
         }
         assert_eq!(router.len(), 100);
         for key in 0..100u64 {
