@@ -538,6 +538,17 @@ impl Shared {
         val
     }
 
+    /// Stops tracking every location whose address lies in
+    /// `[start, start + len)`: the next operation there registers a
+    /// fresh location, seeded from the real atomic's value. Touches no
+    /// thread's state and grants nothing, so it is not a step.
+    pub(crate) fn forget(&self, start: usize, len: usize) {
+        let mut st = lock(&self.state);
+        st.mem
+            .addr_to_loc
+            .retain(|&addr, _| !(start..start + len).contains(&addr));
+    }
+
     fn mark_finished(&self, tid: Tid, panic_msg: Option<String>) {
         let mut st = lock(&self.state);
         // The thread's store buffer is NOT flushed here: buffered stores

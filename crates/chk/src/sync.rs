@@ -27,6 +27,19 @@ use std::sync::Arc;
 
 use crate::sched::{self, Req, ReqKind, RmwKind, StoreClass};
 
+/// Declares the `len` bytes at `start` rewritten with new objects, as
+/// when an allocator hands out a block it got back. Inside an execution
+/// the model forgets every location it tracked in that range, so the
+/// next operation on an atomic there seeds from the value the rewrite
+/// left, exactly as a first touch does; without this, the model would
+/// go on serving the dead object's last committed values at the reused
+/// address. Not a scheduling point. Outside a model, a no-op.
+pub fn reinit(start: *const u8, len: usize) {
+    if let Some(shared) = sched::with_current(|sh, _| Arc::clone(sh)) {
+        shared.forget(start as usize, len);
+    }
+}
+
 /// Routes one operation through the active execution, if any.
 fn route(addr: usize, init: u64, kind: ReqKind) -> Option<u64> {
     let handle = sched::with_current(|sh, tid| (Arc::clone(sh), tid));

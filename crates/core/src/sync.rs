@@ -35,6 +35,21 @@ pub fn cpu_relax() {
     core::hint::spin_loop();
 }
 
+/// Declares the `len` bytes at `start` rewritten with new objects whose
+/// atomics start from the values just written — a recycled block
+/// about to hold a new item. Production builds do nothing. Under
+/// `--cfg ssync_chk` the checker forgets the shadow locations it
+/// tracked there (`ssync_chk::sync::reinit`), which it keys by address:
+/// otherwise a reused block's atomics would read, to the model, as the
+/// dead object's last values. Not a scheduling point.
+#[inline]
+pub fn reinit(start: *const u8, len: usize) {
+    #[cfg(ssync_chk)]
+    ssync_chk::sync::reinit(start, len);
+    #[cfg(not(ssync_chk))]
+    let _ = (start, len);
+}
+
 #[cfg(not(ssync_chk))]
 pub mod atomic {
     pub use core::sync::atomic::{

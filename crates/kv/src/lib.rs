@@ -94,13 +94,49 @@
 //!   [`KvStore::dump`], [`KvStore::dump_range`], the `_shared` writes —
 //!   is a view into the block holding one more, taken under the pin or
 //!   the stripe lock, while the store's own reference is certain to be
-//!   held. The last reference to go frees the block, so a handle
-//!   outlives its item's reclamation and even the store.
+//!   held. A handle that drops the last reference frees the block to
+//!   malloc, so a handle outlives its item's reclamation and even the
+//!   store; the store's own last release recycles it (below).
 //!
 //! A write copies its value once, into the new item; a replace copies
 //! the key too rather than share the old item's. The store's stats
 //! count retirements and reclamations of items, whichever reference
-//! frees the block in the end.
+//! ends the block.
+//!
+//! # Recycled blocks
+//!
+//! Memcached never hands an item's chunk back to malloc: a freed chunk
+//! returns to its slab class, whichever thread writes next. A store
+//! that freed to malloc would pay for glibc's per-thread arenas: a
+//! chunk goes back to the arena of the thread that allocated it, so
+//! when one thread preloads a store and another serves its writes, the
+//! writer's replacements fill a second arena while the preload arena's
+//! freed chunks sit idle.
+//!
+//! So the store's release of an item it retired — an inline retire, a
+//! collection, always under the stripe lock — parks a block whose last
+//! reference it dropped in the stripe's recycler: one free list per
+//! size class, linked through the dead block's `next`. A write pops a
+//! block of its class, under the same lock, before it calls `alloc`.
+//! A handle's last release still frees to malloc, so no block outlives
+//! its store.
+//!
+//! * **Classes are malloc's chunks.** A block of `n` bytes is allocated
+//!   as `16·⌈(n + 8)/16⌉ − 8` bytes, the usable size of the chunk glibc
+//!   gives `n` anyway, so no item grows; the class is recomputed from
+//!   the header's two lengths. Blocks over 4 KiB are never parked.
+//! * **Bounded by the store's own past.** A block is allocated only
+//!   when its stripe's list for its class is empty, so per (stripe,
+//!   class) the blocks a store owns never exceed its high-water mark of
+//!   live plus retired items. [`KvStore::purge_retired`] and `Drop`
+//!   free every parked block exactly once.
+//! * **Reuse waits for the grace period.** A block is parked only when
+//!   the store's reference goes, which is never before its bag ages
+//!   out, so no pinned reader can still be looking at it when a write
+//!   refills it.
+//! * **A parked block is cold.** It was last touched when it was
+//!   parked, so a write prefetches the block it would refill as soon as
+//!   it holds the stripe lock, and the misses overlap its chain walk.
 //!
 //! # Examples
 //!
@@ -122,7 +158,7 @@ use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 /// `core::sync::atomic` types in production builds, `ssync-chk` shadow
 /// atomics under `RUSTFLAGS='--cfg ssync_chk'`.
 pub(crate) mod sync {
-    pub(crate) use ssync_core::sync::{atomic, cpu_relax};
+    pub(crate) use ssync_core::sync::{atomic, cpu_relax, reinit};
 }
 
 use std::sync::Arc;
@@ -162,6 +198,28 @@ const MAX_VALUE_LEN: usize = u32::MAX as usize;
 /// handles are leaking, and taking one more could wrap the count.
 const MAX_REFS: u32 = u32::MAX / 2;
 
+/// Largest block a stripe's recycler parks; a bigger one goes back to
+/// malloc. The wire's values are at most 1 KiB.
+const RECYCLE_MAX: usize = 4096;
+
+/// Size classes a recycler keeps: class `c` holds `16·c − 8`-byte
+/// blocks, up to [`RECYCLE_MAX`].
+const CLASSES: usize = (RECYCLE_MAX + 8) / 16 + 1;
+
+/// The size an item block of `n` bytes is allocated as: `n` rounded up
+/// to the next `16·c − 8`. That is the usable size of the chunk glibc's
+/// malloc hands out for `n` anyway (a chunk is an 8-byte size word plus
+/// the request, rounded up to 16), so no item grows, and every block of
+/// one class fits every item of that class.
+const fn block_size(n: usize) -> usize {
+    (n + 8).div_ceil(16) * 16 - 8
+}
+
+/// The recycler class of a `size`-byte block, if it is parked at all.
+fn class_of(size: usize) -> Option<usize> {
+    (size <= RECYCLE_MAX).then_some((size + 8) / 16)
+}
+
 /// The header of one stored item; the key's and then the value's bytes
 /// follow it in the same allocation (see the module docs). Everything
 /// but `refs` and `next` is immutable after the item is published (an
@@ -187,8 +245,16 @@ struct Item {
 const HEADER: usize = std::mem::size_of::<Item>();
 
 impl Item {
-    /// Allocates an item holding one reference: the store's.
-    fn create(key: &[u8], value: &[u8], version: u64, next: *mut Item) -> *mut Item {
+    /// Makes an item holding one reference, the store's, in a block
+    /// from `recycler` or, when it has none of the item's class, a new
+    /// allocation.
+    fn create(
+        recycler: &mut Recycler,
+        key: &[u8],
+        value: &[u8],
+        version: u64,
+        next: *mut Item,
+    ) -> *mut Item {
         assert!(
             key.len() <= MAX_KEY_LEN && value.len() <= MAX_VALUE_LEN,
             "a {}-byte key or a {}-byte value is too long for an item",
@@ -196,14 +262,22 @@ impl Item {
             value.len()
         );
         let layout = Item::layout(key.len(), value.len());
-        // SAFETY: the layout is never zero-sized (the header alone is
-        // `HEADER` bytes).
-        let item = unsafe { alloc(layout) }.cast::<Item>();
+        let mut item = recycler.take(layout.size());
         if item.is_null() {
-            handle_alloc_error(layout);
+            // SAFETY: the layout is never zero-sized (the header alone
+            // is `HEADER` bytes).
+            item = unsafe { alloc(layout) }.cast::<Item>();
+            if item.is_null() {
+                handle_alloc_error(layout);
+            }
         }
-        // SAFETY: `item` is a fresh allocation, aligned for `Item`, of
-        // the header plus both byte ranges; nothing else can see it
+        // The header below starts new atomics, wherever the block came
+        // from.
+        sync::reinit(item.cast(), HEADER);
+        // SAFETY: `item` is a block of `layout`, aligned for `Item`,
+        // holding the header plus both byte ranges, and no one else
+        // owns it: a new allocation, or a parked block that no chain,
+        // bag or handle reaches any more. Nothing else can see it
         // until the caller publishes it.
         unsafe {
             item.write(Item {
@@ -220,9 +294,14 @@ impl Item {
         item
     }
 
+    /// The block an item of these lengths lives in, rounded up to its
+    /// class (see [`block_size`]).
     fn layout(key_len: usize, value_len: usize) -> Layout {
-        Layout::from_size_align(HEADER + key_len + value_len, std::mem::align_of::<Item>())
-            .expect("item size overflows a layout")
+        Layout::from_size_align(
+            block_size(HEADER + key_len + value_len),
+            std::mem::align_of::<Item>(),
+        )
+        .expect("item size overflows a layout")
     }
 
     /// `len` bytes of the item's body from `offset` past the header.
@@ -258,23 +337,45 @@ impl Item {
         self.handle(self.value())
     }
 
-    /// Drops one reference; the last one frees the block.
+    /// Drops one reference; `true` if it was the last, and the caller
+    /// now owns the dead block.
     ///
     /// SAFETY: the caller owns a reference on the live `item` and gives
     /// it up.
-    unsafe fn release(item: *mut Item) {
-        // SAFETY: the caller's reference keeps `item` live until the
-        // decrement below.
-        let header = unsafe { &*item };
+    unsafe fn drop_ref(item: *mut Item) -> bool {
         // Release orders this owner's reads of the block before its
         // count drops; Acquire on the last drop orders every other
-        // owner's reads before the free.
-        if header.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let layout = Item::layout(header.key_len as usize, header.value_len as usize);
-            // SAFETY: that was the last reference: no handle, chain or
-            // bag can reach the block any more.
-            unsafe { dealloc(item.cast(), layout) };
+        // owner's reads before whatever the block is used for next.
+        // SAFETY: the caller's reference keeps `item` live until the
+        // decrement.
+        unsafe { &*item }.refs.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
+    /// Drops one reference; the last one frees the block to malloc.
+    /// A handle's release, and the teardown's.
+    ///
+    /// SAFETY: as [`Item::drop_ref`].
+    unsafe fn release(item: *mut Item) {
+        // SAFETY: caller contract; a last reference leaves the block
+        // to us, and no handle, chain or bag can reach it any more.
+        unsafe {
+            if Item::drop_ref(item) {
+                Item::free(item);
+            }
         }
+    }
+
+    /// Frees a dead block to malloc.
+    ///
+    /// SAFETY: the caller owns `item`, a block with no reference left.
+    unsafe fn free(item: *mut Item) {
+        // SAFETY: the header's lengths outlive the last reference (a
+        // parked block's `next` is the only field its list rewrites).
+        let header = unsafe { &*item };
+        let layout = Item::layout(header.key_len as usize, header.value_len as usize);
+        // SAFETY: allocated with this layout (the class is a function
+        // of the lengths), and owned by the caller.
+        unsafe { dealloc(item.cast(), layout) };
     }
 
     /// [`KvFault::ReleaseAtRetire`]'s release: the last reference
@@ -286,13 +387,116 @@ impl Item {
     /// SAFETY: as [`Item::release`].
     #[cfg(ssync_chk)]
     unsafe fn release_poisoning(item: *mut Item) {
-        // SAFETY: the caller's reference keeps `item` live.
-        let header = unsafe { &*item };
-        if header.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let len = header.key_len as usize + header.value_len as usize;
-            // SAFETY: the body lies inside the still-allocated block,
-            // and model threads run one at a time.
-            unsafe { ptr::write_bytes(item.cast::<u8>().add(HEADER), 0xA5, len) };
+        // SAFETY: the caller gives up its reference; a last one leaves
+        // the still-allocated block to us, its body inside it, and
+        // model threads run one at a time.
+        unsafe {
+            if Item::drop_ref(item) {
+                let header = &*item;
+                let len = header.key_len as usize + header.value_len as usize;
+                ptr::write_bytes(item.cast::<u8>().add(HEADER), 0xA5, len);
+            }
+        }
+    }
+}
+
+/// A stripe's dead item blocks, kept for the stripe's next writes —
+/// Memcached's slab classes: one free list per size class, linked
+/// through each dead block's `next`. Used only under the stripe lock
+/// (or through `&mut KvStore`), like the bags beside it.
+struct Recycler {
+    /// List heads by class. Allocated on the first park, so a store
+    /// that never replaces an item pays nothing for them.
+    heads: Option<Box<[*mut Item; CLASSES]>>,
+}
+
+impl Recycler {
+    const fn new() -> Recycler {
+        Recycler { heads: None }
+    }
+
+    /// Unlinks a parked block of a `size`-byte block's class; null if
+    /// the list is empty.
+    fn take(&mut self, size: usize) -> *mut Item {
+        let (Some(heads), Some(class)) = (self.heads.as_deref_mut(), class_of(size)) else {
+            return ptr::null_mut();
+        };
+        let block = heads[class];
+        if !block.is_null() {
+            // SAFETY: a parked block is dead, and its list is the one
+            // owner of it.
+            heads[class] = unsafe { *(*block).next.get_mut() };
+        }
+        block
+    }
+
+    /// Starts fetching the block `take(size)` would return. A parked
+    /// block was last touched when it was parked, usually long before,
+    /// so a write that refills it would stall on its lines; prefetched
+    /// as soon as the stripe lock is held, they arrive while the write
+    /// walks its chain. (A chunk malloc hands back is often one another
+    /// request freed a moment ago, still in cache.) x86-64 only.
+    fn prefetch(&self, size: usize) {
+        let (Some(heads), Some(class)) = (self.heads.as_deref(), class_of(size)) else {
+            return;
+        };
+        let block = heads[class].cast::<i8>();
+        if block.is_null() {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        for line in (0..size).step_by(64) {
+            // SAFETY: a prefetch is a hint: it never faults, and it
+            // reads nothing the program can observe. The address lies
+            // inside a parked block besides.
+            unsafe {
+                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
+                    block.wrapping_add(line),
+                );
+            }
+        }
+    }
+
+    /// The store's release of an item it retired: drops the store's
+    /// reference, and when that was the last one, parks the block on
+    /// its class's list — or frees it, past [`RECYCLE_MAX`].
+    ///
+    /// SAFETY: the store owns a reference on `item` and gives it up,
+    /// and `item`'s grace period is over: no chain or pinned reader can
+    /// reach it.
+    unsafe fn release(&mut self, item: *mut Item) {
+        // SAFETY: caller contract.
+        if !unsafe { Item::drop_ref(item) } {
+            return;
+        }
+        // SAFETY: that was the last reference, so the block is ours.
+        let header = unsafe { &mut *item };
+        let size = block_size(HEADER + header.key_len as usize + header.value_len as usize);
+        let Some(class) = class_of(size) else {
+            // SAFETY: the block is dead and ours.
+            return unsafe { Item::free(item) };
+        };
+        let heads = self
+            .heads
+            .get_or_insert_with(|| Box::new([ptr::null_mut(); CLASSES]));
+        // A plain write, not an atomic store: no one else reads a dead
+        // block's `next`, so the link costs the checker no operation.
+        *header.next.get_mut() = heads[class];
+        heads[class] = item;
+    }
+
+    /// Frees every parked block to malloc.
+    fn free_all(&mut self) {
+        for mut block in self.heads.take().into_iter().flat_map(|heads| *heads) {
+            while !block.is_null() {
+                // SAFETY: a parked block is dead and owned by its list,
+                // which this walk empties; each is freed once.
+                unsafe {
+                    let next = *(*block).next.get_mut();
+                    Item::free(block);
+                    block = next;
+                }
+            }
         }
     }
 }
@@ -330,6 +534,11 @@ pub enum KvFault {
     /// not when the item's bag ages out: a reader still walking the
     /// unlinked item can lose it under its pin.
     ReleaseAtRetire,
+    /// The store gives up its reference on an item when it retires it
+    /// and recycles the block at once, so the stripe's next write of
+    /// the same class can refill it while a pinned reader still visits
+    /// the old item.
+    RecycleAtRetire,
 }
 
 /// Statistics counters (all monotonic). Each counter is padded to its
@@ -367,7 +576,9 @@ pub struct Stats {
     pub epochs_advanced: CachePadded<AtomicU64>,
     /// Retired items whose store reference epoch collection released
     /// (inline at retire, at maintenance, in `reclaim_pass`, or by the
-    /// shutdown purge): freed then, or when the last handle on one goes.
+    /// shutdown purge). Collection parks a block whose last reference
+    /// it dropped for the stripe's next writes, and the purge frees it;
+    /// a block a handle still holds is freed when the last handle goes.
     pub nodes_reclaimed: CachePadded<AtomicU64>,
 }
 
@@ -475,17 +686,20 @@ impl StatsSnapshot {
 
 /// Writer-side bookkeeping, held under the stripe lock: the items
 /// unlinked from this stripe's chains, parked in three-generation
-/// epoch bags until their tag ages past the grace period. Each still
+/// epoch bags until their tag ages past the grace period (each still
 /// holds the store's reference because an optimistic reader may still
-/// be walking it; see the module docs.
+/// be walking it), and the dead blocks the bags' releases left, kept
+/// for this stripe's next writes; see the module docs.
 struct StripeInner {
     bags: EpochBags<*mut Item>,
+    recycler: Recycler,
 }
 
-// SAFETY: the raw pointers are the store's references on retired
-// items, owned exclusively by the stripe — pushed and taken only while
-// holding the stripe lock (or `&mut KvStore` for purge/drop), and each
-// released exactly once.
+// SAFETY: the bags' pointers are the store's references on retired
+// items and the recycler's are dead blocks, all owned exclusively by
+// the stripe — pushed and taken only while holding the stripe lock (or
+// `&mut KvStore` for purge/drop), each released or freed exactly once;
+// nothing in a block is thread-affine.
 unsafe impl Send for StripeInner {}
 
 /// One lock stripe: the seqlock word, the bucket-chain heads this
@@ -603,6 +817,7 @@ impl<R: RawLock + Default> KvStore<R> {
                     backlog: CachePadded::new(AtomicU64::new(0)),
                     inner: Lock::new(StripeInner {
                         bags: EpochBags::new(),
+                        recycler: Recycler::new(),
                     }),
                 })
                 .collect(),
@@ -704,9 +919,9 @@ impl<R: RawLock + Default> KvStore<R> {
         // Pin before the first head load: every pointer the traversal
         // below can observe stays allocated until the guard drops (an
         // item's bag cannot age out of the grace period while this pin
-        // holds the epoch). A nested pin — `multi_get` reads under one
-        // thread — is a plain depth bump. `None` means every
-        // participant slot is taken; the locked path needs no grace
+        // holds the epoch). A nested pin — each of `multi_get`'s reads
+        // runs under the batch's — is a plain depth bump. `None` means
+        // every participant slot is taken; the locked path needs no grace
         // period, so the read still answers (counted as a fallback).
         if let Some(_pin) = self.epoch.pin() {
             for _ in 0..OPTIMISTIC_ATTEMPTS {
@@ -790,7 +1005,11 @@ impl<R: RawLock + Default> KvStore<R> {
     /// validation — a multi-get is not one atomic snapshot, matching
     /// the service's per-key reply semantics). Results come back in
     /// input order; hit/miss statistics count per key.
+    ///
+    /// The batch pins once: each key's read nests under that pin as a
+    /// depth bump instead of publishing one of its own.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<(u64, Bytes)>> {
+        let _pin = self.epoch.pin();
         keys.iter().map(|key| self.get_with_version(key)).collect()
     }
 
@@ -838,23 +1057,28 @@ impl<R: RawLock + Default> KvStore<R> {
     /// releases that generation inline, which is what makes reclamation
     /// amortized per-op rather than a stop-the-world pass.
     fn retire(&self, stripe: &Stripe<R>, inner: &mut StripeInner, item: *mut Item) {
+        let StripeInner { bags, recycler } = inner;
         #[cfg(ssync_chk)]
-        if self.fault == Some(KvFault::ReleaseAtRetire) {
-            // SAFETY: none — this is the seeded bug: the store gives up
-            // its reference while a pinned reader may still be walking
-            // the item. What keeps the twin itself defined is that the
-            // last reference poisons the block instead of freeing it.
-            return unsafe { Item::release_poisoning(item) };
+        match self.fault {
+            // The seeded bugs: the store gives up its reference while a
+            // pinned reader may still be walking the item. What keeps
+            // each twin defined is that the block stays allocated.
+            // SAFETY: none — the last reference poisons the block.
+            Some(KvFault::ReleaseAtRetire) => return unsafe { Item::release_poisoning(item) },
+            // SAFETY: none — the last reference parks the block for the
+            // stripe's next write of its class.
+            Some(KvFault::RecycleAtRetire) => return unsafe { recycler.release(item) },
+            None => {}
         }
         stripe.backlog.fetch_add(1, Ordering::SeqCst);
         let tag = self.epoch.epoch_sc();
-        let released = inner.bags.retire(item, tag, |p| {
+        let released = bags.retire(item, tag, |p| {
             // SAFETY: `p` was unlinked from this stripe's chains at
             // least two epoch advances before `tag`, so every reader
             // that could still reach it has unpinned (grace-period
             // proof in `ssync_core::epoch`), and bag entries are
             // pushed exactly once, each with the store's reference.
-            unsafe { Item::release(p) };
+            unsafe { recycler.release(p) };
         });
         if released > 0 {
             stripe.backlog.fetch_sub(released as u64, Ordering::Relaxed);
@@ -868,11 +1092,12 @@ impl<R: RawLock + Default> KvStore<R> {
     /// grace period. Caller must hold the stripe lock.
     fn collect_locked(&self, stripe: &Stripe<R>, inner: &mut StripeInner) -> usize {
         let global = self.epoch.epoch();
-        let released = inner.bags.collect(global, |p| {
+        let StripeInner { bags, recycler } = inner;
+        let released = bags.collect(global, |p| {
             // SAFETY: the bag's tag is at least two advances behind
             // `global`, so no reader pin can still cover `p`; entries
             // are pushed exactly once (see `retire`).
-            unsafe { Item::release(p) };
+            unsafe { recycler.release(p) };
         });
         if released > 0 {
             stripe.backlog.fetch_sub(released as u64, Ordering::Relaxed);
@@ -903,7 +1128,7 @@ impl<R: RawLock + Default> KvStore<R> {
             // chk: lock-serialized — no writer mutates `next` under us.
             old.next.load(Ordering::Relaxed)
         });
-        let fresh = Item::create(key, value, version, next);
+        let fresh = Item::create(&mut inner.recycler, key, value, version, next);
         {
             let _section = WriteSection::enter(&stripe.seq);
             link.store(fresh, Ordering::Release);
@@ -949,6 +1174,9 @@ impl<R: RawLock + Default> KvStore<R> {
         let stripe = &self.stripes[stripe];
         let result = {
             let mut inner = stripe.inner.lock();
+            inner
+                .recycler
+                .prefetch(block_size(HEADER + key.len() + value.len()));
             // Assigned *under* the stripe lock, and before the CAS
             // check: a key's versions must be monotone in replacement
             // order (two racing writers must not leave the chain holding
@@ -1093,6 +1321,11 @@ impl<R: RawLock + Default> KvStore<R> {
         let stripe = &self.stripes[stripe];
         let applied = {
             let mut inner = stripe.inner.lock();
+            if let Some(value) = value {
+                inner
+                    .recycler
+                    .prefetch(block_size(HEADER + key.len() + value.len()));
+            }
             let (link, found) = Self::find_link(&stripe.heads[bucket], key);
             // SAFETY: `found` (when non-null) is live under the stripe
             // lock.
@@ -1228,10 +1461,12 @@ impl<R: RawLock + Default> KvStore<R> {
 
     /// The shutdown drain: releases the store's reference on every
     /// retired item regardless of its bag's epoch, returning how many
-    /// it released. `&mut self` is the quiescent point: exclusive
-    /// access proves no optimistic reader (or any other caller) is
-    /// traversing a chain, so the unlinked items are unreachable but
-    /// through handles, which hold references of their own. Live
+    /// it released, and frees every block the stripes' recyclers hold;
+    /// a store that keeps serving allocates afresh. `&mut self` is the
+    /// quiescent point: exclusive access proves no optimistic reader
+    /// (or any other caller) is traversing a chain, so the unlinked
+    /// items are unreachable but through handles, which hold
+    /// references of their own. Live
     /// traffic never needs this — [`KvStore::reclaim_pass`] and the
     /// write path's amortized collection reclaim concurrently — but
     /// drop and the explicit store-teardown paths still come through
@@ -1263,12 +1498,14 @@ impl<R: RawLock + Default> KvStore<R> {
                     );
                 }
             }
-            let n = stripe.inner.get_mut().bags.drain_all(|p| {
+            let inner = stripe.inner.get_mut();
+            let n = inner.bags.drain_all(|p| {
                 // SAFETY: retired items were unlinked from every chain
                 // and pushed exactly once, each with the store's
                 // reference; with `&mut self` no chain reaches them.
                 unsafe { Item::release(p) };
             });
+            inner.recycler.free_all();
             stripe.backlog.fetch_sub(n as u64, Ordering::Relaxed);
             self.stats
                 .nodes_reclaimed

@@ -1,7 +1,9 @@
 //! What the store's paths cost the allocator, counted by a counting
 //! global allocator in this test binary: an item is one allocation, a
-//! read allocates nothing, and an item's block is freed exactly once —
-//! by whichever of its references goes last.
+//! read allocates nothing, a block the store lets go of is parked in its
+//! stripe's recycler and refills the stripe's next write of its class,
+//! and a block is freed exactly once — by the last handle on it, or by
+//! the store's teardown.
 //!
 //! Counts are per thread (each test runs on its own), and every store
 //! here has one stripe, so the warm-up below reaches the bags every
@@ -64,15 +66,24 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// The key every measured item is stored under.
+/// The key every single-key test stores under.
 const KEY: &[u8] = b"key";
-/// A value length no other block in these paths has: an item of it is
-/// `32 + 3 + 57 = 92` bytes, which no `Vec` of pointers or triples is.
+/// A value length no other block in these paths has: an item of a
+/// 3-byte key and it is `32 + 3 + 57 = 92` bytes, allocated as its
+/// class's `16·⌈(92 + 8)/16⌉ − 8 = 104` — a size no `Vec` of pointers
+/// or triples here reaches.
 const VALUE_LEN: usize = 57;
-const ITEM_SIZE: usize = 32 + KEY.len() + VALUE_LEN;
+const BLOCK_SIZE: usize = 104;
 
 fn value(fill: u8) -> [u8; VALUE_LEN] {
     [fill; VALUE_LEN]
+}
+
+/// The `i`th of the 3-byte keys the many-key tests use: every item of
+/// them is one block of [`BLOCK_SIZE`].
+fn key(i: u16) -> [u8; 3] {
+    let [hi, lo] = i.to_be_bytes();
+    [b'k', hi, lo]
 }
 
 /// Allocations made while `f` runs.
@@ -82,17 +93,33 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
-/// Frees of item-sized blocks while `f` runs.
+/// Frees of item blocks while `f` runs.
 fn item_frees(f: impl FnOnce()) -> usize {
-    WATCHED.with(|w| w.set(ITEM_SIZE));
+    WATCHED.with(|w| w.set(BLOCK_SIZE));
     let before = FREES.with(Cell::get);
     f();
     FREES.with(Cell::get) - before
 }
 
+/// Enough passes to carry everything retired so far through the grace
+/// period (two advances past its tag) and collect it.
+fn pass_grace_period(kv: &KvStore<TicketLock>) {
+    for _ in 0..3 {
+        kv.reclaim_pass();
+    }
+}
+
+/// Where `KEY`'s value lives: the same address means the same block.
+fn value_address(kv: &KvStore<TicketLock>) -> usize {
+    kv.get_with(KEY, |_, bytes| bytes.as_ptr() as usize)
+        .expect("KEY is stored")
+}
+
 /// A one-stripe store past its one-off allocations: this thread's
-/// epoch registration (its first read), and the stripe's three bag
-/// generations, each grown by one retirement and emptied by a pass.
+/// epoch registration (its first read), the stripe's three bag
+/// generations, each grown by one retirement and emptied by a pass,
+/// and its recycler's list heads (the warm-up's replaced items, of
+/// another class than [`BLOCK_SIZE`], are parked there).
 fn warm_store() -> KvStore<TicketLock> {
     let kv = KvStore::new(8, 1);
     // An insert, then three replaces at three successive epochs.
@@ -101,10 +128,22 @@ fn warm_store() -> KvStore<TicketLock> {
         kv.reclaim_pass();
     }
     assert!(kv.get(b"warm").is_some());
-    for _ in 0..3 {
-        kv.reclaim_pass();
-    }
+    pass_grace_period(&kv);
     kv
+}
+
+/// `n` items of [`BLOCK_SIZE`] inserted, deleted, and carried through
+/// the grace period: `n` blocks parked.
+fn park(kv: &KvStore<TicketLock>, n: u16) {
+    for i in 0..n {
+        kv.set(&key(i), value(i as u8));
+    }
+    for i in 0..n {
+        assert!(kv.delete(&key(i)));
+    }
+    let freed = item_frees(|| pass_grace_period(kv));
+    assert_eq!(freed, 0, "the deleted items' blocks are parked, not freed");
+    assert_eq!(kv.reclaim_backlog(), 0);
 }
 
 #[test]
@@ -118,25 +157,20 @@ fn an_insert_is_one_allocation() {
 }
 
 #[test]
-fn a_replace_is_one_allocation_and_its_predecessor_is_freed_once() {
+fn a_replaced_items_block_is_parked_and_refills_the_next_write() {
     let kv = warm_store();
     kv.set(KEY, value(1));
+    let first = value_address(&kv);
     let (allocs, _) = allocations(|| kv.set(KEY, value(2)));
-    assert_eq!(allocs, 1);
+    assert_eq!(allocs, 1, "no block of its class is parked yet");
     assert_eq!(kv.reclaim_backlog(), 1, "the replaced item is retired");
-    let freed = item_frees(|| {
-        for _ in 0..3 {
-            kv.reclaim_pass();
-        }
-    });
-    assert_eq!(freed, 1, "past the grace period the replaced item is freed");
-    let again = item_frees(|| {
-        for _ in 0..3 {
-            kv.reclaim_pass();
-        }
-    });
-    assert_eq!(again, 0, "and never a second time");
-    assert_eq!(kv.get(KEY).unwrap().as_ref(), value(2));
+    let freed = item_frees(|| pass_grace_period(&kv));
+    assert_eq!(freed, 0, "past the grace period its block is parked");
+    assert_eq!(kv.reclaim_backlog(), 0);
+    let (allocs, _) = allocations(|| kv.set(KEY, value(3)));
+    assert_eq!(allocs, 0, "a replace refills the parked block");
+    assert_eq!(value_address(&kv), first, "the first item's block");
+    assert_eq!(kv.get(KEY).unwrap().as_ref(), value(3));
 }
 
 #[test]
@@ -162,11 +196,7 @@ fn the_last_handle_on_a_retired_reclaimed_item_frees_it() {
     let handle = kv.get(KEY).unwrap();
     let key_of_dump = kv.dump().swap_remove(0).0;
     kv.set(KEY, value(2));
-    let freed = item_frees(|| {
-        for _ in 0..3 {
-            kv.reclaim_pass();
-        }
-    });
+    let freed = item_frees(|| pass_grace_period(&kv));
     assert_eq!(freed, 0, "two handles still hold the retired item");
     assert_eq!(kv.reclaim_backlog(), 0, "though the store let it go");
     assert_eq!(handle.as_ref(), value(1));
@@ -177,6 +207,85 @@ fn the_last_handle_on_a_retired_reclaimed_item_frees_it() {
     assert_eq!(item_frees(|| drop(kv)), 0);
     assert_eq!(live.as_ref(), value(2));
     assert_eq!(item_frees(|| drop(live)), 1);
+}
+
+#[test]
+fn a_block_its_last_handle_freed_is_never_parked() {
+    let kv = warm_store();
+    kv.set(KEY, value(1));
+    let handle = kv.get(KEY).unwrap();
+    kv.set(KEY, value(2));
+    pass_grace_period(&kv);
+    assert_eq!(item_frees(|| drop(handle)), 1, "freed to malloc");
+    let (allocs, _) = allocations(|| kv.set(KEY, value(3)));
+    assert_eq!(allocs, 1, "so the stripe has no block to refill");
+}
+
+#[test]
+fn deleting_and_reinserting_the_same_sizes_allocates_nothing() {
+    const N: u16 = 100;
+    let kv = warm_store();
+    park(&kv, N);
+    let (allocs, _) = allocations(|| {
+        for i in 0..N {
+            kv.set(&key(i), value(!i as u8));
+        }
+    });
+    assert_eq!(allocs, 0, "every insert refills a parked block");
+    assert_eq!(kv.len(), usize::from(N) + 1, "and the warm-up's item");
+}
+
+/// Memcached's answer to a store filled by one thread and written by
+/// another: blocks return to the store, not to the malloc arena of the
+/// thread that allocated them. A second thread replaces every key of a
+/// store the first preloaded, one reclaim pass after each write; it
+/// allocates only the two items written before the first replaced
+/// block is past its grace period. A store that freed replaced blocks
+/// to malloc would allocate once per write, here 1 024 times.
+#[test]
+fn a_store_churned_from_a_second_thread_allocates_a_bounded_few_there() {
+    const KEYS: u16 = 256;
+    const ROUNDS: u8 = 4;
+    let kv = warm_store();
+    for i in 0..KEYS {
+        kv.set(&key(i), value(0));
+    }
+    let allocs = std::thread::scope(|s| {
+        s.spawn(|| {
+            let (allocs, ()) = allocations(|| {
+                for round in 1..=ROUNDS {
+                    for i in 0..KEYS {
+                        kv.set(&key(i), value(round));
+                        kv.reclaim_pass();
+                    }
+                }
+            });
+            allocs
+        })
+        .join()
+        .expect("the churn thread panicked")
+    });
+    eprintln!(
+        "cross-thread churn: {allocs} allocations for {} writes",
+        u32::from(KEYS) * u32::from(ROUNDS)
+    );
+    assert_eq!(allocs, 2, "two writes before the first block is parked");
+    assert_eq!(kv.get(&key(KEYS - 1)).unwrap().as_ref(), value(ROUNDS));
+}
+
+#[test]
+fn teardown_frees_every_parked_block_once() {
+    const N: u16 = 50;
+    let kv = warm_store();
+    park(&kv, N);
+    assert_eq!(item_frees(|| drop(kv)), usize::from(N), "drop frees them");
+    let mut kv = warm_store();
+    park(&kv, N);
+    assert_eq!(
+        item_frees(|| assert_eq!(kv.purge_retired(), 0)),
+        usize::from(N)
+    );
+    assert_eq!(item_frees(|| drop(kv)), 0, "and never a second time");
 }
 
 #[test]

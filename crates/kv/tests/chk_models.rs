@@ -271,3 +271,95 @@ fn releasing_the_store_reference_at_retire_is_found() {
     assert!(v.message.contains("freed"), "{v}");
     eprintln!("release-at-retire found in execution {}", v.execution);
 }
+
+/// The shared body of the recycling model and its twin: a reader's
+/// `get_with` visit races a writer that replaces the key twice, with
+/// two reclaim passes in between — enough to carry an unpinned epoch
+/// through the first replaced item's grace period, so its block is
+/// parked and the second replace refills it. The yield inside the visit
+/// stands for the time a real visit takes to encode its reply (the
+/// checker sees no plain read, so without it the visit would run in
+/// one step with the validation). The
+/// visit must read the bytes of the item it validated: a version and a
+/// value written together. Returns whether the second replace refilled
+/// the first item's block.
+fn visit_outlives_recycling(store: KvStore<TtasLock>) -> bool {
+    let store = Arc::new(store);
+    let v1 = store.set(b"k", b"old");
+    // Through a handle: a refilled block's reference count must read as
+    // the new item's, not as the dead one's last value.
+    let value_at = |store: &KvStore<TtasLock>| {
+        store.get(b"k").expect("the key is never deleted").as_ptr() as usize
+    };
+    let first_block = value_at(&store);
+    let reader = {
+        let store = Arc::clone(&store);
+        thread::spawn(move || {
+            store
+                .get_with(b"k", |version, value| {
+                    thread::yield_now();
+                    (version, value.to_vec())
+                })
+                .expect("the key is never deleted")
+        })
+    };
+    store.set(b"k", b"mid");
+    store.reclaim_pass();
+    store.reclaim_pass();
+    store.set(b"k", b"new");
+    let (version, value) = reader.join();
+    let written: &[u8] = match version - v1 {
+        0 => b"old",
+        1 => b"mid",
+        _ => b"new",
+    };
+    assert_eq!(
+        value, written,
+        "the visit of version {version} read another item's bytes"
+    );
+    value_at(&store) == first_block
+}
+
+/// A block is reused only after its grace period. The reader's pin
+/// holds the epoch for the whole visit, so the item it validated cannot
+/// be collected — let alone parked and refilled — until the visit is
+/// over. The cross-execution counter asserts that the refill itself was
+/// explored: in the schedules where the reader is done before the
+/// passes, the second replace does land in the first item's block.
+/// Bound 6, for depth at a few seconds' cost; at the default bound 3
+/// the row explores 29 schedules and the twin is found in the first.
+#[test]
+fn a_block_is_reused_only_after_its_grace_period() {
+    let refills = Arc::new(RealAtomicU64::new(0));
+    let refills2 = Arc::clone(&refills);
+    let report = Builder::new().with_preemption_bound(6).check(move || {
+        if visit_outlives_recycling(tiny_store()) {
+            refills2.fetch_add(1, RealOrdering::Relaxed);
+        }
+    });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    assert!(
+        refills.load(RealOrdering::Relaxed) > 0,
+        "no explored schedule refilled a parked block ({} executions)",
+        report.executions
+    );
+    eprintln!(
+        "recycle-after-grace model: {} executions",
+        report.executions
+    );
+}
+
+/// The twin: a store that recycles a block when it retires the item.
+/// The second replace refills the block the reader validated, and the
+/// checker must find the visit that reads the new item's bytes under
+/// the old item's version.
+#[test]
+fn recycling_at_retire_is_found() {
+    let v = Builder::new()
+        .with_preemption_bound(6)
+        .expect_violation(|| {
+            visit_outlives_recycling(KvStore::with_fault(1, 1, KvFault::RecycleAtRetire));
+        });
+    assert!(v.message.contains("another item's bytes"), "{v}");
+    eprintln!("recycle-at-retire found in execution {}", v.execution);
+}
