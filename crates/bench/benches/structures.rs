@@ -50,6 +50,10 @@ fn bench_kv(c: &mut Criterion) {
 /// maintenance pass — which the one-key `kv` group above, in a 1 024-
 /// bucket store, cannot show at this scale. The single-thread reading
 /// of the `kv.set_ns`, `kv.cas_ns` and `kv.delete_ns` rungs.
+/// `set_resize` gives each write a value size other than the key's last
+/// one, so the live items drift between size classes and parked blocks
+/// move between stripes through the store's depot; in the other cases
+/// every key keeps one class.
 fn bench_kv_full_store(c: &mut Criterion) {
     const KEYS: u64 = 65_536;
     let values: Vec<Bytes> = (0..64usize)
@@ -81,6 +85,20 @@ fn bench_kv_full_store(c: &mut Criterion) {
             let version = &mut versions[k as usize];
             *version = kv.cas(&key_bytes(k), value(k), *version).expect("matched");
             *version
+        })
+    });
+    let (kv, _) = full_store();
+    let mut sizes: Vec<usize> = (0..KEYS as usize).map(|k| k % values.len()).collect();
+    let mut draw = 0x9E37_79B9_7F4A_7C15u64;
+    group.bench_function("set_resize", |b| {
+        b.iter(|| {
+            let k = next();
+            draw = draw
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let size = &mut sizes[k as usize];
+            *size = (*size + 1 + (draw >> 33) as usize % (values.len() - 1)) % values.len();
+            kv.set(&key_bytes(k), values[*size].clone())
         })
     });
     let (kv, _) = full_store();

@@ -116,27 +116,40 @@
 //! So the store's release of an item it retired — an inline retire, a
 //! collection, always under the stripe lock — parks a block whose last
 //! reference it dropped in the stripe's recycler: one free list per
-//! size class, linked through the dead block's `next`. A write pops a
-//! block of its class, under the same lock, before it calls `alloc`.
-//! A handle's last release still frees to malloc, so no block outlives
-//! its store.
+//! size class, linked through the dead block's `next`. A stripe keeps
+//! at most four blocks of a class (`STRIPE_KEEP`); the rest go to the
+//! store's depot, one more list per class, store-wide, behind a lock of
+//! its own. A write pops a block of its class from its stripe's list,
+//! under the same stripe lock, before it calls `alloc`; only when that
+//! list is empty does it first move one over from the depot. A handle's
+//! last release still frees to malloc, so no block outlives its store.
 //!
 //! * **Classes are malloc's chunks.** A block of `n` bytes is allocated
 //!   as `16·⌈(n + 8)/16⌉ − 8` bytes, the usable size of the chunk glibc
 //!   gives `n` anyway, so no item grows; the class is recomputed from
 //!   the header's two lengths. Blocks over 4 KiB are never parked.
 //! * **Bounded by the store's own past.** A block is allocated only
-//!   when its stripe's list for its class is empty, so per (stripe,
-//!   class) the blocks a store owns never exceed its high-water mark of
-//!   live plus retired items. [`KvStore::purge_retired`] and `Drop`
-//!   free every parked block exactly once.
-//! * **Reuse waits for the grace period.** A block is parked only when
-//!   the store's reference goes, which is never before its bag ages
-//!   out, so no pinned reader can still be looking at it when a write
-//!   refills it.
+//!   when its stripe's list for its class is empty and the depot has
+//!   none of the class either, so per class, store-wide, the blocks a
+//!   store owns exceed its high-water mark of live plus retired items
+//!   by at most the `STRIPE_KEEP` the other stripes may each keep.
+//!   [`KvStore::purge_retired`] and `Drop` free every parked block, the
+//!   depot's too, exactly once.
+//! * **The common write takes no second lock.** The depot counts its
+//!   blocks in a relaxed word, so a list miss with the depot empty
+//!   costs one load and no lock, and a stripe that has parked nothing
+//!   yet does not look at all: a fresh store's preload never touches
+//!   the depot. The depot's lock is a leaf, taken under a stripe lock
+//!   (and, in a maintenance pass, the global lock above that).
+//! * **Reuse waits for the grace period.** A block is parked, on its
+//!   stripe or in the depot, only when the store's reference goes,
+//!   which is never before its bag ages out, so no pinned reader can
+//!   still be looking at it when a write on any stripe refills it.
 //! * **A parked block is cold.** It was last touched when it was
 //!   parked, so a write prefetches the block it would refill as soon as
-//!   it holds the stripe lock, and the misses overlap its chain walk.
+//!   it holds the stripe lock, and the misses overlap its chain walk. A
+//!   block moved over from the depot is moved first, then prefetched
+//!   like any other.
 //!
 //! # Examples
 //!
@@ -163,7 +176,7 @@ pub(crate) mod sync {
 
 use std::sync::Arc;
 
-use crate::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use bytes::Bytes;
 
@@ -400,94 +413,82 @@ impl Item {
     }
 }
 
-/// A stripe's dead item blocks, kept for the stripe's next writes —
-/// Memcached's slab classes: one free list per size class, linked
-/// through each dead block's `next`. Used only under the stripe lock
-/// (or through `&mut KvStore`), like the bags beside it.
-struct Recycler {
-    /// List heads by class. Allocated on the first park, so a store
-    /// that never replaces an item pays nothing for them.
-    heads: Option<Box<[*mut Item; CLASSES]>>,
+/// One free list of dead blocks per size class, linked through each
+/// dead block's `next` — Memcached's slab classes. A stripe's
+/// [`Recycler`] keeps its blocks in one, and so does the store's
+/// [`Depot`].
+struct FreeLists {
+    /// The lists by class. Allocated on the first push, so a store that
+    /// never replaces an item pays nothing for them.
+    by_class: Option<Box<[FreeList; CLASSES]>>,
 }
 
-impl Recycler {
-    const fn new() -> Recycler {
-        Recycler { heads: None }
+#[derive(Clone, Copy)]
+struct FreeList {
+    head: *mut Item,
+    len: u32,
+}
+
+// SAFETY: every block on a list is dead and owned by the list alone;
+// nothing in a block is thread-affine.
+unsafe impl Send for FreeLists {}
+
+impl FreeLists {
+    const fn new() -> FreeLists {
+        FreeLists { by_class: None }
     }
 
-    /// Unlinks a parked block of a `size`-byte block's class; null if
-    /// the list is empty.
-    fn take(&mut self, size: usize) -> *mut Item {
-        let (Some(heads), Some(class)) = (self.heads.as_deref_mut(), class_of(size)) else {
+    /// The block [`FreeLists::pop`] would return; null if there is none.
+    fn first(&self, class: usize) -> *mut Item {
+        self.by_class
+            .as_deref()
+            .map_or(ptr::null_mut(), |lists| lists[class].head)
+    }
+
+    fn len(&self, class: usize) -> u32 {
+        self.by_class.as_deref().map_or(0, |lists| lists[class].len)
+    }
+
+    /// Unlinks the first block of `class`'s list; null if it is empty.
+    fn pop(&mut self, class: usize) -> *mut Item {
+        let Some(list) = self.by_class.as_deref_mut().map(|lists| &mut lists[class]) else {
             return ptr::null_mut();
         };
-        let block = heads[class];
+        let block = list.head;
         if !block.is_null() {
             // SAFETY: a parked block is dead, and its list is the one
             // owner of it.
-            heads[class] = unsafe { *(*block).next.get_mut() };
+            list.head = unsafe { *(*block).next.get_mut() };
+            list.len -= 1;
         }
         block
     }
 
-    /// Starts fetching the block `take(size)` would return. A parked
-    /// block was last touched when it was parked, usually long before,
-    /// so a write that refills it would stall on its lines; prefetched
-    /// as soon as the stripe lock is held, they arrive while the write
-    /// walks its chain. (A chunk malloc hands back is often one another
-    /// request freed a moment ago, still in cache.) x86-64 only.
-    fn prefetch(&self, size: usize) {
-        let (Some(heads), Some(class)) = (self.heads.as_deref(), class_of(size)) else {
-            return;
-        };
-        let block = heads[class].cast::<i8>();
-        if block.is_null() {
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        for line in (0..size).step_by(64) {
-            // SAFETY: a prefetch is a hint: it never faults, and it
-            // reads nothing the program can observe. The address lies
-            // inside a parked block besides.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    block.wrapping_add(line),
-                );
-            }
-        }
-    }
-
-    /// The store's release of an item it retired: drops the store's
-    /// reference, and when that was the last one, parks the block on
-    /// its class's list — or frees it, past [`RECYCLE_MAX`].
+    /// Parks `block` on `class`'s list.
     ///
-    /// SAFETY: the store owns a reference on `item` and gives it up,
-    /// and `item`'s grace period is over: no chain or pinned reader can
-    /// reach it.
-    unsafe fn release(&mut self, item: *mut Item) {
-        // SAFETY: caller contract.
-        if !unsafe { Item::drop_ref(item) } {
-            return;
-        }
-        // SAFETY: that was the last reference, so the block is ours.
-        let header = unsafe { &mut *item };
-        let size = block_size(HEADER + header.key_len as usize + header.value_len as usize);
-        let Some(class) = class_of(size) else {
-            // SAFETY: the block is dead and ours.
-            return unsafe { Item::free(item) };
-        };
-        let heads = self
-            .heads
-            .get_or_insert_with(|| Box::new([ptr::null_mut(); CLASSES]));
+    /// SAFETY: `block` is a dead block of `class`, and the caller hands
+    /// over its ownership.
+    unsafe fn push(&mut self, class: usize, block: *mut Item) {
+        let list = &mut self.by_class.get_or_insert_with(|| {
+            Box::new(
+                [FreeList {
+                    head: ptr::null_mut(),
+                    len: 0,
+                }; CLASSES],
+            )
+        })[class];
         // A plain write, not an atomic store: no one else reads a dead
         // block's `next`, so the link costs the checker no operation.
-        *header.next.get_mut() = heads[class];
-        heads[class] = item;
+        // SAFETY: the block is dead and ours (caller contract).
+        unsafe { *(*block).next.get_mut() = list.head };
+        list.head = block;
+        list.len += 1;
     }
 
     /// Frees every parked block to malloc.
     fn free_all(&mut self) {
-        for mut block in self.heads.take().into_iter().flat_map(|heads| *heads) {
+        for list in self.by_class.take().into_iter().flat_map(|lists| *lists) {
+            let mut block = list.head;
             while !block.is_null() {
                 // SAFETY: a parked block is dead and owned by its list,
                 // which this walk empties; each is freed once.
@@ -498,6 +499,155 @@ impl Recycler {
                 }
             }
         }
+    }
+}
+
+/// Blocks of one class a stripe keeps parked; a dead block its
+/// stripe's list has no room for goes to the store's [`Depot`]. Small,
+/// so that the blocks a store holds beyond its items sit store-wide,
+/// where any stripe's write can refill them; not zero, so that most
+/// writes find their block on their own stripe and take no second lock
+/// (DESIGN.md "Recycled blocks" has the sweep).
+const STRIPE_KEEP: u32 = 4;
+
+/// A stripe's dead item blocks, kept for the stripe's next writes: at
+/// most [`STRIPE_KEEP`] per class, the rest spilled to the store's
+/// [`Depot`]. Used only under the stripe lock (or through
+/// `&mut KvStore`), like the bags beside it.
+struct Recycler {
+    lists: FreeLists,
+}
+
+impl Recycler {
+    const fn new() -> Recycler {
+        Recycler {
+            lists: FreeLists::new(),
+        }
+    }
+
+    /// Unlinks a parked block of a `size`-byte block's class; null if
+    /// the stripe has none.
+    fn take(&mut self, size: usize) -> *mut Item {
+        class_of(size).map_or(ptr::null_mut(), |class| self.lists.pop(class))
+    }
+
+    /// Readies the block `take(size)` would return. A stripe whose list
+    /// for the class is empty first moves one block over from the
+    /// depot, if it has one. (A stripe that has parked nothing yet has
+    /// no lists and asks no depot, so a fresh store's preload touches
+    /// neither.) Then starts fetching the block: a parked block was
+    /// last touched when it was parked, usually long before, so a write
+    /// that refills it would stall on its lines; prefetched as soon as
+    /// the stripe lock is held, they arrive while the write walks its
+    /// chain. (A chunk malloc hands back is often one another request
+    /// freed a moment ago, still in cache.) The prefetch is x86-64
+    /// only.
+    fn prefetch<R: RawLock>(&mut self, size: usize, depot: &Depot<R>) {
+        let Some(class) = class_of(size) else {
+            return;
+        };
+        if self.lists.by_class.is_none() {
+            return;
+        }
+        let mut block = self.lists.first(class);
+        if block.is_null() {
+            block = depot.pop(class);
+            if block.is_null() {
+                return;
+            }
+            // SAFETY: the depot handed over a dead block of `class`.
+            unsafe { self.lists.push(class, block) };
+        }
+        #[cfg(target_arch = "x86_64")]
+        for line in (0..size).step_by(64) {
+            // SAFETY: a prefetch is a hint: it never faults, and it
+            // reads nothing the program can observe. The address lies
+            // inside a parked block besides.
+            unsafe {
+                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
+                    block.cast::<i8>().wrapping_add(line),
+                );
+            }
+        }
+    }
+
+    /// The store's release of an item it retired: drops the store's
+    /// reference, and when that was the last one, parks the block on
+    /// the stripe's list for its class or, with [`STRIPE_KEEP`] there
+    /// already, on the depot's — or frees it, past [`RECYCLE_MAX`].
+    ///
+    /// SAFETY: the store owns a reference on `item` and gives it up,
+    /// and `item`'s grace period is over: no chain or pinned reader can
+    /// reach it.
+    unsafe fn release<R: RawLock>(&mut self, item: *mut Item, depot: &Depot<R>) {
+        // SAFETY: caller contract.
+        if !unsafe { Item::drop_ref(item) } {
+            return;
+        }
+        // SAFETY: that was the last reference, so the block is ours.
+        let header = unsafe { &*item };
+        let size = block_size(HEADER + header.key_len as usize + header.value_len as usize);
+        let Some(class) = class_of(size) else {
+            // SAFETY: the block is dead and ours.
+            return unsafe { Item::free(item) };
+        };
+        // SAFETY: the block is dead, of `class`, and ours to hand over.
+        unsafe {
+            if self.lists.len(class) < STRIPE_KEEP {
+                self.lists.push(class, item);
+            } else {
+                depot.push(class, item);
+            }
+        }
+    }
+}
+
+/// The store-wide overflow of its stripes' recyclers: one free list per
+/// class, behind a lock of its own, which a stripe takes only to spill
+/// a block past [`STRIPE_KEEP`] or when its own list for a write's class
+/// is empty. The lock is a leaf: it is taken under a stripe lock (and
+/// perhaps the global one above that), and nothing is locked under it.
+struct Depot<R: RawLock> {
+    lists: Lock<FreeLists, R>,
+    // chk: a hint beside the lock, deliberately unpadded — it is
+    // written only under the lock, with the lists, and read on a
+    // stripe's list miss, which is rare once the lists are warm.
+    blocks: AtomicUsize,
+}
+
+impl<R: RawLock> Depot<R> {
+    /// Parks a dead block a stripe had no room for.
+    ///
+    /// SAFETY: as [`FreeLists::push`].
+    unsafe fn push(&self, class: usize, block: *mut Item) {
+        let mut lists = self.lists.lock();
+        // SAFETY: caller contract.
+        unsafe { lists.push(class, block) };
+        self.blocks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Unlinks a parked block of `class`, handing it to the caller; null
+    /// if there is none. An empty depot is known without its lock: the
+    /// count changes only with the lists, under the lock, so a 0 read
+    /// means the depot was empty at that point of the count's order.
+    /// Relaxed, because the count publishes nothing: the lock orders
+    /// every access to the lists and the blocks on them.
+    fn pop(&self, class: usize) -> *mut Item {
+        if self.blocks.load(Ordering::Relaxed) == 0 {
+            return ptr::null_mut();
+        }
+        let mut lists = self.lists.lock();
+        let block = lists.pop(class);
+        if !block.is_null() {
+            self.blocks.fetch_sub(1, Ordering::Relaxed);
+        }
+        block
+    }
+
+    /// Frees every parked block to malloc.
+    fn free_all(&mut self) {
+        self.lists.get_mut().free_all();
+        self.blocks.store(0, Ordering::Relaxed);
     }
 }
 
@@ -577,7 +727,7 @@ pub struct Stats {
     /// Retired items whose store reference epoch collection released
     /// (inline at retire, at maintenance, in `reclaim_pass`, or by the
     /// shutdown purge). Collection parks a block whose last reference
-    /// it dropped for the stripe's next writes, and the purge frees it;
+    /// it dropped for the store's next writes, and the purge frees it;
     /// a block a handle still holds is freed when the last handle goes.
     pub nodes_reclaimed: CachePadded<AtomicU64>,
 }
@@ -689,7 +839,8 @@ impl StatsSnapshot {
 /// epoch bags until their tag ages past the grace period (each still
 /// holds the store's reference because an optimistic reader may still
 /// be walking it), and the dead blocks the bags' releases left, kept
-/// for this stripe's next writes; see the module docs.
+/// for this stripe's next writes up to [`STRIPE_KEEP`] per class; see
+/// the module docs.
 struct StripeInner {
     bags: EpochBags<*mut Item>,
     recycler: Recycler,
@@ -781,6 +932,9 @@ pub struct KvStore<R: RawLock + Default> {
     /// short section that also holds one stripe's lock, so passes are
     /// serialized and a pass blocks writers of that one stripe alone.
     global: Lock<(), R>,
+    /// The dead blocks the stripes' recyclers had no room for. Its lock
+    /// is a leaf, below the stripe locks (and the global one).
+    depot: Depot<R>,
     /// Bumped by every write from every client of the shard; padded so
     /// the two global counters don't false-share with each other or the
     /// neighboring fields.
@@ -823,6 +977,10 @@ impl<R: RawLock + Default> KvStore<R> {
                 .collect(),
             buckets_per_stripe,
             global: Lock::new(()),
+            depot: Depot {
+                lists: Lock::new(FreeLists::new()),
+                blocks: AtomicUsize::new(0),
+            },
             write_counter: CachePadded::new(AtomicU64::new(0)),
             next_version: CachePadded::new(AtomicU64::new(1)),
             epoch: Arc::new(EpochDomain::new()),
@@ -1066,8 +1224,10 @@ impl<R: RawLock + Default> KvStore<R> {
             // SAFETY: none — the last reference poisons the block.
             Some(KvFault::ReleaseAtRetire) => return unsafe { Item::release_poisoning(item) },
             // SAFETY: none — the last reference parks the block for the
-            // stripe's next write of its class.
-            Some(KvFault::RecycleAtRetire) => return unsafe { recycler.release(item) },
+            // store's next write of its class.
+            Some(KvFault::RecycleAtRetire) => {
+                return unsafe { recycler.release(item, &self.depot) }
+            }
             None => {}
         }
         stripe.backlog.fetch_add(1, Ordering::SeqCst);
@@ -1078,7 +1238,7 @@ impl<R: RawLock + Default> KvStore<R> {
             // that could still reach it has unpinned (grace-period
             // proof in `ssync_core::epoch`), and bag entries are
             // pushed exactly once, each with the store's reference.
-            unsafe { recycler.release(p) };
+            unsafe { recycler.release(p, &self.depot) };
         });
         if released > 0 {
             stripe.backlog.fetch_sub(released as u64, Ordering::Relaxed);
@@ -1097,7 +1257,7 @@ impl<R: RawLock + Default> KvStore<R> {
             // SAFETY: the bag's tag is at least two advances behind
             // `global`, so no reader pin can still cover `p`; entries
             // are pushed exactly once (see `retire`).
-            unsafe { recycler.release(p) };
+            unsafe { recycler.release(p, &self.depot) };
         });
         if released > 0 {
             stripe.backlog.fetch_sub(released as u64, Ordering::Relaxed);
@@ -1176,7 +1336,7 @@ impl<R: RawLock + Default> KvStore<R> {
             let mut inner = stripe.inner.lock();
             inner
                 .recycler
-                .prefetch(block_size(HEADER + key.len() + value.len()));
+                .prefetch(block_size(HEADER + key.len() + value.len()), &self.depot);
             // Assigned *under* the stripe lock, and before the CAS
             // check: a key's versions must be monotone in replacement
             // order (two racing writers must not leave the chain holding
@@ -1324,7 +1484,7 @@ impl<R: RawLock + Default> KvStore<R> {
             if let Some(value) = value {
                 inner
                     .recycler
-                    .prefetch(block_size(HEADER + key.len() + value.len()));
+                    .prefetch(block_size(HEADER + key.len() + value.len()), &self.depot);
             }
             let (link, found) = Self::find_link(&stripe.heads[bucket], key);
             // SAFETY: `found` (when non-null) is live under the stripe
@@ -1461,12 +1621,12 @@ impl<R: RawLock + Default> KvStore<R> {
 
     /// The shutdown drain: releases the store's reference on every
     /// retired item regardless of its bag's epoch, returning how many
-    /// it released, and frees every block the stripes' recyclers hold;
-    /// a store that keeps serving allocates afresh. `&mut self` is the
-    /// quiescent point: exclusive access proves no optimistic reader
-    /// (or any other caller) is traversing a chain, so the unlinked
-    /// items are unreachable but through handles, which hold
-    /// references of their own. Live
+    /// it released, and frees every block the stripes' recyclers and
+    /// the depot hold; a store that keeps serving allocates afresh.
+    /// `&mut self` is the quiescent point: exclusive access proves no
+    /// optimistic reader (or any other caller) is traversing a chain,
+    /// so the unlinked items are unreachable but through handles, which
+    /// hold references of their own. Live
     /// traffic never needs this — [`KvStore::reclaim_pass`] and the
     /// write path's amortized collection reclaim concurrently — but
     /// drop and the explicit store-teardown paths still come through
@@ -1505,13 +1665,14 @@ impl<R: RawLock + Default> KvStore<R> {
                 // reference; with `&mut self` no chain reaches them.
                 unsafe { Item::release(p) };
             });
-            inner.recycler.free_all();
+            inner.recycler.lists.free_all();
             stripe.backlog.fetch_sub(n as u64, Ordering::Relaxed);
             self.stats
                 .nodes_reclaimed
                 .fetch_add(n as u64, Ordering::Relaxed);
             released += n;
         }
+        self.depot.free_all();
         released
     }
 

@@ -1,13 +1,12 @@
 //! What the store's paths cost the allocator, counted by a counting
 //! global allocator in this test binary: an item is one allocation, a
 //! read allocates nothing, a block the store lets go of is parked in its
-//! stripe's recycler and refills the stripe's next write of its class,
-//! and a block is freed exactly once — by the last handle on it, or by
-//! the store's teardown.
+//! stripe's recycler — or, past the stripe's few, in the store's depot —
+//! and refills the store's next write of its class, and a block is freed
+//! exactly once — by the last handle on it, or by the store's teardown.
 //!
-//! Counts are per thread (each test runs on its own), and every store
-//! here has one stripe, so the warm-up below reaches the bags every
-//! measured write retires into.
+//! Counts are per thread (each test runs on its own), and the warm-up
+//! below reaches every stripe's bags that a measured write retires into.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,41 +108,106 @@ fn pass_grace_period(kv: &KvStore<TicketLock>) {
     }
 }
 
-/// Where `KEY`'s value lives: the same address means the same block.
-fn value_address(kv: &KvStore<TicketLock>) -> usize {
-    kv.get_with(KEY, |_, bytes| bytes.as_ptr() as usize)
-        .expect("KEY is stored")
+/// Where `key`'s value lives: the same address means the same block.
+fn address_of(kv: &KvStore<TicketLock>, key: &[u8]) -> usize {
+    kv.get_with(key, |_, bytes| bytes.as_ptr() as usize)
+        .expect("the key is stored")
 }
 
-/// A one-stripe store past its one-off allocations: this thread's
-/// epoch registration (its first read), the stripe's three bag
-/// generations, each grown by one retirement and emptied by a pass,
-/// and its recycler's list heads (the warm-up's replaced items, of
-/// another class than [`BLOCK_SIZE`], are parked there).
+/// A one-stripe store past its one-off allocations.
 fn warm_store() -> KvStore<TicketLock> {
-    let kv = KvStore::new(8, 1);
+    warm(KvStore::new(8, 1), &[b"warm"])
+}
+
+/// `kv` past its one-off allocations: this thread's epoch registration
+/// (its first read), and for each stripe — `warm_keys` names a key on
+/// each — its three bag generations, each grown by one retirement and
+/// emptied by a pass, and its recycler's list heads (the warm-up's
+/// replaced items, of another class than [`BLOCK_SIZE`], are parked
+/// there, three per stripe).
+fn warm(kv: KvStore<TicketLock>, warm_keys: &[&[u8]]) -> KvStore<TicketLock> {
     // An insert, then three replaces at three successive epochs.
     for fill in 0..4 {
-        kv.set(b"warm", [fill; 5]);
+        for key in warm_keys {
+            kv.set(key, [fill; 5]);
+        }
         kv.reclaim_pass();
     }
-    assert!(kv.get(b"warm").is_some());
+    for key in warm_keys {
+        assert!(kv.get(key).is_some());
+    }
     pass_grace_period(&kv);
     kv
+}
+
+/// Blocks of one class a stripe keeps parked before the rest go to the
+/// store's depot (the store's `STRIPE_KEEP`).
+const STRIPE_KEEP: usize = 4;
+
+/// Buckets of the two-stripe stores.
+const BUCKETS: usize = 8;
+
+/// 64 keys split by stripe in a two-stripe store of [`BUCKETS`]
+/// buckets: those on the first key's stripe, then the others. A page
+/// of `dump_range` from the start holds one stripe's items, the first
+/// stripe that has any, so two keys share a stripe exactly when such a
+/// page of a store holding just them holds both. (The keys differ in
+/// their middle byte: the hash's stripe bit barely moves with the
+/// last.)
+fn keys_by_stripe() -> (Vec<[u8; 3]>, Vec<[u8; 3]>) {
+    let same_stripe = |a: &[u8], b: &[u8]| {
+        let kv: KvStore<TicketLock> = KvStore::new(BUCKETS, 2);
+        kv.set(a, b"");
+        kv.set(b, b"");
+        kv.dump_range(None, usize::MAX).len() == 2
+    };
+    let first = key(0);
+    let (a, b): (Vec<_>, Vec<_>) = (0..64)
+        .map(|i| key(i << 8))
+        .partition(|k| *k == first || same_stripe(&first, k));
+    assert!(
+        a.len() > 20 && b.len() > 20,
+        "a lopsided split: {a:?} / {b:?}"
+    );
+    (a, b)
+}
+
+/// A warm two-stripe store and its keys by stripe, minus the two the
+/// warm-up used.
+fn two_stripe_store() -> (KvStore<TicketLock>, Vec<[u8; 3]>, Vec<[u8; 3]>) {
+    let (mut a, mut b) = keys_by_stripe();
+    let (warm_a, warm_b) = (a.pop().unwrap(), b.pop().unwrap());
+    (warm(KvStore::new(BUCKETS, 2), &[&warm_a, &warm_b]), a, b)
 }
 
 /// `n` items of [`BLOCK_SIZE`] inserted, deleted, and carried through
 /// the grace period: `n` blocks parked.
 fn park(kv: &KvStore<TicketLock>, n: u16) {
-    for i in 0..n {
-        kv.set(&key(i), value(i as u8));
+    let keys: Vec<_> = (0..n).map(key).collect();
+    park_keys(kv, &keys);
+}
+
+/// [`park`], under the keys given.
+fn park_keys(kv: &KvStore<TicketLock>, keys: &[[u8; 3]]) {
+    for (i, key) in keys.iter().enumerate() {
+        kv.set(key, value(i as u8));
     }
-    for i in 0..n {
-        assert!(kv.delete(&key(i)));
+    for key in keys {
+        assert!(kv.delete(key));
     }
     let freed = item_frees(|| pass_grace_period(kv));
     assert_eq!(freed, 0, "the deleted items' blocks are parked, not freed");
     assert_eq!(kv.reclaim_backlog(), 0);
+}
+
+/// Inserts of [`BLOCK_SIZE`] items under `keys`, counting allocations.
+fn insert_all(kv: &KvStore<TicketLock>, keys: &[[u8; 3]]) -> usize {
+    allocations(|| {
+        for key in keys {
+            kv.set(key, value(7));
+        }
+    })
+    .0
 }
 
 #[test]
@@ -160,7 +224,7 @@ fn an_insert_is_one_allocation() {
 fn a_replaced_items_block_is_parked_and_refills_the_next_write() {
     let kv = warm_store();
     kv.set(KEY, value(1));
-    let first = value_address(&kv);
+    let first = address_of(&kv, KEY);
     let (allocs, _) = allocations(|| kv.set(KEY, value(2)));
     assert_eq!(allocs, 1, "no block of its class is parked yet");
     assert_eq!(kv.reclaim_backlog(), 1, "the replaced item is retired");
@@ -169,7 +233,7 @@ fn a_replaced_items_block_is_parked_and_refills_the_next_write() {
     assert_eq!(kv.reclaim_backlog(), 0);
     let (allocs, _) = allocations(|| kv.set(KEY, value(3)));
     assert_eq!(allocs, 0, "a replace refills the parked block");
-    assert_eq!(value_address(&kv), first, "the first item's block");
+    assert_eq!(address_of(&kv, KEY), first, "the first item's block");
     assert_eq!(kv.get(KEY).unwrap().as_ref(), value(3));
 }
 
@@ -286,6 +350,64 @@ fn teardown_frees_every_parked_block_once() {
         usize::from(N)
     );
     assert_eq!(item_frees(|| drop(kv)), 0, "and never a second time");
+}
+
+/// Memcached's slab classes are store-wide, and so, past a stripe's
+/// few, are the store's parked blocks: a block one stripe has no room
+/// for refills the next write of its class on any stripe. A store that
+/// kept every block on its own stripe would allocate here.
+#[test]
+fn a_block_one_stripe_spills_refills_a_write_to_another() {
+    let (kv, a, b) = two_stripe_store();
+    let (kept, spilled) = (&a[..STRIPE_KEEP], a[STRIPE_KEEP]);
+    // Stripe A's list for the class filled to its keep, then one more
+    // block let go of, written before the others were parked.
+    kv.set(&spilled, value(1));
+    let spilled_at = address_of(&kv, &spilled);
+    park_keys(&kv, kept);
+    assert!(kv.delete(&spilled));
+    assert_eq!(item_frees(|| pass_grace_period(&kv)), 0, "parked");
+    let (allocs, _) = allocations(|| kv.set(&b[0], value(2)));
+    assert_eq!(allocs, 0, "a write to stripe B refills A's spilled block");
+    assert_eq!(address_of(&kv, &b[0]), spilled_at, "the same block");
+    assert_eq!(kv.get(&b[0]).unwrap().as_ref(), value(2));
+}
+
+/// A stripe parks at most [`STRIPE_KEEP`] blocks of a class; the rest
+/// go to the depot, where any stripe finds them. Twelve blocks parked
+/// from stripe A: stripe B refills exactly the eight A could not keep,
+/// and A exactly its four.
+#[test]
+fn a_stripe_keeps_at_most_its_few_blocks_of_a_class() {
+    const PARKED: usize = 12;
+    let (kv, a, b) = two_stripe_store();
+    park_keys(&kv, &a[..PARKED]);
+    let spilled = PARKED - STRIPE_KEEP;
+    assert_eq!(insert_all(&kv, &b[..spilled]), 0, "the depot's blocks");
+    assert_eq!(insert_all(&kv, &b[spilled..=spilled]), 1, "and no more");
+    assert_eq!(insert_all(&kv, &a[..STRIPE_KEEP]), 0, "A's own blocks");
+    assert_eq!(insert_all(&kv, &a[STRIPE_KEEP..=STRIPE_KEEP]), 1);
+}
+
+#[test]
+fn teardown_frees_every_depot_block_once() {
+    const PARKED: usize = 12;
+    let (kv, a, _) = two_stripe_store();
+    park_keys(&kv, &a[..PARKED]);
+    assert_eq!(item_frees(|| drop(kv)), PARKED, "drop frees them");
+    let (mut kv, a, b) = two_stripe_store();
+    park_keys(&kv, &a[..PARKED]);
+    assert_eq!(
+        item_frees(|| assert_eq!(kv.purge_retired(), 0)),
+        PARKED,
+        "the purge frees the stripe's and the depot's"
+    );
+    assert_eq!(insert_all(&kv, &b[..1]), 1, "so none is left to refill");
+    assert_eq!(
+        item_frees(|| drop(kv)),
+        1,
+        "and drop frees that insert's item, and none a second time"
+    );
 }
 
 #[test]

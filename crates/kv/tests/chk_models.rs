@@ -363,3 +363,103 @@ fn recycling_at_retire_is_found() {
     assert!(v.message.contains("another item's bytes"), "{v}");
     eprintln!("recycle-at-retire found in execution {}", v.execution);
 }
+
+/// The shared body of the depot model and its twin, on a two-stripe
+/// store: `k` and `a`–`d` hash to stripe A, `p` and `q` to stripe B.
+/// Before the reader spawns, A's list for the class of `k`'s item is
+/// filled to the stripe's keep (`a`–`d` deleted and collected), and B
+/// parks one block of another class, so B has lists and asks the depot
+/// on a miss. Then a reader's `get_with` visit of `k`, with a yield
+/// inside as in the recycling model, races the main thread: a replace
+/// of `k` by a value of another class and two passes — past the grace
+/// period, they spill `k`'s first block to the depot, A's list being
+/// full — and then an insert of `p` on stripe B, whose list for the
+/// class is empty, so it refills the spilled block from the depot. The
+/// visit must read the bytes of the item it validated. Returns whether
+/// the insert refilled `k`'s first block.
+fn visit_outlives_depot_refill(store: KvStore<TtasLock>) -> bool {
+    let store = Arc::new(store);
+    let v1 = store.set(b"k", b"old");
+    let first_block = store.get(b"k").expect("just stored").as_ptr() as usize;
+    let keep: [&[u8]; 4] = [b"a", b"b", b"c", b"d"];
+    for key in keep {
+        store.set(key, b"abc");
+    }
+    for key in keep {
+        assert!(store.delete(key));
+    }
+    store.set(b"q", [0u8; 24]);
+    store.set(b"q", [1u8; 24]);
+    while store.reclaim_backlog() > 0 {
+        store.reclaim_pass();
+    }
+    let reader = {
+        let store = Arc::clone(&store);
+        thread::spawn(move || {
+            store
+                .get_with(b"k", |version, value| {
+                    thread::yield_now();
+                    (version, value.to_vec())
+                })
+                .expect("the key is never deleted")
+        })
+    };
+    let replaced = [2u8; 24];
+    store.set(b"k", replaced);
+    store.reclaim_pass();
+    store.reclaim_pass();
+    store.set(b"p", b"new");
+    let (version, value) = reader.join();
+    let written: &[u8] = if version == v1 { b"old" } else { &replaced };
+    assert_eq!(
+        value, written,
+        "the visit of version {version} read another item's bytes"
+    );
+    store.get(b"p").expect("just stored").as_ptr() as usize == first_block
+}
+
+/// A block refilled through the depot is reused only after its grace
+/// period too: the pin that keeps the reader's item from being
+/// collected keeps it from being spilled, so no other stripe's write
+/// can refill it under the visit. The cross-execution counter asserts
+/// that the depot refill itself was explored. Bound 6, as the
+/// recycling row; at the default bound 3 the row explores 41 schedules
+/// and the twin is found in the first.
+#[test]
+fn a_block_spilled_to_the_depot_is_reused_only_after_its_grace_period() {
+    let refills = Arc::new(RealAtomicU64::new(0));
+    let refills2 = Arc::clone(&refills);
+    let report = Builder::new().with_preemption_bound(6).check(move || {
+        if visit_outlives_depot_refill(KvStore::new(2, 2)) {
+            refills2.fetch_add(1, RealOrdering::Relaxed);
+        }
+    });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    assert!(
+        refills.load(RealOrdering::Relaxed) > 0,
+        "no explored schedule refilled a block from the depot ({} executions)",
+        report.executions
+    );
+    eprintln!(
+        "depot-refill-after-grace model: {} executions",
+        report.executions
+    );
+}
+
+/// The twin: a store that recycles a block when it retires the item. A
+/// full stripe spills the block the reader validated to the depot, the
+/// other stripe's insert refills it, and the checker must find the
+/// visit that reads the new item's bytes under the old item's version.
+#[test]
+fn recycling_at_retire_through_the_depot_is_found() {
+    let v = Builder::new()
+        .with_preemption_bound(6)
+        .expect_violation(|| {
+            visit_outlives_depot_refill(KvStore::with_fault(2, 2, KvFault::RecycleAtRetire));
+        });
+    assert!(v.message.contains("another item's bytes"), "{v}");
+    eprintln!(
+        "recycle-at-retire via the depot found in execution {}",
+        v.execution
+    );
+}
