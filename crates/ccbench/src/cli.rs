@@ -1,33 +1,31 @@
-//! The one argument parser behind the perf binaries (`kv-perf`,
-//! `repl-perf`, `sim-perf`, `lat-perf`), and the one thing the first
-//! three do with their result.
+//! The argument parser behind the artifact binary (`sim-perf`), and
+//! what it does with its result.
 //!
 //! ```text
 //! <bin> [--check]
 //! ```
 //!
-//! Every field a perf binary commits is a pure function of its seeds,
-//! so the committed artifact is its own golden: a plain run rewrites
-//! it in place, `--check` regenerates it and byte-compares against the
-//! committed file. `lat-perf` commits nothing and takes no flag.
-//! Anything else is an error: a mistyped flag must not silently run
-//! the sweep and overwrite a committed artifact.
+//! Every field the binary commits is a pure function of its seeds, so
+//! the committed artifact is its own golden: a plain run rewrites it in
+//! place, `--check` regenerates it and byte-compares against the
+//! committed file. Anything else is an error: a mistyped flag must not
+//! silently run the suite and overwrite a committed artifact.
 
 use std::process::ExitCode;
 
-/// Parses a perf binary's arguments (program name already stripped):
-/// whether `--check` was given, `Ok(None)` when help was asked for.
-/// `checks` says whether the binary owns an artifact to check.
+/// Parses an artifact binary's arguments (program name already
+/// stripped): whether `--check` was given, `Ok(None)` when help was
+/// asked for.
 ///
 /// # Errors
 ///
 /// A one-line description of the first unrecognised argument.
-fn parse(args: &[String], checks: bool) -> Result<Option<bool>, String> {
+fn parse(args: &[String]) -> Result<Option<bool>, String> {
     let mut check = false;
     for arg in args {
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
-            "--check" if checks => check = true,
+            "--check" => check = true,
             other => return Err(format!("unrecognised argument `{other}`")),
         }
     }
@@ -37,10 +35,10 @@ fn parse(args: &[String], checks: bool) -> Result<Option<bool>, String> {
 /// Parses the process arguments: prints the usage line and exits 0 on
 /// `--help`, exits 2 with the error and the usage line on anything
 /// unrecognised.
-fn parse_env(bin: &str, checks: bool) -> bool {
-    let usage = format!("usage: {bin}{}", if checks { " [--check]" } else { "" });
+fn parse_env(bin: &str) -> bool {
+    let usage = format!("usage: {bin} [--check]");
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args, checks) {
+    match parse(&args) {
         Ok(Some(check)) => check,
         Ok(None) => {
             eprintln!("{usage}");
@@ -51,11 +49,6 @@ fn parse_env(bin: &str, checks: bool) -> bool {
             std::process::exit(2);
         }
     }
-}
-
-/// The arguments of a binary that commits nothing: `--help` or none.
-pub fn no_flags(bin: &str) {
-    parse_env(bin, false);
 }
 
 /// The artifact a perf binary owns and what this invocation does with
@@ -74,7 +67,7 @@ impl Artifact {
         Artifact {
             bin,
             path,
-            check: parse_env(bin, true),
+            check: parse_env(bin),
         }
     }
 
@@ -143,26 +136,24 @@ mod tests {
 
     #[test]
     fn check_and_help_parse() {
-        assert_eq!(parse(&[], true), Ok(Some(false)));
-        assert_eq!(parse(&args(&["--check"]), true), Ok(Some(true)));
-        assert_eq!(parse(&args(&["-h", "--bogus"]), true), Ok(None));
-        assert_eq!(parse(&args(&["--help"]), false), Ok(None));
+        assert_eq!(parse(&[]), Ok(Some(false)));
+        assert_eq!(parse(&args(&["--check"])), Ok(Some(true)));
+        assert_eq!(parse(&args(&["-h", "--bogus"])), Ok(None));
+        assert_eq!(parse(&args(&["--help"])), Ok(None));
     }
 
-    /// Regression: `kv-perf --smok` used to run the full sweep and
-    /// overwrite the committed `BENCH_kv.json`. A retired flag is a
+    /// Regression: a mistyped flag (`--smok`) used to run the full
+    /// sweep and overwrite the committed artifact. A retired flag is a
     /// stray word like any other (spelled in halves here so a search
     /// for it finds no live use).
     #[test]
     fn anything_else_is_refused() {
         let retired = ["--smo", "ke"].concat();
         for stray in [retired.as_str(), "--smok", "--check=1", "-c", "stray"] {
-            let err = parse(&args(&[stray]), true).unwrap_err();
+            let err = parse(&args(&[stray])).unwrap_err();
             assert!(err.contains(stray), "{err}");
         }
-        assert!(parse(&args(&["--check", "stray"]), true).is_err());
-        // A binary with no artifact has nothing to check.
-        assert!(parse(&args(&["--check"]), false).is_err());
+        assert!(parse(&args(&["--check", "stray"])).is_err());
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! Shared scaffolding for the hand-rolled `BENCH_*.json` artifacts.
+//! Framing for the hand-rolled `BENCH_sim.json` artifact.
 //!
 //! The workspace is offline and serde is not among the vendored shims,
-//! so every benchmark renders its artifact by hand. Before this module
-//! each renderer re-implemented the same framing — brace/newline
-//! layout, last-item comma suppression, the schema/unit-note preamble —
-//! and the comma logic in particular was copy-pasted four ways. The
-//! [`Doc`] builder owns that framing once; the per-case line *bodies*
-//! stay `format!` strings in their own modules, because their key
-//! order and float precision are part of each artifact's diffable
-//! contract and belong next to the sweep that defines them.
+//! so the artifact is rendered by hand. The [`Doc`] builder owns the
+//! framing — brace/newline layout, last-item comma suppression, the
+//! schema/unit-note preamble; the per-workload line *bodies* stay
+//! `format!` strings in [`crate::perf`], because their key order and
+//! float precision are part of the artifact's diffable contract and
+//! belong next to the suite that defines them.
 //!
-//! Byte-layout invariants, pinned by the committed artifacts themselves
-//! (`tests/artifacts.rs` renders each sweep and compares bytes):
+//! Byte-layout invariants, pinned by the committed artifact itself
+//! (`tests/artifacts.rs` renders the suite and compares bytes):
 //!
 //! * top-level members are indented two spaces, one per line;
 //! * array items are indented four spaces, one per line, with the
@@ -33,14 +31,6 @@ impl Doc {
         out.push_str(&format!("  \"schema\": \"{schema}\",\n"));
         out.push_str(&format!("  \"unit_note\": \"{unit_note}\",\n"));
         Doc { out }
-    }
-
-    /// Appends one top-level member line: `raw` is the full
-    /// `"key": value` body, `comma` says whether members follow.
-    pub fn member(&mut self, raw: &str, comma: bool) {
-        self.out.push_str("  ");
-        self.out.push_str(raw);
-        self.out.push_str(if comma { ",\n" } else { "\n" });
     }
 
     /// Appends an array member: one item per line, four-space indent,
@@ -69,13 +59,11 @@ mod tests {
     #[test]
     fn framing_matches_the_artifact_contract() {
         let mut doc = Doc::open("s-v1", "units");
-        doc.member("\"config\": {\"n\": 1}", true);
-        doc.array("cases", &["{\"a\": 1}".into(), "{\"a\": 2}".into()], true);
-        doc.member("\"extra\": {\"b\": 3}", false);
+        doc.array("cases", &["{\"a\": 1}".into(), "{\"a\": 2}".into()], false);
         let text = doc.finish();
         assert_eq!(
             text,
-            "{\n  \"schema\": \"s-v1\",\n  \"unit_note\": \"units\",\n  \"config\": {\"n\": 1},\n  \"cases\": [\n    {\"a\": 1},\n    {\"a\": 2}\n  ],\n  \"extra\": {\"b\": 3}\n}\n"
+            "{\n  \"schema\": \"s-v1\",\n  \"unit_note\": \"units\",\n  \"cases\": [\n    {\"a\": 1},\n    {\"a\": 2}\n  ]\n}\n"
         );
     }
 

@@ -1,16 +1,16 @@
-//! The committed `BENCH_*.json` artifacts are their own goldens.
+//! The committed `BENCH_sim.json` artifact is its own golden.
 //!
-//! Every field a perf binary commits is a pure function of its seeds,
-//! so each test runs the real sweep — the one `<bin>` runs — and holds
-//! the render to the committed bytes: layout, case list and values. A
-//! sweep or renderer edit that is not followed by `<bin>` (which
-//! rewrites the artifact) fails here, and in CI's `<bin> --check`.
+//! Every field `sim-perf` commits is a pure function of its seeds, so
+//! the test runs the real suite — the one `sim-perf` runs — and holds
+//! the render to the committed bytes: layout, workload list and values.
+//! A suite or renderer edit that is not followed by `sim-perf` (which
+//! rewrites the artifact) fails here, and in CI's `sim-perf --check`.
 //!
-//! Each test then edits one digit of a scratch copy and expects the
-//! same comparison `--check` makes to name the line.
+//! The test then edits one digit of a scratch copy and expects the same
+//! comparison `--check` makes to name the line.
 
 use ssync_ccbench::cli::{check_file, first_difference};
-use ssync_ccbench::{kv_perf, perf, repl_perf};
+use ssync_ccbench::perf;
 
 /// `text` with its last digit changed, and the line that digit is on.
 fn edit_one_digit(text: &str) -> (String, usize) {
@@ -41,31 +41,6 @@ fn assert_current(name: &str, committed: &str, fresh: &str) {
     assert!(
         err.contains(&format!("first difference at line {line}\n")),
         "{err}"
-    );
-}
-
-#[test]
-fn bench_kv_json_is_the_sweep_kv_perf_runs() {
-    let config = kv_perf::SweepConfig::COMMITTED;
-    let results = kv_perf::run_sweep(config);
-    let soak = kv_perf::run_churn_soak(kv_perf::SoakConfig::COMMITTED);
-    soak.check().expect("churn soak criteria");
-    assert_current(
-        "BENCH_kv.json",
-        include_str!("../../../BENCH_kv.json"),
-        &kv_perf::render_json(&results, config, &soak),
-    );
-}
-
-#[test]
-fn bench_repl_json_is_the_sweep_repl_perf_runs() {
-    let config = repl_perf::ReplSweepConfig::COMMITTED;
-    let results = repl_perf::run_sweep(config);
-    let reshard = repl_perf::run_reshard_case(config);
-    assert_current(
-        "BENCH_repl.json",
-        include_str!("../../../BENCH_repl.json"),
-        &repl_perf::render_json(&results, config, &reshard),
     );
 }
 

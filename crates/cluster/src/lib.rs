@@ -59,10 +59,10 @@
 //! * [`service`] — cluster node servers and the map-following,
 //!   redirect-chasing [`service::ClusterClient`];
 //! * [`migrate`] — the fault-injected live-migration coordinator;
-//! * [`workload`] — the closed-loop reshard-under-traffic driver
-//!   behind `ccbench`'s `reshard` experiment: its own per-op body, which
-//!   keeps the acknowledged-write model, over the `ssync-srv` engine's
-//!   client fan-out, reporting the engine's one `Tally`.
+//! * [`workload`] — the closed-loop reshard-under-traffic driver: its
+//!   own per-op body, which keeps the acknowledged-write model, over the
+//!   `ssync-srv` engine's client fan-out, reporting the engine's one
+//!   `Tally`.
 
 pub mod map;
 pub mod migrate;

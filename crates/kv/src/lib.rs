@@ -1542,9 +1542,8 @@ impl<R: RawLock + Default> KvStore<R> {
     }
 
     /// The full contents as `(key, version, value)` triples sorted by
-    /// key — the comparison form replication tests and the `repl-perf`
-    /// convergence check use (never a serving path, so it can afford
-    /// the sort). Keys and values are handles into the items, not
+    /// key — the comparison form replication tests and the convergence
+    /// checks use (never a serving path, so it can afford the sort). Keys and values are handles into the items, not
     /// copies: dumping a store allocates the returned `Vec` and nothing
     /// else.
     pub fn dump(&self) -> Vec<(Bytes, u64, Bytes)> {
@@ -1759,7 +1758,7 @@ impl<R: RawLock + Default> Drop for KvStore<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssync_locks::{McsLock, MutexLock, TasLock, TicketLock};
+    use ssync_locks::{McsLock, MutexLock, TasLock, TicketLock, TtasLock};
 
     #[test]
     fn set_get_delete() {
@@ -1865,6 +1864,66 @@ mod tests {
         let retired = MAINTENANCE_PERIOD * periods - 32;
         assert_eq!(snap.nodes_reclaimed + snap.reclaim_backlog, retired);
         assert!(snap.nodes_reclaimed > 0);
+    }
+
+    /// The churn soak: a seeded delete/replace-heavy stream — 64 rounds
+    /// of 2 048 ops over 512 keys, 24 B values — against one store that
+    /// frees only through its own after-write maintenance, never a
+    /// `reclaim_pass` or `purge_retired`. The retired backlog sampled at
+    /// every round boundary stays under 2 048 while the churn retires
+    /// far more than the store ever holds. Single-threaded, so every
+    /// count is a pure function of the seed.
+    #[test]
+    fn churn_soak_keeps_the_backlog_bounded_while_retiring_past_it() {
+        const BOUND: u64 = 2_048;
+        let keys = 512u64;
+        let kv: KvStore<TtasLock> = KvStore::new(512, 16);
+        for key in 0..keys {
+            kv.set(&key.to_be_bytes(), vec![key as u8; 24]);
+        }
+        let (mut sets, mut deletes, mut gets) = (keys, 0u64, 0u64);
+        let mut rng = 0xCAFE_F00Du64;
+        let mut backlog_max = kv.reclaim_backlog();
+        for _ in 0..64 {
+            for _ in 0..2_048 {
+                // One xorshift64 step.
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let key = (rng % keys).to_be_bytes();
+                // Sets replace and deletes unlink — both retire a node
+                // when the key is live — and a read slice keeps pinned
+                // traversals in the mix.
+                match (rng >> 32) % 10 {
+                    0..=4 => {
+                        kv.set(&key, vec![(rng >> 8) as u8; 24]);
+                        sets += 1;
+                    }
+                    5..=7 => {
+                        kv.delete(&key);
+                        deletes += 1;
+                    }
+                    _ => {
+                        kv.get(&key);
+                        gets += 1;
+                    }
+                }
+            }
+            backlog_max = backlog_max.max(kv.reclaim_backlog());
+        }
+        let snap = kv.stats_snapshot();
+        // Every node the churn retired, freed online or still parked:
+        // what a store that freed nothing before a quiescent point
+        // would be holding.
+        let retired = snap.nodes_reclaimed + snap.reclaim_backlog;
+        assert!(backlog_max < BOUND, "backlog hit {backlog_max}");
+        assert!(snap.nodes_reclaimed > 0, "nothing reclaimed online");
+        assert!(retired > backlog_max, "retired only {retired}");
+        assert_eq!((sets, deletes, gets), (65_985, 39_419, 26_180));
+        assert_eq!(backlog_max, 143);
+        assert_eq!(snap.reclaim_backlog, 137);
+        assert_eq!(snap.nodes_reclaimed, 65_518);
+        assert_eq!(snap.epochs_advanced, 1_416);
     }
 
     #[test]

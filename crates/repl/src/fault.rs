@@ -137,7 +137,7 @@ impl FaultPlan {
 }
 
 /// Seeded generator of per-replica fault schedules, shared by the
-/// proptest harness and the `repl-perf` fault case.
+/// proptest harness and the replicated sweep's fault case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Master seed; each `(shard, replica)` derives its own schedule.

@@ -39,9 +39,9 @@
 //!   engine's sequential driver and client fan-out over the node
 //!   threads, reporting the engine's one `Tally`.
 //!
-//! The `repl-perf` binary in `ssync-ccbench` sweeps this subsystem
-//! over {replica count × mode × skew × mix} and writes
-//! `BENCH_repl.json`.
+//! `tests/sweep.rs` holds a sweep over {replica count × mode × skew ×
+//! mix × batch}, plus a seeded fault case and a failover chain, to its
+//! replayed counts as literals, every case converged.
 //!
 //! # Examples
 //!

@@ -16,7 +16,6 @@
 
 use std::time::{Duration, Instant};
 
-use ssync_kv::StatsSnapshot;
 use ssync_locks::RawLock;
 use ssync_srv::workload::{drive_worker, fan_out, OpStream, Tally, WorkloadSpec};
 
@@ -42,11 +41,6 @@ pub struct ReplReport {
     pub stale_served: u64,
     /// Wall time of the measure phase.
     pub wall: Duration,
-    /// Node-0 (seed-leader) store counter deltas over the measure
-    /// phase.
-    pub primary_store: StatsSnapshot,
-    /// Store counter deltas merged over every other node.
-    pub replica_store: StatsSnapshot,
     /// Per-node server reports, grouped by shard (shard-major order,
     /// `shards × (replicas + 1)` entries).
     pub nodes: Vec<NodeReport>,
@@ -125,9 +119,6 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
     for (key, value) in spec.preload_values() {
         cluster.preload(key, &value);
     }
-    let primary_before = cluster.primary().stats_snapshot();
-    let replica_before = cluster.replica_stats_snapshot();
-
     let map = cluster.map().clone();
     let failovers_before = map.total_failovers();
     let (node_endpoints, clients) = repl_mesh(&map, workers);
@@ -168,8 +159,6 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
     let mut report = ReplReport {
         tally,
         wall,
-        primary_store: cluster.primary().stats_snapshot().delta(&primary_before),
-        replica_store: cluster.replica_stats_snapshot().delta(&replica_before),
         failovers: map.total_failovers() - failovers_before,
         unavailability: (0..shards)
             .flat_map(|sh| map.failover_records(sh))

@@ -28,9 +28,10 @@
 //!   and the one [`workload::Tally`] the replicated and cluster drivers
 //!   build on.
 //!
-//! The `kv-perf` binary in `ssync-ccbench` sweeps this subsystem over
-//! {lock algorithm × shard count × skew × mix} and writes
-//! `BENCH_kv.json`.
+//! `workload`'s tests hold one closed-loop sweep — {1, 2, 4} shards ×
+//! skew × mix, batched and churn cases — to its issued counts and
+//! maintenance cadence as literals; every number measured on this
+//! stack is `benchmark/`'s to report.
 //!
 //! # Examples
 //!

@@ -60,16 +60,6 @@ pub enum KeyDist {
     },
 }
 
-impl KeyDist {
-    /// Short display name for benchmark labels.
-    pub fn label(&self) -> String {
-        match self {
-            KeyDist::Uniform => "uniform".to_string(),
-            KeyDist::Zipfian { theta } => format!("zipf{theta:.2}"),
-        }
-    }
-}
-
 /// An operation mix, in percent (must sum to 100).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mix {
@@ -1060,6 +1050,51 @@ mod tests {
         assert_eq!(report.tally.issued, report2.tally.issued);
     }
 
+    /// The closed loop's op streams are a pure function of the seed, so
+    /// one shape's issued counts are literals: {1, 4} shards × YCSB-A/B/C
+    /// on zipf 0.99, a uniform YCSB-A, a batched multi-get and a churn
+    /// case, at 2 workers × 6 000 key-ops over 4 096 keys. Where no
+    /// write can fail the store's maintenance cadence replays too; CAS
+    /// and delete outcomes depend on how the workers interleave, so the
+    /// churn case pins no cadence.
+    #[test]
+    fn closed_loop_sweep_replays_exact_counts() {
+        const KEYS: u64 = 4_096;
+        let zipf = KeyDist::Zipfian { theta: 0.99 };
+        #[rustfmt::skip]
+        let cases = [
+            // (shards, dist, mix, batch, [gets, sets, cas, deletes], maintenance_runs)
+            (1, zipf, Mix::YCSB_A, 1, [6_024, 5_976, 0, 0], Some(93)),
+            (1, zipf, Mix::YCSB_B, 1, [11_375, 625, 0, 0], Some(9)),
+            (1, zipf, Mix::YCSB_C, 1, [12_000, 0, 0, 0], Some(0)),
+            (4, zipf, Mix::YCSB_A, 1, [6_024, 5_976, 0, 0], Some(92)),
+            (4, zipf, Mix::YCSB_B, 1, [11_375, 625, 0, 0], Some(9)),
+            (4, zipf, Mix::YCSB_C, 1, [12_000, 0, 0, 0], Some(0)),
+            (4, KeyDist::Uniform, Mix::YCSB_A, 1, [6_024, 5_976, 0, 0], Some(92)),
+            (4, zipf, Mix::YCSB_C, 4, [12_000, 0, 0, 0], Some(0)),
+            (2, zipf, Mix::CHURN, 1, [7_207, 3_035, 1_158, 600], None),
+        ];
+        for (shards, dist, mix, batch, counts, maintenance) in cases {
+            let router: ShardRouter<TicketLock> =
+                ShardRouter::new(shards, (KEYS as usize / shards).clamp(64, 4096), 16);
+            let workload = WorkloadSpec {
+                keys: KEYS,
+                dist,
+                mix,
+                vsize: ValueSize::Uniform { min: 16, max: 96 },
+                batch,
+                seed: 0xCAFE_F00D,
+            };
+            let report = run_load(&router, &closed(workload, 2, 6_000, 64, 16));
+            let case = format!("{shards} shards, {dist:?}, {}, batch {batch}", mix.name);
+            let i = report.tally.issued;
+            assert_eq!([i.gets, i.sets, i.cas, i.deletes], counts, "{case}");
+            if let Some(runs) = maintenance {
+                assert_eq!(report.store.maintenance_runs, runs, "{case}");
+            }
+        }
+    }
+
     #[test]
     fn poisson_arrivals_replay_and_match_their_mean() {
         let spec = WorkloadSpec::example();
@@ -1084,38 +1119,44 @@ mod tests {
         assert!(a.iter().any(|&g| g > 30_000));
     }
 
+    /// Two pacing workers over 4 connections, and over 256 — many
+    /// connections per worker, each with few ops, the client-scaling
+    /// axis of the open loop.
     #[test]
     fn open_loop_replays_issued_counts_and_measures_latency() {
-        let spec = LoadSpec {
-            workload: WorkloadSpec {
-                keys: 256,
-                mix: Mix::YCSB_B,
-                ..WorkloadSpec::example()
-            },
-            workers: 2,
-            connections: 4,
-            ops_per_worker: 300,
-            offered_ops_per_sec: Some(50_000.0),
-            depth: 32,
-            window: 8,
-        };
-        let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let report = run_load(&router, &spec);
-        let t = report.tally;
-        assert_eq!(t.issued.total(), 600);
-        // Every read drained through the timed path, every write took
-        // the blocking path; nothing measured twice, nothing dropped.
-        assert_eq!(report.read_lat.count(), t.issued.gets);
-        assert_eq!(report.write_lat.count(), t.issued.sets);
-        assert_eq!(t.hits + t.misses, t.issued.gets);
-        assert_eq!(t.misses, 0, "preloaded, delete-free keyspace");
-        assert!(report.read_lat.quantile(0.99).unwrap() > 0);
-        assert!(t.ops_per_sec(report.wall) > 0.0);
-        // The op streams replay exactly on a fresh router.
-        let router2: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        let report2 = run_load(&router2, &spec);
-        assert_eq!(t.issued, report2.tally.issued);
-        assert_eq!(t.hits, report2.tally.hits);
+        for connections in [4, 256] {
+            let spec = LoadSpec {
+                workload: WorkloadSpec {
+                    keys: 256,
+                    mix: Mix::YCSB_B,
+                    ..WorkloadSpec::example()
+                },
+                workers: 2,
+                connections,
+                ops_per_worker: 300,
+                offered_ops_per_sec: Some(50_000.0),
+                depth: 32,
+                window: 8,
+            };
+            let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
+            let report = run_load(&router, &spec);
+            let t = report.tally;
+            assert_eq!(t.issued.total(), 600, "{connections} connections");
+            // Every read drained through the timed path, every write
+            // took the blocking path; nothing measured twice, nothing
+            // dropped.
+            assert_eq!(report.read_lat.count(), t.issued.gets);
+            assert_eq!(report.write_lat.count(), t.issued.sets);
+            assert_eq!(t.hits + t.misses, t.issued.gets);
+            assert_eq!(t.misses, 0, "preloaded, delete-free keyspace");
+            assert!(report.read_lat.quantile(0.99).unwrap() > 0);
+            assert!(t.ops_per_sec(report.wall) > 0.0);
+            // The op streams replay exactly on a fresh router.
+            let router2: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
+            let report2 = run_load(&router2, &spec);
+            assert_eq!(t.issued, report2.tally.issued);
+            assert_eq!(t.hits, report2.tally.hits);
+        }
     }
 
     #[test]
