@@ -30,7 +30,6 @@
 
 pub mod cli;
 pub mod drivers;
-pub mod json;
 pub mod perf;
 pub mod series;
 pub mod tables;

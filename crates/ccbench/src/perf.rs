@@ -16,6 +16,7 @@
 //! tens of events, not thousands. The regression tests in
 //! `tests/sim_perf_regressions.rs` pin ceilings on it.
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
 use ssync_core::topology::Platform;
@@ -25,8 +26,6 @@ use ssync_simsync::mp::SsmpChannel;
 use ssync_simsync::workloads::atomics::{stress_pause, AtomicKind, AtomicStress};
 use ssync_simsync::workloads::lock_stress::LockStress;
 use ssync_simsync::workloads::mp_bench::{Chan, MpClient, MpServer};
-
-use crate::json::Doc;
 
 /// Simulated window of a `sim-perf` run, in cycles.
 pub const PERF_WINDOW: u64 = 600_000;
@@ -180,7 +179,6 @@ pub fn run_suite(window: u64) -> Vec<PerfResult> {
 /// Renders the suite as a plain-text table for a human: the measured
 /// columns live here and nowhere else.
 pub fn render_table(results: &[PerfResult]) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -212,29 +210,29 @@ pub fn render_table(results: &[PerfResult]) -> String {
 /// event and op counts, which replay exactly, so the committed file is
 /// the golden `sim-perf --check` and the crate's tests compare against.
 /// Hand-rolled JSON: the workspace is offline and serde is not among
-/// the vendored shims.
+/// the vendored shims. The layout is part of the artifact's diffable
+/// contract: top-level members one per line at two spaces, array items
+/// one per line at four, with a comma on every item but the last.
 pub fn render_json(results: &[PerfResult]) -> String {
-    let mut doc = Doc::open(
-        "ssync-sim-perf-v2",
-        "every field replays; regenerate with sim-perf, verify with sim-perf --check; events are engine events",
-    );
-    let workloads: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workload\": \"{}\", \"platform\": \"{}\", \"threads\": {}, \"window_cycles\": {}, \"events\": {}, \"ops\": {}, \"events_per_op\": {:.2}}}",
-                r.workload,
-                r.platform,
-                r.threads,
-                r.window,
-                r.events,
-                r.ops,
-                r.events_per_op(),
-            )
-        })
-        .collect();
-    doc.array("workloads", &workloads, false);
-    doc.finish()
+    let mut out = String::from("{\n  \"schema\": \"ssync-sim-perf-v2\",\n");
+    out.push_str("  \"unit_note\": \"every field replays; regenerate with sim-perf, verify with sim-perf --check; events are engine events\",\n");
+    out.push_str("  \"workloads\": [\n");
+    for (i, r) in results.iter().enumerate() {
+        let sep = if i + 1 == results.len() { "" } else { "," };
+        let _ = writeln!(
+            out,
+            "    {{\"workload\": \"{}\", \"platform\": \"{}\", \"threads\": {}, \"window_cycles\": {}, \"events\": {}, \"ops\": {}, \"events_per_op\": {:.2}}}{sep}",
+            r.workload,
+            r.platform,
+            r.threads,
+            r.window,
+            r.events,
+            r.ops,
+            r.events_per_op(),
+        );
+    }
+    out.push_str("  ]\n}\n");
+    out
 }
 
 #[cfg(test)]
@@ -256,6 +254,41 @@ mod tests {
         let json = render_json(&results);
         assert!(json.contains("\"workloads\""));
         assert!(!json.contains("wall_ms") && !json.contains("events_per_sec"));
+    }
+
+    /// The framing over zero, one and several results: an empty array
+    /// closes on the line after it opens, and only the last item goes
+    /// without a comma.
+    #[test]
+    fn render_json_frames_any_number_of_results() {
+        let result = |ops| PerfResult {
+            workload: "w",
+            platform: "p",
+            threads: 2,
+            window: 10,
+            wall_ms: 1.5,
+            events: 30,
+            ops,
+        };
+        let head = "{\n  \"schema\": \"ssync-sim-perf-v2\",\n  \"unit_note\": \"every field replays; regenerate with sim-perf, verify with sim-perf --check; events are engine events\",\n  \"workloads\": [\n";
+        let item = |ops, events_per_op| {
+            format!("    {{\"workload\": \"w\", \"platform\": \"p\", \"threads\": 2, \"window_cycles\": 10, \"events\": 30, \"ops\": {ops}, \"events_per_op\": {events_per_op}}}")
+        };
+        let tail = "  ]\n}\n";
+        assert_eq!(render_json(&[]), format!("{head}{tail}"));
+        assert_eq!(
+            render_json(&[result(4)]),
+            format!("{head}{}\n{tail}", item(4, "7.50"))
+        );
+        assert_eq!(
+            render_json(&[result(4), result(3), result(0)]),
+            format!(
+                "{head}{},\n{},\n{}\n{tail}",
+                item(4, "7.50"),
+                item(3, "10.00"),
+                item(0, "30.00")
+            )
+        );
     }
 
     #[test]

@@ -39,8 +39,11 @@
 //!    begins — the map's second handshake — the final delta drains,
 //!    and one CAS flips the map. Deferred writes then bounce to the new owner via
 //!    [`Response::WrongShard`](ssync_srv::wire::Response::WrongShard)
-//!    redirects that carry the new epoch; stale clients refetch and
-//!    retry. Write unavailability is the final drain, not the copy.
+//!    redirects that carry the new epoch; a stale client refetches the
+//!    map once and retries through `ssync-srv`'s one retry loop
+//!    ([`ssync_srv::conn::chase`]), whose budget
+//!    ([`ssync_srv::OP_BUDGET`]) bounds every operation. Write
+//!    unavailability is the final drain, not the copy.
 //!    The coordinator then disarms and every node drops its log.
 //!
 //! Crashes are deterministic, seeded

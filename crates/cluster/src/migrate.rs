@@ -406,6 +406,7 @@ mod tests {
     use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient};
     use ssync_core::Fence;
     use ssync_locks::TicketLock;
+    use ssync_srv::KvClient;
 
     /// `n` stores and their logs. The logs hold ONE entry: a node that
     /// logs two writes nobody drained panics on the overflow assert, so

@@ -57,7 +57,10 @@ use ssync_mp::{ring_channel, RingReceiver, RingSender};
 use ssync_repl::{EntryView, LogEntry, OpLog};
 use ssync_srv::service::{ring_mesh, ReadHit, ServerEndpoint};
 use ssync_srv::wire::{replay, Request, Response, WireError};
-use ssync_srv::{slot_of, Admit, Hooks, NodeCore, Poll, ServiceClient};
+use ssync_srv::{
+    chase, slot_of, Admit, Budget, Chase, Conn, Hooks, KvClient, NodeCore, Poll, ServiceClient,
+    OP_BUDGET,
+};
 
 use crate::map::{is_armed, MapSnapshot, ShardMap};
 
@@ -316,9 +319,10 @@ fn owned_mask(map: &ShardMap, shard: usize) -> u64 {
 /// The map-following client: routes by a cached [`MapSnapshot`] and
 /// chases [`Response::WrongShard`] redirects by refetching the shared
 /// map — the elastic mirror of `ssync-repl`'s leader-chasing client.
-/// An operation is retried verbatim until some node owns it; since a
-/// bounced request executed nothing, the retry loop preserves
-/// exactly-once execution at whichever node finally acknowledges.
+/// An operation is retried verbatim until some node owns it or its
+/// budget is spent; since a bounced request executed nothing, the
+/// chase preserves exactly-once execution at whichever node finally
+/// acknowledges.
 pub struct ClusterClient<'a> {
     map: &'a ShardMap,
     cached: RefCell<MapSnapshot>,
@@ -360,113 +364,68 @@ impl<'a> ClusterClient<'a> {
         self.nodes.stats(node)
     }
 
-    /// One operation against whoever owns the key: route by the cached
-    /// map, chase `WrongShard` redirects (refetching a map at least as
-    /// fresh as the bouncing node's) until an owner executes.
-    fn call_owner(&self, key: u64, request: &Request) -> Result<Response, WireError> {
-        loop {
-            let owner = self.cached.borrow().owner_of_key(key);
-            match self.nodes.conn(owner).call(request)? {
-                Response::WrongShard { map_epoch } => {
-                    self.redirects.set(self.redirects.get() + 1);
-                    // The shared map can trail the bouncer's view only
-                    // momentarily; spin the refetch up to its floor.
-                    loop {
-                        let snap = self.map.snapshot();
-                        let fresh = snap.epoch >= map_epoch;
-                        *self.cached.borrow_mut() = snap;
-                        if fresh {
-                            break;
-                        }
-                        core::hint::spin_loop();
-                    }
-                }
-                response => return Ok(response),
-            }
-        }
-    }
-
-    /// Looks a key up; `Some((version, value))` on a hit.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    pub fn get(&self, key: u64) -> Result<ReadHit, WireError> {
-        self.call_owner(key, &Request::Get { key })?
-            .into_read("Get")
-    }
-
-    /// Stores a value; returns its new CAS version. Blocks while the
-    /// key's slot is frozen mid-migration (the bounded unavailability
-    /// window a cutover imposes on writes).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    pub fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
-        self.call_owner(key, &Request::Set { key, value })?
-            .into_stored()
-    }
-
-    /// Compare-and-set; the inner result is the CAS outcome.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    pub fn cas(
-        &self,
-        key: u64,
-        value: Vec<u8>,
-        expected: u64,
-    ) -> Result<Result<u64, u64>, WireError> {
-        let request = Request::Cas {
-            key,
-            expected,
-            value,
-        };
-        self.call_owner(key, &request)?.into_cas()
-    }
-
-    /// Deletes a key; `Some(tombstone_version)` if it existed.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    pub fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
-        self.call_owner(key, &Request::Delete { key })?
-            .into_deleted()
-    }
-
     /// Tells every node this client is done, consuming the client.
     pub fn close(self) {
         self.nodes.close();
     }
 }
 
-impl ssync_srv::KvClient for ClusterClient<'_> {
-    fn get(&self, key: u64) -> Result<ReadHit, WireError> {
-        ClusterClient::get(self, key)
+/// The chase policy of one [`ClusterClient`] operation: ask the key's
+/// owner under the cached map; on a `WrongShard`, refetch the map and
+/// ask again. A lost node is not retried.
+struct Owner<'c, 'a> {
+    client: &'c ClusterClient<'a>,
+    key: u64,
+}
+
+impl Chase for Owner<'_, '_> {
+    fn pick(&self) -> Option<(usize, &Conn)> {
+        let owner = self.client.cached.borrow().owner_of_key(self.key);
+        Some((owner, self.client.nodes.conn(owner)))
+    }
+
+    /// A single refetch is fresh enough: the bouncer read its epoch
+    /// from the map's one monotone word before it published the reply
+    /// this client has received.
+    fn redirected(&self, response: &Response) -> bool {
+        let Response::WrongShard { map_epoch } = *response else {
+            return false;
+        };
+        let client = self.client;
+        client.redirects.set(client.redirects.get() + 1);
+        let snap = client.map.snapshot();
+        debug_assert!(snap.epoch >= map_epoch, "a refetch trails its bouncer");
+        *client.cached.borrow_mut() = snap;
+        true
+    }
+
+    fn lost(&self, _node: usize) -> bool {
+        false
+    }
+}
+
+/// Every operation runs against whoever owns the key, chasing
+/// `WrongShard` redirects under one [`OP_BUDGET`]. A write blocks
+/// while the key's slot is frozen mid-migration (the bounded
+/// unavailability window a cutover imposes on writes).
+///
+/// # Errors
+///
+/// Every operation: [`WireError`] on an undecodable or out-of-protocol
+/// reply or a node gone, and [`WireError::Deadline`] once the budget is
+/// spent while nodes keep bouncing the key.
+impl KvClient for ClusterClient<'_> {
+    fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
+        let owner = Owner { client: self, key };
+        let (_, response) = chase(&owner, request, &mut Budget::new(OP_BUDGET, key))?;
+        Ok(response)
     }
 
     /// Key-by-key under elastic routing: a batch frame can only target
     /// one node, and mid-migration the members of a batch may be owned
     /// by different nodes under different epochs.
     fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
-        keys.iter()
-            .map(|&key| ClusterClient::get(self, key))
-            .collect()
-    }
-
-    fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
-        ClusterClient::set(self, key, value)
-    }
-
-    fn cas(&self, key: u64, value: Vec<u8>, expected: u64) -> Result<Result<u64, u64>, WireError> {
-        ClusterClient::cas(self, key, value, expected)
-    }
-
-    fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
-        ClusterClient::delete(self, key)
+        keys.iter().map(|&key| self.get(key)).collect()
     }
 }
 

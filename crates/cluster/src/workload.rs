@@ -39,6 +39,7 @@ use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_repl::OpLog;
 use ssync_srv::workload::{fan_out, Tally};
+use ssync_srv::KvClient;
 
 use crate::map::ShardMap;
 use crate::migrate::{run_reshard_coordinator, MigrationReport, ReshardSpec};

@@ -34,7 +34,9 @@
 //! * [`cluster`] — the shared term/leader/high-water-mark map
 //!   promotions race through;
 //! * [`service`] — the replication mesh, the node server loop, and the
-//!   deadline-retrying, redirect-chasing [`service::ReplClient`];
+//!   [`service::ReplClient`], whose writes and leader reads chase the
+//!   shard's leader through `ssync-srv`'s one retry loop
+//!   ([`ssync_srv::conn::chase`]) under one budget per operation;
 //! * [`workload`] — the replicated closed-loop driver: the `ssync-srv`
 //!   engine's sequential driver and client fan-out over the node
 //!   threads, reporting the engine's one `Tally`.
@@ -49,6 +51,7 @@
 //! use ssync_repl::service::{repl_mesh, serve_node, ReplCluster, ReplSpec};
 //! use ssync_repl::fault::FaultSpec;
 //! use ssync_locks::TicketLock;
+//! use ssync_srv::KvClient;
 //!
 //! // One shard, two backups, sync mode: read-your-writes everywhere.
 //! let mut cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 64, 8, ReplSpec::sync(2));

@@ -56,9 +56,9 @@
 //! observed on that shard); a follower behind the floor (or inside a
 //! crash window) answers `Stale` and the client falls back to the
 //! leader. While a shard is leaderless, writes and leader reads wait
-//! under a [`RetryPacer`] deadline; a client that opted into
-//! [`ReplClient::with_stale_reads`] degrades reads to floor-zero
-//! replica reads instead of waiting.
+//! for a promotion within the operation's retry [`Budget`]; a client
+//! that opted into [`ReplClient::with_stale_reads`] degrades reads to
+//! floor-zero replica reads instead of waiting.
 //!
 //! **Deadlock discipline** (rings are deeper than one frame but still
 //! bounded, so the same rules apply):
@@ -92,14 +92,14 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use ssync_core::{Fence, RegistrySnapshot, RetryPacer};
+use ssync_core::{Fence, RegistrySnapshot};
 use ssync_kv::{KvStore, StatsSnapshot};
 use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, Message, MsgReceiver, RingReceiver, RingSender};
 use ssync_srv::router::{key_bytes, shard_of, ShardRouter};
 use ssync_srv::service::{ring_mesh, KvClient, ReadHit, ServerEndpoint, ServiceClient};
 use ssync_srv::wire::{replay, Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
-use ssync_srv::{Admit, Conn, Hooks, NoHooks, NodeCore, Poll};
+use ssync_srv::{chase, Admit, Budget, Chase, Conn, Hooks, NoHooks, NodeCore, Poll, OP_BUDGET};
 
 use crate::cluster::{ClusterMap, ShardView};
 use crate::fault::{FaultKind, FaultPlan, FaultSpec};
@@ -468,7 +468,7 @@ pub fn repl_mesh(
                 })
                 .collect(),
             map: map.clone(),
-            deadline: Duration::from_secs(5),
+            deadline: OP_BUDGET,
             stale_reads: false,
             seed: Cell::new(0x5EED_0000 + c as u64),
             fallbacks: Cell::new(0),
@@ -1138,11 +1138,6 @@ impl Replicator<'_> {
 }
 
 impl ReplClient {
-    /// Number of shards (replication groups) this client reaches.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Replaces the per-operation retry budget (default five seconds).
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> ReplClient {
@@ -1191,17 +1186,17 @@ impl ReplClient {
         self.mesh.conn(shard * self.map.nodes_per_shard() + node)
     }
 
-    fn observe(&self, shard: usize, version: u64) {
-        let floor = &self.shards[shard].floor;
-        floor.set(floor.get().max(version));
-    }
-
-    /// Raises the shard's freshness floor to a read's version.
-    fn observed(&self, shard: usize, hit: ReadHit) -> ReadHit {
-        if let Some((version, _)) = hit {
-            self.observe(shard, version);
+    /// Raises the shard's freshness floor to the version `response`
+    /// carries, if any.
+    fn observed(&self, shard: usize, response: Response) -> Response {
+        if let Response::Stored { version }
+        | Response::Deleted { version }
+        | Response::Value { version, .. } = response
+        {
+            let floor = &self.shards[shard].floor;
+            floor.set(floor.get().max(version));
         }
-        hit
+        response
     }
 
     fn bump(counter: &Cell<u64>, by: u64) {
@@ -1214,8 +1209,8 @@ impl ReplClient {
         s
     }
 
-    fn pacer(&self) -> RetryPacer {
-        RetryPacer::new(self.deadline, self.next_seed())
+    fn budget(&self) -> Budget {
+        Budget::new(self.deadline, self.next_seed())
     }
 
     /// The cached `(term, leader)` view, consulting the shared map
@@ -1285,52 +1280,111 @@ impl ReplClient {
         self.conn(shard, node).call(&Request::Stats)?.into_stats()
     }
 
-    /// The retrying leader exchange every write (and authoritative
-    /// read) goes through: chases `WrongLeader`/`WrongTerm` redirects,
-    /// waits out leaderless spells with jittered backoff, and retries
-    /// requests a dying node provably never executed — all under the
-    /// client's deadline.
-    ///
+    /// The leader chase of `shard` under `budget`, every write (and
+    /// authoritative read) goes through: returns the leader that
+    /// answered with its reply, having raised the shard's floor to any
+    /// version the reply carries.
+    fn at_leader(
+        &self,
+        shard: usize,
+        request: &Request,
+        budget: &mut Budget,
+    ) -> Result<(usize, Response), WireError> {
+        let (node, response) = chase(
+            &Leader {
+                client: self,
+                shard,
+            },
+            request,
+            budget,
+        )?;
+        Ok((node, self.observed(shard, response)))
+    }
+
+    /// Authoritatively fetches `positions` through the leader chase,
+    /// in [`MGET_MAX`]-sized slices.
+    fn fetch_from_leader(
+        &self,
+        shard: usize,
+        positions: &[usize],
+        keys: &[u64],
+        results: &mut [ReadHit],
+    ) -> Result<(), WireError> {
+        for slice in positions.chunks(MGET_MAX) {
+            let batch: Vec<u64> = slice.iter().map(|&p| keys[p]).collect();
+            let request = Request::MultiGet { keys: batch };
+            let (leader, first) = self.at_leader(shard, &request, &mut self.budget())?;
+            results[slice[0]] = first.into_read("MultiGet")?;
+            // The tail comes from the leader that just answered. It
+            // cannot die inside the tail (a scheduled crash only
+            // follows a *write*, and responses are emitted whole
+            // between requests), so a disconnect here is an error.
+            for &pos in &slice[1..] {
+                let response = self.conn(shard, leader).recv()?;
+                results[pos] = self.observed(shard, response).into_read("MultiGet")?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Tells every node this client is done, consuming the client.
+    /// Dead nodes are skipped — their inboxes have no reader.
+    pub fn close(self) {
+        self.mesh.close();
+    }
+}
+
+/// The chase policy of one leader exchange on `shard`: ask the cached
+/// leader, adopt `WrongLeader`/`WrongTerm` redirects, and retry a node
+/// lost under the request.
+struct Leader<'c> {
+    client: &'c ReplClient,
+    shard: usize,
+}
+
+impl Chase for Leader<'_> {
+    fn pick(&self) -> Option<(usize, &Conn)> {
+        let leader = self.client.shard_view(self.shard).leader?;
+        Some((leader, self.client.conn(self.shard, leader)))
+    }
+
+    fn redirected(&self, response: &Response) -> bool {
+        self.client.note_redirect(self.shard, response)
+    }
+
     /// Retrying on [`WireError::Disconnected`] is exactly-once, not
     /// at-least-once: a node sends the complete response *before* a
     /// scheduled crash takes it down, responses survive in the reply
     /// ring after death, and the connected receive drains that backlog
     /// before reporting the disconnect. `Disconnected` therefore
     /// proves the request still sat unread in the dead node's inbox.
-    fn exchange_at_leader(&self, shard: usize, request: &Request) -> Result<Response, WireError> {
-        let mut pacer = self.pacer();
-        let mut last_err = None;
-        loop {
-            let view = self.shard_view(shard);
-            let Some(leader) = view.leader else {
-                if !pacer.pause() {
-                    return Err(last_err.unwrap_or(WireError::Deadline));
-                }
-                self.refresh_view(shard);
-                continue;
-            };
-            match self.conn(shard, leader).call(request) {
-                Err(WireError::Disconnected) => {
-                    Self::bump(&self.lost_to_retry, 1);
-                    last_err = Some(WireError::Disconnected);
-                    self.shards[shard].view.set(ShardView {
-                        term: view.term,
-                        leader: None,
-                    });
-                    if !pacer.pause() {
-                        return Err(WireError::Disconnected);
-                    }
-                    self.refresh_view(shard);
-                }
-                Err(e) => return Err(e),
-                Ok(response) if self.note_redirect(shard, &response) => {
-                    if pacer.expired() {
-                        return Err(last_err.unwrap_or(WireError::Deadline));
-                    }
-                }
-                Ok(response) => return Ok(response),
-            }
-        }
+    /// The cached view forgets the lost leader, so the next pick
+    /// consults the map.
+    fn lost(&self, _node: usize) -> bool {
+        ReplClient::bump(&self.client.lost_to_retry, 1);
+        let view = &self.client.shards[self.shard].view;
+        view.set(ShardView {
+            term: view.get().term,
+            leader: None,
+        });
+        true
+    }
+}
+
+/// Writes and leader reads chase the shard's leader under one budget
+/// per operation (the client's deadline), and raise the shard's
+/// freshness floor to the version they return.
+///
+/// # Errors
+///
+/// Every operation: [`WireError`] on an undecodable or
+/// out-of-protocol reply, a peer dead past the retry budget, or
+/// [`WireError::Deadline`].
+impl KvClient for ReplClient {
+    fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
+        let shard = shard_of(key, self.shards.len());
+        let (_, response) = self.at_leader(shard, request, &mut self.budget())?;
+        Ok(response)
     }
 
     /// Looks a key up, preferring a follower: round-robin over the
@@ -1344,9 +1398,9 @@ impl ReplClient {
     ///
     /// [`WireError`] on an undecodable or out-of-protocol reply, a
     /// peer dead past the retry budget, or [`WireError::Deadline`].
-    pub fn get(&self, key: u64) -> Result<ReadHit, WireError> {
+    fn get(&self, key: u64) -> Result<ReadHit, WireError> {
         let shard = shard_of(key, self.shards.len());
-        let mut pacer = self.pacer();
+        let mut budget = self.budget();
         let mut last_err = None;
         loop {
             let view = self.shard_view(shard);
@@ -1369,10 +1423,9 @@ impl ReplClient {
                         Err(e) => return Err(e),
                     }
                 }
-                if !pacer.pause() {
+                if !budget.pause() {
                     return Err(last_err.unwrap_or(WireError::Deadline));
                 }
-                self.refresh_view(shard);
                 continue;
             };
             if let Some(follower) = self.pick_live(shard, Some(leader)) {
@@ -1383,16 +1436,16 @@ impl ReplClient {
                 {
                     Ok(Response::Stale { .. }) => Self::bump(&self.fallbacks, 1),
                     Ok(response) => {
-                        let hit = response.into_read("ReplGet")?;
+                        let hit = self.observed(shard, response).into_read("ReplGet")?;
                         Self::bump(&self.replica_serves, 1);
-                        return Ok(self.observed(shard, hit));
+                        return Ok(hit);
                     }
                     Err(WireError::Disconnected) => {
                         // Follower gone (it was leading and died, or is
                         // shutting down): refresh and retry the loop.
                         last_err = Some(WireError::Disconnected);
                         self.refresh_view(shard);
-                        if !pacer.pause() {
+                        if !budget.pause() {
                             return Err(WireError::Disconnected);
                         }
                         continue;
@@ -1400,11 +1453,14 @@ impl ReplClient {
                     Err(e) => return Err(e),
                 }
             }
-            match self.exchange_at_leader(shard, &Request::Get { key }) {
-                Ok(response) => return Ok(self.observed(shard, response.into_read("Get")?)),
-                // The authoritative path is gone; loop back so the
-                // leaderless branch can serve the read floor-free.
-                Err(e @ (WireError::Disconnected | WireError::Deadline)) if self.stale_reads => {
+            match self.at_leader(shard, &Request::Get { key }, &mut budget) {
+                Ok((_, response)) => return response.into_read("Get"),
+                // The authoritative path is gone with the budget; while
+                // the shard is leaderless, loop back so that branch can
+                // serve the read floor-free.
+                Err(e @ (WireError::Disconnected | WireError::Deadline))
+                    if self.stale_reads && self.shards[shard].view.get().leader.is_none() =>
+                {
                     last_err = Some(e);
                 }
                 Err(e) => return Err(e),
@@ -1426,7 +1482,7 @@ impl ReplClient {
     ///
     /// [`WireError`] on the first undecodable or out-of-protocol
     /// reply, or when a chunk's retries exhaust the deadline.
-    pub fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
+    fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
         let nshards = self.shards.len();
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); nshards];
         for (pos, &key) in keys.iter().enumerate() {
@@ -1499,13 +1555,13 @@ impl ReplClient {
                         if !at_leader {
                             Self::bump(&self.replica_serves, chunk.len() as u64);
                         }
-                        results[chunk[0]] = self.observed(shard, first.into_read(ctx)?);
+                        results[chunk[0]] = self.observed(shard, first).into_read(ctx)?;
                         // Positions left unread when the node dies
                         // mid-chunk are deferred to the leader path.
                         for (i, &pos) in chunk.iter().enumerate().skip(1) {
                             match conn.recv() {
                                 Ok(response) => {
-                                    results[pos] = self.observed(shard, response.into_read(ctx)?);
+                                    results[pos] = self.observed(shard, response).into_read(ctx)?;
                                 }
                                 Err(WireError::Disconnected) => {
                                     self.refresh_view(shard);
@@ -1527,121 +1583,6 @@ impl ReplClient {
             }
         }
         Ok(results)
-    }
-
-    /// Authoritatively fetches `positions` through the retrying leader
-    /// exchange, in [`MGET_MAX`]-sized slices.
-    fn fetch_from_leader(
-        &self,
-        shard: usize,
-        positions: &[usize],
-        keys: &[u64],
-        results: &mut [ReadHit],
-    ) -> Result<(), WireError> {
-        for slice in positions.chunks(MGET_MAX) {
-            let batch: Vec<u64> = slice.iter().map(|&p| keys[p]).collect();
-            let first = self.exchange_at_leader(shard, &Request::MultiGet { keys: batch })?;
-            results[slice[0]] = self.observed(shard, first.into_read("MultiGet")?);
-            // The tail comes from the leader that just answered. It
-            // cannot die inside the tail (a scheduled crash only
-            // follows a *write*, and responses are emitted whole
-            // between requests), so a disconnect here is an error.
-            let view = self.shards[shard].view.get();
-            let leader = view
-                .leader
-                .ok_or(WireError::UnexpectedResponse("MultiGet"))?;
-            for &pos in &slice[1..] {
-                let response = self.conn(shard, leader).recv()?;
-                results[pos] = self.observed(shard, response.into_read("MultiGet")?);
-            }
-        }
-        Ok(())
-    }
-
-    /// Stores a value at the shard's leader; returns its new CAS
-    /// version.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply, or
-    /// when retries exhaust the deadline.
-    pub fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
-        let shard = shard_of(key, self.shards.len());
-        let request = Request::Set { key, value };
-        let version = self.exchange_at_leader(shard, &request)?.into_stored()?;
-        self.observe(shard, version);
-        Ok(version)
-    }
-
-    /// Compare-and-set at the shard's leader; the inner result is the
-    /// CAS outcome.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply, or
-    /// when retries exhaust the deadline.
-    pub fn cas(
-        &self,
-        key: u64,
-        value: Vec<u8>,
-        expected: u64,
-    ) -> Result<Result<u64, u64>, WireError> {
-        let shard = shard_of(key, self.shards.len());
-        let request = Request::Cas {
-            key,
-            expected,
-            value,
-        };
-        let outcome = self.exchange_at_leader(shard, &request)?.into_cas()?;
-        if let Ok(version) = outcome {
-            self.observe(shard, version);
-        }
-        Ok(outcome)
-    }
-
-    /// Deletes a key at the shard's leader; `Some(tombstone_version)`
-    /// if it existed.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply, or
-    /// when retries exhaust the deadline.
-    pub fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
-        let shard = shard_of(key, self.shards.len());
-        let request = Request::Delete { key };
-        let deleted = self.exchange_at_leader(shard, &request)?.into_deleted()?;
-        if let Some(version) = deleted {
-            self.observe(shard, version);
-        }
-        Ok(deleted)
-    }
-
-    /// Tells every node this client is done, consuming the client.
-    /// Dead nodes are skipped — their inboxes have no reader.
-    pub fn close(self) {
-        self.mesh.close();
-    }
-}
-
-impl KvClient for ReplClient {
-    fn get(&self, key: u64) -> Result<Option<(u64, Vec<u8>)>, WireError> {
-        ReplClient::get(self, key)
-    }
-
-    fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
-        ReplClient::get_many(self, keys)
-    }
-
-    fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
-        ReplClient::set(self, key, value)
-    }
-
-    fn cas(&self, key: u64, value: Vec<u8>, expected: u64) -> Result<Result<u64, u64>, WireError> {
-        ReplClient::cas(self, key, value, expected)
-    }
-
-    fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
-        ReplClient::delete(self, key)
     }
 }
 

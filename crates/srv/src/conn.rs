@@ -7,13 +7,21 @@
 //! leg is *connected*: a peer whose thread is gone surfaces as
 //! [`WireError::Disconnected`] — on the send, on a reply's head frame,
 //! and on its continuation frames (a node that died mid-reply) — never
-//! as a hang. `ServiceClient`, `ssync-repl`'s `ReplClient` and
-//! `ssync-cluster`'s `ClusterClient` are routing, retry and redirect
-//! policy over this type; replies are interpreted by the typed decoders
-//! on [`Response`] (`into_read`, `into_stored`, …).
+//! as a hang. Replies are interpreted by the typed decoders on
+//! [`Response`] (`into_read`, `into_stored`, …).
+//!
+//! Beside it lives the one retry layer: [`chase`] runs a request
+//! against the node a [`Chase`] policy picks until a reply answers it,
+//! an error that cannot be retried arrives, or the operation's
+//! [`Budget`] is spent. `ServiceClient` routes statically and never
+//! retries; `ssync-repl`'s `ReplClient` chases the shard leader and
+//! `ssync-cluster`'s `ClusterClient` the key's owner, each as a policy
+//! over this one loop.
 
 use core::cell::RefCell;
+use core::time::Duration;
 
+use ssync_core::RetryPacer;
 use ssync_mp::{Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
 use crate::wire::{replay, Request, Response, WireError};
@@ -101,6 +109,97 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
                 .map_err(|_| WireError::Disconnected)?;
         }
         Response::decode(head, replay(&frames[..more]))
+    }
+}
+
+/// The retry budget of one operation where the client sets none.
+pub const OP_BUDGET: Duration = Duration::from_secs(5);
+
+/// One operation's retry budget: `limit` of wall time from its first
+/// retry. Its jittered [`RetryPacer`] is made only then, so an exchange
+/// answered on the first try never reads the clock.
+#[derive(Debug)]
+pub struct Budget {
+    limit: Duration,
+    seed: u64,
+    pacer: Option<RetryPacer>,
+}
+
+impl Budget {
+    /// A budget of `limit`; `seed` feeds the pauses' jitter.
+    pub fn new(limit: Duration, seed: u64) -> Budget {
+        Budget {
+            limit,
+            seed,
+            pacer: None,
+        }
+    }
+
+    fn pacer(&mut self) -> &mut RetryPacer {
+        let (limit, seed) = (self.limit, self.seed);
+        self.pacer
+            .get_or_insert_with(|| RetryPacer::new(limit, seed))
+    }
+
+    /// Sleeps one jittered pause and returns `true`, or returns `false`
+    /// at once when the budget is spent.
+    pub fn pause(&mut self) -> bool {
+        self.pacer().pause()
+    }
+}
+
+/// Where a [`chase`] sends its request, and which of the replies and
+/// errors that do not answer it are retried.
+pub trait Chase {
+    /// The node to ask and its connection, or `None` while there is
+    /// nobody to ask: the chase then waits one pause and asks again.
+    fn pick(&self) -> Option<(usize, &Conn)>;
+
+    /// True if `response` is a bounce the policy has adopted
+    /// (`WrongLeader`, `WrongTerm`, `WrongShard`): retried at once.
+    fn redirected(&self, response: &Response) -> bool;
+
+    /// True if a [`WireError::Disconnected`] from `node` is retried,
+    /// after a pause: only where the request provably never executed.
+    fn lost(&self, node: usize) -> bool;
+}
+
+/// Runs `request` against the node `policy` picks until a reply
+/// answers it, and returns that node with the reply.
+///
+/// # Errors
+///
+/// An error `policy` does not retry, as it arrives. Once `budget` is
+/// spent: [`WireError::Disconnected`] if a lost node was retried, else
+/// [`WireError::Deadline`].
+pub fn chase(
+    policy: &impl Chase,
+    request: &Request,
+    budget: &mut Budget,
+) -> Result<(usize, Response), WireError> {
+    let mut spent = WireError::Deadline;
+    loop {
+        let Some((node, conn)) = policy.pick() else {
+            if !budget.pause() {
+                return Err(spent);
+            }
+            continue;
+        };
+        match conn.call(request) {
+            Err(WireError::Disconnected) if policy.lost(node) => {
+                spent = WireError::Disconnected;
+                if !budget.pause() {
+                    return Err(spent);
+                }
+            }
+            Err(e) => return Err(e),
+            Ok(response) if policy.redirected(&response) => {
+                if budget.pacer().expired() {
+                    return Err(spent);
+                }
+            }
+            Ok(response) => return Ok((node, response)),
+        }
     }
 }
 

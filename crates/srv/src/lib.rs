@@ -15,7 +15,9 @@
 //!   on: hub polling, `Stop` accounting, the executor for the six data
 //!   operations with its two policy hooks, and the `Stats` scrape;
 //! * [`conn`] — the one disconnect-aware client connection every
-//!   client in the tree is built over;
+//!   client in the tree is built over, and the one deadline-bounded
+//!   retry loop ([`conn::chase`]) the replication and cluster clients
+//!   run their redirects through;
 //! * [`service`] — the channel mesh, the plain shard server and the
 //!   [`service::ServiceClient`] round-trip API over bounded rings,
 //!   with pipelined reads;
@@ -38,6 +40,7 @@
 //! ```
 //! use ssync_srv::router::ShardRouter;
 //! use ssync_srv::service::{ring_mesh, serve};
+//! use ssync_srv::KvClient;
 //! use ssync_locks::TicketLock;
 //!
 //! let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
@@ -62,7 +65,7 @@ pub mod service;
 pub mod wire;
 pub mod workload;
 
-pub use conn::Conn;
+pub use conn::{chase, Budget, Chase, Conn, OP_BUDGET};
 pub use node::{Admit, Hooks, NoHooks, NodeCore, Poll};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};

@@ -6,7 +6,7 @@
 //! pair (request + reply). The serve loop is the shared [`NodeCore`]
 //! with no policy attached; the client is one [`Conn`] per shard plus
 //! hash routing, the pipelined read path and the per-shard batching of
-//! [`ServiceClient::get_many`].
+//! its [`KvClient::get_many`].
 //!
 //! The mesh is built on bounded SPSC rings ([`ssync_mp::ring_channel`]):
 //! a server writes a whole multi-frame reply and moves on, and a client
@@ -24,7 +24,7 @@
 //! of a full reply ring is by construction draining it. The blocking
 //! calls hold the same discipline at any depth, down to 1: a client
 //! has at most one request outstanding per shard
-//! ([`ServiceClient::get_many`] exploits exactly that — one multi-get
+//! (its [`KvClient::get_many`] exploits exactly that — one multi-get
 //! per shard in flight, replies drained shard by shard), and a server
 //! finishes every reply frame of a request before polling for the
 //! next, so the system cannot deadlock on full buffers.
@@ -38,7 +38,7 @@ use crate::conn::Conn;
 use crate::node::{NoHooks, NodeCore, Poll};
 use crate::router::shard_of;
 pub use crate::wire::ReadHit;
-use crate::wire::{Request, WireError, MGET_MAX};
+use crate::wire::{Request, Response, WireError, MGET_MAX};
 
 /// A server's side of the channel mesh: one request receiver and one
 /// reply sender per client, index-aligned.
@@ -55,14 +55,20 @@ pub struct ServiceClient<S: MsgSender = RingSender, C: MsgReceiver = RingReceive
 
 /// The operations any service client exposes — implemented by
 /// [`ServiceClient`] and by the replication and cluster clients, so the
-/// workload engine can drive any of them through one interface.
+/// workload engine can drive any of them through one interface. A
+/// client supplies [`KvClient::exchange`], its routing and retry, and
+/// [`KvClient::get_many`], its batching; the typed operations are
+/// written once, here, over `exchange`.
 pub trait KvClient {
-    /// Looks a key up; `Some((version, value))` on a hit.
+    /// One request about `key`, sent wherever the client routes that
+    /// key and retried as the client retries; returns the reply that
+    /// answers it.
     ///
     /// # Errors
     ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    fn get(&self, key: u64) -> Result<ReadHit, WireError>;
+    /// [`WireError`] on a transport failure, an undecodable reply, or
+    /// a retry budget spent.
+    fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError>;
 
     /// Batched lookup, results in input order.
     ///
@@ -71,26 +77,50 @@ pub trait KvClient {
     /// [`WireError`] on an undecodable or out-of-protocol reply.
     fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError>;
 
+    /// Looks a key up; `Some((version, value))` on a hit.
+    ///
+    /// # Errors
+    ///
+    /// As for [`KvClient::exchange`], and on an out-of-protocol reply
+    /// or a request the server rejected as malformed.
+    fn get(&self, key: u64) -> Result<ReadHit, WireError> {
+        self.exchange(key, &Request::Get { key })?.into_read("Get")
+    }
+
     /// Stores a value; returns its new CAS version.
     ///
     /// # Errors
     ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError>;
+    /// As for [`KvClient::get`].
+    fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
+        self.exchange(key, &Request::Set { key, value })?
+            .into_stored()
+    }
 
-    /// Compare-and-set; the inner result is the CAS outcome.
+    /// Compare-and-set. The outer `Result` is transport health; the
+    /// inner one is the CAS outcome, `Err(current_version)` on a lost
+    /// race.
     ///
     /// # Errors
     ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    fn cas(&self, key: u64, value: Vec<u8>, expected: u64) -> Result<Result<u64, u64>, WireError>;
+    /// As for [`KvClient::get`].
+    fn cas(&self, key: u64, value: Vec<u8>, expected: u64) -> Result<Result<u64, u64>, WireError> {
+        let request = Request::Cas {
+            key,
+            expected,
+            value,
+        };
+        self.exchange(key, &request)?.into_cas()
+    }
 
     /// Deletes a key; `Some(tombstone_version)` if it existed.
     ///
     /// # Errors
     ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    fn delete(&self, key: u64) -> Result<Option<u64>, WireError>;
+    /// As for [`KvClient::get`].
+    fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
+        self.exchange(key, &Request::Delete { key })?.into_deleted()
+    }
 }
 
 /// What [`ring_mesh`] returns: element `s` of the first vector serves
@@ -182,18 +212,6 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
         &self.shards[shard_of(key, self.shards.len())]
     }
 
-    /// Looks a key up; `Some((version, value))` on a hit.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] if the reply fails to decode, answers a different
-    /// request, or the server rejected the request as malformed.
-    pub fn get(&self, key: u64) -> Result<ReadHit, WireError> {
-        self.route(key)
-            .call(&Request::Get { key })?
-            .into_read("Get")
-    }
-
     /// Fires one read without waiting for the reply, returning the
     /// shard it went to — the send half of the pipelined read path.
     /// The caller owes that shard exactly one
@@ -262,6 +280,21 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
         self.shards[shard].call(&Request::Stats)?.into_stats()
     }
 
+    /// Tells every server this client is done, consuming the client.
+    /// Servers exit after the last client closes; a server already
+    /// gone needs no goodbye.
+    pub fn close(self) {
+        for conn in &self.shards {
+            let _ = conn.send(&Request::Stop);
+        }
+    }
+}
+
+impl<S: MsgSender, C: MsgReceiver> KvClient for ServiceClient<S, C> {
+    fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
+        self.route(key).call(request)
+    }
+
     /// Batched lookup: coalesces the keys into at most one in-flight
     /// multi-get per shard per round (the batching the service exists
     /// for), returning results in input order. Keys beyond
@@ -270,7 +303,7 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     /// # Errors
     ///
     /// [`WireError`] on the first undecodable or out-of-protocol reply.
-    pub fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
+    fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
         let shards = self.shards.len();
         // Input positions grouped by shard, then chunked into rounds.
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
@@ -304,87 +337,12 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
         }
         Ok(results)
     }
-
-    /// Stores a value; returns its new CAS version.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    pub fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
-        self.route(key)
-            .call(&Request::Set { key, value })?
-            .into_stored()
-    }
-
-    /// Compare-and-set. The outer `Result` is transport health; the
-    /// inner one is the CAS outcome, `Err(current_version)` on a lost
-    /// race.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    pub fn cas(
-        &self,
-        key: u64,
-        value: Vec<u8>,
-        expected: u64,
-    ) -> Result<Result<u64, u64>, WireError> {
-        let request = Request::Cas {
-            key,
-            expected,
-            value,
-        };
-        self.route(key).call(&request)?.into_cas()
-    }
-
-    /// Deletes a key; `Some(tombstone_version)` if it existed.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    pub fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
-        self.route(key)
-            .call(&Request::Delete { key })?
-            .into_deleted()
-    }
-
-    /// Tells every server this client is done, consuming the client.
-    /// Servers exit after the last client closes; a server already
-    /// gone needs no goodbye.
-    pub fn close(self) {
-        for conn in &self.shards {
-            let _ = conn.send(&Request::Stop);
-        }
-    }
-}
-
-impl<S: MsgSender, C: MsgReceiver> KvClient for ServiceClient<S, C> {
-    fn get(&self, key: u64) -> Result<ReadHit, WireError> {
-        ServiceClient::get(self, key)
-    }
-
-    fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
-        ServiceClient::get_many(self, keys)
-    }
-
-    fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
-        ServiceClient::set(self, key, value)
-    }
-
-    fn cas(&self, key: u64, value: Vec<u8>, expected: u64) -> Result<Result<u64, u64>, WireError> {
-        ServiceClient::cas(self, key, value, expected)
-    }
-
-    fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
-        ServiceClient::delete(self, key)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::router::ShardRouter;
-    use crate::wire::Response;
     use ssync_core::stats::mono_ns;
     use ssync_locks::TicketLock;
 

@@ -7,7 +7,7 @@
 
 use ssync::locks::{McsLock, TicketLock};
 use ssync::srv::router::ShardRouter;
-use ssync::srv::service::{ring_mesh, serve};
+use ssync::srv::service::{ring_mesh, serve, KvClient};
 use ssync::srv::workload::{run_load, KeyDist, LoadSpec, Mix, ValueSize, WorkloadSpec};
 
 fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix) {

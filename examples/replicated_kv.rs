@@ -12,6 +12,7 @@ use ssync::repl::fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
 use ssync::repl::service::{repl_mesh, serve_node, NodeConfig, ReplCluster, ReplSpec};
 use ssync::repl::workload::run_replicated_closed_loop;
 use ssync::srv::workload::{KeyDist, Mix, ValueSize, WorkloadSpec};
+use ssync::srv::KvClient;
 
 /// Spawns every node of every shard with the given per-node fault
 /// plans, runs `body` with the clients, and returns after the scope

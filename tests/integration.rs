@@ -13,7 +13,7 @@ use ssync::kv::KvStore;
 use ssync::locks::{AnyLock, HticketLock, Lock, LockKind, McsLock, RawLock, TicketLock};
 use ssync::mp::channel::channel;
 use ssync::srv::router::ShardRouter;
-use ssync::srv::service::{ring_mesh, serve};
+use ssync::srv::service::{ring_mesh, serve, KvClient};
 use ssync::srv::workload::{run_load, KeyDist, LoadSpec, Mix, ValueSize, WorkloadSpec};
 use ssync::tm::shared::TmHeap;
 

@@ -21,7 +21,7 @@ use ssync::kv::KvStore;
 use ssync::locks::TicketLock;
 use ssync::repl::fault::FaultSpec;
 use ssync::repl::OpLog;
-use ssync::srv::slot_of;
+use ssync::srv::{slot_of, KvClient};
 
 /// The client's sequential oracle: key → (acked version, value).
 type Model = BTreeMap<u64, (u64, Vec<u8>)>;

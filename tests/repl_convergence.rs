@@ -22,6 +22,7 @@ use ssync::repl::{
 };
 use ssync::srv::router::{key_bytes, shard_of};
 use ssync::srv::workload::{KeyDist, Mix, ValueSize, WorkloadSpec};
+use ssync::srv::KvClient;
 
 /// Spins up every node of `cluster`'s replication groups with the
 /// seeded `faults` schedules and runs `body` with the clients.
