@@ -151,6 +151,14 @@ pub const HIST_BUCKETS: usize = (64 - HIST_SUB_BITS as usize + 1) << HIST_SUB_BI
 /// midpoint representative is at most `w / 2` from any member.
 pub const HIST_MAX_REL_ERROR: f64 = 1.0 / HIST_SUB_COUNT as f64;
 
+/// Histograms a [`Registry`] holds, and the most a [`RegistrySnapshot`]
+/// encodes or decodes. A decoded histogram is a dense
+/// [`HIST_BUCKETS`]-counter array (15 KiB) however few bytes its entry
+/// took — an empty one takes 5 — so this count, not the payload's
+/// length, is what bounds the memory a scraped reply costs its
+/// decoder: ≈ 0.9 MiB at the cap. A node registers two.
+pub const SNAPSHOT_MAX_HISTS: usize = 64;
+
 /// Maps a recorded value to its bucket index. One comparison, one
 /// `leading_zeros`, two shifts — the whole cost of `record` beyond the
 /// counter increment.
@@ -417,11 +425,21 @@ impl Registry {
     }
 
     /// The histogram named `name`, created on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` would be the registry's
+    /// [`SNAPSHOT_MAX_HISTS`]`+1`th histogram: a snapshot of it could
+    /// not be decoded.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut inner = self.locked();
         if let Some((_, h)) = inner.hists.iter().find(|(n, _)| n == name) {
             return Arc::clone(h);
         }
+        assert!(
+            inner.hists.len() < SNAPSHOT_MAX_HISTS,
+            "a registry holds at most {SNAPSHOT_MAX_HISTS} histograms"
+        );
         let h = Arc::new(Histogram::new());
         inner.hists.push((name.to_string(), Arc::clone(&h)));
         h
@@ -475,7 +493,9 @@ impl RegistrySnapshot {
     /// `u8` name length + name + `u64` value; `u16` histogram count,
     /// then per histogram `u8` name length + name + `u32` pair count +
     /// sparse `(u16 bucket, u64 count)` pairs. Names longer than 255
-    /// bytes are truncated at a char boundary.
+    /// bytes are truncated at a char boundary, and only the first
+    /// [`SNAPSHOT_MAX_HISTS`] histograms are written (a [`Registry`]
+    /// never holds more).
     pub fn to_bytes(&self) -> Vec<u8> {
         fn push_name(out: &mut Vec<u8>, name: &str) {
             let mut end = name.len().min(255);
@@ -491,8 +511,9 @@ impl RegistrySnapshot {
             push_name(&mut out, name);
             out.extend_from_slice(&value.to_le_bytes());
         }
-        out.extend_from_slice(&(self.hists.len().min(u16::MAX as usize) as u16).to_le_bytes());
-        for (name, snap) in self.hists.iter().take(u16::MAX as usize) {
+        let hists = &self.hists[..self.hists.len().min(SNAPSHOT_MAX_HISTS)];
+        out.extend_from_slice(&(hists.len() as u16).to_le_bytes());
+        for (name, snap) in hists {
             push_name(&mut out, name);
             let pairs: Vec<(u16, u64)> = snap.nonempty().collect();
             out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
@@ -505,8 +526,9 @@ impl RegistrySnapshot {
     }
 
     /// Decodes a serialized snapshot. Total: any truncation, non-UTF-8
-    /// name, or out-of-range bucket index yields `None`, never a
-    /// panic — scraped bytes are input, and input is never trusted.
+    /// name, out-of-range bucket index or histogram count past
+    /// [`SNAPSHOT_MAX_HISTS`] yields `None`, never a panic — scraped
+    /// bytes are input, and input is never trusted.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         struct Cursor<'a>(&'a [u8]);
         impl<'a> Cursor<'a> {
@@ -544,6 +566,9 @@ impl RegistrySnapshot {
             counters.push((name, cur.u64()?));
         }
         let n_hists = cur.u16()?;
+        if usize::from(n_hists) > SNAPSHOT_MAX_HISTS {
+            return None;
+        }
         let mut hists = Vec::with_capacity(n_hists as usize);
         for _ in 0..n_hists {
             let name = cur.name()?;
@@ -749,6 +774,44 @@ mod tests {
         let mut ok = RegistrySnapshot::default().to_bytes();
         ok.push(0);
         assert_eq!(RegistrySnapshot::from_bytes(&ok), None);
+    }
+
+    /// A 327 679-byte payload — under the wire's 1 MiB stats cap — of
+    /// 65 535 empty histograms, 5 bytes each, would decode into 65 535
+    /// dense arrays, ≈ 960 MiB. The count is refused before any is built.
+    #[test]
+    fn a_flood_of_empty_histograms_decodes_to_none() {
+        let mut flood = Vec::new();
+        flood.extend_from_slice(&0u16.to_le_bytes());
+        flood.extend_from_slice(&u16::MAX.to_le_bytes());
+        for _ in 0..u16::MAX {
+            flood.push(0); // An empty name.
+            flood.extend_from_slice(&0u32.to_le_bytes()); // No pairs.
+        }
+        assert_eq!(flood.len(), 327_679);
+        assert_eq!(RegistrySnapshot::from_bytes(&flood), None);
+    }
+
+    /// Every snapshot a registry can produce round-trips: one with as
+    /// many histograms as a registry holds decodes to itself, and a
+    /// registry refuses one more.
+    #[test]
+    fn a_full_registry_round_trips_and_refuses_one_more_histogram() {
+        let reg = Registry::new();
+        for i in 0..SNAPSHOT_MAX_HISTS {
+            reg.histogram(&format!("h{i}")).record(i as u64);
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.hists.len(), SNAPSHOT_MAX_HISTS);
+        assert_eq!(RegistrySnapshot::from_bytes(&snap.to_bytes()), Some(snap));
+        assert!(std::panic::catch_unwind(|| reg.histogram("one too many")).is_err());
+        // A snapshot built by hand past the cap encodes the first
+        // `SNAPSHOT_MAX_HISTS`, which decode.
+        let mut over = reg.snapshot();
+        over.hists
+            .push(("extra".into(), HistogramSnapshot::empty()));
+        let back = RegistrySnapshot::from_bytes(&over.to_bytes()).expect("decodes");
+        assert_eq!(back, reg.snapshot());
     }
 
     #[test]

@@ -68,19 +68,22 @@
 //!
 //! # One allocation per item
 //!
-//! An item is one heap block: a 32-byte header, then the key's bytes,
-//! then the value's.
+//! An item is one block: a 24-byte header, then the key's bytes, then
+//! the value's.
 //!
 //! ```text
-//! offset 0      4         8           12    16        24     32        32 + key_len
-//!        ┌──────┬─────────┬───────────┬─────┬─────────┬──────┬─────────┬──────────┐
-//!        │ refs │ key_len │ value_len │  —  │ version │ next │ key …   │ value …  │
-//!        └──────┴─────────┴───────────┴─────┴─────────┴──────┴─────────┴──────────┘
+//! offset 0      4                  8         16     24        24 + key_len
+//!        ┌──────┬─────────┬────────┬─────────┬──────┬─────────┬──────────┐
+//!        │ refs │ key_len │ value_ │ version │ next │ key …   │ value …  │
+//!        │      │ (8 bits)│ len(24)│         │      │         │          │
+//!        └──────┴─────────┴────────┴─────────┴──────┴─────────┴──────────┘
 //! ```
 //!
-//! A chain step reads `next`, `key_len` and, for a short key, the key
-//! itself from the line the header starts; a hit's value follows. Two
-//! mechanisms keep a block allocated, and they split the work:
+//! The two lengths share one word, so a key is at most 255 bytes
+//! (Memcached's limit is 250) and a value under 16 MiB. A chain step
+//! reads `next`, `key_len` and, for a short key, the key itself from
+//! the line the header starts; a hit's value follows. Two mechanisms
+//! keep a block in use, and they split the work:
 //!
 //! * **The pin protects traversals.** A reader walks chains holding no
 //!   reference, only its epoch pin, exactly as above — a read that
@@ -94,57 +97,78 @@
 //!   [`KvStore::dump`], [`KvStore::dump_range`], the `_shared` writes —
 //!   is a view into the block holding one more, taken under the pin or
 //!   the stripe lock, while the store's own reference is certain to be
-//!   held. A handle that drops the last reference frees the block to
-//!   malloc, so a handle outlives its item's reclamation and even the
-//!   store; the store's own last release recycles it (below).
+//!   held. A handle outlives its item's reclamation and even the store;
+//!   whichever reference goes last gives the block back to the store
+//!   (below).
 //!
 //! A write copies its value once, into the new item; a replace copies
 //! the key too rather than share the old item's. The store's stats
 //! count retirements and reclamations of items, whichever reference
 //! ends the block.
 //!
-//! # Recycled blocks
+//! # Store-owned blocks
 //!
-//! Memcached never hands an item's chunk back to malloc: a freed chunk
-//! returns to its slab class, whichever thread writes next. A store
-//! that freed to malloc would pay for glibc's per-thread arenas: a
-//! chunk goes back to the arena of the thread that allocated it, so
-//! when one thread preloads a store and another serves its writes, the
-//! writer's replacements fill a second arena while the preload arena's
-//! freed chunks sit idle.
+//! Memcached never hands an item's chunk back to malloc: it carves
+//! chunks from slab pages, and a freed chunk returns to its slab class,
+//! whichever thread writes next. So does this store.
 //!
-//! So the store's release of an item it retired — an inline retire, a
-//! collection, always under the stripe lock — parks a block whose last
-//! reference it dropped in the stripe's recycler: one free list per
-//! size class, linked through the dead block's `next`. A stripe keeps
-//! at most four blocks of a class (`STRIPE_KEEP`); the rest go to the
-//! store's depot, one more list per class, store-wide, behind a lock of
-//! its own. A write pops a block of its class from its stripe's list,
-//! under the same stripe lock, before it calls `alloc`; only when that
-//! list is empty does it first move one over from the depot. A handle's
-//! last release still frees to malloc, so no block outlives its store.
-//!
-//! * **Classes are malloc's chunks.** A block of `n` bytes is allocated
-//!   as `16·⌈(n + 8)/16⌉ − 8` bytes, the usable size of the chunk glibc
-//!   gives `n` anyway, so no item grows; the class is recomputed from
-//!   the header's two lengths. Blocks over 4 KiB are never parked.
-//! * **Bounded by the store's own past.** A block is allocated only
-//!   when its stripe's list for its class is empty and the depot has
-//!   none of the class either, so per class, store-wide, the blocks a
-//!   store owns exceed its high-water mark of live plus retired items
-//!   by at most the `STRIPE_KEEP` the other stripes may each keep.
-//!   [`KvStore::purge_retired`] and `Drop` free every parked block, the
-//!   depot's too, exactly once.
+//! * **Blocks are carved from pages.** Every block of at most 4 KiB
+//!   (`RECYCLE_MAX`) is carved from a 64 KiB page the store allocates,
+//!   at 8-byte granularity: a block of `n` bytes takes `8·⌈n/8⌉`, its
+//!   class is that size over 8, and the class is recomputed from the
+//!   header's two lengths. Only a page is a malloc call, so an item pays
+//!   no chunk header and no 16-byte rounding, and a store preloaded by
+//!   one thread and written by another fills no second malloc arena. A
+//!   page cannot go back to malloc one block at a time; the tail of a
+//!   page too short for the next block stays unused. A bigger block is
+//!   a malloc chunk of its own, and whichever reference goes last frees
+//!   it.
+//! * **A dead block is parked.** The store's release of an item it
+//!   retired — an inline retire, a collection, always under the stripe
+//!   lock, or the shutdown purge — parks a block whose last reference
+//!   it dropped in the stripe's recycler: one free list per class,
+//!   linked through the dead block's `next`. A stripe keeps at most four
+//!   blocks of a class (`STRIPE_KEEP`), and of a class of large blocks
+//!   only as many as fit 1 KiB, but one at least (`STRIPE_KEEP_BYTES`);
+//!   the rest go to the store's
+//!   depot, one more list per class, store-wide, behind a lock of its
+//!   own. A write pops a block of its class from its stripe's list,
+//!   under the same stripe lock; only when that list is empty does it
+//!   first move one over from the depot, and only when the depot has
+//!   none either does it carve one, under the depot's lock.
+//! * **A handle's last release gives its block back.** When the store
+//!   drops its reference on an item a handle still holds, it lends the
+//!   block: it first counts the block as an owner of its page arena and
+//!   writes the arena's address, tagged, into the dead item's `next` —
+//!   nothing reaches an item past its grace period, so the link is free
+//!   — and only then lets its reference go. The handle's last release
+//!   pushes the block onto the arena's lock-free returned stack, which a
+//!   carve takes, under the depot's lock, before it carves. The store
+//!   and every lent block own the arena together, and whichever goes
+//!   last lets the pages go, so a handle outlives the store.
+//! * **A thread keeps the pages it let go.** The pages of an arena
+//!   whose last owner is gone stay with the thread that owner went on,
+//!   and that thread's next store carves them before it asks malloc for
+//!   a page; the thread frees them when it exits. Freed at once, they
+//!   would land wherever malloc's heap had room, and whether malloc
+//!   then trims its heap would depend on that heap's history.
+//! * **Bounded by the store's own past.** A block is carved only when
+//!   its stripe's list for its class is empty and the depot has none of
+//!   the class either, so per class, store-wide, the blocks a store owns
+//!   exceed its high-water mark of live, retired and lent items by at
+//!   most the few blocks the other stripes may each keep.
 //! * **The common write takes no second lock.** The depot counts its
 //!   blocks in a relaxed word, so a list miss with the depot empty
-//!   costs one load and no lock, and a stripe that has parked nothing
-//!   yet does not look at all: a fresh store's preload never touches
-//!   the depot. The depot's lock is a leaf, taken under a stripe lock
-//!   (and, in a maintenance pass, the global lock above that).
-//! * **Reuse waits for the grace period.** A block is parked, on its
-//!   stripe or in the depot, only when the store's reference goes,
-//!   which is never before its bag ages out, so no pinned reader can
-//!   still be looking at it when a write on any stripe refills it.
+//!   costs one load and no lock before the carve, and a stripe that has
+//!   parked nothing yet does not look at all. The depot's lock is a
+//!   leaf, taken under a stripe lock (and, in a maintenance pass, the
+//!   global lock above that).
+//! * **Reuse waits for the grace period, and for the handles.** A block
+//!   is parked, on its stripe or in the depot, only when the store's
+//!   reference goes, which is never before its bag ages out, so no
+//!   pinned reader can still be looking at it when a write on any
+//!   stripe refills it; and a lent block is taken back only from the
+//!   returned stack, after its last handle has gone.
 //! * **A parked block is cold.** It was last touched when it was
 //!   parked, so a write prefetches the block it would refill as soon as
 //!   it holds the stripe lock, and the misses overlap its chain walk. A
@@ -164,6 +188,7 @@
 //! assert!(kv.delete(b"key"));
 //! ```
 
+use core::cell::UnsafeCell;
 use core::ptr::{self, NonNull};
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 
@@ -200,52 +225,60 @@ pub const MAINTENANCE_PERIOD: u64 = 64;
 /// locked path *waits its turn* instead.
 pub const OPTIMISTIC_ATTEMPTS: usize = 3;
 
-/// Longest key an item holds: a handle into an item's value must reach
-/// back to the block's start, and a `Bytes` view has 28 bits for that.
-const MAX_KEY_LEN: usize = 1 << 24;
+/// Longest key an item holds: its header keeps the key's length in one
+/// byte. (Memcached's limit is 250.)
+const MAX_KEY_LEN: usize = u8::MAX as usize;
 
-/// Longest value an item holds (its header stores the length as `u32`).
-const MAX_VALUE_LEN: usize = u32::MAX as usize;
+/// Longest value an item holds: its header keeps the value's length in
+/// the 24 bits above the key's. The wire's values are at most 1 KiB.
+const MAX_VALUE_LEN: usize = (1 << 24) - 1;
 
 /// Handles one item may have outstanding at once; a count past it means
 /// handles are leaking, and taking one more could wrap the count.
 const MAX_REFS: u32 = u32::MAX / 2;
 
-/// Largest block a stripe's recycler parks; a bigger one goes back to
-/// malloc. The wire's values are at most 1 KiB.
+/// Largest block carved from a page; a bigger one is a malloc chunk of
+/// its own, which whichever reference goes last frees. The wire's
+/// values are at most 1 KiB.
 const RECYCLE_MAX: usize = 4096;
 
-/// Size classes a recycler keeps: class `c` holds `16·c − 8`-byte
-/// blocks, up to [`RECYCLE_MAX`].
-const CLASSES: usize = (RECYCLE_MAX + 8) / 16 + 1;
+/// Bytes in one of the pages the store carves its blocks from.
+const PAGE: usize = 64 << 10;
 
-/// The size an item block of `n` bytes is allocated as: `n` rounded up
-/// to the next `16·c − 8`. That is the usable size of the chunk glibc's
-/// malloc hands out for `n` anyway (a chunk is an 8-byte size word plus
-/// the request, rounded up to 16), so no item grows, and every block of
-/// one class fits every item of that class.
+/// A page's first word links it to the page carved before it; its
+/// blocks follow.
+const PAGE_LINK: usize = std::mem::size_of::<*mut u8>();
+
+/// Alignment of an item's header, and so of every block.
+const ITEM_ALIGN: usize = std::mem::align_of::<Item>();
+
+/// The size an item block of `n` bytes takes: `n` rounded up to the
+/// header's alignment, so that blocks carved one after another stay
+/// aligned, and every block of one class fits every item of that class.
 const fn block_size(n: usize) -> usize {
-    (n + 8).div_ceil(16) * 16 - 8
+    n.next_multiple_of(ITEM_ALIGN)
 }
 
-/// The recycler class of a `size`-byte block, if it is parked at all.
+/// The class of a `size`-byte block, if it is carved from a page:
+/// class `c` holds the `8·c`-byte blocks.
 fn class_of(size: usize) -> Option<usize> {
-    (size <= RECYCLE_MAX).then_some((size + 8) / 16)
+    (size <= RECYCLE_MAX).then_some(size / ITEM_ALIGN)
 }
 
 /// The header of one stored item; the key's and then the value's bytes
-/// follow it in the same allocation (see the module docs). Everything
-/// but `refs` and `next` is immutable after the item is published (an
-/// update allocates a replacement item); `next` is rewritten only by
-/// the stripe's (lock-serialized) writer.
+/// follow it in the same block (see the module docs). Everything but
+/// `refs` and `next` is immutable after the item is published (an
+/// update makes a replacement item); `next` is rewritten only by the
+/// stripe's (lock-serialized) writer, and once the item is dead, by the
+/// store's release that lends it (see [`Depot::let_go`]).
 #[repr(C)]
 struct Item {
     // chk: per-item reference count, deliberately unpadded — it shares
     // the header line with the fields every chain step reads, and only
     // handle traffic (never a traversal) writes it.
     refs: AtomicU32,
-    key_len: u32,
-    value_len: u32,
+    /// The key's length in the low 8 bits, the value's above them.
+    lens: u32,
     /// CAS version (Memcached's `cas` token).
     version: u64,
     // chk: per-item chain link, deliberately unpadded — padding every
@@ -254,15 +287,23 @@ struct Item {
     next: AtomicPtr<Item>,
 }
 
+const _: () = assert!(std::mem::size_of::<Item>() == 24);
+
 /// Bytes in an item's header; its key starts here.
 const HEADER: usize = std::mem::size_of::<Item>();
 
+/// The bit a lent block's `next` sets beside its arena's address. An
+/// item's address never has it (items are 8-byte aligned), so a `next`
+/// without it was never lent.
+const LENT: usize = 1;
+
 impl Item {
     /// Makes an item holding one reference, the store's, in a block
-    /// from `recycler` or, when it has none of the item's class, a new
-    /// allocation.
-    fn create(
+    /// from `recycler` or, when it has none of the item's class, one
+    /// `depot` hands over or carves.
+    fn create<R: RawLock>(
         recycler: &mut Recycler,
+        depot: &Depot<R>,
         key: &[u8],
         value: &[u8],
         version: u64,
@@ -274,29 +315,23 @@ impl Item {
             key.len(),
             value.len()
         );
-        let layout = Item::layout(key.len(), value.len());
-        let mut item = recycler.take(layout.size());
+        let size = block_size(HEADER + key.len() + value.len());
+        let mut item = recycler.take(size);
         if item.is_null() {
-            // SAFETY: the layout is never zero-sized (the header alone
-            // is `HEADER` bytes).
-            item = unsafe { alloc(layout) }.cast::<Item>();
-            if item.is_null() {
-                handle_alloc_error(layout);
-            }
+            item = depot.carve(size);
         }
         // The header below starts new atomics, wherever the block came
         // from.
         sync::reinit(item.cast(), HEADER);
-        // SAFETY: `item` is a block of `layout`, aligned for `Item`,
-        // holding the header plus both byte ranges, and no one else
-        // owns it: a new allocation, or a parked block that no chain,
-        // bag or handle reaches any more. Nothing else can see it
-        // until the caller publishes it.
+        // SAFETY: `item` is a block of at least `size` bytes, aligned
+        // for `Item`, holding the header plus both byte ranges, and no
+        // one else owns it: freshly carved or allocated, or a parked
+        // block that no chain, bag or handle reaches any more. Nothing
+        // else can see it until the caller publishes it.
         unsafe {
             item.write(Item {
                 refs: AtomicU32::new(1),
-                key_len: key.len() as u32,
-                value_len: value.len() as u32,
+                lens: key.len() as u32 | (value.len() as u32) << 8,
                 version,
                 next: AtomicPtr::new(next),
             });
@@ -307,32 +342,40 @@ impl Item {
         item
     }
 
-    /// The block an item of these lengths lives in, rounded up to its
-    /// class (see [`block_size`]).
-    fn layout(key_len: usize, value_len: usize) -> Layout {
-        Layout::from_size_align(
-            block_size(HEADER + key_len + value_len),
-            std::mem::align_of::<Item>(),
-        )
-        .expect("item size overflows a layout")
+    fn key_len(&self) -> usize {
+        (self.lens & 0xFF) as usize
+    }
+
+    fn value_len(&self) -> usize {
+        (self.lens >> 8) as usize
+    }
+
+    /// The size of the item's block (see [`block_size`]).
+    fn size(&self) -> usize {
+        block_size(HEADER + self.key_len() + self.value_len())
+    }
+
+    /// The layout of a block past [`RECYCLE_MAX`], a malloc chunk.
+    fn large_layout(size: usize) -> Layout {
+        Layout::from_size_align(size, ITEM_ALIGN).expect("item size overflows a layout")
     }
 
     /// `len` bytes of the item's body from `offset` past the header.
     fn body(&self, offset: usize, len: usize) -> &[u8] {
-        // SAFETY: the allocation runs `key_len + value_len` bytes past
-        // the header, and callers stay inside it; the bytes were
-        // written before the item was published and never change.
+        // SAFETY: the block runs `key_len + value_len` bytes past the
+        // header, and callers stay inside it; the bytes were written
+        // before the item was published and never change.
         unsafe {
             std::slice::from_raw_parts((self as *const Item).cast::<u8>().add(HEADER + offset), len)
         }
     }
 
     fn key(&self) -> &[u8] {
-        self.body(0, self.key_len as usize)
+        self.body(0, self.key_len())
     }
 
     fn value(&self) -> &[u8] {
-        self.body(self.key_len as usize, self.value_len as usize)
+        self.body(self.key_len(), self.value_len())
     }
 
     /// A handle on `bytes` — this item's key or value — holding one
@@ -364,52 +407,55 @@ impl Item {
         unsafe { &*item }.refs.fetch_sub(1, Ordering::AcqRel) == 1
     }
 
-    /// Drops one reference; the last one frees the block to malloc.
-    /// A handle's release, and the teardown's.
+    /// A handle's release: drops one reference, and the last one gives
+    /// the block back — a large block to malloc, a carved one to the
+    /// arena the store lent it from, for the store's next carve (or,
+    /// if the store is gone and this was its last lent block, with
+    /// every page).
     ///
-    /// SAFETY: as [`Item::drop_ref`].
-    unsafe fn release(item: *mut Item) {
-        // SAFETY: caller contract; a last reference leaves the block
-        // to us, and no handle, chain or bag can reach it any more.
+    /// SAFETY: as [`Item::drop_ref`], and the caller is a handle.
+    unsafe fn release_handle(item: *mut Item) {
+        // SAFETY: caller contract.
+        if !unsafe { Item::drop_ref(item) } {
+            return;
+        }
+        // SAFETY: that was the last reference, so the block is ours;
+        // the store let go of it first (a handle's reference is taken
+        // only while the store's is held), and its lengths outlive the
+        // last reference.
+        let size = unsafe { &*item }.size();
+        if class_of(size).is_none() {
+            // SAFETY: a dead large block, ours.
+            return unsafe { Item::free_large(item, size) };
+        }
+        // Ordered after the store's write by the count's AcqRel.
+        // chk: a lent block's `next` is the store's last word to it.
+        // SAFETY: the block is ours (above).
+        let lent = unsafe { &*item }.next.load(Ordering::Relaxed);
+        assert_eq!(lent as usize & LENT, LENT, "a lent block without its arena");
+        let arena = lent.wrapping_byte_sub(LENT).cast::<Arena>();
+        // SAFETY: the store counted this block as an owner of `arena`
+        // before it let go of the block, so the arena lives until the
+        // release below; the block is dead and ours to hand over.
         unsafe {
-            if Item::drop_ref(item) {
-                Item::free(item);
+            #[cfg(ssync_chk)]
+            if !(*arena).parks_on.is_null() {
+                (*arena).park_unlocked(item, size);
+                return Arena::release(arena);
             }
+            (*arena).give_back(item);
+            Arena::release(arena);
         }
     }
 
-    /// Frees a dead block to malloc.
+    /// Frees a dead block past [`RECYCLE_MAX`] to malloc.
     ///
-    /// SAFETY: the caller owns `item`, a block with no reference left.
-    unsafe fn free(item: *mut Item) {
-        // SAFETY: the header's lengths outlive the last reference (a
-        // parked block's `next` is the only field its list rewrites).
-        let header = unsafe { &*item };
-        let layout = Item::layout(header.key_len as usize, header.value_len as usize);
-        // SAFETY: allocated with this layout (the class is a function
-        // of the lengths), and owned by the caller.
-        unsafe { dealloc(item.cast(), layout) };
-    }
-
-    /// [`KvFault::ReleaseAtRetire`]'s release: the last reference
-    /// overwrites the key and value with a poison pattern and leaves the
-    /// block allocated, so a reader that still walks it reads the
-    /// poison — a miss or wrong bytes the model asserts on — rather
-    /// than freed memory.
-    ///
-    /// SAFETY: as [`Item::release`].
-    #[cfg(ssync_chk)]
-    unsafe fn release_poisoning(item: *mut Item) {
-        // SAFETY: the caller gives up its reference; a last one leaves
-        // the still-allocated block to us, its body inside it, and
-        // model threads run one at a time.
-        unsafe {
-            if Item::drop_ref(item) {
-                let header = &*item;
-                let len = header.key_len as usize + header.value_len as usize;
-                ptr::write_bytes(item.cast::<u8>().add(HEADER), 0xA5, len);
-            }
-        }
+    /// SAFETY: the caller owns `item`, a large block of `size` bytes
+    /// with no reference left.
+    unsafe fn free_large(item: *mut Item, size: usize) {
+        // SAFETY: allocated with this layout by `Depot::carve`, and
+        // owned by the caller.
+        unsafe { dealloc(item.cast(), Item::large_layout(size)) };
     }
 }
 
@@ -418,9 +464,10 @@ impl Item {
 /// [`Recycler`] keeps its blocks in one, and so does the store's
 /// [`Depot`].
 struct FreeLists {
-    /// The lists by class. Allocated on the first push, so a store that
-    /// never replaces an item pays nothing for them.
-    by_class: Option<Box<[FreeList; CLASSES]>>,
+    /// The lists by class, grown to the largest class parked so far: a
+    /// store that never replaces an item pays nothing for them, and one
+    /// of small items pays for few.
+    by_class: Vec<FreeList>,
 }
 
 #[derive(Clone, Copy)]
@@ -435,23 +482,25 @@ unsafe impl Send for FreeLists {}
 
 impl FreeLists {
     const fn new() -> FreeLists {
-        FreeLists { by_class: None }
+        FreeLists {
+            by_class: Vec::new(),
+        }
     }
 
     /// The block [`FreeLists::pop`] would return; null if there is none.
     fn first(&self, class: usize) -> *mut Item {
         self.by_class
-            .as_deref()
-            .map_or(ptr::null_mut(), |lists| lists[class].head)
+            .get(class)
+            .map_or(ptr::null_mut(), |list| list.head)
     }
 
     fn len(&self, class: usize) -> u32 {
-        self.by_class.as_deref().map_or(0, |lists| lists[class].len)
+        self.by_class.get(class).map_or(0, |list| list.len)
     }
 
     /// Unlinks the first block of `class`'s list; null if it is empty.
     fn pop(&mut self, class: usize) -> *mut Item {
-        let Some(list) = self.by_class.as_deref_mut().map(|lists| &mut lists[class]) else {
+        let Some(list) = self.by_class.get_mut(class) else {
             return ptr::null_mut();
         };
         let block = list.head;
@@ -469,14 +518,7 @@ impl FreeLists {
     /// SAFETY: `block` is a dead block of `class`, and the caller hands
     /// over its ownership.
     unsafe fn push(&mut self, class: usize, block: *mut Item) {
-        let list = &mut self.by_class.get_or_insert_with(|| {
-            Box::new(
-                [FreeList {
-                    head: ptr::null_mut(),
-                    len: 0,
-                }; CLASSES],
-            )
-        })[class];
+        let list = self.list(class);
         // A plain write, not an atomic store: no one else reads a dead
         // block's `next`, so the link costs the checker no operation.
         // SAFETY: the block is dead and ours (caller contract).
@@ -485,20 +527,16 @@ impl FreeLists {
         list.len += 1;
     }
 
-    /// Frees every parked block to malloc.
-    fn free_all(&mut self) {
-        for list in self.by_class.take().into_iter().flat_map(|lists| *lists) {
-            let mut block = list.head;
-            while !block.is_null() {
-                // SAFETY: a parked block is dead and owned by its list,
-                // which this walk empties; each is freed once.
-                unsafe {
-                    let next = *(*block).next.get_mut();
-                    Item::free(block);
-                    block = next;
-                }
-            }
+    /// `class`'s list, the lists grown to it if this is its first push.
+    fn list(&mut self, class: usize) -> &mut FreeList {
+        if class >= self.by_class.len() {
+            let empty = FreeList {
+                head: ptr::null_mut(),
+                len: 0,
+            };
+            self.by_class.resize(class + 1, empty);
         }
+        &mut self.by_class[class]
     }
 }
 
@@ -510,8 +548,21 @@ impl FreeLists {
 /// (DESIGN.md "Recycled blocks" has the sweep).
 const STRIPE_KEEP: u32 = 4;
 
+/// Bytes of one class a stripe keeps parked, as long as that is one
+/// block or more. With a class every 8 bytes, values of 128 B to 1 KiB
+/// spread over 113 classes, and four blocks of each could sit idle on
+/// every stripe, ≈ 270 KiB a stripe; a class of large blocks keeps
+/// fewer (DESIGN.md "Store-owned pages").
+const STRIPE_KEEP_BYTES: usize = 1024;
+
+/// How many blocks of `class` a stripe keeps: [`STRIPE_KEEP`], or
+/// fewer where they would pass [`STRIPE_KEEP_BYTES`], but at least one.
+fn stripe_keep(class: usize) -> u32 {
+    (STRIPE_KEEP_BYTES / (class * ITEM_ALIGN)).clamp(1, STRIPE_KEEP as usize) as u32
+}
+
 /// A stripe's dead item blocks, kept for the stripe's next writes: at
-/// most [`STRIPE_KEEP`] per class, the rest spilled to the store's
+/// most [`stripe_keep`] per class, the rest spilled to the store's
 /// [`Depot`]. Used only under the stripe lock (or through
 /// `&mut KvStore`), like the bags beside it.
 struct Recycler {
@@ -539,14 +590,13 @@ impl Recycler {
     /// last touched when it was parked, usually long before, so a write
     /// that refills it would stall on its lines; prefetched as soon as
     /// the stripe lock is held, they arrive while the write walks its
-    /// chain. (A chunk malloc hands back is often one another request
-    /// freed a moment ago, still in cache.) The prefetch is x86-64
-    /// only.
+    /// chain. (A block carved from the page's tail was never touched at
+    /// all, and has nothing to fetch.) The prefetch is x86-64 only.
     fn prefetch<R: RawLock>(&mut self, size: usize, depot: &Depot<R>) {
         let Some(class) = class_of(size) else {
             return;
         };
-        if self.lists.by_class.is_none() {
+        if self.lists.by_class.is_empty() {
             return;
         }
         let mut block = self.lists.first(class);
@@ -571,29 +621,21 @@ impl Recycler {
         }
     }
 
-    /// The store's release of an item it retired: drops the store's
-    /// reference, and when that was the last one, parks the block on
-    /// the stripe's list for its class or, with [`STRIPE_KEEP`] there
-    /// already, on the depot's — or frees it, past [`RECYCLE_MAX`].
+    /// The store's release of an item it retired: when the store's
+    /// reference was the last one, parks the block on the stripe's list
+    /// for its class or, with [`stripe_keep`] there already, on the
+    /// depot's (see [`Depot::let_go`] for a block a handle still holds,
+    /// or one past [`RECYCLE_MAX`]).
     ///
-    /// SAFETY: the store owns a reference on `item` and gives it up,
-    /// and `item`'s grace period is over: no chain or pinned reader can
-    /// reach it.
+    /// SAFETY: as [`Depot::let_go`].
     unsafe fn release<R: RawLock>(&mut self, item: *mut Item, depot: &Depot<R>) {
         // SAFETY: caller contract.
-        if !unsafe { Item::drop_ref(item) } {
+        let Some(class) = (unsafe { depot.let_go(item) }) else {
             return;
-        }
-        // SAFETY: that was the last reference, so the block is ours.
-        let header = unsafe { &*item };
-        let size = block_size(HEADER + header.key_len as usize + header.value_len as usize);
-        let Some(class) = class_of(size) else {
-            // SAFETY: the block is dead and ours.
-            return unsafe { Item::free(item) };
         };
         // SAFETY: the block is dead, of `class`, and ours to hand over.
         unsafe {
-            if self.lists.len(class) < STRIPE_KEEP {
+            if self.lists.len(class) < stripe_keep(class) {
                 self.lists.push(class, item);
             } else {
                 depot.push(class, item);
@@ -602,27 +644,70 @@ impl Recycler {
     }
 }
 
-/// The store-wide overflow of its stripes' recyclers: one free list per
-/// class, behind a lock of its own, which a stripe takes only to spill
-/// a block past [`STRIPE_KEEP`] or when its own list for a write's class
-/// is empty. The lock is a leaf: it is taken under a stripe lock (and
+/// What the depot's lock guards: its free lists, and how far the newest
+/// page is carved.
+struct Pool {
+    lists: FreeLists,
+    /// Bytes of the newest page carved so far; a fresh store's reads
+    /// [`PAGE`], so its first carve takes a page.
+    carved: usize,
+}
+
+/// The store-wide overflow of its stripes' recyclers, and where new
+/// blocks come from: one free list per class, and the store's page
+/// arena, behind a lock of its own. A stripe takes the lock only to
+/// spill a block past [`stripe_keep`], or when its own list for a
+/// write's class is empty — to take a parked block, or failing that, to
+/// carve one. The lock is a leaf: it is taken under a stripe lock (and
 /// perhaps the global one above that), and nothing is locked under it.
 struct Depot<R: RawLock> {
-    lists: Lock<FreeLists, R>,
+    pool: Lock<Pool, R>,
     // chk: a hint beside the lock, deliberately unpadded — it is
     // written only under the lock, with the lists, and read on a
     // stripe's list miss, which is rare once the lists are warm.
     blocks: AtomicUsize,
+    /// The store's pages and the blocks it lent to handles; shared
+    /// with those blocks, which may outlive the store.
+    arena: NonNull<Arena>,
+    #[cfg(ssync_chk)]
+    fault: Option<KvFault>,
+}
+
+// SAFETY: the arena is built for sharing — its counts and returned
+// stack are atomics, and its page chain is touched only under the
+// depot's lock or by its last owner; the lock guards the rest.
+unsafe impl<R: RawLock> Send for Depot<R> {}
+// SAFETY: as above.
+unsafe impl<R: RawLock> Sync for Depot<R> {}
+
+impl<R: RawLock + Default> Depot<R> {
+    fn new() -> Depot<R> {
+        Depot {
+            pool: Lock::new(Pool {
+                lists: FreeLists::new(),
+                carved: PAGE,
+            }),
+            blocks: AtomicUsize::new(0),
+            arena: Arena::new(),
+            #[cfg(ssync_chk)]
+            fault: None,
+        }
+    }
 }
 
 impl<R: RawLock> Depot<R> {
+    fn arena(&self) -> &Arena {
+        // SAFETY: the store is an owner of its arena until `Drop`.
+        unsafe { self.arena.as_ref() }
+    }
+
     /// Parks a dead block a stripe had no room for.
     ///
     /// SAFETY: as [`FreeLists::push`].
     unsafe fn push(&self, class: usize, block: *mut Item) {
-        let mut lists = self.lists.lock();
+        let mut pool = self.pool.lock();
         // SAFETY: caller contract.
-        unsafe { lists.push(class, block) };
+        unsafe { pool.lists.push(class, block) };
         self.blocks.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -636,18 +721,397 @@ impl<R: RawLock> Depot<R> {
         if self.blocks.load(Ordering::Relaxed) == 0 {
             return ptr::null_mut();
         }
-        let mut lists = self.lists.lock();
-        let block = lists.pop(class);
+        let mut pool = self.pool.lock();
+        let block = pool.lists.pop(class);
         if !block.is_null() {
             self.blocks.fetch_sub(1, Ordering::Relaxed);
         }
         block
     }
 
-    /// Frees every parked block to malloc.
-    fn free_all(&mut self) {
-        self.lists.get_mut().free_all();
-        self.blocks.store(0, Ordering::Relaxed);
+    /// A new `size`-byte block for a write whose stripe had none: past
+    /// [`RECYCLE_MAX`], a malloc chunk of its own; otherwise, under the
+    /// lock, a parked block of its class — once every block handles
+    /// gave back is parked too — or failing that, a block carved from
+    /// the newest page.
+    fn carve(&self, size: usize) -> *mut Item {
+        let Some(class) = class_of(size) else {
+            let layout = Item::large_layout(size);
+            // SAFETY: the layout is never zero-sized (the header alone
+            // is `HEADER` bytes).
+            let block = unsafe { alloc(layout) };
+            if block.is_null() {
+                handle_alloc_error(layout);
+            }
+            return block.cast();
+        };
+        let mut pool = self.pool.lock();
+        let mut returned = self.arena().take_returned();
+        while !returned.is_null() {
+            // SAFETY: a returned block is dead, and the swap that took
+            // the stack made it ours; its lengths still name its class.
+            unsafe {
+                // chk: the handle's link, ordered by that swap.
+                let next = (*returned).next.load(Ordering::Relaxed);
+                pool.lists.push((*returned).size() / ITEM_ALIGN, returned);
+                self.blocks.fetch_add(1, Ordering::Relaxed);
+                returned = next;
+            }
+        }
+        let block = pool.lists.pop(class);
+        if !block.is_null() {
+            self.blocks.fetch_sub(1, Ordering::Relaxed);
+            return block;
+        }
+        pool.bump(size, self.arena())
+    }
+
+    /// The store's release of its reference on `item`; `Some(class)`
+    /// when the block is now the caller's to park. A block past
+    /// [`RECYCLE_MAX`] is freed by whichever reference goes last. A
+    /// carved block is the caller's when the store's reference was the
+    /// last; when a handle still holds it, it is lent instead: the
+    /// arena counts it as one more owner, and its `next` — written
+    /// before the store's reference goes, so before any handle can be
+    /// last — names the arena, for the last handle to give it back to.
+    ///
+    /// SAFETY: the store owns a reference on `item` and gives it up,
+    /// and `item`'s grace period is over: no chain or pinned reader can
+    /// reach it, so no reference on it can be taken but from a handle.
+    unsafe fn let_go(&self, item: *mut Item) -> Option<usize> {
+        // SAFETY: the store's reference keeps `item` live.
+        let header = unsafe { &*item };
+        let size = header.size();
+        let Some(class) = class_of(size) else {
+            // SAFETY: caller contract; a last reference leaves the
+            // block to us.
+            unsafe {
+                if Item::drop_ref(item) {
+                    Item::free_large(item, size);
+                }
+            }
+            return None;
+        };
+        // A count of 1 is the store's reference alone, and none can be
+        // taken any more, so the block is ours without a decrement.
+        // Acquire orders every handle's reads before the block's reuse,
+        // as the last decrement would.
+        if header.refs.load(Ordering::Acquire) == 1 {
+            return Some(class);
+        }
+        #[cfg(ssync_chk)]
+        if self.fault == Some(KvFault::LendAfterDecrement) {
+            // SAFETY: none — the handle may be last, and read `next`,
+            // before the arena's address is there.
+            unsafe {
+                if Item::drop_ref(item) {
+                    return Some(class);
+                }
+                self.arena().lend(item);
+            }
+            return None;
+        }
+        // SAFETY: the store's reference is still held, and the block is
+        // past its grace period (caller contract).
+        unsafe {
+            self.arena().lend(item);
+            if !Item::drop_ref(item) {
+                return None;
+            }
+        }
+        // The handles went between the load and the decrement: the
+        // block is ours after all, and not an owner of the arena.
+        self.arena().owners.fetch_sub(1, Ordering::Relaxed);
+        Some(class)
+    }
+
+    /// [`KvFault::ReleaseAtRetire`]'s release: as [`Depot::let_go`],
+    /// but the last reference overwrites the key and value with a
+    /// poison pattern and leaves the block where it is, so a reader
+    /// that still walks it reads the poison — a miss or wrong bytes the
+    /// model asserts on — rather than a block reused or freed.
+    ///
+    /// SAFETY: as [`Item::drop_ref`].
+    #[cfg(ssync_chk)]
+    unsafe fn release_poisoning(&self, item: *mut Item) {
+        // SAFETY: the caller gives up its reference; a last one leaves
+        // the block to us, its body inside it, and model threads run
+        // one at a time.
+        unsafe {
+            let lent = (*item).refs.load(Ordering::Acquire) > 1;
+            if lent {
+                self.arena().lend(item);
+            }
+            if Item::drop_ref(item) {
+                if lent {
+                    self.arena().owners.fetch_sub(1, Ordering::Relaxed);
+                }
+                let len = (*item).key_len() + (*item).value_len();
+                ptr::write_bytes(item.cast::<u8>().add(HEADER), 0xA5, len);
+            }
+        }
+    }
+}
+
+impl Pool {
+    /// The next `size` bytes of the newest page, and a new page when
+    /// they do not fit; the tail of a page too short for a block stays
+    /// unused.
+    fn bump(&mut self, size: usize, arena: &Arena) -> *mut Item {
+        let newest = arena.pages.get();
+        // SAFETY: the caller holds the depot's lock (this `&mut Pool`),
+        // which guards the page chain; a new page is `PAGE` bytes, and
+        // a carve never runs past its end.
+        unsafe {
+            if self.carved + size > PAGE {
+                let page = take_page();
+                page.cast::<*mut u8>().write(*newest);
+                *newest = page;
+                self.carved = PAGE_LINK;
+            }
+            let block = (*newest).add(self.carved);
+            self.carved += size;
+            block.cast()
+        }
+    }
+}
+
+fn page_layout() -> Layout {
+    Layout::from_size_align(PAGE, ITEM_ALIGN).expect("a page is a valid layout")
+}
+
+/// The pages of arenas that are gone, kept by the thread their last
+/// owner let go on, for that thread's next carves; newest first, each
+/// chained to the next through its first word. malloc gets them back
+/// when the thread exits.
+///
+/// Freed, a page goes wherever malloc's heap has room, and whether
+/// malloc then trims the heap's top depends on what else the heap
+/// held: a process that built and dropped a store thirty times, then
+/// built the one it measured, peaked 1.3 MiB apart from one run to the
+/// next, depending on how its threads were scheduled. Kept, the next
+/// store carves the same pages, whatever the heap's history (DESIGN.md
+/// "Store-owned pages").
+#[cfg(not(ssync_chk))]
+struct SparePages(core::cell::Cell<*mut u8>);
+
+#[cfg(not(ssync_chk))]
+impl Drop for SparePages {
+    fn drop(&mut self) {
+        // SAFETY: every kept page is a dead arena's, and this thread's.
+        unsafe { free_pages(self.0.get()) };
+    }
+}
+
+// Not under the model checker: its models count the one free of a
+// dead arena's pages, and a page kept from one execution would carry
+// into the next.
+#[cfg(not(ssync_chk))]
+thread_local! {
+    static SPARE_PAGES: SparePages =
+        const { SparePages(core::cell::Cell::new(ptr::null_mut())) };
+}
+
+/// A page for a carve: the newest this thread kept, else a new one.
+fn take_page() -> *mut u8 {
+    #[cfg(not(ssync_chk))]
+    {
+        let kept = SPARE_PAGES.try_with(|spare| {
+            let page = spare.0.get();
+            if !page.is_null() {
+                // SAFETY: a kept page's first word links the next one.
+                spare.0.set(unsafe { page.cast::<*mut u8>().read() });
+            }
+            page
+        });
+        if let Ok(page) = kept {
+            if !page.is_null() {
+                return page;
+            }
+        }
+    }
+    // SAFETY: a page is not zero-sized.
+    let page = unsafe { alloc(page_layout()) };
+    if page.is_null() {
+        handle_alloc_error(page_layout());
+    }
+    page
+}
+
+/// What a dead arena's last owner does with its pages, `newest` and
+/// the older ones chained behind it: keeps them for this thread's next
+/// carves, or frees them if the thread is already tearing down its
+/// thread-locals.
+///
+/// SAFETY: the pages are a dead arena's, which the caller owned last.
+unsafe fn let_pages_go(newest: *mut u8) {
+    #[cfg(not(ssync_chk))]
+    if !newest.is_null() {
+        let kept = SPARE_PAGES.try_with(|spare| {
+            let mut oldest = newest;
+            // SAFETY: the chain is the caller's (contract), and a
+            // page's first word links the one carved before it.
+            unsafe {
+                loop {
+                    let older = oldest.cast::<*mut u8>().read();
+                    if older.is_null() {
+                        break;
+                    }
+                    oldest = older;
+                }
+                oldest.cast::<*mut u8>().write(spare.0.get());
+            }
+            spare.0.set(newest);
+        });
+        if kept.is_ok() {
+            return;
+        }
+    }
+    // SAFETY: caller contract.
+    unsafe { free_pages(newest) };
+}
+
+/// Frees `newest` and every page chained behind it.
+///
+/// SAFETY: the caller owns the chain, and nothing reaches it after.
+unsafe fn free_pages(mut page: *mut u8) {
+    while !page.is_null() {
+        // SAFETY: caller contract; a page's first word links the next.
+        unsafe {
+            let older = page.cast::<*mut u8>().read();
+            dealloc(page, page_layout());
+            page = older;
+        }
+    }
+}
+
+/// The pages a store carves its blocks from, owned together by the
+/// store and every block it lent to a handle (see [`Depot::let_go`]).
+/// A page cannot go back to malloc one block at a time, so a lent
+/// block's last handle gives the block back here, onto a lock-free
+/// stack the store's next carve takes, and whichever owner goes last
+/// lets every page go (see [`let_pages_go`]).
+struct Arena {
+    // chk: the owner count, deliberately unpadded — it moves only when
+    // the store lends a block or a lent block's last handle goes.
+    owners: AtomicUsize,
+    // chk: the returned stack's head, deliberately unpadded — pushed
+    // only by a lent block's last handle, and taken by a carve.
+    returned: AtomicPtr<Item>,
+    /// The newest page, each chained to the one before through its
+    /// first word. Touched only under the depot's lock, and by the last
+    /// owner.
+    pages: UnsafeCell<*mut u8>,
+    /// [`KvFault::HandleParksOnStripe`]'s list: where a lent block's
+    /// last handle parks it, without the list's lock.
+    #[cfg(ssync_chk)]
+    parks_on: *mut FreeLists,
+}
+
+impl Arena {
+    /// A new arena, with no page and one owner, the store.
+    fn new() -> NonNull<Arena> {
+        let arena = NonNull::from(Box::leak(Box::new(Arena {
+            owners: AtomicUsize::new(1),
+            returned: AtomicPtr::new(ptr::null_mut()),
+            pages: UnsafeCell::new(ptr::null_mut()),
+            #[cfg(ssync_chk)]
+            parks_on: ptr::null_mut(),
+        })));
+        // A new object's atomics, wherever the allocation landed.
+        sync::reinit(arena.as_ptr().cast(), std::mem::size_of::<Arena>());
+        arena
+    }
+
+    /// Counts `item`'s block, which a handle still holds, as an owner,
+    /// and leaves the arena's address in its `next`.
+    ///
+    /// SAFETY: the store still holds its reference on `item`, and
+    /// `item` is past its grace period.
+    unsafe fn lend(&self, item: *mut Item) {
+        self.owners.fetch_add(1, Ordering::Relaxed);
+        let tagged = (self as *const Arena).cast_mut().cast::<Item>();
+        // Relaxed: the store's decrement, which follows, orders this
+        // before the last handle's read of it.
+        // chk: a dead item's `next` — no chain or reader reaches it.
+        // SAFETY: the store's reference keeps `item` live.
+        unsafe { &*item }
+            .next
+            .store(tagged.wrapping_byte_add(LENT), Ordering::Relaxed);
+    }
+
+    /// Pushes a lent block its last handle let go onto the returned
+    /// stack. Push-only, with the store taking the whole stack at once,
+    /// so a head that reads the same twice is the same stack.
+    ///
+    /// SAFETY: `block` is a dead block of this arena, and the caller
+    /// hands over its ownership.
+    unsafe fn give_back(&self, block: *mut Item) {
+        // chk: the head the push links behind; the CAS checks it.
+        let mut head = self.returned.load(Ordering::Relaxed);
+        loop {
+            // chk: the link, published by the Release CAS below.
+            // SAFETY: the block is dead and ours (caller contract).
+            unsafe { &*block }.next.store(head, Ordering::Relaxed);
+            match self.returned.compare_exchange_weak(
+                head,
+                block,
+                Ordering::Release,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(now) => head = now,
+            }
+        }
+    }
+
+    /// Takes every block handles gave back: the stack's head, null if
+    /// there is none. Acquire orders each handle's reads of its block
+    /// before the block's reuse.
+    fn take_returned(&self) -> *mut Item {
+        // A load first: the stack is almost always empty, and a load
+        // leaves its line shared.
+        // chk: a hint; the swap reads the stack it takes.
+        if self.returned.load(Ordering::Relaxed).is_null() {
+            return ptr::null_mut();
+        }
+        self.returned.swap(ptr::null_mut(), Ordering::Acquire)
+    }
+
+    /// [`KvFault::HandleParksOnStripe`]'s give-back: onto the stripe's
+    /// list, without its lock. The yield stands for the time between
+    /// the head's read and its write, in which a writer holding the
+    /// lock may pop the head.
+    ///
+    /// SAFETY: none — the stripe's writer owns the list.
+    #[cfg(ssync_chk)]
+    unsafe fn park_unlocked(&self, block: *mut Item, size: usize) {
+        // SAFETY: none (above).
+        unsafe {
+            let list = (*self.parks_on).list(size / ITEM_ALIGN);
+            let (head, len) = (list.head, list.len);
+            sync::cpu_relax();
+            *(*block).next.get_mut() = head;
+            list.head = block;
+            list.len = len + 1;
+        }
+    }
+
+    /// Drops one owner; the last frees the arena and lets its pages go
+    /// (to this thread's spare pages, see [`let_pages_go`]).
+    ///
+    /// SAFETY: `arena` is live and the caller is one of its owners, and
+    /// gives that up.
+    unsafe fn release(arena: *mut Arena) {
+        // Release orders this owner's use of the pages before the count
+        // drops; Acquire on the last drop orders every other owner's.
+        // SAFETY: the caller's ownership keeps `arena` live.
+        if unsafe { &*arena }.owners.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        // SAFETY: the last owner: the store is gone, every lent block
+        // is back, and nothing else can reach the arena or its pages.
+        unsafe { let_pages_go(Box::from_raw(arena).pages.into_inner()) };
     }
 }
 
@@ -670,7 +1134,7 @@ unsafe fn share(block: NonNull<u8>, take: bool) {
         assert!(before < MAX_REFS, "item handles leaking: {before} held");
     } else {
         // SAFETY: the caller gives up the reference it holds.
-        unsafe { Item::release(item) }
+        unsafe { Item::release_handle(item) }
     }
 }
 
@@ -689,6 +1153,16 @@ pub enum KvFault {
     /// the same class can refill it while a pinned reader still visits
     /// the old item.
     RecycleAtRetire,
+    /// The store lends a block a handle still holds after it drops its
+    /// reference, not before: the handle's last release can come in
+    /// between and find no arena in the block's `next`.
+    LendAfterDecrement,
+    /// A lent block's last handle parks the block straight on the
+    /// stripe's free list, without the stripe's lock, instead of giving
+    /// it back to the arena: a writer popping that list at the same
+    /// time can lose its pop, and the block it took is parked while
+    /// live.
+    HandleParksOnStripe,
 }
 
 /// Statistics counters (all monotonic). Each counter is padded to its
@@ -726,9 +1200,12 @@ pub struct Stats {
     pub epochs_advanced: CachePadded<AtomicU64>,
     /// Retired items whose store reference epoch collection released
     /// (inline at retire, at maintenance, in `reclaim_pass`, or by the
-    /// shutdown purge). Collection parks a block whose last reference
-    /// it dropped for the store's next writes, and the purge frees it;
-    /// a block a handle still holds is freed when the last handle goes.
+    /// shutdown purge). Collection and the purge park a block whose
+    /// last reference they dropped for the store's next writes; a block
+    /// a handle still holds is lent, and comes back to the store when
+    /// the last handle goes. No carved block goes back to malloc: once
+    /// the store and its last lent block are both gone, the pages go to
+    /// the thread that let the last one go, for its next store.
     pub nodes_reclaimed: CachePadded<AtomicU64>,
 }
 
@@ -839,7 +1316,7 @@ impl StatsSnapshot {
 /// epoch bags until their tag ages past the grace period (each still
 /// holds the store's reference because an optimistic reader may still
 /// be walking it), and the dead blocks the bags' releases left, kept
-/// for this stripe's next writes up to [`STRIPE_KEEP`] per class; see
+/// for this stripe's next writes up to [`stripe_keep`] per class; see
 /// the module docs.
 struct StripeInner {
     bags: EpochBags<*mut Item>,
@@ -946,8 +1423,6 @@ pub struct KvStore<R: RawLock + Default> {
     /// with it through thread-local participant records.
     epoch: Arc<EpochDomain>,
     stats: Stats,
-    #[cfg(ssync_chk)]
-    fault: Option<KvFault>,
 }
 
 impl<R: RawLock + Default> KvStore<R> {
@@ -977,16 +1452,11 @@ impl<R: RawLock + Default> KvStore<R> {
                 .collect(),
             buckets_per_stripe,
             global: Lock::new(()),
-            depot: Depot {
-                lists: Lock::new(FreeLists::new()),
-                blocks: AtomicUsize::new(0),
-            },
+            depot: Depot::new(),
             write_counter: CachePadded::new(AtomicU64::new(0)),
             next_version: CachePadded::new(AtomicU64::new(1)),
             epoch: Arc::new(EpochDomain::new()),
             stats: Stats::default(),
-            #[cfg(ssync_chk)]
-            fault: None,
         }
     }
 
@@ -995,7 +1465,13 @@ impl<R: RawLock + Default> KvStore<R> {
     #[cfg(ssync_chk)]
     pub fn with_fault(buckets: usize, stripes: usize, fault: KvFault) -> Self {
         let mut store = Self::new(buckets, stripes);
-        store.fault = Some(fault);
+        store.depot.fault = Some(fault);
+        if fault == KvFault::HandleParksOnStripe {
+            let lists: *mut FreeLists = &mut store.stripes[0].inner.get_mut().recycler.lists;
+            // SAFETY: the store is not shared yet, and its stripes are
+            // boxed, so the list stays where it is.
+            unsafe { (*store.depot.arena.as_ptr()).parks_on = lists };
+        }
         store
     }
 
@@ -1217,18 +1693,18 @@ impl<R: RawLock + Default> KvStore<R> {
     fn retire(&self, stripe: &Stripe<R>, inner: &mut StripeInner, item: *mut Item) {
         let StripeInner { bags, recycler } = inner;
         #[cfg(ssync_chk)]
-        match self.fault {
+        match self.depot.fault {
             // The seeded bugs: the store gives up its reference while a
             // pinned reader may still be walking the item. What keeps
             // each twin defined is that the block stays allocated.
             // SAFETY: none — the last reference poisons the block.
-            Some(KvFault::ReleaseAtRetire) => return unsafe { Item::release_poisoning(item) },
+            Some(KvFault::ReleaseAtRetire) => return unsafe { self.depot.release_poisoning(item) },
             // SAFETY: none — the last reference parks the block for the
             // store's next write of its class.
             Some(KvFault::RecycleAtRetire) => {
                 return unsafe { recycler.release(item, &self.depot) }
             }
-            None => {}
+            _ => {}
         }
         stripe.backlog.fetch_add(1, Ordering::SeqCst);
         let tag = self.epoch.epoch_sc();
@@ -1288,7 +1764,7 @@ impl<R: RawLock + Default> KvStore<R> {
             // chk: lock-serialized — no writer mutates `next` under us.
             old.next.load(Ordering::Relaxed)
         });
-        let fresh = Item::create(&mut inner.recycler, key, value, version, next);
+        let fresh = Item::create(&mut inner.recycler, &self.depot, key, value, version, next);
         {
             let _section = WriteSection::enter(&stripe.seq);
             link.store(fresh, Ordering::Release);
@@ -1370,8 +1846,8 @@ impl<R: RawLock + Default> KvStore<R> {
     ///
     /// # Panics
     ///
-    /// Panics if the key is longer than 16 MiB or the value longer than
-    /// `u32::MAX` bytes.
+    /// Panics if the key is longer than 255 bytes or the value 16 MiB or
+    /// longer.
     pub fn set(&self, key: &[u8], value: impl AsRef<[u8]>) -> u64 {
         match self.put(key, value.as_ref(), None, false) {
             Ok((version, _)) => version,
@@ -1620,8 +2096,12 @@ impl<R: RawLock + Default> KvStore<R> {
 
     /// The shutdown drain: releases the store's reference on every
     /// retired item regardless of its bag's epoch, returning how many
-    /// it released, and frees every block the stripes' recyclers and
-    /// the depot hold; a store that keeps serving allocates afresh.
+    /// it released. A block whose last reference that was is parked,
+    /// as a collection parks it, for the store's next writes, and a
+    /// block a handle still holds is lent (see the module docs); no
+    /// block goes back to malloc but one past 4 KiB, and the pages go
+    /// (to the thread's next store) when the store and its last lent
+    /// block are both gone.
     /// `&mut self` is the quiescent point: exclusive access proves no
     /// optimistic reader (or any other caller) is traversing a chain,
     /// so the unlinked items are unreachable but through handles, which
@@ -1632,6 +2112,7 @@ impl<R: RawLock + Default> KvStore<R> {
     /// here.
     pub fn purge_retired(&mut self) -> usize {
         let mut released = 0;
+        let depot = &self.depot;
         for stripe in self.stripes.iter_mut() {
             // The retirement invariant, checked before anything is
             // released: a retired item must no longer be reachable from
@@ -1657,21 +2138,20 @@ impl<R: RawLock + Default> KvStore<R> {
                     );
                 }
             }
-            let inner = stripe.inner.get_mut();
-            let n = inner.bags.drain_all(|p| {
+            let StripeInner { bags, recycler } = stripe.inner.get_mut();
+            let n = bags.drain_all(|p| {
                 // SAFETY: retired items were unlinked from every chain
                 // and pushed exactly once, each with the store's
-                // reference; with `&mut self` no chain reaches them.
-                unsafe { Item::release(p) };
+                // reference; with `&mut self` no chain or reader
+                // reaches them.
+                unsafe { recycler.release(p, depot) };
             });
-            inner.recycler.lists.free_all();
             stripe.backlog.fetch_sub(n as u64, Ordering::Relaxed);
             self.stats
                 .nodes_reclaimed
                 .fetch_add(n as u64, Ordering::Relaxed);
             released += n;
         }
-        self.depot.free_all();
         released
     }
 
@@ -1745,13 +2225,24 @@ impl<R: RawLock + Default> Drop for KvStore<R> {
                     // SAFETY: exclusive access; the store's reference
                     // keeps `item` live until the release below.
                     p = unsafe { &*item }.next.load(Ordering::Relaxed);
+                    // A block left to the store lies in a page, which
+                    // the arena frees.
                     // SAFETY: live chains and the (already purged)
                     // retirement bags are disjoint, so the store's
-                    // reference on each item is released exactly once.
-                    unsafe { Item::release(item) };
+                    // reference on each item is released exactly once;
+                    // with `&mut self` no reader reaches it.
+                    unsafe { self.depot.let_go(item) };
                 }
             }
         }
+    }
+}
+
+impl<R: RawLock> Drop for Depot<R> {
+    fn drop(&mut self) {
+        // SAFETY: the store is an owner of its arena, and this is its
+        // last use of it: `KvStore`'s drop has let go of every item.
+        unsafe { Arena::release(self.arena.as_ptr()) };
     }
 }
 

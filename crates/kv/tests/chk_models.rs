@@ -14,7 +14,10 @@
 //! `RUSTFLAGS='--cfg ssync_chk' cargo test -p ssync-kv --test chk_models`
 #![cfg(ssync_chk)]
 
-use std::sync::atomic::{AtomicU64 as RealAtomicU64, Ordering as RealOrdering};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{
+    AtomicU64 as RealAtomicU64, AtomicUsize as RealAtomicUsize, Ordering as RealOrdering,
+};
 use std::sync::Arc;
 
 use ssync_chk::{thread, Builder};
@@ -44,14 +47,16 @@ fn seqlock_reader_sees_old_or_new_never_torn() {
     let fallbacks = Arc::new(RealAtomicU64::new(0));
     let fallbacks2 = Arc::clone(&fallbacks);
     // The writer performs two back-to-back replacements (four seqlock
-    // transitions), and the preemption bound is raised to 5: enough
+    // transitions), and the preemption bound is raised to 8: enough
     // version-word traffic and switch budget that the exploration
     // reaches schedules where all of [`ssync_kv::OPTIMISTIC_ATTEMPTS`]
     // validations fail — the epoch pin at the head of the read path
     // adds scheduling points that let the partial-order pruning fold
     // the single-writer-parked-inside-the-section route away, so one
-    // write section alone no longer demonstrates the fallback.
-    let report = Builder::new().with_preemption_bound(5).check(move || {
+    // write section alone no longer demonstrates the fallback, and
+    // each replace's carve takes the depot's lock, whose steps fold
+    // it away again below bound 8.
+    let report = Builder::new().with_preemption_bound(8).check(move || {
         let store = Arc::new(tiny_store());
         let v1 = store.set(b"k", b"old".as_slice());
         let writer = {
@@ -281,8 +286,8 @@ fn releasing_the_store_reference_at_retire_is_found() {
 /// checker sees no plain read, so without it the visit would run in
 /// one step with the validation). The
 /// visit must read the bytes of the item it validated: a version and a
-/// value written together. Returns whether the second replace refilled
-/// the first item's block.
+/// value written together. Returns whether the visit was of the first
+/// item and the second replace still refilled its block.
 fn visit_outlives_recycling(store: KvStore<TtasLock>) -> bool {
     let store = Arc::new(store);
     let v1 = store.set(b"k", b"old");
@@ -317,22 +322,24 @@ fn visit_outlives_recycling(store: KvStore<TtasLock>) -> bool {
         value, written,
         "the visit of version {version} read another item's bytes"
     );
-    value_at(&store) == first_block
+    version == v1 && value_at(&store) == first_block
 }
 
 /// A block is reused only after its grace period. The reader's pin
 /// holds the epoch for the whole visit, so the item it validated cannot
 /// be collected — let alone parked and refilled — until the visit is
-/// over. The cross-execution counter asserts that the refill itself was
-/// explored: in the schedules where the reader is done before the
-/// passes, the second replace does land in the first item's block.
-/// Bound 6, for depth at a few seconds' cost; at the default bound 3
-/// the row explores 29 schedules and the twin is found in the first.
+/// over. The cross-execution counter asserts that the schedules that
+/// matter were explored: the reader validates the first item, and the
+/// second replace still lands in that item's block — after the visit.
+/// Bound 8: the carve of the first replace takes the depot's lock, and
+/// under bound 6 the sleep sets fold away every schedule in which the
+/// reader validates before that replace (the sleep-set caveat under
+/// ROADMAP item 9).
 #[test]
 fn a_block_is_reused_only_after_its_grace_period() {
     let refills = Arc::new(RealAtomicU64::new(0));
     let refills2 = Arc::clone(&refills);
-    let report = Builder::new().with_preemption_bound(6).check(move || {
+    let report = Builder::new().with_preemption_bound(8).check(move || {
         if visit_outlives_recycling(tiny_store()) {
             refills2.fetch_add(1, RealOrdering::Relaxed);
         }
@@ -340,7 +347,7 @@ fn a_block_is_reused_only_after_its_grace_period() {
     assert!(!report.truncated, "exploration truncated: {report:?}");
     assert!(
         refills.load(RealOrdering::Relaxed) > 0,
-        "no explored schedule refilled a parked block ({} executions)",
+        "no explored schedule refilled the block a visit validated ({} executions)",
         report.executions
     );
     eprintln!(
@@ -356,7 +363,7 @@ fn a_block_is_reused_only_after_its_grace_period() {
 #[test]
 fn recycling_at_retire_is_found() {
     let v = Builder::new()
-        .with_preemption_bound(6)
+        .with_preemption_bound(8)
         .expect_violation(|| {
             visit_outlives_recycling(KvStore::with_fault(1, 1, KvFault::RecycleAtRetire));
         });
@@ -376,7 +383,8 @@ fn recycling_at_retire_is_found() {
 /// full — and then an insert of `p` on stripe B, whose list for the
 /// class is empty, so it refills the spilled block from the depot. The
 /// visit must read the bytes of the item it validated. Returns whether
-/// the insert refilled `k`'s first block.
+/// the visit was of `k`'s first item and the insert still refilled its
+/// block.
 fn visit_outlives_depot_refill(store: KvStore<TtasLock>) -> bool {
     let store = Arc::new(store);
     let v1 = store.set(b"k", b"old");
@@ -415,7 +423,7 @@ fn visit_outlives_depot_refill(store: KvStore<TtasLock>) -> bool {
         value, written,
         "the visit of version {version} read another item's bytes"
     );
-    store.get(b"p").expect("just stored").as_ptr() as usize == first_block
+    version == v1 && store.get(b"p").expect("just stored").as_ptr() as usize == first_block
 }
 
 /// A block refilled through the depot is reused only after its grace
@@ -429,7 +437,7 @@ fn visit_outlives_depot_refill(store: KvStore<TtasLock>) -> bool {
 fn a_block_spilled_to_the_depot_is_reused_only_after_its_grace_period() {
     let refills = Arc::new(RealAtomicU64::new(0));
     let refills2 = Arc::clone(&refills);
-    let report = Builder::new().with_preemption_bound(6).check(move || {
+    let report = Builder::new().with_preemption_bound(8).check(move || {
         if visit_outlives_depot_refill(KvStore::new(2, 2)) {
             refills2.fetch_add(1, RealOrdering::Relaxed);
         }
@@ -437,7 +445,7 @@ fn a_block_spilled_to_the_depot_is_reused_only_after_its_grace_period() {
     assert!(!report.truncated, "exploration truncated: {report:?}");
     assert!(
         refills.load(RealOrdering::Relaxed) > 0,
-        "no explored schedule refilled a block from the depot ({} executions)",
+        "no explored schedule refilled from the depot the block a visit validated ({} executions)",
         report.executions
     );
     eprintln!(
@@ -453,7 +461,7 @@ fn a_block_spilled_to_the_depot_is_reused_only_after_its_grace_period() {
 #[test]
 fn recycling_at_retire_through_the_depot_is_found() {
     let v = Builder::new()
-        .with_preemption_bound(6)
+        .with_preemption_bound(8)
         .expect_violation(|| {
             visit_outlives_depot_refill(KvStore::with_fault(2, 2, KvFault::RecycleAtRetire));
         });
@@ -461,5 +469,186 @@ fn recycling_at_retire_through_the_depot_is_found() {
     eprintln!(
         "recycle-at-retire via the depot found in execution {}",
         v.execution
+    );
+}
+
+/// Where a value handle points: the block it holds, at the offset a
+/// one-byte key puts the value at.
+fn value_address(store: &KvStore<TtasLock>, key: &[u8]) -> usize {
+    store.get(key).expect("the key is stored").as_ptr() as usize
+}
+
+/// The shared body of the lending model and its twins, on a one-stripe
+/// store. A block of the class of `k`'s first item is parked on the
+/// stripe's list before it all starts (`b`, deleted and collected).
+/// Then a holder thread takes over a handle on `k`'s first item, reads
+/// it after a yield and drops it, while the main thread replaces `k` by
+/// a value of another class, passes until the store has let the first
+/// item go — lent, while the handle is live — and writes `x`, which
+/// takes the parked block. Once the holder is done, `y` and `z` are
+/// written: a block the handle gave back refills `y`. The handle must
+/// read its bytes for as long as it lives, and every key must read the
+/// bytes written to it. Returns the key whose write refilled `k`'s
+/// first block: `x` when the handle went before the store let the item
+/// go, and the store parked the block itself; `y` when the store lent
+/// it, and the handle gave it back.
+fn lent_block_comes_back(store: KvStore<TtasLock>) -> Option<&'static [u8]> {
+    let store = Arc::new(store);
+    store.set(b"b", b"bbb");
+    assert!(store.delete(b"b"));
+    store.set(b"k", b"old");
+    while store.reclaim_backlog() > 0 {
+        store.reclaim_pass();
+    }
+    let lent = value_address(&store, b"k");
+    let handle = store.get(b"k").expect("just stored");
+    store.set(b"k", [0u8; 24]);
+    let holder = thread::spawn(move || {
+        thread::yield_now();
+        assert_eq!(
+            handle.as_ref(),
+            b"old",
+            "a lent block was refilled under its handle"
+        );
+    });
+    while store.reclaim_backlog() > 0 {
+        store.reclaim_pass();
+    }
+    store.set(b"x", b"xxx");
+    holder.join();
+    store.set(b"y", b"yyy");
+    store.set(b"z", b"zzz");
+    let written: [(&[u8], &[u8]); 3] = [(b"x", b"xxx"), (b"y", b"yyy"), (b"z", b"zzz")];
+    for (key, value) in written {
+        assert_eq!(
+            store.get(key).as_deref(),
+            Some(value),
+            "a write lost its bytes to another"
+        );
+    }
+    written
+        .into_iter()
+        .map(|(key, _)| key)
+        .find(|key| value_address(&store, key) == lent)
+}
+
+/// A lent block is reused only after its last handle goes. The store
+/// lets go of an item a handle still holds by lending the block: it
+/// names the arena in the block's `next` before its reference goes,
+/// and the handle's last release pushes the block onto the arena's
+/// returned stack, which only a carve — under the depot's lock — takes.
+/// So no write can refill the block while the handle lives, and no
+/// stripe list is touched without its lock. The cross-execution
+/// counters assert that both returns were explored: the store parking
+/// the block itself, and the handle giving a lent block back.
+#[test]
+fn a_lent_block_is_reused_only_after_its_last_handle_goes() {
+    let parked = Arc::new(RealAtomicU64::new(0));
+    let given_back = Arc::new(RealAtomicU64::new(0));
+    let (parked2, given_back2) = (Arc::clone(&parked), Arc::clone(&given_back));
+    let report = Builder::new().check(move || {
+        match lent_block_comes_back(tiny_store()) {
+            Some(b"x") => parked2.fetch_add(1, RealOrdering::Relaxed),
+            Some(b"y") => given_back2.fetch_add(1, RealOrdering::Relaxed),
+            _ => 0,
+        };
+    });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    assert!(
+        parked.load(RealOrdering::Relaxed) > 0 && given_back.load(RealOrdering::Relaxed) > 0,
+        "the store parked the block in {} schedules and the handle gave it \
+         back in {} ({} executions)",
+        parked.load(RealOrdering::Relaxed),
+        given_back.load(RealOrdering::Relaxed),
+        report.executions
+    );
+    eprintln!("lent-block model: {} executions", report.executions);
+}
+
+/// The twin: a store that names the arena in a lent block's `next`
+/// after its reference goes. The handle's last release can come in
+/// between, and the checker must find it reading a `next` with no
+/// arena in it.
+#[test]
+fn lending_after_the_decrement_is_found() {
+    let v = Builder::new().expect_violation(|| {
+        lent_block_comes_back(KvStore::with_fault(1, 1, KvFault::LendAfterDecrement));
+    });
+    assert!(v.message.contains("without its arena"), "{v}");
+    eprintln!("lend-after-decrement found in execution {}", v.execution);
+}
+
+/// The twin: a handle whose last release parks its block on the
+/// stripe's list directly, without the stripe's lock. The checker must
+/// find the write that pops the list's head between the handle's read
+/// of it and its write: the popped block stays on the list under the
+/// handle's, and a later write refills it while it is live.
+#[test]
+fn a_handle_parking_on_the_stripe_list_is_found() {
+    let v = Builder::new().expect_violation(|| {
+        lent_block_comes_back(KvStore::with_fault(1, 1, KvFault::HandleParksOnStripe));
+    });
+    assert!(v.message.contains("lost its bytes"), "{v}");
+    eprintln!("handle-parks-on-stripe found in execution {}", v.execution);
+}
+
+/// An address inside the page whose frees [`PAGE_FREES`] counts; 0
+/// watches nothing.
+static WATCHED: RealAtomicUsize = RealAtomicUsize::new(0);
+/// Frees of the page holding [`WATCHED`].
+static PAGE_FREES: RealAtomicUsize = RealAtomicUsize::new(0);
+
+/// Forwards to `System`, counting frees of the watched page.
+struct WatchingFrees;
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters
+// are plain statics, and touching them never allocates.
+unsafe impl GlobalAlloc for WatchingFrees {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let watched = WATCHED.load(RealOrdering::Relaxed);
+        if (ptr as usize..ptr as usize + layout.size()).contains(&watched) {
+            PAGE_FREES.fetch_add(1, RealOrdering::Relaxed);
+        }
+        // SAFETY: forwarded as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: WatchingFrees = WatchingFrees;
+
+/// A store dropped while a handle is live frees its pages exactly once.
+/// A holder thread reads a handle on a replaced item after a yield and
+/// drops it, while the main thread drops the store: whichever of the
+/// store and the lent block goes last frees the page — never the
+/// store while the handle can still read it, and never both.
+#[test]
+fn a_store_dropped_under_a_live_handle_frees_its_pages_once() {
+    let report = Builder::new().check(|| {
+        let store = tiny_store();
+        store.set(b"k", b"old");
+        let handle = store.get(b"k").expect("just stored");
+        store.set(b"k", b"new");
+        WATCHED.store(handle.as_ptr() as usize, RealOrdering::Relaxed);
+        PAGE_FREES.store(0, RealOrdering::Relaxed);
+        let holder = thread::spawn(move || {
+            thread::yield_now();
+            assert_eq!(handle.as_ref(), b"old", "a handle read a freed page");
+        });
+        drop(store);
+        holder.join();
+        let frees = PAGE_FREES.load(RealOrdering::Relaxed);
+        WATCHED.store(0, RealOrdering::Relaxed);
+        assert_eq!(frees, 1, "the page was freed {frees} times");
+    });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    eprintln!(
+        "store-dropped-under-a-handle model: {} executions",
+        report.executions
     );
 }

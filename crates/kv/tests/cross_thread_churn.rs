@@ -17,11 +17,17 @@
 //! store's depot pools the rest, which keeps it under
 //! [`SAME_THREAD_MAX_MIB`].
 //!
-//! Ignored by default: it reads the process's RSS, which tests running
-//! beside it would disturb, and it writes ≈ 330 000 items. Run it
-//! release-built:
+//! A third gate is the footprint of a preload at `srv_read`'s geometry:
+//! an item's block, carved from the store's pages behind a 24-byte
+//! header, must cost at most [`FOOTPRINT_MAX_BYTES_PER_KEY`].
+//!
+//! Ignored by default: they read the process's RSS, which tests running
+//! beside them would disturb (so the two take turns), and the churn
+//! writes ≈ 330 000 items. Run them release-built:
 //! `cargo test --release -p ssync-kv --test cross_thread_churn -- --ignored`
 #![cfg(target_os = "linux")]
+
+use std::sync::{Mutex, MutexGuard};
 
 use ssync_kv::KvStore;
 use ssync_locks::TicketLock;
@@ -60,6 +66,15 @@ fn rss_mib() -> f64 {
     kib / 1024.0
 }
 
+/// Held by each test for its whole run: an RSS reading must see no
+/// other test's stores.
+fn alone() -> MutexGuard<'static, ()> {
+    static ALONE: Mutex<()> = Mutex::new(());
+    ALONE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// A store with every key written once, on the calling thread.
 fn preload() -> KvStore<TicketLock> {
     let kv = KvStore::new(KEYS as usize + 1, 16);
@@ -84,9 +99,37 @@ fn churn(kv: &KvStore<TicketLock>) {
     }
 }
 
+/// `benchmark/`'s `srv_read` geometry: what one stored item of 8-byte
+/// keys and 16–96 B values may cost, header, key, value and slack
+/// together. A 24-byte header and 8-byte classes carved from pages
+/// take ≈ 91 B on average; a 32-byte header in malloc's 16-byte
+/// chunks, ≈ 111 B.
+const FOOTPRINT_MAX_BYTES_PER_KEY: f64 = 96.0;
+
+#[test]
+#[ignore = "reads the process's RSS; run alone, release-built, with --ignored"]
+fn a_preload_at_srv_reads_geometry_costs_at_most_96_bytes_a_key() {
+    let _alone = alone();
+    let kv: KvStore<TicketLock> = KvStore::new(KEYS as usize + 1, 16);
+    let before = rss_mib();
+    for key in 0..KEYS {
+        let mut z = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let len = 16 + (z >> 33) as usize % 81;
+        kv.set(&key.to_be_bytes(), &[key as u8; 96][..len]);
+    }
+    let per_key = (rss_mib() - before) * (1 << 20) as f64 / KEYS as f64;
+    eprintln!("preload: {per_key:.1} B a key");
+    assert!(
+        per_key <= FOOTPRINT_MAX_BYTES_PER_KEY,
+        "a preload at srv_read's geometry grew RSS by {per_key:.1} B a key"
+    );
+}
+
 #[test]
 #[ignore = "reads the process's RSS; run alone, release-built, with --ignored"]
 fn churn_from_a_second_thread_grows_rss_no_more_than_from_the_first() {
+    let _alone = alone();
     let kv = preload();
     let before = rss_mib();
     churn(&kv);

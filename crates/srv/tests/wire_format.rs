@@ -1,22 +1,25 @@
 //! The wire format, pinned from outside the crate: golden frames
 //! captured from the word-at-a-time encoder this codec replaced, an
 //! exhaustive round trip over every value length, zeroed frame tails,
-//! the continuation count a receiver takes as one burst, and a seeded
-//! mutation fuzz of both decoders.
+//! the continuation count a receiver takes as one burst, a seeded
+//! mutation fuzz of both decoders, and one of the stats snapshot decoder
+//! a scraped reply feeds.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use ssync_core::stats::{mono_ns, RegistrySnapshot};
 use ssync_core::Fence;
+use ssync_locks::TicketLock;
 use ssync_mp::{Message, MSG_WORDS};
 use ssync_srv::wire::{
     encode_cas, encode_replicate, encode_set, encode_value, CONT_VALUE_BYTES, HEAD_VALUE_BYTES,
     MAX_VALUE_LEN, NO_LEADER, REPL_MGET_CONT_KEYS, REPL_MGET_HEAD_KEYS, REPL_MGET_MAX,
     STATS_INLINE_BYTES,
 };
-use ssync_srv::{Request, Response};
+use ssync_srv::{ring_mesh, serve, KvClient, Request, Response, ShardRouter};
 
 include!("data/golden_frames.rs");
 
@@ -406,4 +409,139 @@ fn decode_survives_seeded_frame_mutations() {
 #[ignore = "1 M cases: run with --release -- --ignored"]
 fn decode_survives_seeded_frame_mutations_soak() {
     fuzz(0x5EED_50A4, 1_000_000);
+}
+
+/// A real node's scrape: one shard served over a ring, written and read
+/// a little — timed reads, so that its histograms hold samples — and
+/// the payload of the `StatsReply` it answers a `Stats` request with.
+fn scraped_snapshot() -> Vec<u8> {
+    let router: ShardRouter<TicketLock> = ShardRouter::new(1, 64, 8);
+    let (endpoints, mut clients) = ring_mesh(1, 1, 1);
+    let client = clients.pop().expect("one client");
+    std::thread::scope(|s| {
+        for (shard, endpoint) in endpoints.into_iter().enumerate() {
+            let store = router.shard(shard);
+            s.spawn(move || serve(store, endpoint));
+        }
+        for key in 0..64u64 {
+            client.set(key, vec![key as u8; 40]).expect("a set");
+            let shard = client.send_get_timed(key, mono_ns());
+            client.read_get_reply(shard).expect("a timed get");
+        }
+        let reply = client.conn(0).call(&Request::Stats);
+        client.close();
+        match reply {
+            Ok(Response::StatsReply { payload }) => payload,
+            other => panic!("a scrape answered {other:?}"),
+        }
+    })
+}
+
+/// A snapshot's count words, as `(offset, width)`: the counter count,
+/// each name's length byte, the histogram count, and each histogram's
+/// pair count.
+fn count_words(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let u16_at = |at: usize| usize::from(u16::from_le_bytes([bytes[at], bytes[at + 1]]));
+    let mut words = vec![(0, 2)];
+    let mut at = 2;
+    for _ in 0..u16_at(0) {
+        words.push((at, 1));
+        at += 1 + usize::from(bytes[at]) + 8;
+    }
+    words.push((at, 2));
+    let hists = u16_at(at);
+    at += 2;
+    for _ in 0..hists {
+        words.push((at, 1));
+        at += 1 + usize::from(bytes[at]);
+        words.push((at, 4));
+        let pairs = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        at += 4 + pairs as usize * 10;
+    }
+    assert_eq!(
+        at,
+        bytes.len(),
+        "a snapshot's layout as `to_bytes` writes it"
+    );
+    words
+}
+
+/// Damages a snapshot in place: bit flips, a truncation, or an edited
+/// count word — nudged by one, or wholly random.
+fn mutate_snapshot(bytes: &mut Vec<u8>, words: &[(usize, usize)], rng: &mut SmallRng) {
+    match rng.gen_range(0u8..3) {
+        0 => {
+            for _ in 0..rng.gen_range(1u8..=3) {
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] ^= 1 << rng.gen_range(0u32..8);
+            }
+        }
+        1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+        _ => {
+            let (at, width) = words[rng.gen_range(0..words.len())];
+            let mut word = [0u8; 8];
+            word[..width].copy_from_slice(&bytes[at..at + width]);
+            let value = match rng.gen_range(0u8..3) {
+                0 => u64::from_le_bytes(word).wrapping_add(1),
+                1 => u64::from_le_bytes(word).wrapping_sub(1),
+                _ => rng.gen(),
+            };
+            bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        }
+    }
+}
+
+/// One snapshot fuzz case: damaged scraped bytes through the decoder,
+/// which must not panic; whatever it accepts must re-encode to bytes
+/// that decode to the same snapshot. Returns whether it accepted.
+fn snapshot_fuzz_case(original: &[u8], words: &[(usize, usize)], rng: &mut SmallRng) -> bool {
+    let mut bytes = original.to_vec();
+    mutate_snapshot(&mut bytes, words, rng);
+    let Some(snap) = RegistrySnapshot::from_bytes(&bytes) else {
+        return false;
+    };
+    assert_eq!(
+        RegistrySnapshot::from_bytes(&snap.to_bytes()).as_ref(),
+        Some(&snap),
+        "a decoded snapshot re-encodes to another"
+    );
+    true
+}
+
+fn snapshot_fuzz(seed: u64, cases: u32) {
+    let original = scraped_snapshot();
+    let snap = RegistrySnapshot::from_bytes(&original).expect("a scrape decodes");
+    assert!(
+        snap.hists.iter().any(|(_, hist)| hist.count() > 0),
+        "the scraped histograms hold samples"
+    );
+    let words = count_words(&original);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut accepted = 0;
+    for case in 0..cases {
+        match catch_unwind(AssertUnwindSafe(|| {
+            snapshot_fuzz_case(&original, &words, &mut rng)
+        })) {
+            Ok(decoded) => accepted += u32::from(decoded),
+            Err(panic) => panic!("seed {seed:#x} case {case}: {panic:?}"),
+        }
+    }
+    // Both outcomes are exercised: damage the decoder refuses, and
+    // damage it reads as another valid snapshot.
+    assert!(
+        accepted > 0 && accepted < cases,
+        "{accepted} of {cases} damaged snapshots decoded"
+    );
+}
+
+#[test]
+fn snapshot_decode_survives_seeded_mutations() {
+    snapshot_fuzz(0x5EED_57A7, 10_000);
+}
+
+/// The same fuzz at soak length; CI runs it release-built.
+#[test]
+#[ignore = "1 M cases: run with --release -- --ignored"]
+fn snapshot_decode_survives_seeded_mutations_soak() {
+    snapshot_fuzz(0x5EED_50A5, 1_000_000);
 }
