@@ -677,7 +677,7 @@ mod tests {
             }
             let snap = survivor.stats(0).unwrap();
             assert_eq!(snap.counter("srv.malformed"), Some(1));
-            assert_eq!(rude.conn(0).try_recv(), Ok(None), "no reply to a Stop");
+            assert_eq!(rude.conn(0).rx.try_recv(), None, "no reply to a Stop");
             survivor.close();
             node.join().unwrap()
         });

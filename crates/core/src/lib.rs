@@ -16,10 +16,9 @@
 //! * [`topology`] — descriptions of the paper's four target platforms
 //!   (Table 1): core counts, socket/die structure, hop distances, memory
 //!   nodes, and the thread-placement policies of Sections 5.4 and 6.
-//! * [`stats`] — summary statistics for the benchmark harnesses plus the
-//!   observability layer: the log-bucketed [`Histogram`], the named-metric
-//!   [`Registry`] serving loops register into, and the [`mono_ns`]
-//!   timebase open-loop latency stamps share.
+//! * [`stats`] — the observability layer: the log-bucketed
+//!   [`Histogram`], the named-metric [`Registry`] serving loops register
+//!   into, and the [`mono_ns`] timebase client send stamps share.
 //! * [`cores`] — host core-count probes, so native stress tests scale to
 //!   the machine instead of failing on small ones.
 //! * [`fenced`] — the [`Fence`] token (a term, an epoch) and the padded

@@ -1,10 +1,4 @@
-//! Statistics for the benchmark harnesses and the observability layer.
-//!
-//! The paper reports averages of repeated runs with a < 3% standard
-//! deviation (Table 2 caption); the [`Summary`]/[`quantile`] helpers
-//! compute the same summary statistics for our measurements. On top of
-//! those, this module carries the live-metrics layer every serving
-//! loop registers into:
+//! The observability layer every serving loop registers into:
 //!
 //! * [`Histogram`] — an HDR-style log-bucketed latency histogram:
 //!   power-of-two major buckets × [`HIST_SUB_COUNT`] linear
@@ -14,7 +8,7 @@
 //! * [`Registry`] — named counters and histograms a node exposes for
 //!   live scraping over the `Stats` wire op.
 //! * [`mono_ns`] — a process-wide monotonic nanosecond clock, the
-//!   timebase open-loop latency stamps and server-side queue-wait
+//!   timebase client-side send stamps and server-side queue-wait
 //!   splits share.
 
 use std::sync::atomic::Ordering;
@@ -23,98 +17,6 @@ use std::time::Instant;
 
 use crate::pad::CachePadded;
 use crate::sync::atomic::AtomicU64;
-
-/// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (n-1 denominator; 0 for n < 2).
-    pub stddev: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Maximum observation.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes summary statistics over `samples`.
-    ///
-    /// Returns `None` for an empty sample.
-    pub fn of(samples: &[f64]) -> Option<Self> {
-        if samples.is_empty() {
-            return None;
-        }
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = if n > 1 {
-            samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64
-        } else {
-            0.0
-        };
-        let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        Some(Self {
-            n,
-            mean,
-            stddev: var.sqrt(),
-            min,
-            max,
-        })
-    }
-
-    /// Summary over durations, expressed in milliseconds — the unit the
-    /// failover bench reports unavailability windows in.
-    ///
-    /// Returns `None` for an empty sample.
-    pub fn of_durations_ms(samples: &[core::time::Duration]) -> Option<Self> {
-        let ms: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e3).collect();
-        Self::of(&ms)
-    }
-
-    /// Relative standard deviation (stddev / mean), the paper's "< 3%"
-    /// stability criterion. Zero when the mean is zero.
-    pub fn rsd(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean.abs()
-        }
-    }
-}
-
-/// Returns the `q`-quantile (0 ≤ q ≤ 1) of a sample using linear
-/// interpolation, or `None` for an empty sample **or a sample
-/// containing NaN** — a pathological measurement degrades to "no
-/// answer" instead of killing a bench run mid-sweep.
-pub fn quantile(samples: &mut [f64], q: f64) -> Option<f64> {
-    if samples.is_empty() || samples.iter().any(|x| x.is_nan()) {
-        return None;
-    }
-    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-    samples.sort_by(f64::total_cmp);
-    let pos = q * (samples.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        Some(samples[lo])
-    } else {
-        let frac = pos - lo as f64;
-        Some(samples[lo] * (1.0 - frac) + samples[hi] * frac)
-    }
-}
-
-/// Geometric mean of strictly positive samples; `None` if empty or any
-/// sample is non-positive.
-pub fn geo_mean(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() || samples.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = samples.iter().map(|x| x.ln()).sum();
-    Some((log_sum / samples.len() as f64).exp())
-}
 
 // ---------------------------------------------------------------------------
 // Monotonic timebase
@@ -125,8 +27,8 @@ static MONO_ANCHOR: OnceLock<Instant> = OnceLock::new();
 /// Nanoseconds on a process-wide monotonic clock (anchored at first
 /// use). Every thread reads the same anchor, so a timestamp taken on a
 /// client thread can be subtracted on a server thread — the property
-/// the open-loop harness uses to split client-observed latency into
-/// queue wait and apply time.
+/// a `TimedGet` uses to split client-observed latency into queue wait
+/// and apply time.
 #[inline]
 pub fn mono_ns() -> u64 {
     let anchor = *MONO_ANCHOR.get_or_init(Instant::now);
@@ -311,13 +213,6 @@ impl HistogramSnapshot {
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Adds every count of `other` into `self`.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest rank, reported as the
@@ -592,63 +487,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_of_constant_sample() {
-        let s = Summary::of(&[5.0, 5.0, 5.0]).unwrap();
-        assert_eq!(s.mean, 5.0);
-        assert_eq!(s.stddev, 0.0);
-        assert_eq!(s.rsd(), 0.0);
-    }
-
-    #[test]
-    fn summary_basic() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.mean, 2.5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.stddev - 1.2909944487358056).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
-    }
-
-    #[test]
-    fn summary_of_durations_is_in_milliseconds() {
-        let s = Summary::of_durations_ms(&[
-            core::time::Duration::from_millis(2),
-            core::time::Duration::from_millis(4),
-        ])
-        .unwrap();
-        assert!((s.mean - 3.0).abs() < 1e-9);
-        assert!(Summary::of_durations_ms(&[]).is_none());
-    }
-
-    #[test]
-    fn quantiles() {
-        let mut v = vec![4.0, 1.0, 3.0, 2.0];
-        assert_eq!(quantile(&mut v, 0.0), Some(1.0));
-        assert_eq!(quantile(&mut v, 1.0), Some(4.0));
-        assert_eq!(quantile(&mut v, 0.5), Some(2.5));
-    }
-
-    #[test]
-    fn geo_mean_basic() {
-        let g = geo_mean(&[1.0, 100.0]).unwrap();
-        assert!((g - 10.0).abs() < 1e-9);
-        assert!(geo_mean(&[1.0, 0.0]).is_none());
-        assert!(geo_mean(&[]).is_none());
-    }
-
-    #[test]
-    fn quantile_with_nan_is_none_not_a_panic() {
-        let mut v = vec![1.0, f64::NAN, 3.0];
-        assert_eq!(quantile(&mut v, 0.5), None);
-        let mut ok = vec![1.0, 3.0];
-        assert_eq!(quantile(&mut ok, 0.5), Some(2.0));
-    }
-
-    #[test]
     fn bucket_index_is_monotone_and_matches_bounds() {
         // Every bucket's bounds contain exactly the values that map to
         // it; indices never decrease as values grow.
@@ -708,24 +546,21 @@ mod tests {
             for i in 0..n {
                 h.record(seed.wrapping_mul(i + 1) % 1_000_000);
             }
-            h.snapshot()
+            h
         };
         let (a, b, c) = (mk(3, 100), mk(7, 200), mk(11, 50));
+        let sum = |parts: &[&Histogram]| {
+            let h = Histogram::new();
+            parts.iter().for_each(|part| h.merge(part));
+            h
+        };
         // (a + b) + c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
+        let left = sum(&[&sum(&[&a, &b]), &c]);
         // a + (b + c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
+        let right = sum(&[&a, &sum(&[&b, &c])]);
+        assert_eq!(left.snapshot(), right.snapshot());
         // c + b + a
-        let mut rev = c.clone();
-        rev.merge(&b);
-        rev.merge(&a);
-        assert_eq!(left, rev);
+        assert_eq!(left.snapshot(), sum(&[&c, &b, &a]).snapshot());
         assert_eq!(left.count(), a.count() + b.count() + c.count());
     }
 

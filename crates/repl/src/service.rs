@@ -99,7 +99,9 @@ use ssync_mp::{ring_channel, Message, MsgReceiver, RingReceiver, RingSender};
 use ssync_srv::router::{key_bytes, shard_of, ShardRouter};
 use ssync_srv::service::{ring_mesh, KvClient, ReadHit, ServerEndpoint, ServiceClient};
 use ssync_srv::wire::{replay, Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
-use ssync_srv::{chase, Admit, Budget, Chase, Conn, Hooks, NoHooks, NodeCore, Poll, OP_BUDGET};
+use ssync_srv::{
+    batch_rounds, chase, Admit, Budget, Chase, Conn, Hooks, NoHooks, NodeCore, Poll, OP_BUDGET,
+};
 
 use crate::cluster::{ClusterMap, ShardView};
 use crate::fault::{FaultKind, FaultPlan, FaultSpec};
@@ -1483,28 +1485,17 @@ impl KvClient for ReplClient {
     /// [`WireError`] on the first undecodable or out-of-protocol
     /// reply, or when a chunk's retries exhaust the deadline.
     fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
-        let nshards = self.shards.len();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-        for (pos, &key) in keys.iter().enumerate() {
-            by_shard[shard_of(key, nshards)].push(pos);
-        }
         let many_nodes = self.map.nodes_per_shard() > 1;
         let chunk_size = if many_nodes { REPL_MGET_MAX } else { MGET_MAX };
         let mut results: Vec<ReadHit> = vec![None; keys.len()];
-        let rounds = by_shard
-            .iter()
-            .map(|positions| positions.len().div_ceil(chunk_size))
-            .max()
-            .unwrap_or(0);
-        for round in 0..rounds {
+        batch_rounds(keys, self.shards.len(), chunk_size, |chunks| {
             // Send phase: pipeline one chunk per shard. A chunk goes to
             // a live follower as a floor-guarded `ReplMultiGet`, or —
             // all followers dead, and small enough for one `MultiGet` —
             // to the leader; `None` marks a chunk not sent (leaderless,
             // oversized, or the target died under the send).
             let mut inflight = Vec::new();
-            for (shard, positions) in by_shard.iter().enumerate() {
-                let chunk = positions.chunks(chunk_size).nth(round).unwrap_or(&[]);
+            for (shard, &chunk) in chunks.iter().enumerate() {
                 if chunk.is_empty() {
                     continue;
                 }
@@ -1581,7 +1572,8 @@ impl KvClient for ReplClient {
             for (shard, positions) in deferred {
                 self.fetch_from_leader(shard, &positions, keys, &mut results)?;
             }
-        }
+            Ok(())
+        })?;
         Ok(results)
     }
 }
@@ -2059,11 +2051,7 @@ mod tests {
             for node in 0..2 {
                 let scrape = survivor.stats_of(0, node).unwrap();
                 assert_eq!(scrape.counter("srv.malformed"), Some(1), "node {node}");
-                assert_eq!(
-                    rude.conn(0, node).try_recv(),
-                    Ok(None),
-                    "no reply to a Stop"
-                );
+                assert_eq!(rude.conn(0, node).rx.try_recv(), None, "no reply to a Stop");
             }
             survivor.close();
         });

@@ -16,7 +16,10 @@
 //! [`Budget`] is spent. `ServiceClient` routes statically and never
 //! retries; `ssync-repl`'s `ReplClient` chases the shard leader and
 //! `ssync-cluster`'s `ClusterClient` the key's owner, each as a policy
-//! over this one loop.
+//! over this one loop. And the one batching step: [`batch_rounds`]
+//! groups a multi-get's keys by shard and cuts them into rounds of one
+//! chunk per shard, which `ServiceClient` and `ReplClient` each send
+//! and drain their own way.
 
 use core::cell::RefCell;
 use core::time::Duration;
@@ -24,6 +27,7 @@ use core::time::Duration;
 use ssync_core::RetryPacer;
 use ssync_mp::{Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
+use crate::router::shard_of;
 use crate::wire::{replay, Request, Response, WireError};
 
 /// One `(request sender, reply receiver)` pair to one server. The
@@ -75,17 +79,6 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
             .recv_connected()
             .map_err(|_| WireError::Disconnected)?;
         self.finish(head)
-    }
-
-    /// Non-blocking [`Conn::recv`]: `Ok(None)` when no reply head is
-    /// waiting. Only the head poll is non-blocking — a server writes a
-    /// reply's continuation frames back-to-back behind the head.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Conn::recv`].
-    pub fn try_recv(&self) -> Result<Option<Response>, WireError> {
-        self.rx.try_recv().map(|head| self.finish(head)).transpose()
     }
 
     /// One blocking round trip: [`Conn::send`], then [`Conn::recv`].
@@ -203,6 +196,41 @@ pub fn chase(
     }
 }
 
+/// The batching step of a client's `get_many`: groups the positions of
+/// `keys` by the shard each key routes to among `shards`, then calls
+/// `round` once per round with one chunk per shard, indexed by shard:
+/// that shard's next (at most) `chunk` positions, in input order, or
+/// none once its positions are spent. No round is empty, and an empty
+/// `keys` makes none.
+///
+/// # Errors
+///
+/// The first error `round` returns; no later round runs.
+pub fn batch_rounds(
+    keys: &[u64],
+    shards: usize,
+    chunk: usize,
+    mut round: impl FnMut(&[&[usize]]) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    for (pos, &key) in keys.iter().enumerate() {
+        by_shard[shard_of(key, shards)].push(pos);
+    }
+    let rounds = by_shard
+        .iter()
+        .map(|positions| positions.len().div_ceil(chunk))
+        .max()
+        .unwrap_or(0);
+    for r in 0..rounds {
+        let chunks: Vec<&[usize]> = by_shard
+            .iter()
+            .map(|positions| positions.chunks(chunk).nth(r).unwrap_or(&[]))
+            .collect();
+        round(&chunks)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,22 +310,5 @@ mod tests {
         let head = sent.next().expect("the head frame");
         let decoded = Request::decode(head, || sent.next().expect("a continuation"));
         assert_eq!(decoded, Ok(fits));
-    }
-
-    #[test]
-    fn try_recv_polls_the_head_only() {
-        let (req_tx, _req_rx) = ring_channel(8);
-        let (rep_tx, rep_rx) = ring_channel(8);
-        let conn = Conn::new(req_tx, rep_rx);
-        assert_eq!(conn.try_recv(), Ok(None));
-        let reply = Response::Value {
-            version: 9,
-            value: vec![7; 100],
-        };
-        for frame in reply.encode() {
-            rep_tx.send(frame);
-        }
-        assert_eq!(conn.try_recv(), Ok(Some(reply)));
-        assert_eq!(conn.try_recv(), Ok(None));
     }
 }

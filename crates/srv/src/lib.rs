@@ -15,20 +15,21 @@
 //!   on: hub polling, `Stop` accounting, the executor for the six data
 //!   operations with its two policy hooks, and the `Stats` scrape;
 //! * [`conn`] — the one disconnect-aware client connection every
-//!   client in the tree is built over, and the one deadline-bounded
-//!   retry loop ([`conn::chase`]) the replication and cluster clients
-//!   run their redirects through;
+//!   client in the tree is built over, the one deadline-bounded retry
+//!   loop ([`conn::chase`]) the replication and cluster clients run
+//!   their redirects through, and the one multi-get batching step
+//!   ([`conn::batch_rounds`]) every client's `get_many` cuts its
+//!   rounds with;
 //! * [`service`] — the channel mesh, the plain shard server and the
 //!   [`service::ServiceClient`] round-trip API over bounded rings,
 //!   with pipelined reads;
 //! * [`workload`] — a deterministic workload engine: seeded zipfian and
 //!   uniform key distributions, YCSB-style read/write mixes, value-size
-//!   distributions, and one pipelined load engine — closed-loop
-//!   unpaced, open-loop under Poisson arrivals whose latencies are
-//!   stamped from intended send times (coordinated-omission-free by
-//!   construction) — plus the client fan-out ([`workload::fan_out`])
-//!   and the one [`workload::Tally`] the replicated and cluster drivers
-//!   build on.
+//!   distributions, the sequential closed loop
+//!   ([`workload::drive_worker`]) and client fan-out
+//!   ([`workload::fan_out`]) every driver runs its workers through, the
+//!   one [`workload::Tally`] they report, and [`workload::run_load`],
+//!   the closed loop over the plain service.
 //!
 //! `workload`'s tests hold one closed-loop sweep — {1, 2, 4} shards ×
 //! skew × mix, batched and churn cases — to its issued counts and
@@ -65,12 +66,11 @@ pub mod service;
 pub mod wire;
 pub mod workload;
 
-pub use conn::{chase, Budget, Chase, Conn, OP_BUDGET};
+pub use conn::{batch_rounds, chase, Budget, Chase, Conn, OP_BUDGET};
 pub use node::{Admit, Hooks, NoHooks, NodeCore, Poll};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};
 pub use wire::{Request, Response, WireError, NO_LEADER};
 pub use workload::{
-    fan_out, run_load, KeyDist, LoadReport, LoadSpec, Mix, Op, OpStream, PoissonArrivals, Tally,
-    ValueSize, WorkloadSpec,
+    fan_out, run_load, KeyDist, LoadReport, Mix, Op, OpStream, Tally, ValueSize, WorkloadSpec,
 };

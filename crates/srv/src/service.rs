@@ -17,24 +17,24 @@
 //! code outside the workspace members names them with explicit halves;
 //! nothing in the tree instantiates them on anything but rings.
 //!
-//! Flow control: a pipelining client keeps at most `window` one-frame
-//! read requests outstanding per shard, with `window` at most the ring
-//! depth — its request sends therefore never block, so the only
-//! blocking edges run server→client (reply rings), and the one client
-//! of a full reply ring is by construction draining it. The blocking
-//! calls hold the same discipline at any depth, down to 1: a client
-//! has at most one request outstanding per shard
-//! (its [`KvClient::get_many`] exploits exactly that — one multi-get
-//! per shard in flight, replies drained shard by shard), and a server
-//! finishes every reply frame of a request before polling for the
-//! next, so the system cannot deadlock on full buffers.
+//! Flow control: a pipelining client keeps at most the ring depth of
+//! one-frame read requests outstanding per shard — its request sends
+//! therefore never block, so the only blocking edges run server→client
+//! (reply rings), and the one client of a full reply ring is by
+//! construction draining it. The blocking calls hold the same
+//! discipline at any depth, down to 1: a client has at most one
+//! request outstanding per shard (its [`KvClient::get_many`] exploits
+//! exactly that — one multi-get per shard in flight, replies drained
+//! shard by shard), and a server finishes every reply frame of a
+//! request before polling for the next, so the system cannot deadlock
+//! on full buffers.
 
 use ssync_core::stats::RegistrySnapshot;
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
-use crate::conn::Conn;
+use crate::conn::{batch_rounds, Conn};
 use crate::node::{NoHooks, NodeCore, Poll};
 use crate::router::shard_of;
 pub use crate::wire::ReadHit;
@@ -220,8 +220,7 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     ///
     /// Pipelining discipline: keep the number of unread replies per
     /// shard at or below the transport's queue depth, so these sends
-    /// can never block on a full request channel while replies wait —
-    /// the workload driver's window enforces this.
+    /// can never block on a full request channel while replies wait.
     pub fn send_get(&self, key: u64) -> usize {
         self.fire(key, &Request::Get { key })
     }
@@ -252,20 +251,6 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     /// or the server rejected the request as malformed.
     pub fn read_get_reply(&self, shard: usize) -> Result<ReadHit, WireError> {
         self.shards[shard].recv()?.into_read("Get")
-    }
-
-    /// Non-blocking [`ServiceClient::read_get_reply`]: `Ok(None)` when
-    /// no reply head is waiting in the ring. The open-loop driver uses
-    /// this to drain completions while waiting out an arrival gap.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ServiceClient::read_get_reply`].
-    pub fn try_read_get_reply(&self, shard: usize) -> Result<Option<ReadHit>, WireError> {
-        self.shards[shard]
-            .try_recv()?
-            .map(|response| response.into_read("Get"))
-            .transpose()
     }
 
     /// Scrapes server `shard`'s live metrics — histograms, node and
@@ -304,37 +289,24 @@ impl<S: MsgSender, C: MsgReceiver> KvClient for ServiceClient<S, C> {
     ///
     /// [`WireError`] on the first undecodable or out-of-protocol reply.
     fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
-        let shards = self.shards.len();
-        // Input positions grouped by shard, then chunked into rounds.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (pos, &key) in keys.iter().enumerate() {
-            by_shard[shard_of(key, shards)].push(pos);
-        }
         let mut results: Vec<ReadHit> = vec![None; keys.len()];
-        let rounds = by_shard
-            .iter()
-            .map(|p| p.len().div_ceil(MGET_MAX))
-            .max()
-            .unwrap_or(0);
-        for round in 0..rounds {
+        batch_rounds(keys, self.shards.len(), MGET_MAX, |chunks| {
             // Phase 1: one head frame per shard — never blocks past the
             // servers' current request, so no send/recv cycle forms.
-            let mut sent: Vec<&[usize]> = Vec::with_capacity(shards);
-            for (conn, positions) in self.shards.iter().zip(&by_shard) {
-                let chunk = positions.chunks(MGET_MAX).nth(round).unwrap_or(&[]);
+            for (conn, chunk) in self.shards.iter().zip(chunks) {
                 if !chunk.is_empty() {
                     let batch: Vec<u64> = chunk.iter().map(|&p| keys[p]).collect();
                     conn.send(&Request::MultiGet { keys: batch })?;
                 }
-                sent.push(chunk);
             }
             // Phase 2: drain every shard's replies, in key order.
-            for (conn, chunk) in self.shards.iter().zip(sent) {
-                for &pos in chunk {
+            for (conn, chunk) in self.shards.iter().zip(chunks) {
+                for &pos in *chunk {
                     results[pos] = conn.recv()?.into_read("MultiGet")?;
                 }
             }
-        }
+            Ok(())
+        })?;
         Ok(results)
     }
 }
@@ -577,13 +549,7 @@ mod tests {
                 // The timed read path feeds the server-side latency
                 // split histograms.
                 let shard = prober.send_get_timed(5, mono_ns());
-                loop {
-                    match prober.try_read_get_reply(shard) {
-                        Ok(None) => std::hint::spin_loop(),
-                        Ok(Some(_)) => break,
-                        Err(e) => panic!("timed read failed: {e:?}"),
-                    }
-                }
+                prober.read_get_reply(shard).expect("timed read failed");
                 let snap = prober.stats(0).unwrap();
                 for name in ["srv.queue_wait_ns", "srv.apply_ns"] {
                     let hist = snap.hist(name).expect("split histogram registered");
@@ -699,7 +665,7 @@ mod tests {
             let snap = survivor.stats(0).unwrap();
             assert_eq!(snap.counter("srv.malformed"), Some(1));
             // The repeated Stop was not answered.
-            assert_eq!(rude.conn(0).try_recv(), Ok(None));
+            assert_eq!(rude.conn(0).rx.try_recv(), None);
             survivor.close();
             server.join().unwrap()
         });

@@ -271,7 +271,7 @@ pub enum Request {
     /// answers exactly like a `Get`, but first records
     /// `now - stamp` into its queue-wait histogram and times the
     /// lookup into its apply histogram — the per-op server-side split
-    /// the open-loop harness uses to attribute tail cost.
+    /// a load generator uses to attribute tail cost.
     TimedGet {
         /// The key.
         key: u64,

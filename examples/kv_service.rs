@@ -8,7 +8,7 @@
 use ssync::locks::{McsLock, TicketLock};
 use ssync::srv::router::ShardRouter;
 use ssync::srv::service::{ring_mesh, serve, KvClient};
-use ssync::srv::workload::{run_load, KeyDist, LoadSpec, Mix, ValueSize, WorkloadSpec};
+use ssync::srv::workload::{run_load, KeyDist, Mix, ValueSize, WorkloadSpec};
 
 fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix) {
     let router: ShardRouter<R> = ShardRouter::new(4, 256, 16);
@@ -20,19 +20,10 @@ fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix) {
         batch: 1,
         seed: 7,
     };
+    // The closed loop: each worker waits for every reply before it
+    // issues its next op.
     let workers = ssync::core::cores::test_threads(4);
-    // The closed loop (no offered rate): one connection per worker,
-    // rings of 64 slots, up to 16 plain reads in flight per shard.
-    let spec = LoadSpec {
-        workload,
-        workers,
-        connections: workers,
-        ops_per_worker: 2_000,
-        offered_ops_per_sec: None,
-        depth: 64,
-        window: 16,
-    };
-    let report = run_load(&router, &spec);
+    let report = run_load(&router, &workload, workers, 2_000);
     println!(
         "{name:>8} {:>7}: {:>8.0} ops/s, hit rate {:>5.1}%, {} maintenance passes",
         mix.name,
@@ -75,7 +66,7 @@ fn main() {
     });
 
     // Then the workload engine over two lock algorithms: the rings
-    // pipeline reads and amortize scheduler handoffs, and the stores
+    // amortize scheduler handoffs over a reply's frames, and the stores
     // answer reads optimistically, falling back to the stripe lock.
     println!("\nclosed-loop YCSB over 4 shards, zipf 0.99:");
     bench::<TicketLock>("TICKET", Mix::YCSB_B);

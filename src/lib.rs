@@ -15,7 +15,8 @@
 //! * [`srv`] (`ssync-srv`) — the sharded KV *service*: shard routing over
 //!   `ssync-kv` stores, a request/response protocol over `ssync-mp`
 //!   channels, and a deterministic workload engine (zipfian skew, YCSB
-//!   mixes) for driving it under load.
+//!   mixes) whose closed loop drives every serving stack in the tests
+//!   and examples.
 //! * [`repl`] (`ssync-repl`) — per-shard primary/backup replication over
 //!   the service: op-log streaming, sync/async acknowledgement, replica
 //!   reads with freshness floors, and deterministic fault injection.

@@ -14,7 +14,7 @@ use ssync::locks::{AnyLock, HticketLock, Lock, LockKind, McsLock, RawLock, Ticke
 use ssync::mp::channel::channel;
 use ssync::srv::router::ShardRouter;
 use ssync::srv::service::{ring_mesh, serve, KvClient};
-use ssync::srv::workload::{run_load, KeyDist, LoadSpec, Mix, ValueSize, WorkloadSpec};
+use ssync::srv::workload::{run_load, KeyDist, Mix, ValueSize, WorkloadSpec};
 use ssync::tm::shared::TmHeap;
 
 #[test]
@@ -238,26 +238,28 @@ fn sharded_service_runs_on_rings_with_pipelined_reads() {
 }
 
 #[test]
-fn window_is_not_a_semantics_knob() {
-    // The pipelining window is a performance knob, not a semantics
-    // knob: on a delete-free mix, window 1 (strict request/reply) and
-    // window 8 observe identical hit tallies and store-side set
-    // counts, for the same deterministic op stream.
+fn one_worker_closed_loop_replays_store_contents() {
+    // One worker on a delete-free mix with CAS: nothing interleaves
+    // with its ops, so two runs against fresh routers observe the same
+    // tally and leave each shard with the same contents, versions
+    // included — the store's history, not just its op counts, replays.
     let spec = WorkloadSpec {
-        keys: 96,
+        keys: 128,
         dist: KeyDist::Zipfian { theta: 0.99 },
-        mix: Mix::YCSB_B,
+        mix: Mix::new("rmw", 50, 30, 20, 0),
         vsize: ValueSize::Uniform { min: 8, max: 96 },
         batch: 1,
         seed: 7,
     };
-    let workers = test_threads(2);
-    let a: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-    let serial = run_load(&a, &closed_loop(spec, workers, 250, 1));
-    let b: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-    let piped = run_load(&b, &closed_loop(spec, workers, 250, 8));
-    assert_eq!(serial.tally, piped.tally);
-    assert_eq!(serial.store.sets, piped.store.sets);
+    let run = || {
+        let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
+        let report = run_load(&router, &spec, 1, 600);
+        let contents: Vec<_> = (0..2).map(|shard| router.shard(shard).dump()).collect();
+        (report.tally, contents)
+    };
+    let (tally, contents) = run();
+    assert!(tally.issued.cas > 0 && tally.cas_ok == tally.issued.cas);
+    assert_eq!(run(), (tally, contents));
 }
 
 #[test]
@@ -275,25 +277,9 @@ fn closed_loop_workload_is_deterministic_in_op_counts() {
     };
     let run = || {
         let router: ShardRouter<TicketLock> = ShardRouter::new(2, 64, 8);
-        run_load(&router, &closed_loop(spec, 2, 300, 8))
-            .tally
-            .issued
+        run_load(&router, &spec, 2, 300).tally.issued
     };
     assert_eq!(run(), run());
-}
-
-/// The load engine's closed loop: one connection per worker, rings of
-/// 32 slots, no offered rate.
-fn closed_loop(workload: WorkloadSpec, workers: usize, ops: u64, window: usize) -> LoadSpec {
-    LoadSpec {
-        workload,
-        workers,
-        connections: workers,
-        ops_per_worker: ops,
-        offered_ops_per_sec: None,
-        depth: 32,
-        window,
-    }
 }
 
 #[test]
