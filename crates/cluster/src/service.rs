@@ -1,9 +1,9 @@
 //! Cluster node servers and the map-following client.
 //!
 //! One [`serve_cluster_node`] thread per shard, over the ring
-//! transport. The request path — polling, decoding, executing,
-//! replying, scraping — is `ssync-srv`'s shared [`NodeCore`]; what this
-//! module owns is what elastic routing adds to it:
+//! transport. The node loop — polling, decoding, executing, replying,
+//! scraping, pacing — is `ssync-srv`'s [`NodeCore`]; what this module
+//! owns is the one node struct whose hooks add elastic routing to it:
 //!
 //! * **The slot fence** ([`slot_fence`], the node's `admit` hook) —
 //!   every key is routed against the live [`ShardMap`] before
@@ -20,7 +20,7 @@
 //!   however long the node serves.
 //! * **The freeze protocol** — writes to slots frozen for a
 //!   migration's final drain are *deferred* (parked in the node, the
-//!   client blocked on its reply) and re-submitted each loop pass:
+//!   client blocked on its reply) and re-submitted each turn:
 //!   after an aborted migration they execute here; after a cutover
 //!   the node no longer owns them and they bounce to the new owner.
 //!   Reads keep being served throughout — the freeze window is
@@ -47,19 +47,20 @@
 //! the old owner after the final delta was read.
 
 use core::cell::{Cell, RefCell};
+use core::ops::ControlFlow;
 
 use bytes::Bytes;
 
 use ssync_core::{Fence, RegistrySnapshot};
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
-use ssync_mp::{ring_channel, RingReceiver, RingSender};
+use ssync_mp::{ring_channel, Message, RingReceiver, RingSender};
 use ssync_repl::{EntryView, LogEntry, OpLog};
-use ssync_srv::service::{ring_mesh, ReadHit, ServerEndpoint};
-use ssync_srv::wire::{replay, Request, Response, WireError};
+use ssync_srv::service::{ring_mesh, ReadHit, ServeReport, ServerEndpoint};
+use ssync_srv::wire::{Request, Response, WireError};
 use ssync_srv::{
-    chase, slot_of, Admit, Budget, Chase, Conn, Hooks, KvClient, NodeCore, Poll, ServiceClient,
-    OP_BUDGET,
+    chase, slot_of, try_recv_request, Admit, Budget, Chase, Conn, Hooks, KvClient, NodeCore,
+    ServiceClient, Turn, OP_BUDGET,
 };
 
 use crate::map::{is_armed, MapSnapshot, ShardMap};
@@ -162,13 +163,15 @@ pub fn follow_log_arming(map: &ShardMap, me: usize, log: &OpLog, seen: &mut Fenc
     })
 }
 
-/// The node's policy state: the fence's inputs, the op-log its
-/// committed writes go to while armed, and the counters the two hooks
-/// maintain.
-struct SlotPolicy<'a> {
+/// One cluster node, as the [`Hooks`] of the one node loop.
+struct ClusterNode<'a, R: RawLock + Default> {
     me: usize,
+    store: &'a KvStore<R>,
     map: &'a ShardMap,
     log: &'a OpLog,
+    migration: RingReceiver,
+    /// A migration entry's continuation frames, taken as one burst.
+    frames: Vec<Message>,
     /// The arming generation this node last acknowledged
     /// ([`follow_log_arming`]); armed = log every committed write.
     log_generation: Fence,
@@ -177,14 +180,16 @@ struct SlotPolicy<'a> {
     /// the coordinator's final delta has to reach the log's end, not
     /// the store's.
     last_logged: u64,
-    bounced: u64,
+    /// The quiesce round this node last acknowledged.
+    acked_round: Fence,
+    report: NodeReport,
 }
 
-impl Hooks for SlotPolicy<'_> {
+impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
     fn admit(&mut self, key: u64, is_write: bool) -> Admit {
         let verdict = slot_fence(self.map, self.me, key, is_write);
         if matches!(verdict, Admit::Refuse(_)) {
-            self.bounced += 1;
+            self.report.wrong_shard_redirects += 1;
         }
         verdict
     }
@@ -201,11 +206,69 @@ impl Hooks for SlotPolicy<'_> {
             self.last_logged = version;
         }
     }
+
+    /// The arming handshake, the quiesce handshake and the migration
+    /// stream's drain, in that order; the core then re-submits the
+    /// writes a freeze parked — an aborted migration unfreezes them, a
+    /// completed one bounces them to the new owner.
+    fn before_poll(&mut self, counts: &mut ServeReport) -> ControlFlow<Turn, bool> {
+        let (map, me) = (self.map, self.me);
+        // Arming handshake, before anything this turn can commit.
+        let mut progressed = follow_log_arming(map, me, self.log, &mut self.log_generation);
+        if progressed {
+            self.last_logged = 0;
+        }
+        // Quiesce handshake: reading the round first (Acquire) is what
+        // guarantees the freeze bits of that round are visible, and —
+        // by per-object coherence on the single-threaded node — every
+        // later mask load this turn and beyond still sees them, so no
+        // frozen-slot write can slip through after this ack.
+        let last_logged = self.last_logged;
+        progressed |= map.quiesce.follow(me, &mut self.acked_round, |_| {
+            let mine = owned_mask(map, me);
+            (map.frozen() & mine != 0).then_some(last_logged)
+        });
+        // Drain the migration stream.
+        while let Some(request) = try_recv_request(&self.migration, &mut self.frames) {
+            progressed = true;
+            if request == Err(WireError::Disconnected) {
+                // The coordinator died mid-entry: nothing to apply, and
+                // nothing to count as migrated.
+                counts.malformed += 1;
+                break;
+            }
+            if let Some(entry) = request.as_ref().ok().and_then(EntryView::of) {
+                entry.apply_to(self.store);
+            } else {
+                counts.malformed += 1;
+            }
+            self.report.migration_entries += 1;
+            map.publish_migrated(me, self.report.migration_entries);
+        }
+        ControlFlow::Continue(progressed)
+    }
+
+    fn deferred(&mut self) {
+        self.report.migration_ops_deferred += 1;
+    }
+
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        let report = &self.report;
+        vec![
+            ("node.wrong_shard_redirects", report.wrong_shard_redirects),
+            ("node.migration_ops_deferred", report.migration_ops_deferred),
+            ("node.migration_entries", report.migration_entries),
+            ("node.oplog_entries", self.log.len() as u64),
+            ("node.oplog_armed", is_armed(self.log_generation).into()),
+        ]
+    }
 }
 
-/// Runs one cluster node: serve clients, drain the migration stream,
-/// and follow both migration handshakes, until every client sent
-/// [`Request::Stop`]. Returns once the last client stops.
+/// Runs one cluster node on the one node loop ([`NodeCore::run`]): each
+/// turn follows both migration handshakes and drains the migration
+/// stream before the core re-submits parked writes and polls the
+/// clients. Returns once every client has sent [`Request::Stop`] (or
+/// gone away).
 pub fn serve_cluster_node<R: RawLock + Default>(
     me: usize,
     store: &KvStore<R>,
@@ -214,97 +277,24 @@ pub fn serve_cluster_node<R: RawLock + Default>(
     endpoint: ClusterNodeEndpoint,
 ) -> NodeReport {
     let ClusterNodeEndpoint { clients, migration } = endpoint;
-    let mut core = NodeCore::new(clients);
-    let mut policy = SlotPolicy {
+    let mut node = ClusterNode {
         me,
+        store,
         map,
         log,
+        migration,
+        frames: Vec::new(),
         log_generation: Fence::default(),
         last_logged: 0,
-        bounced: 0,
+        acked_round: Fence::default(),
+        report: NodeReport::default(),
     };
-    let mut deferred: Vec<(usize, Request)> = Vec::new();
-    let mut ops_deferred = 0u64;
-    // The quiesce round this node last acknowledged.
-    let mut acked_round = Fence::default();
-    // Cumulative migration-stream entries processed.
-    let mut mig_processed = 0u64;
-    // A migration entry's continuation frames, taken as one burst.
-    let mut frames = Vec::new();
-    while core.live() > 0 {
-        // Arming handshake, before anything this pass can commit.
-        let mut progressed = follow_log_arming(map, me, log, &mut policy.log_generation);
-        if progressed {
-            policy.last_logged = 0;
-        }
-        // Quiesce handshake: reading the round first (Acquire) is what
-        // guarantees the freeze bits of that round are visible, and —
-        // by per-object coherence on the single-threaded node — every
-        // later mask load this pass and beyond still sees them, so no
-        // frozen-slot write can slip through after this ack.
-        progressed |= map.quiesce.follow(me, &mut acked_round, |_| {
-            let mine = owned_mask(map, me);
-            (map.frozen() & mine != 0).then_some(policy.last_logged)
-        });
-        // Drain the migration stream.
-        while let Some(head) = migration.try_recv() {
-            progressed = true;
-            let more = Request::continuations(&head);
-            if migration.recv_burst_connected(more, &mut frames).is_err() {
-                // The coordinator died mid-entry: nothing to apply, and
-                // nothing to count as migrated.
-                core.counts.malformed += 1;
-                break;
-            }
-            let request = Request::decode(head, replay(&frames));
-            match request.as_ref().ok().and_then(EntryView::of) {
-                Some(entry) => {
-                    entry.apply_to(store);
-                }
-                None => core.counts.malformed += 1,
-            }
-            mig_processed += 1;
-            map.publish_migrated(me, mig_processed);
-        }
-        // Re-submit parked writes: an aborted migration unfreezes
-        // them here, a completed one bounces them to the new owner.
-        for (client, request) in std::mem::take(&mut deferred) {
-            match core.serve(store, &mut policy, client, request) {
-                Some(request) => deferred.push((client, request)),
-                None => progressed = true,
-            }
-        }
-        // Poll the clients once.
-        let polled = core.poll();
-        progressed |= !matches!(polled, Poll::Idle);
-        match polled {
-            Poll::Idle | Poll::Consumed => {}
-            Poll::Scrape(client) => {
-                let node = [
-                    ("node.wrong_shard_redirects", policy.bounced),
-                    ("node.migration_ops_deferred", ops_deferred),
-                    ("node.migration_entries", mig_processed),
-                    ("node.oplog_entries", log.len() as u64),
-                    ("node.oplog_armed", is_armed(policy.log_generation).into()),
-                ];
-                core.reply_stats(client, store, &node);
-            }
-            Poll::Request(client, request) => {
-                if let Some(request) = core.serve(store, &mut policy, client, request) {
-                    ops_deferred += 1;
-                    deferred.push((client, request));
-                }
-            }
-        }
-        core.pace(store, progressed);
-    }
+    let counts = NodeCore::new(clients).run(store, &mut node);
     NodeReport {
-        requests: core.counts.requests,
-        key_ops: core.counts.key_ops,
-        malformed: core.counts.malformed,
-        wrong_shard_redirects: policy.bounced,
-        migration_ops_deferred: ops_deferred,
-        migration_entries: mig_processed,
+        requests: counts.requests,
+        key_ops: counts.key_ops,
+        malformed: counts.malformed,
+        ..node.report
     }
 }
 
@@ -581,6 +571,53 @@ mod tests {
             assert!(client.get(1).unwrap().is_some());
             client.close();
         });
+        // One counter list feeds both outputs: after a cutover's
+        // redirects and a migration stream's entries, each node's last
+        // scrape reads the `node.*` values of the report it returns.
+        let map = ShardMap::new(1);
+        let (stores, logs) = (self::stores(2), self::logs(2));
+        let (endpoints, mut conns, mig) = cluster_mesh(2, 1, 16, 16);
+        let (scrapes, reports): (Vec<_>, Vec<_>) = std::thread::scope(|s| {
+            let nodes: Vec<_> = (endpoints.into_iter().enumerate())
+                .map(|(shard, endpoint)| {
+                    let (store, log, map) = (&stores[shard], &logs[shard], &map);
+                    s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint))
+                })
+                .collect();
+            let client = ClusterClient::new(&map, conns.pop().unwrap());
+            let next: Vec<usize> = (0..ssync_srv::ROUTE_SLOTS).map(|s| s % 2).collect();
+            map.stage(&next);
+            map.try_cutover(map.view(), 2).unwrap();
+            for key in 0..32 {
+                client.set(key, vec![3]).unwrap();
+            }
+            let mut frames = Vec::new();
+            for version in [1, 2] {
+                ssync_srv::wire::encode_replicate(1_000 + version, version, b"m", &mut frames);
+                mig[1].send_all_connected(&frames).unwrap();
+            }
+            while map.migrated_of(1) < 2 {
+                std::thread::yield_now();
+            }
+            let scrapes = (0..2).map(|n| client.stats(n).unwrap()).collect();
+            client.close();
+            (
+                scrapes,
+                nodes.into_iter().map(|n| n.join().unwrap()).collect(),
+            )
+        });
+        for (scrape, r) in scrapes.iter().zip(&reports) {
+            let fields = [
+                ("node.wrong_shard_redirects", r.wrong_shard_redirects),
+                ("node.migration_ops_deferred", r.migration_ops_deferred),
+                ("node.migration_entries", r.migration_entries),
+            ];
+            for (name, value) in fields {
+                assert_eq!(scrape.counter(name), Some(value), "{name}");
+            }
+        }
+        assert!(reports[0].wrong_shard_redirects > 0);
+        assert_eq!(reports[1].migration_entries, 2);
     }
 
     #[test]

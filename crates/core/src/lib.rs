@@ -17,7 +17,7 @@
 //!   (Table 1): core counts, socket/die structure, hop distances, memory
 //!   nodes, and the thread-placement policies of Sections 5.4 and 6.
 //! * [`stats`] — the observability layer: the log-bucketed
-//!   [`Histogram`], the named-metric [`Registry`] serving loops register
+//!   [`Histogram`], the named-histogram [`Registry`] serving loops register
 //!   into, and the [`mono_ns`] timebase client send stamps share.
 //! * [`cores`] — host core-count probes, so native stress tests scale to
 //!   the machine instead of failing on small ones.
@@ -40,7 +40,7 @@ pub use epoch::{EpochBags, EpochDomain, PinGuard};
 pub use fenced::{Fence, Fenced, FencedWord};
 pub use handshake::Handshake;
 pub use pad::CachePadded;
-pub use stats::{mono_ns, Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
+pub use stats::{mono_ns, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 pub use topology::{DistClass, Platform, Topology};
 
 /// The cache-line size assumed throughout the workspace, in bytes.

@@ -5,8 +5,10 @@
 //!   sub-buckets, so `record(ns)` is one index computation plus one
 //!   `Relaxed` counter increment and any quantile read is within
 //!   [`HIST_MAX_REL_ERROR`] of the true sample quantile.
-//! * [`Registry`] — named counters and histograms a node exposes for
-//!   live scraping over the `Stats` wire op.
+//! * [`Registry`] — the named histograms a node exposes for live
+//!   scraping over the `Stats` wire op, and [`RegistrySnapshot`], the
+//!   scrape itself: those histograms plus the named counters the node
+//!   adds when asked.
 //! * [`mono_ns`] — a process-wide monotonic nanosecond clock, the
 //!   timebase client-side send stamps and server-side queue-wait
 //!   splits share.
@@ -245,53 +247,14 @@ impl HistogramSnapshot {
 // Named-metric registry
 // ---------------------------------------------------------------------------
 
-/// A padded `Relaxed` event counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    v: CachePadded<AtomicU64>,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub const fn new() -> Self {
-        Self {
-            v: CachePadded::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.v.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if n != 0 {
-            self.v.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
-
-/// A node's named metrics: counters and histograms, registered once at
-/// startup (get-or-create under a mutex) and updated lock-free through
-/// the returned [`Arc`] handles. [`Registry::snapshot`] is what the
-/// `Stats` wire op serializes.
+/// A node's named histograms, registered once at startup (get-or-create
+/// under a mutex) and updated lock-free through the returned [`Arc`]
+/// handles. [`Registry::snapshot`] copies them into the
+/// [`RegistrySnapshot`] the `Stats` wire op serializes; the snapshot's
+/// counters are plain values the scraped node adds when asked.
 #[derive(Default)]
 pub struct Registry {
-    inner: Mutex<RegistryInner>,
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    counters: Vec<(String, Arc<Counter>)>,
-    hists: Vec<(String, Arc<Histogram>)>,
+    hists: Mutex<Vec<(String, Arc<Histogram>)>>,
 }
 
 impl Registry {
@@ -300,23 +263,11 @@ impl Registry {
         Self::default()
     }
 
-    fn locked(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
+    fn locked(&self) -> std::sync::MutexGuard<'_, Vec<(String, Arc<Histogram>)>> {
         // Registration and scraping never panic while holding the
         // lock, but a poisoned mutex should not take the metrics path
         // down with it.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The counter named `name`, created on first use. Registration
-    /// order is snapshot order.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut inner = self.locked();
-        if let Some((_, c)) = inner.counters.iter().find(|(n, _)| n == name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::new());
-        inner.counters.push((name.to_string(), Arc::clone(&c)));
-        c
+        self.hists.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The histogram named `name`, created on first use.
@@ -327,30 +278,26 @@ impl Registry {
     /// [`SNAPSHOT_MAX_HISTS`]`+1`th histogram: a snapshot of it could
     /// not be decoded.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut inner = self.locked();
-        if let Some((_, h)) = inner.hists.iter().find(|(n, _)| n == name) {
+        let mut hists = self.locked();
+        if let Some((_, h)) = hists.iter().find(|(n, _)| n == name) {
             return Arc::clone(h);
         }
         assert!(
-            inner.hists.len() < SNAPSHOT_MAX_HISTS,
+            hists.len() < SNAPSHOT_MAX_HISTS,
             "a registry holds at most {SNAPSHOT_MAX_HISTS} histograms"
         );
         let h = Arc::new(Histogram::new());
-        inner.hists.push((name.to_string(), Arc::clone(&h)));
+        hists.push((name.to_string(), Arc::clone(&h)));
         h
     }
 
-    /// A point-in-time copy of every registered metric.
+    /// A point-in-time copy of every registered histogram, with no
+    /// counters.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let inner = self.locked();
+        let hists = self.locked();
         RegistrySnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(n, c)| (n.clone(), c.get()))
-                .collect(),
-            hists: inner
-                .hists
+            counters: Vec::new(),
+            hists: hists
                 .iter()
                 .map(|(n, h)| (n.clone(), h.snapshot()))
                 .collect(),
@@ -573,23 +520,24 @@ mod tests {
     #[test]
     fn registry_snapshot_roundtrips_through_bytes() {
         let reg = Registry::new();
-        let reqs = reg.counter("srv.requests");
-        reqs.add(42);
-        reg.counter("srv.malformed"); // zero-valued counters survive
         let lat = reg.histogram("srv.apply_ns");
         for v in [3u64, 900, 70_000, 70_001, u64::MAX] {
             lat.record(v);
         }
-        let snap = reg.snapshot();
+        let mut snap = reg.snapshot();
+        snap.counters.push(("srv.requests".into(), 42));
+        snap.counters.push(("srv.malformed".into(), 0)); // zero-valued counters survive
+        snap.counters.push(("store.sets".into(), u64::MAX));
         let bytes = snap.to_bytes();
         let back = RegistrySnapshot::from_bytes(&bytes).expect("roundtrip");
         assert_eq!(back, snap);
         assert_eq!(back.counter("srv.requests"), Some(42));
         assert_eq!(back.counter("srv.malformed"), Some(0));
+        assert_eq!(back.counter("store.sets"), Some(u64::MAX));
         assert_eq!(back.hist("srv.apply_ns").unwrap().count(), 5);
         // Same handle on re-registration.
-        reg.counter("srv.requests").inc();
-        assert_eq!(reg.snapshot().counter("srv.requests"), Some(43));
+        reg.histogram("srv.apply_ns").record(1);
+        assert_eq!(reg.snapshot().hist("srv.apply_ns").unwrap().count(), 6);
     }
 
     #[test]

@@ -1475,14 +1475,6 @@ impl<R: RawLock + Default> KvStore<R> {
         store
     }
 
-    /// The store's epoch domain. Service loops use this to pin around
-    /// compound read sequences or to hold a registration open; plain
-    /// `get`/`multi_get` callers never need it — the read path pins by
-    /// itself.
-    pub fn epoch_domain(&self) -> &Arc<EpochDomain> {
-        &self.epoch
-    }
-
     /// Statistics counters.
     pub fn stats(&self) -> &Stats {
         &self.stats

@@ -7,8 +7,6 @@
 //! hub is generic over the channel flavour — the one-line
 //! [`Receiver`] or the ring's [`crate::ring::RingReceiver`].
 
-use std::time::Instant;
-
 use ssync_core::SpinWait;
 
 use crate::channel::{Message, Receiver, Sender};
@@ -20,8 +18,6 @@ pub enum RecvError {
     /// The sending half was dropped and the channel is fully drained:
     /// no message will ever arrive.
     Disconnected,
-    /// The deadline passed with the sender still alive but silent.
-    TimedOut,
 }
 
 /// The receiving half's peer was dropped (connection-aware sends).
@@ -97,30 +93,6 @@ pub trait MsgReceiver {
             out.push(self.recv_connected()?);
         }
         Ok(())
-    }
-
-    /// [`MsgReceiver::recv_connected`] with a wall-clock deadline: also
-    /// fails with [`RecvError::TimedOut`] once `deadline` passes, so a
-    /// caller never blocks unboundedly even on a live-but-wedged peer.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Disconnected`] on a dropped, drained sender;
-    /// [`RecvError::TimedOut`] past the deadline.
-    fn recv_connected_by(&self, deadline: Instant) -> Result<Message, RecvError> {
-        let mut wait = SpinWait::new();
-        loop {
-            if let Some(m) = self.try_recv() {
-                return Ok(m);
-            }
-            if self.sender_closed() {
-                return self.try_recv().ok_or(RecvError::Disconnected);
-            }
-            if Instant::now() >= deadline {
-                return self.try_recv().ok_or(RecvError::TimedOut);
-            }
-            wait.snooze();
-        }
     }
 }
 
@@ -563,20 +535,6 @@ mod tests {
         assert_eq!(hub.try_recv_from_any(), Some((0, [1; 7])));
         assert_eq!(line_hub.try_recv_from_any(), Some((0, [2; 7])));
         assert!(hub.departed(0) && line_hub.departed(0));
-    }
-
-    #[test]
-    fn recv_connected_by_times_out_on_a_silent_live_sender() {
-        let (tx, rx) = channel();
-        let deadline = Instant::now() + std::time::Duration::from_millis(5);
-        assert_eq!(
-            MsgReceiver::recv_connected_by(&rx, deadline),
-            Err(RecvError::TimedOut)
-        );
-        // Sender still alive and usable afterwards.
-        tx.send([8; 7]);
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        assert_eq!(MsgReceiver::recv_connected_by(&rx, deadline), Ok([8; 7]));
     }
 
     #[test]

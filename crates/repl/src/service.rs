@@ -1,14 +1,15 @@
 //! Primary/backup replication over the `ssync-srv` service, with
 //! term-fenced failover.
 //!
-//! The client-request path of a node — polling, decoding, executing,
-//! replying, scraping — is `ssync-srv`'s shared [`NodeCore`], and a
+//! A node runs `ssync-srv`'s one node loop ([`NodeCore::run`]) —
+//! polling, decoding, executing, replying, scraping, pacing — and a
 //! client connection is its [`Conn`]. What this module owns is the
-//! replication policy around them: role and term maintenance, the
+//! replication policy the loop runs, one private node struct: role and
+//! term maintenance and the peer streams before each poll, the
 //! follower's transitions (the private `Follower`, which touches no
-//! ring), the per-request not-leader bounce, floor-guarded replica
-//! reads, the leader's `Replicator` (the core's `committed` hook), and
-//! the client's leader-chasing retries.
+//! ring), the per-request not-leader bounce and floor-guarded replica
+//! reads in front of the executor, the leader's replication of every
+//! committed write, and the client's leader-chasing retries.
 //!
 //! Each shard is a *replication group* of N = R + 1 symmetric **nodes**
 //! (threads), each owning a full `KvStore` copy. At any instant exactly
@@ -87,6 +88,7 @@
 //! a *death*, not a withheld ack.
 
 use std::cell::Cell;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,10 +99,12 @@ use ssync_kv::{KvStore, StatsSnapshot};
 use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, Message, MsgReceiver, RingReceiver, RingSender};
 use ssync_srv::router::{key_bytes, shard_of, ShardRouter};
-use ssync_srv::service::{ring_mesh, KvClient, ReadHit, ServerEndpoint, ServiceClient};
-use ssync_srv::wire::{replay, Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
+use ssync_srv::service::{
+    ring_mesh, KvClient, ReadHit, ServeReport, ServerEndpoint, ServiceClient,
+};
+use ssync_srv::wire::{Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
 use ssync_srv::{
-    batch_rounds, chase, Admit, Budget, Chase, Conn, Hooks, NoHooks, NodeCore, Poll, OP_BUDGET,
+    batch_rounds, chase, try_recv_request, Budget, Chase, Conn, Hooks, NodeCore, Turn, OP_BUDGET,
 };
 
 use crate::cluster::{ClusterMap, ShardView};
@@ -348,14 +352,20 @@ const ACK_DEPTH: usize = 8;
 pub struct NodeEndpoint {
     node: usize,
     clients: ServerEndpoint<RingReceiver, RingSender>,
-    /// `peer_stream_rx[p]`: replication frames *from* node `p`.
-    peer_stream_rx: Vec<RingReceiver>,
-    /// `peer_stream_tx[p]`: replication frames *to* node `p`.
-    peer_stream_tx: Vec<RingSender>,
-    /// `peer_ack_rx[p]`: acks (and `WrongTerm` fences) *from* node `p`.
-    peer_ack_rx: Vec<RingReceiver>,
-    /// `peer_ack_tx[p]`: acks (and `WrongTerm` fences) *to* node `p`.
-    peer_ack_tx: Vec<RingSender>,
+    peers: Peers,
+}
+
+/// A node's rings to and from its peers, indexed by peer id.
+#[derive(Default)]
+struct Peers {
+    /// `stream_rx[p]`: replication frames *from* node `p`.
+    stream_rx: Vec<RingReceiver>,
+    /// `stream_tx[p]`: replication frames *to* node `p`.
+    stream_tx: Vec<RingSender>,
+    /// `ack_rx[p]`: acks (and `WrongTerm` fences) *from* node `p`.
+    ack_rx: Vec<RingReceiver>,
+    /// `ack_tx[p]`: acks (and `WrongTerm` fences) *to* node `p`.
+    ack_tx: Vec<RingSender>,
 }
 
 impl NodeEndpoint {
@@ -403,19 +413,21 @@ pub struct ReplClient {
     stale_served: Cell<u64>,
 }
 
-/// A `nodes`×`nodes` matrix of directed `depth`-deep rings, as
-/// `(tx[from][to], rx[to][from])`.
-fn peer_rings(nodes: usize, depth: usize) -> (Vec<Vec<RingSender>>, Vec<Vec<RingReceiver>>) {
-    let mut txs: Vec<Vec<RingSender>> = (0..nodes).map(|_| Vec::new()).collect();
-    let mut rxs: Vec<Vec<RingReceiver>> = (0..nodes).map(|_| Vec::new()).collect();
-    for tx_row in txs.iter_mut() {
-        for rx_row in rxs.iter_mut() {
-            let (tx, rx) = ring_channel(depth);
-            tx_row.push(tx);
-            rx_row.push(rx);
+/// Every node's [`Peers`] in a group of `nodes`: one stream ring and
+/// one ack ring per ordered pair of nodes.
+fn peer_mesh(nodes: usize) -> Vec<Peers> {
+    let mut peers: Vec<Peers> = (0..nodes).map(|_| Peers::default()).collect();
+    for from in 0..nodes {
+        for to in 0..nodes {
+            let (tx, rx) = ring_channel(STREAM_DEPTH);
+            peers[from].stream_tx.push(tx);
+            peers[to].stream_rx.push(rx);
+            let (tx, rx) = ring_channel(ACK_DEPTH);
+            peers[from].ack_tx.push(tx);
+            peers[to].ack_rx.push(rx);
         }
     }
-    (txs, rxs)
+    peers
 }
 
 /// Builds the full channel mesh for a replicated deployment over
@@ -436,25 +448,13 @@ pub fn repl_mesh(
     let mut client_eps = client_eps.into_iter();
     let endpoints = (0..shards)
         .map(|_| {
-            let (stream_tx, stream_rx) = peer_rings(nodes, STREAM_DEPTH);
-            let (ack_tx, ack_rx) = peer_rings(nodes, ACK_DEPTH);
-            let streams = stream_tx.into_iter().zip(stream_rx);
-            let acks = ack_tx.into_iter().zip(ack_rx);
-            streams
-                .zip(acks)
-                .zip(client_eps.by_ref())
-                .enumerate()
-                .map(
-                    |(node, (((s_tx, s_rx), (a_tx, a_rx)), clients))| NodeEndpoint {
-                        node,
-                        clients,
-                        peer_stream_rx: s_rx,
-                        peer_stream_tx: s_tx,
-                        peer_ack_rx: a_rx,
-                        peer_ack_tx: a_tx,
-                    },
-                )
-                .collect()
+            let peers = peer_mesh(nodes).into_iter().zip(client_eps.by_ref());
+            let endpoint = |(node, (peers, clients))| NodeEndpoint {
+                node,
+                clients,
+                peers,
+            };
+            peers.enumerate().map(endpoint).collect()
         })
         .collect();
     let clients = meshes
@@ -592,9 +592,9 @@ enum Window {
 /// The follower half of a node — what it has applied (`report.hwm`),
 /// the term it follows (`report.term`), its fault window and plan
 /// cursor, the ack it owes — and every transition of a node that is not
-/// leading, written once. It touches no ring: [`serve_node`] polls,
-/// decodes, fences and sends; this type decides what each frame does
-/// to the store.
+/// leading, written once. It touches no ring: the node around it
+/// polls, decodes, fences and sends; this type decides what each frame
+/// does to the store.
 ///
 /// **Invariant: `hwm` never passes an entry this node has not
 /// applied** — the store holds exactly what the log's entries at or
@@ -615,7 +615,7 @@ struct Follower<'a, R: RawLock + Default> {
     map: &'a ClusterMap,
     shard: usize,
     /// The node's report: this type writes the follower-side fields,
-    /// [`serve_node`] and the [`Replicator`] the leader-side ones.
+    /// the node around it the leader-side ones.
     report: NodeReport,
     plan: FaultPlan,
     /// The next event of `plan`, and the stream entries seen so far
@@ -792,22 +792,6 @@ impl<'a, R: RawLock + Default> Follower<'a, R> {
     }
 }
 
-/// The replication counters a node adds to its `Stats` scrape.
-fn node_counters(report: &NodeReport, leading: bool) -> [(&'static str, u64); 10] {
-    [
-        ("node.entries", report.entries),
-        ("node.applied", report.applied),
-        ("node.from_log", report.from_log),
-        ("node.stale_drops", report.stale_drops),
-        ("node.refused_reads", report.refused_reads),
-        ("node.hwm", report.hwm),
-        ("node.wrong_leader", report.wrong_leader),
-        ("node.promotions", report.promotions),
-        ("node.term", u64::from(report.term)),
-        ("node.leading", u64::from(leading)),
-    ]
-}
-
 /// The stream fence: whether node `me` accepts a replication-stream
 /// frame that arrived on `peer`'s ring, given `view` of the shard's map
 /// word. Stream frames carry no term — the fence is channel identity
@@ -825,8 +809,232 @@ pub fn stream_fence(view: ShardView, me: usize, peer: usize) -> bool {
     view.leader == Some(peer) && peer != me
 }
 
+/// One node of a replication group, as the [`Hooks`] of the one node
+/// loop: the [`Follower`] it is while not leading, and what it leads with.
+struct ReplNode<'a, R: RawLock + Default> {
+    follower: Follower<'a, R>,
+    cfg: NodeConfig,
+    peers: Peers,
+    /// Leader bookkeeping: per-follower cumulative acks.
+    acked: Vec<u64>,
+    /// Scratch for every message to or from a peer.
+    frames: Vec<Message>,
+    /// This turn's read of the shard's map word; does it name this node?
+    view: ShardView,
+    leading: bool,
+    /// The shard's crash schedule kills the leader after this write.
+    dying: bool,
+}
+
+impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
+    /// Always: the log and the stream carry every write's value.
+    fn observes_writes(&self) -> bool {
+        true
+    }
+
+    fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>) {
+        self.replicate(LogEntry::committed(key, version, value));
+        self.dying = crash_scheduled(&self.cfg.crash_plan, version - self.cfg.initial_hwm);
+    }
+
+    /// Role and term maintenance, the owed ack's flush, and at most one
+    /// frame off a peer's replication stream — which ends the turn.
+    fn before_poll(&mut self, counts: &mut ServeReport) -> ControlFlow<Turn, bool> {
+        let follower = &mut self.follower;
+        let (map, shard, me) = (follower.map, follower.shard, follower.report.node);
+        if self.dying {
+            // The scheduled death, before anything else: the write the
+            // last turn served is fully acknowledged and replied to —
+            // from here on only the followers can keep that promise.
+            // Mark the map (vacating the shard) and drop the endpoint;
+            // queued requests die with us and surface client-side as
+            // `Disconnected`.
+            follower.report.crashed = true;
+            map.report_death(shard, me);
+            return ControlFlow::Break(Turn::Exit);
+        }
+        // ---- Role and term maintenance (one map word read). ----
+        self.view = map.view(shard);
+        if self.view.term > follower.report.term {
+            follower.adopt(self.view.term);
+        }
+        if self.view.leader.is_none() {
+            if let Some(term) = map.try_promote(shard, me) {
+                follower.promote(term);
+                for (p, slot) in self.acked.iter_mut().enumerate() {
+                    *slot = map.hwm_of(shard, p);
+                }
+                self.view = map.view(shard);
+            }
+        }
+        self.leading = self.view.leader == Some(me);
+
+        // ---- Flush the coalesced cumulative ack to the leader. ----
+        if !self.leading {
+            if let (Some(version), Some(l)) = (follower.owed_ack, self.view.leader) {
+                let ack = one_frame(&Response::ReplAck { version }, &mut self.frames);
+                if self.peers.ack_tx[l].try_send(ack).is_ok() {
+                    follower.owed_ack = None;
+                }
+            }
+        }
+
+        // ---- A peer's replication stream, if one has a frame. ----
+        let frames = &mut self.frames;
+        let mut rings = self.peers.stream_rx.iter().enumerate();
+        let streamed = rings.find_map(|(peer, rx)| Some((peer, try_recv_request(rx, frames)?)));
+        let Some((peer, request)) = streamed else {
+            return ControlFlow::Continue(false);
+        };
+        if request == Ok(Request::Stop) {
+            // Decided against the map as it is *now*, not the `view`
+            // from the top of this turn: a peer that promoted, found no
+            // live client and streamed `Stop` since then is not the
+            // leader `view` names, and a `Stop` dropped on a stale view
+            // is never resent — this node would idle forever behind a
+            // leader that has exited. The promotion CAS happens-before
+            // the ring publish, so a word read after the pop names the
+            // sender.
+            if stream_fence(map.view(shard), me, peer) {
+                follower.on_stop();
+            }
+        } else if let Some(entry) = request.as_ref().ok().and_then(EntryView::of) {
+            let passed = stream_fence(self.view, me, peer);
+            follower.on_entry(entry, passed);
+            if !passed {
+                // Tell a still-live sender its term is over.
+                let term = follower.report.term;
+                let fence = one_frame(&Response::WrongTerm { term }, &mut self.frames);
+                let _ = self.peers.ack_tx[peer].try_send(fence);
+            }
+        } else {
+            // A peer that died mid-entry (nothing to apply or ack, and
+            // nothing more will come on its ring), or anything else on
+            // a stream internal to the group — a bug upstream: counted,
+            // not answered, and ignoring it beats dying.
+            counts.malformed += 1;
+        }
+        ControlFlow::Break(Turn::Progress)
+    }
+
+    /// Replica reads are served by any node — the leader is always
+    /// fresh enough, a follower checks its floor and window state — and
+    /// one `Stale` answers a whole batch. Writes and authoritative reads
+    /// belong to the leader, and the bounce is per *request*: one
+    /// `WrongLeader` answers a whole multi-get. Node-to-node frames on a
+    /// client connection go on to the core, which refuses them in any
+    /// role.
+    fn gate(&mut self, request: Request) -> Result<Request, Response> {
+        let report = &mut self.follower.report;
+        let freshness = report.hwm.max(report.last_version);
+        let down =
+            !self.leading && matches!(self.follower.window, Window::Out { crashed: true, .. });
+        match request {
+            Request::ReplGet { floor, .. } | Request::ReplMultiGet { floor, .. }
+                if down || freshness < floor =>
+            {
+                report.refused_reads += 1;
+                Err(Response::Stale { hwm: freshness })
+            }
+            // A replica read that passed the guard is a plain read.
+            Request::ReplGet { key, .. } => Ok(Request::Get { key }),
+            Request::ReplMultiGet { keys, .. } => Ok(Request::MultiGet { keys }),
+            Request::Replicate { .. } | Request::ReplicateDelete { .. } => Ok(request),
+            _ if !self.leading => {
+                report.wrong_leader += 1;
+                let leader = self.view.leader.map_or(NO_LEADER, |l| l as u64);
+                let term = report.term;
+                Err(Response::WrongLeader { term, leader })
+            }
+            request => Ok(request),
+        }
+    }
+
+    /// A leader exits into the shutdown handshake; a follower once it
+    /// has acked the leader's `Stop` — or once its shard is leaderless
+    /// with no candidate left, which will never send one.
+    fn may_exit(&self) -> bool {
+        let follower = &self.follower;
+        self.leading
+            || (follower.stopped && follower.owed_ack.is_none())
+            || (self.view.leader.is_none() && follower.map.live_candidates(follower.shard) == 0)
+    }
+
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        let report = &self.follower.report;
+        vec![
+            ("node.entries", report.entries),
+            ("node.applied", report.applied),
+            ("node.from_log", report.from_log),
+            ("node.stale_drops", report.stale_drops),
+            ("node.refused_reads", report.refused_reads),
+            ("node.hwm", report.hwm),
+            ("node.wrong_leader", report.wrong_leader),
+            ("node.promotions", report.promotions),
+            ("node.term", u64::from(report.term)),
+            ("node.leading", u64::from(self.leading)),
+        ]
+    }
+}
+
+impl<R: RawLock + Default> ReplNode<'_, R> {
+    /// Logs one committed write and streams it to every live follower.
+    fn replicate(&mut self, entry: LogEntry) {
+        let version = entry.version;
+        self.follower.report.last_version = version;
+        let live = self.live_peers();
+        if live.is_empty() {
+            // No follower left (every backup died leading, or an
+            // unreplicated shard): nothing to log — no one will ever
+            // ack, so nothing could ever be truncated — or stream.
+            return;
+        }
+        entry.encode_into(&mut self.frames);
+        self.follower.log.append(entry);
+        self.follower.report.entries += 1;
+        self.stream(&live, self.cfg.mode, version);
+        if let Some(min_acked) = live.iter().map(|&p| self.acked[p]).min() {
+            self.follower.log.truncate_through(min_acked);
+        }
+    }
+
+    /// The peers the map has not marked dead.
+    fn live_peers(&self) -> Vec<usize> {
+        let follower = &self.follower;
+        let me = follower.report.node;
+        (0..self.acked.len())
+            .filter(|&p| p != me && !follower.map.is_dead(follower.shard, p))
+            .collect()
+    }
+
+    /// Sends `frames` to each of `live` and settles their acks per
+    /// `mode`: until each has acked `version` (sync), or until none
+    /// trails by more than the lag bound (async).
+    fn stream(&mut self, live: &[usize], mode: ReplMode, version: u64) {
+        for &p in live {
+            // Best-effort: a dead peer's dropped receiver fails the
+            // send instead of wedging the leader.
+            let _ = self.peers.stream_tx[p].send_all_connected(&self.frames);
+        }
+        let log = self.follower.log;
+        for &p in live {
+            let (rx, acked) = (&self.peers.ack_rx[p], &mut self.acked[p]);
+            match mode {
+                ReplMode::Sync => await_acks(rx, acked, |a| a >= version),
+                ReplMode::Async { max_lag } => {
+                    while let Some(head) = rx.try_recv() {
+                        *acked = (*acked).max(ack_version(head).unwrap_or(0));
+                    }
+                    await_acks(rx, acked, |a| log.outstanding_after(a) as u64 <= max_lag);
+                }
+            }
+        }
+    }
+}
+
 /// Runs one node of a shard's replication group until shutdown (every
-/// client stopped and the group converged) or scheduled death.
+/// client stopped and the group converged) or scheduled death, on the
+/// one node loop ([`NodeCore::run`]).
 ///
 /// The node follows the [`ClusterMap`]: while the map names it leader
 /// it serves writes, streams entries, and settles acks per
@@ -834,7 +1042,8 @@ pub fn stream_fence(view: ShardView, me: usize, peer: usize) -> bool {
 /// through the version gates, serves floor-guarded replica reads,
 /// fences stale-term frames, and stands for promotion whenever the
 /// shard goes leaderless (most-caught-up candidate wins — see
-/// [`ClusterMap::try_promote`]).
+/// [`ClusterMap::try_promote`]). A leader that outlives its clients
+/// returns once every live follower has acked its `Stop`.
 pub fn serve_node<R: RawLock + Default>(
     store: &KvStore<R>,
     log: &OpLog,
@@ -845,216 +1054,32 @@ pub fn serve_node<R: RawLock + Default>(
     let NodeEndpoint {
         node: me,
         clients,
-        peer_stream_rx,
-        peer_stream_tx,
-        peer_ack_rx,
-        peer_ack_tx,
+        peers,
     } = endpoint;
-    let shard = cfg.shard;
-
-    let mut core = NodeCore::new(clients);
-    let mut follower = Follower::new(store, log, map, me, &cfg);
-    // Leader bookkeeping: per-follower cumulative acks.
-    let mut acked: Vec<u64> = vec![cfg.initial_hwm; peer_stream_tx.len()];
-    // Scratch for everything this node puts on a peer ring.
-    let mut frames: Vec<Message> = Vec::new();
-
-    // Runs until the node dies, a follower's group shuts down (false),
-    // or a leader's clients have all stopped (true: handshake below).
-    let lead_shutdown = loop {
-        // ---- Role and term maintenance (one map word read). ----
-        let mut view = map.view(shard);
-        if view.term > follower.report.term {
-            follower.adopt(view.term);
-        }
-        if view.leader.is_none() {
-            if let Some(term) = map.try_promote(shard, me) {
-                follower.promote(term);
-                for (p, slot) in acked.iter_mut().enumerate() {
-                    *slot = map.hwm_of(shard, p);
-                }
-                view = map.view(shard);
-            }
-        }
-        let leading = view.leader == Some(me);
-
-        // ---- Flush the coalesced cumulative ack to the leader. ----
-        if !leading {
-            if let (Some(version), Some(l)) = (follower.owed_ack, view.leader) {
-                let ack = one_frame(&Response::ReplAck { version }, &mut frames);
-                if peer_ack_tx[l].try_send(ack).is_ok() {
-                    follower.owed_ack = None;
-                }
-            }
-        }
-
-        // ---- A peer's replication stream, if one has a frame. ----
-        let streamed = peer_stream_rx
-            .iter()
-            .enumerate()
-            .find_map(|(peer, rx)| Some((peer, rx.try_recv()?)));
-        if let Some((peer, head)) = streamed {
-            core.pace(store, true);
-            let more = Request::continuations(&head);
-            if peer_stream_rx[peer]
-                .recv_burst_connected(more, &mut frames)
-                .is_err()
-            {
-                // The peer died mid-entry: nothing to apply or ack, and
-                // nothing more will come on this ring.
-                core.counts.malformed += 1;
-                continue;
-            }
-            let request = Request::decode(head, replay(&frames));
-            if matches!(request, Ok(Request::Stop)) {
-                // Decided against the map as it is *now*, not the
-                // `view` from the top of this iteration: a peer that
-                // promoted, found no live client and streamed `Stop`
-                // since then is not the leader `view` names, and a
-                // `Stop` dropped on a stale view is never resent — this
-                // node would idle forever behind a leader that has
-                // exited. The promotion CAS happens-before the ring
-                // publish, so a word read after the pop names the
-                // sender.
-                if stream_fence(map.view(shard), me, peer) {
-                    follower.on_stop();
-                }
-            } else if let Some(entry) = request.as_ref().ok().and_then(EntryView::of) {
-                let passed = stream_fence(view, me, peer);
-                follower.on_entry(entry, passed);
-                if !passed {
-                    // Tell a still-live sender its term is over.
-                    let term = follower.report.term;
-                    let fence = one_frame(&Response::WrongTerm { term }, &mut frames);
-                    let _ = peer_ack_tx[peer].try_send(fence);
-                }
-            } else {
-                // The stream is internal to the group; anything else on
-                // it is a bug upstream — counted, not answered, and
-                // ignoring it beats dying.
-                core.counts.malformed += 1;
-            }
-            continue;
-        }
-
-        // ---- The client connections. ----
-        let polled = core.poll();
-        if matches!(polled, Poll::Idle) {
-            if core.live() == 0 {
-                if leading {
-                    break true;
-                }
-                // A leaderless shard with no candidates left will
-                // never send the shutdown Stop; don't wait for it.
-                if (follower.stopped && follower.owed_ack.is_none())
-                    || (view.leader.is_none() && map.live_candidates(shard) == 0)
-                {
-                    break false;
-                }
-            }
-            core.pace(store, false);
-            continue;
-        }
-        core.pace(store, true);
-        // Replica reads are served by any node; the leader is always
-        // fresh enough, a follower checks its floor and window state.
-        let report = &mut follower.report;
-        let freshness = report.hwm.max(report.last_version);
-        let down = !leading && matches!(follower.window, Window::Out { crashed: true, .. });
-        let (client, request) = match polled {
-            Poll::Idle | Poll::Consumed => continue,
-            // Introspection is served by any node in any role — a
-            // follower's queue depths and apply counters are exactly
-            // what an operator scrapes during a failover.
-            Poll::Scrape(client) => {
-                core.reply_stats(client, store, &node_counters(report, leading));
-                continue;
-            }
-            Poll::Request(
-                client,
-                Request::ReplGet { floor, .. } | Request::ReplMultiGet { floor, .. },
-            ) if down || freshness < floor => {
-                // One Stale answers a whole batch.
-                report.refused_reads += 1;
-                core.reply(client, &Response::Stale { hwm: freshness });
-                continue;
-            }
-            // A replica read that passed the guard is a plain read.
-            Poll::Request(client, Request::ReplGet { key, .. }) => {
-                core.serve(store, &mut NoHooks, client, Request::Get { key });
-                continue;
-            }
-            Poll::Request(client, Request::ReplMultiGet { keys, .. }) => {
-                core.serve(store, &mut NoHooks, client, Request::MultiGet { keys });
-                continue;
-            }
-            Poll::Request(client, request) => (client, request),
-        };
-        // Writes and authoritative reads belong to the leader, and the
-        // bounce is per *request*: one `WrongLeader` answers a whole
-        // multi-get. (Node-to-node frames on a client connection fall
-        // through to the core, which refuses them in any role.)
-        let misdirected = matches!(
-            request,
-            Request::Replicate { .. } | Request::ReplicateDelete { .. }
-        );
-        if !leading && !misdirected {
-            report.wrong_leader += 1;
-            let leader = view.leader.map_or(NO_LEADER, |l| l as u64);
-            let term = report.term;
-            core.reply(client, &Response::WrongLeader { term, leader });
-            continue;
-        }
-
-        // ---- Leader: writes and authoritative reads. ----
-        let logged = report.last_version;
-        let mut repl = Replicator {
-            log,
-            map,
-            shard,
-            me,
-            mode: cfg.mode,
-            stream_tx: &peer_stream_tx,
-            ack_rx: &peer_ack_rx,
-            acked: &mut acked,
-            frames: &mut frames,
-            report,
-        };
-        let parked = core.serve(store, &mut repl, client, request);
-        debug_assert!(parked.is_none(), "a leader never defers");
-        let report = &mut follower.report;
-        if report.last_version != logged
-            && crash_scheduled(&cfg.crash_plan, report.last_version - cfg.initial_hwm)
-        {
-            // The scheduled death: the write above is fully
-            // acknowledged and replied to — from here on only the
-            // followers can keep that promise. Mark the map (vacating
-            // the shard) and drop the endpoint; queued requests die
-            // with us and surface client-side as `Disconnected`.
-            report.crashed = true;
-            map.report_death(shard, me);
-            break false;
-        }
+    let mut node = ReplNode {
+        follower: Follower::new(store, log, map, me, &cfg),
+        acked: vec![cfg.initial_hwm; peers.stream_tx.len()],
+        view: map.view(cfg.shard),
+        cfg,
+        peers,
+        frames: Vec::new(),
+        leading: false,
+        dying: false,
     };
-
-    let mut report = follower.report;
-    if lead_shutdown {
-        // Stream Stop, then wait until every live follower's cumulative
-        // ack reaches the last logged version — the group is converged
-        // when this returns.
-        Request::Stop.encode_into(&mut frames);
-        let live = |p: &usize| *p != me && !map.is_dead(shard, *p);
-        for p in (0..acked.len()).filter(live) {
-            let _ = peer_stream_tx[p].send_all_connected(&frames);
-        }
-        for p in (0..acked.len()).filter(live) {
-            await_acks(&peer_ack_rx[p], &mut acked[p], |a| a >= report.last_version);
-        }
+    let counts = NodeCore::new(clients).run(store, &mut node);
+    let report = node.follower.report;
+    if node.leading && !report.crashed {
+        // Stream Stop and settle it like a sync write of the last
+        // logged version: the group is converged when this returns.
+        Request::Stop.encode_into(&mut node.frames);
+        node.stream(&node.live_peers(), ReplMode::Sync, report.last_version);
     }
-    report.requests = core.counts.requests;
-    report.key_ops = core.counts.key_ops;
-    report.malformed = core.counts.malformed;
-    report
+    NodeReport {
+        requests: counts.requests,
+        key_ops: counts.key_ops,
+        malformed: counts.malformed,
+        ..report
+    }
 }
 
 /// True if the shard's crash schedule kills the leader right after the
@@ -1063,80 +1088,6 @@ fn crash_scheduled(plan: &FaultPlan, entry_index: u64) -> bool {
     plan.events()
         .iter()
         .any(|ev| ev.kind == FaultKind::PrimaryCrash && ev.at_entry == entry_index)
-}
-
-/// The leader's streaming side: the request path's `committed` hook.
-/// Leadership itself is checked per request in the serve loop, so the
-/// per-key `admit` has nothing left to refuse.
-struct Replicator<'a> {
-    log: &'a OpLog,
-    map: &'a ClusterMap,
-    shard: usize,
-    me: usize,
-    mode: ReplMode,
-    stream_tx: &'a [RingSender],
-    ack_rx: &'a [RingReceiver],
-    acked: &'a mut [u64],
-    frames: &'a mut Vec<Message>,
-    report: &'a mut NodeReport,
-}
-
-impl Hooks for Replicator<'_> {
-    fn admit(&mut self, _key: u64, _is_write: bool) -> Admit {
-        Admit::Run
-    }
-
-    /// Always: the log and the stream carry every write's value.
-    fn observes_writes(&self) -> bool {
-        true
-    }
-
-    fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>) {
-        self.replicate(LogEntry::committed(key, version, value));
-    }
-}
-
-impl Replicator<'_> {
-    /// Streams one logged write to every live follower and settles
-    /// acks per the mode's contract.
-    fn replicate(&mut self, entry: LogEntry) {
-        let version = entry.version;
-        self.report.last_version = version;
-        let live: Vec<usize> = (0..self.stream_tx.len())
-            .filter(|&p| p != self.me && !self.map.is_dead(self.shard, p))
-            .collect();
-        if live.is_empty() {
-            // No follower left (every backup died leading, or an
-            // unreplicated shard): nothing to log — no one will ever
-            // ack, so nothing could ever be truncated — or stream.
-            return;
-        }
-        entry.encode_into(self.frames);
-        self.log.append(entry);
-        self.report.entries += 1;
-        for &p in &live {
-            // Best-effort: a dead peer's dropped receiver fails the
-            // send instead of wedging the leader.
-            let _ = self.stream_tx[p].send_all_connected(self.frames);
-        }
-        for &p in &live {
-            let (rx, acked) = (&self.ack_rx[p], &mut self.acked[p]);
-            match self.mode {
-                ReplMode::Sync => await_acks(rx, acked, |a| a >= version),
-                ReplMode::Async { max_lag } => {
-                    while let Some(head) = rx.try_recv() {
-                        *acked = (*acked).max(ack_version(head).unwrap_or(0));
-                    }
-                    await_acks(rx, acked, |a| {
-                        self.log.outstanding_after(a) as u64 <= max_lag
-                    });
-                }
-            }
-        }
-        if let Some(min_acked) = live.iter().map(|&p| self.acked[p]).min() {
-            self.log.truncate_through(min_acked);
-        }
-    }
 }
 
 impl ReplClient {
@@ -1928,6 +1879,51 @@ mod tests {
             );
             client.close();
         });
+        // One counter list feeds both outputs: after traffic, each
+        // node's last scrape reads the `node.*` values of the report
+        // its serve loop returns.
+        let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 64, 8, ReplSpec::sync(1));
+        let (endpoints, mut clients) = repl_mesh(cluster.map(), 1);
+        let client = clients.pop().unwrap();
+        let (scrapes, reports): (Vec<_>, Vec<_>) = std::thread::scope(|s| {
+            let nodes: Vec<_> = (endpoints.into_iter().flatten())
+                .map(|endpoint| {
+                    let node = endpoint.node();
+                    let cfg = cluster.node_config(0, node, &FaultSpec::none());
+                    let (store, log, map) =
+                        (cluster.node_store(0, node), cluster.log(0), cluster.map());
+                    s.spawn(move || serve_node(store, log, map, endpoint, cfg))
+                })
+                .collect();
+            for key in 0..16u64 {
+                client.set(key, vec![key as u8; 8]).unwrap();
+                client.get(key).unwrap().unwrap();
+            }
+            client.delete(3).unwrap();
+            let scrapes = (0..2).map(|n| client.stats_of(0, n).unwrap()).collect();
+            client.close();
+            (
+                scrapes,
+                nodes.into_iter().map(|n| n.join().unwrap()).collect(),
+            )
+        });
+        for (scrape, r) in scrapes.iter().zip(&reports) {
+            let fields = [
+                ("node.entries", r.entries),
+                ("node.applied", r.applied),
+                ("node.from_log", r.from_log),
+                ("node.stale_drops", r.stale_drops),
+                ("node.refused_reads", r.refused_reads),
+                ("node.hwm", r.hwm),
+                ("node.wrong_leader", r.wrong_leader),
+                ("node.promotions", r.promotions),
+                ("node.term", u64::from(r.term)),
+            ];
+            for (name, value) in fields {
+                assert_eq!(scrape.counter(name), Some(value), "node {}: {name}", r.node);
+            }
+        }
+        assert_eq!((reports[0].entries, reports[1].applied), (17, 17));
     }
 
     #[test]
@@ -2010,7 +2006,14 @@ mod tests {
                 .with_stale_reads()
                 .with_deadline(Duration::from_millis(200));
             for key in 0..5u64 {
-                stale.set(key, vec![key as u8; 3]).unwrap();
+                let version = stale.set(key, vec![key as u8; 3]).unwrap();
+                // Async replication promises no follower progress, and
+                // an entry the follower first reads after the leader's
+                // death is fenced, which nothing replays for an
+                // observer: wait until it has applied the first two.
+                while key == 1 && stale.map.hwm_of(0, 1) < version {
+                    std::thread::yield_now();
+                }
             }
             // The fifth write killed the leader; the follower sits in
             // an open stall window (entries 3..=5 buffered, hwm at
@@ -2101,7 +2104,7 @@ mod tests {
             let cfg = cluster.node_config(0, 1, &FaultSpec::none());
             let (store, log, map) = (cluster.node_store(0, 1), cluster.log(0), &map);
             let node = s.spawn(move || serve_node(store, log, map, follower, cfg));
-            let stream = &leader.peer_stream_tx[1];
+            let stream = &leader.peers.stream_tx[1];
             stream.send([0xEE; ssync_mp::MSG_WORDS]);
             let mut frames = Vec::new();
             ssync_srv::wire::encode_replicate(7, 1, b"after", &mut frames);
@@ -2148,7 +2151,7 @@ mod tests {
                 let node = s.spawn(move || serve_node(store, log, map, follower, cfg));
                 let mut frames = Vec::new();
                 ssync_srv::wire::encode_replicate(7, 1, &[9; 300], &mut frames);
-                let stream = leader.peer_stream_tx.pop().unwrap();
+                let stream = leader.peers.stream_tx.pop().unwrap();
                 stream.send(frames[0]);
                 drop(stream);
                 let scrape = || client.stats_of(0, 1).unwrap();

@@ -11,9 +11,10 @@
 //! * [`wire`] — the request/response format packed into `ssync-mp`
 //!   cache-line messages, with multi-get batching and continuation
 //!   frames for long values;
-//! * [`node`] — the one request path every serve loop in the tree runs
-//!   on: hub polling, `Stop` accounting, the executor for the six data
-//!   operations with its two policy hooks, and the `Stats` scrape;
+//! * [`node`] — the one node loop every serving stack runs: one turn
+//!   of hub polling, `Stop` accounting and the executor for the six
+//!   data operations, paced and scraped in one place, with a stack's
+//!   policy attached through [`node::Hooks`];
 //! * [`conn`] — the one disconnect-aware client connection every
 //!   client in the tree is built over, the one deadline-bounded retry
 //!   loop ([`conn::chase`]) the replication and cluster clients run
@@ -67,7 +68,7 @@ pub mod wire;
 pub mod workload;
 
 pub use conn::{batch_rounds, chase, Budget, Chase, Conn, OP_BUDGET};
-pub use node::{Admit, Hooks, NoHooks, NodeCore, Poll};
+pub use node::{try_recv_request, Admit, Hooks, NoHooks, NodeCore, Turn};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};
 pub use wire::{Request, Response, WireError, NO_LEADER};

@@ -1,21 +1,19 @@
-//! The one request path: the policy-free node core under every serve
-//! loop.
+//! The one node loop under every serving stack.
 //!
 //! [`NodeCore`] owns what `serve`, `ssync-repl`'s `serve_node` and
 //! `ssync-cluster`'s `serve_cluster_node` have in common: polling the
 //! client hub and pulling a request's continuation frames, the
 //! `Malformed` replies, per-client `Stop` accounting (a client that
 //! goes away without one is retired from the idle path), the
-//! reclamation cadence, the `TimedGet` latency split, the `Stats`
-//! scrape, and one executor for the six data operations. What differs between the
-//! stacks enters through the two [`Hooks`]: `admit` decides per key
-//! whether this node may run the operation (always, for a plain shard;
-//! the slot fence, for a cluster node), `committed` sees every delete
-//! the store accepted and every put the hooks asked to observe (the
-//! cluster's op-log while a migration has it armed, the replication
-//! stream). Both are generic parameters — the plain shard's
-//! [`NoHooks`] compiles to the bare store calls.
+//! reclamation cadence and idle pacing, the `TimedGet` latency split,
+//! the `Stats` scrape, and one executor for the six data operations.
+//! [`NodeCore::turn`] is one pass of a node and [`NodeCore::run`] the
+//! one loop over it. A serving stack is one struct implementing
+//! [`Hooks`], whose every method defaults to doing nothing; hooks are
+//! generic parameters, so the plain shard's [`NoHooks`] compiles to the
+//! bare store calls.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -28,7 +26,7 @@ use ssync_mp::{Message, MsgReceiver, MsgSender, ServerHub};
 
 use crate::router::key_bytes;
 use crate::service::{ServeReport, ServerEndpoint};
-use crate::wire::{encode_value, replay, Request, Response};
+use crate::wire::{encode_value, replay, Request, Response, WireError};
 
 /// An admission verdict for one key of one request.
 #[derive(Debug)]
@@ -37,65 +35,96 @@ pub enum Admit {
     Run,
     /// Execute nothing; answer with this response instead.
     Refuse(Response),
-    /// Park the request and hand it back to the serve loop, which
-    /// re-submits it later. Honoured for writes only: a read has
-    /// nowhere to park mid-batch, so it runs.
+    /// Park the request, unexecuted and unanswered; the core re-submits
+    /// it every turn until it runs or is refused. Honoured for writes
+    /// only: a read has nowhere to park mid-batch, so it runs.
     Defer,
 }
 
-/// The two points where a serving stack's policy meets the request
-/// path.
-pub trait Hooks {
-    /// May this node run the operation on `key` now?
-    fn admit(&mut self, key: u64, is_write: bool) -> Admit;
-
-    /// Does [`Hooks::committed`] want the value of the put about to
-    /// run? Asked once per admitted `Set`/`Cas`. A yes makes the store
-    /// hand back a handle on the stored value (one reference-count
-    /// round trip); a no skips `committed` for that put.
-    fn observes_writes(&self) -> bool;
-
-    /// The store accepted a write of `key` at `version`: `Some(value)`
-    /// for a put [`Hooks::observes_writes`] asked for, `None` for a
-    /// delete (reported always). Called before the reply is sent.
-    fn committed(&mut self, key: u64, version: u64, value: Option<&Bytes>);
+/// What one [`NodeCore::turn`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Turn {
+    /// Something moved: a frame, a handshake, a parked write.
+    Progress,
+    /// Nothing to do: the loop idles.
+    Idle,
+    /// The node is done serving.
+    Exit,
 }
 
-/// The plain shard server's policy: admit everything, observe nothing.
-pub struct NoHooks;
-
-impl Hooks for NoHooks {
+/// Where a serving stack's policy meets the node loop: per key, what
+/// may run and what a committed write feeds; per turn, the side work,
+/// the gate, the exit and the scrape. Each default leaves the core alone.
+pub trait Hooks {
+    /// May this node run the operation on `key` now?
     fn admit(&mut self, _key: u64, _is_write: bool) -> Admit {
         Admit::Run
     }
 
+    /// Does [`Hooks::committed`] want the value of the put about to
+    /// run? Asked once per admitted `Set`/`Cas`; a yes costs the put a
+    /// handle on the stored value (one reference-count round trip).
     fn observes_writes(&self) -> bool {
         false
     }
 
+    /// The store accepted a write of `key` at `version`: `Some(value)`
+    /// for a put [`Hooks::observes_writes`] asked for, `None` for a
+    /// delete (reported always). Called before the reply is sent.
     fn committed(&mut self, _key: u64, _version: u64, _value: Option<&Bytes>) {}
+
+    /// The node's own work before the client poll, counting malformed
+    /// frames in `counts`: `Continue(progressed)` goes on to the poll,
+    /// `Break` ends the turn there.
+    fn before_poll(&mut self, _counts: &mut ServeReport) -> ControlFlow<Turn, bool> {
+        ControlFlow::Continue(false)
+    }
+
+    /// The request to execute, or the response that answers it
+    /// unexecuted.
+    fn gate(&mut self, request: Request) -> Result<Request, Response> {
+        Ok(request)
+    }
+
+    /// A write [`Admit::Defer`] parked for the first time.
+    fn deferred(&mut self) {}
+
+    /// Every client is gone and none has a frame waiting: exit?
+    fn may_exit(&self) -> bool {
+        true
+    }
+
+    /// The `node.*` counters of this node's `Stats` scrape.
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        Vec::new()
+    }
 }
 
-/// What one [`NodeCore::poll`] found.
-#[derive(Debug)]
-pub enum Poll {
-    /// No client had a frame waiting.
-    Idle,
-    /// A frame arrived and the core dealt with it (an undecodable head,
-    /// a `Stop`).
-    Consumed,
-    /// `client` asked for a `Stats` scrape: answer with
-    /// [`NodeCore::reply_stats`].
-    Scrape(usize),
-    /// `client` sent this request: answer through
-    /// [`NodeCore::serve`] (or [`NodeCore::reply`], to refuse it).
-    Request(usize, Request),
-}
+/// The plain shard server's policy: admit everything, observe nothing,
+/// exit once every client has stopped.
+pub struct NoHooks;
+
+impl Hooks for NoHooks {}
 
 /// One epoch advance-and-collect pass per this many progressed loop
 /// turns: a long-lived node frees its retired store nodes while traffic
 /// flows — no quiescent point, bounded backlog.
 const RECLAIM_PERIOD: u64 = 1024;
+
+/// Takes one message off a node-to-node stream, its continuation frames
+/// as one burst into `frames`, and decodes it: `None` if no frame waits,
+/// `Err(Disconnected)` if the sender died before its last continuation.
+pub fn try_recv_request<C: MsgReceiver>(
+    rx: &C,
+    frames: &mut Vec<Message>,
+) -> Option<Result<Request, WireError>> {
+    let head = rx.try_recv()?;
+    let more = Request::continuations(&head);
+    if rx.recv_burst_connected(more, frames).is_err() {
+        return Some(Err(WireError::Disconnected));
+    }
+    Some(Request::decode(head, replay(frames)))
+}
 
 /// The shared serve-loop state of one node. See the module docs.
 pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
@@ -112,13 +141,15 @@ pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
     /// since a hit is encoded in place under the read's pin, the encode
     /// of its answer; not the send.
     apply: Arc<Histogram>,
+    /// Writes [`Admit::Defer`] parked, with the client owed each.
+    parked: Vec<(usize, Request)>,
     /// Requests, key-operations and refused frames so far.
-    pub counts: ServeReport,
+    counts: ServeReport,
 }
 
-// The per-request methods carry `#[inline]`: each has one or two call
-// sites, in a serve loop, and left out of line they cost the plain
-// shard a measurable share of its request budget (EXPERIMENTS.md).
+// The per-request methods carry `#[inline]`: each has one call site, in
+// the one turn, and left out of line they cost the plain shard a
+// measurable share of its request budget (EXPERIMENTS.md).
 impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// A core serving `endpoint`'s clients.
     pub fn new(endpoint: ServerEndpoint<C, S>) -> Self {
@@ -135,18 +166,133 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
             queue_wait: registry.histogram("srv.queue_wait_ns"),
             apply: registry.histogram("srv.apply_ns"),
             registry,
+            parked: Vec::new(),
             counts: ServeReport::default(),
         }
     }
 
-    /// Clients that have not sent `Stop` yet.
-    pub fn live(&self) -> usize {
-        self.live
+    /// Runs [`NodeCore::turn`] after turn until one exits, pacing each: a
+    /// turn that made progress re-arms the idle wait and advances the
+    /// reclamation cadence; an idle one waits with [`ParkingWait`], so a
+    /// node that sits idle for a whole phase leaves the run queue
+    /// instead of yield-looping.
+    ///
+    /// A node idle long enough to park also looks for clients that
+    /// went away without a `Stop` — a panicked test body, a dropped
+    /// connection — and retires each exactly as its first `Stop` would
+    /// have: without this the node waits forever for a `Stop` nobody
+    /// is left to send. A silent departure is not a malformed frame
+    /// and is not counted as one. A node merely between requests never
+    /// parks, so no request pays for the sweep.
+    pub fn run<R: RawLock + Default, H: Hooks>(
+        mut self,
+        store: &KvStore<R>,
+        hooks: &mut H,
+    ) -> ServeReport {
+        loop {
+            match self.turn(store, hooks) {
+                Turn::Exit => return self.counts,
+                Turn::Idle if self.wait.parked() => {
+                    self.retire_departed();
+                    self.wait.snooze();
+                }
+                Turn::Idle => self.wait.snooze(),
+                Turn::Progress => {
+                    self.wait.reset();
+                    self.since_reclaim += 1;
+                    if self.since_reclaim >= RECLAIM_PERIOD {
+                        self.since_reclaim = 0;
+                        store.reclaim_pass();
+                    }
+                }
+            }
+        }
+    }
+
+    /// One pass of the node: `hooks`' side work, the parked writes
+    /// re-submitted, one round-robin poll of the clients, and its
+    /// dispatch. A turn whose poll finds nothing, once every client is
+    /// gone, exits if `hooks` agrees.
+    ///
+    /// The continuation frames a head announces
+    /// ([`Request::continuations`]) are taken from the same client as
+    /// one burst before decoding. A head frame that fails to decode is
+    /// answered with [`Response::Malformed`] — a corrupt frame degrades
+    /// one connection, it does not take the node down. A client's first
+    /// `Stop` retires it; a repeated one is counted as malformed and not
+    /// answered (nobody drains that reply ring). A client that went away
+    /// between a head frame and its continuations is the same two things
+    /// at once: the truncated request is counted malformed, the client
+    /// retired, nothing executed or answered.
+    #[inline]
+    pub fn turn<R: RawLock + Default, H: Hooks>(
+        &mut self,
+        store: &KvStore<R>,
+        hooks: &mut H,
+    ) -> Turn {
+        let mut progressed = match hooks.before_poll(&mut self.counts) {
+            ControlFlow::Break(turn) => return turn,
+            ControlFlow::Continue(progressed) => progressed,
+        };
+        if !self.parked.is_empty() {
+            for (client, request) in std::mem::take(&mut self.parked) {
+                match self.serve(store, hooks, client, request) {
+                    Some(request) => self.parked.push((client, request)),
+                    None => progressed = true,
+                }
+            }
+        }
+        let Some((client, head)) = self.hub.try_recv_from_any() else {
+            return match progressed {
+                _ if self.live == 0 && hooks.may_exit() => Turn::Exit,
+                true => Turn::Progress,
+                false => Turn::Idle,
+            };
+        };
+        let more = Request::continuations(&head);
+        if more > 0
+            && self
+                .hub
+                .recv_burst_from(client, more, &mut self.frames)
+                .is_err()
+        {
+            self.counts.malformed += 1;
+            self.retire(client);
+            return Turn::Progress;
+        }
+        match Request::decode(head, replay(&self.frames[..more])) {
+            Err(_) => {
+                self.counts.malformed += 1;
+                self.reply(client, &Response::Malformed);
+            }
+            Ok(Request::Stop) => {
+                if !self.retire(client) {
+                    self.counts.malformed += 1;
+                }
+            }
+            Ok(Request::Stats) => {
+                self.counts.requests += 1;
+                self.reply_stats(client, store, &hooks.counters());
+            }
+            Ok(request) => {
+                self.counts.requests += 1;
+                match hooks.gate(request) {
+                    Err(response) => self.reply(client, &response),
+                    Ok(request) => {
+                        if let Some(request) = self.serve(store, hooks, client, request) {
+                            hooks.deferred();
+                            self.parked.push((client, request));
+                        }
+                    }
+                }
+            }
+        }
+        Turn::Progress
     }
 
     /// Sends one response to `client` through the scratch frame buffer.
     #[inline]
-    pub fn reply(&mut self, client: usize, response: &Response) {
+    fn reply(&mut self, client: usize, response: &Response) {
         response.encode_into(&mut self.frames);
         self.send_frames(client);
     }
@@ -176,86 +322,10 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         }
     }
 
-    /// Polls every client once, round-robin. The continuation frames a
-    /// head announces ([`Request::continuations`]) are taken from the
-    /// same client as one burst before decoding. A head frame that fails
-    /// to decode is answered with [`Response::Malformed`] — a corrupt
-    /// frame degrades one connection, it does not take the node down.
-    /// A client's first `Stop` retires it; a repeated one is counted as
-    /// malformed and not answered (nobody drains that reply ring). A
-    /// client that went away between a head frame and its continuations
-    /// is the same two things at once: the truncated request is counted
-    /// malformed, the client retired, nothing executed or answered.
-    #[inline]
-    pub fn poll(&mut self) -> Poll {
-        let Some((client, head)) = self.hub.try_recv_from_any() else {
-            return Poll::Idle;
-        };
-        let more = Request::continuations(&head);
-        if more > 0
-            && self
-                .hub
-                .recv_burst_from(client, more, &mut self.frames)
-                .is_err()
-        {
-            self.counts.malformed += 1;
-            self.retire(client);
-            return Poll::Consumed;
-        }
-        match Request::decode(head, replay(&self.frames[..more])) {
-            Err(_) => {
-                self.counts.malformed += 1;
-                self.reply(client, &Response::Malformed);
-                Poll::Consumed
-            }
-            Ok(Request::Stop) => {
-                if !self.retire(client) {
-                    self.counts.malformed += 1;
-                }
-                Poll::Consumed
-            }
-            Ok(request) => {
-                self.counts.requests += 1;
-                match request {
-                    Request::Stats => Poll::Scrape(client),
-                    request => Poll::Request(client, request),
-                }
-            }
-        }
-    }
-
-    /// End-of-turn bookkeeping: a turn that made progress re-arms the
-    /// idle wait and advances the reclamation cadence; an idle one
-    /// waits with [`ParkingWait`], so a node that sits idle for a whole
-    /// phase leaves the run queue instead of yield-looping.
-    ///
-    /// A node idle long enough to park also looks for clients that
-    /// went away without a `Stop` — a panicked test body, a dropped
-    /// connection — and retires each exactly as its first `Stop` would
-    /// have: without this the node waits forever for a `Stop` nobody
-    /// is left to send. A silent departure is not a malformed frame
-    /// and is not counted as one. A node merely between requests never
-    /// parks, so no request pays for the sweep.
-    #[inline]
-    pub fn pace<R: RawLock + Default>(&mut self, store: &KvStore<R>, progressed: bool) {
-        if !progressed {
-            if self.wait.parked() {
-                self.retire_departed();
-            }
-            return self.wait.snooze();
-        }
-        self.wait.reset();
-        self.since_reclaim += 1;
-        if self.since_reclaim >= RECLAIM_PERIOD {
-            self.since_reclaim = 0;
-            store.reclaim_pass();
-        }
-    }
-
     /// Answers a `Stats` scrape: the latency-split histograms, the
     /// core's own counters, the caller's `node` counters and the
     /// store's — assembled only when asked for, without pausing service.
-    pub fn reply_stats<R: RawLock + Default>(
+    fn reply_stats<R: RawLock + Default>(
         &mut self,
         client: usize,
         store: &KvStore<R>,
@@ -297,7 +367,7 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// is not a data operation is out of protocol on a client channel:
     /// refused with [`Response::Malformed`] and counted.
     #[inline]
-    pub fn serve<R: RawLock + Default, H: Hooks>(
+    fn serve<R: RawLock + Default, H: Hooks>(
         &mut self,
         store: &KvStore<R>,
         hooks: &mut H,

@@ -35,7 +35,7 @@ use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
 use crate::conn::{batch_rounds, Conn};
-use crate::node::{NoHooks, NodeCore, Poll};
+use crate::node::{NoHooks, NodeCore};
 use crate::router::shard_of;
 pub use crate::wire::ReadHit;
 use crate::wire::{Request, Response, WireError, MGET_MAX};
@@ -172,28 +172,15 @@ pub struct ServeReport {
     pub malformed: u64,
 }
 
-/// Runs one shard's server loop: the [`NodeCore`] request path with no
-/// policy attached, until every client has sent [`Request::Stop`].
-/// Meant to run on its own thread; returns once the last client stops.
+/// Runs one shard's server: the [`NodeCore`] loop with no policy
+/// attached, until every client has sent [`Request::Stop`] (or gone
+/// away without one). Meant to run on its own thread; returns once the
+/// last client stops.
 pub fn serve<R: RawLock + Default, C: MsgReceiver, S: MsgSender>(
     shard: &KvStore<R>,
     endpoint: ServerEndpoint<C, S>,
 ) -> ServeReport {
-    let mut core = NodeCore::new(endpoint);
-    while core.live() > 0 {
-        let polled = core.poll();
-        let progressed = !matches!(polled, Poll::Idle);
-        match polled {
-            Poll::Idle | Poll::Consumed => {}
-            Poll::Scrape(client) => core.reply_stats(client, shard, &[]),
-            Poll::Request(client, request) => {
-                let parked = core.serve(shard, &mut NoHooks, client, request);
-                debug_assert!(parked.is_none(), "NoHooks never defers");
-            }
-        }
-        core.pace(shard, progressed);
-    }
-    core.counts
+    NodeCore::new(endpoint).run(shard, &mut NoHooks)
 }
 
 impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {

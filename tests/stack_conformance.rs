@@ -371,9 +371,9 @@ fn one_script_draws_the_same_replies_from_all_three_stacks() {
 }
 
 /// Regression: a client that went away without `Stop` — a body that
-/// panicked, a connection dropped un-closed — left `NodeCore::live()`
-/// above zero forever, and every node of the stack with it (the
-/// `cargo test --workspace` hang). Runs `through` with the script's
+/// panicked, a connection dropped un-closed — left a node's count of
+/// live clients above zero forever, and every node of the stack with
+/// it (the `cargo test --workspace` hang). Runs `through` with the script's
 /// client dropped instead of closed, detached and under a deadline, so
 /// a node that never exits fails here instead of hanging the suite.
 fn survives_drop_without_stop(stack: &str, through: fn(&[Step], Leave) -> Outcome) {
