@@ -78,6 +78,10 @@ use ssync_srv::{slot_of, ROUTE_SLOTS};
 
 use crate::map::ShardMap;
 
+/// Unfrozen delta-replay rounds before the freeze — each shrinks the
+/// tail the frozen final drain has to ship.
+const DELTA_ROUNDS: usize = 2;
+
 /// What a resharding should do and which faults to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReshardSpec {
@@ -88,9 +92,6 @@ pub struct ReshardSpec {
     /// page during the bulk copy, while the store has them (a page is
     /// whole bucket chains, so it may run one chain over).
     pub chunk: usize,
-    /// Pre-freeze delta-replay rounds — each shrinks the tail the
-    /// frozen final drain has to ship.
-    pub delta_rounds: usize,
     /// The seed the fault schedules derive from.
     pub faults: FaultSpec,
     /// Per-source migration-stream crashes
@@ -107,7 +108,6 @@ impl ReshardSpec {
         ReshardSpec {
             shards_after,
             chunk: 64,
-            delta_rounds: 2,
             faults: FaultSpec::none(),
             source_crashes: 0,
             coordinator_crashes: 0,
@@ -343,7 +343,7 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
         }
 
         // 3. Unfrozen delta rounds shrink the final drain.
-        for _ in 0..spec.delta_rounds {
+        for _ in 0..DELTA_ROUNDS {
             for &source in &sources {
                 delta(source, &mut cursor, &mut sent, &mut frames, &mut report);
             }

@@ -54,13 +54,13 @@ use bytes::Bytes;
 use ssync_core::{Fence, RegistrySnapshot};
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
-use ssync_mp::{ring_channel, Message, RingReceiver, RingSender};
+use ssync_mp::{ring_channel, RingReceiver, RingSender};
 use ssync_repl::{EntryView, LogEntry, OpLog};
 use ssync_srv::service::{ring_mesh, ReadHit, ServeReport, ServerEndpoint};
 use ssync_srv::wire::{Request, Response, WireError};
 use ssync_srv::{
-    chase, slot_of, try_recv_request, Admit, Budget, Chase, Conn, Hooks, KvClient, NodeCore,
-    ServiceClient, Turn, OP_BUDGET,
+    chase, slot_of, Admit, Budget, Chase, Conn, Hooks, KvClient, NodeCore, ServiceClient,
+    StreamDecoder, Turn, OP_BUDGET,
 };
 
 use crate::map::{is_armed, MapSnapshot, ShardMap};
@@ -170,8 +170,8 @@ struct ClusterNode<'a, R: RawLock + Default> {
     map: &'a ShardMap,
     log: &'a OpLog,
     migration: RingReceiver,
-    /// A migration entry's continuation frames, taken as one burst.
-    frames: Vec<Message>,
+    /// The migration stream's decode, resumed each turn.
+    inbox: StreamDecoder,
     /// The arming generation this node last acknowledged
     /// ([`follow_log_arming`]); armed = log every committed write.
     log_generation: Fence,
@@ -229,7 +229,7 @@ impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
             (map.frozen() & mine != 0).then_some(last_logged)
         });
         // Drain the migration stream.
-        while let Some(request) = try_recv_request(&self.migration, &mut self.frames) {
+        while let Some(request) = self.inbox.try_recv(&self.migration) {
             progressed = true;
             if request == Err(WireError::Disconnected) {
                 // The coordinator died mid-entry: nothing to apply, and
@@ -283,7 +283,7 @@ pub fn serve_cluster_node<R: RawLock + Default>(
         map,
         log,
         migration,
-        frames: Vec::new(),
+        inbox: StreamDecoder::default(),
         log_generation: Fence::default(),
         last_logged: 0,
         acked_round: Fence::default(),
@@ -864,5 +864,66 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(20))
             .expect("a coordinator that died mid-entry wedged the node");
         assert_eq!((report.malformed, report.migration_entries), (1, 0));
+    }
+
+    /// Regression: the node took a migration entry's continuation
+    /// frames with a receive that waits for them, so a coordinator slow
+    /// to publish the rest of a long value held the node — and every
+    /// client behind it. The half-published entry now costs a turn: the
+    /// node answers reads meanwhile, and the entry applies, and counts,
+    /// once the rest arrives. Detached under a deadline, so a held node
+    /// fails instead of hanging the suite.
+    #[test]
+    fn a_half_published_migration_entry_does_not_hold_the_node() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let map = ShardMap::new(2);
+            let (stores, logs) = (stores(2), logs(2));
+            let (endpoints, mut conns, mut mig) = cluster_mesh(2, 1, 16, 64);
+            let owned = (0u64..).find(|&k| map.owner_of(slot_of(k)) == 1).unwrap();
+            let report = std::thread::scope(|s| {
+                let nodes: Vec<_> = endpoints
+                    .into_iter()
+                    .enumerate()
+                    .map(|(shard, endpoint)| {
+                        let (store, log, map) = (&stores[shard], &logs[shard], &map);
+                        s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint))
+                    })
+                    .collect();
+                let frames = Request::Replicate {
+                    key: owned,
+                    version: 5,
+                    value: vec![7; 300],
+                }
+                .encode();
+                let stream = mig.pop().unwrap();
+                stream.send(frames[0]);
+                let client = ClusterClient::new(&map, conns.pop().unwrap());
+                // The head was published before either request: by the
+                // second, the node has taken it.
+                assert_eq!(client.get(owned), Ok(None));
+                let entries = || client.stats(1).unwrap().counter("node.migration_entries");
+                assert_eq!(entries(), Some(0));
+                assert_eq!(
+                    client.get(owned),
+                    Ok(None),
+                    "nothing applies half-published"
+                );
+                stream.send_all(&frames[1..]);
+                while entries() != Some(1) {
+                    std::thread::yield_now();
+                }
+                assert_eq!(client.get(owned), Ok(Some((5, vec![7; 300]))));
+                client.close();
+                let mut reports = nodes.into_iter().map(|n| n.join().unwrap());
+                reports.nth(1).unwrap()
+            });
+            assert_eq!(map.migrated_of(1), 1);
+            done_tx.send(report).unwrap();
+        });
+        let report = done_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a half-published migration entry held the node");
+        assert_eq!((report.malformed, report.migration_entries), (0, 1));
     }
 }

@@ -93,8 +93,8 @@
 //!   reference for as long as the item is linked or retired, and drops
 //!   it when the item's bag ages out (or at the shutdown purge). Every
 //!   `Bytes` the store hands out — [`KvStore::get`],
-//!   [`KvStore::get_with_version`], [`KvStore::multi_get`],
-//!   [`KvStore::dump`], [`KvStore::dump_range`], the `_shared` writes —
+//!   [`KvStore::get_with_version`], [`KvStore::dump`],
+//!   [`KvStore::dump_range`], the `_shared` writes —
 //!   is a view into the block holding one more, taken under the pin or
 //!   the stripe lock, while the store's own reference is certain to be
 //!   held. A handle outlives its item's reclamation and even the store;
@@ -1545,8 +1545,8 @@ impl<R: RawLock + Default> KvStore<R> {
         // Pin before the first head load: every pointer the traversal
         // below can observe stays allocated until the guard drops (an
         // item's bag cannot age out of the grace period while this pin
-        // holds the epoch). A nested pin — each of `multi_get`'s reads
-        // runs under the batch's — is a plain depth bump. `None` means
+        // holds the epoch). A nested pin — a read under a caller's own
+        // pin — is a plain depth bump. `None` means
         // every participant slot is taken; the locked path needs no grace
         // period, so the read still answers (counted as a fallback).
         if let Some(_pin) = self.epoch.pin() {
@@ -1625,18 +1625,6 @@ impl<R: RawLock + Default> KvStore<R> {
     /// must not write to this store.
     pub fn get_with<T>(&self, key: &[u8], visit: impl FnOnce(u64, &[u8]) -> T) -> Option<T> {
         self.read_counted(key, |item| visit(item.version, item.value()))
-    }
-
-    /// Batched lookup: each key is read on its own (per-key
-    /// validation — a multi-get is not one atomic snapshot, matching
-    /// the service's per-key reply semantics). Results come back in
-    /// input order; hit/miss statistics count per key.
-    ///
-    /// The batch pins once: each key's read nests under that pin as a
-    /// depth bump instead of publishing one of its own.
-    pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<(u64, Bytes)>> {
-        let _pin = self.epoch.pin();
-        keys.iter().map(|key| self.get_with_version(key)).collect()
     }
 
     /// Writer-side search, only under the stripe lock: the link slot
@@ -2780,21 +2768,6 @@ mod tests {
         kv.stripes[stripe].seq.store(2, Ordering::Release);
         assert_eq!(kv.get(b"k").unwrap().as_ref(), b"v");
         assert_eq!(kv.stats_snapshot().read_fallbacks, 1);
-    }
-
-    #[test]
-    fn multi_get_returns_input_order_and_counts_stats() {
-        let kv: KvStore<TicketLock> = KvStore::new(64, 8);
-        let va = kv.set(b"a", b"1".as_slice());
-        let vb = kv.set(b"b", b"2".as_slice());
-        let keys: [&[u8]; 3] = [b"b", b"missing", b"a"];
-        let hits = kv.multi_get(&keys);
-        assert_eq!(hits.len(), 3);
-        assert_eq!(hits[0].as_ref().unwrap().0, vb);
-        assert!(hits[1].is_none());
-        assert_eq!(hits[2].as_ref().unwrap().0, va);
-        let snap = kv.stats_snapshot();
-        assert_eq!((snap.hits, snap.misses), (2, 1));
     }
 
     #[test]

@@ -76,11 +76,35 @@ pub trait MsgReceiver {
         }
     }
 
+    /// One non-blocking step of a connected burst: moves `out` toward
+    /// `n` messages with what is published now, and says whether it got
+    /// there. Resumable: a caller that keeps `out` between calls takes
+    /// a message's continuation frames across as many polls as their
+    /// sender needs. This default takes them one
+    /// [`MsgReceiver::try_recv`] at a time; the ring overrides it with
+    /// a burst (one stamp check and one hand-back per chunk).
+    ///
+    /// # Errors
+    ///
+    /// [`RecvError::Disconnected`] if the sending half was dropped
+    /// before the `n`-th message was published; whatever it did
+    /// publish is in `out`, so the channel reads drained.
+    fn poll_burst(&self, n: usize, out: &mut Vec<Message>) -> Result<bool, RecvError> {
+        while out.len() < n {
+            match self.try_recv() {
+                Some(m) => out.push(m),
+                None if !self.sender_closed() => return Ok(false),
+                // Final drain: the sender may have published a message
+                // between the failed poll above and its drop.
+                None => out.push(self.try_recv().ok_or(RecvError::Disconnected)?),
+            }
+        }
+        Ok(true)
+    }
+
     /// Receives the next `n` messages into `out` (cleared first): how a
     /// message's continuation frames are taken once its head frame has
-    /// said how many follow. This default takes them one
-    /// [`MsgReceiver::recv_connected`] at a time; the ring overrides it
-    /// with a burst (one stamp wait and one hand-back per chunk).
+    /// said how many follow. The spin over [`MsgReceiver::poll_burst`].
     ///
     /// # Errors
     ///
@@ -89,8 +113,9 @@ pub trait MsgReceiver {
     /// consumed.
     fn recv_burst_connected(&self, n: usize, out: &mut Vec<Message>) -> Result<(), RecvError> {
         out.clear();
-        for _ in 0..n {
-            out.push(self.recv_connected()?);
+        let mut wait = SpinWait::new();
+        while !self.poll_burst(n, out)? {
+            wait.snooze();
         }
         Ok(())
     }
@@ -123,8 +148,8 @@ impl MsgReceiver for RingReceiver {
         RingReceiver::has_message(self)
     }
 
-    fn recv_burst_connected(&self, n: usize, out: &mut Vec<Message>) -> Result<(), RecvError> {
-        RingReceiver::recv_burst_connected(self, n, out)
+    fn poll_burst(&self, n: usize, out: &mut Vec<Message>) -> Result<bool, RecvError> {
+        RingReceiver::poll_burst(self, n, out)
     }
 }
 

@@ -60,7 +60,9 @@
 //!   re-loaded once if the copy does not cover the whole message, then
 //!   payload and stamp of each free slot in position order.
 //! * **Receive** ([`RingReceiver::try_recv_burst`], and
-//!   [`RingReceiver::recv_burst_connected`] over it) takes the next `k`
+//!   [`RingReceiver::poll_burst`] and the blocking
+//!   [`MsgReceiver::recv_burst_connected`](crate::MsgReceiver::recv_burst_connected)
+//!   over it) takes the next `k`
 //!   frames by polling only the *last* one's stamp, `seq == head + k`
 //!   (Acquire), copying the `k` payloads, and handing every slot back
 //!   with one `head = head + k` (Release).
@@ -445,35 +447,37 @@ impl RingReceiver {
         self.take(n as u64, |m| out.push(m))
     }
 
-    /// Receives the next `n` messages into `out` (cleared first),
-    /// blocking in chunks of at most `depth`: the connected burst form
-    /// of [`MsgReceiver::recv_connected`](crate::MsgReceiver::recv_connected).
+    /// One non-blocking step toward `n` messages in `out`: takes the
+    /// next chunks of at most `depth` frames each while they are
+    /// published, and says whether `out` got to `n`. The ring's
+    /// [`MsgReceiver::poll_burst`](crate::MsgReceiver::poll_burst),
+    /// under its blocking
+    /// [`recv_burst_connected`](crate::MsgReceiver::recv_burst_connected).
     ///
     /// # Errors
     ///
     /// [`RecvError::Disconnected`] if the sending half was dropped
     /// before the `n`-th message was published; whatever it did publish
     /// is consumed, so the ring reads drained.
-    pub fn recv_burst_connected(&self, n: usize, out: &mut Vec<Message>) -> Result<(), RecvError> {
-        out.clear();
+    #[inline]
+    pub fn poll_burst(&self, n: usize, out: &mut Vec<Message>) -> Result<bool, RecvError> {
         let depth = self.ring.slots.len();
         while out.len() < n {
             let chunk = (n - out.len()).min(depth);
-            let mut wait = SpinWait::new();
-            while !self.try_recv_burst(chunk, out) {
-                if self.sender_closed() {
-                    // Final drain: the sender may have published the
-                    // chunk between the failed poll above and its drop.
-                    if self.try_recv_burst(chunk, out) {
-                        break;
-                    }
-                    out.extend(core::iter::from_fn(|| self.try_recv()));
-                    return Err(RecvError::Disconnected);
-                }
-                wait.snooze();
+            if self.try_recv_burst(chunk, out) {
+                continue;
+            }
+            if !self.sender_closed() {
+                return Ok(false);
+            }
+            // Final drain: the sender may have published the chunk
+            // between the failed poll above and its drop.
+            if !self.try_recv_burst(chunk, out) {
+                out.extend(core::iter::from_fn(|| self.try_recv()));
+                return Err(RecvError::Disconnected);
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// The one consumer step under every receive: if positions
@@ -536,6 +540,7 @@ impl RingReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MsgReceiver;
 
     #[test]
     fn fifo_within_capacity() {

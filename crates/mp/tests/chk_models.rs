@@ -44,7 +44,7 @@
 use ssync_chk::{thread, Builder};
 use ssync_core::ParkingWait;
 use ssync_mp::ring::{ring_channel_with_fault, RingFault};
-use ssync_mp::{channel, ring_channel, RingReceiver, RingSender, MSG_WORDS};
+use ssync_mp::{channel, ring_channel, MsgReceiver, RingReceiver, RingSender, MSG_WORDS};
 
 /// Producer streams frames `1..=frames` with blocking sends, consumer
 /// drains them with blocking receives; every frame must arrive exactly
@@ -248,7 +248,7 @@ fn burst_then_wrap(tx: RingSender, rx: RingReceiver) {
         2 + tx.try_send_burst(&frames[2..])
     });
     let mut got = Vec::new();
-    let mut poll = |got: &mut Vec<_>| {
+    let poll = |got: &mut Vec<_>| {
         let chunk = (frames.len() - got.len()).min(2);
         chunk > 0 && rx.try_recv_burst(chunk, got)
     };

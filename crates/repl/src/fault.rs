@@ -20,7 +20,7 @@
 //! `from_log`, like a crash's, not as `applied`.
 //!
 //! Fault windows must stay below the async mode's lag bound: a primary
-//! that has stopped producing (blocked on the bound) cannot deliver the
+//! that has stopped producing (a reply held on the bound) cannot deliver the
 //! entries that would end an entry-indexed window. [`FaultSpec`]
 //! enforces that at plan-generation time.
 

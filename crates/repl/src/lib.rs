@@ -11,8 +11,9 @@
 //! store assigned (the CAS counter doubles as the per-shard
 //! replication sequence), appends it to a bounded in-memory
 //! [`log::OpLog`], and streams `Replicate` frames to the followers,
-//! which apply them idempotently through a version gate. Cumulative
-//! acks flow back; writes acknowledge **sync** (ack-before-reply —
+//! which apply them idempotently through a version gate and publish
+//! the version they have applied through in the shared map — their
+//! ack; writes acknowledge **sync** (ack-before-reply —
 //! read-your-writes from any replica) or **async** (bounded lag, with
 //! stale replica reads bounced to the leader by a per-shard freshness
 //! floor the client carries).

@@ -33,7 +33,7 @@ pub struct ReplReport {
     /// Replica reads that bounced to the leader (client-side count;
     /// load-dependent in async mode, 0 in sync mode without faults).
     pub fallbacks: u64,
-    /// `WrongLeader`/`WrongTerm` bounces chased by clients.
+    /// `WrongLeader` bounces chased by clients.
     pub redirects: u64,
     /// Requests retried after the serving node died under them.
     pub lost_to_retry: u64,

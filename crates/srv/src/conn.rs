@@ -149,7 +149,7 @@ pub trait Chase {
     fn pick(&self) -> Option<(usize, &Conn)>;
 
     /// True if `response` is a bounce the policy has adopted
-    /// (`WrongLeader`, `WrongTerm`, `WrongShard`): retried at once.
+    /// (`WrongLeader`, `WrongShard`): retried at once.
     fn redirected(&self, response: &Response) -> bool;
 
     /// True if a [`WireError::Disconnected`] from `node` is retried,

@@ -68,7 +68,7 @@ pub mod wire;
 pub mod workload;
 
 pub use conn::{batch_rounds, chase, Budget, Chase, Conn, OP_BUDGET};
-pub use node::{try_recv_request, Admit, Hooks, NoHooks, NodeCore, Turn};
+pub use node::{Admit, Hooks, NoHooks, NodeCore, StreamDecoder, Turn};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};
 pub use wire::{Request, Response, WireError, NO_LEADER};

@@ -6,12 +6,14 @@
 //! `Malformed` replies, per-client `Stop` accounting (a client that
 //! goes away without one is retired from the idle path), the
 //! reclamation cadence and idle pacing, the `TimedGet` latency split,
-//! the `Stats` scrape, and one executor for the six data operations.
+//! the `Stats` scrape, one executor for the six data operations, and
+//! holding a write's reply while a stack says it is owed.
 //! [`NodeCore::turn`] is one pass of a node and [`NodeCore::run`] the
-//! one loop over it. A serving stack is one struct implementing
-//! [`Hooks`], whose every method defaults to doing nothing; hooks are
-//! generic parameters, so the plain shard's [`NoHooks`] compiles to the
-//! bare store calls.
+//! one loop over it; a stream a node reads besides its clients decodes
+//! through a [`StreamDecoder`], resumed turn by turn. A serving stack
+//! is one struct implementing [`Hooks`], whose every method defaults to
+//! doing nothing; hooks are generic parameters, so the plain shard's
+//! [`NoHooks`] compiles to the bare store calls.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -19,7 +21,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use ssync_core::stats::{mono_ns, Histogram, Registry};
-use ssync_core::ParkingWait;
+use ssync_core::{ParkingWait, SpinWait};
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{Message, MsgReceiver, MsgSender, ServerHub};
@@ -73,6 +75,15 @@ pub trait Hooks {
     /// delete (reported always). Called before the reply is sent.
     fn committed(&mut self, _key: u64, _version: u64, _value: Option<&Bytes>) {}
 
+    /// Is the reply to the write just executed still owed? Asked after
+    /// every write, then once a turn while the core holds that reply —
+    /// serving no other request meanwhile — until a turn's answer
+    /// releases it. A stack that owes replies parks no writes
+    /// ([`Admit::Defer`]): the core holds one reply at a time.
+    fn reply_owed(&mut self) -> bool {
+        false
+    }
+
     /// The node's own work before the client poll, counting malformed
     /// frames in `counts`: `Continue(progressed)` goes on to the poll,
     /// `Break` ends the turn there.
@@ -90,7 +101,7 @@ pub trait Hooks {
     fn deferred(&mut self) {}
 
     /// Every client is gone and none has a frame waiting: exit?
-    fn may_exit(&self) -> bool {
+    fn may_exit(&mut self) -> bool {
         true
     }
 
@@ -111,19 +122,34 @@ impl Hooks for NoHooks {}
 /// flows — no quiescent point, bounded backlog.
 const RECLAIM_PERIOD: u64 = 1024;
 
-/// Takes one message off a node-to-node stream, its continuation frames
-/// as one burst into `frames`, and decodes it: `None` if no frame waits,
-/// `Err(Disconnected)` if the sender died before its last continuation.
-pub fn try_recv_request<C: MsgReceiver>(
-    rx: &C,
-    frames: &mut Vec<Message>,
-) -> Option<Result<Request, WireError>> {
-    let head = rx.try_recv()?;
-    let more = Request::continuations(&head);
-    if rx.recv_burst_connected(more, frames).is_err() {
-        return Some(Err(WireError::Disconnected));
+/// One node-to-node stream's decode, resumable across turns: a message
+/// whose continuation frames are not all published yet keeps its head
+/// and the frames taken so far here, and costs its node a turn, not a
+/// wait.
+#[derive(Default)]
+pub struct StreamDecoder {
+    head: Option<Message>,
+    frames: Vec<Message>,
+}
+
+impl StreamDecoder {
+    /// The next whole message off `rx`, decoded: `None` while none is
+    /// complete, `Err(Disconnected)` if the sender died before its last
+    /// continuation.
+    pub fn try_recv<C: MsgReceiver>(&mut self, rx: &C) -> Option<Result<Request, WireError>> {
+        if self.head.is_none() {
+            self.frames.clear();
+            self.head = Some(rx.try_recv()?);
+        }
+        let head = self.head?;
+        let whole = match rx.poll_burst(Request::continuations(&head), &mut self.frames) {
+            Ok(false) => return None,
+            Ok(true) => Request::decode(head, replay(&self.frames)),
+            Err(_) => Err(WireError::Disconnected),
+        };
+        self.head = None;
+        Some(whole)
     }
-    Some(Request::decode(head, replay(frames)))
 }
 
 /// The shared serve-loop state of one node. See the module docs.
@@ -143,6 +169,8 @@ pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
     apply: Arc<Histogram>,
     /// Writes [`Admit::Defer`] parked, with the client owed each.
     parked: Vec<(usize, Request)>,
+    /// An executed write's reply [`Hooks::reply_owed`] holds back.
+    owed: Option<(usize, Response)>,
     /// Requests, key-operations and refused frames so far.
     counts: ServeReport,
 }
@@ -167,6 +195,7 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
             apply: registry.histogram("srv.apply_ns"),
             registry,
             parked: Vec::new(),
+            owed: None,
             counts: ServeReport::default(),
         }
     }
@@ -184,20 +213,27 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// is left to send. A silent departure is not a malformed frame
     /// and is not counted as one. A node merely between requests never
     /// parks, so no request pays for the sweep.
+    ///
+    /// A node holding an owed reply is not idle: a client waits on it.
+    /// Its idle turns wait with [`SpinWait`] — spin, then yield, never
+    /// sleep or sweep.
     pub fn run<R: RawLock + Default, H: Hooks>(
         mut self,
         store: &KvStore<R>,
         hooks: &mut H,
     ) -> ServeReport {
+        let mut owing = SpinWait::new();
         loop {
             match self.turn(store, hooks) {
                 Turn::Exit => return self.counts,
+                Turn::Idle if self.owed.is_some() => owing.snooze(),
                 Turn::Idle if self.wait.parked() => {
                     self.retire_departed();
                     self.wait.snooze();
                 }
                 Turn::Idle => self.wait.snooze(),
                 Turn::Progress => {
+                    owing = SpinWait::new();
                     self.wait.reset();
                     self.since_reclaim += 1;
                     if self.since_reclaim >= RECLAIM_PERIOD {
@@ -212,7 +248,10 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// One pass of the node: `hooks`' side work, the parked writes
     /// re-submitted, one round-robin poll of the clients, and its
     /// dispatch. A turn whose poll finds nothing, once every client is
-    /// gone, exits if `hooks` agrees.
+    /// gone, exits if `hooks` agrees. While a write's reply is owed
+    /// ([`Hooks::reply_owed`]), a turn is the side work and the
+    /// question only; the turn that releases the reply sends it and
+    /// ends there.
     ///
     /// The continuation frames a head announces
     /// ([`Request::continuations`]) are taken from the same client as
@@ -234,6 +273,19 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
             ControlFlow::Break(turn) => return turn,
             ControlFlow::Continue(progressed) => progressed,
         };
+        if self.owed.is_some() {
+            if hooks.reply_owed() {
+                return if progressed {
+                    Turn::Progress
+                } else {
+                    Turn::Idle
+                };
+            }
+            if let Some((client, response)) = self.owed.take() {
+                self.reply(client, &response);
+            }
+            return Turn::Progress;
+        }
         if !self.parked.is_empty() {
             for (client, request) in std::mem::take(&mut self.parked) {
                 match self.serve(store, hooks, client, request) {
@@ -362,8 +414,9 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
 
     /// Executes one data request for `client` and replies: one response
     /// per key for a multi-get, in key order; exactly one for
-    /// everything else. Returns the request back, nothing executed and
-    /// nothing replied, when `hooks` deferred its write. Anything that
+    /// everything else, held while [`Hooks::reply_owed`] says so.
+    /// Returns the request back, nothing executed and nothing replied,
+    /// when `hooks` deferred its write. Anything that
     /// is not a data operation is out of protocol on a client channel:
     /// refused with [`Response::Malformed`] and counted.
     #[inline]
@@ -402,7 +455,12 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
                     Admit::Refuse(response) => response,
                     _ => write(store, hooks, request),
                 };
-                self.reply(client, &response);
+                if hooks.reply_owed() {
+                    debug_assert!(self.owed.is_none(), "one owed reply at a time");
+                    self.owed = Some((client, response));
+                } else {
+                    self.reply(client, &response);
+                }
             }
             _ => {
                 self.counts.malformed += 1;

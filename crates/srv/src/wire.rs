@@ -40,7 +40,8 @@
 //! Replication rides the same format: a primary streams
 //! [`Request::Replicate`] / [`Request::ReplicateDelete`] entries (the
 //! value reusing the continuation-frame protocol) to its backups, which
-//! answer with cumulative [`Response::ReplAck`]s; clients read from
+//! acknowledge by publishing their applied high-water mark in the
+//! shared map, not on the wire; clients read from
 //! backups with [`Request::ReplGet`] / [`Request::ReplMultiGet`], whose
 //! `floor` word lets the backup answer [`Response::Stale`] instead of
 //! serving data older than what the client has already observed.
@@ -105,11 +106,11 @@ const ST_STORED: u64 = 3;
 const ST_CAS_FAIL: u64 = 4;
 const ST_DELETED: u64 = 5;
 const ST_NOT_FOUND: u64 = 6;
-const ST_REPL_ACK: u64 = 7;
+// 7 was a backup's cumulative ack: reserved, decodes as unknown.
 const ST_STALE: u64 = 8;
 const ST_MALFORMED: u64 = 9;
 const ST_WRONG_LEADER: u64 = 10;
-const ST_WRONG_TERM: u64 = 11;
+// 11 was a term fence back at a stale sender: reserved, likewise.
 const ST_WRONG_SHARD: u64 = 12;
 const ST_STATS: u64 = 13;
 
@@ -318,13 +319,6 @@ pub enum Response {
     },
     /// A `Delete` found nothing.
     NotFound,
-    /// Backup-to-primary: every replicated entry with a version ≤ this
-    /// has been applied (acks are cumulative, so coalescing or dropping
-    /// intermediate acks is harmless).
-    ReplAck {
-        /// Highest contiguously applied version.
-        version: u64,
-    },
     /// The backup cannot serve the read: it has applied only up to
     /// `hwm`, below the client's floor (or it is down and refusing
     /// reads). The client retries at the primary.
@@ -343,13 +337,6 @@ pub enum Response {
         /// The node id it believes leads that term, or [`NO_LEADER`]
         /// while the shard is leaderless (mid-failover).
         leader: u64,
-    },
-    /// A replication frame arrived from a sender whose term is stale
-    /// (a fenced old primary): nothing was applied. Carries the
-    /// responder's current term so the sender can stand down.
-    WrongTerm {
-        /// The term the responder currently observes.
-        term: Fence,
     },
     /// The responder does not own the key's routing slot under the
     /// cluster map epoch it currently observes (the client's map is
@@ -767,11 +754,6 @@ impl Response {
                 m[0] = head_word(ST_NOT_FOUND, 0, 0);
                 out.push(m);
             }
-            Response::ReplAck { version } => {
-                m[0] = head_word(ST_REPL_ACK, 0, 0);
-                m[1] = *version;
-                out.push(m);
-            }
             Response::Stale { hwm } => {
                 m[0] = head_word(ST_STALE, 0, 0);
                 m[1] = *hwm;
@@ -785,11 +767,6 @@ impl Response {
                 m[0] = head_word(ST_WRONG_LEADER, 0, 0);
                 m[1] = u64::from(*term);
                 m[2] = *leader;
-                out.push(m);
-            }
-            Response::WrongTerm { term } => {
-                m[0] = head_word(ST_WRONG_TERM, 0, 0);
-                m[1] = u64::from(*term);
                 out.push(m);
             }
             Response::WrongShard { map_epoch } => {
@@ -850,14 +827,12 @@ impl Response {
             ST_CAS_FAIL => Response::CasFail { current: head[1] },
             ST_DELETED => Response::Deleted { version: head[1] },
             ST_NOT_FOUND => Response::NotFound,
-            ST_REPL_ACK => Response::ReplAck { version: head[1] },
             ST_STALE => Response::Stale { hwm: head[1] },
             ST_MALFORMED => Response::Malformed,
             ST_WRONG_LEADER => Response::WrongLeader {
                 term: fence,
                 leader: head[2],
             },
-            ST_WRONG_TERM => Response::WrongTerm { term: fence },
             ST_WRONG_SHARD => Response::WrongShard { map_epoch: fence },
             ST_STATS => {
                 let len =
@@ -1025,7 +1000,6 @@ mod tests {
             Response::CasFail { current: 17 },
             Response::Deleted { version: 41 },
             Response::NotFound,
-            Response::ReplAck { version: 1000 },
             Response::Stale { hwm: 7 },
             Response::Malformed,
             Response::WrongLeader {
@@ -1035,9 +1009,6 @@ mod tests {
             Response::WrongLeader {
                 term: Fence::from_wire(4),
                 leader: NO_LEADER,
-            },
-            Response::WrongTerm {
-                term: Fence::from_wire(9),
             },
             Response::WrongShard {
                 map_epoch: Fence::from_wire(6),
@@ -1093,6 +1064,14 @@ mod tests {
             Response::decode(m, no_more),
             Err(WireError::UnknownStatus(0xEE))
         );
+        // The retired ack (7) and term fence (11) stay reserved.
+        for st in [7, 11] {
+            m[0] = head_word(st, 0, 0);
+            assert_eq!(
+                Response::decode(m, no_more),
+                Err(WireError::UnknownStatus(st))
+            );
+        }
         // Over-long value length on every valued frame kind.
         for op in [OP_SET, OP_CAS, OP_REPLICATE] {
             let mut m: Message = [0; MSG_WORDS];

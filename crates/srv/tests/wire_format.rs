@@ -28,12 +28,7 @@ const AUX: u64 = 0xFEDC_BA98_7654_3210;
 const CARRIERS: [&str; 4] = ["Set", "Cas", "Replicate", "Value"];
 /// The responses that carry a fence; their golden rows' second column
 /// is the fence, not a payload length.
-const FENCE_CARRIERS: [&str; 4] = [
-    "WrongLeader",
-    "WrongLeader/NO_LEADER",
-    "WrongTerm",
-    "WrongShard",
-];
+const FENCE_CARRIERS: [&str; 3] = ["WrongLeader", "WrongLeader/NO_LEADER", "WrongShard"];
 
 /// Payload bytes with no zero among them, so a zeroed tail shows.
 fn bytes(len: usize) -> Vec<u8> {
@@ -118,7 +113,6 @@ fn sample(carrier: &str, len: usize) -> Msg {
             term: fence,
             leader: NO_LEADER,
         }),
-        "WrongTerm" => Msg::Resp(Response::WrongTerm { term: fence }),
         "WrongShard" => Msg::Resp(Response::WrongShard { map_epoch: fence }),
         other => panic!("no carrier {other}"),
     }
@@ -296,7 +290,7 @@ fn arbitrary(rng: &mut SmallRng) -> Msg {
             _ => Request::Stop,
         })
     } else {
-        Msg::Resp(match rng.gen_range(0u8..13) {
+        Msg::Resp(match rng.gen_range(0u8..11) {
             0 => Response::Value {
                 version: a,
                 value: value(rng),
@@ -306,17 +300,13 @@ fn arbitrary(rng: &mut SmallRng) -> Msg {
             3 => Response::CasFail { current: a },
             4 => Response::Deleted { version: a },
             5 => Response::NotFound,
-            6 => Response::ReplAck { version: a },
-            7 => Response::Stale { hwm: a },
-            8 => Response::Malformed,
-            9 => Response::WrongLeader {
+            6 => Response::Stale { hwm: a },
+            7 => Response::Malformed,
+            8 => Response::WrongLeader {
                 term: Fence::from_wire(a),
                 leader: b,
             },
-            10 => Response::WrongTerm {
-                term: Fence::from_wire(a),
-            },
-            11 => Response::WrongShard {
+            9 => Response::WrongShard {
                 map_epoch: Fence::from_wire(a),
             },
             _ => Response::StatsReply {
