@@ -61,7 +61,7 @@
 //!   arming and quiesce handshakes and the migration-progress counters;
 //! * [`service`] — cluster node servers and the map-following,
 //!   redirect-chasing [`service::ClusterClient`];
-//! * [`migrate`] — the fault-injected live-migration coordinator;
+//! * [`migrate`] — the fault-injected live-migration coordinator, stepped;
 //! * [`workload`] — the closed-loop reshard-under-traffic driver: its
 //!   own per-op body, which keeps the acknowledged-write model, over the
 //!   `ssync-srv` engine's client fan-out, reporting the engine's one
@@ -75,7 +75,7 @@ pub mod workload;
 pub(crate) mod sync;
 
 pub use map::{is_armed, MapSnapshot, MapView, ShardMap};
-pub use migrate::{run_reshard_coordinator, MigrationReport, ReshardSpec};
+pub use migrate::{run_reshard_coordinator, MigrationReport, Reshard, ReshardSpec};
 pub use service::{
     cluster_mesh, follow_log_arming, serve_cluster_node, slot_fence, ClientConn, ClusterClient,
     ClusterMesh, ClusterNodeEndpoint, NodeReport,

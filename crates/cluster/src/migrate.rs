@@ -2,15 +2,17 @@
 //!
 //! [`run_reshard_coordinator`] reshapes a running fleet from the
 //! current map to `slot % shards_after` ownership while the nodes keep
-//! serving. Every wait is one [`SpinWait`] loop polling a non-blocking
+//! serving. The protocol is one `async fn`, which [`Reshard::step`]
+//! polls to its next wait; every wait is an `.await` on a non-blocking
 //! query: [`settled`](ssync_core::Handshake::settled) on the map's
-//! arming and quiesce handshakes, or the targets' monotone stream
-//! progress ([`ShardMap::migrated_of`]). Before the first attempt it
-//! **arms** the nodes' op-logs ([`ShardMap::arm_logs`]) and waits until
-//! every source has acked; only then does it read a key, so the logs
-//! hold what was written *during* this migration and the copy plus the
-//! log is every write ([`follow_log_arming`](crate::follow_log_arming)
-//! says why). The protocol, per attempt:
+//! arming and quiesce handshakes, the targets' monotone stream progress
+//! ([`ShardMap::migrated_of`]), or room on a full migration ring. Before
+//! the first attempt it **arms** the nodes' op-logs
+//! ([`ShardMap::arm_logs`]) and waits until every source has acked;
+//! only then does it read a key, so the logs hold what was written
+//! *during* this migration and the copy plus the log is every write
+//! ([`follow_log_arming`](crate::follow_log_arming) says why). The
+//! protocol, per attempt:
 //!
 //! 1. **Drain & clear** — wait until every target has processed all
 //!    migration-stream entries already sent to it (progress is the
@@ -19,8 +21,8 @@
 //!    makes a restart equivalent to a first run even when a crashed
 //!    stream lost a delete tombstone the recopied dump cannot carry.
 //! 2. **Bulk copy** — page each source with
-//!    [`KvStore::dump_range`], stream moving-slot triples as
-//!    `Replicate` frames. Pages come in table order and a key written
+//!    [`KvStore::dump_range`], a page a step, stream moving-slot
+//!    triples as `Replicate` frames. Pages come in table order and a key written
 //!    behind the cursor is not revisited — the armed log has it. The
 //!    target applies entries through the store's replication version
 //!    gate, so recopied duplicates drop as stale. A seeded
@@ -59,14 +61,20 @@
 //! abort path leaves the map un-cut and the data recoverable by the
 //! next attempt; `tests/migration_model.rs` proves convergence against
 //! a model under both fault families. A coordinator that *unwinds*
-//! (a target's ring gone, a rival cutover) lifts its freeze and disarms
-//! the logs on the way out, so no write stays parked and no log keeps
-//! growing behind a migration that no longer exists.
+//! (a target's ring gone, a rival cutover) or is dropped lifts its
+//! freeze and disarms the logs on the way out, so no write stays parked
+//! and no log keeps growing behind a migration that no longer exists.
 //!
 //! [`KvStore::dump_range`]: ssync_kv::KvStore::dump_range
 //! [`KvStore::purge_retired`]: ssync_kv::KvStore::purge_retired
 //! [`FaultSpec::migration_plan_for`]: ssync_repl::FaultSpec::migration_plan_for
 //! [`FaultSpec::coordinator_plan_for`]: ssync_repl::FaultSpec::coordinator_plan_for
+
+use core::cell::Cell;
+use core::future::{poll_fn, Future};
+use core::pin::Pin;
+use core::task::{Context, Poll, Waker};
+use std::rc::Rc;
 
 use ssync_core::SpinWait;
 use ssync_kv::KvStore;
@@ -74,7 +82,7 @@ use ssync_locks::RawLock;
 use ssync_mp::{Message, RingSender};
 use ssync_repl::{FaultSpec, LogEntry, OpLog};
 use ssync_srv::wire::encode_replicate;
-use ssync_srv::{slot_of, ROUTE_SLOTS};
+use ssync_srv::{slot_of, Turn, ROUTE_SLOTS};
 
 use crate::map::ShardMap;
 
@@ -138,10 +146,10 @@ pub struct MigrationReport {
 /// cursor. The truncation point is the last entry *read*: the owning
 /// node appends concurrently, and an entry that lands between the read
 /// and the truncation must survive to the next call.
-fn drain_tail(log: &OpLog, cursor: &mut u64, mut ship: impl FnMut(&LogEntry)) {
+async fn drain_tail(log: &OpLog, cursor: &mut u64, mut ship: impl AsyncFnMut(&LogEntry)) {
     for entry in log.entries_after(*cursor) {
         *cursor = entry.version;
-        ship(&entry);
+        ship(&entry).await;
     }
     log.truncate_through(*cursor);
 }
@@ -162,40 +170,109 @@ impl Drop for MigrationGuard<'_> {
     }
 }
 
-/// Hands `visit` each `(key, key bytes, version, value)` of `store`, a
-/// page of at least `chunk` at a time, until the store ends (true) or
-/// `visit` returns false (false).
-fn walk<R: RawLock + Default>(
+/// `store`'s `(key bytes, version, value)` triples, a page of at least
+/// `chunk` at a time, until the store ends.
+fn pages<R: RawLock + Default>(
     store: &KvStore<R>,
     chunk: usize,
-    mut visit: impl FnMut(u64, &[u8], u64, &[u8]) -> bool,
-) -> bool {
-    let mut after: Option<Vec<u8>> = None;
-    loop {
+) -> impl Iterator<Item = Vec<(bytes::Bytes, u64, bytes::Bytes)>> + '_ {
+    let mut after: Option<bytes::Bytes> = None;
+    std::iter::from_fn(move || {
         let page = store.dump_range(after.as_deref(), chunk);
-        let Some(last) = page.last() else { return true };
-        after = Some(last.0.to_vec());
-        for (key, version, value) in &page {
-            let k = u64::from_be_bytes(key.as_ref().try_into().expect("8-byte keys"));
-            if !visit(k, key, *version, value) {
-                return false;
-            }
+        after = Some(page.last()?.0.clone());
+        Some(page)
+    })
+}
+
+/// Deletes `store`'s keys in the slots of `mask`, a page at a time, and
+/// returns how many it deleted.
+fn delete_slots<R: RawLock + Default>(store: &KvStore<R>, mask: u64, chunk: usize) -> u64 {
+    let mut deleted = 0;
+    for (key, _, _) in pages(store, chunk).flatten() {
+        let k = u64::from_be_bytes(key.as_ref().try_into().expect("8-byte keys"));
+        if mask & (1 << slot_of(k)) != 0 && store.delete_versioned(&key).is_some() {
+            deleted += 1;
         }
     }
+    deleted
 }
 
-/// The coordinator's one wait: polls `done` — a non-blocking query of
-/// the map — until it holds, spinning briefly, then yielding per poll.
-fn wait_until(mut done: impl FnMut() -> bool) {
-    let mut wait = SpinWait::new();
-    while !done() {
-        wait.snooze();
+/// The coordinator's one wait: pending until `done`, a non-blocking query.
+fn until(mut done: impl FnMut() -> bool) -> impl Future<Output = ()> {
+    poll_fn(move |_| done().then_some(()).map_or(Poll::Pending, Poll::Ready))
+}
+
+/// Publishes `frames` on `tx` a [`RingSender::try_send_burst`] run at a
+/// time, pending while the ring is full; panics once the receiving half
+/// is gone, checked before every run.
+async fn send(tx: &RingSender, mut frames: &[Message]) {
+    until(|| {
+        assert!(!tx.receiver_closed(), "target node outlives the migration");
+        frames = &frames[tx.try_send_burst(frames)..];
+        frames.is_empty()
+    })
+    .await;
+}
+
+/// One resharding, run a step at a time: the coordinator's protocol
+/// (see the module docs) as one future, which [`Reshard::step`] polls
+/// to its next wait. Dropping it unfreezes and disarms, but an entry it
+/// left half sent stays on its target's migration ring.
+pub struct Reshard<'a> {
+    body: Pin<Box<dyn Future<Output = MigrationReport> + 'a>>,
+    /// Set by the body at each copy page's end.
+    moved: Rc<Cell<bool>>,
+    report: Option<MigrationReport>,
+}
+
+impl<'a> Reshard<'a> {
+    /// The resharding `spec` asks for, as [`run_reshard_coordinator`]
+    /// takes it, not yet begun: the first step arms.
+    pub fn new<R: RawLock + Default>(
+        map: &'a ShardMap,
+        stores: &'a [&'a KvStore<R>],
+        logs: &'a [&'a OpLog],
+        mig_tx: &'a [RingSender],
+        spec: &ReshardSpec,
+    ) -> Reshard<'a> {
+        let moved = Rc::new(Cell::new(false));
+        let body = coordinate(map, stores, logs, mig_tx, *spec, Rc::clone(&moved));
+        Reshard {
+            body: Box::pin(body),
+            moved,
+            report: None,
+        }
+    }
+
+    /// Runs the coordinator until it next waits or finishes, never
+    /// blocking: [`Turn::Progress`] if it stopped at a copy page's end,
+    /// [`Turn::Idle`] if at a wait, [`Turn::Exit`] once the migration is
+    /// done — the answers of a node's turn. Panics as
+    /// [`run_reshard_coordinator`] does, lifting the freeze and the
+    /// arming on the way out.
+    pub fn step(&mut self) -> Turn {
+        if self.report.is_some() {
+            return Turn::Exit;
+        }
+        match (self.body.as_mut()).poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(report) => {
+                self.report = Some(report);
+                Turn::Exit
+            }
+            Poll::Pending if self.moved.replace(false) => Turn::Progress,
+            Poll::Pending => Turn::Idle,
+        }
+    }
+
+    /// What the resharding did, once a step has returned [`Turn::Exit`].
+    pub fn report(&self) -> Option<MigrationReport> {
+        self.report
     }
 }
 
-/// Runs one resharding to completion against live nodes, injecting
-/// the spec's seeded faults. Blocks until the cutover has published
-/// and the sources are cleaned; returns what happened.
+/// Runs one resharding to completion against live nodes, injecting the
+/// spec's seeded faults: [`Reshard::step`] after step, paced by a
+/// [`SpinWait`] while it waits. Returns once the sources are cleaned.
 ///
 /// `stores`, `logs`, and `mig_tx` are indexed by shard id and must
 /// cover both the current fleet and `shards_after`.
@@ -211,6 +288,26 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
     logs: &[&OpLog],
     mig_tx: &[RingSender],
     spec: &ReshardSpec,
+) -> MigrationReport {
+    let mut reshard = Reshard::new(map, stores, logs, mig_tx, spec);
+    let mut wait = SpinWait::new();
+    loop {
+        match reshard.step() {
+            Turn::Exit => return reshard.report.expect("a finished resharding"),
+            Turn::Idle => wait.snooze(),
+            Turn::Progress => wait = SpinWait::new(),
+        }
+    }
+}
+
+/// The coordinator: the module docs' protocol, each wait an `.await`.
+async fn coordinate<R: RawLock + Default>(
+    map: &ShardMap,
+    stores: &[&KvStore<R>],
+    logs: &[&OpLog],
+    mig_tx: &[RingSender],
+    spec: ReshardSpec,
+    moved: Rc<Cell<bool>>,
 ) -> MigrationReport {
     let shards_after = spec.shards_after;
     assert!(shards_after > 0 && shards_after <= stores.len());
@@ -249,7 +346,7 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
     };
     // Each source's ack payload (a quiesce round's: its logged hwm).
     let mut acks = vec![0u64; sources.len()];
-    wait_until(|| map.arming.settled(generation, &sources, &mut acks));
+    until(|| map.arming.settled(generation, &sources, &mut acks)).await;
 
     // Cumulative stream accounting — none of these reset on a fault.
     // `sent[t]` pairs with the map's migrated-of counter to prove a
@@ -265,29 +362,26 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
     let coord_plan = spec.faults.coordinator_plan_for(spec.coordinator_crashes);
     let mut frames: Vec<Message> = Vec::new();
 
-    let drain_targets = |sent: &[u64]| {
-        wait_until(|| (sent.iter().enumerate()).all(|(t, &n)| map.migrated_of(t) >= n));
-    };
+    let drained = |sent: &[u64]| (sent.iter().enumerate()).all(|(t, &n)| map.migrated_of(t) >= n);
     // Replays `source`'s op-log tail after the cursor, shipping moving
     // entries to their slots' new owners.
-    let delta = |source: usize,
-                 cursor: &mut [u64],
-                 sent: &mut [u64],
-                 frames: &mut Vec<Message>,
-                 report: &mut MigrationReport| {
-        drain_tail(logs[source], &mut cursor[source], |entry| {
+    let delta = async |source: usize,
+                       cursor: &mut [u64],
+                       sent: &mut [u64],
+                       frames: &mut Vec<Message>,
+                       report: &mut MigrationReport| {
+        drain_tail(logs[source], &mut cursor[source], async |entry| {
             let slot = slot_of(entry.key);
             if moving_from[source] & (1 << slot) == 0 {
                 return;
             }
             let target = new_owner(slot);
             entry.encode_into(frames);
-            mig_tx[target]
-                .send_all_connected(frames)
-                .expect("target node outlives the migration");
+            send(&mig_tx[target], frames).await;
             sent[target] += 1;
             report.entries_migrated += 1;
-        });
+        })
+        .await;
     };
 
     loop {
@@ -298,44 +392,43 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
             .map(|event| event.at_entry % 3);
 
         // 1. Drain the streams, then clear what earlier attempts left.
-        drain_targets(&sent);
-        for (target, store) in stores.iter().enumerate() {
-            let clear = moving_to[target];
+        until(|| drained(&sent)).await;
+        for (store, &clear) in stores.iter().zip(&moving_to) {
             if clear != 0 {
-                walk(store, chunk, |k, key, _, _| {
-                    if clear & (1 << slot_of(k)) != 0 {
-                        store.delete_versioned(key);
-                    }
-                    true
-                });
+                delete_slots(store, clear, chunk);
             }
         }
 
-        // 2. Bulk copy. A seeded stream crash stops a source's walk,
-        // which then restarts from the first page.
+        // 2. Bulk copy, a page a step. A seeded stream crash stops a
+        // source's walk, which then restarts from the first page.
         for &source in &sources {
-            let mut copy = |k: u64, _: &[u8], version: u64, value: &[u8]| {
-                let slot = slot_of(k);
-                if moving_from[source] & (1 << slot) == 0 {
-                    return true;
+            let mut walk = pages(stores[source], chunk);
+            'page: while let Some(page) = walk.next() {
+                for (key, version, value) in &page {
+                    let k = u64::from_be_bytes(key.as_ref().try_into().expect("8-byte keys"));
+                    let slot = slot_of(k);
+                    if moving_from[source] & (1 << slot) == 0 {
+                        continue;
+                    }
+                    encode_replicate(k, *version, value, &mut frames);
+                    send(&mig_tx[new_owner(slot)], &frames).await;
+                    sent[new_owner(slot)] += 1;
+                    report.entries_migrated += 1;
+                    streamed[source] += 1;
+                    let events = plans[source].events();
+                    let crash = (events.get(fault_idx[source]))
+                        .is_some_and(|event| streamed[source] == event.at_entry);
+                    if crash {
+                        fault_idx[source] += 1;
+                        report.copy_restarts += 1;
+                        walk = pages(stores[source], chunk);
+                        continue 'page;
+                    }
                 }
-                encode_replicate(k, version, value, &mut frames);
-                mig_tx[new_owner(slot)]
-                    .send_all_connected(&frames)
-                    .expect("target node outlives the migration");
-                sent[new_owner(slot)] += 1;
-                report.entries_migrated += 1;
-                streamed[source] += 1;
-                let events = plans[source].events();
-                let crash = (events.get(fault_idx[source]))
-                    .is_some_and(|event| streamed[source] == event.at_entry);
-                if crash {
-                    fault_idx[source] += 1;
-                    report.copy_restarts += 1;
-                }
-                !crash
-            };
-            while !walk(stores[source], chunk, &mut copy) {}
+                // The page's end: the step returning here clears `moved`.
+                moved.set(true);
+                until(|| !moved.get()).await;
+            }
         }
         if crash_stage == Some(0) {
             report.coordinator_restarts += 1;
@@ -345,7 +438,7 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
         // 3. Unfrozen delta rounds shrink the final drain.
         for _ in 0..DELTA_ROUNDS {
             for &source in &sources {
-                delta(source, &mut cursor, &mut sent, &mut frames, &mut report);
+                delta(source, &mut cursor, &mut sent, &mut frames, &mut report).await;
             }
         }
         if crash_stage == Some(1) {
@@ -356,7 +449,7 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
         // 4. Freeze, which opens a quiesce round, and wait for every
         // source to ack it with the highest version it logged.
         let round = map.freeze(moving_all);
-        wait_until(|| map.quiesce.settled(round, &sources, &mut acks));
+        until(|| map.quiesce.settled(round, &sources, &mut acks)).await;
         if crash_stage == Some(2) {
             // A supervisor restarting a dead coordinator lifts the
             // freeze first; parked writes resume at the old owners.
@@ -368,10 +461,10 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
         // 5. Final delta: sources are quiesced, so this tail is
         // complete. Prove the targets applied everything, then cut.
         for (&source, &hwm) in sources.iter().zip(&acks) {
-            delta(source, &mut cursor, &mut sent, &mut frames, &mut report);
+            delta(source, &mut cursor, &mut sent, &mut frames, &mut report).await;
             debug_assert!(cursor[source] >= hwm, "final delta must reach the hwm");
         }
-        drain_targets(&sent);
+        until(|| drained(&sent)).await;
         map.stage(&std::array::from_fn::<_, ROUTE_SLOTS, _>(new_owner));
         let epoch = map.try_cutover(map.view(), shards_after);
         report.final_epoch =
@@ -387,14 +480,7 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
     // are reclaimed by the stores' online epoch passes (or the
     // caller's purge_retired() shutdown drain).
     for &source in &sources {
-        walk(stores[source], chunk, |k, key, _, _| {
-            if moving_from[source] & (1 << slot_of(k)) != 0
-                && stores[source].delete_versioned(key).is_some()
-            {
-                report.source_keys_retired += 1;
-            }
-            true
-        });
+        report.source_keys_retired += delete_slots(stores[source], moving_from[source], chunk);
     }
     report
 }
@@ -403,10 +489,15 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
 mod tests {
     use super::*;
     use crate::map::{is_armed, ShardMap};
-    use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient};
+    use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient, ClusterNode};
+    use core::ops::ControlFlow;
     use ssync_core::Fence;
     use ssync_locks::TicketLock;
-    use ssync_srv::KvClient;
+    use ssync_srv::router::key_bytes;
+    use ssync_srv::service::ServeReport;
+    use ssync_srv::wire::{Request, Response};
+    use ssync_srv::{Admit, Hooks, KvClient};
+    use std::panic::AssertUnwindSafe;
 
     /// `n` stores and their logs. The logs hold ONE entry: a node that
     /// logs two writes nobody drained panics on the overflow assert, so
@@ -564,7 +655,12 @@ mod tests {
             (shipped, log.len())
         }
         assert_eq!(
-            shipped_by(|log, cursor, ship| drain_tail(log, cursor, ship)),
+            shipped_by(|log, cursor, ship| {
+                let drain = std::pin::pin!(drain_tail(log, cursor, async |entry| ship(entry)));
+                assert!(drain
+                    .poll(&mut Context::from_waker(Waker::noop()))
+                    .is_ready());
+            }),
             (vec![1, 2], 0),
             "every write ships once and the log ends empty"
         );
@@ -577,10 +673,11 @@ mod tests {
 
     /// A coordinator that dies mid-protocol — here on the final delta's
     /// send, the freeze up and the logs armed — leaves nothing frozen
-    /// and nothing armed. The test plays source node 0 by hand so the
-    /// death lands exactly there: it acknowledges the arming, waits for
-    /// the freeze round, drops the target's ring, logs one moving write
-    /// and only then acknowledges the quiesce.
+    /// and nothing armed. The test steps the coordinator and plays
+    /// source node 0 between steps, so the death lands exactly there:
+    /// it acknowledges the arming, waits for the freeze round, drops
+    /// the target's ring, logs one moving write and only then
+    /// acknowledges the quiesce.
     #[test]
     fn an_unwinding_coordinator_unfreezes_and_disarms() {
         let map = ShardMap::new(1);
@@ -590,36 +687,245 @@ mod tests {
         let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         let moving_key = (0u64..).find(|&k| slot_of(k) == 1).unwrap();
-        let died = std::thread::scope(|s| {
-            let coordinator = s.spawn(|| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_reshard_coordinator(
-                        &map,
-                        &store_refs,
-                        &log_refs,
-                        &mig,
-                        &ReshardSpec::clean(2),
-                    )
-                }))
-            });
-            let (mut armed, mut round) = (Fence::default(), Fence::default());
-            while !map.arming.follow(0, &mut armed, |_| Some(0)) {
-                std::thread::yield_now();
-            }
-            while map.quiesce.current() == round {
-                std::thread::yield_now();
-            }
-            assert_ne!(map.frozen(), 0, "the round opens after the freeze");
-            drop(endpoints);
-            let value = bytes::Bytes::from_static(b"v");
-            logs[0].append(LogEntry::committed(moving_key, 1, Some(&value)));
-            map.quiesce.follow(0, &mut round, |_| Some(1));
-            coordinator.join().unwrap().is_err()
-        });
+        let mut reshard = Reshard::new(&map, &store_refs, &log_refs, &mig, &ReshardSpec::clean(2));
+        let (mut armed, mut round) = (Fence::default(), Fence::default());
+        assert_eq!(reshard.step(), Turn::Idle, "armed, awaiting the ack");
+        assert!(map.arming.follow(0, &mut armed, |_| Some(0)));
+        assert_eq!(reshard.step(), Turn::Idle, "frozen, awaiting the ack");
+        assert_ne!(map.frozen(), 0, "the round opens after the freeze");
+        drop(endpoints);
+        let value = bytes::Bytes::from_static(b"v");
+        logs[0].append(LogEntry::committed(moving_key, 1, Some(&value)));
+        assert!(map.quiesce.follow(0, &mut round, |_| Some(1)));
+        let died = std::panic::catch_unwind(AssertUnwindSafe(|| reshard.step())).is_err();
         assert!(died, "a send to a dropped target ring must panic");
         assert_eq!(map.frozen(), 0, "no write may stay parked");
         assert!(!is_armed(map.arming.current()), "no log may keep growing");
         assert_eq!(map.epoch(), Fence::FIRST, "and the map was never cut");
+    }
+
+    /// A migration ring shallower than one entry's frames, with nothing
+    /// draining the target: every step leaves the entry half sent and
+    /// returns `Idle` instead of waiting for room. Once the target node
+    /// runs, the migration completes, and the entry counts once on
+    /// each side.
+    #[test]
+    fn a_full_migration_ring_does_not_hold_the_coordinator() {
+        let map = ShardMap::new(1);
+        let (stores, logs) = fleet(2);
+        let (endpoints, _conns, mig) = cluster_mesh(2, 1, 16, 2);
+        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let log_refs: Vec<&OpLog> = logs.iter().collect();
+        let key = (0u64..).find(|&k| slot_of(k) == 1).unwrap();
+        let value = vec![7; 300];
+        let mut frames = Vec::new();
+        encode_replicate(key, 1, &value, &mut frames);
+        assert!(frames.len() > 2, "the entry must outgrow the ring");
+        stores[0].set(&key_bytes(key), &value);
+        let mut reshard = Reshard::new(&map, &store_refs, &log_refs, &mig, &ReshardSpec::clean(2));
+        let mut nodes = (endpoints.into_iter().enumerate())
+            .map(|(me, endpoint)| ClusterNode::new(me, &stores[me], &logs[me], &map, endpoint));
+        let (mut source_core, mut source) = nodes.next().unwrap();
+        for _ in 0..64 {
+            assert_eq!(reshard.step(), Turn::Idle);
+            source_core.turn(&stores[0], &mut source);
+        }
+        let (mut target_core, mut target) = nodes.next().unwrap();
+        let entries = |node: &ClusterNode<TicketLock>| {
+            let mut counters = node.counters().into_iter();
+            counters.find_map(|(name, value)| (name == "node.migration_entries").then_some(value))
+        };
+        assert_eq!(target_core.turn(&stores[1], &mut target), Turn::Progress);
+        assert_eq!(entries(&target), Some(0), "the ring held half the entry");
+        for _ in 0..64 {
+            if reshard.step() == Turn::Exit {
+                break;
+            }
+            source_core.turn(&stores[0], &mut source);
+            target_core.turn(&stores[1], &mut target);
+        }
+        let report = reshard.report().expect("the migration completes");
+        assert_eq!(report.entries_migrated, 1);
+        assert_eq!(entries(&target), Some(1));
+        let (version, held) = stores[1].get_with_version(&key_bytes(key)).unwrap();
+        assert_eq!((version, held.as_ref()), (1, value.as_slice()));
+    }
+
+    /// A cluster node as the split enumeration steps it: itself, or
+    /// the twin that runs a frozen slot's writes instead of parking
+    /// them.
+    struct Stepped<'a> {
+        node: ClusterNode<'a, TicketLock>,
+        runs_frozen: bool,
+    }
+
+    impl Hooks for Stepped<'_> {
+        fn admit(&mut self, key: u64, is_write: bool) -> Admit {
+            match self.node.admit(key, is_write) {
+                Admit::Defer if self.runs_frozen => Admit::Run,
+                verdict => verdict,
+            }
+        }
+
+        fn observes_writes(&self) -> bool {
+            self.node.observes_writes()
+        }
+
+        fn committed(&mut self, key: u64, version: u64, value: Option<&bytes::Bytes>) {
+            self.node.committed(key, version, value);
+        }
+
+        fn before_poll(&mut self, counts: &mut ServeReport) -> ControlFlow<Turn, bool> {
+            self.node.before_poll(counts)
+        }
+
+        fn deferred(&mut self) {
+            self.node.deferred();
+        }
+    }
+
+    /// One schedule of a 1 → 2 split on one thread: the coordinator
+    /// (actor 0), nodes 0 and 1 (actors 1 and 2) and a client (actor 3)
+    /// move as `prefix` names them, then round-robin. The source holds
+    /// one key of a moving slot; the client overwrites it — one send,
+    /// then a receive per move, chasing a `WrongShard` to the map's
+    /// owner — and stops both nodes once it is acknowledged and the
+    /// migration is done. Returns when the write was sent: 0 before
+    /// the freeze, 1 during it, 2 after the cutover. `Err` names the
+    /// acknowledged write missing at its new owner, or a schedule that
+    /// did not finish.
+    fn run_split_schedule(prefix: &[usize], twin: bool) -> Result<usize, String> {
+        const ROUNDS: usize = 64;
+        let map = ShardMap::new(1);
+        let (stores, logs) = fleet(2);
+        let (endpoints, mut conns, mig) = cluster_mesh(2, 1, 16, 16);
+        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let log_refs: Vec<&OpLog> = logs.iter().collect();
+        let key = (0u64..).find(|&k| slot_of(k) == 1).unwrap();
+        stores[0].set(&key_bytes(key), b"old");
+        let mut reshard = Reshard::new(&map, &store_refs, &log_refs, &mig, &ReshardSpec::clean(2));
+        let mut nodes: Vec<_> = (endpoints.into_iter().enumerate())
+            .map(|(me, endpoint)| {
+                let (core, node) = ClusterNode::new(me, &stores[me], &logs[me], &map, endpoint);
+                let node = Stepped {
+                    node,
+                    runs_frozen: twin,
+                };
+                Some((core, node))
+            })
+            .collect();
+        let client = conns.pop().unwrap();
+        let write = Request::Set {
+            key,
+            value: b"new".to_vec(),
+        };
+        let (mut owner, mut waiting, mut acked, mut sent_at) = (0, false, None, None);
+        let (mut migrated, mut closed) = (false, false);
+        let order = (prefix.iter().copied()).chain((0..4 * ROUNDS).map(|i| i % 4));
+        for actor in order {
+            match actor {
+                0 => migrated |= reshard.step() == Turn::Exit,
+                3 if waiting => {
+                    if let Some(head) = client.conn(owner).rx.try_recv() {
+                        waiting = false;
+                        match Response::decode(head, || unreachable!("a one-frame reply")) {
+                            Ok(Response::Stored { version }) => acked = Some(version),
+                            Ok(Response::WrongShard { .. }) => owner = map.owner_of(slot_of(key)),
+                            other => return Err(format!("the write was answered {other:?}")),
+                        }
+                    }
+                }
+                3 if acked.is_none() => {
+                    let cut = map.epoch() != Fence::FIRST;
+                    sent_at.get_or_insert(if cut {
+                        2
+                    } else {
+                        usize::from(map.frozen() != 0)
+                    });
+                    client.conn(owner).send(&write).unwrap();
+                    waiting = true;
+                }
+                3 if migrated && !closed => {
+                    closed = true;
+                    for node in 0..2 {
+                        client.conn(node).send(&Request::Stop).unwrap();
+                    }
+                }
+                3 => {}
+                n => {
+                    if let Some((core, node)) = &mut nodes[n - 1] {
+                        if core.turn(&stores[n - 1], node) == Turn::Exit {
+                            nodes[n - 1] = None;
+                        }
+                    }
+                }
+            }
+            if closed && nodes.iter().all(Option::is_none) {
+                break;
+            }
+        }
+        if !closed || nodes.iter().any(Option::is_some) {
+            return Err(format!("the schedule did not finish: {prefix:?}"));
+        }
+        let version = acked.unwrap();
+        let held = stores[1].get_with_version(&key_bytes(key));
+        let held = held.map(|(at, value)| (at, value.as_ref().to_vec()));
+        if held != Some((version, b"new".to_vec())) {
+            return Err(format!(
+                "acknowledged write {key}@{version} lost: its new owner holds {held:?} \
+                 after {prefix:?}"
+            ));
+        }
+        assert!(
+            stores[0].is_empty(),
+            "a moved key left at the source: {prefix:?}"
+        );
+        assert!(logs.iter().all(OpLog::is_empty), "{prefix:?}");
+        assert!(!is_armed(map.arming.current()), "{prefix:?}");
+        assert_eq!(map.epoch(), Fence::from_wire(2), "{prefix:?}");
+        Ok(sent_at.unwrap())
+    }
+
+    /// Every order of the first `turns` moves of the split schedule;
+    /// stops at the first failure, else returns how many schedules sent
+    /// the write before, during and after the freeze.
+    fn enumerate_split(turns: u32, twin: bool) -> Result<[usize; 3], String> {
+        let mut placed = [0; 3];
+        for word in 0..4usize.pow(turns) {
+            let prefix: Vec<usize> = (0..turns).map(|i| word / 4usize.pow(i) % 4).collect();
+            placed[run_split_schedule(&prefix, twin)?] += 1;
+        }
+        Ok(placed)
+    }
+
+    /// The cutover's no-lost-write argument, exhaustively at small
+    /// scope and against the coordinator's own code: every order of the
+    /// first seven moves places the client's write before the freeze,
+    /// during it (parked, then bounced to the new owner) and after the
+    /// cutover, and each schedule finishes on this one thread with the
+    /// acknowledged write at its new owner.
+    #[test]
+    fn every_stepped_split_schedule_keeps_the_acknowledged_write() {
+        let started = std::time::Instant::now();
+        let placed = enumerate_split(7, false).unwrap();
+        assert!(placed.iter().all(|&n| n > 0), "{placed:?}");
+        eprintln!(
+            "split enumeration: {} schedules, the write sent before/during/after the \
+             freeze in {placed:?}, in {:?}",
+            placed.iter().sum::<usize>(),
+            started.elapsed()
+        );
+    }
+
+    /// The twin: a node that runs a frozen slot's write instead of
+    /// parking it must be caught by the same enumeration, as an
+    /// acknowledged write lost — it lands at the source after the final
+    /// delta was read, and the cleanup deletes it there.
+    #[test]
+    fn a_node_that_runs_frozen_writes_is_found() {
+        let found = enumerate_split(7, true).unwrap_err();
+        assert!(found.contains("lost"), "{found}");
+        eprintln!("split twin: {found}");
     }
 
     /// The same death against a live node: its log is armed while the

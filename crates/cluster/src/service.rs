@@ -51,7 +51,7 @@ use core::ops::ControlFlow;
 
 use bytes::Bytes;
 
-use ssync_core::{Fence, RegistrySnapshot};
+use ssync_core::{Fence, RegistrySnapshot, RetryPacer};
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, RingReceiver, RingSender};
@@ -59,8 +59,8 @@ use ssync_repl::{EntryView, LogEntry, OpLog};
 use ssync_srv::service::{ring_mesh, ReadHit, ServeReport, ServerEndpoint};
 use ssync_srv::wire::{Request, Response, WireError};
 use ssync_srv::{
-    chase, slot_of, Admit, Budget, Chase, Conn, Hooks, KvClient, NodeCore, ServiceClient,
-    StreamDecoder, Turn, OP_BUDGET,
+    chase, slot_of, Admit, Chase, Conn, Hooks, KvClient, NodeCore, ServiceClient, StreamDecoder,
+    Turn, OP_BUDGET,
 };
 
 use crate::map::{is_armed, MapSnapshot, ShardMap};
@@ -164,7 +164,7 @@ pub fn follow_log_arming(map: &ShardMap, me: usize, log: &OpLog, seen: &mut Fenc
 }
 
 /// One cluster node, as the [`Hooks`] of the one node loop.
-struct ClusterNode<'a, R: RawLock + Default> {
+pub(crate) struct ClusterNode<'a, R: RawLock + Default> {
     me: usize,
     store: &'a KvStore<R>,
     map: &'a ShardMap,
@@ -183,6 +183,32 @@ struct ClusterNode<'a, R: RawLock + Default> {
     /// The quiesce round this node last acknowledged.
     acked_round: Fence,
     report: NodeReport,
+}
+
+impl<'a, R: RawLock + Default> ClusterNode<'a, R> {
+    /// Node `me`, and the core that serves its clients.
+    pub(crate) fn new(
+        me: usize,
+        store: &'a KvStore<R>,
+        log: &'a OpLog,
+        map: &'a ShardMap,
+        endpoint: ClusterNodeEndpoint,
+    ) -> (NodeCore<RingReceiver, RingSender>, Self) {
+        let ClusterNodeEndpoint { clients, migration } = endpoint;
+        let node = ClusterNode {
+            me,
+            store,
+            map,
+            log,
+            migration,
+            inbox: StreamDecoder::default(),
+            log_generation: Fence::default(),
+            last_logged: 0,
+            acked_round: Fence::default(),
+            report: NodeReport::default(),
+        };
+        (NodeCore::new(clients), node)
+    }
 }
 
 impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
@@ -276,20 +302,8 @@ pub fn serve_cluster_node<R: RawLock + Default>(
     map: &ShardMap,
     endpoint: ClusterNodeEndpoint,
 ) -> NodeReport {
-    let ClusterNodeEndpoint { clients, migration } = endpoint;
-    let mut node = ClusterNode {
-        me,
-        store,
-        map,
-        log,
-        migration,
-        inbox: StreamDecoder::default(),
-        log_generation: Fence::default(),
-        last_logged: 0,
-        acked_round: Fence::default(),
-        report: NodeReport::default(),
-    };
-    let counts = NodeCore::new(clients).run(store, &mut node);
+    let (core, mut node) = ClusterNode::new(me, store, log, map, endpoint);
+    let counts = core.run(store, &mut node);
     NodeReport {
         requests: counts.requests,
         key_ops: counts.key_ops,
@@ -407,7 +421,7 @@ impl Chase for Owner<'_, '_> {
 impl KvClient for ClusterClient<'_> {
     fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
         let owner = Owner { client: self, key };
-        let (_, response) = chase(&owner, request, &mut Budget::new(OP_BUDGET, key))?;
+        let (_, response) = chase(&owner, request, &mut RetryPacer::new(OP_BUDGET, key))?;
         Ok(response)
     }
 

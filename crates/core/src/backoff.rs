@@ -319,7 +319,11 @@ impl Default for ProportionalBackoff {
 /// ```
 #[derive(Debug)]
 pub struct RetryPacer {
-    deadline: std::time::Instant,
+    budget: core::time::Duration,
+    /// Set by the first [`RetryPacer::pause`] or
+    /// [`RetryPacer::expired`]: an exchange answered on the first try
+    /// never reads the clock.
+    deadline: Option<std::time::Instant>,
     #[cfg_attr(ssync_chk, allow(dead_code))]
     sleep_us: u64,
     #[cfg_attr(ssync_chk, allow(dead_code))]
@@ -332,11 +336,14 @@ impl RetryPacer {
     #[cfg_attr(ssync_chk, allow(dead_code))]
     const MAX_SLEEP_US: u64 = 2_000;
 
-    /// Starts a retry budget of `budget` from now. `seed` feeds the
-    /// jitter stream (any value; zero is remapped internally).
+    /// A retry budget of `budget`, counted from the first retry: the
+    /// first call to [`RetryPacer::pause`] or [`RetryPacer::expired`].
+    /// `seed` feeds the jitter stream (any value; zero is remapped
+    /// internally).
     pub fn new(budget: core::time::Duration, seed: u64) -> Self {
         Self {
-            deadline: std::time::Instant::now() + budget,
+            budget,
+            deadline: None,
             sleep_us: 0,
             rng: seed | 1,
         }
@@ -344,8 +351,10 @@ impl RetryPacer {
 
     /// True once the budget is spent: the caller should give up and
     /// surface a deadline error.
-    pub fn expired(&self) -> bool {
-        std::time::Instant::now() >= self.deadline
+    pub fn expired(&mut self) -> bool {
+        let budget = self.budget;
+        let deadline = *(self.deadline).get_or_insert_with(|| std::time::Instant::now() + budget);
+        std::time::Instant::now() >= deadline
     }
 
     /// Call between attempts: sleeps for the next jittered pause and

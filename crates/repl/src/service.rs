@@ -63,9 +63,10 @@
 //! observed on that shard); a follower behind the floor (or inside a
 //! crash window) answers `Stale` and the client falls back to the
 //! leader. While a shard is leaderless, writes and leader reads wait
-//! for a promotion within the operation's retry [`Budget`]; a client
-//! that opted into [`ReplClient::with_stale_reads`] degrades reads to
-//! floor-zero replica reads instead of waiting.
+//! for a promotion within the operation's retry budget
+//! ([`RetryPacer`]); a client that opted into
+//! [`ReplClient::with_stale_reads`] degrades reads to floor-zero
+//! replica reads instead of waiting.
 //!
 //! **Deadlock discipline** (rings are deeper than one frame but still
 //! bounded, so the same rules apply):
@@ -101,7 +102,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use ssync_core::{Fence, RegistrySnapshot};
+use ssync_core::{Fence, RegistrySnapshot, RetryPacer};
 use ssync_kv::{KvStore, StatsSnapshot};
 use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, Message, RingReceiver, RingSender};
@@ -111,7 +112,7 @@ use ssync_srv::service::{
 };
 use ssync_srv::wire::{Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
 use ssync_srv::{
-    batch_rounds, chase, Budget, Chase, Conn, Hooks, NodeCore, StreamDecoder, Turn, OP_BUDGET,
+    batch_rounds, chase, Chase, Conn, Hooks, NodeCore, StreamDecoder, Turn, OP_BUDGET,
 };
 
 use crate::cluster::{ClusterMap, ShardView};
@@ -1130,8 +1131,8 @@ impl ReplClient {
         s
     }
 
-    fn budget(&self) -> Budget {
-        Budget::new(self.deadline, self.next_seed())
+    fn budget(&self) -> RetryPacer {
+        RetryPacer::new(self.deadline, self.next_seed())
     }
 
     /// The cached `(term, leader)` view, consulting the shared map
@@ -1204,7 +1205,7 @@ impl ReplClient {
         &self,
         shard: usize,
         request: &Request,
-        budget: &mut Budget,
+        budget: &mut RetryPacer,
     ) -> Result<(usize, Response), WireError> {
         let (node, response) = chase(
             &Leader {
@@ -2061,7 +2062,7 @@ mod tests {
         let map = cluster.map().clone();
         let (mut endpoints, mut clients) = repl_mesh(&map, 1);
         let follower = endpoints[0].pop().unwrap();
-        // Held, not served: its ack ring keeps a reader.
+        // Held, not served: the test plays this leader on its stream.
         let leader = endpoints[0].pop().unwrap();
         let client = clients.pop().unwrap();
         std::thread::scope(|s| {
@@ -2106,7 +2107,7 @@ mod tests {
             let map = cluster.map().clone();
             let (mut endpoints, mut clients) = repl_mesh(&map, 1);
             let follower = endpoints[0].pop().unwrap();
-            // Held, not served: its ack ring keeps a reader.
+            // Held, not served: the test plays this leader on its stream.
             let mut leader = endpoints[0].pop().unwrap();
             let client = clients.pop().unwrap();
             let report = std::thread::scope(|s| {

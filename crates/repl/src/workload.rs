@@ -78,11 +78,12 @@ pub struct ReplReport {
 ///
 /// Panics if `workers` is zero; if `faults` schedules backup
 /// stall/crash windows in sync mode or with windows at/above the async
-/// lag bound (both are deadlocks by construction: a leader blocked
-/// waiting for an ack cannot deliver the entries that would close an
-/// entry-indexed fault window — leader crashes carry no window and are
-/// exempt); or if it schedules more leader crashes than there are
-/// backups to promote.
+/// lag bound (both are deadlocks by construction: the leader owes a
+/// write's reply until the faulted follower has the entry, and serves
+/// nothing else meanwhile, so the entries that would close that
+/// follower's entry-indexed fault window never come — leader crashes
+/// carry no window and are exempt); or if it schedules more leader
+/// crashes than there are backups to promote.
 pub fn run_replicated_closed_loop<R: RawLock + Default>(
     cluster: &mut ReplCluster<R>,
     spec: &WorkloadSpec,
@@ -97,8 +98,9 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
     if faults.has_backup_faults() {
         match mode {
             ReplMode::Sync => panic!(
-                "fault injection requires async mode: a sync primary blocks on the ack a \
-                 faulted backup is deliberately withholding"
+                "fault injection requires async mode: a sync leader owes each write's reply \
+                 until every follower has it and serves nothing else meanwhile, so the entries \
+                 that would close a faulted follower's window never come"
             ),
             ReplMode::Async { max_lag } => assert!(
                 faults.max_window < max_lag,

@@ -12,14 +12,14 @@
 //!
 //! Beside it lives the one retry layer: [`chase`] runs a request
 //! against the node a [`Chase`] policy picks until a reply answers it,
-//! an error that cannot be retried arrives, or the operation's
-//! [`Budget`] is spent. `ServiceClient` routes statically and never
-//! retries; `ssync-repl`'s `ReplClient` chases the shard leader and
-//! `ssync-cluster`'s `ClusterClient` the key's owner, each as a policy
-//! over this one loop. And the one batching step: [`batch_rounds`]
-//! groups a multi-get's keys by shard and cuts them into rounds of one
-//! chunk per shard, which `ServiceClient` and `ReplClient` each send
-//! and drain their own way.
+//! an error that cannot be retried arrives, or the operation's retry
+//! budget, a [`RetryPacer`], is spent. `ServiceClient` routes
+//! statically and never retries; `ssync-repl`'s `ReplClient` chases the
+//! shard leader and `ssync-cluster`'s `ClusterClient` the key's owner,
+//! each as a policy over this one loop. And the one batching step:
+//! [`batch_rounds`] groups a multi-get's keys by shard and cuts them
+//! into rounds of one chunk per shard, which `ServiceClient` and
+//! `ReplClient` each send and drain their own way.
 
 use core::cell::RefCell;
 use core::time::Duration;
@@ -108,39 +108,6 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
 /// The retry budget of one operation where the client sets none.
 pub const OP_BUDGET: Duration = Duration::from_secs(5);
 
-/// One operation's retry budget: `limit` of wall time from its first
-/// retry. Its jittered [`RetryPacer`] is made only then, so an exchange
-/// answered on the first try never reads the clock.
-#[derive(Debug)]
-pub struct Budget {
-    limit: Duration,
-    seed: u64,
-    pacer: Option<RetryPacer>,
-}
-
-impl Budget {
-    /// A budget of `limit`; `seed` feeds the pauses' jitter.
-    pub fn new(limit: Duration, seed: u64) -> Budget {
-        Budget {
-            limit,
-            seed,
-            pacer: None,
-        }
-    }
-
-    fn pacer(&mut self) -> &mut RetryPacer {
-        let (limit, seed) = (self.limit, self.seed);
-        self.pacer
-            .get_or_insert_with(|| RetryPacer::new(limit, seed))
-    }
-
-    /// Sleeps one jittered pause and returns `true`, or returns `false`
-    /// at once when the budget is spent.
-    pub fn pause(&mut self) -> bool {
-        self.pacer().pause()
-    }
-}
-
 /// Where a [`chase`] sends its request, and which of the replies and
 /// errors that do not answer it are retried.
 pub trait Chase {
@@ -168,7 +135,7 @@ pub trait Chase {
 pub fn chase(
     policy: &impl Chase,
     request: &Request,
-    budget: &mut Budget,
+    budget: &mut RetryPacer,
 ) -> Result<(usize, Response), WireError> {
     let mut spent = WireError::Deadline;
     loop {
@@ -187,7 +154,7 @@ pub fn chase(
             }
             Err(e) => return Err(e),
             Ok(response) if policy.redirected(&response) => {
-                if budget.pacer().expired() {
+                if budget.expired() {
                     return Err(spent);
                 }
             }

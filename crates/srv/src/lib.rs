@@ -67,7 +67,7 @@ pub mod service;
 pub mod wire;
 pub mod workload;
 
-pub use conn::{batch_rounds, chase, Budget, Chase, Conn, OP_BUDGET};
+pub use conn::{batch_rounds, chase, Chase, Conn, OP_BUDGET};
 pub use node::{Admit, Hooks, NoHooks, NodeCore, StreamDecoder, Turn};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};
