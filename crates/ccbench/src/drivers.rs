@@ -11,12 +11,14 @@ use ssync_core::topology::Platform;
 use ssync_sim::Sim;
 use ssync_simsync::locks::{make_lock, LockConfig, SimLockKind};
 use ssync_simsync::mp::{HwChannel, SsmpChannel};
-use ssync_simsync::workloads::atomics::{stress_pause, AtomicKind, AtomicStress};
-use ssync_simsync::workloads::kv::{KvMix, KvWorker};
-use ssync_simsync::workloads::lock_stress::{LockStress, UncontestedPair};
-use ssync_simsync::workloads::mp_bench::{Chan, MpClient, MpServer, PingReceiver, PingSender};
+use ssync_simsync::workloads::atomics::{atomic_stress, stress_pause, AtomicKind};
+use ssync_simsync::workloads::kv::{kv_worker, KvMix};
+use ssync_simsync::workloads::lock_stress::{lock_stress, uncontested_pair};
+use ssync_simsync::workloads::mp_bench::{
+    hardware_server, mp_client, ping_receiver, ping_sender, polling_server, Chan,
+};
 use ssync_simsync::workloads::ssht::{
-    SshtConfig, SshtMpClient, SshtMpServer, SshtTable, SshtWorker,
+    ssht_mp_client, ssht_mp_server, ssht_worker, SshtConfig, SshtTable,
 };
 
 /// Default measurement window for throughput runs, in simulated cycles.
@@ -33,7 +35,7 @@ pub fn atomic_mops(platform: Platform, kind: AtomicKind, threads: usize) -> f64 
     let line = sim.alloc_line_for_core(cores[0]);
     let pause = stress_pause(sim.topology(), &cores);
     for &c in &cores {
-        sim.spawn_on_core(c, Box::new(AtomicStress::new(line, kind, pause)));
+        sim.spawn_on_core(c, move |cpu| atomic_stress(cpu, line, kind, pause));
     }
     sim.run_until(WINDOW);
     sim.topology().mops(sim.total_ops(), WINDOW)
@@ -56,8 +58,10 @@ pub fn lock_latency(platform: Platform, kind: SimLockKind, threads: usize) -> f6
     let data = sim.alloc_line_for_core(cfg.home_core);
     let mut tids = Vec::new();
     for tid in 0..threads {
-        let w = LockStress::new(vec![Rc::clone(&lock)], vec![data], tid);
-        tids.push(sim.spawn_on_core(cfg.thread_cores[tid], Box::new(w)));
+        let lock = Rc::clone(&lock);
+        tids.push(sim.spawn_on_core(cfg.thread_cores[tid], move |cpu| {
+            lock_stress(cpu, vec![lock], vec![data])
+        }));
     }
     sim.run_until(WINDOW * 4);
     let mut sum = 0u64;
@@ -91,8 +95,8 @@ fn lock_run(
         data.push(sim.alloc_line_for_core(cfg.home_core));
     }
     for tid in 0..threads {
-        let w = LockStress::new(locks.clone(), data.clone(), tid);
-        sim.spawn_on_core(cfg.thread_cores[tid], Box::new(w));
+        let (locks, data) = (locks.clone(), data.clone());
+        sim.spawn_on_core(cfg.thread_cores[tid], |cpu| lock_stress(cpu, locks, data));
     }
     sim.run_until(WINDOW);
     (sim.total_ops(), WINDOW, 0.0)
@@ -127,17 +131,14 @@ pub fn uncontested_latency(platform: Platform, kind: SimLockKind, partner_core: 
     };
     let lock = make_lock(kind, &mut sim, &cfg);
     let turn = sim.alloc_line_for_core(0);
-    let t0 = sim.spawn_on_core(
-        0,
-        Box::new(UncontestedPair::new(Rc::clone(&lock), turn, 0, 0)),
-    );
-    let t1 = sim.spawn_on_core(
-        partner_core,
-        Box::new(UncontestedPair::new(Rc::clone(&lock), turn, 1, 1)),
-    );
+    let l0 = Rc::clone(&lock);
+    let t0 = sim.spawn_on_core(0, move |cpu| uncontested_pair(cpu, l0, turn, 0));
+    let t1 = sim.spawn_on_core(partner_core, move |cpu| {
+        uncontested_pair(cpu, lock, turn, 1)
+    });
     sim.run_until(WINDOW);
     let mut samples: Vec<u64> = sim.samples(t0).to_vec();
-    samples.extend_from_slice(sim.samples(t1));
+    samples.extend_from_slice(&sim.samples(t1));
     if samples.len() <= 4 {
         return f64::NAN;
     }
@@ -152,10 +153,7 @@ pub fn single_thread_latency(platform: Platform, kind: SimLockKind) -> f64 {
     let cfg = LockConfig::for_placement(&sim, 1);
     let lock = make_lock(kind, &mut sim, &cfg);
     let data = sim.alloc_line_for_core(0);
-    let tid = sim.spawn_on_core(
-        0,
-        Box::new(LockStress::new(vec![Rc::clone(&lock)], vec![data], 0)),
-    );
+    let tid = sim.spawn_on_core(0, move |cpu| lock_stress(cpu, vec![lock], vec![data]));
     sim.run_until(WINDOW / 2);
     let s = sim.samples(tid);
     if s.len() <= 4 {
@@ -172,23 +170,22 @@ pub fn mp_one_to_one(platform: Platform, partner_core: usize, hardware: bool) ->
     let one_way = {
         let mut sim = Sim::new(platform, 0x39);
         let (tx_chan, rx_chan) = mk_chan(&mut sim, partner_core, 1, hardware);
-        sim.spawn_on_core(0, Box::new(PingSender::new(tx_chan, None)));
-        let rx = sim.spawn_on_core(partner_core, Box::new(PingReceiver::new(rx_chan, None)));
+        sim.spawn_on_core(0, |cpu| ping_sender(cpu, tx_chan, None));
+        let rx = sim.spawn_on_core(partner_core, |cpu| ping_receiver(cpu, rx_chan, None));
         sim.run_until(WINDOW);
-        mean_skip(sim.samples(rx), 4)
+        let samples = sim.samples(rx);
+        mean_skip(&samples, 4)
     };
     // Round-trip.
     let round_trip = {
         let mut sim = Sim::new(platform, 0x3A);
         let (req_tx, req_rx) = mk_chan(&mut sim, partner_core, 1, hardware);
         let (rep_tx, rep_rx) = mk_chan(&mut sim, 0, 0, hardware);
-        let tx = sim.spawn_on_core(0, Box::new(PingSender::new(req_tx, Some(rep_rx))));
-        sim.spawn_on_core(
-            partner_core,
-            Box::new(PingReceiver::new(req_rx, Some(rep_tx))),
-        );
+        let tx = sim.spawn_on_core(0, |cpu| ping_sender(cpu, req_tx, Some(rep_rx)));
+        sim.spawn_on_core(partner_core, |cpu| ping_receiver(cpu, req_rx, Some(rep_tx)));
         sim.run_until(WINDOW);
-        mean_skip(sim.samples(tx), 4)
+        let samples = sim.samples(tx);
+        mean_skip(&samples, 4)
     };
     (one_way, round_trip)
 }
@@ -224,16 +221,15 @@ pub fn mp_client_server(
                 .collect()
         });
         let server_chan = HwChannel::new(0);
-        sim.spawn_on_core(
-            server_core,
-            Box::new(MpServer::hardware(server_chan.clone(), replies.clone())),
-        );
+        let server_replies = replies.clone();
+        sim.spawn_on_core(server_core, |cpu| {
+            hardware_server(cpu, server_chan, server_replies)
+        });
         for i in 0..n_clients {
             let reply = replies.as_ref().map(|r| r[i].clone());
-            sim.spawn_on_core(
-                cores[(i + 1) % cores.len()],
-                Box::new(MpClient::new(Chan::Hw(HwChannel::new(0)), reply)),
-            );
+            sim.spawn_on_core(cores[(i + 1) % cores.len()], |cpu| {
+                mp_client(cpu, Chan::Hw(HwChannel::new(0)), reply)
+            });
         }
     } else {
         let mut requests = Vec::new();
@@ -245,19 +241,14 @@ pub fn mp_client_server(
                 cores[(i + 1) % cores.len()],
             )));
         }
-        sim.spawn_on_core(
-            server_core,
-            Box::new(MpServer::polling(
-                requests.clone(),
-                round_trip.then(|| replies.clone()),
-            )),
-        );
+        let (reqs, reps) = (requests.clone(), round_trip.then(|| replies.clone()));
+        sim.spawn_on_core(server_core, |cpu| polling_server(cpu, reqs, reps));
         for i in 0..n_clients {
+            let request = Chan::Ssmp(requests[i].clone());
             let reply = round_trip.then(|| replies[i].clone());
-            sim.spawn_on_core(
-                cores[(i + 1) % cores.len()],
-                Box::new(MpClient::new(Chan::Ssmp(requests[i].clone()), reply)),
-            );
+            sim.spawn_on_core(cores[(i + 1) % cores.len()], |cpu| {
+                mp_client(cpu, request, reply)
+            });
         }
     }
     sim.run_until(WINDOW);
@@ -291,10 +282,8 @@ pub fn ssht_mops(
                 .collect();
             let table = Rc::new(SshtTable::new(&mut sim, config, locks, &cfg.thread_cores));
             for tid in 0..threads {
-                sim.spawn_on_core(
-                    cfg.thread_cores[tid],
-                    Box::new(SshtWorker::new(Rc::clone(&table), tid)),
-                );
+                let table = Rc::clone(&table);
+                sim.spawn_on_core(cfg.thread_cores[tid], |cpu| ssht_worker(cpu, table));
             }
             sim.run_until(WINDOW);
             sim.topology().mops(sim.total_ops(), WINDOW)
@@ -342,20 +331,15 @@ pub fn ssht_mops(
                 server_pairs[s].push((req.clone(), rep.clone()));
                 client_chans.push((req, rep));
             }
-            for s in 0..n_servers {
-                sim.spawn_on_core(
-                    lock_cfg.thread_cores[s],
-                    Box::new(SshtMpServer::new(
-                        Rc::clone(&tables[s]),
-                        server_pairs[s].clone(),
-                    )),
-                );
+            for (s, (table, pairs)) in tables.into_iter().zip(server_pairs).enumerate() {
+                sim.spawn_on_core(lock_cfg.thread_cores[s], |cpu| {
+                    ssht_mp_server(cpu, table, pairs)
+                });
             }
             for (c, (req, rep)) in client_chans.into_iter().enumerate() {
-                sim.spawn_on_core(
-                    lock_cfg.thread_cores[n_servers + c],
-                    Box::new(SshtMpClient::new(req, rep, config.buckets)),
-                );
+                sim.spawn_on_core(lock_cfg.thread_cores[n_servers + c], move |cpu| {
+                    ssht_mp_client(cpu, req, rep, config.buckets)
+                });
             }
             sim.run_until(WINDOW);
             // Count client completions only (tids n_servers..).
@@ -378,16 +362,14 @@ pub fn kv_kops(platform: Platform, kind: SimLockKind, threads: usize, mix: KvMix
         .collect();
     let global = make_lock(kind, &mut sim, &cfg);
     for tid in 0..threads {
-        sim.spawn_on_core(
-            cfg.thread_cores[tid],
-            Box::new(KvWorker::new(
-                bucket_locks.clone(),
-                bucket_data.clone(),
-                Rc::clone(&global),
-                mix,
-                tid,
-            )),
+        let (locks, data, global) = (
+            bucket_locks.clone(),
+            bucket_data.clone(),
+            Rc::clone(&global),
         );
+        sim.spawn_on_core(cfg.thread_cores[tid], move |cpu| {
+            kv_worker(cpu, locks, data, global, mix)
+        });
     }
     sim.run_until(KV_WINDOW);
     sim.topology().mops(sim.total_ops(), KV_WINDOW) * 1000.0

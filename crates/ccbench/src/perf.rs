@@ -23,9 +23,9 @@ use ssync_core::topology::Platform;
 use ssync_sim::Sim;
 use ssync_simsync::locks::{make_lock, LockConfig, SimLockKind};
 use ssync_simsync::mp::SsmpChannel;
-use ssync_simsync::workloads::atomics::{stress_pause, AtomicKind, AtomicStress};
-use ssync_simsync::workloads::lock_stress::LockStress;
-use ssync_simsync::workloads::mp_bench::{Chan, MpClient, MpServer};
+use ssync_simsync::workloads::atomics::{atomic_stress, stress_pause, AtomicKind};
+use ssync_simsync::workloads::lock_stress::lock_stress;
+use ssync_simsync::workloads::mp_bench::{mp_client, polling_server, Chan};
 
 /// Simulated window of a `sim-perf` run, in cycles.
 pub const PERF_WINDOW: u64 = 600_000;
@@ -104,8 +104,8 @@ fn lock_case(
             data.push(sim.alloc_line_for_core(cfg.home_core));
         }
         for tid in 0..threads {
-            let w = LockStress::new(locks.clone(), data.clone(), tid);
-            sim.spawn_on_core(cfg.thread_cores[tid], Box::new(w));
+            let (locks, data) = (locks.clone(), data.clone());
+            sim.spawn_on_core(cfg.thread_cores[tid], |cpu| lock_stress(cpu, locks, data));
         }
     })
 }
@@ -116,7 +116,9 @@ fn atomics_case(platform: Platform, threads: usize, window: u64) -> PerfResult {
         let line = sim.alloc_line_for_core(cores[0]);
         let pause = stress_pause(sim.topology(), &cores);
         for &c in &cores {
-            sim.spawn_on_core(c, Box::new(AtomicStress::new(line, AtomicKind::Fai, pause)));
+            sim.spawn_on_core(c, move |cpu| {
+                atomic_stress(cpu, line, AtomicKind::Fai, pause)
+            });
         }
     })
 }
@@ -132,18 +134,11 @@ fn mp_case(platform: Platform, n_clients: usize, window: u64) -> PerfResult {
             requests.push(SsmpChannel::new(sim, server_core));
             replies.push(Chan::Ssmp(SsmpChannel::new(sim, cores[i + 1])));
         }
-        sim.spawn_on_core(
-            server_core,
-            Box::new(MpServer::polling(requests.clone(), Some(replies.clone()))),
-        );
+        let (reqs, reps) = (requests.clone(), Some(replies.clone()));
+        sim.spawn_on_core(server_core, |cpu| polling_server(cpu, reqs, reps));
         for i in 0..n_clients {
-            sim.spawn_on_core(
-                cores[i + 1],
-                Box::new(MpClient::new(
-                    Chan::Ssmp(requests[i].clone()),
-                    Some(replies[i].clone()),
-                )),
-            );
+            let (request, reply) = (Chan::Ssmp(requests[i].clone()), Some(replies[i].clone()));
+            sim.spawn_on_core(cores[i + 1], |cpu| mp_client(cpu, request, reply));
         }
     })
 }

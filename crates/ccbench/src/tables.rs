@@ -13,7 +13,7 @@
 
 use ssync_core::topology::{DistClass, Platform};
 use ssync_sim::memory::{CohState, SharerSet};
-use ssync_sim::program::{fn_program, Action};
+use ssync_sim::program::Action;
 use ssync_sim::Sim;
 
 /// Constructor for the single measured action of a Table 2 cell.
@@ -41,17 +41,9 @@ fn measure(
 ) -> u64 {
     let mut sim = Sim::new(platform, 1);
     let (line, requester) = stage(&mut sim);
-    let mut fired = false;
-    sim.spawn_on_core(
-        requester,
-        fn_program(move |_r, _env| {
-            if fired {
-                return Action::Done;
-            }
-            fired = true;
-            action(line)
-        }),
-    );
+    sim.spawn_on_core(requester, move |cpu| async move {
+        cpu.act(action(line)).await;
+    });
     sim.run_to_completion();
     sim.now()
 }

@@ -1,11 +1,12 @@
 //! The discrete-event engine.
 //!
 //! [`Sim`] owns the memory system, the latency model, and a set of
-//! simulated threads. Threads are [`Program`] state machines; the engine
-//! repeatedly pops the earliest-ready thread from an event queue, asks it
-//! for its next [`Action`], charges the action's cost, applies its
-//! semantics (value change + coherence transition for memory operations),
-//! and re-schedules the thread at the completion time.
+//! simulated threads. A thread is one future, boxed once at spawn; the
+//! engine repeatedly pops the earliest-ready thread from an event queue,
+//! polls it (with [`Waker::noop`]) until it awaits its next [`Action`],
+//! charges the action's cost, applies its semantics (value change +
+//! coherence transition for memory operations), and re-schedules the
+//! thread at the completion time.
 //!
 //! Conflicting operations on one cache line serialize through the line's
 //! `busy_until` timestamp — the simulator's stand-in for the directory /
@@ -16,8 +17,13 @@
 //! event queue break by insertion order, and all randomness comes from
 //! per-thread `SmallRng`s seeded from the `Sim` seed.
 
+use std::cell::{Cell, Ref, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Waker};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -26,7 +32,7 @@ use ssync_core::topology::{Platform, Topology};
 
 use crate::latency::LatencyModel;
 use crate::memory::{CohState, LineId, Memory};
-use crate::program::{Action, Env, MemOpKind, Program, WaitCond};
+use crate::program::{Action, Cpu, MemOpKind, Port, WaitCond};
 use crate::protocol;
 use crate::stats::SimStats;
 
@@ -52,7 +58,7 @@ enum ThreadState {
     /// Woken from a wait-list: the queued event is a spin re-poll (a
     /// real load of the spun-on line), not a program step.
     SpinPoll,
-    /// Finished ([`Action::Done`]).
+    /// Finished: the thread's future returned.
     Done,
 }
 
@@ -78,11 +84,12 @@ struct SpinState {
 }
 
 struct Thread {
-    program: Box<dyn Program>,
+    body: Pin<Box<dyn Future<Output = ()>>>,
+    /// Shared with the thread's [`Cpu`]: the action in flight and its
+    /// result, the clock, counters and randomness.
+    port: Rc<Port>,
     core: usize,
     state: ThreadState,
-    /// Result to hand to the next `step` call.
-    pending: Option<u64>,
     /// Unpark permit (see [`Action::Park`]).
     permit: bool,
     /// Spin-wait bookkeeping while in `SpinBlocked` / `SpinPoll`.
@@ -91,11 +98,6 @@ struct Thread {
     inbox: VecDeque<(u64, u64)>,
     /// Senders stalled on this thread's full inbox: (sender tid, payload).
     send_waiters: VecDeque<(usize, u64)>,
-    /// Application-level operations completed (see [`Env::complete_op`]).
-    ops: u64,
-    /// Latency samples recorded by the program.
-    samples: Vec<u64>,
-    rng: SmallRng,
 }
 
 /// A simulation of one platform.
@@ -197,45 +199,56 @@ impl Sim {
         self.mem.alloc(home)
     }
 
-    /// Spawns a thread on `core`; returns its thread id. The thread's
-    /// first step runs at the current simulated time.
-    pub fn spawn_on_core(&mut self, core: usize, program: Box<dyn Program>) -> usize {
+    /// Spawns a thread on `core`; returns its thread id. `thread` gets
+    /// the new thread's [`Cpu`] and returns its body, which first runs at
+    /// the current simulated time; the thread finishes when it returns.
+    pub fn spawn_on_core<F, T>(&mut self, core: usize, thread: F) -> usize
+    where
+        F: FnOnce(Cpu) -> T,
+        T: Future<Output = ()> + 'static,
+    {
         assert!(core < self.topo.num_cores(), "core {core} out of range");
         let tid = self.threads.len();
         let phys = self.topo.physical_core_of(core);
         self.core_load[phys] += 1;
+        let port = Rc::new(Port {
+            tid,
+            now: Cell::new(self.now),
+            action: Cell::new(None),
+            result: Cell::new(None),
+            ops: Cell::new(0),
+            samples: RefCell::new(Vec::new()),
+            rng: RefCell::new(SmallRng::seed_from_u64(
+                self.seed ^ (tid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            )),
+        });
         self.threads.push(Thread {
-            program,
+            body: Box::pin(thread(Cpu(Rc::clone(&port)))),
+            port,
             core,
             state: ThreadState::Ready,
-            pending: None,
             permit: false,
             spin: None,
             inbox: VecDeque::new(),
             send_waiters: VecDeque::new(),
-            ops: 0,
-            samples: Vec::new(),
-            rng: SmallRng::seed_from_u64(
-                self.seed ^ (tid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ),
         });
         self.schedule(self.now, tid);
         tid
     }
 
-    /// Operations completed by thread `tid` (see [`Env::complete_op`]).
+    /// Operations completed by thread `tid` (see [`Cpu::complete_op`]).
     pub fn ops(&self, tid: usize) -> u64 {
-        self.threads[tid].ops
+        self.threads[tid].port.ops.get()
     }
 
     /// Sum of completed operations over all threads.
     pub fn total_ops(&self) -> u64 {
-        self.threads.iter().map(|t| t.ops).sum()
+        self.threads.iter().map(|t| t.port.ops.get()).sum()
     }
 
     /// Latency samples recorded by thread `tid`.
-    pub fn samples(&self, tid: usize) -> &[u64] {
-        &self.threads[tid].samples
+    pub fn samples(&self, tid: usize) -> Ref<'_, [u64]> {
+        Ref::map(self.threads[tid].port.samples.borrow(), Vec::as_slice)
     }
 
     /// Runs until the event queue is empty (all threads `Done`, parked
@@ -303,28 +316,29 @@ impl Sim {
         }
         debug_assert_eq!(self.threads[tid].state, ThreadState::Ready);
         let now = self.now;
-        // Split-borrow dance: take what the Env needs out of the thread.
         let thread = &mut self.threads[tid];
-        let result = thread.pending.take();
         let core = thread.core;
-        let mut env = Env {
-            now,
-            tid,
-            core,
-            rng: &mut thread.rng,
-            ops: &mut thread.ops,
-            samples: &mut thread.samples,
-        };
-        let action = thread.program.step(result, &mut env);
-        // Fast path: the Load/Store/atomic dispatch the contended
-        // experiments spend nearly all their events in.
-        if let Some((op, line, operand, expected)) = action.mem_op_parts() {
-            let (done, result) = self.mem_op(tid, line, op, operand, expected);
-            self.threads[tid].pending = result;
-            self.schedule(done, tid);
+        thread.port.now.set(now);
+        let mut cx = Context::from_waker(Waker::noop());
+        if thread.body.as_mut().poll(&mut cx).is_ready() {
+            thread.state = ThreadState::Done;
             return;
         }
-        match action {
+        let action = thread
+            .port
+            .action
+            .take()
+            .expect("a simulated thread awaits only its Cpu's actions");
+        // The Load/Store/atomic dispatch the contended experiments spend
+        // nearly all their events in; every other action returns early.
+        let (op, line, operand, expected) = match action {
+            Action::Load(line) => (MemOpKind::Load, line, 0, 0),
+            Action::Store(line, v) => (MemOpKind::Store, line, v, 0),
+            Action::Cas(line, expected, new) => (MemOpKind::Cas, line, new, expected),
+            Action::Fai(line) => (MemOpKind::Fai, line, 0, 0),
+            Action::Tas(line) => (MemOpKind::Tas, line, 0, 0),
+            Action::Swap(line, v) => (MemOpKind::Swap, line, v, 0),
+            Action::Prefetchw(line) => (MemOpKind::Prefetchw, line, 0, 0),
             Action::SpinWait { line, cond, pause } => {
                 let factor = u64::from(self.pipeline_factor(core));
                 let pause = pause.max(1) * factor;
@@ -337,11 +351,11 @@ impl Sim {
                     anchor: 0,
                     credited: 0,
                 });
-                self.spin_poll(tid);
+                return self.spin_poll(tid);
             }
             Action::Pause(cycles) => {
                 let factor = u64::from(self.pipeline_factor(core));
-                self.schedule(now + cycles.max(1) * factor, tid);
+                return self.schedule(now + cycles.max(1) * factor, tid);
             }
             Action::Park => {
                 let thread = &mut self.threads[tid];
@@ -357,36 +371,34 @@ impl Sim {
                     // wake that arrives in that window is honoured after
                     // it (handled in `Action::Unpark` via max()).
                 }
+                return;
             }
             Action::Unpark(target) => {
                 let wake_at = now + self.model.unpark_cost() + self.model.wake_latency();
-                if target < self.threads.len() && self.threads[target].state == ThreadState::Parked
-                {
+                if self.threads[target].state == ThreadState::Parked {
                     self.threads[target].state = ThreadState::Ready;
-                    self.threads[target].pending = None;
                     let park_floor = now + self.model.park_cost();
                     self.schedule(wake_at.max(park_floor), target);
-                } else if target < self.threads.len() {
+                } else {
                     self.threads[target].permit = true;
                 }
-                self.schedule(now + self.model.unpark_cost(), tid);
+                return self.schedule(now + self.model.unpark_cost(), tid);
             }
             Action::HwSend { to, payload } => {
-                if to < self.threads.len() && self.threads[to].inbox.len() >= HW_INBOX_CAPACITY {
+                if self.threads[to].inbox.len() >= HW_INBOX_CAPACITY {
                     // Backpressure: stall until the receiver drains.
                     self.threads[to].send_waiters.push_back((tid, payload));
                     self.threads[tid].state = ThreadState::SendWait;
                 } else {
                     let hops = self.hw_hops(core, to);
                     let avail = now + self.model.hw_send_cost() + self.model.hw_flight(hops);
-                    if to < self.threads.len() {
-                        self.threads[to].inbox.push_back((avail, payload));
-                        if self.threads[to].state == ThreadState::RecvWait {
-                            self.deliver_message(to);
-                        }
+                    self.threads[to].inbox.push_back((avail, payload));
+                    if self.threads[to].state == ThreadState::RecvWait {
+                        self.deliver_message(to);
                     }
                     self.schedule(now + self.model.hw_send_cost(), tid);
                 }
+                return;
             }
             Action::HwRecv => {
                 if self.threads[tid].inbox.is_empty() {
@@ -394,21 +406,12 @@ impl Sim {
                 } else {
                     self.deliver_message(tid);
                 }
+                return;
             }
-            Action::Done => {
-                self.threads[tid].state = ThreadState::Done;
-            }
-            Action::Load(..)
-            | Action::Store(..)
-            | Action::Cas(..)
-            | Action::Fai(..)
-            | Action::Tas(..)
-            | Action::Swap(..)
-            | Action::Prefetchw(..)
-            | Action::Flush(..) => {
-                unreachable!("memory operations are dispatched via mem_op_parts above")
-            }
-        }
+        };
+        let (done, result) = self.mem_op(tid, line, op, operand, expected);
+        self.threads[tid].port.result.set(result);
+        self.schedule(done, tid);
     }
 
     /// Issues the (initial or wake-up) poll load of a [`Action::SpinWait`].
@@ -425,13 +428,13 @@ impl Sim {
     /// lost.
     fn spin_poll(&mut self, tid: usize) {
         let spec = self.threads[tid].spin.expect("spin state set");
-        let (done, result) = self.mem_op(tid, spec.line, MemOpKind::Load, None, None);
+        let (done, result) = self.mem_op(tid, spec.line, MemOpKind::Load, 0, 0);
         let value = result.expect("loads produce a value");
         if spec.cond.satisfied(value) {
             let thread = &mut self.threads[tid];
             thread.spin = None;
             thread.state = ThreadState::Ready;
-            thread.pending = Some(value);
+            thread.port.result.set(Some(value));
             self.schedule(done, tid);
         } else {
             let thread = &mut self.threads[tid];
@@ -502,7 +505,7 @@ impl Sim {
         let thread = &mut self.threads[tid];
         let (avail, payload) = thread.inbox.pop_front().expect("inbox non-empty");
         thread.state = ThreadState::Ready;
-        thread.pending = Some(payload);
+        thread.port.result.set(Some(payload));
         let resume = avail.max(now) + recv_cost;
         self.schedule(resume, tid);
         if let Some((sender, queued_payload)) = self.threads[tid].send_waiters.pop_front() {
@@ -510,7 +513,6 @@ impl Sim {
             let at = now + self.model.hw_send_cost() + self.model.hw_flight(hops);
             self.threads[tid].inbox.push_back((at, queued_payload));
             self.threads[sender].state = ThreadState::Ready;
-            self.threads[sender].pending = None;
             self.schedule(now + self.model.hw_send_cost(), sender);
         }
     }
@@ -519,9 +521,6 @@ impl Sim {
     /// (Tilera's iMesh; other platforms treat hardware channels as
     /// distance-free, which only the Tilera experiments use anyway).
     fn hw_hops(&self, from_core: usize, to_tid: usize) -> u8 {
-        if to_tid >= self.threads.len() {
-            return 0;
-        }
         let to_core = self.threads[to_tid].core;
         match self.topo.platform() {
             Platform::Tilera => self.model.mesh_hops(from_core, to_core),
@@ -536,9 +535,11 @@ impl Sim {
         self.core_load[self.model.phys_of(core)].max(1)
     }
 
-    /// Performs one memory operation for `tid`: charges the cost,
-    /// serializes through the line's `busy_until`, applies the value and
-    /// coherence-state semantics, and wakes any spin-waiters on a write.
+    /// Performs one memory operation for `tid` (`operand` is the value a
+    /// store, swap or CAS writes; `expected`, a CAS's comparand): charges
+    /// the cost, serializes through the line's `busy_until`, applies the
+    /// value and coherence-state semantics, and wakes any spin-waiters on
+    /// a write.
     /// Returns the completion time and the operation's result value; the
     /// caller decides how to resume the thread.
     fn mem_op(
@@ -546,8 +547,8 @@ impl Sim {
         tid: usize,
         line_id: LineId,
         op: MemOpKind,
-        operand: Option<u64>,
-        expected: Option<u64>,
+        operand: u64,
+        expected: u64,
     ) -> (u64, Option<u64>) {
         let now = self.now;
         let core = self.threads[tid].core;
@@ -608,12 +609,12 @@ impl Sim {
         let result = match op {
             MemOpKind::Load => Some(old),
             MemOpKind::Store => {
-                line.value = operand.expect("store operand");
+                line.value = operand;
                 None
             }
             MemOpKind::Cas => {
-                if old == expected.expect("cas expected") {
-                    line.value = operand.expect("cas new value");
+                if old == expected {
+                    line.value = operand;
                 }
                 Some(old)
             }
@@ -626,7 +627,7 @@ impl Sim {
                 Some(old)
             }
             MemOpKind::Swap => {
-                line.value = operand.expect("swap operand");
+                line.value = operand;
                 Some(old)
             }
             MemOpKind::Prefetchw | MemOpKind::Flush => None,
@@ -644,12 +645,15 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::fn_program;
 
-    /// A program that performs a fixed list of actions, ignoring results.
-    fn scripted(actions: Vec<Action>) -> Box<dyn Program> {
-        let mut iter = actions.into_iter();
-        fn_program(move |_r, _env| iter.next().unwrap_or(Action::Done))
+    /// Spawns a thread that performs a fixed list of actions, ignoring
+    /// results.
+    fn scripted(sim: &mut Sim, core: usize, actions: Vec<Action>) -> usize {
+        sim.spawn_on_core(core, move |cpu| async move {
+            for action in actions {
+                cpu.act(action).await;
+            }
+        })
     }
 
     #[test]
@@ -657,7 +661,7 @@ mod tests {
         let mut sim = Sim::new(Platform::Niagara, 1);
         let line = sim.alloc_line_for_core(0);
         for i in 0..4 {
-            sim.spawn_on_core(i * 8, scripted(vec![Action::Fai(line); 25]));
+            scripted(&mut sim, i * 8, vec![Action::Fai(line); 25]);
         }
         sim.run_to_completion();
         assert_eq!(sim.memory().line(line).value, 100);
@@ -669,21 +673,11 @@ mod tests {
         let line = sim.alloc_line(0);
         let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let r2 = results.clone();
-        let mut step = 0;
-        sim.spawn_on_core(
-            0,
-            fn_program(move |r, _env| {
-                if let Some(v) = r {
-                    r2.borrow_mut().push(v);
-                }
-                step += 1;
-                match step {
-                    1 => Action::Cas(line, 0, 7), // succeeds: 0 -> 7
-                    2 => Action::Cas(line, 0, 9), // fails: value is 7
-                    _ => Action::Done,
-                }
-            }),
-        );
+        sim.spawn_on_core(0, move |cpu| async move {
+            let first = cpu.cas(line, 0, 7).await; // succeeds: 0 -> 7
+            let second = cpu.cas(line, 0, 9).await; // fails: value is 7
+            r2.borrow_mut().extend([first, second]);
+        });
         sim.run_to_completion();
         assert_eq!(*results.borrow(), vec![0, 7]);
         assert_eq!(sim.memory().line(line).value, 7);
@@ -696,8 +690,8 @@ mod tests {
         let mut sim = Sim::new(Platform::Xeon, 1);
         let line = sim.alloc_line(0);
         let n = 50;
-        sim.spawn_on_core(0, scripted(vec![Action::Fai(line); n]));
-        sim.spawn_on_core(1, scripted(vec![Action::Fai(line); n]));
+        scripted(&mut sim, 0, vec![Action::Fai(line); n]);
+        scripted(&mut sim, 1, vec![Action::Fai(line); n]);
         sim.run_to_completion();
         // Each contended atomic costs >= 20 cycles of occupancy.
         assert!(sim.now() >= (2 * n as u64 - 2) * 20);
@@ -710,16 +704,11 @@ mod tests {
         // own clock; 1000 cheap loads cost 1000 * L1 latency.
         let mut sim = Sim::new(Platform::Xeon, 1);
         let line = sim.alloc_line(0);
-        let mut first = true;
-        sim.spawn_on_core(
-            0,
-            fn_program(move |_r, _env| {
-                if first {
-                    first = false;
-                }
-                Action::Load(line)
-            }),
-        );
+        sim.spawn_on_core(0, move |cpu| async move {
+            loop {
+                cpu.load(line).await;
+            }
+        });
         sim.run_until(5_000);
         // First load is a miss; the rest are L1 hits at 5 cycles each.
         assert!(sim.events() > 900, "events: {}", sim.events());
@@ -729,8 +718,8 @@ mod tests {
     fn pause_scales_with_niagara_core_sharing() {
         let mut sim = Sim::new(Platform::Niagara, 1);
         // Two hardware threads on physical core 0.
-        let t0 = sim.spawn_on_core(0, scripted(vec![Action::Pause(100), Action::Done]));
-        let _t1 = sim.spawn_on_core(1, scripted(vec![Action::Pause(100), Action::Done]));
+        let t0 = scripted(&mut sim, 0, vec![Action::Pause(100)]);
+        let _t1 = scripted(&mut sim, 1, vec![Action::Pause(100)]);
         sim.run_to_completion();
         let _ = t0;
         // Each pause takes 200 cycles (factor 2).
@@ -743,30 +732,8 @@ mod tests {
         let line = sim.alloc_line(0);
         // Thread 0 parks; thread 1 stores then unparks it; thread 0 then
         // stores a flag to prove it resumed.
-        let mut s0 = 0;
-        sim.spawn_on_core(
-            0,
-            fn_program(move |_r, _env| {
-                s0 += 1;
-                match s0 {
-                    1 => Action::Park,
-                    2 => Action::Store(line, 42),
-                    _ => Action::Done,
-                }
-            }),
-        );
-        let mut s1 = 0;
-        sim.spawn_on_core(
-            6,
-            fn_program(move |_r, _env| {
-                s1 += 1;
-                match s1 {
-                    1 => Action::Pause(10_000),
-                    2 => Action::Unpark(0),
-                    _ => Action::Done,
-                }
-            }),
-        );
+        scripted(&mut sim, 0, vec![Action::Park, Action::Store(line, 42)]);
+        scripted(&mut sim, 6, vec![Action::Pause(10_000), Action::Unpark(0)]);
         sim.run_to_completion();
         assert_eq!(sim.memory().line(line).value, 42);
         // The parked thread resumed only after the unpark + wake latency.
@@ -777,20 +744,16 @@ mod tests {
     fn unpark_before_park_grants_permit() {
         let mut sim = Sim::new(Platform::Opteron, 1);
         let line = sim.alloc_line(0);
-        let mut s0 = 0;
-        sim.spawn_on_core(
+        scripted(
+            &mut sim,
             0,
-            fn_program(move |_r, _env| {
-                s0 += 1;
-                match s0 {
-                    1 => Action::Pause(5_000),
-                    2 => Action::Park, // permit already granted: no sleep
-                    3 => Action::Store(line, 7),
-                    _ => Action::Done,
-                }
-            }),
+            vec![
+                Action::Pause(5_000),
+                Action::Park, // permit already granted: no sleep
+                Action::Store(line, 7),
+            ],
         );
-        sim.spawn_on_core(6, scripted(vec![Action::Unpark(0), Action::Done]));
+        scripted(&mut sim, 6, vec![Action::Unpark(0)]);
         sim.run_to_completion();
         assert_eq!(sim.memory().line(line).value, 7);
         // No 2500-cycle wake latency: the permit made Park immediate.
@@ -801,36 +764,19 @@ mod tests {
     fn hardware_messages_deliver_in_order() {
         let mut sim = Sim::new(Platform::Tilera, 1);
         let line = sim.alloc_line(0);
-        let mut s0 = 0;
-        sim.spawn_on_core(
+        scripted(
+            &mut sim,
             0,
-            fn_program(move |_r, _env| {
-                s0 += 1;
-                match s0 {
-                    1 => Action::HwSend { to: 1, payload: 11 },
-                    2 => Action::HwSend { to: 1, payload: 22 },
-                    _ => Action::Done,
-                }
-            }),
+            vec![
+                Action::HwSend { to: 1, payload: 11 },
+                Action::HwSend { to: 1, payload: 22 },
+            ],
         );
-        let mut got = Vec::new();
-        let mut stored = false;
-        sim.spawn_on_core(
-            35,
-            fn_program(move |r, _env| {
-                if let Some(v) = r {
-                    got.push(v);
-                }
-                match got.len() {
-                    0 | 1 => Action::HwRecv,
-                    _ if !stored => {
-                        stored = true;
-                        Action::Store(line, got[0] * 100 + got[1])
-                    }
-                    _ => Action::Done,
-                }
-            }),
-        );
+        sim.spawn_on_core(35, move |cpu| async move {
+            let first = cpu.hw_recv().await;
+            let second = cpu.hw_recv().await;
+            cpu.store(line, first * 100 + second).await;
+        });
         sim.run_to_completion();
         assert_eq!(sim.memory().line(line).value, 1122);
     }
@@ -840,20 +786,8 @@ mod tests {
         // One-way latency corner to corner vs adjacent (Figure 9's axis).
         for (receiver_core, min_t, max_t) in [(1usize, 50, 75), (35, 55, 85)] {
             let mut sim = Sim::new(Platform::Tilera, 1);
-            sim.spawn_on_core(
-                0,
-                scripted(vec![Action::HwSend { to: 1, payload: 5 }, Action::Done]),
-            );
-            sim.spawn_on_core(receiver_core, {
-                let mut done = false;
-                fn_program(move |r, _env| {
-                    if r.is_some() || done {
-                        return Action::Done;
-                    }
-                    done = true;
-                    Action::HwRecv
-                })
-            });
+            scripted(&mut sim, 0, vec![Action::HwSend { to: 1, payload: 5 }]);
+            scripted(&mut sim, receiver_core, vec![Action::HwRecv]);
             sim.run_to_completion();
             assert!(
                 sim.now() >= min_t && sim.now() <= max_t,
@@ -863,56 +797,42 @@ mod tests {
         }
     }
 
-    /// An explicit load / check / pause poll loop, the pattern
+    /// Spawns an explicit load / check / pause poll loop, the pattern
     /// [`Action::SpinWait`] replaces: spin until `line == target`, then
     /// store 1 to `flag` and finish.
-    fn explicit_spinner(line: LineId, target: u64, pause: u64, flag: LineId) -> Box<dyn Program> {
-        let mut st = 0u8;
-        fn_program(move |r, _env| match st {
-            0 => {
-                st = 1;
-                Action::Load(line)
+    fn explicit_spinner(sim: &mut Sim, core: usize, line: LineId, target: u64, flag: LineId) {
+        sim.spawn_on_core(core, move |cpu| async move {
+            while cpu.load(line).await != target {
+                cpu.pause(4).await;
             }
-            1 => {
-                if r.expect("load result") == target {
-                    st = 3;
-                    Action::Store(flag, 1)
-                } else {
-                    st = 2;
-                    Action::Pause(pause)
-                }
-            }
-            2 => {
-                st = 1;
-                Action::Load(line)
-            }
-            _ => Action::Done,
-        })
+            cpu.store(flag, 1).await;
+        });
     }
 
     /// The same spinner expressed with one `SpinWait` action.
-    fn waitlist_spinner(line: LineId, target: u64, pause: u64, flag: LineId) -> Box<dyn Program> {
-        let mut st = 0u8;
-        fn_program(move |_r, _env| match st {
-            0 => {
-                st = 1;
-                Action::SpinWait {
-                    line,
-                    cond: WaitCond::Eq(target),
-                    pause,
-                }
-            }
-            1 => {
-                st = 2;
-                Action::Store(flag, 1)
-            }
-            _ => Action::Done,
-        })
+    fn waitlist_spinner(sim: &mut Sim, core: usize, line: LineId, target: u64, flag: LineId) {
+        sim.spawn_on_core(core, move |cpu| async move {
+            cpu.spin_wait(line, WaitCond::Eq(target), 4).await;
+            cpu.store(flag, 1).await;
+        });
+    }
+
+    /// Spawns either spinner.
+    fn spinner(sim: &mut Sim, explicit: bool, core: usize, line: LineId, flag: LineId) {
+        if explicit {
+            explicit_spinner(sim, core, line, 1, flag);
+        } else {
+            waitlist_spinner(sim, core, line, 1, flag);
+        }
     }
 
     /// A writer that pauses, then stores `value` to `line`.
-    fn delayed_writer(delay: u64, line: LineId, value: u64) -> Box<dyn Program> {
-        scripted(vec![Action::Pause(delay), Action::Store(line, value)])
+    fn delayed_writer(sim: &mut Sim, core: usize, delay: u64, line: LineId, value: u64) {
+        scripted(
+            sim,
+            core,
+            vec![Action::Pause(delay), Action::Store(line, value)],
+        );
     }
 
     #[test]
@@ -926,14 +846,9 @@ mod tests {
                 let mut sim = Sim::new(platform, 42);
                 let line = sim.alloc_line(0);
                 let flag = sim.alloc_line(0);
-                let spinner = if explicit {
-                    explicit_spinner(line, 1, 4, flag)
-                } else {
-                    waitlist_spinner(line, 1, 4, flag)
-                };
-                sim.spawn_on_core(0, spinner);
+                spinner(&mut sim, explicit, 0, line, flag);
                 let writer_core = sim.topology().num_cores() - 1;
-                sim.spawn_on_core(writer_core, delayed_writer(10_000, line, 1));
+                delayed_writer(&mut sim, writer_core, 10_000, line, 1);
                 sim.run_to_completion();
                 (sim.now(), *sim.stats(), sim.events())
             };
@@ -958,13 +873,8 @@ mod tests {
             let mut sim = Sim::new(Platform::Opteron, 7);
             let line = sim.alloc_line(0);
             let flag = sim.alloc_line(0);
-            let spinner = if explicit {
-                explicit_spinner(line, 1, 4, flag)
-            } else {
-                waitlist_spinner(line, 1, 4, flag)
-            };
-            sim.spawn_on_core(0, spinner);
-            sim.spawn_on_core(36, delayed_writer(20_000, line, 1));
+            spinner(&mut sim, explicit, 0, line, flag);
+            delayed_writer(&mut sim, 36, 20_000, line, 1);
             // Window ends mid-spin: the waiter is still parked.
             sim.run_until(5_000);
             let mid = *sim.stats();
@@ -983,22 +893,8 @@ mod tests {
         sim.memory_mut().line_mut(line).value = 7;
         let got = std::rc::Rc::new(std::cell::Cell::new(0));
         let got2 = got.clone();
-        let mut st = 0;
-        sim.spawn_on_core(0, {
-            fn_program(move |r, _env| match st {
-                0 => {
-                    st = 1;
-                    Action::SpinWait {
-                        line,
-                        cond: WaitCond::Ne(0),
-                        pause: 4,
-                    }
-                }
-                _ => {
-                    got2.set(r.expect("spin result"));
-                    Action::Done
-                }
-            })
+        sim.spawn_on_core(0, move |cpu| async move {
+            got2.set(cpu.spin_wait(line, WaitCond::Ne(0), 4).await);
         });
         sim.run_to_completion();
         assert_eq!(got.get(), 7);
@@ -1011,17 +907,18 @@ mod tests {
         let mut sim = Sim::new(Platform::Opteron, 3);
         let line = sim.alloc_line(0);
         let flag = sim.alloc_line(0);
-        sim.spawn_on_core(0, waitlist_spinner(line, 5, 4, flag));
+        waitlist_spinner(&mut sim, 0, line, 5, flag);
         // Two writes: the first (to 3) wakes the waiter but fails the
         // Eq(5) condition, re-registering it; the second satisfies it.
-        sim.spawn_on_core(
+        scripted(
+            &mut sim,
             12,
-            scripted(vec![
+            vec![
                 Action::Pause(5_000),
                 Action::Store(line, 3),
                 Action::Pause(5_000),
                 Action::Store(line, 5),
-            ]),
+            ],
         );
         sim.run_to_completion();
         assert_eq!(sim.memory().line(flag).value, 1);
@@ -1039,14 +936,9 @@ mod tests {
             for w in 0..8usize {
                 let flag = sim.alloc_line(0);
                 flags.push(flag);
-                let spinner = if explicit {
-                    explicit_spinner(line, 1, 4, flag)
-                } else {
-                    waitlist_spinner(line, 1, 4, flag)
-                };
-                sim.spawn_on_core(w * 6, spinner);
+                spinner(&mut sim, explicit, w * 6, line, flag);
             }
-            sim.spawn_on_core(1, delayed_writer(2_000, line, 1));
+            delayed_writer(&mut sim, 1, 2_000, line, 1);
             sim.run_to_completion();
             (sim.now(), *sim.stats())
         };
@@ -1061,9 +953,9 @@ mod tests {
         let mut sim = Sim::new(Platform::Xeon, 1);
         let line = sim.alloc_line(0);
         let flag = sim.alloc_line(0);
-        sim.spawn_on_core(0, waitlist_spinner(line, 1, 4, flag));
+        waitlist_spinner(&mut sim, 0, line, 1, flag);
         // First poll processed at t=0 (completes ~355); write at t=50.
-        sim.spawn_on_core(79, delayed_writer(50, line, 1));
+        delayed_writer(&mut sim, 79, 50, line, 1);
         sim.run_to_completion();
         assert_eq!(sim.memory().line(flag).value, 1);
     }
@@ -1074,7 +966,7 @@ mod tests {
             let mut sim = Sim::new(Platform::Opteron, 99);
             let line = sim.alloc_line(0);
             for c in 0..8 {
-                sim.spawn_on_core(c * 6, scripted(vec![Action::Fai(line); 20]));
+                scripted(&mut sim, c * 6, vec![Action::Fai(line); 20]);
             }
             sim.run_to_completion();
             (sim.now(), sim.memory().line(line).value, sim.events())
@@ -1086,7 +978,7 @@ mod tests {
     fn run_until_stops_at_limit() {
         let mut sim = Sim::new(Platform::Xeon, 1);
         let line = sim.alloc_line(0);
-        sim.spawn_on_core(0, scripted(vec![Action::Fai(line); 1000]));
+        scripted(&mut sim, 0, vec![Action::Fai(line); 1000]);
         sim.run_until(500);
         assert!(sim.now() <= 500);
         let ops_mid = sim.memory().line(line).value;
@@ -1098,16 +990,11 @@ mod tests {
     fn complete_op_counts() {
         let mut sim = Sim::new(Platform::Niagara, 1);
         let line = sim.alloc_line(0);
-        let tid = sim.spawn_on_core(0, {
-            let mut n = 0;
-            fn_program(move |_r, env| {
-                n += 1;
-                if n > 10 {
-                    return Action::Done;
-                }
-                env.complete_op();
-                Action::Fai(line)
-            })
+        let tid = sim.spawn_on_core(0, move |cpu| async move {
+            for _ in 0..10 {
+                cpu.complete_op();
+                cpu.fai(line).await;
+            }
         });
         sim.run_to_completion();
         assert_eq!(sim.ops(tid), 10);

@@ -28,9 +28,10 @@
 //!   and the prose rules of Section 5 (Opteron's broadcast on
 //!   owned/shared stores, Xeon's inclusive-LLC locality, Niagara's
 //!   uniformity, Tilera's per-hop and per-sharer costs).
-//! * [`engine`] — the event loop: simulated threads are [`program::Program`]
-//!   state machines that issue [`program::Action`]s; the engine charges
-//!   latencies, serializes conflicting line accesses, and advances time.
+//! * [`engine`] — the event loop: a simulated thread is one future that
+//!   awaits its [`program::Cpu`]'s operations, each one
+//!   [`program::Action`]; the engine charges latencies, serializes
+//!   conflicting line accesses, and advances time.
 //!
 //! Capacity misses and evictions are not modelled: the paper's
 //! microbenchmark working sets fit in cache, and its "Invalid" rows are
@@ -41,22 +42,20 @@
 //! ```
 //! use ssync_core::Platform;
 //! use ssync_sim::engine::Sim;
-//! use ssync_sim::program::{Action, Env, Program};
+//! use ssync_sim::memory::LineId;
+//! use ssync_sim::program::Cpu;
 //!
 //! /// Increment a shared counter 10 times, then stop.
-//! struct Incr { line: ssync_sim::memory::LineId, left: u32 }
-//! impl Program for Incr {
-//!     fn step(&mut self, _r: Option<u64>, _env: &mut Env<'_>) -> Action {
-//!         if self.left == 0 { return Action::Done; }
-//!         self.left -= 1;
-//!         Action::Fai(self.line)
+//! async fn incr(cpu: Cpu, line: LineId) {
+//!     for _ in 0..10 {
+//!         cpu.fai(line).await;
 //!     }
 //! }
 //!
 //! let mut sim = Sim::new(Platform::Niagara, 42);
 //! let line = sim.alloc_line_for_core(0);
-//! sim.spawn_on_core(0, Box::new(Incr { line, left: 10 }));
-//! sim.spawn_on_core(8, Box::new(Incr { line, left: 10 }));
+//! sim.spawn_on_core(0, move |cpu| incr(cpu, line));
+//! sim.spawn_on_core(8, move |cpu| incr(cpu, line));
 //! sim.run_to_completion();
 //! assert_eq!(sim.memory().line(line).value, 20);
 //! ```
@@ -71,5 +70,5 @@ pub mod stats;
 pub use engine::Sim;
 pub use latency::LatencyModel;
 pub use memory::{CohState, Line, LineId, Memory, SharerSet};
-pub use program::{Action, Env, Program, WaitCond};
+pub use program::{Action, Cpu, WaitCond};
 pub use stats::SimStats;

@@ -1,12 +1,20 @@
 //! The simulated-thread execution interface.
 //!
-//! A simulated thread is a state machine implementing [`Program`]: at
-//! every step it receives the result of its previous action and returns
-//! the next [`Action`]. The engine charges the action's latency, updates
-//! the memory system, and re-schedules the thread at the completion time.
-//! Everything the SSYNC stack does — spinning on a flag, taking a ticket,
-//! enqueuing on an MCS queue, exchanging a message — decomposes into
-//! these actions.
+//! A simulated thread is one future: an `async` body that awaits its
+//! [`Cpu`]'s operations — `cpu.load(line)`, `cpu.fai(line)`,
+//! `cpu.spin_wait(line, cond, pause)`, `cpu.pause(cycles)` — in program
+//! order. Each operation hands the engine one [`Action`] and suspends;
+//! the engine charges the action's latency, updates the memory system,
+//! and polls the thread again at the completion time, when the awaited
+//! operation yields its result. Everything the SSYNC stack does —
+//! spinning on a flag, taking a ticket, enqueuing on an MCS queue,
+//! exchanging a message — decomposes into these actions.
+
+use std::cell::{Cell, RefCell, RefMut};
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use rand::rngs::SmallRng;
 
@@ -62,162 +70,213 @@ impl WaitCond {
     }
 }
 
-/// One step of a simulated thread.
+/// One operation of a simulated thread, as the engine executes it; the
+/// [`Cpu`] method of the same name documents each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// Load the line's value; the next step receives it as `result`.
+    /// [`Cpu::load`].
     Load(LineId),
-    /// Store a value.
+    /// [`Cpu::store`].
     Store(LineId, u64),
-    /// Compare-and-swap: if the value equals `.1`, replace it with `.2`.
-    /// The next step receives the *old* value (success iff old == `.1`).
+    /// [`Cpu::cas`]: line, expected value, new value.
     Cas(LineId, u64, u64),
-    /// Fetch-and-increment; the next step receives the old value.
+    /// [`Cpu::fai`].
     Fai(LineId),
-    /// Test-and-set: set the value to 1; the next step receives the old
-    /// value (0 means the TAS "won").
+    /// [`Cpu::tas`].
     Tas(LineId),
-    /// Swap in a new value; the next step receives the old value.
+    /// [`Cpu::swap`].
     Swap(LineId, u64),
-    /// Prefetch the line in Modified state (no value change).
+    /// [`Cpu::prefetchw`].
     Prefetchw(LineId),
-    /// Evict the line everywhere (write-back); staging only.
-    Flush(LineId),
-    /// Local computation for the given number of cycles (scaled by the
-    /// hardware-thread sharing factor on Niagara).
+    /// [`Cpu::pause`].
     Pause(u64),
-    /// Spin on a line until its value satisfies the condition, polling
-    /// every `pause` cycles of local work between re-reads. Semantically
-    /// identical to the explicit `Load` / check / `Pause(pause)` loop —
-    /// the first load is issued immediately, polls of an unchanged
-    /// cached line cost local-hit latency, and the poll that observes a
-    /// writer's invalidation pays the full coherence miss — but the
-    /// engine parks the thread on the line's wait-list instead of
-    /// scheduling one event per poll, and a write wakes it at the first
-    /// poll boundary at or after the write. The next step receives the
-    /// first polled value that satisfied the condition.
+    /// [`Cpu::spin_wait`].
     SpinWait {
         /// The line to poll.
         line: LineId,
         /// Resume when the line's value satisfies this.
         cond: WaitCond,
-        /// Local-work cycles between polls (as `Pause`, scaled by the
-        /// hardware-thread sharing factor).
+        /// Local-work cycles between polls.
         pause: u64,
     },
-    /// Suspend until another thread issues [`Action::Unpark`] for this
-    /// thread. Like `std::thread::park`, a pending unpark "permit" makes
-    /// `Park` return immediately. Models the futex sleep of a Pthread
-    /// mutex; the engine charges the suspend/wake costs.
+    /// [`Cpu::park`].
     Park,
-    /// Wake the given thread (by thread id), granting a permit if it is
-    /// not currently parked.
+    /// [`Cpu::unpark`].
     Unpark(usize),
-    /// Hardware message passing (Tilera iMesh): enqueue a word for the
-    /// receiving *thread*. Delivery latency depends on mesh distance.
+    /// [`Cpu::hw_send`].
     HwSend {
         /// Receiving thread id.
         to: usize,
         /// Payload word.
         payload: u64,
     },
-    /// Receive the next hardware message; blocks until one is available.
-    /// The next step receives the payload.
+    /// [`Cpu::hw_recv`].
     HwRecv,
-    /// Terminate this thread.
-    Done,
 }
 
-impl Action {
-    /// Decomposes a memory-operation action into `(op, line, operand,
-    /// expected)` for the engine's single dispatch path; `None` for
-    /// non-memory actions.
-    pub fn mem_op_parts(&self) -> Option<(MemOpKind, LineId, Option<u64>, Option<u64>)> {
-        Some(match *self {
-            Action::Load(line) => (MemOpKind::Load, line, None, None),
-            Action::Store(line, v) => (MemOpKind::Store, line, Some(v), None),
-            Action::Cas(line, expected, new) => (MemOpKind::Cas, line, Some(new), Some(expected)),
-            Action::Fai(line) => (MemOpKind::Fai, line, None, None),
-            Action::Tas(line) => (MemOpKind::Tas, line, None, None),
-            Action::Swap(line, v) => (MemOpKind::Swap, line, Some(v), None),
-            Action::Prefetchw(line) => (MemOpKind::Prefetchw, line, None, None),
-            Action::Flush(line) => (MemOpKind::Flush, line, None, None),
-            _ => return None,
-        })
-    }
+/// What one thread and the engine share: the action in flight, its
+/// result, and the thread's clock, counters and randomness.
+pub(crate) struct Port {
+    pub(crate) tid: usize,
+    pub(crate) now: Cell<u64>,
+    pub(crate) action: Cell<Option<Action>>,
+    pub(crate) result: Cell<Option<u64>>,
+    pub(crate) ops: Cell<u64>,
+    pub(crate) samples: RefCell<Vec<u64>>,
+    pub(crate) rng: RefCell<SmallRng>,
 }
 
-/// Per-step environment handed to [`Program::step`].
-pub struct Env<'a> {
-    /// Current simulated time (cycles).
-    pub now: u64,
+/// A simulated thread's handle on its core: the operations it awaits,
+/// and its clock, randomness and counters between them.
+pub struct Cpu(pub(crate) Rc<Port>);
+
+impl Cpu {
     /// This thread's id (spawn order).
-    pub tid: usize,
-    /// The core this thread runs on.
-    pub core: usize,
-    /// Deterministic per-thread randomness.
-    pub rng: &'a mut SmallRng,
-    pub(crate) ops: &'a mut u64,
-    pub(crate) samples: &'a mut Vec<u64>,
-}
+    pub fn tid(&self) -> usize {
+        self.0.tid
+    }
 
-impl Env<'_> {
+    /// Current simulated time (cycles).
+    pub fn now(&self) -> u64 {
+        self.0.now.get()
+    }
+
+    /// Deterministic per-thread randomness. Do not hold it across an
+    /// `.await`.
+    pub fn rng(&self) -> RefMut<'_, SmallRng> {
+        self.0.rng.borrow_mut()
+    }
+
     /// Records the completion of one application-level operation (a full
     /// lock acquire/release, one hash-table lookup, ...). The benchmark
     /// harnesses compute throughput from these counters.
-    pub fn complete_op(&mut self) {
-        *self.ops += 1;
+    pub fn complete_op(&self) {
+        self.0.ops.set(self.0.ops.get() + 1);
     }
 
     /// Records a latency sample (cycles); used by the latency-oriented
     /// experiments (Figures 3, 6, 9 and Table 2).
-    pub fn record_sample(&mut self, cycles: u64) {
-        self.samples.push(cycles);
+    pub fn record_sample(&self, cycles: u64) {
+        self.0.samples.borrow_mut().push(cycles);
+    }
+
+    /// Performs any action; resolves with its value (`None` for actions
+    /// that yield none).
+    pub fn act(&self, action: Action) -> Act<'_> {
+        Act {
+            port: &self.0,
+            action: Some(action),
+        }
+    }
+
+    async fn value(&self, action: Action) -> u64 {
+        self.act(action).await.expect("the action yields a value")
+    }
+
+    /// Loads the line's value.
+    pub async fn load(&self, line: LineId) -> u64 {
+        self.value(Action::Load(line)).await
+    }
+
+    /// Stores `value` to the line.
+    pub async fn store(&self, line: LineId, value: u64) {
+        self.act(Action::Store(line, value)).await;
+    }
+
+    /// Compare-and-swap: if the value equals `expected`, replaces it with
+    /// `new`. Yields the *old* value (success iff old == `expected`).
+    pub async fn cas(&self, line: LineId, expected: u64, new: u64) -> u64 {
+        self.value(Action::Cas(line, expected, new)).await
+    }
+
+    /// Fetch-and-increment; yields the old value.
+    pub async fn fai(&self, line: LineId) -> u64 {
+        self.value(Action::Fai(line)).await
+    }
+
+    /// Test-and-set: sets the value to 1; yields the old value (0 means
+    /// the TAS "won").
+    pub async fn tas(&self, line: LineId) -> u64 {
+        self.value(Action::Tas(line)).await
+    }
+
+    /// Swaps in `value`; yields the old value.
+    pub async fn swap(&self, line: LineId, value: u64) -> u64 {
+        self.value(Action::Swap(line, value)).await
+    }
+
+    /// x86 `prefetchw`: takes the line in Modified state without changing
+    /// its value (the Section 5.3 optimization).
+    pub async fn prefetchw(&self, line: LineId) {
+        self.act(Action::Prefetchw(line)).await;
+    }
+
+    /// Local computation for `cycles` (scaled by the hardware-thread
+    /// sharing factor on Niagara).
+    pub async fn pause(&self, cycles: u64) {
+        self.act(Action::Pause(cycles)).await;
+    }
+
+    /// Spins on `line` until its value satisfies `cond`, with `pause`
+    /// cycles of local work (as [`Cpu::pause`]) between re-reads; yields
+    /// the first polled value that satisfied it. Semantically identical
+    /// to the explicit load / check / pause loop — the first load is
+    /// issued immediately, polls of an unchanged cached line cost
+    /// local-hit latency, and the poll that observes a writer's
+    /// invalidation pays the full coherence miss — but the engine parks
+    /// the thread on the line's wait-list instead of scheduling one event
+    /// per poll, and a write wakes it at the first poll boundary at or
+    /// after the write.
+    pub async fn spin_wait(&self, line: LineId, cond: WaitCond, pause: u64) -> u64 {
+        self.value(Action::SpinWait { line, cond, pause }).await
+    }
+
+    /// Suspends until another thread unparks this one. Like
+    /// `std::thread::park`, a pending unpark "permit" makes it return
+    /// immediately. Models the futex sleep of a Pthread mutex; the engine
+    /// charges the suspend/wake costs.
+    pub async fn park(&self) {
+        self.act(Action::Park).await;
+    }
+
+    /// Wakes thread `tid`, granting a permit if it is not parked.
+    pub async fn unpark(&self, tid: usize) {
+        self.act(Action::Unpark(tid)).await;
+    }
+
+    /// Hardware message passing (Tilera iMesh): enqueues a word for
+    /// thread `to`. Delivery latency depends on mesh distance.
+    pub async fn hw_send(&self, to: usize, payload: u64) {
+        self.act(Action::HwSend { to, payload }).await;
+    }
+
+    /// Receives this thread's next hardware message, waiting for one.
+    pub async fn hw_recv(&self) -> u64 {
+        self.value(Action::HwRecv).await
     }
 }
 
-/// A simulated thread.
-///
-/// `step` is called with the result of the previous action:
-///
-/// * `None` on the first step and after non-value actions
-///   (Store/Prefetchw/Flush/Pause/Park/Unpark/HwSend),
-/// * `Some(value)` after Load/Cas/Fai/Tas/Swap/SpinWait/HwRecv.
-pub trait Program {
-    /// Produces the thread's next action.
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action;
+/// The future of one [`Action`]: its first poll hands the action to the
+/// engine, and the next (the engine's, at the completion time) yields
+/// the result.
+pub struct Act<'a> {
+    port: &'a Port,
+    action: Option<Action>,
 }
 
-/// A sub-state-machine that runs embedded in a larger program (the sim
-/// lock algorithms expose acquire/release as `SubProgram`s so that
-/// workloads can compose them).
-pub trait SubProgram {
-    /// Produces the next action, or `None` when the sub-program finished.
-    /// `result` carries the previous action's value, as for [`Program`].
-    fn substep(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Option<Action>;
-}
+impl Future for Act<'_> {
+    type Output = Option<u64>;
 
-/// Runs a closure-based program: convenient for tests and simple
-/// workloads. The closure is the `step` function.
-pub struct FnProgram<F>(pub F);
-
-impl<F> Program for FnProgram<F>
-where
-    F: FnMut(Option<u64>, &mut Env<'_>) -> Action,
-{
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        (self.0)(result, env)
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Option<u64>> {
+        match self.action.take() {
+            Some(action) => {
+                let idle = self.port.action.replace(Some(action)).is_none();
+                debug_assert!(idle, "a simulated thread awaits one action at a time");
+                Poll::Pending
+            }
+            None => Poll::Ready(self.port.result.take()),
+        }
     }
-}
-
-/// Boxes a closure as a [`Program`], pinning down the closure's
-/// higher-ranked signature (plain `Box::new(FnProgram(..))` often fails
-/// inference on the `&mut Env<'_>` lifetime).
-pub fn fn_program<F>(f: F) -> Box<dyn Program>
-where
-    F: FnMut(Option<u64>, &mut Env<'_>) -> Action + 'static,
-{
-    Box::new(FnProgram(f))
 }
 
 #[cfg(test)]

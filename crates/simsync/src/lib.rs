@@ -1,11 +1,11 @@
 //! # ssync-simsync
 //!
 //! The SSYNC software stack of the paper, re-expressed as `ssync-sim`
-//! programs so that the study's figures can be regenerated on the
+//! threads so that the study's figures can be regenerated on the
 //! simulated platforms:
 //!
 //! * [`locks`] — all nine lock algorithms (plus the Figure 3 ticket-lock
-//!   variants) as simulator state machines implementing [`locks::SimLock`].
+//!   variants), dispatched by [`locks::SimLock`].
 //! * [`mp`] — `libssmp`: message passing over cache-line buffers, plus
 //!   the Tilera's hardware channels.
 //! * [`workloads`] — the experiment programs: lock stress (Figures 3 and
@@ -15,8 +15,9 @@
 //!
 //! The native, real-atomics implementations of the same algorithms live
 //! in `ssync-locks` / `ssync-mp` / `ssync-ht` / `ssync-kv`; this crate is
-//! their simulator twin, structured so each algorithm is a small explicit
-//! state machine over [`ssync_sim::Action`]s.
+//! their simulator twin: each algorithm is `async` code that awaits one
+//! [`ssync_sim::Cpu`] operation per atomic step, in program order, so it
+//! reads line by line against its native original.
 
 pub mod locks;
 pub mod mp;

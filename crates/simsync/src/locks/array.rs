@@ -5,24 +5,18 @@
 //! store on the successor's slot line.
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, SubProgram, WaitCond};
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim, WaitCond};
 
-use super::{LockConfig, SimLock, SimLockKind, POLL_PAUSE};
+use super::{LockConfig, POLL_PAUSE};
 
-struct Inner {
+/// Simulated array lock: a tail counter line plus one line per slot.
+pub struct SimArray {
     tail: LineId,
     slots: Vec<LineId>,
     /// Ticket held by each thread.
     tickets: RefCell<Vec<u64>>,
-}
-
-/// Simulated array lock: a tail counter line plus one line per slot.
-pub struct SimArray {
-    inner: Rc<Inner>,
 }
 
 impl SimArray {
@@ -37,89 +31,30 @@ impl SimArray {
         // Slot 0 starts runnable.
         sim.memory_mut().line_mut(slots[0]).value = 1;
         Self {
-            inner: Rc::new(Inner {
-                tail,
-                slots,
-                tickets: RefCell::new(vec![0; cfg.n_threads]),
-            }),
+            tail,
+            slots,
+            tickets: RefCell::new(vec![0; cfg.n_threads]),
         }
     }
-}
 
-impl SimLock for SimArray {
-    fn kind(&self) -> SimLockKind {
-        SimLockKind::Array
+    fn slot(&self, ticket: u64) -> LineId {
+        self.slots[ticket as usize % self.slots.len()]
     }
 
-    fn acquire(&self, tid: usize) -> Box<dyn SubProgram> {
-        Box::new(ArrayAcquire {
-            lock: Rc::clone(&self.inner),
-            tid,
-            st: 0,
-            slot: 0,
-        })
+    /// Takes a ticket, waits for its slot to turn runnable, and re-arms
+    /// the slot for its next ticket.
+    pub async fn acquire(&self, cpu: &Cpu) {
+        let ticket = cpu.fai(self.tail).await;
+        self.tickets.borrow_mut()[cpu.tid()] = ticket;
+        let slot = self.slot(ticket);
+        cpu.spin_wait(slot, WaitCond::Eq(1), POLL_PAUSE).await;
+        cpu.store(slot, 0).await;
     }
 
-    fn release(&self, tid: usize) -> Box<dyn SubProgram> {
-        let ticket = self.inner.tickets.borrow()[tid];
-        let next = self.inner.slots[(ticket as usize + 1) % self.inner.slots.len()];
-        Box::new(ArrayRelease { next, done: false })
-    }
-}
-
-struct ArrayAcquire {
-    lock: Rc<Inner>,
-    tid: usize,
-    st: u8,
-    slot: LineId,
-}
-
-impl SubProgram for ArrayAcquire {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            // Take a ticket.
-            0 => {
-                self.st = 1;
-                Some(Action::Fai(self.lock.tail))
-            }
-            // Resolve the slot; park on it until it turns runnable.
-            1 => {
-                let ticket = result.expect("fai result");
-                self.lock.tickets.borrow_mut()[self.tid] = ticket;
-                self.slot = self.lock.slots[ticket as usize % self.lock.slots.len()];
-                self.st = 2;
-                Some(Action::SpinWait {
-                    line: self.slot,
-                    cond: WaitCond::Eq(1),
-                    pause: POLL_PAUSE,
-                })
-            }
-            // Runnable: re-arm the slot for its next ticket.
-            2 => {
-                debug_assert_eq!(result, Some(1));
-                self.st = 4;
-                Some(Action::Store(self.slot, 0))
-            }
-            // Slot re-armed: acquired.
-            4 => None,
-            _ => unreachable!(),
-        }
-    }
-}
-
-struct ArrayRelease {
-    next: LineId,
-    done: bool,
-}
-
-impl SubProgram for ArrayRelease {
-    fn substep(&mut self, _result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        if self.done {
-            None
-        } else {
-            self.done = true;
-            Some(Action::Store(self.next, 1))
-        }
+    /// Makes the next ticket's slot runnable.
+    pub async fn release(&self, cpu: &Cpu) {
+        let ticket = self.tickets.borrow()[cpu.tid()];
+        cpu.store(self.slot(ticket + 1), 1).await;
     }
 }
 

@@ -6,25 +6,20 @@
 //! thread adopts its predecessor's node for the next acquisition.
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, SubProgram, WaitCond};
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim, WaitCond};
 
-use super::{LockConfig, SimLock, SimLockKind, POLL_PAUSE};
+use super::cohort::CohortLevel;
+use super::{LockConfig, POLL_PAUSE};
 
-struct Inner {
+/// Simulated CLH lock.
+pub struct SimClh {
     tail: LineId,
     /// Each thread's current node line and, while holding the lock, the
     /// predecessor node it will adopt.
     node: RefCell<Vec<LineId>>,
     pred: RefCell<Vec<LineId>>,
-}
-
-/// Simulated CLH lock.
-pub struct SimClh {
-    inner: Rc<Inner>,
 }
 
 impl SimClh {
@@ -39,98 +34,35 @@ impl SimClh {
             .map(|t| sim.alloc_line_for_core(cfg.thread_cores[t]))
             .collect();
         Self {
-            inner: Rc::new(Inner {
-                tail,
-                node: RefCell::new(node),
-                pred: RefCell::new(vec![0; cfg.n_threads]),
-            }),
+            tail,
+            node: RefCell::new(node),
+            pred: RefCell::new(vec![0; cfg.n_threads]),
         }
     }
 }
 
-impl SimLock for SimClh {
-    fn kind(&self) -> SimLockKind {
-        SimLockKind::Clh
+impl CohortLevel for SimClh {
+    /// Marks our node locked, swings the tail to it, and waits on the
+    /// predecessor's node.
+    async fn acquire(&self, cpu: &Cpu, tid: usize) {
+        let node = self.node.borrow()[tid];
+        cpu.store(node, 1).await;
+        let pred = cpu.swap(self.tail, node).await;
+        self.pred.borrow_mut()[tid] = pred;
+        cpu.spin_wait(pred, WaitCond::Eq(0), POLL_PAUSE).await;
     }
 
-    fn acquire(&self, tid: usize) -> Box<dyn SubProgram> {
-        Box::new(ClhAcquire {
-            lock: Rc::clone(&self.inner),
-            tid,
-            st: 0,
-            pred: 0,
-        })
+    /// Unlocks our node and adopts the predecessor's for the next
+    /// acquisition.
+    async fn release(&self, cpu: &Cpu, tid: usize) {
+        let pred = self.pred.borrow()[tid];
+        let node = std::mem::replace(&mut self.node.borrow_mut()[tid], pred);
+        cpu.store(node, 0).await;
     }
 
-    fn release(&self, tid: usize) -> Box<dyn SubProgram> {
-        let node = self.inner.node.borrow()[tid];
-        // Adopt the predecessor node for the next acquisition.
-        let pred = self.inner.pred.borrow()[tid];
-        self.inner.node.borrow_mut()[tid] = pred;
-        Box::new(ClhRelease { node, done: false })
-    }
-
-    fn no_waiter_sentinel(&self, tid: usize) -> Option<(LineId, u64)> {
+    fn no_waiter_sentinel(&self, tid: usize) -> (LineId, u64) {
         // No waiter iff the tail still points at our own node.
-        Some((self.inner.tail, self.inner.node.borrow()[tid]))
-    }
-}
-
-struct ClhAcquire {
-    lock: Rc<Inner>,
-    tid: usize,
-    st: u8,
-    pred: LineId,
-}
-
-impl SubProgram for ClhAcquire {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            // Mark our node locked.
-            0 => {
-                self.st = 1;
-                let node = self.lock.node.borrow()[self.tid];
-                Some(Action::Store(node, 1))
-            }
-            // Swing the tail to our node.
-            1 => {
-                self.st = 2;
-                let node = self.lock.node.borrow()[self.tid];
-                Some(Action::Swap(self.lock.tail, node))
-            }
-            // Got the predecessor's node: park on it until its release.
-            2 => {
-                self.pred = result.expect("swap result");
-                self.lock.pred.borrow_mut()[self.tid] = self.pred;
-                self.st = 3;
-                Some(Action::SpinWait {
-                    line: self.pred,
-                    cond: WaitCond::Eq(0),
-                    pause: POLL_PAUSE,
-                })
-            }
-            3 => {
-                debug_assert_eq!(result, Some(0));
-                None
-            }
-            _ => unreachable!(),
-        }
-    }
-}
-
-struct ClhRelease {
-    node: LineId,
-    done: bool,
-}
-
-impl SubProgram for ClhRelease {
-    fn substep(&mut self, _result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        if self.done {
-            None
-        } else {
-            self.done = true;
-            Some(Action::Store(self.node, 0))
-        }
+        (self.tail, self.node.borrow()[tid])
     }
 }
 

@@ -3,31 +3,46 @@
 //! Built by composition, as in `ssync-locks`: one global lock plus one
 //! local lock per cluster (die/socket), with a per-cluster *baton* line.
 //! A releasing holder that detects a same-cluster waiter (via the local
-//! lock's [`SimLock::no_waiter_sentinel`] probe) stores 1 to the baton
+//! level's [`CohortLevel::no_waiter_sentinel`] probe) stores 1 to the baton
 //! and releases only the local lock; the next local owner consumes the
 //! baton instead of touching the global lock. All cross-socket traffic
 //! concentrates on the (rare) global handoffs — the behaviour that makes
 //! hierarchical locks the Figure 5 winners on the Xeon.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::future::Future;
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, SubProgram};
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim};
 
 use super::clh::SimClh;
 use super::ticket::{SimTicket, TicketMode};
-use super::{LockConfig, SimLock, SimLockKind};
+use super::LockConfig;
 
 /// Local handoffs allowed before the global lock must rotate clusters.
 const MAX_PASSES: u32 = 64;
 
-struct Inner {
-    kind: SimLockKind,
-    global: Rc<dyn SimLock>,
+/// A lock that can serve as either level of a cohort lock. It takes the
+/// thread id explicitly, because a cohort releases its global lock
+/// under the id that acquired it, and it can tell whether a thread
+/// queues behind the holder.
+pub trait CohortLevel {
+    /// Acquires the lock for thread `tid`.
+    fn acquire(&self, cpu: &Cpu, tid: usize) -> impl Future<Output = ()>;
+
+    /// Releases the lock that thread `tid` acquired.
+    fn release(&self, cpu: &Cpu, tid: usize) -> impl Future<Output = ()>;
+
+    /// A line to load, and the value meaning "no thread is queued
+    /// behind holder `tid`".
+    fn no_waiter_sentinel(&self, tid: usize) -> (LineId, u64);
+}
+
+/// Simulated cohort lock (HCLH / HTICKET) over levels of type `L`.
+pub struct SimCohort<L> {
+    global: L,
     /// One local lock per cluster.
-    locals: Vec<Rc<dyn SimLock>>,
+    locals: Vec<L>,
     /// One baton line per cluster (1 = global lock left with the cohort).
     batons: Vec<LineId>,
     /// Local passes since the cohort took the global lock.
@@ -39,31 +54,27 @@ struct Inner {
     cluster_of: Vec<usize>,
 }
 
-/// Simulated cohort lock (HCLH / HTICKET).
-pub struct SimCohort {
-    inner: Rc<Inner>,
-}
-
-impl SimCohort {
+impl SimCohort<SimTicket> {
     /// Builds HTICKET: ticket locks at both levels.
     pub fn new_ticket(sim: &mut Sim, cfg: &LockConfig) -> Self {
-        Self::build(sim, cfg, SimLockKind::Hticket, |sim, sub_cfg| {
-            Rc::new(SimTicket::new(sim, sub_cfg, TicketMode::Proportional))
+        Self::build(sim, cfg, |sim, sub_cfg| {
+            SimTicket::new(sim, sub_cfg, TicketMode::Proportional)
         })
     }
+}
 
+impl SimCohort<SimClh> {
     /// Builds HCLH: CLH locks at both levels.
     pub fn new_clh(sim: &mut Sim, cfg: &LockConfig) -> Self {
-        Self::build(sim, cfg, SimLockKind::Hclh, |sim, sub_cfg| {
-            Rc::new(SimClh::new(sim, sub_cfg))
-        })
+        Self::build(sim, cfg, SimClh::new)
     }
+}
 
+impl<L: CohortLevel> SimCohort<L> {
     fn build(
         sim: &mut Sim,
         cfg: &LockConfig,
-        kind: SimLockKind,
-        mut make: impl FnMut(&mut Sim, &LockConfig) -> Rc<dyn SimLock>,
+        mut make: impl FnMut(&mut Sim, &LockConfig) -> L,
     ) -> Self {
         // Dense cluster ids over the dies the threads actually occupy.
         let dies: Vec<usize> = cfg
@@ -100,173 +111,52 @@ impl SimCohort {
         }
         let n_clusters = uniq.len();
         Self {
-            inner: Rc::new(Inner {
-                kind,
-                global,
-                locals,
-                batons,
-                passes: RefCell::new(vec![0; n_clusters]),
-                global_holder: RefCell::new(vec![usize::MAX; n_clusters]),
-                cluster_of,
-            }),
+            global,
+            locals,
+            batons,
+            passes: RefCell::new(vec![0; n_clusters]),
+            global_holder: RefCell::new(vec![usize::MAX; n_clusters]),
+            cluster_of,
         }
     }
-}
 
-impl SimLock for SimCohort {
-    fn kind(&self) -> SimLockKind {
-        self.inner.kind
+    /// Takes the cluster's local lock; then either consumes the baton
+    /// (the cohort already owns the global lock) or takes the global
+    /// lock.
+    pub async fn acquire(&self, cpu: &Cpu) {
+        let tid = cpu.tid();
+        let c = self.cluster_of[tid];
+        self.locals[c].acquire(cpu, tid).await;
+        if cpu.load(self.batons[c]).await == 1 {
+            cpu.store(self.batons[c], 0).await;
+            return;
+        }
+        self.global.acquire(cpu, tid).await;
+        self.global_holder.borrow_mut()[c] = tid;
+        self.passes.borrow_mut()[c] = 0;
     }
 
-    fn acquire(&self, tid: usize) -> Box<dyn SubProgram> {
-        Box::new(CohortAcquire {
-            lock: Rc::clone(&self.inner),
-            tid,
-            st: 0,
-            sub: None,
-        })
-    }
-
-    fn release(&self, tid: usize) -> Box<dyn SubProgram> {
-        Box::new(CohortRelease {
-            lock: Rc::clone(&self.inner),
-            tid,
-            st: 0,
-            sub: None,
-        })
-    }
-}
-
-struct CohortAcquire {
-    lock: Rc<Inner>,
-    tid: usize,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-}
-
-impl SubProgram for CohortAcquire {
-    fn substep(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Option<Action> {
-        let c = self.lock.cluster_of[self.tid];
-        let mut res = result;
-        loop {
-            match self.st {
-                // Acquire the local lock.
-                0 => {
-                    if self.sub.is_none() {
-                        self.sub = Some(self.lock.locals[c].acquire(self.tid));
-                    }
-                    match self.sub.as_mut().unwrap().substep(res.take(), env) {
-                        Some(a) => return Some(a),
-                        None => {
-                            self.sub = None;
-                            self.st = 1;
-                            return Some(Action::Load(self.lock.batons[c]));
-                        }
-                    }
-                }
-                // Inspect the baton.
-                1 => {
-                    if res.take().expect("baton load") == 1 {
-                        // The cohort already owns the global lock.
-                        self.st = 2;
-                        return Some(Action::Store(self.lock.batons[c], 0));
-                    }
-                    self.st = 3;
-                }
-                // Baton consumed: acquired.
-                2 => return None,
-                // Acquire the global lock.
-                3 => {
-                    if self.sub.is_none() {
-                        self.sub = Some(self.lock.global.acquire(self.tid));
-                    }
-                    match self.sub.as_mut().unwrap().substep(res.take(), env) {
-                        Some(a) => return Some(a),
-                        None => {
-                            self.sub = None;
-                            self.lock.global_holder.borrow_mut()[c] = self.tid;
-                            self.lock.passes.borrow_mut()[c] = 0;
-                            return None;
-                        }
-                    }
-                }
-                _ => unreachable!(),
+    /// Passes the baton to a same-cluster waiter and releases only the
+    /// local lock, unless there is none or the cohort has used up its
+    /// passes: then releases the global lock, and the local one after.
+    pub async fn release(&self, cpu: &Cpu) {
+        let tid = cpu.tid();
+        let c = self.cluster_of[tid];
+        if self.passes.borrow()[c] < MAX_PASSES {
+            let (line, no_waiter) = self.locals[c].no_waiter_sentinel(tid);
+            if cpu.load(line).await != no_waiter {
+                self.passes.borrow_mut()[c] += 1;
+                cpu.store(self.batons[c], 1).await;
+                self.locals[c].release(cpu, tid).await;
+                return;
             }
         }
-    }
-}
-
-struct CohortRelease {
-    lock: Rc<Inner>,
-    tid: usize,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-}
-
-impl SubProgram for CohortRelease {
-    fn substep(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Option<Action> {
-        let c = self.lock.cluster_of[self.tid];
-        let mut res = result;
-        loop {
-            match self.st {
-                // Decide: pass locally or release globally?
-                0 => {
-                    if self.lock.passes.borrow()[c] >= MAX_PASSES {
-                        self.st = 4;
-                        continue;
-                    }
-                    let (line, _sentinel) = self.lock.locals[c]
-                        .no_waiter_sentinel(self.tid)
-                        .expect("cohort-local lock must detect waiters");
-                    self.st = 1;
-                    return Some(Action::Load(line));
-                }
-                // Waiter probe result.
-                1 => {
-                    let v = res.take().expect("probe load");
-                    let (_line, sentinel) = self.lock.locals[c]
-                        .no_waiter_sentinel(self.tid)
-                        .expect("probe");
-                    if v != sentinel {
-                        // Same-cluster waiter: pass the baton.
-                        self.lock.passes.borrow_mut()[c] += 1;
-                        self.st = 2;
-                        return Some(Action::Store(self.lock.batons[c], 1));
-                    }
-                    self.st = 4;
-                }
-                // Baton stored: release the local lock only.
-                2 | 3 => {
-                    if self.sub.is_none() {
-                        self.sub = Some(self.lock.locals[c].release(self.tid));
-                    }
-                    match self.sub.as_mut().unwrap().substep(res.take(), env) {
-                        Some(a) => return Some(a),
-                        None => {
-                            self.sub = None;
-                            return None;
-                        }
-                    }
-                }
-                // Release the global lock (under its acquirer's id) ...
-                4 => {
-                    if self.sub.is_none() {
-                        let holder = self.lock.global_holder.borrow()[c];
-                        debug_assert_ne!(holder, usize::MAX, "global held by this cohort");
-                        self.lock.passes.borrow_mut()[c] = 0;
-                        self.sub = Some(self.lock.global.release(holder));
-                    }
-                    match self.sub.as_mut().unwrap().substep(res.take(), env) {
-                        Some(a) => return Some(a),
-                        None => {
-                            self.sub = None;
-                            self.st = 3; // ... then the local lock.
-                        }
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
+        // Release the global lock under its acquirer's id.
+        let holder = self.global_holder.borrow()[c];
+        debug_assert_ne!(holder, usize::MAX, "global held by this cohort");
+        self.passes.borrow_mut()[c] = 0;
+        self.global.release(cpu, holder).await;
+        self.locals[c].release(cpu, tid).await;
     }
 }
 

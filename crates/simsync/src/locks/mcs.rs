@@ -7,25 +7,18 @@
 //! one line transfer per handoff, the property that makes MCS "the most
 //! resilient to contention" (Figure 5).
 
-use std::rc::Rc;
-
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, SubProgram, WaitCond};
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim, WaitCond};
 
-use super::{LockConfig, SimLock, SimLockKind, POLL_PAUSE};
+use super::{LockConfig, POLL_PAUSE};
 
-struct Inner {
+/// Simulated MCS lock.
+pub struct SimMcs {
     tail: LineId,
     /// Per-thread spin flag line.
     locked: Vec<LineId>,
     /// Per-thread successor pointer line (value = successor tid + 1).
     next: Vec<LineId>,
-}
-
-/// Simulated MCS lock.
-pub struct SimMcs {
-    inner: Rc<Inner>,
 }
 
 impl SimMcs {
@@ -40,145 +33,38 @@ impl SimMcs {
         let next = (0..cfg.n_threads)
             .map(|t| sim.alloc_line_for_core(cfg.thread_cores[t]))
             .collect();
-        Self {
-            inner: Rc::new(Inner { tail, locked, next }),
+        Self { tail, locked, next }
+    }
+
+    /// Swaps our node into the tail; behind a predecessor, links in and
+    /// waits on our own flag for its handoff.
+    pub async fn acquire(&self, cpu: &Cpu) {
+        let me = cpu.tid();
+        cpu.store(self.next[me], 0).await;
+        cpu.store(self.locked[me], 1).await;
+        let pred = cpu.swap(self.tail, me as u64 + 1).await;
+        if pred == 0 {
+            return; // Queue was empty: lock acquired.
         }
-    }
-}
-
-impl SimLock for SimMcs {
-    fn kind(&self) -> SimLockKind {
-        SimLockKind::Mcs
+        cpu.store(self.next[pred as usize - 1], me as u64 + 1).await;
+        cpu.spin_wait(self.locked[me], WaitCond::Eq(0), POLL_PAUSE)
+            .await;
     }
 
-    fn acquire(&self, tid: usize) -> Box<dyn SubProgram> {
-        Box::new(McsAcquire {
-            lock: Rc::clone(&self.inner),
-            tid,
-            st: 0,
-        })
-    }
-
-    fn release(&self, tid: usize) -> Box<dyn SubProgram> {
-        Box::new(McsRelease {
-            lock: Rc::clone(&self.inner),
-            tid,
-            st: 0,
-            successor: 0,
-        })
-    }
-}
-
-struct McsAcquire {
-    lock: Rc<Inner>,
-    tid: usize,
-    st: u8,
-}
-
-impl SubProgram for McsAcquire {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        let me = self.tid;
-        match self.st {
-            // Reset our next pointer.
-            0 => {
-                self.st = 1;
-                Some(Action::Store(self.lock.next[me], 0))
+    /// Hands off to the successor; with none visible, clears the tail,
+    /// or waits for a successor that is linking itself in.
+    pub async fn release(&self, cpu: &Cpu) {
+        let me = cpu.tid();
+        let mut successor = cpu.load(self.next[me]).await;
+        if successor == 0 {
+            if cpu.cas(self.tail, me as u64 + 1, 0).await == me as u64 + 1 {
+                return; // Tail cleared: released.
             }
-            // Arm our spin flag.
-            1 => {
-                self.st = 2;
-                Some(Action::Store(self.lock.locked[me], 1))
-            }
-            // Swap ourselves into the tail.
-            2 => {
-                self.st = 3;
-                Some(Action::Swap(self.lock.tail, me as u64 + 1))
-            }
-            // Inspect the predecessor.
-            3 => {
-                let pred = result.expect("swap result");
-                if pred == 0 {
-                    return None; // Queue was empty: lock acquired.
-                }
-                self.st = 4;
-                Some(Action::Store(
-                    self.lock.next[pred as usize - 1],
-                    me as u64 + 1,
-                ))
-            }
-            // Linked in: park on our own flag until the predecessor's
-            // handoff store clears it.
-            4 => {
-                self.st = 5;
-                Some(Action::SpinWait {
-                    line: self.lock.locked[me],
-                    cond: WaitCond::Eq(0),
-                    pause: POLL_PAUSE,
-                })
-            }
-            5 => {
-                debug_assert_eq!(result, Some(0));
-                None
-            }
-            _ => unreachable!(),
+            successor = cpu
+                .spin_wait(self.next[me], WaitCond::Ne(0), POLL_PAUSE)
+                .await;
         }
-    }
-}
-
-struct McsRelease {
-    lock: Rc<Inner>,
-    tid: usize,
-    st: u8,
-    successor: u64,
-}
-
-impl SubProgram for McsRelease {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        let me = self.tid;
-        match self.st {
-            // Do we have a successor?
-            0 => {
-                self.st = 1;
-                Some(Action::Load(self.lock.next[me]))
-            }
-            1 => {
-                self.successor = result.expect("load result");
-                if self.successor != 0 {
-                    self.st = 5;
-                    return Some(Action::Store(
-                        self.lock.locked[self.successor as usize - 1],
-                        0,
-                    ));
-                }
-                // No visible successor: try to clear the tail.
-                self.st = 2;
-                Some(Action::Cas(self.lock.tail, me as u64 + 1, 0))
-            }
-            2 => {
-                if result.expect("cas result") == me as u64 + 1 {
-                    return None; // Tail cleared: released.
-                }
-                // A successor is linking itself: wait for the pointer.
-                self.st = 3;
-                Some(Action::SpinWait {
-                    line: self.lock.next[me],
-                    cond: WaitCond::Ne(0),
-                    pause: POLL_PAUSE,
-                })
-            }
-            3 => {
-                self.successor = result.expect("spin result");
-                debug_assert_ne!(self.successor, 0);
-                self.st = 5;
-                Some(Action::Store(
-                    self.lock.locked[self.successor as usize - 1],
-                    0,
-                ))
-            }
-            // Handoff store completed.
-            5 => None,
-            _ => unreachable!(),
-        }
+        cpu.store(self.locked[successor as usize - 1], 0).await;
     }
 }
 

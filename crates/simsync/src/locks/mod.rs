@@ -1,12 +1,13 @@
-//! The nine lock algorithms of `libslock` as simulator state machines.
+//! The nine lock algorithms of `libslock` as simulated-thread code.
 //!
-//! Each algorithm implements [`SimLock`]: `acquire(tid)` and
-//! `release(tid)` return [`SubProgram`]s that a workload drives to
-//! completion before entering / after leaving its critical section. Locks
-//! keep per-thread bookkeeping (tickets, queue nodes) in `Rc<RefCell<..>>`
-//! state — the engine is single-threaded and deterministic, so interior
-//! mutability is safe and cheap; the *simulated* synchronization happens
-//! entirely through the memory-line [`Action`]s the sub-programs issue.
+//! Each algorithm is a type with `async` `acquire` and `release` methods
+//! that a workload thread awaits inline, before entering / after leaving
+//! its critical section; [`SimLock`] dispatches over them by kind. Locks
+//! keep per-thread bookkeeping (tickets, queue nodes) in `RefCell`s
+//! indexed by the thread id — the engine is single-threaded and
+//! deterministic, so interior mutability is safe and cheap; the
+//! *simulated* synchronization happens entirely through the memory-line
+//! operations the threads await on their [`Cpu`].
 //!
 //! Spin loops pace themselves with [`POLL_PAUSE`]-cycle pauses between
 //! polls, modelling loop overhead (and keeping simulated spinning from
@@ -25,8 +26,9 @@ pub mod ttas;
 
 use std::rc::Rc;
 
-use ssync_sim::program::SubProgram;
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim};
+
+use cohort::CohortLevel;
 
 /// Cycles of local work between successive spin polls.
 pub const POLL_PAUSE: u64 = 4;
@@ -138,55 +140,97 @@ impl LockConfig {
     }
 }
 
-/// A lock algorithm running on the simulator.
-pub trait SimLock {
+/// A lock algorithm running on the simulator. Per-thread state is
+/// indexed by the simulated thread id, so a lock's threads are the
+/// first `n_threads` spawned.
+pub enum SimLock {
+    /// Test-and-set.
+    Tas(tas::SimTas),
+    /// Test-and-test-and-set.
+    Ttas(ttas::SimTtas),
+    /// Ticket lock, in any of its three spin modes.
+    Ticket(ticket::SimTicket),
+    /// Anderson array lock.
+    Array(array::SimArray),
+    /// Blocking mutex.
+    Mutex(mutex::SimMutex),
+    /// MCS queue lock.
+    Mcs(mcs::SimMcs),
+    /// CLH queue lock.
+    Clh(clh::SimClh),
+    /// Hierarchical CLH.
+    Hclh(cohort::SimCohort<clh::SimClh>),
+    /// Hierarchical ticket lock.
+    Hticket(cohort::SimCohort<ticket::SimTicket>),
+}
+
+impl SimLock {
     /// Which algorithm this is.
-    fn kind(&self) -> SimLockKind;
+    pub fn kind(&self) -> SimLockKind {
+        match self {
+            SimLock::Tas(_) => SimLockKind::Tas,
+            SimLock::Ttas(_) => SimLockKind::Ttas,
+            SimLock::Ticket(l) => l.kind(),
+            SimLock::Array(_) => SimLockKind::Array,
+            SimLock::Mutex(_) => SimLockKind::Mutex,
+            SimLock::Mcs(_) => SimLockKind::Mcs,
+            SimLock::Clh(_) => SimLockKind::Clh,
+            SimLock::Hclh(_) => SimLockKind::Hclh,
+            SimLock::Hticket(_) => SimLockKind::Hticket,
+        }
+    }
 
-    /// Begins an acquisition for thread `tid`; drive the returned
-    /// sub-program to completion to hold the lock.
-    fn acquire(&self, tid: usize) -> Box<dyn SubProgram>;
+    /// Acquires the lock for the calling thread.
+    pub async fn acquire(&self, cpu: &Cpu) {
+        match self {
+            SimLock::Tas(l) => l.acquire(cpu).await,
+            SimLock::Ttas(l) => l.acquire(cpu).await,
+            SimLock::Ticket(l) => l.acquire(cpu, cpu.tid()).await,
+            SimLock::Array(l) => l.acquire(cpu).await,
+            SimLock::Mutex(l) => l.acquire(cpu).await,
+            SimLock::Mcs(l) => l.acquire(cpu).await,
+            SimLock::Clh(l) => l.acquire(cpu, cpu.tid()).await,
+            SimLock::Hclh(l) => l.acquire(cpu).await,
+            SimLock::Hticket(l) => l.acquire(cpu).await,
+        }
+    }
 
-    /// Begins a release for thread `tid` (which must hold the lock).
-    fn release(&self, tid: usize) -> Box<dyn SubProgram>;
-
-    /// Cohort-detection probe for hierarchical composition: a line to
-    /// load and the value meaning "no thread is queued behind holder
-    /// `tid`". `None` if the algorithm cannot detect waiters (such locks
-    /// cannot serve as cohort-local locks).
-    fn no_waiter_sentinel(&self, tid: usize) -> Option<(ssync_sim::LineId, u64)> {
-        let _ = tid;
-        None
+    /// Releases the lock, which the calling thread holds.
+    pub async fn release(&self, cpu: &Cpu) {
+        match self {
+            SimLock::Tas(l) => l.release(cpu).await,
+            SimLock::Ttas(l) => l.release(cpu).await,
+            SimLock::Ticket(l) => l.release(cpu, cpu.tid()).await,
+            SimLock::Array(l) => l.release(cpu).await,
+            SimLock::Mutex(l) => l.release(cpu).await,
+            SimLock::Mcs(l) => l.release(cpu).await,
+            SimLock::Clh(l) => l.release(cpu, cpu.tid()).await,
+            SimLock::Hclh(l) => l.release(cpu).await,
+            SimLock::Hticket(l) => l.release(cpu).await,
+        }
     }
 }
 
 /// Builds a sim lock of the given kind, allocating its cache lines.
-pub fn make_lock(kind: SimLockKind, sim: &mut Sim, cfg: &LockConfig) -> Rc<dyn SimLock> {
-    match kind {
-        SimLockKind::Tas => Rc::new(tas::SimTas::new(sim, cfg)),
-        SimLockKind::Ttas => Rc::new(ttas::SimTtas::new(sim, cfg)),
-        SimLockKind::Ticket => Rc::new(ticket::SimTicket::new(
-            sim,
-            cfg,
-            ticket::TicketMode::Proportional,
-        )),
-        SimLockKind::TicketNoBackoff => Rc::new(ticket::SimTicket::new(
-            sim,
-            cfg,
-            ticket::TicketMode::NoBackoff,
-        )),
-        SimLockKind::TicketPrefetchw => Rc::new(ticket::SimTicket::new(
-            sim,
-            cfg,
-            ticket::TicketMode::Prefetchw,
-        )),
-        SimLockKind::Array => Rc::new(array::SimArray::new(sim, cfg)),
-        SimLockKind::Mutex => Rc::new(mutex::SimMutex::new(sim, cfg)),
-        SimLockKind::Mcs => Rc::new(mcs::SimMcs::new(sim, cfg)),
-        SimLockKind::Clh => Rc::new(clh::SimClh::new(sim, cfg)),
-        SimLockKind::Hclh => Rc::new(cohort::SimCohort::new_clh(sim, cfg)),
-        SimLockKind::Hticket => Rc::new(cohort::SimCohort::new_ticket(sim, cfg)),
-    }
+pub fn make_lock(kind: SimLockKind, sim: &mut Sim, cfg: &LockConfig) -> Rc<SimLock> {
+    use ticket::{SimTicket, TicketMode};
+    Rc::new(match kind {
+        SimLockKind::Tas => SimLock::Tas(tas::SimTas::new(sim, cfg)),
+        SimLockKind::Ttas => SimLock::Ttas(ttas::SimTtas::new(sim, cfg)),
+        SimLockKind::Ticket => SimLock::Ticket(SimTicket::new(sim, cfg, TicketMode::Proportional)),
+        SimLockKind::TicketNoBackoff => {
+            SimLock::Ticket(SimTicket::new(sim, cfg, TicketMode::NoBackoff))
+        }
+        SimLockKind::TicketPrefetchw => {
+            SimLock::Ticket(SimTicket::new(sim, cfg, TicketMode::Prefetchw))
+        }
+        SimLockKind::Array => SimLock::Array(array::SimArray::new(sim, cfg)),
+        SimLockKind::Mutex => SimLock::Mutex(mutex::SimMutex::new(sim, cfg)),
+        SimLockKind::Mcs => SimLock::Mcs(mcs::SimMcs::new(sim, cfg)),
+        SimLockKind::Clh => SimLock::Clh(clh::SimClh::new(sim, cfg)),
+        SimLockKind::Hclh => SimLock::Hclh(cohort::SimCohort::new_clh(sim, cfg)),
+        SimLockKind::Hticket => SimLock::Hticket(cohort::SimCohort::new_ticket(sim, cfg)),
+    })
 }
 
 #[cfg(test)]
@@ -196,69 +240,7 @@ pub(crate) mod test_support {
     //! shared data line, and release. Lost updates expose broken locks.
 
     use super::*;
-    use ssync_sim::program::{Action, Env, Program};
     use ssync_sim::Sim;
-
-    struct CsWorker {
-        lock: Rc<dyn SimLock>,
-        data: ssync_sim::LineId,
-        iters: u32,
-        tid: usize,
-        st: u8,
-        sub: Option<Box<dyn SubProgram>>,
-        read: u64,
-    }
-
-    impl Program for CsWorker {
-        fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-            // `res` is consumed by the first substep/transition; fresh
-            // sub-programs must start with `None`.
-            let mut res = result;
-            loop {
-                match self.st {
-                    // Acquire.
-                    0 => {
-                        if self.sub.is_none() {
-                            self.sub = Some(self.lock.acquire(self.tid));
-                        }
-                        match self.sub.as_mut().unwrap().substep(res.take(), env) {
-                            Some(a) => return a,
-                            None => {
-                                self.sub = None;
-                                self.st = 1;
-                                return Action::Load(self.data);
-                            }
-                        }
-                    }
-                    // Critical section: read came back, write read+1.
-                    1 => {
-                        self.read = res.take().expect("load result");
-                        self.st = 2;
-                        return Action::Store(self.data, self.read + 1);
-                    }
-                    // Release.
-                    2 => {
-                        if self.sub.is_none() {
-                            self.sub = Some(self.lock.release(self.tid));
-                        }
-                        match self.sub.as_mut().unwrap().substep(res.take(), env) {
-                            Some(a) => return a,
-                            None => {
-                                self.sub = None;
-                                self.iters -= 1;
-                                env.complete_op();
-                                if self.iters == 0 {
-                                    return Action::Done;
-                                }
-                                self.st = 0;
-                            }
-                        }
-                    }
-                    _ => unreachable!(),
-                }
-            }
-        }
-    }
 
     /// Runs `threads` workers × `iters` critical sections and asserts no
     /// updates were lost.
@@ -273,16 +255,16 @@ pub(crate) mod test_support {
         let lock = make_lock(kind, &mut sim, &cfg);
         let data = sim.alloc_line_for_core(cfg.home_core);
         for tid in 0..threads {
-            let w = CsWorker {
-                lock: Rc::clone(&lock),
-                data,
-                iters,
-                tid,
-                st: 0,
-                sub: None,
-                read: 0,
-            };
-            sim.spawn_on_core(cfg.thread_cores[tid], Box::new(w));
+            let lock = Rc::clone(&lock);
+            sim.spawn_on_core(cfg.thread_cores[tid], move |cpu| async move {
+                for _ in 0..iters {
+                    lock.acquire(&cpu).await;
+                    let read = cpu.load(data).await;
+                    cpu.store(data, read + 1).await;
+                    lock.release(&cpu).await;
+                    cpu.complete_op();
+                }
+            });
         }
         sim.run_to_completion();
         assert_eq!(

@@ -11,13 +11,11 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, SubProgram};
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim};
 
-use super::{LockConfig, SimLock, SimLockKind, POLL_PAUSE};
+use super::{LockConfig, POLL_PAUSE};
 
 /// Optimistic spin polls before parking (glibc's adaptive mutex spins a
 /// bounded number of times).
@@ -26,146 +24,61 @@ const SPIN_BUDGET: u32 = 2;
 /// Cycles charged for manipulating the kernel-side wait queue.
 const QUEUE_COST: u64 = 80;
 
-struct Inner {
-    flag: LineId,
-    waiters: RefCell<VecDeque<usize>>,
-}
-
 /// Simulated Pthread-style mutex.
 pub struct SimMutex {
-    inner: Rc<Inner>,
+    flag: LineId,
+    waiters: RefCell<VecDeque<usize>>,
 }
 
 impl SimMutex {
     /// Allocates the lock word on the config's home node.
     pub fn new(sim: &mut Sim, cfg: &LockConfig) -> Self {
         Self {
-            inner: Rc::new(Inner {
-                flag: sim.alloc_line_for_core(cfg.home_core),
-                waiters: RefCell::new(VecDeque::new()),
-            }),
+            flag: sim.alloc_line_for_core(cfg.home_core),
+            waiters: RefCell::new(VecDeque::new()),
         }
     }
-}
 
-impl SimLock for SimMutex {
-    fn kind(&self) -> SimLockKind {
-        SimLockKind::Mutex
-    }
-
-    fn acquire(&self, tid: usize) -> Box<dyn SubProgram> {
-        Box::new(MutexAcquire {
-            lock: Rc::clone(&self.inner),
-            tid,
-            st: 0,
-            spins: 0,
-        })
-    }
-
-    fn release(&self, tid: usize) -> Box<dyn SubProgram> {
-        let _ = tid;
-        Box::new(MutexRelease {
-            lock: Rc::clone(&self.inner),
-            st: 0,
-        })
-    }
-}
-
-struct MutexAcquire {
-    lock: Rc<Inner>,
-    tid: usize,
-    st: u8,
-    spins: u32,
-}
-
-impl SubProgram for MutexAcquire {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            // Optimistic CAS.
-            0 => {
-                self.st = 1;
-                Some(Action::Cas(self.lock.flag, 0, 1))
-            }
-            1 => {
-                if result.expect("cas result") == 0 {
-                    return None; // Acquired.
+    /// A few optimistic CASes, then enqueue, revalidate, and park; a
+    /// woken (or revalidating) thread starts over.
+    pub async fn acquire(&self, cpu: &Cpu) {
+        let tid = cpu.tid();
+        loop {
+            let mut spins = 0;
+            loop {
+                if cpu.cas(self.flag, 0, 1).await == 0 {
+                    return;
                 }
-                self.spins += 1;
-                if self.spins < SPIN_BUDGET {
-                    self.st = 2;
-                    return Some(Action::Pause(POLL_PAUSE * u64::from(self.spins)));
+                spins += 1;
+                if spins == SPIN_BUDGET {
+                    break;
                 }
-                // Give up spinning: enqueue and revalidate before parking
-                // (the futex protocol's recheck, which prevents the lost
-                // wakeup when the holder released in the meantime).
-                self.lock.waiters.borrow_mut().push_back(self.tid);
-                self.st = 3;
-                Some(Action::Pause(QUEUE_COST))
+                cpu.pause(POLL_PAUSE * u64::from(spins)).await;
             }
-            // Re-poll after a spin pause.
-            2 => {
-                self.st = 1;
-                Some(Action::Cas(self.lock.flag, 0, 1))
+            // Give up spinning: enqueue and revalidate before parking
+            // (the futex protocol's recheck, which prevents the lost
+            // wakeup when the holder released in the meantime).
+            self.waiters.borrow_mut().push_back(tid);
+            cpu.pause(QUEUE_COST).await;
+            if cpu.load(self.flag).await == 0 {
+                // Lock became free: dequeue ourselves and retry (an
+                // unpark permit, if one raced in, is consumed by the
+                // next park — the engine's permit semantics).
+                self.waiters.borrow_mut().retain(|&t| t != tid);
+                cpu.pause(QUEUE_COST).await;
+            } else {
+                cpu.park().await;
+                cpu.pause(POLL_PAUSE).await;
             }
-            // Queue cost paid: revalidate the flag.
-            3 => {
-                self.st = 4;
-                Some(Action::Load(self.lock.flag))
-            }
-            4 => {
-                if result.expect("load result") == 0 {
-                    // Lock became free: dequeue ourselves and retry (an
-                    // unpark permit, if one raced in, is consumed by the
-                    // next park — the engine's permit semantics).
-                    let mut q = self.lock.waiters.borrow_mut();
-                    if let Some(pos) = q.iter().position(|&t| t == self.tid) {
-                        q.remove(pos);
-                    }
-                    drop(q);
-                    self.st = 0;
-                    self.spins = 0;
-                    return Some(Action::Pause(QUEUE_COST));
-                }
-                self.st = 5;
-                Some(Action::Park)
-            }
-            // Woken: retry from the top.
-            5 => {
-                self.st = 0;
-                self.spins = 0;
-                Some(Action::Pause(POLL_PAUSE))
-            }
-            _ => unreachable!(),
         }
     }
-}
 
-struct MutexRelease {
-    lock: Rc<Inner>,
-    st: u8,
-}
-
-impl SubProgram for MutexRelease {
-    fn substep(&mut self, _result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            // Clear the lock word.
-            0 => {
-                self.st = 1;
-                Some(Action::Store(self.lock.flag, 0))
-            }
-            // Wake one waiter, if any.
-            1 => {
-                let waiter = self.lock.waiters.borrow_mut().pop_front();
-                match waiter {
-                    Some(t) => {
-                        self.st = 2;
-                        Some(Action::Unpark(t))
-                    }
-                    None => None,
-                }
-            }
-            2 => None,
-            _ => unreachable!(),
+    /// Clears the lock word, then wakes one waiter, if any.
+    pub async fn release(&self, cpu: &Cpu) {
+        cpu.store(self.flag, 0).await;
+        let waiter = self.waiters.borrow_mut().pop_front();
+        if let Some(t) = waiter {
+            cpu.unpark(t).await;
         }
     }
 }

@@ -6,10 +6,9 @@
 //! collapsing on the multi-sockets.
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, SubProgram};
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim};
 
-use super::{LockConfig, SimLock, SimLockKind, POLL_PAUSE};
+use super::{LockConfig, POLL_PAUSE};
 
 /// Simulated TAS lock: one flag line.
 pub struct SimTas {
@@ -23,75 +22,25 @@ impl SimTas {
             line: sim.alloc_line_for_core(cfg.home_core),
         }
     }
-}
 
-impl SimLock for SimTas {
-    fn kind(&self) -> SimLockKind {
-        SimLockKind::Tas
-    }
-
-    fn acquire(&self, _tid: usize) -> Box<dyn SubProgram> {
-        Box::new(TasAcquire {
-            line: self.line,
-            st: 0,
-        })
-    }
-
-    fn release(&self, _tid: usize) -> Box<dyn SubProgram> {
-        Box::new(OneShot(Some(Action::Store(self.line, 0))))
-    }
-}
-
-struct TasAcquire {
-    line: LineId,
-    st: u8,
-}
-
-impl SubProgram for TasAcquire {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            // Issue the TAS.
-            0 => {
-                self.st = 1;
-                Some(Action::Tas(self.line))
-            }
-            // Check: 0 means we won.
-            1 => {
-                if result.expect("tas result") == 0 {
-                    None
-                } else {
-                    self.st = 0;
-                    // Brief pause, then retry the TAS (plain TAS has no
-                    // back-off: it hammers the line).
-                    Some(Action::Pause(POLL_PAUSE))
-                }
-            }
-            _ => unreachable!(),
-        }
-    }
-}
-
-/// A sub-program that issues one action and finishes (shared by several
-/// locks' release paths).
-pub(crate) struct OneShot(pub Option<Action>);
-
-impl SubProgram for OneShot {
-    fn substep(&mut self, _result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        self.0.take()
-    }
-}
-
-/// Convenience shared by simple spin locks whose state machines need the
-/// line id; also used by tests.
-impl SimTas {
     /// The flag line (tests / staging).
     pub fn line(&self) -> LineId {
         self.line
     }
-}
 
-#[allow(unused_imports)] // Re-exported for sibling modules.
-pub(crate) use OneShot as _OneShot;
+    /// TAS until it returns 0, with a brief pause between tries (plain
+    /// TAS has no back-off: it hammers the line).
+    pub async fn acquire(&self, cpu: &Cpu) {
+        while cpu.tas(self.line).await != 0 {
+            cpu.pause(POLL_PAUSE).await;
+        }
+    }
+
+    /// Clears the flag.
+    pub async fn release(&self, cpu: &Cpu) {
+        cpu.store(self.line, 0).await;
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -17,13 +17,12 @@
 //! difference noted in DESIGN.md that does not affect the handoff path.
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, SubProgram, WaitCond};
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim, WaitCond};
 
-use super::{LockConfig, SimLock, SimLockKind, POLL_PAUSE};
+use super::cohort::CohortLevel;
+use super::{LockConfig, SimLockKind, POLL_PAUSE};
 
 /// Cycles per queue position for proportional back-off, sized to the
 /// platform's contended handoff cost. `libslock` ships platform-specific
@@ -52,7 +51,8 @@ pub enum TicketMode {
     Prefetchw,
 }
 
-struct Inner {
+/// Simulated ticket lock.
+pub struct SimTicket {
     next: LineId,
     current: LineId,
     mode: TicketMode,
@@ -62,164 +62,81 @@ struct Inner {
     tickets: RefCell<Vec<u64>>,
 }
 
-/// Simulated ticket lock.
-pub struct SimTicket {
-    inner: Rc<Inner>,
-}
-
 impl SimTicket {
     /// Allocates the two counter lines on the config's home node.
     pub fn new(sim: &mut Sim, cfg: &LockConfig, mode: TicketMode) -> Self {
         Self {
-            inner: Rc::new(Inner {
-                slot: slot_for(sim.topology().platform()),
-                next: sim.alloc_line_for_core(cfg.home_core),
-                current: sim.alloc_line_for_core(cfg.home_core),
-                mode,
-                tickets: RefCell::new(vec![0; cfg.n_threads]),
-            }),
+            slot: slot_for(sim.topology().platform()),
+            next: sim.alloc_line_for_core(cfg.home_core),
+            current: sim.alloc_line_for_core(cfg.home_core),
+            mode,
+            tickets: RefCell::new(vec![0; cfg.n_threads]),
         }
     }
-}
 
-impl SimLock for SimTicket {
-    fn kind(&self) -> SimLockKind {
-        match self.inner.mode {
+    /// Which of the three ticket variants this is.
+    pub fn kind(&self) -> SimLockKind {
+        match self.mode {
             TicketMode::NoBackoff => SimLockKind::TicketNoBackoff,
             TicketMode::Proportional => SimLockKind::Ticket,
             TicketMode::Prefetchw => SimLockKind::TicketPrefetchw,
         }
     }
 
-    fn acquire(&self, tid: usize) -> Box<dyn SubProgram> {
-        Box::new(TicketAcquire {
-            lock: Rc::clone(&self.inner),
-            tid,
-            st: 0,
-            ticket: 0,
-        })
+    /// The pause of the waiter holding `ticket` while `current` is
+    /// served: one slot per queued position.
+    fn backoff(&self, ticket: u64, current: u64) -> u64 {
+        (ticket.saturating_sub(current) * self.slot).max(POLL_PAUSE)
+    }
+}
+
+impl CohortLevel for SimTicket {
+    /// Draws a ticket, then waits for `current` to reach it.
+    async fn acquire(&self, cpu: &Cpu, tid: usize) {
+        let ticket = cpu.fai(self.next).await;
+        self.tickets.borrow_mut()[tid] = ticket;
+        match self.mode {
+            // Continuous polling: a fixed-pause wait the engine re-arms
+            // internally until our ticket comes up.
+            TicketMode::NoBackoff => {
+                cpu.spin_wait(self.current, WaitCond::Eq(ticket), POLL_PAUSE)
+                    .await;
+            }
+            // Read once to learn the queue distance, then sleep in
+            // proportion to it until `current` changes, and re-evaluate
+            // (the pause shrinks as the queue drains).
+            TicketMode::Proportional => {
+                let mut current = cpu.load(self.current).await;
+                while current != ticket {
+                    let pause = self.backoff(ticket, current);
+                    current = cpu
+                        .spin_wait(self.current, WaitCond::Ne(current), pause)
+                        .await;
+                }
+            }
+            // Prefetch before every read, keeping the line Modified at
+            // the poller; the prefetch is a write-class action each
+            // poll, so this mode keeps its explicit loop.
+            TicketMode::Prefetchw => loop {
+                cpu.prefetchw(self.current).await;
+                let current = cpu.load(self.current).await;
+                if current == ticket {
+                    return;
+                }
+                cpu.pause(self.backoff(ticket, current)).await;
+            },
+        }
     }
 
-    fn release(&self, tid: usize) -> Box<dyn SubProgram> {
-        let ticket = self.inner.tickets.borrow()[tid];
-        Box::new(TicketRelease {
-            current: self.inner.current,
-            ticket,
-            done: false,
-        })
+    /// Serves the next ticket.
+    async fn release(&self, cpu: &Cpu, tid: usize) {
+        let ticket = self.tickets.borrow()[tid];
+        cpu.store(self.current, ticket + 1).await;
     }
 
-    fn no_waiter_sentinel(&self, tid: usize) -> Option<(LineId, u64)> {
+    fn no_waiter_sentinel(&self, tid: usize) -> (LineId, u64) {
         // No waiter iff `next` has only advanced past our own ticket.
-        let ticket = self.inner.tickets.borrow()[tid];
-        Some((self.inner.next, ticket + 1))
-    }
-}
-
-struct TicketAcquire {
-    lock: Rc<Inner>,
-    tid: usize,
-    st: u8,
-    ticket: u64,
-}
-
-impl SubProgram for TicketAcquire {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            // Draw a ticket.
-            0 => {
-                self.st = 1;
-                Some(Action::Fai(self.lock.next))
-            }
-            // Got the ticket; start polling `current`.
-            1 => {
-                self.ticket = result.expect("fai result");
-                self.lock.tickets.borrow_mut()[self.tid] = self.ticket;
-                match self.lock.mode {
-                    TicketMode::Prefetchw => {
-                        self.st = 4;
-                        Some(Action::Prefetchw(self.lock.current))
-                    }
-                    // Continuous polling: a fixed-pause wait the engine
-                    // re-arms internally until our ticket comes up.
-                    TicketMode::NoBackoff => {
-                        self.st = 2;
-                        Some(Action::SpinWait {
-                            line: self.lock.current,
-                            cond: WaitCond::Eq(self.ticket),
-                            pause: POLL_PAUSE,
-                        })
-                    }
-                    // Proportional back-off: read once to learn the queue
-                    // distance, then wait with the matching pause.
-                    TicketMode::Proportional => {
-                        self.st = 3;
-                        Some(Action::Load(self.lock.current))
-                    }
-                }
-            }
-            // NoBackoff wait satisfied: our ticket is up.
-            2 => {
-                debug_assert_eq!(result, Some(self.ticket));
-                None
-            }
-            // Proportional poll result: acquired, or sleep proportionally
-            // to the queue distance until `current` changes, then
-            // re-evaluate (the pause shrinks as the queue drains).
-            3 => {
-                let current = result.expect("load result");
-                if current == self.ticket {
-                    return None;
-                }
-                let queued = self.ticket.saturating_sub(current);
-                Some(Action::SpinWait {
-                    line: self.lock.current,
-                    cond: WaitCond::Ne(current),
-                    pause: (queued * self.lock.slot).max(POLL_PAUSE),
-                })
-            }
-            // prefetchw done (or pause done in pw mode): read the now
-            // locally-Modified line.
-            4 => {
-                self.st = 5;
-                Some(Action::Load(self.lock.current))
-            }
-            // pw-mode poll result (like state 3, but re-prefetch; the
-            // prefetchw is a write-class action every poll, so this mode
-            // keeps its explicit loop).
-            5 => {
-                let current = result.expect("load result");
-                if current == self.ticket {
-                    return None;
-                }
-                let queued = self.ticket.saturating_sub(current);
-                self.st = 6;
-                Some(Action::Pause((queued * self.lock.slot).max(POLL_PAUSE)))
-            }
-            // pw-mode pause done: prefetchw again, then read.
-            6 => {
-                self.st = 4;
-                Some(Action::Prefetchw(self.lock.current))
-            }
-            _ => unreachable!(),
-        }
-    }
-}
-
-struct TicketRelease {
-    current: LineId,
-    ticket: u64,
-    done: bool,
-}
-
-impl SubProgram for TicketRelease {
-    fn substep(&mut self, _result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        if self.done {
-            None
-        } else {
-            self.done = true;
-            Some(Action::Store(self.current, self.ticket + 1))
-        }
+        (self.next, self.tickets.borrow()[tid] + 1)
     }
 }
 

@@ -3,16 +3,14 @@
 //! The read-only spin phase keeps the flag line Shared among waiters (a
 //! cached poll is an L1 hit in the model); only an observed-free flag
 //! triggers the atomic swap, and failed swaps back off exponentially.
-//! The spin phase is a single [`Action::SpinWait`]: the engine parks the
+//! The spin phase is a single [`Cpu::spin_wait`]: the engine parks the
 //! waiter on the flag line's wait-list and wakes it at the poll boundary
 //! that observes the release, instead of simulating every poll.
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, SubProgram, WaitCond};
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim, WaitCond};
 
-use super::tas::OneShot;
-use super::{LockConfig, SimLock, SimLockKind, POLL_PAUSE};
+use super::{LockConfig, POLL_PAUSE};
 
 /// Maximum exponential back-off pause, in cycles.
 const MAX_BACKOFF: u64 = 4_096;
@@ -29,63 +27,24 @@ impl SimTtas {
             line: sim.alloc_line_for_core(cfg.home_core),
         }
     }
-}
 
-impl SimLock for SimTtas {
-    fn kind(&self) -> SimLockKind {
-        SimLockKind::Ttas
-    }
-
-    fn acquire(&self, _tid: usize) -> Box<dyn SubProgram> {
-        Box::new(TtasAcquire {
-            line: self.line,
-            st: 0,
-            backoff: 32,
-        })
-    }
-
-    fn release(&self, _tid: usize) -> Box<dyn SubProgram> {
-        Box::new(OneShot(Some(Action::Store(self.line, 0))))
-    }
-}
-
-struct TtasAcquire {
-    line: LineId,
-    st: u8,
-    backoff: u64,
-}
-
-impl SubProgram for TtasAcquire {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            // Read phase: park on the flag until a release stores 0.
-            0 => {
-                self.st = 1;
-                Some(Action::SpinWait {
-                    line: self.line,
-                    cond: WaitCond::Eq(0),
-                    pause: POLL_PAUSE,
-                })
+    /// Waits for the flag to read free, then tries the swap; a lost race
+    /// backs off exponentially before re-reading.
+    pub async fn acquire(&self, cpu: &Cpu) {
+        let mut backoff = 32;
+        loop {
+            cpu.spin_wait(self.line, WaitCond::Eq(0), POLL_PAUSE).await;
+            if cpu.tas(self.line).await == 0 {
+                return;
             }
-            // Flag observed free: try the swap.
-            1 => {
-                debug_assert_eq!(result, Some(0));
-                self.st = 2;
-                Some(Action::Tas(self.line))
-            }
-            // Swap outcome.
-            2 => {
-                if result.expect("tas result") == 0 {
-                    return None;
-                }
-                // Lost the race: exponential back-off, then re-read.
-                let pause = self.backoff;
-                self.backoff = (self.backoff * 2).min(MAX_BACKOFF);
-                self.st = 0;
-                Some(Action::Pause(pause))
-            }
-            _ => unreachable!(),
+            cpu.pause(backoff).await;
+            backoff = (backoff * 2).min(MAX_BACKOFF);
         }
+    }
+
+    /// Clears the flag.
+    pub async fn release(&self, cpu: &Cpu) {
+        cpu.store(self.line, 0).await;
     }
 }
 

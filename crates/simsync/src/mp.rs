@@ -16,7 +16,7 @@
 //! message actions (iMesh user-level network).
 //!
 //! Blocking waits (send on a full buffer, receive on an empty one) use
-//! [`Action::SpinWait`], so a polling endpoint parks on the buffer
+//! [`Cpu::spin_wait`], so a polling endpoint parks on the buffer
 //! line's wait-list and the partner's store wakes it — one event per
 //! transfer instead of one per poll.
 
@@ -24,16 +24,15 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, SubProgram, WaitCond};
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim, WaitCond};
 
 /// Cycles between polls of a not-yet-ready buffer.
 const MP_POLL_PAUSE: u64 = 4;
 
 /// A one-directional cache-line channel.
 ///
-/// The last received message is available through
-/// [`SsmpChannel::last_received`] after a `recv` sub-program completes.
+/// A `recv` yields the message, which also stays readable through
+/// [`SsmpChannel::last_received`].
 #[derive(Clone)]
 pub struct SsmpChannel {
     line: LineId,
@@ -60,152 +59,54 @@ impl SsmpChannel {
         self.last.get()
     }
 
-    /// Sends `payload` (must be non-zero: 0 encodes "empty").
-    pub fn send(&self, payload: u64) -> Box<dyn SubProgram> {
+    /// Sends `payload` (must be non-zero: 0 encodes "empty") once the
+    /// buffer has drained.
+    pub async fn send(&self, cpu: &Cpu, payload: u64) {
         assert_ne!(payload, 0, "payload 0 is the empty marker");
-        Box::new(SsmpSend {
-            line: self.line,
-            payload,
-            stamped: false,
-            st: 0,
-        })
+        self.drained(cpu).await;
+        cpu.store(self.line, payload).await;
     }
 
     /// Sends the current simulated time (+1) as payload, stamped at the
     /// moment the buffer store is issued — i.e. *after* any wait for the
     /// buffer to drain. The latency benchmarks use this so that one-way
     /// latency measures the transfer, not the sender's queueing.
-    pub fn send_stamped(&self) -> Box<dyn SubProgram> {
-        Box::new(SsmpSend {
-            line: self.line,
-            payload: 0,
-            stamped: true,
-            st: 0,
-        })
+    pub async fn send_stamped(&self, cpu: &Cpu) {
+        self.drained(cpu).await;
+        cpu.store(self.line, cpu.now() + 1).await;
     }
 
-    /// Receives the next message; the payload lands in
-    /// [`SsmpChannel::last_received`].
-    pub fn recv(&self) -> Box<dyn SubProgram> {
-        Box::new(SsmpRecv {
-            line: self.line,
-            last: Rc::clone(&self.last),
-            st: 0,
-        })
+    async fn drained(&self, cpu: &Cpu) {
+        cpu.spin_wait(self.line, WaitCond::Eq(0), MP_POLL_PAUSE)
+            .await;
     }
 
-    /// Non-blocking probe + receive: completes with `last_received() = 0`
+    /// Waits for a message, then drains the buffer for the next one.
+    pub async fn recv(&self, cpu: &Cpu) -> u64 {
+        let v = cpu
+            .spin_wait(self.line, WaitCond::Ne(0), MP_POLL_PAUSE)
+            .await;
+        self.last.set(v);
+        cpu.store(self.line, 0).await;
+        v
+    }
+
+    /// Non-blocking probe + receive: `None` (and `last_received() = 0`)
     /// if no message is waiting (used by servers polling many clients).
-    pub fn try_recv(&self) -> Box<dyn SubProgram> {
-        Box::new(SsmpTryRecv {
-            line: self.line,
-            last: Rc::clone(&self.last),
-            st: 0,
-        })
-    }
-}
-
-struct SsmpSend {
-    line: LineId,
-    payload: u64,
-    stamped: bool,
-    st: u8,
-}
-
-impl SubProgram for SsmpSend {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            // Wait for the buffer to drain.
-            0 => {
-                self.st = 1;
-                Some(Action::SpinWait {
-                    line: self.line,
-                    cond: WaitCond::Eq(0),
-                    pause: MP_POLL_PAUSE,
-                })
-            }
-            // Empty: store the message.
-            1 => {
-                debug_assert_eq!(result, Some(0));
-                self.st = 2;
-                let payload = if self.stamped {
-                    _env.now + 1
-                } else {
-                    self.payload
-                };
-                Some(Action::Store(self.line, payload))
-            }
-            // Message stored: sent.
-            2 => None,
-            _ => unreachable!(),
+    pub async fn try_recv(&self, cpu: &Cpu) -> Option<u64> {
+        let v = cpu.load(self.line).await;
+        self.last.set(v);
+        if v == 0 {
+            return None;
         }
-    }
-}
-
-struct SsmpRecv {
-    line: LineId,
-    last: Rc<Cell<u64>>,
-    st: u8,
-}
-
-impl SubProgram for SsmpRecv {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            // Wait for a message to land.
-            0 => {
-                self.st = 1;
-                Some(Action::SpinWait {
-                    line: self.line,
-                    cond: WaitCond::Ne(0),
-                    pause: MP_POLL_PAUSE,
-                })
-            }
-            1 => {
-                let v = result.expect("spin result");
-                debug_assert_ne!(v, 0);
-                self.last.set(v);
-                self.st = 2;
-                // Drain the buffer for the next message.
-                Some(Action::Store(self.line, 0))
-            }
-            2 => None,
-            _ => unreachable!(),
-        }
-    }
-}
-
-struct SsmpTryRecv {
-    line: LineId,
-    last: Rc<Cell<u64>>,
-    st: u8,
-}
-
-impl SubProgram for SsmpTryRecv {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            0 => {
-                self.st = 1;
-                Some(Action::Load(self.line))
-            }
-            1 => {
-                let v = result.expect("load result");
-                self.last.set(v);
-                if v != 0 {
-                    self.st = 2;
-                    Some(Action::Store(self.line, 0))
-                } else {
-                    None
-                }
-            }
-            2 => None,
-            _ => unreachable!(),
-        }
+        cpu.store(self.line, 0).await;
+        Some(v)
     }
 }
 
 /// A hardware message channel (Tilera iMesh): a thin wrapper over the
-/// engine's `HwSend`/`HwRecv` actions with the same sub-program interface
-/// as [`SsmpChannel`].
+/// engine's `HwSend`/`HwRecv` actions with the same interface as
+/// [`SsmpChannel`].
 #[derive(Clone)]
 pub struct HwChannel {
     /// Receiving thread id.
@@ -228,62 +129,16 @@ impl HwChannel {
     }
 
     /// Sends `payload` to the channel's receiver thread.
-    pub fn send(&self, payload: u64) -> Box<dyn SubProgram> {
-        Box::new(HwSendSp {
-            to: self.to,
-            payload,
-            done: false,
-        })
+    pub async fn send(&self, cpu: &Cpu, payload: u64) {
+        cpu.hw_send(self.to, payload).await;
     }
 
     /// Receives the next hardware message addressed to the *calling*
     /// thread (the engine queues per thread id).
-    pub fn recv(&self) -> Box<dyn SubProgram> {
-        Box::new(HwRecvSp {
-            last: Rc::clone(&self.last),
-            st: 0,
-        })
-    }
-}
-
-struct HwSendSp {
-    to: usize,
-    payload: u64,
-    done: bool,
-}
-
-impl SubProgram for HwSendSp {
-    fn substep(&mut self, _result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        if self.done {
-            None
-        } else {
-            self.done = true;
-            Some(Action::HwSend {
-                to: self.to,
-                payload: self.payload,
-            })
-        }
-    }
-}
-
-struct HwRecvSp {
-    last: Rc<Cell<u64>>,
-    st: u8,
-}
-
-impl SubProgram for HwRecvSp {
-    fn substep(&mut self, result: Option<u64>, _env: &mut Env<'_>) -> Option<Action> {
-        match self.st {
-            0 => {
-                self.st = 1;
-                Some(Action::HwRecv)
-            }
-            1 => {
-                self.last.set(result.expect("hw message payload"));
-                None
-            }
-            _ => unreachable!(),
-        }
+    pub async fn recv(&self, cpu: &Cpu) -> u64 {
+        let v = cpu.hw_recv().await;
+        self.last.set(v);
+        v
     }
 }
 
@@ -291,28 +146,16 @@ impl SubProgram for HwRecvSp {
 mod tests {
     use super::*;
     use ssync_core::Platform;
-    use ssync_sim::program::{fn_program, Program};
-
-    /// Drives a single sub-program to completion, then `Done`.
-    struct Driver {
-        sub: Box<dyn SubProgram>,
-    }
-
-    impl Program for Driver {
-        fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-            match self.sub.substep(result, env) {
-                Some(a) => a,
-                None => Action::Done,
-            }
-        }
-    }
 
     #[test]
     fn ssmp_one_way_delivers() {
         let mut sim = Sim::new(Platform::Xeon, 3);
         let ch = SsmpChannel::new(&mut sim, 1);
-        sim.spawn_on_core(0, Box::new(Driver { sub: ch.send(42) }));
-        sim.spawn_on_core(1, Box::new(Driver { sub: ch.recv() }));
+        let (tx, rx) = (ch.clone(), ch.clone());
+        sim.spawn_on_core(0, move |cpu| async move { tx.send(&cpu, 42).await });
+        sim.spawn_on_core(1, move |cpu| async move {
+            rx.recv(&cpu).await;
+        });
         sim.run_to_completion();
         assert_eq!(ch.last_received(), 42);
         // Buffer drained.
@@ -321,16 +164,21 @@ mod tests {
 
     #[test]
     fn ssmp_try_recv_empty_and_full() {
+        let probe = |sim: &mut Sim, ch: &SsmpChannel| {
+            let ch = ch.clone();
+            sim.spawn_on_core(0, move |cpu| async move {
+                ch.try_recv(&cpu).await;
+            });
+            sim.run_to_completion();
+        };
         let mut sim = Sim::new(Platform::Opteron, 3);
         let ch = SsmpChannel::new(&mut sim, 0);
-        sim.spawn_on_core(0, Box::new(Driver { sub: ch.try_recv() }));
-        sim.run_to_completion();
+        probe(&mut sim, &ch);
         assert_eq!(ch.last_received(), 0);
         let mut sim = Sim::new(Platform::Opteron, 3);
         let ch = SsmpChannel::new(&mut sim, 0);
         sim.memory_mut().line_mut(ch.line()).value = 9;
-        sim.spawn_on_core(0, Box::new(Driver { sub: ch.try_recv() }));
-        sim.run_to_completion();
+        probe(&mut sim, &ch);
         assert_eq!(ch.last_received(), 9);
     }
 
@@ -340,49 +188,16 @@ mod tests {
         // drain before sending the second.
         let mut sim = Sim::new(Platform::Niagara, 3);
         let ch = SsmpChannel::new(&mut sim, 8);
-        let ch2 = ch.clone();
-        let mut sent = 0;
-        sim.spawn_on_core(0, {
-            let ch = ch.clone();
-            let mut sub: Option<Box<dyn SubProgram>> = None;
-            fn_program(move |r, env| {
-                let mut res = r;
-                loop {
-                    if sub.is_none() {
-                        if sent == 2 {
-                            return Action::Done;
-                        }
-                        sent += 1;
-                        sub = Some(ch.send(sent));
-                    }
-                    match sub.as_mut().unwrap().substep(res.take(), env) {
-                        Some(a) => return a,
-                        None => sub = None,
-                    }
-                }
-            })
+        let (tx, rx) = (ch.clone(), ch.clone());
+        sim.spawn_on_core(0, move |cpu| async move {
+            for sent in 1..=2 {
+                tx.send(&cpu, sent).await;
+            }
         });
-        let mut got = Vec::new();
-        sim.spawn_on_core(8, {
-            let mut sub: Option<Box<dyn SubProgram>> = None;
-            fn_program(move |r, env| {
-                let mut res = r;
-                loop {
-                    if sub.is_none() {
-                        if got.len() == 2 {
-                            return Action::Done;
-                        }
-                        sub = Some(ch2.recv());
-                    }
-                    match sub.as_mut().unwrap().substep(res.take(), env) {
-                        Some(a) => return a,
-                        None => {
-                            got.push(ch2.last_received());
-                            sub = None;
-                        }
-                    }
-                }
-            })
+        sim.spawn_on_core(8, move |cpu| async move {
+            for _ in 0..2 {
+                rx.recv(&cpu).await;
+            }
         });
         sim.run_to_completion();
         // Both messages got through in order (1 then 2): the channel is
@@ -396,52 +211,14 @@ mod tests {
         let to_server = HwChannel::new(1);
         let to_client = HwChannel::new(0);
         let (ts, tc) = (to_server.clone(), to_client.clone());
-        let mut st = 0;
-        sim.spawn_on_core(0, {
-            let mut sub: Option<Box<dyn SubProgram>> = None;
-            fn_program(move |r, env| {
-                let mut res = r;
-                loop {
-                    if sub.is_none() {
-                        sub = match st {
-                            0 => Some(ts.send(5)),
-                            1 => Some(tc.recv()),
-                            _ => return Action::Done,
-                        };
-                    }
-                    match sub.as_mut().unwrap().substep(res.take(), env) {
-                        Some(a) => return a,
-                        None => {
-                            st += 1;
-                            sub = None;
-                        }
-                    }
-                }
-            })
+        sim.spawn_on_core(0, move |cpu| async move {
+            ts.send(&cpu, 5).await;
+            tc.recv(&cpu).await;
         });
         let (ts2, tc2) = (to_server.clone(), to_client.clone());
-        let mut st2 = 0;
-        sim.spawn_on_core(35, {
-            let mut sub: Option<Box<dyn SubProgram>> = None;
-            fn_program(move |r, env| {
-                let mut res = r;
-                loop {
-                    if sub.is_none() {
-                        sub = match st2 {
-                            0 => Some(ts2.recv()),
-                            1 => Some(tc2.send(ts2.last_received() + 1)),
-                            _ => return Action::Done,
-                        };
-                    }
-                    match sub.as_mut().unwrap().substep(res.take(), env) {
-                        Some(a) => return a,
-                        None => {
-                            st2 += 1;
-                            sub = None;
-                        }
-                    }
-                }
-            })
+        sim.spawn_on_core(35, move |cpu| async move {
+            let request = ts2.recv(&cpu).await;
+            tc2.send(&cpu, request + 1).await;
         });
         sim.run_to_completion();
         assert_eq!(to_client.last_received(), 6);

@@ -7,7 +7,7 @@
 //! all of them still bounce the line, which is the point.
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, Program};
+use ssync_sim::Cpu;
 
 /// Pause after each completed operation, preventing local op streaks.
 /// The paper sizes the delay "proportional to the maximum latency across
@@ -75,91 +75,35 @@ impl AtomicKind {
     }
 }
 
-/// One stress thread.
-pub struct AtomicStress {
-    line: LineId,
-    kind: AtomicKind,
-    pause: u64,
-    st: u8,
-    last_seen: u64,
-}
-
-impl AtomicStress {
-    /// Creates a stress worker hammering `line`, pausing `pause` cycles
-    /// after each completed operation (see [`stress_pause`]).
-    pub fn new(line: LineId, kind: AtomicKind, pause: u64) -> Self {
-        Self {
-            line,
-            kind,
-            pause,
-            st: 0,
-            last_seen: 0,
+/// One stress thread: performs `kind` on `line` over and over, pausing
+/// `pause` cycles after each completed operation (see
+/// [`stress_pause`]).
+pub async fn atomic_stress(cpu: Cpu, line: LineId, kind: AtomicKind, pause: u64) {
+    let mut last_seen = 0u64;
+    loop {
+        let old = match kind {
+            AtomicKind::Cas | AtomicKind::CasFai => {
+                cpu.cas(line, last_seen, last_seen.wrapping_add(1)).await
+            }
+            AtomicKind::Tas => cpu.tas(line).await,
+            AtomicKind::Swap => cpu.swap(line, cpu.tid() as u64 + 1).await,
+            AtomicKind::Fai => cpu.fai(line).await,
+        };
+        if kind == AtomicKind::CasFai {
+            if old != last_seen {
+                // Failed CAS: retry immediately with the fresh value
+                // (this is what makes CAS-FAI slower than native FAI).
+                last_seen = old;
+                cpu.pause(2).await;
+                continue;
+            }
+            // Successful increment.
+            last_seen = old.wrapping_add(1);
+        } else {
+            last_seen = old;
         }
-    }
-}
-
-impl Program for AtomicStress {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        match self.st {
-            // Issue the operation.
-            0 => {
-                self.st = 1;
-                match self.kind {
-                    AtomicKind::Cas => {
-                        Action::Cas(self.line, self.last_seen, self.last_seen.wrapping_add(1))
-                    }
-                    AtomicKind::Tas => Action::Tas(self.line),
-                    AtomicKind::CasFai => {
-                        Action::Cas(self.line, self.last_seen, self.last_seen.wrapping_add(1))
-                    }
-                    AtomicKind::Swap => Action::Swap(self.line, env.tid as u64 + 1),
-                    AtomicKind::Fai => Action::Fai(self.line),
-                }
-            }
-            // Operation completed: account and pause.
-            1 => {
-                let old = result.expect("atomic result");
-                match self.kind {
-                    AtomicKind::CasFai => {
-                        if old == self.last_seen {
-                            // Successful increment.
-                            env.complete_op();
-                            self.last_seen = old.wrapping_add(1);
-                            self.st = 2;
-                            return Action::Pause(self.pause);
-                        }
-                        // Failed CAS: retry immediately with the fresh value
-                        // (this is what makes CAS-FAI slower than native FAI).
-                        self.last_seen = old;
-                        self.st = 0;
-                        return Action::Pause(2);
-                    }
-                    AtomicKind::Cas => {
-                        env.complete_op();
-                        self.last_seen = old;
-                    }
-                    _ => {
-                        env.complete_op();
-                        self.last_seen = old;
-                    }
-                }
-                self.st = 2;
-                Action::Pause(self.pause)
-            }
-            // Pause finished: go again.
-            2 => {
-                self.st = 1;
-                match self.kind {
-                    AtomicKind::Cas | AtomicKind::CasFai => {
-                        Action::Cas(self.line, self.last_seen, self.last_seen.wrapping_add(1))
-                    }
-                    AtomicKind::Tas => Action::Tas(self.line),
-                    AtomicKind::Swap => Action::Swap(self.line, env.tid as u64 + 1),
-                    AtomicKind::Fai => Action::Fai(self.line),
-                }
-            }
-            _ => unreachable!(),
-        }
+        cpu.complete_op();
+        cpu.pause(pause).await;
     }
 }
 
@@ -175,7 +119,7 @@ mod tests {
         let line = sim.alloc_line_for_core(cores[0]);
         let pause = stress_pause(sim.topology(), &cores);
         for &c in &cores {
-            sim.spawn_on_core(c, Box::new(AtomicStress::new(line, kind, pause)));
+            sim.spawn_on_core(c, move |cpu| atomic_stress(cpu, line, kind, pause));
         }
         let window = 300_000;
         sim.run_until(window);

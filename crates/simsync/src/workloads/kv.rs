@@ -18,9 +18,8 @@ use std::rc::Rc;
 use rand::Rng;
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, Program, SubProgram};
+use ssync_sim::Cpu;
 
-use super::drive_sub;
 use crate::locks::SimLock;
 
 /// Per-request "network + parse + syscall" cost (cycles). Dominates the
@@ -43,119 +42,39 @@ pub enum KvMix {
     SetOnly,
 }
 
-/// One simulated Memcached worker thread.
-pub struct KvWorker {
-    bucket_locks: Vec<Rc<dyn SimLock>>,
+/// One simulated Memcached worker thread: each request takes one
+/// bucket lock and, for a fraction of sets, the global lock after it.
+///
+/// # Panics
+///
+/// Panics if `bucket_locks` and `bucket_data` differ in length.
+pub async fn kv_worker(
+    cpu: Cpu,
+    bucket_locks: Vec<Rc<SimLock>>,
     bucket_data: Vec<LineId>,
-    global_lock: Rc<dyn SimLock>,
+    global_lock: Rc<SimLock>,
     mix: KvMix,
-    tid: usize,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-    bucket: usize,
-    needs_global: bool,
-}
-
-impl KvWorker {
-    /// Creates a worker over the shared store structures.
-    pub fn new(
-        bucket_locks: Vec<Rc<dyn SimLock>>,
-        bucket_data: Vec<LineId>,
-        global_lock: Rc<dyn SimLock>,
-        mix: KvMix,
-        tid: usize,
-    ) -> Self {
-        assert_eq!(bucket_locks.len(), bucket_data.len());
-        Self {
-            bucket_locks,
-            bucket_data,
-            global_lock,
-            mix,
-            tid,
-            st: 0,
-            sub: None,
-            bucket: 0,
-            needs_global: false,
+) {
+    assert_eq!(bucket_locks.len(), bucket_data.len());
+    loop {
+        let bucket = cpu.rng().gen_range(0..bucket_locks.len());
+        let needs_global =
+            mix == KvMix::SetOnly && cpu.rng().gen_range(0..100u32) < GLOBAL_LOCK_PCT;
+        // Receive + parse the request.
+        cpu.pause(REQUEST_OVERHEAD).await;
+        bucket_locks[bucket].acquire(&cpu).await;
+        let v = cpu.load(bucket_data[bucket]).await;
+        if mix == KvMix::SetOnly {
+            cpu.store(bucket_data[bucket], v.wrapping_add(1)).await;
         }
-    }
-}
-
-impl Program for KvWorker {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        let mut res = result;
-        loop {
-            match self.st {
-                // Receive + parse the request.
-                0 => {
-                    self.bucket = env.rng.gen_range(0..self.bucket_locks.len());
-                    self.needs_global = self.mix == KvMix::SetOnly
-                        && env.rng.gen_range(0..100u32) < GLOBAL_LOCK_PCT;
-                    self.st = 1;
-                    return Action::Pause(REQUEST_OVERHEAD);
-                }
-                // Bucket lock.
-                1 => {
-                    let (locks, b, tid) = (&self.bucket_locks, self.bucket, self.tid);
-                    match drive_sub(&mut self.sub, || locks[b].acquire(tid), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            self.st = 2;
-                            return Action::Load(self.bucket_data[self.bucket]);
-                        }
-                    }
-                }
-                // The item access.
-                2 => {
-                    let v = res.take().expect("item load");
-                    match self.mix {
-                        KvMix::GetOnly => {
-                            self.st = 3;
-                        }
-                        KvMix::SetOnly => {
-                            self.st = 3;
-                            return Action::Store(self.bucket_data[self.bucket], v.wrapping_add(1));
-                        }
-                    }
-                }
-                // Release the bucket lock.
-                3 => {
-                    let (locks, b, tid) = (&self.bucket_locks, self.bucket, self.tid);
-                    match drive_sub(&mut self.sub, || locks[b].release(tid), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            self.st = if self.needs_global { 4 } else { 7 };
-                        }
-                    }
-                }
-                // Global maintenance lock.
-                4 => {
-                    let (global, tid) = (&self.global_lock, self.tid);
-                    match drive_sub(&mut self.sub, || global.acquire(tid), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            self.st = 5;
-                            return Action::Pause(GLOBAL_WORK);
-                        }
-                    }
-                }
-                5 => {
-                    self.st = 6;
-                }
-                6 => {
-                    let (global, tid) = (&self.global_lock, self.tid);
-                    match drive_sub(&mut self.sub, || global.release(tid), &mut res, env) {
-                        Some(a) => return a,
-                        None => self.st = 7,
-                    }
-                }
-                // Request complete.
-                7 => {
-                    env.complete_op();
-                    self.st = 0;
-                }
-                _ => unreachable!(),
-            }
+        bucket_locks[bucket].release(&cpu).await;
+        if needs_global {
+            // Global maintenance lock.
+            global_lock.acquire(&cpu).await;
+            cpu.pause(GLOBAL_WORK).await;
+            global_lock.release(&cpu).await;
         }
+        cpu.complete_op();
     }
 }
 
@@ -179,16 +98,14 @@ mod tests {
             .collect();
         let global = make_lock(kind, &mut sim, &cfg);
         for tid in 0..threads {
-            sim.spawn_on_core(
-                cfg.thread_cores[tid],
-                Box::new(KvWorker::new(
-                    bucket_locks.clone(),
-                    bucket_data.clone(),
-                    Rc::clone(&global),
-                    mix,
-                    tid,
-                )),
+            let (locks, data, global) = (
+                bucket_locks.clone(),
+                bucket_data.clone(),
+                Rc::clone(&global),
             );
+            sim.spawn_on_core(cfg.thread_cores[tid], move |cpu| {
+                kv_worker(cpu, locks, data, global, mix)
+            });
         }
         let window = 3_000_000;
         sim.run_until(window);

@@ -1,12 +1,12 @@
 //! Lock stress workloads: Figures 3, 5, 6, 7 and 8.
 //!
-//! * [`LockStress`] — each thread acquires a (uniformly random) lock out
+//! * [`lock_stress`] — each thread acquires a (uniformly random) lock out
 //!   of `n` locks, reads and writes the lock's data line, releases, and
 //!   pauses briefly (Section 6.1.2's methodology; `n = 1` is the extreme
 //!   contention of Figure 5, `n = 512` the very low contention of
 //!   Figure 7, and `n ∈ {4, 16, 32, 128}` the Figure 8 sweep). Each
 //!   iteration also records its latency, which is Figure 3's metric.
-//! * [`UncontestedPair`] — two threads strictly alternate acquiring one
+//! * [`uncontested_pair`] — two threads strictly alternate acquiring one
 //!   lock via a turn line, so every acquisition finds the lock free but
 //!   *held last by the other core*: Figure 6's distance ladder.
 
@@ -15,9 +15,8 @@ use std::rc::Rc;
 use rand::Rng;
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, Program, SubProgram, WaitCond};
+use ssync_sim::{Cpu, WaitCond};
 
-use super::drive_sub;
 use crate::locks::SimLock;
 
 /// Base post-release pause in the contended stress (lets the release
@@ -28,176 +27,54 @@ use crate::locks::SimLock;
 /// handoff order, which understates cross-socket traffic.
 pub const RELEASE_PAUSE: u64 = 80;
 
-/// One stress worker for the throughput experiments.
-pub struct LockStress {
-    locks: Vec<Rc<dyn SimLock>>,
-    data: Vec<LineId>,
-    tid: usize,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-    idx: usize,
-    started_at: u64,
-}
-
-impl LockStress {
-    /// Creates a worker over `locks` with one data line per lock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `locks` and `data` differ in length or are empty.
-    pub fn new(locks: Vec<Rc<dyn SimLock>>, data: Vec<LineId>, tid: usize) -> Self {
-        assert_eq!(locks.len(), data.len());
-        assert!(!locks.is_empty());
-        Self {
-            locks,
-            data,
-            tid,
-            st: 0,
-            sub: None,
-            idx: 0,
-            started_at: 0,
-        }
+/// One stress worker for the throughput experiments, over `locks` with
+/// one data line per lock.
+///
+/// # Panics
+///
+/// Panics if `locks` and `data` differ in length or are empty.
+pub async fn lock_stress(cpu: Cpu, locks: Vec<Rc<SimLock>>, data: Vec<LineId>) {
+    assert_eq!(locks.len(), data.len());
+    assert!(!locks.is_empty());
+    loop {
+        let idx = if locks.len() == 1 {
+            0
+        } else {
+            cpu.rng().gen_range(0..locks.len())
+        };
+        let started_at = cpu.now();
+        locks[idx].acquire(&cpu).await;
+        // Critical section: read, then write the data line.
+        let v = cpu.load(data[idx]).await;
+        cpu.store(data[idx], v.wrapping_add(1)).await;
+        locks[idx].release(&cpu).await;
+        cpu.complete_op();
+        cpu.record_sample(cpu.now() - started_at);
+        let jitter = cpu.rng().gen_range(0..=RELEASE_PAUSE);
+        cpu.pause(RELEASE_PAUSE + jitter).await;
     }
 }
 
-impl Program for LockStress {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        let mut res = result;
-        loop {
-            match self.st {
-                // Pick a lock and start acquiring.
-                0 => {
-                    if self.sub.is_none() {
-                        self.idx = if self.locks.len() == 1 {
-                            0
-                        } else {
-                            env.rng.gen_range(0..self.locks.len())
-                        };
-                        self.started_at = env.now;
-                    }
-                    let (locks, idx, tid) = (&self.locks, self.idx, self.tid);
-                    match drive_sub(&mut self.sub, || locks[idx].acquire(tid), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            self.st = 1;
-                            return Action::Load(self.data[self.idx]);
-                        }
-                    }
-                }
-                // Critical section: read, then write the data line.
-                1 => {
-                    let v = res.take().expect("data load");
-                    self.st = 2;
-                    return Action::Store(self.data[self.idx], v.wrapping_add(1));
-                }
-                // Release.
-                2 => {
-                    let (locks, idx, tid) = (&self.locks, self.idx, self.tid);
-                    match drive_sub(&mut self.sub, || locks[idx].release(tid), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            env.complete_op();
-                            env.record_sample(env.now - self.started_at);
-                            self.st = 3;
-                            let jitter = env.rng.gen_range(0..=RELEASE_PAUSE);
-                            return Action::Pause(RELEASE_PAUSE + jitter);
-                        }
-                    }
-                }
-                // Pause done: next iteration.
-                3 => {
-                    self.st = 0;
-                }
-                _ => unreachable!(),
-            }
+/// One of two threads that strictly alternate acquiring `lock`, for the
+/// uncontested-latency ladder. `my_turn` must be 0 for the first thread
+/// and 1 for the second; `turn` is a shared line initialized to 0.
+pub async fn uncontested_pair(cpu: Cpu, lock: Rc<SimLock>, turn: LineId, my_turn: u64) {
+    loop {
+        // Wait for our turn: park until the partner's FAI flips the
+        // parity, then re-check.
+        let mut seen = cpu.load(turn).await;
+        while seen % 2 != my_turn {
+            seen = cpu.spin_wait(turn, WaitCond::Ne(seen), 8).await;
         }
-    }
-}
-
-/// Two-thread alternating acquisition for the uncontested-latency ladder.
-pub struct UncontestedPair {
-    lock: Rc<dyn SimLock>,
-    turn: LineId,
-    tid: usize,
-    /// 0 or 1: whose turn value we wait for.
-    my_turn: u64,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-    started_at: u64,
-}
-
-impl UncontestedPair {
-    /// Creates one of the two alternating threads. `my_turn` must be 0
-    /// for the first thread and 1 for the second; `turn` is a shared
-    /// line initialized to 0.
-    pub fn new(lock: Rc<dyn SimLock>, turn: LineId, tid: usize, my_turn: u64) -> Self {
-        Self {
-            lock,
-            turn,
-            tid,
-            my_turn,
-            st: 0,
-            sub: None,
-            started_at: 0,
-        }
-    }
-}
-
-impl Program for UncontestedPair {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        let mut res = result;
-        loop {
-            match self.st {
-                // Wait for our turn.
-                0 => {
-                    self.st = 1;
-                    return Action::Load(self.turn);
-                }
-                1 => {
-                    let turn = res.take().expect("turn load");
-                    if turn % 2 == self.my_turn {
-                        self.started_at = env.now;
-                        self.st = 3;
-                    } else {
-                        // Park until the partner's FAI flips the parity,
-                        // then re-check (state 1 again).
-                        return Action::SpinWait {
-                            line: self.turn,
-                            cond: WaitCond::Ne(turn),
-                            pause: 8,
-                        };
-                    }
-                }
-                // Acquire (always uncontested: the other thread is waiting
-                // on the turn line).
-                3 => {
-                    let (lock, tid) = (&self.lock, self.tid);
-                    match drive_sub(&mut self.sub, || lock.acquire(tid), &mut res, env) {
-                        Some(a) => return a,
-                        None => self.st = 4,
-                    }
-                }
-                // Release immediately.
-                4 => {
-                    let (lock, tid) = (&self.lock, self.tid);
-                    match drive_sub(&mut self.sub, || lock.release(tid), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            env.record_sample(env.now - self.started_at);
-                            env.complete_op();
-                            self.st = 5;
-                            // Hand the turn to the partner.
-                            return Action::Fai(self.turn);
-                        }
-                    }
-                }
-                // Turn handed over.
-                5 => {
-                    self.st = 0;
-                }
-                _ => unreachable!(),
-            }
-        }
+        // Always uncontested: the other thread is waiting on the turn
+        // line. Release immediately.
+        let started_at = cpu.now();
+        lock.acquire(&cpu).await;
+        lock.release(&cpu).await;
+        cpu.record_sample(cpu.now() - started_at);
+        cpu.complete_op();
+        // Hand the turn to the partner.
+        cpu.fai(turn).await;
     }
 }
 
@@ -224,8 +101,8 @@ mod tests {
             data.push(sim.alloc_line_for_core(cfg.home_core));
         }
         for tid in 0..threads {
-            let w = LockStress::new(locks.clone(), data.clone(), tid);
-            sim.spawn_on_core(cfg.thread_cores[tid], Box::new(w));
+            let (locks, data) = (locks.clone(), data.clone());
+            sim.spawn_on_core(cfg.thread_cores[tid], |cpu| lock_stress(cpu, locks, data));
         }
         let window = 400_000;
         sim.run_until(window);
@@ -272,14 +149,10 @@ mod tests {
         };
         let lock = make_lock(SimLockKind::Ticket, &mut sim, &cfg);
         let turn = sim.alloc_line_for_core(0);
-        let t0 = sim.spawn_on_core(
-            0,
-            Box::new(UncontestedPair::new(Rc::clone(&lock), turn, 0, 0)),
-        );
-        let t1 = sim.spawn_on_core(
-            10,
-            Box::new(UncontestedPair::new(Rc::clone(&lock), turn, 1, 1)),
-        );
+        let l0 = Rc::clone(&lock);
+        let t0 = sim.spawn_on_core(0, move |cpu| uncontested_pair(cpu, l0, turn, 0));
+        let l1 = Rc::clone(&lock);
+        let t1 = sim.spawn_on_core(10, move |cpu| uncontested_pair(cpu, l1, turn, 1));
         sim.run_until(400_000);
         assert!(sim.samples(t0).len() > 10);
         assert!(sim.samples(t1).len() > 10);

@@ -1,4 +1,5 @@
-//! Experiment workload programs: one module per family of figures.
+//! Experiment workloads: each simulated thread is one `async fn`, one
+//! module per family of figures.
 //!
 //! * [`atomics`] — the Section 5.4 atomic-operation stress (Figure 4).
 //! * [`lock_stress`] — contended lock throughput/latency (Figures 3, 5,
@@ -13,26 +14,3 @@ pub mod kv;
 pub mod lock_stress;
 pub mod mp_bench;
 pub mod ssht;
-
-use ssync_sim::program::{Action, Env, SubProgram};
-
-/// Drives an optional sub-program slot: creates it with `make` when
-/// empty, feeds it `res`, and returns its next action — or `None` once it
-/// completes (clearing the slot).
-pub(crate) fn drive_sub(
-    slot: &mut Option<Box<dyn SubProgram>>,
-    make: impl FnOnce() -> Box<dyn SubProgram>,
-    res: &mut Option<u64>,
-    env: &mut Env<'_>,
-) -> Option<Action> {
-    if slot.is_none() {
-        *slot = Some(make());
-    }
-    match slot.as_mut().expect("just filled").substep(res.take(), env) {
-        Some(a) => Some(a),
-        None => {
-            *slot = None;
-            None
-        }
-    }
-}

@@ -1,19 +1,19 @@
 //! Message-passing benchmarks: Figures 9 and 10.
 //!
-//! * [`PingSender`] / [`PingReceiver`] — one-to-one communication. The
+//! * [`ping_sender`] / [`ping_receiver`] — one-to-one communication. The
 //!   sender stamps each message with the send time, so the receiver's
 //!   samples are one-way latencies; in round-trip mode the sender also
 //!   samples the full echo time.
-//! * [`MpClient`] / [`MpServer`] — client-server: one server polls all
+//! * [`mp_client`] / [`polling_server`] / [`hardware_server`] —
+//!   client-server: one server polls all
 //!   client request channels round-robin and (in round-trip mode)
 //!   responds on per-client reply channels. Client ops count throughput.
 //!
 //! Both work over coherence-based [`SsmpChannel`]s on every platform and
 //! over [`HwChannel`]s on the Tilera.
 
-use ssync_sim::program::{Action, Env, Program, SubProgram};
+use ssync_sim::Cpu;
 
-use super::drive_sub;
 use crate::mp::{HwChannel, SsmpChannel};
 
 /// A channel endpoint usable by the benchmarks: either `libssmp` over
@@ -27,306 +27,102 @@ pub enum Chan {
 }
 
 impl Chan {
-    fn send(&self, payload: u64) -> Box<dyn SubProgram> {
+    async fn send(&self, cpu: &Cpu, payload: u64) {
         match self {
-            Chan::Ssmp(c) => c.send(payload),
-            Chan::Hw(c) => c.send(payload),
+            Chan::Ssmp(c) => c.send(cpu, payload).await,
+            Chan::Hw(c) => c.send(cpu, payload).await,
         }
     }
 
     /// Sends a message carrying the issue time (see
     /// [`SsmpChannel::send_stamped`]); hardware sends never wait, so the
-    /// caller-provided `now` is accurate for them.
-    fn send_stamped(&self, now: u64) -> Box<dyn SubProgram> {
+    /// current time is the issue time for them.
+    async fn send_stamped(&self, cpu: &Cpu) {
         match self {
-            Chan::Ssmp(c) => c.send_stamped(),
-            Chan::Hw(c) => c.send(now + 1),
+            Chan::Ssmp(c) => c.send_stamped(cpu).await,
+            Chan::Hw(c) => c.send(cpu, cpu.now() + 1).await,
         }
     }
 
-    fn recv(&self) -> Box<dyn SubProgram> {
+    async fn recv(&self, cpu: &Cpu) -> u64 {
         match self {
-            Chan::Ssmp(c) => c.recv(),
-            Chan::Hw(c) => c.recv(),
-        }
-    }
-
-    fn last_received(&self) -> u64 {
-        match self {
-            Chan::Ssmp(c) => c.last_received(),
-            Chan::Hw(c) => c.last_received(),
+            Chan::Ssmp(c) => c.recv(cpu).await,
+            Chan::Hw(c) => c.recv(cpu).await,
         }
     }
 }
 
 /// One-to-one sender: streams messages stamped with the send time; in
-/// round-trip mode waits for each echo and samples the round trip.
-pub struct PingSender {
-    out: Chan,
-    back: Option<Chan>,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-    t0: u64,
-}
-
-impl PingSender {
-    /// `back = None` gives one-way streaming; `Some` gives round trips.
-    pub fn new(out: Chan, back: Option<Chan>) -> Self {
-        Self {
-            out,
-            back,
-            st: 0,
-            sub: None,
-            t0: 0,
+/// round-trip mode (`back` given) waits for each echo and samples the
+/// round trip.
+pub async fn ping_sender(cpu: Cpu, out: Chan, back: Option<Chan>) {
+    loop {
+        let t0 = cpu.now();
+        out.send_stamped(&cpu).await;
+        if let Some(back) = &back {
+            back.recv(&cpu).await;
+            cpu.record_sample(cpu.now() - t0);
         }
-    }
-}
-
-impl Program for PingSender {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        let mut res = result;
-        loop {
-            match self.st {
-                // Send one message (timestamp payload; +1 avoids 0).
-                0 => {
-                    if self.sub.is_none() {
-                        self.t0 = env.now;
-                    }
-                    let (out, now) = (&self.out, env.now);
-                    match drive_sub(&mut self.sub, || out.send_stamped(now), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            self.st = if self.back.is_some() { 1 } else { 2 };
-                        }
-                    }
-                }
-                // Round-trip: wait for the echo.
-                1 => {
-                    let back = self.back.as_ref().expect("round-trip mode");
-                    match drive_sub(&mut self.sub, || back.recv(), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            env.record_sample(env.now - self.t0);
-                            env.complete_op();
-                            self.st = 0;
-                        }
-                    }
-                }
-                // One-way: count and continue.
-                2 => {
-                    env.complete_op();
-                    self.st = 0;
-                }
-                _ => unreachable!(),
-            }
-        }
+        cpu.complete_op();
     }
 }
 
 /// One-to-one receiver: drains messages, sampling one-way latency from
-/// the embedded timestamps; echoes when given a reply channel.
-pub struct PingReceiver {
-    input: Chan,
-    reply: Option<Chan>,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-}
-
-impl PingReceiver {
-    /// `reply = None` for one-way mode, `Some` to echo (round trips).
-    pub fn new(input: Chan, reply: Option<Chan>) -> Self {
-        Self {
-            input,
-            reply,
-            st: 0,
-            sub: None,
+/// the embedded timestamps; echoes when given a `reply` channel.
+pub async fn ping_receiver(cpu: Cpu, input: Chan, reply: Option<Chan>) {
+    loop {
+        let stamp = input.recv(&cpu).await.saturating_sub(1);
+        cpu.record_sample(cpu.now().saturating_sub(stamp));
+        cpu.complete_op();
+        if let Some(reply) = &reply {
+            reply.send(&cpu, cpu.now() + 1).await;
         }
     }
 }
 
-impl Program for PingReceiver {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        let mut res = result;
-        loop {
-            match self.st {
-                0 => {
-                    let input = &self.input;
-                    match drive_sub(&mut self.sub, || input.recv(), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            let stamp = self.input.last_received().saturating_sub(1);
-                            env.record_sample(env.now.saturating_sub(stamp));
-                            env.complete_op();
-                            self.st = if self.reply.is_some() { 1 } else { 0 };
-                        }
-                    }
-                }
-                1 => {
-                    let reply = self.reply.as_ref().expect("echo mode");
-                    let now = env.now;
-                    match drive_sub(&mut self.sub, || reply.send(now + 1), &mut res, env) {
-                        Some(a) => return a,
-                        None => self.st = 0,
-                    }
-                }
-                _ => unreachable!(),
-            }
+/// Client of the client-server benchmark: one-way requests, or round
+/// trips when given a `reply` channel.
+pub async fn mp_client(cpu: Cpu, request: Chan, reply: Option<Chan>) {
+    loop {
+        request.send(&cpu, cpu.tid() as u64 + 1).await;
+        if let Some(reply) = &reply {
+            reply.recv(&cpu).await;
         }
+        cpu.complete_op();
     }
 }
 
-/// Client of the client-server benchmark.
-pub struct MpClient {
-    request: Chan,
-    reply: Option<Chan>,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-}
-
-impl MpClient {
-    /// `reply = None` for one-way requests, `Some` for round trips.
-    pub fn new(request: Chan, reply: Option<Chan>) -> Self {
-        Self {
-            request,
-            reply,
-            st: 0,
-            sub: None,
+/// The coherence-mode server: polls client request channels
+/// round-robin and, given `replies`, answers `requests[i]` on
+/// `replies[i]`.
+pub async fn polling_server(cpu: Cpu, requests: Vec<SsmpChannel>, replies: Option<Vec<Chan>>) {
+    for current in (0..requests.len()).cycle() {
+        if requests[current].try_recv(&cpu).await.is_none() {
+            // Nothing on that channel: scan on.
+            cpu.pause(2).await;
+            continue;
         }
+        cpu.complete_op();
+        respond(&cpu, &replies, current).await;
     }
 }
 
-impl Program for MpClient {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        let mut res = result;
-        loop {
-            match self.st {
-                0 => {
-                    let (request, tid) = (&self.request, env.tid as u64);
-                    match drive_sub(&mut self.sub, || request.send(tid + 1), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            self.st = if self.reply.is_some() { 1 } else { 2 };
-                        }
-                    }
-                }
-                1 => {
-                    let reply = self.reply.as_ref().expect("round-trip mode");
-                    match drive_sub(&mut self.sub, || reply.recv(), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            env.complete_op();
-                            self.st = 0;
-                        }
-                    }
-                }
-                2 => {
-                    env.complete_op();
-                    self.st = 0;
-                }
-                _ => unreachable!(),
-            }
-        }
+/// The hardware-mode server (Tilera): blocking receive-from-any;
+/// `replies` are indexed by the sender tid carried in the payload.
+pub async fn hardware_server(cpu: Cpu, recv: HwChannel, replies: Option<Vec<Chan>>) {
+    loop {
+        let current = (recv.recv(&cpu).await as usize).saturating_sub(1);
+        cpu.complete_op();
+        respond(&cpu, &replies, current).await;
     }
 }
 
-/// The single server: polls client request channels round-robin; in
-/// round-trip mode answers on the matching reply channel.
-pub struct MpServer {
-    requests: Vec<SsmpChannel>,
-    replies: Option<Vec<Chan>>,
-    /// Hardware mode: receive from the engine inbox instead of polling
-    /// (the Tilera's "receive from any"); replies indexed by client tid.
-    hw_recv: Option<HwChannel>,
-    next: usize,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-    current: usize,
-}
-
-impl MpServer {
-    /// Coherence-mode server polling `requests[i]` and replying on
-    /// `replies[i]` when given.
-    pub fn polling(requests: Vec<SsmpChannel>, replies: Option<Vec<Chan>>) -> Self {
-        Self {
-            requests,
-            replies,
-            hw_recv: None,
-            next: 0,
-            st: 0,
-            sub: None,
-            current: 0,
-        }
-    }
-
-    /// Hardware-mode server (Tilera): blocking receive-from-any; replies
-    /// indexed by the sender tid carried in the payload.
-    pub fn hardware(recv: HwChannel, replies: Option<Vec<Chan>>) -> Self {
-        Self {
-            requests: Vec::new(),
-            replies,
-            hw_recv: Some(recv),
-            next: 0,
-            st: 0,
-            sub: None,
-            current: 0,
-        }
-    }
-}
-
-impl Program for MpServer {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        let mut res = result;
-        loop {
-            match self.st {
-                // Get the next request.
-                0 => {
-                    if let Some(hw) = &self.hw_recv {
-                        match drive_sub(&mut self.sub, || hw.recv(), &mut res, env) {
-                            Some(a) => return a,
-                            None => {
-                                self.current = (hw.last_received() as usize).saturating_sub(1);
-                                env.complete_op();
-                                self.st = 2;
-                            }
-                        }
-                    } else {
-                        let ch = self.requests[self.next].clone();
-                        match drive_sub(&mut self.sub, || ch.try_recv(), &mut res, env) {
-                            Some(a) => return a,
-                            None => {
-                                let got = self.requests[self.next].last_received();
-                                self.current = self.next;
-                                self.next = (self.next + 1) % self.requests.len();
-                                if got != 0 {
-                                    env.complete_op();
-                                    self.st = 2;
-                                } else {
-                                    self.st = 1;
-                                    return Action::Pause(2);
-                                }
-                            }
-                        }
-                    }
-                }
-                // Nothing on that channel: scan on.
-                1 => {
-                    self.st = 0;
-                }
-                // Respond if in round-trip mode.
-                2 => match &self.replies {
-                    Some(replies) => {
-                        let reply = replies[self.current % replies.len()].clone();
-                        let now = env.now;
-                        match drive_sub(&mut self.sub, || reply.send(now + 1), &mut res, env) {
-                            Some(a) => return a,
-                            None => self.st = 0,
-                        }
-                    }
-                    None => self.st = 0,
-                },
-                _ => unreachable!(),
-            }
-        }
+/// A server's answer to client `current`, in round-trip mode.
+async fn respond(cpu: &Cpu, replies: &Option<Vec<Chan>>, current: usize) {
+    if let Some(replies) = replies {
+        replies[current % replies.len()]
+            .send(cpu, cpu.now() + 1)
+            .await;
     }
 }
 
@@ -339,11 +135,11 @@ mod tests {
     fn one_way_latency(platform: Platform, receiver_core: usize) -> f64 {
         let mut sim = Sim::new(platform, 9);
         let ch = SsmpChannel::new(&mut sim, receiver_core);
-        sim.spawn_on_core(0, Box::new(PingSender::new(Chan::Ssmp(ch.clone()), None)));
-        let rx = sim.spawn_on_core(
-            receiver_core,
-            Box::new(PingReceiver::new(Chan::Ssmp(ch), None)),
-        );
+        let tx = Chan::Ssmp(ch.clone());
+        sim.spawn_on_core(0, |cpu| ping_sender(cpu, tx, None));
+        let rx = sim.spawn_on_core(receiver_core, |cpu| {
+            ping_receiver(cpu, Chan::Ssmp(ch), None)
+        });
         sim.run_until(300_000);
         let s = sim.samples(rx);
         assert!(!s.is_empty());
@@ -370,17 +166,11 @@ mod tests {
         let mut sim = Sim::new(Platform::Opteron, 9);
         let req = SsmpChannel::new(&mut sim, 6);
         let rep = SsmpChannel::new(&mut sim, 0);
-        let tx = sim.spawn_on_core(
-            0,
-            Box::new(PingSender::new(
-                Chan::Ssmp(req.clone()),
-                Some(Chan::Ssmp(rep.clone())),
-            )),
-        );
-        sim.spawn_on_core(
-            6,
-            Box::new(PingReceiver::new(Chan::Ssmp(req), Some(Chan::Ssmp(rep)))),
-        );
+        let (out, back) = (Chan::Ssmp(req.clone()), Some(Chan::Ssmp(rep.clone())));
+        let tx = sim.spawn_on_core(0, |cpu| ping_sender(cpu, out, back));
+        sim.spawn_on_core(6, |cpu| {
+            ping_receiver(cpu, Chan::Ssmp(req), Some(Chan::Ssmp(rep)))
+        });
         sim.run_until(400_000);
         let rt = sim.samples(tx).iter().sum::<u64>() as f64 / sim.samples(tx).len() as f64;
         let ow = one_way_latency(Platform::Opteron, 6);
@@ -398,20 +188,13 @@ mod tests {
             requests.push(SsmpChannel::new(&mut sim, server_core));
             replies.push(Chan::Ssmp(SsmpChannel::new(&mut sim, 8 * (i + 1))));
         }
-        sim.spawn_on_core(
-            server_core,
-            Box::new(MpServer::polling(requests.clone(), Some(replies.clone()))),
-        );
+        let (reqs, reps) = (requests.clone(), Some(replies.clone()));
+        sim.spawn_on_core(server_core, |cpu| polling_server(cpu, reqs, reps));
         // The polling server replies on replies[i] for requests[i], so
         // client i listens on its own index.
         for i in 0..n_clients {
-            sim.spawn_on_core(
-                8 * (i + 1),
-                Box::new(MpClient::new(
-                    Chan::Ssmp(requests[i].clone()),
-                    Some(replies[i].clone()),
-                )),
-            );
+            let (request, reply) = (Chan::Ssmp(requests[i].clone()), Some(replies[i].clone()));
+            sim.spawn_on_core(8 * (i + 1), |cpu| mp_client(cpu, request, reply));
         }
         sim.run_until(500_000);
         assert!(sim.total_ops() > 10, "ops={}", sim.total_ops());
@@ -424,8 +207,9 @@ mod tests {
         // One-way hardware.
         let mut sim = Sim::new(Platform::Tilera, 9);
         let hw = HwChannel::new(1);
-        sim.spawn_on_core(0, Box::new(PingSender::new(Chan::Hw(hw.clone()), None)));
-        let rx = sim.spawn_on_core(7, Box::new(PingReceiver::new(Chan::Hw(hw), None)));
+        let tx = Chan::Hw(hw.clone());
+        sim.spawn_on_core(0, |cpu| ping_sender(cpu, tx, None));
+        let rx = sim.spawn_on_core(7, |cpu| ping_receiver(cpu, Chan::Hw(hw), None));
         sim.run_until(200_000);
         let s = sim.samples(rx);
         let hw_lat = s.iter().sum::<u64>() as f64 / s.len() as f64;

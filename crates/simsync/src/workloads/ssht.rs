@@ -18,10 +18,8 @@ use std::rc::Rc;
 use rand::Rng;
 
 use ssync_sim::memory::LineId;
-use ssync_sim::program::{Action, Env, Program, SubProgram};
-use ssync_sim::Sim;
+use ssync_sim::{Cpu, Sim};
 
-use super::drive_sub;
 use crate::locks::SimLock;
 use crate::mp::SsmpChannel;
 
@@ -75,7 +73,7 @@ impl SshtConfig {
 /// The shared simulated table: per-bucket lock + lines.
 pub struct SshtTable {
     config: SshtConfig,
-    locks: Vec<Rc<dyn SimLock>>,
+    locks: Vec<Rc<SimLock>>,
     /// `meta[b]` are bucket b's metadata lines.
     meta: Vec<Vec<LineId>>,
     /// `payload[b]` are bucket b's payload lines (one per entry).
@@ -89,7 +87,7 @@ impl SshtTable {
     pub fn new(
         sim: &mut Sim,
         config: SshtConfig,
-        locks: Vec<Rc<dyn SimLock>>,
+        locks: Vec<Rc<SimLock>>,
         cores: &[usize],
     ) -> Self {
         assert_eq!(locks.len(), config.buckets);
@@ -130,8 +128,8 @@ enum HtOp {
     Remove,
 }
 
-fn pick_op(cfg: &SshtConfig, env: &mut Env<'_>) -> HtOp {
-    let r = env.rng.gen_range(0..100u32);
+fn pick_op(cfg: &SshtConfig, cpu: &Cpu) -> HtOp {
+    let r = cpu.rng().gen_range(0..100u32);
     if r < cfg.get_pct {
         HtOp::Get
     } else if r < cfg.get_pct + (100 - cfg.get_pct) / 2 {
@@ -141,278 +139,112 @@ fn pick_op(cfg: &SshtConfig, env: &mut Env<'_>) -> HtOp {
     }
 }
 
-/// Lock-based worker.
-pub struct SshtWorker {
-    table: Rc<SshtTable>,
-    tid: usize,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
+/// One operation's accesses to a bucket, drawn before it runs.
+struct Access {
     bucket: usize,
+    /// Metadata lines walked: the expected position of the key.
+    depth: usize,
+    payload: LineId,
     op: HtOp,
-    /// Metadata lines left to walk, then payload/stores.
-    walk: Vec<LineId>,
-    write_queue: Vec<(LineId, u64)>,
+    /// Values a put writes to the payload and the metadata (a remove
+    /// writes only the second).
+    values: (u64, u64),
 }
 
-impl SshtWorker {
-    /// Creates a worker over the shared table.
-    pub fn new(table: Rc<SshtTable>, tid: usize) -> Self {
-        Self {
-            table,
-            tid,
-            st: 0,
-            sub: None,
-            bucket: 0,
-            op: HtOp::Get,
-            walk: Vec::new(),
-            write_queue: Vec::new(),
+impl SshtTable {
+    /// Draws the rest of an `op` walking `depth` metadata lines of
+    /// `bucket`: the entry, then the values it writes.
+    fn access(&self, cpu: &Cpu, bucket: usize, op: HtOp, depth: usize) -> Access {
+        let mut rng = cpu.rng();
+        let payload = self.payload[bucket][rng.gen_range(0..self.config.entries)];
+        let values = match op {
+            HtOp::Get => (0, 0),
+            HtOp::Put => (rng.gen(), rng.gen()),
+            HtOp::Remove => (0, rng.gen()),
+        };
+        Access {
+            bucket,
+            depth,
+            payload,
+            op,
+            values,
         }
     }
 
-    fn plan_operation(&mut self, env: &mut Env<'_>) {
-        let cfg = self.table.config;
-        self.bucket = env.rng.gen_range(0..cfg.buckets);
-        self.op = pick_op(&cfg, env);
-        // Walk a random prefix of the metadata lines (expected position
-        // of the key), most-recent last so `pop` walks in order.
-        let depth = env.rng.gen_range(1..=cfg.meta_lines());
-        self.walk = self.table.meta[self.bucket][..depth]
-            .iter()
-            .rev()
-            .copied()
-            .collect();
-        let entry = env.rng.gen_range(0..cfg.entries);
-        let payload = self.table.payload[self.bucket][entry];
-        self.write_queue.clear();
-        match self.op {
-            HtOp::Get => {
-                // Read the payload line after the walk.
-                self.walk.insert(0, payload);
-            }
-            HtOp::Put => {
-                self.write_queue.push((payload, env.rng.gen()));
-                self.write_queue
-                    .push((self.table.meta[self.bucket][depth - 1], env.rng.gen()));
-            }
-            HtOp::Remove => {
-                self.write_queue
-                    .push((self.table.meta[self.bucket][depth - 1], env.rng.gen()));
-            }
+    /// Walks the metadata lines in order; a get then reads the payload,
+    /// a put or remove writes the last metadata line (and a put the
+    /// payload after it).
+    async fn perform(&self, cpu: &Cpu, a: &Access) {
+        let meta = &self.meta[a.bucket][..a.depth];
+        for &line in meta {
+            cpu.load(line).await;
+        }
+        if a.op == HtOp::Get {
+            cpu.load(a.payload).await;
+            return;
+        }
+        cpu.store(meta[a.depth - 1], a.values.1).await;
+        if a.op == HtOp::Put {
+            cpu.store(a.payload, a.values.0).await;
         }
     }
 }
 
-impl Program for SshtWorker {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        let mut res = result;
-        loop {
-            match self.st {
-                // Hash + plan.
-                0 => {
-                    self.plan_operation(env);
-                    self.st = 1;
-                    return Action::Pause(HASH_COST);
-                }
-                // Acquire the bucket lock.
-                1 => {
-                    let (table, bucket, tid) = (&self.table, self.bucket, self.tid);
-                    match drive_sub(
-                        &mut self.sub,
-                        || table.locks[bucket].acquire(tid),
-                        &mut res,
-                        env,
-                    ) {
-                        Some(a) => return a,
-                        None => self.st = 2,
-                    }
-                }
-                // Walk the bucket (loads).
-                2 => match self.walk.pop() {
-                    Some(line) => return Action::Load(line),
-                    None => self.st = 3,
-                },
-                // Apply writes (put/remove).
-                3 => match self.write_queue.pop() {
-                    Some((line, v)) => return Action::Store(line, v),
-                    None => self.st = 4,
-                },
-                // Release.
-                4 => {
-                    let (table, bucket, tid) = (&self.table, self.bucket, self.tid);
-                    match drive_sub(
-                        &mut self.sub,
-                        || table.locks[bucket].release(tid),
-                        &mut res,
-                        env,
-                    ) {
-                        Some(a) => return a,
-                        None => {
-                            env.complete_op();
-                            self.st = 0;
-                        }
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
+/// Lock-based worker over the shared table.
+pub async fn ssht_worker(cpu: Cpu, table: Rc<SshtTable>) {
+    let cfg = table.config;
+    loop {
+        let bucket = cpu.rng().gen_range(0..cfg.buckets);
+        let op = pick_op(&cfg, &cpu);
+        let depth = cpu.rng().gen_range(1..=cfg.meta_lines());
+        let access = table.access(&cpu, bucket, op, depth);
+        // Hash the key.
+        cpu.pause(HASH_COST).await;
+        let lock = &table.locks[bucket];
+        lock.acquire(&cpu).await;
+        table.perform(&cpu, &access).await;
+        lock.release(&cpu).await;
+        cpu.complete_op();
     }
 }
 
-/// Message-passing client: sends the bucket id, waits for the answer.
-pub struct SshtMpClient {
-    request: SsmpChannel,
-    reply: SsmpChannel,
-    buckets: usize,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-}
-
-impl SshtMpClient {
-    /// Creates a client with its two channels to/from its server.
-    pub fn new(request: SsmpChannel, reply: SsmpChannel, buckets: usize) -> Self {
-        Self {
-            request,
-            reply,
-            buckets,
-            st: 0,
-            sub: None,
+/// Message-passing client: sends a bucket id to its server over
+/// `request`, and waits for the answer on `reply`.
+pub async fn ssht_mp_client(cpu: Cpu, request: SsmpChannel, reply: SsmpChannel, buckets: usize) {
+    loop {
+        cpu.pause(HASH_COST).await;
+        let bucket = cpu.rng().gen_range(0..buckets) as u64;
+        // Each request takes three bucket draws and sends the first: the
+        // committed Figure 11 artifact is generated from this stream.
+        for _ in 0..2 {
+            cpu.rng().gen_range(0..buckets);
         }
+        request.send(&cpu, bucket + 1).await;
+        reply.recv(&cpu).await;
+        cpu.complete_op();
     }
 }
 
-impl Program for SshtMpClient {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        let mut res = result;
-        loop {
-            match self.st {
-                0 => {
-                    self.st = 1;
-                    return Action::Pause(HASH_COST);
-                }
-                1 => {
-                    let bucket = env.rng.gen_range(0..self.buckets) as u64;
-                    let request = self.request.clone();
-                    match drive_sub(&mut self.sub, || request.send(bucket + 1), &mut res, env) {
-                        Some(a) => return a,
-                        None => self.st = 2,
-                    }
-                }
-                2 => {
-                    let reply = self.reply.clone();
-                    match drive_sub(&mut self.sub, || reply.recv(), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            env.complete_op();
-                            self.st = 0;
-                        }
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-}
-
-/// Message-passing server: owns a bucket partition; serves traversals
-/// from its own cache and replies.
-pub struct SshtMpServer {
+/// Message-passing server: owns a bucket partition; polls its clients'
+/// `(request, reply)` channel pairs round-robin and serves each
+/// traversal from its own cache.
+pub async fn ssht_mp_server(
+    cpu: Cpu,
     table: Rc<SshtTable>,
-    /// (request, reply) channel per client of this server.
     channels: Vec<(SsmpChannel, SsmpChannel)>,
-    next: usize,
-    st: u8,
-    sub: Option<Box<dyn SubProgram>>,
-    current: usize,
-    walk: Vec<LineId>,
-    write_queue: Vec<(LineId, u64)>,
-}
-
-impl SshtMpServer {
-    /// Creates a server polling the given client channel pairs.
-    pub fn new(table: Rc<SshtTable>, channels: Vec<(SsmpChannel, SsmpChannel)>) -> Self {
-        Self {
-            table,
-            channels,
-            next: 0,
-            st: 0,
-            sub: None,
-            current: 0,
-            walk: Vec::new(),
-            write_queue: Vec::new(),
-        }
-    }
-}
-
-impl Program for SshtMpServer {
-    fn step(&mut self, result: Option<u64>, env: &mut Env<'_>) -> Action {
-        let mut res = result;
-        loop {
-            match self.st {
-                // Poll the next client.
-                0 => {
-                    let ch = self.channels[self.next].0.clone();
-                    match drive_sub(&mut self.sub, || ch.try_recv(), &mut res, env) {
-                        Some(a) => return a,
-                        None => {
-                            let got = self.channels[self.next].0.last_received();
-                            self.current = self.next;
-                            self.next = (self.next + 1) % self.channels.len();
-                            if got == 0 {
-                                self.st = 1;
-                                return Action::Pause(2);
-                            }
-                            // Plan the traversal for the requested bucket.
-                            let cfg = self.table.config;
-                            let bucket = (got as usize - 1) % cfg.buckets;
-                            let depth = env.rng.gen_range(1..=cfg.meta_lines());
-                            self.walk = self.table.meta[bucket][..depth]
-                                .iter()
-                                .rev()
-                                .copied()
-                                .collect();
-                            let op = pick_op(&cfg, env);
-                            let entry = env.rng.gen_range(0..cfg.entries);
-                            let payload = self.table.payload[bucket][entry];
-                            self.write_queue.clear();
-                            match op {
-                                HtOp::Get => self.walk.insert(0, payload),
-                                HtOp::Put => {
-                                    self.write_queue.push((payload, env.rng.gen()));
-                                    self.write_queue
-                                        .push((self.table.meta[bucket][depth - 1], env.rng.gen()));
-                                }
-                                HtOp::Remove => {
-                                    self.write_queue
-                                        .push((self.table.meta[bucket][depth - 1], env.rng.gen()));
-                                }
-                            }
-                            self.st = 2;
-                        }
-                    }
-                }
-                1 => {
-                    self.st = 0;
-                }
-                // Traverse.
-                2 => match self.walk.pop() {
-                    Some(line) => return Action::Load(line),
-                    None => self.st = 3,
-                },
-                3 => match self.write_queue.pop() {
-                    Some((line, v)) => return Action::Store(line, v),
-                    None => self.st = 4,
-                },
-                // Reply.
-                4 => {
-                    let reply = self.channels[self.current].1.clone();
-                    match drive_sub(&mut self.sub, || reply.send(1), &mut res, env) {
-                        Some(a) => return a,
-                        None => self.st = 0,
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
+) {
+    let cfg = table.config;
+    for (request, reply) in channels.iter().cycle() {
+        let Some(got) = request.try_recv(&cpu).await else {
+            cpu.pause(2).await;
+            continue;
+        };
+        let bucket = (got as usize - 1) % cfg.buckets;
+        let depth = cpu.rng().gen_range(1..=cfg.meta_lines());
+        let op = pick_op(&cfg, &cpu);
+        let access = table.access(&cpu, bucket, op, depth);
+        table.perform(&cpu, &access).await;
+        reply.send(&cpu, 1).await;
     }
 }
 
@@ -436,10 +268,8 @@ mod tests {
             .collect();
         let table = Rc::new(SshtTable::new(&mut sim, config, locks, &cfg.thread_cores));
         for tid in 0..threads {
-            sim.spawn_on_core(
-                cfg.thread_cores[tid],
-                Box::new(SshtWorker::new(Rc::clone(&table), tid)),
-            );
+            let table = Rc::clone(&table);
+            sim.spawn_on_core(cfg.thread_cores[tid], |cpu| ssht_worker(cpu, table));
         }
         let window = 500_000;
         sim.run_until(window);
@@ -493,9 +323,11 @@ mod tests {
             pairs.push((req.clone(), rep.clone()));
             client_chans.push((req, rep));
         }
-        sim.spawn_on_core(0, Box::new(SshtMpServer::new(Rc::clone(&table), pairs)));
+        sim.spawn_on_core(0, |cpu| ssht_mp_server(cpu, table, pairs));
         for (i, (req, rep)) in client_chans.into_iter().enumerate() {
-            sim.spawn_on_core(i + 1, Box::new(SshtMpClient::new(req, rep, config.buckets)));
+            sim.spawn_on_core(i + 1, move |cpu| {
+                ssht_mp_client(cpu, req, rep, config.buckets)
+            });
         }
         sim.run_until(600_000);
         assert!(sim.total_ops() > 20, "ops={}", sim.total_ops());

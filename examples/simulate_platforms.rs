@@ -6,29 +6,15 @@
 //! Run with: `cargo run --release --example simulate_platforms`
 
 use ssync::core::Platform;
-use ssync::sim::program::{Action, Env, Program};
-use ssync::sim::Sim;
+use ssync::sim::{Cpu, LineId, Sim};
 
 /// Each thread fetch-and-increments a shared line, then does a little
 /// local work.
-struct Incrementer {
-    line: ssync::sim::LineId,
-    st: u8,
-}
-
-impl Program for Incrementer {
-    fn step(&mut self, _result: Option<u64>, env: &mut Env<'_>) -> Action {
-        match self.st {
-            0 => {
-                self.st = 1;
-                Action::Fai(self.line)
-            }
-            _ => {
-                self.st = 0;
-                env.complete_op();
-                Action::Pause(200)
-            }
-        }
+async fn incrementer(cpu: Cpu, line: LineId) {
+    loop {
+        cpu.fai(line).await;
+        cpu.complete_op();
+        cpu.pause(200).await;
     }
 }
 
@@ -44,7 +30,7 @@ fn main() {
             let cores = sim.topology().placement(threads);
             let line = sim.alloc_line_for_core(cores[0]);
             for &c in &cores {
-                sim.spawn_on_core(c, Box::new(Incrementer { line, st: 0 }));
+                sim.spawn_on_core(c, move |cpu| incrementer(cpu, line));
             }
             sim.run_until(500_000);
             sim.topology().mops(sim.total_ops(), 500_000)

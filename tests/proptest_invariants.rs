@@ -8,7 +8,7 @@ use ssync::kv::KvStore;
 use ssync::locks::TicketLock;
 use ssync::mp::{ring_channel, MSG_WORDS};
 use ssync::sim::memory::SharerSet;
-use ssync::sim::program::{Action, MemOpKind};
+use ssync::sim::program::MemOpKind;
 use ssync::sim::Sim;
 use ssync::srv::shard_of;
 use ssync::tm::shared::TmHeap;
@@ -360,14 +360,11 @@ proptest! {
         let cores = sim.topology().placement(threads);
         let line = sim.alloc_line_for_core(cores[0]);
         for &c in &cores {
-            let mut left = per;
-            sim.spawn_on_core(c, ssync::sim::program::fn_program(move |_r, _e| {
-                if left == 0 {
-                    return Action::Done;
+            sim.spawn_on_core(c, move |cpu| async move {
+                for _ in 0..per {
+                    cpu.fai(line).await;
                 }
-                left -= 1;
-                Action::Fai(line)
-            }));
+            });
         }
         sim.run_to_completion();
         prop_assert_eq!(sim.memory().line(line).value, threads as u64 * u64::from(per));
@@ -444,14 +441,11 @@ proptest! {
             let cores = sim.topology().placement(threads);
             let line = sim.alloc_line_for_core(cores[0]);
             for &c in &cores {
-                let mut left = 10;
-                sim.spawn_on_core(c, ssync::sim::program::fn_program(move |_r, _e| {
-                    if left == 0 {
-                        return Action::Done;
+                sim.spawn_on_core(c, move |cpu| async move {
+                    for _ in 0..10 {
+                        cpu.fai(line).await;
                     }
-                    left -= 1;
-                    Action::Fai(line)
-                }));
+                });
             }
             sim.run_to_completion();
             (sim.now(), sim.events())

@@ -128,17 +128,17 @@ fn coherence_stats_explain_lock_behaviour() {
     // under identical contention — the mechanism behind Figure 5.
     use ssync::sim::Sim;
     use ssync::simsync::locks::{make_lock, LockConfig};
-    use ssync::simsync::workloads::lock_stress::LockStress;
+    use ssync::simsync::workloads::lock_stress::lock_stress;
     let traffic = |kind: SimLockKind| {
         let mut sim = Sim::new(Platform::Xeon, 3);
         let cfg = LockConfig::for_placement(&sim, 20);
         let lock = make_lock(kind, &mut sim, &cfg);
         let data = sim.alloc_line_for_core(cfg.home_core);
         for tid in 0..20 {
-            sim.spawn_on_core(
-                cfg.thread_cores[tid],
-                Box::new(LockStress::new(vec![lock.clone()], vec![data], tid)),
-            );
+            let lock = lock.clone();
+            sim.spawn_on_core(cfg.thread_cores[tid], move |cpu| {
+                lock_stress(cpu, vec![lock], vec![data])
+            });
         }
         sim.run_until(300_000);
         let ops = sim.total_ops().max(1);

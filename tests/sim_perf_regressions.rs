@@ -11,8 +11,8 @@ use std::rc::Rc;
 use ssync::core::Platform;
 use ssync::sim::Sim;
 use ssync::simsync::locks::{make_lock, LockConfig, SimLockKind};
-use ssync::simsync::workloads::lock_stress::LockStress;
-use ssync::simsync::workloads::ssht::{SshtConfig, SshtTable, SshtWorker};
+use ssync::simsync::workloads::lock_stress::lock_stress;
+use ssync::simsync::workloads::ssht::{ssht_worker, SshtConfig, SshtTable};
 
 /// Measurement window (cycles) — the Figure 5 driver's window.
 const WINDOW: u64 = 600_000;
@@ -25,8 +25,10 @@ fn fig5_run(platform: Platform, kind: SimLockKind, threads: usize) -> (u64, u64,
     let lock = make_lock(kind, &mut sim, &cfg);
     let data = sim.alloc_line_for_core(cfg.home_core);
     for tid in 0..threads {
-        let w = LockStress::new(vec![Rc::clone(&lock)], vec![data], tid);
-        sim.spawn_on_core(cfg.thread_cores[tid], Box::new(w));
+        let lock = Rc::clone(&lock);
+        sim.spawn_on_core(cfg.thread_cores[tid], move |cpu| {
+            lock_stress(cpu, vec![lock], vec![data])
+        });
     }
     sim.run_until(WINDOW);
     (
@@ -88,10 +90,8 @@ fn fig11_driver_event_ceiling() {
         .collect();
     let table = Rc::new(SshtTable::new(&mut sim, cfg, locks, &lock_cfg.thread_cores));
     for tid in 0..threads {
-        sim.spawn_on_core(
-            lock_cfg.thread_cores[tid],
-            Box::new(SshtWorker::new(Rc::clone(&table), tid)),
-        );
+        let table = Rc::clone(&table);
+        sim.spawn_on_core(lock_cfg.thread_cores[tid], |cpu| ssht_worker(cpu, table));
     }
     sim.run_until(WINDOW);
     assert!(sim.total_ops() > 0);
