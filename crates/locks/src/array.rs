@@ -100,10 +100,7 @@ impl RawLock for ArrayLock {
         self.tail
             .compare_exchange(ticket, ticket + 1, Ordering::Acquire, Ordering::Relaxed)
             .ok()
-            .map(|t| {
-                slot.store(false, Ordering::Relaxed);
-                t
-            })
+            .inspect(|_| slot.store(false, Ordering::Relaxed))
     }
 
     fn unlock(&self, token: Self::Token) {

@@ -356,7 +356,7 @@ impl<C: MsgReceiver> ServerHub<C> {
         let mut c = self.next;
         for _ in 0..n {
             let after = if c + 1 == n { 0 } else { c + 1 };
-            if subset.map_or(true, |filter| filter.contains(&c)) {
+            if subset.is_none_or(|filter| filter.contains(&c)) {
                 if let Some(msg) = self.clients[c].try_recv() {
                     self.next = after;
                     return Some((c, msg));
