@@ -1929,10 +1929,12 @@ impl<R: RawLock + Default> KvStore<R> {
     /// layer must also gate on its stream high-water mark; this method
     /// is the second, per-key line of defense.
     ///
-    /// The version counter is bumped past `version`, so a replica
+    /// The version counter is bumped past `version` (saturating at
+    /// `u64::MAX`, a version a damaged frame can carry), so a replica
     /// promoted to primary keeps assigning monotone versions.
     pub fn apply_replicated(&self, key: &[u8], version: u64, value: Option<&[u8]>) -> bool {
-        self.next_version.fetch_max(version + 1, Ordering::Relaxed);
+        self.next_version
+            .fetch_max(version.saturating_add(1), Ordering::Relaxed);
         let (stripe, bucket) = self.locate(key);
         let stripe = &self.stripes[stripe];
         let applied = {
