@@ -61,10 +61,14 @@ impl SimMutex {
             self.waiters.borrow_mut().push_back(tid);
             cpu.pause(QUEUE_COST).await;
             if cpu.load(self.flag).await == 0 {
-                // Lock became free: dequeue ourselves and retry (an
-                // unpark permit, if one raced in, is consumed by the
-                // next park — the engine's permit semantics).
-                self.waiters.borrow_mut().retain(|&t| t != tid);
+                // Lock became free: dequeue our first entry and retry. A
+                // release may have popped it already; its unpark permit
+                // then ends our next park at once, so a thread can be
+                // queued twice, and only one entry goes here.
+                let queued = self.waiters.borrow().iter().position(|&t| t == tid);
+                if let Some(pos) = queued {
+                    self.waiters.borrow_mut().remove(pos);
+                }
                 cpu.pause(QUEUE_COST).await;
             } else {
                 cpu.park().await;
