@@ -78,6 +78,6 @@ pub use map::{is_armed, MapSnapshot, MapView, ShardMap};
 pub use migrate::{run_reshard_coordinator, MigrationReport, Reshard, ReshardSpec};
 pub use service::{
     cluster_mesh, follow_log_arming, serve_cluster_node, slot_fence, ClientConn, ClusterClient,
-    ClusterMesh, ClusterNodeEndpoint, NodeReport,
+    ClusterMesh, ClusterNode, ClusterNodeEndpoint, NodeReport,
 };
 pub use workload::{run_reshard, ReshardReport, ReshardWorkloadSpec};

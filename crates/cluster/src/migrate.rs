@@ -71,18 +71,18 @@
 //! [`FaultSpec::coordinator_plan_for`]: ssync_repl::FaultSpec::coordinator_plan_for
 
 use core::cell::Cell;
-use core::future::{poll_fn, Future};
+use core::future::Future;
 use core::pin::Pin;
 use core::task::{Context, Poll, Waker};
 use std::rc::Rc;
 
-use ssync_core::SpinWait;
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{Message, RingSender};
 use ssync_repl::{FaultSpec, LogEntry, OpLog};
+use ssync_srv::step::until;
 use ssync_srv::wire::encode_replicate;
-use ssync_srv::{slot_of, Turn, ROUTE_SLOTS};
+use ssync_srv::{block_on, slot_of, Step, Turn, ROUTE_SLOTS};
 
 use crate::map::ShardMap;
 
@@ -197,11 +197,6 @@ fn delete_slots<R: RawLock + Default>(store: &KvStore<R>, mask: u64, chunk: usiz
     deleted
 }
 
-/// The coordinator's one wait: pending until `done`, a non-blocking query.
-fn until(mut done: impl FnMut() -> bool) -> impl Future<Output = ()> {
-    poll_fn(move |_| done().then_some(()).map_or(Poll::Pending, Poll::Ready))
-}
-
 /// Publishes `frames` on `tx` a [`RingSender::try_send_burst`] run at a
 /// time, pending while the ring is full; panics once the receiving half
 /// is gone, checked before every run.
@@ -209,7 +204,7 @@ async fn send(tx: &RingSender, mut frames: &[Message]) {
     until(|| {
         assert!(!tx.receiver_closed(), "target node outlives the migration");
         frames = &frames[tx.try_send_burst(frames)..];
-        frames.is_empty()
+        frames.is_empty().then_some(())
     })
     .await;
 }
@@ -270,9 +265,15 @@ impl<'a> Reshard<'a> {
     }
 }
 
+impl Step for Reshard<'_> {
+    fn step(&mut self) -> Turn {
+        Reshard::step(self)
+    }
+}
+
 /// Runs one resharding to completion against live nodes, injecting the
-/// spec's seeded faults: [`Reshard::step`] after step, paced by a
-/// [`SpinWait`] while it waits. Returns once the sources are cleaned.
+/// spec's seeded faults: one [`block_on`] over the protocol
+/// [`Reshard::step`] steps. Returns once the sources are cleaned.
 ///
 /// `stores`, `logs`, and `mig_tx` are indexed by shard id and must
 /// cover both the current fleet and `shards_after`.
@@ -289,15 +290,7 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
     mig_tx: &[RingSender],
     spec: &ReshardSpec,
 ) -> MigrationReport {
-    let mut reshard = Reshard::new(map, stores, logs, mig_tx, spec);
-    let mut wait = SpinWait::new();
-    loop {
-        match reshard.step() {
-            Turn::Exit => return reshard.report.expect("a finished resharding"),
-            Turn::Idle => wait.snooze(),
-            Turn::Progress => wait = SpinWait::new(),
-        }
-    }
+    block_on(coordinate(map, stores, logs, mig_tx, *spec, Rc::default()))
 }
 
 /// The coordinator: the module docs' protocol, each wait an `.await`.
@@ -346,7 +339,12 @@ async fn coordinate<R: RawLock + Default>(
     };
     // Each source's ack payload (a quiesce round's: its logged hwm).
     let mut acks = vec![0u64; sources.len()];
-    until(|| map.arming.settled(generation, &sources, &mut acks)).await;
+    until(|| {
+        map.arming
+            .settled(generation, &sources, &mut acks)
+            .then_some(())
+    })
+    .await;
 
     // Cumulative stream accounting — none of these reset on a fault.
     // `sent[t]` pairs with the map's migrated-of counter to prove a
@@ -392,7 +390,7 @@ async fn coordinate<R: RawLock + Default>(
             .map(|event| event.at_entry % 3);
 
         // 1. Drain the streams, then clear what earlier attempts left.
-        until(|| drained(&sent)).await;
+        until(|| drained(&sent).then_some(())).await;
         for (store, &clear) in stores.iter().zip(&moving_to) {
             if clear != 0 {
                 delete_slots(store, clear, chunk);
@@ -425,9 +423,11 @@ async fn coordinate<R: RawLock + Default>(
                         continue 'page;
                     }
                 }
-                // The page's end: the step returning here clears `moved`.
+                // The page's end: one pending poll, which a step reports
+                // as progress.
                 moved.set(true);
-                until(|| !moved.get()).await;
+                let mut ended = false;
+                until(|| std::mem::replace(&mut ended, true).then_some(())).await;
             }
         }
         if crash_stage == Some(0) {
@@ -449,7 +449,12 @@ async fn coordinate<R: RawLock + Default>(
         // 4. Freeze, which opens a quiesce round, and wait for every
         // source to ack it with the highest version it logged.
         let round = map.freeze(moving_all);
-        until(|| map.quiesce.settled(round, &sources, &mut acks)).await;
+        until(|| {
+            map.quiesce
+                .settled(round, &sources, &mut acks)
+                .then_some(())
+        })
+        .await;
         if crash_stage == Some(2) {
             // A supervisor restarting a dead coordinator lifts the
             // freeze first; parked writes resume at the old owners.
@@ -464,7 +469,7 @@ async fn coordinate<R: RawLock + Default>(
             delta(source, &mut cursor, &mut sent, &mut frames, &mut report).await;
             debug_assert!(cursor[source] >= hwm, "final delta must reach the hwm");
         }
-        until(|| drained(&sent)).await;
+        until(|| drained(&sent).then_some(())).await;
         map.stage(&std::array::from_fn::<_, ROUTE_SLOTS, _>(new_owner));
         let epoch = map.try_cutover(map.view(), shards_after);
         report.final_epoch =
@@ -491,12 +496,13 @@ mod tests {
     use crate::map::{is_armed, ShardMap};
     use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient, ClusterNode};
     use core::ops::ControlFlow;
+    use core::pin::pin;
     use ssync_core::Fence;
     use ssync_locks::TicketLock;
     use ssync_srv::router::key_bytes;
     use ssync_srv::service::ServeReport;
     use ssync_srv::wire::{Request, Response};
-    use ssync_srv::{Admit, Hooks, KvClient};
+    use ssync_srv::{enumerate, play, Admit, Hooks, KvClient};
     use std::panic::AssertUnwindSafe;
 
     /// `n` stores and their logs. The logs hold ONE entry: a node that
@@ -785,17 +791,16 @@ mod tests {
     }
 
     /// One schedule of a 1 → 2 split on one thread: the coordinator
-    /// (actor 0), nodes 0 and 1 (actors 1 and 2) and a client (actor 3)
-    /// move as `prefix` names them, then round-robin. The source holds
-    /// one key of a moving slot; the client overwrites it — one send,
-    /// then a receive per move, chasing a `WrongShard` to the map's
-    /// owner — and stops both nodes once it is acknowledged and the
-    /// migration is done. Returns when the write was sent: 0 before
-    /// the freeze, 1 during it, 2 after the cutover. `Err` names the
-    /// acknowledged write missing at its new owner, or a schedule that
-    /// did not finish.
-    fn run_split_schedule(prefix: &[usize], twin: bool) -> Result<usize, String> {
-        const ROUNDS: usize = 64;
+    /// (actor 0), nodes 0 and 1 (actors 1 and 2) and a
+    /// [`ClusterClient`] (actor 3) move as `prefix` names them, then
+    /// round-robin. The source holds one key of a moving slot; the
+    /// client overwrites it, chasing any `WrongShard` to the map's
+    /// owner, and stops both nodes once the migration is done. Returns
+    /// when the write was first sent — 0 before the freeze, 1 during
+    /// it, 2 after the cutover — and whether the client chased a
+    /// redirect. `Err` names the acknowledged write missing at its new
+    /// owner, or a schedule that did not finish.
+    fn run_split_schedule(prefix: &[usize], twin: bool) -> Result<(usize, bool), String> {
         let map = ShardMap::new(1);
         let (stores, logs) = fleet(2);
         let (endpoints, mut conns, mig) = cluster_mesh(2, 1, 16, 16);
@@ -811,69 +816,44 @@ mod tests {
                     node,
                     runs_frozen: twin,
                 };
-                Some((core, node))
+                Some((core, &stores[me], node))
             })
             .collect();
-        let client = conns.pop().unwrap();
+        let client = ClusterClient::new(&map, conns.pop().unwrap());
         let write = Request::Set {
             key,
             value: b"new".to_vec(),
         };
-        let (mut owner, mut waiting, mut acked, mut sent_at) = (0, false, None, None);
-        let (mut migrated, mut closed) = (false, false);
-        let order = (prefix.iter().copied()).chain((0..4 * ROUNDS).map(|i| i % 4));
-        for actor in order {
-            match actor {
-                0 => migrated |= reshard.step() == Turn::Exit,
-                3 if waiting => {
-                    if let Some(head) = client.conn(owner).rx.try_recv() {
-                        waiting = false;
-                        match Response::decode(head, || unreachable!("a one-frame reply")) {
-                            Ok(Response::Stored { version }) => acked = Some(version),
-                            Ok(Response::WrongShard { .. }) => owner = map.owner_of(slot_of(key)),
-                            other => return Err(format!("the write was answered {other:?}")),
-                        }
-                    }
-                }
-                3 if acked.is_none() => {
-                    let cut = map.epoch() != Fence::FIRST;
-                    sent_at.get_or_insert(if cut {
-                        2
-                    } else {
-                        usize::from(map.frozen() != 0)
-                    });
-                    client.conn(owner).send(&write).unwrap();
-                    waiting = true;
-                }
-                3 if migrated && !closed => {
-                    closed = true;
-                    for node in 0..2 {
-                        client.conn(node).send(&Request::Stop).unwrap();
-                    }
-                }
-                3 => {}
-                n => {
-                    if let Some((core, node)) = &mut nodes[n - 1] {
-                        if core.turn(&stores[n - 1], node) == Turn::Exit {
-                            nodes[n - 1] = None;
-                        }
-                    }
-                }
-            }
-            if closed && nodes.iter().all(Option::is_none) {
-                break;
-            }
+        let cut = || map.epoch() != Fence::FIRST;
+        let (mut sent_at, mut answer) = (None, None);
+        let finished = {
+            let mut ops = pin!(async {
+                sent_at = Some(if cut() {
+                    2
+                } else {
+                    usize::from(map.frozen() != 0)
+                });
+                answer = Some(client.exchange(key, &write).await);
+                until(|| cut().then_some(())).await;
+                client.send_stop().await;
+            });
+            let [source, target] = &mut nodes[..] else {
+                unreachable!("two nodes")
+            };
+            let mut actors: [&mut dyn Step; 4] = [&mut reshard, source, target, &mut ops];
+            play(&mut actors, prefix, 64)
+        };
+        if !finished {
+            return Err("the schedule did not finish".to_string());
         }
-        if !closed || nodes.iter().any(Option::is_some) {
-            return Err(format!("the schedule did not finish: {prefix:?}"));
-        }
-        let version = acked.unwrap();
+        let Some(Ok(Response::Stored { version })) = answer else {
+            return Err(format!("the write was answered {answer:?}"));
+        };
         let held = stores[1].get_with_version(&key_bytes(key));
         let held = held.map(|(at, value)| (at, value.as_ref().to_vec()));
         if held != Some((version, b"new".to_vec())) {
             return Err(format!(
-                "acknowledged write {key}@{version} lost: its new owner holds {held:?} \
-                 after {prefix:?}"
+                "acknowledged write {key}@{version} lost: its new owner holds {held:?}"
             ));
         }
         assert!(
@@ -883,35 +863,37 @@ mod tests {
         assert!(logs.iter().all(OpLog::is_empty), "{prefix:?}");
         assert!(!is_armed(map.arming.current()), "{prefix:?}");
         assert_eq!(map.epoch(), Fence::from_wire(2), "{prefix:?}");
-        Ok(sent_at.unwrap())
+        Ok((sent_at.unwrap(), client.redirects() > 0))
     }
 
     /// Every order of the first `turns` moves of the split schedule;
     /// stops at the first failure, else returns how many schedules sent
-    /// the write before, during and after the freeze.
-    fn enumerate_split(turns: u32, twin: bool) -> Result<[usize; 3], String> {
+    /// the write before, during and after the freeze, and how many
+    /// chased a `WrongShard`.
+    fn enumerate_split(turns: u32, twin: bool) -> Result<([usize; 3], usize), String> {
+        let ran = enumerate(4, turns, |prefix| run_split_schedule(prefix, twin))?;
         let mut placed = [0; 3];
-        for word in 0..4usize.pow(turns) {
-            let prefix: Vec<usize> = (0..turns).map(|i| word / 4usize.pow(i) % 4).collect();
-            placed[run_split_schedule(&prefix, twin)?] += 1;
+        for &(sent_at, _) in &ran {
+            placed[sent_at] += 1;
         }
-        Ok(placed)
+        Ok((placed, ran.iter().filter(|&&(_, chased)| chased).count()))
     }
 
     /// The cutover's no-lost-write argument, exhaustively at small
-    /// scope and against the coordinator's own code: every order of the
-    /// first seven moves places the client's write before the freeze,
-    /// during it (parked, then bounced to the new owner) and after the
-    /// cutover, and each schedule finishes on this one thread with the
-    /// acknowledged write at its new owner.
+    /// scope and against the coordinator's and the client's own code:
+    /// every order of the first seven moves places the client's write
+    /// before the freeze, during it (parked, then bounced to the new
+    /// owner) and after the cutover, and each schedule finishes on this
+    /// one thread with the acknowledged write at its new owner.
     #[test]
     fn every_stepped_split_schedule_keeps_the_acknowledged_write() {
         let started = std::time::Instant::now();
-        let placed = enumerate_split(7, false).unwrap();
-        assert!(placed.iter().all(|&n| n > 0), "{placed:?}");
+        let (placed, chased) = enumerate_split(7, false).unwrap();
+        assert_eq!(placed, [15_312, 1_032, 40]);
+        assert!(chased > 0, "no schedule chased a WrongShard");
         eprintln!(
             "split enumeration: {} schedules, the write sent before/during/after the \
-             freeze in {placed:?}, in {:?}",
+             freeze in {placed:?}, {chased} chasing a WrongShard, in {:?}",
             placed.iter().sum::<usize>(),
             started.elapsed()
         );

@@ -20,7 +20,7 @@
 //!   however long the node serves.
 //! * **The freeze protocol** — writes to slots frozen for a
 //!   migration's final drain are *deferred* (parked in the node, the
-//!   client blocked on its reply) and re-submitted each turn:
+//!   client waiting on its reply) and re-submitted each turn:
 //!   after an aborted migration they execute here; after a cutover
 //!   the node no longer owns them and they bounce to the new owner.
 //!   Reads keep being served throughout — the freeze window is
@@ -59,8 +59,8 @@ use ssync_repl::{EntryView, LogEntry, OpLog};
 use ssync_srv::service::{ring_mesh, ReadHit, ServeReport, ServerEndpoint};
 use ssync_srv::wire::{Request, Response, WireError};
 use ssync_srv::{
-    chase, slot_of, Admit, Chase, Conn, Hooks, KvClient, NodeCore, ServiceClient, StreamDecoder,
-    Turn, OP_BUDGET,
+    block_on, chase, slot_of, Admit, Chase, Conn, Hooks, KvClient, NodeCore, ServiceClient,
+    StreamDecoder, Turn, OP_BUDGET,
 };
 
 use crate::map::{is_armed, MapSnapshot, ShardMap};
@@ -163,8 +163,10 @@ pub fn follow_log_arming(map: &ShardMap, me: usize, log: &OpLog, seen: &mut Fenc
     })
 }
 
-/// One cluster node, as the [`Hooks`] of the one node loop.
-pub(crate) struct ClusterNode<'a, R: RawLock + Default> {
+/// One cluster node, as the [`Hooks`] of the one node loop: what
+/// [`serve_cluster_node`] runs, and what a stepped driver turns
+/// ([`ssync_srv::step`]).
+pub struct ClusterNode<'a, R: RawLock + Default> {
     me: usize,
     store: &'a KvStore<R>,
     map: &'a ShardMap,
@@ -187,7 +189,7 @@ pub(crate) struct ClusterNode<'a, R: RawLock + Default> {
 
 impl<'a, R: RawLock + Default> ClusterNode<'a, R> {
     /// Node `me`, and the core that serves its clients.
-    pub(crate) fn new(
+    pub fn new(
         me: usize,
         store: &'a KvStore<R>,
         log: &'a OpLog,
@@ -370,7 +372,13 @@ impl<'a> ClusterClient<'a> {
 
     /// Tells every node this client is done, consuming the client.
     pub fn close(self) {
-        self.nodes.close();
+        block_on(self.send_stop());
+    }
+
+    /// Sends every node `Stop`: the body of [`ClusterClient::close`],
+    /// for a driver that steps the client.
+    pub async fn send_stop(&self) {
+        self.nodes.send_stop().await;
     }
 }
 
@@ -409,8 +417,8 @@ impl Chase for Owner<'_, '_> {
 }
 
 /// Every operation runs against whoever owns the key, chasing
-/// `WrongShard` redirects under one [`OP_BUDGET`]. A write blocks
-/// while the key's slot is frozen mid-migration (the bounded
+/// `WrongShard` redirects under one [`OP_BUDGET`]. A write waits for
+/// its reply while the key's slot is frozen mid-migration (the bounded
 /// unavailability window a cutover imposes on writes).
 ///
 /// # Errors
@@ -419,9 +427,10 @@ impl Chase for Owner<'_, '_> {
 /// reply or a node gone, and [`WireError::Deadline`] once the budget is
 /// spent while nodes keep bouncing the key.
 impl KvClient for ClusterClient<'_> {
-    fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
+    async fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
         let owner = Owner { client: self, key };
-        let (_, response) = chase(&owner, request, &mut RetryPacer::new(OP_BUDGET, key))?;
+        let mut budget = RetryPacer::new(OP_BUDGET, key);
+        let (_, response) = chase(&owner, request, &mut budget).await?;
         Ok(response)
     }
 
@@ -578,7 +587,7 @@ mod tests {
             // A garbage frame is refused, not fatal...
             let conn = client.nodes.conn(0);
             conn.tx.send([0xEE; ssync_mp::MSG_WORDS]);
-            assert_eq!(conn.recv(), Ok(Response::Malformed));
+            assert_eq!(block_on(conn.recv()), Ok(Response::Malformed));
             // ...the next scrape counts it, and serving continues.
             let after = client.stats(0).unwrap();
             assert_eq!(after.counter("srv.malformed"), Some(1));
@@ -720,8 +729,8 @@ mod tests {
             let endpoint = endpoints.pop().unwrap();
             let node = s.spawn(move || serve_cluster_node(0, store, log, map_ref, endpoint));
             let rude = conns.pop().unwrap();
-            rude.conn(0).send(&Request::Stop).unwrap();
-            rude.conn(0).send(&Request::Stop).unwrap();
+            block_on(rude.conn(0).send(&Request::Stop)).unwrap();
+            block_on(rude.conn(0).send(&Request::Stop)).unwrap();
             let survivor = ClusterClient::new(&map, conns.pop().unwrap());
             for key in 0..64 {
                 survivor.set(key, vec![1; 8]).unwrap();

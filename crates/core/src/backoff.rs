@@ -14,6 +14,8 @@
 #[cfg(not(ssync_chk))]
 use core::hint;
 
+use crate::clock;
+
 /// Under `--cfg ssync_chk`, every wait flavor degenerates to one model
 /// scheduler yield: spinning is invisible to the checker (it is not a
 /// shadow-atomic step), sleeping stalls the single-threaded exploration,
@@ -290,9 +292,12 @@ impl Default for ProportionalBackoff {
     }
 }
 
-/// Deadline-bounded retry pacing with jittered exponential sleeps, for
+/// Deadline-bounded retry pacing with jittered exponential pauses, for
 /// *request* retry loops (client redirects, leaderless shards) rather
-/// than cache-line spinning.
+/// than cache-line spinning. The deadline and every pause read the
+/// thread's [`clock`]: real time under a blocking driver,
+/// which sleeps a pause out, and the driver's own time under a stepped
+/// one.
 ///
 /// The jitter matters for the same reason exponential back-off does in
 /// `libslock`'s TTAS lock, one layer up: when a primary dies, every
@@ -303,27 +308,42 @@ impl Default for ProportionalBackoff {
 ///
 /// # Examples
 ///
+/// A stepped driver: the clock moves only when the driver moves it,
+/// here straight to each pause's wake time, so nothing sleeps.
+///
 /// ```
 /// use core::time::Duration;
-/// use ssync_core::RetryPacer;
+/// use core::{future::Future, pin::pin, task::{Context, Poll, Waker}};
+/// use ssync_core::{clock, RetryPacer};
 ///
+/// let time = clock::Stepped::start();
 /// let mut pacer = RetryPacer::new(Duration::from_millis(50), 7);
 /// let mut attempts = 0;
 /// loop {
 ///     attempts += 1; // try the request here
-///     if attempts >= 3 || !pacer.pause() {
-///         break; // success path or budget exhausted
+///     if attempts == 3 {
+///         break; // answered
+///     }
+///     let mut pause = pin!(pacer.pause());
+///     let again = loop {
+///         match pause.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+///             Poll::Ready(again) => break again,
+///             Poll::Pending => time.advance_to(clock::take_wake().unwrap()),
+///         }
+///     };
+///     if !again {
+///         break; // budget spent
 ///     }
 /// }
-/// assert!(attempts >= 1);
+/// assert_eq!(attempts, 3);
 /// ```
 #[derive(Debug)]
 pub struct RetryPacer {
-    budget: core::time::Duration,
+    budget_ns: u64,
     /// Set by the first [`RetryPacer::pause`] or
     /// [`RetryPacer::expired`]: an exchange answered on the first try
     /// never reads the clock.
-    deadline: Option<std::time::Instant>,
+    deadline: Option<u64>,
     #[cfg_attr(ssync_chk, allow(dead_code))]
     sleep_us: u64,
     #[cfg_attr(ssync_chk, allow(dead_code))]
@@ -342,7 +362,7 @@ impl RetryPacer {
     /// internally).
     pub fn new(budget: core::time::Duration, seed: u64) -> Self {
         Self {
-            budget,
+            budget_ns: u64::try_from(budget.as_nanos()).unwrap_or(u64::MAX),
             deadline: None,
             sleep_us: 0,
             rng: seed | 1,
@@ -352,19 +372,20 @@ impl RetryPacer {
     /// True once the budget is spent: the caller should give up and
     /// surface a deadline error.
     pub fn expired(&mut self) -> bool {
-        let budget = self.budget;
-        let deadline = *(self.deadline).get_or_insert_with(|| std::time::Instant::now() + budget);
-        std::time::Instant::now() >= deadline
+        let now = clock::now_ns();
+        now >= *self
+            .deadline
+            .get_or_insert(now.saturating_add(self.budget_ns))
     }
 
-    /// Call between attempts: sleeps for the next jittered pause and
-    /// returns `true`, or returns `false` (without sleeping) once the
-    /// deadline has passed. Pauses double from ~20µs to a 2ms cap,
-    /// each scaled by a uniform ±50% jitter.
-    pub fn pause(&mut self) -> bool {
+    /// Call between attempts: waits out the next jittered pause and
+    /// returns `true`, or returns `false` at once if the deadline has
+    /// passed. Pauses double from ~20µs to a 2ms cap, each scaled by a
+    /// uniform ±50% jitter.
+    pub async fn pause(&mut self) -> bool {
         #[cfg(ssync_chk)]
         {
-            // Under the checker a "sleep" is one model yield, and the
+            // Under the checker a pause is one model yield, and the
             // deadline check keeps its real-time meaning (the checker
             // never stalls a clock), so retry loops stay bounded.
             model_yield();
@@ -388,7 +409,7 @@ impl RetryPacer {
             x ^= x << 17;
             self.rng = x;
             let jittered = us / 2 + x % us.max(1);
-            std::thread::sleep(core::time::Duration::from_micros(jittered));
+            clock::sleep_until(clock::now_ns() + jittered * 1_000).await;
             true
         }
     }
@@ -453,21 +474,37 @@ mod tests {
         assert!(!wait.parked(), "a served request re-arms the whole budget");
     }
 
+    /// Polls `pause` to its end on real time, spinning while it waits.
+    fn spin_on(pacer: &mut RetryPacer) -> bool {
+        use core::future::Future;
+        let mut pause = core::pin::pin!(pacer.pause());
+        let waker = core::task::Waker::noop();
+        loop {
+            if let core::task::Poll::Ready(again) = pause
+                .as_mut()
+                .poll(&mut core::task::Context::from_waker(waker))
+            {
+                return again;
+            }
+            core::hint::spin_loop();
+        }
+    }
+
     #[test]
     fn retry_pacer_respects_its_deadline() {
         let mut pacer = RetryPacer::new(core::time::Duration::from_millis(10), 42);
         let mut pauses = 0u64;
         // Under the checker each pause is a bare yield rather than a
-        // 20µs+ sleep, so vastly more pauses fit in the budget; the cap
+        // 20µs+ wait, so vastly more pauses fit in the budget; the cap
         // only has to catch a pacer that never expires, not bound the
         // count tightly.
         let cap: u64 = if cfg!(ssync_chk) { 100_000_000 } else { 10_000 };
-        while pacer.pause() {
+        while spin_on(&mut pacer) {
             pauses += 1;
             assert!(pauses < cap, "pacer must eventually report expiry");
         }
         assert!(pacer.expired());
-        // Sleeps double from 20µs toward the cap, so a 10ms budget
+        // Pauses double from 20µs toward the cap, so a 10ms budget
         // admits only a bounded number of pauses.
         assert!(pauses >= 1);
     }
@@ -476,6 +513,33 @@ mod tests {
     fn retry_pacer_with_spent_budget_never_sleeps() {
         let mut pacer = RetryPacer::new(core::time::Duration::ZERO, 0);
         assert!(pacer.expired());
-        assert!(!pacer.pause());
+        assert!(!spin_on(&mut pacer));
+    }
+
+    /// On a stepped clock a pause is pending until its driver moves the
+    /// clock to the wake it asked for, which lies 10–30µs out for the
+    /// first pause; the budget expires exactly on the driver's time.
+    #[cfg(not(ssync_chk))]
+    #[test]
+    fn retry_pacer_waits_on_the_stepped_clock() {
+        use core::future::Future;
+        use core::task::{Context, Poll, Waker};
+        let time = clock::Stepped::start();
+        let mut pacer = RetryPacer::new(core::time::Duration::from_millis(1), 9);
+        let mut cx = Context::from_waker(Waker::noop());
+        {
+            let mut pause = core::pin::pin!(pacer.pause());
+            assert_eq!(pause.as_mut().poll(&mut cx), Poll::Pending);
+            let wake = clock::take_wake().expect("a pending pause names its wake");
+            assert!((10_000..=30_000).contains(&wake), "{wake}");
+            time.advance(wake - 1);
+            assert_eq!(pause.as_mut().poll(&mut cx), Poll::Pending);
+            time.advance_to(wake);
+            assert_eq!(pause.as_mut().poll(&mut cx), Poll::Ready(true));
+        }
+        time.advance_to(999_999);
+        assert!(!pacer.expired());
+        time.advance(1);
+        assert!(pacer.expired());
     }
 }

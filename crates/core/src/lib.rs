@@ -16,6 +16,9 @@
 //! * [`topology`] — descriptions of the paper's four target platforms
 //!   (Table 1): core counts, socket/die structure, hop distances, memory
 //!   nodes, and the thread-placement policies of Sections 5.4 and 6.
+//! * [`clock`] — the one clock a client's waits read ([`RetryPacer`]'s
+//!   deadline and pauses, failover windows): real time, or a stepped
+//!   driver's.
 //! * [`stats`] — the observability layer: the log-bucketed
 //!   [`Histogram`], the named-histogram [`Registry`] serving loops register
 //!   into, and the [`mono_ns`] timebase client send stamps share.
@@ -26,6 +29,7 @@
 //! * [`handshake`] — the [`Handshake`] under the cluster map's rounds.
 
 pub mod backoff;
+pub mod clock;
 pub mod cores;
 pub mod epoch;
 pub mod fenced;

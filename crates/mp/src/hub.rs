@@ -41,8 +41,7 @@ pub trait MsgReceiver {
     /// Receives the next message, spinning (then yielding) until one
     /// arrives. The concrete channel types provide the same blocking
     /// loop inherently; this provided method lets transport-generic
-    /// code (`ssync-srv`'s service clients) block without naming the
-    /// flavour.
+    /// code block without naming the flavour.
     fn recv(&self) -> Message {
         let mut wait = SpinWait::new();
         loop {
@@ -169,6 +168,14 @@ pub trait MsgSender {
     /// will ever be read.
     fn receiver_closed(&self) -> bool;
 
+    /// Publishes the longest prefix of `frames` there is room for and
+    /// returns its length. This default sends at most one frame; the
+    /// ring overrides it with one run (one space check).
+    fn try_send_burst(&self, frames: &[Message]) -> usize {
+        let sent = frames.first().map(|&frame| self.try_send(frame));
+        usize::from(sent == Some(Ok(())))
+    }
+
     /// Blocking send with an escape: fails once the receiver is gone,
     /// instead of spinning forever against a full channel no one will
     /// ever drain.
@@ -202,8 +209,9 @@ pub trait MsgSender {
 
     /// Sends a frame sequence via [`MsgSender::send_connected`],
     /// stopping at the first failure — the connected form of
-    /// [`MsgSender::send_all`], which every client connection and node
-    /// stream sends through.
+    /// [`MsgSender::send_all`], which a node's peer stream sends
+    /// through. A client connection sends the same runs one
+    /// [`MsgSender::try_send_burst`] a poll, never blocking.
     ///
     /// # Errors
     ///
@@ -242,6 +250,10 @@ impl MsgSender for RingSender {
 
     fn receiver_closed(&self) -> bool {
         RingSender::receiver_closed(self)
+    }
+
+    fn try_send_burst(&self, frames: &[Message]) -> usize {
+        RingSender::try_send_burst(self, frames)
     }
 
     fn send_all(&self, frames: &[Message]) {
@@ -310,8 +322,9 @@ impl<C: MsgReceiver> ServerHub<C> {
         }
     }
 
-    /// Receives the next `n` messages from one client into `out`
-    /// ([`MsgReceiver::recv_burst_connected`]): how a serve loop takes
+    /// One non-blocking step toward the next `n` messages from one
+    /// client in `out` ([`MsgReceiver::poll_burst`]): how a serve loop
+    /// takes, across as many turns as `client` needs to publish them,
     /// the continuation frames of a request whose head frame came from
     /// `client`, so interleaved clients' frames are never mixed. Leaves
     /// the round-robin cursor where it was — the head frame's receive
@@ -320,19 +333,18 @@ impl<C: MsgReceiver> ServerHub<C> {
     /// # Errors
     ///
     /// [`RecvError::Disconnected`] if `client` went away before the
-    /// `n`-th message: one client dying mid-request must not hang the
-    /// server every other client shares.
+    /// `n`-th message.
     ///
     /// # Panics
     ///
     /// Panics if `client` is out of range.
-    pub fn recv_burst_from(
+    pub fn poll_burst_from(
         &self,
         client: usize,
         n: usize,
         out: &mut Vec<Message>,
-    ) -> Result<(), RecvError> {
-        self.clients[client].recv_burst_connected(n, out)
+    ) -> Result<bool, RecvError> {
+        self.clients[client].poll_burst(n, out)
     }
 
     /// True if `client` went away for good: its sending half dropped
@@ -420,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn recv_burst_from_reads_one_client_and_keeps_the_rotation() {
+    fn poll_burst_from_reads_one_client_and_keeps_the_rotation() {
         let (tx0, rx0) = crate::ring::ring_channel(4);
         let (tx1, rx1) = crate::ring::ring_channel(4);
         let (tx2, rx2) = crate::ring::ring_channel(4);
@@ -432,16 +444,18 @@ mod tests {
         tx1.send_all(&[[1; 7], [2; 7], [3; 7], [4; 7]]);
         assert_eq!(hub.recv_from_any(), (0, [10; 7]));
         assert_eq!(hub.recv_from_any(), (1, [1; 7]));
-        let mut rest = vec![[99; 7]];
-        assert_eq!(hub.recv_burst_from(1, 2, &mut rest), Ok(()));
+        let mut rest = Vec::new();
+        assert_eq!(hub.poll_burst_from(1, 2, &mut rest), Ok(true));
         assert_eq!(rest, [[2; 7], [3; 7]]);
         // The direct receive did not move the cursor: 2 is still next.
         assert_eq!(hub.recv_from_any(), (2, [12; 7]));
         // A client that went away mid-sequence is an error, not a spin,
         // and what it did send is consumed.
+        rest.clear();
+        assert_eq!(hub.poll_burst_from(1, 2, &mut rest), Ok(false));
         drop(tx1);
         assert_eq!(
-            hub.recv_burst_from(1, 2, &mut rest),
+            hub.poll_burst_from(1, 2, &mut rest),
             Err(RecvError::Disconnected)
         );
         assert_eq!(rest, [[4; 7]]);

@@ -24,9 +24,9 @@
 //! up-to-date peer from that instant on.
 
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ssync_core::{CachePadded, Fence, FencedWord};
+use ssync_core::{clock, CachePadded, Fence, FencedWord};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,8 +53,9 @@ pub struct FailoverRecord {
     pub from: usize,
     /// The node promoted.
     pub to: usize,
-    /// Death-to-promotion wall time: the write-unavailability window
-    /// (reads may still be served stale by opted-in clients).
+    /// Death-to-promotion time on the [`clock`] — wall time, or a
+    /// stepped driver's: the write-unavailability window (reads may
+    /// still be served stale by opted-in clients).
     pub unavailable: Duration,
 }
 
@@ -78,7 +79,8 @@ struct ShardSlot {
 
 #[derive(Default)]
 struct ShardTiming {
-    crashed_at: Option<(Instant, usize)>,
+    /// When the leader died ([`clock::now_ns`]), and which node it was.
+    crashed_at: Option<(u64, usize)>,
     records: Vec<FailoverRecord>,
 }
 
@@ -174,7 +176,7 @@ impl ClusterMap {
         }
         if slot.word.try_retag(word, LEADER_NONE).is_ok() {
             let mut timing = slot.timing.lock().expect("cluster map poisoned");
-            timing.crashed_at = Some((Instant::now(), node));
+            timing.crashed_at = Some((clock::now_ns(), node));
             true
         } else {
             // Lost to a concurrent transition (another death report or
@@ -224,10 +226,16 @@ impl ClusterMap {
         let next_term = slot.word.try_advance(word, node as u16).ok()?;
         slot.failovers.fetch_add(1, Ordering::Relaxed);
         let mut timing = slot.timing.lock().expect("cluster map poisoned");
-        let (unavailable, from) = timing
-            .crashed_at
-            .take()
-            .map_or((Duration::ZERO, node), |(at, from)| (at.elapsed(), from));
+        let (unavailable, from) =
+            timing
+                .crashed_at
+                .take()
+                .map_or((Duration::ZERO, node), |(at, from)| {
+                    (
+                        Duration::from_nanos(clock::now_ns().saturating_sub(at)),
+                        from,
+                    )
+                });
         timing.records.push(FailoverRecord {
             term: next_term,
             from,

@@ -84,10 +84,9 @@
 //!   shards in index order — one global order shared by every client,
 //!   so the waits-for graph over bounded reply channels cannot close a
 //!   cycle;
-//! * every client receive and send is *connected* (`recv_connected` /
-//!   `send_connected`): a dead node surfaces as
-//!   [`WireError::Disconnected`] after the ring's surviving backlog is
-//!   drained, never as a hang.
+//! * every client receive and send is a connected, pending poll
+//!   ([`Conn`]): a dead node surfaces as [`WireError::Disconnected`]
+//!   after the ring's surviving backlog is drained, never as a hang.
 //!
 //! Backup fault windows (stall/crash) are entry-indexed and
 //! deterministic — see [`crate::fault`] — close on the log either way,
@@ -112,7 +111,7 @@ use ssync_srv::service::{
 };
 use ssync_srv::wire::{Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
 use ssync_srv::{
-    batch_rounds, chase, Chase, Conn, Hooks, NodeCore, StreamDecoder, Turn, OP_BUDGET,
+    batch_rounds, block_on, chase, Chase, Conn, Hooks, NodeCore, StreamDecoder, Turn, OP_BUDGET,
 };
 
 use crate::cluster::{ClusterMap, ShardView};
@@ -1194,33 +1193,30 @@ impl ReplClient {
     ///
     /// As for [`ServiceClient::stats`].
     pub fn stats_of(&self, shard: usize, node: usize) -> Result<RegistrySnapshot, WireError> {
-        self.conn(shard, node).call(&Request::Stats)?.into_stats()
+        block_on(self.conn(shard, node).call(&Request::Stats))?.into_stats()
     }
 
     /// The leader chase of `shard` under `budget`, every write (and
     /// authoritative read) goes through: returns the leader that
     /// answered with its reply, having raised the shard's floor to any
     /// version the reply carries.
-    fn at_leader(
+    async fn at_leader(
         &self,
         shard: usize,
         request: &Request,
         budget: &mut RetryPacer,
     ) -> Result<(usize, Response), WireError> {
-        let (node, response) = chase(
-            &Leader {
-                client: self,
-                shard,
-            },
-            request,
-            budget,
-        )?;
+        let leader = Leader {
+            client: self,
+            shard,
+        };
+        let (node, response) = chase(&leader, request, budget).await?;
         Ok((node, self.observed(shard, response)))
     }
 
     /// Authoritatively fetches `positions` through the leader chase,
     /// in [`MGET_MAX`]-sized slices.
-    fn fetch_from_leader(
+    async fn fetch_from_leader(
         &self,
         shard: usize,
         positions: &[usize],
@@ -1230,18 +1226,185 @@ impl ReplClient {
         for slice in positions.chunks(MGET_MAX) {
             let batch: Vec<u64> = slice.iter().map(|&p| keys[p]).collect();
             let request = Request::MultiGet { keys: batch };
-            let (leader, first) = self.at_leader(shard, &request, &mut self.budget())?;
+            let (leader, first) = (self.at_leader(shard, &request, &mut self.budget())).await?;
             results[slice[0]] = first.into_read("MultiGet")?;
             // The tail comes from the leader that just answered. It
             // cannot die inside the tail (a scheduled crash only
             // follows a *write*, and responses are emitted whole
             // between requests), so a disconnect here is an error.
             for &pos in &slice[1..] {
-                let response = self.conn(shard, leader).recv()?;
+                let response = self.conn(shard, leader).recv().await?;
                 results[pos] = self.observed(shard, response).into_read("MultiGet")?;
             }
         }
         Ok(())
+    }
+
+    /// The body of [`KvClient::get`]: see there.
+    async fn read(&self, key: u64) -> Result<ReadHit, WireError> {
+        let shard = shard_of(key, self.shards.len());
+        let mut budget = self.budget();
+        let mut last_err = None;
+        loop {
+            let view = self.shard_view(shard);
+            let Some(leader) = view.leader else {
+                let any_live = self.stale_reads.then(|| self.pick_live(shard, None));
+                if let Some(node) = any_live.flatten() {
+                    let request = Request::ReplGet { key, floor: 0 };
+                    match self.conn(shard, node).call(&request).await {
+                        // A node refusing inside its own crash window
+                        // answers `Stale` even floor-free; rotate on.
+                        Ok(Response::Stale { .. }) => {}
+                        Ok(response) => {
+                            let hit = response.into_read("ReplGet")?;
+                            Self::bump(&self.stale_served, 1);
+                            return Ok(hit);
+                        }
+                        Err(WireError::Disconnected) => last_err = Some(WireError::Disconnected),
+                        Err(e) => return Err(e),
+                    }
+                }
+                if !budget.pause().await {
+                    return Err(last_err.unwrap_or(WireError::Deadline));
+                }
+                continue;
+            };
+            if let Some(follower) = self.pick_live(shard, Some(leader)) {
+                let floor = self.shards[shard].floor.get();
+                let request = Request::ReplGet { key, floor };
+                match self.conn(shard, follower).call(&request).await {
+                    Ok(Response::Stale { .. }) => Self::bump(&self.fallbacks, 1),
+                    Ok(response) => {
+                        let hit = self.observed(shard, response).into_read("ReplGet")?;
+                        Self::bump(&self.replica_serves, 1);
+                        return Ok(hit);
+                    }
+                    Err(WireError::Disconnected) => {
+                        // Follower gone (it was leading and died, or is
+                        // shutting down): refresh and retry the loop.
+                        last_err = Some(WireError::Disconnected);
+                        self.refresh_view(shard);
+                        if !budget.pause().await {
+                            return Err(WireError::Disconnected);
+                        }
+                        continue;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            match self
+                .at_leader(shard, &Request::Get { key }, &mut budget)
+                .await
+            {
+                Ok((_, response)) => return response.into_read("Get"),
+                // The authoritative path is gone with the budget; while
+                // the shard is leaderless, loop back so that branch can
+                // serve the read floor-free.
+                Err(e @ (WireError::Disconnected | WireError::Deadline))
+                    if self.stale_reads && self.shards[shard].view.get().leader.is_none() =>
+                {
+                    last_err = Some(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The body of [`KvClient::get_many`]: see there.
+    async fn fetch_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
+        let many_nodes = self.map.nodes_per_shard() > 1;
+        let chunk_size = if many_nodes { REPL_MGET_MAX } else { MGET_MAX };
+        let mut results: Vec<ReadHit> = vec![None; keys.len()];
+        batch_rounds(keys, self.shards.len(), chunk_size, async |chunks| {
+            // Send phase: pipeline one chunk per shard. A chunk goes to
+            // a live follower as a floor-guarded `ReplMultiGet`, or —
+            // all followers dead, and small enough for one `MultiGet` —
+            // to the leader; `None` marks a chunk not sent (leaderless,
+            // oversized, or the target died under the send).
+            let mut inflight = Vec::new();
+            for (shard, &chunk) in chunks.iter().enumerate() {
+                if chunk.is_empty() {
+                    continue;
+                }
+                let batch: Vec<u64> = chunk.iter().map(|&p| keys[p]).collect();
+                let target = self.shard_view(shard).leader.and_then(|leader| {
+                    match self.pick_live(shard, Some(leader)) {
+                        Some(follower) => Some((follower, false)),
+                        None => (chunk.len() <= MGET_MAX).then_some((leader, true)),
+                    }
+                });
+                let mut sent = None;
+                if let Some((node, at_leader)) = target {
+                    let request = if at_leader {
+                        Request::MultiGet { keys: batch }
+                    } else {
+                        let floor = self.shards[shard].floor.get();
+                        Request::ReplMultiGet { keys: batch, floor }
+                    };
+                    let delivered = self.conn(shard, node).send(&request).await.is_ok();
+                    sent = target.filter(|_| delivered);
+                }
+                inflight.push((shard, chunk, sent));
+            }
+            // Drain phase, in shard order. The first response answers
+            // for the whole chunk: a node emits `Stale` or `WrongLeader`
+            // as one response per *request*, and a node
+            // that answered the head at all has already queued the
+            // rest (responses are emitted between requests).
+            let mut deferred: Vec<(usize, Vec<usize>)> = Vec::new();
+            for (shard, chunk, sent) in inflight {
+                let Some((node, at_leader)) = sent else {
+                    deferred.push((shard, chunk.to_vec()));
+                    continue;
+                };
+                let conn = self.conn(shard, node);
+                let ctx = if at_leader {
+                    "MultiGet"
+                } else {
+                    "ReplMultiGet"
+                };
+                match conn.recv().await {
+                    Err(WireError::Disconnected) => {
+                        Self::bump(&self.lost_to_retry, u64::from(at_leader));
+                        self.refresh_view(shard);
+                    }
+                    Err(e) => return Err(e),
+                    Ok(Response::Stale { .. }) if !at_leader => Self::bump(&self.fallbacks, 1),
+                    Ok(first) if at_leader && self.note_redirect(shard, &first) => {}
+                    Ok(first) => {
+                        if !at_leader {
+                            Self::bump(&self.replica_serves, chunk.len() as u64);
+                        }
+                        results[chunk[0]] = self.observed(shard, first).into_read(ctx)?;
+                        // Positions left unread when the node dies
+                        // mid-chunk are deferred to the leader path.
+                        for (i, &pos) in chunk.iter().enumerate().skip(1) {
+                            match conn.recv().await {
+                                Ok(response) => {
+                                    results[pos] = self.observed(shard, response).into_read(ctx)?;
+                                }
+                                Err(WireError::Disconnected) => {
+                                    self.refresh_view(shard);
+                                    deferred.push((shard, chunk[i..].to_vec()));
+                                    break;
+                                }
+                                Err(e) => return Err(e),
+                            }
+                        }
+                        continue;
+                    }
+                }
+                deferred.push((shard, chunk.to_vec()));
+            }
+            // Fix-up pass: everything that missed the pipelined round
+            // re-fetches authoritatively, with retries and redirects.
+            for (shard, positions) in deferred {
+                (self.fetch_from_leader(shard, &positions, keys, &mut results)).await?;
+            }
+            Ok(())
+        })
+        .await?;
+        Ok(results)
     }
 
     /// Tells every node this client is done, consuming the client.
@@ -1298,9 +1461,9 @@ impl Chase for Leader<'_> {
 /// out-of-protocol reply, a peer dead past the retry budget, or
 /// [`WireError::Deadline`].
 impl KvClient for ReplClient {
-    fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
+    async fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
         let shard = shard_of(key, self.shards.len());
-        let (_, response) = self.at_leader(shard, request, &mut self.budget())?;
+        let (_, response) = self.at_leader(shard, request, &mut self.budget()).await?;
         Ok(response)
     }
 
@@ -1316,73 +1479,7 @@ impl KvClient for ReplClient {
     /// [`WireError`] on an undecodable or out-of-protocol reply, a
     /// peer dead past the retry budget, or [`WireError::Deadline`].
     fn get(&self, key: u64) -> Result<ReadHit, WireError> {
-        let shard = shard_of(key, self.shards.len());
-        let mut budget = self.budget();
-        let mut last_err = None;
-        loop {
-            let view = self.shard_view(shard);
-            let Some(leader) = view.leader else {
-                let any_live = self.stale_reads.then(|| self.pick_live(shard, None));
-                if let Some(node) = any_live.flatten() {
-                    match self
-                        .conn(shard, node)
-                        .call(&Request::ReplGet { key, floor: 0 })
-                    {
-                        // A node refusing inside its own crash window
-                        // answers `Stale` even floor-free; rotate on.
-                        Ok(Response::Stale { .. }) => {}
-                        Ok(response) => {
-                            let hit = response.into_read("ReplGet")?;
-                            Self::bump(&self.stale_served, 1);
-                            return Ok(hit);
-                        }
-                        Err(WireError::Disconnected) => last_err = Some(WireError::Disconnected),
-                        Err(e) => return Err(e),
-                    }
-                }
-                if !budget.pause() {
-                    return Err(last_err.unwrap_or(WireError::Deadline));
-                }
-                continue;
-            };
-            if let Some(follower) = self.pick_live(shard, Some(leader)) {
-                let floor = self.shards[shard].floor.get();
-                match self
-                    .conn(shard, follower)
-                    .call(&Request::ReplGet { key, floor })
-                {
-                    Ok(Response::Stale { .. }) => Self::bump(&self.fallbacks, 1),
-                    Ok(response) => {
-                        let hit = self.observed(shard, response).into_read("ReplGet")?;
-                        Self::bump(&self.replica_serves, 1);
-                        return Ok(hit);
-                    }
-                    Err(WireError::Disconnected) => {
-                        // Follower gone (it was leading and died, or is
-                        // shutting down): refresh and retry the loop.
-                        last_err = Some(WireError::Disconnected);
-                        self.refresh_view(shard);
-                        if !budget.pause() {
-                            return Err(WireError::Disconnected);
-                        }
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            match self.at_leader(shard, &Request::Get { key }, &mut budget) {
-                Ok((_, response)) => return response.into_read("Get"),
-                // The authoritative path is gone with the budget; while
-                // the shard is leaderless, loop back so that branch can
-                // serve the read floor-free.
-                Err(e @ (WireError::Disconnected | WireError::Deadline))
-                    if self.stale_reads && self.shards[shard].view.get().leader.is_none() =>
-                {
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        block_on(self.read(key))
     }
 
     /// Batched lookup. Each shard's chunk goes out as *one* wide,
@@ -1400,96 +1497,7 @@ impl KvClient for ReplClient {
     /// [`WireError`] on the first undecodable or out-of-protocol
     /// reply, or when a chunk's retries exhaust the deadline.
     fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
-        let many_nodes = self.map.nodes_per_shard() > 1;
-        let chunk_size = if many_nodes { REPL_MGET_MAX } else { MGET_MAX };
-        let mut results: Vec<ReadHit> = vec![None; keys.len()];
-        batch_rounds(keys, self.shards.len(), chunk_size, |chunks| {
-            // Send phase: pipeline one chunk per shard. A chunk goes to
-            // a live follower as a floor-guarded `ReplMultiGet`, or —
-            // all followers dead, and small enough for one `MultiGet` —
-            // to the leader; `None` marks a chunk not sent (leaderless,
-            // oversized, or the target died under the send).
-            let mut inflight = Vec::new();
-            for (shard, &chunk) in chunks.iter().enumerate() {
-                if chunk.is_empty() {
-                    continue;
-                }
-                let batch: Vec<u64> = chunk.iter().map(|&p| keys[p]).collect();
-                let target = self.shard_view(shard).leader.and_then(|leader| {
-                    match self.pick_live(shard, Some(leader)) {
-                        Some(follower) => Some((follower, false)),
-                        None => (chunk.len() <= MGET_MAX).then_some((leader, true)),
-                    }
-                });
-                let sent = target.filter(|&(node, at_leader)| {
-                    let request = if at_leader {
-                        Request::MultiGet { keys: batch }
-                    } else {
-                        let floor = self.shards[shard].floor.get();
-                        Request::ReplMultiGet { keys: batch, floor }
-                    };
-                    self.conn(shard, node).send(&request).is_ok()
-                });
-                inflight.push((shard, chunk, sent));
-            }
-            // Drain phase, in shard order. The first response answers
-            // for the whole chunk: a node emits `Stale` or `WrongLeader`
-            // as one response per *request*, and a node
-            // that answered the head at all has already queued the
-            // rest (responses are emitted between requests).
-            let mut deferred: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (shard, chunk, sent) in inflight {
-                let Some((node, at_leader)) = sent else {
-                    deferred.push((shard, chunk.to_vec()));
-                    continue;
-                };
-                let conn = self.conn(shard, node);
-                let ctx = if at_leader {
-                    "MultiGet"
-                } else {
-                    "ReplMultiGet"
-                };
-                match conn.recv() {
-                    Err(WireError::Disconnected) => {
-                        Self::bump(&self.lost_to_retry, u64::from(at_leader));
-                        self.refresh_view(shard);
-                    }
-                    Err(e) => return Err(e),
-                    Ok(Response::Stale { .. }) if !at_leader => Self::bump(&self.fallbacks, 1),
-                    Ok(first) if at_leader && self.note_redirect(shard, &first) => {}
-                    Ok(first) => {
-                        if !at_leader {
-                            Self::bump(&self.replica_serves, chunk.len() as u64);
-                        }
-                        results[chunk[0]] = self.observed(shard, first).into_read(ctx)?;
-                        // Positions left unread when the node dies
-                        // mid-chunk are deferred to the leader path.
-                        for (i, &pos) in chunk.iter().enumerate().skip(1) {
-                            match conn.recv() {
-                                Ok(response) => {
-                                    results[pos] = self.observed(shard, response).into_read(ctx)?;
-                                }
-                                Err(WireError::Disconnected) => {
-                                    self.refresh_view(shard);
-                                    deferred.push((shard, chunk[i..].to_vec()));
-                                    break;
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        continue;
-                    }
-                }
-                deferred.push((shard, chunk.to_vec()));
-            }
-            // Fix-up pass: everything that missed the pipelined round
-            // re-fetches authoritatively, with retries and redirects.
-            for (shard, positions) in deferred {
-                self.fetch_from_leader(shard, &positions, keys, &mut results)?;
-            }
-            Ok(())
-        })?;
-        Ok(results)
+        block_on(self.fetch_many(keys))
     }
 }
 
@@ -1497,7 +1505,10 @@ impl KvClient for ReplClient {
 mod tests {
     use super::*;
     use crate::fault::{FaultEvent, FaultKind};
+    use core::future::Future;
+    use core::pin::{pin, Pin};
     use ssync_locks::TicketLock;
+    use ssync_srv::{enumerate, play, KvClient, Step};
 
     /// Spins up a full replication deployment, runs `body` with the
     /// clients, and returns the cluster for post-mortem checks.
@@ -1781,10 +1792,10 @@ mod tests {
             let (leader, follower) = (client.conn(0, 0), client.conn(0, 1));
             // Garbage straight at the leader.
             leader.tx.send([0xEE; ssync_mp::MSG_WORDS]);
-            assert_eq!(leader.recv(), Ok(Response::Malformed));
+            assert_eq!(block_on(leader.recv()), Ok(Response::Malformed));
             // A write at a follower bounces with the current view.
             assert_eq!(
-                follower.call(&Request::Get { key: 1 }),
+                block_on(follower.call(&Request::Get { key: 1 })),
                 Ok(Response::WrongLeader {
                     term: Fence::FIRST,
                     leader: 0
@@ -1797,8 +1808,8 @@ mod tests {
                 version: 99,
                 value: b"evil".to_vec(),
             };
-            assert_eq!(leader.call(&evil), Ok(Response::Malformed));
-            assert_eq!(follower.call(&evil), Ok(Response::Malformed));
+            assert_eq!(block_on(leader.call(&evil)), Ok(Response::Malformed));
+            assert_eq!(block_on(follower.call(&evil)), Ok(Response::Malformed));
             let scrape = client.stats_of(0, 0).unwrap();
             assert_eq!(scrape.counter("srv.malformed"), Some(2));
             // All servers still alive.
@@ -1835,7 +1846,7 @@ mod tests {
             // A garbage frame between scrapes is refused, not fatal...
             let conn = client.conn(0, 0);
             conn.tx.send([0xEE; ssync_mp::MSG_WORDS]);
-            assert_eq!(conn.recv(), Ok(Response::Malformed));
+            assert_eq!(block_on(conn.recv()), Ok(Response::Malformed));
             // ...and the next scrape of the same node counts it.
             let again = client.stats_of(0, 0).unwrap();
             assert_eq!(again.counter("srv.malformed"), Some(1));
@@ -2009,8 +2020,8 @@ mod tests {
             let survivor = clients.pop().unwrap();
             let rude = clients.pop().unwrap();
             for node in 0..2 {
-                rude.conn(0, node).send(&Request::Stop).unwrap();
-                rude.conn(0, node).send(&Request::Stop).unwrap();
+                block_on(rude.conn(0, node).send(&Request::Stop)).unwrap();
+                block_on(rude.conn(0, node).send(&Request::Stop)).unwrap();
             }
             for key in 0..64u64 {
                 survivor.set(key, vec![1; 8]).unwrap();
@@ -2393,6 +2404,7 @@ mod tests {
     #[test]
     fn follower_never_lets_hwm_pass_an_unapplied_entry() {
         let ran = enumerate_follower(false);
+        assert_eq!(ran, 20_150);
         eprintln!("follower enumeration: {ran} schedules");
     }
 
@@ -2407,24 +2419,20 @@ mod tests {
         enumerate_follower(true);
     }
 
-    /// One schedule of the leader enumeration: a sync group of three
-    /// nodes, one client writing keys `1..=writes` in a closed loop to
-    /// node 0, whose crash schedule kills it right after the last
-    /// write's reply. The nodes take turns as `prefix` names them, then
-    /// round-robin; `observer` is a follower that may not lead.
-    #[derive(Debug)]
-    struct LeaderSchedule {
-        writes: u64,
-        observer: Option<usize>,
-        prefix: Vec<usize>,
-    }
-
-    /// A [`ReplNode`] as the leader enumeration steps it: itself, or
-    /// the twin whose settle rule is satisfied once *one* live follower
-    /// has published the version.
+    /// A [`ReplNode`] as the stepped enumerations run it: itself, or a
+    /// twin with one guard off.
     struct Stepped<'a> {
         node: ReplNode<'a, TicketLock>,
-        one_follower_suffices: bool,
+        twin: Option<Twin>,
+    }
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum Twin {
+        /// The settle rule is satisfied once *one* live follower has
+        /// published the version.
+        OneFollowerSuffices,
+        /// Replica reads are served without the freshness floor check.
+        NoFloor,
     }
 
     impl Hooks for Stepped<'_> {
@@ -2442,7 +2450,8 @@ mod tests {
 
         fn reply_owed(&mut self) -> bool {
             let node = &mut self.node;
-            let Some(version) = node.owed.filter(|_| self.one_follower_suffices) else {
+            let one_suffices = self.twin == Some(Twin::OneFollowerSuffices);
+            let Some(version) = node.owed.filter(|_| one_suffices) else {
                 return node.reply_owed();
             };
             let (map, shard) = (node.follower.map, node.follower.shard);
@@ -2461,7 +2470,12 @@ mod tests {
         }
 
         fn gate(&mut self, request: Request) -> Result<Request, Response> {
-            self.node.gate(request)
+            match request {
+                Request::ReplGet { key, .. } if self.twin == Some(Twin::NoFloor) => {
+                    Ok(Request::Get { key })
+                }
+                request => self.node.gate(request),
+            }
         }
 
         fn may_exit(&mut self) -> bool {
@@ -2473,22 +2487,29 @@ mod tests {
         }
     }
 
-    /// Steps every node's turn and the client on this one thread
-    /// through `schedule` — which no threaded run can do while a sync
-    /// leader's turn waits — and checks that every live node ends up
-    /// holding every write the client saw acknowledged. `Err` names the
-    /// first write missing, or a group that did not shut down.
-    fn run_leader_schedule(schedule: &LeaderSchedule, twin: bool) -> Result<(), String> {
-        const ROUNDS: usize = 64;
-        let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 8, 2, ReplSpec::sync(2));
+    type SteppedNode<'a> = (
+        NodeCore<RingReceiver, RingSender>,
+        &'a KvStore<TicketLock>,
+        Stepped<'a>,
+    );
+
+    /// Shard 0 of `cluster` as three stepped nodes, each dropped once it
+    /// exits (node 0, the leader, dies right after the write that
+    /// produced entry `crash_after`; `observer` may not lead), and one
+    /// client.
+    fn stepped_group(
+        cluster: &ReplCluster<TicketLock>,
+        observer: Option<usize>,
+        crash_after: u64,
+        twin: Option<Twin>,
+    ) -> (Vec<Option<SteppedNode<'_>>>, ReplClient) {
         let map = cluster.map();
-        if let Some(observer) = schedule.observer {
+        if let Some(observer) = observer {
             map.set_observer(0, observer);
         }
         let (mut endpoints, mut clients) = repl_mesh(map, 1);
-        let client = clients.pop().unwrap();
-        let crash = FaultPlan::primary_crashes(vec![schedule.writes]);
-        let mut nodes: Vec<_> = (endpoints.pop().unwrap().into_iter())
+        let crash = FaultPlan::primary_crashes(vec![crash_after]);
+        let nodes = (endpoints.pop().unwrap().into_iter())
             .map(|endpoint| {
                 let n = endpoint.node();
                 let cfg = NodeConfig {
@@ -2497,87 +2518,105 @@ mod tests {
                 };
                 let (store, log) = (cluster.node_store(0, n), cluster.log(0));
                 let (core, node) = ReplNode::new(store, log, map, endpoint, cfg);
-                let node = Stepped {
-                    node,
-                    one_follower_suffices: twin,
-                };
-                Some((core, node))
+                Some((core, store, Stepped { node, twin }))
             })
             .collect();
-        let mut acknowledged = Vec::new();
-        let (mut sent, mut waiting, mut closed) = (0, None, false);
-        let order = (schedule.prefix.iter().copied()).chain((0..3 * ROUNDS).map(|i| i % 3));
-        for n in order {
-            if let Some((core, node)) = &mut nodes[n] {
-                if core.turn(cluster.node_store(0, n), node) == Turn::Exit {
-                    nodes[n] = None;
-                }
-            }
-            // The client: take the reply it waits on, if it is there,
-            // then send the next write, or stop every node.
-            if let Some(leader) = waiting {
-                if let Some(head) = client.conn(0, leader).rx.try_recv() {
-                    match Response::decode(head, || unreachable!("a one-frame reply")) {
-                        Ok(Response::Stored { version }) => acknowledged.push((sent, version)),
-                        other => return Err(format!("write {sent} answered {other:?}")),
-                    }
-                    waiting = None;
-                }
-            }
-            if waiting.is_none() && sent < schedule.writes {
-                sent += 1;
-                let write = Request::Set {
-                    key: sent,
-                    value: vec![sent as u8; 4],
-                };
-                client.conn(0, 0).send(&write).unwrap();
-                waiting = Some(0);
-            } else if waiting.is_none() && !closed {
-                closed = true;
-                for node in 0..3 {
-                    let _ = client.conn(0, node).send(&Request::Stop);
-                }
-            }
-            if nodes.iter().all(Option::is_none) {
-                break;
-            }
-        }
+        (nodes, clients.pop().unwrap())
+    }
+
+    /// Steps `nodes` and the client future `ops` through `prefix`
+    /// (node moves, the client's index being 3), then round-robin.
+    /// `Err` if they did not all exit.
+    fn play_group(
+        nodes: &mut [Option<SteppedNode<'_>>],
+        mut ops: Pin<&mut impl Future<Output = ()>>,
+        prefix: &[usize],
+    ) -> Result<(), String> {
+        let mut actors: Vec<&mut dyn Step> = nodes.iter_mut().map(|n| n as &mut dyn Step).collect();
+        actors.push(&mut ops);
+        let shut_down = play(&mut actors, prefix, 64);
+        shut_down
+            .then_some(())
+            .ok_or("the group did not shut down".to_string())
+    }
+
+    /// `Err` naming the first acknowledged `(key, version)` some live
+    /// node of shard 0 does not hold.
+    fn acknowledged_everywhere(
+        cluster: &ReplCluster<TicketLock>,
+        acknowledged: &[(u64, u64)],
+    ) -> Result<(), String> {
+        let map = cluster.map();
         for n in (0..3).filter(|&n| !map.is_dead(0, n)) {
-            for &(key, version) in &acknowledged {
+            for &(key, version) in acknowledged {
                 let held = cluster.node_store(0, n).get_with_version(&key_bytes(key));
                 if held.map(|(at, _)| at) != Some(version) {
                     return Err(format!(
                         "acknowledged write {key}@{version} missing at node {n} after a \
-                         promotion to {:?}: {schedule:?}",
+                         promotion to {:?}",
                         map.view(0)
                     ));
                 }
             }
         }
-        match nodes.iter().all(Option::is_none) {
-            true => Ok(()),
-            false => Err(format!("the group did not shut down: {schedule:?}")),
-        }
+        Ok(())
+    }
+
+    /// One schedule of the leader enumeration: a sync group of three
+    /// nodes and one client writing keys `1..=writes` in a closed loop;
+    /// the leader, node 0, dies right after the last write's reply, and
+    /// `observer` is a follower that may not lead. The nodes take turns
+    /// as `prefix` names them, the client moving after each, then all
+    /// round-robin. Every live node must end up holding every write the
+    /// client saw acknowledged.
+    fn run_leader_schedule(
+        writes: u64,
+        observer: Option<usize>,
+        prefix: &[usize],
+        twin: bool,
+    ) -> Result<(), String> {
+        let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 8, 2, ReplSpec::sync(2));
+        let twin = twin.then_some(Twin::OneFollowerSuffices);
+        let (mut nodes, client) = stepped_group(&cluster, observer, writes, twin);
+        let (mut acknowledged, mut answered) = (Vec::new(), Ok(()));
+        let shut_down = {
+            let ops = pin!(async {
+                for key in 1..=writes {
+                    let write = Request::Set {
+                        key,
+                        value: vec![key as u8; 4],
+                    };
+                    match client.exchange(key, &write).await {
+                        Ok(Response::Stored { version }) => acknowledged.push((key, version)),
+                        other => {
+                            answered = Err(format!("write {key} answered {other:?}"));
+                            break;
+                        }
+                    }
+                }
+                client.mesh.send_stop().await;
+            });
+            let prefix: Vec<usize> = prefix.iter().flat_map(|&n| [n, 3]).collect();
+            play_group(&mut nodes, ops, &prefix)
+        };
+        answered?;
+        acknowledged_everywhere(&cluster, &acknowledged)?;
+        shut_down
     }
 
     /// Every leader schedule at small scope: one or two writes, no
-    /// observer or either follower one, and every order of the first
-    /// `turns` turns among the three nodes. Stops at the first failure;
+    /// observer or either follower one, and every order of the first six
+    /// turns among the three nodes. Stops at the first failure;
     /// otherwise returns how many it ran.
-    fn enumerate_leader(turns: u32, twin: bool) -> Result<usize, String> {
+    fn enumerate_leader(twin: bool) -> Result<usize, String> {
         let mut ran = 0;
         for writes in 1..=2 {
             for observer in [None, Some(1), Some(2)] {
-                for word in 0..3usize.pow(turns) {
-                    let prefix = (0..turns).map(|i| word / 3usize.pow(i) % 3).collect();
-                    let schedule = LeaderSchedule {
-                        writes,
-                        observer,
-                        prefix,
-                    };
-                    run_leader_schedule(&schedule, twin)?;
-                    ran += 1;
-                }
+                let schedule = |prefix: &[usize]| {
+                    run_leader_schedule(writes, observer, prefix, twin)
+                        .map_err(|e| format!("{e}: {writes} writes, observer {observer:?}"))
+                };
+                ran += enumerate(3, 6, schedule)?.len();
             }
         }
         Ok(ran)
@@ -2589,8 +2628,13 @@ mod tests {
     /// at any point of the followers' progress, loses the write.
     #[test]
     fn a_sync_reply_waits_for_every_live_follower() {
-        let ran = enumerate_leader(6, false).unwrap();
-        eprintln!("leader enumeration: {ran} schedules");
+        let started = std::time::Instant::now();
+        let ran = enumerate_leader(false).unwrap();
+        assert_eq!(ran, 4_374);
+        eprintln!(
+            "leader enumeration: {ran} schedules in {:?}",
+            started.elapsed()
+        );
     }
 
     /// The twin: a leader that settles once *one* live follower has
@@ -2599,8 +2643,93 @@ mod tests {
     /// through the reply, and the other follower never sent it.
     #[test]
     fn a_leader_that_settles_on_one_follower_is_found() {
-        let found = enumerate_leader(6, true).unwrap_err();
+        let found = enumerate_leader(true).unwrap_err();
         assert!(found.contains("missing at node"), "{found}");
         eprintln!("leader twin: {found}");
+    }
+
+    /// One schedule of the read enumeration: an async group of three
+    /// nodes, whose leader, node 0, dies right after the first write's
+    /// reply, and one client that writes a key, reads it, overwrites it
+    /// across the promotion and reads it twice more — its replica reads
+    /// floor-guarded, falling back to the leader. The four move as
+    /// `prefix` names them (the client is 3), then round-robin. Every
+    /// read must return the client's last acknowledged write or a later
+    /// one (read-your-writes), never older than the read before it
+    /// (monotonic reads), and the last acknowledged write must end up at
+    /// every live node.
+    fn run_read_schedule(prefix: &[usize], twin: bool) -> Result<(), String> {
+        const KEY: u64 = 5;
+        let cluster: ReplCluster<TicketLock> =
+            ReplCluster::new(1, 8, 2, ReplSpec::async_bounded(2));
+        let twin = twin.then_some(Twin::NoFloor);
+        let (mut nodes, client) = stepped_group(&cluster, None, 1, twin);
+        let (mut acknowledged, mut answered) = (Vec::new(), Ok(()));
+        let shut_down = {
+            let ops = pin!(async {
+                let (mut written, mut read) = (0, 0);
+                for value in [Some(b"a"), None, Some(b"b"), None, None] {
+                    let Some(value) = value else {
+                        match client.read(KEY).await {
+                            Ok(Some((version, _))) if version >= written.max(read) => {
+                                read = version
+                            }
+                            other => {
+                                answered = Err(format!(
+                                    "a read went backwards: {other:?} after writing version \
+                                 {written} and reading {read}"
+                                ));
+                                break;
+                            }
+                        }
+                        continue;
+                    };
+                    let write = Request::Set {
+                        key: KEY,
+                        value: value.to_vec(),
+                    };
+                    match client.exchange(KEY, &write).await {
+                        Ok(Response::Stored { version }) => {
+                            written = version;
+                            acknowledged = vec![(KEY, version)];
+                        }
+                        other => {
+                            answered = Err(format!("a write answered {other:?}"));
+                            break;
+                        }
+                    }
+                }
+                client.mesh.send_stop().await;
+            });
+            play_group(&mut nodes, ops, prefix)
+        };
+        answered?;
+        acknowledged_everywhere(&cluster, &acknowledged)?;
+        shut_down
+    }
+
+    /// Read-your-writes and monotonic reads through a real client's
+    /// floor-guarded replica reads, across a promotion: every order of
+    /// the first six moves among the three nodes and the client.
+    #[test]
+    fn replica_reads_never_go_backwards_across_a_promotion() {
+        let started = std::time::Instant::now();
+        let ran = enumerate(4, 6, |prefix| run_read_schedule(prefix, false)).unwrap();
+        assert_eq!(ran.len(), 4_096);
+        eprintln!(
+            "read enumeration: {} schedules in {:?}",
+            ran.len(),
+            started.elapsed()
+        );
+    }
+
+    /// The twin: a follower that serves replica reads without the floor
+    /// check must be caught by the same enumeration, as a read going
+    /// backwards.
+    #[test]
+    fn a_follower_that_ignores_the_floor_is_found() {
+        let found = enumerate(4, 6, |prefix| run_read_schedule(prefix, true)).unwrap_err();
+        assert!(found.contains("went backwards"), "{found}");
+        eprintln!("read twin: {found}");
     }
 }

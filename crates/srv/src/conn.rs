@@ -2,9 +2,13 @@
 //!
 //! A [`Conn`] is a request sender, a reply receiver and a scratch
 //! frame buffer, so an exchange allocates nothing for its frames: a
-//! request is encoded into it and sent as one burst, a reply's
-//! continuation frames are received into it as one burst. Every
-//! leg is *connected*: a peer whose thread is gone surfaces as
+//! request is encoded into it and sent in ring-sized runs, a reply's
+//! continuation frames are taken into it in bursts. Each leg is an
+//! `async fn` that never blocks: [`Conn::send`] is pending while the
+//! request ring is full, [`Conn::recv`] while the reply ring is empty
+//! or a reply's continuation frames are not all published yet, and
+//! both resume where they stopped on the next poll ([`crate::step`]).
+//! Every leg is *connected*: a peer whose thread is gone surfaces as
 //! [`WireError::Disconnected`] — on the send, on a reply's head frame,
 //! and on its continuation frames (a node that died mid-reply) — never
 //! as a hang. Replies are interpreted by the typed decoders on
@@ -28,6 +32,7 @@ use ssync_core::RetryPacer;
 use ssync_mp::{Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
 use crate::router::shard_of;
+use crate::step::until;
 use crate::wire::{replay, Request, Response, WireError};
 
 /// One `(request sender, reply receiver)` pair to one server. The
@@ -51,7 +56,10 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
         }
     }
 
-    /// Encodes `request` into the scratch buffer and sends every frame.
+    /// Encodes `request` into the scratch buffer and sends every frame,
+    /// one [`MsgSender::try_send_burst`] run a poll (one space check),
+    /// pending while the ring is full. The receive half's drop is
+    /// checked before every run.
     ///
     /// # Errors
     ///
@@ -59,49 +67,61 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
     /// refused before any frame reaches the ring, so the connection
     /// stays usable; [`WireError::Disconnected`] if the server's
     /// receive half is gone.
-    pub fn send(&self, request: &Request) -> Result<(), WireError> {
-        let mut frames = self.frames.borrow_mut();
-        request.try_encode_into(&mut frames)?;
-        self.tx
-            .send_all_connected(&frames)
-            .map_err(|_| WireError::Disconnected)
+    pub async fn send(&self, request: &Request) -> Result<(), WireError> {
+        request.try_encode_into(&mut self.frames.borrow_mut())?;
+        let mut sent = 0;
+        until(|| {
+            let frames = self.frames.borrow();
+            if self.tx.receiver_closed() {
+                return Some(Err(WireError::Disconnected));
+            }
+            sent += self.tx.try_send_burst(&frames[sent..]);
+            (sent == frames.len()).then_some(Ok(()))
+        })
+        .await
     }
 
-    /// Blocks for the next response.
+    /// The next response, its continuation frames taken as they are
+    /// published.
     ///
     /// # Errors
     ///
     /// [`WireError::Disconnected`] once the server is gone and its
     /// surviving backlog is drained; a decode error on a corrupt head.
-    pub fn recv(&self) -> Result<Response, WireError> {
-        let head = self
-            .rx
-            .recv_connected()
-            .map_err(|_| WireError::Disconnected)?;
-        self.finish(head)
+    pub async fn recv(&self) -> Result<Response, WireError> {
+        let rx = &self.rx;
+        let head = until(|| match rx.try_recv() {
+            Some(head) => Some(Ok(head)),
+            // Final drain: the server may have published the head
+            // between the failed poll and its drop.
+            None if rx.sender_closed() => Some(rx.try_recv().ok_or(WireError::Disconnected)),
+            None => None,
+        })
+        .await?;
+        let more = Response::continuations(&head);
+        if more == 0 {
+            return Response::decode(head, replay(&[]));
+        }
+        self.frames.borrow_mut().clear();
+        until(
+            || match rx.poll_burst(more, &mut self.frames.borrow_mut()) {
+                Ok(true) => Some(Ok(())),
+                Ok(false) => None,
+                Err(_) => Some(Err(WireError::Disconnected)),
+            },
+        )
+        .await?;
+        Response::decode(head, replay(&self.frames.borrow()))
     }
 
-    /// One blocking round trip: [`Conn::send`], then [`Conn::recv`].
+    /// One round trip: [`Conn::send`], then [`Conn::recv`].
     ///
     /// # Errors
     ///
     /// As for the two legs.
-    pub fn call(&self, request: &Request) -> Result<Response, WireError> {
-        self.send(request)?;
-        self.recv()
-    }
-
-    /// Decodes the response `head` starts, taking its continuation
-    /// frames as one connected burst into the scratch buffer first.
-    fn finish(&self, head: Message) -> Result<Response, WireError> {
-        let more = Response::continuations(&head);
-        let mut frames = self.frames.borrow_mut();
-        if more > 0 {
-            self.rx
-                .recv_burst_connected(more, &mut frames)
-                .map_err(|_| WireError::Disconnected)?;
-        }
-        Response::decode(head, replay(&frames[..more]))
+    pub async fn call(&self, request: &Request) -> Result<Response, WireError> {
+        self.send(request).await?;
+        self.recv().await
     }
 }
 
@@ -132,7 +152,7 @@ pub trait Chase {
 /// An error `policy` does not retry, as it arrives. Once `budget` is
 /// spent: [`WireError::Disconnected`] if a lost node was retried, else
 /// [`WireError::Deadline`].
-pub fn chase(
+pub async fn chase(
     policy: &impl Chase,
     request: &Request,
     budget: &mut RetryPacer,
@@ -140,15 +160,15 @@ pub fn chase(
     let mut spent = WireError::Deadline;
     loop {
         let Some((node, conn)) = policy.pick() else {
-            if !budget.pause() {
+            if !budget.pause().await {
                 return Err(spent);
             }
             continue;
         };
-        match conn.call(request) {
+        match conn.call(request).await {
             Err(WireError::Disconnected) if policy.lost(node) => {
                 spent = WireError::Disconnected;
-                if !budget.pause() {
+                if !budget.pause().await {
                     return Err(spent);
                 }
             }
@@ -173,11 +193,11 @@ pub fn chase(
 /// # Errors
 ///
 /// The first error `round` returns; no later round runs.
-pub fn batch_rounds(
+pub async fn batch_rounds(
     keys: &[u64],
     shards: usize,
     chunk: usize,
-    mut round: impl FnMut(&[&[usize]]) -> Result<(), WireError>,
+    mut round: impl AsyncFnMut(&[&[usize]]) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
     let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
     for (pos, &key) in keys.iter().enumerate() {
@@ -193,7 +213,7 @@ pub fn batch_rounds(
             .iter()
             .map(|positions| positions.chunks(chunk).nth(r).unwrap_or(&[]))
             .collect();
-        round(&chunks)?;
+        round(&chunks).await?;
     }
     Ok(())
 }
@@ -201,12 +221,22 @@ pub fn batch_rounds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::block_on;
     use crate::wire::MAX_VALUE_LEN;
+    use core::future::Future;
+    use core::pin::{pin, Pin};
+    use core::task::{Context, Poll, Waker};
     use ssync_mp::ring_channel;
 
+    fn poll<T>(leg: Pin<&mut impl Future<Output = T>>) -> Poll<T> {
+        leg.poll(&mut Context::from_waker(Waker::noop()))
+    }
+
     /// A server that dies after the head frame of a multi-frame value
-    /// must surface as `Disconnected` on the blocking paths every
-    /// client (the replication client included) reads replies through.
+    /// must surface as `Disconnected` on the paths every client (the
+    /// replication client included) reads replies through: blocking,
+    /// and stepped, where the leg is pending on the half-published
+    /// value until the server is gone.
     #[test]
     fn peer_dropped_mid_value_is_disconnected_not_a_hang() {
         let reply = Response::Value {
@@ -215,27 +245,90 @@ mod tests {
         }
         .encode();
         assert!(reply.len() > 2, "the value must span continuation frames");
-        for via_call in [false, true] {
+        for (via_call, stepped) in [(false, false), (true, false), (false, true), (true, true)] {
             let (req_tx, req_rx) = ring_channel(8);
             let (rep_tx, rep_rx) = ring_channel(8);
             let conn = Conn::new(req_tx, rep_rx);
             rep_tx.send(reply[0]);
             rep_tx.send(reply[1]);
+            let get = Request::Get { key: 1 };
+            let mut leg = pin!(async {
+                if via_call {
+                    conn.call(&get).await
+                } else {
+                    conn.recv().await
+                }
+            });
+            if stepped {
+                assert_eq!(poll(leg.as_mut()), Poll::Pending);
+            }
             drop(rep_tx);
-            let got = if via_call {
-                conn.call(&Request::Get { key: 1 })
+            let got = if stepped {
+                match poll(leg.as_mut()) {
+                    Poll::Ready(got) => got,
+                    Poll::Pending => panic!("a dead server left the leg pending"),
+                }
             } else {
-                conn.recv()
+                block_on(leg)
             };
             assert_eq!(got, Err(WireError::Disconnected));
             // The backlog is spent: the next read fails on the head.
-            assert_eq!(conn.recv(), Err(WireError::Disconnected));
+            assert_eq!(block_on(conn.recv()), Err(WireError::Disconnected));
             drop(req_rx);
             assert_eq!(
-                conn.send(&Request::Get { key: 1 }),
+                block_on(conn.send(&Request::Get { key: 1 })),
                 Err(WireError::Disconnected)
             );
         }
+    }
+
+    /// A stepped call never waits: a request larger than the ring goes
+    /// out one run a poll as the reader makes room, losing no frame;
+    /// the call is then pending on an empty reply ring, and again on
+    /// a half-published 11-frame reply, and returns the decoded reply
+    /// once the rest is published.
+    #[test]
+    fn a_stepped_call_is_pending_until_its_frames_are_published() {
+        const DEPTH: usize = 4;
+        let (req_tx, req_rx) = ring_channel(DEPTH);
+        let (rep_tx, rep_rx) = ring_channel(16);
+        let conn = Conn::new(req_tx, rep_rx);
+        let request = Request::Set {
+            key: 3,
+            value: vec![5; 500],
+        };
+        let frames = request.encode();
+        assert!(
+            frames.len() > 2 * DEPTH,
+            "the request must outgrow the ring"
+        );
+        let value_len = (1..MAX_VALUE_LEN).find(|&n| {
+            let value = vec![0; n];
+            Response::Value { version: 9, value }.encode().len() == 11
+        });
+        let reply = Response::Value {
+            version: 9,
+            value: vec![0xCD; value_len.unwrap()],
+        };
+        let reply_frames = reply.encode();
+        let mut call = pin!(conn.call(&request));
+        let mut sent = Vec::new();
+        while sent.len() < frames.len() {
+            assert_eq!(poll(call.as_mut()), Poll::Pending);
+            let run: Vec<_> = std::iter::from_fn(|| req_rx.try_recv()).collect();
+            assert!((1..=DEPTH).contains(&run.len()), "one run a poll");
+            sent.extend(run);
+        }
+        assert_eq!(sent, frames);
+        assert_eq!(poll(call.as_mut()), Poll::Pending, "an empty reply ring");
+        for &frame in &reply_frames[..6] {
+            rep_tx.send(frame);
+        }
+        assert_eq!(poll(call.as_mut()), Poll::Pending, "a half-published reply");
+        for &frame in &reply_frames[6..] {
+            rep_tx.send(frame);
+        }
+        assert_eq!(poll(call.as_mut()), Poll::Ready(Ok(reply)));
     }
 
     /// Regression: an over-long value used to hit the encoder's
@@ -265,14 +358,14 @@ mod tests {
         ];
         for request in &oversized {
             let refused = Err(WireError::ValueTooLong(MAX_VALUE_LEN + 1));
-            assert_eq!(conn.send(request), refused);
+            assert_eq!(block_on(conn.send(request)), refused);
             assert_eq!(req_rx.try_recv(), None, "no frame may reach the ring");
         }
         let fits = Request::Set {
             key: 1,
             value: vec![7; MAX_VALUE_LEN],
         };
-        assert_eq!(conn.send(&fits), Ok(()));
+        assert_eq!(block_on(conn.send(&fits)), Ok(()));
         let mut sent = std::iter::from_fn(|| req_rx.try_recv());
         let head = sent.next().expect("the head frame");
         let decoded = Request::decode(head, || sent.next().expect("a continuation"));

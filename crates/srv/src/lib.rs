@@ -20,7 +20,11 @@
 //!   loop ([`conn::chase`]) the replication and cluster clients run
 //!   their redirects through, and the one multi-get batching step
 //!   ([`conn::batch_rounds`]) every client's `get_many` cuts its
-//!   rounds with;
+//!   rounds with — each an `async fn` that never blocks;
+//! * [`step`] — what drives those futures: [`step::block_on`] under
+//!   every blocking client call, and [`step::play`] /
+//!   [`step::enumerate`], which step clients, nodes and a migration
+//!   coordinator on one thread and a stepped clock;
 //! * [`service`] — the channel mesh, the plain shard server and the
 //!   [`service::ServiceClient`] round-trip API over bounded rings,
 //!   with pipelined reads;
@@ -64,6 +68,7 @@ pub mod conn;
 pub mod node;
 pub mod router;
 pub mod service;
+pub mod step;
 pub mod wire;
 pub mod workload;
 
@@ -71,6 +76,7 @@ pub use conn::{batch_rounds, chase, Chase, Conn, OP_BUDGET};
 pub use node::{Admit, Hooks, NoHooks, NodeCore, StreamDecoder, Turn};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};
+pub use step::{block_on, enumerate, play, Step};
 pub use wire::{Request, Response, WireError, NO_LEADER};
 pub use workload::{
     fan_out, run_load, KeyDist, LoadReport, Mix, Op, OpStream, Tally, ValueSize, WorkloadSpec,

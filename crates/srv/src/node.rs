@@ -2,7 +2,8 @@
 //!
 //! [`NodeCore`] owns what `serve`, `ssync-repl`'s `serve_node` and
 //! `ssync-cluster`'s `serve_cluster_node` have in common: polling the
-//! client hub and pulling a request's continuation frames, the
+//! client hub and taking a request's continuation frames across
+//! turns, the
 //! `Malformed` replies, per-client `Stop` accounting (a client that
 //! goes away without one is retired from the idle path), the
 //! reclamation cadence and idle pacing, the `TimedGet` latency split,
@@ -157,6 +158,11 @@ pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
     hub: ServerHub<C>,
     replies: Vec<S>,
     frames: Vec<Message>,
+    /// A request whose continuation frames are not all published yet:
+    /// its client and head frame, resumed first thing next turn, with
+    /// the frames taken so far in `continuations`.
+    partial: Option<(usize, Message)>,
+    continuations: Vec<Message>,
     stopped: Vec<bool>,
     live: usize,
     since_reclaim: u64,
@@ -189,6 +195,8 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
             hub: ServerHub::new(requests),
             replies,
             frames: Vec::new(),
+            partial: None,
+            continuations: Vec::new(),
             since_reclaim: 0,
             wait: ParkingWait::new(),
             queue_wait: registry.histogram("srv.queue_wait_ns"),
@@ -254,8 +262,10 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// ends there.
     ///
     /// The continuation frames a head announces
-    /// ([`Request::continuations`]) are taken from the same client as
-    /// one burst before decoding. A head frame that fails to decode is
+    /// ([`Request::continuations`]) are taken from the same client in
+    /// bursts as they are published, before decoding: a request not yet
+    /// whole is resumed first thing on the next turn, and no other
+    /// client is polled meanwhile. A head frame that fails to decode is
     /// answered with [`Response::Malformed`] — a corrupt frame degrades
     /// one connection, it does not take the node down. A client's first
     /// `Stop` retires it; a repeated one is counted as malformed and not
@@ -294,25 +304,37 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
                 }
             }
         }
-        let Some((client, head)) = self.hub.try_recv_from_any() else {
-            return match progressed {
-                _ if self.live == 0 && hooks.may_exit() => Turn::Exit,
-                true => Turn::Progress,
-                false => Turn::Idle,
-            };
+        let (client, head) = match self.partial.take() {
+            Some(partial) => partial,
+            None => match self.hub.try_recv_from_any() {
+                Some(polled) => {
+                    self.continuations.clear();
+                    polled
+                }
+                None if self.live == 0 && hooks.may_exit() => return Turn::Exit,
+                None if progressed => return Turn::Progress,
+                None => return Turn::Idle,
+            },
         };
         let more = Request::continuations(&head);
-        if more > 0
-            && self
-                .hub
-                .recv_burst_from(client, more, &mut self.frames)
-                .is_err()
+        match (more > 0).then(|| (self.hub).poll_burst_from(client, more, &mut self.continuations))
         {
-            self.counts.malformed += 1;
-            self.retire(client);
-            return Turn::Progress;
+            None | Some(Ok(true)) => {}
+            Some(Ok(false)) => {
+                self.partial = Some((client, head));
+                return if progressed {
+                    Turn::Progress
+                } else {
+                    Turn::Idle
+                };
+            }
+            Some(Err(_)) => {
+                self.counts.malformed += 1;
+                self.retire(client);
+                return Turn::Progress;
+            }
         }
-        match Request::decode(head, replay(&self.frames[..more])) {
+        match Request::decode(head, replay(&self.continuations)) {
             Err(_) => {
                 self.counts.malformed += 1;
                 self.reply(client, &Response::Malformed);
@@ -550,5 +572,49 @@ fn put<R: RawLock + Default, H: Hooks>(
     match outcome {
         Ok(version) => Response::Stored { version },
         Err(current) => Response::CasFail { current },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::router::key_bytes;
+    use crate::service::{ring_mesh, KvClient};
+    use crate::step::play;
+    use crate::wire::MAX_VALUE_LEN;
+    use core::pin::pin;
+    use ssync_locks::TicketLock;
+
+    /// A request longer than its ring crosses it while the client and
+    /// the node take turns on one thread: each turn takes the frames
+    /// published so far and the next resumes the request, instead of
+    /// waiting for the rest — which the client can only send once the
+    /// node has made room.
+    #[test]
+    fn a_request_longer_than_its_ring_is_resumed_across_turns() {
+        let store: KvStore<TicketLock> = KvStore::new(64, 8);
+        let (mut endpoints, mut clients) = ring_mesh(1, 1, 4);
+        let client = clients.pop().unwrap();
+        let value = vec![0x5A; MAX_VALUE_LEN];
+        let set = Request::Set {
+            key: 7,
+            value: value.clone(),
+        };
+        assert_eq!(set.encode().len(), 19);
+        let mut node = (NodeCore::new(endpoints.pop().unwrap()), &store, NoHooks);
+        let mut answer = None;
+        {
+            let mut ops = pin!(async {
+                answer = Some(client.exchange(7, &set).await);
+                client.send_stop().await;
+            });
+            assert!(play(&mut [&mut ops, &mut node], &[], 64));
+        }
+        let Some(Ok(Response::Stored { version })) = answer else {
+            panic!("the Set was answered {answer:?}");
+        };
+        let held = store.get_with_version(&key_bytes(7));
+        assert_eq!(held.map(|(at, v)| (at, v.to_vec())), Some((version, value)));
+        assert_eq!((node.0.counts.requests, node.0.counts.malformed), (1, 0));
     }
 }

@@ -19,15 +19,19 @@
 //!
 //! Flow control: a pipelining client keeps at most the ring depth of
 //! one-frame read requests outstanding per shard — its request sends
-//! therefore never block, so the only blocking edges run server→client
-//! (reply rings), and the one client of a full reply ring is by
-//! construction draining it. The blocking calls hold the same
-//! discipline at any depth, down to 1: a client has at most one
-//! request outstanding per shard (its [`KvClient::get_many`] exploits
-//! exactly that — one multi-get per shard in flight, replies drained
-//! shard by shard), and a server finishes every reply frame of a
-//! request before polling for the next, so the system cannot deadlock
-//! on full buffers.
+//! therefore never wait, so the only waits that can hold anything run
+//! server→client (reply rings), and the one client of a full reply
+//! ring is by construction draining it. A client's waits are pending
+//! polls, never blocking loops ([`crate::conn`]); a node's reply send
+//! is the one blocking edge left. The calls hold the same discipline
+//! at any depth, down to 1: a client has at most one request
+//! outstanding per shard (its [`KvClient::get_many`] exploits exactly
+//! that — one multi-get per shard in flight, replies drained shard by
+//! shard), and a node takes a request's frames as they are published
+//! and finishes every reply frame of a request before polling for the
+//! next, so the system cannot deadlock on full buffers.
+
+use core::future::Future;
 
 use ssync_core::stats::RegistrySnapshot;
 use ssync_kv::KvStore;
@@ -37,6 +41,7 @@ use ssync_mp::{ring_channel, MsgReceiver, MsgSender, RingReceiver, RingSender};
 use crate::conn::{batch_rounds, Conn};
 use crate::node::{NoHooks, NodeCore};
 use crate::router::shard_of;
+use crate::step::block_on;
 pub use crate::wire::ReadHit;
 use crate::wire::{Request, Response, WireError, MGET_MAX};
 
@@ -56,19 +61,24 @@ pub struct ServiceClient<S: MsgSender = RingSender, C: MsgReceiver = RingReceive
 /// The operations any service client exposes — implemented by
 /// [`ServiceClient`] and by the replication and cluster clients, so the
 /// workload engine can drive any of them through one interface. A
-/// client supplies [`KvClient::exchange`], its routing and retry, and
-/// [`KvClient::get_many`], its batching; the typed operations are
-/// written once, here, over `exchange`.
+/// client supplies [`KvClient::exchange`], its routing and retry as one
+/// future, and [`KvClient::get_many`], its batching; the typed
+/// operations are written once, here, each a [`block_on`] over
+/// `exchange`.
 pub trait KvClient {
     /// One request about `key`, sent wherever the client routes that
-    /// key and retried as the client retries; returns the reply that
-    /// answers it.
+    /// key and retried as the client retries; resolves to the reply
+    /// that answers it.
     ///
     /// # Errors
     ///
     /// [`WireError`] on a transport failure, an undecodable reply, or
     /// a retry budget spent.
-    fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError>;
+    fn exchange(
+        &self,
+        key: u64,
+        request: &Request,
+    ) -> impl Future<Output = Result<Response, WireError>>;
 
     /// Batched lookup, results in input order.
     ///
@@ -84,7 +94,7 @@ pub trait KvClient {
     /// As for [`KvClient::exchange`], and on an out-of-protocol reply
     /// or a request the server rejected as malformed.
     fn get(&self, key: u64) -> Result<ReadHit, WireError> {
-        self.exchange(key, &Request::Get { key })?.into_read("Get")
+        block_on(self.exchange(key, &Request::Get { key }))?.into_read("Get")
     }
 
     /// Stores a value; returns its new CAS version.
@@ -93,8 +103,7 @@ pub trait KvClient {
     ///
     /// As for [`KvClient::get`].
     fn set(&self, key: u64, value: Vec<u8>) -> Result<u64, WireError> {
-        self.exchange(key, &Request::Set { key, value })?
-            .into_stored()
+        block_on(self.exchange(key, &Request::Set { key, value }))?.into_stored()
     }
 
     /// Compare-and-set. The outer `Result` is transport health; the
@@ -110,7 +119,7 @@ pub trait KvClient {
             expected,
             value,
         };
-        self.exchange(key, &request)?.into_cas()
+        block_on(self.exchange(key, &request))?.into_cas()
     }
 
     /// Deletes a key; `Some(tombstone_version)` if it existed.
@@ -119,7 +128,7 @@ pub trait KvClient {
     ///
     /// As for [`KvClient::get`].
     fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
-        self.exchange(key, &Request::Delete { key })?.into_deleted()
+        block_on(self.exchange(key, &Request::Delete { key }))?.into_deleted()
     }
 }
 
@@ -225,11 +234,11 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
         // A dead shard surfaces as Disconnected on the owed
         // read_get_reply (its reply sender dropped with the server), so
         // the fire half stays infallible.
-        let _ = self.shards[shard].send(request);
+        let _ = block_on(self.shards[shard].send(request));
         shard
     }
 
-    /// Blocks for the next outstanding read reply from `shard` — the
+    /// Waits for the next outstanding read reply from `shard` — the
     /// drain half of the pipelined read path.
     ///
     /// # Errors
@@ -237,7 +246,7 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     /// [`WireError`] if the reply fails to decode, is out of protocol,
     /// or the server rejected the request as malformed.
     pub fn read_get_reply(&self, shard: usize) -> Result<ReadHit, WireError> {
-        self.shards[shard].recv()?.into_read("Get")
+        block_on(self.shards[shard].recv())?.into_read("Get")
     }
 
     /// Scrapes server `shard`'s live metrics — histograms, node and
@@ -249,22 +258,28 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
     /// [`WireError`] on an undecodable reply or a payload that fails
     /// snapshot decoding.
     pub fn stats(&self, shard: usize) -> Result<RegistrySnapshot, WireError> {
-        self.shards[shard].call(&Request::Stats)?.into_stats()
+        block_on(self.shards[shard].call(&Request::Stats))?.into_stats()
     }
 
     /// Tells every server this client is done, consuming the client.
     /// Servers exit after the last client closes; a server already
     /// gone needs no goodbye.
     pub fn close(self) {
+        block_on(self.send_stop());
+    }
+
+    /// Sends every server `Stop`, skipping any already gone: the body
+    /// of [`ServiceClient::close`], for a driver that steps the client.
+    pub async fn send_stop(&self) {
         for conn in &self.shards {
-            let _ = conn.send(&Request::Stop);
+            let _ = conn.send(&Request::Stop).await;
         }
     }
 }
 
 impl<S: MsgSender, C: MsgReceiver> KvClient for ServiceClient<S, C> {
-    fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
-        self.route(key).call(request)
+    async fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
+        self.route(key).call(request).await
     }
 
     /// Batched lookup: coalesces the keys into at most one in-flight
@@ -277,23 +292,28 @@ impl<S: MsgSender, C: MsgReceiver> KvClient for ServiceClient<S, C> {
     /// [`WireError`] on the first undecodable or out-of-protocol reply.
     fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
         let mut results: Vec<ReadHit> = vec![None; keys.len()];
-        batch_rounds(keys, self.shards.len(), MGET_MAX, |chunks| {
-            // Phase 1: one head frame per shard — never blocks past the
-            // servers' current request, so no send/recv cycle forms.
-            for (conn, chunk) in self.shards.iter().zip(chunks) {
-                if !chunk.is_empty() {
-                    let batch: Vec<u64> = chunk.iter().map(|&p| keys[p]).collect();
-                    conn.send(&Request::MultiGet { keys: batch })?;
+        block_on(batch_rounds(
+            keys,
+            self.shards.len(),
+            MGET_MAX,
+            async |chunks| {
+                // Phase 1: one head frame per shard — never waits past the
+                // servers' current request, so no send/recv cycle forms.
+                for (conn, chunk) in self.shards.iter().zip(chunks) {
+                    if !chunk.is_empty() {
+                        let batch: Vec<u64> = chunk.iter().map(|&p| keys[p]).collect();
+                        conn.send(&Request::MultiGet { keys: batch }).await?;
+                    }
                 }
-            }
-            // Phase 2: drain every shard's replies, in key order.
-            for (conn, chunk) in self.shards.iter().zip(chunks) {
-                for &pos in *chunk {
-                    results[pos] = conn.recv()?.into_read("MultiGet")?;
+                // Phase 2: drain every shard's replies, in key order.
+                for (conn, chunk) in self.shards.iter().zip(chunks) {
+                    for &pos in *chunk {
+                        results[pos] = conn.recv().await?.into_read("MultiGet")?;
+                    }
                 }
-            }
-            Ok(())
-        })?;
+                Ok(())
+            },
+        ))?;
         Ok(results)
     }
 }
@@ -556,11 +576,11 @@ mod tests {
             // channel, bypassing the typed encoder.
             let conn = client.conn(0);
             conn.tx.send([0xFF; ssync_mp::MSG_WORDS]);
-            assert_eq!(conn.recv(), Ok(Response::Malformed));
+            assert_eq!(block_on(conn.recv()), Ok(Response::Malformed));
             // Replication traffic at a plain server is refused the same
             // way — and counted, like on every other node kind.
             let misdirected = Request::ReplGet { key: 1, floor: 0 };
-            assert_eq!(conn.call(&misdirected), Ok(Response::Malformed));
+            assert_eq!(block_on(conn.call(&misdirected)), Ok(Response::Malformed));
             assert_eq!(client.get(1), Ok(None));
             let snap = client.stats(0).unwrap();
             assert_eq!(snap.counter("srv.malformed"), Some(2));
@@ -642,8 +662,8 @@ mod tests {
         let rude = clients.pop().unwrap();
         let report = std::thread::scope(|s| {
             let server = s.spawn(|| serve(router.shard(0), endpoints.pop().unwrap()));
-            rude.conn(0).send(&Request::Stop).unwrap();
-            rude.conn(0).send(&Request::Stop).unwrap();
+            block_on(rude.conn(0).send(&Request::Stop)).unwrap();
+            block_on(rude.conn(0).send(&Request::Stop)).unwrap();
             // Both Stops are processed before the scrape is answered:
             // the loop polls round-robin and the rings are FIFO.
             for key in 0..64 {

@@ -20,9 +20,10 @@
 //! `decode(head, more)`, where `more` pulls the next frame *from the
 //! same peer*. [`Request::continuations`] / [`Response::continuations`]
 //! say from the head alone how many frames follow it, so a receiver
-//! takes them as one burst (`ServerHub::recv_burst_from` on the server,
-//! the reply channel's `recv_burst_connected` on a client) and decodes
-//! with [`replay`] over what arrived.
+//! takes them in bursts as they are published, resuming across polls
+//! (`ServerHub::poll_burst_from` on the server, the reply channel's
+//! `poll_burst` under a client's `Conn::recv`), and decodes with
+//! [`replay`] over what arrived.
 //!
 //! A frame's payload bytes are its words' little-endian byte image,
 //! and the codec treats them that way: a value moves between a byte

@@ -19,7 +19,7 @@ use ssync_srv::wire::{
     MAX_VALUE_LEN, NO_LEADER, REPL_MGET_CONT_KEYS, REPL_MGET_HEAD_KEYS, REPL_MGET_MAX,
     STATS_INLINE_BYTES,
 };
-use ssync_srv::{ring_mesh, serve, KvClient, Request, Response, ShardRouter};
+use ssync_srv::{block_on, ring_mesh, serve, KvClient, Request, Response, ShardRouter};
 
 include!("data/golden_frames.rs");
 
@@ -418,7 +418,7 @@ fn scraped_snapshot() -> Vec<u8> {
             let shard = client.send_get_timed(key, mono_ns());
             client.read_get_reply(shard).expect("a timed get");
         }
-        let reply = client.conn(0).call(&Request::Stats);
+        let reply = block_on(client.conn(0).call(&Request::Stats));
         client.close();
         match reply {
             Ok(Response::StatsReply { payload }) => payload,

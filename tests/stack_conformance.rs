@@ -30,7 +30,7 @@ use ssync::kv::KvStore;
 use ssync::locks::TicketLock;
 use ssync::mp::{RingReceiver, RingSender};
 use ssync::repl::{repl_mesh, serve_node, FaultSpec, OpLog, ReplCluster, ReplSpec};
-use ssync::srv::{ring_mesh, serve, Conn, Request, Response, ShardRouter};
+use ssync::srv::{block_on, ring_mesh, serve, Conn, Request, Response, ShardRouter};
 
 const BUCKETS: usize = 64;
 const STRIPES: usize = 8;
@@ -182,9 +182,9 @@ fn play(
             Step::Delete(key) => (Request::Delete { key }, 1),
             Step::Stats => (Request::Stats, 1),
         };
-        conn.send(&request).expect("node alive");
+        block_on(conn.send(&request)).expect("node alive");
         for _ in 0..answers {
-            let response = conn.recv().expect("node alive");
+            let response = block_on(conn.recv()).expect("node alive");
             match (step, &response) {
                 (Step::Set(key, _) | Step::CasFresh(key, _), Response::Stored { version }) => {
                     versions.insert(*key, *version);
@@ -261,10 +261,7 @@ fn through_repl(steps: &[Step], leave: Leave) -> Outcome {
     // The dying client takes proper leave of the backup, which would
     // otherwise wait for its `Stop` forever, and dies on the leader.
     let doomed = clients.pop().unwrap();
-    doomed
-        .conn(0, 1)
-        .send(&Request::Stop)
-        .expect("ring has room");
+    block_on(doomed.conn(0, 1).send(&Request::Stop)).expect("ring has room");
     die_mid_request(doomed.conn(0, 0));
     drop(doomed);
     let (played, leader_malformed) = std::thread::scope(|s| {
