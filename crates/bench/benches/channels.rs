@@ -1,15 +1,19 @@
 //! Message-passing costs: send/recv on the cache-line channel, a
 //! two-thread ping-pong (the native analogue of Figure 9), a multi-frame
-//! ring echo frame by frame and as bursts, and the wire codec's share of
-//! a multi-frame round trip.
+//! ring echo frame by frame and as bursts, the wire codec's share of a
+//! multi-frame round trip, and one read through the plain service's
+//! client legs and node turn on one thread.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ssync_kv::KvStore;
+use ssync_locks::TicketLock;
 use ssync_mp::channel::channel;
 use ssync_mp::{
     ring_channel, Message, MsgReceiver, RecvError, RingReceiver, RingSender, MSG_WORDS,
 };
+use ssync_srv::router::key_bytes;
 use ssync_srv::wire::{encode_set, encode_value};
-use ssync_srv::{Request, Response};
+use ssync_srv::{ring_mesh, NoHooks, NodeCore, Request, Response};
 
 fn bench_send_recv_same_thread(c: &mut Criterion) {
     let (tx, rx) = channel();
@@ -152,6 +156,34 @@ fn bench_wire_value_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// One read through the plain service on one thread: the client's
+/// pipelined send (`send_get`), one node turn (`NodeCore::turn`), and
+/// the reply's receive and decode (`read_get_reply`), over 1 024 hot
+/// keys of a depth-64 ring pair. What a client leg or a node turn costs
+/// shows here without a second thread's cache-line transfers.
+fn bench_srv_exchange(c: &mut Criterion) {
+    let store: KvStore<TicketLock> = KvStore::new(1 << 12, 16);
+    for key in 0..1024u64 {
+        store.set(&key_bytes(key), [7; 16]);
+    }
+    let (mut endpoints, mut clients) = ring_mesh(1, 1, 64);
+    let client = clients.pop().expect("one client");
+    let mut node = NodeCore::new(endpoints.pop().expect("one shard"));
+    let mut draw = 1u64;
+    let mut group = c.benchmark_group("srv_exchange");
+    group.bench_function("one_thread", |b| {
+        b.iter(|| {
+            draw = draw
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let shard = client.send_get((draw >> 33) % 1024);
+            node.turn(&store, &mut NoHooks);
+            client.read_get_reply(shard).expect("a hit")
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -159,6 +191,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(700));
     targets = bench_send_recv_same_thread, bench_ping_pong_threads, bench_ring_burst_echo,
-        bench_wire_value_codec
+        bench_wire_value_codec, bench_srv_exchange
 }
 criterion_main!(benches);

@@ -70,11 +70,10 @@
 //! [`FaultSpec::migration_plan_for`]: ssync_repl::FaultSpec::migration_plan_for
 //! [`FaultSpec::coordinator_plan_for`]: ssync_repl::FaultSpec::coordinator_plan_for
 
-use core::cell::Cell;
 use core::future::Future;
 use core::pin::Pin;
 use core::task::{Context, Poll, Waker};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
@@ -82,9 +81,10 @@ use ssync_mp::{Message, RingSender};
 use ssync_repl::{FaultSpec, LogEntry, OpLog};
 use ssync_srv::step::until;
 use ssync_srv::wire::encode_replicate;
-use ssync_srv::{block_on, slot_of, Step, Turn, ROUTE_SLOTS};
+use ssync_srv::{run, slot_of, Step, Turn, ROUTE_SLOTS};
 
 use crate::map::ShardMap;
+use crate::sync::atomic::{AtomicBool, Ordering};
 
 /// Unfrozen delta-replay rounds before the freeze — each shrinks the
 /// tail the frozen final drain has to ship.
@@ -146,12 +146,36 @@ pub struct MigrationReport {
 /// cursor. The truncation point is the last entry *read*: the owning
 /// node appends concurrently, and an entry that lands between the read
 /// and the truncation must survive to the next call.
-async fn drain_tail(log: &OpLog, cursor: &mut u64, mut ship: impl AsyncFnMut(&LogEntry)) {
+fn drain_tail(log: &OpLog, cursor: &mut u64, mut ship: impl FnMut(&LogEntry)) {
     for entry in log.entries_after(*cursor) {
         *cursor = entry.version;
-        ship(&entry).await;
+        ship(&entry);
     }
     log.truncate_through(*cursor);
+}
+
+/// Replays the tail of `log` after `*cursor` ([`drain_tail`]): its
+/// entries in the `moving` slots go to their owners among
+/// `shards_after` shards, in order, each counted in `sent`.
+async fn delta(
+    (log, cursor): (&OpLog, &mut u64),
+    moving: u64,
+    shards_after: usize,
+    mig_tx: &[RingSender],
+    sent: &mut [u64],
+) {
+    let (mut frames, mut entry) = (vec![Vec::new(); mig_tx.len()], Vec::new());
+    drain_tail(log, cursor, |logged| {
+        let slot = slot_of(logged.key);
+        if moving & (1 << slot) != 0 {
+            logged.encode_into(&mut entry);
+            frames[slot % shards_after].extend_from_slice(&entry);
+            sent[slot % shards_after] += 1;
+        }
+    });
+    for (tx, frames) in mig_tx.iter().zip(&frames) {
+        send(tx, frames).await;
+    }
 }
 
 /// What a coordinator must undo however it exits: the freeze it may
@@ -214,9 +238,10 @@ async fn send(tx: &RingSender, mut frames: &[Message]) {
 /// to its next wait. Dropping it unfreezes and disarms, but an entry it
 /// left half sent stays on its target's migration ring.
 pub struct Reshard<'a> {
-    body: Pin<Box<dyn Future<Output = MigrationReport> + 'a>>,
+    body: Pin<Box<dyn Future<Output = MigrationReport> + Send + 'a>>,
     /// Set by the body at each copy page's end.
-    moved: Rc<Cell<bool>>,
+    // chk: set and cleared by whichever one thread polls the body.
+    moved: Arc<AtomicBool>,
     report: Option<MigrationReport>,
 }
 
@@ -230,8 +255,8 @@ impl<'a> Reshard<'a> {
         mig_tx: &'a [RingSender],
         spec: &ReshardSpec,
     ) -> Reshard<'a> {
-        let moved = Rc::new(Cell::new(false));
-        let body = coordinate(map, stores, logs, mig_tx, *spec, Rc::clone(&moved));
+        let moved = Arc::new(AtomicBool::new(false));
+        let body = coordinate(map, stores, logs, mig_tx, *spec, Arc::clone(&moved));
         Reshard {
             body: Box::pin(body),
             moved,
@@ -254,7 +279,7 @@ impl<'a> Reshard<'a> {
                 self.report = Some(report);
                 Turn::Exit
             }
-            Poll::Pending if self.moved.replace(false) => Turn::Progress,
+            Poll::Pending if self.moved.swap(false, Ordering::Relaxed) => Turn::Progress,
             Poll::Pending => Turn::Idle,
         }
     }
@@ -265,15 +290,21 @@ impl<'a> Reshard<'a> {
     }
 }
 
+/// A coordinator never parks: while it holds a freeze, writes to the
+/// moving slots wait on it.
 impl Step for Reshard<'_> {
     fn step(&mut self) -> Turn {
         Reshard::step(self)
     }
+
+    fn may_park(&self) -> bool {
+        false
+    }
 }
 
 /// Runs one resharding to completion against live nodes, injecting the
-/// spec's seeded faults: one [`block_on`] over the protocol
-/// [`Reshard::step`] steps. Returns once the sources are cleaned.
+/// spec's seeded faults: [`run`] over one [`Reshard`]. Returns once the
+/// sources are cleaned.
 ///
 /// `stores`, `logs`, and `mig_tx` are indexed by shard id and must
 /// cover both the current fleet and `shards_after`.
@@ -290,17 +321,19 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
     mig_tx: &[RingSender],
     spec: &ReshardSpec,
 ) -> MigrationReport {
-    block_on(coordinate(map, stores, logs, mig_tx, *spec, Rc::default()))
+    let mut reshard = Reshard::new(map, stores, logs, mig_tx, spec);
+    run(&mut [&mut reshard]);
+    reshard.report.expect("a coordinator exits with its report")
 }
 
 /// The coordinator: the module docs' protocol, each wait an `.await`.
-async fn coordinate<R: RawLock + Default>(
+pub(crate) async fn coordinate<R: RawLock + Default>(
     map: &ShardMap,
     stores: &[&KvStore<R>],
     logs: &[&OpLog],
     mig_tx: &[RingSender],
     spec: ReshardSpec,
-    moved: Rc<Cell<bool>>,
+    moved: Arc<AtomicBool>,
 ) -> MigrationReport {
     let shards_after = spec.shards_after;
     assert!(shards_after > 0 && shards_after <= stores.len());
@@ -361,27 +394,6 @@ async fn coordinate<R: RawLock + Default>(
     let mut frames: Vec<Message> = Vec::new();
 
     let drained = |sent: &[u64]| (sent.iter().enumerate()).all(|(t, &n)| map.migrated_of(t) >= n);
-    // Replays `source`'s op-log tail after the cursor, shipping moving
-    // entries to their slots' new owners.
-    let delta = async |source: usize,
-                       cursor: &mut [u64],
-                       sent: &mut [u64],
-                       frames: &mut Vec<Message>,
-                       report: &mut MigrationReport| {
-        drain_tail(logs[source], &mut cursor[source], async |entry| {
-            let slot = slot_of(entry.key);
-            if moving_from[source] & (1 << slot) == 0 {
-                return;
-            }
-            let target = new_owner(slot);
-            entry.encode_into(frames);
-            send(&mig_tx[target], frames).await;
-            sent[target] += 1;
-            report.entries_migrated += 1;
-        })
-        .await;
-    };
-
     loop {
         report.attempts += 1;
         let crash_stage = coord_plan
@@ -411,7 +423,6 @@ async fn coordinate<R: RawLock + Default>(
                     encode_replicate(k, *version, value, &mut frames);
                     send(&mig_tx[new_owner(slot)], &frames).await;
                     sent[new_owner(slot)] += 1;
-                    report.entries_migrated += 1;
                     streamed[source] += 1;
                     let events = plans[source].events();
                     let crash = (events.get(fault_idx[source]))
@@ -425,7 +436,7 @@ async fn coordinate<R: RawLock + Default>(
                 }
                 // The page's end: one pending poll, which a step reports
                 // as progress.
-                moved.set(true);
+                moved.store(true, Ordering::Relaxed);
                 let mut ended = false;
                 until(|| std::mem::replace(&mut ended, true).then_some(())).await;
             }
@@ -438,7 +449,8 @@ async fn coordinate<R: RawLock + Default>(
         // 3. Unfrozen delta rounds shrink the final drain.
         for _ in 0..DELTA_ROUNDS {
             for &source in &sources {
-                delta(source, &mut cursor, &mut sent, &mut frames, &mut report).await;
+                let log = (logs[source], &mut cursor[source]);
+                delta(log, moving_from[source], shards_after, mig_tx, &mut sent).await;
             }
         }
         if crash_stage == Some(1) {
@@ -466,7 +478,8 @@ async fn coordinate<R: RawLock + Default>(
         // 5. Final delta: sources are quiesced, so this tail is
         // complete. Prove the targets applied everything, then cut.
         for (&source, &hwm) in sources.iter().zip(&acks) {
-            delta(source, &mut cursor, &mut sent, &mut frames, &mut report).await;
+            let log = (logs[source], &mut cursor[source]);
+            delta(log, moving_from[source], shards_after, mig_tx, &mut sent).await;
             debug_assert!(cursor[source] >= hwm, "final delta must reach the hwm");
         }
         until(|| drained(&sent).then_some(())).await;
@@ -480,6 +493,7 @@ async fn coordinate<R: RawLock + Default>(
     // on — then disarm: the parked writes bounce to their new owners
     // and every node drops its log.
     drop(guard);
+    report.entries_migrated = sent.iter().sum();
 
     // 6. Cleanup: moved keys leave their sources; their retired nodes
     // are reclaimed by the stores' online epoch passes (or the
@@ -661,12 +675,7 @@ mod tests {
             (shipped, log.len())
         }
         assert_eq!(
-            shipped_by(|log, cursor, ship| {
-                let drain = std::pin::pin!(drain_tail(log, cursor, async |entry| ship(entry)));
-                assert!(drain
-                    .poll(&mut Context::from_waker(Waker::noop()))
-                    .is_ready());
-            }),
+            shipped_by(|log, cursor, ship| { drain_tail(log, cursor, ship) }),
             (vec![1, 2], 0),
             "every write ships once and the log ends empty"
         );
@@ -816,7 +825,7 @@ mod tests {
                     node,
                     runs_frozen: twin,
                 };
-                Some((core, &stores[me], node))
+                (core, &stores[me], node)
             })
             .collect();
         let client = ClusterClient::new(&map, conns.pop().unwrap());

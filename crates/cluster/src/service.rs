@@ -1,8 +1,8 @@
 //! Cluster node servers and the map-following client.
 //!
-//! One [`serve_cluster_node`] thread per shard, over the ring
-//! transport. The node loop — polling, decoding, executing, replying,
-//! scraping, pacing — is `ssync-srv`'s [`NodeCore`]; what this module
+//! One [`serve_cluster_node`] per shard, over the ring transport. The
+//! node — polling, decoding, executing, replying, scraping — is
+//! `ssync-srv`'s [`NodeCore`], driven by [`run`]; what this module
 //! owns is the one node struct whose hooks add elastic routing to it:
 //!
 //! * **The slot fence** ([`slot_fence`], the node's `admit` hook) —
@@ -59,7 +59,7 @@ use ssync_repl::{EntryView, LogEntry, OpLog};
 use ssync_srv::service::{ring_mesh, ReadHit, ServeReport, ServerEndpoint};
 use ssync_srv::wire::{Request, Response, WireError};
 use ssync_srv::{
-    block_on, chase, slot_of, Admit, Chase, Conn, Hooks, KvClient, NodeCore, ServiceClient,
+    block_on, chase, run, slot_of, Admit, Chase, Conn, Hooks, KvClient, NodeCore, ServiceClient,
     StreamDecoder, Turn, OP_BUDGET,
 };
 
@@ -213,6 +213,19 @@ impl<'a, R: RawLock + Default> ClusterNode<'a, R> {
     }
 }
 
+impl<R: RawLock + Default> ClusterNode<'_, R> {
+    /// What this node did, with `core`'s counts.
+    pub fn report(&self, core: &NodeCore<RingReceiver, RingSender>) -> NodeReport {
+        let counts = core.report();
+        NodeReport {
+            requests: counts.requests,
+            key_ops: counts.key_ops,
+            malformed: counts.malformed,
+            ..self.report
+        }
+    }
+}
+
 impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
     fn admit(&mut self, key: u64, is_write: bool) -> Admit {
         let verdict = slot_fence(self.map, self.me, key, is_write);
@@ -292,11 +305,10 @@ impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
     }
 }
 
-/// Runs one cluster node on the one node loop ([`NodeCore::run`]): each
-/// turn follows both migration handshakes and drains the migration
-/// stream before the core re-submits parked writes and polls the
-/// clients. Returns once every client has sent [`Request::Stop`] (or
-/// gone away).
+/// Runs one cluster node, [`run`] over it alone: each turn follows both
+/// migration handshakes and drains the migration stream before the
+/// core re-submits parked writes and polls the clients. Returns once
+/// every client has sent [`Request::Stop`] (or gone away).
 pub fn serve_cluster_node<R: RawLock + Default>(
     me: usize,
     store: &KvStore<R>,
@@ -304,14 +316,10 @@ pub fn serve_cluster_node<R: RawLock + Default>(
     map: &ShardMap,
     endpoint: ClusterNodeEndpoint,
 ) -> NodeReport {
-    let (core, mut node) = ClusterNode::new(me, store, log, map, endpoint);
-    let counts = core.run(store, &mut node);
-    NodeReport {
-        requests: counts.requests,
-        key_ops: counts.key_ops,
-        malformed: counts.malformed,
-        ..node.report
-    }
+    let (core, node) = ClusterNode::new(me, store, log, map, endpoint);
+    let mut node = (core, store, node);
+    run(&mut [&mut node]);
+    node.2.report(&node.0)
 }
 
 /// The slots `shard` owns under the current map, as a bitmask.

@@ -4,9 +4,10 @@
 //! count, routes it through a [`ShardMap`] that initially only uses
 //! the first `shards_before` shards, and drives closed-loop client
 //! workers against it — the `ssync-srv` engine's [`fan_out`], reporting
-//! its one [`Tally`] — while a coordinator thread reshards the fleet
-//! live — [`run_reshard_coordinator`] with the spec's seeded faults —
-//! once enough traffic has flowed.
+//! its one [`Tally`] — while a coordinator reshards the fleet live —
+//! the protocol [`run_reshard_coordinator`] runs, with the spec's
+//! seeded faults — once enough traffic has flowed. The nodes and the
+//! coordinator are the actors of one [`run`].
 //!
 //! Workers own disjoint key residues (worker `w` touches only keys
 //! `≡ w (mod workers)`), so each can keep a private `BTreeMap` model
@@ -29,6 +30,7 @@
 //! freeze-fence argument in [`crate::service`] — which is exactly the
 //! asymmetry the final convergence check makes observable.
 
+use core::pin::pin;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -38,12 +40,15 @@ use rand::{Rng, SeedableRng};
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_repl::OpLog;
+use ssync_srv::step::until;
 use ssync_srv::workload::{fan_out, Tally};
-use ssync_srv::KvClient;
+use ssync_srv::{run, KvClient, Step};
 
 use crate::map::ShardMap;
-use crate::migrate::{run_reshard_coordinator, MigrationReport, ReshardSpec};
-use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient, NodeReport};
+#[cfg(doc)]
+use crate::migrate::run_reshard_coordinator;
+use crate::migrate::{coordinate, MigrationReport, ReshardSpec};
+use crate::service::{cluster_mesh, ClusterClient, ClusterNode, NodeReport};
 use crate::sync::atomic::{AtomicU64, Ordering};
 
 /// What to run: fleet shape, traffic, and the migration to inject.
@@ -129,55 +134,57 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
     // the final `issued`.
     let departed = AtomicU64::new(0);
 
-    let (tally, outs, coordinated, nodes) = std::thread::scope(|s| {
-        let nodes: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(shard, endpoint)| {
-                let (store, log, map) = (&stores[shard], &logs[shard], &map);
-                s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint))
-            })
-            .collect();
+    let node = |(shard, endpoint)| {
+        let (core, node) = ClusterNode::new(shard, &stores[shard], &logs[shard], &map, endpoint);
+        (core, &stores[shard], node)
+    };
+    let mut nodes: Vec<_> = endpoints.into_iter().enumerate().map(node).collect();
+    let (store_refs, log_refs): (Vec<_>, Vec<_>) = stores.iter().zip(&logs).unzip();
+    let mut coordinated = None;
+    let (tally, outs) = {
         // The coordinator: wait for the warm-up, migrate, and let the
-        // nodes exit. Workers all gone before the warm-up means
-        // one panicked: there is nothing to migrate under.
-        let coordinator = s.spawn(|| {
-            while issued.load(Ordering::Relaxed) < spec.start_after_ops
-                && departed.load(Ordering::Acquire) < spec.workers as u64
-            {
-                std::thread::yield_now();
+        // nodes exit. Workers all gone before the warm-up means one
+        // panicked: there is nothing to migrate under.
+        let mut coordinator = pin!(async {
+            until(|| {
+                let warmed = issued.load(Ordering::Relaxed) >= spec.start_after_ops;
+                (warmed || departed.load(Ordering::Acquire) >= spec.workers as u64).then_some(())
+            })
+            .await;
+            if issued.load(Ordering::Relaxed) >= spec.start_after_ops {
+                let (logs, moved) = (&log_refs, Default::default());
+                let migrating = coordinate(&map, &store_refs, logs, &mig, spec.reshard, moved);
+                coordinated = Some(migrating.await);
             }
-            let warmed = issued.load(Ordering::Relaxed) >= spec.start_after_ops;
-            let migrated = warmed.then(|| {
-                let store_refs: Vec<&KvStore<R>> = stores.iter().collect();
-                let log_refs: Vec<&OpLog> = logs.iter().collect();
-                run_reshard_coordinator(&map, &store_refs, &log_refs, &mig, &spec.reshard)
-            });
+            // Nothing went out on this connection before: its `Stop`
+            // finds room at once.
             ClusterClient::new(&map, control_conn).close();
-            migrated
         });
-        let (tally, outs) = fan_out(conns, |worker, conn| {
-            let client = ClusterClient::new(&map, conn);
-            // A panicking worker still stops its client, so the nodes
-            // exit on a `Stop` rather than on noticing a departure, and
-            // still counts itself out, so the coordinator cannot wait
-            // on it forever.
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                drive_worker(&client, spec, worker as u64, &issued)
-            }));
-            let redirects = client.redirects();
-            client.close();
-            departed.fetch_add(1, Ordering::Release);
-            let (model, tally) = run.unwrap_or_else(|panic| resume_unwind(panic));
-            (tally, (model, redirects))
-        });
-        let coordinated = coordinator.join().expect("coordinator panicked");
-        let nodes: Vec<NodeReport> = nodes
-            .into_iter()
-            .map(|node| node.join().expect("node panicked"))
-            .collect();
-        (tally, outs, coordinated, nodes)
-    });
+        let mut actors: Vec<&mut (dyn Step + Send)> = vec![&mut coordinator];
+        actors.extend(nodes.iter_mut().map(|node| node as &mut (dyn Step + Send)));
+        std::thread::scope(|s| {
+            s.spawn(|| run(&mut actors));
+            fan_out(conns, |worker, conn| {
+                let client = ClusterClient::new(&map, conn);
+                // A panicking worker still stops its client, so the nodes
+                // exit on a `Stop` rather than on noticing a departure, and
+                // still counts itself out, so the coordinator cannot wait
+                // on it forever.
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    drive_worker(&client, spec, worker as u64, &issued)
+                }));
+                let redirects = client.redirects();
+                client.close();
+                departed.fetch_add(1, Ordering::Release);
+                let (model, tally) = run.unwrap_or_else(|panic| resume_unwind(panic));
+                (tally, (model, redirects))
+            })
+        })
+    };
+    let nodes: Vec<NodeReport> = nodes
+        .iter()
+        .map(|(core, _, node)| node.report(core))
+        .collect();
     let migration = coordinated.expect("the warm-up ends before the workers do");
 
     // Audit. Direction one: nothing sits at a shard that does not own

@@ -25,8 +25,8 @@ pub enum RecvError {
 pub struct Disconnected;
 
 /// The receive side a [`ServerHub`] can multiplex: anything with a
-/// non-blocking poll.
-pub trait MsgReceiver {
+/// non-blocking poll, owned by whichever thread polls it.
+pub trait MsgReceiver: Send {
     /// Attempts to receive without blocking.
     fn try_recv(&self) -> Option<Message>;
 
@@ -155,7 +155,7 @@ impl MsgReceiver for RingReceiver {
 /// The send side of either channel flavour — the mirror of
 /// [`MsgReceiver`], so code on top (`ssync-srv`'s `Conn` and
 /// `NodeCore`) is written once over the transport.
-pub trait MsgSender {
+pub trait MsgSender: Send {
     /// Sends a message, blocking (spin then yield) while the channel
     /// is full.
     fn send(&self, msg: Message);
@@ -206,23 +206,6 @@ pub trait MsgSender {
             self.send(frame);
         }
     }
-
-    /// Sends a frame sequence via [`MsgSender::send_connected`],
-    /// stopping at the first failure — the connected form of
-    /// [`MsgSender::send_all`], which a node's peer stream sends
-    /// through. A client connection sends the same runs one
-    /// [`MsgSender::try_send_burst`] a poll, never blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`Disconnected`] if the receiving half was dropped; frames
-    /// before the failing one were already delivered.
-    fn send_all_connected(&self, frames: &[Message]) -> Result<(), Disconnected> {
-        for frame in frames {
-            self.send_connected(*frame)?;
-        }
-        Ok(())
-    }
 }
 
 impl MsgSender for Sender {
@@ -258,10 +241,6 @@ impl MsgSender for RingSender {
 
     fn send_all(&self, frames: &[Message]) {
         RingSender::send_all(self, frames)
-    }
-
-    fn send_all_connected(&self, frames: &[Message]) -> Result<(), Disconnected> {
-        RingSender::send_all_connected(self, frames)
     }
 }
 
@@ -322,29 +301,24 @@ impl<C: MsgReceiver> ServerHub<C> {
         }
     }
 
-    /// One non-blocking step toward the next `n` messages from one
-    /// client in `out` ([`MsgReceiver::poll_burst`]): how a serve loop
-    /// takes, across as many turns as `client` needs to publish them,
-    /// the continuation frames of a request whose head frame came from
-    /// `client`, so interleaved clients' frames are never mixed. Leaves
-    /// the round-robin cursor where it was — the head frame's receive
-    /// already advanced it.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Disconnected`] if `client` went away before the
-    /// `n`-th message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` is out of range.
-    pub fn poll_burst_from(
-        &self,
-        client: usize,
-        n: usize,
-        out: &mut Vec<Message>,
-    ) -> Result<bool, RecvError> {
-        self.clients[client].poll_burst(n, out)
+    /// One round-robin pass over the clients, starting after the last
+    /// one served: `visit` is asked about each client in turn until it
+    /// returns `Some`, which ends the pass there and makes that client
+    /// the last one served. How a serve loop that keeps per-client
+    /// state — a request whose continuation frames are still coming —
+    /// polls each client its own way without starving any.
+    pub fn poll_with<T>(&mut self, mut visit: impl FnMut(usize, &C) -> Option<T>) -> Option<T> {
+        let n = self.clients.len();
+        let mut c = self.next;
+        for _ in 0..n {
+            let after = if c + 1 == n { 0 } else { c + 1 };
+            if let Some(hit) = visit(c, &self.clients[c]) {
+                self.next = after;
+                return Some(hit);
+            }
+            c = after;
+        }
+        None
     }
 
     /// True if `client` went away for good: its sending half dropped
@@ -364,19 +338,12 @@ impl<C: MsgReceiver> ServerHub<C> {
     }
 
     fn poll_once(&mut self, subset: Option<&[usize]>) -> Option<(usize, Message)> {
-        let n = self.clients.len();
-        let mut c = self.next;
-        for _ in 0..n {
-            let after = if c + 1 == n { 0 } else { c + 1 };
-            if subset.is_none_or(|filter| filter.contains(&c)) {
-                if let Some(msg) = self.clients[c].try_recv() {
-                    self.next = after;
-                    return Some((c, msg));
-                }
+        self.poll_with(|c, rx| {
+            if subset.is_some_and(|filter| !filter.contains(&c)) {
+                return None;
             }
-            c = after;
-        }
-        None
+            rx.try_recv().map(|msg| (c, msg))
+        })
     }
 }
 
@@ -431,34 +398,42 @@ mod tests {
         assert_eq!(m[0], 10);
     }
 
+    /// A pass asks each client once, from the one after the last
+    /// served, and a hit moves the rotation past it: how a serve loop
+    /// resumes one client's half-published request while the others
+    /// keep their turns.
     #[test]
-    fn poll_burst_from_reads_one_client_and_keeps_the_rotation() {
+    fn poll_with_asks_each_client_once_and_keeps_the_rotation() {
         let (tx0, rx0) = crate::ring::ring_channel(4);
         let (tx1, rx1) = crate::ring::ring_channel(4);
         let (tx2, rx2) = crate::ring::ring_channel(4);
         let mut hub = ServerHub::new(vec![rx0, rx1, rx2]);
-        // Client 1 sends a head frame and two continuation frames
-        // while clients 0 and 2 hold traffic the whole time.
         tx0.send([10; 7]);
         tx2.send([12; 7]);
         tx1.send_all(&[[1; 7], [2; 7], [3; 7], [4; 7]]);
         assert_eq!(hub.recv_from_any(), (0, [10; 7]));
-        assert_eq!(hub.recv_from_any(), (1, [1; 7]));
-        let mut rest = Vec::new();
-        assert_eq!(hub.poll_burst_from(1, 2, &mut rest), Ok(true));
-        assert_eq!(rest, [[2; 7], [3; 7]]);
-        // The direct receive did not move the cursor: 2 is still next.
+        // Client 1's head frame says two continuations follow: the
+        // pass takes them from client 1 alone, and ends there.
+        let mut asked = Vec::new();
+        let whole = hub.poll_with(|c, rx| {
+            asked.push(c);
+            let head = rx.try_recv()?;
+            let mut rest = Vec::new();
+            (rx.poll_burst(2, &mut rest) == Ok(true)).then_some((c, head, rest))
+        });
+        assert_eq!(whole, Some((1, [1; 7], vec![[2; 7], [3; 7]])));
+        assert_eq!(asked, [1]);
+        // Client 2 is next; a pass that finds nothing asks every client
+        // once, from client 0, and leaves the rotation where it was.
         assert_eq!(hub.recv_from_any(), (2, [12; 7]));
-        // A client that went away mid-sequence is an error, not a spin,
-        // and what it did send is consumed.
-        rest.clear();
-        assert_eq!(hub.poll_burst_from(1, 2, &mut rest), Ok(false));
+        asked.clear();
+        let found: Option<()> = hub.poll_with(|c, _| {
+            asked.push(c);
+            None
+        });
+        assert_eq!((found, asked), (None, vec![0, 1, 2]));
+        assert_eq!(hub.recv_from_any(), (1, [4; 7]));
         drop(tx1);
-        assert_eq!(
-            hub.poll_burst_from(1, 2, &mut rest),
-            Err(RecvError::Disconnected)
-        );
-        assert_eq!(rest, [[4; 7]]);
         assert!(hub.departed(1));
     }
 
@@ -592,20 +567,6 @@ mod tests {
     #[test]
     fn send_all_connected_delivers_in_order_and_escapes() {
         let frames = [[1u64; 7], [2; 7], [3; 7]];
-        // One-line channels hold a single frame, so the bulk send only
-        // completes against a concurrent drain.
-        let (tx, rx) = channel();
-        std::thread::scope(|s| {
-            let drained = s.spawn(move || {
-                let got: Vec<Message> = (0..frames.len()).map(|_| rx.recv()).collect();
-                got
-            });
-            assert_eq!(tx.send_all_connected(&frames), Ok(()));
-            assert_eq!(drained.join().unwrap(), frames.to_vec());
-        });
-        // The drain thread dropped its receiver on exit.
-        assert_eq!(tx.send_all_connected(&frames), Err(Disconnected));
-
         let (tx, rx) = crate::ring::ring_channel(8);
         assert_eq!(tx.send_all_connected(&frames), Ok(()));
         drop(rx);

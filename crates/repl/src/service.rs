@@ -1,9 +1,9 @@
 //! Primary/backup replication over the `ssync-srv` service, with
 //! term-fenced failover.
 //!
-//! A node runs `ssync-srv`'s one node loop ([`NodeCore::run`]) —
-//! polling, decoding, executing, replying, scraping, pacing — and a
-//! client connection is its [`Conn`]. What this module owns is the
+//! A node is `ssync-srv`'s one node ([`NodeCore`]) — polling,
+//! decoding, executing, replying, scraping — driven by the one round
+//! loop ([`run`]), and a client connection is its [`Conn`]. What this module owns is the
 //! replication policy the loop runs, one private node struct: role and
 //! term maintenance and the peer streams before each poll, the
 //! follower's transitions (the private `Follower`, which touches no
@@ -30,8 +30,8 @@
 //! and ends its turn owing the reply ([`Hooks::reply_owed`]): the node
 //! core holds it, serving no other request, and sends it on the first
 //! later turn that finds the write settled by the followers' published
-//! hwms; the unsettled turns between spin and yield but never sleep
-//! ([`NodeCore::run`]). In [`ReplMode::Sync`] that is once every live
+//! hwms; a worker holding such a node spins and yields but never
+//! sleeps ([`run`]). In [`ReplMode::Sync`] that is once every live
 //! follower's hwm has reached the write's version; in
 //! [`ReplMode::Async`] at once, unless a follower trails by more than
 //! `max_lag` log entries. A follower whose stream receiver is gone has
@@ -74,12 +74,12 @@
 //!   instead of awaiting acks, a follower's ack is a store to the map,
 //!   and a peer's half-published message is resumed on a later turn
 //!   ([`StreamDecoder`]), not waited for;
-//! * the one wait left between nodes, the leader's send on a full
-//!   stream ring, is safe because a follower never blocks *on the
-//!   leader*: it runs a polling loop (even a "crashed" follower keeps
-//!   draining, discarding), and its only blocking sends are reply
-//!   frames to a client that, having an outstanding request on that
-//!   very ring, is by construction draining it;
+//! * nor on a full stream ring: frames a follower's ring refused stay
+//!   queued for that follower and go out first on the leader's next
+//!   turns, in order — so nodes sharing one worker cannot wait on each
+//!   other. A follower's only blocking sends are reply frames to a
+//!   client that, having an outstanding request on that very ring, is
+//!   by construction draining it;
 //! * clients keep at most one request in flight per shard and drain
 //!   shards in index order — one global order shared by every client,
 //!   so the waits-for graph over bounded reply channels cannot close a
@@ -111,7 +111,8 @@ use ssync_srv::service::{
 };
 use ssync_srv::wire::{Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
 use ssync_srv::{
-    batch_rounds, block_on, chase, Chase, Conn, Hooks, NodeCore, StreamDecoder, Turn, OP_BUDGET,
+    batch_rounds, block_on, chase, run, Chase, Conn, Hooks, NodeCore, StreamDecoder, Turn,
+    OP_BUDGET,
 };
 
 use crate::cluster::{ClusterMap, ShardView};
@@ -355,8 +356,9 @@ struct Peers {
     /// `stream_rx[p]`: replication frames *from* node `p`, and their
     /// decode, resumed across turns.
     stream_rx: Vec<(RingReceiver, StreamDecoder)>,
-    /// `stream_tx[p]`: replication frames *to* node `p`.
-    stream_tx: Vec<RingSender>,
+    /// `stream_tx[p]`: replication frames *to* node `p`, and those its
+    /// full ring refused so far, sent first next turn.
+    stream_tx: Vec<(RingSender, Vec<Message>)>,
 }
 
 impl NodeEndpoint {
@@ -404,14 +406,14 @@ pub struct ReplClient {
     stale_served: Cell<u64>,
 }
 
-/// Every node's [`Peers`] in a group of `nodes`: one stream ring per
-/// ordered pair of nodes.
-fn peer_mesh(nodes: usize) -> Vec<Peers> {
+/// Every node's [`Peers`] in a group of `nodes`: one stream ring of
+/// `depth` slots per ordered pair of nodes.
+fn peer_mesh(nodes: usize, depth: usize) -> Vec<Peers> {
     let mut peers: Vec<Peers> = (0..nodes).map(|_| Peers::default()).collect();
     for from in 0..nodes {
         for to in 0..nodes {
-            let (tx, rx) = ring_channel(STREAM_DEPTH);
-            peers[from].stream_tx.push(tx);
+            let (tx, rx) = ring_channel(depth);
+            peers[from].stream_tx.push((tx, Vec::new()));
             peers[to].stream_rx.push((rx, StreamDecoder::default()));
         }
     }
@@ -436,7 +438,8 @@ pub fn repl_mesh(
     let mut client_eps = client_eps.into_iter();
     let endpoints = (0..shards)
         .map(|_| {
-            let peers = peer_mesh(nodes).into_iter().zip(client_eps.by_ref());
+            let peers = peer_mesh(nodes, STREAM_DEPTH).into_iter();
+            let peers = peers.zip(client_eps.by_ref());
             let endpoint = |(node, (peers, clients))| NodeEndpoint {
                 node,
                 clients,
@@ -764,7 +767,7 @@ pub fn stream_fence(view: ShardView, me: usize, peer: usize) -> bool {
 
 /// One node of a replication group, as the [`Hooks`] of the one node
 /// loop: the [`Follower`] it is while not leading, and what it leads with.
-struct ReplNode<'a, R: RawLock + Default> {
+pub(crate) struct ReplNode<'a, R: RawLock + Default> {
     follower: Follower<'a, R>,
     cfg: NodeConfig,
     peers: Peers,
@@ -814,9 +817,11 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
         !settled
     }
 
-    /// Role and term maintenance, and at most one whole message off a
-    /// peer's replication stream — which ends the turn.
+    /// The stream frames the peers' rings refused so far, role and term
+    /// maintenance, and at most one whole message off a peer's
+    /// replication stream — which ends the turn.
     fn before_poll(&mut self, counts: &mut ServeReport) -> ControlFlow<Turn, bool> {
+        let flushed = self.flush();
         let follower = &mut self.follower;
         let (map, shard, me) = (follower.map, follower.shard, follower.report.node);
         if self.dying && self.owed.is_none() {
@@ -827,6 +832,7 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
             // us and surface client-side as `Disconnected`.
             follower.report.crashed = true;
             map.report_death(shard, me);
+            self.peers = Peers::default();
             return ControlFlow::Break(Turn::Exit);
         }
         // ---- Role and term maintenance (one map word read). ----
@@ -846,7 +852,7 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
         let mut streams = self.peers.stream_rx.iter_mut().enumerate();
         let streamed = streams.find_map(|(peer, (rx, inbox))| Some((peer, inbox.try_recv(rx)?)));
         let Some((peer, request)) = streamed else {
-            return ControlFlow::Continue(false);
+            return ControlFlow::Continue(flushed);
         };
         if request == Ok(Request::Stop) {
             // Decided against the map as it is *now*, not the `view`
@@ -908,8 +914,8 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
     /// A follower exits once it has taken the leader's `Stop` — or once
     /// its shard is leaderless with no candidate left, which will never
     /// send one. A leader streams `Stop` and exits once every live
-    /// follower has published its last logged version: the group is
-    /// converged when it returns.
+    /// follower has it and has published its last logged version: the
+    /// group is converged when it returns.
     fn may_exit(&mut self) -> bool {
         let follower = &self.follower;
         if !self.leading {
@@ -922,7 +928,8 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
             Request::Stop.encode_into(&mut self.frames);
             self.stream();
         }
-        self.acked_through() >= self.follower.report.last_version
+        let sent = self.peers.stream_tx.iter().all(|p| p.1.is_empty());
+        sent && self.acked_through() >= self.follower.report.last_version
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -945,7 +952,7 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
 impl<'a, R: RawLock + Default> ReplNode<'a, R> {
     /// Node `endpoint.node()` of `cfg.shard`'s group, and the core that
     /// serves its clients.
-    fn new(
+    pub(crate) fn new(
         store: &'a KvStore<R>,
         log: &'a OpLog,
         map: &'a ClusterMap,
@@ -971,6 +978,17 @@ impl<'a, R: RawLock + Default> ReplNode<'a, R> {
         (NodeCore::new(clients), node)
     }
 
+    /// What this node did, with `core`'s counts.
+    pub(crate) fn report(&self, core: &NodeCore<RingReceiver, RingSender>) -> NodeReport {
+        let counts = core.report();
+        NodeReport {
+            requests: counts.requests,
+            key_ops: counts.key_ops,
+            malformed: counts.malformed,
+            ..self.follower.report
+        }
+    }
+
     /// Logs one committed write and streams it to every live follower.
     fn replicate(&mut self, entry: LogEntry) {
         self.follower.report.last_version = entry.version;
@@ -986,13 +1004,33 @@ impl<'a, R: RawLock + Default> ReplNode<'a, R> {
         self.stream();
     }
 
-    /// Sends `frames` to every live peer. The one wait left on a
-    /// leader's turn: a full stream ring. Best-effort — a dead peer's
-    /// dropped receiver fails the send instead of wedging the leader.
-    fn stream(&self) {
-        for p in self.live_peers() {
-            let _ = self.peers.stream_tx[p].send_all_connected(&self.frames);
+    /// Queues `frames` for every peer and sends what each live peer's
+    /// ring has room for; the rest goes first on later turns
+    /// ([`ReplNode::flush`]), so a full ring costs the leader no wait.
+    fn stream(&mut self) {
+        for (_, queued) in &mut self.peers.stream_tx {
+            queued.extend_from_slice(&self.frames);
         }
+        self.flush();
+    }
+
+    /// Sends each live peer the frames queued for it, in order, as far
+    /// as its ring has room; true if any went out. Best-effort: the
+    /// queue of a peer that died, or dropped its receiver, is discarded
+    /// instead of wedging the leader (and this node's own is unused).
+    fn flush(&mut self) -> bool {
+        let (mut sent, follower) = (false, &self.follower);
+        let queues = self.peers.stream_tx.iter_mut().enumerate();
+        for (p, (tx, queued)) in queues.filter(|(_, (_, queued))| !queued.is_empty()) {
+            let live = p != follower.report.node && !follower.map.is_dead(follower.shard, p);
+            if !live || tx.receiver_closed() {
+                queued.clear();
+            }
+            let run = tx.try_send_burst(queued);
+            queued.drain(..run);
+            sent |= run > 0;
+        }
+        sent
     }
 
     /// The peers the map has not marked dead.
@@ -1009,7 +1047,7 @@ impl<'a, R: RawLock + Default> ReplNode<'a, R> {
     fn acked_through(&self) -> u64 {
         let follower = &self.follower;
         let hwm = |p: usize| {
-            if self.peers.stream_tx[p].receiver_closed() {
+            if self.peers.stream_tx[p].0.receiver_closed() {
                 u64::MAX
             } else {
                 follower.map.hwm_of(follower.shard, p)
@@ -1020,8 +1058,8 @@ impl<'a, R: RawLock + Default> ReplNode<'a, R> {
 }
 
 /// Runs one node of a shard's replication group until shutdown (every
-/// client stopped and the group converged) or scheduled death, on the
-/// one node loop ([`NodeCore::run`]).
+/// client stopped and the group converged) or scheduled death: [`run`]
+/// over the one node.
 ///
 /// The node follows the [`ClusterMap`]: while the map names it leader
 /// it serves writes, streams entries, and owes each write's reply until
@@ -1040,14 +1078,10 @@ pub fn serve_node<R: RawLock + Default>(
     endpoint: NodeEndpoint,
     cfg: NodeConfig,
 ) -> NodeReport {
-    let (core, mut node) = ReplNode::new(store, log, map, endpoint, cfg);
-    let counts = core.run(store, &mut node);
-    NodeReport {
-        requests: counts.requests,
-        key_ops: counts.key_ops,
-        malformed: counts.malformed,
-        ..node.follower.report
-    }
+    let (core, node) = ReplNode::new(store, log, map, endpoint, cfg);
+    let mut node = (core, store, node);
+    run(&mut [&mut node]);
+    node.2.report(&node.0)
 }
 
 /// True if the shard's crash schedule kills the leader right after the
@@ -2080,7 +2114,7 @@ mod tests {
             let cfg = cluster.node_config(0, 1, &FaultSpec::none());
             let (store, log, map) = (cluster.node_store(0, 1), cluster.log(0), &map);
             let node = s.spawn(move || serve_node(store, log, map, follower, cfg));
-            let stream = &leader.peers.stream_tx[1];
+            let stream = &leader.peers.stream_tx[1].0;
             stream.send([0xEE; ssync_mp::MSG_WORDS]);
             let mut frames = Vec::new();
             ssync_srv::wire::encode_replicate(7, 1, b"after", &mut frames);
@@ -2127,7 +2161,7 @@ mod tests {
                 let node = s.spawn(move || serve_node(store, log, map, follower, cfg));
                 let mut frames = Vec::new();
                 ssync_srv::wire::encode_replicate(7, 1, &[9; 300], &mut frames);
-                let stream = leader.peers.stream_tx.pop().unwrap();
+                let stream = leader.peers.stream_tx.pop().unwrap().0;
                 stream.send(frames[0]);
                 drop(stream);
                 let scrape = || client.stats_of(0, 1).unwrap();
@@ -2493,22 +2527,26 @@ mod tests {
         Stepped<'a>,
     );
 
-    /// Shard 0 of `cluster` as three stepped nodes, each dropped once it
-    /// exits (node 0, the leader, dies right after the write that
-    /// produced entry `crash_after`; `observer` may not lead), and one
-    /// client.
+    /// Shard 0 of `cluster` as three stepped nodes, each closing its
+    /// rings once it exits (node 0, the leader, dies right after the write that
+    /// produced entry `crash_after`, if any; `observer` may not lead),
+    /// over stream rings of `stream_depth` slots, and one client.
     fn stepped_group(
         cluster: &ReplCluster<TicketLock>,
         observer: Option<usize>,
-        crash_after: u64,
+        crash_after: Option<u64>,
         twin: Option<Twin>,
-    ) -> (Vec<Option<SteppedNode<'_>>>, ReplClient) {
+        stream_depth: usize,
+    ) -> (Vec<SteppedNode<'_>>, ReplClient) {
         let map = cluster.map();
         if let Some(observer) = observer {
             map.set_observer(0, observer);
         }
         let (mut endpoints, mut clients) = repl_mesh(map, 1);
-        let crash = FaultPlan::primary_crashes(vec![crash_after]);
+        for (endpoint, peers) in endpoints[0].iter_mut().zip(peer_mesh(3, stream_depth)) {
+            endpoint.peers = peers;
+        }
+        let crash = FaultPlan::primary_crashes(crash_after.into_iter().collect());
         let nodes = (endpoints.pop().unwrap().into_iter())
             .map(|endpoint| {
                 let n = endpoint.node();
@@ -2518,7 +2556,7 @@ mod tests {
                 };
                 let (store, log) = (cluster.node_store(0, n), cluster.log(0));
                 let (core, node) = ReplNode::new(store, log, map, endpoint, cfg);
-                Some((core, store, Stepped { node, twin }))
+                (core, store, Stepped { node, twin })
             })
             .collect();
         (nodes, clients.pop().unwrap())
@@ -2528,7 +2566,7 @@ mod tests {
     /// (node moves, the client's index being 3), then round-robin.
     /// `Err` if they did not all exit.
     fn play_group(
-        nodes: &mut [Option<SteppedNode<'_>>],
+        nodes: &mut [SteppedNode<'_>],
         mut ops: Pin<&mut impl Future<Output = ()>>,
         prefix: &[usize],
     ) -> Result<(), String> {
@@ -2577,7 +2615,8 @@ mod tests {
     ) -> Result<(), String> {
         let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 8, 2, ReplSpec::sync(2));
         let twin = twin.then_some(Twin::OneFollowerSuffices);
-        let (mut nodes, client) = stepped_group(&cluster, observer, writes, twin);
+        let (mut nodes, client) =
+            stepped_group(&cluster, observer, Some(writes), twin, STREAM_DEPTH);
         let (mut acknowledged, mut answered) = (Vec::new(), Ok(()));
         let shut_down = {
             let ops = pin!(async {
@@ -2648,6 +2687,64 @@ mod tests {
         eprintln!("leader twin: {found}");
     }
 
+    /// One schedule of the shared-worker enumeration: a sync group of
+    /// three nodes over stream rings of two slots, and one client that
+    /// writes three 300-byte values — each entry six frames, three times
+    /// what a stream ring holds. The nodes and the client move as
+    /// `prefix` names them (the client is 3), then round-robin, all on
+    /// one thread, as nodes sharing a worker do. Every acknowledged
+    /// write must reach both followers, and the group must shut down.
+    fn run_shallow_stream_schedule(prefix: &[usize]) -> Result<(), String> {
+        let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 8, 2, ReplSpec::sync(2));
+        let (mut nodes, client) = stepped_group(&cluster, None, None, None, 2);
+        let (mut acknowledged, mut answered) = (Vec::new(), Ok(()));
+        let shut_down = {
+            let ops = pin!(async {
+                for key in 1..=3 {
+                    let write = Request::Set {
+                        key,
+                        value: vec![key as u8; 300],
+                    };
+                    match client.exchange(key, &write).await {
+                        Ok(Response::Stored { version }) => acknowledged.push((key, version)),
+                        other => {
+                            answered = Err(format!("write {key} answered {other:?}"));
+                            break;
+                        }
+                    }
+                }
+                client.mesh.send_stop().await;
+            });
+            play_group(&mut nodes, ops, prefix)
+        };
+        answered?;
+        acknowledged_everywhere(&cluster, &acknowledged)?;
+        shut_down
+    }
+
+    /// Nodes sharing one worker cannot wait on each other: a leader
+    /// whose stream rings are full keeps the frames queued and ends its
+    /// turn, so the followers on its thread drain them. Every order of
+    /// the first five moves among the three nodes and the client. The
+    /// enumeration runs detached, so a leader that waited on a full
+    /// ring fails this test at the deadline instead of hanging it.
+    #[test]
+    fn a_full_stream_ring_holds_up_no_node_on_a_shared_worker() {
+        let frames = LogEntry::committed(1, 2, Some(&Bytes::from(vec![1; 300])));
+        let mut encoded = Vec::new();
+        frames.encode_into(&mut encoded);
+        assert_eq!(encoded.len(), 6, "an entry three times a ring's depth");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let ran = enumerate(4, 5, run_shallow_stream_schedule);
+            done_tx.send(ran.map(|ran| ran.len())).unwrap();
+        });
+        let ran = done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a schedule hung on a full stream ring");
+        assert_eq!(ran, Ok(1_024));
+    }
+
     /// One schedule of the read enumeration: an async group of three
     /// nodes, whose leader, node 0, dies right after the first write's
     /// reply, and one client that writes a key, reads it, overwrites it
@@ -2663,7 +2760,7 @@ mod tests {
         let cluster: ReplCluster<TicketLock> =
             ReplCluster::new(1, 8, 2, ReplSpec::async_bounded(2));
         let twin = twin.then_some(Twin::NoFloor);
-        let (mut nodes, client) = stepped_group(&cluster, None, 1, twin);
+        let (mut nodes, client) = stepped_group(&cluster, None, Some(1), twin, STREAM_DEPTH);
         let (mut acknowledged, mut answered) = (Vec::new(), Ok(()));
         let shut_down = {
             let ops = pin!(async {

@@ -2,8 +2,8 @@
 //! (seeded key distributions, YCSB mixes, deterministic op streams,
 //! the sequential [`drive_worker`] and the [`fan_out`] of client
 //! threads) pointed at a replication group, plus deterministic fault
-//! injection. This module owns only the server side: the node threads
-//! and what they report.
+//! injection. This module owns only the server side: the nodes, one
+//! [`run`] over all of them, and what they report.
 //!
 //! Issued op counts are a pure function of `(spec, workers,
 //! ops_per_worker)` exactly as in the unreplicated driver, and fault
@@ -17,10 +17,11 @@
 use std::time::{Duration, Instant};
 
 use ssync_locks::RawLock;
+use ssync_srv::run;
 use ssync_srv::workload::{drive_worker, fan_out, OpStream, Tally, WorkloadSpec};
 
 use crate::fault::FaultSpec;
-use crate::service::{repl_mesh, serve_node, NodeReport, ReplCluster, ReplMode};
+use crate::service::{repl_mesh, NodeEndpoint, NodeReport, ReplCluster, ReplMode, ReplNode};
 
 /// What a replicated workload run measured.
 #[derive(Debug, Clone, Default)]
@@ -67,8 +68,8 @@ pub struct ReplReport {
 }
 
 /// Runs the full replicated closed-loop experiment: preload every key
-/// on every node, spawn one server thread per `(shard, node)` and
-/// `workers` client threads, drive `ops_per_worker` key-operations per
+/// on every node, [`run`] every `(shard, node)` and spawn `workers`
+/// client threads, drive `ops_per_worker` key-operations per
 /// client (riding out any scheduled leader crashes via the client's
 /// deadline/retry machinery), shut the groups down, and report —
 /// including whether every surviving node converged and how long each
@@ -121,24 +122,24 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
     for (key, value) in spec.preload_values() {
         cluster.preload(key, &value);
     }
+    let cluster = &*cluster;
     let map = cluster.map().clone();
     let failovers_before = map.total_failovers();
     let (node_endpoints, clients) = repl_mesh(&map, workers);
+    let node = |(shard, endpoint): (usize, NodeEndpoint)| {
+        let (n, store) = (endpoint.node(), cluster.node_store(shard, endpoint.node()));
+        let cfg = cluster.node_config(shard, n, faults);
+        let (core, node) = ReplNode::new(store, cluster.log(shard), &map, endpoint, cfg);
+        (core, store, node)
+    };
+    let endpoints = node_endpoints.into_iter().enumerate();
+    let endpoints = endpoints.flat_map(|(shard, group)| group.into_iter().map(move |e| (shard, e)));
+    let mut nodes: Vec<_> = endpoints.map(node).collect();
 
     let start = Instant::now();
-    let (tally, client_stats, nodes) = std::thread::scope(|s| {
-        let mut node_handles = Vec::with_capacity(shards * (nreplicas + 1));
-        for (shard, endpoints) in node_endpoints.into_iter().enumerate() {
-            for endpoint in endpoints {
-                let node = endpoint.node();
-                let store = cluster.node_store(shard, node);
-                let log = cluster.log(shard).clone();
-                let map = &map;
-                let cfg = cluster.node_config(shard, node, faults);
-                node_handles.push(s.spawn(move || serve_node(store, &log, map, endpoint, cfg)));
-            }
-        }
-        let (tally, client_stats) = fan_out(clients, |worker, client| {
+    let (tally, client_stats) = std::thread::scope(|s| {
+        s.spawn(|| run(&mut nodes.iter_mut().collect::<Vec<_>>()));
+        fan_out(clients, |worker, client| {
             let tally = drive_worker(&client, OpStream::new(spec, worker as u64), ops_per_worker);
             let stats = [
                 client.replica_serves(),
@@ -149,14 +150,13 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
             ];
             client.close();
             (tally, stats)
-        });
-        let nodes: Vec<NodeReport> = node_handles
-            .into_iter()
-            .map(|h| h.join().expect("node panicked"))
-            .collect();
-        (tally, client_stats, nodes)
+        })
     });
     let wall = start.elapsed();
+    let nodes: Vec<NodeReport> = nodes
+        .iter()
+        .map(|(core, _, node)| node.report(core))
+        .collect();
 
     let mut report = ReplReport {
         tally,

@@ -3,11 +3,12 @@
 //! A [`Conn`] is a request sender, a reply receiver and a scratch
 //! frame buffer, so an exchange allocates nothing for its frames: a
 //! request is encoded into it and sent in ring-sized runs, a reply's
-//! continuation frames are taken into it in bursts. Each leg is an
-//! `async fn` that never blocks: [`Conn::send`] is pending while the
-//! request ring is full, [`Conn::recv`] while the reply ring is empty
-//! or a reply's continuation frames are not all published yet, and
-//! both resume where they stopped on the next poll ([`crate::step`]).
+//! continuation frames are taken into it in bursts. Each leg is a
+//! hand-written poll that never blocks: [`Conn::send`] is pending while
+//! the request ring is full, [`Conn::recv`] while the reply ring is
+//! empty or a reply's continuation frames are not all published yet
+//! (the reply's head then waits in the `Conn`), and both resume where
+//! they stopped on the next poll ([`crate::step`]).
 //! Every leg is *connected*: a peer whose thread is gone surfaces as
 //! [`WireError::Disconnected`] — on the send, on a reply's head frame,
 //! and on its continuation frames (a node that died mid-reply) — never
@@ -25,14 +26,16 @@
 //! into rounds of one chunk per shard, which `ServiceClient` and
 //! `ReplClient` each send and drain their own way.
 
-use core::cell::RefCell;
+use core::cell::{Cell, RefCell};
+use core::future::{poll_fn, Future};
+use core::task::Poll;
 use core::time::Duration;
 
 use ssync_core::RetryPacer;
 use ssync_mp::{Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
 use crate::router::shard_of;
-use crate::step::until;
+use crate::step::pending;
 use crate::wire::{replay, Request, Response, WireError};
 
 /// One `(request sender, reply receiver)` pair to one server. The
@@ -44,6 +47,9 @@ pub struct Conn<S: MsgSender = RingSender, C: MsgReceiver = RingReceiver> {
     /// The reply channel's receiving half.
     pub rx: C,
     frames: RefCell<Vec<Message>>,
+    /// The head of a reply whose continuation frames are not all
+    /// published yet; the frames taken so far are in `frames`.
+    head: Cell<Option<Message>>,
 }
 
 impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
@@ -53,13 +59,14 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
             tx,
             rx,
             frames: RefCell::new(Vec::new()),
+            head: Cell::new(None),
         }
     }
 
-    /// Encodes `request` into the scratch buffer and sends every frame,
-    /// one [`MsgSender::try_send_burst`] run a poll (one space check),
-    /// pending while the ring is full. The receive half's drop is
-    /// checked before every run.
+    /// Encodes `request` into the scratch buffer on the first poll and
+    /// sends every frame, one [`MsgSender::try_send_burst`] run a poll
+    /// (one space check), pending while the ring is full. The receive
+    /// half's drop is checked before every run.
     ///
     /// # Errors
     ///
@@ -67,18 +74,25 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
     /// refused before any frame reaches the ring, so the connection
     /// stays usable; [`WireError::Disconnected`] if the server's
     /// receive half is gone.
-    pub async fn send(&self, request: &Request) -> Result<(), WireError> {
-        request.try_encode_into(&mut self.frames.borrow_mut())?;
-        let mut sent = 0;
-        until(|| {
-            let frames = self.frames.borrow();
+    pub fn send<'a>(
+        &'a self,
+        request: &'a Request,
+    ) -> impl Future<Output = Result<(), WireError>> + 'a {
+        let (mut first, mut sent) = (true, 0);
+        poll_fn(move |_| {
+            let mut frames = self.frames.borrow_mut();
+            if first {
+                request.try_encode_into(&mut frames)?;
+            }
             if self.tx.receiver_closed() {
-                return Some(Err(WireError::Disconnected));
+                return Poll::Ready(Err(WireError::Disconnected));
             }
             sent += self.tx.try_send_burst(&frames[sent..]);
-            (sent == frames.len()).then_some(Ok(()))
+            if sent == frames.len() {
+                return Poll::Ready(Ok(()));
+            }
+            pending(&mut first)
         })
-        .await
     }
 
     /// The next response, its continuation frames taken as they are
@@ -88,30 +102,31 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
     ///
     /// [`WireError::Disconnected`] once the server is gone and its
     /// surviving backlog is drained; a decode error on a corrupt head.
-    pub async fn recv(&self) -> Result<Response, WireError> {
-        let rx = &self.rx;
-        let head = until(|| match rx.try_recv() {
-            Some(head) => Some(Ok(head)),
-            // Final drain: the server may have published the head
-            // between the failed poll and its drop.
-            None if rx.sender_closed() => Some(rx.try_recv().ok_or(WireError::Disconnected)),
-            None => None,
+    pub fn recv(&self) -> impl Future<Output = Result<Response, WireError>> + '_ {
+        let (rx, mut first) = (&self.rx, true);
+        poll_fn(move |_| {
+            let mut frames = self.frames.borrow_mut();
+            let polled = self.head.take().or_else(|| {
+                frames.clear();
+                rx.try_recv()
+            });
+            let head = match polled {
+                Some(head) => head,
+                // Final drain: the server may have published the head
+                // between the failed poll and its drop.
+                None if rx.sender_closed() => rx.try_recv().ok_or(WireError::Disconnected)?,
+                None => return pending(&mut first),
+            };
+            let more = Response::continuations(&head);
+            match (more > 0).then(|| rx.poll_burst(more, &mut frames)) {
+                None | Some(Ok(true)) => Poll::Ready(Response::decode(head, replay(&frames))),
+                Some(Ok(false)) => {
+                    self.head.set(Some(head));
+                    pending(&mut first)
+                }
+                Some(Err(_)) => Poll::Ready(Err(WireError::Disconnected)),
+            }
         })
-        .await?;
-        let more = Response::continuations(&head);
-        if more == 0 {
-            return Response::decode(head, replay(&[]));
-        }
-        self.frames.borrow_mut().clear();
-        until(
-            || match rx.poll_burst(more, &mut self.frames.borrow_mut()) {
-                Ok(true) => Some(Ok(())),
-                Ok(false) => None,
-                Err(_) => Some(Err(WireError::Disconnected)),
-            },
-        )
-        .await?;
-        Response::decode(head, replay(&self.frames.borrow()))
     }
 
     /// One round trip: [`Conn::send`], then [`Conn::recv`].

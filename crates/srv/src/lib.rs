@@ -11,20 +11,21 @@
 //! * [`wire`] — the request/response format packed into `ssync-mp`
 //!   cache-line messages, with multi-get batching and continuation
 //!   frames for long values;
-//! * [`node`] — the one node loop every serving stack runs: one turn
-//!   of hub polling, `Stop` accounting and the executor for the six
-//!   data operations, paced and scraped in one place, with a stack's
-//!   policy attached through [`node::Hooks`];
+//! * [`node`] — the one node every serving stack runs: one turn of hub
+//!   polling, `Stop` accounting and the executor for the six data
+//!   operations, scraped in one place, with a stack's policy attached
+//!   through [`node::Hooks`];
 //! * [`conn`] — the one disconnect-aware client connection every
 //!   client in the tree is built over, the one deadline-bounded retry
 //!   loop ([`conn::chase`]) the replication and cluster clients run
 //!   their redirects through, and the one multi-get batching step
 //!   ([`conn::batch_rounds`]) every client's `get_many` cuts its
 //!   rounds with — each an `async fn` that never blocks;
-//! * [`step`] — what drives those futures: [`step::block_on`] under
-//!   every blocking client call, and [`step::play`] /
-//!   [`step::enumerate`], which step clients, nodes and a migration
-//!   coordinator on one thread and a stepped clock;
+//! * [`step`] — the one round loop that drives nodes, a migration
+//!   coordinator and client futures: [`step::run`] on real time over
+//!   `min(actors, nproc)` workers, [`step::play`] / [`step::enumerate`]
+//!   on one thread and a stepped clock; and [`step::block_on`] under
+//!   every blocking client call;
 //! * [`service`] — the channel mesh, the plain shard server and the
 //!   [`service::ServiceClient`] round-trip API over bounded rings,
 //!   with pipelined reads;
@@ -76,7 +77,7 @@ pub use conn::{batch_rounds, chase, Chase, Conn, OP_BUDGET};
 pub use node::{Admit, Hooks, NoHooks, NodeCore, StreamDecoder, Turn};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};
-pub use step::{block_on, enumerate, play, Step};
+pub use step::{block_on, enumerate, play, run, Step};
 pub use wire::{Request, Response, WireError, NO_LEADER};
 pub use workload::{
     fan_out, run_load, KeyDist, LoadReport, Mix, Op, OpStream, Tally, ValueSize, WorkloadSpec,

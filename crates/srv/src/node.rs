@@ -1,16 +1,17 @@
-//! The one node loop under every serving stack.
+//! The one node under every serving stack.
 //!
 //! [`NodeCore`] owns what `serve`, `ssync-repl`'s `serve_node` and
 //! `ssync-cluster`'s `serve_cluster_node` have in common: polling the
-//! client hub and taking a request's continuation frames across
+//! client hub and taking each client's continuation frames across
 //! turns, the
 //! `Malformed` replies, per-client `Stop` accounting (a client that
-//! goes away without one is retired from the idle path), the
-//! reclamation cadence and idle pacing, the `TimedGet` latency split,
+//! goes away without one is retired before a park), the reclamation
+//! cadence, the `TimedGet` latency split,
 //! the `Stats` scrape, one executor for the six data operations, and
 //! holding a write's reply while a stack says it is owed.
-//! [`NodeCore::turn`] is one pass of a node and [`NodeCore::run`] the
-//! one loop over it; a stream a node reads besides its clients decodes
+//! [`NodeCore::turn`] is one pass of a node, and a node — its core,
+//! store and hooks — is a [`Step`] that [`run`](crate::step::run)
+//! drives; a stream a node reads besides its clients decodes
 //! through a [`StreamDecoder`], resumed turn by turn. A serving stack
 //! is one struct implementing [`Hooks`], whose every method defaults to
 //! doing nothing; hooks are generic parameters, so the plain shard's
@@ -22,13 +23,13 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use ssync_core::stats::{mono_ns, Histogram, Registry};
-use ssync_core::{ParkingWait, SpinWait};
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{Message, MsgReceiver, MsgSender, ServerHub};
 
 use crate::router::key_bytes;
 use crate::service::{ServeReport, ServerEndpoint};
+use crate::step::Step;
 use crate::wire::{encode_value, replay, Request, Response, WireError};
 
 /// An admission verdict for one key of one request.
@@ -118,9 +119,9 @@ pub struct NoHooks;
 
 impl Hooks for NoHooks {}
 
-/// One epoch advance-and-collect pass per this many progressed loop
-/// turns: a long-lived node frees its retired store nodes while traffic
-/// flows — no quiescent point, bounded backlog.
+/// One epoch advance-and-collect pass per this many progressed turns of
+/// a node: a long-lived node frees its retired store nodes while
+/// traffic flows — no quiescent point, bounded backlog.
 const RECLAIM_PERIOD: u64 = 1024;
 
 /// One node-to-node stream's decode, resumable across turns: a message
@@ -158,15 +159,13 @@ pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
     hub: ServerHub<C>,
     replies: Vec<S>,
     frames: Vec<Message>,
-    /// A request whose continuation frames are not all published yet:
-    /// its client and head frame, resumed first thing next turn, with
-    /// the frames taken so far in `continuations`.
-    partial: Option<(usize, Message)>,
-    continuations: Vec<Message>,
+    /// Per client: the head of a request whose continuation frames are
+    /// not all published yet, and the frames taken so far. The client's
+    /// next frames continue it; the other clients keep their turns.
+    partial: Vec<(Option<Message>, Vec<Message>)>,
     stopped: Vec<bool>,
     live: usize,
     since_reclaim: u64,
-    wait: ParkingWait,
     registry: Registry,
     queue_wait: Arc<Histogram>,
     /// `srv.apply_ns`: a `TimedGet`'s server-side work — the lookup and,
@@ -192,13 +191,11 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         NodeCore {
             stopped: vec![false; requests.len()],
             live: requests.len(),
+            partial: vec![(None, Vec::new()); requests.len()],
             hub: ServerHub::new(requests),
             replies,
             frames: Vec::new(),
-            partial: None,
-            continuations: Vec::new(),
             since_reclaim: 0,
-            wait: ParkingWait::new(),
             queue_wait: registry.histogram("srv.queue_wait_ns"),
             apply: registry.histogram("srv.apply_ns"),
             registry,
@@ -208,77 +205,57 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         }
     }
 
-    /// Runs [`NodeCore::turn`] after turn until one exits, pacing each: a
-    /// turn that made progress re-arms the idle wait and advances the
-    /// reclamation cadence; an idle one waits with [`ParkingWait`], so a
-    /// node that sits idle for a whole phase leaves the run queue
-    /// instead of yield-looping.
-    ///
-    /// A node idle long enough to park also looks for clients that
-    /// went away without a `Stop` — a panicked test body, a dropped
-    /// connection — and retires each exactly as its first `Stop` would
-    /// have: without this the node waits forever for a `Stop` nobody
-    /// is left to send. A silent departure is not a malformed frame
-    /// and is not counted as one. A node merely between requests never
-    /// parks, so no request pays for the sweep.
-    ///
-    /// A node holding an owed reply is not idle: a client waits on it.
-    /// Its idle turns wait with [`SpinWait`] — spin, then yield, never
-    /// sleep or sweep.
-    pub fn run<R: RawLock + Default, H: Hooks>(
-        mut self,
-        store: &KvStore<R>,
-        hooks: &mut H,
-    ) -> ServeReport {
-        let mut owing = SpinWait::new();
-        loop {
-            match self.turn(store, hooks) {
-                Turn::Exit => return self.counts,
-                Turn::Idle if self.owed.is_some() => owing.snooze(),
-                Turn::Idle if self.wait.parked() => {
-                    self.retire_departed();
-                    self.wait.snooze();
-                }
-                Turn::Idle => self.wait.snooze(),
-                Turn::Progress => {
-                    owing = SpinWait::new();
-                    self.wait.reset();
-                    self.since_reclaim += 1;
-                    if self.since_reclaim >= RECLAIM_PERIOD {
-                        self.since_reclaim = 0;
-                        store.reclaim_pass();
-                    }
-                }
-            }
-        }
+    /// Requests, key-operations and refused frames so far.
+    pub fn report(&self) -> ServeReport {
+        self.counts
     }
 
     /// One pass of the node: `hooks`' side work, the parked writes
     /// re-submitted, one round-robin poll of the clients, and its
     /// dispatch. A turn whose poll finds nothing, once every client is
-    /// gone, exits if `hooks` agrees. While a write's reply is owed
-    /// ([`Hooks::reply_owed`]), a turn is the side work and the
-    /// question only; the turn that releases the reply sends it and
-    /// ends there.
+    /// gone, exits if `hooks` agrees, and the exit closes the node's
+    /// client rings, so a client still sending to it sees it gone.
+    /// While a write's reply is owed ([`Hooks::reply_owed`]), a turn is
+    /// the side work and the question only; the turn that releases the
+    /// reply sends it and ends there. Every 1 024th turn that made
+    /// progress also runs one reclamation pass on `store`.
     ///
     /// The continuation frames a head announces
     /// ([`Request::continuations`]) are taken from the same client in
     /// bursts as they are published, before decoding: a request not yet
-    /// whole is resumed first thing on the next turn, and no other
-    /// client is polled meanwhile. A head frame that fails to decode is
-    /// answered with [`Response::Malformed`] — a corrupt frame degrades
-    /// one connection, it does not take the node down. A client's first
-    /// `Stop` retires it; a repeated one is counted as malformed and not
-    /// answered (nobody drains that reply ring). A client that went away
-    /// between a head frame and its continuations is the same two things
-    /// at once: the truncated request is counted malformed, the client
-    /// retired, nothing executed or answered.
+    /// whole is resumed on that client's next turn of the round-robin,
+    /// and the other clients are polled meanwhile. A head frame that
+    /// fails to decode is answered with [`Response::Malformed`] — a
+    /// corrupt frame degrades one connection, it does not take the node
+    /// down. A client's first `Stop` retires it; a repeated one is
+    /// counted as malformed and not answered (nobody drains that reply
+    /// ring). A client that went away between a head frame and its
+    /// continuations is the same two things at once: the truncated
+    /// request is counted malformed, the client retired, nothing
+    /// executed or answered.
     #[inline]
     pub fn turn<R: RawLock + Default, H: Hooks>(
         &mut self,
         store: &KvStore<R>,
         hooks: &mut H,
     ) -> Turn {
+        let turn = self.pass(store, hooks);
+        match turn {
+            Turn::Progress => {
+                self.since_reclaim += 1;
+                if self.since_reclaim >= RECLAIM_PERIOD {
+                    self.since_reclaim = 0;
+                    store.reclaim_pass();
+                }
+            }
+            Turn::Exit => (self.hub, self.replies) = (ServerHub::new(Vec::new()), Vec::new()),
+            Turn::Idle => {}
+        }
+        turn
+    }
+
+    #[inline]
+    fn pass<R: RawLock + Default, H: Hooks>(&mut self, store: &KvStore<R>, hooks: &mut H) -> Turn {
         let mut progressed = match hooks.before_poll(&mut self.counts) {
             ControlFlow::Break(turn) => return turn,
             ControlFlow::Continue(progressed) => progressed,
@@ -304,37 +281,39 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
                 }
             }
         }
-        let (client, head) = match self.partial.take() {
-            Some(partial) => partial,
-            None => match self.hub.try_recv_from_any() {
-                Some(polled) => {
-                    self.continuations.clear();
-                    polled
+        let partial = &mut self.partial;
+        let polled = self.hub.poll_with(|client, rx| {
+            let (held, frames) = &mut partial[client];
+            let head = match held.take() {
+                Some(head) => head,
+                None => {
+                    let head = rx.try_recv()?;
+                    frames.clear();
+                    head
                 }
-                None if self.live == 0 && hooks.may_exit() => return Turn::Exit,
-                None if progressed => return Turn::Progress,
-                None => return Turn::Idle,
-            },
-        };
-        let more = Request::continuations(&head);
-        match (more > 0).then(|| (self.hub).poll_burst_from(client, more, &mut self.continuations))
-        {
-            None | Some(Ok(true)) => {}
-            Some(Ok(false)) => {
-                self.partial = Some((client, head));
-                return if progressed {
-                    Turn::Progress
-                } else {
-                    Turn::Idle
-                };
+            };
+            let more = Request::continuations(&head);
+            match (more > 0).then(|| rx.poll_burst(more, frames)) {
+                None | Some(Ok(true)) => Some((client, Some(head))),
+                Some(Ok(false)) => {
+                    *held = Some(head);
+                    None
+                }
+                Some(Err(_)) => Some((client, None)),
             }
-            Some(Err(_)) => {
+        });
+        let (client, head) = match polled {
+            Some((client, Some(head))) => (client, head),
+            Some((client, None)) => {
                 self.counts.malformed += 1;
                 self.retire(client);
                 return Turn::Progress;
             }
-        }
-        match Request::decode(head, replay(&self.continuations)) {
+            None if self.live == 0 && hooks.may_exit() => return Turn::Exit,
+            None if progressed => return Turn::Progress,
+            None => return Turn::Idle,
+        };
+        match Request::decode(head, replay(&self.partial[client].1)) {
             Err(_) => {
                 self.counts.malformed += 1;
                 self.reply(client, &Response::Malformed);
@@ -518,6 +497,38 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     }
 }
 
+/// A node: its core, its store and its hooks; a move is one
+/// [`NodeCore::turn`].
+///
+/// A node holding an owed reply may not park: a client waits on it.
+/// Before a park, a node looks for clients that went away without a
+/// `Stop` — a panicked test body, a dropped connection — and retires
+/// each exactly as its first `Stop` would have: without this the node
+/// waits forever for a `Stop` nobody is left to send. A silent
+/// departure is not a malformed frame and is not counted as one. A
+/// worker parks only after milliseconds of idling, so no request pays
+/// for the sweep.
+impl<C, S, R, H> Step for (NodeCore<C, S>, &KvStore<R>, H)
+where
+    C: MsgReceiver,
+    S: MsgSender,
+    R: RawLock + Default,
+    H: Hooks,
+{
+    fn step(&mut self) -> Turn {
+        let (core, store, hooks) = self;
+        core.turn(store, hooks)
+    }
+
+    fn may_park(&self) -> bool {
+        self.0.owed.is_none()
+    }
+
+    fn parking(&mut self) {
+        self.0.retire_departed();
+    }
+}
+
 /// Applies one admitted write and reports it to `hooks`.
 fn write<R: RawLock + Default, H: Hooks>(
     store: &KvStore<R>,
@@ -580,10 +591,51 @@ mod tests {
     use super::*;
     use crate::router::key_bytes;
     use crate::service::{ring_mesh, KvClient};
-    use crate::step::play;
+    use crate::step::{block_on, play};
     use crate::wire::MAX_VALUE_LEN;
     use core::pin::pin;
     use ssync_locks::TicketLock;
+
+    /// A client stalled halfway through publishing a request holds up
+    /// only itself: the node keeps its partial request aside and serves
+    /// the other clients meanwhile, and applies the request once the
+    /// client resumes.
+    #[test]
+    fn a_stalled_partial_request_holds_up_no_other_client() {
+        let store: KvStore<TicketLock> = KvStore::new(64, 8);
+        let (mut endpoints, mut clients) = ring_mesh(1, 2, 4);
+        let (b, a) = (clients.pop().unwrap(), clients.pop().unwrap());
+        let value = vec![0x5A; MAX_VALUE_LEN];
+        let frames = Request::Set {
+            key: 7,
+            value: value.clone(),
+        }
+        .encode();
+        assert_eq!(frames.len(), 19);
+        let mut core = NodeCore::new(endpoints.pop().unwrap());
+        let a_tx = &a.conn(0).tx;
+        let mut sent = a_tx.try_send_burst(&frames);
+        block_on(b.conn(0).send(&Request::Get { key: 9 })).unwrap();
+        for _ in 0..2 {
+            core.turn(&store, &mut NoHooks);
+        }
+        assert!(
+            b.conn(0).rx.has_message(),
+            "a stalled client's partial request held up another client's Get"
+        );
+        assert_eq!(block_on(b.conn(0).recv()), Ok(Response::Miss));
+        while sent < frames.len() {
+            core.turn(&store, &mut NoHooks);
+            sent += a_tx.try_send_burst(&frames[sent..]);
+        }
+        core.turn(&store, &mut NoHooks);
+        let Ok(Response::Stored { version }) = block_on(a.conn(0).recv()) else {
+            panic!("the resumed Set was not stored");
+        };
+        let held = store.get_with_version(&key_bytes(7));
+        assert_eq!(held.map(|(at, v)| (at, v.to_vec())), Some((version, value)));
+        assert_eq!((core.counts.requests, core.counts.malformed), (2, 0));
+    }
 
     /// A request longer than its ring crosses it while the client and
     /// the node take turns on one thread: each turn takes the frames

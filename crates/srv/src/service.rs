@@ -1,10 +1,10 @@
 //! The plain sharded service: the channel mesh, the shard server and
 //! the static-routing client.
 //!
-//! One [`serve`] thread per shard, one [`ServiceClient`] per client
-//! thread. Every (client, shard) pair gets a dedicated SPSC channel
-//! pair (request + reply). The serve loop is the shared [`NodeCore`]
-//! with no policy attached; the client is one [`Conn`] per shard plus
+//! One [`serve`] per shard, one [`ServiceClient`] per client thread.
+//! Every (client, shard) pair gets a dedicated SPSC channel pair
+//! (request + reply). A shard server is the shared [`NodeCore`] with no
+//! policy attached; the client is one [`Conn`] per shard plus
 //! hash routing, the pipelined read path and the per-shard batching of
 //! its [`KvClient::get_many`].
 //!
@@ -41,7 +41,7 @@ use ssync_mp::{ring_channel, MsgReceiver, MsgSender, RingReceiver, RingSender};
 use crate::conn::{batch_rounds, Conn};
 use crate::node::{NoHooks, NodeCore};
 use crate::router::shard_of;
-use crate::step::block_on;
+use crate::step::{block_on, run};
 pub use crate::wire::ReadHit;
 use crate::wire::{Request, Response, WireError, MGET_MAX};
 
@@ -181,15 +181,17 @@ pub struct ServeReport {
     pub malformed: u64,
 }
 
-/// Runs one shard's server: the [`NodeCore`] loop with no policy
-/// attached, until every client has sent [`Request::Stop`] (or gone
-/// away without one). Meant to run on its own thread; returns once the
-/// last client stops.
+/// Runs one shard's server: [`run`] over one [`NodeCore`] with no
+/// policy attached, until every client has sent [`Request::Stop`] (or
+/// gone away without one). Meant to run on its own thread; returns once
+/// the last client stops.
 pub fn serve<R: RawLock + Default, C: MsgReceiver, S: MsgSender>(
     shard: &KvStore<R>,
     endpoint: ServerEndpoint<C, S>,
 ) -> ServeReport {
-    NodeCore::new(endpoint).run(shard, &mut NoHooks)
+    let mut node = (NodeCore::new(endpoint), shard, NoHooks);
+    run(&mut [&mut node]);
+    node.0.report()
 }
 
 impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {

@@ -1,23 +1,12 @@
-//! Driving client operations, and stepping a whole system on one
-//! thread.
+//! The one driver of every actor, and the blocking client call.
 //!
-//! A client operation is one `async fn` with its protocol in order
-//! ([`Conn::call`](crate::Conn::call), [`chase`](crate::chase),
-//! [`KvClient::exchange`](crate::KvClient::exchange)). Every wait in it
-//! is an `.await` on a non-blocking query: [`until`] a ring has a
-//! frame or room, or [`RetryPacer::pause`](ssync_core::RetryPacer::pause)
-//! until the [`clock`] reaches a wake time. Two drivers poll such a
-//! future with [`Waker::noop`]:
-//!
-//! * [`block_on`], under every blocking client call, paces each wait as
-//!   a blocking loop would: a fresh [`SpinWait`] per wait, and a pause
-//!   slept out on real time;
-//! * [`play`] steps clients, nodes and a migration coordinator on one
-//!   thread, each a [`Step`], in a chosen order, on a stepped clock it
-//!   owns. [`enumerate`] hands every order of a schedule's first moves
-//!   to a `play`, which is how the stepped enumerations of the
-//!   replication and cluster crates run real clients against real
-//!   nodes.
+//! Nodes, client futures and a migration coordinator are [`Step`]s: a
+//! move never waits on a peer. One round loop moves a set of them, each
+//! live actor once a round; what a round without progress does is all
+//! that differs by driver: [`run`] paces a worker on real time, [`play`]
+//! steps a [`clock`] it owns. [`block_on`] drives one client future
+//! under every blocking call, a fresh [`SpinWait`] per wait ([`until`])
+//! and a [`RetryPacer::pause`](ssync_core::RetryPacer::pause) slept out.
 
 use core::cell::Cell;
 use core::future::{poll_fn, Future};
@@ -26,12 +15,9 @@ use core::task::{Context, Poll, Waker};
 use core::time::Duration;
 
 use ssync_core::stats::mono_ns;
-use ssync_core::{clock, SpinWait};
-use ssync_kv::KvStore;
-use ssync_locks::RawLock;
-use ssync_mp::{MsgReceiver, MsgSender};
+use ssync_core::{clock, ParkingWait, SpinWait};
 
-use crate::node::{Hooks, NodeCore, Turn};
+use crate::node::Turn;
 
 thread_local! {
     /// Set by a wait's first pending poll: [`block_on`] starts that
@@ -61,54 +47,34 @@ pub fn block_on<F: Future>(body: F) -> F::Output {
     }
 }
 
+/// A wait's pending poll; `first` is the wait's own mark, cleared by
+/// its first pending poll, which [`block_on`] paces afresh.
+pub(crate) fn pending<T>(first: &mut bool) -> Poll<T> {
+    if core::mem::take(first) {
+        FRESH.set(true);
+    }
+    Poll::Pending
+}
+
 /// One wait: pending until `ready`, a non-blocking query asked once a
 /// poll, returns a value.
 pub fn until<T>(mut ready: impl FnMut() -> Option<T>) -> impl Future<Output = T> {
-    let mut fresh = true;
-    poll_fn(move |_| match ready() {
-        Some(out) => Poll::Ready(out),
-        None => {
-            if core::mem::take(&mut fresh) {
-                FRESH.set(true);
-            }
-            Poll::Pending
-        }
-    })
+    let mut first = true;
+    poll_fn(move |_| ready().map_or_else(|| pending(&mut first), Poll::Ready))
 }
 
-/// One actor of a [`play`]: it moves without ever waiting, and says
-/// what the move did in a node's terms.
+/// One actor: a move never waits on a peer, and says what it did.
 pub trait Step {
     /// Moves once. After [`Turn::Exit`] the actor is not moved again.
     fn step(&mut self) -> Turn;
-}
 
-/// A node: its core, its store and its hooks; a move is one
-/// [`NodeCore::turn`].
-impl<C, S, R, H> Step for (NodeCore<C, S>, &KvStore<R>, H)
-where
-    C: MsgReceiver,
-    S: MsgSender,
-    R: RawLock + Default,
-    H: Hooks,
-{
-    fn step(&mut self) -> Turn {
-        let (core, store, hooks) = self;
-        core.turn(store, hooks)
+    /// May its [`run`] worker park? Not while a client waits on it.
+    fn may_park(&self) -> bool {
+        true
     }
-}
 
-/// An actor dropped once it exits, as a thread's state is when it
-/// returns: a node's rings close behind it, so its peers and clients
-/// see it gone.
-impl<A: Step> Step for Option<A> {
-    fn step(&mut self) -> Turn {
-        let turn = self.as_mut().map_or(Turn::Exit, A::step);
-        if turn == Turn::Exit {
-            *self = None;
-        }
-        turn
-    }
+    /// Its [`run`] worker is about to park: cold housekeeping.
+    fn parking(&mut self) {}
 }
 
 /// A client future: a move is one poll, [`Turn::Exit`] once it
@@ -120,6 +86,94 @@ impl<F: Future<Output = ()> + ?Sized> Step for Pin<&mut F> {
             Poll::Pending => Turn::Idle,
         }
     }
+}
+
+/// The one round loop: moves `actors` in `order` (indices), skipping
+/// those that exited, and after every round of `actors.len()` moves
+/// calls `end_round` with which have exited and whether the round made
+/// no progress. True once every actor has exited, false if `order` ends
+/// first.
+fn rounds<A: Step + ?Sized>(
+    actors: &mut [&mut A],
+    order: impl IntoIterator<Item = usize>,
+    mut end_round: impl FnMut(&mut [&mut A], &[bool], bool),
+) -> bool {
+    let n = actors.len();
+    let mut exited = vec![false; n];
+    let (mut live, mut left, mut stuck) = (n, n, true);
+    for actor in order {
+        if !exited[actor] {
+            match actors[actor].step() {
+                Turn::Exit => {
+                    exited[actor] = true;
+                    live -= 1;
+                    stuck = false;
+                }
+                Turn::Progress => stuck = false,
+                Turn::Idle => {}
+            }
+        }
+        if live == 0 {
+            return true;
+        }
+        left -= 1;
+        if left == 0 {
+            end_round(actors, &exited, stuck);
+            (left, stuck) = (n, true);
+        }
+    }
+    false
+}
+
+/// Moves `actors` on real time until every one has exited, dealt to
+/// `min(actors, available_parallelism)` workers — actor `i` to worker
+/// `i % workers`, the calling thread being worker 0 — and never moved
+/// between workers, so a node's store keeps one writer thread. After a
+/// round without progress a worker spins and yields while an actor may
+/// not park ([`Step::may_park`]), else waits on a [`ParkingWait`], which
+/// parks only after milliseconds idle, each park after
+/// [`Step::parking`].
+///
+/// # Panics
+///
+/// Re-raises an actor's panic once every worker has returned.
+pub fn run<A: Step + Send + ?Sized>(actors: &mut [&mut A]) {
+    let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut shares: Vec<Vec<&mut A>> = (0..parallelism.min(actors.len())).map(|_| vec![]).collect();
+    let workers = shares.len();
+    for (i, actor) in actors.iter_mut().enumerate() {
+        shares[i % workers].push(&mut **actor);
+    }
+    std::thread::scope(|s| {
+        let mut shares = shares.into_iter();
+        let mine = shares.next();
+        for share in shares {
+            s.spawn(|| paced(share));
+        }
+        if let Some(share) = mine {
+            paced(share);
+        }
+    });
+}
+
+/// One [`run`] worker.
+fn paced<A: Step + ?Sized>(mut actors: Vec<&mut A>) {
+    let (mut owing, mut wait) = (SpinWait::new(), ParkingWait::new());
+    let n = actors.len();
+    rounds(&mut actors, (0..n).cycle(), |actors, exited, stuck| {
+        let live = (0..actors.len()).filter(|&i| !exited[i]);
+        if !stuck {
+            owing = SpinWait::new();
+            wait.reset();
+        } else if live.clone().any(|i| !actors[i].may_park()) {
+            owing.snooze();
+        } else {
+            if wait.parked() {
+                live.for_each(|i| actors[i].parking());
+            }
+            wait.snooze();
+        }
+    });
 }
 
 /// How far a [`play`]'s clock moves per round of moves.
@@ -139,34 +193,13 @@ pub const QUANTUM: Duration = Duration::from_micros(100);
 pub fn play(actors: &mut [&mut dyn Step], prefix: &[usize], rounds: usize) -> bool {
     let time = clock::Stepped::start();
     let n = actors.len();
-    let mut exited = vec![false; n];
-    let mut live = n;
-    let mut stuck = true;
     let order = prefix.iter().copied().chain((0..rounds * n).map(|m| m % n));
-    for (moves, actor) in order.enumerate() {
-        if !exited[actor] {
-            match actors[actor].step() {
-                Turn::Exit => {
-                    exited[actor] = true;
-                    live -= 1;
-                    stuck = false;
-                }
-                Turn::Progress => stuck = false,
-                Turn::Idle => {}
-            }
+    self::rounds(actors, order, |_, _, stuck| {
+        time.advance(QUANTUM.as_nanos() as u64);
+        if let Some(wake) = clock::take_wake().filter(|_| stuck) {
+            time.advance_to(wake);
         }
-        if live == 0 {
-            return true;
-        }
-        if (moves + 1) % n == 0 {
-            time.advance(QUANTUM.as_nanos() as u64);
-            if let Some(wake) = clock::take_wake().filter(|_| stuck) {
-                time.advance_to(wake);
-            }
-            stuck = true;
-        }
-    }
-    false
+    })
 }
 
 /// Every order of the first `depth` moves among `actors` actors, each

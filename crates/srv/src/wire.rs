@@ -21,8 +21,8 @@
 //! same peer*. [`Request::continuations`] / [`Response::continuations`]
 //! say from the head alone how many frames follow it, so a receiver
 //! takes them in bursts as they are published, resuming across polls
-//! (`ServerHub::poll_burst_from` on the server, the reply channel's
-//! `poll_burst` under a client's `Conn::recv`), and decodes with
+//! (`poll_burst` on each client's ring under a node's turn, and on the
+//! reply channel under a client's `Conn::recv`), and decodes with
 //! [`replay`] over what arrived.
 //!
 //! A frame's payload bytes are its words' little-endian byte image,

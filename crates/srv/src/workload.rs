@@ -29,8 +29,10 @@ use rand::{Rng, SeedableRng};
 use ssync_kv::StatsSnapshot;
 use ssync_locks::RawLock;
 
+use crate::node::{NoHooks, NodeCore};
 use crate::router::ShardRouter;
-use crate::service::{ring_mesh, serve, KvClient};
+use crate::service::{ring_mesh, KvClient};
+use crate::step::run;
 use crate::wire::MAX_VALUE_LEN;
 
 /// Largest read batch the engine will emit. Batches wider than one
@@ -510,7 +512,7 @@ pub struct LoadReport {
 }
 
 /// Runs the closed loop over the plain service: preload the keyspace,
-/// spawn one server thread per shard, run [`drive_worker`] for
+/// [`run`] the shard servers, run [`drive_worker`] for
 /// `ops_per_worker` key-operations on each of `workers` client threads,
 /// and report.
 ///
@@ -535,12 +537,11 @@ pub fn run_load<R: RawLock + Default>(
     let before = router.stats_snapshot();
 
     let (endpoints, clients) = ring_mesh(router.num_shards(), workers, CONN_DEPTH);
+    let shard = |(s, endpoint)| (NodeCore::new(endpoint), router.shard(s), NoHooks);
+    let mut nodes: Vec<_> = endpoints.into_iter().enumerate().map(shard).collect();
     let start = Instant::now();
     let (tally, _) = std::thread::scope(|s| {
-        for (shard, endpoint) in endpoints.into_iter().enumerate() {
-            let store = router.shard(shard);
-            s.spawn(move || serve(store, endpoint));
-        }
+        s.spawn(|| run(&mut nodes.iter_mut().collect::<Vec<_>>()));
         fan_out(clients, |worker, client| {
             let tally = drive_worker(&client, OpStream::new(spec, worker as u64), ops_per_worker);
             client.close();
