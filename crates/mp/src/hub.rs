@@ -197,15 +197,6 @@ pub trait MsgSender: Send {
             wait.snooze();
         }
     }
-
-    /// Sends a frame sequence — a message's head and continuation
-    /// frames — blocking while the channel is full. This default sends
-    /// one frame at a time; the ring overrides it with greedy bursts.
-    fn send_all(&self, frames: &[Message]) {
-        for &frame in frames {
-            self.send(frame);
-        }
-    }
 }
 
 impl MsgSender for Sender {
@@ -237,10 +228,6 @@ impl MsgSender for RingSender {
 
     fn try_send_burst(&self, frames: &[Message]) -> usize {
         RingSender::try_send_burst(self, frames)
-    }
-
-    fn send_all(&self, frames: &[Message]) {
-        RingSender::send_all(self, frames)
     }
 }
 
@@ -443,7 +430,11 @@ mod tests {
     fn per_frame_defaults_match_the_burst_contract() {
         let (tx, rx) = channel();
         std::thread::scope(|s| {
-            s.spawn(move || MsgSender::send_all(&tx, &[[1; 7], [2; 7], [3; 7]]));
+            s.spawn(move || {
+                for frame in [[1; 7], [2; 7], [3; 7]] {
+                    MsgSender::send(&tx, frame);
+                }
+            });
             let mut got = Vec::new();
             assert_eq!(rx.recv_burst_connected(2, &mut got), Ok(()));
             assert_eq!(got, [[1; 7], [2; 7]]);

@@ -74,12 +74,10 @@
 //!   instead of awaiting acks, a follower's ack is a store to the map,
 //!   and a peer's half-published message is resumed on a later turn
 //!   ([`StreamDecoder`]), not waited for;
-//! * nor on a full stream ring: frames a follower's ring refused stay
-//!   queued for that follower and go out first on the leader's next
+//! * nor on a full ring: what a stream or reply ring refused stays
+//!   queued ([`SendQueue`]) and goes out first on the node's next
 //!   turns, in order — so nodes sharing one worker cannot wait on each
-//!   other. A follower's only blocking sends are reply frames to a
-//!   client that, having an outstanding request on that very ring, is
-//!   by construction draining it;
+//!   other, nor on a client that is draining another node;
 //! * clients keep at most one request in flight per shard and drain
 //!   shards in index order — one global order shared by every client,
 //!   so the waits-for graph over bounded reply channels cannot close a
@@ -111,8 +109,8 @@ use ssync_srv::service::{
 };
 use ssync_srv::wire::{Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
 use ssync_srv::{
-    batch_rounds, block_on, chase, run, Chase, Conn, Hooks, NodeCore, StreamDecoder, Turn,
-    OP_BUDGET,
+    batch_rounds, block_on, chase, run, Chase, Conn, Hooks, NodeCore, SendQueue, StreamDecoder,
+    Turn, OP_BUDGET,
 };
 
 use crate::cluster::{ClusterMap, ShardView};
@@ -328,10 +326,7 @@ impl<R: RawLock + Default> ReplCluster<R> {
 
 /// Ring depth of client request/reply connections. A bulk reply at
 /// typical value sizes (≤ ~3 frames per key × [`REPL_MGET_MAX`] keys)
-/// fits without blocking the server; a worst-case reply does *not* —
-/// the server then blocks mid-reply, which is still cycle-free (the
-/// one client with an outstanding request on this ring is by
-/// construction draining it).
+/// fits whole; the rest of a longer one waits in the node's queue.
 const CONN_DEPTH: usize = 256;
 
 /// Ring depth of the leader→follower replication stream: an async
@@ -358,7 +353,7 @@ struct Peers {
     stream_rx: Vec<(RingReceiver, StreamDecoder)>,
     /// `stream_tx[p]`: replication frames *to* node `p`, and those its
     /// full ring refused so far, sent first next turn.
-    stream_tx: Vec<(RingSender, Vec<Message>)>,
+    stream_tx: Vec<SendQueue<RingSender>>,
 }
 
 impl NodeEndpoint {
@@ -413,7 +408,7 @@ fn peer_mesh(nodes: usize, depth: usize) -> Vec<Peers> {
     for from in 0..nodes {
         for to in 0..nodes {
             let (tx, rx) = ring_channel(depth);
-            peers[from].stream_tx.push((tx, Vec::new()));
+            peers[from].stream_tx.push(SendQueue::new(tx));
             peers[to].stream_rx.push((rx, StreamDecoder::default()));
         }
     }
@@ -928,7 +923,7 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
             Request::Stop.encode_into(&mut self.frames);
             self.stream();
         }
-        let sent = self.peers.stream_tx.iter().all(|p| p.1.is_empty());
+        let sent = self.peers.stream_tx.iter().all(SendQueue::is_empty);
         sent && self.acked_through() >= self.follower.report.last_version
     }
 
@@ -1004,31 +999,33 @@ impl<'a, R: RawLock + Default> ReplNode<'a, R> {
         self.stream();
     }
 
-    /// Queues `frames` for every peer and sends what each live peer's
-    /// ring has room for; the rest goes first on later turns
-    /// ([`ReplNode::flush`]), so a full ring costs the leader no wait.
+    /// Sends the frames to every live peer, the rest queued for its
+    /// later turns ([`ReplNode::flush`]), so a full ring costs the
+    /// leader no wait. The queue of a peer that died, or dropped its
+    /// receiver, is discarded (and this node's own is unused).
     fn stream(&mut self) {
-        for (_, queued) in &mut self.peers.stream_tx {
-            queued.extend_from_slice(&self.frames);
+        let (follower, frames) = (&self.follower, &self.frames);
+        for (p, queue) in self.peers.stream_tx.iter_mut().enumerate() {
+            let live = p != follower.report.node && !follower.map.is_dead(follower.shard, p);
+            if live && !queue.tx.receiver_closed() {
+                queue.send(frames);
+            } else {
+                queue.clear();
+            }
         }
-        self.flush();
     }
 
-    /// Sends each live peer the frames queued for it, in order, as far
-    /// as its ring has room; true if any went out. Best-effort: the
-    /// queue of a peer that died, or dropped its receiver, is discarded
-    /// instead of wedging the leader (and this node's own is unused).
+    /// Sends each live peer its queued frames as far as its ring has
+    /// room; true if any went out. A dead peer's queue is discarded.
     fn flush(&mut self) -> bool {
         let (mut sent, follower) = (false, &self.follower);
-        let queues = self.peers.stream_tx.iter_mut().enumerate();
-        for (p, (tx, queued)) in queues.filter(|(_, (_, queued))| !queued.is_empty()) {
-            let live = p != follower.report.node && !follower.map.is_dead(follower.shard, p);
-            if !live || tx.receiver_closed() {
-                queued.clear();
+        for (p, queue) in self.peers.stream_tx.iter_mut().enumerate() {
+            if !queue.is_empty() {
+                if follower.map.is_dead(follower.shard, p) {
+                    queue.clear();
+                }
+                sent |= queue.flush();
             }
-            let run = tx.try_send_burst(queued);
-            queued.drain(..run);
-            sent |= run > 0;
         }
         sent
     }
@@ -1047,7 +1044,7 @@ impl<'a, R: RawLock + Default> ReplNode<'a, R> {
     fn acked_through(&self) -> u64 {
         let follower = &self.follower;
         let hwm = |p: usize| {
-            if self.peers.stream_tx[p].0.receiver_closed() {
+            if self.peers.stream_tx[p].tx.receiver_closed() {
                 u64::MAX
             } else {
                 follower.map.hwm_of(follower.shard, p)
@@ -2114,7 +2111,7 @@ mod tests {
             let cfg = cluster.node_config(0, 1, &FaultSpec::none());
             let (store, log, map) = (cluster.node_store(0, 1), cluster.log(0), &map);
             let node = s.spawn(move || serve_node(store, log, map, follower, cfg));
-            let stream = &leader.peers.stream_tx[1].0;
+            let stream = &leader.peers.stream_tx[1].tx;
             stream.send([0xEE; ssync_mp::MSG_WORDS]);
             let mut frames = Vec::new();
             ssync_srv::wire::encode_replicate(7, 1, b"after", &mut frames);
@@ -2161,7 +2158,7 @@ mod tests {
                 let node = s.spawn(move || serve_node(store, log, map, follower, cfg));
                 let mut frames = Vec::new();
                 ssync_srv::wire::encode_replicate(7, 1, &[9; 300], &mut frames);
-                let stream = leader.peers.stream_tx.pop().unwrap().0;
+                let stream = leader.peers.stream_tx.pop().unwrap().tx;
                 stream.send(frames[0]);
                 drop(stream);
                 let scrape = || client.stats_of(0, 1).unwrap();

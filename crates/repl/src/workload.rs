@@ -362,4 +362,34 @@ mod tests {
         let mut cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 64, 8, ReplSpec::sync(1));
         let _ = run_replicated_closed_loop(&mut cluster, &small_spec(Mix::YCSB_A), 1, 10, &faults);
     }
+
+    /// Wide multi-gets of 1 KiB values beside sync writes: a 32-key
+    /// reply is 608 frames, over twice a connection ring, and a shard's
+    /// two nodes share a worker with the other shard's. A node that
+    /// waited for room mid-reply would hold up the nodes on its worker,
+    /// and with them the client it waits on. 2 workers × 50 000
+    /// key-ops, detached under a deadline.
+    #[test]
+    fn wide_multigets_of_long_values_finish_on_shared_workers() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut cluster: ReplCluster<TicketLock> =
+                ReplCluster::new(2, 2_048, 16, ReplSpec::sync(1));
+            let spec = WorkloadSpec {
+                keys: 4_096,
+                dist: KeyDist::Uniform,
+                mix: Mix::YCSB_B,
+                vsize: ValueSize::Fixed(1024),
+                batch: 32,
+                seed: 0xCAFE_F00D,
+            };
+            let none = FaultSpec::none();
+            let report = run_replicated_closed_loop(&mut cluster, &spec, 2, 50_000, &none);
+            done_tx.send((report.tally.issued.total(), report.converged))
+        });
+        let (issued, converged) = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a node waited on a full reply ring");
+        assert!(issued >= 100_000 && converged);
+    }
 }

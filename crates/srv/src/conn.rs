@@ -1,14 +1,14 @@
 //! One client connection: the layer under every service client.
 //!
-//! A [`Conn`] is a request sender, a reply receiver and a scratch
-//! frame buffer, so an exchange allocates nothing for its frames: a
-//! request is encoded into it and sent in ring-sized runs, a reply's
-//! continuation frames are taken into it in bursts. Each leg is a
-//! hand-written poll that never blocks: [`Conn::send`] is pending while
-//! the request ring is full, [`Conn::recv`] while the reply ring is
-//! empty or a reply's continuation frames are not all published yet
-//! (the reply's head then waits in the `Conn`), and both resume where
-//! they stopped on the next poll ([`crate::step`]).
+//! A [`Conn`] is a request sender, a reply receiver, a scratch frame
+//! buffer and a reply decode, so an exchange allocates nothing for its
+//! frames: a request is encoded into the buffer and sent in ring-sized
+//! runs, a reply's continuation frames are taken into the
+//! [`StreamDecoder`] in bursts. Each leg is a hand-written poll that
+//! never blocks: [`Conn::send`] is pending while the request ring is
+//! full, [`Conn::recv`] while the reply ring is empty or a reply's
+//! continuation frames are not all published yet, and both resume
+//! where they stopped on the next poll ([`crate::step`]).
 //! Every leg is *connected*: a peer whose thread is gone surfaces as
 //! [`WireError::Disconnected`] — on the send, on a reply's head frame,
 //! and on its continuation frames (a node that died mid-reply) — never
@@ -26,7 +26,7 @@
 //! into rounds of one chunk per shard, which `ServiceClient` and
 //! `ReplClient` each send and drain their own way.
 
-use core::cell::{Cell, RefCell};
+use core::cell::RefCell;
 use core::future::{poll_fn, Future};
 use core::task::Poll;
 use core::time::Duration;
@@ -34,9 +34,10 @@ use core::time::Duration;
 use ssync_core::RetryPacer;
 use ssync_mp::{Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
+use crate::node::StreamDecoder;
 use crate::router::shard_of;
 use crate::step::pending;
-use crate::wire::{replay, Request, Response, WireError};
+use crate::wire::{Request, Response, WireError};
 
 /// One `(request sender, reply receiver)` pair to one server. The
 /// halves are public: raw frames can be put on (or taken off) the
@@ -47,9 +48,7 @@ pub struct Conn<S: MsgSender = RingSender, C: MsgReceiver = RingReceiver> {
     /// The reply channel's receiving half.
     pub rx: C,
     frames: RefCell<Vec<Message>>,
-    /// The head of a reply whose continuation frames are not all
-    /// published yet; the frames taken so far are in `frames`.
-    head: Cell<Option<Message>>,
+    inbox: RefCell<StreamDecoder>,
 }
 
 impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
@@ -59,7 +58,7 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
             tx,
             rx,
             frames: RefCell::new(Vec::new()),
-            head: Cell::new(None),
+            inbox: RefCell::new(StreamDecoder::default()),
         }
     }
 
@@ -105,26 +104,17 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
     pub fn recv(&self) -> impl Future<Output = Result<Response, WireError>> + '_ {
         let (rx, mut first) = (&self.rx, true);
         poll_fn(move |_| {
-            let mut frames = self.frames.borrow_mut();
-            let polled = self.head.take().or_else(|| {
-                frames.clear();
-                rx.try_recv()
-            });
-            let head = match polled {
-                Some(head) => head,
-                // Final drain: the server may have published the head
+            let mut inbox = self.inbox.borrow_mut();
+            match inbox.try_recv_response(rx) {
+                Some(response) => Poll::Ready(response),
+                // Final drain: the server may have published the rest
                 // between the failed poll and its drop.
-                None if rx.sender_closed() => rx.try_recv().ok_or(WireError::Disconnected)?,
-                None => return pending(&mut first),
-            };
-            let more = Response::continuations(&head);
-            match (more > 0).then(|| rx.poll_burst(more, &mut frames)) {
-                None | Some(Ok(true)) => Poll::Ready(Response::decode(head, replay(&frames))),
-                Some(Ok(false)) => {
-                    self.head.set(Some(head));
-                    pending(&mut first)
-                }
-                Some(Err(_)) => Poll::Ready(Err(WireError::Disconnected)),
+                None if rx.sender_closed() => Poll::Ready(
+                    inbox
+                        .try_recv_response(rx)
+                        .unwrap_or(Err(WireError::Disconnected)),
+                ),
+                None => pending(&mut first),
             }
         })
     }

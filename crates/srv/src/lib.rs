@@ -74,7 +74,7 @@ pub mod wire;
 pub mod workload;
 
 pub use conn::{batch_rounds, chase, Chase, Conn, OP_BUDGET};
-pub use node::{Admit, Hooks, NoHooks, NodeCore, StreamDecoder, Turn};
+pub use node::{Admit, Hooks, NoHooks, NodeCore, SendQueue, StreamDecoder, Turn};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};
 pub use step::{block_on, enumerate, play, run, Step};

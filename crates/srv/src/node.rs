@@ -11,11 +11,13 @@
 //! holding a write's reply while a stack says it is owed.
 //! [`NodeCore::turn`] is one pass of a node, and a node — its core,
 //! store and hooks — is a [`Step`] that [`run`](crate::step::run)
-//! drives; a stream a node reads besides its clients decodes
-//! through a [`StreamDecoder`], resumed turn by turn. A serving stack
-//! is one struct implementing [`Hooks`], whose every method defaults to
-//! doing nothing; hooks are generic parameters, so the plain shard's
-//! [`NoHooks`] compiles to the bare store calls.
+//! drives. Every ring a node touches has one receive and one send
+//! discipline: a [`StreamDecoder`] takes each message, resumed turn by
+//! turn, and a [`SendQueue`] sends what the ring has room for and keeps
+//! the rest for a later turn, so no turn waits on a peer. A serving
+//! stack is one struct implementing [`Hooks`], whose every method
+//! defaults to doing nothing; hooks are generic parameters, so the
+//! plain shard's [`NoHooks`] compiles to the bare store calls.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -124,10 +126,10 @@ impl Hooks for NoHooks {}
 /// traffic flows — no quiescent point, bounded backlog.
 const RECLAIM_PERIOD: u64 = 1024;
 
-/// One node-to-node stream's decode, resumable across turns: a message
-/// whose continuation frames are not all published yet keeps its head
-/// and the frames taken so far here, and costs its node a turn, not a
-/// wait.
+/// One ring's decode, resumable across polls: a message whose
+/// continuation frames are not all published yet keeps its head and
+/// the frames taken so far here. Requests, node-to-node streams and
+/// replies all decode through it.
 #[derive(Default)]
 pub struct StreamDecoder {
     head: Option<Message>,
@@ -135,34 +137,109 @@ pub struct StreamDecoder {
 }
 
 impl StreamDecoder {
-    /// The next whole message off `rx`, decoded: `None` while none is
+    /// The next whole request off `rx`, decoded: `None` while none is
     /// complete, `Err(Disconnected)` if the sender died before its last
     /// continuation.
+    #[inline]
     pub fn try_recv<C: MsgReceiver>(&mut self, rx: &C) -> Option<Result<Request, WireError>> {
-        if self.head.is_none() {
-            self.frames.clear();
-            self.head = Some(rx.try_recv()?);
-        }
-        let head = self.head?;
-        let whole = match rx.poll_burst(Request::continuations(&head), &mut self.frames) {
-            Ok(false) => return None,
-            Ok(true) => Request::decode(head, replay(&self.frames)),
-            Err(_) => Err(WireError::Disconnected),
+        let head = self.poll(rx, Request::continuations)?;
+        Some(head.and_then(|head| Request::decode(head, replay(&self.frames))))
+    }
+
+    /// [`StreamDecoder::try_recv`] for a [`Response`].
+    #[inline]
+    pub fn try_recv_response<C: MsgReceiver>(
+        &mut self,
+        rx: &C,
+    ) -> Option<Result<Response, WireError>> {
+        let head = self.poll(rx, Response::continuations)?;
+        Some(head.and_then(|head| Response::decode(head, replay(&self.frames))))
+    }
+
+    /// The head of the next whole message, its continuations in `frames`.
+    #[inline]
+    fn poll<C: MsgReceiver>(
+        &mut self,
+        rx: &C,
+        continuations: fn(&Message) -> usize,
+    ) -> Option<Result<Message, WireError>> {
+        let head = match self.head.take() {
+            Some(head) => head,
+            None => {
+                self.frames.clear();
+                rx.try_recv()?
+            }
         };
-        self.head = None;
-        Some(whole)
+        let more = continuations(&head);
+        match (more > 0).then(|| rx.poll_burst(more, &mut self.frames)) {
+            None | Some(Ok(true)) => Some(Ok(head)),
+            Some(Ok(false)) => {
+                self.head = Some(head);
+                None
+            }
+            Some(Err(_)) => Some(Err(WireError::Disconnected)),
+        }
+    }
+}
+
+/// One ring's sending half and the frames it refused so far, sent
+/// first, in order, by later flushes: a full ring costs its sender a
+/// queue, not a wait.
+pub struct SendQueue<S: MsgSender> {
+    /// The sending half; a frame put on it directly goes ahead of the
+    /// queue, which is how tests inject traffic.
+    pub tx: S,
+    queued: Vec<Message>,
+}
+
+impl<S: MsgSender> SendQueue<S> {
+    /// An empty queue in front of `tx`.
+    pub fn new(tx: S) -> Self {
+        let queued = Vec::new();
+        SendQueue { tx, queued }
+    }
+
+    /// Queues `frames`, but while the queue is empty, first sends as
+    /// many as the ring has room for in one burst, straight from
+    /// `frames`.
+    #[inline]
+    pub fn send(&mut self, frames: &[Message]) {
+        let run = if self.queued.is_empty() {
+            self.tx.try_send_burst(frames)
+        } else {
+            0
+        };
+        self.queued.extend_from_slice(&frames[run..]);
+    }
+
+    /// Sends the queue as far as the ring has room; true if any frame
+    /// went out. A queue whose receiver is gone is dropped.
+    pub fn flush(&mut self) -> bool {
+        if self.tx.receiver_closed() {
+            self.queued.clear();
+        }
+        let run = self.tx.try_send_burst(&self.queued);
+        self.queued.drain(..run);
+        run > 0
+    }
+
+    /// True if no frame waits.
+    pub fn is_empty(&self) -> bool {
+        self.queued.is_empty()
+    }
+
+    /// Drops the queued frames.
+    pub fn clear(&mut self) {
+        self.queued.clear();
     }
 }
 
 /// The shared serve-loop state of one node. See the module docs.
 pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
     hub: ServerHub<C>,
-    replies: Vec<S>,
+    replies: Vec<SendQueue<S>>,
     frames: Vec<Message>,
-    /// Per client: the head of a request whose continuation frames are
-    /// not all published yet, and the frames taken so far. The client's
-    /// next frames continue it; the other clients keep their turns.
-    partial: Vec<(Option<Message>, Vec<Message>)>,
+    inboxes: Vec<StreamDecoder>,
     stopped: Vec<bool>,
     live: usize,
     since_reclaim: u64,
@@ -191,9 +268,9 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         NodeCore {
             stopped: vec![false; requests.len()],
             live: requests.len(),
-            partial: vec![(None, Vec::new()); requests.len()],
+            inboxes: requests.iter().map(|_| StreamDecoder::default()).collect(),
             hub: ServerHub::new(requests),
-            replies,
+            replies: replies.into_iter().map(SendQueue::new).collect(),
             frames: Vec::new(),
             since_reclaim: 0,
             queue_wait: registry.histogram("srv.queue_wait_ns"),
@@ -210,24 +287,23 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         self.counts
     }
 
-    /// One pass of the node: `hooks`' side work, the parked writes
-    /// re-submitted, one round-robin poll of the clients, and its
-    /// dispatch. A turn whose poll finds nothing, once every client is
-    /// gone, exits if `hooks` agrees, and the exit closes the node's
-    /// client rings, so a client still sending to it sees it gone.
-    /// While a write's reply is owed ([`Hooks::reply_owed`]), a turn is
-    /// the side work and the question only; the turn that releases the
-    /// reply sends it and ends there. Every 1 024th turn that made
-    /// progress also runs one reclamation pass on `store`.
+    /// One pass of the node: the queued replies, `hooks`' side work,
+    /// the parked writes re-submitted, one round-robin poll of the
+    /// clients, and its dispatch. A turn whose poll finds nothing, once
+    /// every client is gone, exits if `hooks` agrees, and the exit
+    /// closes the node's client rings, so a client still sending to it
+    /// sees it gone. While a write's reply is owed
+    /// ([`Hooks::reply_owed`]), a turn is the side work and the question
+    /// only; the turn that releases the reply sends it and ends there.
+    /// Every 1 024th turn that made progress also runs one reclamation
+    /// pass on `store`. A client's queued replies are dropped when it
+    /// retires or its reply receiver is gone (and it is retired once its
+    /// requests are gone too).
     ///
-    /// The continuation frames a head announces
-    /// ([`Request::continuations`]) are taken from the same client in
-    /// bursts as they are published, before decoding: a request not yet
-    /// whole is resumed on that client's next turn of the round-robin,
-    /// and the other clients are polled meanwhile. A head frame that
-    /// fails to decode is answered with [`Response::Malformed`] — a
-    /// corrupt frame degrades one connection, it does not take the node
-    /// down. A client's first `Stop` retires it; a repeated one is
+    /// A request not yet whole is resumed on its client's next turn of
+    /// the round-robin. A head frame that fails to decode is answered
+    /// with [`Response::Malformed`] — a corrupt frame degrades one
+    /// connection, it does not take the node down. A client's first `Stop` retires it; a repeated one is
     /// counted as malformed and not answered (nobody drains that reply
     /// ring). A client that went away between a head frame and its
     /// continuations is the same two things at once: the truncated
@@ -256,9 +332,10 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
 
     #[inline]
     fn pass<R: RawLock + Default, H: Hooks>(&mut self, store: &KvStore<R>, hooks: &mut H) -> Turn {
+        let flushed = self.flush();
         let mut progressed = match hooks.before_poll(&mut self.counts) {
             ControlFlow::Break(turn) => return turn,
-            ControlFlow::Continue(progressed) => progressed,
+            ControlFlow::Continue(progressed) => progressed || flushed,
         };
         if self.owed.is_some() {
             if hooks.reply_owed() {
@@ -281,39 +358,21 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
                 }
             }
         }
-        let partial = &mut self.partial;
-        let polled = self.hub.poll_with(|client, rx| {
-            let (held, frames) = &mut partial[client];
-            let head = match held.take() {
-                Some(head) => head,
-                None => {
-                    let head = rx.try_recv()?;
-                    frames.clear();
-                    head
-                }
-            };
-            let more = Request::continuations(&head);
-            match (more > 0).then(|| rx.poll_burst(more, frames)) {
-                None | Some(Ok(true)) => Some((client, Some(head))),
-                Some(Ok(false)) => {
-                    *held = Some(head);
-                    None
-                }
-                Some(Err(_)) => Some((client, None)),
-            }
-        });
-        let (client, head) = match polled {
-            Some((client, Some(head))) => (client, head),
-            Some((client, None)) => {
-                self.counts.malformed += 1;
-                self.retire(client);
-                return Turn::Progress;
-            }
+        let inboxes = &mut self.inboxes;
+        let polled = self
+            .hub
+            .poll_with(|client, rx| Some((client, inboxes[client].try_recv(rx)?)));
+        let (client, request) = match polled {
+            Some(polled) => polled,
             None if self.live == 0 && hooks.may_exit() => return Turn::Exit,
             None if progressed => return Turn::Progress,
             None => return Turn::Idle,
         };
-        match Request::decode(head, replay(&self.partial[client].1)) {
+        match request {
+            Err(WireError::Disconnected) => {
+                self.counts.malformed += 1;
+                self.retire(client);
+            }
             Err(_) => {
                 self.counts.malformed += 1;
                 self.reply(client, &Response::Malformed);
@@ -347,17 +406,31 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     #[inline]
     fn reply(&mut self, client: usize, response: &Response) {
         response.encode_into(&mut self.frames);
-        self.send_frames(client);
+        self.replies[client].send(&self.frames);
     }
 
+    /// Sends each client's queued replies as far as its ring has room;
+    /// true if any frame went out. A client whose reply receiver and
+    /// requests are both gone ([`ServerHub::departed`]) is retired.
     #[inline]
-    fn send_frames(&mut self, client: usize) {
-        self.replies[client].send_all(&self.frames);
+    fn flush(&mut self) -> bool {
+        let mut sent = false;
+        for client in 0..self.replies.len() {
+            let queue = &mut self.replies[client];
+            if !queue.is_empty() {
+                sent |= queue.flush();
+                if queue.tx.receiver_closed() && self.hub.departed(client) {
+                    self.retire(client);
+                }
+            }
+        }
+        sent
     }
 
-    /// Retires `client` as its first `Stop` does; false if it already
-    /// was.
+    /// Retires `client` as its first `Stop` does, dropping its queued
+    /// replies; false if it already was.
     fn retire(&mut self, client: usize) -> bool {
+        self.replies[client].clear();
         let first = !std::mem::replace(&mut self.stopped[client], true);
         self.live -= usize::from(first);
         first
@@ -431,19 +504,19 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         match request {
             Request::Get { key } => {
                 self.read(store, hooks, key);
-                self.send_frames(client);
+                self.replies[client].send(&self.frames);
             }
             Request::TimedGet { key, stamp } => {
                 let t0 = mono_ns();
                 self.queue_wait.record(t0.saturating_sub(stamp));
                 self.read(store, hooks, key);
                 self.apply.record(mono_ns().saturating_sub(t0));
-                self.send_frames(client);
+                self.replies[client].send(&self.frames);
             }
             Request::MultiGet { keys } => {
                 for key in keys {
                     self.read(store, hooks, key);
-                    self.send_frames(client);
+                    self.replies[client].send(&self.frames);
                 }
             }
             Request::Set { key, .. } | Request::Cas { key, .. } | Request::Delete { key } => {
@@ -500,14 +573,12 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
 /// A node: its core, its store and its hooks; a move is one
 /// [`NodeCore::turn`].
 ///
-/// A node holding an owed reply may not park: a client waits on it.
-/// Before a park, a node looks for clients that went away without a
-/// `Stop` — a panicked test body, a dropped connection — and retires
-/// each exactly as its first `Stop` would have: without this the node
-/// waits forever for a `Stop` nobody is left to send. A silent
-/// departure is not a malformed frame and is not counted as one. A
-/// worker parks only after milliseconds of idling, so no request pays
-/// for the sweep.
+/// A node holding an owed or queued reply may not park: a client waits
+/// on it. Before a park, a node retires each client that went away
+/// without a `Stop` (a panicked test body, a dropped connection) as its
+/// first `Stop` would have, uncounted: else the node waits forever for
+/// a `Stop` nobody is left to send. A worker parks only after
+/// milliseconds of idling, so no request pays for the sweep.
 impl<C, S, R, H> Step for (NodeCore<C, S>, &KvStore<R>, H)
 where
     C: MsgReceiver,
@@ -521,7 +592,7 @@ where
     }
 
     fn may_park(&self) -> bool {
-        self.0.owed.is_none()
+        self.0.owed.is_none() && self.0.replies.iter().all(SendQueue::is_empty)
     }
 
     fn parking(&mut self) {
@@ -587,14 +658,29 @@ fn put<R: RawLock + Default, H: Hooks>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::router::key_bytes;
     use crate::service::{ring_mesh, KvClient};
-    use crate::step::{block_on, play};
+    use crate::step::{block_on, play, until};
     use crate::wire::MAX_VALUE_LEN;
     use core::pin::pin;
     use ssync_locks::TicketLock;
+    use std::time::Duration;
+
+    /// Runs `body` on a thread of its own and returns its result, failing
+    /// the test once `secs` pass first: a body whose actors wait on each
+    /// other fails instead of hanging the suite.
+    pub(crate) fn within<T: Send + 'static>(
+        secs: u64,
+        body: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done_tx.send(body()));
+        done_rx
+            .recv_timeout(Duration::from_secs(secs))
+            .expect("the body did not finish by its deadline")
+    }
 
     /// A client stalled halfway through publishing a request holds up
     /// only itself: the node keeps its partial request aside and serves
@@ -668,5 +754,66 @@ mod tests {
         let held = store.get_with_version(&key_bytes(7));
         assert_eq!(held.map(|(at, v)| (at, v.to_vec())), Some((version, value)));
         assert_eq!((node.0.counts.requests, node.0.counts.malformed), (1, 0));
+    }
+
+    /// The mirror of the request-side test above: a 1 KiB value's reply
+    /// is 19 frames over a 4-slot ring, and the one thread that runs the
+    /// node also runs its client. The turn that serves the read sends
+    /// what the ring has room for and queues the rest, and the next
+    /// turns send more as the client takes frames, instead of waiting
+    /// for room only the client can make.
+    #[test]
+    fn a_reply_longer_than_its_ring_is_resumed_across_turns() {
+        let (answer, counts) = within(60, || {
+            let store: KvStore<TicketLock> = KvStore::new(64, 8);
+            let value = vec![0x5A; MAX_VALUE_LEN];
+            let version = store.set(&key_bytes(7), &value);
+            let reply = Response::Value { version, value };
+            assert_eq!(reply.encode().len(), 19);
+            let (mut endpoints, mut clients) = ring_mesh(1, 1, 4);
+            let client = clients.pop().unwrap();
+            let mut node = (NodeCore::new(endpoints.pop().unwrap()), &store, NoHooks);
+            let mut answer = None;
+            {
+                let mut ops = pin!(async {
+                    answer = Some(client.exchange(7, &Request::Get { key: 7 }).await);
+                    client.send_stop().await;
+                });
+                assert!(play(&mut [&mut ops, &mut node], &[], 64));
+            }
+            (answer.map(|got| got == Ok(reply)), node.0.counts)
+        });
+        assert_eq!(answer, Some(true), "the 19-frame reply arrived whole");
+        assert_eq!((counts.requests, counts.malformed), (1, 0));
+    }
+
+    /// A client that drops its connection while the rest of a reply is
+    /// queued for it is gone both ways: the node drops the queue,
+    /// retires the client as a `Stop` would, and exits once the other
+    /// client has stopped — nobody is left to make room on that ring.
+    #[test]
+    fn a_client_gone_with_its_reply_queued_is_retired() {
+        let counts = within(60, || {
+            let store: KvStore<TicketLock> = KvStore::new(64, 8);
+            store.set(&key_bytes(7), [0x5A; MAX_VALUE_LEN]);
+            let (mut endpoints, mut clients) = ring_mesh(1, 2, 4);
+            let (b, a) = (clients.pop().unwrap(), clients.pop().unwrap());
+            let mut node = (NodeCore::new(endpoints.pop().unwrap()), &store, NoHooks);
+            let mut gone = pin!(async move {
+                a.conn(0).send(&Request::Get { key: 7 }).await.unwrap();
+                until(|| a.conn(0).rx.has_message().then_some(())).await;
+                drop(a);
+            });
+            let mut stays = pin!(async {
+                assert_eq!(
+                    b.exchange(9, &Request::Get { key: 9 }).await,
+                    Ok(Response::Miss)
+                );
+                b.send_stop().await;
+            });
+            assert!(play(&mut [&mut gone, &mut stays, &mut node], &[], 64));
+            node.0.counts
+        });
+        assert_eq!((counts.requests, counts.malformed), (2, 0));
     }
 }

@@ -9,27 +9,21 @@
 //! its [`KvClient::get_many`].
 //!
 //! The mesh is built on bounded SPSC rings ([`ssync_mp::ring_channel`]):
-//! a server writes a whole multi-frame reply and moves on, and a client
-//! can **pipeline** reads ([`ServiceClient::send_get`] /
+//! a server sends what a reply ring has room for and queues the rest,
+//! and a client can **pipeline** reads ([`ServiceClient::send_get`] /
 //! [`ServiceClient::read_get_reply`]). The endpoint, client and
 //! connection types stay generic over the channel halves
 //! ([`MsgSender`] / [`MsgReceiver`], defaulting to the ring's) because
 //! code outside the workspace members names them with explicit halves;
 //! nothing in the tree instantiates them on anything but rings.
 //!
-//! Flow control: a pipelining client keeps at most the ring depth of
-//! one-frame read requests outstanding per shard — its request sends
-//! therefore never wait, so the only waits that can hold anything run
-//! server→client (reply rings), and the one client of a full reply
-//! ring is by construction draining it. A client's waits are pending
-//! polls, never blocking loops ([`crate::conn`]); a node's reply send
-//! is the one blocking edge left. The calls hold the same discipline
-//! at any depth, down to 1: a client has at most one request
-//! outstanding per shard (its [`KvClient::get_many`] exploits exactly
-//! that — one multi-get per shard in flight, replies drained shard by
-//! shard), and a node takes a request's frames as they are published
-//! and finishes every reply frame of a request before polling for the
-//! next, so the system cannot deadlock on full buffers.
+//! Flow control: nothing waits on a full ring. A client's waits are
+//! pending polls ([`crate::conn`]); a node takes a request's frames as
+//! they are published and queues the reply frames a full ring refused,
+//! sending them first on its later turns ([`crate::node::SendQueue`]).
+//! A client keeps at most one request outstanding per shard (a
+//! pipelining one, at most the ring depth of one-frame reads), so a
+//! reply queue holds at most that much.
 
 use core::future::Future;
 

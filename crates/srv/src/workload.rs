@@ -494,8 +494,8 @@ pub fn fan_out<C: Send, X: Send>(
 }
 
 /// Ring depth of the load engine's client connections: a one-key reply
-/// (19 frames at most) fits whole; a wider multi-get reply may block its
-/// server mid-reply, cycle-free, as the ring's one client is draining it.
+/// (19 frames at most) fits whole; a wider multi-get reply waits in its
+/// node's queue for the client to make room.
 const CONN_DEPTH: usize = 64;
 
 /// What a load-engine run measured.
@@ -728,5 +728,27 @@ mod tests {
                 assert_eq!(report.store.maintenance_runs, runs, "{case}");
             }
         }
+    }
+
+    /// A 32-key multi-get of 1 KiB values is a 608-frame reply, ten
+    /// times its connection ring, and four shards share at most two
+    /// workers: a node that waited for room mid-reply would hold up the
+    /// nodes on its worker, among them the one its client drains
+    /// first. 2 workers × 100 000 key-ops, under a deadline.
+    #[test]
+    fn wide_multigets_of_long_values_finish_on_shared_workers() {
+        let issued = crate::node::tests::within(60, || {
+            let router: ShardRouter<TicketLock> = ShardRouter::new(4, 1024, 16);
+            let spec = WorkloadSpec {
+                keys: 4_096,
+                dist: KeyDist::Uniform,
+                mix: Mix::YCSB_C,
+                vsize: ValueSize::Fixed(1024),
+                batch: 32,
+                seed: 0xCAFE_F00D,
+            };
+            run_load(&router, &spec, 2, 100_000).tally.issued
+        });
+        assert_eq!(issued.gets, 200_000);
     }
 }
