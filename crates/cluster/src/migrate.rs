@@ -28,7 +28,10 @@
 //!    gate, so recopied duplicates drop as stale. A seeded
 //!    [`FaultSpec::migration_plan_for`] schedule crashes the stream at
 //!    fixed cumulative entry counts; each crash restarts that source's
-//!    copy from the first page.
+//!    copy from the first page. A source whose log holds more than
+//!    4 096 entries gets a delta replay (step 3) at the page's end, so
+//!    a copy the scheduler slows down does not log (and keep alive the
+//!    values of) every write it outlasts.
 //! 3. **Delta replay** — writes that landed during the copy are in the
 //!    source's op-log; replay moving entries after a cumulative
 //!    per-source version cursor, then truncate the log *behind the
@@ -89,6 +92,11 @@ use crate::sync::atomic::{AtomicBool, Ordering};
 /// Unfrozen delta-replay rounds before the freeze — each shrinks the
 /// tail the frozen final drain has to ship.
 const DELTA_ROUNDS: usize = 2;
+
+/// Log entries past which a source's bulk copy replays its delta at a
+/// page's end. The log shares each logged value with the store, so its
+/// length is memory the copy holds.
+const COPY_LOG_BOUND: usize = 4096;
 
 /// What a resharding should do and which faults to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -434,6 +442,10 @@ pub(crate) async fn coordinate<R: RawLock + Default>(
                         continue 'page;
                     }
                 }
+                if logs[source].len() > COPY_LOG_BOUND {
+                    let log = (logs[source], &mut cursor[source]);
+                    delta(log, moving_from[source], shards_after, mig_tx, &mut sent).await;
+                }
                 // The page's end: one pending poll, which a step reports
                 // as progress.
                 moved.store(true, Ordering::Relaxed);
@@ -717,6 +729,55 @@ mod tests {
         assert_eq!(map.frozen(), 0, "no write may stay parked");
         assert!(!is_armed(map.arming.current()), "no log may keep growing");
         assert_eq!(map.epoch(), Fence::FIRST, "and the map was never cut");
+    }
+
+    /// A source log that passes its bound during the bulk copy is
+    /// replayed and truncated at that page's end, not kept for the
+    /// delta rounds after the copy; every write still lands at its new
+    /// owner. The test steps the coordinator and both nodes, and logs
+    /// the writes as the source's committed hook would, right after the
+    /// first page.
+    #[test]
+    fn a_log_past_its_bound_is_replayed_mid_copy() {
+        let map = ShardMap::new(1);
+        let (stores, _) = fleet(2);
+        let logs = [OpLog::new(2 * COPY_LOG_BOUND), OpLog::new(1)];
+        let (endpoints, _conns, mig) = cluster_mesh(2, 1, 16, 64);
+        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let log_refs: Vec<&OpLog> = logs.iter().collect();
+        let mut model: Vec<(u64, u64, Vec<u8>)> = (0..512u64)
+            .map(|key| (key, stores[0].set(&key_bytes(key), b"v"), b"v".to_vec()))
+            .collect();
+        let mut reshard = Reshard::new(&map, &store_refs, &log_refs, &mig, &ReshardSpec::clean(2));
+        let mut nodes = (endpoints.into_iter().enumerate())
+            .map(|(me, endpoint)| ClusterNode::new(me, &stores[me], &logs[me], &map, endpoint));
+        let (mut source_core, mut source) = nodes.next().unwrap();
+        let (mut target_core, mut target) = nodes.next().unwrap();
+        let mut to_page_end = |reshard: &mut Reshard| loop {
+            let turn = reshard.step();
+            source_core.turn(&stores[0], &mut source);
+            target_core.turn(&stores[1], &mut target);
+            if turn != Turn::Idle {
+                return turn;
+            }
+        };
+        assert_eq!(to_page_end(&mut reshard), Turn::Progress, "the first page");
+        for i in 0..=COPY_LOG_BOUND {
+            let (key, version, value) = &mut model[i % 512];
+            *value = i.to_le_bytes().to_vec();
+            let kept;
+            (*version, kept) = stores[0].set_shared(&key_bytes(*key), &value);
+            logs[0].append(LogEntry::committed(*key, *version, Some(&kept)));
+        }
+        assert_eq!(to_page_end(&mut reshard), Turn::Progress, "the second page");
+        assert!(logs[0].is_empty(), "the log is replayed at the page's end");
+        while to_page_end(&mut reshard) != Turn::Exit {}
+        assert_eq!(reshard.report().map(|r| r.final_epoch), Some(2));
+        for (key, version, value) in model {
+            let owner = &stores[slot_of(key) % 2];
+            let (held_version, held) = owner.get_with_version(&key_bytes(key)).unwrap();
+            assert_eq!((held_version, held.as_ref()), (version, value.as_slice()));
+        }
     }
 
     /// A migration ring shallower than one entry's frames, with nothing
