@@ -5,11 +5,12 @@
 //! client legs and node turn on one thread.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ssync_core::{block_on, until};
 use ssync_kv::KvStore;
 use ssync_locks::TicketLock;
 use ssync_mp::channel::channel;
 use ssync_mp::{
-    ring_channel, Message, MsgReceiver, RecvError, RingReceiver, RingSender, MSG_WORDS,
+    ring_channel, Message, MsgReceiver, MsgSender, RecvError, RingReceiver, RingSender, MSG_WORDS,
 };
 use ssync_srv::router::key_bytes;
 use ssync_srv::wire::{encode_set, encode_value};
@@ -53,9 +54,9 @@ fn bench_ping_pong_threads(c: &mut Criterion) {
 /// rings (`benchmark/`'s serving depth): 3, 11 and 19 frames are a 128 B,
 /// a 576 B and a 1 KiB value. `per_frame` sends and receives one frame
 /// at a time on both sides; `burst` sends with `send_all` and receives
-/// with `recv_burst_connected` — one space check per run, one stamp
-/// wait and one hand-back per message. The in-repo reading of the rung
-/// `benchmark/`'s one-frame-at-a-time echo cannot see.
+/// by looping `poll_burst` under `block_on` — one space check per run,
+/// one stamp wait and one hand-back per message. The in-repo reading of
+/// the rung `benchmark/`'s one-frame-at-a-time echo cannot see.
 fn bench_ring_burst_echo(c: &mut Criterion) {
     fn send(tx: &RingSender, frames: &[Message], burst: bool) {
         if burst {
@@ -70,10 +71,13 @@ fn bench_ring_burst_echo(c: &mut Criterion) {
         out: &mut Vec<Message>,
         burst: bool,
     ) -> Result<(), RecvError> {
-        if burst {
-            return rx.recv_burst_connected(n, out);
-        }
         out.clear();
+        if burst {
+            return block_on(until(|| match rx.poll_burst(n, out) {
+                Ok(false) => None,
+                done => Some(done.map(drop)),
+            }));
+        }
         for _ in 0..n {
             out.push(rx.recv_connected()?);
         }

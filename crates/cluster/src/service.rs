@@ -454,6 +454,7 @@ impl KvClient for ClusterClient<'_> {
 mod tests {
     use super::*;
     use ssync_locks::TicketLock;
+    use ssync_mp::MsgSender;
     use ssync_srv::router::key_bytes;
 
     fn stores(n: usize) -> Vec<KvStore<TicketLock>> {

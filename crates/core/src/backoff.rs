@@ -36,8 +36,9 @@ fn model_yield() {
 /// quantum per handoff — on a single-core box that turns a
 /// message-passing ping-pong from milliseconds into minutes.
 ///
-/// Used by every blocking receive/send path in `ssync-mp` and the
-/// server loops in `ssync-tm`/`ssync-ht`.
+/// [`block_on`](crate::block_on) paces every blocking call with one, a
+/// fresh one per wait: `ssync-mp`'s sends and receives, the server
+/// loops in `ssync-tm`/`ssync-ht`, and every blocking client call.
 ///
 /// # Examples
 ///

@@ -18,7 +18,8 @@
 //!   nodes, and the thread-placement policies of Sections 5.4 and 6.
 //! * [`clock`] — the one clock a client's waits read ([`RetryPacer`]'s
 //!   deadline and pauses, failover windows): real time, or a stepped
-//!   driver's.
+//!   driver's; and [`block_on`], the one blocking driver, over one
+//!   [`until`] per wait.
 //! * [`stats`] — the observability layer: the log-bucketed
 //!   [`Histogram`], the named-histogram [`Registry`] serving loops register
 //!   into, and the [`mono_ns`] timebase client send stamps share.
@@ -40,6 +41,7 @@ pub mod sync;
 pub mod topology;
 
 pub use backoff::{Backoff, ParkingWait, ProportionalBackoff, RetryPacer, SpinWait};
+pub use clock::{block_on, until};
 pub use epoch::{EpochBags, EpochDomain, PinGuard};
 pub use fenced::{Fence, Fenced, FencedWord};
 pub use handshake::Handshake;

@@ -10,9 +10,9 @@
 use std::collections::HashMap;
 use std::thread::JoinHandle;
 
-use ssync_core::SpinWait;
+use ssync_core::{block_on, until};
 use ssync_mp::channel::{channel, Receiver, Sender};
-use ssync_mp::hub::ServerHub;
+use ssync_mp::hub::{MsgReceiver, MsgSender, ServerHub};
 
 use crate::{bucket_of, Key, Value};
 
@@ -131,16 +131,14 @@ fn server_loop(
     // the open-chaining details (the native table covers those).
     let mut data: HashMap<usize, HashMap<Key, Value>> = HashMap::new();
     let mut hub = ServerHub::new(requests);
-    let mut wait = SpinWait::new();
     loop {
-        if shutdown.try_recv().is_some() {
+        let request = block_on(until(|| match shutdown.try_recv() {
+            Some(_) => Some(None),
+            None => hub.try_recv_from_any().map(Some),
+        }));
+        let Some((client, msg)) = request else {
             return;
-        }
-        let Some((client, msg)) = hub.try_recv_from_any() else {
-            wait.snooze();
-            continue;
         };
-        wait = SpinWait::new();
         let [op, key, value, bucket, ..] = msg;
         let bucket = bucket as usize;
         let entry = data.entry(bucket).or_default();

@@ -590,8 +590,11 @@ impl Recycler {
     /// last touched when it was parked, usually long before, so a write
     /// that refills it would stall on its lines; prefetched as soon as
     /// the stripe lock is held, they arrive while the write walks its
-    /// chain. (A block carved from the page's tail was never touched at
-    /// all, and has nothing to fetch.) The prefetch is x86-64 only.
+    /// chain. (A block carved from the page's tail is not prefetched:
+    /// on a fresh page it was never touched, but `take_page` may hand
+    /// the carve a page this thread kept from a dropped store, whose
+    /// lines that store wrote; prefetching ahead of the bump pointer
+    /// read within noise.) The prefetch is x86-64 only.
     fn prefetch<R: RawLock>(&mut self, size: usize, depot: &Depot<R>) {
         let Some(class) = class_of(size) else {
             return;

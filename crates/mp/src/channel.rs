@@ -3,7 +3,8 @@
 //! Layout follows `libssmp`: one cache line holds a flag word plus the
 //! payload, so a message transfer is (at the coherence level) one line
 //! moving from the sender's cache to the receiver's. The flag encodes
-//! empty (0) / full (1); the sender busy-waits for empty, the receiver
+//! empty (0) / full (1); a blocking send ([`crate::MsgSender::send`])
+//! waits for empty, a blocking receive ([`crate::MsgReceiver::recv`])
 //! for full — single-producer single-consumer by construction, enforced
 //! in the API by non-cloneable [`Sender`]/[`Receiver`] halves.
 //!
@@ -18,7 +19,7 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use core::cell::UnsafeCell;
 use std::sync::Arc;
 
-use ssync_core::{CachePadded, SpinWait};
+use ssync_core::CachePadded;
 
 /// Payload words per message: 7 × 8 bytes + the 8-byte flag fill one
 /// 64-byte cache line.
@@ -95,25 +96,14 @@ impl Drop for Receiver {
 }
 
 impl Sender {
-    /// Sends a message, spinning (then yielding) until the buffer drains.
-    pub fn send(&self, msg: Message) {
-        let mut wait = SpinWait::new();
-        while self.chan.buf.flag.load(Ordering::Acquire) != 0 {
-            wait.snooze();
-        }
-        // SAFETY: the buffer is empty (flag 0) and we are the unique
-        // sender, so no one else accesses `data` until we publish.
-        unsafe { *self.chan.buf.data.get() = msg };
-        self.chan.buf.flag.store(1, Ordering::Release);
-    }
-
     /// Attempts to send without blocking; returns the message back if
     /// the buffer is still full.
     pub fn try_send(&self, msg: Message) -> Result<(), Message> {
         if self.chan.buf.flag.load(Ordering::Acquire) != 0 {
             return Err(msg);
         }
-        // SAFETY: as in `send`.
+        // SAFETY: the buffer is empty (flag 0) and we are the unique
+        // sender, so no one else accesses `data` until we publish.
         unsafe { *self.chan.buf.data.get() = msg };
         self.chan.buf.flag.store(1, Ordering::Release);
         Ok(())
@@ -127,18 +117,6 @@ impl Sender {
 }
 
 impl Receiver {
-    /// Receives the next message, spinning (then yielding) until one
-    /// arrives.
-    pub fn recv(&self) -> Message {
-        let mut wait = SpinWait::new();
-        loop {
-            match self.try_recv() {
-                Some(m) => return m,
-                None => wait.snooze(),
-            }
-        }
-    }
-
     /// Attempts to receive without blocking.
     pub fn try_recv(&self) -> Option<Message> {
         if self.chan.buf.flag.load(Ordering::Acquire) != 1 {
@@ -167,6 +145,7 @@ impl Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MsgReceiver, MsgSender};
 
     #[test]
     fn send_recv_roundtrip() {

@@ -7,7 +7,7 @@
 //! hub is generic over the channel flavour — the one-line
 //! [`Receiver`] or the ring's [`crate::ring::RingReceiver`].
 
-use ssync_core::SpinWait;
+use ssync_core::{block_on, until};
 
 use crate::channel::{Message, Receiver, Sender};
 use crate::ring::{RingReceiver, RingSender};
@@ -39,17 +39,9 @@ pub trait MsgReceiver: Send {
     fn has_message(&self) -> bool;
 
     /// Receives the next message, spinning (then yielding) until one
-    /// arrives. The concrete channel types provide the same blocking
-    /// loop inherently; this provided method lets transport-generic
-    /// code block without naming the flavour.
+    /// arrives: [`block_on`] over [`MsgReceiver::try_recv`].
     fn recv(&self) -> Message {
-        let mut wait = SpinWait::new();
-        loop {
-            match self.try_recv() {
-                Some(m) => return m,
-                None => wait.snooze(),
-            }
-        }
+        block_on(until(|| self.try_recv()))
     }
 
     /// Blocking receive with an escape: fails with
@@ -61,18 +53,13 @@ pub trait MsgReceiver: Send {
     /// [`RecvError::Disconnected`] if the sending half was dropped and
     /// no message remains.
     fn recv_connected(&self) -> Result<Message, RecvError> {
-        let mut wait = SpinWait::new();
-        loop {
-            if let Some(m) = self.try_recv() {
-                return Ok(m);
-            }
-            if self.sender_closed() {
-                // Final drain: the sender may have published a message
-                // between the failed poll above and its drop.
-                return self.try_recv().ok_or(RecvError::Disconnected);
-            }
-            wait.snooze();
-        }
+        block_on(until(|| match self.try_recv() {
+            Some(m) => Some(Ok(m)),
+            // Final drain: the sender may have published a message
+            // between the failed poll above and its drop.
+            None if self.sender_closed() => Some(self.try_recv().ok_or(RecvError::Disconnected)),
+            None => None,
+        }))
     }
 
     /// One non-blocking step of a connected burst: moves `out` toward
@@ -87,7 +74,8 @@ pub trait MsgReceiver: Send {
     ///
     /// [`RecvError::Disconnected`] if the sending half was dropped
     /// before the `n`-th message was published; whatever it did
-    /// publish is in `out`, so the channel reads drained.
+    /// publish is in `out`, so the channel reads drained. A blocking
+    /// caller loops it under [`block_on`].
     fn poll_burst(&self, n: usize, out: &mut Vec<Message>) -> Result<bool, RecvError> {
         while out.len() < n {
             match self.try_recv() {
@@ -99,24 +87,6 @@ pub trait MsgReceiver: Send {
             }
         }
         Ok(true)
-    }
-
-    /// Receives the next `n` messages into `out` (cleared first): how a
-    /// message's continuation frames are taken once its head frame has
-    /// said how many follow. The spin over [`MsgReceiver::poll_burst`].
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Disconnected`] if the sending half was dropped
-    /// before the `n`-th message arrived; the ones that did arrive are
-    /// consumed.
-    fn recv_burst_connected(&self, n: usize, out: &mut Vec<Message>) -> Result<(), RecvError> {
-        out.clear();
-        let mut wait = SpinWait::new();
-        while !self.poll_burst(n, out)? {
-            wait.snooze();
-        }
-        Ok(())
     }
 }
 
@@ -157,8 +127,10 @@ impl MsgReceiver for RingReceiver {
 /// `NodeCore`) is written once over the transport.
 pub trait MsgSender: Send {
     /// Sends a message, blocking (spin then yield) while the channel
-    /// is full.
-    fn send(&self, msg: Message);
+    /// is full: [`block_on`] over [`MsgSender::try_send`].
+    fn send(&self, msg: Message) {
+        block_on(until(|| self.try_send(msg).ok()));
+    }
 
     /// Attempts to send without blocking; returns the message back if
     /// the channel is full.
@@ -184,26 +156,16 @@ pub trait MsgSender: Send {
     ///
     /// [`Disconnected`] if the receiving half was dropped.
     fn send_connected(&self, msg: Message) -> Result<(), Disconnected> {
-        let mut wait = SpinWait::new();
-        let mut msg = msg;
-        loop {
+        block_on(until(|| {
             if self.receiver_closed() {
-                return Err(Disconnected);
+                return Some(Err(Disconnected));
             }
-            match self.try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(back) => msg = back,
-            }
-            wait.snooze();
-        }
+            self.try_send(msg).ok().map(Ok)
+        }))
     }
 }
 
 impl MsgSender for Sender {
-    fn send(&self, msg: Message) {
-        Sender::send(self, msg)
-    }
-
     fn try_send(&self, msg: Message) -> Result<(), Message> {
         Sender::try_send(self, msg)
     }
@@ -214,10 +176,6 @@ impl MsgSender for Sender {
 }
 
 impl MsgSender for RingSender {
-    fn send(&self, msg: Message) {
-        RingSender::send(self, msg)
-    }
-
     fn try_send(&self, msg: Message) -> Result<(), Message> {
         RingSender::try_send(self, msg)
     }
@@ -257,13 +215,7 @@ impl<C: MsgReceiver> ServerHub<C> {
     /// Receives the next message from any client, spinning until one
     /// arrives. Returns `(client_id, message)`.
     pub fn recv_from_any(&mut self) -> (usize, Message) {
-        let mut wait = SpinWait::new();
-        loop {
-            if let Some(hit) = self.poll_once(None) {
-                return hit;
-            }
-            wait.snooze();
-        }
+        block_on(until(|| self.poll_once(None)))
     }
 
     /// Non-blocking variant of [`ServerHub::recv_from_any`].
@@ -279,13 +231,7 @@ impl<C: MsgReceiver> ServerHub<C> {
     /// Panics if `subset` contains an out-of-range client id.
     pub fn recv_from_subset(&mut self, subset: &[usize]) -> (usize, Message) {
         assert!(subset.iter().all(|&c| c < self.clients.len()));
-        let mut wait = SpinWait::new();
-        loop {
-            if let Some(hit) = self.poll_once(Some(subset)) {
-                return hit;
-            }
-            wait.snooze();
-        }
+        block_on(until(|| self.poll_once(Some(subset))))
     }
 
     /// One round-robin pass over the clients, starting after the last
@@ -435,13 +381,17 @@ mod tests {
                     MsgSender::send(&tx, frame);
                 }
             });
+            let recv_burst = |got: &mut Vec<Message>| {
+                got.clear();
+                block_on(until(|| match rx.poll_burst(2, got) {
+                    Ok(false) => None,
+                    done => Some(done),
+                }))
+            };
             let mut got = Vec::new();
-            assert_eq!(rx.recv_burst_connected(2, &mut got), Ok(()));
+            assert_eq!(recv_burst(&mut got), Ok(true));
             assert_eq!(got, [[1; 7], [2; 7]]);
-            assert_eq!(
-                rx.recv_burst_connected(2, &mut got),
-                Err(RecvError::Disconnected)
-            );
+            assert_eq!(recv_burst(&mut got), Err(RecvError::Disconnected));
             assert_eq!(got, [[3; 7]]);
         });
     }

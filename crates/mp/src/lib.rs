@@ -19,10 +19,24 @@
 //!   as `libssmp` provides for server loops; generic over both channel
 //!   flavours.
 //!
+//! # One wait
+//!
+//! Every type here has a non-blocking poll — `try_send`,
+//! `try_send_burst`, `try_recv`, `poll_burst`, a hub's round-robin
+//! pass — and every blocking call is one
+//! [`block_on`](ssync_core::block_on)`(`[`until`](ssync_core::until)`(..))`
+//! over it, `ssync-core`'s one blocking driver: a fresh
+//! [`SpinWait`](ssync_core::SpinWait) per wait, spinning and then
+//! yielding. [`MsgSender`] and [`MsgReceiver`] define `send`, `recv`,
+//! `send_connected` and `recv_connected` once for both flavours; only
+//! the ring's [`RingSender::send_all`] and
+//! [`RingSender::send_all_connected`] are its own.
+//!
 //! # Examples
 //!
 //! ```
 //! use ssync_mp::channel::channel;
+//! use ssync_mp::{MsgReceiver, MsgSender};
 //!
 //! let (tx, rx) = channel();
 //! std::thread::scope(|s| {

@@ -55,14 +55,13 @@
 //! one burst instead of one hop per frame.
 //!
 //! * **Send** ([`RingSender::try_send_burst`], and the blocking
-//!   [`RingSender::send_all`] / [`RingSender::send_all_connected`] over
-//!   it) writes a *run*: one space check against the cached `head`,
-//!   re-loaded once if the copy does not cover the whole message, then
-//!   payload and stamp of each free slot in position order.
-//! * **Receive** ([`RingReceiver::try_recv_burst`], and
-//!   [`RingReceiver::poll_burst`] and the blocking
-//!   [`MsgReceiver::recv_burst_connected`](crate::MsgReceiver::recv_burst_connected)
-//!   over it) takes the next `k`
+//!   [`RingSender::send_all`] / [`RingSender::send_all_connected`],
+//!   one [`block_on`] over it) writes a *run*: one space check against
+//!   the cached `head`, re-loaded once if the copy does not cover the
+//!   whole message, then payload and stamp of each free slot in
+//!   position order.
+//! * **Receive** ([`RingReceiver::try_recv_burst`], and the resumable
+//!   [`RingReceiver::poll_burst`] over it) takes the next `k`
 //!   frames by polling only the *last* one's stamp, `seq == head + k`
 //!   (Acquire), copying the `k` payloads, and handing every slot back
 //!   with one `head = head + k` (Release).
@@ -112,7 +111,7 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use core::cell::{Cell, UnsafeCell};
 use std::sync::Arc;
 
-use ssync_core::{CachePadded, SpinWait};
+use ssync_core::{block_on, until, CachePadded};
 
 use crate::channel::Message;
 use crate::channel::{RX_CLOSED, TX_CLOSED};
@@ -295,15 +294,6 @@ impl Drop for RingReceiver {
 }
 
 impl RingSender {
-    /// Sends a message, spinning (then yielding) while the ring is
-    /// full.
-    pub fn send(&self, msg: Message) {
-        let mut wait = SpinWait::new();
-        while self.try_send(msg).is_err() {
-            wait.snooze();
-        }
-    }
-
     /// Attempts to send without blocking; returns the message back if
     /// the ring is full.
     pub fn try_send(&self, msg: Message) -> Result<(), Message> {
@@ -386,22 +376,24 @@ impl RingSender {
         self.send_runs(frames, || self.receiver_closed())
     }
 
+    /// One wait: a poll publishes runs until the ring refuses one.
     fn send_runs(
         &self,
         mut frames: &[Message],
         closed: impl Fn() -> bool,
     ) -> Result<(), Disconnected> {
-        let mut wait = SpinWait::new();
-        while !frames.is_empty() {
+        block_on(until(|| loop {
+            if frames.is_empty() {
+                return Some(Ok(()));
+            }
             if closed() {
-                return Err(Disconnected);
+                return Some(Err(Disconnected));
             }
             match self.try_send_burst(frames) {
-                0 => wait.snooze(),
+                0 => return None,
                 run => frames = &frames[run..],
             }
-        }
-        Ok(())
+        }))
     }
 
     /// True if the receiving half has been dropped: anything sent now
@@ -412,18 +404,6 @@ impl RingSender {
 }
 
 impl RingReceiver {
-    /// Receives the next message, spinning (then yielding) until one
-    /// arrives.
-    pub fn recv(&self) -> Message {
-        let mut wait = SpinWait::new();
-        loop {
-            match self.try_recv() {
-                Some(m) => return m,
-                None => wait.snooze(),
-            }
-        }
-    }
-
     /// Attempts to receive without blocking.
     pub fn try_recv(&self) -> Option<Message> {
         let mut msg = None;
@@ -450,9 +430,8 @@ impl RingReceiver {
     /// One non-blocking step toward `n` messages in `out`: takes the
     /// next chunks of at most `depth` frames each while they are
     /// published, and says whether `out` got to `n`. The ring's
-    /// [`MsgReceiver::poll_burst`](crate::MsgReceiver::poll_burst),
-    /// under its blocking
-    /// [`recv_burst_connected`](crate::MsgReceiver::recv_burst_connected).
+    /// [`MsgReceiver::poll_burst`](crate::MsgReceiver::poll_burst); a
+    /// blocking caller loops it under [`block_on`].
     ///
     /// # Errors
     ///
@@ -540,7 +519,7 @@ impl RingReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MsgReceiver;
+    use crate::{MsgReceiver, MsgSender};
 
     #[test]
     fn fifo_within_capacity() {
@@ -657,15 +636,19 @@ mod tests {
                         tx.send_all(&value(v));
                     }
                 });
+                let recv_burst = |n, got: &mut Vec<Message>| {
+                    got.clear();
+                    block_on(until(|| match rx.poll_burst(n, got) {
+                        Ok(false) => None,
+                        done => Some(done.map(drop)),
+                    }))
+                };
                 let mut got = Vec::new();
                 for v in 0..VALUES {
-                    assert_eq!(rx.recv_burst_connected(FRAMES as usize, &mut got), Ok(()));
+                    assert_eq!(recv_burst(FRAMES as usize, &mut got), Ok(()));
                     assert_eq!(got, value(v), "depth {depth} value {v}");
                 }
-                assert_eq!(
-                    rx.recv_burst_connected(1, &mut got),
-                    Err(RecvError::Disconnected)
-                );
+                assert_eq!(recv_burst(1, &mut got), Err(RecvError::Disconnected));
             });
         }
     }

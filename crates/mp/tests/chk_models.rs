@@ -42,9 +42,11 @@
 #![cfg(ssync_chk)]
 
 use ssync_chk::{thread, Builder};
-use ssync_core::ParkingWait;
+use ssync_core::{block_on, until, ParkingWait};
 use ssync_mp::ring::{ring_channel_with_fault, RingFault};
-use ssync_mp::{channel, ring_channel, MsgReceiver, RingReceiver, RingSender, MSG_WORDS};
+use ssync_mp::{
+    channel, ring_channel, MsgReceiver, MsgSender, RingReceiver, RingSender, MSG_WORDS,
+};
 
 /// Producer streams frames `1..=frames` with blocking sends, consumer
 /// drains them with blocking receives; every frame must arrive exactly
@@ -221,15 +223,19 @@ fn skipping_the_head_reload_overwrites_an_unread_slot() {
 }
 
 /// One three-frame message — longer than the depth-2 ring it crosses —
-/// sent with `send_all` and received with `recv_burst_connected`: the
-/// producer publishes a partial run (two frames) and blocks on the full
+/// sent with `send_all` and received by looping `poll_burst` under
+/// `block_on`: the producer publishes a partial run (two frames) and blocks on the full
 /// ring, the consumer waits on the second frame's stamp only and hands
 /// both slots back at once, and the third frame reuses slot 0.
 fn burst_through(tx: RingSender, rx: RingReceiver) {
     let frames = [[1; MSG_WORDS], [2; MSG_WORDS], [3; MSG_WORDS]];
     let producer = thread::spawn(move || tx.send_all(&frames));
     let mut got = Vec::new();
-    assert_eq!(rx.recv_burst_connected(frames.len(), &mut got), Ok(()));
+    let taken = block_on(until(|| match rx.poll_burst(frames.len(), &mut got) {
+        Ok(false) => None,
+        done => Some(done),
+    }));
+    assert_eq!(taken, Ok(true));
     assert_eq!(got, frames, "burst lost, reordered, or torn");
     producer.join();
     assert!(!rx.has_message(), "phantom frame after the burst");
@@ -274,7 +280,8 @@ fn exhaustive() -> Builder {
 /// consumer's at-most-`depth` wait on a chunk's last stamp, one
 /// hand-back per chunk, and the wrap into a slot that chunk handed back
 /// — exhaustively under both memory models, then once more through the
-/// blocking loops (`send_all`'s runs, `recv_burst_connected`'s chunks).
+/// blocking loops (`send_all`'s runs, `poll_burst`'s chunks under
+/// `block_on`).
 #[test]
 fn bursts_longer_than_the_ring_arrive_whole() {
     let report = exhaustive().check(|| {

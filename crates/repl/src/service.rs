@@ -1539,6 +1539,7 @@ mod tests {
     use core::future::Future;
     use core::pin::{pin, Pin};
     use ssync_locks::TicketLock;
+    use ssync_mp::MsgSender;
     use ssync_srv::{enumerate, play, KvClient, Step};
 
     /// Spins up a full replication deployment, runs `body` with the

@@ -31,12 +31,12 @@ use core::future::{poll_fn, Future};
 use core::task::Poll;
 use core::time::Duration;
 
+use ssync_core::clock::pending;
 use ssync_core::RetryPacer;
 use ssync_mp::{Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
 use crate::node::StreamDecoder;
 use crate::router::shard_of;
-use crate::step::pending;
 use crate::wire::{Request, Response, WireError};
 
 /// One `(request sender, reply receiver)` pair to one server. The

@@ -4,64 +4,21 @@
 //! move never waits on a peer. One round loop moves a set of them, each
 //! live actor once a round; what a round without progress does is all
 //! that differs by driver: [`run`] paces a worker on real time, [`play`]
-//! steps a [`clock`] it owns. [`block_on`] drives one client future
-//! under every blocking call, a fresh [`SpinWait`] per wait ([`until`])
-//! and a [`RetryPacer::pause`](ssync_core::RetryPacer::pause) slept out.
+//! steps a [`clock`] it owns. [`block_on`] — `ssync_core`'s, re-exported
+//! with [`until`] — drives one client future under every blocking call,
+//! as it drives every blocking `ssync-mp` send and receive: a fresh
+//! [`SpinWait`] per wait and a
+//! [`RetryPacer::pause`](ssync_core::RetryPacer::pause) slept out.
 
-use core::cell::Cell;
-use core::future::{poll_fn, Future};
-use core::pin::{pin, Pin};
+use core::future::Future;
+use core::pin::Pin;
 use core::task::{Context, Poll, Waker};
 use core::time::Duration;
 
-use ssync_core::stats::mono_ns;
+pub use ssync_core::clock::{block_on, until};
 use ssync_core::{clock, ParkingWait, SpinWait};
 
 use crate::node::Turn;
-
-thread_local! {
-    /// Set by a wait's first pending poll: [`block_on`] starts that
-    /// wait's pacing afresh.
-    static FRESH: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Polls `body` to completion on the caller's stack, pacing its waits:
-/// a retry pause sleeps until its wake time, and every other wait spins
-/// on a [`SpinWait`], a fresh one for each wait.
-pub fn block_on<F: Future>(body: F) -> F::Output {
-    let mut body = pin!(body);
-    let mut cx = Context::from_waker(Waker::noop());
-    let mut wait = SpinWait::new();
-    loop {
-        if let Poll::Ready(out) = body.as_mut().poll(&mut cx) {
-            return out;
-        }
-        if let Some(at) = clock::take_wake() {
-            std::thread::sleep(Duration::from_nanos(at.saturating_sub(mono_ns())));
-            continue;
-        }
-        if FRESH.take() {
-            wait = SpinWait::new();
-        }
-        wait.snooze();
-    }
-}
-
-/// A wait's pending poll; `first` is the wait's own mark, cleared by
-/// its first pending poll, which [`block_on`] paces afresh.
-pub(crate) fn pending<T>(first: &mut bool) -> Poll<T> {
-    if core::mem::take(first) {
-        FRESH.set(true);
-    }
-    Poll::Pending
-}
-
-/// One wait: pending until `ready`, a non-blocking query asked once a
-/// poll, returns a value.
-pub fn until<T>(mut ready: impl FnMut() -> Option<T>) -> impl Future<Output = T> {
-    let mut first = true;
-    poll_fn(move |_| ready().map_or_else(|| pending(&mut first), Poll::Ready))
-}
 
 /// One actor: a move never waits on a peer, and says what it did.
 pub trait Step {
@@ -128,7 +85,9 @@ fn rounds<A: Step + ?Sized>(
 /// Moves `actors` on real time until every one has exited, dealt to
 /// `min(actors, available_parallelism)` workers — actor `i` to worker
 /// `i % workers`, the calling thread being worker 0 — and never moved
-/// between workers, so a node's store keeps one writer thread. After a
+/// between workers, so a node writes its store from one thread (a
+/// reshard's coordinator deletes from node stores too, from its own
+/// worker: `delete_slots` in `ssync-cluster`'s `migrate`). After a
 /// round without progress a worker spins and yields while an actor may
 /// not park ([`Step::may_park`]), else waits on a [`ParkingWait`], which
 /// parks only after milliseconds idle, each park after

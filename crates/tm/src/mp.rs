@@ -17,9 +17,9 @@
 use std::collections::HashMap;
 use std::thread::JoinHandle;
 
-use ssync_core::{Backoff, SpinWait};
+use ssync_core::{block_on, until, Backoff};
 use ssync_mp::channel::{channel, Receiver, Sender};
-use ssync_mp::hub::ServerHub;
+use ssync_mp::hub::{MsgReceiver, MsgSender, ServerHub};
 
 use crate::{TxError, TxResult};
 
@@ -107,16 +107,14 @@ fn server_loop(heap_len: usize, requests: Vec<Receiver>, replies: Vec<Sender>, s
         grants: HashMap::new(),
     };
     let mut hub = ServerHub::new(requests);
-    let mut wait = SpinWait::new();
     loop {
-        if shutdown.try_recv().is_some() {
+        let request = block_on(until(|| match shutdown.try_recv() {
+            Some(_) => Some(None),
+            None => hub.try_recv_from_any().map(Some),
+        }));
+        let Some((client, msg)) = request else {
             return;
-        }
-        let Some((client, msg)) = hub.try_recv_from_any() else {
-            wait.snooze();
-            continue;
         };
-        wait = SpinWait::new();
         let me = client as u64 + 1;
         let [op, addr, value, ..] = msg;
         let addr = addr as usize;

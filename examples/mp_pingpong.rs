@@ -10,16 +10,32 @@ use std::time::Instant;
 use ssync::locks::{Lock, TicketLock};
 use ssync::mp::channel::channel;
 use ssync::mp::hub::ServerHub;
+use ssync::mp::{MsgReceiver, MsgSender};
 
 const OPS_PER_CLIENT: u64 = 20_000;
 const CLIENTS: usize = 3;
 
 fn main() {
-    // --- Lock-based: every client CASes on the same protected counter.
+    // --- Lock-based: every client increments the same protected
+    //     counter. A ticket lock's waiters spin and never yield, so with
+    //     more of them than processors a preempted next-in-line stalls
+    //     the whole FIFO queue for a scheduling quantum per hand-off —
+    //     the paper's multiprogramming caveat. At most one locker per
+    //     processor keeps this half a measurement of the lock, not of
+    //     the scheduler.
+    let processors = std::thread::available_parallelism().map_or(1, usize::from);
+    let lockers = CLIENTS.min(processors);
+    if lockers < CLIENTS {
+        println!(
+            "lock-based half: {lockers} of {CLIENTS} clients, one per processor \
+             (ticket-lock waiters never yield; more of them than processors \
+             convoy behind a preempted next-in-line)"
+        );
+    }
     let counter = Lock::<u64, TicketLock>::new(0);
     let start = Instant::now();
     std::thread::scope(|s| {
-        for _ in 0..CLIENTS {
+        for _ in 0..lockers {
             s.spawn(|| {
                 for _ in 0..OPS_PER_CLIENT {
                     *counter.lock() += 1;

@@ -9,6 +9,7 @@
 use ssync::core::Platform;
 use ssync::locks::{Lock, McsLock, TicketLock};
 use ssync::mp::channel::channel;
+use ssync::mp::{MsgReceiver, MsgSender};
 
 fn main() {
     // --- 1. Locks: same interface, nine algorithms. -------------------

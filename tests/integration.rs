@@ -12,6 +12,7 @@ use ssync::ht::HashTable;
 use ssync::kv::KvStore;
 use ssync::locks::{AnyLock, HticketLock, Lock, LockKind, McsLock, RawLock, TicketLock};
 use ssync::mp::channel::channel;
+use ssync::mp::{MsgReceiver, MsgSender};
 use ssync::srv::router::ShardRouter;
 use ssync::srv::service::{ring_mesh, serve, KvClient};
 use ssync::srv::workload::{run_load, KeyDist, Mix, ValueSize, WorkloadSpec};

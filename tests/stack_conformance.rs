@@ -28,7 +28,7 @@ use ssync::core::stats::mono_ns;
 use ssync::core::{mix64, RegistrySnapshot};
 use ssync::kv::KvStore;
 use ssync::locks::TicketLock;
-use ssync::mp::{RingReceiver, RingSender};
+use ssync::mp::{MsgSender, RingReceiver, RingSender};
 use ssync::repl::{repl_mesh, serve_node, FaultSpec, OpLog, ReplCluster, ReplSpec};
 use ssync::srv::{block_on, ring_mesh, serve, Conn, Request, Response, ShardRouter};
 
