@@ -20,10 +20,10 @@
 //!
 //! 0. **Arm** — a node keeps an op-log only while something reads it:
 //!    the coordinator begins an odd generation of the map's arming
-//!    [`Handshake`](ssync_core::Handshake) and polls until every source
-//!    has acked it before it reads a key. A write committed before the
-//!    ack is in the store the copy then reads, a write committed after
-//!    it is in the log the delta then replays.
+//!    [`Handshake`](ssync_core::Handshake) and reads no key before each
+//!    node it touches has swept the slots it does not own and acked. A
+//!    write committed before the ack is in the store the copy reads, a
+//!    write committed after it is in the log the delta replays.
 //! 1. **Bulk copy** — position-paged [`ssync_kv::KvStore::dump_range`]
 //!    chunks (one stripe lock and O(page) work each, table order)
 //!    stream to the target over the same one-cache-line `ssync-mp`
@@ -43,8 +43,8 @@
 //!    map once and retries through `ssync-srv`'s one retry loop
 //!    ([`ssync_srv::conn::chase`]), whose budget
 //!    ([`ssync_srv::OP_BUDGET`]) bounds every operation. Write
-//!    unavailability is the final drain, not the copy.
-//!    The coordinator then disarms and every node drops its log.
+//!    unavailability is the final drain, not the copy. At the disarm,
+//!    each source sweeps the moved keys: only a node writes its store.
 //!
 //! Crashes are deterministic, seeded
 //! [`ssync_repl::FaultSpec`] plans: the source's migration stream can

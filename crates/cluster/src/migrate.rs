@@ -6,70 +6,53 @@
 //! polls to its next wait; every wait is an `.await` on a non-blocking
 //! query: [`settled`](ssync_core::Handshake::settled) on the map's
 //! arming and quiesce handshakes, the targets' monotone stream progress
-//! ([`ShardMap::migrated_of`]), or room on a full migration ring. Before
-//! the first attempt it **arms** the nodes' op-logs
-//! ([`ShardMap::arm_logs`]) and waits until every source has acked;
-//! only then does it read a key, so the logs hold what was written
-//! *during* this migration and the copy plus the log is every write
-//! ([`follow_log_arming`](crate::follow_log_arming) says why). The
-//! protocol, per attempt:
+//! ([`ShardMap::migrated_of`]), or room on a full migration ring. The
+//! coordinator only reads stores and sends frames: a store's one
+//! writer is its node, which also decides which keys it holds
+//! ([`follow_log_arming`](crate::follow_log_arming)'s sweep). Per
+//! attempt:
 //!
-//! 1. **Drain & clear** — wait until every target has processed all
-//!    migration-stream entries already sent to it (progress is the
-//!    map's cumulative per-shard counter), then delete any moving-slot
-//!    keys a previous faulted attempt left at the targets. Clearing
-//!    makes a restart equivalent to a first run even when a crashed
-//!    stream lost a delete tombstone the recopied dump cannot carry.
-//! 2. **Bulk copy** — page each source with
-//!    [`KvStore::dump_range`], a page a step, stream moving-slot
-//!    triples as `Replicate` frames. Pages come in table order and a key written
-//!    behind the cursor is not revisited — the armed log has it. The
-//!    target applies entries through the store's replication version
-//!    gate, so recopied duplicates drop as stale. A seeded
-//!    [`FaultSpec::migration_plan_for`] schedule crashes the stream at
-//!    fixed cumulative entry counts; each crash restarts that source's
-//!    copy from the first page. A source whose log holds more than
-//!    4 096 entries gets a delta replay (step 3) at the page's end, so
-//!    a copy the scheduler slows down does not log (and keep alive the
-//!    values of) every write it outlasts.
-//! 3. **Delta replay** — writes that landed during the copy are in the
-//!    source's op-log; replay moving entries after a cumulative
-//!    per-source version cursor, then truncate the log *behind the
-//!    cursor* — the version of the last entry read, never the log's
-//!    end: an append may have landed since the read. The cursor
-//!    survives faulted attempts, and entries at or below it are never
-//!    needed again: a restarted attempt drains, clears the targets and
-//!    recopies from the live store, which holds every write the
-//!    truncated entries recorded (the version gate absorbs re-sends).
-//!    Each round therefore ships only the new tail, and a source's log
-//!    never holds more than one round's worth of writes.
+//! 1. **Drain & arm** — wait until every target has processed the
+//!    stream entries sent to it, then arm the op-logs afresh
+//!    ([`ShardMap::arm_logs`]) and wait for every node the migration
+//!    touches to ack. A node sweeps the slots it does not own before it
+//!    acks, so a restart is a first run — no target keeps what an
+//!    aborted attempt left, such as a key whose delete tombstone a
+//!    crashed stream lost — and the copy plus the log is every write.
+//! 2. **Bulk copy** — page each source with [`KvStore::dump_range`], a
+//!    page a step, streaming moving-slot triples as `Replicate` frames;
+//!    a key written behind the cursor is in the log. Targets apply
+//!    through the store's version gate, so duplicates drop as stale. A
+//!    seeded [`FaultSpec::migration_plan_for`] schedule crashes the
+//!    stream at fixed cumulative entry counts, each crash restarting
+//!    that source's copy. A source whose log passes 4 096 entries gets
+//!    a delta replay (step 3) at the page's end, so a slow copy does
+//!    not log (and keep alive the values of) every write it outlasts.
+//! 3. **Delta replay** — replay the moving entries of each source's log
+//!    after a cumulative version cursor, then truncate the log *behind
+//!    the cursor* — the last entry read, never the log's end: an append
+//!    may have landed since. The cursor survives faulted attempts; a
+//!    restart recopies the live store, which holds what the truncated
+//!    entries recorded. A log never holds more than one round's writes.
 //! 4. **Fenced cutover** — freeze the moving slots, which begins a
 //!    quiesce round, and wait until every source has acked it with the
-//!    highest version it logged; an ack of an earlier aborted freeze
-//!    names an older round, so it cannot satisfy this one. Drain
-//!    the final delta (now complete: sources defer frozen-slot
-//!    writes), wait for the targets to apply it, then stage the new
-//!    table and publish it with one epoch-bumping CAS. Unfreeze, and
-//!    the parked writes bounce to their new owners; disarm, and every
-//!    node drops its log.
-//! 5. **Cleanup** — delete the moved keys from the sources; their
-//!    retired nodes are reclaimed by the stores' online epoch passes
-//!    (or the caller's [`KvStore::purge_retired`] shutdown drain).
+//!    highest version it logged (an ack of an aborted freeze names an
+//!    older round). Drain the final delta, now complete, wait for the
+//!    targets to apply it, then stage the new table and publish it with
+//!    one epoch-bumping CAS. Unfreeze: parked writes bounce to their
+//!    new owners.
+//! 5. **Disarm** — every node drops its log, and each source sweeps the
+//!    keys it no longer owns. No node exits while the logs are armed.
 //!
-//! The coordinator itself can die: a seeded
-//! [`FaultSpec::coordinator_plan_for`] schedule aborts the first
-//! `coordinator_crashes` attempts at a plan-chosen stage (after copy,
-//! after delta, or after the quiesce barrier — unfreezing on the way
-//! out, as a supervisor restarting a dead coordinator must). Every
-//! abort path leaves the map un-cut and the data recoverable by the
-//! next attempt; `tests/migration_model.rs` proves convergence against
-//! a model under both fault families. A coordinator that *unwinds*
-//! (a target's ring gone, a rival cutover) or is dropped lifts its
-//! freeze and disarms the logs on the way out, so no write stays parked
-//! and no log keeps growing behind a migration that no longer exists.
+//! A seeded [`FaultSpec::coordinator_plan_for`] schedule aborts the
+//! first `coordinator_crashes` attempts after the copy, the delta or
+//! the quiesce barrier. An aborted, unwinding (a touched node's ring
+//! gone, a rival cutover) or dropped attempt unfreezes and disarms on
+//! the way out, so no write stays parked, no log keeps growing, and the
+//! map is un-cut; `tests/migration_model.rs` proves convergence against
+//! a model under both fault families.
 //!
 //! [`KvStore::dump_range`]: ssync_kv::KvStore::dump_range
-//! [`KvStore::purge_retired`]: ssync_kv::KvStore::purge_retired
 //! [`FaultSpec::migration_plan_for`]: ssync_repl::FaultSpec::migration_plan_for
 //! [`FaultSpec::coordinator_plan_for`]: ssync_repl::FaultSpec::coordinator_plan_for
 
@@ -143,8 +126,6 @@ pub struct MigrationReport {
     pub coordinator_restarts: u64,
     /// Migration attempts, including the successful last one.
     pub attempts: u64,
-    /// Moved keys deleted from their sources after the cutover.
-    pub source_keys_retired: u64,
     /// The map epoch the cutover published.
     pub final_epoch: u64,
 }
@@ -186,10 +167,10 @@ async fn delta(
     }
 }
 
-/// What a coordinator must undo however it exits: the freeze it may
-/// hold (writes to those slots park until it lifts) and the arming
-/// (the nodes' logs grow until it ends). Both are idempotent, so the
-/// clean path simply drops the guard after its cutover.
+/// What a coordinator's attempt must undo however it ends: the freeze
+/// it may hold (writes to those slots park until it lifts) and the
+/// arming (the nodes' logs grow until it ends). Both are idempotent, so
+/// the clean path simply drops the guard after its cutover.
 struct MigrationGuard<'a> {
     map: &'a ShardMap,
     moving: u64,
@@ -204,7 +185,7 @@ impl Drop for MigrationGuard<'_> {
 
 /// `store`'s `(key bytes, version, value)` triples, a page of at least
 /// `chunk` at a time, until the store ends.
-fn pages<R: RawLock + Default>(
+pub(crate) fn pages<R: RawLock + Default>(
     store: &KvStore<R>,
     chunk: usize,
 ) -> impl Iterator<Item = Vec<(bytes::Bytes, u64, bytes::Bytes)>> + '_ {
@@ -214,19 +195,6 @@ fn pages<R: RawLock + Default>(
         after = Some(page.last()?.0.clone());
         Some(page)
     })
-}
-
-/// Deletes `store`'s keys in the slots of `mask`, a page at a time, and
-/// returns how many it deleted.
-fn delete_slots<R: RawLock + Default>(store: &KvStore<R>, mask: u64, chunk: usize) -> u64 {
-    let mut deleted = 0;
-    for (key, _, _) in pages(store, chunk).flatten() {
-        let k = u64::from_be_bytes(key.as_ref().try_into().expect("8-byte keys"));
-        if mask & (1 << slot_of(k)) != 0 && store.delete_versioned(&key).is_some() {
-            deleted += 1;
-        }
-    }
-    deleted
 }
 
 /// Publishes `frames` on `tx` a [`RingSender::try_send_burst`] run at a
@@ -312,15 +280,16 @@ impl Step for Reshard<'_> {
 
 /// Runs one resharding to completion against live nodes, injecting the
 /// spec's seeded faults: [`run`] over one [`Reshard`]. Returns once the
-/// sources are cleaned.
+/// logs are disarmed; each source sweeps the moved keys as it follows.
 ///
 /// `stores`, `logs`, and `mig_tx` are indexed by shard id and must
 /// cover both the current fleet and `shards_after`.
 ///
 /// # Panics
 ///
-/// Panics if `shards_after` is zero, exceeds the provided fleet, or
-/// another coordinator races the cutover (the protocol is
+/// Panics if `shards_after` is zero, exceeds the provided fleet, a node
+/// the migration touches is gone (its migration ring has no receiver),
+/// or another coordinator races the cutover (the protocol is
 /// single-coordinator; the map CAS enforces it).
 pub fn run_reshard_coordinator<R: RawLock + Default>(
     map: &ShardMap,
@@ -351,41 +320,25 @@ pub(crate) async fn coordinate<R: RawLock + Default>(
     let snap = map.snapshot();
     let new_owner = |slot: usize| slot % shards_after;
 
-    // Which slots move, from where and to where.
+    // Which slots move, from where, and which nodes the move touches.
     let mut moving_all = 0u64;
     let mut moving_from = vec![0u64; stores.len()];
-    let mut moving_to = vec![0u64; stores.len()];
+    let mut touches = vec![false; stores.len()];
     for (slot, &owner) in snap.owners.iter().enumerate() {
         if owner != new_owner(slot) {
             moving_all |= 1 << slot;
             moving_from[owner] |= 1 << slot;
-            moving_to[new_owner(slot)] |= 1 << slot;
+            (touches[owner], touches[new_owner(slot)]) = (true, true);
         }
     }
     let sources: Vec<usize> = (0..stores.len()).filter(|&s| moving_from[s] != 0).collect();
+    let touched: Vec<usize> = (0..stores.len()).filter(|&s| touches[s]).collect();
 
     let mut report = MigrationReport::default();
     if moving_all == 0 {
         report.final_epoch = u64::from(map.epoch());
         return report;
     }
-
-    // Arm the op-logs and wait for every source to have switched:
-    // from its ack on, a source's store plus its log is everything.
-    // The guard comes second: a refused arming has nothing to undo.
-    let generation = map.arm_logs();
-    let guard = MigrationGuard {
-        map,
-        moving: moving_all,
-    };
-    // Each source's ack payload (a quiesce round's: its logged hwm).
-    let mut acks = vec![0u64; sources.len()];
-    until(|| {
-        map.arming
-            .settled(generation, &sources, &mut acks)
-            .then_some(())
-    })
-    .await;
 
     // Cumulative stream accounting — none of these reset on a fault.
     // `sent[t]` pairs with the map's migrated-of counter to prove a
@@ -400,6 +353,8 @@ pub(crate) async fn coordinate<R: RawLock + Default>(
         .collect();
     let coord_plan = spec.faults.coordinator_plan_for(spec.coordinator_crashes);
     let mut frames: Vec<Message> = Vec::new();
+    // The arming's ack payloads, and the quiesce's (each logged hwm).
+    let (mut armed, mut acks) = (vec![0u64; touched.len()], vec![0u64; sources.len()]);
 
     let drained = |sent: &[u64]| (sent.iter().enumerate()).all(|(t, &n)| map.migrated_of(t) >= n);
     loop {
@@ -409,13 +364,23 @@ pub(crate) async fn coordinate<R: RawLock + Default>(
             .get(report.coordinator_restarts as usize)
             .map(|event| event.at_entry % 3);
 
-        // 1. Drain the streams, then clear what earlier attempts left.
+        // 1. Drain the streams, then arm afresh and wait for every
+        // touched node to have swept and switched. The guard comes
+        // second: a refused arming has nothing to undo. A node gone
+        // never acks, so its ring's lost receiver unwinds the wait, as
+        // it does a send.
         until(|| drained(&sent).then_some(())).await;
-        for (store, &clear) in stores.iter().zip(&moving_to) {
-            if clear != 0 {
-                delete_slots(store, clear, chunk);
-            }
-        }
+        let generation = map.arm_logs();
+        let guard = MigrationGuard {
+            map,
+            moving: moving_all,
+        };
+        until(|| {
+            let gone = touched.iter().any(|&node| mig_tx[node].receiver_closed());
+            assert!(!gone, "a node the migration touches is gone");
+            (map.arming.settled(generation, &touched, &mut armed)).then_some(())
+        })
+        .await;
 
         // 2. Bulk copy, a page a step. A seeded stream crash stops a
         // source's walk, which then restarts from the first page.
@@ -453,6 +418,8 @@ pub(crate) async fn coordinate<R: RawLock + Default>(
                 until(|| std::mem::replace(&mut ended, true).then_some(())).await;
             }
         }
+        // A simulated crash ends the attempt as a real exit would: the
+        // guard's drop unfreezes and disarms.
         if crash_stage == Some(0) {
             report.coordinator_restarts += 1;
             continue;
@@ -480,9 +447,6 @@ pub(crate) async fn coordinate<R: RawLock + Default>(
         })
         .await;
         if crash_stage == Some(2) {
-            // A supervisor restarting a dead coordinator lifts the
-            // freeze first; parked writes resume at the old owners.
-            map.unfreeze(moving_all);
             report.coordinator_restarts += 1;
             continue;
         }
@@ -499,20 +463,14 @@ pub(crate) async fn coordinate<R: RawLock + Default>(
         let epoch = map.try_cutover(map.view(), shards_after);
         report.final_epoch =
             u64::from(epoch.expect("the resharding coordinator is the only epoch writer"));
+        // Unfreeze — after the cutover CAS, the order `slot_fence`
+        // relies on — then disarm: the parked writes bounce to their
+        // new owners, and every node drops its log and sweeps the keys
+        // it no longer owns.
+        drop(guard);
         break;
     }
-    // Unfreeze — after the cutover CAS, the order `slot_fence` relies
-    // on — then disarm: the parked writes bounce to their new owners
-    // and every node drops its log.
-    drop(guard);
     report.entries_migrated = sent.iter().sum();
-
-    // 6. Cleanup: moved keys leave their sources; their retired nodes
-    // are reclaimed by the stores' online epoch passes (or the
-    // caller's purge_retired() shutdown drain).
-    for &source in &sources {
-        report.source_keys_retired += delete_slots(stores[source], moving_from[source], chunk);
-    }
     report
 }
 
@@ -545,7 +503,8 @@ mod tests {
 
     /// Quiet 2→4 split: load through clients, reshard with no traffic
     /// racing, check every key moved to its mod-4 owner with its
-    /// version intact.
+    /// version intact, and that the sources' sweeps deleted exactly the
+    /// keys that moved.
     #[test]
     fn quiet_split_moves_every_key_with_versions() {
         let map = ShardMap::new(2);
@@ -554,11 +513,13 @@ mod tests {
         let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         let mut written: Vec<(u64, u64)> = Vec::new();
-        std::thread::scope(|s| {
-            for (shard, endpoint) in endpoints.into_iter().enumerate() {
-                let (store, log, map) = (&stores[shard], &logs[shard], &map);
-                s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint));
-            }
+        let swept: u64 = std::thread::scope(|s| {
+            let nodes: Vec<_> = (endpoints.into_iter().enumerate())
+                .map(|(shard, endpoint)| {
+                    let (store, log, map) = (&stores[shard], &logs[shard], &map);
+                    s.spawn(move || serve_cluster_node(shard, store, log, map, endpoint))
+                })
+                .collect();
             let client = ClusterClient::new(&map, conns.pop().unwrap());
             for key in 0..256u64 {
                 let version = client.set(key, key.to_le_bytes().to_vec()).unwrap();
@@ -585,7 +546,11 @@ mod tests {
                 }
             }
             client.close();
+            let reports = nodes.into_iter().map(|node| node.join().unwrap());
+            reports.map(|report| report.keys_swept).sum()
         });
+        let moved = (0..256u64).filter(|&k| k % 17 != 0 && slot_of(k) % 4 >= 2);
+        assert_eq!(swept, moved.count() as u64, "each moved key swept once");
         assert_eq!(map.epoch(), Fence::from_wire(2));
         assert_eq!(map.num_shards(), 4);
         assert!(
@@ -701,10 +666,10 @@ mod tests {
     /// A coordinator that dies mid-protocol — here on the final delta's
     /// send, the freeze up and the logs armed — leaves nothing frozen
     /// and nothing armed. The test steps the coordinator and plays
-    /// source node 0 between steps, so the death lands exactly there:
-    /// it acknowledges the arming, waits for the freeze round, drops
-    /// the target's ring, logs one moving write and only then
-    /// acknowledges the quiesce.
+    /// both nodes between steps, so the death lands exactly there: both
+    /// acknowledge the arming, then the test waits for the freeze
+    /// round, drops the target's ring, logs one moving write at source
+    /// node 0 and only then acknowledges the quiesce.
     #[test]
     fn an_unwinding_coordinator_unfreezes_and_disarms() {
         let map = ShardMap::new(1);
@@ -718,6 +683,8 @@ mod tests {
         let (mut armed, mut round) = (Fence::default(), Fence::default());
         assert_eq!(reshard.step(), Turn::Idle, "armed, awaiting the ack");
         assert!(map.arming.follow(0, &mut armed, |_| Some(0)));
+        assert_eq!(reshard.step(), Turn::Idle, "the target has not acked");
+        assert!(map.arming.follow(1, &mut Fence::default(), |_| Some(0)));
         assert_eq!(reshard.step(), Turn::Idle, "frozen, awaiting the ack");
         assert_ne!(map.frozen(), 0, "the round opens after the freeze");
         drop(endpoints);
@@ -827,12 +794,14 @@ mod tests {
         assert_eq!((version, held.as_ref()), (1, value.as_slice()));
     }
 
-    /// A cluster node as the split enumeration steps it: itself, or
-    /// the twin that runs a frozen slot's writes instead of parking
-    /// them.
+    /// A cluster node as the split enumeration steps it: itself, the
+    /// twin that runs a frozen slot's writes instead of parking them, or
+    /// the twin that acks an arming change before its sweep (`Some`,
+    /// holding whether it owes one).
     struct Stepped<'a> {
         node: ClusterNode<'a, TicketLock>,
         runs_frozen: bool,
+        sweep_late: Option<bool>,
     }
 
     impl Hooks for Stepped<'_> {
@@ -841,6 +810,10 @@ mod tests {
                 Admit::Defer if self.runs_frozen => Admit::Run,
                 verdict => verdict,
             }
+        }
+
+        fn may_exit(&mut self) -> bool {
+            self.node.may_exit()
         }
 
         fn observes_writes(&self) -> bool {
@@ -852,12 +825,26 @@ mod tests {
         }
 
         fn before_poll(&mut self, counts: &mut ServeReport) -> ControlFlow<Turn, bool> {
-            self.node.before_poll(counts)
+            match &mut self.sweep_late {
+                Some(owed) => self.node.before_poll_sweeping_late(counts, owed),
+                None => self.node.before_poll(counts),
+            }
         }
 
         fn deferred(&mut self) {
             self.node.deferred();
         }
+    }
+
+    /// Which node the split enumeration steps.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Node {
+        /// The cluster node itself.
+        Real,
+        /// The twin that runs a frozen slot's writes.
+        RunsFrozen,
+        /// The twin that acks an arming change before its sweep.
+        SweepsLate,
     }
 
     /// One schedule of a 1 → 2 split on one thread: the coordinator
@@ -869,8 +856,9 @@ mod tests {
     /// when the write was first sent — 0 before the freeze, 1 during
     /// it, 2 after the cutover — and whether the client chased a
     /// redirect. `Err` names the acknowledged write missing at its new
-    /// owner, or a schedule that did not finish.
-    fn run_split_schedule(prefix: &[usize], twin: bool) -> Result<(usize, bool), String> {
+    /// owner, a moved key left at the source, or a schedule that did
+    /// not finish.
+    fn run_split_schedule(prefix: &[usize], twin: Node) -> Result<(usize, bool), String> {
         let map = ShardMap::new(1);
         let (stores, logs) = fleet(2);
         let (endpoints, mut conns, mig) = cluster_mesh(2, 1, 16, 16);
@@ -884,7 +872,8 @@ mod tests {
                 let (core, node) = ClusterNode::new(me, &stores[me], &logs[me], &map, endpoint);
                 let node = Stepped {
                     node,
-                    runs_frozen: twin,
+                    runs_frozen: twin == Node::RunsFrozen,
+                    sweep_late: (twin == Node::SweepsLate).then_some(false),
                 };
                 (core, &stores[me], node)
             })
@@ -926,10 +915,9 @@ mod tests {
                 "acknowledged write {key}@{version} lost: its new owner holds {held:?}"
             ));
         }
-        assert!(
-            stores[0].is_empty(),
-            "a moved key left at the source: {prefix:?}"
-        );
+        if !stores[0].is_empty() {
+            return Err(format!("moved key {key} left at the source"));
+        }
         assert!(logs.iter().all(OpLog::is_empty), "{prefix:?}");
         assert!(!is_armed(map.arming.current()), "{prefix:?}");
         assert_eq!(map.epoch(), Fence::from_wire(2), "{prefix:?}");
@@ -940,7 +928,7 @@ mod tests {
     /// stops at the first failure, else returns how many schedules sent
     /// the write before, during and after the freeze, and how many
     /// chased a `WrongShard`.
-    fn enumerate_split(turns: u32, twin: bool) -> Result<([usize; 3], usize), String> {
+    fn enumerate_split(turns: u32, twin: Node) -> Result<([usize; 3], usize), String> {
         let ran = enumerate(4, turns, |prefix| run_split_schedule(prefix, twin))?;
         let mut placed = [0; 3];
         for &(sent_at, _) in &ran {
@@ -958,8 +946,8 @@ mod tests {
     #[test]
     fn every_stepped_split_schedule_keeps_the_acknowledged_write() {
         let started = std::time::Instant::now();
-        let (placed, chased) = enumerate_split(7, false).unwrap();
-        assert_eq!(placed, [15_312, 1_032, 40]);
+        let (placed, chased) = enumerate_split(7, Node::Real).unwrap();
+        assert_eq!(placed, [15_764, 614, 6]);
         assert!(chased > 0, "no schedule chased a WrongShard");
         eprintln!(
             "split enumeration: {} schedules, the write sent before/during/after the \
@@ -972,12 +960,24 @@ mod tests {
     /// The twin: a node that runs a frozen slot's write instead of
     /// parking it must be caught by the same enumeration, as an
     /// acknowledged write lost — it lands at the source after the final
-    /// delta was read, and the cleanup deletes it there.
+    /// delta was read, and the source's sweep deletes it there.
     #[test]
     fn a_node_that_runs_frozen_writes_is_found() {
-        let found = enumerate_split(7, true).unwrap_err();
+        let found = enumerate_split(7, Node::RunsFrozen).unwrap_err();
         assert!(found.contains("lost"), "{found}");
         eprintln!("split twin: {found}");
+    }
+
+    /// The twin of the sweep's order: a node that acks an arming change
+    /// and sweeps only after its next turn's stream drain must be
+    /// caught by the same enumeration, as an acknowledged write lost:
+    /// the target acks the arming, takes the copy of a write the source
+    /// committed before its own ack, and then sweeps it.
+    #[test]
+    fn a_node_that_acks_before_its_sweep_is_found() {
+        let found = enumerate_split(7, Node::SweepsLate).unwrap_err();
+        assert!(found.contains("lost"), "{found}");
+        eprintln!("sweep twin: {found}");
     }
 
     /// The same death against a live node: its log is armed while the

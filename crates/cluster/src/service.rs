@@ -33,6 +33,12 @@
 //!   ([`KvStore::apply_replicated`]), so replayed duplicates after a
 //!   faulted attempt drop as stale; progress is published to the map
 //!   so the coordinator can prove the stream drained.
+//! * **The sweep** — the node, its store's one writer, alone decides
+//!   which keys the store holds: on each arming change it deletes the
+//!   keys of the slots it does not own, then acks ([`follow_log_arming`]).
+//!   An aborted attempt's leftovers leave a target before a new copy
+//!   comes; moved keys leave their source at the disarm after the
+//!   cutover. No node exits while the logs are armed.
 //!
 //! Ordering discipline (the heart of the zero-lost-writes argument;
 //! `tests/chk_models.rs` model-checks [`slot_fence`] itself): the
@@ -64,6 +70,10 @@ use ssync_srv::{
 };
 
 use crate::map::{is_armed, MapSnapshot, ShardMap};
+use crate::migrate::pages;
+
+/// Keys per [`KvStore::dump_range`] page of a node's sweep.
+const SWEEP_PAGE: usize = 256;
 
 /// A cluster node's side of the mesh: per-client request/reply rings
 /// plus the coordinator's migration stream.
@@ -117,6 +127,8 @@ pub struct NodeReport {
     pub migration_ops_deferred: u64,
     /// Migration-stream entries processed (applied or version-gated).
     pub migration_entries: u64,
+    /// Keys in slots the node did not own, deleted by its sweeps.
+    pub keys_swept: u64,
 }
 
 /// The cluster node's admission decision for one key at node `me`:
@@ -143,24 +155,45 @@ pub fn slot_fence(map: &ShardMap, me: usize, key: u64, is_write: bool) -> Admit 
 /// One pass of a node's half of the op-log arming handshake
 /// ([`ShardMap::arm_logs`]): if the generation moved since `*seen`,
 /// switch to it — drop the log when leaving an armed generation, whose
-/// entries nothing will read again — and only then ack. The caller logs
-/// its committed writes while `*seen` [`is_armed`]. Returns whether the
-/// generation moved.
+/// entries nothing will read again — then `sweep` the store, and only
+/// then ack. The caller logs its committed writes while `*seen`
+/// [`is_armed`]. Returns whether the generation moved.
 ///
 /// The order is the no-lost-write argument: the single-threaded node
 /// commits nothing between switching and acking, so every write it
 /// committed unlogged precedes the ack's Release — the coordinator's
 /// copy, which starts after its Acquire of the ack, reads that write or
 /// a newer version of its key — and every later write is logged
-/// (`tests/chk_models.rs` model-checks this step).
-pub fn follow_log_arming(map: &ShardMap, me: usize, log: &OpLog, seen: &mut Fence) -> bool {
+/// (`tests/chk_models.rs` model-checks this step, its sweep a no-op).
+/// The sweep precedes the ack too: a target's copy starts after it.
+pub fn follow_log_arming(
+    map: &ShardMap,
+    me: usize,
+    log: &OpLog,
+    seen: &mut Fence,
+    sweep: impl FnOnce(),
+) -> bool {
     let leaving_armed = is_armed(*seen);
     map.arming.follow(me, seen, |_| {
         if leaving_armed {
             log.truncate_through(u64::MAX);
         }
+        sweep();
         Some(0)
     })
+}
+
+/// Deletes every key `store` holds in a slot `me` does not own under
+/// the current map, a page at a time; returns how many it deleted.
+fn sweep_unowned<R: RawLock + Default>(store: &KvStore<R>, map: &ShardMap, me: usize) -> u64 {
+    let owned = owned_mask(map, me);
+    let unowned = pages(store, SWEEP_PAGE).flatten().filter(|(key, ..)| {
+        let k = u64::from_be_bytes(key.as_ref().try_into().expect("8-byte keys"));
+        owned & (1 << slot_of(k)) == 0
+    });
+    unowned
+        .filter(|(key, ..)| store.delete_versioned(key).is_some())
+        .count() as u64
 }
 
 /// One cluster node, as the [`Hooks`] of the one node loop: what
@@ -253,12 +286,13 @@ impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
     /// writes a freeze parked — an aborted migration unfreezes them, a
     /// completed one bounces them to the new owner.
     fn before_poll(&mut self, counts: &mut ServeReport) -> ControlFlow<Turn, bool> {
-        let (map, me) = (self.map, self.me);
-        // Arming handshake, before anything this turn can commit.
-        let mut progressed = follow_log_arming(map, me, self.log, &mut self.log_generation);
-        if progressed {
-            self.last_logged = 0;
-        }
+        let (map, me, store) = (self.map, self.me, self.store);
+        let (swept, logged) = (&mut self.report.keys_swept, &mut self.last_logged);
+        // Arming handshake and sweep, before anything this turn commits.
+        let mut progressed = follow_log_arming(map, me, self.log, &mut self.log_generation, || {
+            *logged = 0;
+            *swept += sweep_unowned(store, map, me);
+        });
         // Quiesce handshake: reading the round first (Acquire) is what
         // guarantees the freeze bits of that round are visible, and —
         // by per-object coherence on the single-threaded node — every
@@ -293,12 +327,18 @@ impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
         self.report.migration_ops_deferred += 1;
     }
 
+    /// Not while the logs are armed, nor before its sweep at the disarm.
+    fn may_exit(&mut self) -> bool {
+        !is_armed(self.log_generation) && !is_armed(self.map.arming.current())
+    }
+
     fn counters(&self) -> Vec<(&'static str, u64)> {
         let report = &self.report;
         vec![
             ("node.wrong_shard_redirects", report.wrong_shard_redirects),
             ("node.migration_ops_deferred", report.migration_ops_deferred),
             ("node.migration_entries", report.migration_entries),
+            ("node.keys_swept", report.keys_swept),
             ("node.oplog_entries", self.log.len() as u64),
             ("node.oplog_armed", is_armed(self.log_generation).into()),
         ]
@@ -463,6 +503,31 @@ mod tests {
 
     fn logs(n: usize) -> Vec<OpLog> {
         (0..n).map(|_| OpLog::new(4096)).collect()
+    }
+
+    impl<R: RawLock + Default> ClusterNode<'_, R> {
+        /// The split enumeration's twin of the sweep's order: a turn
+        /// that acks an arming change with no sweep, owing it (`*owed`)
+        /// to the end of its next turn, after that turn's stream drain.
+        pub(crate) fn before_poll_sweeping_late(
+            &mut self,
+            counts: &mut ServeReport,
+            owed: &mut bool,
+        ) -> ControlFlow<Turn, bool> {
+            let (map, me, store) = (self.map, self.me, self.store);
+            let sweep_now = std::mem::take(owed);
+            let acked = follow_log_arming(map, me, self.log, &mut self.log_generation, || {
+                *owed = true;
+            });
+            if acked {
+                self.last_logged = 0;
+            }
+            let turn = self.before_poll(counts);
+            if sweep_now {
+                self.report.keys_swept += sweep_unowned(store, map, me);
+            }
+            turn.map_continue(|progressed| progressed || acked)
+        }
     }
 
     /// Regression: an over-long value used to panic in the encoder
@@ -643,6 +708,7 @@ mod tests {
                 ("node.wrong_shard_redirects", r.wrong_shard_redirects),
                 ("node.migration_ops_deferred", r.migration_ops_deferred),
                 ("node.migration_entries", r.migration_entries),
+                ("node.keys_swept", r.keys_swept),
             ];
             for (name, value) in fields {
                 assert_eq!(scrape.counter(name), Some(value), "{name}");

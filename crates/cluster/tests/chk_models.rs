@@ -203,7 +203,7 @@ fn arming_protocol(wait_for_ack: bool) {
             // arming step, then one write that commits to the store
             // and is logged iff the node is armed.
             for write in [1u64, 2] {
-                follow_log_arming(&map, 0, &log, &mut seen);
+                follow_log_arming(&map, 0, &log, &mut seen, || {});
                 store.fetch_or(write, Ordering::Release);
                 if is_armed(seen) {
                     logged.fetch_or(write, Ordering::Release);

@@ -1426,6 +1426,20 @@ pub struct KvStore<R: RawLock + Default> {
     /// with it through thread-local participant records.
     epoch: Arc<EpochDomain>,
     stats: Stats,
+    /// The thread whose writes the store takes while claimed, by its
+    /// [`writer_token`]; 0 while unclaimed. See [`KvStore::claim_writer`].
+    #[cfg(all(debug_assertions, not(ssync_chk)))]
+    // chk: debug-only and compiled out under the checker; loaded by
+    // every write, stored by a node's first and last turn.
+    writer: std::sync::atomic::AtomicU64,
+}
+
+/// The calling thread's writer token: nonzero and never reused.
+#[cfg(all(debug_assertions, not(ssync_chk)))]
+fn writer_token() -> u64 {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+    thread_local!(static TOKEN: u64 = NEXT.fetch_add(1, Ordering::Relaxed));
+    TOKEN.with(|token| *token)
 }
 
 impl<R: RawLock + Default> KvStore<R> {
@@ -1460,6 +1474,8 @@ impl<R: RawLock + Default> KvStore<R> {
             next_version: CachePadded::new(AtomicU64::new(1)),
             epoch: Arc::new(EpochDomain::new()),
             stats: Stats::default(),
+            #[cfg(all(debug_assertions, not(ssync_chk)))]
+            writer: Default::default(),
         }
     }
 
@@ -1489,6 +1505,61 @@ impl<R: RawLock + Default> KvStore<R> {
         StatsSnapshot {
             reclaim_backlog: self.reclaim_backlog(),
             ..self.stats.snapshot()
+        }
+    }
+
+    /// Claims the store's writes for the calling thread: until
+    /// [`KvStore::release_writer`], a `set*`, `cas*`, `delete*` or
+    /// [`KvStore::apply_replicated`] from any other thread panics. A
+    /// serving node holds its store's claim for its whole run, so "one
+    /// writer thread per store" is checked by every debug test run.
+    /// Unclaimed, the default, the store takes writes from any thread.
+    /// Debug builds only: compiled out in release builds and under
+    /// `--cfg ssync_chk`.
+    ///
+    /// # Panics
+    ///
+    /// In a debug build, if another thread holds the claim.
+    #[inline]
+    pub fn claim_writer(&self) {
+        #[cfg(all(debug_assertions, not(ssync_chk)))]
+        {
+            let me = writer_token();
+            if self.writer.load(Ordering::Relaxed) != me {
+                let taken =
+                    self.writer
+                        .compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed);
+                assert!(
+                    taken.is_ok(),
+                    "store already claimed by another writer thread"
+                );
+            }
+        }
+    }
+
+    /// Gives up the calling thread's claim ([`KvStore::claim_writer`]),
+    /// if it holds it; any thread may claim the store again.
+    #[inline]
+    pub fn release_writer(&self) {
+        #[cfg(all(debug_assertions, not(ssync_chk)))]
+        {
+            let me = writer_token();
+            let _ = self
+                .writer
+                .compare_exchange(me, 0, Ordering::Relaxed, Ordering::Relaxed);
+        }
+    }
+
+    /// Every write's check of the claim ([`KvStore::claim_writer`]).
+    #[inline]
+    fn check_writer(&self) {
+        #[cfg(all(debug_assertions, not(ssync_chk)))]
+        {
+            let held = self.writer.load(Ordering::Relaxed);
+            assert!(
+                held == 0 || held == writer_token(),
+                "a write from a thread other than the store's claimed writer"
+            );
         }
     }
 
@@ -1789,6 +1860,7 @@ impl<R: RawLock + Default> KvStore<R> {
         expected: Option<u64>,
         keep: bool,
     ) -> Result<(u64, Option<Bytes>), u64> {
+        self.check_writer();
         let (stripe, bucket) = self.locate(key);
         let stripe = &self.stripes[stripe];
         let result = {
@@ -1879,6 +1951,7 @@ impl<R: RawLock + Default> KvStore<R> {
         key: &[u8],
         versioned: bool,
     ) -> Option<u64> {
+        self.check_writer();
         let mut inner = stripe.inner.lock();
         let (link, found) = Self::find_link(&stripe.heads[bucket], key);
         if found.is_null() {
@@ -1936,6 +2009,7 @@ impl<R: RawLock + Default> KvStore<R> {
     /// `u64::MAX`, a version a damaged frame can carry), so a replica
     /// promoted to primary keeps assigning monotone versions.
     pub fn apply_replicated(&self, key: &[u8], version: u64, value: Option<&[u8]>) -> bool {
+        self.check_writer();
         self.next_version
             .fetch_max(version.saturating_add(1), Ordering::Relaxed);
         let (stripe, bucket) = self.locate(key);
@@ -2042,7 +2116,7 @@ impl<R: RawLock + Default> KvStore<R> {
     /// nothing writes meanwhile; a key inserted behind the cursor is
     /// not revisited (migration reads it from the op-log delta it
     /// replays after the copy); deleting the cursor key — or the whole
-    /// page, as migration's clear and cleanup passes do — between
+    /// page, as a cluster node's sweep does — between
     /// calls changes nothing, since a key's bucket does not depend on
     /// its presence.
     pub fn dump_range(&self, after: Option<&[u8]>, max: usize) -> Vec<(Bytes, u64, Bytes)> {
@@ -2482,6 +2556,71 @@ mod tests {
         assert_eq!(kv.len(), 800);
     }
 
+    /// Each of `writes` on a thread of its own, one after the other:
+    /// whether each returned (rather than panicked).
+    #[cfg(all(debug_assertions, not(ssync_chk)))]
+    fn on_other_threads(writes: &[&(dyn Fn() + Sync)]) -> Vec<bool> {
+        std::thread::scope(|s| {
+            (writes.iter())
+                .map(|&write| s.spawn(write).join().is_ok())
+                .collect()
+        })
+    }
+
+    #[test]
+    #[cfg(all(debug_assertions, not(ssync_chk)))]
+    fn a_claimed_store_refuses_another_threads_set() {
+        let kv: KvStore<TicketLock> = KvStore::new(16, 4);
+        kv.claim_writer();
+        kv.set(b"mine", b"1");
+        assert_eq!(
+            on_other_threads(&[&|| {
+                kv.set(b"k", b"v");
+            }]),
+            [false]
+        );
+        assert!(kv.get(b"k").is_none(), "the refused set stored nothing");
+        kv.set(b"mine", b"2");
+    }
+
+    #[test]
+    #[cfg(all(debug_assertions, not(ssync_chk)))]
+    fn a_released_claim_can_be_taken_by_another_thread() {
+        let kv: KvStore<TicketLock> = KvStore::new(16, 4);
+        kv.claim_writer();
+        kv.release_writer();
+        let claim_and_write = || {
+            kv.claim_writer();
+            kv.set(b"k", b"v");
+        };
+        assert_eq!(on_other_threads(&[&claim_and_write]), [true]);
+        assert_eq!(kv.get(b"k").unwrap().as_ref(), b"v");
+        // The claiming thread is gone, but its claim stands.
+        assert_eq!(on_other_threads(&[&|| kv.claim_writer()]), [false]);
+        let delete = std::panic::AssertUnwindSafe(|| kv.delete(b"k"));
+        assert!(std::panic::catch_unwind(delete).is_err());
+    }
+
+    #[test]
+    #[cfg(all(debug_assertions, not(ssync_chk)))]
+    fn an_unclaimed_store_takes_every_threads_writes() {
+        let kv: KvStore<TicketLock> = KvStore::new(16, 4);
+        let set = || {
+            kv.set(b"a", b"1");
+        };
+        let cas = || {
+            let _ = kv.cas(b"a", b"2", 0);
+        };
+        let delete = || {
+            kv.delete_versioned(b"a");
+        };
+        let apply = || {
+            kv.apply_replicated(b"b", 99, Some(b"r"));
+        };
+        assert_eq!(on_other_threads(&[&set, &cas, &delete, &apply]), [true; 4]);
+        assert_eq!((kv.get(b"a"), kv.version(b"b")), (None, Some(99)));
+    }
+
     #[test]
     #[should_panic]
     fn more_stripes_than_buckets_rejected() {
@@ -2613,8 +2752,7 @@ mod tests {
         assert!(kv.dump_range(None, 0).is_empty());
     }
 
-    /// Migration's clear and cleanup passes delete the keys of the page
-    /// they hold — cursor key included — before asking for the next
+    /// A cluster node's sweep deletes the keys of the page it holds — cursor key included — before asking for the next
     /// one. No other key may go unseen for it.
     #[test]
     fn dump_range_survives_deleting_the_page_it_just_returned() {

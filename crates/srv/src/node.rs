@@ -296,7 +296,10 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// ([`Hooks::reply_owed`]), a turn is the side work and the question
     /// only; the turn that releases the reply sends it and ends there.
     /// Every 1 024th turn that made progress also runs one reclamation
-    /// pass on `store`. A client's queued replies are dropped when it
+    /// pass on `store`. A turn holds `store`'s writer claim
+    /// ([`KvStore::claim_writer`]), and the exit gives it up: in a debug
+    /// build, a write to the store from any other thread while the node
+    /// runs panics. A client's queued replies are dropped when it
     /// retires or its reply receiver is gone (and it is retired once its
     /// requests are gone too).
     ///
@@ -315,6 +318,7 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         store: &KvStore<R>,
         hooks: &mut H,
     ) -> Turn {
+        store.claim_writer();
         let turn = self.pass(store, hooks);
         match turn {
             Turn::Progress => {
@@ -324,7 +328,10 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
                     store.reclaim_pass();
                 }
             }
-            Turn::Exit => (self.hub, self.replies) = (ServerHub::new(Vec::new()), Vec::new()),
+            Turn::Exit => {
+                store.release_writer();
+                (self.hub, self.replies) = (ServerHub::new(Vec::new()), Vec::new());
+            }
             Turn::Idle => {}
         }
         turn
@@ -680,6 +687,27 @@ pub(crate) mod tests {
         done_rx
             .recv_timeout(Duration::from_secs(secs))
             .expect("the body did not finish by its deadline")
+    }
+
+    /// A node holds its store's writer claim from its first turn to its
+    /// exit: meanwhile a write from any other thread panics.
+    #[test]
+    #[cfg(all(debug_assertions, not(ssync_chk)))]
+    fn a_node_holds_its_stores_writer_claim_until_it_exits() {
+        let store: KvStore<TicketLock> = KvStore::new(64, 8);
+        let (mut endpoints, mut clients) = ring_mesh(1, 1, 4);
+        let client = clients.pop().unwrap();
+        let mut core = NodeCore::new(endpoints.pop().unwrap());
+        let elsewhere = || {
+            let set = || store.set(&key_bytes(1), b"v");
+            std::thread::scope(|s| s.spawn(set).join().is_ok())
+        };
+        assert!(elsewhere(), "unclaimed before the node's first turn");
+        assert_eq!(core.turn(&store, &mut NoHooks), Turn::Idle);
+        assert!(!elsewhere(), "claimed while the node runs");
+        block_on(client.send_stop());
+        while core.turn(&store, &mut NoHooks) != Turn::Exit {}
+        assert!(elsewhere(), "released once it exited");
     }
 
     /// A client stalled halfway through publishing a request holds up

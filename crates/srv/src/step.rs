@@ -85,13 +85,13 @@ fn rounds<A: Step + ?Sized>(
 /// Moves `actors` on real time until every one has exited, dealt to
 /// `min(actors, available_parallelism)` workers — actor `i` to worker
 /// `i % workers`, the calling thread being worker 0 — and never moved
-/// between workers, so a node writes its store from one thread (a
-/// reshard's coordinator deletes from node stores too, from its own
-/// worker: `delete_slots` in `ssync-cluster`'s `migrate`). After a
-/// round without progress a worker spins and yields while an actor may
-/// not park ([`Step::may_park`]), else waits on a [`ParkingWait`], which
-/// parks only after milliseconds idle, each park after
-/// [`Step::parking`].
+/// between workers, so a node writes its store from one thread, the
+/// only thread that writes it (a debug build checks that: a node's
+/// turn holds its store's writer claim,
+/// [`ssync_kv::KvStore::claim_writer`]). After a round without progress
+/// a worker spins and yields while an actor may not park
+/// ([`Step::may_park`]), else waits on a [`ParkingWait`], which parks
+/// only after milliseconds idle, each park after [`Step::parking`].
 ///
 /// # Panics
 ///

@@ -368,6 +368,16 @@ fn head_word(op: u64, count: usize, vlen: usize) -> u64 {
     op | (count as u64) << 8 | (vlen as u64) << 16
 }
 
+/// A head frame: word 0 names `op` and `count`, `words` follow from
+/// word 1, and the rest stay zero — every message that is not a value's.
+#[inline]
+fn head_frame(op: u64, count: usize, words: &[u64]) -> Message {
+    let mut m: Message = [0; MSG_WORDS];
+    m[0] = head_word(op, count, 0);
+    m[1..=words.len()].copy_from_slice(words);
+    m
+}
+
 fn split_head_word(w: u64) -> (u64, usize, usize) {
     (
         w & 0xFF,
@@ -513,21 +523,13 @@ impl Request {
     pub fn encode_into(&self, out: &mut Vec<Message>) {
         out.clear();
         match self {
-            Request::Get { key } => {
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_GET, 0, 0);
-                m[1] = *key;
-                out.push(m);
-            }
+            Request::Get { key } => out.push(head_frame(OP_GET, 0, &[*key])),
             Request::MultiGet { keys } => {
                 assert!(
                     !keys.is_empty() && keys.len() <= MGET_MAX,
                     "multi-get takes 1..={MGET_MAX} keys"
                 );
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_MGET, keys.len(), 0);
-                m[1..=keys.len()].copy_from_slice(keys);
-                out.push(m);
+                out.push(head_frame(OP_MGET, keys.len(), keys));
             }
             Request::Set { key, value } => encode_set(*key, value, out),
             Request::Cas {
@@ -535,39 +537,24 @@ impl Request {
                 expected,
                 value,
             } => encode_cas(*key, *expected, value, out),
-            Request::Delete { key } => {
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_DELETE, 0, 0);
-                m[1] = *key;
-                out.push(m);
-            }
+            Request::Delete { key } => out.push(head_frame(OP_DELETE, 0, &[*key])),
             Request::Replicate {
                 key,
                 version,
                 value,
             } => encode_replicate(*key, *version, value, out),
             Request::ReplicateDelete { key, version } => {
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_REPL_DELETE, 0, 0);
-                m[1] = *key;
-                m[2] = *version;
-                out.push(m);
+                out.push(head_frame(OP_REPL_DELETE, 0, &[*key, *version]));
             }
             Request::ReplGet { key, floor } => {
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_REPL_GET, 0, 0);
-                m[1] = *key;
-                m[2] = *floor;
-                out.push(m);
+                out.push(head_frame(OP_REPL_GET, 0, &[*key, *floor]));
             }
             Request::ReplMultiGet { keys, floor } => {
                 assert!(
                     !keys.is_empty() && keys.len() <= REPL_MGET_MAX,
                     "replica multi-get takes 1..={REPL_MGET_MAX} keys"
                 );
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_REPL_MGET, keys.len(), 0);
-                m[1] = *floor;
+                let mut m = head_frame(OP_REPL_MGET, keys.len(), &[*floor]);
                 let inline = keys.len().min(REPL_MGET_HEAD_KEYS);
                 m[2..2 + inline].copy_from_slice(&keys[..inline]);
                 out.push(m);
@@ -578,22 +565,10 @@ impl Request {
                 }
             }
             Request::TimedGet { key, stamp } => {
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_TIMED_GET, 0, 0);
-                m[1] = *key;
-                m[2] = *stamp;
-                out.push(m);
+                out.push(head_frame(OP_TIMED_GET, 0, &[*key, *stamp]));
             }
-            Request::Stats => {
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_STATS, 0, 0);
-                out.push(m);
-            }
-            Request::Stop => {
-                let mut m: Message = [0; MSG_WORDS];
-                m[0] = head_word(OP_STOP, 0, 0);
-                out.push(m);
-            }
+            Request::Stats => out.push(head_frame(OP_STATS, 0, &[])),
+            Request::Stop => out.push(head_frame(OP_STOP, 0, &[])),
         }
     }
 
@@ -729,62 +704,31 @@ impl Response {
     /// As for [`Response::encode`].
     pub fn encode_into(&self, out: &mut Vec<Message>) {
         out.clear();
-        let mut m: Message = [0; MSG_WORDS];
-        match self {
-            Response::Value { version, value } => encode_value(*version, value, out),
-            Response::Miss => {
-                m[0] = head_word(ST_MISS, 0, 0);
-                out.push(m);
-            }
-            Response::Stored { version } => {
-                m[0] = head_word(ST_STORED, 0, 0);
-                m[1] = *version;
-                out.push(m);
-            }
-            Response::CasFail { current } => {
-                m[0] = head_word(ST_CAS_FAIL, 0, 0);
-                m[1] = *current;
-                out.push(m);
-            }
-            Response::Deleted { version } => {
-                m[0] = head_word(ST_DELETED, 0, 0);
-                m[1] = *version;
-                out.push(m);
-            }
-            Response::NotFound => {
-                m[0] = head_word(ST_NOT_FOUND, 0, 0);
-                out.push(m);
-            }
-            Response::Stale { hwm } => {
-                m[0] = head_word(ST_STALE, 0, 0);
-                m[1] = *hwm;
-                out.push(m);
-            }
-            Response::Malformed => {
-                m[0] = head_word(ST_MALFORMED, 0, 0);
-                out.push(m);
-            }
+        let m = match self {
+            Response::Value { version, value } => return encode_value(*version, value, out),
+            Response::Miss => head_frame(ST_MISS, 0, &[]),
+            Response::Stored { version } => head_frame(ST_STORED, 0, &[*version]),
+            Response::CasFail { current } => head_frame(ST_CAS_FAIL, 0, &[*current]),
+            Response::Deleted { version } => head_frame(ST_DELETED, 0, &[*version]),
+            Response::NotFound => head_frame(ST_NOT_FOUND, 0, &[]),
+            Response::Stale { hwm } => head_frame(ST_STALE, 0, &[*hwm]),
+            Response::Malformed => head_frame(ST_MALFORMED, 0, &[]),
             Response::WrongLeader { term, leader } => {
-                m[0] = head_word(ST_WRONG_LEADER, 0, 0);
-                m[1] = u64::from(*term);
-                m[2] = *leader;
-                out.push(m);
+                head_frame(ST_WRONG_LEADER, 0, &[u64::from(*term), *leader])
             }
             Response::WrongShard { map_epoch } => {
-                m[0] = head_word(ST_WRONG_SHARD, 0, 0);
-                m[1] = u64::from(*map_epoch);
-                out.push(m);
+                head_frame(ST_WRONG_SHARD, 0, &[u64::from(*map_epoch)])
             }
             Response::StatsReply { payload } => {
                 assert!(
                     payload.len() <= STATS_MAX_PAYLOAD,
                     "stats payload exceeds STATS_MAX_PAYLOAD"
                 );
-                m[0] = head_word(ST_STATS, 0, 0);
-                m[1] = payload.len() as u64;
-                push_payload(m, STATS_INLINE_BYTES, payload, out);
+                let head = head_frame(ST_STATS, 0, &[payload.len() as u64]);
+                return push_payload(head, STATS_INLINE_BYTES, payload, out);
             }
-        }
+        };
+        out.push(m);
     }
 
     /// How many continuation frames follow `head` — exactly what
