@@ -30,7 +30,8 @@
 //! freeze-fence argument in [`crate::service`] — which is exactly the
 //! asymmetry the final convergence check makes observable.
 
-use core::pin::pin;
+use core::future::Future;
+use core::pin::{pin, Pin};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -39,6 +40,7 @@ use rand::{Rng, SeedableRng};
 
 use ssync_kv::KvStore;
 use ssync_locks::RawLock;
+use ssync_mp::RingSender;
 use ssync_repl::OpLog;
 use ssync_srv::step::until;
 use ssync_srv::workload::{fan_out, Tally};
@@ -108,9 +110,31 @@ type Model = BTreeMap<u64, (u64, Vec<u8>)>;
 /// # Panics
 ///
 /// Panics on an inconsistent spec, on any wire-protocol error, or if
-/// a worker observes an impossible acknowledgement — a worker's panic
-/// is re-raised once every thread has finished, never a hang.
+/// a worker observes an impossible acknowledgement — a worker's panic,
+/// or a node's or the coordinator's first, is re-raised once every
+/// thread has finished, never a hang.
 pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardReport {
+    let (reshard, moved) = (spec.reshard, Default::default());
+    reshard_with::<R>(spec, |map, stores, logs, mig| {
+        Box::pin(coordinate(map, stores, logs, mig, reshard, moved))
+    })
+}
+
+/// A migration, as `reshard_with` starts it.
+type Migration<'a> = Pin<Box<dyn Future<Output = MigrationReport> + Send + 'a>>;
+
+/// [`run_reshard`], the migration being the one `migrate` starts over
+/// the fleet's map, stores, op-logs and migration rings.
+fn reshard_with<R: RawLock + Default>(
+    spec: &ReshardWorkloadSpec,
+    migrate: impl for<'a> FnOnce(
+            &'a ShardMap,
+            &'a [&'a KvStore<R>],
+            &'a [&'a OpLog],
+            &'a [RingSender],
+        ) -> Migration<'a>
+        + Send,
+) -> ReshardReport {
     let fleet = spec.shards_before.max(spec.reshard.shards_after);
     assert!(spec.shards_before > 0 && spec.workers > 0 && spec.keys_per_worker > 0);
     assert!(
@@ -138,32 +162,42 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
         let (core, node) = ClusterNode::new(shard, &stores[shard], &logs[shard], &map, endpoint);
         (core, &stores[shard], node)
     };
-    let mut nodes: Vec<_> = endpoints.into_iter().enumerate().map(node).collect();
+    let nodes: Vec<_> = endpoints.into_iter().enumerate().map(node).collect();
     let (store_refs, log_refs): (Vec<_>, Vec<_>) = stores.iter().zip(&logs).unzip();
-    let mut coordinated = None;
-    let (tally, outs) = {
-        // The coordinator: wait for the warm-up, migrate, and let the
-        // nodes exit. Workers all gone before the warm-up means one
-        // panicked: there is nothing to migrate under.
-        let mut coordinator = pin!(async {
-            until(|| {
-                let warmed = issued.load(Ordering::Relaxed) >= spec.start_after_ops;
-                (warmed || departed.load(Ordering::Acquire) >= spec.workers as u64).then_some(())
-            })
-            .await;
-            if issued.load(Ordering::Relaxed) >= spec.start_after_ops {
-                let (logs, moved) = (&log_refs, Default::default());
-                let migrating = coordinate(&map, &store_refs, logs, &mig, spec.reshard, moved);
-                coordinated = Some(migrating.await);
+    let (nodes, coordinated, (tally, outs)) = std::thread::scope(|s| {
+        // The nodes and the coordinator live on the thread that runs
+        // them: a panic there drops them all, so the clients read them
+        // gone, and it is that panic the run re-raises.
+        let runner = s.spawn(|| {
+            let (mut nodes, mut coordinated) = (nodes, None);
+            {
+                // The coordinator: wait for the warm-up, migrate, and
+                // let the nodes exit. Workers all gone before the
+                // warm-up means one panicked: there is nothing to
+                // migrate under.
+                let mut coordinator = pin!(async {
+                    until(|| {
+                        let warmed = issued.load(Ordering::Relaxed) >= spec.start_after_ops;
+                        let gone = departed.load(Ordering::Acquire) >= spec.workers as u64;
+                        (warmed || gone).then_some(())
+                    })
+                    .await;
+                    if issued.load(Ordering::Relaxed) >= spec.start_after_ops {
+                        coordinated = Some(migrate(&map, &store_refs, &log_refs, &mig).await);
+                    }
+                    // Nothing went out on this connection before: its
+                    // `Stop` finds room at once.
+                    ClusterClient::new(&map, control_conn).close();
+                });
+                let mut actors: Vec<&mut (dyn Step + Send)> = vec![&mut coordinator];
+                actors.extend(nodes.iter_mut().map(|node| node as &mut (dyn Step + Send)));
+                run(&mut actors);
             }
-            // Nothing went out on this connection before: its `Stop`
-            // finds room at once.
-            ClusterClient::new(&map, control_conn).close();
+            let report = |(core, _, node): &(_, _, ClusterNode<'_, R>)| node.report(core);
+            let nodes: Vec<NodeReport> = nodes.iter().map(report).collect();
+            (nodes, coordinated)
         });
-        let mut actors: Vec<&mut (dyn Step + Send)> = vec![&mut coordinator];
-        actors.extend(nodes.iter_mut().map(|node| node as &mut (dyn Step + Send)));
-        std::thread::scope(|s| {
-            s.spawn(|| run(&mut actors));
+        let clients = catch_unwind(AssertUnwindSafe(|| {
             fan_out(conns, |worker, conn| {
                 let client = ClusterClient::new(&map, conn);
                 // A panicking worker still stops its client, so the nodes
@@ -179,12 +213,14 @@ pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardR
                 let (model, tally) = run.unwrap_or_else(|panic| resume_unwind(panic));
                 (tally, (model, redirects))
             })
-        })
-    };
-    let nodes: Vec<NodeReport> = nodes
-        .iter()
-        .map(|(core, _, node)| node.report(core))
-        .collect();
+        }));
+        let (nodes, coordinated) = runner.join().unwrap_or_else(|panic| resume_unwind(panic));
+        (
+            nodes,
+            coordinated,
+            clients.unwrap_or_else(|panic| resume_unwind(panic)),
+        )
+    });
     let migration = coordinated.expect("the warm-up ends before the workers do");
 
     // Audit. Direction one: nothing sits at a shard that does not own
@@ -293,8 +329,22 @@ fn drive_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::atomic::AtomicBool;
+    use core::task::{Context, Waker};
     use ssync_locks::TicketLock;
     use ssync_repl::FaultSpec;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// Runs `body` on a thread of its own and returns its result,
+    /// failing the test once `secs` pass first.
+    fn within<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done_tx.send(body()));
+        done_rx
+            .recv_timeout(Duration::from_secs(secs))
+            .expect("the body did not finish by its deadline")
+    }
 
     fn smoke_spec() -> ReshardWorkloadSpec {
         ReshardWorkloadSpec {
@@ -372,6 +422,40 @@ mod tests {
         );
         assert_eq!(report.client_redirects, 2);
         assert_eq!(report.wrong_shard_redirects, 2);
+    }
+
+    /// Regression: a coordinator that panicked mid-split hung the run.
+    /// Its worker unwound, but the nodes stayed alive and unmoved — owned
+    /// outside the driver, as was the control connection the panicked
+    /// coordinator held — so the clients waited on them forever. Now
+    /// the panic ends the whole group, the runner's unwind drops every
+    /// node, the clients read them gone, and the run fails with the
+    /// coordinator's panic. CI runs it on one CPU too, where every
+    /// actor shares one worker.
+    #[test]
+    fn a_coordinator_panic_mid_split_fails_the_run_with_that_panic() {
+        let spec = smoke_spec();
+        let raised = within(60, move || {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                reshard_with::<TicketLock>(&spec, |map, stores, logs, mig| {
+                    Box::pin(async move {
+                        let moved = Arc::new(AtomicBool::new(false));
+                        let split = coordinate(map, stores, logs, mig, spec.reshard, moved.clone());
+                        let mut split = Box::pin(split);
+                        // To the first copy page's end, then the panic.
+                        until(|| {
+                            let _ = (split.as_mut()).poll(&mut Context::from_waker(Waker::noop()));
+                            moved.load(Ordering::Relaxed).then_some(())
+                        })
+                        .await;
+                        panic!("the coordinator panics mid-split");
+                    })
+                })
+            }));
+            run.expect_err("a run whose coordinator panicked returned a report")
+        });
+        let message = raised.downcast_ref::<&str>().copied();
+        assert_eq!(message, Some("the coordinator panics mid-split"));
     }
 
     #[test]

@@ -1,28 +1,23 @@
-//! Deterministic replica fault injection.
+//! Deterministic replica fault schedules, which the driver applies.
 //!
-//! Faults are keyed to the replication *entry index* — "when the Nth
-//! entry arrives, stall (or crash) for the next W entries" — never to
-//! wall time, so a seeded scenario replays exactly: the same workload
-//! seed produces the same op-log, the same entry indices, and therefore
-//! the same stalls, crashes, and catch-ups on every run (the
-//! model-checking-replication papers' requirement, done in-process).
+//! Faults are keyed to the replication *entry index* — "once the Nth
+//! entry is due, stall for W rounds", "kill the leader right after the
+//! write that produced entry N" — never to wall time, so a seeded
+//! scenario replays exactly: the same workload seed produces the same
+//! op-log, the same entry indices, and therefore the same pauses and
+//! crashes on every run (the model-checking-replication papers'
+//! requirement, done in-process).
 //!
-//! Both backup kinds are one outage — `window` entries received (the
-//! backup keeps draining the stream, so the primary never blocks on a
-//! full channel) and neither applied nor acknowledged — with one
-//! recovery: the close replays exactly those entries from the
-//! primary's op-log, then rejoins the live stream. A **stall** models a
-//! slow backup and keeps serving replica reads; a **crash** models a
-//! lost one and refuses them (`Stale`) until the close. A stall keeps
-//! no buffer to apply instead: that second recovery path could land on
-//! top of a frame the backup had fenced, leaving its high-water mark
-//! above an entry it never applied — so a stall's entries count as
-//! `from_log`, like a crash's, not as `applied`.
-//!
-//! Fault windows must stay below the async mode's lag bound: a primary
-//! that has stopped producing (a reply held on the bound) cannot deliver the
-//! entries that would end an entry-indexed window. [`FaultSpec`]
-//! enforces that at plan-generation time.
+//! A node carries none of this. The driver that moves it
+//! ([`ssync_srv::step`]) applies the plans between its moves, each
+//! trigger reading only what the group published: a backup's window
+//! (either kind, [`FaultKind::Stall`] or [`FaultKind::Crash`]) is a
+//! [`Pause`](ssync_srv::Pause) of `window` rounds, opening once the hwm
+//! the backup published reaches the entry before the window's first; a
+//! [`FaultKind::PrimaryCrash`] is a [`Crash`](ssync_srv::Crash) of the
+//! leader, once the op-log's last settle is that leader's, of the
+//! scheduled entry. A paused backup does nothing and resumes where it
+//! stopped, so a window of any length ends by itself, in either mode.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,10 +25,9 @@ use rand::{Rng, SeedableRng};
 /// What kind of outage a fault window is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Drop `window` entries unapplied and unacknowledged, then catch
-    /// up from the op-log; replica reads keep being served.
+    /// The backup is paused for `window` rounds.
     Stall,
-    /// As a stall, and replica reads are refused inside the window.
+    /// As a stall: the driver pauses the backup for `window` rounds.
     Crash,
     /// The shard *leader* dies for good right after fully acknowledging
     /// the write that produced entry `at_entry` — the worst moment for
@@ -49,12 +43,13 @@ pub enum FaultKind {
 /// One fault window in a replica's schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// The 1-based replication entry index whose arrival opens the
-    /// window (that entry is the window's first).
+    /// The 1-based replication entry index that opens the window
+    /// (that entry is the window's first).
     pub at_entry: u64,
     /// The outage kind.
     pub kind: FaultKind,
-    /// Window length in entries (≥ 1).
+    /// Window length (≥ 1): the rounds the backup is paused for, and
+    /// the entries a plan leaves before its next window.
     pub window: u64,
 }
 
@@ -120,20 +115,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Largest window in the plan (0 if none).
-    pub fn max_window(&self) -> u64 {
-        self.events.iter().map(|e| e.window).max().unwrap_or(0)
-    }
-
-    /// Number of scheduled leader crashes — what the `failovers` stat
-    /// must equal after a soaked run.
-    pub fn crash_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.kind == FaultKind::PrimaryCrash)
-            .count()
-    }
 }
 
 /// Seeded generator of per-replica fault schedules, shared by the
@@ -165,17 +146,6 @@ impl FaultSpec {
             spacing: 0,
             primary_crashes: 0,
         }
-    }
-
-    /// True if this spec schedules no faults.
-    pub fn is_none(&self) -> bool {
-        self.faults_per_replica == 0 && self.primary_crashes == 0
-    }
-
-    /// True if this spec schedules backup (stall/crash) windows — the
-    /// kinds the async lag bound must cover.
-    pub fn has_backup_faults(&self) -> bool {
-        self.faults_per_replica > 0
     }
 
     /// The deterministic schedule for one `(shard, replica)` slot.
@@ -299,7 +269,7 @@ mod tests {
         let b = spec.plan_for(0, 1);
         assert_eq!(a, b, "same slot must replay the same schedule");
         assert_eq!(a.events().len(), 4);
-        assert!(a.max_window() <= 8);
+        assert!(a.events().iter().all(|e| e.window <= 8));
         let c = spec.plan_for(1, 1);
         assert_ne!(a, c, "different shards draw different schedules");
     }
@@ -324,7 +294,7 @@ mod tests {
         );
         assert!(without.primary_plan_for(0).is_empty());
         let plan = with.primary_plan_for(0);
-        assert_eq!(plan.crash_count(), 3);
+        assert_eq!(plan.events().len(), 3);
         assert_eq!(plan, with.primary_plan_for(0), "crash schedule replays");
         assert_ne!(plan, with.primary_plan_for(1));
         assert!(plan
@@ -339,10 +309,8 @@ mod tests {
             spacing: 0,
             primary_crashes: 2,
         };
-        assert!(!crash_only.is_none());
-        assert!(!crash_only.has_backup_faults());
         assert!(crash_only.plan_for(0, 0).is_empty());
-        assert_eq!(crash_only.primary_plan_for(0).crash_count(), 2);
+        assert_eq!(crash_only.primary_plan_for(0).events().len(), 2);
     }
 
     #[test]
@@ -369,7 +337,7 @@ mod tests {
         assert!(spec.migration_plan_for(0, 0).is_empty());
         let coord = spec.coordinator_plan_for(2);
         assert_eq!(coord, spec.coordinator_plan_for(2), "must replay");
-        assert_eq!(coord.crash_count(), 2);
+        assert_eq!(coord.events().len(), 2);
         assert!(spec.coordinator_plan_for(0).is_empty());
         // A zero-spacing (crash-only) spec still draws valid plans.
         let bare = FaultSpec {
@@ -386,7 +354,6 @@ mod tests {
     fn none_is_empty() {
         assert!(FaultSpec::none().plan_for(0, 0).is_empty());
         assert!(FaultPlan::none().is_empty());
-        assert_eq!(FaultPlan::none().max_window(), 0);
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //! stale replica reads bounced to the leader by a per-shard freshness
 //! floor the client carries).
 //!
-//! Faults are first-class and *deterministic*: seeded stall and crash
-//! windows keyed to replication entry indices replay exactly, and a
-//! crashed backup catches up from the op-log before rejoining the live
-//! stream — the convergence property the proptest harness checks
-//! against a model on every run. Leaders can die too: a scheduled
-//! [`fault::FaultKind::PrimaryCrash`] kills the leader of the moment
+//! Faults are first-class and *deterministic*, and the driver applies
+//! them between a node's moves: seeded stall and crash windows keyed to
+//! replication entry indices pause a backup and replay exactly, and the
+//! paused backup resumes the live stream where it stopped — the
+//! convergence property the proptest harness checks against a model on
+//! every run. Leaders can die too: a scheduled
+//! [`fault::FaultKind::PrimaryCrash`] crashes the leader of the moment
 //! right after an acknowledged write, and the shard fails over — the
 //! most caught-up live follower bumps the term in the shared
 //! [`cluster::ClusterMap`], replays its op-log tail, and starts

@@ -1,8 +1,9 @@
 //! The primary's bounded in-memory op-log.
 //!
 //! Every successful write on a replicated shard appends one entry
-//! before streaming to the backups; the log is what a crashed backup
-//! catches up from ([`OpLog::entries_after`]). Entries are ordered by
+//! before streaming to the backups; the log is what a follower catches
+//! up from when it adopts a term, is promoted or stops, past the frames
+//! it fenced ([`OpLog::entries_after`]). Entries are ordered by
 //! the store's CAS version — the shard server serializes writes, so
 //! versions are strictly increasing append to append and double as the
 //! replication sequence (the paper's stance of reusing what the data
@@ -137,6 +138,8 @@ impl LogEntry {
 pub struct OpLog {
     entries: Mutex<VecDeque<LogEntry>>,
     capacity: usize,
+    /// The node that last released a write's reply, and its version.
+    settled: Mutex<Option<(usize, u64)>>,
 }
 
 impl OpLog {
@@ -150,6 +153,7 @@ impl OpLog {
         OpLog {
             entries: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
             capacity,
+            settled: Mutex::new(None),
         }
     }
 
@@ -200,6 +204,21 @@ impl OpLog {
         let mut entries = self.entries.lock().expect("op-log poisoned");
         let keep_from = entries.partition_point(|e| e.version <= version);
         entries.drain(..keep_from);
+    }
+
+    /// A replication leader, node `node`, has settled the write at
+    /// `version` — its reply goes out — and `acked` is the lowest
+    /// version every live follower applied: records the settle and
+    /// truncates through `acked`.
+    pub fn settle(&self, node: usize, version: u64, acked: u64) {
+        *self.settled.lock().expect("op-log poisoned") = Some((node, version));
+        self.truncate_through(acked);
+    }
+
+    /// The last [`OpLog::settle`]: which node released the reply to
+    /// which version, if any did.
+    pub fn settled(&self) -> Option<(usize, u64)> {
+        *self.settled.lock().expect("op-log poisoned")
     }
 
     /// Number of retained entries.

@@ -3,17 +3,19 @@
 //! the sequential [`drive_worker`] and the [`fan_out`] of client
 //! threads) pointed at a replication group, plus deterministic fault
 //! injection. This module owns only the server side: the nodes, one
-//! [`run`] over all of them, and what they report.
+//! [`run`] over all of them, applying their faults, and what they
+//! report.
 //!
 //! Issued op counts are a pure function of `(spec, workers,
 //! ops_per_worker)` exactly as in the unreplicated driver, and fault
 //! schedules are a pure function of the fault seed and entry indices —
-//! so a faulty run *replays*: same stalls, same crashes, same
-//! catch-ups, same final convergence. Leader crashes add failovers to
+//! so a faulty run *replays*: same pauses, same crashes, same final
+//! convergence. Leader crashes add failovers to
 //! the mix; in sync mode even the succession order replays exactly
 //! (equal high-water marks make the promotion tie-break — lowest live
 //! id — deterministic).
 
+use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
 
 use ssync_locks::RawLock;
@@ -21,7 +23,7 @@ use ssync_srv::run;
 use ssync_srv::workload::{drive_worker, fan_out, OpStream, Tally, WorkloadSpec};
 
 use crate::fault::FaultSpec;
-use crate::service::{repl_mesh, NodeEndpoint, NodeReport, ReplCluster, ReplMode, ReplNode};
+use crate::service::{driven, repl_mesh, report_of, NodeEndpoint, NodeReport, ReplCluster};
 
 /// What a replicated workload run measured.
 #[derive(Debug, Clone, Default)]
@@ -48,12 +50,11 @@ pub struct ReplReport {
     /// Replication entries logged and streamed, summed over shards and
     /// successive leaders.
     pub entries: u64,
-    /// Crash windows taken across all followers.
-    pub crashes: u64,
-    /// Stall windows taken across all followers.
-    pub stalls: u64,
-    /// Entries replayed from op-logs (crash catch-ups, term adoptions,
-    /// promotions).
+    /// Pauses the driver put the nodes through: one per backup window
+    /// reached.
+    pub pauses: u64,
+    /// Entries replayed from op-logs (term adoptions, promotions,
+    /// fenced frames).
     pub from_log: u64,
     /// Stream frames fenced as stale-term leftovers (timing-dependent).
     pub fenced: u64,
@@ -77,14 +78,9 @@ pub struct ReplReport {
 ///
 /// # Panics
 ///
-/// Panics if `workers` is zero; if `faults` schedules backup
-/// stall/crash windows in sync mode or with windows at/above the async
-/// lag bound (both are deadlocks by construction: the leader owes a
-/// write's reply until the faulted follower has the entry, and serves
-/// nothing else meanwhile, so the entries that would close that
-/// follower's entry-indexed fault window never come — leader crashes
-/// carry no window and are exempt); or if it schedules more leader
-/// crashes than there are backups to promote.
+/// Panics if `workers` is zero, or if `faults` schedules more leader
+/// crashes than there are backups to promote; re-raises a node's panic,
+/// which drops every node, so its clients read them gone, not hang.
 pub fn run_replicated_closed_loop<R: RawLock + Default>(
     cluster: &mut ReplCluster<R>,
     spec: &WorkloadSpec,
@@ -95,22 +91,6 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
     assert!(workers > 0);
     let shards = cluster.num_shards();
     let nreplicas = cluster.spec().replicas;
-    let mode = cluster.spec().mode;
-    if faults.has_backup_faults() {
-        match mode {
-            ReplMode::Sync => panic!(
-                "fault injection requires async mode: a sync leader owes each write's reply \
-                 until every follower has it and serves nothing else meanwhile, so the entries \
-                 that would close a faulted follower's window never come"
-            ),
-            ReplMode::Async { max_lag } => assert!(
-                faults.max_window < max_lag,
-                "fault windows ({}) must stay below the lag bound ({max_lag}); a primary \
-                 stalled on the bound cannot deliver the entries that close a window",
-                faults.max_window
-            ),
-        }
-    }
     assert!(
         faults.primary_crashes <= nreplicas,
         "at most {nreplicas} leader crashes are survivable with {nreplicas} backups \
@@ -129,17 +109,23 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
     let node = |(shard, endpoint): (usize, NodeEndpoint)| {
         let (n, store) = (endpoint.node(), cluster.node_store(shard, endpoint.node()));
         let cfg = cluster.node_config(shard, n, faults);
-        let (core, node) = ReplNode::new(store, cluster.log(shard), &map, endpoint, cfg);
-        (core, store, node)
+        driven(store, cluster.log(shard), &map, endpoint, cfg)
     };
     let endpoints = node_endpoints.into_iter().enumerate();
     let endpoints = endpoints.flat_map(|(shard, group)| group.into_iter().map(move |e| (shard, e)));
-    let mut nodes: Vec<_> = endpoints.map(node).collect();
+    let nodes: Vec<_> = endpoints.map(node).collect();
 
     let start = Instant::now();
-    let (tally, client_stats) = std::thread::scope(|s| {
-        s.spawn(|| run(&mut nodes.iter_mut().collect::<Vec<_>>()));
-        fan_out(clients, |worker, client| {
+    let (nodes, (tally, client_stats)) = std::thread::scope(|s| {
+        // The nodes live on the thread that runs them: a panic there
+        // drops them all, and the clients read them gone.
+        let runner = s.spawn(move || {
+            let mut nodes = nodes;
+            run(&mut nodes.iter_mut().collect::<Vec<_>>());
+            let report = |node: &_| (report_of(node), node.pauses);
+            nodes.iter().map(report).collect::<Vec<_>>()
+        });
+        let clients = fan_out(clients, |worker, client| {
             let tally = drive_worker(&client, OpStream::new(spec, worker as u64), ops_per_worker);
             let stats = [
                 client.replica_serves(),
@@ -150,13 +136,13 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
             ];
             client.close();
             (tally, stats)
-        })
+        });
+        (
+            runner.join().unwrap_or_else(|panic| resume_unwind(panic)),
+            clients,
+        )
     });
     let wall = start.elapsed();
-    let nodes: Vec<NodeReport> = nodes
-        .iter()
-        .map(|(core, _, node)| node.report(core))
-        .collect();
 
     let mut report = ReplReport {
         tally,
@@ -176,14 +162,13 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
         report.lost_to_retry += lost;
         report.stale_served += stale;
     }
-    for n in &nodes {
+    for (n, pauses) in &nodes {
         report.entries += n.entries;
-        report.crashes += n.crashes;
-        report.stalls += n.stalls;
+        report.pauses += pauses;
         report.from_log += n.from_log;
         report.fenced += n.fenced;
     }
-    report.nodes = nodes;
+    report.nodes = nodes.into_iter().map(|(n, _)| n).collect();
     report
 }
 
@@ -225,10 +210,9 @@ mod tests {
         let b = run();
         assert_eq!(a.tally.issued, b.tally.issued);
         assert_eq!(a.entries, b.entries);
-        assert_eq!((a.crashes, a.stalls), (b.crashes, b.stalls));
-        assert_eq!(a.from_log, b.from_log);
+        assert_eq!((a.pauses, a.from_log), (b.pauses, b.from_log));
         assert!(a.converged && b.converged);
-        assert!(a.crashes + a.stalls > 0, "the schedule must actually fire");
+        assert!(a.pauses > 0, "the schedule must actually fire");
         assert_eq!(a.failovers, 0);
     }
 
@@ -282,21 +266,24 @@ mod tests {
         let run = || {
             let mut cluster: ReplCluster<TicketLock> =
                 ReplCluster::new(2, 64, 8, ReplSpec::sync(2));
-            run_replicated_closed_loop(&mut cluster, &small_spec(Mix::YCSB_A), 1, 400, &faults)
+            let report =
+                run_replicated_closed_loop(&mut cluster, &small_spec(Mix::YCSB_A), 1, 400, &faults);
+            let map = cluster.map();
+            let dead = (0..2).flat_map(|s| (0..3).filter(move |&n| map.is_dead(s, n)));
+            (report, dead.count())
         };
-        let a = run();
+        let (a, dead) = run();
         // Every shard walked its full succession line.
         assert_eq!(a.failovers, 2 * 2, "every scheduled crash must fire");
         assert_eq!(a.unavailability.len(), 4);
         assert!(a.converged, "survivors must converge after failovers");
         assert!(
-            a.nodes.iter().filter(|n| n.crashed).count() == 4
-                && a.nodes.iter().filter(|n| n.promotions > 0).count() == 4,
+            dead == 4 && a.nodes.iter().filter(|n| n.promotions > 0).count() == 4,
             "two leaders per shard must die and two successors must rise"
         );
         // Sync mode: equal high-water marks make the succession
         // deterministic, so a rerun replays the whole history.
-        let b = run();
+        let (b, _) = run();
         assert_eq!(a.tally.issued, b.tally.issued);
         assert_eq!(a.entries, b.entries);
         assert_eq!(a.failovers, b.failovers);
@@ -320,33 +307,25 @@ mod tests {
         assert!(report.converged);
     }
 
+    /// A backup window is a pause of the backup, which ends by itself:
+    /// a sync leader waits it out, and so does an async one whose
+    /// follower is paused past the lag bound.
     #[test]
-    #[should_panic(expected = "fault injection requires async mode")]
-    fn backup_faults_in_sync_mode_are_rejected() {
+    fn backup_windows_pause_sync_groups_and_outlast_the_lag_bound() {
         let faults = FaultSpec {
             seed: 1,
-            faults_per_replica: 1,
-            max_window: 4,
+            faults_per_replica: 2,
+            max_window: 96,
             spacing: 8,
             primary_crashes: 0,
         };
-        let mut cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 64, 8, ReplSpec::sync(1));
-        let _ = run_replicated_closed_loop(&mut cluster, &small_spec(Mix::YCSB_A), 1, 10, &faults);
-    }
-
-    #[test]
-    #[should_panic(expected = "must stay below the lag bound")]
-    fn oversized_fault_windows_are_rejected() {
-        let faults = FaultSpec {
-            seed: 1,
-            faults_per_replica: 1,
-            max_window: 64,
-            spacing: 8,
-            primary_crashes: 0,
-        };
-        let mut cluster: ReplCluster<TicketLock> =
-            ReplCluster::new(1, 64, 8, ReplSpec::async_bounded(1));
-        let _ = run_replicated_closed_loop(&mut cluster, &small_spec(Mix::YCSB_A), 1, 10, &faults);
+        for spec in [ReplSpec::sync(1), ReplSpec::async_bounded(1)] {
+            let mut cluster: ReplCluster<TicketLock> = ReplCluster::new(1, 64, 8, spec);
+            let report =
+                run_replicated_closed_loop(&mut cluster, &small_spec(Mix::YCSB_A), 1, 200, &faults);
+            assert_eq!(report.pauses, 2, "{spec:?}");
+            assert!(report.converged, "{spec:?}");
+        }
     }
 
     #[test]

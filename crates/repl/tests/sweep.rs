@@ -1,7 +1,8 @@
 //! The replicated closed loop's seeded counts, held as literals: the
 //! issued op stream, hits and misses, log entries, what the backups
-//! applied, the fault schedule's windows and the failover chain are all
-//! a pure function of the workload and fault seeds.
+//! applied, the pauses the fault schedule's windows put the backups
+//! through and the failover chain are all a pure function of the
+//! workload and fault seeds.
 
 use ssync_locks::TicketLock;
 use ssync_repl::fault::FaultSpec;
@@ -12,8 +13,8 @@ use ssync_srv::workload::{KeyDist, Mix, ValueSize, WorkloadSpec};
 /// 2 shards × 2 workers × 5 000 key-ops over 4 096 keys: replica
 /// scaling {0, 1, 2} across read-heavy mixes and skews in async mode
 /// (batched and unbatched), the sync-mode write contrast, the seeded
-/// fault schedule (crash and stall windows with op-log catch-up) and a
-/// chain of leader crashes. Every case converges. What the backups
+/// fault schedule (crash and stall windows, each a pause of its backup)
+/// and a chain of leader crashes. Every case converges. What the backups
 /// applied is read from their stores, less the one apply per key and
 /// backup the preload made.
 #[test]
@@ -43,32 +44,32 @@ fn replicated_sweep_replays_exact_counts() {
     #[rustfmt::skip]
     let cases = [
         // (spec, replicas, dist, mix, batch, faults, [gets, sets], [entries, repl_applied],
-        //  [crashes, stalls], [failovers, redirects])
-        (asynchronous, 0, uniform, b, 1, none, [9_495, 505], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 0, uniform, c, 1, none, [10_000, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 0, zipf, b, 1, none, [9_495, 505], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 0, zipf, c, 1, none, [10_000, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 0, uniform, c, 24, none, [10_032, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 0, zipf, c, 24, none, [10_032, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 1, uniform, b, 1, none, [9_495, 505], [505, 505], [0, 0], [0, 0]),
-        (asynchronous, 1, uniform, c, 1, none, [10_000, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 1, zipf, b, 1, none, [9_495, 505], [505, 505], [0, 0], [0, 0]),
-        (asynchronous, 1, zipf, c, 1, none, [10_000, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 1, uniform, c, 24, none, [10_032, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 1, zipf, c, 24, none, [10_032, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 2, uniform, b, 1, none, [9_495, 505], [505, 1_010], [0, 0], [0, 0]),
-        (asynchronous, 2, uniform, c, 1, none, [10_000, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 2, zipf, b, 1, none, [9_495, 505], [505, 1_010], [0, 0], [0, 0]),
-        (asynchronous, 2, zipf, c, 1, none, [10_000, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 2, uniform, c, 24, none, [10_032, 0], [0, 0], [0, 0], [0, 0]),
-        (asynchronous, 2, zipf, c, 24, none, [10_032, 0], [0, 0], [0, 0], [0, 0]),
-        (sync, 1, zipf, b, 1, none, [9_495, 505], [505, 505], [0, 0], [0, 0]),
-        (sync, 2, zipf, b, 1, none, [9_495, 505], [505, 1_010], [0, 0], [0, 0]),
-        (asynchronous, 2, zipf, Mix::YCSB_A, 1, faults, [4_894, 5_106], [5_106, 10_212], [3, 13], [0, 0]),
-        (sync, 2, zipf, Mix::YCSB_A, 1, failover, [4_894, 5_106], [32, 44], [0, 0], [4, 0]),
+        //  pauses, [failovers, redirects])
+        (asynchronous, 0, uniform, b, 1, none, [9_495, 505], [0, 0], 0, [0, 0]),
+        (asynchronous, 0, uniform, c, 1, none, [10_000, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 0, zipf, b, 1, none, [9_495, 505], [0, 0], 0, [0, 0]),
+        (asynchronous, 0, zipf, c, 1, none, [10_000, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 0, uniform, c, 24, none, [10_032, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 0, zipf, c, 24, none, [10_032, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 1, uniform, b, 1, none, [9_495, 505], [505, 505], 0, [0, 0]),
+        (asynchronous, 1, uniform, c, 1, none, [10_000, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 1, zipf, b, 1, none, [9_495, 505], [505, 505], 0, [0, 0]),
+        (asynchronous, 1, zipf, c, 1, none, [10_000, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 1, uniform, c, 24, none, [10_032, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 1, zipf, c, 24, none, [10_032, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 2, uniform, b, 1, none, [9_495, 505], [505, 1_010], 0, [0, 0]),
+        (asynchronous, 2, uniform, c, 1, none, [10_000, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 2, zipf, b, 1, none, [9_495, 505], [505, 1_010], 0, [0, 0]),
+        (asynchronous, 2, zipf, c, 1, none, [10_000, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 2, uniform, c, 24, none, [10_032, 0], [0, 0], 0, [0, 0]),
+        (asynchronous, 2, zipf, c, 24, none, [10_032, 0], [0, 0], 0, [0, 0]),
+        (sync, 1, zipf, b, 1, none, [9_495, 505], [505, 505], 0, [0, 0]),
+        (sync, 2, zipf, b, 1, none, [9_495, 505], [505, 1_010], 0, [0, 0]),
+        (asynchronous, 2, zipf, Mix::YCSB_A, 1, faults, [4_894, 5_106], [5_106, 10_212], 16, [0, 0]),
+        (sync, 2, zipf, Mix::YCSB_A, 1, failover, [4_894, 5_106], [32, 44], 0, [4, 0]),
     ];
     for (row, case) in cases.into_iter().enumerate() {
-        let (spec, replicas, dist, mix, batch, faults, counts, applied, windows, failed) = case;
+        let (spec, replicas, dist, mix, batch, faults, counts, applied, pauses, failed) = case;
         let mut cluster: ReplCluster<TicketLock> =
             ReplCluster::new(2, (KEYS / 2) as usize, 16, spec(replicas));
         let workload = WorkloadSpec {
@@ -88,7 +89,7 @@ fn replicated_sweep_replays_exact_counts() {
         assert_eq!([t.hits, t.misses], [counts[0], 0], "{case}");
         let repl_applied = cluster.replica_stats_snapshot().repl_applied - replicas as u64 * KEYS;
         assert_eq!([report.entries, repl_applied], applied, "{case}");
-        assert_eq!([report.crashes, report.stalls], windows, "{case}");
+        assert_eq!(report.pauses, pauses, "{case}");
         assert_eq!([report.failovers, report.redirects], failed, "{case}");
     }
 }

@@ -77,7 +77,7 @@ pub use conn::{batch_rounds, chase, Chase, Conn, OP_BUDGET};
 pub use node::{Admit, Hooks, NoHooks, NodeCore, SendQueue, StreamDecoder, Turn};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};
-pub use step::{block_on, enumerate, play, run, Step};
+pub use step::{block_on, enumerate, play, run, Crash, Pause, Step};
 pub use wire::{Request, Response, WireError, NO_LEADER};
 pub use workload::{
     fan_out, run_load, KeyDist, LoadReport, Mix, Op, OpStream, Tally, ValueSize, WorkloadSpec,
