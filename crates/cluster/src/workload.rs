@@ -3,11 +3,11 @@
 //! [`run_reshard`] builds a fleet sized for the *post*-split shard
 //! count, routes it through a [`ShardMap`] that initially only uses
 //! the first `shards_before` shards, and drives closed-loop client
-//! workers against it — the `ssync-srv` engine's [`fan_out`], reporting
-//! its one [`Tally`] — while a coordinator reshards the fleet live —
-//! the protocol [`run_reshard_coordinator`] runs, with the spec's
-//! seeded faults — once enough traffic has flowed. The nodes and the
-//! coordinator are the actors of one [`run`].
+//! workers against it — the `ssync-srv` engine's [`fan_out_beside`],
+//! reporting its one [`Tally`] — while a coordinator reshards the fleet
+//! live — the protocol [`run_reshard_coordinator`] runs, with the
+//! spec's seeded faults — once enough traffic has flowed. The nodes and
+//! the coordinator are the actors of one [`run`].
 //!
 //! Workers own disjoint key residues (worker `w` touches only keys
 //! `≡ w (mod workers)`), so each can keep a private `BTreeMap` model
@@ -43,7 +43,7 @@ use ssync_locks::RawLock;
 use ssync_mp::RingSender;
 use ssync_repl::OpLog;
 use ssync_srv::step::until;
-use ssync_srv::workload::{fan_out, Tally};
+use ssync_srv::workload::{fan_out_beside, Tally};
 use ssync_srv::{run, KvClient, Step};
 
 use crate::map::ShardMap;
@@ -164,62 +164,49 @@ fn reshard_with<R: RawLock + Default>(
     };
     let nodes: Vec<_> = endpoints.into_iter().enumerate().map(node).collect();
     let (store_refs, log_refs): (Vec<_>, Vec<_>) = stores.iter().zip(&logs).unzip();
-    let (nodes, coordinated, (tally, outs)) = std::thread::scope(|s| {
-        // The nodes and the coordinator live on the thread that runs
-        // them: a panic there drops them all, so the clients read them
-        // gone, and it is that panic the run re-raises.
-        let runner = s.spawn(|| {
-            let (mut nodes, mut coordinated) = (nodes, None);
-            {
-                // The coordinator: wait for the warm-up, migrate, and
-                // let the nodes exit. Workers all gone before the
-                // warm-up means one panicked: there is nothing to
-                // migrate under.
-                let mut coordinator = pin!(async {
-                    until(|| {
-                        let warmed = issued.load(Ordering::Relaxed) >= spec.start_after_ops;
-                        let gone = departed.load(Ordering::Acquire) >= spec.workers as u64;
-                        (warmed || gone).then_some(())
-                    })
-                    .await;
-                    if issued.load(Ordering::Relaxed) >= spec.start_after_ops {
-                        coordinated = Some(migrate(&map, &store_refs, &log_refs, &mig).await);
-                    }
-                    // Nothing went out on this connection before: its
-                    // `Stop` finds room at once.
-                    ClusterClient::new(&map, control_conn).close();
-                });
-                let mut actors: Vec<&mut (dyn Step + Send)> = vec![&mut coordinator];
-                actors.extend(nodes.iter_mut().map(|node| node as &mut (dyn Step + Send)));
-                run(&mut actors);
-            }
-            let report = |(core, _, node): &(_, _, ClusterNode<'_, R>)| node.report(core);
-            let nodes: Vec<NodeReport> = nodes.iter().map(report).collect();
-            (nodes, coordinated)
-        });
-        let clients = catch_unwind(AssertUnwindSafe(|| {
-            fan_out(conns, |worker, conn| {
-                let client = ClusterClient::new(&map, conn);
-                // A panicking worker still stops its client, so the nodes
-                // exit on a `Stop` rather than on noticing a departure, and
-                // still counts itself out, so the coordinator cannot wait
-                // on it forever.
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    drive_worker(&client, spec, worker as u64, &issued)
-                }));
-                let redirects = client.redirects();
-                client.close();
-                departed.fetch_add(1, Ordering::Release);
-                let (model, tally) = run.unwrap_or_else(|panic| resume_unwind(panic));
-                (tally, (model, redirects))
-            })
+    // The nodes and the coordinator live on the thread that runs them.
+    let serve = || {
+        let (mut nodes, mut coordinated) = (nodes, None);
+        {
+            // The coordinator: wait for the warm-up, migrate, and let
+            // the nodes exit. Workers all gone before the warm-up means
+            // one panicked: there is nothing to migrate under.
+            let mut coordinator = pin!(async {
+                until(|| {
+                    let warmed = issued.load(Ordering::Relaxed) >= spec.start_after_ops;
+                    let gone = departed.load(Ordering::Acquire) >= spec.workers as u64;
+                    (warmed || gone).then_some(())
+                })
+                .await;
+                if issued.load(Ordering::Relaxed) >= spec.start_after_ops {
+                    coordinated = Some(migrate(&map, &store_refs, &log_refs, &mig).await);
+                }
+                // Nothing went out on this connection before: its
+                // `Stop` finds room at once.
+                ClusterClient::new(&map, control_conn).close();
+            });
+            let mut actors: Vec<&mut (dyn Step + Send)> = vec![&mut coordinator];
+            actors.extend(nodes.iter_mut().map(|node| node as &mut (dyn Step + Send)));
+            run(&mut actors);
+        }
+        let report = |(core, _, node): &(_, _, ClusterNode<'_, R>)| node.report(core);
+        let nodes: Vec<NodeReport> = nodes.iter().map(report).collect();
+        (nodes, coordinated)
+    };
+    let ((nodes, coordinated), (tally, outs)) = fan_out_beside(serve, conns, |worker, conn| {
+        let client = ClusterClient::new(&map, conn);
+        // A panicking worker still stops its client, so the nodes exit
+        // on a `Stop` rather than on noticing a departure, and still
+        // counts itself out, so the coordinator cannot wait on it
+        // forever.
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            drive_worker(&client, spec, worker as u64, &issued)
         }));
-        let (nodes, coordinated) = runner.join().unwrap_or_else(|panic| resume_unwind(panic));
-        (
-            nodes,
-            coordinated,
-            clients.unwrap_or_else(|panic| resume_unwind(panic)),
-        )
+        let redirects = client.redirects();
+        client.close();
+        departed.fetch_add(1, Ordering::Release);
+        let (model, tally) = run.unwrap_or_else(|panic| resume_unwind(panic));
+        (tally, (model, redirects))
     });
     let migration = coordinated.expect("the warm-up ends before the workers do");
 

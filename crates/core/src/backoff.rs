@@ -388,8 +388,11 @@ impl RetryPacer {
         {
             // Under the checker a pause is one model yield, and the
             // deadline check keeps its real-time meaning (the checker
-            // never stalls a clock), so retry loops stay bounded.
+            // never stalls a clock), so retry loops stay bounded. It
+            // pends once, until the clock's next tick: a stepped driver
+            // moves its clock only between polls.
             model_yield();
+            clock::sleep_until(clock::now_ns() + 1).await;
             !self.expired()
         }
         #[cfg(not(ssync_chk))]

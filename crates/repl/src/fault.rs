@@ -10,14 +10,15 @@
 //!
 //! A node carries none of this. The driver that moves it
 //! ([`ssync_srv::step`]) applies the plans between its moves, each
-//! trigger reading only what the group published: a backup's window
-//! (either kind, [`FaultKind::Stall`] or [`FaultKind::Crash`]) is a
-//! [`Pause`](ssync_srv::Pause) of `window` rounds, opening once the hwm
-//! the backup published reaches the entry before the window's first; a
+//! trigger reading the map and the node's own state, never the time: a
+//! backup's window (either kind, [`FaultKind::Stall`] or
+//! [`FaultKind::Crash`]) is a [`Pause`](ssync_srv::Pause) of `window`
+//! rounds, opening once the hwm the backup published reaches the entry
+//! before the window's first, unless it leads by then; a
 //! [`FaultKind::PrimaryCrash`] is a [`Crash`](ssync_srv::Crash) of the
-//! leader, once the op-log's last settle is that leader's, of the
-//! scheduled entry. A paused backup does nothing and resumes where it
-//! stopped, so a window of any length ends by itself, in either mode.
+//! leader, once the reply to the write of the scheduled entry went out.
+//! A paused backup does nothing and resumes where it stopped, so a
+//! window of any length ends by itself, in either mode.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

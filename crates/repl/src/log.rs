@@ -138,8 +138,6 @@ impl LogEntry {
 pub struct OpLog {
     entries: Mutex<VecDeque<LogEntry>>,
     capacity: usize,
-    /// The node that last released a write's reply, and its version.
-    settled: Mutex<Option<(usize, u64)>>,
 }
 
 impl OpLog {
@@ -153,7 +151,6 @@ impl OpLog {
         OpLog {
             entries: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
             capacity,
-            settled: Mutex::new(None),
         }
     }
 
@@ -204,21 +201,6 @@ impl OpLog {
         let mut entries = self.entries.lock().expect("op-log poisoned");
         let keep_from = entries.partition_point(|e| e.version <= version);
         entries.drain(..keep_from);
-    }
-
-    /// A replication leader, node `node`, has settled the write at
-    /// `version` — its reply goes out — and `acked` is the lowest
-    /// version every live follower applied: records the settle and
-    /// truncates through `acked`.
-    pub fn settle(&self, node: usize, version: u64, acked: u64) {
-        *self.settled.lock().expect("op-log poisoned") = Some((node, version));
-        self.truncate_through(acked);
-    }
-
-    /// The last [`OpLog::settle`]: which node released the reply to
-    /// which version, if any did.
-    pub fn settled(&self) -> Option<(usize, u64)> {
-        *self.settled.lock().expect("op-log poisoned")
     }
 
     /// Number of retained entries.

@@ -729,9 +729,9 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
 
     /// The settle rule: a write's reply is owed until every live
     /// follower has published its version (sync), or until none trails
-    /// the log by more than the lag bound (async). Settling is recorded
-    /// in the log ([`OpLog::settle`]), which it truncates through the
-    /// ack — nothing a live follower may still need to replay.
+    /// the log by more than the lag bound (async). Settling truncates
+    /// the log through the ack — nothing a live follower may still need
+    /// to replay.
     fn reply_owed(&mut self) -> bool {
         let Some(version) = self.owed else {
             return false;
@@ -742,7 +742,7 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
             ReplMode::Async { max_lag } => log.outstanding_after(acked) as u64 <= max_lag,
         };
         if settled {
-            log.settle(self.follower.report.node, version, acked);
+            log.truncate_through(acked);
             self.owed = None;
         }
         !settled
@@ -1000,26 +1000,23 @@ type Node<'a, R> = (
     ReplNode<'a, R>,
 );
 
-/// When the driver crashes node `me`: once the map names it leader and
-/// the log's last settle is its own, of an entry `cfg.crash_plan`
-/// names — right after the reply to the write that produced that entry
-/// went out, before its next move.
-fn crash_due<'a>(
-    log: &'a OpLog,
-    map: &'a ClusterMap,
-    me: usize,
-    cfg: &NodeConfig,
-) -> impl Fn() -> bool + Send + 'a {
-    let (plan, shard, base) = (cfg.crash_plan.clone(), cfg.shard, cfg.initial_hwm);
-    move || {
-        let due = |(by, at)| by == me && plan.events().iter().any(|e| base + e.at_entry == at);
-        !plan.is_empty() && map.view(shard).leader == Some(me) && log.settled().is_some_and(due)
-    }
+/// When the driver crashes `node`: while it leads, once the reply to
+/// the write that produced an entry of its `crash_plan` went out —
+/// before its next move. A version past the hwm it was promoted at is
+/// one it wrote, not one it replayed, so a successor does not die of
+/// its predecessor's entry.
+fn crash_due<R: RawLock + Default>(node: &ReplNode<'_, R>) -> bool {
+    let (report, cfg) = (&node.follower.report, &node.cfg);
+    let due = |e: &FaultEvent| cfg.initial_hwm + e.at_entry == report.last_version;
+    let wrote = node.leading && node.owed.is_none() && report.last_version > report.hwm;
+    wrote && cfg.crash_plan.events().iter().any(due)
 }
 
 /// When the driver pauses node `me`, and for how many rounds: each
 /// window of `cfg.backup_plan` in turn, once the hwm the node published
-/// reaches the entry before the window's first, for its length.
+/// reaches the entry before the window's first, for its length — while
+/// the map does not name it leader: a leader takes no windows, not even
+/// those its promotion's replay passed.
 fn pause_due<'a>(
     map: &'a ClusterMap,
     me: usize,
@@ -1028,7 +1025,9 @@ fn pause_due<'a>(
     let (plan, shard, base) = (cfg.backup_plan.clone(), cfg.shard, cfg.initial_hwm);
     let mut next = 0;
     move || {
-        let reached = |e: &&FaultEvent| map.hwm_of(shard, me) + 1 >= base + e.at_entry;
+        let reached = |e: &&FaultEvent| {
+            map.hwm_of(shard, me) + 1 >= base + e.at_entry && map.view(shard).leader != Some(me)
+        };
         let event = plan.events().get(next).filter(reached);
         next += usize::from(event.is_some());
         event.map_or(0, |e| e.window as usize)
@@ -1050,10 +1049,9 @@ pub(crate) fn driven<'a, R: RawLock + Default>(
     Crash<Node<'a, R>, NodeReport, impl FnMut(&Node<'a, R>) -> Option<NodeReport> + Send + 'a>,
     impl FnMut() -> usize + Send + 'a,
 > {
-    let me = endpoint.node();
-    let (crashes, pauses) = (crash_due(log, map, me, &cfg), pause_due(map, me, &cfg));
+    let pauses = pause_due(map, endpoint.node(), &cfg);
     let (core, node) = ReplNode::new(store, log, map, endpoint, cfg);
-    let crash = move |(core, _, node): &Node<'a, R>| crashes().then(|| node.report(core));
+    let crash = |(core, _, node): &Node<'a, R>| crash_due(node).then(|| node.report(core));
     Pause::new(Crash::new((core, store, node), crash), pauses)
 }
 
@@ -1073,7 +1071,8 @@ pub(crate) fn report_of<R: RawLock + Default, C, P>(
 /// [`run`] over the one node, [`Pause`]d at each window of
 /// `cfg.backup_plan` and [`Crash`]ed at a leader death of
 /// `cfg.crash_plan` (see [`crate::fault`]). A crashed node returns the
-/// report it had at its death.
+/// report it had at its death. A node with no fault planned runs bare:
+/// no trigger is asked before its moves.
 ///
 /// The node follows the [`ClusterMap`]: while the map names it leader
 /// it serves writes, streams entries, and owes each write's reply until
@@ -1092,6 +1091,12 @@ pub fn serve_node<R: RawLock + Default>(
     endpoint: NodeEndpoint,
     cfg: NodeConfig,
 ) -> NodeReport {
+    if cfg.backup_plan.is_empty() && cfg.crash_plan.is_empty() {
+        let (core, node) = ReplNode::new(store, log, map, endpoint, cfg);
+        let mut node = (core, store, node);
+        run(&mut [&mut node]);
+        return node.2.report(&node.0);
+    }
     let mut node = driven(store, log, map, endpoint, cfg);
     run(&mut [&mut node]);
     report_of(&node)
@@ -1982,13 +1987,14 @@ mod tests {
     /// Shard 0 of `cluster` as its [`driven`] nodes — node `n` paused
     /// on `backup[n]`, every node crashed on `crash` — and `clients`
     /// clients handed to `ops`, which stops them, all moved by [`play`]
-    /// round-robin for at most 10 000 rounds. Each node's report and
-    /// pauses, and whether every actor exited.
+    /// as `prefix` names them (`ops` after the nodes), then round-robin
+    /// for at most 10 000 rounds. Each node's report and pauses, and
+    /// whether every actor exited.
     fn play_driven(
         cluster: &ReplCluster<TicketLock>,
-        backup: &[FaultPlan],
-        crash: &FaultPlan,
+        (backup, crash): (&[FaultPlan], &FaultPlan),
         clients: usize,
+        prefix: &[usize],
         ops: impl AsyncFnOnce(Vec<ReplClient>),
     ) -> (Vec<(NodeReport, u64)>, bool) {
         let map = cluster.map();
@@ -2006,7 +2012,7 @@ mod tests {
         let mut ops = pin!(ops(clients));
         let mut actors: Vec<&mut dyn Step> = nodes.iter_mut().map(|n| n as &mut dyn Step).collect();
         actors.push(&mut ops);
-        let shut_down = play(&mut actors, &[], 10_000);
+        let shut_down = play(&mut actors, prefix, 10_000);
         let reports = nodes.iter().map(|n| (report_of(n), n.pauses)).collect();
         (reports, shut_down)
     }
@@ -2034,11 +2040,6 @@ mod tests {
         }
     }
 
-    /// Not under `--cfg ssync_chk`, where a retry pause is one model
-    /// yield rather than a wait on `play`'s clock: a client waiting out
-    /// the vacancy would spin inside one poll, and `play` could never
-    /// move the paused follower.
-    #[cfg(not(ssync_chk))]
     #[test]
     fn stale_reads_opt_in_serves_a_leaderless_shard() {
         // An observer follower can never be promoted, so one leader
@@ -2058,42 +2059,43 @@ mod tests {
         cluster.map().set_observer(0, 1);
         let plans = [FaultPlan::none(), one_pause(3, 200)];
         let crash = FaultPlan::primary_crashes(vec![5]);
-        let (reports, shut_down) = play_driven(&cluster, &plans, &crash, 2, async |mut clients| {
-            let strict = clients.pop().unwrap();
-            let strict = strict.with_deadline(Duration::from_millis(100));
-            let stale = clients.pop().unwrap().with_stale_reads();
-            let stale = stale.with_deadline(Duration::from_millis(200));
-            for key in 0..5u64 {
-                let version = set(&stale, key).await;
-                // Async replication promises no follower progress:
-                // wait until it has applied the first two.
-                let applied = || (key != 1 || stale.map.hwm_of(0, 1) >= version).then_some(());
-                ssync_srv::step::until(applied).await;
-            }
-            // The fifth write killed the leader; the follower, paused
-            // at entry 3 with its hwm at entry 2, is an observer and
-            // will never be promoted. The floor-guarded read bounces,
-            // the leader is gone, and the stale path serves what the
-            // follower has applied.
-            let (_, value) = stale
-                .read(0)
-                .await
-                .unwrap()
-                .expect("applied before the pause");
-            assert_eq!(value, vec![0u8; 4]);
-            assert!(
-                stale.stale_served() > 0,
-                "the read must have taken the floor-free stale path"
-            );
-            let void = Request::Set {
-                key: 9,
-                value: b"void".to_vec(),
-            };
-            let err = strict.exchange(9, &void).await.unwrap_err();
-            assert!(matches!(err, WireError::Disconnected | WireError::Deadline));
-            stale.mesh.send_stop().await;
-            strict.mesh.send_stop().await;
-        });
+        let (reports, shut_down) =
+            play_driven(&cluster, (&plans, &crash), 2, &[], async |mut clients| {
+                let strict = clients.pop().unwrap();
+                let strict = strict.with_deadline(Duration::from_millis(100));
+                let stale = clients.pop().unwrap().with_stale_reads();
+                let stale = stale.with_deadline(Duration::from_millis(200));
+                for key in 0..5u64 {
+                    let version = set(&stale, key).await;
+                    // Async replication promises no follower progress:
+                    // wait until it has applied the first two.
+                    let applied = || (key != 1 || stale.map.hwm_of(0, 1) >= version).then_some(());
+                    ssync_srv::step::until(applied).await;
+                }
+                // The fifth write killed the leader; the follower, paused
+                // at entry 3 with its hwm at entry 2, is an observer and
+                // will never be promoted. The floor-guarded read bounces,
+                // the leader is gone, and the stale path serves what the
+                // follower has applied.
+                let (_, value) = stale
+                    .read(0)
+                    .await
+                    .unwrap()
+                    .expect("applied before the pause");
+                assert_eq!(value, vec![0u8; 4]);
+                assert!(
+                    stale.stale_served() > 0,
+                    "the read must have taken the floor-free stale path"
+                );
+                let void = Request::Set {
+                    key: 9,
+                    value: b"void".to_vec(),
+                };
+                let err = strict.exchange(9, &void).await.unwrap_err();
+                assert!(matches!(err, WireError::Disconnected | WireError::Deadline));
+                stale.mesh.send_stop().await;
+                strict.mesh.send_stop().await;
+            });
         assert!(shut_down, "the observer exits once its clients are gone");
         assert_eq!(reports[1].1, 1, "the observer was paused");
         assert!(cluster.map().is_dead(0, 0));
@@ -2103,9 +2105,7 @@ mod tests {
     /// follower is paused from its first entry while the leader takes
     /// writes, and a seeded crash kills the leader. The survivor
     /// promotes and replays the log tail it missed, keeps every
-    /// acknowledged write, and a second run gives the same reports. Not
-    /// under `--cfg ssync_chk`, for the reason the test above gives.
-    #[cfg(not(ssync_chk))]
+    /// acknowledged write, and a second run gives the same reports.
     #[test]
     fn a_seeded_leader_crash_replays_from_the_log_the_same_every_run() {
         let faults = FaultSpec {
@@ -2120,12 +2120,13 @@ mod tests {
                 faults.primary_plan_for(0),
             );
             let mut acknowledged = Vec::new();
-            let (reports, shut_down) = play_driven(&cluster, &plans, &crash, 1, async |clients| {
-                for key in 1..=16 {
-                    acknowledged.push((key, set(&clients[0], key).await));
-                }
-                clients[0].mesh.send_stop().await;
-            });
+            let (reports, shut_down) =
+                play_driven(&cluster, (&plans, &crash), 1, &[], async |clients| {
+                    for key in 1..=16 {
+                        acknowledged.push((key, set(&clients[0], key).await));
+                    }
+                    clients[0].mesh.send_stop().await;
+                });
             assert!(shut_down);
             acknowledged_everywhere(&cluster, &acknowledged).unwrap();
             assert!(cluster.map().is_dead(0, 0) && cluster.converged());
@@ -2140,6 +2141,32 @@ mod tests {
             "the survivor replayed nothing: {survivor:?}"
         );
         assert_eq!(first, run(), "the run replays");
+    }
+
+    /// A window the promotion's replay passes is not taken: the leader
+    /// and the client move alone until the leader has died at entry 6;
+    /// promoted, the follower replays past its window at entry 3 and
+    /// serves on as leader instead of pausing.
+    #[test]
+    fn a_window_passed_by_the_promotion_replay_pauses_no_leader() {
+        let cluster = ReplCluster::new(1, 64, 8, ReplSpec::async_bounded(1));
+        let plans = [FaultPlan::none(), one_pause(3, 5_000)];
+        let crash = FaultPlan::primary_crashes(vec![6]);
+        let leader_and_client = [0, 2].repeat(40);
+        let mut acknowledged = Vec::new();
+        let faults = (&plans[..], &crash);
+        let (reports, shut_down) =
+            play_driven(&cluster, faults, 1, &leader_and_client, async |c| {
+                for key in 1..=12 {
+                    acknowledged.push((key, set(&c[0], key).await));
+                }
+                c[0].mesh.send_stop().await;
+            });
+        assert!(shut_down);
+        let (survivor, pauses) = reports[1];
+        assert_eq!((survivor.promotions, survivor.from_log), (1, 6));
+        assert_eq!(pauses, 0, "the leader took its window");
+        acknowledged_everywhere(&cluster, &acknowledged).unwrap();
     }
 
     /// A follower paused past the async lag bound is slow, not dead:
@@ -2158,8 +2185,12 @@ mod tests {
         let (map, log) = (cluster.map(), cluster.log(0));
         let plans = [FaultPlan::none(), one_pause(1, 200)];
         let mut acknowledged = Vec::new();
-        let (reports, shut_down) =
-            play_driven(&cluster, &plans, &FaultPlan::none(), 1, async |clients| {
+        let (reports, shut_down) = play_driven(
+            &cluster,
+            (&plans, &FaultPlan::none()),
+            1,
+            &[],
+            async |clients| {
                 for key in 1..=3 * MAX_LAG {
                     acknowledged.push((key, set(&clients[0], key).await));
                     let trails = log.outstanding_after(map.hwm_of(0, 1)) as u64;
@@ -2170,7 +2201,8 @@ mod tests {
                     assert!(!map.is_dead(0, 1));
                 }
                 clients[0].mesh.send_stop().await;
-            });
+            },
+        );
         assert!(shut_down);
         assert_eq!(reports[1].1, 1, "the follower was paused");
         assert_eq!(reports[1].0.applied, 3 * MAX_LAG);
@@ -2614,7 +2646,7 @@ mod tests {
             if acked < version {
                 return true;
             }
-            (node.follower.log).settle(node.follower.report.node, version, acked);
+            node.follower.log.truncate_through(acked);
             node.owed = None;
             false
         }
@@ -2670,10 +2702,11 @@ mod tests {
                     ..cluster.node_config(0, n, &FaultSpec::none())
                 };
                 let (store, log) = (cluster.node_store(0, n), cluster.log(0));
-                let crashes = crash_due(log, map, n, &cfg);
                 let (core, node) = ReplNode::new(store, log, map, endpoint, cfg);
                 let node = (core, store, Stepped { node, twin });
-                Crash::new(node, move |_: &(_, _, _)| crashes().then_some(()))
+                Crash::new(node, |(_, _, s): &(_, _, Stepped<'_>)| {
+                    crash_due(&s.node).then_some(())
+                })
             })
             .collect();
         (nodes, clients.pop().unwrap())

@@ -1,10 +1,10 @@
 //! The replicated closed-loop driver: the `ssync-srv` workload engine
 //! (seeded key distributions, YCSB mixes, deterministic op streams,
-//! the sequential [`drive_worker`] and the [`fan_out`] of client
-//! threads) pointed at a replication group, plus deterministic fault
-//! injection. This module owns only the server side: the nodes, one
-//! [`run`] over all of them, applying their faults, and what they
-//! report.
+//! the sequential [`drive_worker`] and the client threads
+//! [`fan_out_beside`] the nodes) pointed at a replication group, plus
+//! deterministic fault injection. This module owns only the server
+//! side: the nodes, one [`run`] over all of them, applying their
+//! faults, and what they report.
 //!
 //! Issued op counts are a pure function of `(spec, workers,
 //! ops_per_worker)` exactly as in the unreplicated driver, and fault
@@ -15,12 +15,11 @@
 //! (equal high-water marks make the promotion tie-break — lowest live
 //! id — deterministic).
 
-use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
 
 use ssync_locks::RawLock;
 use ssync_srv::run;
-use ssync_srv::workload::{drive_worker, fan_out, OpStream, Tally, WorkloadSpec};
+use ssync_srv::workload::{drive_worker, fan_out_beside, OpStream, Tally, WorkloadSpec};
 
 use crate::fault::FaultSpec;
 use crate::service::{driven, repl_mesh, report_of, NodeEndpoint, NodeReport, ReplCluster};
@@ -113,34 +112,25 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
     };
     let endpoints = node_endpoints.into_iter().enumerate();
     let endpoints = endpoints.flat_map(|(shard, group)| group.into_iter().map(move |e| (shard, e)));
-    let nodes: Vec<_> = endpoints.map(node).collect();
+    let mut nodes: Vec<_> = endpoints.map(node).collect();
 
     let start = Instant::now();
-    let (nodes, (tally, client_stats)) = std::thread::scope(|s| {
-        // The nodes live on the thread that runs them: a panic there
-        // drops them all, and the clients read them gone.
-        let runner = s.spawn(move || {
-            let mut nodes = nodes;
-            run(&mut nodes.iter_mut().collect::<Vec<_>>());
-            let report = |node: &_| (report_of(node), node.pauses);
-            nodes.iter().map(report).collect::<Vec<_>>()
-        });
-        let clients = fan_out(clients, |worker, client| {
-            let tally = drive_worker(&client, OpStream::new(spec, worker as u64), ops_per_worker);
-            let stats = [
-                client.replica_serves(),
-                client.fallbacks(),
-                client.redirects(),
-                client.lost_to_retry(),
-                client.stale_served(),
-            ];
-            client.close();
-            (tally, stats)
-        });
-        (
-            runner.join().unwrap_or_else(|panic| resume_unwind(panic)),
-            clients,
-        )
+    let serve = move || {
+        run(&mut nodes.iter_mut().collect::<Vec<_>>());
+        let report = |node: &_| (report_of(node), node.pauses);
+        nodes.iter().map(report).collect::<Vec<_>>()
+    };
+    let (nodes, (tally, client_stats)) = fan_out_beside(serve, clients, |worker, client| {
+        let tally = drive_worker(&client, OpStream::new(spec, worker as u64), ops_per_worker);
+        let stats = [
+            client.replica_serves(),
+            client.fallbacks(),
+            client.redirects(),
+            client.lost_to_retry(),
+            client.stale_served(),
+        ];
+        client.close();
+        (tally, stats)
     });
     let wall = start.elapsed();
 

@@ -2,7 +2,7 @@
 //! YCSB-style zipfian), read/write mix presets, value-size
 //! distributions, the sequential closed loop every driver's workers run
 //! ([`drive_worker`]), the worker fan-out the drivers share
-//! ([`fan_out`]), and [`run_load`], the closed loop over the plain
+//! ([`fan_out`], and [`fan_out_beside`] their nodes), and [`run_load`], the closed loop over the plain
 //! service. Every driver reports one [`Tally`].
 //!
 //! Everything is a pure function of `(spec.seed, worker index)`: the
@@ -21,6 +21,7 @@
 //! on this stack are `benchmark/`'s to measure, with its own generator
 //! and clock; this engine drives the stacks for the tests and examples.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -483,13 +484,29 @@ pub fn fan_out<C: Send, X: Send>(
         let mut total = Tally::default();
         let mut outs = Vec::with_capacity(handles.len());
         for handle in handles {
-            let (tally, out) = handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            let (tally, out) = handle.join().unwrap_or_else(|panic| resume_unwind(panic));
             total = total.merge(&tally);
             outs.push(out);
         }
         (total, outs)
+    })
+}
+
+/// [`fan_out`] beside `serve`, which owns and [`run`]s a driver's nodes
+/// on a thread of its own; returns both results. A panic in `serve`
+/// drops the nodes it owns, so the clients read them gone instead of
+/// waiting on them, and it is re-raised ahead of any client panic that
+/// followed from it.
+pub fn fan_out_beside<T: Send, C: Send, X: Send>(
+    serve: impl FnOnce() -> T + Send,
+    clients: impl IntoIterator<Item = C>,
+    work: impl Fn(usize, C) -> (Tally, X) + Sync,
+) -> (T, (Tally, Vec<X>)) {
+    std::thread::scope(|s| {
+        let runner = s.spawn(serve);
+        let clients = catch_unwind(AssertUnwindSafe(|| fan_out(clients, work)));
+        let served = runner.join().unwrap_or_else(|panic| resume_unwind(panic));
+        (served, clients.unwrap_or_else(|panic| resume_unwind(panic)))
     })
 }
 
@@ -540,13 +557,11 @@ pub fn run_load<R: RawLock + Default>(
     let shard = |(s, endpoint)| (NodeCore::new(endpoint), router.shard(s), NoHooks);
     let mut nodes: Vec<_> = endpoints.into_iter().enumerate().map(shard).collect();
     let start = Instant::now();
-    let (tally, _) = std::thread::scope(|s| {
-        s.spawn(|| run(&mut nodes.iter_mut().collect::<Vec<_>>()));
-        fan_out(clients, |worker, client| {
-            let tally = drive_worker(&client, OpStream::new(spec, worker as u64), ops_per_worker);
-            client.close();
-            (tally, ())
-        })
+    let serve = move || run(&mut nodes.iter_mut().collect::<Vec<_>>());
+    let ((), (tally, _)) = fan_out_beside(serve, clients, |worker, client| {
+        let tally = drive_worker(&client, OpStream::new(spec, worker as u64), ops_per_worker);
+        client.close();
+        (tally, ())
     });
     LoadReport {
         tally,
@@ -559,6 +574,26 @@ pub fn run_load<R: RawLock + Default>(
 mod tests {
     use super::*;
     use ssync_locks::TicketLock;
+    use std::sync::mpsc;
+
+    /// The runner's panic is the one re-raised, not the panic of the
+    /// client that read the runner's peer end gone.
+    #[test]
+    fn a_runner_panic_is_re_raised_ahead_of_the_clients_it_broke() {
+        let (tx, rx) = mpsc::channel::<()>();
+        let serve = move || {
+            let _node = tx;
+            panic!("the node died");
+        };
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            fan_out_beside(serve, [rx], |_, rx| {
+                rx.recv().expect("the client saw the node gone");
+                (Tally::default(), ())
+            })
+        }));
+        let raised = run.expect_err("a run whose runner panicked returned");
+        assert_eq!(raised.downcast_ref::<&str>(), Some(&"the node died"));
+    }
 
     #[test]
     fn streams_are_deterministic_per_worker() {
