@@ -62,7 +62,7 @@ use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, RingReceiver, RingSender};
 use ssync_repl::{EntryView, LogEntry, OpLog};
-use ssync_srv::service::{ring_mesh, ReadHit, ServeReport, ServerEndpoint};
+use ssync_srv::service::{ring_mesh, ServeReport, ServerEndpoint};
 use ssync_srv::wire::{Request, Response, WireError};
 use ssync_srv::{
     block_on, chase, run, slot_of, Admit, Chase, Conn, Hooks, KvClient, NodeCore, ServiceClient,
@@ -114,7 +114,7 @@ pub fn cluster_mesh(shards: usize, clients: usize, depth: usize, mig_depth: usiz
 /// What one cluster node did before all its clients stopped.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NodeReport {
-    /// Request messages served (a multi-get head counts once).
+    /// Request messages served.
     pub requests: u64,
     /// Key-operations executed.
     pub key_ops: u64,
@@ -480,13 +480,6 @@ impl KvClient for ClusterClient<'_> {
         let mut budget = RetryPacer::new(OP_BUDGET, key);
         let (_, response) = chase(&owner, request, &mut budget).await?;
         Ok(response)
-    }
-
-    /// Key-by-key under elastic routing: a batch frame can only target
-    /// one node, and mid-migration the members of a batch may be owned
-    /// by different nodes under different epochs.
-    fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
-        keys.iter().map(|&key| self.get(key)).collect()
     }
 }
 

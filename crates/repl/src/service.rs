@@ -77,10 +77,8 @@
 //!   queued ([`SendQueue`]) and goes out first on the node's next
 //!   turns, in order — so nodes sharing one worker cannot wait on each
 //!   other, nor on a client that is draining another node;
-//! * clients keep at most one request in flight per shard and drain
-//!   shards in index order — one global order shared by every client,
-//!   so the waits-for graph over bounded reply channels cannot close a
-//!   cycle;
+//! * a client keeps at most one request in flight, so the waits-for
+//!   graph over bounded reply channels cannot close a cycle;
 //! * every client receive and send is a connected, pending poll
 //!   ([`Conn`]): a dead node surfaces as [`WireError::Disconnected`]
 //!   after the ring's surviving backlog is drained, never as a hang.
@@ -105,10 +103,10 @@ use ssync_srv::router::{key_bytes, shard_of, ShardRouter};
 use ssync_srv::service::{
     ring_mesh, KvClient, ReadHit, ServeReport, ServerEndpoint, ServiceClient,
 };
-use ssync_srv::wire::{Request, Response, WireError, MGET_MAX, NO_LEADER, REPL_MGET_MAX};
+use ssync_srv::wire::{Request, Response, WireError, NO_LEADER};
 use ssync_srv::{
-    batch_rounds, block_on, chase, run, Chase, Conn, Crash, Hooks, NodeCore, Pause, SendQueue,
-    StreamDecoder, Turn, OP_BUDGET,
+    block_on, chase, run, Chase, Conn, Crash, Hooks, NodeCore, Pause, SendQueue, StreamDecoder,
+    Turn, OP_BUDGET,
 };
 
 use crate::cluster::{ClusterMap, ShardView};
@@ -322,9 +320,9 @@ impl<R: RawLock + Default> ReplCluster<R> {
     }
 }
 
-/// Ring depth of client request/reply connections. A bulk reply at
-/// typical value sizes (≤ ~3 frames per key × [`REPL_MGET_MAX`] keys)
-/// fits whole; the rest of a longer one waits in the node's queue.
+/// Ring depth of client request/reply connections: deeper than the
+/// longest value reply (19 frames, a 1 KiB value), which then goes out
+/// whole in the turn that serves it.
 const CONN_DEPTH: usize = 256;
 
 /// Ring depth of the leader→follower replication stream: an async
@@ -425,9 +423,18 @@ pub fn repl_mesh(
     map: &Arc<ClusterMap>,
     clients: usize,
 ) -> (Vec<Vec<NodeEndpoint>>, Vec<ReplClient>) {
+    mesh_at(map, clients, CONN_DEPTH)
+}
+
+/// [`repl_mesh`] over client rings of `depth` slots.
+pub(crate) fn mesh_at(
+    map: &Arc<ClusterMap>,
+    clients: usize,
+    depth: usize,
+) -> (Vec<Vec<NodeEndpoint>>, Vec<ReplClient>) {
     let shards = map.num_shards();
     let nodes = map.nodes_per_shard();
-    let (client_eps, meshes) = ring_mesh(shards * nodes, clients, CONN_DEPTH);
+    let (client_eps, meshes) = ring_mesh(shards * nodes, clients, depth);
     let mut client_eps = client_eps.into_iter();
     let endpoints = (0..shards)
         .map(|_| {
@@ -799,25 +806,20 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
     }
 
     /// Replica reads are served by any node — the leader is always
-    /// fresh enough, a follower checks its floor — and one `Stale`
-    /// answers a whole batch. Writes and authoritative reads
-    /// belong to the leader, and the bounce is per *request*: one
-    /// `WrongLeader` answers a whole multi-get. Node-to-node frames on a
-    /// client connection go on to the core, which refuses them in any
-    /// role.
+    /// fresh enough, a follower checks its floor and answers `Stale`
+    /// below it. Writes and authoritative reads belong to the leader: a
+    /// follower answers `WrongLeader`. Node-to-node frames on a client
+    /// connection go on to the core, which refuses them in any role.
     fn gate(&mut self, request: Request) -> Result<Request, Response> {
         let report = &mut self.follower.report;
         let freshness = report.hwm.max(report.last_version);
         match request {
-            Request::ReplGet { floor, .. } | Request::ReplMultiGet { floor, .. }
-                if freshness < floor =>
-            {
+            Request::ReplGet { floor, .. } if freshness < floor => {
                 report.refused_reads += 1;
                 Err(Response::Stale { hwm: freshness })
             }
             // A replica read that passed the guard is a plain read.
             Request::ReplGet { key, .. } => Ok(Request::Get { key }),
-            Request::ReplMultiGet { keys, .. } => Ok(Request::MultiGet { keys }),
             Request::Replicate { .. } | Request::ReplicateDelete { .. } => Ok(request),
             _ if !self.leading => {
                 report.wrong_leader += 1;
@@ -1258,34 +1260,8 @@ impl ReplClient {
         Ok((node, self.observed(shard, response)))
     }
 
-    /// Authoritatively fetches `positions` through the leader chase,
-    /// in [`MGET_MAX`]-sized slices.
-    async fn fetch_from_leader(
-        &self,
-        shard: usize,
-        positions: &[usize],
-        keys: &[u64],
-        results: &mut [ReadHit],
-    ) -> Result<(), WireError> {
-        for slice in positions.chunks(MGET_MAX) {
-            let batch: Vec<u64> = slice.iter().map(|&p| keys[p]).collect();
-            let request = Request::MultiGet { keys: batch };
-            let (leader, first) = (self.at_leader(shard, &request, &mut self.budget())).await?;
-            results[slice[0]] = first.into_read("MultiGet")?;
-            // The tail comes from the leader that just answered. It
-            // cannot die inside the tail (a scheduled crash only
-            // follows a *write*, and responses are emitted whole
-            // between requests), so a disconnect here is an error.
-            for &pos in &slice[1..] {
-                let response = self.conn(shard, leader).recv().await?;
-                results[pos] = self.observed(shard, response).into_read("MultiGet")?;
-            }
-        }
-        Ok(())
-    }
-
     /// The body of [`KvClient::get`]: see there.
-    async fn read(&self, key: u64) -> Result<ReadHit, WireError> {
+    pub(crate) async fn read(&self, key: u64) -> Result<ReadHit, WireError> {
         let shard = shard_of(key, self.shards.len());
         let mut budget = self.budget();
         let mut last_err = None;
@@ -1349,103 +1325,6 @@ impl ReplClient {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// The body of [`KvClient::get_many`]: see there.
-    async fn fetch_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
-        let many_nodes = self.map.nodes_per_shard() > 1;
-        let chunk_size = if many_nodes { REPL_MGET_MAX } else { MGET_MAX };
-        let mut results: Vec<ReadHit> = vec![None; keys.len()];
-        batch_rounds(keys, self.shards.len(), chunk_size, async |chunks| {
-            // Send phase: pipeline one chunk per shard. A chunk goes to
-            // a live follower as a floor-guarded `ReplMultiGet`, or —
-            // all followers dead, and small enough for one `MultiGet` —
-            // to the leader; `None` marks a chunk not sent (leaderless,
-            // oversized, or the target died under the send).
-            let mut inflight = Vec::new();
-            for (shard, &chunk) in chunks.iter().enumerate() {
-                if chunk.is_empty() {
-                    continue;
-                }
-                let batch: Vec<u64> = chunk.iter().map(|&p| keys[p]).collect();
-                let target = self.shard_view(shard).leader.and_then(|leader| {
-                    match self.pick_live(shard, Some(leader)) {
-                        Some(follower) => Some((follower, false)),
-                        None => (chunk.len() <= MGET_MAX).then_some((leader, true)),
-                    }
-                });
-                let mut sent = None;
-                if let Some((node, at_leader)) = target {
-                    let request = if at_leader {
-                        Request::MultiGet { keys: batch }
-                    } else {
-                        let floor = self.shards[shard].floor.get();
-                        Request::ReplMultiGet { keys: batch, floor }
-                    };
-                    let delivered = self.conn(shard, node).send(&request).await.is_ok();
-                    sent = target.filter(|_| delivered);
-                }
-                inflight.push((shard, chunk, sent));
-            }
-            // Drain phase, in shard order. The first response answers
-            // for the whole chunk: a node emits `Stale` or `WrongLeader`
-            // as one response per *request*, and a node
-            // that answered the head at all has already queued the
-            // rest (responses are emitted between requests).
-            let mut deferred: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (shard, chunk, sent) in inflight {
-                let Some((node, at_leader)) = sent else {
-                    deferred.push((shard, chunk.to_vec()));
-                    continue;
-                };
-                let conn = self.conn(shard, node);
-                let ctx = if at_leader {
-                    "MultiGet"
-                } else {
-                    "ReplMultiGet"
-                };
-                match conn.recv().await {
-                    Err(WireError::Disconnected) => {
-                        Self::bump(&self.lost_to_retry, u64::from(at_leader));
-                        self.refresh_view(shard);
-                    }
-                    Err(e) => return Err(e),
-                    Ok(Response::Stale { .. }) if !at_leader => Self::bump(&self.fallbacks, 1),
-                    Ok(first) if at_leader && self.note_redirect(shard, &first) => {}
-                    Ok(first) => {
-                        if !at_leader {
-                            Self::bump(&self.replica_serves, chunk.len() as u64);
-                        }
-                        results[chunk[0]] = self.observed(shard, first).into_read(ctx)?;
-                        // Positions left unread when the node dies
-                        // mid-chunk are deferred to the leader path.
-                        for (i, &pos) in chunk.iter().enumerate().skip(1) {
-                            match conn.recv().await {
-                                Ok(response) => {
-                                    results[pos] = self.observed(shard, response).into_read(ctx)?;
-                                }
-                                Err(WireError::Disconnected) => {
-                                    self.refresh_view(shard);
-                                    deferred.push((shard, chunk[i..].to_vec()));
-                                    break;
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        continue;
-                    }
-                }
-                deferred.push((shard, chunk.to_vec()));
-            }
-            // Fix-up pass: everything that missed the pipelined round
-            // re-fetches authoritatively, with retries and redirects.
-            for (shard, positions) in deferred {
-                (self.fetch_from_leader(shard, &positions, keys, &mut results)).await?;
-            }
-            Ok(())
-        })
-        .await?;
-        Ok(results)
     }
 
     /// Tells every node this client is done, consuming the client.
@@ -1521,24 +1400,6 @@ impl KvClient for ReplClient {
     /// peer dead past the retry budget, or [`WireError::Deadline`].
     fn get(&self, key: u64) -> Result<ReadHit, WireError> {
         block_on(self.read(key))
-    }
-
-    /// Batched lookup. Each shard's chunk goes out as *one* wide,
-    /// floor-guarded [`Request::ReplMultiGet`] per round to a
-    /// round-robin-chosen live follower — one server visit bulk-reads
-    /// the whole shard's share. Shards proceed concurrently (one
-    /// in-flight request per shard, drained in shard order — the
-    /// shared global order that keeps the waits-for graph over the
-    /// reply rings acyclic); stale, redirected, disconnected, or
-    /// leaderless chunks re-fetch through the retrying leader path in
-    /// [`MGET_MAX`]-sized slices. Results come back in input order.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on the first undecodable or out-of-protocol
-    /// reply, or when a chunk's retries exhaust the deadline.
-    fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
-        block_on(self.fetch_many(keys))
     }
 }
 
@@ -1731,12 +1592,12 @@ mod tests {
     }
 
     #[test]
-    fn fanned_out_multi_get_returns_input_order() {
+    fn get_many_reads_replicas_in_input_order() {
         let cluster = ReplCluster::new(2, 64, 8, ReplSpec::sync(2));
         let cluster = with_replicated(cluster, 1, &[], &[], 64, |mut clients| {
             let client = clients.pop().unwrap();
-            // 40 present keys + 10 misses, shuffled across shards;
-            // chunks fan out over 3 endpoints per shard.
+            // 40 present keys + 10 misses, over both shards; each get
+            // goes to one of its shard's two followers.
             let keys: Vec<u64> = (0..50).map(|i| if i < 40 { i } else { i + 100 }).collect();
             let results = client.get_many(&keys).unwrap();
             for (i, res) in results.iter().enumerate() {
@@ -1747,46 +1608,9 @@ mod tests {
                     assert!(res.is_none(), "key {} should miss", keys[i]);
                 }
             }
-            // With fresh sync replicas, most chunks are served by
-            // followers.
+            // With fresh sync replicas, followers serve the reads.
             assert!(client.replica_serves() > 0);
             client.close();
-        });
-        assert!(cluster.converged());
-    }
-
-    /// Regression test for a cross-client deadlock: two clients
-    /// fanning batched reads over the same two backups used to assign
-    /// chunks round-robin *per client*, so they could drain the
-    /// backups in opposite orders — with 1-deep reply channels and
-    /// multi-frame replies, replica A blocked sending to client 1
-    /// (draining replica B first) while replica B blocked sending to
-    /// client 2 (draining replica A first). The fixed global endpoint
-    /// order makes the waits-for graph acyclic; this test hammers the
-    /// exact shape that used to wedge (skewed batches, long values,
-    /// concurrent clients).
-    #[test]
-    fn concurrent_batched_fanout_cannot_deadlock() {
-        let cluster = ReplCluster::new(2, 256, 16, ReplSpec::sync(2));
-        let cluster = with_replicated(cluster, 2, &[], &[], 512, |clients| {
-            std::thread::scope(|s| {
-                for (c, client) in clients.into_iter().enumerate() {
-                    s.spawn(move || {
-                        // Zipf-like repetition: hot keys recur within
-                        // a batch, skewing chunks onto one shard.
-                        for i in 0..60u64 {
-                            let keys: Vec<u64> =
-                                (0..24).map(|j| (i * 7 + j * j + c as u64) % 512).collect();
-                            let results = client.get_many(&keys).unwrap();
-                            for (j, res) in results.iter().enumerate() {
-                                let (_, value) = res.as_ref().expect("preloaded key");
-                                assert_eq!(value.as_slice(), &keys[j].to_be_bytes());
-                            }
-                        }
-                        client.close();
-                    });
-                }
-            });
         });
         assert!(cluster.converged());
     }

@@ -165,9 +165,11 @@ pub fn run_replicated_closed_loop<R: RawLock + Default>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ReplSpec;
+    use crate::service::{mesh_at, ReplClient, ReplSpec};
     use ssync_locks::TicketLock;
-    use ssync_srv::workload::{KeyDist, Mix, ValueSize};
+    use ssync_srv::workload::{KeyDist, Mix, Op, ValueSize};
+    use ssync_srv::{play, KvClient, Request, Step};
+    use std::cell::Cell;
 
     fn small_spec(mix: Mix) -> WorkloadSpec {
         WorkloadSpec {
@@ -332,14 +334,14 @@ mod tests {
         let _ = run_replicated_closed_loop(&mut cluster, &small_spec(Mix::YCSB_A), 1, 10, &faults);
     }
 
-    /// Wide multi-gets of 1 KiB values beside sync writes: a 32-key
-    /// reply is 608 frames, over twice a connection ring, and a shard's
-    /// two nodes share a worker with the other shard's. A node that
-    /// waited for room mid-reply would hold up the nodes on its worker,
-    /// and with them the client it waits on. 2 workers × 50 000
-    /// key-ops, detached under a deadline.
+    /// One-key reads of 1 KiB values are 19-frame replies over 8-slot
+    /// rings, beside sync writes, and every node of two shards shares
+    /// one worker with both clients ([`play`]): a node that waited for
+    /// room mid-reply would never let its client take a frame.
+    /// 2 clients × 50 000 key-ops, detached under a deadline.
     #[test]
-    fn wide_multigets_of_long_values_finish_on_shared_workers() {
+    fn one_key_replies_longer_than_their_ring_finish_on_shared_workers() {
+        const OPS: u64 = 50_000;
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let mut cluster: ReplCluster<TicketLock> =
@@ -349,16 +351,68 @@ mod tests {
                 dist: KeyDist::Uniform,
                 mix: Mix::YCSB_B,
                 vsize: ValueSize::Fixed(1024),
-                batch: 32,
+                batch: 1,
                 seed: 0xCAFE_F00D,
             };
+            for (key, value) in spec.preload_values() {
+                cluster.preload(key, &value);
+            }
+            let map = cluster.map().clone();
+            let (groups, clients) = mesh_at(&map, 2, 8);
             let none = FaultSpec::none();
-            let report = run_replicated_closed_loop(&mut cluster, &spec, 2, 50_000, &none);
-            done_tx.send((report.tally.issued.total(), report.converged))
+            let mut nodes = Vec::new();
+            for (shard, group) in groups.into_iter().enumerate() {
+                for endpoint in group {
+                    let (n, log) = (endpoint.node(), cluster.log(shard));
+                    let cfg = cluster.node_config(shard, n, &none);
+                    nodes.push(driven(
+                        cluster.node_store(shard, n),
+                        log,
+                        &map,
+                        endpoint,
+                        cfg,
+                    ));
+                }
+            }
+            let (done, served) = (Cell::new(0), Cell::new(0));
+            let worker = |worker: u64, client: ReplClient| {
+                let (done, served) = (&done, &served);
+                async move {
+                    let mut stream = OpStream::new(&spec, worker);
+                    for _ in 0..OPS {
+                        match stream.next_op() {
+                            Op::Get(key) => {
+                                let (_, value) = client.read(key).await.unwrap().unwrap();
+                                assert_eq!(value.len(), 1024);
+                            }
+                            Op::Set(key, value) => {
+                                let set = Request::Set { key, value };
+                                client.exchange(key, &set).await.unwrap();
+                            }
+                            other => unreachable!("YCSB-B drew {other:?}"),
+                        }
+                        done.set(done.get() + 1);
+                    }
+                    served.set(served.get() + client.replica_serves());
+                    client.close();
+                }
+            };
+            let mut clients: Vec<_> = (0..)
+                .zip(clients)
+                .map(|(w, client)| Box::pin(worker(w, client)))
+                .collect();
+            let mut polled: Vec<_> = clients.iter_mut().map(|c| c.as_mut()).collect();
+            let mut actors: Vec<&mut dyn Step> = Vec::new();
+            actors.extend(nodes.iter_mut().map(|node| node as &mut dyn Step));
+            actors.extend(polled.iter_mut().map(|client| client as &mut dyn Step));
+            let finished = play(&mut actors, &[], 1 << 40);
+            done_tx.send((finished, done.get(), served.get(), cluster.converged()))
         });
-        let (issued, converged) = done_rx
+        let (finished, done, served, converged) = done_rx
             .recv_timeout(Duration::from_secs(60))
             .expect("a node waited on a full reply ring");
-        assert!(issued >= 100_000 && converged);
+        assert!(finished && converged);
+        assert_eq!(done, 2 * OPS);
+        assert!(served > 0, "no follower served a read");
     }
 }

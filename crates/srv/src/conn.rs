@@ -21,10 +21,7 @@
 //! budget, a [`RetryPacer`], is spent. `ServiceClient` routes
 //! statically and never retries; `ssync-repl`'s `ReplClient` chases the
 //! shard leader and `ssync-cluster`'s `ClusterClient` the key's owner,
-//! each as a policy over this one loop. And the one batching step:
-//! [`batch_rounds`] groups a multi-get's keys by shard and cuts them
-//! into rounds of one chunk per shard, which `ServiceClient` and
-//! `ReplClient` each send and drain their own way.
+//! each as a policy over this one loop.
 
 use core::cell::RefCell;
 use core::future::{poll_fn, Future};
@@ -36,7 +33,6 @@ use ssync_core::RetryPacer;
 use ssync_mp::{Message, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
 use crate::node::StreamDecoder;
-use crate::router::shard_of;
 use crate::wire::{Request, Response, WireError};
 
 /// One `(request sender, reply receiver)` pair to one server. The
@@ -186,41 +182,6 @@ pub async fn chase(
             Ok(response) => return Ok((node, response)),
         }
     }
-}
-
-/// The batching step of a client's `get_many`: groups the positions of
-/// `keys` by the shard each key routes to among `shards`, then calls
-/// `round` once per round with one chunk per shard, indexed by shard:
-/// that shard's next (at most) `chunk` positions, in input order, or
-/// none once its positions are spent. No round is empty, and an empty
-/// `keys` makes none.
-///
-/// # Errors
-///
-/// The first error `round` returns; no later round runs.
-pub async fn batch_rounds(
-    keys: &[u64],
-    shards: usize,
-    chunk: usize,
-    mut round: impl AsyncFnMut(&[&[usize]]) -> Result<(), WireError>,
-) -> Result<(), WireError> {
-    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for (pos, &key) in keys.iter().enumerate() {
-        by_shard[shard_of(key, shards)].push(pos);
-    }
-    let rounds = by_shard
-        .iter()
-        .map(|positions| positions.len().div_ceil(chunk))
-        .max()
-        .unwrap_or(0);
-    for r in 0..rounds {
-        let chunks: Vec<&[usize]> = by_shard
-            .iter()
-            .map(|positions| positions.chunks(chunk).nth(r).unwrap_or(&[]))
-            .collect();
-        round(&chunks).await?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

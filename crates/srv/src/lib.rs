@@ -9,18 +9,16 @@
 //!   shards, generic over the lock algorithm `R` like everything else
 //!   in the tree;
 //! * [`wire`] — the request/response format packed into `ssync-mp`
-//!   cache-line messages, with multi-get batching and continuation
-//!   frames for long values;
+//!   cache-line messages, one key per request and one reply per
+//!   request, with continuation frames for long values;
 //! * [`node`] — the one node every serving stack runs: one turn of hub
-//!   polling, `Stop` accounting and the executor for the six data
+//!   polling, `Stop` accounting and the executor for the five data
 //!   operations, scraped in one place, with a stack's policy attached
 //!   through [`node::Hooks`];
 //! * [`conn`] — the one disconnect-aware client connection every
 //!   client in the tree is built over, the one deadline-bounded retry
 //!   loop ([`conn::chase`]) the replication and cluster clients run
-//!   their redirects through, and the one multi-get batching step
-//!   ([`conn::batch_rounds`]) every client's `get_many` cuts its
-//!   rounds with — each an `async fn` that never blocks;
+//!   their redirects through — each an `async fn` that never blocks;
 //! * [`step`] — the one round loop that drives nodes, a migration
 //!   coordinator and client futures: [`step::run`] on real time over
 //!   `min(actors, nproc)` workers, [`step::play`] / [`step::enumerate`]
@@ -32,10 +30,10 @@
 //! * [`workload`] — a deterministic workload engine: seeded zipfian and
 //!   uniform key distributions, YCSB-style read/write mixes, value-size
 //!   distributions, the sequential closed loop
-//!   ([`workload::drive_worker`]) and client fan-out
-//!   ([`workload::fan_out`]) every driver runs its workers through, the
-//!   one [`workload::Tally`] they report, and [`workload::run_load`],
-//!   the closed loop over the plain service.
+//!   ([`workload::drive_worker`]) and the one runner
+//!   ([`workload::fan_out_beside`]) every driver runs its nodes and
+//!   workers through, the one [`workload::Tally`] they report, and
+//!   [`workload::run_load`], the closed loop over the plain service.
 //!
 //! `workload`'s tests hold one closed-loop sweep — {1, 2, 4} shards ×
 //! skew × mix, batched and churn cases — to its issued counts and
@@ -73,12 +71,12 @@ pub mod step;
 pub mod wire;
 pub mod workload;
 
-pub use conn::{batch_rounds, chase, Chase, Conn, OP_BUDGET};
+pub use conn::{chase, Chase, Conn, OP_BUDGET};
 pub use node::{Admit, Hooks, NoHooks, NodeCore, SendQueue, StreamDecoder, Turn};
 pub use router::{shard_of, slot_of, ShardRouter, ROUTE_SLOTS};
 pub use service::{ring_mesh, serve, KvClient, ServiceClient};
 pub use step::{block_on, enumerate, play, run, Crash, Pause, Step};
 pub use wire::{Request, Response, WireError, NO_LEADER};
 pub use workload::{
-    fan_out, run_load, KeyDist, LoadReport, Mix, Op, OpStream, Tally, ValueSize, WorkloadSpec,
+    run_load, KeyDist, LoadReport, Mix, Op, OpStream, Tally, ValueSize, WorkloadSpec,
 };

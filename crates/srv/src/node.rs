@@ -7,7 +7,7 @@
 //! `Malformed` replies, per-client `Stop` accounting (a client that
 //! goes away without one is retired before a park), the reclamation
 //! cadence, the `TimedGet` latency split,
-//! the `Stats` scrape, one executor for the six data operations, and
+//! the `Stats` scrape, one executor for the five data operations, and
 //! holding a write's reply while a stack says it is owed.
 //! [`NodeCore::turn`] is one pass of a node, and a node — its core,
 //! store and hooks — is a [`Step`] that [`run`](crate::step::run)
@@ -34,7 +34,7 @@ use crate::service::{ServeReport, ServerEndpoint};
 use crate::step::Step;
 use crate::wire::{encode_value, replay, Request, Response, WireError};
 
-/// An admission verdict for one key of one request.
+/// An admission verdict for one request's key.
 #[derive(Debug)]
 pub enum Admit {
     /// Execute here.
@@ -43,7 +43,7 @@ pub enum Admit {
     Refuse(Response),
     /// Park the request, unexecuted and unanswered; the core re-submits
     /// it every turn until it runs or is refused. Honoured for writes
-    /// only: a read has nowhere to park mid-batch, so it runs.
+    /// only: a read runs.
     Defer,
 }
 
@@ -58,7 +58,7 @@ pub enum Turn {
     Exit,
 }
 
-/// Where a serving stack's policy meets the node loop: per key, what
+/// Where a serving stack's policy meets the node loop: per request, what
 /// may run and what a committed write feeds; per turn, the side work,
 /// the gate, the exit and the scrape. Each default leaves the core alone.
 pub trait Hooks {
@@ -493,9 +493,8 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         self.reply(client, &Response::StatsReply { payload });
     }
 
-    /// Executes one data request for `client` and replies: one response
-    /// per key for a multi-get, in key order; exactly one for
-    /// everything else, held while [`Hooks::reply_owed`] says so.
+    /// Executes one data request for `client` and replies with exactly
+    /// one response, a write's held while [`Hooks::reply_owed`] says so.
     /// Returns the request back, nothing executed and nothing replied,
     /// when `hooks` deferred its write. Anything that
     /// is not a data operation is out of protocol on a client channel:
@@ -519,12 +518,6 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
                 self.read(store, hooks, key);
                 self.apply.record(mono_ns().saturating_sub(t0));
                 self.replies[client].send(&self.frames);
-            }
-            Request::MultiGet { keys } => {
-                for key in keys {
-                    self.read(store, hooks, key);
-                    self.replies[client].send(&self.frames);
-                }
             }
             Request::Set { key, .. } | Request::Cas { key, .. } | Request::Delete { key } => {
                 let verdict = hooks.admit(key, true);
@@ -708,6 +701,62 @@ pub(crate) mod tests {
         block_on(client.send_stop());
         while core.turn(&store, &mut NoHooks) != Turn::Exit {}
         assert!(elsewhere(), "released once it exited");
+    }
+
+    /// One request, one reply: a plain node answers every request a
+    /// client can send with exactly one response — the replication
+    /// requests with one `Malformed` each — and `Stop` with none. A head
+    /// frame of the retired multi-get opcode gets one `Malformed`, though
+    /// its second byte claims three keys and words 1..=3 carry them.
+    #[test]
+    fn every_request_is_answered_by_exactly_one_response() {
+        let store: KvStore<TicketLock> = KvStore::new(64, 8);
+        let (mut endpoints, mut clients) = ring_mesh(1, 1, 256);
+        let client = clients.pop().unwrap();
+        let conn = client.conn(0);
+        let mut core = NodeCore::new(endpoints.pop().unwrap());
+        let mut answers = || {
+            while core.turn(&store, &mut NoHooks) == Turn::Progress {}
+            let mut got = Vec::new();
+            while conn.rx.has_message() {
+                got.push(block_on(conn.recv()).unwrap());
+            }
+            got
+        };
+        let value = vec![0x5A; MAX_VALUE_LEN];
+        let (key, version) = (7, 1);
+        let requests = [
+            Request::Get { key },
+            Request::Set {
+                key,
+                value: value.clone(),
+            },
+            Request::Cas {
+                key,
+                expected: version,
+                value: value.clone(),
+            },
+            Request::TimedGet { key, stamp: 0 },
+            Request::Delete { key },
+            Request::Replicate {
+                key,
+                version,
+                value,
+            },
+            Request::ReplicateDelete { key, version },
+            Request::ReplGet { key, floor: 0 },
+            Request::Stats,
+        ];
+        for request in &requests {
+            block_on(conn.send(request)).unwrap();
+            let got = answers();
+            assert_eq!(got.len(), 1, "{request:?} was answered {got:?}");
+        }
+        conn.tx.send([2 | 3 << 8, 1, 2, 3, 0, 0, 0]);
+        assert_eq!(answers(), [Response::Malformed]);
+        block_on(conn.send(&Request::Stop)).unwrap();
+        assert_eq!(answers(), []);
+        assert_eq!((core.counts.requests, core.counts.malformed), (9, 4));
     }
 
     /// A client stalled halfway through publishing a request holds up

@@ -5,8 +5,7 @@
 //! Every (client, shard) pair gets a dedicated SPSC channel pair
 //! (request + reply). A shard server is the shared [`NodeCore`] with no
 //! policy attached; the client is one [`Conn`] per shard plus
-//! hash routing, the pipelined read path and the per-shard batching of
-//! its [`KvClient::get_many`].
+//! hash routing and the pipelined read path.
 //!
 //! The mesh is built on bounded SPSC rings ([`ssync_mp::ring_channel`]):
 //! a server sends what a reply ring has room for and queues the rest,
@@ -32,12 +31,12 @@ use ssync_kv::KvStore;
 use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
-use crate::conn::{batch_rounds, Conn};
+use crate::conn::Conn;
 use crate::node::{NoHooks, NodeCore};
 use crate::router::shard_of;
 use crate::step::{block_on, run};
 pub use crate::wire::ReadHit;
-use crate::wire::{Request, Response, WireError, MGET_MAX};
+use crate::wire::{Request, Response, WireError};
 
 /// A server's side of the channel mesh: one request receiver and one
 /// reply sender per client, index-aligned.
@@ -56,9 +55,8 @@ pub struct ServiceClient<S: MsgSender = RingSender, C: MsgReceiver = RingReceive
 /// [`ServiceClient`] and by the replication and cluster clients, so the
 /// workload engine can drive any of them through one interface. A
 /// client supplies [`KvClient::exchange`], its routing and retry as one
-/// future, and [`KvClient::get_many`], its batching; the typed
-/// operations are written once, here, each a [`block_on`] over
-/// `exchange`.
+/// future; the typed operations are written once, here, each a
+/// [`block_on`] over `exchange`.
 pub trait KvClient {
     /// One request about `key`, sent wherever the client routes that
     /// key and retried as the client retries; resolves to the reply
@@ -73,13 +71,6 @@ pub trait KvClient {
         key: u64,
         request: &Request,
     ) -> impl Future<Output = Result<Response, WireError>>;
-
-    /// Batched lookup, results in input order.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an undecodable or out-of-protocol reply.
-    fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError>;
 
     /// Looks a key up; `Some((version, value))` on a hit.
     ///
@@ -124,6 +115,16 @@ pub trait KvClient {
     fn delete(&self, key: u64) -> Result<Option<u64>, WireError> {
         block_on(self.exchange(key, &Request::Delete { key }))?.into_deleted()
     }
+
+    /// Looks each key up in turn, one [`KvClient::get`] per key; results
+    /// in input order.
+    ///
+    /// # Errors
+    ///
+    /// The first key's error, as for [`KvClient::get`].
+    fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
+        keys.iter().map(|&k| self.get(k)).collect()
+    }
 }
 
 /// What [`ring_mesh`] returns: element `s` of the first vector serves
@@ -165,9 +166,9 @@ pub fn ring_mesh(shards: usize, clients: usize, depth: usize) -> Mesh {
 /// What one shard server did before all its clients stopped.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServeReport {
-    /// Request messages served (a multi-get head counts once).
+    /// Request messages served.
     pub requests: u64,
-    /// Key-operations executed or refused (a multi-get counts per key).
+    /// Key-operations executed or refused by admission.
     pub key_ops: u64,
     /// Frames refused with [`Response::Malformed`](crate::wire::Response)
     /// instead of executing — undecodable heads and out-of-protocol
@@ -276,41 +277,6 @@ impl<S: MsgSender, C: MsgReceiver> ServiceClient<S, C> {
 impl<S: MsgSender, C: MsgReceiver> KvClient for ServiceClient<S, C> {
     async fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
         self.route(key).call(request).await
-    }
-
-    /// Batched lookup: coalesces the keys into at most one in-flight
-    /// multi-get per shard per round (the batching the service exists
-    /// for), returning results in input order. Keys beyond
-    /// [`MGET_MAX`] per shard take additional rounds.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on the first undecodable or out-of-protocol reply.
-    fn get_many(&self, keys: &[u64]) -> Result<Vec<ReadHit>, WireError> {
-        let mut results: Vec<ReadHit> = vec![None; keys.len()];
-        block_on(batch_rounds(
-            keys,
-            self.shards.len(),
-            MGET_MAX,
-            async |chunks| {
-                // Phase 1: one head frame per shard — never waits past the
-                // servers' current request, so no send/recv cycle forms.
-                for (conn, chunk) in self.shards.iter().zip(chunks) {
-                    if !chunk.is_empty() {
-                        let batch: Vec<u64> = chunk.iter().map(|&p| keys[p]).collect();
-                        conn.send(&Request::MultiGet { keys: batch }).await?;
-                    }
-                }
-                // Phase 2: drain every shard's replies, in key order.
-                for (conn, chunk) in self.shards.iter().zip(chunks) {
-                    for &pos in *chunk {
-                        results[pos] = conn.recv().await?.into_read("MultiGet")?;
-                    }
-                }
-                Ok(())
-            },
-        ))?;
-        Ok(results)
     }
 }
 
@@ -446,14 +412,13 @@ mod tests {
     }
 
     #[test]
-    fn multi_get_spans_shards_and_batches() {
+    fn get_many_spans_shards_in_input_order() {
         with_service(3, 1, 1, |mut clients| {
             let client = clients.pop().unwrap();
             for key in 0..40u64 {
                 client.set(key, key.to_be_bytes().to_vec()).unwrap();
             }
-            // 40 keys over 3 shards forces several rounds of MGET_MAX
-            // chunks per shard; 100.. are misses.
+            // 40 keys over 3 shards; 100.. are misses.
             let keys: Vec<u64> = (0..50).map(|i| if i < 40 { i } else { i + 100 }).collect();
             let results = client.get_many(&keys).unwrap();
             for (i, res) in results.iter().enumerate() {
@@ -491,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_multi_get_is_a_no_op() {
+    fn empty_get_many_is_a_no_op() {
         with_service(1, 1, 1, |mut clients| {
             let client = clients.pop().unwrap();
             assert!(client.get_many(&[]).unwrap().is_empty());

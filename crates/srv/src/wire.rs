@@ -2,17 +2,18 @@
 //!
 //! A channel message is one cache line: seven 64-bit words
 //! ([`MSG_WORDS`]). Every operation is packed into a *head frame* whose
-//! word 0 carries the opcode/status, an inline value length, and a
-//! multi-get count; words 1 and 2 carry the key and (for CAS) the
-//! expected version; words 3..7 carry the first [`HEAD_VALUE_BYTES`]
-//! value bytes. Values longer than that stream in *continuation frames*
-//! that use the full line ([`CONT_VALUE_BYTES`] bytes each) — the
-//! channels are SPSC and FIFO, so continuations need no header; the
-//! receiver knows exactly how many bytes remain.
+//! word 0 carries the opcode/status and an inline value length; words
+//! 1 and 2 carry the key and (for CAS) the expected version; words 3..7
+//! carry the first [`HEAD_VALUE_BYTES`] value bytes. Values longer than
+//! that stream in *continuation frames* that use the full line
+//! ([`CONT_VALUE_BYTES`] bytes each) — the channels are SPSC and FIFO,
+//! so continuations need no header; the receiver knows exactly how many
+//! bytes remain.
 //!
-//! Batching: [`Request::MultiGet`] coalesces up to [`MGET_MAX`] keys
-//! into a single head frame (Memcached's `get k1 k2 …` multi-get), and
-//! the server answers with one [`Response`] per key, in key order.
+//! A client's request names one key (or none: [`Request::Stats`],
+//! [`Request::Stop`]) and is answered by exactly one [`Response`] —
+//! except `Stop`, which is answered by none. A client that wants many
+//! keys in flight pipelines single-key requests; no request batches.
 //!
 //! The format is symmetric by design: both sides encode with
 //! [`Request::encode_into`] / [`Response::encode_into`] (frames sent
@@ -43,12 +44,12 @@
 //! value reusing the continuation-frame protocol) to its backups, which
 //! acknowledge by publishing their applied high-water mark in the
 //! shared map, not on the wire; clients read from
-//! backups with [`Request::ReplGet`] / [`Request::ReplMultiGet`], whose
-//! `floor` word lets the backup answer [`Response::Stale`] instead of
-//! serving data older than what the client has already observed.
+//! backups with [`Request::ReplGet`], whose `floor` word lets the
+//! backup answer [`Response::Stale`] instead of serving data older than
+//! what the client has already observed.
 //!
-//! Decoding is total: an unknown opcode or status, an over-long value
-//! length, or a bad multi-get count comes back as a [`WireError`]
+//! Decoding is total: an unknown opcode or status, or an over-long
+//! value length, comes back as a [`WireError`]
 //! instead of a panic, so one corrupt head frame cannot take down a
 //! server thread (it answers [`Response::Malformed`] and keeps
 //! serving). What decoding *cannot* recover is framing: a corrupt head
@@ -71,25 +72,8 @@ pub const CONT_VALUE_BYTES: usize = MSG_WORDS * 8;
 /// field with room to spare; caps continuation streaming).
 pub const MAX_VALUE_LEN: usize = 1024;
 
-/// Maximum keys per [`Request::MultiGet`] head frame (words 1..7).
-pub const MGET_MAX: usize = MSG_WORDS - 1;
-
-/// Keys carried inline by a [`Request::ReplMultiGet`] head frame
-/// (words 2..7 — word 1 carries the read floor).
-pub const REPL_MGET_HEAD_KEYS: usize = MSG_WORDS - 2;
-
-/// Keys per [`Request::ReplMultiGet`] continuation frame.
-pub const REPL_MGET_CONT_KEYS: usize = MSG_WORDS;
-
-/// Maximum keys per [`Request::ReplMultiGet`] — unlike the primary's
-/// one-line [`Request::MultiGet`], the replica read path spills keys
-/// into continuation frames (the same streaming the value protocol
-/// uses), so one floor-guarded round-trip can bulk-read a whole
-/// batch's worth of keys from a backup.
-pub const REPL_MGET_MAX: usize = 64;
-
 const OP_GET: u64 = 1;
-const OP_MGET: u64 = 2;
+// 2 was the multi-get: reserved, decodes as unknown.
 const OP_SET: u64 = 3;
 const OP_CAS: u64 = 4;
 const OP_DELETE: u64 = 5;
@@ -97,7 +81,7 @@ const OP_STOP: u64 = 6;
 const OP_REPLICATE: u64 = 7;
 const OP_REPL_DELETE: u64 = 8;
 const OP_REPL_GET: u64 = 9;
-const OP_REPL_MGET: u64 = 10;
+// 10 was the replica multi-get: reserved, likewise.
 const OP_TIMED_GET: u64 = 11;
 const OP_STATS: u64 = 12;
 
@@ -132,7 +116,7 @@ pub const NO_LEADER: u64 = u64::MAX;
 /// A protocol violation caught while decoding or interpreting frames.
 ///
 /// Decode errors (`UnknownOpcode`, `UnknownStatus`, `ValueTooLong`,
-/// `BadMultiGetCount`) mean the head frame itself is corrupt; a server
+/// `StatsTooLong`) mean the head frame itself is corrupt; a server
 /// answers them with [`Response::Malformed`]. `UnexpectedResponse`
 /// means a well-formed reply arrived that makes no sense for the
 /// request a client sent; `Rejected` is the client-side view of a
@@ -145,9 +129,6 @@ pub enum WireError {
     UnknownStatus(u64),
     /// A head frame claimed a value longer than [`MAX_VALUE_LEN`].
     ValueTooLong(usize),
-    /// A multi-get head frame claimed zero keys or more than the
-    /// variant's maximum.
-    BadMultiGetCount(usize),
     /// A well-formed response that does not answer the request sent
     /// (e.g. `Stored` in reply to a `Get`); the payload names the
     /// request context.
@@ -176,7 +157,6 @@ impl fmt::Display for WireError {
             WireError::ValueTooLong(len) => {
                 write!(f, "value length {len} exceeds {MAX_VALUE_LEN}")
             }
-            WireError::BadMultiGetCount(n) => write!(f, "bad multi-get key count {n}"),
             WireError::UnexpectedResponse(ctx) => {
                 write!(f, "unexpected response in reply to {ctx}")
             }
@@ -202,12 +182,6 @@ pub enum Request {
     Get {
         /// The key.
         key: u64,
-    },
-    /// Look up to [`MGET_MAX`] keys up in one round-trip; the server
-    /// replies with one [`Response`] per key, in order.
-    MultiGet {
-        /// The keys (1..=[`MGET_MAX`]).
-        keys: Vec<u64>,
     },
     /// Store a value.
     Set {
@@ -258,16 +232,6 @@ pub enum Request {
         /// The lowest applied version the client will accept.
         floor: u64,
     },
-    /// Batched [`Request::ReplGet`]: up to [`REPL_MGET_MAX`] keys under
-    /// one freshness floor, spilling past [`REPL_MGET_HEAD_KEYS`] into
-    /// continuation frames. A stale backup answers with a single
-    /// [`Response::Stale`] for the whole batch.
-    ReplMultiGet {
-        /// The keys (1..=[`REPL_MGET_MAX`]).
-        keys: Vec<u64>,
-        /// The lowest applied version the client will accept.
-        floor: u64,
-    },
     /// [`Request::Get`] carrying the client's intended-send timestamp
     /// (on the [`ssync_core::stats::mono_ns`] timebase). The server
     /// answers exactly like a `Get`, but first records
@@ -300,7 +264,7 @@ pub enum Response {
         /// The value bytes.
         value: Vec<u8>,
     },
-    /// Miss on a `Get`/`MultiGet`.
+    /// Miss on a read.
     Miss,
     /// A `Set` or successful `Cas` stored the value at this version.
     Stored {
@@ -361,29 +325,26 @@ pub enum Response {
     },
 }
 
-/// Packs opcode/status (bits 0..8), multi-get count (bits 8..16) and
-/// value length (bits 16..32) into word 0.
-fn head_word(op: u64, count: usize, vlen: usize) -> u64 {
-    debug_assert!(count < 256 && vlen < 65_536);
-    op | (count as u64) << 8 | (vlen as u64) << 16
+/// Packs opcode/status (bits 0..8) and value length (bits 16..32) into
+/// word 0. Bits 8..16, once a multi-get's key count, are written zero
+/// and read by nobody.
+fn head_word(op: u64, vlen: usize) -> u64 {
+    debug_assert!(vlen < 65_536);
+    op | (vlen as u64) << 16
 }
 
-/// A head frame: word 0 names `op` and `count`, `words` follow from
-/// word 1, and the rest stay zero — every message that is not a value's.
+/// A head frame: word 0 names `op`, `words` follow from word 1, and the
+/// rest stay zero — every message that is not a value's.
 #[inline]
-fn head_frame(op: u64, count: usize, words: &[u64]) -> Message {
+fn head_frame(op: u64, words: &[u64]) -> Message {
     let mut m: Message = [0; MSG_WORDS];
-    m[0] = head_word(op, count, 0);
+    m[0] = head_word(op, 0);
     m[1..=words.len()].copy_from_slice(words);
     m
 }
 
-fn split_head_word(w: u64) -> (u64, usize, usize) {
-    (
-        w & 0xFF,
-        (w >> 8 & 0xFF) as usize,
-        (w >> 16 & 0xFFFF) as usize,
-    )
+fn split_head_word(w: u64) -> (u64, usize) {
+    (w & 0xFF, (w >> 16 & 0xFFFF) as usize)
 }
 
 /// A frame's 56-byte little-endian image. Fixed-size on both sides, so
@@ -470,7 +431,7 @@ fn read_payload(
 fn push_value_frames(op: u64, w1: u64, w2: u64, value: &[u8], out: &mut Vec<Message>) {
     assert!(value.len() <= MAX_VALUE_LEN, "value exceeds MAX_VALUE_LEN");
     out.clear();
-    let head = [head_word(op, 0, value.len()), w1, w2, 0, 0, 0, 0];
+    let head = [head_word(op, value.len()), w1, w2, 0, 0, 0, 0];
     push_payload(head, HEAD_VALUE_BYTES, value, out);
 }
 
@@ -503,8 +464,7 @@ impl Request {
     ///
     /// # Panics
     ///
-    /// Panics on an over-long value, an empty multi-get, or one with
-    /// more than [`MGET_MAX`] keys.
+    /// Panics on an over-long value.
     pub fn encode(&self) -> Vec<Message> {
         let mut out = Vec::with_capacity(1);
         self.encode_into(&mut out);
@@ -523,52 +483,30 @@ impl Request {
     pub fn encode_into(&self, out: &mut Vec<Message>) {
         out.clear();
         match self {
-            Request::Get { key } => out.push(head_frame(OP_GET, 0, &[*key])),
-            Request::MultiGet { keys } => {
-                assert!(
-                    !keys.is_empty() && keys.len() <= MGET_MAX,
-                    "multi-get takes 1..={MGET_MAX} keys"
-                );
-                out.push(head_frame(OP_MGET, keys.len(), keys));
-            }
+            Request::Get { key } => out.push(head_frame(OP_GET, &[*key])),
             Request::Set { key, value } => encode_set(*key, value, out),
             Request::Cas {
                 key,
                 expected,
                 value,
             } => encode_cas(*key, *expected, value, out),
-            Request::Delete { key } => out.push(head_frame(OP_DELETE, 0, &[*key])),
+            Request::Delete { key } => out.push(head_frame(OP_DELETE, &[*key])),
             Request::Replicate {
                 key,
                 version,
                 value,
             } => encode_replicate(*key, *version, value, out),
             Request::ReplicateDelete { key, version } => {
-                out.push(head_frame(OP_REPL_DELETE, 0, &[*key, *version]));
+                out.push(head_frame(OP_REPL_DELETE, &[*key, *version]));
             }
             Request::ReplGet { key, floor } => {
-                out.push(head_frame(OP_REPL_GET, 0, &[*key, *floor]));
-            }
-            Request::ReplMultiGet { keys, floor } => {
-                assert!(
-                    !keys.is_empty() && keys.len() <= REPL_MGET_MAX,
-                    "replica multi-get takes 1..={REPL_MGET_MAX} keys"
-                );
-                let mut m = head_frame(OP_REPL_MGET, keys.len(), &[*floor]);
-                let inline = keys.len().min(REPL_MGET_HEAD_KEYS);
-                m[2..2 + inline].copy_from_slice(&keys[..inline]);
-                out.push(m);
-                for chunk in keys[inline..].chunks(REPL_MGET_CONT_KEYS) {
-                    let mut frame: Message = [0; MSG_WORDS];
-                    frame[..chunk.len()].copy_from_slice(chunk);
-                    out.push(frame);
-                }
+                out.push(head_frame(OP_REPL_GET, &[*key, *floor]));
             }
             Request::TimedGet { key, stamp } => {
-                out.push(head_frame(OP_TIMED_GET, 0, &[*key, *stamp]));
+                out.push(head_frame(OP_TIMED_GET, &[*key, *stamp]));
             }
-            Request::Stats => out.push(head_frame(OP_STATS, 0, &[])),
-            Request::Stop => out.push(head_frame(OP_STOP, 0, &[])),
+            Request::Stats => out.push(head_frame(OP_STATS, &[])),
+            Request::Stop => out.push(head_frame(OP_STOP, &[])),
         }
     }
 
@@ -596,14 +534,11 @@ impl Request {
     /// [`Request::decode`] pulls, read off the head alone, so a receiver
     /// can take them as one burst first. 0 for a head `decode` refuses.
     pub fn continuations(head: &Message) -> usize {
-        let (op, count, vlen) = split_head_word(head[0]);
+        let (op, vlen) = split_head_word(head[0]);
         match op {
             OP_SET | OP_CAS | OP_REPLICATE if vlen <= MAX_VALUE_LEN => {
                 spill(vlen, HEAD_VALUE_BYTES)
             }
-            OP_REPL_MGET if (1..=REPL_MGET_MAX).contains(&count) => count
-                .saturating_sub(REPL_MGET_HEAD_KEYS)
-                .div_ceil(REPL_MGET_CONT_KEYS),
             _ => 0,
         }
     }
@@ -613,25 +548,17 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on an unknown opcode, an over-long value
-    /// length, or a bad multi-get count — all checked *before* any
-    /// continuation frame is pulled, so an erroring decode never blocks
-    /// on frames that will not come.
+    /// Returns a [`WireError`] on an unknown opcode or an over-long
+    /// value length — both checked *before* any continuation frame is
+    /// pulled, so an erroring decode never blocks on frames that will
+    /// not come.
     pub fn decode(head: Message, more: impl FnMut() -> Message) -> Result<Request, WireError> {
-        let (op, count, vlen) = split_head_word(head[0]);
+        let (op, vlen) = split_head_word(head[0]);
         if matches!(op, OP_SET | OP_CAS | OP_REPLICATE) && vlen > MAX_VALUE_LEN {
             return Err(WireError::ValueTooLong(vlen));
         }
         Ok(match op {
             OP_GET => Request::Get { key: head[1] },
-            OP_MGET => {
-                if count == 0 || count > MGET_MAX {
-                    return Err(WireError::BadMultiGetCount(count));
-                }
-                Request::MultiGet {
-                    keys: head[1..=count].to_vec(),
-                }
-            }
             OP_SET => Request::Set {
                 key: head[1],
                 value: read_payload(&head, HEAD_VALUE_BYTES, vlen, more),
@@ -655,23 +582,6 @@ impl Request {
                 key: head[1],
                 floor: head[2],
             },
-            OP_REPL_MGET => {
-                if count == 0 || count > REPL_MGET_MAX {
-                    return Err(WireError::BadMultiGetCount(count));
-                }
-                let mut more = more;
-                let inline = count.min(REPL_MGET_HEAD_KEYS);
-                let mut keys = head[2..2 + inline].to_vec();
-                while keys.len() < count {
-                    let frame = more();
-                    let take = (count - keys.len()).min(REPL_MGET_CONT_KEYS);
-                    keys.extend_from_slice(&frame[..take]);
-                }
-                Request::ReplMultiGet {
-                    keys,
-                    floor: head[1],
-                }
-            }
             OP_TIMED_GET => Request::TimedGet {
                 key: head[1],
                 stamp: head[2],
@@ -706,25 +616,25 @@ impl Response {
         out.clear();
         let m = match self {
             Response::Value { version, value } => return encode_value(*version, value, out),
-            Response::Miss => head_frame(ST_MISS, 0, &[]),
-            Response::Stored { version } => head_frame(ST_STORED, 0, &[*version]),
-            Response::CasFail { current } => head_frame(ST_CAS_FAIL, 0, &[*current]),
-            Response::Deleted { version } => head_frame(ST_DELETED, 0, &[*version]),
-            Response::NotFound => head_frame(ST_NOT_FOUND, 0, &[]),
-            Response::Stale { hwm } => head_frame(ST_STALE, 0, &[*hwm]),
-            Response::Malformed => head_frame(ST_MALFORMED, 0, &[]),
+            Response::Miss => head_frame(ST_MISS, &[]),
+            Response::Stored { version } => head_frame(ST_STORED, &[*version]),
+            Response::CasFail { current } => head_frame(ST_CAS_FAIL, &[*current]),
+            Response::Deleted { version } => head_frame(ST_DELETED, &[*version]),
+            Response::NotFound => head_frame(ST_NOT_FOUND, &[]),
+            Response::Stale { hwm } => head_frame(ST_STALE, &[*hwm]),
+            Response::Malformed => head_frame(ST_MALFORMED, &[]),
             Response::WrongLeader { term, leader } => {
-                head_frame(ST_WRONG_LEADER, 0, &[u64::from(*term), *leader])
+                head_frame(ST_WRONG_LEADER, &[u64::from(*term), *leader])
             }
             Response::WrongShard { map_epoch } => {
-                head_frame(ST_WRONG_SHARD, 0, &[u64::from(*map_epoch)])
+                head_frame(ST_WRONG_SHARD, &[u64::from(*map_epoch)])
             }
             Response::StatsReply { payload } => {
                 assert!(
                     payload.len() <= STATS_MAX_PAYLOAD,
                     "stats payload exceeds STATS_MAX_PAYLOAD"
                 );
-                let head = head_frame(ST_STATS, 0, &[payload.len() as u64]);
+                let head = head_frame(ST_STATS, &[payload.len() as u64]);
                 return push_payload(head, STATS_INLINE_BYTES, payload, out);
             }
         };
@@ -735,7 +645,7 @@ impl Response {
     /// [`Response::decode`] pulls, read off the head alone. 0 for a
     /// head `decode` refuses.
     pub fn continuations(head: &Message) -> usize {
-        let (st, _, vlen) = split_head_word(head[0]);
+        let (st, vlen) = split_head_word(head[0]);
         match st {
             ST_VALUE if vlen <= MAX_VALUE_LEN => spill(vlen, HEAD_VALUE_BYTES),
             ST_STATS => match usize::try_from(head[1]) {
@@ -755,7 +665,7 @@ impl Response {
     /// over-long value length, checked before any continuation frame is
     /// pulled.
     pub fn decode(head: Message, more: impl FnMut() -> Message) -> Result<Response, WireError> {
-        let (st, _, vlen) = split_head_word(head[0]);
+        let (st, vlen) = split_head_word(head[0]);
         let fence = Fence::from_wire(head[1]);
         Ok(match st {
             ST_VALUE => {
@@ -880,9 +790,6 @@ mod tests {
     fn requests_roundtrip() {
         let samples = vec![
             Request::Get { key: 42 },
-            Request::MultiGet {
-                keys: vec![1, u64::MAX, 3],
-            },
             Request::Set {
                 key: 7,
                 value: b"short".to_vec(),
@@ -903,20 +810,6 @@ mod tests {
                 version: 89,
             },
             Request::ReplGet { key: 13, floor: 90 },
-            Request::ReplMultiGet {
-                keys: vec![5, 6, 7, 8, 9],
-                floor: u64::MAX,
-            },
-            Request::ReplMultiGet {
-                // Wide batch: spills into continuation frames (5 inline
-                // + 7 per frame; 24 keys = head + 3 frames).
-                keys: (100..124).collect(),
-                floor: 77,
-            },
-            Request::ReplMultiGet {
-                keys: (0..REPL_MGET_MAX as u64).collect(),
-                floor: 1,
-            },
             Request::TimedGet {
                 key: 21,
                 stamp: u64::MAX,
@@ -987,7 +880,7 @@ mod tests {
         assert_eq!(frames.len(), 4); // head + 2 full + 1 partial continuation
                                      // A corrupt length is refused before any continuation is pulled.
         let mut m: Message = [0; MSG_WORDS];
-        m[0] = head_word(ST_STATS, 0, 0);
+        m[0] = head_word(ST_STATS, 0);
         m[1] = (STATS_MAX_PAYLOAD + 1) as u64;
         assert_eq!(
             Response::decode(m, || panic!("must not pull continuations")),
@@ -1000,7 +893,7 @@ mod tests {
         let no_more = || panic!("decode must not pull continuations for a corrupt head");
         // Unknown opcode / status.
         let mut m: Message = [0; MSG_WORDS];
-        m[0] = head_word(0xEE, 0, 0);
+        m[0] = head_word(0xEE, 0);
         assert_eq!(
             Request::decode(m, no_more),
             Err(WireError::UnknownOpcode(0xEE))
@@ -1009,43 +902,37 @@ mod tests {
             Response::decode(m, no_more),
             Err(WireError::UnknownStatus(0xEE))
         );
-        // The retired ack (7) and term fence (11) stay reserved.
+        // The retired ack (7) and term fence (11) stay reserved, and so
+        // do the retired multi-gets' opcodes (2 and 10).
         for st in [7, 11] {
-            m[0] = head_word(st, 0, 0);
+            m[0] = head_word(st, 0);
             assert_eq!(
                 Response::decode(m, no_more),
                 Err(WireError::UnknownStatus(st))
             );
         }
+        for op in [2, 10] {
+            m[0] = head_word(op, 0);
+            assert_eq!(
+                Request::decode(m, no_more),
+                Err(WireError::UnknownOpcode(op))
+            );
+        }
         // Over-long value length on every valued frame kind.
         for op in [OP_SET, OP_CAS, OP_REPLICATE] {
             let mut m: Message = [0; MSG_WORDS];
-            m[0] = head_word(op, 0, MAX_VALUE_LEN + 1);
+            m[0] = head_word(op, MAX_VALUE_LEN + 1);
             assert_eq!(
                 Request::decode(m, no_more),
                 Err(WireError::ValueTooLong(MAX_VALUE_LEN + 1))
             );
         }
         let mut m: Message = [0; MSG_WORDS];
-        m[0] = head_word(ST_VALUE, 0, MAX_VALUE_LEN + 1);
+        m[0] = head_word(ST_VALUE, MAX_VALUE_LEN + 1);
         assert_eq!(
             Response::decode(m, no_more),
             Err(WireError::ValueTooLong(MAX_VALUE_LEN + 1))
         );
-        // Zero- and over-count multi-gets.
-        for (op, bad) in [
-            (OP_MGET, 0),
-            (OP_MGET, MGET_MAX + 1),
-            (OP_REPL_MGET, 0),
-            (OP_REPL_MGET, REPL_MGET_MAX + 1),
-        ] {
-            let mut m: Message = [0; MSG_WORDS];
-            m[0] = head_word(op, bad, 0);
-            assert_eq!(
-                Request::decode(m, no_more),
-                Err(WireError::BadMultiGetCount(bad))
-            );
-        }
     }
 
     #[test]
@@ -1080,35 +967,5 @@ mod tests {
             value: vec![0; MAX_VALUE_LEN + 1],
         }
         .encode();
-    }
-
-    #[test]
-    #[should_panic]
-    fn oversized_multiget_rejected() {
-        let _ = Request::MultiGet {
-            keys: vec![0; MGET_MAX + 1],
-        }
-        .encode();
-    }
-
-    #[test]
-    #[should_panic]
-    fn oversized_repl_multiget_rejected() {
-        let _ = Request::ReplMultiGet {
-            keys: vec![0; REPL_MGET_MAX + 1],
-            floor: 0,
-        }
-        .encode();
-    }
-
-    #[test]
-    fn wide_repl_multiget_frame_counts() {
-        for (n, frames) in [(1, 1), (5, 1), (6, 2), (12, 2), (13, 3), (64, 10)] {
-            let req = Request::ReplMultiGet {
-                keys: (0..n as u64).collect(),
-                floor: 0,
-            };
-            assert_eq!(req.encode().len(), frames, "{n} keys");
-        }
     }
 }

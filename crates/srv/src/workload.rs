@@ -1,9 +1,9 @@
 //! Deterministic workload engine: seeded key distributions (uniform and
 //! YCSB-style zipfian), read/write mix presets, value-size
 //! distributions, the sequential closed loop every driver's workers run
-//! ([`drive_worker`]), the worker fan-out the drivers share
-//! ([`fan_out`], and [`fan_out_beside`] their nodes), and [`run_load`], the closed loop over the plain
-//! service. Every driver reports one [`Tally`].
+//! ([`drive_worker`]), the one runner of a driver's nodes and workers
+//! ([`fan_out_beside`]), and [`run_load`], the closed loop over the
+//! plain service. Every driver reports one [`Tally`].
 //!
 //! Everything is a pure function of `(spec.seed, worker index)`: the
 //! same spec issues exactly the same operation sequence per worker on
@@ -21,7 +21,7 @@
 //! on this stack are `benchmark/`'s to measure, with its own generator
 //! and clock; this engine drives the stacks for the tests and examples.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -36,11 +36,8 @@ use crate::service::{ring_mesh, KvClient};
 use crate::step::run;
 use crate::wire::MAX_VALUE_LEN;
 
-/// Largest read batch the engine will emit. Batches wider than one
-/// multi-get frame are split into frame-sized chunks by the clients —
-/// and, when replicas exist, fanned out across a shard's endpoints
-/// concurrently, which is where replica reads buy round-trip
-/// parallelism.
+/// Largest read batch the engine will emit. A batch is a client-side
+/// call: [`KvClient::get_many`] looks its keys up one request each.
 pub const MAX_BATCH: usize = 32;
 
 /// How keys are drawn from the keyspace.
@@ -153,7 +150,8 @@ pub struct WorkloadSpec {
     pub mix: Mix,
     /// Value-size distribution.
     pub vsize: ValueSize,
-    /// Reads per multi-get batch (1 disables batching; ≤ [`MAX_BATCH`]).
+    /// Reads per batch, one [`KvClient::get_many`] call (1 disables
+    /// batching; ≤ [`MAX_BATCH`]).
     pub batch: usize,
     /// Master seed; workers derive their streams from it.
     pub seed: u64,
@@ -187,7 +185,7 @@ impl WorkloadSpec {
 pub enum Op {
     /// Look one key up.
     Get(u64),
-    /// Batched lookup.
+    /// Batched lookup: one [`KvClient::get_many`] call.
     MultiGet(Vec<u64>),
     /// Blind write.
     Set(u64, Vec<u8>),
@@ -465,54 +463,45 @@ pub fn drive_worker<C: KvClient>(client: &C, mut stream: OpStream, ops: u64) -> 
     tally
 }
 
-/// Runs `work(worker, client)` on one thread per client and waits for
-/// all of them — the client side every driver in the tree shares, so a
-/// driver keeps only its servers. Returns the merged [`Tally`] and each
-/// worker's own output, in worker order. A worker's panic is re-raised
-/// once every worker has returned or unwound.
-pub fn fan_out<C: Send, X: Send>(
-    clients: impl IntoIterator<Item = C>,
-    work: impl Fn(usize, C) -> (Tally, X) + Sync,
-) -> (Tally, Vec<X>) {
-    let work = &work;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = clients
-            .into_iter()
-            .enumerate()
-            .map(|(worker, client)| s.spawn(move || work(worker, client)))
-            .collect();
-        let mut total = Tally::default();
-        let mut outs = Vec::with_capacity(handles.len());
-        for handle in handles {
-            let (tally, out) = handle.join().unwrap_or_else(|panic| resume_unwind(panic));
-            total = total.merge(&tally);
-            outs.push(out);
-        }
-        (total, outs)
-    })
-}
-
-/// [`fan_out`] beside `serve`, which owns and [`run`]s a driver's nodes
-/// on a thread of its own; returns both results. A panic in `serve`
-/// drops the nodes it owns, so the clients read them gone instead of
-/// waiting on them, and it is re-raised ahead of any client panic that
-/// followed from it.
+/// The one runner every driver in the tree shares, so a driver keeps
+/// only its servers: `serve`, which owns and [`run`]s the driver's
+/// nodes, on a thread of its own, and `work(worker, client)` on one
+/// thread per client. Returns `serve`'s result, the merged [`Tally`]
+/// and each worker's own output, in worker order, once every thread has
+/// returned or unwound. A panic in `serve` drops the nodes it owns, so
+/// the clients read them gone instead of waiting on them, and it is
+/// re-raised ahead of any client panic that followed from it.
 pub fn fan_out_beside<T: Send, C: Send, X: Send>(
     serve: impl FnOnce() -> T + Send,
     clients: impl IntoIterator<Item = C>,
     work: impl Fn(usize, C) -> (Tally, X) + Sync,
 ) -> (T, (Tally, Vec<X>)) {
+    let work = &work;
     std::thread::scope(|s| {
         let runner = s.spawn(serve);
-        let clients = catch_unwind(AssertUnwindSafe(|| fan_out(clients, work)));
+        let workers: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(worker, client)| s.spawn(move || work(worker, client)))
+            .collect();
+        let worked: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
         let served = runner.join().unwrap_or_else(|panic| resume_unwind(panic));
-        (served, clients.unwrap_or_else(|panic| resume_unwind(panic)))
+        let mut total = Tally::default();
+        let mut outs = Vec::with_capacity(worked.len());
+        for (tally, out) in worked
+            .into_iter()
+            .map(|w| w.unwrap_or_else(|panic| resume_unwind(panic)))
+        {
+            total = total.merge(&tally);
+            outs.push(out);
+        }
+        (served, (total, outs))
     })
 }
 
-/// Ring depth of the load engine's client connections: a one-key reply
-/// (19 frames at most) fits whole; a wider multi-get reply waits in its
-/// node's queue for the client to make room.
+/// Ring depth of the load engine's client connections: deeper than the
+/// longest value reply (19 frames, a 1 KiB value), which then goes out
+/// whole in the turn that serves it.
 const CONN_DEPTH: usize = 64;
 
 /// What a load-engine run measured.
@@ -574,6 +563,7 @@ pub fn run_load<R: RawLock + Default>(
 mod tests {
     use super::*;
     use ssync_locks::TicketLock;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::mpsc;
 
     /// The runner's panic is the one re-raised, not the panic of the
@@ -765,25 +755,52 @@ mod tests {
         }
     }
 
-    /// A 32-key multi-get of 1 KiB values is a 608-frame reply, ten
-    /// times its connection ring, and four shards share at most two
-    /// workers: a node that waited for room mid-reply would hold up the
-    /// nodes on its worker, among them the one its client drains
-    /// first. 2 workers × 100 000 key-ops, under a deadline.
+    /// One-key gets of 1 KiB values are 19-frame replies over 8-slot
+    /// rings, and four shards' nodes share at most two workers. Each
+    /// client pipelines four gets, then drains the shards in index order:
+    /// a node that waited for room mid-reply would hold up the nodes on
+    /// its worker, among them the one its client drains first.
+    /// 2 clients × 20 000 gets, under a deadline.
     #[test]
-    fn wide_multigets_of_long_values_finish_on_shared_workers() {
-        let issued = crate::node::tests::within(60, || {
+    fn one_key_replies_longer_than_their_ring_finish_on_shared_workers() {
+        const GETS: u64 = 20_000;
+        let hits = crate::node::tests::within(60, || {
             let router: ShardRouter<TicketLock> = ShardRouter::new(4, 1024, 16);
             let spec = WorkloadSpec {
                 keys: 4_096,
                 dist: KeyDist::Uniform,
                 mix: Mix::YCSB_C,
                 vsize: ValueSize::Fixed(1024),
-                batch: 32,
+                batch: 4,
                 seed: 0xCAFE_F00D,
             };
-            run_load(&router, &spec, 2, 100_000).tally.issued
+            for (key, value) in spec.preload_values() {
+                router.set(key, value);
+            }
+            let (endpoints, clients) = ring_mesh(4, 2, 8);
+            let shard = |(s, endpoint)| (NodeCore::new(endpoint), router.shard(s), NoHooks);
+            let mut nodes: Vec<_> = endpoints.into_iter().enumerate().map(shard).collect();
+            let serve = move || run(&mut nodes.iter_mut().collect::<Vec<_>>());
+            let ((), (_, hits)) = fan_out_beside(serve, clients, |worker, client| {
+                let mut stream = OpStream::new(&spec, worker as u64);
+                let mut hits = 0;
+                for _ in 0..GETS / 4 {
+                    let Op::MultiGet(keys) = stream.next_op() else {
+                        unreachable!("a read-only batched mix")
+                    };
+                    let mut shards: Vec<usize> = keys.iter().map(|&k| client.send_get(k)).collect();
+                    shards.sort_unstable();
+                    for shard in shards {
+                        let (_, value) = client.read_get_reply(shard).unwrap().unwrap();
+                        assert_eq!(value.len(), 1024);
+                        hits += 1;
+                    }
+                }
+                client.close();
+                (Tally::default(), hits)
+            });
+            hits
         });
-        assert_eq!(issued.gets, 200_000);
+        assert_eq!(hits, [GETS; 2]);
     }
 }

@@ -16,10 +16,9 @@ use ssync_locks::TicketLock;
 use ssync_mp::{Message, MSG_WORDS};
 use ssync_srv::wire::{
     encode_cas, encode_replicate, encode_set, encode_value, CONT_VALUE_BYTES, HEAD_VALUE_BYTES,
-    MAX_VALUE_LEN, NO_LEADER, REPL_MGET_CONT_KEYS, REPL_MGET_HEAD_KEYS, REPL_MGET_MAX,
-    STATS_INLINE_BYTES,
+    MAX_VALUE_LEN, NO_LEADER, STATS_INLINE_BYTES,
 };
-use ssync_srv::{block_on, ring_mesh, serve, KvClient, Request, Response, ShardRouter};
+use ssync_srv::{block_on, ring_mesh, serve, KvClient, Request, Response, ShardRouter, WireError};
 
 include!("data/golden_frames.rs");
 
@@ -226,22 +225,18 @@ fn stats_payloads_round_trip_with_zeroed_tails() {
     }
 }
 
-/// Every key count a replica multi-get can carry: the key spill is the
-/// other continuation stream.
+/// The retired multi-get opcodes, 2 and 10, decode as unknown whatever
+/// key count the head's second byte claims, and announce no
+/// continuation: a receiver takes the head alone and refuses it.
 #[test]
-fn every_repl_multiget_width_round_trips() {
-    for n in 1..=REPL_MGET_MAX {
-        let msg = Msg::Req(Request::ReplMultiGet {
-            keys: (0..n as u64).map(|k| k * KEY).collect(),
-            floor: AUX,
-        });
-        let frames = msg.encode();
-        let spill = n
-            .saturating_sub(REPL_MGET_HEAD_KEYS)
-            .div_ceil(REPL_MGET_CONT_KEYS);
-        assert_eq!(frames.len(), 1 + spill, "{n} keys");
-        assert_eq!(Request::continuations(&frames[0]), spill, "{n} keys");
-        assert_eq!(Msg::decode(true, &frames), (Some(msg), spill), "{n} keys");
+fn retired_multiget_opcodes_are_unknown() {
+    for op in [2, 10] {
+        for count in [0, 1, 6, 64, 255] {
+            let head: Message = [op | count << 8, KEY, AUX, KEY, AUX, KEY, AUX];
+            assert_eq!(Request::continuations(&head), 0, "{op}/{count}");
+            let refused = Request::decode(head, || panic!("a refused head pulled a frame"));
+            assert_eq!(refused, Err(WireError::UnknownOpcode(op)), "{op}/{count}");
+        }
     }
 }
 
@@ -257,36 +252,27 @@ fn arbitrary(rng: &mut SmallRng) -> Msg {
     };
     let (a, b): (u64, u64) = (rng.gen(), rng.gen());
     if rng.gen::<bool>() {
-        Msg::Req(match rng.gen_range(0u8..12) {
+        Msg::Req(match rng.gen_range(0u8..10) {
             0 => Request::Get { key: a },
-            1 => Request::MultiGet {
-                keys: (0..rng.gen_range(1u8..=6)).map(|_| rng.gen()).collect(),
-            },
-            2 => Request::Set {
+            1 => Request::Set {
                 key: a,
                 value: value(rng),
             },
-            3 => Request::Cas {
+            2 => Request::Cas {
                 key: a,
                 expected: b,
                 value: value(rng),
             },
-            4 => Request::Delete { key: a },
-            5 => Request::Replicate {
+            3 => Request::Delete { key: a },
+            4 => Request::Replicate {
                 key: a,
                 version: b,
                 value: value(rng),
             },
-            6 => Request::ReplicateDelete { key: a, version: b },
-            7 => Request::ReplGet { key: a, floor: b },
-            8 => Request::ReplMultiGet {
-                keys: (0..rng.gen_range(1..=REPL_MGET_MAX))
-                    .map(|_| rng.gen())
-                    .collect(),
-                floor: b,
-            },
-            9 => Request::TimedGet { key: a, stamp: b },
-            10 => Request::Stats,
+            5 => Request::ReplicateDelete { key: a, version: b },
+            6 => Request::ReplGet { key: a, floor: b },
+            7 => Request::TimedGet { key: a, stamp: b },
+            8 => Request::Stats,
             _ => Request::Stop,
         })
     } else {
@@ -343,7 +329,7 @@ fn mutate(frames: &mut [Message], rng: &mut SmallRng) {
             frames[f2][w2] = word;
         }
         2 => frames[0] = std::array::from_fn(|_| rng.gen()),
-        // Low bits of word 0 only: a random opcode/count/length over
+        // Low bits of word 0 only: a random opcode/length over
         // otherwise intact frames.
         _ => frames[0][0] = rng.gen::<u64>() & 0xFFFF_FFFF,
     }

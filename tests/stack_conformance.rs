@@ -43,7 +43,6 @@ const KEYS: u64 = 24;
 enum Step {
     Get(u64),
     TimedGet(u64),
-    MultiGet(Vec<u64>),
     Set(u64, Vec<u8>),
     /// CAS from the key's last acknowledged version: succeeds iff the
     /// key is live.
@@ -64,18 +63,21 @@ fn value(salt: u64) -> Vec<u8> {
 /// A fixed prologue that pins every reply kind, then a seeded tail.
 fn script(seed: u64) -> Vec<Step> {
     let mut steps = vec![
-        Step::Get(1),                     // Miss
-        Step::Delete(1),                  // NotFound
-        Step::CasFresh(1, value(0)),      // CasFail on an absent key
-        Step::Set(1, value(4)),           // Stored, 700 bytes
-        Step::Get(1),                     // Value, multi-frame
-        Step::TimedGet(1),                // Value, timed
-        Step::Set(2, value(0)),           // Stored, inline
-        Step::MultiGet(vec![1, 9, 2, 1]), // hit, miss, hit, hit
-        Step::CasFresh(1, value(3)),      // Stored
-        Step::CasStale(1, value(2)),      // CasFail
-        Step::Delete(2),                  // Deleted
-        Step::TimedGet(2),                // Miss, timed
+        Step::Get(1),                // Miss
+        Step::Delete(1),             // NotFound
+        Step::CasFresh(1, value(0)), // CasFail on an absent key
+        Step::Set(1, value(4)),      // Stored, 700 bytes
+        Step::Get(1),                // Value, multi-frame
+        Step::TimedGet(1),           // Value, timed
+        Step::Set(2, value(0)),      // Stored, inline
+        Step::Get(1),                // Value
+        Step::Get(9),                // Miss
+        Step::Get(2),                // Value, inline
+        Step::Get(1),                // Value
+        Step::CasFresh(1, value(3)), // Stored
+        Step::CasStale(1, value(2)), // CasFail
+        Step::Delete(2),             // Deleted
+        Step::TimedGet(2),           // Miss, timed
         Step::Stats,
     ];
     let mut state = seed;
@@ -85,10 +87,14 @@ fn script(seed: u64) -> Vec<Step> {
     };
     for _ in 0..400 {
         let (roll, key, salt) = (next() % 100, next() % KEYS, next());
+        if (35..=44).contains(&roll) {
+            // A run of gets over keys five apart: hits and misses mixed.
+            steps.extend((0..1 + salt % 6).map(|i| Step::Get((key + i * 5) % KEYS)));
+            continue;
+        }
         steps.push(match roll {
             0..=24 => Step::Get(key),
             25..=34 => Step::TimedGet(key),
-            35..=44 => Step::MultiGet((0..1 + salt % 6).map(|i| (key + i * 5) % KEYS).collect()),
             45..=69 => Step::Set(key, value(salt)),
             70..=79 => Step::CasFresh(key, value(salt)),
             80..=87 => Step::CasStale(key, value(salt)),
@@ -145,67 +151,55 @@ fn play(
     let mut timed = 0u64;
     for step in steps {
         let expected = |key: &u64| versions.get(key).copied().unwrap_or(0);
-        let (request, answers) = match step.clone() {
-            Step::Get(key) => (Request::Get { key }, 1),
+        let request = match step.clone() {
+            Step::Get(key) => Request::Get { key },
             Step::TimedGet(key) => {
                 timed += 1;
                 let stamp = mono_ns();
-                (Request::TimedGet { key, stamp }, 1)
+                Request::TimedGet { key, stamp }
             }
-            Step::MultiGet(keys) => {
-                let n = keys.len();
-                (Request::MultiGet { keys }, n)
-            }
-            Step::Set(key, value) => (Request::Set { key, value }, 1),
+            Step::Set(key, value) => Request::Set { key, value },
             Step::CasFresh(key, value) => {
                 let expected = expected(&key);
-                (
-                    Request::Cas {
-                        key,
-                        expected,
-                        value,
-                    },
-                    1,
-                )
+                Request::Cas {
+                    key,
+                    expected,
+                    value,
+                }
             }
             Step::CasStale(key, value) => {
                 let expected = expected(&key).wrapping_sub(1);
-                (
-                    Request::Cas {
-                        key,
-                        expected,
-                        value,
-                    },
-                    1,
-                )
+                Request::Cas {
+                    key,
+                    expected,
+                    value,
+                }
             }
-            Step::Delete(key) => (Request::Delete { key }, 1),
-            Step::Stats => (Request::Stats, 1),
+            Step::Delete(key) => Request::Delete { key },
+            Step::Stats => Request::Stats,
         };
         block_on(conn.send(&request)).expect("node alive");
-        for _ in 0..answers {
-            let response = block_on(conn.recv()).expect("node alive");
-            match (step, &response) {
-                (Step::Set(key, _) | Step::CasFresh(key, _), Response::Stored { version }) => {
-                    versions.insert(*key, *version);
-                }
-                (Step::Delete(key), Response::Deleted { .. }) => {
-                    versions.remove(key);
-                }
-                _ => {}
+        let response = block_on(conn.recv()).expect("node alive");
+        match (step, &response) {
+            (Step::Set(key, _) | Step::CasFresh(key, _), Response::Stored { version }) => {
+                versions.insert(*key, *version);
             }
-            if matches!(step, Step::Stats) {
-                // Scrape payloads differ by design (each stack adds its
-                // own node counters); they are compared by content below.
-                let snap = response.into_stats().expect("a scrape answers Stats");
-                for name in ["srv.queue_wait_ns", "srv.apply_ns"] {
-                    let recorded = snap.hist(name).map_or(0, |h| h.count());
-                    assert_eq!(recorded, timed, "{name} records every TimedGet");
-                }
-                scrape = Some(snap);
-            } else {
-                replies.push(response);
+            (Step::Delete(key), Response::Deleted { .. }) => {
+                versions.remove(key);
             }
+            _ => {}
+        }
+        if matches!(step, Step::Stats) {
+            // Scrape payloads differ by design (each stack adds its
+            // own node counters); they are compared by content below.
+            let snap = response.into_stats().expect("a scrape answers Stats");
+            for name in ["srv.queue_wait_ns", "srv.apply_ns"] {
+                let recorded = snap.hist(name).map_or(0, |h| h.count());
+                assert_eq!(recorded, timed, "{name} records every TimedGet");
+            }
+            scrape = Some(snap);
+        } else {
+            replies.push(response);
         }
     }
     (replies, scrape.expect("the script ends with a scrape"))
