@@ -805,8 +805,8 @@ mod tests {
     }
 
     impl Hooks for Stepped<'_> {
-        fn admit(&mut self, key: u64, is_write: bool) -> Admit {
-            match self.node.admit(key, is_write) {
+        fn admit(&mut self, request: &mut Request) -> Admit {
+            match self.node.admit(request) {
                 Admit::Defer if self.runs_frozen => Admit::Run,
                 verdict => verdict,
             }
@@ -829,10 +829,6 @@ mod tests {
                 Some(owed) => self.node.before_poll_sweeping_late(counts, owed),
                 None => self.node.before_poll(counts),
             }
-        }
-
-        fn deferred(&mut self) {
-            self.node.deferred();
         }
     }
 

@@ -123,7 +123,8 @@ pub struct NodeReport {
     pub malformed: u64,
     /// Requests bounced with [`Response::WrongShard`].
     pub wrong_shard_redirects: u64,
-    /// Writes deferred at least once by a migration freeze.
+    /// Writes deferred at least once by a migration freeze: the core's
+    /// [`ServeReport::deferred`], scraped as `srv.deferred`.
     pub migration_ops_deferred: u64,
     /// Migration-stream entries processed (applied or version-gated).
     pub migration_entries: u64,
@@ -254,13 +255,22 @@ impl<R: RawLock + Default> ClusterNode<'_, R> {
             requests: counts.requests,
             key_ops: counts.key_ops,
             malformed: counts.malformed,
+            migration_ops_deferred: counts.deferred,
             ..self.report
         }
     }
 }
 
 impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
-    fn admit(&mut self, key: u64, is_write: bool) -> Admit {
+    /// The data operations through [`slot_fence`]; the rest go on to
+    /// the core, which refuses them.
+    fn admit(&mut self, request: &mut Request) -> Admit {
+        let (key, is_write) = match *request {
+            Request::Get { key } | Request::TimedGet { key, .. } => (key, false),
+            Request::Set { key, .. } | Request::Cas { key, .. } => (key, true),
+            Request::Delete { key } => (key, true),
+            _ => return Admit::Run,
+        };
         let verdict = slot_fence(self.map, self.me, key, is_write);
         if matches!(verdict, Admit::Refuse(_)) {
             self.report.wrong_shard_redirects += 1;
@@ -323,10 +333,6 @@ impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
         ControlFlow::Continue(progressed)
     }
 
-    fn deferred(&mut self) {
-        self.report.migration_ops_deferred += 1;
-    }
-
     /// Not while the logs are armed, nor before its sweep at the disarm.
     fn may_exit(&mut self) -> bool {
         !is_armed(self.log_generation) && !is_armed(self.map.arming.current())
@@ -336,7 +342,6 @@ impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
         let report = &self.report;
         vec![
             ("node.wrong_shard_redirects", report.wrong_shard_redirects),
-            ("node.migration_ops_deferred", report.migration_ops_deferred),
             ("node.migration_entries", report.migration_entries),
             ("node.keys_swept", report.keys_swept),
             ("node.oplog_entries", self.log.len() as u64),
@@ -436,12 +441,13 @@ impl<'a> ClusterClient<'a> {
 struct Owner<'c, 'a> {
     client: &'c ClusterClient<'a>,
     key: u64,
+    request: &'c Request,
 }
 
 impl Chase for Owner<'_, '_> {
-    fn pick(&self) -> Option<(usize, &Conn)> {
+    fn pick(&self) -> Option<(&Conn, &Request)> {
         let owner = self.client.cached.borrow().owner_of_key(self.key);
-        Some((owner, self.client.nodes.conn(owner)))
+        Some((self.client.nodes.conn(owner), self.request))
     }
 
     /// A single refetch is fresh enough: the bouncer read its epoch
@@ -459,7 +465,7 @@ impl Chase for Owner<'_, '_> {
         true
     }
 
-    fn lost(&self, _node: usize) -> bool {
+    fn lost(&self) -> bool {
         false
     }
 }
@@ -476,10 +482,13 @@ impl Chase for Owner<'_, '_> {
 /// spent while nodes keep bouncing the key.
 impl KvClient for ClusterClient<'_> {
     async fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
-        let owner = Owner { client: self, key };
+        let owner = Owner {
+            client: self,
+            key,
+            request,
+        };
         let mut budget = RetryPacer::new(OP_BUDGET, key);
-        let (_, response) = chase(&owner, request, &mut budget).await?;
-        Ok(response)
+        chase(&owner, &mut budget).await
     }
 }
 
@@ -699,7 +708,7 @@ mod tests {
         for (scrape, r) in scrapes.iter().zip(&reports) {
             let fields = [
                 ("node.wrong_shard_redirects", r.wrong_shard_redirects),
-                ("node.migration_ops_deferred", r.migration_ops_deferred),
+                ("srv.deferred", r.migration_ops_deferred),
                 ("node.migration_entries", r.migration_entries),
                 ("node.keys_swept", r.keys_swept),
             ];
@@ -759,7 +768,7 @@ mod tests {
             // ...which the node's own scrape shows while it is parked...
             let parked = |client: &ClusterClient| {
                 let snap = client.stats(0).unwrap();
-                snap.counter("node.migration_ops_deferred").unwrap()
+                snap.counter("srv.deferred").unwrap()
             };
             while parked(&client) == 0 {
                 std::thread::yield_now();

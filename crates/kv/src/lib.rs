@@ -1168,9 +1168,11 @@ pub enum KvFault {
     HandleParksOnStripe,
 }
 
-/// Statistics counters (all monotonic). Each counter is padded to its
-/// own cache-line pair: the counters are bumped from every client of a
-/// shard, and adjacent unpadded `AtomicU64`s would false-share — a
+/// Statistics counters (all monotonic), bumped by the store's own
+/// operations only: a served shard's by its node, the one thread that
+/// runs the shard's operations. Each counter is padded to its own
+/// cache-line pair because a store used directly may be shared by many
+/// threads, and adjacent unpadded `AtomicU64`s would false-share — a
 /// coherence tax on every operation even when the data path itself is
 /// uncontended.
 #[derive(Debug, Default)]
@@ -1494,11 +1496,6 @@ impl<R: RawLock + Default> KvStore<R> {
         store
     }
 
-    /// Statistics counters.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
     /// A plain-value copy of every [`Stats`] counter plus the live
     /// `reclaim_backlog` gauge — the form the service layers scrape.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
@@ -1689,10 +1686,10 @@ impl<R: RawLock + Default> KvStore<R> {
     }
 
     /// Looks a key up and hands a hit's version and value to `visit`,
-    /// borrowed in place: no handle is taken, so the read writes no
-    /// shared word at all. What a server uses to encode a reply
-    /// straight from the stored bytes. Counts toward hit/miss
-    /// statistics like [`KvStore::get`].
+    /// borrowed in place: no handle is taken, so the item's reference
+    /// count is not touched; the one shared word the read writes is its
+    /// padded hit or miss counter, as [`KvStore::get`]'s does. What a
+    /// server uses to encode a reply straight from the stored bytes.
     ///
     /// `visit` runs under the read's epoch pin — or, when the read fell
     /// back, under the key's stripe lock — so it should be short and
@@ -2482,8 +2479,8 @@ mod tests {
         kv.set(b"present", b"v".as_slice());
         kv.get(b"present");
         kv.get(b"absent");
-        assert_eq!(kv.stats().hits.load(Ordering::Relaxed), 1);
-        assert_eq!(kv.stats().misses.load(Ordering::Relaxed), 1);
+        let snap = kv.stats_snapshot();
+        assert_eq!((snap.hits, snap.misses), (1, 1));
     }
 
     #[test]

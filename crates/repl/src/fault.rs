@@ -11,10 +11,9 @@
 //! A node carries none of this. The driver that moves it
 //! ([`ssync_srv::step`]) applies the plans between its moves, each
 //! trigger reading the map and the node's own state, never the time: a
-//! backup's window (either kind, [`FaultKind::Stall`] or
-//! [`FaultKind::Crash`]) is a [`Pause`](ssync_srv::Pause) of `window`
-//! rounds, opening once the hwm the backup published reaches the entry
-//! before the window's first, unless it leads by then; a
+//! backup's [`FaultKind::Stall`] is a [`Pause`](ssync_srv::Pause) of
+//! `window` rounds, opening once the hwm the backup published reaches
+//! the entry before the window's first, unless it leads by then; a
 //! [`FaultKind::PrimaryCrash`] is a [`Crash`](ssync_srv::Crash) of the
 //! leader, once the reply to the write of the scheduled entry went out.
 //! A paused backup does nothing and resumes where it stopped, so a
@@ -28,8 +27,6 @@ use rand::{Rng, SeedableRng};
 pub enum FaultKind {
     /// The backup is paused for `window` rounds.
     Stall,
-    /// As a stall: the driver pauses the backup for `window` rounds.
-    Crash,
     /// The shard *leader* dies for good right after fully acknowledging
     /// the write that produced entry `at_entry` — the worst moment for
     /// a failover protocol, since that ack is now a promise only the
@@ -37,7 +34,9 @@ pub enum FaultKind {
     /// window: the node never comes back, and `window` is ignored
     /// (normalized to 1). Scheduled on whichever node leads when the
     /// entry is produced, so a plan with several crashes kills a chain
-    /// of successive leaders.
+    /// of successive leaders. A migration's source-stream and
+    /// coordinator plans are crashes too, at the entry or move
+    /// `at_entry` names.
     PrimaryCrash,
 }
 
@@ -150,9 +149,8 @@ impl FaultSpec {
     }
 
     /// The deterministic schedule for one `(shard, replica)` slot.
-    /// Windows are drawn in `1..=max_window`, alternating between
-    /// stalls and crashes pseudo-randomly; gaps between windows are at
-    /// least one entry and average `spacing`.
+    /// Windows are drawn in `1..=max_window`; gaps between windows are
+    /// at least one entry and average `spacing`.
     pub fn plan_for(&self, shard: usize, replica: usize) -> FaultPlan {
         if self.faults_per_replica == 0 {
             return FaultPlan::none();
@@ -164,14 +162,12 @@ impl FaultSpec {
         let mut at = 1 + rng.gen_range(0..=self.spacing);
         for _ in 0..self.faults_per_replica {
             let window = rng.gen_range(1..=self.max_window);
-            let kind = if rng.gen_range(0..2u8) == 0 {
-                FaultKind::Stall
-            } else {
-                FaultKind::Crash
-            };
+            // The draw of a retired second backup kind, kept so every
+            // seeded schedule stays what it was.
+            rng.gen_range(0..2u8);
             events.push(FaultEvent {
                 at_entry: at,
-                kind,
+                kind: FaultKind::Stall,
                 window,
             });
             at += window + 1 + rng.gen_range(0..=2 * self.spacing);
@@ -187,19 +183,9 @@ impl FaultSpec {
     /// entries apart, averaging `spacing` (or a fixed gap of 8 when
     /// the spec schedules no backup faults and `spacing` is 0).
     pub fn primary_plan_for(&self, shard: usize) -> FaultPlan {
-        if self.primary_crashes == 0 {
-            return FaultPlan::none();
-        }
         let stream = (shard as u64) << 32 | u64::from(u32::MAX);
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ ssync_core::mix64(stream));
-        let spacing = self.spacing.max(8);
-        let mut entries = Vec::with_capacity(self.primary_crashes);
-        let mut at = 1 + rng.gen_range(0..=spacing);
-        for _ in 0..self.primary_crashes {
-            entries.push(at);
-            at += 2 + rng.gen_range(0..=2 * spacing);
-        }
-        FaultPlan::primary_crashes(entries)
+        let seed = self.seed ^ ssync_core::mix64(stream);
+        crash_plan(seed, self.spacing.max(8), self.primary_crashes)
     }
 
     /// The deterministic migration-stream crash schedule for one
@@ -213,23 +199,9 @@ impl FaultSpec {
     /// slot or leader stream uses, so existing schedules are
     /// byte-identical with migration faults on or off.
     pub fn migration_plan_for(&self, source_shard: usize, crashes: usize) -> FaultPlan {
-        if crashes == 0 {
-            return FaultPlan::none();
-        }
         let stream = (source_shard as u64) << 32 | u64::from(u32::MAX - 1);
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ ssync_core::mix64(stream));
-        let spacing = self.spacing.max(8);
-        let mut events = Vec::with_capacity(crashes);
-        let mut at = 1 + rng.gen_range(0..=spacing);
-        for _ in 0..crashes {
-            events.push(FaultEvent {
-                at_entry: at,
-                kind: FaultKind::Crash,
-                window: 1,
-            });
-            at += 2 + rng.gen_range(0..=2 * spacing);
-        }
-        FaultPlan::from_events(events)
+        let seed = self.seed ^ ssync_core::mix64(stream);
+        crash_plan(seed, self.spacing.max(8), crashes)
     }
 
     /// The deterministic *coordinator* crash schedule of a resharding:
@@ -239,18 +211,21 @@ impl FaultSpec {
     /// coordinator, not one per shard), tagged outside the per-shard
     /// space.
     pub fn coordinator_plan_for(&self, crashes: usize) -> FaultPlan {
-        if crashes == 0 {
-            return FaultPlan::none();
-        }
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ ssync_core::mix64(u64::MAX));
-        let mut entries = Vec::with_capacity(crashes);
-        let mut at = 1 + rng.gen_range(0..=1u64);
-        for _ in 0..crashes {
-            entries.push(at);
-            at += 2 + rng.gen_range(0..=2u64);
-        }
-        FaultPlan::primary_crashes(entries)
+        crash_plan(self.seed ^ ssync_core::mix64(u64::MAX), 1, crashes)
     }
+}
+
+/// `crashes` crash entries drawn from `seed`: the first in
+/// `1..=1 + spacing`, each next one 2 to `2 + 2 * spacing` entries on.
+fn crash_plan(seed: u64, spacing: u64, crashes: usize) -> FaultPlan {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut at = 1 + rng.gen_range(0..=spacing);
+    let mut entry = || {
+        let this = at;
+        at += 2 + rng.gen_range(0..=2 * spacing);
+        this
+    };
+    FaultPlan::primary_crashes((0..crashes).map(|_| entry()).collect())
 }
 
 #[cfg(test)]
@@ -332,7 +307,7 @@ mod tests {
         assert!(plan
             .events()
             .iter()
-            .all(|e| e.kind == FaultKind::Crash && e.window == 1));
+            .all(|e| e.kind == FaultKind::PrimaryCrash && e.window == 1));
         assert_ne!(plan, spec.migration_plan_for(1, 3));
         assert_ne!(plan, spec.plan_for(0, 1));
         assert!(spec.migration_plan_for(0, 0).is_empty());
@@ -368,7 +343,7 @@ mod tests {
             },
             FaultEvent {
                 at_entry: 8,
-                kind: FaultKind::Crash,
+                kind: FaultKind::Stall,
                 window: 2,
             },
         ]);

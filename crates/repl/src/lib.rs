@@ -19,7 +19,7 @@
 //! floor the client carries).
 //!
 //! Faults are first-class and *deterministic*, and the driver applies
-//! them between a node's moves: seeded stall and crash windows keyed to
+//! them between a node's moves: seeded stall windows keyed to
 //! replication entry indices pause a backup and replay exactly, and the
 //! paused backup resumes the live stream where it stopped — the
 //! convergence property the proptest harness checks against a model on
@@ -32,13 +32,14 @@
 //! from resurrecting overwritten state.
 //!
 //! * [`log`] — the bounded, version-ordered op-log;
-//! * [`fault`] — deterministic stall/crash/leader-crash schedules;
+//! * [`fault`] — deterministic backup-stall and leader-crash schedules;
 //! * [`cluster`] — the shared term/leader/high-water-mark map
 //!   promotions race through;
 //! * [`service`] — the replication mesh, the node server loop, and the
-//!   [`service::ReplClient`], whose writes and leader reads chase the
-//!   shard's leader through `ssync-srv`'s one retry loop
-//!   ([`ssync_srv::conn::chase`]) under one budget per operation;
+//!   [`service::ReplClient`], whose writes chase the shard's leader and
+//!   whose reads try a follower first, both through `ssync-srv`'s one
+//!   retry loop ([`ssync_srv::conn::chase`]) under one budget per
+//!   operation;
 //! * [`workload`] — the replicated closed-loop driver: the `ssync-srv`
 //!   engine's sequential driver and client fan-out over the node
 //!   threads, reporting the engine's one `Tally`.

@@ -9,7 +9,7 @@
 //! follower's transitions (the private `Follower`, which touches no
 //! ring), the per-request not-leader bounce and floor-guarded replica
 //! reads in front of the executor, the leader's replication of every
-//! committed write, and the client's leader-chasing retries.
+//! committed write, and the client's one retry policy.
 //!
 //! Each shard is a *replication group* of N = R + 1 symmetric **nodes**
 //! (threads), each owning a full `KvStore` copy. At any instant exactly
@@ -61,7 +61,7 @@
 //! **Read path.** Clients route reads round-robin across a shard's live
 //! followers with a *freshness floor* (the highest version the client
 //! observed on that shard); a follower behind the floor answers
-//! `Stale` and the client falls back to the leader. While a shard is leaderless, writes and leader reads wait
+//! `Stale` and the client asks the leader, in the same retry loop. While a shard is leaderless, writes and leader reads wait
 //! for a promotion within the operation's retry budget
 //! ([`RetryPacer`]); a client that opted into
 //! [`ReplClient::with_stale_reads`] degrades reads to floor-zero
@@ -91,7 +91,6 @@
 use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 
@@ -105,8 +104,8 @@ use ssync_srv::service::{
 };
 use ssync_srv::wire::{Request, Response, WireError, NO_LEADER};
 use ssync_srv::{
-    block_on, chase, run, Chase, Conn, Crash, Hooks, NodeCore, Pause, SendQueue, StreamDecoder,
-    Turn, OP_BUDGET,
+    block_on, chase, run, Admit, Chase, Conn, Crash, Hooks, NodeCore, Pause, SendQueue,
+    StreamDecoder, Turn, OP_BUDGET,
 };
 
 use crate::cluster::{ClusterMap, ShardView};
@@ -367,25 +366,22 @@ struct ShardState {
     /// on this shard (writes *and* reads raise it, giving
     /// read-your-writes and monotonic reads across replicas).
     floor: Cell<u64>,
-    /// Cached `(term, leader)` view, refreshed from the map on
-    /// redirects, disconnects, and vacancies.
+    /// Cached `(term, leader)` view: redirects update it, a lost node
+    /// vacates it, and a vacant one is refreshed from the map.
     view: Cell<ShardView>,
 }
 
-/// A client of the replicated service: writes go to the shard's
-/// leader (chasing `WrongLeader` redirects and dead-node
-/// disconnects under a retry deadline), reads round-robin across live
-/// followers with the freshness floor as the staleness guard, falling
-/// back to the leader on a `Stale` answer.
+/// A client of the replicated service. Each operation is one [`chase`]
+/// under one [`OP_BUDGET`]: a write asks the shard's leader, chasing
+/// `WrongLeader` redirects and lost nodes; a read asks live followers
+/// round-robin with the freshness floor as the staleness guard, and the
+/// leader once one answers `Stale`.
 pub struct ReplClient {
     /// One connection per node of every group: node `n` of shard `s`
     /// is server `s * nodes_per_shard + n` of this mesh.
     mesh: ServiceClient<RingSender, RingReceiver>,
     shards: Vec<ShardState>,
     map: Arc<ClusterMap>,
-    /// Per-operation retry budget; after this, calls return the last
-    /// transport error (or [`WireError::Deadline`]).
-    deadline: Duration,
     /// Opt-in: while a shard is leaderless, serve reads floor-free
     /// from any live node instead of waiting for a promotion.
     stale_reads: bool,
@@ -461,7 +457,6 @@ pub(crate) fn mesh_at(
                 })
                 .collect(),
             map: map.clone(),
-            deadline: OP_BUDGET,
             stale_reads: false,
             seed: Cell::new(0x5EED_0000 + c as u64),
             fallbacks: Cell::new(0),
@@ -484,7 +479,7 @@ pub struct NodeConfig {
     /// The shard's post-preload high-water mark
     /// ([`ReplCluster::preload_hwm`]).
     pub initial_hwm: u64,
-    /// This node's deterministic stall/crash windows as a follower:
+    /// This node's deterministic stall windows as a follower:
     /// its driver pauses it for each ([`Pause`]).
     pub backup_plan: FaultPlan,
     /// The *shard's* leader-crash schedule: entry indices after whose
@@ -603,10 +598,6 @@ impl<'a, R: RawLock + Default> Follower<'a, R> {
     fn apply(&mut self, entry: EntryView<'_>) -> bool {
         if entry.version <= self.report.hwm {
             self.report.stale_drops += 1;
-            self.store
-                .stats()
-                .repl_stale_drops
-                .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
             return false;
         }
         entry.apply_to(self.store);
@@ -807,27 +798,30 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
 
     /// Replica reads are served by any node — the leader is always
     /// fresh enough, a follower checks its floor and answers `Stale`
-    /// below it. Writes and authoritative reads belong to the leader: a
-    /// follower answers `WrongLeader`. Node-to-node frames on a client
-    /// connection go on to the core, which refuses them in any role.
-    fn gate(&mut self, request: Request) -> Result<Request, Response> {
+    /// below it — and one that passes runs as a plain `Get`. Writes and
+    /// authoritative reads belong to the leader: a follower answers
+    /// `WrongLeader`. Node-to-node frames on a client connection go on
+    /// to the core, which refuses them in any role.
+    fn admit(&mut self, request: &mut Request) -> Admit {
         let report = &mut self.follower.report;
         let freshness = report.hwm.max(report.last_version);
-        match request {
+        match *request {
             Request::ReplGet { floor, .. } if freshness < floor => {
                 report.refused_reads += 1;
-                Err(Response::Stale { hwm: freshness })
+                Admit::Refuse(Response::Stale { hwm: freshness })
             }
-            // A replica read that passed the guard is a plain read.
-            Request::ReplGet { key, .. } => Ok(Request::Get { key }),
-            Request::Replicate { .. } | Request::ReplicateDelete { .. } => Ok(request),
+            Request::ReplGet { key, .. } => {
+                *request = Request::Get { key };
+                Admit::Run
+            }
+            Request::Replicate { .. } | Request::ReplicateDelete { .. } => Admit::Run,
             _ if !self.leading => {
                 report.wrong_leader += 1;
                 let leader = self.view.leader.map_or(NO_LEADER, |l| l as u64);
                 let term = report.term;
-                Err(Response::WrongLeader { term, leader })
+                Admit::Refuse(Response::WrongLeader { term, leader })
             }
-            request => Ok(request),
+            _ => Admit::Run,
         }
     }
 
@@ -1105,13 +1099,6 @@ pub fn serve_node<R: RawLock + Default>(
 }
 
 impl ReplClient {
-    /// Replaces the per-operation retry budget (default five seconds).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> ReplClient {
-        self.deadline = deadline;
-        self
-    }
-
     /// Opts into floor-free replica reads while a shard is leaderless:
     /// `get` then serves possibly-stale data from any live node
     /// instead of waiting out the promotion.
@@ -1176,28 +1163,18 @@ impl ReplClient {
         s
     }
 
-    fn budget(&self) -> RetryPacer {
-        RetryPacer::new(self.deadline, self.next_seed())
-    }
-
-    /// The cached `(term, leader)` view, consulting the shared map
-    /// whenever the cache says "vacant" (promotions only ever move the
-    /// view forward, so a cached leader is worth trying first).
+    /// The cached `(term, leader)` view, re-read from the shared map
+    /// whenever the cache says "vacant" and kept if the map's term is no
+    /// older (a redirect can be fresher than the map read that raced it;
+    /// promotions only ever move the view forward, so a cached leader is
+    /// worth trying first).
     fn shard_view(&self, shard: usize) -> ShardView {
-        let cached = self.shards[shard].view.get();
-        if cached.leader.is_some() {
-            return cached;
-        }
-        self.refresh_view(shard)
-    }
-
-    /// Re-reads the shared map, keeping whichever view has the higher
-    /// term (a redirect can be fresher than the map read that raced it).
-    fn refresh_view(&self, shard: usize) -> ShardView {
-        let fresh = self.map.view(shard);
         let cell = &self.shards[shard].view;
-        if fresh.term >= cell.get().term {
-            cell.set(fresh);
+        if cell.get().leader.is_none() {
+            let fresh = self.map.view(shard);
+            if fresh.term >= cell.get().term {
+                cell.set(fresh);
+            }
         }
         cell.get()
     }
@@ -1213,9 +1190,6 @@ impl ReplClient {
         let cell = &self.shards[shard].view;
         if term >= cell.get().term {
             cell.set(ShardView { term, leader });
-        }
-        if cell.get().leader.is_none() {
-            self.refresh_view(shard);
         }
         true
     }
@@ -1242,89 +1216,45 @@ impl ReplClient {
         block_on(self.conn(shard, node).call(&Request::Stats))?.into_stats()
     }
 
-    /// The leader chase of `shard` under `budget`, every write (and
-    /// authoritative read) goes through: returns the leader that
-    /// answered with its reply, having raised the shard's floor to any
-    /// version the reply carries.
-    async fn at_leader(
+    /// One operation on `shard`, chased under one [`OP_BUDGET`]:
+    /// `requests` holds what each [`Asked`] pick sends, and only a
+    /// `read` asks followers. Returns whom it asked last, with the reply.
+    async fn route(
         &self,
         shard: usize,
-        request: &Request,
-        budget: &mut RetryPacer,
-    ) -> Result<(usize, Response), WireError> {
-        let leader = Leader {
+        requests: [&Request; 3],
+        read: bool,
+    ) -> Result<(Asked, Response), WireError> {
+        let route = Route {
             client: self,
             shard,
+            requests,
+            read,
+            asked: Cell::new(Asked::Leader),
+            at_leader: Cell::new(!read),
         };
-        let (node, response) = chase(&leader, request, budget).await?;
-        Ok((node, self.observed(shard, response)))
+        let mut budget = RetryPacer::new(OP_BUDGET, self.next_seed());
+        let response = chase(&route, &mut budget).await?;
+        Ok((route.asked.get(), response))
     }
 
     /// The body of [`KvClient::get`]: see there.
     pub(crate) async fn read(&self, key: u64) -> Result<ReadHit, WireError> {
         let shard = shard_of(key, self.shards.len());
-        let mut budget = self.budget();
-        let mut last_err = None;
-        loop {
-            let view = self.shard_view(shard);
-            let Some(leader) = view.leader else {
-                let any_live = self.stale_reads.then(|| self.pick_live(shard, None));
-                if let Some(node) = any_live.flatten() {
-                    let request = Request::ReplGet { key, floor: 0 };
-                    match self.conn(shard, node).call(&request).await {
-                        Ok(response) => {
-                            let hit = response.into_read("ReplGet")?;
-                            Self::bump(&self.stale_served, 1);
-                            return Ok(hit);
-                        }
-                        Err(WireError::Disconnected) => last_err = Some(WireError::Disconnected),
-                        Err(e) => return Err(e),
-                    }
-                }
-                if !budget.pause().await {
-                    return Err(last_err.unwrap_or(WireError::Deadline));
-                }
-                continue;
-            };
-            if let Some(follower) = self.pick_live(shard, Some(leader)) {
-                let floor = self.shards[shard].floor.get();
-                let request = Request::ReplGet { key, floor };
-                match self.conn(shard, follower).call(&request).await {
-                    Ok(Response::Stale { .. }) => Self::bump(&self.fallbacks, 1),
-                    Ok(response) => {
-                        let hit = self.observed(shard, response).into_read("ReplGet")?;
-                        Self::bump(&self.replica_serves, 1);
-                        return Ok(hit);
-                    }
-                    Err(WireError::Disconnected) => {
-                        // Follower gone (it was leading and died, or is
-                        // shutting down): refresh and retry the loop.
-                        last_err = Some(WireError::Disconnected);
-                        self.refresh_view(shard);
-                        if !budget.pause().await {
-                            return Err(WireError::Disconnected);
-                        }
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            match self
-                .at_leader(shard, &Request::Get { key }, &mut budget)
-                .await
-            {
-                Ok((_, response)) => return response.into_read("Get"),
-                // The authoritative path is gone with the budget; while
-                // the shard is leaderless, loop back so that branch can
-                // serve the read floor-free.
-                Err(e @ (WireError::Disconnected | WireError::Deadline))
-                    if self.stale_reads && self.shards[shard].view.get().leader.is_none() =>
-                {
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let floor = self.shards[shard].floor.get();
+        let requests = [
+            Request::Get { key },
+            Request::ReplGet { key, floor },
+            Request::ReplGet { key, floor: 0 },
+        ];
+        let (served, response) = match self.route(shard, requests.each_ref(), true).await? {
+            (Asked::Leader, response) => return self.observed(shard, response).into_read("Get"),
+            (Asked::Replica, response) => (&self.replica_serves, self.observed(shard, response)),
+            (Asked::FloorFree, response) => (&self.stale_served, response),
+        };
+        let hit = response.into_read("ReplGet")?;
+        Self::bump(served, 1);
+        Ok(hit)
     }
 
     /// Tells every node this client is done, consuming the client.
@@ -1334,21 +1264,65 @@ impl ReplClient {
     }
 }
 
-/// The chase policy of one leader exchange on `shard`: ask the cached
-/// leader, adopt `WrongLeader` redirects, and retry a node
-/// lost under the request.
-struct Leader<'c> {
-    client: &'c ReplClient,
-    shard: usize,
+/// Whom a [`Route`] pick asks, and so which of its requests it sends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Asked {
+    /// The cached leader.
+    Leader,
+    /// A live follower, with the client's freshness floor.
+    Replica,
+    /// Any live node of a leaderless shard, floor-free.
+    FloorFree,
 }
 
-impl Chase for Leader<'_> {
-    fn pick(&self) -> Option<(usize, &Conn)> {
-        let leader = self.client.shard_view(self.shard).leader?;
-        Some((leader, self.client.conn(self.shard, leader)))
+/// The chase policy of one operation on `shard`. A write asks the
+/// cached leader and adopts `WrongLeader` redirects. A read asks a live
+/// follower first, round-robin, with the client's freshness floor —
+/// read-your-writes and monotonic reads per client, Almeida's session
+/// guarantees — and the leader once a follower answers `Stale` or none
+/// is live. While the shard is leaderless the operation waits, or a
+/// read under [`ReplClient::with_stale_reads`] asks any live node
+/// floor-free.
+struct Route<'c> {
+    client: &'c ReplClient,
+    shard: usize,
+    /// What a pick of each [`Asked`] sends, in its order.
+    requests: [&'c Request; 3],
+    read: bool,
+    /// Whom the last pick asked.
+    asked: Cell<Asked>,
+    /// Ask the leader, not a follower.
+    at_leader: Cell<bool>,
+}
+
+impl Chase for Route<'_> {
+    fn pick(&self) -> Option<(&Conn, &Request)> {
+        let (client, shard) = (self.client, self.shard);
+        let (node, asked) = match client.shard_view(shard).leader {
+            None if self.read && client.stale_reads => {
+                (client.pick_live(shard, None)?, Asked::FloorFree)
+            }
+            None => return None,
+            Some(leader) if self.at_leader.get() => (leader, Asked::Leader),
+            Some(leader) => match client.pick_live(shard, Some(leader)) {
+                Some(follower) => (follower, Asked::Replica),
+                None => {
+                    self.at_leader.set(true);
+                    (leader, Asked::Leader)
+                }
+            },
+        };
+        self.asked.set(asked);
+        Some((client.conn(shard, node), self.requests[asked as usize]))
     }
 
+    /// A `Stale` answer sends the read to the leader.
     fn redirected(&self, response: &Response) -> bool {
+        if let Response::Stale { .. } = response {
+            ReplClient::bump(&self.client.fallbacks, 1);
+            self.at_leader.set(true);
+            return true;
+        }
         self.client.note_redirect(self.shard, response)
     }
 
@@ -1358,15 +1332,17 @@ impl Chase for Leader<'_> {
     /// ring after death, and the connected receive drains that backlog
     /// before reporting the disconnect. `Disconnected` therefore
     /// proves the request still sat unread in the dead node's inbox.
-    /// The cached view forgets the lost leader, so the next pick
-    /// consults the map.
-    fn lost(&self, _node: usize) -> bool {
-        ReplClient::bump(&self.client.lost_to_retry, 1);
-        let view = &self.client.shards[self.shard].view;
-        view.set(ShardView {
-            term: view.get().term,
-            leader: None,
-        });
+    /// The cached view forgets its leader, so the next pick consults
+    /// the map, whichever node was lost: the leader, or a follower (it
+    /// led and died, or is shutting down).
+    fn lost(&self) -> bool {
+        let client = self.client;
+        if self.asked.get() == Asked::Leader {
+            ReplClient::bump(&client.lost_to_retry, 1);
+        }
+        let view = &client.shards[self.shard].view;
+        let term = view.get().term;
+        view.set(ShardView { term, leader: None });
         true
     }
 }
@@ -1383,16 +1359,16 @@ impl Chase for Leader<'_> {
 impl KvClient for ReplClient {
     async fn exchange(&self, key: u64, request: &Request) -> Result<Response, WireError> {
         let shard = shard_of(key, self.shards.len());
-        let (_, response) = self.at_leader(shard, request, &mut self.budget()).await?;
-        Ok(response)
+        let (_, response) = self.route(shard, [request; 3], false).await?;
+        Ok(self.observed(shard, response))
     }
 
     /// Looks a key up, preferring a follower: round-robin over the
-    /// shard's live non-leaders with the freshness floor attached,
-    /// falling back to the leader when the pick is behind or down.
-    /// While the shard is leaderless, either waits under the deadline
-    /// or (with [`ReplClient::with_stale_reads`]) serves floor-free
-    /// from any live node.
+    /// shard's live non-leaders with the freshness floor attached, a
+    /// lost one retried after a pause, and the leader once a follower is
+    /// behind or none is live. While the shard is leaderless, waits out
+    /// the budget or (with [`ReplClient::with_stale_reads`]) serves
+    /// floor-free from any live node.
     ///
     /// # Errors
     ///
@@ -1409,9 +1385,12 @@ mod tests {
     use crate::fault::{FaultEvent, FaultKind};
     use core::future::Future;
     use core::pin::{pin, Pin};
+    use ssync_core::clock;
     use ssync_locks::TicketLock;
     use ssync_mp::MsgSender;
+    use ssync_srv::step::QUANTUM;
     use ssync_srv::{enumerate, play, KvClient, Step};
+    use std::time::Duration;
 
     /// Spins up a full replication deployment, runs `body` with the
     /// clients, and returns the cluster for post-mortem checks.
@@ -1536,6 +1515,76 @@ mod tests {
         assert!(cluster.converged());
     }
 
+    /// One `Stale` sends the read to the leader once: the leader and
+    /// the client move alone until the write is acknowledged and the
+    /// read waits at node 1, whose first turn finds the entry's frames
+    /// only half published on its two-slot stream ring. It answers
+    /// `Stale`, and the leader answers the read, with no second
+    /// follower asked.
+    #[test]
+    fn a_stale_answer_sends_the_read_to_the_leader_once() {
+        let cluster = ReplCluster::new(1, 8, 2, ReplSpec::async_bounded(2));
+        let (mut nodes, client) = stepped_group(&cluster, None, None, None, 2);
+        let mut read = None;
+        {
+            let ops = pin!(async {
+                let write = Request::Set {
+                    key: 1,
+                    value: vec![1; 300],
+                };
+                let written = client.exchange(1, &write).await;
+                read = Some((
+                    written.and_then(Response::into_stored),
+                    client.read(1).await,
+                ));
+                client.mesh.send_stop().await;
+            });
+            let mut prefix = [0, 3].repeat(4);
+            prefix.push(1);
+            play_group(&mut nodes, ops, &prefix).unwrap();
+        }
+        let Some((Ok(version), Ok(Some((at, _))))) = read else {
+            panic!("the write and the read were answered {read:?}");
+        };
+        assert_eq!(at, version);
+        let asked = (
+            client.fallbacks(),
+            client.replica_serves(),
+            client.redirects(),
+        );
+        assert_eq!(asked, (1, 0, 0));
+    }
+
+    /// A follower lost mid-read is retried: the read waits at node 1,
+    /// the round-robin's first follower, when node 1 dies with it
+    /// unread, and the retry after a pause reads node 2.
+    #[test]
+    fn a_follower_lost_mid_read_is_retried_at_another() {
+        let cluster = ReplCluster::new(1, 8, 2, ReplSpec::sync(2));
+        let (mut nodes, client) = stepped_group(&cluster, None, None, None, STREAM_DEPTH);
+        let picks = &client.shards[0].rr;
+        let mut read = None;
+        {
+            let mut ops = pin!(async {
+                read = Some(client.read(1).await);
+                client.mesh.send_stop().await;
+            });
+            assert_eq!(ops.as_mut().step(), Turn::Idle, "the read waits at node 1");
+            assert_eq!(picks.get(), 1, "one follower picked");
+            drop(nodes.remove(1));
+            play_group(&mut nodes, ops, &[]).unwrap();
+        }
+        assert_eq!(read, Some(Ok(None)));
+        assert!(cluster.map().is_dead(0, 1));
+        assert_eq!(picks.get(), 2, "the lost read picked again");
+        let asked = (
+            client.replica_serves(),
+            client.lost_to_retry(),
+            client.fallbacks(),
+        );
+        assert_eq!(asked, (1, 0, 0));
+    }
+
     #[test]
     fn paused_backup_applies_every_write_once() {
         let spec = ReplSpec {
@@ -1545,7 +1594,7 @@ mod tests {
         };
         let plan = FaultPlan::from_events(vec![FaultEvent {
             at_entry: 3,
-            kind: FaultKind::Crash,
+            kind: FaultKind::Stall,
             window: 4,
         }]);
         let cluster = ReplCluster::new(1, 64, 8, spec);
@@ -1575,7 +1624,7 @@ mod tests {
         };
         let plan = FaultPlan::from_events(vec![FaultEvent {
             at_entry: 2,
-            kind: FaultKind::Crash,
+            kind: FaultKind::Stall,
             window: 2,
         }]);
         let cluster = ReplCluster::new(1, 64, 8, spec);
@@ -1784,36 +1833,13 @@ mod tests {
         assert_eq!(cluster.map().failovers(0), 1);
     }
 
-    #[test]
-    fn client_deadline_fires_instead_of_hanging_on_a_dead_group() {
-        // Replicas = 0: the crash leaves no succession line, so the
-        // shard stays dead and every write must fail fast — the
-        // regression this PR's disconnect plumbing exists for.
-        let cluster = ReplCluster::new(1, 64, 8, ReplSpec::sync(0));
-        let crash = FaultPlan::primary_crashes(vec![1]);
-        with_replicated(cluster, 1, &[], &[crash], 0, |mut clients| {
-            let client = clients
-                .pop()
-                .unwrap()
-                .with_deadline(Duration::from_millis(100));
-            client.set(1, b"last words".to_vec()).unwrap();
-            let err = client.set(2, b"void".to_vec()).unwrap_err();
-            assert!(
-                matches!(err, WireError::Disconnected | WireError::Deadline),
-                "a dead group must surface as a transport error, got {err:?}"
-            );
-            let err = client.get(1).unwrap_err();
-            assert!(matches!(err, WireError::Disconnected | WireError::Deadline));
-            client.close();
-        });
-    }
-
     /// Shard 0 of `cluster` as its [`driven`] nodes — node `n` paused
     /// on `backup[n]`, every node crashed on `crash` — and `clients`
     /// clients handed to `ops`, which stops them, all moved by [`play`]
     /// as `prefix` names them (`ops` after the nodes), then round-robin
-    /// for at most 10 000 rounds. Each node's report and pauses, and
-    /// whether every actor exited.
+    /// for at most the rounds three retry budgets span on the stepped
+    /// clock. Each node's report and pauses, and whether every actor
+    /// exited.
     fn play_driven(
         cluster: &ReplCluster<TicketLock>,
         (backup, crash): (&[FaultPlan], &FaultPlan),
@@ -1836,9 +1862,49 @@ mod tests {
         let mut ops = pin!(ops(clients));
         let mut actors: Vec<&mut dyn Step> = nodes.iter_mut().map(|n| n as &mut dyn Step).collect();
         actors.push(&mut ops);
-        let shut_down = play(&mut actors, prefix, 10_000);
+        let rounds = 3 * OP_BUDGET.as_nanos() / QUANTUM.as_nanos();
+        let shut_down = play(&mut actors, prefix, rounds as usize);
         let reports = nodes.iter().map(|n| (report_of(n), n.pauses)).collect();
         (reports, shut_down)
+    }
+
+    /// A group whose only node died stays leaderless — with no follower
+    /// there is no succession line — and each operation fails once its
+    /// budget is spent instead of hanging: a write lost with the leader
+    /// as `Disconnected`, a read of a leaderless shard as `Deadline`.
+    /// The node and the client are stepped on one thread, so each
+    /// five-second budget passes on the stepped clock.
+    #[test]
+    fn client_deadline_fires_instead_of_hanging_on_a_dead_group() {
+        let cluster = ReplCluster::new(1, 64, 8, ReplSpec::sync(0));
+        let crash = FaultPlan::primary_crashes(vec![1]);
+        let mut failed = Vec::new();
+        let (_, shut_down) = play_driven(&cluster, (&[], &crash), 1, &[], async |clients| {
+            let client = &clients[0];
+            set(client, 1).await;
+            let void = Request::Set {
+                key: 2,
+                value: b"void".to_vec(),
+            };
+            let start = clock::now_ns();
+            let write = client.exchange(2, &void).await.map(drop);
+            failed.push((write, clock::now_ns() - start));
+            let start = clock::now_ns();
+            let read = client.read(1).await.map(drop);
+            failed.push((read, clock::now_ns() - start));
+            client.mesh.send_stop().await;
+        });
+        assert!(shut_down);
+        let budget = OP_BUDGET.as_nanos() as u64;
+        let spent = |&(got, took): &(Result<(), WireError>, u64)| {
+            got.err().filter(|_| (budget..2 * budget).contains(&took))
+        };
+        let errors: Vec<_> = failed.iter().map(spent).collect();
+        assert_eq!(
+            errors,
+            [Some(WireError::Disconnected), Some(WireError::Deadline)],
+            "{failed:?}"
+        );
     }
 
     /// A window of `rounds` rounds opening at entry `at_entry`.
@@ -1873,7 +1939,7 @@ mod tests {
         // the dead leader's ring is fenced: the floor-guarded read
         // bounces to the (dead) leader, and the stale-reads client
         // degrades to floor-free replica reads, while the strict
-        // client's write times out.
+        // client's write spends its whole budget.
         let spec = ReplSpec {
             replicas: 1,
             mode: ReplMode::Async { max_lag: 32 },
@@ -1886,9 +1952,7 @@ mod tests {
         let (reports, shut_down) =
             play_driven(&cluster, (&plans, &crash), 2, &[], async |mut clients| {
                 let strict = clients.pop().unwrap();
-                let strict = strict.with_deadline(Duration::from_millis(100));
                 let stale = clients.pop().unwrap().with_stale_reads();
-                let stale = stale.with_deadline(Duration::from_millis(200));
                 for key in 0..5u64 {
                     let version = set(&stale, key).await;
                     // Async replication promises no follower progress:
@@ -1907,10 +1971,9 @@ mod tests {
                     .unwrap()
                     .expect("applied before the pause");
                 assert_eq!(value, vec![0u8; 4]);
-                assert!(
-                    stale.stale_served() > 0,
-                    "the read must have taken the floor-free stale path"
-                );
+                // One `Stale`, one lost leader, one floor-free answer.
+                let asked = (stale.fallbacks(), stale.lost_to_retry());
+                assert_eq!((asked, stale.stale_served()), ((1, 1), 1));
                 let void = Request::Set {
                     key: 9,
                     value: b"void".to_vec(),
@@ -2446,8 +2509,14 @@ mod tests {
     }
 
     impl Hooks for Stepped<'_> {
-        fn admit(&mut self, key: u64, is_write: bool) -> ssync_srv::Admit {
-            self.node.admit(key, is_write)
+        fn admit(&mut self, request: &mut Request) -> Admit {
+            match *request {
+                Request::ReplGet { key, .. } if self.twin == Some(Twin::NoFloor) => {
+                    *request = Request::Get { key };
+                    Admit::Run
+                }
+                _ => self.node.admit(request),
+            }
         }
 
         fn observes_writes(&self) -> bool {
@@ -2477,15 +2546,6 @@ mod tests {
 
         fn before_poll(&mut self, counts: &mut ServeReport) -> ControlFlow<Turn, bool> {
             self.node.before_poll(counts)
-        }
-
-        fn gate(&mut self, request: Request) -> Result<Request, Response> {
-            match request {
-                Request::ReplGet { key, .. } if self.twin == Some(Twin::NoFloor) => {
-                    Ok(Request::Get { key })
-                }
-                request => self.node.gate(request),
-            }
         }
 
         fn may_exit(&mut self) -> bool {

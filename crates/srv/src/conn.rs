@@ -15,13 +15,14 @@
 //! as a hang. Replies are interpreted by the typed decoders on
 //! [`Response`] (`into_read`, `into_stored`, …).
 //!
-//! Beside it lives the one retry layer: [`chase`] runs a request
-//! against the node a [`Chase`] policy picks until a reply answers it,
-//! an error that cannot be retried arrives, or the operation's retry
-//! budget, a [`RetryPacer`], is spent. `ServiceClient` routes
-//! statically and never retries; `ssync-repl`'s `ReplClient` chases the
-//! shard leader and `ssync-cluster`'s `ClusterClient` the key's owner,
-//! each as a policy over this one loop.
+//! Beside it lives the one retry layer, and the only client loop that
+//! pauses: [`chase`] sends what a [`Chase`] policy picks until a reply
+//! answers it, an error that cannot be retried arrives, or the
+//! operation's retry budget, a [`RetryPacer`], is spent. `ServiceClient`
+//! routes statically and never retries; `ssync-repl`'s `ReplClient`
+//! reads a follower first and chases the shard leader, and
+//! `ssync-cluster`'s `ClusterClient` the key's owner, each as a policy
+//! over this one loop.
 
 use core::cell::RefCell;
 use core::future::{poll_fn, Future};
@@ -129,45 +130,44 @@ impl<S: MsgSender, C: MsgReceiver> Conn<S, C> {
 /// The retry budget of one operation where the client sets none.
 pub const OP_BUDGET: Duration = Duration::from_secs(5);
 
-/// Where a [`chase`] sends its request, and which of the replies and
-/// errors that do not answer it are retried.
+/// What a [`chase`] sends where, and which of the replies and errors
+/// that do not answer it are retried.
 pub trait Chase {
-    /// The node to ask and its connection, or `None` while there is
-    /// nobody to ask: the chase then waits one pause and asks again.
-    fn pick(&self) -> Option<(usize, &Conn)>;
+    /// The connection to the node to ask and the request for that node,
+    /// or `None` while there is nobody to ask: the chase then waits one
+    /// pause and asks again.
+    fn pick(&self) -> Option<(&Conn, &Request)>;
 
     /// True if `response` is a bounce the policy has adopted
-    /// (`WrongLeader`, `WrongShard`): retried at once.
+    /// (`WrongLeader`, `WrongShard`, a follower's `Stale`): retried at
+    /// once.
     fn redirected(&self, response: &Response) -> bool;
 
-    /// True if a [`WireError::Disconnected`] from `node` is retried,
-    /// after a pause: only where the request provably never executed.
-    fn lost(&self, node: usize) -> bool;
+    /// True if a [`WireError::Disconnected`] from the node picked last is
+    /// retried, after a pause: only where the request provably never
+    /// executed.
+    fn lost(&self) -> bool;
 }
 
-/// Runs `request` against the node `policy` picks until a reply
-/// answers it, and returns that node with the reply.
+/// Sends what `policy` picks until a reply answers it, and returns the
+/// reply.
 ///
 /// # Errors
 ///
 /// An error `policy` does not retry, as it arrives. Once `budget` is
 /// spent: [`WireError::Disconnected`] if a lost node was retried, else
 /// [`WireError::Deadline`].
-pub async fn chase(
-    policy: &impl Chase,
-    request: &Request,
-    budget: &mut RetryPacer,
-) -> Result<(usize, Response), WireError> {
+pub async fn chase(policy: &impl Chase, budget: &mut RetryPacer) -> Result<Response, WireError> {
     let mut spent = WireError::Deadline;
     loop {
-        let Some((node, conn)) = policy.pick() else {
+        let Some((conn, request)) = policy.pick() else {
             if !budget.pause().await {
                 return Err(spent);
             }
             continue;
         };
         match conn.call(request).await {
-            Err(WireError::Disconnected) if policy.lost(node) => {
+            Err(WireError::Disconnected) if policy.lost() => {
                 spent = WireError::Disconnected;
                 if !budget.pause().await {
                     return Err(spent);
@@ -179,7 +179,7 @@ pub async fn chase(
                     return Err(spent);
                 }
             }
-            Ok(response) => return Ok((node, response)),
+            Ok(response) => return Ok(response),
         }
     }
 }

@@ -34,16 +34,16 @@ use crate::service::{ServeReport, ServerEndpoint};
 use crate::step::Step;
 use crate::wire::{encode_value, replay, Request, Response, WireError};
 
-/// An admission verdict for one request's key.
+/// An admission verdict for one request.
 #[derive(Debug)]
 pub enum Admit {
-    /// Execute here.
+    /// Execute the request, as [`Hooks::admit`] left it.
     Run,
     /// Execute nothing; answer with this response instead.
     Refuse(Response),
     /// Park the request, unexecuted and unanswered; the core re-submits
-    /// it every turn until it runs or is refused. Honoured for writes
-    /// only: a read runs.
+    /// it every turn until it runs or is refused. Only writes are
+    /// deferred.
     Defer,
 }
 
@@ -60,10 +60,14 @@ pub enum Turn {
 
 /// Where a serving stack's policy meets the node loop: per request, what
 /// may run and what a committed write feeds; per turn, the side work,
-/// the gate, the exit and the scrape. Each default leaves the core alone.
+/// the exit and the scrape. Each default leaves the core alone.
 pub trait Hooks {
-    /// May this node run the operation on `key` now?
-    fn admit(&mut self, _key: u64, _is_write: bool) -> Admit {
+    /// May this node run `request` now? Asked once per request but
+    /// `Stop` and `Stats`, and again each turn the core re-submits a
+    /// write it deferred. The hook may rewrite the request first (a
+    /// replica read that passes its floor becomes `Get`); what is not a
+    /// data operation after it is refused [`Response::Malformed`].
+    fn admit(&mut self, _request: &mut Request) -> Admit {
         Admit::Run
     }
 
@@ -94,15 +98,6 @@ pub trait Hooks {
     fn before_poll(&mut self, _counts: &mut ServeReport) -> ControlFlow<Turn, bool> {
         ControlFlow::Continue(false)
     }
-
-    /// The request to execute, or the response that answers it
-    /// unexecuted.
-    fn gate(&mut self, request: Request) -> Result<Request, Response> {
-        Ok(request)
-    }
-
-    /// A write [`Admit::Defer`] parked for the first time.
-    fn deferred(&mut self) {}
 
     /// Every client is gone and none has a frame waiting: exit?
     fn may_exit(&mut self) -> bool {
@@ -253,7 +248,8 @@ pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
     parked: Vec<(usize, Request)>,
     /// An executed write's reply [`Hooks::reply_owed`] holds back.
     owed: Option<(usize, Response)>,
-    /// Requests, key-operations and refused frames so far.
+    /// Requests, key-operations, deferred writes and refused frames so
+    /// far.
     counts: ServeReport,
 }
 
@@ -282,7 +278,8 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         }
     }
 
-    /// Requests, key-operations and refused frames so far.
+    /// Requests, key-operations, deferred writes and refused frames so
+    /// far.
     pub fn report(&self) -> ServeReport {
         self.counts
     }
@@ -395,14 +392,9 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
             }
             Ok(request) => {
                 self.counts.requests += 1;
-                match hooks.gate(request) {
-                    Err(response) => self.reply(client, &response),
-                    Ok(request) => {
-                        if let Some(request) = self.serve(store, hooks, client, request) {
-                            hooks.deferred();
-                            self.parked.push((client, request));
-                        }
-                    }
+                if let Some(request) = self.serve(store, hooks, client, request) {
+                    self.counts.deferred += 1;
+                    self.parked.push((client, request));
                 }
             }
         }
@@ -471,6 +463,7 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         let own = [
             ("srv.requests", self.counts.requests),
             ("srv.key_ops", self.counts.key_ops),
+            ("srv.deferred", self.counts.deferred),
             ("srv.malformed", self.counts.malformed),
         ];
         let stored = [
@@ -493,73 +486,64 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
         self.reply(client, &Response::StatsReply { payload });
     }
 
-    /// Executes one data request for `client` and replies with exactly
-    /// one response, a write's held while [`Hooks::reply_owed`] says so.
+    /// Admits one request for `client` through `hooks`, executes it and
+    /// replies with exactly one response — a refusal, or the operation's
+    /// answer, a write's held while [`Hooks::reply_owed`] says so.
     /// Returns the request back, nothing executed and nothing replied,
-    /// when `hooks` deferred its write. Anything that
-    /// is not a data operation is out of protocol on a client channel:
-    /// refused with [`Response::Malformed`] and counted.
+    /// when `hooks` deferred it. Anything that is not a data operation
+    /// once admitted is out of protocol on a client channel: refused
+    /// with [`Response::Malformed`] and counted.
     #[inline]
     fn serve<R: RawLock + Default, H: Hooks>(
         &mut self,
         store: &KvStore<R>,
         hooks: &mut H,
         client: usize,
-        request: Request,
+        mut request: Request,
     ) -> Option<Request> {
-        match request {
-            Request::Get { key } => {
-                self.read(store, hooks, key);
-                self.replies[client].send(&self.frames);
+        match hooks.admit(&mut request) {
+            Admit::Run => {}
+            Admit::Refuse(response) => {
+                self.reply(client, &response);
+                return None;
             }
+            Admit::Defer => return Some(request),
+        }
+        match request {
+            Request::Get { key } => self.read(store, key),
             Request::TimedGet { key, stamp } => {
                 let t0 = mono_ns();
                 self.queue_wait.record(t0.saturating_sub(stamp));
-                self.read(store, hooks, key);
+                self.read(store, key);
                 self.apply.record(mono_ns().saturating_sub(t0));
-                self.replies[client].send(&self.frames);
             }
-            Request::Set { key, .. } | Request::Cas { key, .. } | Request::Delete { key } => {
-                let verdict = hooks.admit(key, true);
-                if matches!(verdict, Admit::Defer) {
-                    return Some(request);
-                }
+            Request::Set { .. } | Request::Cas { .. } | Request::Delete { .. } => {
                 self.counts.key_ops += 1;
-                let response = match verdict {
-                    Admit::Refuse(response) => response,
-                    _ => write(store, hooks, request),
-                };
+                let response = write(store, hooks, request);
                 if hooks.reply_owed() {
                     debug_assert!(self.owed.is_none(), "one owed reply at a time");
                     self.owed = Some((client, response));
-                } else {
-                    self.reply(client, &response);
+                    return None;
                 }
+                response.encode_into(&mut self.frames);
             }
             _ => {
                 self.counts.malformed += 1;
-                self.reply(client, &Response::Malformed);
+                Response::Malformed.encode_into(&mut self.frames);
             }
         }
+        self.replies[client].send(&self.frames);
         None
     }
 
-    /// Runs one read — admitted or refused; reads never park — and
-    /// encodes its answer into the frame buffer. A hit is encoded
-    /// straight from the stored item, borrowed under the read's own pin
-    /// ([`KvStore::get_with`]): no handle, no reference-count round
-    /// trip, and the value's one copy on this hop is into the frames.
+    /// Runs one admitted read and encodes its answer into the frame
+    /// buffer. A hit is encoded straight from the stored item, borrowed
+    /// under the read's own pin ([`KvStore::get_with`]): no handle, no
+    /// reference-count round trip, and the value's one copy on this hop
+    /// is into the frames.
     #[inline]
-    fn read<R: RawLock + Default, H: Hooks>(
-        &mut self,
-        store: &KvStore<R>,
-        hooks: &mut H,
-        key: u64,
-    ) {
+    fn read<R: RawLock + Default>(&mut self, store: &KvStore<R>, key: u64) {
         self.counts.key_ops += 1;
-        if let Admit::Refuse(response) = hooks.admit(key, false) {
-            return response.encode_into(&mut self.frames);
-        }
         let frames = &mut self.frames;
         let hit = store.get_with(&key_bytes(key), |version, value| {
             encode_value(version, value, frames);

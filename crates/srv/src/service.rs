@@ -168,8 +168,12 @@ pub fn ring_mesh(shards: usize, clients: usize, depth: usize) -> Mesh {
 pub struct ServeReport {
     /// Request messages served.
     pub requests: u64,
-    /// Key-operations executed or refused by admission.
+    /// Key-operations executed: a request that admission refused or
+    /// that is out of protocol executes none.
     pub key_ops: u64,
+    /// Writes admission deferred, each counted once however many turns
+    /// it stays parked.
+    pub deferred: u64,
     /// Frames refused with [`Response::Malformed`](crate::wire::Response)
     /// instead of executing — undecodable heads and out-of-protocol
     /// requests — plus repeated `Stop`s, which get no reply.

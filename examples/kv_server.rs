@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run --example kv_server`
 
-use std::sync::atomic::Ordering;
-
 use ssync::kv::KvStore;
 use ssync::locks::{McsLock, TicketLock};
 
@@ -31,11 +29,12 @@ fn drive<R: ssync::locks::RawLock + Default>(kv: &KvStore<R>, name: &str) {
         });
     });
     let elapsed = start.elapsed();
+    let stats = kv.stats_snapshot();
     println!(
         "{name:>8}: {} items, {} sets, {} maintenance passes, {:?}",
         kv.len(),
-        kv.stats().sets.load(Ordering::Relaxed),
-        kv.stats().maintenance_runs.load(Ordering::Relaxed),
+        stats.sets,
+        stats.maintenance_runs,
         elapsed
     );
 }

@@ -83,7 +83,7 @@ fn main() {
     cluster.preload(7, b"seed");
     let backup_crash = FaultPlan::from_events(vec![FaultEvent {
         at_entry: 2,
-        kind: FaultKind::Crash,
+        kind: FaultKind::Stall,
         window: 2,
     }]);
     with_nodes(

@@ -5,8 +5,6 @@
 //! parallelism on big machines; tests that are only meaningful with
 //! true parallelism skip themselves on small hosts.
 
-use std::sync::atomic::Ordering;
-
 use ssync::core::cores::{has_cores, test_threads};
 use ssync::ht::HashTable;
 use ssync::kv::KvStore;
@@ -87,7 +85,7 @@ fn kv_store_and_tm_compose_with_locks() {
     let total = u64::from(threads) * 200;
     assert_eq!(kv.len(), total as usize);
     assert_eq!(heap.peek(0), total);
-    assert_eq!(kv.stats().sets.load(Ordering::Relaxed), total);
+    assert_eq!(kv.stats_snapshot().sets, total);
 }
 
 #[test]

@@ -15,6 +15,9 @@
 //! nodes must notice from their idle path and exit all the same,
 //! counting nothing malformed for it.
 //!
+//! Refusals are counted alike too: one request and no key-operation,
+//! whichever stack refuses (`every_stack_counts_a_refused_request_as_no_key_op`).
+//!
 //! The script goes over the raw [`Conn`] to the one node that serves
 //! it (srv: 1 shard; repl: the leader of a 1-shard, 1-backup sync
 //! group; cluster: the sole owner under a 1-shard map), so what is
@@ -23,14 +26,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ssync::cluster::{cluster_mesh, serve_cluster_node, ShardMap};
+use ssync::cluster::{cluster_mesh, serve_cluster_node, ClusterNode, ShardMap};
 use ssync::core::stats::mono_ns;
 use ssync::core::{mix64, RegistrySnapshot};
 use ssync::kv::KvStore;
 use ssync::locks::TicketLock;
 use ssync::mp::{MsgSender, RingReceiver, RingSender};
 use ssync::repl::{repl_mesh, serve_node, FaultSpec, OpLog, ReplCluster, ReplSpec};
-use ssync::srv::{block_on, ring_mesh, serve, Conn, Request, Response, ShardRouter};
+use ssync::srv::{block_on, ring_mesh, serve, slot_of, Conn, Request, Response, ShardRouter};
 
 const BUCKETS: usize = 64;
 const STRIPES: usize = 8;
@@ -394,4 +397,91 @@ fn repl_group_survives_drop_without_stop() {
 #[test]
 fn cluster_node_survives_drop_without_stop() {
     survives_drop_without_stop("cluster", through_cluster);
+}
+
+/// Every stack counts a request one way, wherever its refusal comes
+/// from: a cluster node's `WrongShard` and a repl follower's
+/// `WrongLeader` and `Stale` are each one request and no
+/// key-operation, and a write a migration freeze parks for several
+/// turns is one deferral, and one key-operation once it runs.
+#[test]
+fn every_stack_counts_a_refused_request_as_no_key_op() {
+    // Under a one-shard map node 0 owns every slot: node 1 bounces
+    // every key. Both nodes are turned by hand on this thread.
+    let map = ShardMap::new(1);
+    let stores: Vec<KvStore<TicketLock>> = (0..2).map(|_| KvStore::new(BUCKETS, STRIPES)).collect();
+    let logs = [OpLog::new(1), OpLog::new(1)];
+    let (endpoints, mut conns, _mig) = cluster_mesh(2, 1, DEPTH, 16);
+    let client = conns.pop().unwrap();
+    let mut nodes: Vec<_> = (endpoints.into_iter().enumerate())
+        .map(|(me, endpoint)| ClusterNode::new(me, &stores[me], &logs[me], &map, endpoint))
+        .collect();
+    let mut turns = |me: usize, turns: usize| {
+        let (core, node) = &mut nodes[me];
+        for _ in 0..turns {
+            core.turn(&stores[me], node);
+        }
+    };
+    let key = 7;
+    let set = Request::Set {
+        key,
+        value: b"v".to_vec(),
+    };
+    for request in [&Request::Get { key }, &set] {
+        block_on(client.conn(1).send(request)).unwrap();
+        turns(1, 2);
+        let answer = block_on(client.conn(1).recv());
+        assert!(
+            matches!(answer, Ok(Response::WrongShard { .. })),
+            "{answer:?}"
+        );
+    }
+    let slot = 1 << slot_of(key);
+    map.freeze(slot);
+    block_on(client.conn(0).send(&set)).unwrap();
+    turns(0, 5);
+    assert!(
+        !client.conn(0).rx.has_message(),
+        "the frozen write is parked"
+    );
+    map.unfreeze(slot);
+    turns(0, 1);
+    let answer = block_on(client.conn(0).recv());
+    assert!(matches!(answer, Ok(Response::Stored { .. })), "{answer:?}");
+    let counted = |me: usize| {
+        let (core, node) = &nodes[me];
+        let r = node.report(core);
+        let refused = r.wrong_shard_redirects;
+        (r.requests, r.key_ops, refused, r.migration_ops_deferred)
+    };
+    assert_eq!(counted(1), (2, 0, 2, 0), "cluster: two bounces");
+    assert_eq!(counted(0), (1, 1, 0, 1), "cluster: one frozen write");
+
+    let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, BUCKETS, STRIPES, ReplSpec::sync(1));
+    let (mut endpoints, mut clients) = repl_mesh(cluster.map(), 1);
+    let client = clients.pop().unwrap();
+    let follower = std::thread::scope(|s| {
+        let mut nodes = Vec::new();
+        for endpoint in endpoints.pop().unwrap() {
+            let store = cluster.node_store(0, endpoint.node());
+            let (log, map) = (cluster.log(0), cluster.map());
+            let cfg = cluster.node_config(0, endpoint.node(), &FaultSpec::none());
+            nodes.push(s.spawn(move || serve_node(store, log, map, endpoint, cfg)));
+        }
+        let follower = client.conn(0, 1);
+        let bounce = block_on(follower.call(&Request::Get { key }));
+        assert!(
+            matches!(bounce, Ok(Response::WrongLeader { .. })),
+            "{bounce:?}"
+        );
+        let floor = u64::MAX;
+        let stale = block_on(follower.call(&Request::ReplGet { key, floor }));
+        assert!(matches!(stale, Ok(Response::Stale { .. })), "{stale:?}");
+        client.close();
+        let mut reports = nodes.into_iter().map(|node| node.join().unwrap());
+        reports.find(|report| report.node == 1).unwrap()
+    });
+    let refused = (follower.wrong_leader, follower.refused_reads);
+    let counted = (follower.requests, follower.key_ops, refused);
+    assert_eq!(counted, (2, 0, (1, 1)), "repl: a bounce and a stale read");
 }
