@@ -400,9 +400,10 @@ fn cluster_node_survives_drop_without_stop() {
 }
 
 /// Every stack counts a request one way, wherever its refusal comes
-/// from: a cluster node's `WrongShard` and a repl follower's
-/// `WrongLeader` and `Stale` are each one request and no
-/// key-operation, and a write a migration freeze parks for several
+/// from: a cluster node's `WrongShard` and `Malformed` (a replication
+/// request on a client connection, for a key it does not own) and a
+/// repl follower's `WrongLeader` and `Stale` are each one request and
+/// no key-operation, and a write a migration freeze parks for several
 /// turns is one deferral, and one key-operation once it runs.
 #[test]
 fn every_stack_counts_a_refused_request_as_no_key_op() {
@@ -436,6 +437,21 @@ fn every_stack_counts_a_refused_request_as_no_key_op() {
             "{answer:?}"
         );
     }
+    // Out of protocol on a client connection, owned key or not.
+    let (version, value) = (1, b"v".to_vec());
+    for request in [
+        Request::ReplGet { key, floor: 0 },
+        Request::Replicate {
+            key,
+            version,
+            value,
+        },
+        Request::ReplicateDelete { key, version },
+    ] {
+        block_on(client.conn(1).send(&request)).unwrap();
+        turns(1, 2);
+        assert_eq!(block_on(client.conn(1).recv()), Ok(Response::Malformed));
+    }
     let slot = 1 << slot_of(key);
     map.freeze(slot);
     block_on(client.conn(0).send(&set)).unwrap();
@@ -451,11 +467,11 @@ fn every_stack_counts_a_refused_request_as_no_key_op() {
     let counted = |me: usize| {
         let (core, node) = &nodes[me];
         let r = node.report(core);
-        let refused = r.wrong_shard_redirects;
+        let refused = (r.wrong_shard_redirects, r.malformed);
         (r.requests, r.key_ops, refused, r.migration_ops_deferred)
     };
-    assert_eq!(counted(1), (2, 0, 2, 0), "cluster: two bounces");
-    assert_eq!(counted(0), (1, 1, 0, 1), "cluster: one frozen write");
+    assert_eq!(counted(1), (5, 0, (2, 3), 0), "cluster: bounces, refusals");
+    assert_eq!(counted(0), (1, 1, (0, 0), 1), "cluster: one frozen write");
 
     let cluster: ReplCluster<TicketLock> = ReplCluster::new(1, BUCKETS, STRIPES, ReplSpec::sync(1));
     let (mut endpoints, mut clients) = repl_mesh(cluster.map(), 1);
