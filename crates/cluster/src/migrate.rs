@@ -478,6 +478,7 @@ pub(crate) async fn coordinate<R: RawLock + Default>(
 mod tests {
     use super::*;
     use crate::map::{is_armed, ShardMap};
+    use crate::service::tests::wait_for;
     use crate::service::{cluster_mesh, serve_cluster_node, ClusterClient, ClusterNode};
     use core::ops::ControlFlow;
     use core::pin::pin;
@@ -1004,9 +1005,7 @@ mod tests {
                 let snap = client.stats(0).unwrap();
                 snap.counter("node.oplog_armed").unwrap()
             };
-            while armed(&client) == 1 {
-                std::thread::yield_now();
-            }
+            wait_for("the disarmed log", || armed(&client) != 1);
             for key in 0..64u64 {
                 client.set(key, vec![2]).unwrap();
             }

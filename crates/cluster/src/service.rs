@@ -493,11 +493,25 @@ impl KvClient for ClusterClient<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ssync_locks::TicketLock;
     use ssync_mp::MsgSender;
     use ssync_srv::router::key_bytes;
+
+    /// Spins until `done` holds, failing the test once 60 s pass
+    /// first, with `what` it waited for: a counter or handshake that
+    /// stops moving fails the suite instead of hanging it.
+    pub(crate) fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while !done() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timed out waiting for {what}"
+            );
+            std::thread::yield_now();
+        }
+    }
 
     fn stores(n: usize) -> Vec<KvStore<TicketLock>> {
         (0..n).map(|_| KvStore::new(64, 8)).collect()
@@ -695,9 +709,7 @@ mod tests {
                 ssync_srv::wire::encode_replicate(1_000 + version, version, b"m", &mut frames);
                 mig[1].send_all_connected(&frames).unwrap();
             }
-            while map.migrated_of(1) < 2 {
-                std::thread::yield_now();
-            }
+            wait_for("two migration entries applied", || map.migrated_of(1) >= 2);
             let scrapes = (0..2).map(|n| client.stats(n).unwrap()).collect();
             client.close();
             (
@@ -743,9 +755,9 @@ mod tests {
             // one made after the node acknowledged an arming is logged.
             client.set(key, b"unlogged".to_vec()).unwrap();
             let generation = map.arm_logs();
-            while map.arming.acked(0) != Some((generation, 0)) {
-                std::thread::yield_now();
-            }
+            wait_for("the arming ack", || {
+                map.arming.acked(0) == Some((generation, 0))
+            });
             let v1 = client.set(key, b"before".to_vec()).unwrap();
             assert_eq!(oplog(&client), (1, 1));
             assert_eq!(logs[0].entries_after(0)[0].version, v1);
@@ -753,9 +765,9 @@ mod tests {
             // would, and wait for the node's round-tagged quiesce ack:
             // it carries the highest version *logged*.
             let round = map.freeze(1 << slot_of(key));
-            while map.quiesce.acked(0).is_none_or(|(r, _)| r != round) {
-                std::thread::yield_now();
-            }
+            wait_for("the quiesce ack", || {
+                map.quiesce.acked(0).is_some_and(|(r, _)| r == round)
+            });
             assert_eq!(map.quiesce.acked(0), Some((round, v1)));
             // A write to the frozen slot parks inside the node...
             let map_ref = &map;
@@ -770,9 +782,7 @@ mod tests {
                 let snap = client.stats(0).unwrap();
                 snap.counter("srv.deferred").unwrap()
             };
-            while parked(&client) == 0 {
-                std::thread::yield_now();
-            }
+            wait_for("the parked write", || parked(&client) > 0);
             // ...while reads on the same slot keep being served.
             assert_eq!(client.get(key).unwrap().unwrap().1, b"before".to_vec());
             map.unfreeze(1 << slot_of(key));
@@ -783,9 +793,7 @@ mod tests {
             // Disarmed, the node drops its log and stops logging.
             assert_eq!(oplog(&client), (1, 2));
             map.disarm_logs();
-            while oplog(&client).0 == 1 {
-                std::thread::yield_now();
-            }
+            wait_for("the disarmed log", || oplog(&client).0 != 1);
             client.set(key, b"unlogged again".to_vec()).unwrap();
             assert_eq!(oplog(&client), (0, 0));
             client.close();
@@ -852,9 +860,9 @@ mod tests {
                 request.encode_into(&mut frames);
                 mig[1].send_all_connected(&frames).unwrap();
             }
-            while map.migrated_of(1) < 3 {
-                std::thread::yield_now();
-            }
+            wait_for("three migration entries applied", || {
+                map.migrated_of(1) >= 3
+            });
             let client = ClusterClient::new(&map, conns.pop().unwrap());
             client.close();
         });
@@ -894,9 +902,7 @@ mod tests {
                 request.encode_into(&mut frames);
                 mig[1].send_all_connected(&frames).unwrap();
             }
-            while map.migrated_of(1) < 4 {
-                std::thread::yield_now();
-            }
+            wait_for("four migration entries applied", || map.migrated_of(1) >= 4);
             assert_eq!(stores[1].len(), 2, "only the two entries applied");
             let client = ClusterClient::new(&map, conns.pop().unwrap());
             let scrape = client.stats(1).unwrap();
@@ -943,9 +949,9 @@ mod tests {
                 stream.send(entry.encode()[0]);
                 drop(stream);
                 let client = ClusterClient::new(&map, conns.pop().unwrap());
-                while client.stats(1).unwrap().counter("srv.malformed") != Some(1) {
-                    std::thread::yield_now();
-                }
+                wait_for("the malformed entry", || {
+                    client.stats(1).unwrap().counter("srv.malformed") == Some(1)
+                });
                 assert_eq!(
                     client.get(owned),
                     Ok(None),
@@ -1010,9 +1016,7 @@ mod tests {
                     "nothing applies half-published"
                 );
                 stream.send_all(&frames[1..]);
-                while entries() != Some(1) {
-                    std::thread::yield_now();
-                }
+                wait_for("the applied entry", || entries() == Some(1));
                 assert_eq!(client.get(owned), Ok(Some((5, vec![7; 300]))));
                 client.close();
                 let mut reports = nodes.into_iter().map(|n| n.join().unwrap());

@@ -47,6 +47,12 @@
 //!   ([`KvStore::apply_replicated`]) are untouched. The stripe lock is
 //!   what makes the single-pointer publication protocol sound: there is
 //!   never more than one writer linking items into a stripe.
+//! * **A write decides first.** Under the lock it settles its outcome
+//!   and counts it, opens the write section, tells its caller
+//!   ([`KvStore::put_with`], [`KvStore::delete_with`]), and only then
+//!   builds and links the item: a caller can answer a write while the
+//!   store builds it, and a reader that saw the answer finds the word
+//!   odd and waits for the write.
 //! * **Unlinked items are retired, not released — and reclaimed by
 //!   epochs.** A reader racing a writer may still hold a pointer to a
 //!   just-unlinked item, so writers push replaced/deleted items into
@@ -298,36 +304,27 @@ const HEADER: usize = std::mem::size_of::<Item>();
 const LENT: usize = 1;
 
 impl Item {
-    /// Makes an item holding one reference, the store's, in a block
-    /// from `recycler` or, when it has none of the item's class, one
-    /// `depot` hands over or carves.
-    fn create<R: RawLock>(
-        recycler: &mut Recycler,
-        depot: &Depot<R>,
+    /// Makes an item holding one reference, the store's, in `item`, a
+    /// block of its size from [`Recycler::block`]. The write checked
+    /// the lengths before it decided ([`Item::check_lengths`]).
+    ///
+    /// SAFETY: `item` is a block of `block_size(HEADER + key.len() +
+    /// value.len())` bytes from [`Recycler::block`], owned by the
+    /// caller.
+    unsafe fn create(
+        item: *mut Item,
         key: &[u8],
         value: &[u8],
         version: u64,
         next: *mut Item,
     ) -> *mut Item {
-        assert!(
-            key.len() <= MAX_KEY_LEN && value.len() <= MAX_VALUE_LEN,
-            "a {}-byte key or a {}-byte value is too long for an item",
-            key.len(),
-            value.len()
-        );
-        let size = block_size(HEADER + key.len() + value.len());
-        let mut item = recycler.take(size);
-        if item.is_null() {
-            item = depot.carve(size);
-        }
+        debug_assert!(key.len() <= MAX_KEY_LEN && value.len() <= MAX_VALUE_LEN);
         // The header below starts new atomics, wherever the block came
         // from.
         sync::reinit(item.cast(), HEADER);
-        // SAFETY: `item` is a block of at least `size` bytes, aligned
-        // for `Item`, holding the header plus both byte ranges, and no
-        // one else owns it: freshly carved or allocated, or a parked
-        // block that no chain, bag or handle reaches any more. Nothing
-        // else can see it until the caller publishes it.
+        // SAFETY: `item` holds the header plus both byte ranges, aligned
+        // for `Item`, and is the caller's alone (contract): no chain, bag
+        // or handle reaches it, and nothing can until it is published.
         unsafe {
             item.write(Item {
                 refs: AtomicU32::new(1),
@@ -340,6 +337,18 @@ impl Item {
             ptr::copy_nonoverlapping(value.as_ptr(), bytes.add(key.len()), value.len());
         }
         item
+    }
+
+    /// Every write's length check, made before it decides: a key an
+    /// item holds is at most [`MAX_KEY_LEN`] bytes, a value at most
+    /// [`MAX_VALUE_LEN`].
+    fn check_lengths(key: &[u8], value: &[u8]) {
+        assert!(
+            key.len() <= MAX_KEY_LEN && value.len() <= MAX_VALUE_LEN,
+            "a {}-byte key or a {}-byte value is too long for an item",
+            key.len(),
+            value.len()
+        );
     }
 
     fn key_len(&self) -> usize {
@@ -576,13 +585,18 @@ impl Recycler {
         }
     }
 
-    /// Unlinks a parked block of a `size`-byte block's class; null if
-    /// the stripe has none.
-    fn take(&mut self, size: usize) -> *mut Item {
-        class_of(size).map_or(ptr::null_mut(), |class| self.lists.pop(class))
+    /// A `size`-byte block for a new item: a parked one of its class,
+    /// or, when the stripe has none, one `depot` carves. A write takes
+    /// it before its decision, so the carve's depot lock is never held
+    /// inside a write section.
+    fn block<R: RawLock>(&mut self, size: usize, depot: &Depot<R>) -> *mut Item {
+        match class_of(size).map(|class| self.lists.pop(class)) {
+            Some(block) if !block.is_null() => block,
+            _ => depot.carve(size),
+        }
     }
 
-    /// Readies the block `take(size)` would return. A stripe whose list
+    /// Readies the block `block(size)` would take. A stripe whose list
     /// for the class is empty first moves one block over from the
     /// depot, if it has one. (A stripe that has parked nothing yet has
     /// no lists and asks no depot, so a fresh store's preload touches
@@ -1166,6 +1180,11 @@ pub enum KvFault {
     /// time can lose its pop, and the block it took is parked while
     /// live.
     HandleParksOnStripe,
+    /// A write hands its outcome to the caller's closure before it
+    /// opens the stripe's write section, not after: a reader that saw
+    /// what the closure published can validate against the still-even
+    /// word and read the key as it was before the write.
+    AnswerBeforeSection,
 }
 
 /// Statistics counters (all monotonic), bumped by the store's own
@@ -1373,7 +1392,12 @@ unsafe impl<R: RawLock> Send for Stripe<R> {}
 /// RAII seqlock write section: entering makes the stripe's version word
 /// odd, dropping makes it even again. Must only be created while
 /// holding the stripe lock (single writer), and must enclose every
-/// chain-pointer store of the mutation.
+/// chain-pointer store of the mutation. A write opens it at its
+/// decision, before it hands the outcome to the caller's closure, and
+/// closes it once the new item is linked: the section spans the chain
+/// walk and the build too, so a reader that saw what the closure
+/// published finds the word odd and waits on the stripe lock for the
+/// write (see [`KvStore::put_with`]).
 struct WriteSection<'a> {
     // chk: a borrow of the stripe's already-CachePadded seqlock word,
     // not storage of its own.
@@ -1795,19 +1819,21 @@ impl<R: RawLock + Default> KvStore<R> {
         released
     }
 
-    /// Links a new item for `key` through `link` in place of `found` —
-    /// null for an insert — and retires `found`. Caller must hold the
-    /// stripe lock, `link` must currently load `found`, and `found`
-    /// must be null or live. Returns the new item, live until the lock
-    /// is released.
+    /// Builds the item `(key, value, version)` in `block`, links it
+    /// through `link` in place of `found` — null for an insert — and
+    /// closes `section` once it is linked, then retires `found`. Caller
+    /// must hold the stripe lock and have opened `section` on its word,
+    /// `block` must be the item's from [`Recycler::block`], `link` must
+    /// currently load `found`, and `found` must be null or live.
+    /// Returns the new item, live until the lock is released.
     fn link_item(
         &self,
         stripe: &Stripe<R>,
         inner: &mut StripeInner,
+        section: WriteSection<'_>,
         (link, found): (&AtomicPtr<Item>, *mut Item),
-        key: &[u8],
-        value: &[u8],
-        version: u64,
+        block: *mut Item,
+        (key, value, version): (&[u8], &[u8], u64),
     ) -> *mut Item {
         // SAFETY: `found` is null or live under the stripe lock
         // (caller contract).
@@ -1815,82 +1841,144 @@ impl<R: RawLock + Default> KvStore<R> {
             // chk: lock-serialized — no writer mutates `next` under us.
             old.next.load(Ordering::Relaxed)
         });
-        let fresh = Item::create(&mut inner.recycler, &self.depot, key, value, version, next);
-        {
-            let _section = WriteSection::enter(&stripe.seq);
-            link.store(fresh, Ordering::Release);
-        }
+        // SAFETY: `block` is the item's, and the caller's (contract).
+        let fresh = unsafe { Item::create(block, key, value, version, next) };
+        link.store(fresh, Ordering::Release);
+        drop(section);
         if !found.is_null() {
             self.retire(stripe, inner, found);
         }
         fresh
     }
 
-    /// Unlinks the live item `found`, which `link` loads, and retires
-    /// it. Caller must hold the stripe lock.
+    /// Unlinks the live item `found`, which `link` loads, inside
+    /// `section`, which it then closes, and retires it. Caller must
+    /// hold the stripe lock and have opened `section` on its word.
     fn unlink_item(
         &self,
         stripe: &Stripe<R>,
         inner: &mut StripeInner,
+        section: WriteSection<'_>,
         link: &AtomicPtr<Item>,
         found: *mut Item,
     ) {
         // SAFETY: `found` is live under the stripe lock.
         // chk: lock-serialized load, as in `find_link`.
         let next = unsafe { &*found }.next.load(Ordering::Relaxed);
-        {
-            let _section = WriteSection::enter(&stripe.seq);
-            link.store(next, Ordering::Release);
-        }
+        link.store(next, Ordering::Release);
+        drop(section);
         self.retire(stripe, inner, found);
     }
 
-    /// `set` and `cas` in one place. Under the stripe lock: assign the
-    /// next version, and unless `expected` names a version the key does
-    /// not hold (an absent key holds none), store `value` as one new
-    /// item. With `keep`, also returns a handle on the stored value.
-    /// `Err` carries the key's current version, 0 when absent.
+    /// A write's decision made public: opens `stripe`'s write section,
+    /// then hands `outcome` to `decided`. Whatever `decided` publishes
+    /// is ordered after the odd word, so a reader that sees it and then
+    /// reads the key finds the word odd, or the write done.
+    fn decide<'a, T>(
+        &self,
+        stripe: &'a Stripe<R>,
+        outcome: T,
+        decided: impl FnOnce(T),
+    ) -> WriteSection<'a> {
+        #[cfg(ssync_chk)]
+        if self.depot.fault == Some(KvFault::AnswerBeforeSection) {
+            decided(outcome);
+            return WriteSection::enter(&stripe.seq);
+        }
+        let section = WriteSection::enter(&stripe.seq);
+        decided(outcome);
+        section
+    }
+
+    /// `set` and `cas` in one place, decided first. Under the stripe
+    /// lock: assign the next version; a `cas` (`expected`) walks the
+    /// chain and, when the key does not hold `expected` (an absent key
+    /// holds none), counts the failure, hands `Err(current)` to
+    /// `decided` and stores nothing. Otherwise take the item's block,
+    /// count the put, open the stripe's write section, hand
+    /// `Ok(version)` to `decided`, and only then walk the chain (a
+    /// `set`), build the item, link it, retire the old one and run the
+    /// write's maintenance. With `keep`, also returns a handle on the
+    /// stored value. `Err` carries the key's current version, 0 when
+    /// absent.
     fn put(
         &self,
         key: &[u8],
         value: &[u8],
         expected: Option<u64>,
         keep: bool,
+        decided: impl FnOnce(Result<u64, u64>),
     ) -> Result<(u64, Option<Bytes>), u64> {
         self.check_writer();
+        Item::check_lengths(key, value);
         let (stripe, bucket) = self.locate(key);
         let stripe = &self.stripes[stripe];
-        let result = {
-            let mut inner = stripe.inner.lock();
-            inner
-                .recycler
-                .prefetch(block_size(HEADER + key.len() + value.len()), &self.depot);
-            // Assigned *under* the stripe lock, and before the CAS
-            // check: a key's versions must be monotone in replacement
-            // order (two racing writers must not leave the chain holding
-            // the smaller version), or the replication log's per-key
-            // version gate would drop the surviving value on replay.
-            let version = self.next_version.fetch_add(1, Ordering::Relaxed);
-            let (link, found) = Self::find_link(&stripe.heads[bucket], key);
-            // SAFETY: `found` is null or live under the stripe lock.
-            let current = unsafe { found.as_ref() }.map(|item| item.version);
-            match expected {
-                Some(expected) if current != Some(expected) => Err(current.unwrap_or(0)),
-                _ => {
-                    let item =
-                        self.link_item(stripe, &mut inner, (link, found), key, value, version);
-                    // SAFETY: the new item is live until the lock goes.
-                    Ok((version, keep.then(|| unsafe { &*item }.value_handle())))
+        let head = &stripe.heads[bucket];
+        let size = block_size(HEADER + key.len() + value.len());
+        let mut inner = stripe.inner.lock();
+        inner.recycler.prefetch(size, &self.depot);
+        // Assigned *under* the stripe lock, and before the CAS check: a
+        // key's versions must be monotone in replacement order (two
+        // racing writers must not leave the chain holding the smaller
+        // version), or the replication log's per-key version gate
+        // would drop the surviving value on replay.
+        let version = self.next_version.fetch_add(1, Ordering::Relaxed);
+        // A `cas` decides on the key's current version, so it walks the
+        // chain before its decision; a `set` walks it after.
+        let walked = match expected {
+            None => None,
+            Some(expected) => {
+                let (link, found) = Self::find_link(head, key);
+                // SAFETY: `found` is null or live under the stripe lock.
+                let current = unsafe { found.as_ref() }.map(|item| item.version);
+                if current != Some(expected) {
+                    let current = current.unwrap_or(0);
+                    self.stats.cas_failures.fetch_add(1, Ordering::Relaxed);
+                    decided(Err(current));
+                    return Err(current);
                 }
+                Some((link, found))
             }
         };
-        if result.is_ok() {
-            self.stats.sets.fetch_add(1, Ordering::Relaxed);
-            self.after_write();
-        } else {
-            self.stats.cas_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        result
+        let block = inner.recycler.block(size, &self.depot);
+        self.stats.sets.fetch_add(1, Ordering::Relaxed);
+        let section = self.decide(stripe, Ok(version), decided);
+        let walked = walked.unwrap_or_else(|| Self::find_link(head, key));
+        let item = (key, value, version);
+        let item = self.link_item(stripe, &mut inner, section, walked, block, item);
+        // SAFETY: the new item is live until the lock goes.
+        let kept = keep.then(|| unsafe { &*item }.value_handle());
+        drop(inner);
+        self.after_write();
+        Ok((version, kept))
+    }
+
+    /// [`KvStore::set`], or with `expected` [`KvStore::cas`], handing
+    /// the outcome to `decided` at the write's decision, before the
+    /// item is built: `Ok(version)` for a stored value, `Err(current)`
+    /// for a failed `cas` (0 when the key is absent). Returns the same
+    /// outcome. When `decided` runs, [`KvStore::stats_snapshot`]
+    /// already counts the write, and a stored value's stripe word is
+    /// odd until the item is linked, so a reader that saw what
+    /// `decided` published and then reads the key waits for the write.
+    /// What a server uses to send a write's reply while the store
+    /// builds the item.
+    ///
+    /// `decided` runs under the key's stripe lock, inside its write
+    /// section, so it should be short and must not touch this store.
+    ///
+    /// # Panics
+    ///
+    /// As [`KvStore::set`], before `decided` runs.
+    pub fn put_with(
+        &self,
+        key: &[u8],
+        value: &[u8],
+        expected: Option<u64>,
+        decided: impl FnOnce(Result<u64, u64>),
+    ) -> Result<u64, u64> {
+        self.put(key, value, expected, false, decided)
+            .map(|(version, _)| version)
     }
 
     /// Stores a value (insert or replace) as one new item, copying it
@@ -1901,7 +1989,7 @@ impl<R: RawLock + Default> KvStore<R> {
     /// Panics if the key is longer than 255 bytes or the value 16 MiB or
     /// longer.
     pub fn set(&self, key: &[u8], value: impl AsRef<[u8]>) -> u64 {
-        match self.put(key, value.as_ref(), None, false) {
+        match self.put(key, value.as_ref(), None, false, |_| {}) {
             Ok((version, _)) => version,
             Err(_) => unreachable!("an unconditional put stores"),
         }
@@ -1910,7 +1998,7 @@ impl<R: RawLock + Default> KvStore<R> {
     /// [`KvStore::set`], also returning a handle on the stored value:
     /// the bytes a replication or migration log keeps without a copy.
     pub fn set_shared(&self, key: &[u8], value: impl AsRef<[u8]>) -> (u64, Bytes) {
-        match self.put(key, value.as_ref(), None, true) {
+        match self.put(key, value.as_ref(), None, true, |_| {}) {
             Ok((version, Some(kept))) => (version, kept),
             _ => unreachable!("an unconditional kept put stores and keeps"),
         }
@@ -1919,8 +2007,7 @@ impl<R: RawLock + Default> KvStore<R> {
     /// Compare-and-set: stores only if the current version matches.
     /// Panics as [`KvStore::set`] does.
     pub fn cas(&self, key: &[u8], value: impl AsRef<[u8]>, expected: u64) -> Result<u64, u64> {
-        self.put(key, value.as_ref(), Some(expected), false)
-            .map(|(version, _)| version)
+        self.put_with(key, value.as_ref(), Some(expected), |_| {})
     }
 
     /// [`KvStore::cas`], also returning a handle on the stored value on
@@ -1931,27 +2018,31 @@ impl<R: RawLock + Default> KvStore<R> {
         value: impl AsRef<[u8]>,
         expected: u64,
     ) -> Result<(u64, Bytes), u64> {
-        self.put(key, value.as_ref(), Some(expected), true)
+        self.put(key, value.as_ref(), Some(expected), true, |_| {})
             .map(|(version, kept)| (version, kept.expect("a kept put keeps")))
     }
 
-    /// Unlinks `key`'s item if present (under the stripe lock),
-    /// retiring it. With `versioned`, the removal is assigned a fresh
+    /// Deletes a key, decided first. Under the stripe lock: find the
+    /// key's item; an absent key hands `None` to `decided` and changes
+    /// nothing. Otherwise, with `versioned`, assign the removal a fresh
     /// version inside the same critical section — so a tombstone orders
     /// after every earlier replacement of the key, exactly as `set`'s
-    /// versions do. `Some(version)` (0 when unversioned) if an item was
-    /// removed.
+    /// versions do — count the delete, open the stripe's write section,
+    /// hand `Some(version)` (0 when unversioned) to `decided`, and only
+    /// then unlink the item, retire it and run the write's maintenance.
     fn unlink(
         &self,
-        stripe: &Stripe<R>,
-        bucket: usize,
         key: &[u8],
         versioned: bool,
+        decided: impl FnOnce(Option<u64>),
     ) -> Option<u64> {
         self.check_writer();
+        let (stripe, bucket) = self.locate(key);
+        let stripe = &self.stripes[stripe];
         let mut inner = stripe.inner.lock();
         let (link, found) = Self::find_link(&stripe.heads[bucket], key);
         if found.is_null() {
+            decided(None);
             return None;
         }
         let version = if versioned {
@@ -1959,8 +2050,22 @@ impl<R: RawLock + Default> KvStore<R> {
         } else {
             0
         };
-        self.unlink_item(stripe, &mut inner, link, found);
+        self.stats.deletes.fetch_add(1, Ordering::Relaxed);
+        let section = self.decide(stripe, Some(version), decided);
+        self.unlink_item(stripe, &mut inner, section, link, found);
+        drop(inner);
+        self.after_write();
         Some(version)
+    }
+
+    /// [`KvStore::delete_versioned`], handing the outcome to `decided`
+    /// at the delete's decision, before the item is unlinked:
+    /// `Some(version)` for a removed key, `None` for an absent one.
+    /// Returns the same outcome. As [`KvStore::put_with`]: the delete
+    /// is counted when `decided` runs, `decided` runs inside the
+    /// stripe's write section, and must not touch this store.
+    pub fn delete_with(&self, key: &[u8], decided: impl FnOnce(Option<u64>)) -> Option<u64> {
+        self.unlink(key, true, decided)
     }
 
     /// Deletes a key, assigning the removal a fresh version — the
@@ -1968,24 +2073,12 @@ impl<R: RawLock + Default> KvStore<R> {
     /// remove orders against concurrent stores. `Some(version)` if the
     /// key existed (a delete of an absent key consumes no version).
     pub fn delete_versioned(&self, key: &[u8]) -> Option<u64> {
-        let (stripe, bucket) = self.locate(key);
-        let version = self.unlink(&self.stripes[stripe], bucket, key, true)?;
-        self.stats.deletes.fetch_add(1, Ordering::Relaxed);
-        self.after_write();
-        Some(version)
+        self.delete_with(key, |_| {})
     }
 
     /// Deletes a key; true if it existed.
     pub fn delete(&self, key: &[u8]) -> bool {
-        let (stripe, bucket) = self.locate(key);
-        let removed = self
-            .unlink(&self.stripes[stripe], bucket, key, false)
-            .is_some();
-        if removed {
-            self.stats.deletes.fetch_add(1, Ordering::Relaxed);
-            self.after_write();
-        }
-        removed
+        self.unlink(key, false, |_| {}).is_some()
     }
 
     /// Applies one replicated operation idempotently: a put
@@ -2007,6 +2100,9 @@ impl<R: RawLock + Default> KvStore<R> {
     /// promoted to primary keeps assigning monotone versions.
     pub fn apply_replicated(&self, key: &[u8], version: u64, value: Option<&[u8]>) -> bool {
         self.check_writer();
+        if let Some(value) = value {
+            Item::check_lengths(key, value);
+        }
         self.next_version
             .fetch_max(version.saturating_add(1), Ordering::Relaxed);
         let (stripe, bucket) = self.locate(key);
@@ -2024,11 +2120,16 @@ impl<R: RawLock + Default> KvStore<R> {
             match (unsafe { found.as_ref() }, value) {
                 (Some(item), _) if item.version >= version => false,
                 (_, Some(value)) => {
-                    self.link_item(stripe, &mut inner, (link, found), key, value, version);
+                    let size = block_size(HEADER + key.len() + value.len());
+                    let block = inner.recycler.block(size, &self.depot);
+                    let section = WriteSection::enter(&stripe.seq);
+                    let item = (key, value, version);
+                    self.link_item(stripe, &mut inner, section, (link, found), block, item);
                     true
                 }
                 (Some(_), None) => {
-                    self.unlink_item(stripe, &mut inner, link, found);
+                    let section = WriteSection::enter(&stripe.seq);
+                    self.unlink_item(stripe, &mut inner, section, link, found);
                     true
                 }
                 // Delete of an absent key: already gone, nothing to do.
@@ -2497,6 +2598,71 @@ mod tests {
         assert_eq!(snap.deletes, 1);
         assert_eq!(snap.cas_failures, 2);
         assert_eq!(snap.sets, 3); // Two plain sets + the successful CAS.
+    }
+
+    /// Each write hands its outcome to its closure once, at its
+    /// decision: the outcome the call then returns, with the write
+    /// already counted — a set, a matched and a stale `cas`, a delete of
+    /// a present and of an absent key.
+    #[test]
+    fn a_writes_closure_runs_once_with_its_outcome_already_counted() {
+        let kv: KvStore<TicketLock> = KvStore::new(64, 8);
+        let counted = || {
+            let s = kv.stats_snapshot();
+            (s.sets, s.cas_failures, s.deletes)
+        };
+        let put = |expected, calls: &mut Vec<_>| {
+            kv.put_with(b"k", b"v", expected, |outcome| {
+                calls.push((outcome, counted()))
+            })
+        };
+        let mut calls = Vec::new();
+        let set = put(None, &mut calls);
+        let v1 = set.expect("a set stores");
+        let matched = put(Some(v1), &mut calls);
+        let v2 = matched.expect("a cas of the current version stores");
+        let stale = put(Some(v1), &mut calls);
+        assert_eq!(stale, Err(v2));
+        assert_eq!(
+            calls,
+            [(set, (1, 0, 0)), (matched, (2, 0, 0)), (stale, (2, 1, 0))]
+        );
+        assert_eq!(kv.version(b"k"), Some(v2));
+        let mut calls = Vec::new();
+        let delete =
+            |calls: &mut Vec<_>| kv.delete_with(b"k", |outcome| calls.push((outcome, counted())));
+        let present = delete(&mut calls);
+        assert!(present.is_some_and(|version| version > v2));
+        let absent = delete(&mut calls);
+        assert_eq!(absent, None);
+        assert_eq!(calls, [(present, (2, 1, 1)), (absent, (2, 1, 1))]);
+        assert!(kv.is_empty());
+    }
+
+    /// A key or value too long for an item panics before the write
+    /// decides: its closure never runs and nothing is counted or stored.
+    #[test]
+    fn an_overlong_key_or_value_panics_before_the_closure_runs() {
+        let kv: KvStore<TicketLock> = KvStore::new(64, 8);
+        let ran = core::cell::Cell::new(false);
+        let long_key = vec![1; MAX_KEY_LEN + 1];
+        let long_value = vec![2; MAX_VALUE_LEN + 1];
+        for (key, value) in [(&long_key[..], &b"v"[..]), (&b"k"[..], &long_value[..])] {
+            for expected in [None, Some(1)] {
+                let put = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    kv.put_with(key, value, expected, |_| ran.set(true))
+                }));
+                assert!(
+                    put.is_err(),
+                    "a {}-byte key, {}-byte value",
+                    key.len(),
+                    value.len()
+                );
+            }
+        }
+        assert!(!ran.get(), "a closure ran for a write that panicked");
+        assert_eq!(kv.stats_snapshot(), StatsSnapshot::default());
+        assert!(kv.is_empty());
     }
 
     #[test]

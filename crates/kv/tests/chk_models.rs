@@ -20,6 +20,7 @@ use std::sync::atomic::{
 };
 use std::sync::Arc;
 
+use ssync_chk::sync::atomic::{AtomicU64, Ordering};
 use ssync_chk::{thread, Builder};
 use ssync_kv::{KvFault, KvStore};
 use ssync_locks::TtasLock;
@@ -91,6 +92,80 @@ fn seqlock_reader_sees_old_or_new_never_torn() {
         report.executions
     );
     eprintln!("seqlock reader model: {} executions", report.executions);
+}
+
+/// The shared body of the decision model and its twin: a writer
+/// replaces `k` and its closure publishes the new version (Release) at
+/// the write's decision, before the store builds the item — as a node
+/// sends a write's reply. A reader that Acquires the published version
+/// must then read it from the store. Returns whether the reader saw the
+/// version published.
+fn a_read_after_the_decision(store: KvStore<TtasLock>) -> bool {
+    let store = Arc::new(store);
+    store.set(b"k", b"old");
+    let answered = Arc::new(AtomicU64::new(0));
+    let reader = {
+        let (store, answered) = (Arc::clone(&store), Arc::clone(&answered));
+        thread::spawn(move || {
+            let version = answered.load(Ordering::Acquire);
+            if version != 0 {
+                let hit = store
+                    .get_with_version(b"k")
+                    .expect("the key is never deleted");
+                assert_eq!(
+                    (hit.0, hit.1.as_ref()),
+                    (version, b"new".as_slice()),
+                    "a read after the answer missed the write"
+                );
+            }
+            version != 0
+        })
+    };
+    let put = store.put_with(b"k", b"new", None, |put| {
+        answered.store(put.expect("a set stores"), Ordering::Release);
+    });
+    assert!(put.is_ok());
+    reader.join()
+}
+
+/// A write's decision is published inside its write section: the
+/// section opens before the closure runs and spans the chain walk and
+/// the build, so a reader that saw what the closure published finds the
+/// stripe word odd, or the write done, and reads the new version. The
+/// cross-execution counter asserts that the reader saw the answer. Bound
+/// 8, as the seqlock model: at the default bound the reader sees the
+/// answer in one schedule alone.
+#[test]
+fn a_read_after_a_writes_decision_sees_the_write() {
+    let saw = Arc::new(RealAtomicU64::new(0));
+    let saw2 = Arc::clone(&saw);
+    let report = Builder::new().with_preemption_bound(8).check(move || {
+        if a_read_after_the_decision(tiny_store()) {
+            saw2.fetch_add(1, RealOrdering::Relaxed);
+        }
+    });
+    assert!(!report.truncated, "exploration truncated: {report:?}");
+    assert!(
+        saw.load(RealOrdering::Relaxed) > 0,
+        "no explored schedule read after the answer ({} executions)",
+        report.executions
+    );
+    eprintln!("decision model: {} executions", report.executions);
+}
+
+/// The twin: a store that hands the outcome to the closure before it
+/// opens the write section. The reader can see the answer, find the
+/// word still even and validate a read of the old item — the checker
+/// must find that schedule.
+#[test]
+fn answering_before_the_write_section_is_found() {
+    let v = Builder::new()
+        .with_preemption_bound(8)
+        .expect_violation(|| {
+            a_read_after_the_decision(KvStore::with_fault(1, 1, KvFault::AnswerBeforeSection));
+        });
+    assert!(v.message.contains("missed the write"), "{v}");
+    eprintln!("answer-before-section found in execution {}", v.execution);
 }
 
 /// The retirement discipline, end to end: an update retires the

@@ -105,18 +105,22 @@ impl MsgReceiver for Receiver {
 }
 
 impl MsgReceiver for RingReceiver {
+    #[inline]
     fn try_recv(&self) -> Option<Message> {
         RingReceiver::try_recv(self)
     }
 
+    #[inline]
     fn sender_closed(&self) -> bool {
         RingReceiver::sender_closed(self)
     }
 
+    #[inline]
     fn has_message(&self) -> bool {
         RingReceiver::has_message(self)
     }
 
+    #[inline]
     fn poll_burst(&self, n: usize, out: &mut Vec<Message>) -> Result<bool, RecvError> {
         RingReceiver::poll_burst(self, n, out)
     }
@@ -176,14 +180,17 @@ impl MsgSender for Sender {
 }
 
 impl MsgSender for RingSender {
+    #[inline]
     fn try_send(&self, msg: Message) -> Result<(), Message> {
         RingSender::try_send(self, msg)
     }
 
+    #[inline]
     fn receiver_closed(&self) -> bool {
         RingSender::receiver_closed(self)
     }
 
+    #[inline]
     fn try_send_burst(&self, frames: &[Message]) -> usize {
         RingSender::try_send_burst(self, frames)
     }

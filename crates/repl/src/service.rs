@@ -1392,6 +1392,20 @@ mod tests {
     use ssync_srv::{enumerate, play, KvClient, Step};
     use std::time::Duration;
 
+    /// Spins until `done` holds, failing the test once 60 s pass
+    /// first, with `what` it waited for: a counter or handshake that
+    /// stops moving fails the suite instead of hanging it.
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timed out waiting for {what}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     /// Spins up a full replication deployment, runs `body` with the
     /// clients, and returns the cluster for post-mortem checks.
     /// `plans` holds backup schedules indexed `shard * replicas +
@@ -2173,9 +2187,7 @@ mod tests {
             let mut frames = Vec::new();
             ssync_srv::wire::encode_replicate(7, 1, b"after", &mut frames);
             stream.send_all_connected(&frames).unwrap();
-            while map.hwm_of(0, 1) < 1 {
-                std::thread::yield_now();
-            }
+            wait_for("the follower's ack", || map.hwm_of(0, 1) >= 1);
             let scrape = client.stats_of(0, 1).unwrap();
             assert_eq!(scrape.counter("srv.malformed"), Some(1));
             assert_eq!(scrape.counter("node.applied"), Some(1));
@@ -2219,9 +2231,9 @@ mod tests {
                 stream.send(frames[0]);
                 drop(stream);
                 let scrape = || client.stats_of(0, 1).unwrap();
-                while scrape().counter("srv.malformed") != Some(1) {
-                    std::thread::yield_now();
-                }
+                wait_for("the malformed entry", || {
+                    scrape().counter("srv.malformed") == Some(1)
+                });
                 assert_eq!(scrape().counter("node.applied"), Some(0));
                 assert!(map.report_death(0, 0));
                 client.close();

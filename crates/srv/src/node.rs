@@ -8,7 +8,8 @@
 //! goes away without one is retired before a park), the reclamation
 //! cadence, the `TimedGet` latency split,
 //! the `Stats` scrape, one executor for the five data operations, and
-//! holding a write's reply while a stack says it is owed.
+//! a write's reply: sent at the store's decision when the stack
+//! observes no writes, else held while the stack says it is owed.
 //! [`NodeCore::turn`] is one pass of a node, and a node — its core,
 //! store and hooks — is a [`Step`] that [`run`](crate::step::run)
 //! drives. Every ring a node touches has one receive and one send
@@ -71,23 +72,29 @@ pub trait Hooks {
         Admit::Run
     }
 
-    /// Does [`Hooks::committed`] want the value of the put about to
-    /// run? Asked once per admitted `Set`/`Cas`; a yes costs the put a
-    /// handle on the stored value (one reference-count round trip).
+    /// Does this stack observe the write about to run? Asked once per
+    /// admitted `Set`/`Cas`/`Delete`, and it also decides when the
+    /// write is answered. A yes reports the write to
+    /// [`Hooks::committed`] and then asks [`Hooks::reply_owed`] before
+    /// the reply leaves; it costs a put a handle on the stored value
+    /// (one reference-count round trip). A no, the default, sends the
+    /// reply at the store's decision ([`KvStore::put_with`]), before
+    /// the store builds the item: no `committed`, no `reply_owed`.
     fn observes_writes(&self) -> bool {
         false
     }
 
-    /// The store accepted a write of `key` at `version`: `Some(value)`
-    /// for a put [`Hooks::observes_writes`] asked for, `None` for a
-    /// delete (reported always). Called before the reply is sent.
+    /// The store accepted a write of `key` at `version` that
+    /// [`Hooks::observes_writes`] asked for: `Some(value)` for a put,
+    /// `None` for a delete. Called before the reply is sent.
     fn committed(&mut self, _key: u64, _version: u64, _value: Option<&Bytes>) {}
 
-    /// Is the reply to the write just executed still owed? Asked after
-    /// every write, then once a turn while the core holds that reply —
-    /// serving no other request meanwhile — until a turn's answer
-    /// releases it. A stack that owes replies parks no writes
-    /// ([`Admit::Defer`]): the core holds one reply at a time.
+    /// Is the reply to the observed write just executed still owed?
+    /// Asked after every write [`Hooks::observes_writes`] asked for,
+    /// then once a turn while the core holds that reply — serving no
+    /// other request meanwhile — until a turn's answer releases it. A
+    /// stack that owes replies parks no writes ([`Admit::Defer`]): the
+    /// core holds one reply at a time.
     fn reply_owed(&mut self) -> bool {
         false
     }
@@ -519,7 +526,17 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
             }
             Request::Set { .. } | Request::Cas { .. } | Request::Delete { .. } => {
                 self.counts.key_ops += 1;
-                let response = write(store, hooks, request);
+                if !hooks.observes_writes() {
+                    // Answered at the store's decision: the reply leaves
+                    // while the store builds the item.
+                    let (frames, queue) = (&mut self.frames, &mut self.replies[client]);
+                    write_answered(store, request, |response| {
+                        response.encode_into(frames);
+                        queue.send(frames);
+                    });
+                    return None;
+                }
+                let response = write_observed(store, hooks, request);
                 if hooks.reply_owed() {
                     debug_assert!(self.owed.is_none(), "one owed reply at a time");
                     self.owed = Some((client, response));
@@ -584,60 +601,77 @@ where
     }
 }
 
-/// Applies one admitted write and reports it to `hooks`.
-fn write<R: RawLock + Default, H: Hooks>(
+/// Applies one admitted write for a stack that observes none, handing
+/// its response to `answer` at the store's decision
+/// ([`KvStore::put_with`], [`KvStore::delete_with`]): before the store
+/// builds, links or unlinks the item, and inside its write section, so
+/// a reader that saw the reply waits for the write.
+fn write_answered<R: RawLock + Default>(
     store: &KvStore<R>,
-    hooks: &mut H,
     request: Request,
-) -> Response {
-    match request {
-        Request::Set { key, value } => put(store, hooks, key, &value, None),
+    answer: impl FnOnce(Response),
+) {
+    let (key, expected, value) = match request {
+        Request::Set { key, value } => (key, None, value),
         Request::Cas {
             key,
             expected,
             value,
-        } => put(store, hooks, key, &value, Some(expected)),
-        Request::Delete { key } => match store.delete_versioned(&key_bytes(key)) {
-            Some(version) => {
+        } => (key, Some(expected), value),
+        Request::Delete { key } => {
+            store.delete_with(&key_bytes(key), |gone| answer(deleted(gone)));
+            return;
+        }
+        _ => unreachable!("serve hands only writes to write_answered()"),
+    };
+    // The outcome is answered; nothing is left to do with it.
+    let _ = store.put_with(&key_bytes(key), &value, expected, |put| answer(stored(put)));
+}
+
+/// Applies one admitted write for a stack that observes writes and
+/// reports it to [`Hooks::committed`] before the caller answers. A put
+/// also takes a handle on the stored value for `committed` to keep: the
+/// log shares the item's bytes.
+fn write_observed<R: RawLock + Default, H: Hooks>(
+    store: &KvStore<R>,
+    hooks: &mut H,
+    request: Request,
+) -> Response {
+    let (key, kept) = match request {
+        Request::Set { key, value } => (key, Ok(store.set_shared(&key_bytes(key), value))),
+        Request::Cas {
+            key,
+            expected,
+            value,
+        } => (key, store.cas_shared(&key_bytes(key), value, expected)),
+        Request::Delete { key } => {
+            let gone = store.delete_versioned(&key_bytes(key));
+            if let Some(version) = gone {
                 hooks.committed(key, version, None);
-                Response::Deleted { version }
             }
-            None => Response::NotFound,
-        },
-        _ => unreachable!("serve hands only writes to write()"),
+            return deleted(gone);
+        }
+        _ => unreachable!("serve hands only writes to write_observed()"),
+    };
+    stored(kept.map(|(version, value)| {
+        hooks.committed(key, version, Some(&value));
+        version
+    }))
+}
+
+/// A put's answer: the stored version, or a failed `cas`'s current one.
+fn stored(put: Result<u64, u64>) -> Response {
+    match put {
+        Ok(version) => Response::Stored { version },
+        Err(current) => Response::CasFail { current },
     }
 }
 
-/// Stores `value` — a `set`, or a `cas` against `expected` — copying the
-/// decoded bytes once, into the new item. When `hooks` observes this
-/// write, the store also hands back a handle on the stored value for
-/// [`Hooks::committed`] to keep: the log shares the item's bytes.
-fn put<R: RawLock + Default, H: Hooks>(
-    store: &KvStore<R>,
-    hooks: &mut H,
-    key: u64,
-    value: &[u8],
-    expected: Option<u64>,
-) -> Response {
-    let stored_key = key_bytes(key);
-    let outcome = if hooks.observes_writes() {
-        let kept = match expected {
-            None => Ok(store.set_shared(&stored_key, value)),
-            Some(expected) => store.cas_shared(&stored_key, value, expected),
-        };
-        kept.map(|(version, value)| {
-            hooks.committed(key, version, Some(&value));
-            version
-        })
-    } else {
-        match expected {
-            None => Ok(store.set(&stored_key, value)),
-            Some(expected) => store.cas(&stored_key, value, expected),
-        }
-    };
-    match outcome {
-        Ok(version) => Response::Stored { version },
-        Err(current) => Response::CasFail { current },
+/// A delete's answer: the tombstone's version, or the key was absent.
+fn deleted(gone: Option<u64>) -> Response {
+    match gone {
+        Some(version) => Response::Deleted { version },
+        None => Response::NotFound,
     }
 }
 
@@ -685,6 +719,135 @@ pub(crate) mod tests {
         block_on(client.send_stop());
         while core.turn(&store, &mut NoHooks) != Turn::Exit {}
         assert!(elsewhere(), "released once it exited");
+    }
+
+    /// A plain node answers a write at the store's decision, before the
+    /// store builds the item, yet a direct read of the store made as
+    /// soon as the reply arrives sees the write: the reply leaves inside
+    /// the stripe's write section, so the read waits for it. 10 000
+    /// writes — sets, matched and stale `cas`es, deletes — from a client
+    /// thread, each read back from the store and its stats.
+    #[test]
+    fn a_direct_read_after_a_writes_reply_sees_the_write() {
+        within(120, || {
+            let store: KvStore<TicketLock> = KvStore::new(64, 8);
+            let (mut endpoints, mut clients) = ring_mesh(1, 1, 64);
+            let (client, endpoint) = (clients.pop().unwrap(), endpoints.pop().unwrap());
+            let stored = key_bytes(7);
+            std::thread::scope(|s| {
+                s.spawn(|| crate::service::serve(&store, endpoint));
+                let (mut sets, mut cas_failures, mut deletes) = (0, 0, 0);
+                for i in 0..10_000u64 {
+                    let value = i.to_le_bytes().to_vec();
+                    let held = match i % 4 {
+                        0 => Some(client.set(7, value.clone()).unwrap()),
+                        1 => {
+                            let current = store.version(&stored).unwrap();
+                            Some(client.cas(7, value.clone(), current).unwrap().unwrap())
+                        }
+                        2 => {
+                            let current = store.version(&stored).unwrap();
+                            let failed = client.cas(7, value.clone(), current + 1).unwrap();
+                            assert_eq!(failed, Err(current), "write {i}");
+                            cas_failures += 1;
+                            continue;
+                        }
+                        _ => {
+                            assert!(client.delete(7).unwrap().is_some(), "write {i}");
+                            None
+                        }
+                    };
+                    let seen = store.get_with_version(&stored);
+                    match held {
+                        Some(version) => {
+                            sets += 1;
+                            let seen = seen.map(|(at, v)| (at, v.to_vec()));
+                            assert_eq!(seen, Some((version, value)), "write {i}");
+                        }
+                        None => {
+                            deletes += 1;
+                            assert!(seen.is_none(), "write {i}: the deleted key reads {seen:?}");
+                        }
+                    }
+                    let snap = store.stats_snapshot();
+                    let counted = (snap.sets, snap.cas_failures, snap.deletes);
+                    assert_eq!(counted, (sets, cas_failures, deletes), "write {i}");
+                }
+                client.close();
+            });
+        });
+    }
+
+    /// Hooks that observe writes, owing one reply at a time.
+    struct Owing<'a> {
+        /// The client's reply ring, watched from `committed`.
+        replies: &'a ssync_mp::RingReceiver,
+        committed: Vec<(u64, u64)>,
+        owed: bool,
+    }
+
+    impl Hooks for Owing<'_> {
+        fn observes_writes(&self) -> bool {
+            true
+        }
+
+        fn committed(&mut self, key: u64, version: u64, _value: Option<&Bytes>) {
+            assert!(
+                !self.replies.has_message(),
+                "the reply left before committed"
+            );
+            self.committed.push((key, version));
+            self.owed = true;
+        }
+
+        fn reply_owed(&mut self) -> bool {
+            self.owed
+        }
+    }
+
+    /// A stack that observes writes keeps the order it had before
+    /// unobserved writes were answered at the decision: `committed`,
+    /// then `reply_owed`, then the reply — held across turns while it is
+    /// owed, and sent by the turn that releases it.
+    #[test]
+    fn an_observed_write_is_committed_before_its_owed_reply_leaves() {
+        let store: KvStore<TicketLock> = KvStore::new(64, 8);
+        let (mut endpoints, mut clients) = ring_mesh(1, 1, 64);
+        let client = clients.pop().unwrap();
+        let conn = client.conn(0);
+        let mut core = NodeCore::new(endpoints.pop().unwrap());
+        let mut hooks = Owing {
+            replies: &conn.rx,
+            committed: Vec::new(),
+            owed: false,
+        };
+        let writes = [
+            Request::Set {
+                key: 7,
+                value: b"v".to_vec(),
+            },
+            Request::Delete { key: 7 },
+        ];
+        for (n, request) in writes.iter().enumerate() {
+            block_on(conn.send(request)).unwrap();
+            for _ in 0..3 {
+                core.turn(&store, &mut hooks);
+            }
+            assert_eq!(
+                hooks.committed.len(),
+                n + 1,
+                "{request:?} was not committed"
+            );
+            assert!(!conn.rx.has_message(), "an owed reply left");
+            hooks.owed = false;
+            assert_eq!(core.turn(&store, &mut hooks), Turn::Progress);
+            let (key, version) = hooks.committed[n];
+            let expect = match request {
+                Request::Set { .. } => Response::Stored { version },
+                _ => Response::Deleted { version },
+            };
+            assert_eq!((key, block_on(conn.recv())), (7, Ok(expect)));
+        }
     }
 
     /// One request, one reply: a plain node answers every request a
