@@ -61,13 +61,11 @@ use core::pin::Pin;
 use core::task::{Context, Poll, Waker};
 use std::sync::Arc;
 
-use ssync_kv::KvStore;
-use ssync_locks::RawLock;
 use ssync_mp::{Message, RingSender};
 use ssync_repl::{FaultSpec, LogEntry, OpLog};
 use ssync_srv::step::until;
 use ssync_srv::wire::encode_replicate;
-use ssync_srv::{run, slot_of, Step, Turn, ROUTE_SLOTS};
+use ssync_srv::{run, slot_of, Step, Store, Turn, ROUTE_SLOTS};
 
 use crate::map::ShardMap;
 use crate::sync::atomic::{AtomicBool, Ordering};
@@ -185,8 +183,8 @@ impl Drop for MigrationGuard<'_> {
 
 /// `store`'s `(key bytes, version, value)` triples, a page of at least
 /// `chunk` at a time, until the store ends.
-pub(crate) fn pages<R: RawLock + Default>(
-    store: &KvStore<R>,
+pub(crate) fn pages(
+    store: &Store,
     chunk: usize,
 ) -> impl Iterator<Item = Vec<(bytes::Bytes, u64, bytes::Bytes)>> + '_ {
     let mut after: Option<bytes::Bytes> = None;
@@ -224,9 +222,9 @@ pub struct Reshard<'a> {
 impl<'a> Reshard<'a> {
     /// The resharding `spec` asks for, as [`run_reshard_coordinator`]
     /// takes it, not yet begun: the first step arms.
-    pub fn new<R: RawLock + Default>(
+    pub fn new(
         map: &'a ShardMap,
-        stores: &'a [&'a KvStore<R>],
+        stores: &'a [&'a Store],
         logs: &'a [&'a OpLog],
         mig_tx: &'a [RingSender],
         spec: &ReshardSpec,
@@ -291,9 +289,9 @@ impl Step for Reshard<'_> {
 /// the migration touches is gone (its migration ring has no receiver),
 /// or another coordinator races the cutover (the protocol is
 /// single-coordinator; the map CAS enforces it).
-pub fn run_reshard_coordinator<R: RawLock + Default>(
+pub fn run_reshard_coordinator(
     map: &ShardMap,
-    stores: &[&KvStore<R>],
+    stores: &[&Store],
     logs: &[&OpLog],
     mig_tx: &[RingSender],
     spec: &ReshardSpec,
@@ -304,9 +302,9 @@ pub fn run_reshard_coordinator<R: RawLock + Default>(
 }
 
 /// The coordinator: the module docs' protocol, each wait an `.await`.
-pub(crate) async fn coordinate<R: RawLock + Default>(
+pub(crate) async fn coordinate(
     map: &ShardMap,
-    stores: &[&KvStore<R>],
+    stores: &[&Store],
     logs: &[&OpLog],
     mig_tx: &[RingSender],
     spec: ReshardSpec,
@@ -483,7 +481,6 @@ mod tests {
     use core::ops::ControlFlow;
     use core::pin::pin;
     use ssync_core::Fence;
-    use ssync_locks::TicketLock;
     use ssync_srv::router::key_bytes;
     use ssync_srv::service::ServeReport;
     use ssync_srv::wire::{Request, Response};
@@ -495,9 +492,9 @@ mod tests {
     /// every test on this fleet also checks that a log's high-water
     /// length stays within the writes issued while a migration was
     /// armed — none, in the quiet tests below.
-    fn fleet(n: usize) -> (Vec<KvStore<TicketLock>>, Vec<OpLog>) {
+    fn fleet(n: usize) -> (Vec<Store>, Vec<OpLog>) {
         (
-            (0..n).map(|_| KvStore::new(64, 8)).collect(),
+            (0..n).map(|_| Store::new(64, 8)).collect(),
             (0..n).map(|_| OpLog::new(1)).collect(),
         )
     }
@@ -511,7 +508,7 @@ mod tests {
         let map = ShardMap::new(2);
         let (stores, logs) = fleet(4);
         let (endpoints, mut conns, mig) = cluster_mesh(4, 1, 16, 64);
-        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let store_refs: Vec<&Store> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         let mut written: Vec<(u64, u64)> = Vec::new();
         let swept: u64 = std::thread::scope(|s| {
@@ -575,7 +572,7 @@ mod tests {
         let map = ShardMap::new(2);
         let (stores, logs) = fleet(4);
         let (endpoints, mut conns, mig) = cluster_mesh(4, 1, 16, 64);
-        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let store_refs: Vec<&Store> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         let spec = ReshardSpec {
             faults: FaultSpec {
@@ -677,7 +674,7 @@ mod tests {
         let (stores, _) = fleet(2);
         let logs = [OpLog::new(4), OpLog::new(4)];
         let (endpoints, _conns, mig) = cluster_mesh(2, 1, 16, 16);
-        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let store_refs: Vec<&Store> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         let moving_key = (0u64..).find(|&k| slot_of(k) == 1).unwrap();
         let mut reshard = Reshard::new(&map, &store_refs, &log_refs, &mig, &ReshardSpec::clean(2));
@@ -711,7 +708,7 @@ mod tests {
         let (stores, _) = fleet(2);
         let logs = [OpLog::new(2 * COPY_LOG_BOUND), OpLog::new(1)];
         let (endpoints, _conns, mig) = cluster_mesh(2, 1, 16, 64);
-        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let store_refs: Vec<&Store> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         let mut model: Vec<(u64, u64, Vec<u8>)> = (0..512u64)
             .map(|key| (key, stores[0].set(&key_bytes(key), b"v"), b"v".to_vec()))
@@ -758,7 +755,7 @@ mod tests {
         let map = ShardMap::new(1);
         let (stores, logs) = fleet(2);
         let (endpoints, _conns, mig) = cluster_mesh(2, 1, 16, 2);
-        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let store_refs: Vec<&Store> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         let key = (0u64..).find(|&k| slot_of(k) == 1).unwrap();
         let value = vec![7; 300];
@@ -775,7 +772,7 @@ mod tests {
             source_core.turn(&stores[0], &mut source);
         }
         let (mut target_core, mut target) = nodes.next().unwrap();
-        let entries = |node: &ClusterNode<TicketLock>| {
+        let entries = |node: &ClusterNode| {
             let mut counters = node.counters().into_iter();
             counters.find_map(|(name, value)| (name == "node.migration_entries").then_some(value))
         };
@@ -800,7 +797,7 @@ mod tests {
     /// the twin that acks an arming change before its sweep (`Some`,
     /// holding whether it owes one).
     struct Stepped<'a> {
-        node: ClusterNode<'a, TicketLock>,
+        node: ClusterNode<'a>,
         runs_frozen: bool,
         sweep_late: Option<bool>,
     }
@@ -859,7 +856,7 @@ mod tests {
         let map = ShardMap::new(1);
         let (stores, logs) = fleet(2);
         let (endpoints, mut conns, mig) = cluster_mesh(2, 1, 16, 16);
-        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let store_refs: Vec<&Store> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         let key = (0u64..).find(|&k| slot_of(k) == 1).unwrap();
         stores[0].set(&key_bytes(key), b"old");
@@ -985,7 +982,7 @@ mod tests {
         let map = ShardMap::new(1);
         let (stores, logs) = fleet(2);
         let (mut endpoints, mut conns, mig) = cluster_mesh(2, 1, 16, 16);
-        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let store_refs: Vec<&Store> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         // The target's ring has no receiver: the copy's first send dies.
         drop(endpoints.pop());
@@ -1025,7 +1022,7 @@ mod tests {
         let map = ShardMap::new(1);
         let (stores, logs) = fleet(2);
         let (_endpoints, _conns, mig) = cluster_mesh(2, 1, 16, 16);
-        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let store_refs: Vec<&Store> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         let generation = map.arm_logs();
         let round = map.freeze(0b10);
@@ -1045,7 +1042,7 @@ mod tests {
         let map = ShardMap::new(4);
         let (stores, logs) = fleet(4);
         let (_endpoints, _conns, mig) = cluster_mesh(4, 1, 16, 16);
-        let store_refs: Vec<&KvStore<TicketLock>> = stores.iter().collect();
+        let store_refs: Vec<&Store> = stores.iter().collect();
         let log_refs: Vec<&OpLog> = logs.iter().collect();
         let report =
             run_reshard_coordinator(&map, &store_refs, &log_refs, &mig, &ReshardSpec::clean(4));

@@ -30,7 +30,7 @@
 //! * **The migration stream** — a per-node SPSC ring the coordinator
 //!   replays `Replicate`/`ReplicateDelete` frames over. Entries apply
 //!   through the store's per-key version gate
-//!   ([`KvStore::apply_replicated`]), so replayed duplicates after a
+//!   ([`Store::apply_replicated`]), so replayed duplicates after a
 //!   faulted attempt drop as stale; progress is published to the map
 //!   so the coordinator can prove the stream drained.
 //! * **The sweep** — the node, its store's one writer, alone decides
@@ -58,32 +58,30 @@ use core::ops::ControlFlow;
 use bytes::Bytes;
 
 use ssync_core::{Fence, RegistrySnapshot, RetryPacer};
-use ssync_kv::KvStore;
-use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, RingReceiver, RingSender};
 use ssync_repl::{EntryView, LogEntry, OpLog};
 use ssync_srv::service::{ring_mesh, ServeReport, ServerEndpoint};
 use ssync_srv::wire::{Request, Response, WireError};
 use ssync_srv::{
     block_on, chase, run, slot_of, Admit, Chase, Conn, Hooks, KvClient, NodeCore, ServiceClient,
-    StreamDecoder, Turn, OP_BUDGET,
+    Store, StreamDecoder, Turn, OP_BUDGET,
 };
 
 use crate::map::{is_armed, MapSnapshot, ShardMap};
 use crate::migrate::pages;
 
-/// Keys per [`KvStore::dump_range`] page of a node's sweep.
+/// Keys per [`Store::dump_range`] page of a node's sweep.
 const SWEEP_PAGE: usize = 256;
 
 /// A cluster node's side of the mesh: per-client request/reply rings
 /// plus the coordinator's migration stream.
 pub struct ClusterNodeEndpoint {
-    clients: ServerEndpoint<RingReceiver, RingSender>,
+    clients: ServerEndpoint,
     migration: RingReceiver,
 }
 
 /// One client's connections, one per node.
-pub type ClientConn = ServiceClient<RingSender, RingReceiver>;
+pub type ClientConn = ServiceClient;
 
 /// What [`cluster_mesh`] returns: node endpoints (element `s` serves
 /// shard `s`), client connections, and the per-shard migration-stream
@@ -186,7 +184,7 @@ pub fn follow_log_arming(
 
 /// Deletes every key `store` holds in a slot `me` does not own under
 /// the current map, a page at a time; returns how many it deleted.
-fn sweep_unowned<R: RawLock + Default>(store: &KvStore<R>, map: &ShardMap, me: usize) -> u64 {
+fn sweep_unowned(store: &Store, map: &ShardMap, me: usize) -> u64 {
     let owned = owned_mask(map, me);
     let unowned = pages(store, SWEEP_PAGE).flatten().filter(|(key, ..)| {
         let k = u64::from_be_bytes(key.as_ref().try_into().expect("8-byte keys"));
@@ -200,9 +198,9 @@ fn sweep_unowned<R: RawLock + Default>(store: &KvStore<R>, map: &ShardMap, me: u
 /// One cluster node, as the [`Hooks`] of the one node loop: what
 /// [`serve_cluster_node`] runs, and what a stepped driver turns
 /// ([`ssync_srv::step`]).
-pub struct ClusterNode<'a, R: RawLock + Default> {
+pub struct ClusterNode<'a> {
     me: usize,
-    store: &'a KvStore<R>,
+    store: &'a Store,
     map: &'a ShardMap,
     log: &'a OpLog,
     migration: RingReceiver,
@@ -221,15 +219,15 @@ pub struct ClusterNode<'a, R: RawLock + Default> {
     report: NodeReport,
 }
 
-impl<'a, R: RawLock + Default> ClusterNode<'a, R> {
+impl<'a> ClusterNode<'a> {
     /// Node `me`, and the core that serves its clients.
     pub fn new(
         me: usize,
-        store: &'a KvStore<R>,
+        store: &'a Store,
         log: &'a OpLog,
         map: &'a ShardMap,
         endpoint: ClusterNodeEndpoint,
-    ) -> (NodeCore<RingReceiver, RingSender>, Self) {
+    ) -> (NodeCore, Self) {
         let ClusterNodeEndpoint { clients, migration } = endpoint;
         let node = ClusterNode {
             me,
@@ -247,9 +245,9 @@ impl<'a, R: RawLock + Default> ClusterNode<'a, R> {
     }
 }
 
-impl<R: RawLock + Default> ClusterNode<'_, R> {
+impl ClusterNode<'_> {
     /// What this node did, with `core`'s counts.
-    pub fn report(&self, core: &NodeCore<RingReceiver, RingSender>) -> NodeReport {
+    pub fn report(&self, core: &NodeCore) -> NodeReport {
         let counts = core.report();
         NodeReport {
             requests: counts.requests,
@@ -261,7 +259,7 @@ impl<R: RawLock + Default> ClusterNode<'_, R> {
     }
 }
 
-impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
+impl Hooks for ClusterNode<'_> {
     /// The data operations through [`slot_fence`]; the rest go on to
     /// the core, which refuses them.
     fn admit(&mut self, request: &mut Request) -> Admit {
@@ -354,9 +352,9 @@ impl<R: RawLock + Default> Hooks for ClusterNode<'_, R> {
 /// migration handshakes and drains the migration stream before the
 /// core re-submits parked writes and polls the clients. Returns once
 /// every client has sent [`Request::Stop`] (or gone away).
-pub fn serve_cluster_node<R: RawLock + Default>(
+pub fn serve_cluster_node(
     me: usize,
-    store: &KvStore<R>,
+    store: &Store,
     log: &OpLog,
     map: &ShardMap,
     endpoint: ClusterNodeEndpoint,
@@ -495,7 +493,6 @@ impl KvClient for ClusterClient<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use ssync_locks::TicketLock;
     use ssync_mp::MsgSender;
     use ssync_srv::router::key_bytes;
 
@@ -513,15 +510,15 @@ pub(crate) mod tests {
         }
     }
 
-    fn stores(n: usize) -> Vec<KvStore<TicketLock>> {
-        (0..n).map(|_| KvStore::new(64, 8)).collect()
+    fn stores(n: usize) -> Vec<Store> {
+        (0..n).map(|_| Store::new(64, 8)).collect()
     }
 
     fn logs(n: usize) -> Vec<OpLog> {
         (0..n).map(|_| OpLog::new(4096)).collect()
     }
 
-    impl<R: RawLock + Default> ClusterNode<'_, R> {
+    impl ClusterNode<'_> {
         /// The split enumeration's twin of the sweep's order: a turn
         /// that acks an arming change with no sweep, owing it (`*owed`)
         /// to the end of its next turn, after that turn's stream drain.

@@ -38,13 +38,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ssync_kv::KvStore;
-use ssync_locks::RawLock;
 use ssync_mp::RingSender;
 use ssync_repl::OpLog;
 use ssync_srv::step::until;
 use ssync_srv::workload::{fan_out_beside, Tally};
-use ssync_srv::{run, KvClient, Step};
+use ssync_srv::{run, KvClient, Step, Store};
 
 use crate::map::ShardMap;
 #[cfg(doc)]
@@ -113,9 +111,9 @@ type Model = BTreeMap<u64, (u64, Vec<u8>)>;
 /// a worker observes an impossible acknowledgement — a worker's panic,
 /// or a node's or the coordinator's first, is re-raised once every
 /// thread has finished, never a hang.
-pub fn run_reshard<R: RawLock + Default>(spec: &ReshardWorkloadSpec) -> ReshardReport {
+pub fn run_reshard(spec: &ReshardWorkloadSpec) -> ReshardReport {
     let (reshard, moved) = (spec.reshard, Default::default());
-    reshard_with::<R>(spec, |map, stores, logs, mig| {
+    reshard_with(spec, |map, stores, logs, mig| {
         Box::pin(coordinate(map, stores, logs, mig, reshard, moved))
     })
 }
@@ -125,11 +123,11 @@ type Migration<'a> = Pin<Box<dyn Future<Output = MigrationReport> + Send + 'a>>;
 
 /// [`run_reshard`], the migration being the one `migrate` starts over
 /// the fleet's map, stores, op-logs and migration rings.
-fn reshard_with<R: RawLock + Default>(
+fn reshard_with(
     spec: &ReshardWorkloadSpec,
     migrate: impl for<'a> FnOnce(
             &'a ShardMap,
-            &'a [&'a KvStore<R>],
+            &'a [&'a Store],
             &'a [&'a OpLog],
             &'a [RingSender],
         ) -> Migration<'a>
@@ -142,7 +140,7 @@ fn reshard_with<R: RawLock + Default>(
         "the migration must start while traffic still flows"
     );
     let map = ShardMap::new(spec.shards_before);
-    let stores: Vec<KvStore<R>> = (0..fleet).map(|_| KvStore::new(1 << 10, 16)).collect();
+    let stores: Vec<Store> = (0..fleet).map(|_| Store::new(1 << 10, 16)).collect();
     // Worst case every op is a write landing in one shard's log.
     let log_cap = (spec.workers as u64 * spec.ops_per_worker + 1) as usize;
     let logs: Vec<OpLog> = (0..fleet).map(|_| OpLog::new(log_cap)).collect();
@@ -189,7 +187,7 @@ fn reshard_with<R: RawLock + Default>(
             actors.extend(nodes.iter_mut().map(|node| node as &mut (dyn Step + Send)));
             run(&mut actors);
         }
-        let report = |(core, _, node): &(_, _, ClusterNode<'_, R>)| node.report(core);
+        let report = |(core, _, node): &(_, _, ClusterNode<'_>)| node.report(core);
         let nodes: Vec<NodeReport> = nodes.iter().map(report).collect();
         (nodes, coordinated)
     };
@@ -318,7 +316,6 @@ mod tests {
     use super::*;
     use crate::sync::atomic::AtomicBool;
     use core::task::{Context, Waker};
-    use ssync_locks::TicketLock;
     use ssync_repl::FaultSpec;
     use std::sync::Arc;
     use std::time::Duration;
@@ -348,7 +345,7 @@ mod tests {
 
     #[test]
     fn live_split_loses_nothing() {
-        let report = run_reshard::<TicketLock>(&smoke_spec());
+        let report = run_reshard(&smoke_spec());
         assert_eq!(report.tally.issued.total(), 2400);
         assert!(report.converged, "fleet must converge: {report:?}");
         assert_eq!(report.lost_acked_writes, 0);
@@ -381,7 +378,7 @@ mod tests {
             reshard: faulted(0xFEED, 32),
             ..smoke_spec()
         };
-        let report = run_reshard::<TicketLock>(&smoke);
+        let report = run_reshard(&smoke);
         assert!(report.converged, "faulted run must converge: {report:?}");
         assert_eq!(report.lost_acked_writes, 0);
         assert_eq!(report.migration.coordinator_restarts, 1);
@@ -397,7 +394,7 @@ mod tests {
             reshard: faulted(0x4E_5A2D, 48),
             seed: 0x0DD_B10B,
         };
-        let report = run_reshard::<TicketLock>(&larger);
+        let report = run_reshard(&larger);
         assert!(report.converged, "faulted run must converge: {report:?}");
         assert_eq!(report.lost_acked_writes, 0);
         assert_eq!(report.tally.issued.total(), 10_000);
@@ -424,7 +421,7 @@ mod tests {
         let spec = smoke_spec();
         let raised = within(60, move || {
             let run = catch_unwind(AssertUnwindSafe(|| {
-                reshard_with::<TicketLock>(&spec, |map, stores, logs, mig| {
+                reshard_with(&spec, |map, stores, logs, mig| {
                     Box::pin(async move {
                         let moved = Arc::new(AtomicBool::new(false));
                         let split = coordinate(map, stores, logs, mig, spec.reshard, moved.clone());
@@ -460,7 +457,7 @@ mod tests {
         };
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let run = std::panic::catch_unwind(|| run_reshard::<TicketLock>(&spec));
+            let run = std::panic::catch_unwind(|| run_reshard(&spec));
             done_tx.send(run.is_err())
         });
         let panicked = done_rx

@@ -501,6 +501,13 @@ impl RingReceiver {
         true
     }
 
+    /// How many messages this receiver has taken off the ring so far,
+    /// read on the receiving thread.
+    pub fn received(&self) -> u64 {
+        // Consumer-owned: only this side stores `head`.
+        self.ring.head.load(Ordering::Relaxed)
+    }
+
     /// True if a message is waiting (advisory).
     pub fn has_message(&self) -> bool {
         let ring = &*self.ring;

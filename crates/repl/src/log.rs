@@ -26,11 +26,10 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use bytes::Bytes;
-use ssync_kv::KvStore;
-use ssync_locks::RawLock;
 use ssync_mp::Message;
 use ssync_srv::router::key_bytes;
 use ssync_srv::wire::{encode_replicate, Request};
+use ssync_srv::Store;
 
 /// What one replicated write did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,8 +87,8 @@ impl<'a> EntryView<'a> {
     }
 
     /// Applies the write through `store`'s per-key version gate
-    /// ([`KvStore::apply_replicated`]); true if the store changed.
-    pub fn apply_to<R: RawLock + Default>(&self, store: &KvStore<R>) -> bool {
+    /// ([`Store::apply_replicated`]); true if the store changed.
+    pub fn apply_to(&self, store: &Store) -> bool {
         store.apply_replicated(&key_bytes(self.key), self.version, self.value)
     }
 }
@@ -249,7 +248,7 @@ mod tests {
 
     #[test]
     fn a_decoded_frame_and_its_logged_entry_are_one_view() {
-        let store: KvStore<ssync_locks::TicketLock> = KvStore::new(8, 2);
+        let store = Store::new(8, 2);
         let value = Bytes::from_static(b"nine");
         for entry in [
             LogEntry::committed(3, 9, Some(&value)),

@@ -104,7 +104,7 @@ use ssync_srv::service::{
 };
 use ssync_srv::wire::{Request, Response, WireError, NO_LEADER};
 use ssync_srv::{
-    block_on, chase, run, Admit, Chase, Conn, Crash, Hooks, NodeCore, Pause, SendQueue,
+    block_on, chase, run, Admit, Chase, Conn, Crash, Hooks, NodeCore, Pause, SendQueue, Store,
     StreamDecoder, Turn, OP_BUDGET,
 };
 
@@ -183,7 +183,8 @@ impl ReplSpec {
 
 /// The stores of a replication deployment — one full shard router per
 /// node (node 0 is the seed leader) — plus one op-log per shard and the
-/// shared [`ClusterMap`].
+/// shared [`ClusterMap`]. Its nodes serve once `R` is the [`Store`]'s lock.
+// Generic for benchmark/src/stacks.rs:115, which spells `R`.
 pub struct ReplCluster<R: RawLock + Default> {
     primary: ShardRouter<R>,
     replica_sets: Vec<ShardRouter<R>>,
@@ -336,7 +337,7 @@ const STREAM_DEPTH: usize = 256;
 /// publishes in the [`ClusterMap`].
 pub struct NodeEndpoint {
     node: usize,
-    clients: ServerEndpoint<RingReceiver, RingSender>,
+    clients: ServerEndpoint,
     peers: Peers,
 }
 
@@ -348,7 +349,7 @@ struct Peers {
     stream_rx: Vec<(RingReceiver, StreamDecoder)>,
     /// `stream_tx[p]`: replication frames *to* node `p`, and those its
     /// full ring refused so far, sent first next turn.
-    stream_tx: Vec<SendQueue<RingSender>>,
+    stream_tx: Vec<SendQueue>,
 }
 
 impl NodeEndpoint {
@@ -379,7 +380,7 @@ struct ShardState {
 pub struct ReplClient {
     /// One connection per node of every group: node `n` of shard `s`
     /// is server `s * nodes_per_shard + n` of this mesh.
-    mesh: ServiceClient<RingSender, RingReceiver>,
+    mesh: ServiceClient,
     shards: Vec<ShardState>,
     map: Arc<ClusterMap>,
     /// Opt-in: while a shard is leaderless, serve reads floor-free
@@ -550,8 +551,8 @@ pub struct NodeReport {
 /// a node whose thread first runs after a failover finds the new term
 /// already in the map and never adopts it: the dead leader's backlog
 /// it fences puts it behind, and the log has it.
-struct Follower<'a, R: RawLock + Default> {
-    store: &'a KvStore<R>,
+struct Follower<'a> {
+    store: &'a Store,
     log: &'a OpLog,
     map: &'a ClusterMap,
     shard: usize,
@@ -564,11 +565,11 @@ struct Follower<'a, R: RawLock + Default> {
     stopped: bool,
 }
 
-impl<'a, R: RawLock + Default> Follower<'a, R> {
+impl<'a> Follower<'a> {
     /// Node `me` following the shard's current term, holding exactly
     /// the preload (`cfg.initial_hwm`), which it publishes.
     fn new(
-        store: &'a KvStore<R>,
+        store: &'a Store,
         log: &'a OpLog,
         map: &'a ClusterMap,
         me: usize,
@@ -697,8 +698,8 @@ pub fn stream_fence(view: ShardView, me: usize, peer: usize) -> bool {
 
 /// One node of a replication group, as the [`Hooks`] of the one node
 /// loop: the [`Follower`] it is while not leading, and what it leads with.
-pub(crate) struct ReplNode<'a, R: RawLock + Default> {
-    follower: Follower<'a, R>,
+pub(crate) struct ReplNode<'a> {
+    follower: Follower<'a>,
     cfg: NodeConfig,
     peers: Peers,
     /// Scratch for every message streamed to the peers.
@@ -714,7 +715,7 @@ pub(crate) struct ReplNode<'a, R: RawLock + Default> {
     exited: bool,
 }
 
-impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
+impl Hooks for ReplNode<'_> {
     /// Always: the log and the stream carry every write's value.
     fn observes_writes(&self) -> bool {
         true
@@ -864,16 +865,16 @@ impl<R: RawLock + Default> Hooks for ReplNode<'_, R> {
     }
 }
 
-impl<'a, R: RawLock + Default> ReplNode<'a, R> {
+impl<'a> ReplNode<'a> {
     /// Node `endpoint.node()` of `cfg.shard`'s group, and the core that
     /// serves its clients.
     pub(crate) fn new(
-        store: &'a KvStore<R>,
+        store: &'a Store,
         log: &'a OpLog,
         map: &'a ClusterMap,
         endpoint: NodeEndpoint,
         cfg: NodeConfig,
-    ) -> (NodeCore<RingReceiver, RingSender>, Self) {
+    ) -> (NodeCore, Self) {
         let NodeEndpoint {
             node: me,
             clients,
@@ -894,7 +895,7 @@ impl<'a, R: RawLock + Default> ReplNode<'a, R> {
     }
 
     /// What this node did, with `core`'s counts.
-    pub(crate) fn report(&self, core: &NodeCore<RingReceiver, RingSender>) -> NodeReport {
+    pub(crate) fn report(&self, core: &NodeCore) -> NodeReport {
         let counts = core.report();
         NodeReport {
             requests: counts.requests,
@@ -978,7 +979,7 @@ impl<'a, R: RawLock + Default> ReplNode<'a, R> {
 /// unwound by a panic — has died: it tells the map, which vacates the
 /// shard if it led, so a follower promotes, and whose leader stops
 /// waiting on its acks. Its rings close as its fields drop.
-impl<R: RawLock + Default> Drop for ReplNode<'_, R> {
+impl Drop for ReplNode<'_> {
     fn drop(&mut self) {
         let Follower {
             map, shard, report, ..
@@ -990,18 +991,14 @@ impl<R: RawLock + Default> Drop for ReplNode<'_, R> {
 }
 
 /// A node as [`run`] and [`play`](ssync_srv::play) move it.
-type Node<'a, R> = (
-    NodeCore<RingReceiver, RingSender>,
-    &'a KvStore<R>,
-    ReplNode<'a, R>,
-);
+type Node<'a> = (NodeCore, &'a Store, ReplNode<'a>);
 
 /// When the driver crashes `node`: while it leads, once the reply to
 /// the write that produced an entry of its `crash_plan` went out —
 /// before its next move. A version past the hwm it was promoted at is
 /// one it wrote, not one it replayed, so a successor does not die of
 /// its predecessor's entry.
-fn crash_due<R: RawLock + Default>(node: &ReplNode<'_, R>) -> bool {
+fn crash_due(node: &ReplNode<'_>) -> bool {
     let (report, cfg) = (&node.follower.report, &node.cfg);
     let due = |e: &FaultEvent| cfg.initial_hwm + e.at_entry == report.last_version;
     let wrote = node.leading && node.owed.is_none() && report.last_version > report.hwm;
@@ -1035,27 +1032,25 @@ fn pause_due<'a>(
 /// window, and [`Crash`]ed, its report kept, at a scheduled leader
 /// death ([`pause_due`], [`crash_due`]).
 #[allow(clippy::type_complexity)]
-pub(crate) fn driven<'a, R: RawLock + Default>(
-    store: &'a KvStore<R>,
+pub(crate) fn driven<'a>(
+    store: &'a Store,
     log: &'a OpLog,
     map: &'a ClusterMap,
     endpoint: NodeEndpoint,
     cfg: NodeConfig,
 ) -> Pause<
-    Crash<Node<'a, R>, NodeReport, impl FnMut(&Node<'a, R>) -> Option<NodeReport> + Send + 'a>,
+    Crash<Node<'a>, NodeReport, impl FnMut(&Node<'a>) -> Option<NodeReport> + Send + 'a>,
     impl FnMut() -> usize + Send + 'a,
 > {
     let pauses = pause_due(map, endpoint.node(), &cfg);
     let (core, node) = ReplNode::new(store, log, map, endpoint, cfg);
-    let crash = |(core, _, node): &Node<'a, R>| crash_due(node).then(|| node.report(core));
+    let crash = |(core, _, node): &Node<'a>| crash_due(node).then(|| node.report(core));
     Pause::new(Crash::new((core, store, node), crash), pauses)
 }
 
 /// What a [`driven`] node did: its report, or its last words if it
 /// crashed.
-pub(crate) fn report_of<R: RawLock + Default, C, P>(
-    node: &Pause<Crash<Node<'_, R>, NodeReport, C>, P>,
-) -> NodeReport {
+pub(crate) fn report_of<C, P>(node: &Pause<Crash<Node<'_>, NodeReport, C>, P>) -> NodeReport {
     match &node.actor.state {
         Ok((core, _, node)) => node.report(core),
         Err(last) => *last,
@@ -1066,9 +1061,9 @@ pub(crate) fn report_of<R: RawLock + Default, C, P>(
 /// client stopped and the group converged) or its scheduled death:
 /// [`run`] over the one node, [`Pause`]d at each window of
 /// `cfg.backup_plan` and [`Crash`]ed at a leader death of
-/// `cfg.crash_plan` (see [`crate::fault`]). A crashed node returns the
-/// report it had at its death. A node with no fault planned runs bare:
-/// no trigger is asked before its moves.
+/// `cfg.crash_plan` (see [`crate::fault`]): the one path every node
+/// takes, planned faults or none. A crashed node returns the report it
+/// had at its death.
 ///
 /// The node follows the [`ClusterMap`]: while the map names it leader
 /// it serves writes, streams entries, and owes each write's reply until
@@ -1080,19 +1075,13 @@ pub(crate) fn report_of<R: RawLock + Default, C, P>(
 /// [`ClusterMap::try_promote`]). A leader that outlives its clients
 /// streams `Stop` and returns once every live follower has published its
 /// last version.
-pub fn serve_node<R: RawLock + Default>(
-    store: &KvStore<R>,
+pub fn serve_node(
+    store: &Store,
     log: &OpLog,
     map: &ClusterMap,
     endpoint: NodeEndpoint,
     cfg: NodeConfig,
 ) -> NodeReport {
-    if cfg.backup_plan.is_empty() && cfg.crash_plan.is_empty() {
-        let (core, node) = ReplNode::new(store, log, map, endpoint, cfg);
-        let mut node = (core, store, node);
-        run(&mut [&mut node]);
-        return node.2.report(&node.0);
-    }
     let mut node = driven(store, log, map, endpoint, cfg);
     run(&mut [&mut node]);
     report_of(&node)
@@ -2359,7 +2348,7 @@ mod tests {
                 log.append(LogEntry::committed(key, version, value.as_ref()));
             }
         };
-        let check = |follower: &Follower<'_, TicketLock>, whole_log: bool| {
+        let check = |follower: &Follower<'_>, whole_log: bool| {
             let logged = log.len().checked_sub(1).map_or(0, |last| SCRIPT[last].1);
             let through = if whole_log {
                 logged
@@ -2507,7 +2496,7 @@ mod tests {
     /// A [`ReplNode`] as the stepped enumerations run it: itself, or a
     /// twin with one guard off.
     struct Stepped<'a> {
-        node: ReplNode<'a, TicketLock>,
+        node: ReplNode<'a>,
         twin: Option<Twin>,
     }
 

@@ -17,7 +17,7 @@
 
 use std::time::{Duration, Instant};
 
-use ssync_locks::RawLock;
+use ssync_locks::TicketLock;
 use ssync_srv::run;
 use ssync_srv::workload::{drive_worker, fan_out_beside, OpStream, Tally, WorkloadSpec};
 
@@ -80,8 +80,8 @@ pub struct ReplReport {
 /// Panics if `workers` is zero, or if `faults` schedules more leader
 /// crashes than there are backups to promote; re-raises a node's panic,
 /// which drops every node, so its clients read them gone, not hang.
-pub fn run_replicated_closed_loop<R: RawLock + Default>(
-    cluster: &mut ReplCluster<R>,
+pub fn run_replicated_closed_loop(
+    cluster: &mut ReplCluster<TicketLock>,
     spec: &WorkloadSpec,
     workers: usize,
     ops_per_worker: u64,

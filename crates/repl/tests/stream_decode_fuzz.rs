@@ -9,52 +9,19 @@
 //! head announces; every accepted message must re-encode to itself, and
 //! every accepted entry is applied to a store through `EntryView`.
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ssync_kv::KvStore;
-use ssync_locks::TicketLock;
-use ssync_mp::{ring_channel, Message, MsgReceiver, RecvError, RingReceiver, MSG_WORDS};
+use ssync_mp::{ring_channel, Message, MSG_WORDS};
 use ssync_repl::EntryView;
 use ssync_srv::wire::{replay, HEAD_VALUE_BYTES, MAX_VALUE_LEN};
-use ssync_srv::{Request, StreamDecoder, WireError};
+use ssync_srv::{Request, Store, StreamDecoder, WireError};
 
 /// Ring slots: fewer than the longest message's frames, so its
 /// continuations are taken in chunks across polls.
 const DEPTH: usize = 8;
-
-/// A receiver that counts the frames taken through it.
-struct Counted<'a> {
-    rx: &'a RingReceiver,
-    taken: Cell<usize>,
-}
-
-impl MsgReceiver for Counted<'_> {
-    fn try_recv(&self) -> Option<Message> {
-        let msg = self.rx.try_recv();
-        self.taken
-            .set(self.taken.get() + usize::from(msg.is_some()));
-        msg
-    }
-
-    fn sender_closed(&self) -> bool {
-        self.rx.sender_closed()
-    }
-
-    fn has_message(&self) -> bool {
-        self.rx.has_message()
-    }
-
-    fn poll_burst(&self, n: usize, out: &mut Vec<Message>) -> Result<bool, RecvError> {
-        let before = out.len();
-        let whole = self.rx.poll_burst(n, out);
-        self.taken.set(self.taken.get() + out.len() - before);
-        whole
-    }
-}
 
 /// A valid replication stream of one to six entries, and the index of
 /// each entry's head frame.
@@ -158,13 +125,9 @@ fn fuzz_case(rng: &mut SmallRng) {
     let expected = one_shot(&frames);
 
     let (tx, rx) = ring_channel(DEPTH);
-    let rx = Counted {
-        rx: &rx,
-        taken: Cell::new(0),
-    };
     let mut tx = Some(tx);
     let mut decoder = StreamDecoder::default();
-    let store = KvStore::<TicketLock>::new(8, 2);
+    let store = Store::new(8, 2);
     let mut got = Vec::new();
     let mut sent = 0;
     for _ in 0..4 * frames.len() + 4 {
@@ -173,7 +136,7 @@ fn fuzz_case(rng: &mut SmallRng) {
             sent += sender.try_send_burst(&frames[sent..sent + run]);
         }
         while let Some(result) = decoder.try_recv(&rx) {
-            got.push((result, rx.taken.get()));
+            got.push((result, rx.received() as usize));
         }
         if sent == frames.len() {
             // Drop the sender, then drain once more: a truncated tail

@@ -39,6 +39,7 @@ use crate::wire::{Request, Response, WireError};
 /// One `(request sender, reply receiver)` pair to one server. The
 /// halves are public: raw frames can be put on (or taken off) the
 /// rings directly, which is how tests inject corrupt traffic.
+// Generic for `ServiceClient`: benchmark/src/driver.rs:18 spells its halves.
 pub struct Conn<S: MsgSender = RingSender, C: MsgReceiver = RingReceiver> {
     /// The request channel's sending half.
     pub tx: S,

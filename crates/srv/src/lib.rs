@@ -6,8 +6,7 @@
 //! scaled out the way production caches are deployed:
 //!
 //! * [`router`] — keyspace partitioning over N [`ssync_kv::KvStore`]
-//!   shards, generic over the lock algorithm `R` like everything else
-//!   in the tree;
+//!   shards;
 //! * [`wire`] — the request/response format packed into `ssync-mp`
 //!   cache-line messages, one key per request and one reply per
 //!   request, with continuation frames for long values;
@@ -70,6 +69,12 @@ pub mod service;
 pub mod step;
 pub mod wire;
 pub mod workload;
+
+/// The store every node serves. A node is its store's one writer, so
+/// its stripe locks are never contended, and the paper finds a simple
+/// lock as good as any there (Obs. 7, Fig. 12): the lock choice is
+/// made once, here.
+pub type Store = ssync_kv::KvStore<ssync_locks::TicketLock>;
 
 pub use conn::{chase, Chase, Conn, OP_BUDGET};
 pub use node::{Admit, Hooks, NoHooks, NodeCore, SendQueue, StreamDecoder, Turn};

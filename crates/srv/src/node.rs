@@ -26,14 +26,13 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use ssync_core::stats::{mono_ns, Histogram, Registry};
-use ssync_kv::KvStore;
-use ssync_locks::RawLock;
-use ssync_mp::{Message, MsgReceiver, MsgSender, ServerHub};
+use ssync_mp::{Message, MsgReceiver, RingReceiver, RingSender, ServerHub};
 
 use crate::router::key_bytes;
 use crate::service::{ServeReport, ServerEndpoint};
 use crate::step::Step;
 use crate::wire::{encode_value, replay, Request, Response, WireError};
+use crate::Store;
 
 /// An admission verdict for one request.
 #[derive(Debug)]
@@ -78,7 +77,7 @@ pub trait Hooks {
     /// [`Hooks::committed`] and then asks [`Hooks::reply_owed`] before
     /// the reply leaves; it costs a put a handle on the stored value
     /// (one reference-count round trip). A no, the default, sends the
-    /// reply at the store's decision ([`KvStore::put_with`]), before
+    /// reply at the store's decision ([`Store::put_with`]), before
     /// the store builds the item: no `committed`, no `reply_owed`.
     fn observes_writes(&self) -> bool {
         false
@@ -143,12 +142,13 @@ impl StreamDecoder {
     /// complete, `Err(Disconnected)` if the sender died before its last
     /// continuation.
     #[inline]
-    pub fn try_recv<C: MsgReceiver>(&mut self, rx: &C) -> Option<Result<Request, WireError>> {
+    pub fn try_recv(&mut self, rx: &RingReceiver) -> Option<Result<Request, WireError>> {
         let head = self.poll(rx, Request::continuations)?;
         Some(head.and_then(|head| Request::decode(head, replay(&self.frames))))
     }
 
     /// [`StreamDecoder::try_recv`] for a [`Response`].
+    // Generic for `Conn`: benchmark/src/driver.rs:18 spells its halves.
     #[inline]
     pub fn try_recv_response<C: MsgReceiver>(
         &mut self,
@@ -159,6 +159,7 @@ impl StreamDecoder {
     }
 
     /// The head of the next whole message, its continuations in `frames`.
+    // Generic for `try_recv_response` alone.
     #[inline]
     fn poll<C: MsgReceiver>(
         &mut self,
@@ -187,16 +188,16 @@ impl StreamDecoder {
 /// One ring's sending half and the frames it refused so far, sent
 /// first, in order, by later flushes: a full ring costs its sender a
 /// queue, not a wait.
-pub struct SendQueue<S: MsgSender> {
+pub struct SendQueue {
     /// The sending half; a frame put on it directly goes ahead of the
     /// queue, which is how tests inject traffic.
-    pub tx: S,
+    pub tx: RingSender,
     queued: Vec<Message>,
 }
 
-impl<S: MsgSender> SendQueue<S> {
+impl SendQueue {
     /// An empty queue in front of `tx`.
-    pub fn new(tx: S) -> Self {
+    pub fn new(tx: RingSender) -> Self {
         let queued = Vec::new();
         SendQueue { tx, queued }
     }
@@ -237,9 +238,9 @@ impl<S: MsgSender> SendQueue<S> {
 }
 
 /// The shared serve-loop state of one node. See the module docs.
-pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
-    hub: ServerHub<C>,
-    replies: Vec<SendQueue<S>>,
+pub struct NodeCore {
+    hub: ServerHub<RingReceiver>,
+    replies: Vec<SendQueue>,
     frames: Vec<Message>,
     inboxes: Vec<StreamDecoder>,
     stopped: Vec<bool>,
@@ -263,9 +264,9 @@ pub struct NodeCore<C: MsgReceiver, S: MsgSender> {
 // The per-request methods carry `#[inline]`: each has one call site, in
 // the one turn, and left out of line they cost the plain shard a
 // measurable share of its request budget (EXPERIMENTS.md).
-impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
+impl NodeCore {
     /// A core serving `endpoint`'s clients.
-    pub fn new(endpoint: ServerEndpoint<C, S>) -> Self {
+    pub fn new(endpoint: ServerEndpoint) -> Self {
         let ServerEndpoint { requests, replies } = endpoint;
         let registry = Registry::new();
         NodeCore {
@@ -301,7 +302,7 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// only; the turn that releases the reply sends it and ends there.
     /// Every 1 024th turn that made progress also runs one reclamation
     /// pass on `store`. A turn holds `store`'s writer claim
-    /// ([`KvStore::claim_writer`]), and the exit gives it up: in a debug
+    /// ([`Store::claim_writer`]), and the exit gives it up: in a debug
     /// build, a write to the store from any other thread while the node
     /// runs panics. A client's queued replies are dropped when it
     /// retires or its reply receiver is gone (and it is retired once its
@@ -317,11 +318,7 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// request is counted malformed, the client retired, nothing
     /// executed or answered.
     #[inline]
-    pub fn turn<R: RawLock + Default, H: Hooks>(
-        &mut self,
-        store: &KvStore<R>,
-        hooks: &mut H,
-    ) -> Turn {
+    pub fn turn<H: Hooks>(&mut self, store: &Store, hooks: &mut H) -> Turn {
         store.claim_writer();
         let turn = self.pass(store, hooks);
         match turn {
@@ -342,7 +339,7 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     }
 
     #[inline]
-    fn pass<R: RawLock + Default, H: Hooks>(&mut self, store: &KvStore<R>, hooks: &mut H) -> Turn {
+    fn pass<H: Hooks>(&mut self, store: &Store, hooks: &mut H) -> Turn {
         let flushed = self.flush();
         let mut progressed = match hooks.before_poll(&mut self.counts) {
             ControlFlow::Break(turn) => return turn,
@@ -457,12 +454,7 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// Answers a `Stats` scrape: the latency-split histograms, the
     /// core's own counters, the caller's `node` counters and the
     /// store's — assembled only when asked for, without pausing service.
-    fn reply_stats<R: RawLock + Default>(
-        &mut self,
-        client: usize,
-        store: &KvStore<R>,
-        node: &[(&str, u64)],
-    ) {
+    fn reply_stats(&mut self, client: usize, store: &Store, node: &[(&str, u64)]) {
         let mut snap = self.registry.snapshot();
         // The store-level snapshot, not the bare counter block: the
         // `reclaim_backlog` gauge rides along with the counters.
@@ -501,9 +493,9 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
     /// once admitted is out of protocol on a client channel: refused
     /// with [`Response::Malformed`] and counted.
     #[inline]
-    fn serve<R: RawLock + Default, H: Hooks>(
+    fn serve<H: Hooks>(
         &mut self,
-        store: &KvStore<R>,
+        store: &Store,
         hooks: &mut H,
         client: usize,
         mut request: Request,
@@ -555,11 +547,11 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
 
     /// Runs one admitted read and encodes its answer into the frame
     /// buffer. A hit is encoded straight from the stored item, borrowed
-    /// under the read's own pin ([`KvStore::get_with`]): no handle, no
+    /// under the read's own pin ([`Store::get_with`]): no handle, no
     /// reference-count round trip, and the value's one copy on this hop
     /// is into the frames.
     #[inline]
-    fn read<R: RawLock + Default>(&mut self, store: &KvStore<R>, key: u64) {
+    fn read(&mut self, store: &Store, key: u64) {
         self.counts.key_ops += 1;
         let frames = &mut self.frames;
         let hit = store.get_with(&key_bytes(key), |version, value| {
@@ -580,13 +572,7 @@ impl<C: MsgReceiver, S: MsgSender> NodeCore<C, S> {
 /// first `Stop` would have, uncounted: else the node waits forever for
 /// a `Stop` nobody is left to send. A worker parks only after
 /// milliseconds of idling, so no request pays for the sweep.
-impl<C, S, R, H> Step for (NodeCore<C, S>, &KvStore<R>, H)
-where
-    C: MsgReceiver,
-    S: MsgSender,
-    R: RawLock + Default,
-    H: Hooks,
-{
+impl<H: Hooks> Step for (NodeCore, &Store, H) {
     fn step(&mut self) -> Turn {
         let (core, store, hooks) = self;
         core.turn(store, hooks)
@@ -603,14 +589,10 @@ where
 
 /// Applies one admitted write for a stack that observes none, handing
 /// its response to `answer` at the store's decision
-/// ([`KvStore::put_with`], [`KvStore::delete_with`]): before the store
+/// ([`Store::put_with`], [`Store::delete_with`]): before the store
 /// builds, links or unlinks the item, and inside its write section, so
 /// a reader that saw the reply waits for the write.
-fn write_answered<R: RawLock + Default>(
-    store: &KvStore<R>,
-    request: Request,
-    answer: impl FnOnce(Response),
-) {
+fn write_answered(store: &Store, request: Request, answer: impl FnOnce(Response)) {
     let (key, expected, value) = match request {
         Request::Set { key, value } => (key, None, value),
         Request::Cas {
@@ -632,11 +614,7 @@ fn write_answered<R: RawLock + Default>(
 /// reports it to [`Hooks::committed`] before the caller answers. A put
 /// also takes a handle on the stored value for `committed` to keep: the
 /// log shares the item's bytes.
-fn write_observed<R: RawLock + Default, H: Hooks>(
-    store: &KvStore<R>,
-    hooks: &mut H,
-    request: Request,
-) -> Response {
+fn write_observed<H: Hooks>(store: &Store, hooks: &mut H, request: Request) -> Response {
     let (key, kept) = match request {
         Request::Set { key, value } => (key, Ok(store.set_shared(&key_bytes(key), value))),
         Request::Cas {
@@ -683,7 +661,9 @@ pub(crate) mod tests {
     use crate::step::{block_on, play, until};
     use crate::wire::MAX_VALUE_LEN;
     use core::pin::pin;
+    use ssync_kv::KvStore;
     use ssync_locks::TicketLock;
+    use ssync_mp::MsgSender;
     use std::time::Duration;
 
     /// Runs `body` on a thread of its own and returns its result, failing

@@ -62,8 +62,9 @@ pub fn slot_of(key: u64) -> usize {
     (z % ROUTE_SLOTS as u64) as usize
 }
 
-/// N keyspace shards, each its own [`KvStore`], generic over the lock
-/// algorithm like everything else in the tree.
+/// N keyspace shards, each its own [`KvStore`]; a shard serves once `R`
+/// is the [`Store`](crate::Store)'s lock.
+// Generic for benchmark/src/stacks.rs:80 and ladder.rs:312,854, which spell `R`.
 pub struct ShardRouter<R: RawLock + Default> {
     shards: Box<[KvStore<R>]>,
 }

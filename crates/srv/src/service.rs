@@ -10,11 +10,11 @@
 //! The mesh is built on bounded SPSC rings ([`ssync_mp::ring_channel`]):
 //! a server sends what a reply ring has room for and queues the rest,
 //! and a client can **pipeline** reads ([`ServiceClient::send_get`] /
-//! [`ServiceClient::read_get_reply`]). The endpoint, client and
-//! connection types stay generic over the channel halves
-//! ([`MsgSender`] / [`MsgReceiver`], defaulting to the ring's) because
-//! code outside the workspace members names them with explicit halves;
-//! nothing in the tree instantiates them on anything but rings.
+//! [`ServiceClient::read_get_reply`]). A node serves a [`Store`] over
+//! ring halves and names both directly. The client and its connections
+//! stay generic over the channel halves ([`MsgSender`] /
+//! [`MsgReceiver`], defaulting to the ring's) only because code outside
+//! the workspace members names them with explicit halves.
 //!
 //! Flow control: nothing waits on a full ring. A client's waits are
 //! pending polls ([`crate::conn`]); a node takes a request's frames as
@@ -27,8 +27,6 @@
 use core::future::Future;
 
 use ssync_core::stats::RegistrySnapshot;
-use ssync_kv::KvStore;
-use ssync_locks::RawLock;
 use ssync_mp::{ring_channel, MsgReceiver, MsgSender, RingReceiver, RingSender};
 
 use crate::conn::Conn;
@@ -37,16 +35,18 @@ use crate::router::shard_of;
 use crate::step::{block_on, run};
 pub use crate::wire::ReadHit;
 use crate::wire::{Request, Response, WireError};
+use crate::Store;
 
 /// A server's side of the channel mesh: one request receiver and one
 /// reply sender per client, index-aligned.
-pub struct ServerEndpoint<C: MsgReceiver = RingReceiver, S: MsgSender = RingSender> {
-    pub(crate) requests: Vec<C>,
-    pub(crate) replies: Vec<S>,
+pub struct ServerEndpoint {
+    pub(crate) requests: Vec<RingReceiver>,
+    pub(crate) replies: Vec<RingSender>,
 }
 
 /// A client's side of the channel mesh: one [`Conn`] per server, with
 /// static hash routing over them.
+// Generic for benchmark/src/driver.rs:18, which spells its halves.
 pub struct ServiceClient<S: MsgSender = RingSender, C: MsgReceiver = RingReceiver> {
     shards: Vec<Conn<S, C>>,
 }
@@ -184,10 +184,7 @@ pub struct ServeReport {
 /// policy attached, until every client has sent [`Request::Stop`] (or
 /// gone away without one). Meant to run on its own thread; returns once
 /// the last client stops.
-pub fn serve<R: RawLock + Default, C: MsgReceiver, S: MsgSender>(
-    shard: &KvStore<R>,
-    endpoint: ServerEndpoint<C, S>,
-) -> ServeReport {
+pub fn serve(shard: &Store, endpoint: ServerEndpoint) -> ServeReport {
     let mut node = (NodeCore::new(endpoint), shard, NoHooks);
     run(&mut [&mut node]);
     node.0.report()

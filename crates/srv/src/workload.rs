@@ -28,7 +28,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ssync_kv::StatsSnapshot;
-use ssync_locks::RawLock;
+use ssync_locks::TicketLock;
 
 use crate::node::{NoHooks, NodeCore};
 use crate::router::ShardRouter;
@@ -529,8 +529,8 @@ pub struct LoadReport {
 /// # Panics
 ///
 /// Panics if `workers` is zero.
-pub fn run_load<R: RawLock + Default>(
-    router: &ShardRouter<R>,
+pub fn run_load(
+    router: &ShardRouter<TicketLock>,
     spec: &WorkloadSpec,
     workers: usize,
     ops_per_worker: u64,

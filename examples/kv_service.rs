@@ -5,13 +5,13 @@
 //!
 //! Run with: `cargo run --release --example kv_service`
 
-use ssync::locks::{McsLock, TicketLock};
+use ssync::locks::TicketLock;
 use ssync::srv::router::ShardRouter;
 use ssync::srv::service::{ring_mesh, serve, KvClient};
 use ssync::srv::workload::{run_load, KeyDist, Mix, ValueSize, WorkloadSpec};
 
-fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix) {
-    let router: ShardRouter<R> = ShardRouter::new(4, 256, 16);
+fn bench(mix: Mix) {
+    let router: ShardRouter<TicketLock> = ShardRouter::new(4, 256, 16);
     let workload = WorkloadSpec {
         keys: 1024,
         dist: KeyDist::Zipfian { theta: 0.99 },
@@ -25,7 +25,7 @@ fn bench<R: ssync::locks::RawLock + Default>(name: &str, mix: Mix) {
     let workers = ssync::core::cores::test_threads(4);
     let report = run_load(&router, &workload, workers, 2_000);
     println!(
-        "{name:>8} {:>7}: {:>8.0} ops/s, hit rate {:>5.1}%, {} maintenance passes",
+        "{:>7}: {:>8.0} ops/s, hit rate {:>5.1}%, {} maintenance passes",
         mix.name,
         report.tally.ops_per_sec(report.wall),
         report.tally.hit_rate() * 100.0,
@@ -65,11 +65,13 @@ fn main() {
         client.close();
     });
 
-    // Then the workload engine over two lock algorithms: the rings
-    // amortize scheduler handoffs over a reply's frames, and the stores
-    // answer reads optimistically, falling back to the stripe lock.
-    println!("\nclosed-loop YCSB over 4 shards, zipf 0.99:");
-    bench::<TicketLock>("TICKET", Mix::YCSB_B);
-    bench::<TicketLock>("TICKET", Mix::YCSB_A);
-    bench::<McsLock>("MCS", Mix::YCSB_B);
+    // Then the workload engine: the rings amortize scheduler handoffs
+    // over a reply's frames, and the stores answer reads optimistically,
+    // falling back to the stripe lock. Every served store has one
+    // writer, its node's thread, so its stripe locks are never contended
+    // and no lock algorithm could show a difference here; the lock
+    // comparison lives in `kv_server`, where threads share one store.
+    println!("\nclosed-loop YCSB over 4 shards, zipf 0.99, TICKET locks:");
+    bench(Mix::YCSB_B);
+    bench(Mix::YCSB_A);
 }

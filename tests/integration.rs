@@ -8,7 +8,7 @@
 use ssync::core::cores::{has_cores, test_threads};
 use ssync::ht::HashTable;
 use ssync::kv::KvStore;
-use ssync::locks::{AnyLock, HticketLock, Lock, LockKind, McsLock, RawLock, TicketLock};
+use ssync::locks::{AnyLock, HticketLock, Lock, LockKind, RawLock, TicketLock};
 use ssync::mp::channel::channel;
 use ssync::mp::{MsgReceiver, MsgSender};
 use ssync::srv::router::ShardRouter;
@@ -151,13 +151,13 @@ fn busy_spin_ping_pong_makes_wall_clock_progress() {
 #[test]
 fn sharded_service_composes_locks_mp_and_kv() {
     // The full serving stack: client threads -> ssync-mp rings ->
-    // per-shard server threads -> KvStore shards under MCS locks. The
+    // per-shard server threads -> KvStore shards under TICKET locks. The
     // first place locks, message passing, and the store meet under one
     // load; thread counts scale to the host. Depth-1 rings: one frame
     // in flight per direction, the tightest flow control there is.
     let clients = test_threads(3);
     let shards = 2;
-    let router: ShardRouter<McsLock> = ShardRouter::new(shards, 64, 8);
+    let router: ShardRouter<TicketLock> = ShardRouter::new(shards, 64, 8);
     let (endpoints, service_clients) = ring_mesh(shards, clients, 1);
     std::thread::scope(|s| {
         for (shard, endpoint) in endpoints.into_iter().enumerate() {
@@ -193,7 +193,7 @@ fn sharded_service_runs_on_rings_with_pipelined_reads() {
     // stripe-lock round-trips.
     let clients = test_threads(3);
     let shards = 2;
-    let router: ShardRouter<McsLock> = ShardRouter::new(shards, 64, 8);
+    let router: ShardRouter<TicketLock> = ShardRouter::new(shards, 64, 8);
     let (endpoints, service_clients) = ring_mesh(shards, clients, 32);
     std::thread::scope(|s| {
         for (shard, endpoint) in endpoints.into_iter().enumerate() {
